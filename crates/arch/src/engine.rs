@@ -131,7 +131,7 @@ impl LoadMetrics {
 }
 
 /// The result of one loaded run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadedRun {
     /// Every dispatched interaction, in dispatch order.
     pub interactions: Vec<LoadedInteraction>,
@@ -202,7 +202,7 @@ impl LoadedRun {
 /// after a dispatch step of an observed run.
 pub type SpanObserver<'a> = &'a mut dyn FnMut(&[SpanEvent]);
 
-/// One mid-run fault-plan change on a monitored run's script: at virtual
+/// One mid-run fault-plan change on a loaded run's script: at virtual
 /// offset `at` from the run's start, dial `plan` onto the testbed's delayed
 /// paths ([`Testbed::set_faults`]). A scenario is a sequence of these — an
 /// outage is a faulty plan followed by [`FaultPlan::NONE`] at the recovery
@@ -234,6 +234,40 @@ pub struct ScheduledCrash {
     pub kind: CrashKind,
     /// How long the machine stays down before restarting.
     pub restart_after: SimDuration,
+}
+
+/// What a loaded run carries besides its plan; every part is optional and
+/// all of them combine (`RunHooks::default()` attaches nothing).
+#[derive(Default)]
+pub struct RunHooks<'a> {
+    /// Sampled after every dispatch, so level series capture the queue
+    /// building and draining.
+    pub timeline: Option<&'a Timeline>,
+    /// Fed the testbed's commit-trace log after every dispatch, before the
+    /// log is cleared. One dispatch ([`VirtualClient::perform`]) is one
+    /// atomic step, so at drain time the log holds only *complete* traces —
+    /// no span of an in-flight interaction can be split across two drains,
+    /// and sessions completing out of admission order cannot drop or
+    /// double-count spans. Draining per dispatch also bounds the log:
+    /// without it a long loaded run overflows the fixed-capacity trace ring
+    /// and silently sheds the oldest spans.
+    pub observer: Option<SpanObserver<'a>>,
+    /// Live SLO monitoring: [`SloMonitor::evaluate`] runs after every
+    /// admission batch (the queue detectors see depth the instant it
+    /// changes) and [`SloMonitor::observe_interaction`] at each completion
+    /// with the interaction's total latency and HTTP verdict. The engine
+    /// binds its own `queue_depth` gauge into the monitor and drains the
+    /// commit-trace log into the flight recorder (sharing the drain with
+    /// `observer`, which still sees every span exactly once).
+    pub monitor: Option<&'a mut SloMonitor>,
+    /// Mid-run fault-plan changes, applied in offset order the moment
+    /// virtual time crosses them.
+    pub faults: &'a [ScheduledFault],
+    /// Machine deaths: each kills its machine at its instant and restarts
+    /// it after its downtime. Sessions whose RPCs land in the downtime
+    /// window fail as outages and retry; a backend restart replays the WAL
+    /// before traffic resumes.
+    pub crashes: &'a [ScheduledCrash],
 }
 
 /// A live session mid-run: its client (cookie state), remaining script and
@@ -272,89 +306,53 @@ impl<'t> LoadEngine<'t> {
         &self.metrics
     }
 
-    /// Runs `plan` to completion: admits sessions per the arrival schedule,
-    /// lets the scheduler pick among ready sessions at every step, and
-    /// returns every interaction with its queue-wait/service split.
-    ///
-    /// If `timeline` is given it is sampled after every dispatch, so level
-    /// series capture the queue building and draining. Arrival offsets are
-    /// anchored at the clock's position on entry (testbed construction has
-    /// already spent some virtual time on connection handshakes).
+    /// Runs `plan` to completion with nothing attached but an optional
+    /// timeline, sampled after every dispatch. See [`LoadEngine::run_with`].
     pub fn run(&self, plan: &LoadPlan, timeline: Option<&Timeline>) -> LoadedRun {
         self.run_observed(plan, timeline, None)
     }
 
-    /// [`LoadEngine::run`] with a span-harvest hook: after every dispatch
-    /// the testbed's commit-trace log is drained and handed to `observer`
-    /// before being cleared.
+    /// [`LoadEngine::run`] with a span-harvest hook (see
+    /// [`RunHooks::observer`]).
+    pub fn run_observed<'a>(
+        &self,
+        plan: &LoadPlan,
+        timeline: Option<&'a Timeline>,
+        observer: Option<SpanObserver<'a>>,
+    ) -> LoadedRun {
+        self.run_with(
+            plan,
+            RunHooks {
+                timeline,
+                observer,
+                ..RunHooks::default()
+            },
+        )
+    }
+
+    /// Runs `plan` to completion: admits sessions per the arrival schedule,
+    /// lets the scheduler pick among ready sessions at every step, and
+    /// returns every interaction with its queue-wait/service split.
+    /// Arrival offsets — and the offsets of the scripts in `hooks` — are
+    /// anchored at the clock's position on entry (testbed construction has
+    /// already spent some virtual time on connection handshakes).
     ///
-    /// One dispatch ([`VirtualClient::perform`]) is one atomic step, so at
-    /// drain time the log holds only *complete* traces — no span of an
-    /// in-flight interaction can be split across two drains, and sessions
-    /// completing out of admission order cannot drop or double-count spans.
-    /// Draining per dispatch also bounds the log: without it a long loaded
-    /// run overflows the fixed-capacity trace ring and silently sheds the
-    /// oldest spans.
-    pub fn run_observed(
-        &self,
-        plan: &LoadPlan,
-        timeline: Option<&Timeline>,
-        observer: Option<SpanObserver<'_>>,
-    ) -> LoadedRun {
-        self.run_driven(plan, timeline, observer, None, &[], &[])
-    }
-
-    /// [`LoadEngine::run`] with a script of machine deaths: each
-    /// [`ScheduledCrash`] kills its machine at an exact virtual-time change
-    /// point mid-run and restarts it after its downtime. Sessions whose
-    /// RPCs land in the downtime window fail as outages and retry; a
-    /// backend restart replays the WAL before traffic resumes.
-    pub fn run_with_crashes(
-        &self,
-        plan: &LoadPlan,
-        timeline: Option<&Timeline>,
-        crashes: &[ScheduledCrash],
-    ) -> LoadedRun {
-        self.run_driven(plan, timeline, None, None, &[], crashes)
-    }
-
-    /// [`LoadEngine::run_observed`] under live SLO monitoring, with an
-    /// optional script of mid-run fault-plan changes.
-    ///
-    /// The monitor is fed at the loop's existing change points, so its
-    /// detection timestamps are exact virtual times of state transitions
-    /// rather than sampling artifacts: [`SloMonitor::evaluate`] runs after
-    /// every admission batch (the queue detectors see depth the instant it
-    /// changes) and [`SloMonitor::observe_interaction`] runs at each
-    /// completion with the interaction's total latency and HTTP verdict.
-    /// The engine binds its own `queue_depth` gauge into the monitor and
-    /// drains the commit-trace log into the flight recorder (sharing the
-    /// drain with `observer`, which still sees every span exactly once).
-    /// Entries in `schedule` are applied in offset order the moment virtual
-    /// time crosses them.
-    pub fn run_monitored(
-        &self,
-        plan: &LoadPlan,
-        timeline: Option<&Timeline>,
-        observer: Option<SpanObserver<'_>>,
-        monitor: &mut SloMonitor,
-        schedule: &[ScheduledFault],
-    ) -> LoadedRun {
-        monitor.bind_queue_gauge(self.metrics.queue_depth.clone());
-        self.run_driven(plan, timeline, observer, Some(monitor), schedule, &[])
-    }
-
-    /// The one loaded main loop behind [`LoadEngine::run`],
-    /// [`LoadEngine::run_observed`] and [`LoadEngine::run_monitored`].
-    fn run_driven(
-        &self,
-        plan: &LoadPlan,
-        timeline: Option<&Timeline>,
-        mut observer: Option<SpanObserver<'_>>,
-        mut monitor: Option<&mut SloMonitor>,
-        schedule: &[ScheduledFault],
-        crashes: &[ScheduledCrash],
-    ) -> LoadedRun {
+    /// Everything in `hooks` acts at the loop's existing change points, the
+    /// instants between atomic dispatch steps, so a scripted fault or crash
+    /// lands at an exact, replayable position in the interleaving and a
+    /// monitor's detection timestamps are exact virtual times of state
+    /// transitions rather than sampling artifacts.
+    pub fn run_with(&self, plan: &LoadPlan, hooks: RunHooks<'_>) -> LoadedRun {
+        let RunHooks {
+            timeline,
+            mut observer,
+            mut monitor,
+            faults,
+            crashes,
+        } = hooks;
+        if let Some(mon) = monitor.as_deref_mut() {
+            mon.bind_queue_gauge(self.metrics.queue_depth.clone());
+        }
         assert!(plan.sessions > 0, "a loaded run needs at least one session");
         let clock = &self.testbed.clock;
         let edges = self.testbed.edges.len();
@@ -373,7 +371,7 @@ impl<'t> LoadEngine<'t> {
             (0..plan.sessions).map(|_| generator.session()).collect();
         let mut scheduler = Scheduler::random(plan.scheduler_seed);
         let mut fault_script: Vec<(SimTime, FaultPlan)> =
-            schedule.iter().map(|s| (start + s.at, s.plan)).collect();
+            faults.iter().map(|s| (start + s.at, s.plan)).collect();
         fault_script.sort_by_key(|&(t, _)| t);
         let mut next_fault_change = 0usize;
         // Each scripted crash unrolls to a kill event and a restart event;
@@ -732,7 +730,14 @@ mod tests {
             plan: outage,
         }];
         let t0 = tb.clock.now().as_micros();
-        let run = engine.run_monitored(&p, None, None, &mut monitor, &schedule);
+        let run = engine.run_with(
+            &p,
+            RunHooks {
+                monitor: Some(&mut monitor),
+                faults: &schedule,
+                ..RunHooks::default()
+            },
+        );
         assert_eq!(run.sessions_completed, 25, "the run must still complete");
         // Ground truth is the first *injected* fault, not the dial instant:
         // the plan change only bites on the next delivery attempt.
@@ -775,7 +780,13 @@ mod tests {
             p.think = SimDuration::ZERO;
             if monitored {
                 let mut monitor = SloMonitor::new(quick_slo());
-                let run = engine.run_monitored(&p, None, None, &mut monitor, &[]);
+                let run = engine.run_with(
+                    &p,
+                    RunHooks {
+                        monitor: Some(&mut monitor),
+                        ..RunHooks::default()
+                    },
+                );
                 assert!(
                     monitor.incidents().is_empty(),
                     "clean traffic must not trip detectors: {:?}",
@@ -791,6 +802,13 @@ mod tests {
         assert_eq!(interactions_of(true), interactions_of(false));
     }
 
+    fn crash_hooks(crashes: &[ScheduledCrash]) -> RunHooks<'_> {
+        RunHooks {
+            crashes,
+            ..RunHooks::default()
+        }
+    }
+
     #[test]
     fn scripted_backend_crash_recovers_and_the_run_completes() {
         let tb = Testbed::build(Architecture::EsRdb(Flavor::Jdbc), TestbedConfig::default());
@@ -802,7 +820,7 @@ mod tests {
             kind: CrashKind::Backend,
             restart_after: SimDuration::from_millis(25),
         }];
-        let run = engine.run_with_crashes(&p, None, &crashes);
+        let run = engine.run_with(&p, crash_hooks(&crashes));
         assert_eq!(run.sessions_completed, 12, "every session must finish");
         let wal = tb.db.wal_stats();
         assert_eq!(wal.recoveries, 1, "the restart must replay the WAL");
@@ -838,7 +856,7 @@ mod tests {
                 kind: CrashKind::Backend,
                 restart_after: SimDuration::from_millis(20),
             }];
-            let run = engine.run_with_crashes(&p, None, &crashes);
+            let run = engine.run_with(&p, crash_hooks(&crashes));
             (run.interactions, tb.db.wal_stats())
         };
         assert_eq!(collect(), collect());
@@ -855,13 +873,55 @@ mod tests {
             kind: CrashKind::Edge,
             restart_after: SimDuration::from_millis(20),
         }];
-        let run = engine.run_with_crashes(&p, None, &crashes);
+        let run = engine.run_with(&p, crash_hooks(&crashes));
         assert_eq!(run.sessions_completed, 10);
         // The edge restarted cold mid-run, so the store was rebuilt by
         // post-restart misses — and no WAL replay happened (the database
         // machine never died).
         assert_eq!(tb.db.wal_stats().recoveries, 0);
         assert!(tb.edges[0].store.as_ref().unwrap().stats().misses > 0);
+    }
+
+    #[test]
+    fn monitored_crash_is_detected_after_the_kill_and_replays_identically() {
+        let kill_at = SimDuration::from_millis(150);
+        let collect = || {
+            let tb = Testbed::build(Architecture::EsRbes, TestbedConfig::default());
+            let engine = LoadEngine::new(&tb);
+            let mut p = plan(60.0, 25);
+            p.think = SimDuration::ZERO;
+            let mut monitor = SloMonitor::new(quick_slo()).share_metrics(tb.monitor_metrics());
+            let crashes = [ScheduledCrash {
+                at: kill_at,
+                kind: CrashKind::Backend,
+                restart_after: SimDuration::from_millis(400),
+            }];
+            let t0 = tb.clock.now();
+            let run = engine.run_with(
+                &p,
+                RunHooks {
+                    monitor: Some(&mut monitor),
+                    crashes: &crashes,
+                    ..RunHooks::default()
+                },
+            );
+            assert_eq!(run.sessions_completed, 25, "the run must still complete");
+            assert_eq!(tb.db.wal_stats().recoveries, 1);
+            let detections = monitor.detections();
+            assert!(
+                !detections.is_empty(),
+                "a dead back-end must trip at least one detector"
+            );
+            let killed_us = (t0 + kill_at).as_micros();
+            for (name, at) in &detections {
+                assert!(
+                    *at >= killed_us,
+                    "detector {name} fired at {at}, before the kill at {killed_us}"
+                );
+            }
+            (run, detections)
+        };
+        assert_eq!(collect(), collect());
     }
 
     #[test]

@@ -45,7 +45,7 @@ mod topology;
 pub use checker::{analyze, ChainVersion, HistoryAnalysis, TxnRef, Violation};
 pub use client::{Interaction, VirtualClient};
 pub use engine::{
-    LoadEngine, LoadMetrics, LoadPlan, LoadedInteraction, LoadedRun, ScheduledCrash,
+    LoadEngine, LoadMetrics, LoadPlan, LoadedInteraction, LoadedRun, RunHooks, ScheduledCrash,
     ScheduledFault, SpanObserver,
 };
 pub use report::collect_report;

@@ -9,8 +9,9 @@
 //! Run with `cargo run --release -p sli-bench --bin ablation_cache`.
 
 use sli_arch::{Architecture, Testbed, TestbedConfig, VirtualClient};
-use sli_bench::{Cli, RunConfig};
+use sli_bench::{Cli, PAPER_SEED};
 use sli_simnet::SimDuration;
+use sli_trade::seed::Population;
 use sli_trade::session::SessionGenerator;
 use sli_workload::{fit, TextTable};
 
@@ -21,7 +22,10 @@ struct CapacityPoint {
     sensitivity: f64,
 }
 
-fn run_capacity(capacity: Option<usize>, cfg: RunConfig) -> CapacityPoint {
+/// Warm-up and measured sessions per capacity × delay point.
+const SESSIONS: usize = 100;
+
+fn run_capacity(capacity: Option<usize>, population: Population) -> CapacityPoint {
     let mut points = Vec::new();
     let mut hit_ratio = 0.0;
     let mut evictions = 0;
@@ -29,21 +33,21 @@ fn run_capacity(capacity: Option<usize>, cfg: RunConfig) -> CapacityPoint {
         let testbed = Testbed::build(
             Architecture::EsRbes,
             TestbedConfig {
-                population: cfg.population,
+                population,
                 cache_capacity: capacity,
                 ..TestbedConfig::default()
             },
         );
         testbed.set_delay(SimDuration::from_millis(delay_ms));
-        let mut generator = SessionGenerator::new(cfg.seed, cfg.population);
+        let mut generator = SessionGenerator::new(PAPER_SEED, population);
         let mut client = VirtualClient::new(&testbed, 0);
-        for _ in 0..cfg.warmup_sessions {
+        for _ in 0..SESSIONS {
             client.run_session(&generator.session());
         }
         let store = testbed.edges[0].store.as_ref().expect("cached");
         store.reset_stats();
         let mut latencies = Vec::new();
-        for _ in 0..cfg.measured_sessions {
+        for _ in 0..SESSIONS {
             for o in client.run_session(&generator.session()) {
                 latencies.push(o.latency.as_millis_f64());
             }
@@ -73,15 +77,11 @@ fn main() {
         "accepted for CI symmetry (the sweep is already scaled down)",
     )
     .parse();
-    let cfg = RunConfig {
-        warmup_sessions: 100,
-        measured_sessions: 100,
-        ..RunConfig::default()
-    };
+    let population = Population::default();
     println!("Ablation: ES/RBES latency sensitivity vs common-store capacity");
     println!(
         "(LRU-bounded store; working set = {} users x 4 beans + {} quotes)\n",
-        cfg.population.users, cfg.population.quotes
+        population.users, population.quotes
     );
     let mut table = TextTable::new(&[
         "capacity (images)",
@@ -90,7 +90,7 @@ fn main() {
         "sensitivity (slope)",
     ]);
     for capacity in [None, Some(400), Some(200), Some(100), Some(50), Some(10)] {
-        let p = run_capacity(capacity, cfg);
+        let p = run_capacity(capacity, population);
         table.row(vec![
             p.label,
             format!("{:.1}%", p.hit_ratio * 100.0),

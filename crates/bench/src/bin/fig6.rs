@@ -8,23 +8,18 @@
 //! plus the linear fit the paper overlays (R² ≈ 99%).
 //!
 //! Run with `cargo run --release -p sli-bench --bin fig6`. Pass `--smoke`
-//! for a scaled-down single-iteration run (CI uses it to validate the
-//! emitted run report against the schema).
+//! for a scaled-down run into `results/smoke/` (CI uses it to validate the
+//! emitted artifacts against their schemas).
 //!
 //! Besides the CSV, the binary emits a structured run report
 //! (`results/fig6.report.json`, schema `sli-edge.run-report/v1`) with one
-//! row per series × delay, and the windowed virtual-time timelines of
-//! every measured run (`results/fig6.timeline.json`, schema
-//! `sli-edge.timeline/v1`). The process exits non-zero if either fails
-//! schema validation.
+//! row per series × delay, a span sample (`results/fig6.trace.json`), and
+//! the windowed virtual-time timelines of every measured run
+//! (`results/fig6.timeline.json`, schema `sli-edge.timeline/v1`). The
+//! process exits non-zero if any of them fails validation.
 
 use sli_arch::{Architecture, Flavor};
-use sli_bench::{
-    breakdown_table, combined_sample, sensitivity, sweep_full, timeline_table, write_timeline_json,
-    write_trace_json, Cli, RunConfig, TraceHarvest, PAPER_DELAYS_MS,
-};
-use sli_telemetry::{validate_run_report, RunReport, TimelineDoc};
-use sli_workload::{Csv, TextTable};
+use sli_bench::{latency_vs_delay, Cli};
 
 fn main() {
     let args = Cli::new(
@@ -33,141 +28,32 @@ fn main() {
     )
     .flag("smoke", "scaled-down run for CI schema checks")
     .parse();
-    let smoke = args.has("smoke");
-    let cfg = if smoke {
-        RunConfig::quick()
-    } else {
-        RunConfig::default()
-    };
-    let delays: &[u64] = if smoke { &[0, 40] } else { PAPER_DELAYS_MS };
-    let series = [
-        (
-            "ES/RDB (JDBC, best algorithm)",
-            Architecture::EsRdb(Flavor::Jdbc),
-        ),
-        ("ES/RBES (Cached EJBs)", Architecture::EsRbes),
-        ("Clients/RAS (JDBC)", Architecture::ClientsRas(Flavor::Jdbc)),
-    ];
-
     println!("Figure 6: Comparison of High-Latency Architectures");
-    println!(
-        "(one virtual client; {} warm-up + {} measured sessions; latency = batched \
-         average over {} batches)\n",
-        cfg.warmup_sessions, cfg.measured_sessions, cfg.batches
+    println!("(one virtual client; latency = batched average of the measured sessions)\n");
+    latency_vs_delay(
+        env!("CARGO_BIN_NAME"),
+        "Figure 6: Comparison of High-Latency Architectures",
+        &[
+            (
+                "ES/RDB (JDBC, best algorithm)",
+                "es_rdb_jdbc_ms",
+                Architecture::EsRdb(Flavor::Jdbc),
+            ),
+            (
+                "ES/RBES (Cached EJBs)",
+                "es_rbes_cached_ms",
+                Architecture::EsRbes,
+            ),
+            (
+                "Clients/RAS (JDBC)",
+                "clients_ras_ms",
+                Architecture::ClientsRas(Flavor::Jdbc),
+            ),
+        ],
+        args.has("smoke"),
     );
-
-    let mut table = TextTable::new(&["one-way delay (ms)", series[0].0, series[1].0, series[2].0]);
-    let mut csv = Csv::new(&[
-        "delay_ms",
-        "es_rdb_jdbc_ms",
-        "es_rbes_cached_ms",
-        "clients_ras_ms",
-    ]);
-
-    let mut report = RunReport::new("Figure 6: Comparison of High-Latency Architectures");
-    let mut timelines = TimelineDoc::new("fig6");
-    let mut harvests = Vec::new();
-    let results: Vec<_> = series
-        .iter()
-        .map(|(name, arch)| {
-            let mut points = Vec::new();
-            let mut harvest = TraceHarvest::default();
-            for run in sweep_full(*arch, delays, cfg) {
-                report.entries.push(run.report);
-                harvest.merge(run.harvest);
-                timelines.runs.push(run.timeline);
-                points.push(run.point);
-            }
-            harvests.push(((*name).to_owned(), harvest));
-            points
-        })
-        .collect();
-
-    for (i, delay) in delays.iter().enumerate() {
-        let cells: Vec<String> = std::iter::once(delay.to_string())
-            .chain(results.iter().map(|r| format!("{:.1}", r[i].latency_ms)))
-            .collect();
-        table.row(cells.clone());
-        csv.row(cells);
-    }
-    println!("{}", table.render());
-
-    println!("Linear fits (latency_ms = slope * delay_ms + intercept):");
-    let mut fits = TextTable::new(&["series", "slope (sensitivity)", "intercept (ms)", "R^2"]);
-    for ((name, _), points) in series.iter().zip(&results) {
-        let f = sensitivity(points).expect("sweep has multiple delays");
-        fits.row(vec![
-            (*name).to_owned(),
-            format!("{:.1}", f.slope),
-            format!("{:.1}", f.intercept),
-            format!("{:.4}", f.r2),
-        ]);
-    }
-    println!("{}", fits.render());
     println!(
-        "Paper's qualitative result: Clients/RAS lowest latency (slope 2.0); ES/RBES \
+        "\nPaper's qualitative result: Clients/RAS lowest latency (slope 2.0); ES/RBES \
          close behind (3.1); ES/RDB far more sensitive (9.4 for its best algorithm)."
     );
-
-    println!("\nCritical-path latency breakdown (mean per request, across the sweep):");
-    let rows: Vec<_> = harvests
-        .iter()
-        .map(|(name, h)| (name.clone(), h.breakdown.clone()))
-        .collect();
-    println!("{}", breakdown_table(&rows));
-    let sample = combined_sample(&harvests);
-    match write_trace_json(env!("CARGO_BIN_NAME"), &sample) {
-        Ok(path) => println!("(span sample written to {path}; open it at ui.perfetto.dev)"),
-        Err(e) => {
-            eprintln!("error: trace export failed validation: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    // One sparkline table per series (at the sweep's highest delay, where
-    // the timeline is most interesting); the full per-delay set lands in
-    // the timeline JSON.
-    println!("\nVirtual-time timelines (highest-delay run of each series):");
-    for run in timelines.runs.chunks(delays.len()) {
-        if let Some(last) = run.last() {
-            println!("{}", timeline_table(last));
-        }
-    }
-    match write_timeline_json(env!("CARGO_BIN_NAME"), &timelines) {
-        Ok(path) => println!("(timelines written to {path})"),
-        Err(e) => {
-            eprintln!("error: timeline export failed validation: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    println!("\nCSV:\n{}", csv.render());
-    if std::fs::create_dir_all("results").is_ok() {
-        let _ = std::fs::write(
-            concat!("results/", env!("CARGO_BIN_NAME"), ".csv"),
-            csv.render(),
-        );
-        println!("(also written to results/{}.csv)", env!("CARGO_BIN_NAME"));
-    }
-
-    for (point, delay) in results[0].iter().zip(delays) {
-        if point.failed > 0 {
-            eprintln!(
-                "warning: {} failed interactions at delay {delay}",
-                point.failed
-            );
-        }
-    }
-
-    println!("\n{}", report.render_text());
-    let json = report.to_json();
-    if let Err(e) = validate_run_report(&json) {
-        eprintln!("error: run report failed schema validation: {e}");
-        std::process::exit(1);
-    }
-    if std::fs::create_dir_all("results").is_ok()
-        && std::fs::write("results/fig6.report.json", json.render()).is_ok()
-    {
-        println!("(run report written to results/fig6.report.json)");
-    }
 }

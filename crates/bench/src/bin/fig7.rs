@@ -4,17 +4,13 @@
 //! cached EJBs).
 //!
 //! Run with `cargo run --release -p sli-bench --bin fig7`. Pass `--smoke`
-//! for a scaled-down run (CI uses it). Also emits a structured run report
-//! (`results/fig7.report.json`) and the per-run virtual-time timelines
+//! for a scaled-down run into `results/smoke/` (CI uses it). Also emits a
+//! structured run report (`results/fig7.report.json`), a span sample
+//! (`results/fig7.trace.json`) and the per-run virtual-time timelines
 //! (`results/fig7.timeline.json`).
 
 use sli_arch::{Architecture, Flavor};
-use sli_bench::{
-    breakdown_table, combined_sample, sensitivity, sweep_full, timeline_table, write_timeline_json,
-    write_trace_json, Cli, RunConfig, TraceHarvest, PAPER_DELAYS_MS,
-};
-use sli_telemetry::{validate_run_report, RunReport, TimelineDoc};
-use sli_workload::{Csv, TextTable};
+use sli_bench::{latency_vs_delay, Cli};
 
 fn main() {
     let args = Cli::new(
@@ -23,118 +19,30 @@ fn main() {
     )
     .flag("smoke", "scaled-down run for CI schema checks")
     .parse();
-    let smoke = args.has("smoke");
-    let cfg = if smoke {
-        RunConfig::quick()
-    } else {
-        RunConfig::default()
-    };
-    let delays: &[u64] = if smoke { &[0, 40] } else { PAPER_DELAYS_MS };
-    let series = [
-        ("JDBC", Architecture::EsRdb(Flavor::Jdbc)),
-        ("Vanilla EJBs", Architecture::EsRdb(Flavor::VanillaEjb)),
-        ("Cached EJBs", Architecture::EsRdb(Flavor::CachedEjb)),
-    ];
-
     println!("Figure 7: Edge-Servers Accessing Remote Database (ES/RDB)");
     println!("(latency vs one-way delay for the three data-access algorithms)\n");
-
-    let mut report = RunReport::new("Figure 7: Edge-Servers Accessing Remote Database");
-    let mut timelines = TimelineDoc::new("fig7");
-    let mut harvests = Vec::new();
-    let results: Vec<_> = series
-        .iter()
-        .map(|(name, arch)| {
-            let mut points = Vec::new();
-            let mut harvest = TraceHarvest::default();
-            for run in sweep_full(*arch, delays, cfg) {
-                report.entries.push(run.report);
-                harvest.merge(run.harvest);
-                timelines.runs.push(run.timeline);
-                points.push(run.point);
-            }
-            harvests.push(((*name).to_owned(), harvest));
-            points
-        })
-        .collect();
-
-    let mut table = TextTable::new(&["one-way delay (ms)", "JDBC", "Vanilla EJBs", "Cached EJBs"]);
-    let mut csv = Csv::new(&["delay_ms", "jdbc_ms", "vanilla_ejb_ms", "cached_ejb_ms"]);
-    for (i, delay) in delays.iter().enumerate() {
-        let cells: Vec<String> = std::iter::once(delay.to_string())
-            .chain(results.iter().map(|r| format!("{:.1}", r[i].latency_ms)))
-            .collect();
-        table.row(cells.clone());
-        csv.row(cells);
-    }
-    println!("{}", table.render());
-
-    println!("Linear fits:");
-    let mut fits = TextTable::new(&["algorithm", "slope (sensitivity)", "intercept (ms)", "R^2"]);
-    for ((name, _), points) in series.iter().zip(&results) {
-        let f = sensitivity(points).expect("sweep has multiple delays");
-        fits.row(vec![
-            (*name).to_owned(),
-            format!("{:.1}", f.slope),
-            format!("{:.1}", f.intercept),
-            format!("{:.4}", f.r2),
-        ]);
-    }
-    println!("{}", fits.render());
+    latency_vs_delay(
+        env!("CARGO_BIN_NAME"),
+        "Figure 7: Edge-Servers Accessing Remote Database",
+        &[
+            ("JDBC", "jdbc_ms", Architecture::EsRdb(Flavor::Jdbc)),
+            (
+                "Vanilla EJBs",
+                "vanilla_ejb_ms",
+                Architecture::EsRdb(Flavor::VanillaEjb),
+            ),
+            (
+                "Cached EJBs",
+                "cached_ejb_ms",
+                Architecture::EsRdb(Flavor::CachedEjb),
+            ),
+        ],
+        args.has("smoke"),
+    );
     println!(
-        "Paper's qualitative result (Table 2, ES/RDB column): vanilla EJBs are the most \
+        "\nPaper's qualitative result (Table 2, ES/RDB column): vanilla EJBs are the most \
          latency-sensitive (23.6), caching reduces that substantially (13.0), and the \
          hand-crafted JDBC implementation is the least sensitive (9.4) because the tooled \
          EJB implementations pay finder/commit round trips JDBC avoids."
     );
-
-    println!("\nCritical-path latency breakdown (mean per request, across the sweep):");
-    let rows: Vec<_> = harvests
-        .iter()
-        .map(|(name, h)| (name.clone(), h.breakdown.clone()))
-        .collect();
-    println!("{}", breakdown_table(&rows));
-    let sample = combined_sample(&harvests);
-    match write_trace_json(env!("CARGO_BIN_NAME"), &sample) {
-        Ok(path) => println!("(span sample written to {path}; open it at ui.perfetto.dev)"),
-        Err(e) => {
-            eprintln!("error: trace export failed validation: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    println!("\nVirtual-time timelines (highest-delay run of each algorithm):");
-    for run in timelines.runs.chunks(delays.len()) {
-        if let Some(last) = run.last() {
-            println!("{}", timeline_table(last));
-        }
-    }
-    match write_timeline_json(env!("CARGO_BIN_NAME"), &timelines) {
-        Ok(path) => println!("(timelines written to {path})"),
-        Err(e) => {
-            eprintln!("error: timeline export failed validation: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    println!("\nCSV:\n{}", csv.render());
-    if std::fs::create_dir_all("results").is_ok() {
-        let _ = std::fs::write(
-            concat!("results/", env!("CARGO_BIN_NAME"), ".csv"),
-            csv.render(),
-        );
-        println!("(also written to results/{}.csv)", env!("CARGO_BIN_NAME"));
-    }
-
-    println!("\n{}", report.render_text());
-    let json = report.to_json();
-    if let Err(e) = validate_run_report(&json) {
-        eprintln!("error: run report failed schema validation: {e}");
-        std::process::exit(1);
-    }
-    if std::fs::create_dir_all("results").is_ok()
-        && std::fs::write("results/fig7.report.json", json.render()).is_ok()
-    {
-        println!("(run report written to results/fig7.report.json)");
-    }
 }

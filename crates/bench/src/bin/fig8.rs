@@ -6,17 +6,14 @@
 //! ES/RDB ≈ 2000.
 //!
 //! Run with `cargo run --release -p sli-bench --bin fig8`. Pass `--smoke`
-//! for a scaled-down run (CI uses it). Also emits a structured run report
-//! (`results/fig8.report.json`) and the per-run virtual-time timelines
+//! for a scaled-down run into `results/smoke/` (CI uses it). Also emits a
+//! structured run report (`results/fig8.report.json`), a span sample
+//! (`results/fig8.trace.json`) and the per-run virtual-time timelines
 //! (`results/fig8.timeline.json`).
 
 use sli_arch::{Architecture, Flavor};
-use sli_bench::{
-    breakdown_table, combined_sample, run_point_full, timeline_table, write_timeline_json,
-    write_trace_json, Cli, RunConfig,
-};
+use sli_bench::{results_dir, run, ArtifactSet, Cli, RunSpec};
 use sli_simnet::SimDuration;
-use sli_telemetry::{validate_run_report, RunReport, TimelineDoc};
 use sli_workload::{Csv, TextTable};
 
 fn main() {
@@ -27,11 +24,6 @@ fn main() {
     .flag("smoke", "scaled-down run for CI schema checks")
     .parse();
     let smoke = args.has("smoke");
-    let cfg = if smoke {
-        RunConfig::quick()
-    } else {
-        RunConfig::default()
-    };
     // Bandwidth per interaction is delay-independent; measure at the
     // middle of the sweep.
     let delay = SimDuration::from_millis(40);
@@ -66,15 +58,11 @@ fn main() {
         "bytes_per_interaction",
         "round_trips_per_interaction",
     ]);
-    let mut report = RunReport::new("Figure 8: Bandwidth to the shared site");
-    let mut timelines = TimelineDoc::new("fig8");
-    let mut harvests = Vec::new();
+    let mut out = ArtifactSet::new("Figure 8: Bandwidth to the shared site");
     for (name, arch, paper) in series {
-        let run = run_point_full(arch, delay, cfg);
-        let p = run.point;
-        report.entries.push(run.report);
-        timelines.runs.push(run.timeline);
-        harvests.push((name.to_owned(), run.harvest));
+        let p = *out
+            .push(name, run(&RunSpec::closed(arch, delay, smoke)))
+            .closed();
         table.row(vec![
             name.to_owned(),
             format!("{:.0}", p.shared_bytes_per_interaction),
@@ -95,51 +83,10 @@ fn main() {
          the provisioned back-end connection."
     );
 
-    println!("\nCritical-path latency breakdown (mean per request at 40 ms one-way):");
-    let rows: Vec<_> = harvests
-        .iter()
-        .map(|(name, h)| (name.clone(), h.breakdown.clone()))
-        .collect();
-    println!("{}", breakdown_table(&rows));
-    let sample = combined_sample(&harvests);
-    match write_trace_json(env!("CARGO_BIN_NAME"), &sample) {
-        Ok(path) => println!("(span sample written to {path}; open it at ui.perfetto.dev)"),
-        Err(e) => {
-            eprintln!("error: trace export failed validation: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    println!("\nVirtual-time timelines (one run per architecture at 40 ms one-way):");
-    for run in &timelines.runs {
-        println!("{}", timeline_table(run));
-    }
-    match write_timeline_json(env!("CARGO_BIN_NAME"), &timelines) {
-        Ok(path) => println!("(timelines written to {path})"),
-        Err(e) => {
-            eprintln!("error: timeline export failed validation: {e}");
-            std::process::exit(1);
-        }
-    }
+    out.print_summary(1);
 
     println!("\nCSV:\n{}", csv.render());
-    if std::fs::create_dir_all("results").is_ok() {
-        let _ = std::fs::write(
-            concat!("results/", env!("CARGO_BIN_NAME"), ".csv"),
-            csv.render(),
-        );
-        println!("(also written to results/{}.csv)", env!("CARGO_BIN_NAME"));
-    }
-
-    println!("\n{}", report.render_text());
-    let json = report.to_json();
-    if let Err(e) = validate_run_report(&json) {
-        eprintln!("error: run report failed schema validation: {e}");
-        std::process::exit(1);
-    }
-    if std::fs::create_dir_all("results").is_ok()
-        && std::fs::write("results/fig8.report.json", json.render()).is_ok()
-    {
-        println!("(run report written to results/fig8.report.json)");
-    }
+    println!("\n{}", out.report.render_text());
+    out.csv = Some(csv);
+    out.write_or_exit(results_dir(smoke), env!("CARGO_BIN_NAME"));
 }

@@ -2,7 +2,7 @@
 //! open-loop high-load engine.
 //!
 //! For every architecture × flavor combination this sweeps the session
-//! arrival rate with [`sli_bench::sweep_loaded`]: sessions arrive on a
+//! arrival rate of an open-loop [`sli_bench::RunSpec`]: sessions arrive on a
 //! deterministic Poisson schedule regardless of how fast the server keeps
 //! up, the [`sli_arch::LoadEngine`] multiplexes the in-flight sessions on
 //! virtual time, and latency therefore includes queue wait. The first
@@ -25,17 +25,16 @@
 //! stay violation-free.
 //!
 //! Run with `cargo run --release -p sli-bench --bin knee`. Pass `--smoke`
-//! for the scaled-down CI profile. Exits non-zero if any artifact fails
+//! for the scaled-down CI profile (written to `results/smoke/`). Exits non-zero if any artifact fails
 //! validation, no combination exhibits a knee, the engine gauges stay
 //! flat, or the loaded slicheck sweep finds a violation.
 
 use sli_arch::{arch_by_key, arch_key, run_slicheck, ScheduleSource, SliCheckConfig, ARCH_KEYS};
 use sli_bench::{
-    knee_index, sweep_loaded, timeline_table, write_profile, write_timeline_json, Cli,
-    LoadedConfig, LoadedPoint,
+    knee_index, results_dir, run, timeline_table, ArtifactSet, Cli, LoadedPoint, RunArtifacts,
+    RunSpec,
 };
 use sli_simnet::SimDuration;
-use sli_telemetry::{validate_run_report, Profile, RunReport, TimelineDoc};
 use sli_workload::{Csv, TextTable};
 
 /// Session arrival rates (sessions/s) for the full sweep — geometric so
@@ -54,30 +53,17 @@ fn main() {
     .option("delay", "MS", "one-way delay in ms (default 10)")
     .parse();
     let smoke = args.has("smoke");
-    let delay_ms: u64 = match args.get("delay") {
-        None => 10,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("error: --delay needs a non-negative integer, got {v:?}");
-            std::process::exit(2);
-        }),
-    };
+    let delay_ms: u64 = args
+        .value("delay", "a non-negative integer", |_| true)
+        .unwrap_or(10);
     let delay = SimDuration::from_millis(delay_ms);
     let rates = if smoke { SMOKE_RATES } else { FULL_RATES };
-    let base = if smoke {
-        LoadedConfig::quick(rates[0])
-    } else {
-        LoadedConfig::at_rps(rates[0])
-    };
 
     println!("Saturation knees under open-loop load ({delay_ms} ms one-way delay)");
-    println!(
-        "({} sessions per point after {} warm-up; arrivals Poisson, think time {} ms; \
-         latency includes queue wait)\n",
-        base.sessions, base.warmup_sessions, base.think_ms
-    );
+    println!("(arrivals Poisson, zero think time; latency includes queue wait)\n");
 
-    let mut report = RunReport::new("knee: throughput-latency under open-loop load");
-    let mut timelines = TimelineDoc::new("knee");
+    let mut out = ArtifactSet::new("knee: throughput-latency under open-loop load");
+    out.profile_label = "knee: aggregate loaded profile".to_owned();
     let mut csv = Csv::new(&[
         "arch",
         "session_rps",
@@ -94,12 +80,14 @@ fn main() {
     let mut knees: Vec<(String, Option<f64>)> = Vec::new();
     let mut knee_timeline_shown = false;
     let mut gauges_live = false;
-    let mut profile = Profile::default();
 
     for key in ARCH_KEYS {
         let arch = arch_by_key(key).expect("built-in key");
-        let runs = sweep_loaded(arch, delay, rates, base);
-        let points: Vec<LoadedPoint> = runs.iter().map(|r| r.point).collect();
+        let runs: Vec<RunArtifacts> = rates
+            .iter()
+            .map(|&rps| run(&RunSpec::open(arch, delay, rps, smoke)))
+            .collect();
+        let points: Vec<LoadedPoint> = runs.iter().map(|r| r.result.open().point).collect();
         let knee = knee_index(&points);
 
         let mut table = TextTable::new(&[
@@ -152,23 +140,27 @@ fn main() {
         knees.push((key.to_owned(), knee.map(|i| points[i].session_rps)));
 
         for run in runs {
+            let open = run.result.open();
             // Little's law is an exact identity for the engine; a loaded
             // run that drifts past CI tolerance has an accounting bug.
-            if !run.littles.holds(0.01) {
+            if !open.littles.holds(0.01) {
                 eprintln!(
                     "error: Little's law violated on {key} @ {:.1}/s: \
                      L = {:.3}, lambda*W = {:.3} (relative error {:.4})",
-                    run.point.session_rps,
-                    run.littles.avg_in_flight,
-                    run.littles.throughput_per_s * run.littles.mean_residence_ms / 1e3,
-                    run.littles.relative_error,
+                    open.point.session_rps,
+                    open.littles.avg_in_flight,
+                    open.littles.throughput_per_s * open.littles.mean_residence_ms / 1e3,
+                    open.littles.relative_error,
                 );
                 std::process::exit(1);
             }
-            profile.merge(&run.profile);
+            // The aggregate cross-session profile of every loaded run:
+            // collapsed stacks for speedscope/inferno plus the
+            // schema-validated per-resource attribution.
+            out.profile.merge(&open.profile);
             let mut entry = run.report;
-            entry.arch = format!("{} @ {:.2} sessions/s", entry.arch, run.point.session_rps);
-            report.entries.push(entry);
+            entry.arch = format!("{} @ {:.2} sessions/s", entry.arch, open.point.session_rps);
+            out.report.entries.push(entry);
             let queue_live = run
                 .timeline
                 .series
@@ -186,7 +178,7 @@ fn main() {
                 println!("{}", timeline_table(&run.timeline));
                 knee_timeline_shown = true;
             }
-            timelines.runs.push(run.timeline);
+            out.timelines.push(run.timeline);
         }
     }
 
@@ -204,40 +196,8 @@ fn main() {
         std::process::exit(1);
     }
 
-    let json = report.to_json();
-    if let Err(e) = validate_run_report(&json) {
-        eprintln!("error: run report failed schema validation: {e}");
-        std::process::exit(1);
-    }
-    if std::fs::create_dir_all("results").is_ok() {
-        if std::fs::write("results/knee.report.json", json.render()).is_ok() {
-            println!("(run report written to results/knee.report.json)");
-        }
-        if std::fs::write("results/knee.csv", csv.render()).is_ok() {
-            println!("(curves written to results/knee.csv)");
-        }
-    }
-    match write_timeline_json(env!("CARGO_BIN_NAME"), &timelines) {
-        Ok(path) => println!("(timelines written to {path})"),
-        Err(e) => {
-            eprintln!("error: timeline export failed validation: {e}");
-            std::process::exit(1);
-        }
-    }
-    // The aggregate cross-session profile of every loaded run above:
-    // collapsed stacks for speedscope/inferno plus the schema-validated
-    // per-resource attribution.
-    match write_profile(
-        env!("CARGO_BIN_NAME"),
-        &profile,
-        "knee: aggregate loaded profile",
-    ) {
-        Ok((folded, json)) => println!("(profile written to {folded} and {json})"),
-        Err(e) => {
-            eprintln!("error: profile export failed validation: {e}");
-            std::process::exit(1);
-        }
-    }
+    out.csv = Some(csv);
+    out.write_or_exit(results_dir(smoke), env!("CARGO_BIN_NAME"));
 
     // Consistency under load: the same commit protocols the loaded engine
     // exercises must stay serializable with an elevated client count.

@@ -1,7 +1,7 @@
 //! `monitor` — online SLO detection with measured time-to-detect.
 //!
-//! Two experiments share the monitored open-loop protocol
-//! ([`sli_bench::run_point_monitored`]):
+//! Two experiments share the monitored open-loop protocol (an open
+//! [`sli_bench::RunSpec`] with [`sli_bench::Monitoring`] attached):
 //!
 //! 1. **False-positive gate.** Every architecture × flavor combination runs
 //!    a clean sub-knee loaded point under the full detector suite. Any
@@ -22,7 +22,8 @@
 //! open).
 //!
 //! Run with `cargo run --release -p sli-bench --bin monitor`. Pass
-//! `--smoke` for the CI profile (scenarios on one combination). Exits
+//! `--smoke` for the CI profile (scenarios on one combination, written to
+//! `results/smoke/`). Exits
 //! non-zero if a clean run pages, a scripted disturbance goes undetected,
 //! any detection precedes its ground truth, any detector × fault-class
 //! cell of the aggregate table stays empty, or an artifact fails
@@ -33,10 +34,7 @@
 //! signals (the error-budget detectors catch it instead).
 
 use sli_arch::{arch_by_key, ARCH_KEYS};
-use sli_bench::{
-    run_point_monitored, write_incident_json, Cli, FaultClass, LoadedConfig, MonitorOutcome,
-    MonitoredConfig,
-};
+use sli_bench::{results_dir, run, ArtifactSet, Cli, FaultClass, Monitoring, RunSpec};
 use sli_simnet::SimDuration;
 use sli_telemetry::DETECTOR_NAMES;
 use sli_workload::{Csv, TextTable};
@@ -61,30 +59,23 @@ fn main() {
     .option("delay", "MS", "one-way delay in ms (default 5)")
     .parse();
     let smoke = args.has("smoke");
-    let delay_ms: u64 = match args.get("delay") {
-        None => 5,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("error: --delay needs a non-negative integer, got {v:?}");
-            std::process::exit(2);
-        }),
-    };
+    let delay_ms: u64 = args
+        .value("delay", "a non-negative integer", |_| true)
+        .unwrap_or(5);
     let delay = SimDuration::from_millis(delay_ms);
-    let load = if smoke {
-        LoadedConfig::quick(CLEAN_RPS)
-    } else {
-        LoadedConfig::at_rps(CLEAN_RPS)
+    let monitored = |key: &str, fault: Option<FaultClass>| {
+        let arch = arch_by_key(key).expect("built-in key");
+        let mut spec = RunSpec::open(arch, delay, CLEAN_RPS, smoke);
+        spec.open_mut().monitor = Some(Monitoring::standard(fault));
+        run(&spec)
     };
     let mut failed = false;
 
     // ---- Experiment 1: the clean sweep must not page. -------------------
-    println!(
-        "Clean-run false-positive gate ({} sessions at {CLEAN_RPS} sessions/s, \
-         {delay_ms} ms one-way delay)",
-        load.sessions
-    );
+    println!("Clean-run false-positive gate ({CLEAN_RPS} sessions/s, {delay_ms} ms one-way delay)");
     for key in ARCH_KEYS {
-        let arch = arch_by_key(key).expect("built-in key");
-        let outcome = run_point_monitored(arch, delay, MonitoredConfig::around(load));
+        let artifacts = monitored(key, None);
+        let outcome = artifacts.result.open();
         if outcome.detections.is_empty() {
             println!(
                 "ok   {key}: 0 incidents ({} interactions, p95 {:.1} ms)",
@@ -108,9 +99,10 @@ fn main() {
     println!(
         "\nScripted disturbances on {} (dialled at +{} ms for {} ms):",
         combos.join(", "),
-        MonitoredConfig::around(load).fault_at_ms,
-        MonitoredConfig::around(load).fault_dur_ms,
+        Monitoring::standard(None).fault_at_ms,
+        Monitoring::standard(None).fault_dur_ms,
     );
+    let mut out = ArtifactSet::default();
     let mut csv = Csv::new(&[
         "arch",
         "fault",
@@ -122,10 +114,9 @@ fn main() {
     // ttd[detector][fault] across combos, for the aggregate table.
     let mut cells: Vec<Vec<Vec<f64>>> = vec![vec![Vec::new(); FaultClass::ALL.len()]; 6];
     for key in &combos {
-        let arch = arch_by_key(key).expect("built-in key");
         for fault in FaultClass::ALL {
-            let outcome =
-                run_point_monitored(arch, delay, MonitoredConfig::with_fault(load, fault));
+            let artifacts = monitored(key, Some(fault));
+            let outcome = artifacts.result.open();
             let Some(truth) = outcome.truth_us else {
                 eprintln!("FAIL {key}/{}: disturbance never took effect", fault.key());
                 failed = true;
@@ -187,14 +178,9 @@ fn main() {
                 }
             }
             // Freeze the page an operator would open: the earliest incident.
-            if let Some(first) = earliest_incident(&outcome) {
-                match write_incident_json(&format!("monitor-{key}-{}", fault.key()), first) {
-                    Ok(path) => println!("  {key}/{}: incident frozen to {path}", fault.key()),
-                    Err(e) => {
-                        eprintln!("FAIL {key}/{}: incident export: {e}", fault.key());
-                        failed = true;
-                    }
-                }
+            if let Some(first) = outcome.earliest_incident() {
+                out.incidents
+                    .push((format!("monitor-{key}-{}", fault.key()), first.clone()));
             }
         }
     }
@@ -238,30 +224,14 @@ fn main() {
         }
     }
 
-    if std::fs::create_dir_all("results").is_ok()
-        && std::fs::write("results/monitor_ttd.csv", csv.render()).is_ok()
-    {
-        println!("(detections written to results/monitor_ttd.csv)");
-    }
+    out.csv = Some(csv);
+    out.write_or_exit(results_dir(smoke), "monitor_ttd");
 
     if failed {
         eprintln!("error: the SLO monitor missed a disturbance or paged a clean run");
         std::process::exit(1);
     }
     println!("every scripted disturbance detected; no clean run paged");
-}
-
-/// The earliest-firing incident of a run.
-fn earliest_incident(outcome: &MonitorOutcome) -> Option<&sli_telemetry::Json> {
-    let first = outcome
-        .detections
-        .iter()
-        .min_by_key(|(_, at)| *at)
-        .map(|(d, _)| *d)?;
-    outcome
-        .incidents
-        .iter()
-        .find(|json| json.get("detector").and_then(sli_telemetry::Json::as_str) == Some(first))
 }
 
 /// `median [min..max]` of a cell, or `-` if the cell is empty.

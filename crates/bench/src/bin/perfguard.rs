@@ -15,18 +15,20 @@
 //! editing code, dial seeded request loss into the measured run:
 //! `cargo run -p sli-bench --bin perfguard -- --check --smoke --faults 30`.
 //!
-//! Every invocation appends a verdict entry to `BENCH_perfguard.json`, a
-//! growing trajectory of gate outcomes over the repo's history.
+//! `--record` appends an entry to `BENCH_perfguard.json`, the checked-in
+//! trajectory of recorded baselines over the repo's history. `--check`
+//! leaves the tree alone: its verdict lands next to the other run output,
+//! in `results/perfguard.verdict.json` (`results/smoke/` with `--smoke`).
 
 use sli_bench::{
-    compare_guard, guard_suite, parse_baseline, render_baseline, Cli, GuardEntry, GuardProfile,
-    Regression,
+    compare_guard, guard_suite, parse_baseline, render_baseline, results_dir, Cli, GuardEntry,
+    GuardProfile, Regression, PAPER_SEED,
 };
 use sli_simnet::FaultPlan;
 use sli_telemetry::Json;
 use sli_workload::TextTable;
 
-/// Where the verdict trajectory accumulates.
+/// Where the trajectory of recorded baselines accumulates.
 const TRAJECTORY: &str = "BENCH_perfguard.json";
 
 fn main() {
@@ -73,26 +75,12 @@ fn main() {
     } else {
         GuardProfile::Full
     };
-    let tolerance = match args.get("tolerance") {
-        None => 0.05,
-        Some(t) => match t.parse::<f64>() {
-            Ok(v) if v >= 0.0 => v,
-            _ => {
-                eprintln!("error: --tolerance needs a non-negative number, got {t:?}");
-                std::process::exit(2);
-            }
-        },
-    };
-    let mut cfg = profile.config();
-    if let Some(f) = args.get("faults") {
-        let per_mille = match f.parse::<u16>() {
-            Ok(v) if v <= 1000 => v,
-            _ => {
-                eprintln!("error: --faults needs a per-mille rate in 0..=1000, got {f:?}");
-                std::process::exit(2);
-            }
-        };
-        cfg.faults = FaultPlan::lossy(cfg.seed, per_mille);
+    let tolerance: f64 = args
+        .value("tolerance", "a non-negative number", |v| *v >= 0.0)
+        .unwrap_or(0.05);
+    let mut faults = FaultPlan::NONE;
+    if let Some(per_mille) = args.value("faults", "a per-mille rate in 0..=1000", |v| *v <= 1000) {
+        faults = FaultPlan::lossy(PAPER_SEED, per_mille);
         println!("(faults: dropping ~{per_mille}/1000 requests on the delayed paths)\n");
     }
     let baseline_path = args.get("baseline").map_or_else(
@@ -106,8 +94,11 @@ fn main() {
         profile.points().len(),
         profile.loaded_points().len()
     );
-    let current = guard_suite(profile, cfg);
+    let current = guard_suite(profile, faults);
     print_suite(&current);
+    let verdict = |mode: &str, verdict: &str, regressions: &[Regression]| {
+        verdict_json(profile, mode, verdict, &current, tolerance, regressions)
+    };
 
     if record {
         let doc = render_baseline(profile, &current);
@@ -122,9 +113,18 @@ fn main() {
             std::process::exit(1);
         }
         println!("baseline written to {baseline_path}");
-        append_trajectory(profile, "record", "recorded", &current, tolerance, &[]);
+        append_trajectory(verdict("record", "recorded", &[]));
         return;
     }
+
+    let write_verdict = |entry: Json| {
+        let dir = results_dir(profile == GuardProfile::Smoke);
+        let path = format!("{dir}/perfguard.verdict.json");
+        match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, entry.render())) {
+            Ok(()) => println!("(verdict written to {path})"),
+            Err(e) => eprintln!("warning: could not write {path}: {e}"),
+        }
+    };
 
     let baseline = match load_baseline(&baseline_path, profile) {
         Ok(entries) => entries,
@@ -132,14 +132,14 @@ fn main() {
             eprintln!("error: {e}");
             eprintln!("(record one first: cargo run --release -p sli-bench --bin perfguard -- --record{})",
                 if profile == GuardProfile::Smoke { " --smoke" } else { "" });
-            append_trajectory(profile, "check", "stale", &current, tolerance, &[]);
+            write_verdict(verdict("check", "stale", &[]));
             std::process::exit(1);
         }
     };
     match compare_guard(&baseline, &current, tolerance) {
         Err(e) => {
             eprintln!("error: {e}");
-            append_trajectory(profile, "check", "stale", &current, tolerance, &[]);
+            write_verdict(verdict("check", "stale", &[]));
             std::process::exit(1);
         }
         Ok(regressions) if regressions.is_empty() => {
@@ -148,7 +148,7 @@ fn main() {
                 "PASS: {checked} metrics across {} points within tolerance {tolerance} of {baseline_path}",
                 baseline.len()
             );
-            append_trajectory(profile, "check", "pass", &current, tolerance, &[]);
+            write_verdict(verdict("check", "pass", &[]));
         }
         Ok(regressions) => {
             eprintln!(
@@ -167,7 +167,7 @@ fn main() {
                     ""
                 }
             );
-            append_trajectory(profile, "check", "fail", &current, tolerance, &regressions);
+            write_verdict(verdict("check", "fail", &regressions));
             std::process::exit(1);
         }
     }
@@ -240,20 +240,19 @@ fn load_baseline(path: &str, profile: GuardProfile) -> Result<Vec<GuardEntry>, S
     Ok(entries)
 }
 
-/// Appends one verdict entry to the [`TRAJECTORY`] file (a JSON array; a
-/// missing or unreadable file starts a fresh one).
-fn append_trajectory(
+/// One verdict entry: what ran, when, and how the gate ruled.
+fn verdict_json(
     profile: GuardProfile,
     mode: &str,
     verdict: &str,
     current: &[GuardEntry],
     tolerance: f64,
     regressions: &[Regression],
-) {
+) -> Json {
     let timestamp = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
-    let entry = Json::obj([
+    Json::obj([
         ("timestamp", Json::from(timestamp)),
         ("profile", Json::from(profile.label())),
         ("mode", Json::from(mode)),
@@ -281,7 +280,12 @@ fn append_trajectory(
                     .collect(),
             ),
         ),
-    ]);
+    ])
+}
+
+/// Appends `entry` to the [`TRAJECTORY`] file (a JSON array; a missing or
+/// unreadable file starts a fresh one).
+fn append_trajectory(entry: Json) {
     let mut history = std::fs::read_to_string(TRAJECTORY)
         .ok()
         .and_then(|text| Json::parse(&text).ok())

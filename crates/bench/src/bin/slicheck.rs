@@ -52,13 +52,8 @@ fn supports_injected_bug(arch: Architecture) -> bool {
 }
 
 fn parse_u64(args: &sli_bench::CliArgs, name: &str, default: u64) -> u64 {
-    match args.get(name) {
-        None => default,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("error: --{name} needs a non-negative integer, got {v:?}");
-            std::process::exit(2);
-        }),
-    }
+    args.value(name, "a non-negative integer", |_| true)
+        .unwrap_or(default)
 }
 
 /// One violating run, shrunk and exported. Returns the shrunk outcome.
@@ -176,24 +171,12 @@ fn main() {
         archs
     };
 
-    let single_seed = args.get("seed").map(|v| {
-        v.parse::<u64>().unwrap_or_else(|_| {
-            eprintln!("error: --seed needs a non-negative integer, got {v:?}");
-            std::process::exit(2);
-        })
-    });
+    let single_seed: Option<u64> = args.value("seed", "a non-negative integer", |_| true);
     let seeds = parse_u64(&args, "seeds", 256);
-    let per_mille = parse_u64(&args, "faults", 0);
-    if per_mille > 1000 {
-        eprintln!("error: --faults needs a per-mille rate in 0..=1000, got {per_mille}");
-        std::process::exit(2);
-    }
-    let exhaustive_depth = args.get("exhaustive").map(|v| {
-        v.parse::<usize>().unwrap_or_else(|_| {
-            eprintln!("error: --exhaustive needs a depth, got {v:?}");
-            std::process::exit(2);
-        })
-    });
+    let per_mille: u64 = args
+        .value("faults", "a per-mille rate in 0..=1000", |v| *v <= 1000)
+        .unwrap_or(0);
+    let exhaustive_depth: Option<usize> = args.value("exhaustive", "a depth", |_| true);
     let max_runs = parse_u64(&args, "max-runs", 20_000);
     // The torn-commit bug only bites when something crashes and recovers,
     // so arming it implies at least one crash cycle.

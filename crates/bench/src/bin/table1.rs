@@ -3,22 +3,19 @@
 //! activity (C/R/U/D), measured by running the action against a live,
 //! seeded datastore and reading the engine's statement trace.
 //!
-//! Run with `cargo run -p sli-bench --bin table1`. The `--smoke` flag is
-//! accepted for CI symmetry with the figure binaries (the companion run is
-//! already quick). Also emits a companion structured run report
+//! Run with `cargo run -p sli-bench --bin table1`. The companion run is
+//! already quick; `--smoke` only sends its artifacts to `results/smoke/`
+//! like the figure binaries. Also emits a companion structured run report
 //! (`results/table1.report.json`), span sample
 //! (`results/table1.trace.json`) and virtual-time timelines
 //! (`results/table1.timeline.json`) from a quick vanilla-EJB measurement
 //! run, so the table ships the same telemetry the figure binaries do.
 
 use sli_arch::{Architecture, Flavor};
-use sli_bench::{
-    run_point_full, timeline_table, write_timeline_json, write_trace_json, Cli, RunConfig,
-};
+use sli_bench::{results_dir, run, timeline_table, ArtifactSet, Cli, RunSpec};
 use sli_component::share_connection;
 use sli_datastore::Database;
 use sli_simnet::SimDuration;
-use sli_telemetry::{validate_run_report, RunReport, TimelineDoc};
 use sli_trade::deploy::vanilla_container;
 use sli_trade::seed::{create_and_seed, Population};
 use sli_trade::{EjbTradeEngine, TradeAction, TradeEngine};
@@ -144,13 +141,13 @@ fn observed_label(db: &Database) -> String {
 }
 
 fn main() {
-    Cli::new(
+    let args = Cli::new(
         "table1",
         "Regenerates Table 1: per-action database usage characteristics",
     )
     .flag(
         "smoke",
-        "accepted for CI symmetry (the run is already quick)",
+        "write the companion artifacts to results/smoke/ (the run is already quick)",
     )
     .parse();
     let db = Database::new();
@@ -192,40 +189,17 @@ fn main() {
 
     // Companion telemetry: one quick vanilla-EJB measurement over the wire
     // topology, reported in the same structured format as the figures.
-    let run = run_point_full(
-        Architecture::EsRdb(Flavor::VanillaEjb),
-        SimDuration::ZERO,
-        RunConfig::quick(),
+    let mut out = ArtifactSet::new("Table 1 companion: ES/RDB (Vanilla EJBs), quick run");
+    out.push(
+        "ES/RDB (Vanilla EJBs)",
+        run(&RunSpec::closed(
+            Architecture::EsRdb(Flavor::VanillaEjb),
+            SimDuration::ZERO,
+            true,
+        )),
     );
-    let mut report = RunReport::new("Table 1 companion: ES/RDB (Vanilla EJBs), quick run");
-    report.entries.push(run.report);
-    println!("\n{}", report.render_text());
-    match write_trace_json(env!("CARGO_BIN_NAME"), &run.harvest.sample_events) {
-        Ok(path) => println!("(span sample written to {path}; open it at ui.perfetto.dev)"),
-        Err(e) => {
-            eprintln!("error: trace export failed validation: {e}");
-            std::process::exit(1);
-        }
-    }
+    println!("\n{}", out.report.render_text());
     println!("\nVirtual-time timeline of the companion run:");
-    println!("{}", timeline_table(&run.timeline));
-    let mut timelines = TimelineDoc::new("table1");
-    timelines.runs.push(run.timeline);
-    match write_timeline_json(env!("CARGO_BIN_NAME"), &timelines) {
-        Ok(path) => println!("(timelines written to {path})"),
-        Err(e) => {
-            eprintln!("error: timeline export failed validation: {e}");
-            std::process::exit(1);
-        }
-    }
-    let json = report.to_json();
-    if let Err(e) = validate_run_report(&json) {
-        eprintln!("error: run report failed schema validation: {e}");
-        std::process::exit(1);
-    }
-    if std::fs::create_dir_all("results").is_ok()
-        && std::fs::write("results/table1.report.json", json.render()).is_ok()
-    {
-        println!("(run report written to results/table1.report.json)");
-    }
+    println!("{}", timeline_table(&out.timelines[0]));
+    out.write_or_exit(results_dir(args.has("smoke")), env!("CARGO_BIN_NAME"));
 }

@@ -5,39 +5,18 @@
 //! in the paper.
 //!
 //! Run with `cargo run --release -p sli-bench --bin table2`. Pass `--smoke`
-//! for a scaled-down run (CI uses it). Also emits a structured run report
-//! (`results/table2.report.json`) with one row per architecture ×
-//! algorithm × delay, and the per-run virtual-time timelines
+//! for a scaled-down run into `results/smoke/` (CI uses it). Also emits a
+//! structured run report (`results/table2.report.json`) with one row per
+//! architecture × algorithm × delay, a span sample
+//! (`results/table2.trace.json`) and the per-run virtual-time timelines
 //! (`results/table2.timeline.json`).
 
 use sli_arch::{Architecture, Flavor};
 use sli_bench::{
-    breakdown_table, combined_sample, sensitivity, sweep_full, timeline_table, write_timeline_json,
-    write_trace_json, Cli, RunConfig, TraceHarvest, PAPER_DELAYS_MS,
+    results_dir, run, sensitivity, ArtifactSet, Cli, RunSpec, SweepPoint, PAPER_DELAYS_MS,
 };
-use sli_telemetry::{validate_run_report, RunReport, TimelineDoc};
+use sli_simnet::SimDuration;
 use sli_workload::{Csv, TextTable};
-
-fn slope(
-    arch: Architecture,
-    name: &str,
-    delays: &[u64],
-    cfg: RunConfig,
-    report: &mut RunReport,
-    harvests: &mut Vec<(String, TraceHarvest)>,
-    timelines: &mut TimelineDoc,
-) -> f64 {
-    let mut points = Vec::new();
-    let mut harvest = TraceHarvest::default();
-    for run in sweep_full(arch, delays, cfg) {
-        report.entries.push(run.report);
-        harvest.merge(run.harvest);
-        timelines.runs.push(run.timeline);
-        points.push(run.point);
-    }
-    harvests.push((name.to_owned(), harvest));
-    sensitivity(&points).expect("multi-delay sweep").slope
-}
 
 fn main() {
     let args = Cli::new(
@@ -47,62 +26,39 @@ fn main() {
     .flag("smoke", "scaled-down run for CI schema checks")
     .parse();
     let smoke = args.has("smoke");
-    let cfg = if smoke {
-        RunConfig::quick()
-    } else {
-        RunConfig::default()
-    };
     let delays: &[u64] = if smoke { &[0, 40, 80] } else { PAPER_DELAYS_MS };
     println!("Table 2: Algorithm Sensitivity to Communication Latency");
     println!("(slope of the linear latency-vs-delay fit; paper values in parentheses)\n");
 
-    let mut report = RunReport::new("Table 2: Algorithm Sensitivity to Communication Latency");
-    let mut harvests = Vec::new();
-    let mut timelines = TimelineDoc::new("table2");
-    let mut run = |arch, name: &str, report: &mut RunReport, harvests: &mut Vec<_>| {
-        slope(arch, name, delays, cfg, report, harvests, &mut timelines)
+    let mut out = ArtifactSet::new("Table 2: Algorithm Sensitivity to Communication Latency");
+    let mut slope = |name: &str, arch: Architecture| {
+        let points: Vec<SweepPoint> = delays
+            .iter()
+            .map(|&d| {
+                let spec = RunSpec::closed(arch, SimDuration::from_millis(d), smoke);
+                *out.push(name, run(&spec)).closed()
+            })
+            .collect();
+        sensitivity(&points).expect("multi-delay sweep").slope
     };
-    let cached_rdb = run(
-        Architecture::EsRdb(Flavor::CachedEjb),
+    let cached_rdb = slope(
         "ES/RDB (Cached EJBs)",
-        &mut report,
-        &mut harvests,
+        Architecture::EsRdb(Flavor::CachedEjb),
     );
-    let jdbc_rdb = run(
-        Architecture::EsRdb(Flavor::Jdbc),
-        "ES/RDB (JDBC)",
-        &mut report,
-        &mut harvests,
-    );
-    let vanilla_rdb = run(
-        Architecture::EsRdb(Flavor::VanillaEjb),
+    let jdbc_rdb = slope("ES/RDB (JDBC)", Architecture::EsRdb(Flavor::Jdbc));
+    let vanilla_rdb = slope(
         "ES/RDB (Vanilla EJBs)",
-        &mut report,
-        &mut harvests,
+        Architecture::EsRdb(Flavor::VanillaEjb),
     );
-    let cached_rbes = run(
-        Architecture::EsRbes,
-        "ES/RBES (Cached EJBs)",
-        &mut report,
-        &mut harvests,
-    );
-    let cached_ras = run(
-        Architecture::ClientsRas(Flavor::CachedEjb),
+    let cached_rbes = slope("ES/RBES (Cached EJBs)", Architecture::EsRbes);
+    let cached_ras = slope(
         "Clients/RAS (Cached EJBs)",
-        &mut report,
-        &mut harvests,
+        Architecture::ClientsRas(Flavor::CachedEjb),
     );
-    let jdbc_ras = run(
-        Architecture::ClientsRas(Flavor::Jdbc),
-        "Clients/RAS (JDBC)",
-        &mut report,
-        &mut harvests,
-    );
-    let vanilla_ras = run(
-        Architecture::ClientsRas(Flavor::VanillaEjb),
+    let jdbc_ras = slope("Clients/RAS (JDBC)", Architecture::ClientsRas(Flavor::Jdbc));
+    let vanilla_ras = slope(
         "Clients/RAS (Vanilla EJBs)",
-        &mut report,
-        &mut harvests,
+        Architecture::ClientsRas(Flavor::VanillaEjb),
     );
 
     let mut table = TextTable::new(&["Algorithm", "ES/RDB", "ES/RBES", "Clients/RAS"]);
@@ -146,10 +102,6 @@ fn main() {
         format!("{vanilla_ras:.2}"),
     ]);
     println!("CSV:\n{}", csv.render());
-    if std::fs::create_dir_all("results").is_ok() {
-        let _ = std::fs::write("results/table2.csv", csv.render());
-        println!("(also written to results/table2.csv)");
-    }
 
     // The shape assertions the reproduction is judged on.
     let checks: Vec<(&str, bool)> = vec![
@@ -177,43 +129,7 @@ fn main() {
         println!("  [{}] {name}", if ok { "PASS" } else { "FAIL" });
     }
 
-    println!("\nCritical-path latency breakdown (mean per request, across each sweep):");
-    let rows: Vec<_> = harvests
-        .iter()
-        .map(|(name, h)| (name.clone(), h.breakdown.clone()))
-        .collect();
-    println!("{}", breakdown_table(&rows));
-    let sample = combined_sample(&harvests);
-    match write_trace_json(env!("CARGO_BIN_NAME"), &sample) {
-        Ok(path) => println!("(span sample written to {path}; open it at ui.perfetto.dev)"),
-        Err(e) => {
-            eprintln!("error: trace export failed validation: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    println!("\nVirtual-time timelines (highest-delay run of each sweep):");
-    for sweep_runs in timelines.runs.chunks(delays.len()) {
-        if let Some(last) = sweep_runs.last() {
-            println!("{}", timeline_table(last));
-        }
-    }
-    match write_timeline_json(env!("CARGO_BIN_NAME"), &timelines) {
-        Ok(path) => println!("(timelines written to {path})"),
-        Err(e) => {
-            eprintln!("error: timeline export failed validation: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    let json = report.to_json();
-    if let Err(e) = validate_run_report(&json) {
-        eprintln!("error: run report failed schema validation: {e}");
-        std::process::exit(1);
-    }
-    if std::fs::create_dir_all("results").is_ok()
-        && std::fs::write("results/table2.report.json", json.render()).is_ok()
-    {
-        println!("(run report written to results/table2.report.json)");
-    }
+    out.print_summary(delays.len());
+    out.csv = Some(csv);
+    out.write_or_exit(results_dir(smoke), env!("CARGO_BIN_NAME"));
 }

@@ -1,6 +1,8 @@
 //! CI gate for exported telemetry: re-parses every `results/*.trace.json`,
 //! `results/*.timeline.json`, `results/*.profile.json` and
-//! `results/*.incident.json` from its on-disk bytes and validates it.
+//! `results/*.incident.json` from its on-disk bytes and validates it
+//! (`--smoke` checks `results/smoke/`, where the bins' `--smoke` runs
+//! write).
 //!
 //! Trace files are checked for Chrome trace-event well-formedness —
 //! required fields present and every span's `ts + dur` contained within
@@ -17,7 +19,7 @@
 //! Run with `cargo run -p sli-bench --bin tracecheck` after the figure and
 //! table binaries. Exits non-zero if no exports exist or any fails.
 
-use sli_bench::Cli;
+use sli_bench::{results_dir, Cli};
 use sli_telemetry::{
     validate_chrome_trace, validate_incident, validate_profile, validate_timeline, Json,
 };
@@ -64,15 +66,17 @@ fn check(path: &std::path::Path) -> Result<String, String> {
 }
 
 fn main() {
-    Cli::new(
+    let args = Cli::new(
         "tracecheck",
         "Validates every results/*.{trace,timeline,profile,incident}.json export",
     )
+    .flag("smoke", "check results/smoke/ (the --smoke runs' output)")
     .parse();
-    let entries = match std::fs::read_dir("results") {
+    let dir = results_dir(args.has("smoke"));
+    let entries = match std::fs::read_dir(dir) {
         Ok(entries) => entries,
         Err(e) => {
-            eprintln!("error: cannot read results/: {e}");
+            eprintln!("error: cannot read {dir}/: {e}");
             std::process::exit(1);
         }
     };
@@ -89,7 +93,7 @@ fn main() {
         .collect();
     paths.sort();
     if paths.is_empty() {
-        eprintln!("error: no results/*.{{trace,timeline,profile,incident}}.json files to validate");
+        eprintln!("error: no {dir}/*.{{trace,timeline,profile,incident}}.json files to validate");
         std::process::exit(1);
     }
 

@@ -22,21 +22,23 @@
 //! baseline profile of every combo measured).
 //!
 //! Run with `cargo run --release -p sli-bench --bin whatif`. Pass
-//! `--smoke` for the CI profile: the ES/RDB (JDBC) loaded point with wire
+//! `--smoke` for the CI profile (written to `results/smoke/`): the ES/RDB
+//! (JDBC) loaded point with wire
 //! batching on *and* off, asserting the PR-7 ablation conclusion — with
 //! batching disabled the wire is the top causal bottleneck, and enabling
 //! batching shrinks the wire's causal impact. Exits non-zero if a smoke
 //! assertion fails, Little's law drifts, or an artifact fails validation.
 
 use sli_arch::{arch_by_key, Architecture, Flavor, ARCH_KEYS};
-use sli_bench::{whatif, write_profile, Cli, LoadedConfig, WhatIfReport};
+use sli_bench::{results_dir, whatif, ArtifactSet, Cli, RunSpec, WhatIfReport};
 use sli_simnet::SimDuration;
-use sli_telemetry::{Profile, Resource};
+use sli_telemetry::Resource;
 use sli_workload::{Csv, TextTable};
 
 /// Runs one combo's causal profile and prints the per-resource table.
 fn show(label: &str, report: &WhatIfReport, csv: &mut Csv) {
-    let base = report.baseline.point;
+    let baseline = report.baseline.result.open();
+    let base = baseline.point;
     println!(
         "{label}: baseline {:.1} tps, mean {:.1} ms, p95 {:.1} ms over {} interactions",
         base.achieved_tps,
@@ -84,11 +86,10 @@ fn show(label: &str, report: &WhatIfReport, csv: &mut Csv) {
     println!(
         "{}  (store/lock wait holds the remaining {:.1}% — contention, no speed knob)",
         table.render(),
-        report.baseline.profile.resource_share(Resource::StoreLock) * 100.0,
+        baseline.profile.resource_share(Resource::StoreLock) * 100.0,
     );
     let causal: Vec<&str> = report.causal_ranking().iter().map(|r| r.label()).collect();
-    let profile: Vec<&str> = report
-        .baseline
+    let profile: Vec<&str> = baseline
         .profile
         .bottleneck_ranking()
         .into_iter()
@@ -99,15 +100,28 @@ fn show(label: &str, report: &WhatIfReport, csv: &mut Csv) {
     println!("  profile ranking: {}\n", profile.join(" > "));
 }
 
-/// Checks the exact-identity Little's-law validator on a baseline run.
-fn check_littles(label: &str, report: &WhatIfReport) {
-    if !report.baseline.littles.holds(0.01) {
+/// Runs one combo's causal profile, checks the exact-identity Little's-law
+/// validator on its baseline, prints it and folds the baseline profile into
+/// the exported one.
+fn profile(
+    label: &str,
+    spec: &RunSpec,
+    speedup: f64,
+    out: &mut ArtifactSet,
+    csv: &mut Csv,
+) -> WhatIfReport {
+    let report = whatif(spec, speedup);
+    let baseline = report.baseline.result.open();
+    if !baseline.littles.holds(0.01) {
         eprintln!(
             "error: Little's law violated on {label}: relative error {:.4}",
-            report.baseline.littles.relative_error
+            baseline.littles.relative_error
         );
         std::process::exit(1);
     }
+    show(label, &report, csv);
+    out.profile.merge(&baseline.profile);
+    report
 }
 
 fn main() {
@@ -128,36 +142,14 @@ fn main() {
     )
     .parse();
     let smoke = args.has("smoke");
-    let delay_ms: u64 = match args.get("delay") {
-        None => 10,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("error: --delay needs a non-negative integer, got {v:?}");
-            std::process::exit(2);
-        }),
-    };
-    let rps: f64 = match args.get("rps") {
-        None => 3.0,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("error: --rps needs a number, got {v:?}");
-            std::process::exit(2);
-        }),
-    };
-    let speedup: f64 = match args.get("speedup") {
-        None => 2.0,
-        Some(v) => match v.parse() {
-            Ok(f) if f > 1.0 => f,
-            _ => {
-                eprintln!("error: --speedup needs a factor above 1, got {v:?}");
-                std::process::exit(2);
-            }
-        },
-    };
+    let delay_ms: u64 = args
+        .value("delay", "a non-negative integer", |_| true)
+        .unwrap_or(10);
+    let rps: f64 = args.value("rps", "a number", |_| true).unwrap_or(3.0);
+    let speedup: f64 = args
+        .value("speedup", "a factor above 1", |f| *f > 1.0)
+        .unwrap_or(2.0);
     let delay = SimDuration::from_millis(delay_ms);
-    let cfg = if smoke {
-        LoadedConfig::quick(rps)
-    } else {
-        LoadedConfig::at_rps(rps)
-    };
 
     println!(
         "Causal profiles at {delay_ms} ms one-way delay, {rps:.1} sessions/s, \
@@ -173,29 +165,32 @@ fn main() {
         "d_p95",
         "diverges",
     ]);
-    let mut merged = Profile::default();
+    let mut out = ArtifactSet {
+        profile_label: "whatif: merged baseline profiles".to_owned(),
+        ..ArtifactSet::default()
+    };
 
     if smoke {
         // The PR-7 wire-batching ablation, re-derived causally: with
         // per-statement round trips the wire must dominate, and batching
         // must shrink the wire's causal impact.
-        let arch = Architecture::EsRdb(Flavor::Jdbc);
-        let unbatched = whatif(
-            arch,
-            delay,
-            LoadedConfig {
-                wire_batching: false,
-                ..cfg
-            },
+        let spec = RunSpec::open(Architecture::EsRdb(Flavor::Jdbc), delay, rps, true);
+        let mut unbatched_spec = spec;
+        unbatched_spec.open_mut().wire_batching = false;
+        let unbatched = profile(
+            "ES/RDB (JDBC), wire batching OFF",
+            &unbatched_spec,
             speedup,
+            &mut out,
+            &mut csv,
         );
-        check_littles("ES/RDB (JDBC) unbatched", &unbatched);
-        show("ES/RDB (JDBC), wire batching OFF", &unbatched, &mut csv);
-        let batched = whatif(arch, delay, cfg, speedup);
-        check_littles("ES/RDB (JDBC) batched", &batched);
-        show("ES/RDB (JDBC), wire batching ON", &batched, &mut csv);
-        merged.merge(&unbatched.baseline.profile);
-        merged.merge(&batched.baseline.profile);
+        let batched = profile(
+            "ES/RDB (JDBC), wire batching ON",
+            &spec,
+            speedup,
+            &mut out,
+            &mut csv,
+        );
 
         if unbatched.top_bottleneck() != Resource::Wire {
             eprintln!(
@@ -213,7 +208,8 @@ fn main() {
         };
         // Batching removes wire crossings, so a faster wire must buy less
         // absolute latency once batching is on…
-        let saved = |r: &WhatIfReport| r.baseline.point.latency_ms - r.rows[0].latency_ms;
+        let saved =
+            |r: &WhatIfReport| r.baseline.result.open().point.latency_ms - r.rows[0].latency_ms;
         let (saved_off, saved_on) = (saved(&unbatched), saved(&batched));
         if saved_on >= saved_off {
             eprintln!(
@@ -244,27 +240,11 @@ fn main() {
     } else {
         for key in ARCH_KEYS {
             let arch = arch_by_key(key).expect("built-in key");
-            let report = whatif(arch, delay, cfg, speedup);
-            check_littles(key, &report);
-            show(key, &report, &mut csv);
-            merged.merge(&report.baseline.profile);
+            let spec = RunSpec::open(arch, delay, rps, false);
+            profile(key, &spec, speedup, &mut out, &mut csv);
         }
     }
 
-    if std::fs::create_dir_all("results").is_ok()
-        && std::fs::write("results/whatif.csv", csv.render()).is_ok()
-    {
-        println!("(causal rows written to results/whatif.csv)");
-    }
-    match write_profile(
-        env!("CARGO_BIN_NAME"),
-        &merged,
-        "whatif: merged baseline profiles",
-    ) {
-        Ok((folded, json)) => println!("(baseline profile written to {folded} and {json})"),
-        Err(e) => {
-            eprintln!("error: profile export failed validation: {e}");
-            std::process::exit(1);
-        }
-    }
+    out.csv = Some(csv);
+    out.write_or_exit(results_dir(smoke), env!("CARGO_BIN_NAME"));
 }

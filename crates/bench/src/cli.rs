@@ -18,6 +18,7 @@
 //!     .unwrap();
 //! assert!(args.has("smoke"));
 //! assert_eq!(args.get("seed"), Some("7"));
+//! assert_eq!(args.value("seed", "an integer", |n: &u64| *n > 0), Some(7));
 //! ```
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -51,6 +52,26 @@ impl CliArgs {
     /// The value given for `--{name}`, if any.
     pub fn get(&self, name: &str) -> Option<&str> {
         self.options.get(name).map(String::as_str)
+    }
+
+    /// The value given for `--{name}` parsed as a `T` that satisfies
+    /// `valid`, or `None` if the option is absent. A value that does not
+    /// parse or is not valid is reported as "needs {expected}" and the
+    /// process exits with status 2, like any other malformed input.
+    pub fn value<T: std::str::FromStr>(
+        &self,
+        name: &str,
+        expected: &str,
+        valid: impl Fn(&T) -> bool,
+    ) -> Option<T> {
+        let text = self.get(name)?;
+        match text.parse() {
+            Ok(value) if valid(&value) => Some(value),
+            _ => {
+                eprintln!("error: --{name} needs {expected}, got {text:?}");
+                std::process::exit(2);
+            }
+        }
     }
 }
 

@@ -17,10 +17,10 @@
 //! produce flaky verdicts.
 
 use sli_arch::Architecture;
-use sli_simnet::SimDuration;
+use sli_simnet::{FaultPlan, SimDuration};
 use sli_telemetry::{Json, Resource};
 
-use crate::{run_point_full, run_point_loaded, LoadedConfig, RunConfig};
+use crate::{run, Load, RunResult, RunSpec};
 
 /// Schema identifier stamped into every baseline file.
 pub const PERFGUARD_SCHEMA: &str = "sli-edge.perfguard-baseline/v1";
@@ -86,14 +86,6 @@ impl GuardProfile {
         }
     }
 
-    /// The measurement protocol this profile runs.
-    pub fn config(&self) -> RunConfig {
-        match self {
-            GuardProfile::Smoke => RunConfig::quick(),
-            GuardProfile::Full => RunConfig::default(),
-        }
-    }
-
     /// The architecture×delay points this profile guards.
     pub fn points(&self) -> Vec<(Architecture, u64)> {
         use sli_arch::Flavor::{CachedEjb, Jdbc, VanillaEjb};
@@ -141,13 +133,26 @@ impl GuardProfile {
         }
     }
 
-    /// The loaded measurement protocol this profile runs (rate is filled
-    /// in per point).
-    pub fn loaded_config(&self) -> LoadedConfig {
-        match self {
-            GuardProfile::Smoke => LoadedConfig::quick(1.0),
-            GuardProfile::Full => LoadedConfig::at_rps(1.0),
-        }
+    /// Every run this profile guards, closed-loop points first: the quick
+    /// protocols for [`GuardProfile::Smoke`], the full ones otherwise, each
+    /// with `faults` dialled in (`perfguard --faults` passes a lossy plan
+    /// to stage a regression on purpose; it perturbs the loaded entries
+    /// too).
+    pub fn specs(&self, faults: FaultPlan) -> Vec<RunSpec> {
+        let quick = *self == GuardProfile::Smoke;
+        let ms = SimDuration::from_millis;
+        let closed = self
+            .points()
+            .into_iter()
+            .map(|(arch, delay)| RunSpec::closed(arch, ms(delay), quick));
+        let open = self
+            .loaded_points()
+            .into_iter()
+            .map(|(arch, delay, rps)| RunSpec::open(arch, ms(delay), rps, quick));
+        closed
+            .chain(open)
+            .map(|spec| RunSpec { faults, ..spec })
+            .collect()
     }
 }
 
@@ -159,52 +164,6 @@ const RATIO_FLOOR: f64 = 0.02;
 /// Absolute floor for the per-interaction shared-site byte count.
 const BYTES_FLOOR: f64 = 50.0;
 
-/// Measures one guarded point: runs the full protocol and distils the
-/// result into the guarded metrics.
-///
-/// Failure rate is guarded explicitly because it is the one direction a
-/// broken run can *look* faster: interactions that fail early (a lost
-/// commit, a session whose login never happened) skip round trips, so
-/// mean latency alone would wave a lossy path through.
-pub fn guard_run(arch: Architecture, delay_ms: u64, cfg: RunConfig) -> GuardEntry {
-    let run = run_point_full(arch, SimDuration::from_millis(delay_ms), cfg);
-    let scalar = |name: &str, value: f64, higher_is_worse: bool, floor: f64| GuardMetric {
-        name: name.to_owned(),
-        value,
-        stdev: 0.0,
-        n: 1,
-        higher_is_worse,
-        floor,
-    };
-    GuardEntry {
-        key: format!("{} @ {}ms", run.report.arch, delay_ms),
-        metrics: vec![
-            GuardMetric {
-                name: "latency_ms".to_owned(),
-                value: run.point.latency_ms,
-                stdev: run.point.latency_stdev_ms,
-                n: cfg.batches.max(1),
-                higher_is_worse: true,
-                floor: LATENCY_FLOOR_MS,
-            },
-            scalar("hit_ratio", run.report.hit_ratio, false, RATIO_FLOOR),
-            scalar("abort_rate", run.report.abort_rate, true, RATIO_FLOOR),
-            scalar(
-                "failure_rate",
-                run.point.failed as f64 / (run.point.ok + run.point.failed).max(1) as f64,
-                true,
-                RATIO_FLOOR,
-            ),
-            scalar(
-                "shared_bytes_per_interaction",
-                run.point.shared_bytes_per_interaction,
-                true,
-                BYTES_FLOOR,
-            ),
-        ],
-    }
-}
-
 /// Absolute floor for the achieved-throughput metric (interactions/s).
 const TPS_FLOOR: f64 = 0.5;
 /// Absolute floor for the peak-queue-depth metric (sessions).
@@ -212,21 +171,25 @@ const QUEUE_FLOOR: f64 = 2.0;
 /// Absolute floor for the round-trips-per-interaction metric (crossings).
 const ROUND_TRIPS_FLOOR: f64 = 0.5;
 
-/// Measures one *loaded* guarded point: the open-loop engine at a fixed
-/// session arrival rate, guarding the throughput–latency behaviour the
-/// closed-loop metrics can't see — achieved throughput, tail latency with
-/// queue wait included, and how deep the ready queue gets.
-pub fn guard_run_loaded(
-    arch: Architecture,
-    delay_ms: u64,
-    session_rps: f64,
-    cfg: LoadedConfig,
-) -> GuardEntry {
-    let run = run_point_loaded(
-        arch,
-        SimDuration::from_millis(delay_ms),
-        LoadedConfig { session_rps, ..cfg },
-    );
+/// Measures one guarded point: runs `spec` and distils the result into
+/// the guarded metrics.
+///
+/// Failure rate is guarded explicitly because it is the one direction a
+/// broken run can *look* faster: interactions that fail early (a lost
+/// commit, a session whose login never happened) skip round trips, so
+/// mean latency alone would wave a lossy path through.
+///
+/// An open-loop point — deliberately beyond its knee — guards the
+/// throughput–latency behaviour the closed-loop metrics can't see:
+/// achieved throughput, tail latency with queue wait included, how deep
+/// the ready queue gets, and the aggregate profile's per-resource latency
+/// shares. Shares sum to 1, so a bottleneck shift necessarily *raises* at
+/// least one share past its allowance — CI flags the shift even when
+/// absolute latency stays inside tolerance.
+pub fn guard_run(spec: &RunSpec) -> GuardEntry {
+    let artifacts = run(spec);
+    let arch = &artifacts.report.arch;
+    let delay_ms = spec.delay.as_micros() / 1_000;
     let scalar = |name: &str, value: f64, higher_is_worse: bool, floor: f64| GuardMetric {
         name: name.to_owned(),
         value,
@@ -235,91 +198,84 @@ pub fn guard_run_loaded(
         higher_is_worse,
         floor,
     };
-    GuardEntry {
-        key: format!(
-            "{} loaded @ {}ms @ {:.1}/s",
-            run.report.arch, delay_ms, session_rps
-        ),
-        metrics: vec![
-            scalar("achieved_tps", run.point.achieved_tps, false, TPS_FLOOR),
-            scalar(
-                "latency_p95_ms",
-                run.point.latency_p95_ms,
-                true,
-                LATENCY_FLOOR_MS,
-            ),
-            scalar(
-                "failure_rate",
-                run.point.failed as f64 / (run.point.ok + run.point.failed).max(1) as f64,
-                true,
-                RATIO_FLOOR,
-            ),
-            scalar(
-                "peak_queue_depth",
-                run.point.peak_queue_depth as f64,
-                true,
-                QUEUE_FLOOR,
-            ),
-            scalar(
-                "round_trips_per_interaction",
-                run.point.round_trips_per_interaction,
-                true,
-                ROUND_TRIPS_FLOOR,
-            ),
-            // The aggregate profile's per-resource latency shares. Shares
-            // sum to 1, so a bottleneck shift necessarily *raises* at
-            // least one share past its allowance — CI flags the shift
-            // even when absolute latency stays inside tolerance.
-            scalar(
-                "profile_share:wire",
-                run.profile.resource_share(Resource::Wire),
-                true,
-                RATIO_FLOOR,
-            ),
-            scalar(
-                "profile_share:backend-db",
-                run.profile.resource_share(Resource::BackendDb),
-                true,
-                RATIO_FLOOR,
-            ),
-            scalar(
-                "profile_share:edge-cpu",
-                run.profile.resource_share(Resource::EdgeCpu),
-                true,
-                RATIO_FLOOR,
-            ),
-            scalar(
-                "profile_share:store-lock",
-                run.profile.resource_share(Resource::StoreLock),
-                true,
-                RATIO_FLOOR,
-            ),
-        ],
+    let failure_rate = |ok: usize, failed: usize| {
+        scalar(
+            "failure_rate",
+            failed as f64 / (ok + failed).max(1) as f64,
+            true,
+            RATIO_FLOOR,
+        )
+    };
+    match (&artifacts.result, spec.load) {
+        (RunResult::Closed(point), Load::Closed(closed)) => GuardEntry {
+            key: format!("{arch} @ {delay_ms}ms"),
+            metrics: vec![
+                GuardMetric {
+                    name: "latency_ms".to_owned(),
+                    value: point.latency_ms,
+                    stdev: point.latency_stdev_ms,
+                    n: closed.batches.max(1),
+                    higher_is_worse: true,
+                    floor: LATENCY_FLOOR_MS,
+                },
+                scalar("hit_ratio", artifacts.report.hit_ratio, false, RATIO_FLOOR),
+                scalar("abort_rate", artifacts.report.abort_rate, true, RATIO_FLOOR),
+                failure_rate(point.ok, point.failed),
+                scalar(
+                    "shared_bytes_per_interaction",
+                    point.shared_bytes_per_interaction,
+                    true,
+                    BYTES_FLOOR,
+                ),
+            ],
+        },
+        (RunResult::Open(open), Load::Open(load)) => {
+            let point = open.point;
+            let share = |name: &str, resource: Resource| {
+                scalar(
+                    name,
+                    open.profile.resource_share(resource),
+                    true,
+                    RATIO_FLOOR,
+                )
+            };
+            GuardEntry {
+                key: format!("{arch} loaded @ {delay_ms}ms @ {:.1}/s", load.session_rps),
+                metrics: vec![
+                    scalar("achieved_tps", point.achieved_tps, false, TPS_FLOOR),
+                    scalar(
+                        "latency_p95_ms",
+                        point.latency_p95_ms,
+                        true,
+                        LATENCY_FLOOR_MS,
+                    ),
+                    failure_rate(point.ok, point.failed),
+                    scalar(
+                        "peak_queue_depth",
+                        point.peak_queue_depth as f64,
+                        true,
+                        QUEUE_FLOOR,
+                    ),
+                    scalar(
+                        "round_trips_per_interaction",
+                        point.round_trips_per_interaction,
+                        true,
+                        ROUND_TRIPS_FLOOR,
+                    ),
+                    share("profile_share:wire", Resource::Wire),
+                    share("profile_share:backend-db", Resource::BackendDb),
+                    share("profile_share:edge-cpu", Resource::EdgeCpu),
+                    share("profile_share:store-lock", Resource::StoreLock),
+                ],
+            }
+        }
+        _ => unreachable!("run() answers a load with the matching result"),
     }
 }
 
-/// Measures every point of `profile` under `cfg` (pass
-/// `profile.config()` for the canonical protocol; `perfguard --faults`
-/// passes a sabotaged copy to stage a regression on purpose), then the
-/// profile's loaded points — `cfg.faults` carries over so a staged fault
-/// plan perturbs the loaded entries too.
-pub fn guard_suite(profile: GuardProfile, cfg: RunConfig) -> Vec<GuardEntry> {
-    let mut entries: Vec<GuardEntry> = profile
-        .points()
-        .into_iter()
-        .map(|(arch, delay_ms)| guard_run(arch, delay_ms, cfg))
-        .collect();
-    let loaded_cfg = LoadedConfig {
-        faults: cfg.faults,
-        ..profile.loaded_config()
-    };
-    entries.extend(
-        profile
-            .loaded_points()
-            .into_iter()
-            .map(|(arch, delay_ms, rps)| guard_run_loaded(arch, delay_ms, rps, loaded_cfg)),
-    );
-    entries
+/// Measures every run of `profile` (see [`GuardProfile::specs`]).
+pub fn guard_suite(profile: GuardProfile, faults: FaultPlan) -> Vec<GuardEntry> {
+    profile.specs(faults).iter().map(guard_run).collect()
 }
 
 /// One metric that worsened beyond its allowance.
@@ -696,13 +652,15 @@ mod tests {
 
     #[test]
     fn loaded_guard_run_is_deterministic_and_names_its_metrics() {
-        let cfg = LoadedConfig {
-            sessions: 30,
-            warmup_sessions: 5,
-            ..GuardProfile::Smoke.loaded_config()
-        };
-        let a = guard_run_loaded(Architecture::EsRbes, 10, 6.0, cfg);
-        let b = guard_run_loaded(Architecture::EsRbes, 10, 6.0, cfg);
+        let mut spec = RunSpec::open(
+            Architecture::EsRbes,
+            SimDuration::from_millis(10),
+            6.0,
+            true,
+        );
+        spec.warmup_sessions = 5;
+        spec.open_mut().sessions = 30;
+        let (a, b) = (guard_run(&spec), guard_run(&spec));
         assert_eq!(a, b, "virtual time makes loaded reruns bit-identical");
         assert_eq!(a.key, "ES/RBES (Cached EJBs) loaded @ 10ms @ 6.0/s");
         let names: Vec<&str> = a.metrics.iter().map(|m| m.name.as_str()).collect();
@@ -740,9 +698,8 @@ mod tests {
 
     #[test]
     fn guard_run_is_deterministic_and_self_consistent() {
-        let cfg = RunConfig::quick();
-        let a = guard_run(Architecture::EsRbes, 20, cfg);
-        let b = guard_run(Architecture::EsRbes, 20, cfg);
+        let spec = RunSpec::closed(Architecture::EsRbes, SimDuration::from_millis(20), true);
+        let (a, b) = (guard_run(&spec), guard_run(&spec));
         assert_eq!(a, b, "virtual time makes reruns bit-identical");
         assert_eq!(a.key, "ES/RBES (Cached EJBs) @ 20ms");
         let names: Vec<&str> = a.metrics.iter().map(|m| m.name.as_str()).collect();

@@ -10,42 +10,52 @@
 //! | `fig7` | latency vs delay for the three ES/RDB flavors |
 //! | `fig8` | bytes to the shared site per client interaction |
 //! | `table2` | latency-sensitivity (slope) matrix |
-//! | `ablation_batching` | wire-batching on/off round-trip ablation |
-//! | `ablation_cache` | plan-cache capacity ablation |
+//! | `ablation_batching` | commit-batching ablation (paper §4.4) |
+//! | `ablation_cache` | common-store capacity ablation |
 //! | `contention` | conflict leaderboard under contended load |
 //! | `knee` | throughput–latency curves, saturation knees, aggregate profile |
 //! | `whatif` | causal profiles via virtual resource speedups |
 //! | `perfguard` | performance-regression gate against recorded baselines |
 //! | `monitor` | online SLO detection: false-positive gate + time-to-detect table |
 //! | `slicheck` | serializability checker across the seven combinations |
-//! | `tracecheck` | schema validation of every artifact in `results/` |
+//! | `tracecheck` | schema validation of every exported artifact |
 //!
 //! All of them share the [`Cli`] parser: `--help` documents each bin and
-//! exits 0, unknown arguments exit 2.
+//! exits 0, unknown arguments exit 2. Full runs write to `results/`,
+//! `--smoke` runs to `results/smoke/` ([`results_dir`]), so a CI rehearsal
+//! never touches the checked-in full-run CSVs.
 //!
-//! This library hosts the shared measurement loop implementing the paper's
-//! §4.3 protocol: one virtual client, 400 warm-up sessions, 300 measured
-//! sessions (~11 interactions each), latencies averaged over 20 batches,
-//! and a least-squares fit across the delay sweep.
+//! This library hosts the one way to measure — [`run`] takes a [`RunSpec`]
+//! (architecture, delay, and a closed-loop or open-loop [`Load`]) and
+//! returns [`RunArtifacts`] — and the one way to export: bins collect runs
+//! into an [`ArtifactSet`] and call [`ArtifactSet::write_all`]. A delay or
+//! rate sweep is `points.iter().map(|p| run(&spec_at(p)))`.
+//!
+//! The closed-loop protocol is the paper's §4.3: one virtual client, 400
+//! warm-up sessions, 300 measured sessions (~11 interactions each),
+//! latencies averaged over 20 batches, and a least-squares fit across the
+//! delay sweep ([`sensitivity`]). The open-loop protocol drives the same
+//! testbed through [`sli_arch::LoadEngine`] at a configured session
+//! arrival rate, optionally under the online SLO monitor.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use sli_arch::{
-    arch_key, collect_report, Architecture, LoadEngine, LoadPlan, ResourceScale, ScheduledFault,
-    Testbed, TestbedConfig, VirtualClient,
+    arch_key, collect_report, Architecture, LoadEngine, LoadPlan, ResourceScale, RunHooks,
+    ScheduledFault, Testbed, TestbedConfig, VirtualClient,
 };
 use sli_simnet::{FaultPlan, SimDuration};
 use sli_telemetry::{
     chrome_trace, conflict_leaderboard, critical_path, sparkline, validate_chrome_trace,
-    validate_incident, validate_profile, validate_timeline, ArchReport, Breakdown, Bucket,
-    ConflictEntry, Json, LittlesLaw, Profile, Resource, SloConfig, SloMonitor, SpanEvent,
-    TimelineDoc, TimelineReport,
+    validate_incident, validate_profile, validate_run_report, validate_timeline, ArchReport,
+    Breakdown, Bucket, ConflictEntry, Json, LittlesLaw, Profile, Resource, RunReport, SloConfig,
+    SloMonitor, SpanEvent, TimelineDoc, TimelineReport,
 };
 use sli_trade::seed::Population;
 use sli_trade::session::SessionGenerator;
 use sli_workload::{
-    batch_means, fit, percentile, ArrivalPlan, ArrivalProcess, LinearFit, TextTable,
+    batch_means, fit, percentile, ArrivalPlan, ArrivalProcess, Csv, LinearFit, RunStats, TextTable,
 };
 
 mod cli;
@@ -53,64 +63,196 @@ mod guard;
 
 pub use cli::{Cli, CliArgs, CliError};
 pub use guard::{
-    compare_guard, guard_run, guard_run_loaded, guard_suite, parse_baseline, render_baseline,
-    GuardEntry, GuardMetric, GuardProfile, Regression, PERFGUARD_SCHEMA,
+    compare_guard, guard_run, guard_suite, parse_baseline, render_baseline, GuardEntry,
+    GuardMetric, GuardProfile, Regression, PERFGUARD_SCHEMA,
 };
 
-/// Measurement-protocol parameters (§4.3 of the paper).
+/// The workload RNG seed of every standard protocol (Middleware 2004).
+pub const PAPER_SEED: u64 = 20040101;
+
+/// Everything that defines one measured run: where (architecture, delay),
+/// on what data, and under which load protocol.
 #[derive(Debug, Clone, Copy)]
-pub struct RunConfig {
-    /// Warm-up sessions before measurement (paper: 400).
+pub struct RunSpec {
+    /// The architecture × flavor combination under test.
+    pub arch: Architecture,
+    /// Injected one-way delay on the architecture's delayed path.
+    pub delay: SimDuration,
+    /// Seed for session scripts, and for an open load's arrivals and
+    /// dispatch scheduler.
+    pub seed: u64,
+    /// Database population.
+    pub population: Population,
+    /// Closed-loop warm-up sessions before measurement (cache and
+    /// connection state; paper: 400).
     pub warmup_sessions: usize,
+    /// Initial timeline window width in virtual microseconds (the window
+    /// doubles automatically when a run outlives the window budget).
+    pub timeline_window_us: u64,
+    /// Fault plan dialled into the delayed paths for the whole run (clean
+    /// by default; `perfguard --faults` uses it to stage an artificial
+    /// regression).
+    pub faults: FaultPlan,
+    /// The load protocol of the measured phase.
+    pub load: Load,
+}
+
+/// How the measured phase offers load.
+// Plain configuration, built a handful of times per process: boxing the
+// larger variant would only cost `Copy` (and `..spec` updates with it).
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone, Copy)]
+pub enum Load {
+    /// The paper's §4.3 protocol: one virtual client issues a request,
+    /// waits for the response, repeats.
+    Closed(ClosedLoad),
+    /// Sessions *arrive* at a configured rate whether or not earlier ones
+    /// have finished, so latency includes queue wait.
+    Open(OpenLoad),
+}
+
+/// Closed-loop measurement parameters (§4.3 of the paper).
+#[derive(Debug, Clone, Copy)]
+pub struct ClosedLoad {
     /// Measured sessions (paper: 300).
     pub measured_sessions: usize,
     /// Batches for the batched average (paper: 20).
     pub batches: usize,
-    /// Workload RNG seed.
-    pub seed: u64,
-    /// Database population.
-    pub population: Population,
     /// Optional per-crossing jitter on the delayed path (maximum added
     /// microseconds). Zero reproduces the deterministic runs; a small value
     /// reproduces the paper's R² ≈ 0.99 texture.
     pub jitter_us: u64,
-    /// Initial timeline window width in virtual microseconds (the window
-    /// doubles automatically when a run outlives the window budget).
-    pub timeline_window_us: u64,
-    /// Fault plan dialled into the delayed paths for the measured run
-    /// (clean by default; `perfguard --faults` uses it to stage an
-    /// artificial regression).
-    pub faults: FaultPlan,
 }
 
-impl Default for RunConfig {
-    fn default() -> RunConfig {
-        RunConfig {
-            warmup_sessions: 400,
-            measured_sessions: 300,
-            batches: 20,
-            seed: 20040101, // Middleware 2004
+/// Open-loop measurement parameters: the high-load engine's protocol.
+#[derive(Debug, Clone, Copy)]
+pub struct OpenLoad {
+    /// Session arrival rate (sessions per second of virtual time). Each
+    /// session issues ~11 interactions, so the offered interaction rate is
+    /// roughly 11× this.
+    pub session_rps: f64,
+    /// Shape of the arrival schedule around that rate.
+    pub process: ArrivalProcess,
+    /// Sessions arriving in the measured phase.
+    pub sessions: usize,
+    /// Per-session think time between consecutive interactions (ms).
+    /// Zero by default so the knee reflects pure queueing.
+    pub think_ms: u64,
+    /// Whether remote database connections batch statements onto the wire
+    /// (`false` is the pre-batching ablation).
+    pub wire_batching: bool,
+    /// Virtual per-resource speed knobs for what-if runs (nominal by
+    /// default — measured costs).
+    pub scale: ResourceScale,
+    /// Run under the online SLO monitor, optionally with a scripted
+    /// mid-run disturbance.
+    pub monitor: Option<Monitoring>,
+}
+
+/// The SLO detector configuration of a monitored run and the shape of its
+/// mid-run disturbance.
+#[derive(Debug, Clone, Copy)]
+pub struct Monitoring {
+    /// Detector thresholds and windows.
+    pub slo: SloConfig,
+    /// Scripted disturbance, or `None` for a clean false-positive run.
+    pub fault: Option<FaultClass>,
+    /// When the disturbance starts, ms of virtual time after the measured
+    /// phase begins. Must leave room for drift calibration first.
+    pub fault_at_ms: u64,
+    /// How long the disturbance lasts (ms); the fault plan is dialled back
+    /// to [`FaultPlan::NONE`] afterwards.
+    pub fault_dur_ms: u64,
+    /// Per-mille attempt loss during a [`FaultClass::LossBurst`].
+    pub loss_per_mille: u16,
+    /// Arrival-rate multiplier during a [`FaultClass::FlashCrowd`].
+    pub flash_peak: f64,
+}
+
+impl RunSpec {
+    /// The §4.3 closed-loop protocol for `arch` at `delay`; `quick` scales
+    /// it down (20 warm-up + 30 measured sessions, 5 batches) for unit
+    /// tests and `--smoke` runs.
+    pub fn closed(arch: Architecture, delay: SimDuration, quick: bool) -> RunSpec {
+        RunSpec {
+            arch,
+            delay,
+            seed: PAPER_SEED,
             population: Population::default(),
-            jitter_us: 0,
+            warmup_sessions: if quick { 20 } else { 400 },
             timeline_window_us: 100_000, // 100 ms of virtual time
             faults: FaultPlan::NONE,
+            load: Load::Closed(ClosedLoad {
+                measured_sessions: if quick { 30 } else { 300 },
+                batches: if quick { 5 } else { 20 },
+                jitter_us: 0,
+            }),
+        }
+    }
+
+    /// The standard open-loop protocol at `session_rps` Poisson arrivals
+    /// per second: 200 sessions measured after a 40-session warm-up, or
+    /// 60 after 10 when `quick`.
+    pub fn open(arch: Architecture, delay: SimDuration, session_rps: f64, quick: bool) -> RunSpec {
+        RunSpec {
+            warmup_sessions: if quick { 10 } else { 40 },
+            timeline_window_us: 500_000,
+            load: Load::Open(OpenLoad {
+                session_rps,
+                process: ArrivalProcess::Poisson,
+                sessions: if quick { 60 } else { 200 },
+                think_ms: 0,
+                wire_batching: true,
+                scale: ResourceScale::nominal(),
+                monitor: None,
+            }),
+            ..RunSpec::closed(arch, delay, quick)
+        }
+    }
+
+    /// The open-loop parameters, for adjusting a spec built by
+    /// [`RunSpec::open`].
+    ///
+    /// # Panics
+    /// Panics on a closed-loop spec.
+    pub fn open_mut(&mut self) -> &mut OpenLoad {
+        match &mut self.load {
+            Load::Open(open) => open,
+            Load::Closed(_) => panic!("not an open-loop spec"),
         }
     }
 }
 
-impl RunConfig {
-    /// A scaled-down protocol for unit tests and quick sanity runs.
-    pub fn quick() -> RunConfig {
-        RunConfig {
-            warmup_sessions: 20,
-            measured_sessions: 30,
-            batches: 5,
-            ..RunConfig::default()
+impl Monitoring {
+    /// The standard monitored protocol: disturbance from 25 s to 45 s of
+    /// the measured phase (the default 100-sample drift calibration
+    /// finishes first at ≥ 5 interactions/s; 20 s of outage lets the ready
+    /// queue back up far enough for the queue charts), heavy loss, a 20×
+    /// surge. The burn/availability windows are stretched over the
+    /// defaults so they hold `min_events` even at half-session-per-second
+    /// rates, where an outage thins completions to a trickle, and the
+    /// latency σ floor is raised (12% of the SLO) to clear the vanilla-EJB
+    /// combination's legitimately large clean-traffic latency swings
+    /// without loosening the queue charts.
+    pub fn standard(fault: Option<FaultClass>) -> Monitoring {
+        Monitoring {
+            slo: SloConfig {
+                fast_window_us: 4_000_000,
+                slow_window_us: 16_000_000,
+                min_events: 10,
+                latency_sigma_floor_us: 60_000.0,
+                ..SloConfig::default()
+            },
+            fault,
+            fault_at_ms: 25_000,
+            fault_dur_ms: 20_000,
+            loss_per_mille: 700,
+            flash_peak: 20.0,
         }
     }
 }
 
-/// One point of a delay sweep.
+/// The summary of a closed-loop run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepPoint {
     /// Injected one-way delay in milliseconds.
@@ -131,20 +273,14 @@ pub struct SweepPoint {
     /// Interactions that returned a non-200 status.
     pub failed: usize,
 }
-
-/// Runs the full measurement protocol for one architecture at one delay.
-pub fn run_point(arch: Architecture, delay: SimDuration, cfg: RunConfig) -> SweepPoint {
-    run_point_detailed(arch, delay, cfg).0
-}
-
 /// Trace data harvested from the measured phase of a run: the aggregated
 /// critical-path breakdown, every OCC-conflict forensics event, and a
 /// sampled window of raw span events suitable for Chrome-trace export.
 ///
-/// The measurement loop drains the testbed's bounded [`TraceLog`] after
-/// every session, so no mid-measurement span is ever evicted and the
-/// breakdown covers *every* measured interaction even at the paper's full
-/// 300-session protocol.
+/// [`run`] drains the testbed's bounded [`TraceLog`] after every session
+/// (every dispatch of an open run), so no mid-measurement span is ever
+/// evicted and the breakdown covers *every* measured interaction even at
+/// the paper's full 300-session protocol.
 ///
 /// [`TraceLog`]: sli_telemetry::TraceLog
 #[derive(Clone, Debug, Default)]
@@ -171,6 +307,17 @@ impl TraceHarvest {
         }
     }
 
+    /// Folds one drained batch of complete traces in; `sample` also keeps
+    /// the raw spans for the Chrome-trace export.
+    fn absorb(&mut self, events: &[SpanEvent], sample: bool) {
+        self.breakdown.merge(&critical_path(events));
+        self.conflict_events
+            .extend(events.iter().filter(|e| e.conflict().is_some()).cloned());
+        if sample {
+            self.sample_events.extend_from_slice(events);
+        }
+    }
+
     /// Per-entity OCC abort leaderboard over the harvested conflicts,
     /// hottest entity first.
     pub fn leaderboard(&self) -> Vec<ConflictEntry> {
@@ -185,198 +332,361 @@ const SAMPLE_SESSIONS: usize = 2;
 /// until the sample holds at least this many events).
 const LOADED_SAMPLE_EVENTS: usize = 4_000;
 
-/// Like [`run_point`], but also returns the structured [`ArchReport`] row
-/// assembled from the testbed's telemetry (cache hit ratio, commit abort
-/// rate, RPC retry/timeout counts, latency percentiles, HTTP status mix).
-///
-/// Telemetry is reset after warm-up, so the report covers exactly the
-/// measured interactions.
-pub fn run_point_detailed(
-    arch: Architecture,
-    delay: SimDuration,
-    cfg: RunConfig,
-) -> (SweepPoint, ArchReport) {
-    let (point, report, _) = run_point_traced(arch, delay, cfg);
-    (point, report)
-}
-
-/// Like [`run_point_detailed`], but additionally harvests the causal
-/// trace: the per-bucket critical-path [`Breakdown`] of every measured
-/// interaction, OCC abort forensics, and a Chrome-trace span sample.
-pub fn run_point_traced(
-    arch: Architecture,
-    delay: SimDuration,
-    cfg: RunConfig,
-) -> (SweepPoint, ArchReport, TraceHarvest) {
-    let run = run_point_full(arch, delay, cfg);
-    (run.point, run.report, run.harvest)
-}
-
-/// Everything one measured point yields: the sweep point, the structured
-/// report row, the causal-trace harvest, and the windowed virtual-time
-/// timeline of the measured phase.
+/// Everything one measured run yields.
 #[derive(Clone, Debug)]
-pub struct PointRun {
-    /// The latency/traffic summary of the point.
-    pub point: SweepPoint,
-    /// The structured per-architecture report row.
+pub struct RunArtifacts {
+    /// The structured per-architecture report row (cache hit ratio, commit
+    /// abort rate, RPC retry/timeout counts, latency percentiles, HTTP
+    /// status mix). Telemetry is reset after warm-up, so it covers exactly
+    /// the measured interactions; an open run's latencies are total, queue
+    /// wait included.
     pub report: ArchReport,
     /// Critical-path breakdown, conflict forensics and span sample.
     pub harvest: TraceHarvest,
-    /// Per-window rate/level series of the measured phase.
+    /// Per-window rate/level series of the measured phase (an open run's
+    /// include the `engine.*` queue/in-flight series). Rebased at the
+    /// warm-up/measure boundary, so rate totals match the report's counter
+    /// reads.
     pub timeline: TimelineReport,
+    /// The protocol-specific summary.
+    pub result: RunResult,
 }
 
-/// The full measurement protocol for one architecture at one delay,
-/// returning every artifact the harness can produce (see [`PointRun`]).
+/// The protocol-specific part of [`RunArtifacts`], mirroring [`Load`].
+#[derive(Clone, Debug)]
+pub enum RunResult {
+    /// A closed-loop run's latency/traffic summary.
+    Closed(SweepPoint),
+    /// An open-loop run's summary, profile and monitor findings.
+    Open(Box<OpenRun>),
+}
+
+/// What an open-loop run yields beyond the common artifacts.
+#[derive(Clone, Debug)]
+pub struct OpenRun {
+    /// Throughput/latency summary of the point.
+    pub point: LoadedPoint,
+    /// The aggregate cross-session profile: per-class self times,
+    /// collapsed stacks and per-resource attribution.
+    pub profile: Profile,
+    /// Little's-law cross-check over the measured phase (exact identity
+    /// for a clean run).
+    pub littles: LittlesLaw,
+    /// Ground-truth disturbance onset of a monitored run, µs of virtual
+    /// time. For fault injection this is the first *actually injected*
+    /// fault ([`Testbed::fault_first_effect_us`]) — dialling a plan has no
+    /// observable effect until a delivery attempt draws a fault. For a
+    /// flash crowd it is the scripted surge instant.
+    pub truth_us: Option<u64>,
+    /// `(detector, virtual firing instant µs)` for every latched detector.
+    pub detections: Vec<(&'static str, u64)>,
+    /// Every frozen incident, rendered and schema-validated.
+    pub incidents: Vec<Json>,
+}
+
+impl RunResult {
+    /// The closed-loop summary.
+    ///
+    /// # Panics
+    /// Panics on an open-loop run.
+    pub fn closed(&self) -> &SweepPoint {
+        match self {
+            RunResult::Closed(point) => point,
+            RunResult::Open(_) => panic!("not a closed-loop run"),
+        }
+    }
+
+    /// The open-loop results.
+    ///
+    /// # Panics
+    /// Panics on a closed-loop run.
+    pub fn open(&self) -> &OpenRun {
+        match self {
+            RunResult::Open(open) => open,
+            RunResult::Closed(_) => panic!("not an open-loop run"),
+        }
+    }
+}
+
+impl OpenRun {
+    /// Time-to-detect for `detector` in virtual ms: firing instant minus
+    /// ground truth. `None` if the detector never fired or the run had no
+    /// disturbance.
+    pub fn ttd_ms(&self, detector: &str) -> Option<f64> {
+        let truth = self.truth_us?;
+        let (_, at) = self.detections.iter().find(|(d, _)| *d == detector)?;
+        Some((*at as f64 - truth as f64) / 1_000.0)
+    }
+
+    /// The earliest-firing incident — the page an operator would open.
+    pub fn earliest_incident(&self) -> Option<&Json> {
+        let (first, _) = self.detections.iter().min_by_key(|(_, at)| *at)?;
+        self.incidents
+            .iter()
+            .find(|json| json.get("detector").and_then(Json::as_str) == Some(*first))
+    }
+}
+
+/// Measures one point: builds the testbed for `spec.arch`, warms it up
+/// closed-loop, resets telemetry, then runs the measured phase under
+/// `spec.load` — the one entry point behind every figure, table, gate and
+/// sweep of this crate.
 ///
-/// The timeline is rebased at the warm-up/measure boundary (so rate totals
-/// cover exactly the measured interactions, matching the registry counter
-/// reads) and sampled after every interaction on the simulated clock.
-pub fn run_point_full(arch: Architecture, delay: SimDuration, cfg: RunConfig) -> PointRun {
+/// # Panics
+/// Panics if a frozen incident fails `validate_incident` — an artifact the
+/// monitor itself produced must round-trip its own schema.
+pub fn run(spec: &RunSpec) -> RunArtifacts {
+    let wire_batching = match spec.load {
+        Load::Closed(_) => true,
+        Load::Open(open) => open.wire_batching,
+    };
     let testbed = Testbed::build(
-        arch,
+        spec.arch,
         TestbedConfig {
-            population: cfg.population,
+            population: spec.population,
             edges: 1,
+            wire_batching,
             ..TestbedConfig::default()
         },
     );
-    testbed.set_delay(delay);
-    if cfg.jitter_us > 0 {
-        // Derive the jitter seed from the delay too: otherwise every sweep
-        // point would draw the identical noise sequence and the noise would
-        // cancel out of the fit entirely.
-        testbed.set_jitter(
-            SimDuration::from_micros(cfg.jitter_us),
-            cfg.seed ^ delay.as_micros().wrapping_mul(0x9E37_79B9),
-        );
+    testbed.set_delay(spec.delay);
+    if !spec.faults.is_clean() {
+        testbed.set_faults(spec.faults);
     }
-    if !cfg.faults.is_clean() {
-        testbed.set_faults(cfg.faults);
-    }
-    let timeline = testbed.standard_timeline(cfg.timeline_window_us.max(1));
-    let mut generator = SessionGenerator::new(cfg.seed, cfg.population);
-    let mut client = VirtualClient::new(&testbed, 0);
-
-    for _ in 0..cfg.warmup_sessions {
-        let session = generator.session();
-        client.run_session(&session);
-    }
-
-    testbed.reset_path_stats();
-    testbed.reset_telemetry();
-    timeline.rebase(testbed.clock.now().as_micros());
-    let mut latencies = Vec::new();
-    let mut ok = 0;
-    let mut failed = 0;
+    let timeline = testbed.standard_timeline(spec.timeline_window_us.max(1));
+    let mut generator = SessionGenerator::new(spec.seed, spec.population);
     let mut harvest = TraceHarvest::default();
-    for s in 0..cfg.measured_sessions {
-        let session = generator.session();
-        for action in &session {
-            let outcome = client.perform(action);
-            timeline.sample(testbed.clock.now().as_micros());
-            latencies.push(outcome.latency.as_millis_f64());
-            if outcome.status == 200 {
-                ok += 1;
-            } else {
-                failed += 1;
+    // The closed-loop warm-up both protocols share, ending at the
+    // warm-up/measure boundary: path statistics and telemetry are reset and
+    // the timeline rebased, so everything downstream covers exactly the
+    // measured phase.
+    let warm_up = |client: &mut VirtualClient<'_>, generator: &mut SessionGenerator| {
+        for _ in 0..spec.warmup_sessions {
+            client.run_session(&generator.session());
+        }
+        testbed.reset_path_stats();
+        testbed.reset_telemetry();
+        timeline.rebase(testbed.clock.now().as_micros());
+    };
+    match spec.load {
+        Load::Closed(closed) => {
+            if closed.jitter_us > 0 {
+                // Derive the jitter seed from the delay too: otherwise
+                // every sweep point would draw the identical noise sequence
+                // and the noise would cancel out of the fit entirely.
+                testbed.set_jitter(
+                    SimDuration::from_micros(closed.jitter_us),
+                    spec.seed ^ spec.delay.as_micros().wrapping_mul(0x9E37_79B9),
+                );
+            }
+            let mut client = VirtualClient::new(&testbed, 0);
+            warm_up(&mut client, &mut generator);
+            let mut latencies = Vec::new();
+            let mut failed = 0;
+            for s in 0..closed.measured_sessions {
+                for action in &generator.session() {
+                    let outcome = client.perform(action);
+                    timeline.sample(testbed.clock.now().as_micros());
+                    latencies.push(outcome.latency.as_millis_f64());
+                    failed += usize::from(outcome.status != 200);
+                }
+                // Drain the bounded trace log every session: the breakdown
+                // and conflict forensics accumulate across the whole
+                // measured phase while the log itself never grows deep
+                // enough to evict a span from a trace still being
+                // decomposed.
+                let events = testbed.commit_trace().events();
+                harvest.absorb(&events, s < SAMPLE_SESSIONS);
+                testbed.commit_trace().clear();
+            }
+            let report = collect_report(&testbed, spec.delay, &latencies, failed as u64);
+            let batched = batch_means(&latencies, closed.batches);
+            let interactions = latencies.len().max(1) as f64;
+            let shared = testbed.delayed_path(0).stats();
+            let point = SweepPoint {
+                delay_ms: spec.delay.as_millis_f64(),
+                latency_ms: batched.overall.mean,
+                latency_stdev_ms: batched.overall.stdev,
+                latency_p95_ms: percentile(&latencies, 0.95).unwrap_or(0.0),
+                shared_bytes_per_interaction: shared.total_bytes() as f64 / interactions,
+                shared_round_trips_per_interaction: shared.round_trips() as f64 / interactions,
+                ok: latencies.len() - failed,
+                failed,
+            };
+            let timeline = timeline.report(format!("{} @ {:.0}ms", report.arch, point.delay_ms));
+            RunArtifacts {
+                report,
+                harvest,
+                timeline,
+                result: RunResult::Closed(point),
             }
         }
-        // Drain the bounded trace log every session: the breakdown and
-        // conflict forensics accumulate across the whole measured phase
-        // while the log itself never grows deep enough to evict a span
-        // from a trace still being decomposed.
-        let events = testbed.commit_trace().events();
-        harvest.breakdown.merge(&critical_path(&events));
-        harvest
-            .conflict_events
-            .extend(events.iter().filter(|e| e.conflict().is_some()).cloned());
-        if s < SAMPLE_SESSIONS {
-            harvest.sample_events.extend(events);
+        Load::Open(open) => {
+            testbed.apply_scale(open.scale);
+            let engine = LoadEngine::new(&testbed);
+            engine.metrics().timeline_into(&timeline, "engine");
+            warm_up(&mut VirtualClient::new(&testbed, 0), &mut generator);
+
+            // A monitored run's arrival process and fault script realise
+            // its scenario.
+            let scenario = open.monitor.and_then(|m| m.fault.map(|fault| (m, fault)));
+            let mut process = open.process;
+            let mut script: Vec<ScheduledFault> = Vec::new();
+            if let Some((m, fault)) = scenario {
+                let plan = match fault {
+                    FaultClass::BackendOutage => Some(FaultPlan {
+                        seed: spec.seed,
+                        unavailable_per_mille: 1_000,
+                        ..FaultPlan::NONE
+                    }),
+                    FaultClass::LossBurst => Some(FaultPlan::lossy(spec.seed, m.loss_per_mille)),
+                    FaultClass::FlashCrowd => {
+                        process = ArrivalProcess::FlashCrowd {
+                            at_us: m.fault_at_ms * 1_000,
+                            dur_us: m.fault_dur_ms * 1_000,
+                            peak: m.flash_peak,
+                        };
+                        None
+                    }
+                };
+                if let Some(plan) = plan {
+                    script.push(ScheduledFault {
+                        at: SimDuration::from_millis(m.fault_at_ms),
+                        plan,
+                    });
+                    script.push(ScheduledFault {
+                        at: SimDuration::from_millis(m.fault_at_ms + m.fault_dur_ms),
+                        plan: FaultPlan::NONE,
+                    });
+                }
+            }
+            let mut monitor = open.monitor.map(|m| {
+                let scenario = m.fault.map_or("clean", FaultClass::key);
+                let mut monitor = SloMonitor::new(m.slo)
+                    .with_label(format!("{} {scenario}", arch_key(spec.arch)))
+                    .share_metrics(testbed.monitor_metrics());
+                monitor.set_context("arch", Json::from(arch_key(spec.arch)));
+                monitor.set_context("scenario", Json::from(scenario));
+                monitor.set_context("delay_ms", Json::from(spec.delay.as_micros() / 1_000));
+                monitor.set_context("session_rps", Json::from(open.session_rps));
+                monitor.set_context(
+                    "fault_plan",
+                    fault_plan_json(script.first().map_or(FaultPlan::NONE, |s| s.plan)),
+                );
+                monitor
+            });
+
+            let plan = LoadPlan {
+                arrivals: ArrivalPlan {
+                    seed: spec.seed,
+                    rps: open.session_rps,
+                    process,
+                },
+                sessions: open.sessions,
+                think: SimDuration::from_millis(open.think_ms),
+                session_seed: spec.seed ^ 0x5e55_1011,
+                scheduler_seed: spec.seed ^ 0x5c4e_d01e,
+                population: spec.population,
+            };
+            let arrival_us = plan.arrivals.times_us(plan.sessions);
+            let mut profile = Profile::default();
+            let mut observer = |events: &[SpanEvent]| {
+                profile.fold(events);
+                let sample = harvest.sample_events.len() < LOADED_SAMPLE_EVENTS;
+                harvest.absorb(events, sample);
+            };
+            let t0 = testbed.clock.now().as_micros();
+            let run = engine.run_with(
+                &plan,
+                RunHooks {
+                    timeline: Some(&timeline),
+                    observer: Some(&mut observer),
+                    monitor: monitor.as_mut(),
+                    faults: &script,
+                    crashes: &[],
+                },
+            );
+
+            let arrival_span_s = arrival_us
+                .last()
+                .zip(arrival_us.first())
+                .map_or(0.0, |(last, first)| (last - first) as f64 / 1e6);
+            let totals = run.total_latencies_ms();
+            let waits: Vec<f64> = run
+                .interactions
+                .iter()
+                .map(|i| i.queue_wait.as_millis_f64())
+                .collect();
+            let services: Vec<f64> = run
+                .interactions
+                .iter()
+                .map(|i| i.service.as_millis_f64())
+                .collect();
+            let ok = run.interactions.iter().filter(|i| i.status == 200).count();
+            let failed = run.interactions.len() - ok;
+            let report = collect_report(&testbed, spec.delay, &totals, failed as u64);
+            let point = LoadedPoint {
+                session_rps: open.session_rps,
+                offered_tps: run.interactions.len() as f64 / arrival_span_s.max(1e-6),
+                achieved_tps: run.achieved_tps(),
+                latency_ms: batch_means(&totals, 20).overall.mean,
+                latency_p50_ms: percentile(&totals, 0.50).unwrap_or(0.0),
+                latency_p95_ms: percentile(&totals, 0.95).unwrap_or(0.0),
+                latency_p99_ms: percentile(&totals, 0.99).unwrap_or(0.0),
+                service_ms: RunStats::of(&services).mean,
+                queue_wait_p95_ms: percentile(&waits, 0.95).unwrap_or(0.0),
+                peak_queue_depth: run.peak_queue_depth,
+                round_trips_per_interaction: testbed.delayed_path(0).stats().round_trips() as f64
+                    / run.interactions.len().max(1) as f64,
+                ok,
+                failed,
+            };
+            let timeline = timeline.report(format!(
+                "{} loaded @ {:.2} sessions/s",
+                report.arch, open.session_rps
+            ));
+            let truth_us = scenario.and_then(|(m, fault)| match fault {
+                FaultClass::FlashCrowd => Some(t0 + m.fault_at_ms * 1_000),
+                _ => testbed.fault_first_effect_us(),
+            });
+            let incidents = monitor.as_ref().map_or_else(Vec::new, |monitor| {
+                monitor
+                    .incidents()
+                    .iter()
+                    .map(|incident| {
+                        let json = incident.to_json();
+                        validate_incident(&json).expect("monitor-frozen incident validates");
+                        json
+                    })
+                    .collect()
+            });
+            let open_run = OpenRun {
+                point,
+                profile,
+                littles: run.littles_law(),
+                truth_us,
+                detections: monitor.map_or_else(Vec::new, |m| m.detections()),
+                incidents,
+            };
+            RunArtifacts {
+                report,
+                harvest,
+                timeline,
+                result: RunResult::Open(Box::new(open_run)),
+            }
         }
-        testbed.commit_trace().clear();
     }
-
-    let report = collect_report(&testbed, delay, &latencies, failed as u64);
-    let batched = batch_means(&latencies, cfg.batches);
-    let interactions = latencies.len().max(1) as f64;
-    let shared = testbed.delayed_path(0).stats();
-    let point = SweepPoint {
-        delay_ms: delay.as_millis_f64(),
-        latency_ms: batched.overall.mean,
-        latency_stdev_ms: batched.overall.stdev,
-        latency_p95_ms: percentile(&latencies, 0.95).unwrap_or(0.0),
-        shared_bytes_per_interaction: shared.total_bytes() as f64 / interactions,
-        shared_round_trips_per_interaction: shared.round_trips() as f64 / interactions,
-        ok,
-        failed,
-    };
-    let timeline = timeline.report(format!("{} @ {:.0}ms", report.arch, point.delay_ms));
-    PointRun {
-        point,
-        report,
-        harvest,
-        timeline,
-    }
-}
-
-/// Sweeps the proxy delay (in milliseconds) for one architecture.
-pub fn sweep(arch: Architecture, delays_ms: &[u64], cfg: RunConfig) -> Vec<SweepPoint> {
-    delays_ms
-        .iter()
-        .map(|&d| run_point(arch, SimDuration::from_millis(d), cfg))
-        .collect()
-}
-
-/// Sweeps the proxy delay, returning the sweep points alongside one
-/// [`ArchReport`] row per delay.
-pub fn sweep_detailed(
-    arch: Architecture,
-    delays_ms: &[u64],
-    cfg: RunConfig,
-) -> (Vec<SweepPoint>, Vec<ArchReport>) {
-    delays_ms
-        .iter()
-        .map(|&d| run_point_detailed(arch, SimDuration::from_millis(d), cfg))
-        .unzip()
-}
-
-/// Sweeps the proxy delay, returning the sweep points, one [`ArchReport`]
-/// row per delay, and the merged [`TraceHarvest`] of the whole sweep.
-pub fn sweep_traced(
-    arch: Architecture,
-    delays_ms: &[u64],
-    cfg: RunConfig,
-) -> (Vec<SweepPoint>, Vec<ArchReport>, TraceHarvest) {
-    let mut points = Vec::new();
-    let mut reports = Vec::new();
-    let mut harvest = TraceHarvest::default();
-    for run in sweep_full(arch, delays_ms, cfg) {
-        points.push(run.point);
-        reports.push(run.report);
-        harvest.merge(run.harvest);
-    }
-    (points, reports, harvest)
-}
-
-/// Sweeps the proxy delay, returning every artifact per point (sweep
-/// point, report row, trace harvest, timeline).
-pub fn sweep_full(arch: Architecture, delays_ms: &[u64], cfg: RunConfig) -> Vec<PointRun> {
-    delays_ms
-        .iter()
-        .map(|&d| run_point_full(arch, SimDuration::from_millis(d), cfg))
-        .collect()
 }
 
 /// Renders the latency-breakdown table the figure/table binaries print:
 /// one row per series, with the mean per-request milliseconds and share
 /// attributed to each critical-path [`Bucket`].
-pub fn breakdown_table(rows: &[(String, Breakdown)]) -> String {
+fn breakdown_table(series: &[(String, TraceHarvest)]) -> String {
     let mut header: Vec<&str> = vec!["series", "traces", "mean ms"];
     header.extend(Bucket::ALL.iter().map(|b| b.label()));
     let mut table = TextTable::new(&header);
-    for (name, b) in rows {
+    for (name, harvest) in series {
+        let b: &Breakdown = &harvest.breakdown;
         let mut cells = vec![
             name.clone(),
             b.traces.to_string(),
@@ -400,7 +710,7 @@ pub fn breakdown_table(rows: &[(String, Breakdown)]) -> String {
 /// samples from independently-built testbeds would collide on
 /// `(trace_id, span_id)`; each series' trace ids are shifted into their own
 /// namespace before concatenation.
-pub fn combined_sample(harvests: &[(String, TraceHarvest)]) -> Vec<SpanEvent> {
+fn combined_sample(harvests: &[(String, TraceHarvest)]) -> Vec<SpanEvent> {
     let mut out = Vec::new();
     for (i, (_, h)) in harvests.iter().enumerate() {
         let offset = (i as u64) << 32;
@@ -412,58 +722,141 @@ pub fn combined_sample(harvests: &[(String, TraceHarvest)]) -> Vec<SpanEvent> {
     out
 }
 
-/// Exports `events` to `results/{name}.trace.json` as a Chrome trace-event
-/// document, validating its well-formedness (every span contained within
-/// its parent) before writing. Returns the path written.
-///
-/// # Errors
-/// Returns a description of the validation or I/O failure.
-pub fn write_trace_json(name: &str, events: &[SpanEvent]) -> Result<String, String> {
-    let doc = chrome_trace(events);
-    validate_chrome_trace(&doc)?;
-    let path = format!("results/{name}.trace.json");
-    std::fs::create_dir_all("results").map_err(|e| format!("create results/: {e}"))?;
-    std::fs::write(&path, doc.render()).map_err(|e| format!("write {path}: {e}"))?;
-    Ok(path)
+/// `results/` for full runs, `results/smoke/` for `--smoke` runs: the
+/// directory every bin hands to [`ArtifactSet::write_all`], so a scaled-down
+/// CI rehearsal never overwrites the checked-in full-run CSVs.
+pub fn results_dir(smoke: bool) -> &'static str {
+    if smoke {
+        "results/smoke"
+    } else {
+        "results"
+    }
 }
 
-/// Exports `doc` to `results/{name}.timeline.json`, validating it against
-/// the `sli-edge.timeline/v1` schema (including the rate-conservation law)
-/// before writing. Returns the path written.
-///
-/// # Errors
-/// Returns a description of the validation or I/O failure.
-pub fn write_timeline_json(name: &str, doc: &TimelineDoc) -> Result<String, String> {
-    let json = doc.to_json();
-    validate_timeline(&json)?;
-    let path = format!("results/{name}.timeline.json");
-    std::fs::create_dir_all("results").map_err(|e| format!("create results/: {e}"))?;
-    std::fs::write(&path, json.render()).map_err(|e| format!("write {path}: {e}"))?;
-    Ok(path)
+/// Everything a bin exports under one file-name stem. A bin fills the parts
+/// it publishes; parts left empty are not written.
+#[derive(Debug, Default)]
+pub struct ArtifactSet {
+    /// One row per run → `{name}.report.json` (`sli-edge.run-report/v1`).
+    pub report: RunReport,
+    /// One timeline per run → `{name}.timeline.json`
+    /// (`sli-edge.timeline/v1`).
+    pub timelines: Vec<TimelineReport>,
+    /// One merged harvest per named series; their span samples combine
+    /// into `{name}.trace.json` (Chrome trace-event format).
+    pub harvests: Vec<(String, TraceHarvest)>,
+    /// The aggregate profile → `{name}.folded` (collapsed stacks,
+    /// speedscope / inferno / `flamegraph.pl` loadable) and
+    /// `{name}.profile.json` (`sli-edge.profile/v1`).
+    pub profile: Profile,
+    /// The label stamped into the profile document.
+    pub profile_label: String,
+    /// `(file stem, incident)` → `{stem}.incident.json`
+    /// (`sli-edge.incident/v1`).
+    pub incidents: Vec<(String, Json)>,
+    /// The paper-facing table → `{name}.csv`.
+    pub csv: Option<Csv>,
 }
 
-/// Exports `profile` to `results/{name}.folded` in collapsed-stack format
-/// (speedscope / inferno / `flamegraph.pl` loadable) and to
-/// `results/{name}.profile.json` under the `sli-edge.profile/v1` schema,
-/// validating the JSON (conservation laws included) before writing.
-/// Returns both paths written (folded first).
-///
-/// # Errors
-/// Returns a description of the validation or I/O failure.
-pub fn write_profile(
-    name: &str,
-    profile: &Profile,
-    label: &str,
-) -> Result<(String, String), String> {
-    let json = profile.to_json(label);
-    validate_profile(&json)?;
-    std::fs::create_dir_all("results").map_err(|e| format!("create results/: {e}"))?;
-    let folded_path = format!("results/{name}.folded");
-    std::fs::write(&folded_path, profile.folded())
-        .map_err(|e| format!("write {folded_path}: {e}"))?;
-    let json_path = format!("results/{name}.profile.json");
-    std::fs::write(&json_path, json.render()).map_err(|e| format!("write {json_path}: {e}"))?;
-    Ok((folded_path, json_path))
+impl ArtifactSet {
+    /// An empty set whose run report is titled `title`.
+    pub fn new(title: &str) -> ArtifactSet {
+        ArtifactSet {
+            report: RunReport::new(title),
+            ..ArtifactSet::default()
+        }
+    }
+
+    /// Adds one run's report row, timeline and trace harvest under
+    /// `series`, and hands back its protocol-specific result. Consecutive
+    /// runs of one series share a harvest: breakdowns and conflicts
+    /// accumulate while the exported trace keeps one sample per series.
+    pub fn push(&mut self, series: &str, run: RunArtifacts) -> RunResult {
+        self.report.entries.push(run.report);
+        self.timelines.push(run.timeline);
+        match self.harvests.last_mut() {
+            Some((name, harvest)) if name == series => harvest.merge(run.harvest),
+            _ => self.harvests.push((series.to_owned(), run.harvest)),
+        }
+        run.result
+    }
+
+    /// Prints the critical-path breakdown of every series and the timeline
+    /// of each series' last run (`runs_per_series` consecutive runs each —
+    /// the highest delay of a sweep, where the timeline is most
+    /// interesting; the full set lands in the timeline JSON).
+    pub fn print_summary(&self, runs_per_series: usize) {
+        println!("\nCritical-path latency breakdown (mean per request, per series):");
+        println!("{}", breakdown_table(&self.harvests));
+        println!("\nVirtual-time timelines (last run of each series):");
+        for runs in self.timelines.chunks(runs_per_series) {
+            if let Some(last) = runs.last() {
+                println!("{}", timeline_table(last));
+            }
+        }
+    }
+
+    /// Writes every non-empty part to `{dir}/{name}.*`, validating each
+    /// JSON document against its schema (conservation laws included) and
+    /// the trace for well-formedness (every span contained within its
+    /// parent) first; nothing is written if any part is invalid. Returns
+    /// the paths written.
+    ///
+    /// # Errors
+    /// Returns a description of the validation or I/O failure.
+    pub fn write_all(&self, dir: &str, name: &str) -> Result<Vec<String>, String> {
+        let mut files: Vec<(String, String)> = Vec::new();
+        let mut add = |stem: &str, ext: &str, body: String| {
+            files.push((format!("{dir}/{stem}.{ext}"), body));
+        };
+        if !self.report.entries.is_empty() {
+            let json = self.report.to_json();
+            validate_run_report(&json).map_err(|e| format!("run report: {e}"))?;
+            add(name, "report.json", json.render());
+        }
+        if !self.harvests.is_empty() {
+            let doc = chrome_trace(&combined_sample(&self.harvests));
+            validate_chrome_trace(&doc).map_err(|e| format!("trace: {e}"))?;
+            add(name, "trace.json", doc.render());
+        }
+        if !self.timelines.is_empty() {
+            let mut doc = TimelineDoc::new(name);
+            doc.runs.clone_from(&self.timelines);
+            let json = doc.to_json();
+            validate_timeline(&json).map_err(|e| format!("timeline: {e}"))?;
+            add(name, "timeline.json", json.render());
+        }
+        if self.profile.traces > 0 {
+            let json = self.profile.to_json(&self.profile_label);
+            validate_profile(&json).map_err(|e| format!("profile: {e}"))?;
+            add(name, "folded", self.profile.folded());
+            add(name, "profile.json", json.render());
+        }
+        for (stem, incident) in &self.incidents {
+            validate_incident(incident).map_err(|e| format!("incident {stem}: {e}"))?;
+            add(stem, "incident.json", incident.render());
+        }
+        if let Some(csv) = &self.csv {
+            add(name, "csv", csv.render());
+        }
+        std::fs::create_dir_all(dir).map_err(|e| format!("create {dir}/: {e}"))?;
+        for (path, body) in &files {
+            std::fs::write(path, body).map_err(|e| format!("write {path}: {e}"))?;
+        }
+        Ok(files.into_iter().map(|(path, _)| path).collect())
+    }
+
+    /// [`ArtifactSet::write_all`] for a bin's `main`: lists the files
+    /// written, or reports the failure and exits 1.
+    pub fn write_or_exit(&self, dir: &str, name: &str) {
+        match self.write_all(dir, name) {
+            Ok(paths) => println!("(written: {})", paths.join(", ")),
+            Err(e) => {
+                eprintln!("error: export failed validation: {e}");
+                std::process::exit(1);
+            }
+        }
+    }
 }
 
 /// The three virtually-speedable resources of the what-if engine, with the
@@ -527,8 +920,8 @@ impl WhatIfRow {
 /// virtually-sped-up rerun per [`WHATIF_KNOBS`] resource.
 #[derive(Debug, Clone)]
 pub struct WhatIfReport {
-    /// The unscaled loaded run everything is measured against.
-    pub baseline: LoadedPointRun,
+    /// The unscaled open-loop run everything is measured against.
+    pub baseline: RunArtifacts,
     /// One row per speedable resource, in [`WHATIF_KNOBS`] order.
     pub rows: Vec<WhatIfRow>,
 }
@@ -553,28 +946,25 @@ impl WhatIfReport {
     }
 }
 
-/// Runs the what-if (causal-profile) protocol: one baseline loaded run,
-/// then for each speedable resource the *same* deterministic loaded point
+/// Runs the what-if (causal-profile) protocol: one baseline open-loop run
+/// of `spec`, then for each speedable resource the *same* deterministic loaded point
 /// with that resource's cost virtually scaled by `1/speedup` — exact
 /// fixed-point scaling inside the simulation, the virtual-time analogue of
 /// a Coz experiment. Latency/throughput deltas are normalized into causal
 /// shares and compared against the aggregate profile's prediction.
-pub fn whatif(
-    arch: Architecture,
-    delay: SimDuration,
-    cfg: LoadedConfig,
-    speedup: f64,
-) -> WhatIfReport {
+pub fn whatif(spec: &RunSpec, speedup: f64) -> WhatIfReport {
     assert!(speedup > 1.0, "a what-if speedup must exceed 1×");
-    let baseline = run_point_loaded(arch, delay, cfg);
+    let baseline = run(spec);
     let s = 1.0 - 1.0 / speedup;
-    let base = baseline.point;
+    let base = baseline.result.open().point;
+    let profile = &baseline.result.open().profile;
     let rows = WHATIF_KNOBS
         .iter()
         .map(|&resource| {
             let ppm = ResourceScale::ppm_for_speedup(speedup);
             let nominal = ResourceScale::nominal();
-            let scale = match resource {
+            let mut sped_spec = *spec;
+            sped_spec.open_mut().scale = match resource {
                 Resource::Wire => ResourceScale {
                     wire_ppm: ppm,
                     ..nominal
@@ -589,7 +979,7 @@ pub fn whatif(
                 },
                 Resource::StoreLock => unreachable!("store/lock wait has no speed knob"),
             };
-            let sped = run_point_loaded(arch, delay, LoadedConfig { scale, ..cfg }).point;
+            let sped = run(&sped_spec).result.open().point;
             WhatIfRow {
                 resource,
                 speedup,
@@ -597,7 +987,7 @@ pub fn whatif(
                 latency_ms: sped.latency_ms,
                 latency_p95_ms: sped.latency_p95_ms,
                 causal_share: ((base.latency_ms - sped.latency_ms) / base.latency_ms.max(1e-9)) / s,
-                profile_share: baseline.profile.resource_share(resource),
+                profile_share: profile.resource_share(resource),
                 d_tps: ((sped.achieved_tps - base.achieved_tps) / base.achieved_tps.max(1e-9)) / s,
                 d_p95: ((base.latency_p95_ms - sped.latency_p95_ms)
                     / base.latency_p95_ms.max(1e-9))
@@ -639,71 +1029,7 @@ pub fn timeline_table(report: &TimelineReport) -> String {
     out
 }
 
-/// Open-loop loaded-run parameters: the high-load engine's protocol, the
-/// counterpart of [`RunConfig`] for runs where sessions *arrive* at a
-/// configured rate instead of being issued one at a time.
-#[derive(Debug, Clone, Copy)]
-pub struct LoadedConfig {
-    /// Session arrival rate (sessions per second of virtual time). Each
-    /// session issues ~11 interactions, so the offered interaction rate is
-    /// roughly 11× this.
-    pub session_rps: f64,
-    /// Shape of the arrival schedule around that rate.
-    pub process: ArrivalProcess,
-    /// Sessions arriving in the measured open-loop phase.
-    pub sessions: usize,
-    /// Closed-loop warm-up sessions before the loaded phase (cache and
-    /// connection state, exactly like the §4.3 warm-up).
-    pub warmup_sessions: usize,
-    /// Per-session think time between consecutive interactions (ms).
-    /// Zero by default so the knee reflects pure queueing.
-    pub think_ms: u64,
-    /// Seed for arrivals, session scripts and the dispatch scheduler.
-    pub seed: u64,
-    /// Database population.
-    pub population: Population,
-    /// Initial timeline window width in virtual microseconds.
-    pub timeline_window_us: u64,
-    /// Fault plan dialled into the delayed paths for the loaded phase.
-    pub faults: FaultPlan,
-    /// Whether remote database connections batch statements onto the wire
-    /// (`false` is the pre-batching ablation).
-    pub wire_batching: bool,
-    /// Virtual per-resource speed knobs for what-if runs (nominal by
-    /// default — measured costs).
-    pub scale: ResourceScale,
-}
-
-impl LoadedConfig {
-    /// The standard loaded protocol at `session_rps` Poisson arrivals per
-    /// second: 200 sessions measured after a 40-session warm-up.
-    pub fn at_rps(session_rps: f64) -> LoadedConfig {
-        LoadedConfig {
-            session_rps,
-            process: ArrivalProcess::Poisson,
-            sessions: 200,
-            warmup_sessions: 40,
-            think_ms: 0,
-            seed: 20040101,
-            population: Population::default(),
-            timeline_window_us: 500_000,
-            faults: FaultPlan::NONE,
-            wire_batching: true,
-            scale: ResourceScale::nominal(),
-        }
-    }
-
-    /// A scaled-down loaded protocol for unit tests and CI smoke runs.
-    pub fn quick(session_rps: f64) -> LoadedConfig {
-        LoadedConfig {
-            sessions: 60,
-            warmup_sessions: 10,
-            ..LoadedConfig::at_rps(session_rps)
-        }
-    }
-}
-
-/// One point of a load sweep: offered vs achieved throughput plus the
+/// The summary of an open-loop run: offered vs achieved throughput plus the
 /// latency distribution including queue wait.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadedPoint {
@@ -737,167 +1063,6 @@ pub struct LoadedPoint {
     pub ok: usize,
     /// Interactions that returned a non-200 status.
     pub failed: usize,
-}
-
-/// Everything one loaded point yields: the summary point, the structured
-/// report row, and the windowed timeline of the loaded phase (including
-/// the `engine.*` queue/in-flight series).
-#[derive(Debug, Clone)]
-pub struct LoadedPointRun {
-    /// Throughput/latency summary of the point.
-    pub point: LoadedPoint,
-    /// The structured per-architecture report row (latencies are total,
-    /// i.e. queue wait included).
-    pub report: ArchReport,
-    /// Per-window rate/level series of the loaded phase.
-    pub timeline: TimelineReport,
-    /// Critical-path breakdown, conflict forensics and span sample of the
-    /// loaded phase (harvested per dispatch, so nothing is evicted).
-    pub harvest: TraceHarvest,
-    /// The aggregate cross-session profile: per-class self times,
-    /// collapsed stacks and per-resource attribution.
-    pub profile: Profile,
-    /// Little's-law cross-check over the loaded phase (exact identity for
-    /// a clean run).
-    pub littles: LittlesLaw,
-}
-
-/// Runs the open-loop loaded protocol for one architecture at one delay:
-/// closed-loop warm-up, telemetry reset, then [`LoadEngine::run`] over a
-/// deterministic arrival schedule, sampling the timeline at every
-/// dispatch.
-pub fn run_point_loaded(
-    arch: Architecture,
-    delay: SimDuration,
-    cfg: LoadedConfig,
-) -> LoadedPointRun {
-    let testbed = Testbed::build(
-        arch,
-        TestbedConfig {
-            population: cfg.population,
-            edges: 1,
-            wire_batching: cfg.wire_batching,
-            ..TestbedConfig::default()
-        },
-    );
-    testbed.set_delay(delay);
-    testbed.apply_scale(cfg.scale);
-    if !cfg.faults.is_clean() {
-        testbed.set_faults(cfg.faults);
-    }
-    let timeline = testbed.standard_timeline(cfg.timeline_window_us.max(1));
-    let engine = LoadEngine::new(&testbed);
-    engine.metrics().timeline_into(&timeline, "engine");
-
-    let mut generator = SessionGenerator::new(cfg.seed, cfg.population);
-    let mut warm = VirtualClient::new(&testbed, 0);
-    for _ in 0..cfg.warmup_sessions {
-        let session = generator.session();
-        warm.run_session(&session);
-    }
-    testbed.reset_path_stats();
-    testbed.reset_telemetry();
-    timeline.rebase(testbed.clock.now().as_micros());
-
-    let plan = LoadPlan {
-        arrivals: ArrivalPlan {
-            seed: cfg.seed,
-            rps: cfg.session_rps,
-            process: cfg.process,
-        },
-        sessions: cfg.sessions,
-        think: SimDuration::from_millis(cfg.think_ms),
-        session_seed: cfg.seed ^ 0x5e55_1011,
-        scheduler_seed: cfg.seed ^ 0x5c4e_d01e,
-        population: cfg.population,
-    };
-    let arrival_us = plan.arrivals.times_us(plan.sessions);
-    let mut harvest = TraceHarvest::default();
-    let mut profile = Profile::default();
-    let mut observer = |events: &[SpanEvent]| {
-        profile.fold(events);
-        harvest.breakdown.merge(&critical_path(events));
-        harvest
-            .conflict_events
-            .extend(events.iter().filter(|e| e.conflict().is_some()).cloned());
-        if harvest.sample_events.len() < LOADED_SAMPLE_EVENTS {
-            harvest.sample_events.extend_from_slice(events);
-        }
-    };
-    let run = engine.run_observed(&plan, Some(&timeline), Some(&mut observer));
-
-    let arrival_span_s = arrival_us
-        .last()
-        .zip(arrival_us.first())
-        .map_or(0.0, |(last, first)| (last - first) as f64 / 1e6);
-    let totals = run.total_latencies_ms();
-    let waits: Vec<f64> = run
-        .interactions
-        .iter()
-        .map(|i| i.queue_wait.as_millis_f64())
-        .collect();
-    let services: Vec<f64> = run
-        .interactions
-        .iter()
-        .map(|i| i.service.as_millis_f64())
-        .collect();
-    let ok = run.interactions.iter().filter(|i| i.status == 200).count();
-    let failed = run.interactions.len() - ok;
-    let report = collect_report(&testbed, delay, &totals, failed as u64);
-    let batched = batch_means(&totals, 20);
-    let point = LoadedPoint {
-        session_rps: cfg.session_rps,
-        offered_tps: run.interactions.len() as f64 / arrival_span_s.max(1e-6),
-        achieved_tps: run.achieved_tps(),
-        latency_ms: batched.overall.mean,
-        latency_p50_ms: percentile(&totals, 0.50).unwrap_or(0.0),
-        latency_p95_ms: percentile(&totals, 0.95).unwrap_or(0.0),
-        latency_p99_ms: percentile(&totals, 0.99).unwrap_or(0.0),
-        service_ms: sli_workload::RunStats::of(&services).mean,
-        queue_wait_p95_ms: percentile(&waits, 0.95).unwrap_or(0.0),
-        peak_queue_depth: run.peak_queue_depth,
-        round_trips_per_interaction: testbed.delayed_path(0).stats().round_trips() as f64
-            / run.interactions.len().max(1) as f64,
-        ok,
-        failed,
-    };
-    let timeline = timeline.report(format!(
-        "{} loaded @ {:.2} sessions/s",
-        report.arch, cfg.session_rps
-    ));
-    let littles = run.littles_law();
-    LoadedPointRun {
-        point,
-        report,
-        timeline,
-        harvest,
-        profile,
-        littles,
-    }
-}
-
-/// Sweeps the session arrival rate for one architecture at a fixed delay,
-/// one loaded run per rate — the throughput–latency curve the `knee` bin
-/// plots.
-pub fn sweep_loaded(
-    arch: Architecture,
-    delay: SimDuration,
-    session_rates: &[f64],
-    cfg: LoadedConfig,
-) -> Vec<LoadedPointRun> {
-    session_rates
-        .iter()
-        .map(|&rps| {
-            run_point_loaded(
-                arch,
-                delay,
-                LoadedConfig {
-                    session_rps: rps,
-                    ..cfg
-                },
-            )
-        })
-        .collect()
 }
 
 /// Finds the saturation knee of a rate-ordered load sweep: the first point
@@ -947,97 +1112,6 @@ impl FaultClass {
     }
 }
 
-/// Everything that defines one monitored run: the loaded protocol, the SLO
-/// detector configuration, and the shape of the mid-run disturbance.
-#[derive(Debug, Clone, Copy)]
-pub struct MonitoredConfig {
-    /// The open-loop load protocol (rate, sessions, warm-up, seed).
-    pub load: LoadedConfig,
-    /// Detector thresholds and windows.
-    pub slo: SloConfig,
-    /// Scripted disturbance, or `None` for a clean false-positive run.
-    pub fault: Option<FaultClass>,
-    /// When the disturbance starts, ms of virtual time after the loaded
-    /// phase begins. Must leave room for drift calibration first.
-    pub fault_at_ms: u64,
-    /// How long the disturbance lasts (ms); the fault plan is dialled back
-    /// to [`FaultPlan::NONE`] afterwards.
-    pub fault_dur_ms: u64,
-    /// Per-mille attempt loss during a [`FaultClass::LossBurst`].
-    pub loss_per_mille: u16,
-    /// Arrival-rate multiplier during a [`FaultClass::FlashCrowd`].
-    pub flash_peak: f64,
-}
-
-impl MonitoredConfig {
-    /// The standard monitored protocol around `load`: disturbance from
-    /// 25 s to 45 s of the loaded phase (the default 100-sample drift
-    /// calibration finishes first at ≥ 5 interactions/s; 20 s of outage
-    /// lets the ready queue back up far enough for the queue charts),
-    /// heavy loss, a 20× surge. The burn/availability windows are
-    /// stretched over the defaults so they hold `min_events` even at
-    /// half-session-per-second rates, where an outage thins completions to
-    /// a trickle, and the latency σ floor is raised (12% of the SLO) to
-    /// clear the vanilla-EJB combination's legitimately large
-    /// clean-traffic latency swings without loosening the queue charts.
-    pub fn around(load: LoadedConfig) -> MonitoredConfig {
-        MonitoredConfig {
-            load,
-            slo: SloConfig {
-                fast_window_us: 4_000_000,
-                slow_window_us: 16_000_000,
-                min_events: 10,
-                latency_sigma_floor_us: 60_000.0,
-                ..SloConfig::default()
-            },
-            fault: None,
-            fault_at_ms: 25_000,
-            fault_dur_ms: 20_000,
-            loss_per_mille: 700,
-            flash_peak: 20.0,
-        }
-    }
-
-    /// Same protocol with `fault` scripted in.
-    pub fn with_fault(load: LoadedConfig, fault: FaultClass) -> MonitoredConfig {
-        MonitoredConfig {
-            fault: Some(fault),
-            ..MonitoredConfig::around(load)
-        }
-    }
-}
-
-/// The outcome of one monitored run: what the detectors saw, when the
-/// disturbance actually began, and the frozen incident artifacts.
-#[derive(Debug, Clone)]
-pub struct MonitorOutcome {
-    /// Throughput/latency summary of the run (same shape as a knee point).
-    pub point: LoadedPoint,
-    /// The scripted class, if any.
-    pub fault: Option<FaultClass>,
-    /// Ground-truth disturbance onset, µs of virtual time. For fault
-    /// injection this is the first *actually injected* fault
-    /// ([`Testbed::fault_first_effect_us`]) — dialling a plan has no
-    /// observable effect until a delivery attempt draws a fault. For a
-    /// flash crowd it is the scripted surge instant.
-    pub truth_us: Option<u64>,
-    /// `(detector, virtual firing instant µs)` for every latched detector.
-    pub detections: Vec<(&'static str, u64)>,
-    /// Every frozen incident, rendered and schema-validated.
-    pub incidents: Vec<Json>,
-}
-
-impl MonitorOutcome {
-    /// Time-to-detect for `detector` in virtual ms: firing instant minus
-    /// ground truth. `None` if the detector never fired or the run had no
-    /// disturbance.
-    pub fn ttd_ms(&self, detector: &str) -> Option<f64> {
-        let truth = self.truth_us?;
-        let (_, at) = self.detections.iter().find(|(d, _)| *d == detector)?;
-        Some((*at as f64 - truth as f64) / 1_000.0)
-    }
-}
-
 /// Renders a fault plan for incident context.
 fn fault_plan_json(plan: FaultPlan) -> Json {
     Json::obj([
@@ -1061,187 +1135,75 @@ fn fault_plan_json(plan: FaultPlan) -> Json {
     ])
 }
 
-/// Runs the monitored open-loop protocol for one architecture at one
-/// delay: closed-loop warm-up, telemetry reset, then
-/// [`LoadEngine::run_monitored`] with the scripted disturbance, returning
-/// detection timestamps against ground truth and the validated incident
-/// artifacts.
-///
-/// # Panics
-/// Panics if a frozen incident fails `validate_incident` — an artifact the
-/// monitor itself produced must round-trip its own schema.
-pub fn run_point_monitored(
-    arch: Architecture,
-    delay: SimDuration,
-    cfg: MonitoredConfig,
-) -> MonitorOutcome {
-    let testbed = Testbed::build(
-        arch,
-        TestbedConfig {
-            population: cfg.load.population,
-            edges: 1,
-            wire_batching: cfg.load.wire_batching,
-            ..TestbedConfig::default()
-        },
-    );
-    testbed.set_delay(delay);
-    testbed.apply_scale(cfg.load.scale);
-    let engine = LoadEngine::new(&testbed);
-
-    let mut generator = SessionGenerator::new(cfg.load.seed, cfg.load.population);
-    let mut warm = VirtualClient::new(&testbed, 0);
-    for _ in 0..cfg.load.warmup_sessions {
-        let session = generator.session();
-        warm.run_session(&session);
-    }
-    testbed.reset_path_stats();
-    testbed.reset_telemetry();
-
-    // The arrival process and the fault script realise the scenario.
-    let mut process = cfg.load.process;
-    let mut schedule: Vec<ScheduledFault> = Vec::new();
-    let at = SimDuration::from_millis(cfg.fault_at_ms);
-    let until = SimDuration::from_millis(cfg.fault_at_ms + cfg.fault_dur_ms);
-    match cfg.fault {
-        Some(FaultClass::BackendOutage) => {
-            let outage = FaultPlan {
-                seed: cfg.load.seed,
-                unavailable_per_mille: 1_000,
-                ..FaultPlan::NONE
-            };
-            schedule.push(ScheduledFault { at, plan: outage });
-            schedule.push(ScheduledFault {
-                at: until,
-                plan: FaultPlan::NONE,
-            });
-        }
-        Some(FaultClass::LossBurst) => {
-            schedule.push(ScheduledFault {
-                at,
-                plan: FaultPlan::lossy(cfg.load.seed, cfg.loss_per_mille),
-            });
-            schedule.push(ScheduledFault {
-                at: until,
-                plan: FaultPlan::NONE,
-            });
-        }
-        Some(FaultClass::FlashCrowd) => {
-            process = ArrivalProcess::FlashCrowd {
-                at_us: cfg.fault_at_ms * 1_000,
-                dur_us: cfg.fault_dur_ms * 1_000,
-                peak: cfg.flash_peak,
-            };
-        }
-        None => {}
-    }
-
-    let scripted_plan = schedule.first().map(|s| s.plan);
-    let mut monitor = SloMonitor::new(cfg.slo)
-        .with_label(format!(
-            "{} {}",
-            arch_key(arch),
-            cfg.fault.map_or("clean", FaultClass::key)
-        ))
-        .share_metrics(testbed.monitor_metrics());
-    monitor.set_context("arch", Json::from(arch_key(arch)));
-    monitor.set_context(
-        "scenario",
-        Json::from(cfg.fault.map_or("clean", FaultClass::key)),
-    );
-    monitor.set_context("delay_ms", Json::from(delay.as_micros() / 1_000));
-    monitor.set_context("session_rps", Json::from(cfg.load.session_rps));
-    monitor.set_context(
-        "fault_plan",
-        fault_plan_json(scripted_plan.unwrap_or(FaultPlan::NONE)),
-    );
-
-    let plan = LoadPlan {
-        arrivals: ArrivalPlan {
-            seed: cfg.load.seed,
-            rps: cfg.load.session_rps,
-            process,
-        },
-        sessions: cfg.load.sessions,
-        think: SimDuration::from_millis(cfg.load.think_ms),
-        session_seed: cfg.load.seed ^ 0x5e55_1011,
-        scheduler_seed: cfg.load.seed ^ 0x5c4e_d01e,
-        population: cfg.load.population,
-    };
-    let arrival_us = plan.arrivals.times_us(plan.sessions);
-    let t0 = testbed.clock.now().as_micros();
-    let run = engine.run_monitored(&plan, None, None, &mut monitor, &schedule);
-
-    let truth_us = match cfg.fault {
-        Some(FaultClass::FlashCrowd) => Some(t0 + cfg.fault_at_ms * 1_000),
-        Some(_) => testbed.fault_first_effect_us(),
-        None => None,
-    };
-
-    let arrival_span_s = arrival_us
-        .last()
-        .zip(arrival_us.first())
-        .map_or(0.0, |(last, first)| (last - first) as f64 / 1e6);
-    let totals = run.total_latencies_ms();
-    let waits: Vec<f64> = run
-        .interactions
+/// The experiment behind Figures 6 and 7 — latency vs one-way delay for a
+/// set of `(label, csv column, architecture)` series. Sweeps each series
+/// over the paper's delays (0 and 40 ms under `smoke`) with the §4.3
+/// closed-loop protocol, prints the latency table, the linear fits the
+/// paper overlays (R² ≈ 99%) and the run summary, and exports every run
+/// plus the table as `{name}.csv`.
+pub fn latency_vs_delay(
+    name: &str,
+    title: &str,
+    series: &[(&str, &str, Architecture)],
+    smoke: bool,
+) {
+    let delays: &[u64] = if smoke { &[0, 40] } else { PAPER_DELAYS_MS };
+    let mut out = ArtifactSet::new(title);
+    let results: Vec<Vec<SweepPoint>> = series
         .iter()
-        .map(|i| i.queue_wait.as_millis_f64())
-        .collect();
-    let services: Vec<f64> = run
-        .interactions
-        .iter()
-        .map(|i| i.service.as_millis_f64())
-        .collect();
-    let ok = run.interactions.iter().filter(|i| i.status == 200).count();
-    let failed = run.interactions.len() - ok;
-    let batched = batch_means(&totals, 20);
-    let point = LoadedPoint {
-        session_rps: cfg.load.session_rps,
-        offered_tps: run.interactions.len() as f64 / arrival_span_s.max(1e-6),
-        achieved_tps: run.achieved_tps(),
-        latency_ms: batched.overall.mean,
-        latency_p50_ms: percentile(&totals, 0.50).unwrap_or(0.0),
-        latency_p95_ms: percentile(&totals, 0.95).unwrap_or(0.0),
-        latency_p99_ms: percentile(&totals, 0.99).unwrap_or(0.0),
-        service_ms: sli_workload::RunStats::of(&services).mean,
-        queue_wait_p95_ms: percentile(&waits, 0.95).unwrap_or(0.0),
-        peak_queue_depth: run.peak_queue_depth,
-        round_trips_per_interaction: testbed.delayed_path(0).stats().round_trips() as f64
-            / run.interactions.len().max(1) as f64,
-        ok,
-        failed,
-    };
-
-    let incidents: Vec<Json> = monitor
-        .incidents()
-        .iter()
-        .map(|incident| {
-            let json = incident.to_json();
-            validate_incident(&json).expect("monitor-frozen incident validates");
-            json
+        .map(|(label, _, arch)| {
+            delays
+                .iter()
+                .map(|&d| {
+                    let spec = RunSpec::closed(*arch, SimDuration::from_millis(d), smoke);
+                    *out.push(label, run(&spec)).closed()
+                })
+                .collect()
         })
         .collect();
-    MonitorOutcome {
-        point,
-        fault: cfg.fault,
-        truth_us,
-        detections: monitor.detections(),
-        incidents,
-    }
-}
 
-/// Exports `incident` to `results/{name}.incident.json`, validating it
-/// against the `sli-edge.incident/v1` schema before writing. Returns the
-/// path written.
-///
-/// # Errors
-/// Returns a description of the validation or I/O failure.
-pub fn write_incident_json(name: &str, incident: &Json) -> Result<String, String> {
-    validate_incident(incident)?;
-    let path = format!("results/{name}.incident.json");
-    std::fs::create_dir_all("results").map_err(|e| format!("create results/: {e}"))?;
-    std::fs::write(&path, incident.render()).map_err(|e| format!("write {path}: {e}"))?;
-    Ok(path)
+    let labels = series.iter().map(|(label, _, _)| *label);
+    let columns = series.iter().map(|(_, column, _)| *column);
+    let mut table = TextTable::new(
+        &std::iter::once("one-way delay (ms)")
+            .chain(labels)
+            .collect::<Vec<_>>(),
+    );
+    let mut csv = Csv::new(
+        &std::iter::once("delay_ms")
+            .chain(columns)
+            .collect::<Vec<_>>(),
+    );
+    for (i, delay) in delays.iter().enumerate() {
+        let cells: Vec<String> = std::iter::once(delay.to_string())
+            .chain(results.iter().map(|r| format!("{:.1}", r[i].latency_ms)))
+            .collect();
+        table.row(cells.clone());
+        csv.row(cells);
+    }
+    println!("{}", table.render());
+
+    println!("Linear fits (latency_ms = slope * delay_ms + intercept):");
+    let mut fits = TextTable::new(&["series", "slope (sensitivity)", "intercept (ms)", "R^2"]);
+    for ((label, _, _), points) in series.iter().zip(&results) {
+        let f = sensitivity(points).expect("sweep has multiple delays");
+        fits.row(vec![
+            (*label).to_owned(),
+            format!("{:.1}", f.slope),
+            format!("{:.1}", f.intercept),
+            format!("{:.4}", f.r2),
+        ]);
+        let failed: usize = points.iter().map(|p| p.failed).sum();
+        if failed > 0 {
+            eprintln!("warning: {label}: {failed} failed interactions");
+        }
+    }
+    println!("{}", fits.render());
+    out.print_summary(delays.len());
+    println!("\nCSV:\n{}", csv.render());
+    println!("\n{}", out.report.render_text());
+    out.csv = Some(csv);
+    out.write_or_exit(results_dir(smoke), name);
 }
 
 /// Fits latency (ms) against one-way delay (ms); the slope is the latency
@@ -1260,16 +1222,38 @@ mod tests {
     use super::*;
     use sli_arch::Flavor;
 
+    /// A delay sweep of `template`: one run per delay.
+    fn sweep(template: RunSpec, delays_ms: &[u64]) -> Vec<SweepPoint> {
+        delays_ms
+            .iter()
+            .map(|&d| {
+                *run(&RunSpec {
+                    delay: SimDuration::from_millis(d),
+                    ..template
+                })
+                .result
+                .closed()
+            })
+            .collect()
+    }
+
+    fn quick(arch: Architecture) -> RunSpec {
+        RunSpec::closed(arch, SimDuration::from_millis(20), true)
+    }
+
+    fn quick_open(arch: Architecture, rps: f64, sessions: usize, warmup: usize) -> RunSpec {
+        let mut spec = RunSpec::open(arch, SimDuration::from_millis(10), rps, true);
+        spec.warmup_sessions = warmup;
+        spec.open_mut().sessions = sessions;
+        spec
+    }
+
     #[test]
     fn clients_ras_sensitivity_is_two() {
         // One HTTP round trip per interaction ⇒ every ms of one-way delay
         // costs exactly 2 ms of client latency, for every flavor.
         for flavor in [Flavor::Jdbc, Flavor::VanillaEjb, Flavor::CachedEjb] {
-            let points = sweep(
-                Architecture::ClientsRas(flavor),
-                &[0, 40, 80],
-                RunConfig::quick(),
-            );
+            let points = sweep(quick(Architecture::ClientsRas(flavor)), &[0, 40, 80]);
             let fit = sensitivity(&points).unwrap();
             assert!(
                 (fit.slope - 2.0).abs() < 0.01,
@@ -1283,20 +1267,15 @@ mod tests {
 
     #[test]
     fn es_rdb_vanilla_is_most_sensitive() {
-        let cfg = RunConfig::quick();
-        let delays = &[0, 40, 80];
-        let jdbc = sensitivity(&sweep(Architecture::EsRdb(Flavor::Jdbc), delays, cfg))
-            .unwrap()
-            .slope;
-        let vanilla = sensitivity(&sweep(Architecture::EsRdb(Flavor::VanillaEjb), delays, cfg))
-            .unwrap()
-            .slope;
-        let cached = sensitivity(&sweep(Architecture::EsRdb(Flavor::CachedEjb), delays, cfg))
-            .unwrap()
-            .slope;
-        let rbes = sensitivity(&sweep(Architecture::EsRbes, delays, cfg))
-            .unwrap()
-            .slope;
+        let slope = |arch| {
+            sensitivity(&sweep(quick(arch), &[0, 40, 80]))
+                .unwrap()
+                .slope
+        };
+        let jdbc = slope(Architecture::EsRdb(Flavor::Jdbc));
+        let vanilla = slope(Architecture::EsRdb(Flavor::VanillaEjb));
+        let cached = slope(Architecture::EsRdb(Flavor::CachedEjb));
+        let rbes = slope(Architecture::EsRbes);
         // Paper Table 2 ordering: vanilla (23.6) > cached (13.0) > JDBC
         // (9.4) in ES/RDB, and ES/RBES (3.1) beats all of them but stays
         // above the Clients/RAS floor of 2.
@@ -1307,12 +1286,9 @@ mod tests {
     }
 
     #[test]
-    fn detailed_run_emits_a_valid_report_row() {
-        let (point, report) = run_point_detailed(
-            Architecture::EsRbes,
-            SimDuration::from_millis(20),
-            RunConfig::quick(),
-        );
+    fn run_emits_a_valid_report_row() {
+        let artifacts = run(&quick(Architecture::EsRbes));
+        let (point, report) = (*artifacts.result.closed(), artifacts.report);
         assert_eq!(report.arch, "ES/RBES (Cached EJBs)");
         assert_eq!(report.delay_ms, 20.0);
         assert_eq!(report.interactions, (point.ok + point.failed) as u64);
@@ -1321,16 +1297,18 @@ mod tests {
         assert!(report.p99_ms >= report.p95_ms && report.p95_ms >= report.p50_ms);
         assert!(report.status.contains_key("200"));
 
-        let mut run = sli_telemetry::RunReport::new("bench smoke");
-        run.entries.push(report);
-        sli_telemetry::validate_run_report(&run.to_json()).expect("valid run report");
+        let mut doc = RunReport::new("bench smoke");
+        doc.entries.push(report);
+        validate_run_report(&doc.to_json()).expect("valid run report");
     }
 
     #[test]
     fn jitter_reproduces_the_papers_imperfect_fits() {
-        let mut cfg = RunConfig::quick();
-        cfg.jitter_us = 2_000; // ±2 ms per crossing
-        let points = sweep(Architecture::EsRdb(Flavor::Jdbc), &[0, 40, 80], cfg);
+        let mut spec = quick(Architecture::EsRdb(Flavor::Jdbc));
+        if let Load::Closed(closed) = &mut spec.load {
+            closed.jitter_us = 2_000; // ±2 ms per crossing
+        }
+        let points = sweep(spec, &[0, 40, 80]);
         let f = sensitivity(&points).unwrap();
         assert!(f.r2 < 1.0, "jitter must leave residuals");
         assert!(f.r2 > 0.98, "but the fit stays excellent: r2 = {}", f.r2);
@@ -1344,12 +1322,10 @@ mod tests {
     }
 
     #[test]
-    fn traced_run_decomposes_every_measured_interaction() {
-        let (point, report, harvest) = run_point_traced(
-            Architecture::EsRdb(Flavor::CachedEjb),
-            SimDuration::from_millis(20),
-            RunConfig::quick(),
-        );
+    fn run_decomposes_every_measured_interaction() {
+        let artifacts = run(&quick(Architecture::EsRdb(Flavor::CachedEjb)));
+        let point = *artifacts.result.closed();
+        let (report, harvest) = (artifacts.report, artifacts.harvest);
         // Per-session draining must not lose a single request trace: the
         // breakdown covers exactly the measured interactions, and its
         // bucket sums decompose the total without remainder.
@@ -1371,7 +1347,7 @@ mod tests {
         assert_eq!(merged.breakdown.traces, 2 * harvest.breakdown.traces);
         assert_eq!(merged.sample_events.len(), sample_len);
 
-        let table = breakdown_table(&[("ES/RDB cached".to_owned(), harvest.breakdown)]);
+        let table = breakdown_table(&[("ES/RDB cached".to_owned(), harvest)]);
         assert!(table.contains("network-crossing"));
         assert!(table.contains("statement-execution"));
     }
@@ -1408,12 +1384,8 @@ mod tests {
 
     #[test]
     fn loaded_point_emits_validated_artifacts_with_live_queue_gauges() {
-        let run = run_point_loaded(
-            Architecture::EsRdb(Flavor::Jdbc),
-            SimDuration::from_millis(10),
-            LoadedConfig::quick(4.0),
-        );
-        let p = run.point;
+        let run = run(&quick_open(Architecture::EsRdb(Flavor::Jdbc), 4.0, 60, 10));
+        let p = run.result.open().point;
         assert!(p.ok > 0, "loaded run completed interactions");
         assert_eq!(p.failed, 0, "clean run has no failures");
         assert!(p.offered_tps > 0.0 && p.achieved_tps > 0.0);
@@ -1431,9 +1403,9 @@ mod tests {
 
         // The report row validates against the run-report schema.
         assert_eq!(run.report.interactions as usize, p.ok + p.failed);
-        let mut doc = sli_telemetry::RunReport::new("loaded smoke");
+        let mut doc = RunReport::new("loaded smoke");
         doc.entries.push(run.report.clone());
-        sli_telemetry::validate_run_report(&doc.to_json()).expect("valid loaded report");
+        validate_run_report(&doc.to_json()).expect("valid loaded report");
 
         // The timeline validates and carries live engine gauges.
         let mut tl = TimelineDoc::new("loaded smoke");
@@ -1464,13 +1436,15 @@ mod tests {
 
     #[test]
     fn loaded_sweep_finds_the_saturation_knee() {
-        let runs = sweep_loaded(
-            Architecture::EsRdb(Flavor::Jdbc),
-            SimDuration::from_millis(10),
-            &[0.5, 30.0],
-            LoadedConfig::quick(0.5),
-        );
-        let points: Vec<LoadedPoint> = runs.iter().map(|r| r.point).collect();
+        let points: Vec<LoadedPoint> = [0.5, 30.0]
+            .iter()
+            .map(|&rps| {
+                run(&quick_open(Architecture::EsRdb(Flavor::Jdbc), rps, 60, 10))
+                    .result
+                    .open()
+                    .point
+            })
+            .collect();
         // Light load keeps up with the offered rate; 30 sessions/s is far
         // beyond the single-server capacity (~22 interactions/s at 10 ms
         // delay) so throughput flattens and latency explodes.
@@ -1487,36 +1461,27 @@ mod tests {
 
     #[test]
     fn loaded_runs_are_deterministic_at_the_bench_layer() {
-        let cfg = LoadedConfig {
-            sessions: 25,
-            warmup_sessions: 5,
-            ..LoadedConfig::quick(3.0)
-        };
-        let a = run_point_loaded(Architecture::EsRbes, SimDuration::from_millis(10), cfg);
-        let b = run_point_loaded(Architecture::EsRbes, SimDuration::from_millis(10), cfg);
-        assert_eq!(a.point, b.point);
+        let spec = quick_open(Architecture::EsRbes, 3.0, 25, 5);
+        let (a, b) = (run(&spec), run(&spec));
+        assert_eq!(a.result.open().point, b.result.open().point);
         assert_eq!(a.timeline, b.timeline);
     }
 
     #[test]
     fn loaded_profiles_conserve_latency_for_every_architecture() {
         use sli_arch::{arch_by_key, ARCH_KEYS};
-        let cfg = LoadedConfig {
-            sessions: 12,
-            warmup_sessions: 4,
-            ..LoadedConfig::quick(3.0)
-        };
         for key in ARCH_KEYS {
             let arch = arch_by_key(key).unwrap();
-            let run = run_point_loaded(arch, SimDuration::from_millis(10), cfg);
+            let artifacts = run(&quick_open(arch, 3.0, 12, 4));
+            let (harvest, run) = (&artifacts.harvest, artifacts.result.open());
             // Every dispatched interaction is one complete trace; the
             // profile and the critical-path breakdown must agree on both
             // the trace count and the total measured latency.
             let interactions = (run.point.ok + run.point.failed) as u64;
             assert_eq!(run.profile.traces, interactions, "{key}: trace count");
-            assert_eq!(run.harvest.breakdown.traces, interactions, "{key}");
+            assert_eq!(harvest.breakdown.traces, interactions, "{key}");
             assert_eq!(
-                run.profile.total_us, run.harvest.breakdown.total_us,
+                run.profile.total_us, harvest.breakdown.total_us,
                 "{key}: profile vs breakdown total"
             );
             // Per-resource self times decompose the total exactly.
@@ -1538,15 +1503,8 @@ mod tests {
 
     #[test]
     fn whatif_ranks_the_wire_as_the_jdbc_bottleneck() {
-        let cfg = LoadedConfig {
-            sessions: 15,
-            warmup_sessions: 4,
-            ..LoadedConfig::quick(3.0)
-        };
         let report = whatif(
-            Architecture::EsRdb(Flavor::Jdbc),
-            SimDuration::from_millis(10),
-            cfg,
+            &quick_open(Architecture::EsRdb(Flavor::Jdbc), 3.0, 15, 4),
             2.0,
         );
         assert_eq!(report.rows.len(), WHATIF_KNOBS.len());
@@ -1563,7 +1521,7 @@ mod tests {
         // crossings; both the profile and the causal run must agree.
         assert_eq!(report.top_bottleneck(), Resource::Wire);
         assert_eq!(
-            report.baseline.profile.bottleneck_ranking()[0],
+            report.baseline.result.open().profile.bottleneck_ranking()[0],
             Resource::Wire
         );
         let wire = &report.rows[0];
@@ -1576,16 +1534,47 @@ mod tests {
 
     #[test]
     fn bandwidth_ordering_matches_figure8() {
-        let cfg = RunConfig::quick();
-        let d = SimDuration::from_millis(20);
-        let ras =
-            run_point(Architecture::ClientsRas(Flavor::Jdbc), d, cfg).shared_bytes_per_interaction;
-        let rbes = run_point(Architecture::EsRbes, d, cfg).shared_bytes_per_interaction;
-        let rdb = run_point(Architecture::EsRdb(Flavor::Jdbc), d, cfg).shared_bytes_per_interaction;
+        let bytes = |arch| {
+            run(&quick(arch))
+                .result
+                .closed()
+                .shared_bytes_per_interaction
+        };
+        let ras = bytes(Architecture::ClientsRas(Flavor::Jdbc));
+        let rbes = bytes(Architecture::EsRbes);
+        let rdb = bytes(Architecture::EsRdb(Flavor::Jdbc));
         assert!(
             ras > rbes && rbes > rdb,
             "expected RAS ({ras:.0}) > RBES ({rbes:.0}) > RDB ({rdb:.0})"
         );
         assert!(ras > 5_000.0, "Clients/RAS ships whole pages: {ras:.0}");
+    }
+
+    #[test]
+    fn write_all_validates_and_writes_only_the_filled_parts() {
+        let dir = std::env::temp_dir().join(format!("sli-bench-write-all-{}", std::process::id()));
+        let dir = dir.to_str().expect("utf-8 temp path");
+        assert_eq!(ArtifactSet::new("empty").write_all(dir, "none"), Ok(vec![]));
+
+        let mut set = ArtifactSet::new("write_all test");
+        set.push("rbes", run(&quick(Architecture::EsRbes)));
+        let written = set
+            .write_all(dir, "t")
+            .expect("a measured run exports cleanly");
+        let expected = ["report", "trace", "timeline"].map(|part| format!("{dir}/t.{part}.json"));
+        assert_eq!(written, expected);
+        for path in &written {
+            let text = std::fs::read_to_string(path).expect("file written");
+            Json::parse(&text).expect("written artifact parses");
+        }
+
+        // An invalid part fails the whole export before anything is written.
+        set.incidents.push(("bad".to_owned(), Json::Null));
+        assert!(set
+            .write_all(dir, "u")
+            .unwrap_err()
+            .contains("incident bad"));
+        assert!(!std::path::Path::new(&format!("{dir}/u.report.json")).exists());
+        std::fs::remove_dir_all(dir).expect("temp dir removed");
     }
 }

@@ -6,7 +6,7 @@
 //! validator from its rendered bytes.
 
 use sli_arch::{Architecture, Flavor};
-use sli_bench::{run_point_full, RunConfig};
+use sli_bench::{run, RunSpec};
 use sli_simnet::SimDuration;
 use sli_telemetry::{validate_timeline, Json, SeriesKind, TimelineDoc};
 
@@ -25,7 +25,7 @@ fn rate_series_conserve_counter_totals_across_all_architectures() {
     assert_eq!(combos.len(), 7);
     let mut doc = TimelineDoc::new("timeline conservation test");
     for arch in combos {
-        let run = run_point_full(arch, SimDuration::from_millis(20), RunConfig::quick());
+        let run = run(&RunSpec::closed(arch, SimDuration::from_millis(20), true));
         assert!(
             run.timeline.series.len() > 3,
             "{}: timeline tracks the stack",
@@ -67,7 +67,7 @@ fn rate_series_conserve_counter_totals_across_all_architectures() {
         // `interactions` already counts every measured request, failed
         // ones included.
         assert_eq!(requests.total, run.report.interactions);
-        assert_eq!(run.report.failed, run.point.failed as u64);
+        assert_eq!(run.report.failed, run.result.closed().failed as u64);
 
         doc.runs.push(run.timeline);
     }

@@ -1,18 +1,18 @@
 //! Optimistic validation and the combined-servers committer.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use sli_component::{EjbError, EjbResult, EntityMeta, Memento};
-use sli_datastore::{BatchStatement, SqlConnection, Value};
+use sli_datastore::{BatchOutcome, BatchStatement, DbResult, ResultSet, SqlConnection, Value};
 use sli_simnet::Clock;
 use sli_telemetry::{
     ConflictInfo, Counter, HistoryEvent, HistoryLog, OpenSpan, Registry, SpanDetail, SpanOutcome,
     Timeline, Tracer,
 };
 
-use crate::commit::{CommitOutcome, CommitRequest, EntryKind};
+use crate::commit::{CommitEntry, CommitOutcome, CommitRequest, EntryKind};
 use crate::registry::MetaRegistry;
 
 /// How many finished transactions a committer remembers for replay
@@ -340,7 +340,7 @@ pub fn memento_digest(m: &Memento) -> u64 {
 /// the transaction expected, what the store actually held, and (when both
 /// images are in hand) the first field whose value diverged.
 pub(crate) fn conflict_info(
-    entry: &crate::commit::CommitEntry,
+    entry: &CommitEntry,
     expected: Option<&Memento>,
     found: Option<&Memento>,
 ) -> ConflictInfo {
@@ -371,13 +371,24 @@ pub(crate) fn conflict_info(
 /// 3. on the first mismatch, roll back and report the conflict;
 /// 4. otherwise apply the after-images (UPDATE/INSERT/DELETE) and commit.
 ///
-/// The same function backs both deployment flavors: the
-/// [`CombinedCommitter`] runs it over a (remote) JDBC connection so each
-/// fetch/apply is a high-latency round trip, while the
-/// [`BackendServer`](crate::BackendServer) runs it over its co-located
-/// connection so the round trips are cheap — which is precisely the
-/// performance distinction the paper measures between ES/RDB-cached and
-/// ES/RBES.
+/// The request is processed in rounds of distinct `(bean, key)` — one
+/// round for every request a [`TxContext`](sli_component::TxContext)
+/// builds, since enlistment is keyed. A round costs **two** round trips on
+/// a wired connection whatever its size: one fetches every image, the
+/// second applies every after-image. Only duplicate keys force another
+/// round, so that no fetch can miss a write an earlier entry made to the
+/// same row. All of a round's images are fetched before any of its entries
+/// validates, so a fetch failure on a later entry (a deadlock, say)
+/// surfaces as an error even when an earlier entry would have conflicted
+/// first; the applied state and the committed/not-committed outcome are
+/// unaffected.
+///
+/// The same function backs both deployment flavors' split-style commits:
+/// the [`BackendServer`](crate::BackendServer) runs it over its co-located
+/// connection so the round trips are cheap, where the
+/// [`CombinedCommitter`] pays the high-latency path per access — which is
+/// precisely the performance distinction the paper measures between
+/// ES/RDB-cached and ES/RBES.
 ///
 /// # Errors
 /// Datastore failures (including deadlocks) surface as `Err`; a validation
@@ -404,166 +415,30 @@ pub(crate) fn validate_and_apply_forensic(
     forensics: &mut Option<ConflictInfo>,
     unchecked_writes: bool,
 ) -> EjbResult<CommitOutcome> {
-    conn.begin()?;
-    let result = run_validation(conn, registry, request, forensics, unchecked_writes);
-    match result {
-        Ok(CommitOutcome::Committed) => {
-            conn.commit()?;
-            Ok(CommitOutcome::Committed)
-        }
-        Ok(conflict) => {
-            conn.rollback()?;
-            Ok(conflict)
-        }
-        Err(e) => {
-            let _ = conn.rollback();
-            Err(e)
-        }
-    }
-}
-
-/// Whether every entry names a distinct (bean, key). Requests built from a
-/// [`TxContext`](sli_component::TxContext) always do (enlistment is keyed),
-/// but the validators accept arbitrary requests, and batched prefetching is
-/// only order-equivalent to the sequential loop when no entry reads a key
-/// an earlier entry wrote.
-fn distinct_keys(request: &CommitRequest) -> bool {
-    let mut seen = HashSet::with_capacity(request.entries.len());
-    request
-        .entries
-        .iter()
-        .all(|e| seen.insert((e.bean.as_str(), &e.key)))
-}
-
-fn run_validation(
-    conn: &mut dyn SqlConnection,
-    registry: &MetaRegistry,
-    request: &CommitRequest,
-    forensics: &mut Option<ConflictInfo>,
-    unchecked_writes: bool,
-) -> EjbResult<CommitOutcome> {
-    if request.entries.len() > 1 && distinct_keys(request) {
-        return run_validation_batched(conn, registry, request, forensics, unchecked_writes);
-    }
-    for entry in &request.entries {
-        let meta = registry.meta(&entry.bean)?;
-        let current = fetch_current(conn, meta, &entry.key)?;
-        let conflict = || CommitOutcome::Conflict {
-            bean: entry.bean.clone(),
-            key: entry.key.to_string(),
-        };
-        match &entry.kind {
-            EntryKind::Read { before } => {
-                if current.as_ref() != Some(before) {
-                    *forensics = Some(conflict_info(entry, Some(before), current.as_ref()));
-                    return Ok(conflict());
+    let single = request.entries.len() == 1;
+    in_transaction(conn, true, |conn| {
+        for round in distinct_key_rounds(&request.entries) {
+            let metas = metas_of(registry, round)?;
+            let fetches: Vec<BatchStatement> = round
+                .iter()
+                .zip(&metas)
+                .map(|(e, meta)| BatchStatement::new(meta.load_sql(), vec![e.key.clone()]))
+                .collect();
+            let fetched = ship(conn, &fetches, single)?.into_result()?;
+            let mut writes = Vec::new();
+            for ((entry, meta), rs) in round.iter().zip(&metas).zip(&fetched) {
+                if let Some(info) = judge(entry, meta, rs, false, unchecked_writes) {
+                    *forensics = Some(info);
+                    return Ok(conflict_on(entry));
                 }
+                writes.extend(write_statement(entry, meta, false));
             }
-            EntryKind::Update { before, after } => {
-                if !unchecked_writes && current.as_ref() != Some(before) {
-                    *forensics = Some(conflict_info(entry, Some(before), current.as_ref()));
-                    return Ok(conflict());
-                }
-                conn.execute(&meta.update_sql(), &meta.update_params(after))?;
-            }
-            EntryKind::Create { after } => {
-                if current.is_some() {
-                    *forensics = Some(conflict_info(entry, None, current.as_ref()));
-                    return Ok(conflict());
-                }
-                conn.execute(&meta.insert_sql(), &meta.insert_params(after))?;
-            }
-            EntryKind::Remove { before } => {
-                if current.as_ref() != Some(before) {
-                    *forensics = Some(conflict_info(entry, Some(before), current.as_ref()));
-                    return Ok(conflict());
-                }
-                conn.execute(&meta.delete_sql(), std::slice::from_ref(&entry.key))?;
+            if !writes.is_empty() {
+                ship(conn, &writes, single)?.into_result()?;
             }
         }
-    }
-    Ok(CommitOutcome::Committed)
-}
-
-/// The batched split-servers validation: **one** round trip fetches every
-/// entry's current image, validation runs locally against the before-images,
-/// and a second round trip applies every after-image. On a wired connection
-/// the commit's statement cost stops growing with the transaction footprint
-/// — this is the group commit the back-end runs over its database path.
-///
-/// Trade-off versus the sequential loop: all images are fetched before any
-/// entry validates, so a fetch failure on a *later* entry (a deadlock, say)
-/// surfaces as an error even when an earlier entry would have conflicted
-/// first. The applied state and the committed/not-committed outcome are
-/// unchanged.
-fn run_validation_batched(
-    conn: &mut dyn SqlConnection,
-    registry: &MetaRegistry,
-    request: &CommitRequest,
-    forensics: &mut Option<ConflictInfo>,
-    unchecked_writes: bool,
-) -> EjbResult<CommitOutcome> {
-    let mut fetches = Vec::with_capacity(request.entries.len());
-    for entry in &request.entries {
-        let meta = registry.meta(&entry.bean)?;
-        fetches.push(BatchStatement::new(
-            meta.load_sql(),
-            vec![entry.key.clone()],
-        ));
-    }
-    let fetched = conn.execute_batch(&fetches)?.into_result()?;
-
-    let mut writes = Vec::new();
-    for (entry, rs) in request.entries.iter().zip(&fetched) {
-        let meta = registry.meta(&entry.bean)?;
-        let current = rs.rows().first().map(|row| meta.memento_from_row(row));
-        let conflict = || CommitOutcome::Conflict {
-            bean: entry.bean.clone(),
-            key: entry.key.to_string(),
-        };
-        match &entry.kind {
-            EntryKind::Read { before } => {
-                if current.as_ref() != Some(before) {
-                    *forensics = Some(conflict_info(entry, Some(before), current.as_ref()));
-                    return Ok(conflict());
-                }
-            }
-            EntryKind::Update { before, after } => {
-                if !unchecked_writes && current.as_ref() != Some(before) {
-                    *forensics = Some(conflict_info(entry, Some(before), current.as_ref()));
-                    return Ok(conflict());
-                }
-                writes.push(BatchStatement::new(
-                    meta.update_sql(),
-                    meta.update_params(after),
-                ));
-            }
-            EntryKind::Create { after } => {
-                if current.is_some() {
-                    *forensics = Some(conflict_info(entry, None, current.as_ref()));
-                    return Ok(conflict());
-                }
-                writes.push(BatchStatement::new(
-                    meta.insert_sql(),
-                    meta.insert_params(after),
-                ));
-            }
-            EntryKind::Remove { before } => {
-                if current.as_ref() != Some(before) {
-                    *forensics = Some(conflict_info(entry, Some(before), current.as_ref()));
-                    return Ok(conflict());
-                }
-                writes.push(BatchStatement::new(
-                    meta.delete_sql(),
-                    vec![entry.key.clone()],
-                ));
-            }
-        }
-    }
-    if !writes.is_empty() {
-        conn.execute_batch(&writes)?.into_result()?;
-    }
-    Ok(CommitOutcome::Committed)
+        Ok(CommitOutcome::Committed)
+    })
 }
 
 /// The paper's *combined-servers* commit: "one [database access] per
@@ -578,11 +453,16 @@ fn run_validation_batched(
 ///
 /// A transaction touching a single bean commits in **one** autocommitted
 /// statement; larger footprints pay `BEGIN` + one statement per image +
-/// `COMMIT` — which is exactly why the combined configuration's commit cost
-/// grows with transaction size when the connection crosses the delay proxy.
+/// `COMMIT`, the statements travelling together in one round trip. The
+/// server runs them strictly in request order inside the open transaction,
+/// so a conditional `WHERE` clause observes earlier entries' writes; the
+/// first validation failure in the executed prefix is the conflict.
+/// Statements past a conflicting one may have executed — the rollback
+/// undoes them.
 ///
 /// Semantically equivalent to [`validate_and_apply`]: both compare every
-/// before-image by value (a property-based test in the suite pins this).
+/// before-image by value (a property-based test in the suite pins both to
+/// a one-entry-at-a-time model).
 ///
 /// # Errors
 /// Datastore failures; validation failure returns `Ok(Conflict)`.
@@ -610,14 +490,57 @@ pub(crate) fn validate_and_apply_per_image_forensic(
     unchecked_writes: bool,
 ) -> EjbResult<CommitOutcome> {
     let single = request.entries.len() == 1;
-    if !single {
-        conn.begin()?;
+    in_transaction(conn, !single, |conn| {
+        let metas = metas_of(registry, &request.entries)?;
+        let stmts: Vec<BatchStatement> = request
+            .entries
+            .iter()
+            .zip(&metas)
+            .map(|(e, meta)| {
+                write_statement(e, meta, !unchecked_writes)
+                    .unwrap_or_else(|| BatchStatement::new(meta.load_sql(), vec![e.key.clone()]))
+            })
+            .collect();
+        let outcome = ship(conn, &stmts, single)?;
+        for ((entry, meta), rs) in request.entries.iter().zip(&metas).zip(&outcome.results) {
+            if let Some(info) = judge(entry, meta, rs, true, unchecked_writes) {
+                *forensics = Some(info);
+                return Ok(conflict_on(entry));
+            }
+        }
+        // No conflict in the prefix: the statement that stopped the batch
+        // (at index `results.len()`) decides. A duplicate-key INSERT is a
+        // Create losing its key race — a conflict; anything else is a real
+        // error.
+        if let Some(err) = outcome.error {
+            if let Some(entry) = request.entries.get(outcome.results.len()) {
+                if matches!(entry.kind, EntryKind::Create { .. })
+                    && matches!(err, sli_datastore::DbError::DuplicateKey(_))
+                {
+                    *forensics = Some(conflict_info(entry, None, None));
+                    return Ok(conflict_on(entry));
+                }
+            }
+            return Err(err.into());
+        }
+        Ok(CommitOutcome::Committed)
+    })
+}
+
+/// Runs `body` as one datastore transaction: commit when it reports
+/// `Committed`, roll back on a conflict or an error. A body that is a
+/// single self-validating statement passes `explicit = false` and runs
+/// autocommitted, with no `BEGIN`/`COMMIT` round trips.
+fn in_transaction(
+    conn: &mut dyn SqlConnection,
+    explicit: bool,
+    body: impl FnOnce(&mut dyn SqlConnection) -> EjbResult<CommitOutcome>,
+) -> EjbResult<CommitOutcome> {
+    if !explicit {
+        return body(conn);
     }
-    let result = run_per_image(conn, registry, request, forensics, unchecked_writes);
-    if single {
-        return result;
-    }
-    match result {
+    conn.begin()?;
+    match body(conn) {
         Ok(CommitOutcome::Committed) => {
             conn.commit()?;
             Ok(CommitOutcome::Committed)
@@ -633,152 +556,117 @@ pub(crate) fn validate_and_apply_per_image_forensic(
     }
 }
 
-fn run_per_image(
-    conn: &mut dyn SqlConnection,
-    registry: &MetaRegistry,
-    request: &CommitRequest,
-    forensics: &mut Option<ConflictInfo>,
+/// Judges one entry against the result set its statement produced: `None`
+/// passes, `Some` is the conflict's forensic record.
+///
+/// A fetched image (every `Read`, and every entry when the writes are not
+/// `conditional`) must equal the before-image by value; a `Create` must
+/// find nothing. A conditional write validated inside its own statement:
+/// zero affected rows means the before-image no longer matched, and the
+/// winning image was never seen. (An executed conditional `INSERT` has
+/// succeeded; losing the key race is the statement's own duplicate-key
+/// error.)
+fn judge(
+    entry: &CommitEntry,
+    meta: &EntityMeta,
+    rs: &ResultSet,
+    conditional: bool,
     unchecked_writes: bool,
-) -> EjbResult<CommitOutcome> {
-    if request.entries.len() > 1 {
-        return run_per_image_batched(conn, registry, request, forensics, unchecked_writes);
+) -> Option<ConflictInfo> {
+    let expected = match &entry.kind {
+        EntryKind::Update { .. } if unchecked_writes => return None,
+        EntryKind::Read { before }
+        | EntryKind::Update { before, .. }
+        | EntryKind::Remove { before } => Some(before),
+        EntryKind::Create { .. } => None,
+    };
+    if conditional && !matches!(entry.kind, EntryKind::Read { .. }) {
+        let lost = expected.is_some() && rs.affected_rows() == 0;
+        return lost.then(|| conflict_info(entry, expected, None));
     }
-    for entry in &request.entries {
-        let meta = registry.meta(&entry.bean)?;
-        let conflict = || CommitOutcome::Conflict {
-            bean: entry.bean.clone(),
-            key: entry.key.to_string(),
-        };
-        match &entry.kind {
-            EntryKind::Read { before } => {
-                let current = fetch_current(conn, meta, &entry.key)?;
-                if current.as_ref() != Some(before) {
-                    *forensics = Some(conflict_info(entry, Some(before), current.as_ref()));
-                    return Ok(conflict());
-                }
-            }
-            EntryKind::Update { before, after } => {
-                if unchecked_writes {
-                    conn.execute(&meta.update_sql(), &meta.update_params(after))?;
-                    continue;
-                }
-                let (sql, params) = meta.conditional_update_sql(before, after);
-                if conn.execute(&sql, &params)?.affected_rows() == 0 {
-                    *forensics = Some(conflict_info(entry, Some(before), None));
-                    return Ok(conflict());
-                }
-            }
-            EntryKind::Create { after } => {
-                match conn.execute(&meta.insert_sql(), &meta.insert_params(after)) {
-                    Ok(_) => {}
-                    Err(sli_datastore::DbError::DuplicateKey(_)) => {
-                        *forensics = Some(conflict_info(entry, None, None));
-                        return Ok(conflict());
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-            }
-            EntryKind::Remove { before } => {
-                let (sql, params) = meta.conditional_delete_sql(before);
-                if conn.execute(&sql, &params)?.affected_rows() == 0 {
-                    *forensics = Some(conflict_info(entry, Some(before), None));
-                    return Ok(conflict());
-                }
-            }
-        }
-    }
-    Ok(CommitOutcome::Committed)
+    let current = rs.rows().first().map(|row| meta.memento_from_row(row));
+    (current.as_ref() != expected).then(|| conflict_info(entry, expected, current.as_ref()))
 }
 
-/// The batched combined-servers commit: every entry's single validate+apply
-/// statement ships in **one** `OP_EXEC_BATCH` round trip. The server runs
-/// the statements strictly in request order inside the open transaction, so
-/// conditional `WHERE` clauses observe earlier entries' writes exactly as
-/// the sequential loop's statements did; the client then walks the executed
-/// prefix and reports the first validation failure (0 rows affected, or a
-/// duplicate-key `INSERT`) as the conflict. Statements past a conflicting
-/// one may have executed — the caller's rollback undoes them.
-fn run_per_image_batched(
-    conn: &mut dyn SqlConnection,
-    registry: &MetaRegistry,
-    request: &CommitRequest,
-    forensics: &mut Option<ConflictInfo>,
-    unchecked_writes: bool,
-) -> EjbResult<CommitOutcome> {
-    let mut stmts = Vec::with_capacity(request.entries.len());
-    for entry in &request.entries {
-        let meta = registry.meta(&entry.bean)?;
-        stmts.push(match &entry.kind {
-            EntryKind::Read { .. } => BatchStatement::new(meta.load_sql(), vec![entry.key.clone()]),
-            EntryKind::Update { before, after } => {
-                if unchecked_writes {
-                    BatchStatement::new(meta.update_sql(), meta.update_params(after))
-                } else {
-                    let (sql, params) = meta.conditional_update_sql(before, after);
-                    BatchStatement::new(sql, params)
-                }
-            }
-            EntryKind::Create { after } => {
-                BatchStatement::new(meta.insert_sql(), meta.insert_params(after))
-            }
-            EntryKind::Remove { before } => {
-                let (sql, params) = meta.conditional_delete_sql(before);
-                BatchStatement::new(sql, params)
-            }
-        });
-    }
-    let outcome = conn.execute_batch(&stmts)?;
+/// The statement applying `entry`'s after-image (`None` for a pure read).
+/// With `conditional` the `WHERE` clause of an `UPDATE`/`DELETE` carries
+/// the whole before-image, so the statement validates and applies at once.
+fn write_statement(
+    entry: &CommitEntry,
+    meta: &EntityMeta,
+    conditional: bool,
+) -> Option<BatchStatement> {
+    let (sql, params) = match &entry.kind {
+        EntryKind::Read { .. } => return None,
+        EntryKind::Update { before, after } if conditional => {
+            meta.conditional_update_sql(before, after)
+        }
+        EntryKind::Update { after, .. } => (meta.update_sql(), meta.update_params(after)),
+        EntryKind::Create { after } => (meta.insert_sql(), meta.insert_params(after)),
+        EntryKind::Remove { before } if conditional => meta.conditional_delete_sql(before),
+        EntryKind::Remove { .. } => (meta.delete_sql(), vec![entry.key.clone()]),
+    };
+    Some(BatchStatement::new(sql, params))
+}
 
-    // First validation failure in the executed prefix wins, in order.
-    for (entry, rs) in request.entries.iter().zip(&outcome.results) {
-        let meta = registry.meta(&entry.bean)?;
-        let conflict = || CommitOutcome::Conflict {
-            bean: entry.bean.clone(),
-            key: entry.key.to_string(),
-        };
-        match &entry.kind {
-            EntryKind::Read { before } => {
-                let current = rs.rows().first().map(|row| meta.memento_from_row(row));
-                if current.as_ref() != Some(before) {
-                    *forensics = Some(conflict_info(entry, Some(before), current.as_ref()));
-                    return Ok(conflict());
-                }
-            }
-            EntryKind::Update { before, .. } => {
-                if !unchecked_writes && rs.affected_rows() == 0 {
-                    *forensics = Some(conflict_info(entry, Some(before), None));
-                    return Ok(conflict());
-                }
-            }
-            // An executed INSERT succeeded; failure surfaces as the batch
-            // error below.
-            EntryKind::Create { .. } => {}
-            EntryKind::Remove { before } => {
-                if rs.affected_rows() == 0 {
-                    *forensics = Some(conflict_info(entry, Some(before), None));
-                    return Ok(conflict());
-                }
-            }
+/// One round trip for `stmts`. A request that is a single entry ships each
+/// access as a plain statement; anything larger as one statement batch.
+/// (The distinction is visible on a wired connection, which frames the two
+/// differently.) A plain statement's failure is reported in the outcome,
+/// like a batch's.
+fn ship(
+    conn: &mut dyn SqlConnection,
+    stmts: &[BatchStatement],
+    single: bool,
+) -> DbResult<BatchOutcome> {
+    if !single {
+        return conn.execute_batch(stmts);
+    }
+    Ok(match conn.execute(&stmts[0].sql, &stmts[0].params) {
+        Ok(rs) => BatchOutcome {
+            results: vec![rs],
+            error: None,
+        },
+        Err(e) => BatchOutcome {
+            results: Vec::new(),
+            error: Some(e),
+        },
+    })
+}
+
+/// Splits `entries` into consecutive runs in which every `(bean, key)` is
+/// distinct, cutting only where an entry repeats a key of the current run.
+/// (Footprints are a handful of entries, so the scan is linear per entry.)
+fn distinct_key_rounds(entries: &[CommitEntry]) -> Vec<&[CommitEntry]> {
+    let mut rounds = Vec::new();
+    let mut start = 0;
+    for (i, e) in entries.iter().enumerate() {
+        let round = &entries[start..i];
+        if round.iter().any(|p| p.bean == e.bean && p.key == e.key) {
+            rounds.push(round);
+            start = i;
         }
     }
-    // No conflict in the prefix: the statement that stopped the batch (at
-    // index `results.len()`) decides. A duplicate-key INSERT is a Create
-    // losing its key race — a conflict; anything else is a real error.
-    if let Some(err) = outcome.error {
-        if let Some(entry) = request.entries.get(outcome.results.len()) {
-            if matches!(entry.kind, EntryKind::Create { .. })
-                && matches!(err, sli_datastore::DbError::DuplicateKey(_))
-            {
-                *forensics = Some(conflict_info(entry, None, None));
-                return Ok(CommitOutcome::Conflict {
-                    bean: entry.bean.clone(),
-                    key: entry.key.to_string(),
-                });
-            }
-        }
-        return Err(err.into());
+    if start < entries.len() {
+        rounds.push(&entries[start..]);
     }
-    Ok(CommitOutcome::Committed)
+    rounds
+}
+
+/// Deployment metadata of every entry, in order.
+fn metas_of<'r>(
+    registry: &'r MetaRegistry,
+    entries: &[CommitEntry],
+) -> EjbResult<Vec<&'r EntityMeta>> {
+    entries.iter().map(|e| registry.meta(&e.bean)).collect()
+}
+
+/// The outcome naming `entry` as the one that failed validation.
+fn conflict_on(entry: &CommitEntry) -> CommitOutcome {
+    CommitOutcome::Conflict {
+        bean: entry.bean.clone(),
+        key: entry.key.to_string(),
+    }
 }
 
 /// Fetches the current persistent image of (`meta`, `key`), if any.

@@ -186,21 +186,32 @@ pub trait SqlConnection {
     /// Fails on transport-level errors; statement errors are captured in
     /// the outcome.
     fn execute_batch(&mut self, statements: &[BatchStatement]) -> DbResult<BatchOutcome> {
-        let mut results = Vec::with_capacity(statements.len());
-        for stmt in statements {
-            match self.execute(&stmt.sql, &stmt.params) {
-                Ok(rs) => results.push(rs),
-                Err(e) => {
-                    return Ok(BatchOutcome {
-                        results,
-                        error: Some(e),
-                    })
+        Ok(execute_each(self, statements))
+    }
+}
+
+/// Runs `statements` one [`SqlConnection::execute`] at a time, stopping at
+/// the first failure — the unbatched loop behind the default
+/// [`SqlConnection::execute_batch`] and a wire connection's batching-off
+/// mode.
+pub fn execute_each<C: SqlConnection + ?Sized>(
+    conn: &mut C,
+    statements: &[BatchStatement],
+) -> BatchOutcome {
+    let mut results = Vec::with_capacity(statements.len());
+    for stmt in statements {
+        match conn.execute(&stmt.sql, &stmt.params) {
+            Ok(rs) => results.push(rs),
+            Err(e) => {
+                return BatchOutcome {
+                    results,
+                    error: Some(e),
                 }
             }
         }
-        Ok(BatchOutcome {
-            results,
-            error: None,
-        })
+    }
+    BatchOutcome {
+        results,
+        error: None,
     }
 }

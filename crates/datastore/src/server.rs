@@ -686,24 +686,8 @@ impl SqlConnection for RemoteConnection {
             });
         }
         if !self.batching {
-            // Ablation mode: replay the trait's default per-statement loop
-            // so every statement pays its own wire round trip.
-            let mut results = Vec::with_capacity(statements.len());
-            for stmt in statements {
-                match self.execute(&stmt.sql, &stmt.params) {
-                    Ok(rs) => results.push(rs),
-                    Err(e) => {
-                        return Ok(BatchOutcome {
-                            results,
-                            error: Some(e),
-                        })
-                    }
-                }
-            }
-            return Ok(BatchOutcome {
-                results,
-                error: None,
-            });
+            // Ablation mode: every statement pays its own wire round trip.
+            return Ok(crate::execute_each(self, statements));
         }
         let mut w = Writer::new();
         w.put_u8(OP_EXEC_BATCH).put_u64(self.session);

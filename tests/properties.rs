@@ -4,7 +4,8 @@
 //! * bound predicates survive `to_sql` → parser round trips — including
 //!   empty `IN` lists under every boolean connective;
 //! * the two optimistic validators (SELECT-then-write vs one-statement-per-
-//!   image) are observationally equivalent;
+//!   image) are observationally equivalent, and each matches a naive
+//!   one-entry-at-a-time model of the table;
 //! * a cache-enabled container and a vanilla container compute identical
 //!   persistent state for arbitrary operation sequences;
 //! * the regression and batching math behaves on arbitrary affine data.
@@ -16,6 +17,7 @@
 //! `tests/properties.proptest-regressions` and are pinned as explicit cases
 //! below (see [`empty_in_regression_survives_sql_round_trip`]).
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -24,7 +26,7 @@ use rand::{Rng, SeedableRng};
 use sli_edge::component::BmpHome;
 use sli_edge::component::JdbcResourceManager;
 use sli_edge::component::{
-    share_connection, Container, EntityMeta, Memento, ResourceManager, TxContext,
+    share_connection, Container, EjbResult, EntityMeta, Memento, ResourceManager, TxContext,
 };
 use sli_edge::core::{
     validate_and_apply, validate_and_apply_per_image, CombinedCommitter, CommitEntry,
@@ -369,6 +371,166 @@ fn validators_are_observationally_equivalent() {
         assert!(!conn_a.in_transaction());
         assert!(!conn_b.in_transaction());
     }
+}
+
+/// The naive reference both validators are pinned to: the table as a map,
+/// entries applied strictly one at a time. Returns whether `entry`
+/// validated (and, if so, applies its after-image to `rows`).
+fn model_step(rows: &mut HashMap<String, f64>, entry: &CommitEntry) -> bool {
+    let user = entry.key.as_str().expect("string key").to_owned();
+    let current = rows
+        .get(&user)
+        .map(|balance| account_image(&user, *balance));
+    let balance_of = |image: &Memento| {
+        image
+            .get("balance")
+            .and_then(Value::as_double)
+            .expect("balance field")
+    };
+    match &entry.kind {
+        EntryKind::Read { before } => current.as_ref() == Some(before),
+        EntryKind::Update { before, after } => {
+            current.as_ref() == Some(before) && rows.insert(user, balance_of(after)).is_some()
+        }
+        EntryKind::Create { after } => {
+            current.is_none() && rows.insert(user, balance_of(after)).is_none()
+        }
+        EntryKind::Remove { before } => {
+            current.as_ref() == Some(before) && rows.remove(&user).is_some()
+        }
+    }
+}
+
+/// All-or-nothing commit over the model: the first entry that fails
+/// validation aborts the request and leaves the table untouched.
+fn model_commit(
+    rows: &HashMap<String, f64>,
+    entries: &[CommitEntry],
+) -> (bool, HashMap<String, f64>) {
+    let mut work = rows.clone();
+    if entries.iter().all(|e| model_step(&mut work, e)) {
+        (true, work)
+    } else {
+        (false, rows.clone())
+    }
+}
+
+fn table_as_map(db: &Arc<Database>) -> HashMap<String, f64> {
+    dump(db)
+        .into_iter()
+        .map(|row| {
+            assert_eq!(row[2], Value::Null, "note column stays NULL");
+            (
+                row[0].as_str().expect("userid").to_owned(),
+                row[1].as_double().expect("balance"),
+            )
+        })
+        .collect()
+}
+
+/// Both validators share their transaction wrapper, entry judge and
+/// statement builder, so agreeing with each other proves little. Each must
+/// also match the naive model on outcome and final table — including for
+/// requests that name the same `(bean, key)` more than once, where a later
+/// entry must see an earlier entry's write.
+#[test]
+fn validators_match_the_one_entry_at_a_time_model() {
+    let mut rng = StdRng::seed_from_u64(0x3e3e_0006);
+    let (cases, mut duplicated, mut committed) = (96, 0, 0);
+    for case in 0..cases {
+        let mut initial: HashMap<String, f64> = HashMap::new();
+        for _ in 0..rng.gen_range(0..4u32) {
+            initial
+                .entry(gen_user(&mut rng))
+                .or_insert(rng.gen_range(0.0f64..100.0));
+        }
+        // Entries are drawn against a shadow of the table as earlier
+        // entries leave it, so most before-images are current and whole
+        // requests commit; a stale image or an impossible kind is mixed in
+        // to keep conflicts — and the rollback of applied prefixes — common.
+        let mut shadow = initial.clone();
+        let mut entries: Vec<CommitEntry> = Vec::new();
+        for i in 0..rng.gen_range(2..6u32) {
+            let user = match entries.first() {
+                // Every other case repeats the first entry's key.
+                Some(first) if i == 1 && case % 2 == 0 => {
+                    first.key.as_str().expect("string key").to_owned()
+                }
+                _ => gen_user(&mut rng),
+            };
+            let stale = rng.gen_range(0..5u32) == 0;
+            let before = match shadow.get(&user) {
+                Some(balance) if !stale => *balance,
+                _ => rng.gen_range(0.0f64..100.0),
+            };
+            let after = rng.gen_range(0.0f64..100.0);
+            let exists = shadow.contains_key(&user) != stale;
+            let kind = match (exists, rng.gen_range(0..3u32)) {
+                (false, _) => EntryKind::Create {
+                    after: account_image(&user, after),
+                },
+                (true, 0) => EntryKind::Read {
+                    before: account_image(&user, before),
+                },
+                (true, 1) => EntryKind::Update {
+                    before: account_image(&user, before),
+                    after: account_image(&user, after),
+                },
+                (true, _) => EntryKind::Remove {
+                    before: account_image(&user, before),
+                },
+            };
+            let entry = CommitEntry {
+                bean: "Account".into(),
+                key: Value::from(user),
+                kind,
+            };
+            model_step(&mut shadow, &entry);
+            entries.push(entry);
+        }
+        let mut keys: Vec<&Value> = entries.iter().map(|e| &e.key).collect();
+        keys.sort_by_key(|k| k.to_string());
+        duplicated += usize::from(keys.windows(2).any(|w| w[0] == w[1]));
+
+        let (model_committed, model_rows) = model_commit(&initial, &entries);
+        committed += usize::from(model_committed);
+        let request = CommitRequest {
+            origin: 0,
+            txn_id: 0,
+            entries,
+        };
+        let rows: Vec<(String, f64)> = initial.iter().map(|(u, b)| (u.clone(), *b)).collect();
+        type Validator =
+            fn(&mut dyn SqlConnection, &MetaRegistry, &CommitRequest) -> EjbResult<CommitOutcome>;
+        let validators: [(&str, Validator); 2] = [
+            ("validate_and_apply", validate_and_apply),
+            ("validate_and_apply_per_image", validate_and_apply_per_image),
+        ];
+        for (name, validator) in validators {
+            let db = db_with_rows(&rows);
+            let mut conn = db.connect();
+            let outcome = validator(&mut conn, &registry(), &request).unwrap();
+            assert_eq!(
+                matches!(outcome, CommitOutcome::Committed),
+                model_committed,
+                "{name} vs model outcome on {request:?} over {initial:?}: {outcome:?}"
+            );
+            assert_eq!(
+                table_as_map(&db),
+                model_rows,
+                "{name} vs model state on {request:?} over {initial:?}"
+            );
+            assert!(!conn.in_transaction(), "{name} left a transaction open");
+        }
+    }
+    assert!(
+        3 * duplicated >= cases,
+        "only {duplicated} duplicate-key cases"
+    );
+    assert!(
+        committed >= cases / 4 && committed <= 3 * cases / 4,
+        "generator must mix outcomes, got {committed} commits of {cases}"
+    );
 }
 
 // ---------- cache transparency ----------
