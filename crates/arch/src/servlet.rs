@@ -316,13 +316,6 @@ impl AppServer {
         self.sessions.lock().len()
     }
 
-    /// Re-derives the live-session gauge from the session table — called
-    /// after a blanket telemetry reset, which zeroes the gauge while the
-    /// HTTP sessions themselves survive into the measured phase.
-    pub fn refresh_session_gauge(&self) {
-        self.metrics.sessions.set(self.sessions.lock().len() as u64);
-    }
-
     fn perform_with_retry(&self, action: &TradeAction) -> sli_component::EjbResult<TradeResult> {
         let mut last_err = None;
         for _ in 0..self.retries.max(1) {

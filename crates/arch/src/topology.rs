@@ -517,8 +517,8 @@ impl Testbed {
     }
 
     /// The shared `monitor.*` metric handles (incidents, evaluations,
-    /// remaining error budget). An [`SloMonitor`]
-    /// (sli_telemetry::SloMonitor) shares these via
+    /// remaining error budget). An
+    /// [`SloMonitor`](sli_telemetry::SloMonitor) shares these via
     /// [`SloMonitor::share_metrics`](sli_telemetry::SloMonitor::share_metrics)
     /// so its counts land in this testbed's registry and timeline.
     pub fn monitor_metrics(&self) -> &MonitorMetrics {
@@ -550,20 +550,12 @@ impl Testbed {
         }
     }
 
-    /// Zeroes every registered metric and clears the commit span log
-    /// (between warm-up and measurement).
+    /// Zeroes every registered counter and histogram and clears the commit
+    /// span log (between warm-up and measurement). Gauges keep their level:
+    /// cached images, HTTP sessions and in-flight invalidations all survive
+    /// into the measured phase.
     pub fn reset_telemetry(&self) {
         self.telemetry.reset_all();
-        // The blanket reset zeroes the working-set gauges while the cached
-        // images survive into the measured phase; re-derive them so level
-        // series start from the truth. Live HTTP sessions survive the same
-        // way, so their gauge is re-derived too.
-        for edge in &self.edges {
-            if let Some(store) = &edge.store {
-                store.refresh_size();
-            }
-            edge.server.refresh_session_gauge();
-        }
         self.commit_trace.clear();
     }
 
@@ -577,8 +569,8 @@ impl Testbed {
     ///
     /// Coverage is *total* by construction: everything any machine
     /// registers at build time is tracked here, except histograms (which
-    /// have no windowed form) and the `engine.*` metrics a [`LoadEngine`]
-    /// (crate::LoadEngine) registers later and tracks itself. The
+    /// have no windowed form) and the `engine.*` metrics a
+    /// [`LoadEngine`](crate::LoadEngine) registers later and tracks itself. The
     /// `registry_is_fully_timeline_tracked` test pins that invariant —
     /// three previous PRs silently grew the registry past the timeline.
     ///
@@ -662,9 +654,9 @@ impl Testbed {
 
     /// Dials a deterministic fault plan into every delayed path, turning
     /// the wide-area link lossy for resilience experiments. Each edge's
-    /// path draws from a distinct derived seed (mirroring [`set_jitter`]
-    /// — see [`Testbed::set_jitter`]), so schedules differ across edges
-    /// but replay identically run to run.
+    /// path draws from a distinct derived seed (mirroring
+    /// [`Testbed::set_jitter`]), so schedules differ across edges but
+    /// replay identically run to run.
     pub fn set_faults(&self, plan: FaultPlan) {
         for i in 0..self.edges.len() {
             let derived = FaultPlan {
@@ -1024,7 +1016,6 @@ mod tests {
             "db.plan.hits",
             "db.plan.misses",
             "db.plan.evictions",
-            "store.edge-1.lru_desync",
             "store.edge-1.resident_bytes",
             "backend.commit.committed",
             "backend.commit.conflicts",
@@ -1225,7 +1216,7 @@ mod tests {
         assert_eq!(requests.total, actions.len() as u64);
         // The warm-up request must not leak into the measured series, and
         // the working-set level must start from the surviving cache size
-        // (reset_telemetry refreshes the gauge after the blanket reset).
+        // (reset_telemetry leaves gauges at their level).
         let size = report
             .series
             .iter()
@@ -1235,6 +1226,51 @@ mod tests {
             size.values[0] > 0,
             "cache warmed before rebase must show a non-zero starting level"
         );
+    }
+
+    #[test]
+    fn reset_telemetry_keeps_gauges_at_their_live_levels() {
+        use sli_telemetry::Metric;
+        let tb = Testbed::build(
+            Architecture::EsRbes,
+            TestbedConfig {
+                edges: 2,
+                ..TestbedConfig::default()
+            },
+        );
+        // Both edges log a user in (a live session and cached images each);
+        // edge 1's commit is the last, so its invalidation is still in
+        // flight toward edge 2 when the reset happens.
+        for (edge, user) in [(1, "uid:0"), (0, "uid:1")] {
+            let login = TradeAction::Login { user: user.into() };
+            assert_eq!(VirtualClient::new(&tb, edge).perform(&login).status, 200);
+        }
+        let in_flight = tb.edges[1].invalidations.as_ref().unwrap().in_flight();
+        assert!(in_flight > 0, "invalidation should be in flight");
+        tb.reset_telemetry();
+        let gauge = |name: String| match tb.telemetry().get(&name) {
+            Some(Metric::Gauge(g)) => g.get(),
+            other => panic!("{name}: expected a gauge, got {other:?}"),
+        };
+        assert_eq!(
+            gauge("invalidations.edge-2.queue_depth".into()),
+            in_flight as u64
+        );
+        for (i, edge) in tb.edges.iter().enumerate() {
+            let n = i + 1;
+            let store = edge.store.as_ref().unwrap();
+            assert!(!store.is_empty());
+            assert_eq!(gauge(format!("store.edge-{n}.size")), store.len() as u64);
+            assert_eq!(
+                gauge(format!("store.edge-{n}.resident_bytes")),
+                store.resident_bytes()
+            );
+            assert!(edge.server.session_count() > 0);
+            assert_eq!(
+                gauge(format!("servlet.edge-{n}.sessions")),
+                edge.server.session_count() as u64
+            );
+        }
     }
 
     #[test]

@@ -153,7 +153,8 @@ impl BackendServer {
     /// Registers an edge's invalidation channel. After a successful commit
     /// originating from edge `origin`, every peer with a *different* id is
     /// notified of the written keys. Any [`Service`] endpoint works — the
-    /// immediate [`InvalidationSink`] or the propagation-delay-accurate
+    /// immediate [`InvalidationSink`](crate::InvalidationSink) or the
+    /// propagation-delay-accurate
     /// [`DeferredInvalidationSink`](crate::DeferredInvalidationSink).
     pub fn register_edge<S: Service + Send + Sync + 'static>(&self, edge_id: u32, sink: Remote<S>) {
         self.peers

@@ -57,6 +57,4 @@ pub use home::SliHome;
 pub use registry::MetaRegistry;
 pub use rm::{RmStats, SliResourceManager};
 pub use source::{DirectSource, StateSource};
-pub use store::{
-    CacheStats, CommonStore, DeferredInvalidationSink, InvalidationSink, STORE_SHARDS,
-};
+pub use store::{CacheStats, CommonStore, DeferredInvalidationSink, InvalidationSink};

@@ -1,24 +1,15 @@
 //! The common transient store: inter-transaction bean-image cache.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::RwLock;
+use parking_lot::Mutex;
 use sli_component::Memento;
 use sli_datastore::Value;
 use sli_simnet::wire::{Reader, Writer};
 use sli_simnet::Service;
 use sli_telemetry::{Counter, Gauge, Registry, Timeline};
-
-/// Number of independently locked shards in a [`CommonStore`].
-///
-/// Every key hashes to exactly one shard, so two sessions touching
-/// different shards never contend on the same lock. Eight is small enough
-/// that cross-shard scans (global-LRU eviction, `clear`) stay cheap and
-/// large enough that the load engine's concurrent sessions spread out.
-pub const STORE_SHARDS: usize = 8;
 
 /// Hit/miss counters for a [`CommonStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -55,12 +46,9 @@ impl CacheStats {
 /// common store, the conflict window widens — which is exactly what the
 /// optimistic validator exists to catch.
 ///
-/// Internally the image map is split into [`STORE_SHARDS`] key-hash shards,
-/// each behind its own lock, so concurrent sessions only serialize when
-/// they touch the same shard. Recency ticks come from one shared counter,
-/// which keeps LRU ordering *global*: eviction always removes the
-/// least-recently-used image across the whole store, exactly as the
-/// single-lock implementation did.
+/// The image map, its recency index and the resident-byte total live behind
+/// one lock and change together, so eviction is exact LRU: the victim is
+/// always the least-recently-used image in the whole store.
 ///
 /// ```
 /// use sli_core::CommonStore;
@@ -74,122 +62,56 @@ impl CacheStats {
 /// assert_eq!(store.stats().hits, 1);
 /// assert_eq!(store.stats().misses, 1);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CommonStore {
-    shards: Vec<RwLock<StoreShard>>,
     capacity: Option<usize>,
-    /// Resident-bytes budget: the store evicts LRU images until the summed
-    /// wire-encoded size fits (always keeping at least one image).
-    budget: Option<u64>,
-    /// Shared recency clock — global ticks make per-shard recency maps
-    /// comparable, so eviction order is identical to a single LRU list.
-    tick: AtomicU64,
-    /// Total images across all shards.
-    entries: AtomicU64,
-    /// Total wire-encoded bytes across all shards.
-    resident: AtomicU64,
+    lru: Mutex<Lru>,
     hits: Counter,
     misses: Counter,
     invalidations: Counter,
     evictions: Counter,
-    /// Times the LRU index disagreed with the image map (an invariant slip
-    /// that previously aborted the simulation; now counted and skipped).
-    lru_desync: Counter,
-    /// Working-set size: number of cached images, kept in sync with the
-    /// shard maps so timelines can watch the cache fill.
+    /// Working-set size: number of cached images, set under the lock on
+    /// every mutation so timelines can watch the cache fill.
     size: Gauge,
     /// Working-set size in wire-encoded bytes (`Memento::encoded_len`).
     resident_bytes: Gauge,
 }
 
-impl Default for CommonStore {
-    fn default() -> CommonStore {
-        CommonStore {
-            shards: (0..STORE_SHARDS)
-                .map(|_| RwLock::new(StoreShard::default()))
-                .collect(),
-            capacity: None,
-            budget: None,
-            tick: AtomicU64::new(0),
-            entries: AtomicU64::new(0),
-            resident: AtomicU64::new(0),
-            hits: Counter::new(),
-            misses: Counter::new(),
-            invalidations: Counter::new(),
-            evictions: Counter::new(),
-            lru_desync: Counter::new(),
-            size: Gauge::new(),
-            resident_bytes: Gauge::new(),
-        }
-    }
-}
-
-/// One shard: image map plus LRU bookkeeping. Every entry carries the
-/// global tick of its last use, and `recency` orders the shard's entries by
-/// that tick for O(log n) eviction.
+/// Image map plus LRU bookkeeping. Every image carries the tick of its last
+/// use and `recency` holds exactly one entry per image under that tick, so
+/// the first entry of `recency` is the eviction victim.
 #[derive(Debug, Default)]
-struct StoreShard {
+struct Lru {
     images: HashMap<(String, Value), (Memento, u64)>,
-    recency: std::collections::BTreeMap<u64, (String, Value)>,
+    recency: BTreeMap<u64, (String, Value)>,
+    tick: u64,
+    /// Summed `encoded_len` of `images`.
+    resident: u64,
 }
 
-impl StoreShard {
-    fn touch(&mut self, key: &(String, Value), tick: u64) {
-        if let Some((_, old_tick)) = self.images.get_mut(key) {
-            self.recency.remove(old_tick);
-            *old_tick = tick;
-            self.recency.insert(tick, key.clone());
-        }
+impl Lru {
+    fn next_tick(&mut self) -> u64 {
+        self.tick += 1;
+        self.tick
     }
 
     fn remove(&mut self, key: &(String, Value)) -> Option<Memento> {
         let (image, tick) = self.images.remove(key)?;
         self.recency.remove(&tick);
+        self.resident -= image.encoded_len() as u64;
         Some(image)
     }
 
-    /// The tick of this shard's least-recently-used entry, if any.
-    fn lru_tick(&self) -> Option<u64> {
-        self.recency.keys().next().copied()
-    }
-
-    /// Removes this shard's least-recently-used entry. Returns `None` when
-    /// the recency index and image map disagree (desync) or the shard is
-    /// empty.
-    fn pop_lru(&mut self) -> Option<Memento> {
-        let key = self.recency.values().next().cloned()?;
-        match self.images.remove(&key) {
-            Some((image, tick)) => {
-                self.recency.remove(&tick);
-                Some(image)
-            }
-            None => {
-                // The index points at an image that is gone: drop the stale
-                // index entry so the caller can count the slip and move on.
-                if let Some(tick) = self.lru_tick() {
-                    self.recency.remove(&tick);
-                }
-                None
-            }
-        }
-    }
-}
-
-/// FNV-1a: a fixed, seed-free hasher so shard assignment is deterministic
-/// across runs and platforms (a randomized hasher would make perfguard
-/// baselines and slicheck replays irreproducible).
-struct Fnv(u64);
-
-impl std::hash::Hasher for Fnv {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for b in bytes {
-            self.0 ^= u64::from(*b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
+    fn pop_lru(&mut self) {
+        let (_, key) = self
+            .recency
+            .pop_first()
+            .expect("an over-capacity store has a recency entry");
+        let (image, _) = self
+            .images
+            .remove(&key)
+            .expect("recency tracks only resident images");
+        self.resident -= image.encoded_len() as u64;
     }
 }
 
@@ -199,29 +121,14 @@ impl CommonStore {
         Arc::new(CommonStore::default())
     }
 
-    /// Creates a store that holds at most `capacity` images, evicting the
-    /// least-recently-used on overflow. The paper's prototype keeps the
-    /// common store unbounded; this bound is an ablation knob for studying
-    /// constrained edge servers (see the `ablation_cache` bench binary).
+    /// Creates a store that holds at most `capacity` images (at least one),
+    /// evicting the least-recently-used on overflow. The paper's prototype
+    /// keeps the common store unbounded; this bound is an ablation knob for
+    /// studying constrained edge servers (see the `ablation_cache` bench
+    /// binary).
     pub fn with_capacity(capacity: usize) -> Arc<CommonStore> {
-        CommonStore::with_limits(Some(capacity), None)
-    }
-
-    /// Creates a store bounded by total wire-encoded bytes rather than
-    /// entry count: images are evicted in global LRU order until the
-    /// resident set fits `budget` bytes. At least one image always stays
-    /// resident, mirroring [`CommonStore::with_capacity`]'s floor of one.
-    pub fn with_resident_budget(budget: u64) -> Arc<CommonStore> {
-        CommonStore::with_limits(None, Some(budget))
-    }
-
-    /// Creates a store with an optional entry-count cap and an optional
-    /// resident-bytes budget; whichever limit is exceeded first triggers
-    /// global-LRU eviction.
-    pub fn with_limits(capacity: Option<usize>, budget: Option<u64>) -> Arc<CommonStore> {
         Arc::new(CommonStore {
-            capacity: capacity.map(|c| c.max(1)),
-            budget,
+            capacity: Some(capacity.max(1)),
             ..CommonStore::default()
         })
     }
@@ -231,176 +138,77 @@ impl CommonStore {
         self.capacity
     }
 
-    /// The configured resident-bytes budget, if any.
-    pub fn resident_budget(&self) -> Option<u64> {
-        self.budget
-    }
-
     /// Total wire-encoded bytes currently resident.
     pub fn resident_bytes(&self) -> u64 {
-        self.resident.load(Ordering::Relaxed)
+        self.lru.lock().resident
     }
 
-    /// How many times the LRU index was observed out of sync with the
-    /// image map (each one a skipped eviction, not an abort).
-    pub fn lru_desyncs(&self) -> u64 {
-        self.lru_desync.get()
-    }
-
-    /// Number of key-hash shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard (`bean`, `key`) hashes to. Deterministic across runs:
-    /// shard choice feeds eviction order, which perfguard baselines pin.
-    pub fn shard_index(&self, bean: &str, key: &Value) -> usize {
-        use std::hash::{Hash, Hasher};
-        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-        h.write(bean.as_bytes());
-        h.write(&[0xff]);
-        key.hash(&mut h);
-        (h.finish() % self.shards.len() as u64) as usize
-    }
-
-    fn shard_for(&self, entry_key: &(String, Value)) -> &RwLock<StoreShard> {
-        &self.shards[self.shard_index(&entry_key.0, &entry_key.1)]
-    }
-
-    fn next_tick(&self) -> u64 {
-        self.tick.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Re-syncs both working-set gauges from the shared totals.
-    fn sync_gauges(&self) {
-        self.size.set(self.entries.load(Ordering::Relaxed));
-        self.resident_bytes
-            .set(self.resident.load(Ordering::Relaxed));
+    fn sync_gauges(&self, lru: &Lru) {
+        self.size.set(lru.images.len() as u64);
+        self.resident_bytes.set(lru.resident);
     }
 
     /// Looks up the cached image for (`bean`, `key`), counting hit or miss
     /// and refreshing the entry's recency.
     pub fn get(&self, bean: &str, key: &Value) -> Option<Memento> {
         let entry_key = (bean.to_owned(), key.clone());
-        let mut shard = self.shard_for(&entry_key).write();
-        let found = shard.images.get(&entry_key).map(|(m, _)| m.clone());
-        if found.is_some() {
-            shard.touch(&entry_key, self.next_tick());
-            self.hits.inc();
-        } else {
+        let mut lru = self.lru.lock();
+        let tick = lru.next_tick();
+        let Lru {
+            images, recency, ..
+        } = &mut *lru;
+        let Some((image, last_used)) = images.get_mut(&entry_key) else {
             self.misses.inc();
-        }
-        found
+            return None;
+        };
+        recency.remove(last_used);
+        *last_used = tick;
+        recency.insert(tick, entry_key);
+        self.hits.inc();
+        Some(image.clone())
     }
 
-    /// Installs or refreshes a committed image, evicting global-LRU entries
-    /// while the store is over its entry cap or resident-bytes budget.
+    /// Installs or refreshes a committed image, evicting least-recently-used
+    /// images while the store is over its capacity.
     pub fn put(&self, image: Memento) {
         let entry_key = (image.bean().to_owned(), image.primary_key().clone());
-        let encoded = image.encoded_len() as u64;
-        {
-            let mut shard = self.shard_for(&entry_key).write();
-            if let Some(old) = shard.remove(&entry_key) {
-                self.entries.fetch_sub(1, Ordering::Relaxed);
-                self.resident
-                    .fetch_sub(old.encoded_len() as u64, Ordering::Relaxed);
-            }
-            let tick = self.next_tick();
-            shard.images.insert(entry_key.clone(), (image, tick));
-            shard.recency.insert(tick, entry_key);
-            self.entries.fetch_add(1, Ordering::Relaxed);
-            self.resident.fetch_add(encoded, Ordering::Relaxed);
-        }
-        self.enforce_limits();
-        self.sync_gauges();
-    }
-
-    /// Whether the store currently exceeds either configured limit. The
-    /// byte budget keeps at least one image resident, so a single outsized
-    /// image cannot evict the store into a livelock.
-    fn over_limits(&self) -> bool {
-        let entries = self.entries.load(Ordering::Relaxed);
+        let mut lru = self.lru.lock();
+        lru.remove(&entry_key);
+        let tick = lru.next_tick();
+        lru.resident += image.encoded_len() as u64;
+        lru.images.insert(entry_key.clone(), (image, tick));
+        lru.recency.insert(tick, entry_key);
         if let Some(capacity) = self.capacity {
-            if entries as usize > capacity {
-                return true;
-            }
-        }
-        if let Some(budget) = self.budget {
-            if entries > 1 && self.resident.load(Ordering::Relaxed) > budget {
-                return true;
-            }
-        }
-        false
-    }
-
-    fn enforce_limits(&self) {
-        while self.over_limits() {
-            if !self.evict_global_lru() {
-                // The recency index lost an image somewhere: count the slip
-                // and stop evicting rather than aborting the simulation.
-                self.lru_desync.inc();
-                break;
-            }
-        }
-    }
-
-    /// Evicts the least-recently-used image across *all* shards: peek every
-    /// shard's oldest tick, then pop from the shard holding the global
-    /// minimum. Ticks are globally ordered, so this reproduces single-list
-    /// LRU exactly.
-    fn evict_global_lru(&self) -> bool {
-        for _attempt in 0..3 {
-            let mut victim: Option<(usize, u64)> = None;
-            for (i, shard) in self.shards.iter().enumerate() {
-                if let Some(tick) = shard.read().lru_tick() {
-                    if victim.is_none_or(|(_, best)| tick < best) {
-                        victim = Some((i, tick));
-                    }
-                }
-            }
-            let Some((i, _)) = victim else {
-                return false;
-            };
-            if let Some(image) = self.shards[i].write().pop_lru() {
-                self.entries.fetch_sub(1, Ordering::Relaxed);
-                self.resident
-                    .fetch_sub(image.encoded_len() as u64, Ordering::Relaxed);
+            while lru.images.len() > capacity {
+                lru.pop_lru();
                 self.evictions.inc();
-                return true;
             }
-            // The shard drained (or desynced) between peek and pop; rescan.
         }
-        false
+        self.sync_gauges(&lru);
     }
 
     /// Drops the image for (`bean`, `key`), if present.
     pub fn invalidate(&self, bean: &str, key: &Value) {
         let entry_key = (bean.to_owned(), key.clone());
-        let removed = self.shard_for(&entry_key).write().remove(&entry_key);
-        if let Some(old) = removed {
-            self.entries.fetch_sub(1, Ordering::Relaxed);
-            self.resident
-                .fetch_sub(old.encoded_len() as u64, Ordering::Relaxed);
+        let mut lru = self.lru.lock();
+        if lru.remove(&entry_key).is_some() {
             self.invalidations.inc();
+            self.sync_gauges(&lru);
         }
-        self.sync_gauges();
     }
 
     /// Drops every cached image (e.g. between benchmark runs).
     pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut shard = shard.write();
-            shard.images.clear();
-            shard.recency.clear();
-        }
-        self.entries.store(0, Ordering::Relaxed);
-        self.resident.store(0, Ordering::Relaxed);
-        self.sync_gauges();
+        let mut lru = self.lru.lock();
+        lru.images.clear();
+        lru.recency.clear();
+        lru.resident = 0;
+        self.sync_gauges(&lru);
     }
 
     /// Number of cached images.
     pub fn len(&self) -> usize {
-        self.entries.load(Ordering::Relaxed) as usize
+        self.lru.lock().images.len()
     }
 
     /// Whether the store holds no images.
@@ -424,28 +232,18 @@ impl CommonStore {
         self.misses.reset();
         self.invalidations.reset();
         self.evictions.reset();
-        self.lru_desync.reset();
-    }
-
-    /// Re-derives the working-set gauges from the shard totals. A blanket
-    /// registry reset zeroes every gauge while the cached images survive
-    /// the warm-up/measure boundary; call this afterwards so the level
-    /// series start from the true cache size.
-    pub fn refresh_size(&self) {
-        self.sync_gauges();
     }
 
     /// Attaches this store's counters to `registry` under
-    /// `{prefix}.hits`, `.misses`, `.invalidations`, `.evictions`,
-    /// `.lru_desync` and the `.size` / `.resident_bytes` working-set gauges
-    /// (e.g. `store.edge-0.hits`). The store keeps using the same shared
-    /// handles, so registration costs nothing on the hot path.
+    /// `{prefix}.hits`, `.misses`, `.invalidations`, `.evictions` and the
+    /// `.size` / `.resident_bytes` working-set gauges (e.g.
+    /// `store.edge-0.hits`). The store keeps using the same shared handles,
+    /// so registration costs nothing on the hot path.
     pub fn register_with(&self, registry: &Registry, prefix: &str) {
         registry.attach_counter(format!("{prefix}.hits"), &self.hits);
         registry.attach_counter(format!("{prefix}.misses"), &self.misses);
         registry.attach_counter(format!("{prefix}.invalidations"), &self.invalidations);
         registry.attach_counter(format!("{prefix}.evictions"), &self.evictions);
-        registry.attach_counter(format!("{prefix}.lru_desync"), &self.lru_desync);
         registry.attach_gauge(format!("{prefix}.size"), &self.size);
         registry.attach_gauge(format!("{prefix}.resident_bytes"), &self.resident_bytes);
     }
@@ -458,7 +256,6 @@ impl CommonStore {
         timeline.track_counter(format!("{prefix}.misses"), &self.misses);
         timeline.track_counter(format!("{prefix}.invalidations"), &self.invalidations);
         timeline.track_counter(format!("{prefix}.evictions"), &self.evictions);
-        timeline.track_counter(format!("{prefix}.lru_desync"), &self.lru_desync);
         timeline.track_gauge(format!("{prefix}.size"), &self.size);
         timeline.track_gauge(format!("{prefix}.resident_bytes"), &self.resident_bytes);
     }
@@ -766,9 +563,7 @@ mod tests {
         store.invalidate("Account", &Value::from("c"));
         assert_eq!(read(&registry), 1);
         registry.reset_all();
-        assert_eq!(read(&registry), 0, "blanket reset zeroes the gauge");
-        store.refresh_size();
-        assert_eq!(read(&registry), 1, "refresh re-derives it from the map");
+        assert_eq!(read(&registry), 1, "a level survives the blanket reset");
         store.clear();
         assert_eq!(read(&registry), 0);
     }
@@ -796,101 +591,10 @@ mod tests {
         store.invalidate("Account", &Value::from("a"));
         assert_eq!(read(&registry), expected - a.encoded_len() as u64);
         registry.reset_all();
-        assert_eq!(read(&registry), 0);
-        store.refresh_size();
         assert_eq!(read(&registry), expected - a.encoded_len() as u64);
         store.clear();
         assert_eq!(store.resident_bytes(), 0);
         assert_eq!(read(&registry), 0);
-    }
-
-    #[test]
-    fn resident_budget_evicts_lru_until_it_fits() {
-        let one = image("k0", 0.0).encoded_len() as u64;
-        // Room for two same-sized images, not three.
-        let store = CommonStore::with_resident_budget(one * 2);
-        assert_eq!(store.resident_budget(), Some(one * 2));
-        store.put(image("k0", 0.0));
-        store.put(image("k1", 1.0));
-        assert_eq!(store.stats().evictions, 0);
-        // Touch k0 so k1 is the global LRU victim when k2 overflows.
-        store.get("Account", &Value::from("k0"));
-        store.put(image("k2", 2.0));
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.stats().evictions, 1);
-        assert!(store.get("Account", &Value::from("k1")).is_none());
-        assert!(store.get("Account", &Value::from("k0")).is_some());
-        assert!(store.resident_bytes() <= one * 2);
-    }
-
-    #[test]
-    fn resident_budget_keeps_at_least_one_image() {
-        // A budget smaller than any single image must not evict the store
-        // empty (nor spin): the newest image stays resident.
-        let store = CommonStore::with_resident_budget(1);
-        store.put(image("a", 1.0));
-        store.put(image("b", 2.0));
-        assert_eq!(store.len(), 1);
-        assert_eq!(store.stats().evictions, 1);
-        assert!(store.get("Account", &Value::from("b")).is_some());
-        assert_eq!(store.lru_desyncs(), 0);
-    }
-
-    #[test]
-    fn shard_index_is_deterministic_and_in_range() {
-        let store = CommonStore::new();
-        assert_eq!(store.shard_count(), STORE_SHARDS);
-        for i in 0..64 {
-            let key = Value::from(format!("k{i}"));
-            let s = store.shard_index("Account", &key);
-            assert!(s < store.shard_count());
-            assert_eq!(s, store.shard_index("Account", &key), "stable per key");
-        }
-        // The hash actually spreads keys: 64 keys must not all land on one
-        // shard.
-        let first = store.shard_index("Account", &Value::from("k0"));
-        assert!(
-            (0..64).any(|i| store.shard_index("Account", &Value::from(format!("k{i}"))) != first),
-            "64 keys all hashed to shard {first}"
-        );
-    }
-
-    #[test]
-    fn same_shard_and_cross_shard_keys_evict_in_global_lru_order() {
-        let store = CommonStore::with_capacity(3);
-        // Pick two keys that share a shard and one that does not, so the
-        // eviction scan must compare recency *across* shard boundaries.
-        let mut same: Vec<String> = Vec::new();
-        let mut other: Option<String> = None;
-        let home = store.shard_index("Account", &Value::from("seed"));
-        for i in 0..256 {
-            let k = format!("k{i}");
-            if store.shard_index("Account", &Value::from(k.as_str())) == home {
-                if same.len() < 2 {
-                    same.push(k);
-                }
-            } else if other.is_none() {
-                other = Some(k);
-            }
-            if same.len() == 2 && other.is_some() {
-                break;
-            }
-        }
-        let (a, b) = (same[0].clone(), same[1].clone());
-        let c = other.expect("256 keys cover more than one shard");
-        store.put(image("seed", 0.0)); // oldest, lives in `home`
-        store.put(image(&a, 1.0));
-        store.put(image(&c, 2.0));
-        // Overflow: the victim must be "seed" (globally oldest) even though
-        // the newest insert lands in a different shard than `c`.
-        store.put(image(&b, 3.0));
-        assert_eq!(store.len(), 3);
-        assert!(store.get("Account", &Value::from("seed")).is_none());
-        assert!(store.get("Account", &Value::from(a.as_str())).is_some());
-        assert!(store.get("Account", &Value::from(c.as_str())).is_some());
-        assert!(store.get("Account", &Value::from(b.as_str())).is_some());
-        assert_eq!(store.stats().evictions, 1);
-        assert_eq!(store.lru_desyncs(), 0);
     }
 
     #[test]
@@ -1076,8 +780,7 @@ mod tests {
         // Three logical clients race put/get/invalidate programs over an
         // overlapping key set under a seeded scheduler. Whatever order the
         // scheduler picks, the store's bookkeeping must stay conserved:
-        // entry count, resident bytes and the LRU index all agree, and no
-        // desync is ever counted.
+        // entry count, resident bytes and the LRU index all agree.
         for seed in [3u64, 11, 42, 1999] {
             let store = CommonStore::with_capacity(4);
             let mut sched = Scheduler::random(seed);
@@ -1111,7 +814,6 @@ mod tests {
             // Conservation: every put either survives, was invalidated, was
             // evicted, or was an in-place refresh.
             let s = store.stats();
-            assert_eq!(store.lru_desyncs(), 0, "seed {seed}");
             assert!(store.len() <= 4, "seed {seed}: capacity respected");
             let resident: u64 = keys
                 .iter()

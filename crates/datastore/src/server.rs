@@ -140,7 +140,7 @@ impl Default for DbCostModel {
 
 /// Wire-level statement metrics for one [`DbServer`]. Handles are shared:
 /// the same counters can be attached to a
-/// [`Registry`](sli_telemetry::Registry) under dotted names.
+/// [`sli_telemetry::Registry`] under dotted names.
 #[derive(Debug, Clone, Default)]
 pub struct DbServerMetrics {
     /// Statements executed over the wire — one per `OP_EXEC` frame plus

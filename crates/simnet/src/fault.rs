@@ -146,7 +146,7 @@ impl FaultPlan {
     /// time-to-detect measurement starts from: the plan is pure, so the
     /// answer depends only on `(seed, rates)` — dialling the plan onto a
     /// path at time t has no effect until the attempt stream reaches this
-    /// index, which [`FaultState`] timestamps as the first actual
+    /// index, which the path's fault state timestamps as the first actual
     /// injection.
     pub fn first_effect_attempt(&self, limit: u64) -> Option<u64> {
         (0..limit).find(|&n| self.draw(n).is_some())

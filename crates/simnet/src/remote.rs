@@ -56,16 +56,6 @@ impl Default for RetryPolicy {
     }
 }
 
-impl RetryPolicy {
-    /// A single-attempt policy: fail fast, never retry.
-    pub fn no_retry() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-}
-
 /// Why a [`Remote::call`] gave up.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CallError {

@@ -87,6 +87,34 @@ impl Json {
         }
     }
 
+    /// The required member `key` of the object at `at`, or the validators'
+    /// shared "missing key" message.
+    pub fn req(&self, key: &str, at: &str) -> Result<&Json, String> {
+        self.get(key)
+            .ok_or_else(|| format!("{at}: missing key {key:?}"))
+    }
+
+    /// The required numeric member `key` of the object at `at`.
+    pub fn req_num(&self, key: &str, at: &str) -> Result<f64, String> {
+        self.req(key, at)?
+            .as_f64()
+            .ok_or_else(|| format!("{at}: {key:?} must be a number"))
+    }
+
+    /// The required string member `key` of the object at `at`.
+    pub fn req_str(&self, key: &str, at: &str) -> Result<&str, String> {
+        self.req(key, at)?
+            .as_str()
+            .ok_or_else(|| format!("{at}: {key:?} must be a string"))
+    }
+
+    /// The required array member `key` of the object at `at`.
+    pub fn req_arr(&self, key: &str, at: &str) -> Result<&[Json], String> {
+        self.req(key, at)?
+            .as_arr()
+            .ok_or_else(|| format!("{at}: {key:?} must be an array"))
+    }
+
     /// Renders to compact JSON text.
     pub fn render(&self) -> String {
         let mut out = String::new();

@@ -729,70 +729,52 @@ impl SloMonitor {
     }
 }
 
-fn require<'j>(obj: &'j Json, key: &str, at: &str) -> Result<&'j Json, String> {
-    obj.get(key).ok_or(format!("{at}: missing key {key:?}"))
-}
-
-fn require_num(obj: &Json, key: &str, at: &str) -> Result<f64, String> {
-    require(obj, key, at)?
-        .as_f64()
-        .ok_or(format!("{at}: {key:?} must be a number"))
-}
-
-fn require_str<'j>(obj: &'j Json, key: &str, at: &str) -> Result<&'j str, String> {
-    require(obj, key, at)?
-        .as_str()
-        .ok_or(format!("{at}: {key:?} must be a string"))
-}
-
 /// Validates parsed JSON against the [`INCIDENT_SCHEMA`] shape. Checks the
 /// envelope, breach and budget geometry (remaining ≤ 1e6, bad ≤ events),
 /// and the element shape of every windows/recent_spans/hot_entities entry.
 /// Returns a description of the first violation found.
 pub fn validate_incident(json: &Json) -> Result<(), String> {
-    let schema = require_str(json, "schema", "incident")?;
+    let schema = json.req_str("schema", "incident")?;
     if schema != INCIDENT_SCHEMA {
         return Err(format!(
             "incident: schema is {schema:?}, expected {INCIDENT_SCHEMA:?}"
         ));
     }
-    require_str(json, "label", "incident")?;
-    let detector = require_str(json, "detector", "incident")?;
+    json.req_str("label", "incident")?;
+    let detector = json.req_str("detector", "incident")?;
     if !DETECTOR_NAMES.contains(&detector) {
         return Err(format!("incident: unknown detector {detector:?}"));
     }
-    require_str(json, "signal", "incident")?;
-    require_num(json, "detected_at_us", "incident")?;
+    json.req_str("signal", "incident")?;
+    json.req_num("detected_at_us", "incident")?;
 
-    let breach = require(json, "breach", "incident")?;
+    let breach = json.req("breach", "incident")?;
     for key in ["observed", "threshold", "baseline", "sigma", "window_us"] {
-        require_num(breach, key, "incident.breach")?;
+        breach.req_num(key, "incident.breach")?;
     }
 
-    let budget = require(json, "budget", "incident")?;
-    let remaining = require_num(budget, "remaining_ppm", "incident.budget")?;
+    let budget = json.req("budget", "incident")?;
+    let remaining = budget.req_num("remaining_ppm", "incident.budget")?;
     if remaining > PPM as f64 {
         return Err(format!(
             "incident.budget: remaining_ppm {remaining} exceeds {PPM}"
         ));
     }
-    require_num(budget, "objective_ppm", "incident.budget")?;
-    require_num(budget, "consumed_ppm", "incident.budget")?;
-    let events = require_num(budget, "events", "incident.budget")?;
-    let bad = require_num(budget, "bad_events", "incident.budget")?;
+    budget.req_num("objective_ppm", "incident.budget")?;
+    budget.req_num("consumed_ppm", "incident.budget")?;
+    let events = budget.req_num("events", "incident.budget")?;
+    let bad = budget.req_num("bad_events", "incident.budget")?;
     if bad > events {
         return Err(format!(
             "incident.budget: bad_events {bad} exceeds events {events}"
         ));
     }
 
-    if !matches!(require(json, "context", "incident")?, Json::Obj(_)) {
+    if !matches!(json.req("context", "incident")?, Json::Obj(_)) {
         return Err("incident: \"context\" must be an object".into());
     }
 
-    let windows = require(json, "windows", "incident")?
-        .as_arr()
-        .ok_or("incident: \"windows\" must be an array")?;
+    let windows = json.req_arr("windows", "incident")?;
     for (i, w) in windows.iter().enumerate() {
         let at = format!("incident.windows[{i}]");
         for key in [
@@ -802,37 +784,33 @@ pub fn validate_incident(json: &Json) -> Result<(), String> {
             "max_latency_us",
             "queue_depth",
         ] {
-            require_num(w, key, &at)?;
+            w.req_num(key, &at)?;
         }
-        if require_num(w, "bad", &at)? > require_num(w, "completions", &at)? {
+        if w.req_num("bad", &at)? > w.req_num("completions", &at)? {
             return Err(format!("{at}: bad exceeds completions"));
         }
     }
 
-    let spans = require(json, "recent_spans", "incident")?
-        .as_arr()
-        .ok_or("incident: \"recent_spans\" must be an array")?;
+    let spans = json.req_arr("recent_spans", "incident")?;
     for (i, s) in spans.iter().enumerate() {
         let at = format!("incident.recent_spans[{i}]");
-        require_str(s, "op", &at)?;
-        require_str(s, "outcome", &at)?;
-        let start = require_num(s, "start_us", &at)?;
-        let end = require_num(s, "end_us", &at)?;
+        s.req_str("op", &at)?;
+        s.req_str("outcome", &at)?;
+        let start = s.req_num("start_us", &at)?;
+        let end = s.req_num("end_us", &at)?;
         if end < start {
             return Err(format!("{at}: end_us precedes start_us"));
         }
         for key in ["origin", "trace_id", "span_id", "parent_span_id"] {
-            require_num(s, key, &at)?;
+            s.req_num(key, &at)?;
         }
     }
 
-    let hot = require(json, "hot_entities", "incident")?
-        .as_arr()
-        .ok_or("incident: \"hot_entities\" must be an array")?;
+    let hot = json.req_arr("hot_entities", "incident")?;
     for (i, h) in hot.iter().enumerate() {
         let at = format!("incident.hot_entities[{i}]");
-        require_str(h, "entity", &at)?;
-        require_num(h, "conflicts", &at)?;
+        h.req_str("entity", &at)?;
+        h.req_num("conflicts", &at)?;
     }
     Ok(())
 }

@@ -331,57 +331,39 @@ impl Profile {
     }
 }
 
-fn require<'j>(obj: &'j Json, key: &str, at: &str) -> Result<&'j Json, String> {
-    obj.get(key).ok_or(format!("{at}: missing key {key:?}"))
-}
-
-fn require_num(obj: &Json, key: &str, at: &str) -> Result<f64, String> {
-    require(obj, key, at)?
-        .as_f64()
-        .ok_or(format!("{at}: {key:?} must be a number"))
-}
-
-fn require_str<'j>(obj: &'j Json, key: &str, at: &str) -> Result<&'j str, String> {
-    require(obj, key, at)?
-        .as_str()
-        .ok_or(format!("{at}: {key:?} must be a string"))
-}
-
 /// Validates parsed JSON against the [`PROFILE_SCHEMA`] shape, including
 /// the conservation law at all three granularities: class self times,
 /// resource totals and stack self times must each sum exactly to
 /// `total_us`. Returns a description of the first violation found.
 pub fn validate_profile(json: &Json) -> Result<(), String> {
-    let schema = require_str(json, "schema", "profile")?;
+    let schema = json.req_str("schema", "profile")?;
     if schema != PROFILE_SCHEMA {
         return Err(format!(
             "profile: schema {schema:?}, expected {PROFILE_SCHEMA:?}"
         ));
     }
-    require_str(json, "label", "profile")?;
-    let traces = require_num(json, "traces", "profile")?;
-    let total_us = require_num(json, "total_us", "profile")?;
+    json.req_str("label", "profile")?;
+    let traces = json.req_num("traces", "profile")?;
+    let total_us = json.req_num("total_us", "profile")?;
     if traces == 0.0 && total_us != 0.0 {
         return Err("profile: zero traces cannot carry nonzero total_us".to_owned());
     }
 
-    let classes = require(json, "classes", "profile")?
-        .as_arr()
-        .ok_or("profile: \"classes\" must be an array")?;
+    let classes = json.req_arr("classes", "profile")?;
     let mut class_sum = 0.0;
     for (i, c) in classes.iter().enumerate() {
         let at = format!("classes[{i}]");
-        require_str(c, "class", &at)?;
-        let bucket = require_str(c, "bucket", &at)?;
+        c.req_str("class", &at)?;
+        let bucket = c.req_str("bucket", &at)?;
         if !Bucket::ALL.iter().any(|b| b.label() == bucket) {
             return Err(format!("{at}: unknown bucket {bucket:?}"));
         }
-        let resource = require_str(c, "resource", &at)?;
+        let resource = c.req_str("resource", &at)?;
         if Resource::from_label(resource).is_none() {
             return Err(format!("{at}: unknown resource {resource:?}"));
         }
-        class_sum += require_num(c, "self_us", &at)?;
-        if require_num(c, "spans", &at)? < 1.0 {
+        class_sum += c.req_num("self_us", &at)?;
+        if c.req_num("spans", &at)? < 1.0 {
             return Err(format!("{at}: a listed class must have spans"));
         }
     }
@@ -391,9 +373,7 @@ pub fn validate_profile(json: &Json) -> Result<(), String> {
         ));
     }
 
-    let resources = require(json, "resources", "profile")?
-        .as_arr()
-        .ok_or("profile: \"resources\" must be an array")?;
+    let resources = json.req_arr("resources", "profile")?;
     if resources.len() != Resource::ALL.len() {
         return Err(format!(
             "profile: {} resource rows, expected {}",
@@ -404,13 +384,13 @@ pub fn validate_profile(json: &Json) -> Result<(), String> {
     let mut resource_sum = 0.0;
     for (i, r) in resources.iter().enumerate() {
         let at = format!("resources[{i}]");
-        let label = require_str(r, "resource", &at)?;
+        let label = r.req_str("resource", &at)?;
         if Resource::from_label(label).is_none() {
             return Err(format!("{at}: unknown resource {label:?}"));
         }
-        let self_us = require_num(r, "self_us", &at)?;
+        let self_us = r.req_num("self_us", &at)?;
         resource_sum += self_us;
-        let share = require_num(r, "share", &at)?;
+        let share = r.req_num("share", &at)?;
         let expected = if total_us == 0.0 {
             0.0
         } else {
@@ -428,17 +408,15 @@ pub fn validate_profile(json: &Json) -> Result<(), String> {
         ));
     }
 
-    let stacks = require(json, "stacks", "profile")?
-        .as_arr()
-        .ok_or("profile: \"stacks\" must be an array")?;
+    let stacks = json.req_arr("stacks", "profile")?;
     let mut stack_sum = 0.0;
     for (i, s) in stacks.iter().enumerate() {
         let at = format!("stacks[{i}]");
-        let stack = require_str(s, "stack", &at)?;
+        let stack = s.req_str("stack", &at)?;
         if stack.is_empty() {
             return Err(format!("{at}: empty stack"));
         }
-        stack_sum += require_num(s, "self_us", &at)?;
+        stack_sum += s.req_num("self_us", &at)?;
     }
     if stack_sum != total_us {
         return Err(format!(

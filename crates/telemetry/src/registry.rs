@@ -130,12 +130,16 @@ impl Registry {
             .collect()
     }
 
-    /// Resets every registered metric to empty (between measurement phases).
+    /// Resets every registered counter and histogram to empty (between
+    /// measurement phases). Gauges are left alone: a gauge is a level whose
+    /// owner keeps it equal to live state (cached images, open sessions,
+    /// queued messages) that survives the phase boundary, so zeroing it
+    /// would make it lie until the owner's next update.
     pub fn reset_all(&self) {
         for m in self.metrics.lock().expect("registry lock").values() {
             match m {
                 Metric::Counter(c) => c.reset(),
-                Metric::Gauge(g) => g.reset(),
+                Metric::Gauge(_) => {}
                 Metric::Histogram(h) => h.reset(),
             }
         }
@@ -194,12 +198,16 @@ mod tests {
     }
 
     #[test]
-    fn reset_all_clears_everything() {
+    fn reset_all_clears_rates_and_keeps_levels() {
         let registry = Registry::new();
         registry.counter("c").add(9);
         registry.histogram("h").record(5);
+        let level = Gauge::new();
+        level.set(3);
+        registry.attach_gauge("g", &level);
         registry.reset_all();
         assert_eq!(registry.snapshot()["c"], MetricValue::Counter(0));
+        assert_eq!(registry.snapshot()["g"], MetricValue::Gauge(3));
         match registry.snapshot()["h"] {
             MetricValue::Histogram(s) => assert_eq!(s.count, 0),
             ref other => panic!("wrong kind {other:?}"),

@@ -153,41 +153,23 @@ impl RunReport {
     }
 }
 
-fn require<'j>(obj: &'j Json, key: &str, at: &str) -> Result<&'j Json, String> {
-    obj.get(key).ok_or(format!("{at}: missing key {key:?}"))
-}
-
-fn require_num(obj: &Json, key: &str, at: &str) -> Result<f64, String> {
-    require(obj, key, at)?
-        .as_f64()
-        .ok_or(format!("{at}: {key:?} must be a number"))
-}
-
 /// Validates parsed JSON against the [`RUN_REPORT_SCHEMA`] shape. Returns
 /// a human-readable description of the first violation found.
 pub fn validate_run_report(json: &Json) -> Result<(), String> {
-    let schema = require(json, "schema", "report")?
-        .as_str()
-        .ok_or("report: \"schema\" must be a string")?;
+    let schema = json.req_str("schema", "report")?;
     if schema != RUN_REPORT_SCHEMA {
         return Err(format!(
             "report: schema {schema:?}, expected {RUN_REPORT_SCHEMA:?}"
         ));
     }
-    require(json, "title", "report")?
-        .as_str()
-        .ok_or("report: \"title\" must be a string")?;
-    let entries = require(json, "entries", "report")?
-        .as_arr()
-        .ok_or("report: \"entries\" must be an array")?;
+    json.req_str("title", "report")?;
+    let entries = json.req_arr("entries", "report")?;
     if entries.is_empty() {
         return Err("report: \"entries\" must not be empty".to_owned());
     }
     for (i, entry) in entries.iter().enumerate() {
         let at = format!("entries[{i}]");
-        require(entry, "arch", &at)?
-            .as_str()
-            .ok_or(format!("{at}: \"arch\" must be a string"))?;
+        entry.req_str("arch", &at)?;
         for key in [
             "delay_ms",
             "interactions",
@@ -202,15 +184,15 @@ pub fn validate_run_report(json: &Json) -> Result<(), String> {
             "p99_ms",
             "mean_ms",
         ] {
-            require_num(entry, key, &at)?;
+            entry.req_num(key, &at)?;
         }
         for key in ["hit_ratio", "abort_rate"] {
-            let v = require_num(entry, key, &at)?;
+            let v = entry.req_num(key, &at)?;
             if !(0.0..=1.0).contains(&v) {
                 return Err(format!("{at}: {key:?} = {v} outside [0, 1]"));
             }
         }
-        match require(entry, "status", &at)? {
+        match entry.req("status", &at)? {
             Json::Obj(map) => {
                 for (code, n) in map {
                     if n.as_f64().is_none() {

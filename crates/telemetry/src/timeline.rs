@@ -394,65 +394,39 @@ impl TimelineDoc {
     }
 }
 
-fn require<'j>(obj: &'j Json, key: &str, at: &str) -> Result<&'j Json, String> {
-    obj.get(key).ok_or(format!("{at}: missing key {key:?}"))
-}
-
-fn require_num(obj: &Json, key: &str, at: &str) -> Result<f64, String> {
-    require(obj, key, at)?
-        .as_f64()
-        .ok_or(format!("{at}: {key:?} must be a number"))
-}
-
 /// Validates parsed JSON against the [`TIMELINE_SCHEMA`] shape, including
 /// the conservation law: every rate series' windows must sum exactly to
 /// its `total`. Returns a description of the first violation found.
 pub fn validate_timeline(json: &Json) -> Result<(), String> {
-    let schema = require(json, "schema", "timeline")?
-        .as_str()
-        .ok_or("timeline: \"schema\" must be a string")?;
+    let schema = json.req_str("schema", "timeline")?;
     if schema != TIMELINE_SCHEMA {
         return Err(format!(
             "timeline: schema {schema:?}, expected {TIMELINE_SCHEMA:?}"
         ));
     }
-    require(json, "title", "timeline")?
-        .as_str()
-        .ok_or("timeline: \"title\" must be a string")?;
-    let runs = require(json, "runs", "timeline")?
-        .as_arr()
-        .ok_or("timeline: \"runs\" must be an array")?;
+    json.req_str("title", "timeline")?;
+    let runs = json.req_arr("runs", "timeline")?;
     if runs.is_empty() {
         return Err("timeline: \"runs\" must not be empty".to_owned());
     }
     for (i, run) in runs.iter().enumerate() {
         let at = format!("runs[{i}]");
-        require(run, "run", &at)?
-            .as_str()
-            .ok_or(format!("{at}: \"run\" must be a string"))?;
-        let window_us = require_num(run, "window_us", &at)?;
+        run.req_str("run", &at)?;
+        let window_us = run.req_num("window_us", &at)?;
         if window_us <= 0.0 {
             return Err(format!("{at}: window_us = {window_us} must be positive"));
         }
-        let windows = require_num(run, "windows", &at)? as usize;
-        let series = require(run, "series", &at)?
-            .as_arr()
-            .ok_or(format!("{at}: \"series\" must be an array"))?;
+        let windows = run.req_num("windows", &at)? as usize;
+        let series = run.req_arr("series", &at)?;
         for (j, s) in series.iter().enumerate() {
             let at = format!("{at}.series[{j}]");
-            let name = require(s, "name", &at)?
-                .as_str()
-                .ok_or(format!("{at}: \"name\" must be a string"))?;
-            let kind = require(s, "kind", &at)?
-                .as_str()
-                .ok_or(format!("{at}: \"kind\" must be a string"))?;
+            let name = s.req_str("name", &at)?;
+            let kind = s.req_str("kind", &at)?;
             if kind != "rate" && kind != "level" {
                 return Err(format!("{at}: kind {kind:?} not in {{rate, level}}"));
             }
-            let total = require_num(s, "total", &at)?;
-            let values = require(s, "values", &at)?
-                .as_arr()
-                .ok_or(format!("{at}: \"values\" must be an array"))?;
+            let total = s.req_num("total", &at)?;
+            let values = s.req_arr("values", &at)?;
             if values.len() != windows {
                 return Err(format!(
                     "{at} ({name}): {} values for {windows} windows",

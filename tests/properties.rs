@@ -8,6 +8,8 @@
 //!   one-entry-at-a-time model of the table;
 //! * a cache-enabled container and a vanilla container compute identical
 //!   persistent state for arbitrary operation sequences;
+//! * the common store is observationally a naive list-ordered LRU cache at
+//!   every capacity;
 //! * the regression and batching math behaves on arbitrary affine data.
 //!
 //! These used to be `proptest` properties; they are now plain seeded loops
@@ -29,7 +31,7 @@ use sli_edge::component::{
     share_connection, Container, EjbResult, EntityMeta, Memento, ResourceManager, TxContext,
 };
 use sli_edge::core::{
-    validate_and_apply, validate_and_apply_per_image, CombinedCommitter, CommitEntry,
+    validate_and_apply, validate_and_apply_per_image, CacheStats, CombinedCommitter, CommitEntry,
     CommitOutcome, CommitRequest, CommonStore, DirectSource, EntryKind, MetaRegistry, SliHome,
     SliResourceManager,
 };
@@ -628,6 +630,119 @@ fn sli_cache_is_transparent_to_arbitrary_workloads() {
         assert_eq!(dump(&db_vanilla), dump(&db_cached), "ops {ops:?}");
         assert_eq!(db_vanilla.lock_manager().lock_count(), 0);
         assert_eq!(db_cached.lock_manager().lock_count(), 0);
+    }
+}
+
+// ---------- common store vs. a reference LRU ----------
+
+/// The naive LRU the common store must be indistinguishable from: images in
+/// a `Vec` ordered least- to most-recently used, every operation a linear
+/// scan.
+#[derive(Default)]
+struct ModelLru {
+    capacity: Option<usize>,
+    order: Vec<Memento>,
+    stats: CacheStats,
+}
+
+impl ModelLru {
+    fn take(&mut self, bean: &str, key: &Value) -> Option<Memento> {
+        let at = self
+            .order
+            .iter()
+            .position(|m| m.bean() == bean && m.primary_key() == key)?;
+        Some(self.order.remove(at))
+    }
+
+    fn get(&mut self, bean: &str, key: &Value) -> Option<Memento> {
+        let found = self.take(bean, key);
+        match &found {
+            Some(image) => {
+                self.order.push(image.clone());
+                self.stats.hits += 1;
+            }
+            None => self.stats.misses += 1,
+        }
+        found
+    }
+
+    fn put(&mut self, image: Memento) {
+        self.take(image.bean(), image.primary_key());
+        self.order.push(image);
+        while self.capacity.is_some_and(|c| self.order.len() > c) {
+            self.order.remove(0);
+            self.stats.evictions += 1;
+        }
+    }
+
+    fn invalidate(&mut self, bean: &str, key: &Value) {
+        if self.take(bean, key).is_some() {
+            self.stats.invalidations += 1;
+        }
+    }
+
+    fn resident_bytes(&self) -> u64 {
+        self.order.iter().map(|m| m.encoded_len() as u64).sum()
+    }
+}
+
+#[test]
+fn common_store_matches_a_naive_lru_model() {
+    const OPS: usize = 10_000;
+    const BEANS: [&str; 2] = ["Account", "Quote"];
+    const KEYS: usize = 48;
+    // Every (bean, key) image has its own encoded size, so a wrong eviction
+    // victim shows up in `resident_bytes` on the very op that picks it.
+    let gen_slot = |rng: &mut StdRng| {
+        let (b, k) = (rng.gen_range(0..BEANS.len()), rng.gen_range(0..KEYS));
+        (BEANS[b], Value::from(format!("k{k}")), b * KEYS + k)
+    };
+    for capacity in [Some(1), Some(2), Some(7), Some(64), None] {
+        let mut rng = StdRng::seed_from_u64(0x3e3e_0009);
+        let store = capacity.map_or_else(CommonStore::new, CommonStore::with_capacity);
+        let mut model = ModelLru {
+            capacity,
+            ..ModelLru::default()
+        };
+        for op in 0..OPS {
+            let at = format!("capacity {capacity:?}, op {op}");
+            let (bean, key, pad) = gen_slot(&mut rng);
+            match rng.gen_range(0..500u32) {
+                0 => {
+                    store.clear();
+                    model.order.clear();
+                }
+                1..=200 => {
+                    let image = Memento::new(bean, key)
+                        .with_field("balance", rng.gen_range(0.0f64..1.0e6))
+                        .with_field("pad", "x".repeat(pad));
+                    store.put(image.clone());
+                    model.put(image);
+                }
+                201..=400 => assert_eq!(store.get(bean, &key), model.get(bean, &key), "{at}"),
+                _ => {
+                    store.invalidate(bean, &key);
+                    model.invalidate(bean, &key);
+                }
+            }
+            // Periodically read every slot back through both: the surviving
+            // key sets (and images) must be identical, not just their sizes.
+            if op % 256 == 255 {
+                for bean in BEANS {
+                    for k in 0..KEYS {
+                        let key = Value::from(format!("k{k}"));
+                        assert_eq!(store.get(bean, &key), model.get(bean, &key), "{at}");
+                    }
+                }
+            }
+            assert_eq!(store.len(), model.order.len(), "{at}");
+            assert_eq!(store.is_empty(), model.order.is_empty(), "{at}");
+            assert_eq!(store.resident_bytes(), model.resident_bytes(), "{at}");
+            assert_eq!(store.stats(), model.stats, "{at}");
+        }
+        let s = store.stats();
+        assert!(s.hits > 0 && s.misses > 0 && s.invalidations > 0, "{s:?}");
+        assert_eq!(s.evictions > 0, capacity.is_some(), "{capacity:?}: {s:?}");
     }
 }
 
