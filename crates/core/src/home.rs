@@ -153,7 +153,7 @@ impl Home for SliHome {
                 continue;
             }
             let row = st.to_memento(&bean, key).to_row(&self.schema);
-            if bound.matches(&self.schema, &row)? {
+            if bound.matches(&self.schema, &row, &[])? {
                 matches.push(EjbRef::new(bean.clone(), key.clone()));
             }
         }

@@ -14,16 +14,21 @@ use crate::lock::{LockManager, LockMode, Resource, TxnId};
 use crate::predicate::Predicate;
 use crate::result::ResultSet;
 use crate::schema::Schema;
-use crate::sql::{parse, Scalar, SelectList, Statement};
-use crate::trace::{OpKind, Trace, TraceSnapshot};
+use crate::sql::{parse, AggregateFn, Scalar, SelectList, Statement};
+use crate::trace::{statement_class, OpKind, Trace, TraceSnapshot};
 use crate::value::Value;
 use crate::wal::{CrashPoint, RecoveryReport, WalBody, WalDisk, WalMetrics, WalOp, WalStats};
 use crate::DbResult;
 
 /// One table: schema, primary-key-ordered rows, secondary indexes.
+///
+/// The schema and the name are shared, not owned: a statement takes a
+/// pointer copy of each, and every lock key, undo record and redo record it
+/// builds carries the same `Arc<str>`.
 #[derive(Debug)]
 struct Table {
-    schema: Schema,
+    schema: Arc<Schema>,
+    name: Arc<str>,
     rows: BTreeMap<Value, Vec<Value>>,
     /// column name → value → set of primary keys.
     indexes: HashMap<String, BTreeMap<Value, BTreeSet<Value>>>,
@@ -32,7 +37,8 @@ struct Table {
 impl Table {
     fn new(schema: Schema) -> Table {
         Table {
-            schema,
+            name: Arc::from(schema.name()),
+            schema: Arc::new(schema),
             rows: BTreeMap::new(),
             indexes: HashMap::new(),
         }
@@ -43,7 +49,7 @@ impl Table {
     }
 
     fn index_insert(&mut self, row: &[Value]) {
-        let pk = self.pk_of(row);
+        let pk = &row[self.schema.pk_index()];
         for (col, index) in &mut self.indexes {
             let ci = self
                 .schema
@@ -54,14 +60,14 @@ impl Table {
     }
 
     fn index_remove(&mut self, row: &[Value]) {
-        let pk = self.pk_of(row);
+        let pk = &row[self.schema.pk_index()];
         for (col, index) in &mut self.indexes {
             let ci = self
                 .schema
                 .column_index(col)
                 .expect("index column exists by construction");
             if let Some(pks) = index.get_mut(&row[ci]) {
-                pks.remove(&pk);
+                pks.remove(pk);
                 if pks.is_empty() {
                     index.remove(&row[ci]);
                 }
@@ -85,16 +91,16 @@ impl Table {
 #[derive(Debug)]
 enum UndoRecord {
     RemoveInserted {
-        table: String,
+        table: Arc<str>,
         pk: Value,
     },
     RestoreUpdated {
-        table: String,
+        table: Arc<str>,
         pk: Value,
         old: Vec<Value>,
     },
     RestoreDeleted {
-        table: String,
+        table: Arc<str>,
         old: Vec<Value>,
     },
 }
@@ -148,33 +154,41 @@ impl AccessPath {
     }
 }
 
-/// A parsed statement plus planner bookkeeping, cached per SQL text.
+/// What a statement's SQL text alone determines, computed on the plan-cache
+/// miss and shared by every later execution: the parsed statement, its
+/// placeholder count and the `{table}.{kind}` class its `db.stmt` span
+/// carries — plus the planner's access path, which also depends on the
+/// physical design.
 #[derive(Debug)]
 struct CachedPlan {
     stmt: Statement,
+    param_count: usize,
+    class: Box<str>,
     /// `(ddl_epoch, chosen path)` — valid while the epoch matches; a
     /// `CREATE INDEX` bumps the epoch so stale scan plans replan lazily.
-    access: Mutex<Option<(u64, AccessPath)>>,
+    access: Mutex<Option<(u64, Arc<AccessPath>)>>,
 }
 
 impl CachedPlan {
-    fn new(stmt: Statement) -> CachedPlan {
+    fn new(sql: &str, stmt: Statement) -> CachedPlan {
         CachedPlan {
+            param_count: stmt.param_count(),
+            class: statement_class(sql).into(),
             stmt,
             access: Mutex::new(None),
         }
     }
 
-    fn recorded(&self, epoch: u64) -> Option<AccessPath> {
+    fn recorded(&self, epoch: u64) -> Option<Arc<AccessPath>> {
         self.access
             .lock()
             .as_ref()
             .filter(|(e, _)| *e == epoch)
-            .map(|(_, p)| p.clone())
+            .map(|(_, p)| Arc::clone(p))
     }
 
     fn record(&self, epoch: u64, path: AccessPath) {
-        *self.access.lock() = Some((epoch, path));
+        *self.access.lock() = Some((epoch, Arc::new(path)));
     }
 }
 
@@ -193,10 +207,14 @@ pub struct PlanCacheStats {
 }
 
 /// LRU-capped map from SQL text to its cached plan.
+///
+/// Recency is the tick stored beside each plan, so a hit writes one `u64`
+/// and allocates nothing. The victim is the plan with the smallest tick,
+/// found by a scan: evictions happen only on a miss against a full cache,
+/// where the parse that follows costs more than reading `capacity` ticks.
 #[derive(Debug)]
 struct PlanCache {
     plans: HashMap<String, (Arc<CachedPlan>, u64)>,
-    recency: BTreeMap<u64, String>,
     tick: u64,
     capacity: usize,
 }
@@ -205,7 +223,6 @@ impl PlanCache {
     fn new(capacity: usize) -> PlanCache {
         PlanCache {
             plans: HashMap::new(),
-            recency: BTreeMap::new(),
             tick: 0,
             capacity: capacity.max(1),
         }
@@ -214,11 +231,8 @@ impl PlanCache {
     /// Looks up and touches `sql`'s plan.
     fn get(&mut self, sql: &str) -> Option<Arc<CachedPlan>> {
         self.tick += 1;
-        let tick = self.tick;
-        let (plan, old_tick) = self.plans.get_mut(sql)?;
-        self.recency.remove(old_tick);
-        *old_tick = tick;
-        self.recency.insert(tick, sql.to_owned());
+        let (plan, tick) = self.plans.get_mut(sql)?;
+        *tick = self.tick;
         Some(Arc::clone(plan))
     }
 
@@ -230,22 +244,18 @@ impl PlanCache {
     /// Installs a plan, evicting LRU entries past the cap. Returns how
     /// many plans were evicted.
     fn insert(&mut self, sql: String, plan: Arc<CachedPlan>) -> u64 {
-        if let Some((_, old_tick)) = self.plans.remove(&sql) {
-            self.recency.remove(&old_tick);
-        }
         self.tick += 1;
-        let tick = self.tick;
-        self.plans.insert(sql.clone(), (plan, tick));
-        self.recency.insert(tick, sql);
+        self.plans.insert(sql, (plan, self.tick));
         let mut evicted = 0;
         while self.plans.len() > self.capacity {
-            let Some((&victim_tick, _)) = self.recency.iter().next() else {
-                break;
-            };
-            if let Some(victim_sql) = self.recency.remove(&victim_tick) {
-                self.plans.remove(&victim_sql);
-                evicted += 1;
-            }
+            let victim = self
+                .plans
+                .iter()
+                .min_by_key(|(_, (_, tick))| *tick)
+                .map(|(sql, _)| sql.clone())
+                .expect("a cache over its capacity is not empty");
+            self.plans.remove(&victim);
+            evicted += 1;
         }
         evicted
     }
@@ -399,7 +409,7 @@ impl Database {
         self.tables
             .read()
             .get(table)
-            .map(|t| t.read().schema.clone())
+            .map(|t| Schema::clone(&t.read().schema))
     }
 
     /// Names of all tables (sorted), for diagnostics.
@@ -470,6 +480,18 @@ impl Database {
     pub fn plan_access(&self, sql: &str) -> Option<AccessPath> {
         let plan = self.plans.lock().peek(sql)?;
         plan.recorded(self.ddl_epoch.load(Ordering::Relaxed))
+            .map(|path| AccessPath::clone(&path))
+    }
+
+    /// The `{table}.{kind}` class of `sql` (empty when it is not DML), as
+    /// the wire server labels `db.stmt` spans. Read from the cached plan
+    /// when there is one — without touching its recency or the hit/miss
+    /// counters — and derived from the text otherwise.
+    pub(crate) fn statement_class(&self, sql: &str) -> String {
+        match self.plans.lock().peek(sql) {
+            Some(plan) => plan.class.to_string(),
+            None => statement_class(sql),
+        }
     }
 
     /// Attaches the plan-cache counters to `registry` as
@@ -810,7 +832,7 @@ impl Database {
         // Count the miss before parsing so a malformed statement still
         // shows up as a miss — but never grows the cache.
         self.plan_misses.inc();
-        let plan = Arc::new(CachedPlan::new(parse(sql)?));
+        let plan = Arc::new(CachedPlan::new(sql, parse(sql)?));
         let evicted = self.plans.lock().insert(sql.to_owned(), Arc::clone(&plan));
         self.plan_evictions.add(evicted);
         Ok(plan)
@@ -945,10 +967,9 @@ impl Database {
             return Err(self.down("statement rejected"));
         }
         let plan = self.cached_plan(sql)?;
-        let expected = plan.stmt.param_count();
-        if params.len() != expected {
+        if params.len() != plan.param_count {
             return Err(DbError::ParamCount {
-                expected,
+                expected: plan.param_count,
                 actual: params.len(),
             });
         }
@@ -988,6 +1009,21 @@ impl Database {
         }
     }
 
+    /// Looks `name` up once for a statement, taking pointer copies of the
+    /// table's schema and name.
+    fn open(&self, name: &str) -> DbResult<OpenTable> {
+        let table = self.table(name)?;
+        let (schema, name) = {
+            let t = table.read();
+            (Arc::clone(&t.schema), Arc::clone(&t.name))
+        };
+        Ok(OpenTable {
+            table,
+            schema,
+            name,
+        })
+    }
+
     fn exec_insert(
         &self,
         txn: &mut TxnState,
@@ -996,8 +1032,8 @@ impl Database {
         values: &[Scalar],
         params: &[Value],
     ) -> DbResult<ResultSet> {
-        let t = self.table(table)?;
-        let schema = t.read().schema.clone();
+        let t = self.open(table)?;
+        let schema = &*t.schema;
         // Build the full row in schema order; unnamed columns become NULL.
         let mut row = vec![Value::Null; schema.columns().len()];
         for (col, scalar) in columns.iter().zip(values) {
@@ -1007,41 +1043,34 @@ impl Database {
         schema.check_row(&row)?;
         let pk = row[schema.pk_index()].clone();
 
-        self.locks.acquire(
-            txn.id,
-            Resource::Table(table.to_owned()),
-            LockMode::IntentExclusive,
-        )?;
-        self.locks.acquire(
-            txn.id,
-            Resource::Row(table.to_owned(), pk.clone()),
-            LockMode::Exclusive,
-        )?;
+        self.locks
+            .acquire(txn.id, t.table_lock(), LockMode::IntentExclusive)?;
+        self.locks
+            .acquire(txn.id, t.row_lock(&pk), LockMode::Exclusive)?;
 
         {
-            let mut t = t.write();
-            if t.rows.contains_key(&pk) {
+            let mut stored = t.table.write();
+            if stored.rows.contains_key(&pk) {
                 return Err(DbError::DuplicateKey(format!("{table}[{pk}]")));
             }
             if self.logging.load(Ordering::Relaxed) {
                 txn.redo.push(WalOp::Insert {
-                    table: table.to_owned(),
+                    table: Arc::clone(&t.name),
                     row: row.clone(),
                 });
             }
-            t.insert_row(row);
+            stored.insert_row(row);
         }
-        txn.undo.push(UndoRecord::RemoveInserted {
-            table: table.to_owned(),
-            pk,
-        });
+        txn.undo
+            .push(UndoRecord::RemoveInserted { table: t.name, pk });
         self.trace.record(table, OpKind::Create);
         Ok(ResultSet::affected(1))
     }
 
-    /// Plans a bound predicate: point lookup by primary key, index probe,
-    /// or full scan. Returns matching primary keys, acquiring the
-    /// appropriate locks.
+    /// Plans a predicate: point lookup by primary key, index probe, or
+    /// full scan. Returns matching primary keys, acquiring the appropriate
+    /// locks. Placeholders are read from `params` in place; the predicate
+    /// is never copied.
     ///
     /// The chosen [`AccessPath`] is recorded in `plan` the first time the
     /// statement executes (per DDL epoch) and reused afterwards, so repeat
@@ -1050,13 +1079,13 @@ impl Database {
     fn plan_matches(
         &self,
         txn: &mut TxnState,
-        table: &str,
+        t: &OpenTable,
         predicate: &Predicate,
+        params: &[Value],
         for_write: bool,
         plan: &CachedPlan,
     ) -> DbResult<Vec<Value>> {
-        let t = self.table(table)?;
-        let schema = t.read().schema.clone();
+        let schema = &*t.schema;
         let row_mode = if for_write {
             LockMode::Exclusive
         } else {
@@ -1074,23 +1103,18 @@ impl Database {
         // probe; the predicate's shape is fixed per SQL text, so a recorded
         // `PkPoint` implies the equality is still there.
         if !matches!(
-            recorded,
+            recorded.as_deref(),
             Some(AccessPath::Index(_)) | Some(AccessPath::Scan)
         ) {
-            if let Some(pk) = predicate.equality_on(schema.pk_name()) {
+            if let Some(pk) = predicate.equality_on(schema.pk_name(), params) {
                 if recorded.is_none() {
                     plan.record(epoch, AccessPath::PkPoint);
                 }
-                self.locks
-                    .acquire(txn.id, Resource::Table(table.to_owned()), intent_mode)?;
-                self.locks.acquire(
-                    txn.id,
-                    Resource::Row(table.to_owned(), pk.clone()),
-                    row_mode,
-                )?;
-                let t = t.read();
-                return Ok(match t.rows.get(pk) {
-                    Some(row) if predicate.matches(&schema, row)? => vec![pk.clone()],
+                self.locks.acquire(txn.id, t.table_lock(), intent_mode)?;
+                self.locks.acquire(txn.id, t.row_lock(pk), row_mode)?;
+                let stored = t.table.read();
+                return Ok(match stored.rows.get(pk) {
+                    Some(row) if predicate.matches(schema, row, params)? => vec![pk.clone()],
                     _ => Vec::new(),
                 });
             }
@@ -1099,44 +1123,44 @@ impl Database {
         // Secondary-index probe. A recorded `Index` path goes straight to
         // its column; otherwise search the physical design for a usable
         // equality.
-        let indexed_col = match &recorded {
-            Some(AccessPath::Index(col)) => Some(col.clone()),
+        let planned;
+        let indexed_col: Option<&str> = match recorded.as_deref() {
+            Some(AccessPath::Index(col)) => Some(col),
             Some(_) => None,
             None => {
-                let t = t.read();
-                t.indexes
+                planned = t
+                    .table
+                    .read()
+                    .indexes
                     .keys()
-                    .find(|col| predicate.equality_on(col).is_some())
-                    .cloned()
+                    .find(|col| predicate.equality_on(col, params).is_some())
+                    .cloned();
+                planned.as_deref()
             }
         };
         if let Some(col) = indexed_col {
             if recorded.is_none() {
-                plan.record(epoch, AccessPath::Index(col.clone()));
+                plan.record(epoch, AccessPath::Index(col.to_owned()));
             }
-            self.locks
-                .acquire(txn.id, Resource::Table(table.to_owned()), intent_mode)?;
+            self.locks.acquire(txn.id, t.table_lock(), intent_mode)?;
             let candidates: Vec<Value> = {
-                let t = t.read();
+                let stored = t.table.read();
                 let key = predicate
-                    .equality_on(&col)
+                    .equality_on(col, params)
                     .expect("column chosen by equality_on");
-                t.indexes
-                    .get(&col)
+                stored
+                    .indexes
+                    .get(col)
                     .and_then(|index| index.get(key))
                     .map(|pks| pks.iter().cloned().collect())
                     .unwrap_or_default()
             };
             let mut out = Vec::new();
             for pk in candidates {
-                self.locks.acquire(
-                    txn.id,
-                    Resource::Row(table.to_owned(), pk.clone()),
-                    row_mode,
-                )?;
-                let t = t.read();
-                if let Some(row) = t.rows.get(&pk) {
-                    if predicate.matches(&schema, row)? {
+                self.locks.acquire(txn.id, t.row_lock(&pk), row_mode)?;
+                let stored = t.table.read();
+                if let Some(row) = stored.rows.get(&pk) {
+                    if predicate.matches(schema, row, params)? {
                         out.push(pk);
                     }
                 }
@@ -1149,29 +1173,23 @@ impl Database {
             plan.record(epoch, AccessPath::Scan);
         }
         self.locks
-            .acquire(txn.id, Resource::Table(table.to_owned()), LockMode::Shared)?;
+            .acquire(txn.id, t.table_lock(), LockMode::Shared)?;
         if for_write {
-            self.locks.acquire(
-                txn.id,
-                Resource::Table(table.to_owned()),
-                LockMode::IntentExclusive,
-            )?;
+            self.locks
+                .acquire(txn.id, t.table_lock(), LockMode::IntentExclusive)?;
         }
-        let t = t.read();
+        let stored = t.table.read();
         let mut out = Vec::new();
-        for (pk, row) in &t.rows {
-            if predicate.matches(&schema, row)? {
+        for (pk, row) in &stored.rows {
+            if predicate.matches(schema, row, params)? {
                 out.push(pk.clone());
             }
         }
         if for_write {
-            drop(t);
+            drop(stored);
             for pk in &out {
-                self.locks.acquire(
-                    txn.id,
-                    Resource::Row(table.to_owned(), pk.clone()),
-                    LockMode::Exclusive,
-                )?;
+                self.locks
+                    .acquire(txn.id, t.row_lock(pk), LockMode::Exclusive)?;
             }
         }
         Ok(out)
@@ -1189,17 +1207,15 @@ impl Database {
         params: &[Value],
         plan: &CachedPlan,
     ) -> DbResult<ResultSet> {
-        let bound = predicate.bind(params)?;
-        let pks = self.plan_matches(txn, table, &bound, false, plan)?;
-        let t = self.table(table)?;
-        let t = t.read();
-        let schema = &t.schema;
+        let t = self.open(table)?;
+        let pks = self.plan_matches(txn, &t, predicate, params, false, plan)?;
+        let schema = &*t.schema;
+        let stored = t.table.read();
         self.trace.record(table, OpKind::Read);
 
-        let mut rows: Vec<Vec<Value>> = pks
-            .iter()
-            .filter_map(|pk| t.rows.get(pk).cloned())
-            .collect();
+        // Borrowed until the projection: only the cells a result carries
+        // are cloned.
+        let mut rows: Vec<&Vec<Value>> = pks.iter().filter_map(|pk| stored.rows.get(pk)).collect();
 
         if let Some((col, desc)) = order_by {
             let ci = schema.column_index(col)?;
@@ -1229,47 +1245,18 @@ impl Database {
                     .filter(|v| !v.is_null())
                     .collect();
                 let result = match func {
-                    crate::sql::AggregateFn::Count => Value::Int(values.len() as i64),
-                    crate::sql::AggregateFn::Min => values
+                    AggregateFn::Count => Value::Int(values.len() as i64),
+                    AggregateFn::Min => values
                         .iter()
                         .min()
                         .map(|v| (*v).clone())
                         .unwrap_or(Value::Null),
-                    crate::sql::AggregateFn::Max => values
+                    AggregateFn::Max => values
                         .iter()
                         .max()
                         .map(|v| (*v).clone())
                         .unwrap_or(Value::Null),
-                    crate::sql::AggregateFn::Sum | crate::sql::AggregateFn::Avg => {
-                        if values.is_empty() {
-                            Value::Null
-                        } else {
-                            let mut sum = 0.0;
-                            let mut all_int = true;
-                            for v in &values {
-                                match v {
-                                    Value::Int(i) => sum += *i as f64,
-                                    Value::Double(d) => {
-                                        all_int = false;
-                                        sum += d;
-                                    }
-                                    other => {
-                                        return Err(DbError::TypeMismatch(format!(
-                                            "{}({column}) over non-numeric value {other}",
-                                            func.name()
-                                        )))
-                                    }
-                                }
-                            }
-                            if *func == crate::sql::AggregateFn::Avg {
-                                Value::Double(sum / values.len() as f64)
-                            } else if all_int {
-                                Value::Int(sum as i64)
-                            } else {
-                                Value::Double(sum)
-                            }
-                        }
-                    }
+                    AggregateFn::Sum | AggregateFn::Avg => sum_or_avg(*func, column, &values)?,
                 };
                 Ok(ResultSet::with_rows(
                     vec![format!("{}({column})", func.name().to_lowercase())],
@@ -1278,6 +1265,7 @@ impl Database {
             }
             SelectList::Star => {
                 let cols = schema.columns().iter().map(|c| c.name.clone()).collect();
+                let rows = rows.into_iter().cloned().collect();
                 Ok(ResultSet::with_rows(cols, rows))
             }
             SelectList::Columns(cols) => {
@@ -1303,10 +1291,9 @@ impl Database {
         params: &[Value],
         plan: &CachedPlan,
     ) -> DbResult<ResultSet> {
-        let bound = predicate.bind(params)?;
-        let pks = self.plan_matches(txn, table, &bound, true, plan)?;
-        let t = self.table(table)?;
-        let schema = t.read().schema.clone();
+        let t = self.open(table)?;
+        let pks = self.plan_matches(txn, &t, predicate, params, true, plan)?;
+        let schema = &*t.schema;
 
         // Pre-resolve assignments.
         let mut assignments = Vec::with_capacity(sets.len());
@@ -1327,31 +1314,30 @@ impl Database {
             assignments.push((ci, v));
         }
 
+        let logging = self.logging.load(Ordering::Relaxed);
         let mut affected = 0;
         {
-            let mut t = t.write();
-            for pk in &pks {
-                let old = match t.rows.get(pk) {
-                    Some(row) => row.clone(),
-                    None => continue,
+            let mut stored = t.table.write();
+            for pk in pks {
+                let Some(old) = stored.remove_row(&pk) else {
+                    continue;
                 };
                 let mut new_row = old.clone();
                 for (ci, v) in &assignments {
                     new_row[*ci] = v.clone();
                 }
-                t.remove_row(pk);
-                if self.logging.load(Ordering::Relaxed) {
+                if logging {
                     txn.redo.push(WalOp::Update {
-                        table: table.to_owned(),
+                        table: Arc::clone(&t.name),
                         pk: pk.clone(),
                         old: old.clone(),
                         new: new_row.clone(),
                     });
                 }
-                t.insert_row(new_row);
+                stored.insert_row(new_row);
                 txn.undo.push(UndoRecord::RestoreUpdated {
-                    table: table.to_owned(),
-                    pk: pk.clone(),
+                    table: Arc::clone(&t.name),
+                    pk,
                     old,
                 });
                 affected += 1;
@@ -1369,22 +1355,22 @@ impl Database {
         params: &[Value],
         plan: &CachedPlan,
     ) -> DbResult<ResultSet> {
-        let bound = predicate.bind(params)?;
-        let pks = self.plan_matches(txn, table, &bound, true, plan)?;
-        let t = self.table(table)?;
+        let t = self.open(table)?;
+        let pks = self.plan_matches(txn, &t, predicate, params, true, plan)?;
+        let logging = self.logging.load(Ordering::Relaxed);
         let mut affected = 0;
         {
-            let mut t = t.write();
+            let mut stored = t.table.write();
             for pk in &pks {
-                if let Some(old) = t.remove_row(pk) {
-                    if self.logging.load(Ordering::Relaxed) {
+                if let Some(old) = stored.remove_row(pk) {
+                    if logging {
                         txn.redo.push(WalOp::Delete {
-                            table: table.to_owned(),
+                            table: Arc::clone(&t.name),
                             old: old.clone(),
                         });
                     }
                     txn.undo.push(UndoRecord::RestoreDeleted {
-                        table: table.to_owned(),
+                        table: Arc::clone(&t.name),
                         old,
                     });
                     affected += 1;
@@ -1393,6 +1379,65 @@ impl Database {
         }
         self.trace.record(table, OpKind::Delete);
         Ok(ResultSet::affected(affected))
+    }
+}
+
+/// A statement's handle on its table: the table plus pointer copies of its
+/// schema and name, so nothing a statement builds (lock keys, undo and redo
+/// records) copies the name's bytes or the column list.
+struct OpenTable {
+    table: Arc<RwLock<Table>>,
+    schema: Arc<Schema>,
+    name: Arc<str>,
+}
+
+impl OpenTable {
+    fn table_lock(&self) -> Resource {
+        Resource::Table(Arc::clone(&self.name))
+    }
+
+    fn row_lock(&self, pk: &Value) -> Resource {
+        Resource::Row(Arc::clone(&self.name), pk.clone())
+    }
+}
+
+/// `SUM` / `AVG` over the non-NULL `values` of `column`. Integers are
+/// summed exactly and an `INT` result that does not fit `i64` is an error,
+/// not a rounded or saturated number; `AVG` and sums that meet a `DOUBLE`
+/// are computed in `f64`, in row order.
+fn sum_or_avg(func: AggregateFn, column: &str, values: &[&Value]) -> DbResult<Value> {
+    if values.is_empty() {
+        return Ok(Value::Null);
+    }
+    let mut exact: i128 = 0;
+    let mut float = 0.0;
+    let mut all_int = true;
+    for v in values {
+        match v {
+            Value::Int(i) => {
+                exact += i128::from(*i);
+                float += *i as f64;
+            }
+            Value::Double(d) => {
+                all_int = false;
+                float += d;
+            }
+            other => {
+                return Err(DbError::TypeMismatch(format!(
+                    "{}({column}) over non-numeric value {other}",
+                    func.name()
+                )))
+            }
+        }
+    }
+    if func == AggregateFn::Avg {
+        Ok(Value::Double(float / values.len() as f64))
+    } else if all_int {
+        i64::try_from(exact)
+            .map(Value::Int)
+            .map_err(|_| DbError::TypeMismatch(format!("{}({column}) overflows INT", func.name())))
+    } else {
+        Ok(Value::Double(float))
     }
 }
 
@@ -1547,6 +1592,45 @@ mod tests {
         assert_eq!(rs.scalar(), Some(&Value::from(1)));
         let rs = conn.execute("SELECT SUM(b) FROM t", &[]).unwrap();
         assert_eq!(rs.scalar(), Some(&Value::from(5)));
+    }
+
+    #[test]
+    fn integer_sum_is_exact_and_overflow_is_an_error() {
+        let db = Database::new();
+        db.execute_ddl("CREATE TABLE t (a INT PRIMARY KEY, n INT, x DOUBLE)")
+            .unwrap();
+        let mut conn = db.connect();
+        let insert = "INSERT INTO t (a, n, x) VALUES (?, ?, ?)";
+        // 2^53 + 1 is the first integer an f64 accumulator rounds.
+        let big = (1i64 << 53) + 1;
+        conn.execute(insert, &[1.into(), big.into(), 1.5.into()])
+            .unwrap();
+        conn.execute(insert, &[2.into(), 0.into(), 2.into()])
+            .unwrap();
+        let rs = conn.execute("SELECT SUM(n) FROM t", &[]).unwrap();
+        assert_eq!(rs.scalar(), Some(&Value::Int(big)));
+        // AVG stays a DOUBLE, and a DOUBLE column (the 2 was widened on
+        // insert) sums in f64, as before.
+        let rs = conn.execute("SELECT AVG(n) FROM t", &[]).unwrap();
+        assert_eq!(rs.scalar(), Some(&Value::Double(big as f64 / 2.0)));
+        let rs = conn.execute("SELECT SUM(x) FROM t", &[]).unwrap();
+        assert_eq!(rs.scalar(), Some(&Value::Double(3.5)));
+
+        // Past i64 the sum is an error naming the aggregate, not a
+        // saturated or wrapped number…
+        conn.execute(insert, &[3.into(), i64::MAX.into(), 0.5.into()])
+            .unwrap();
+        match conn.execute("SELECT SUM(n) FROM t", &[]) {
+            Err(DbError::TypeMismatch(m)) => assert_eq!(m, "SUM(n) overflows INT"),
+            other => panic!("expected an overflow error, got {other:?}"),
+        }
+        // …while AVG of the same rows is still a DOUBLE, and negatives
+        // bring an intermediate overflow back into range.
+        assert!(conn.execute("SELECT AVG(n) FROM t", &[]).is_ok());
+        conn.execute(insert, &[4.into(), i64::MIN.into(), 0.5.into()])
+            .unwrap();
+        let rs = conn.execute("SELECT SUM(n) FROM t", &[]).unwrap();
+        assert_eq!(rs.scalar(), Some(&Value::Int(big - 1)));
     }
 
     #[test]

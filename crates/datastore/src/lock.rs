@@ -8,6 +8,7 @@
 //! provides those pessimistic semantics.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
@@ -16,13 +17,14 @@ use crate::error::DbError;
 use crate::value::Value;
 use crate::DbResult;
 
-/// A lockable resource: a whole table or a single row.
+/// A lockable resource: a whole table or a single row. The table name is
+/// the table's own shared `Arc<str>`, so building a key copies a pointer.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Resource {
     /// Table-level lock (used for intent modes and full scans).
-    Table(String),
+    Table(Arc<str>),
     /// Row-level lock, identified by table name and primary key.
-    Row(String, Value),
+    Row(Arc<str>, Value),
 }
 
 /// Multi-granularity lock modes.
@@ -80,10 +82,72 @@ impl LockMode {
 /// Transaction identifier handed out by the engine.
 pub type TxnId = u64;
 
+/// The transactions holding one resource, one combined mode each. A single
+/// holder — every lock of an uncontended workload — is kept inline; the map
+/// exists only while two or more transactions share the resource.
+#[derive(Debug)]
+enum Holders {
+    One(TxnId, LockMode),
+    Many(HashMap<TxnId, LockMode>),
+}
+
+impl Holders {
+    fn get(&self, txn: TxnId) -> Option<LockMode> {
+        match self {
+            Holders::One(id, mode) => (*id == txn).then_some(*mode),
+            Holders::Many(map) => map.get(&txn).copied(),
+        }
+    }
+
+    /// The other transactions whose held mode is incompatible with
+    /// `requested`.
+    fn blockers(&self, txn: TxnId, requested: LockMode) -> HashSet<TxnId> {
+        let blocks = |id: TxnId, held: LockMode| id != txn && !requested.compatible(held);
+        match self {
+            Holders::One(id, held) => blocks(*id, *held).then_some(*id).into_iter().collect(),
+            Holders::Many(map) => map
+                .iter()
+                .filter(|(id, held)| blocks(**id, **held))
+                .map(|(id, _)| *id)
+                .collect(),
+        }
+    }
+
+    fn grant(&mut self, txn: TxnId, mode: LockMode) {
+        match self {
+            Holders::One(id, held) if *id == txn => *held = mode,
+            Holders::One(id, held) => {
+                *self = Holders::Many(HashMap::from([(*id, *held), (txn, mode)]));
+            }
+            Holders::Many(map) => {
+                map.insert(txn, mode);
+            }
+        }
+    }
+
+    /// Drops `txn`'s hold; returns whether nobody holds the resource now.
+    fn release(&mut self, txn: TxnId) -> bool {
+        match self {
+            Holders::One(id, _) => *id == txn,
+            Holders::Many(map) => {
+                map.remove(&txn);
+                map.is_empty()
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Holders::One(..) => 1,
+            Holders::Many(map) => map.len(),
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct LmState {
-    /// Current holders per resource (one combined mode per transaction).
-    locks: HashMap<Resource, HashMap<TxnId, LockMode>>,
+    /// Current holders per resource.
+    locks: HashMap<Resource, Holders>,
     /// waits-for edges: blocked txn → the holders it waits on.
     waits_for: HashMap<TxnId, HashSet<TxnId>>,
 }
@@ -148,18 +212,19 @@ impl LockManager {
     pub fn acquire(&self, txn: TxnId, resource: Resource, mode: LockMode) -> DbResult<()> {
         let mut st = self.state.lock();
         loop {
-            let holders = st.locks.entry(resource.clone()).or_default();
+            let Some(holders) = st.locks.get_mut(&resource) else {
+                // Nobody holds it: the key moves into the table.
+                st.locks.insert(resource, Holders::One(txn, mode));
+                st.waits_for.remove(&txn);
+                return Ok(());
+            };
             let requested = holders
-                .get(&txn)
+                .get(txn)
                 .map(|held| held.combine(mode))
                 .unwrap_or(mode);
-            let blockers: HashSet<TxnId> = holders
-                .iter()
-                .filter(|(id, held)| **id != txn && !requested.compatible(**held))
-                .map(|(id, _)| *id)
-                .collect();
+            let blockers = holders.blockers(txn, requested);
             if blockers.is_empty() {
-                holders.insert(txn, requested);
+                holders.grant(txn, requested);
                 st.waits_for.remove(&txn);
                 return Ok(());
             }
@@ -183,10 +248,7 @@ impl LockManager {
     /// transaction end and dropped all at once).
     pub fn release_all(&self, txn: TxnId) {
         let mut st = self.state.lock();
-        st.locks.retain(|_, holders| {
-            holders.remove(&txn);
-            !holders.is_empty()
-        });
+        st.locks.retain(|_, holders| !holders.release(txn));
         st.waits_for.remove(&txn);
         self.released.notify_all();
     }
@@ -197,8 +259,7 @@ impl LockManager {
             .lock()
             .locks
             .get(resource)
-            .and_then(|h| h.get(&txn))
-            .copied()
+            .and_then(|h| h.get(txn))
     }
 
     /// Wipes the entire lock table — the lock manager is volatile state,

@@ -100,8 +100,8 @@ impl fmt::Display for CmpOp {
 ///     "id",
 /// )?;
 /// let p = Predicate::eq("owner", "uid:7").and(Predicate::cmp("id", CmpOp::Lt, 100));
-/// assert!(p.matches(&schema, &[Value::from(5), Value::from("uid:7")])?);
-/// assert!(!p.matches(&schema, &[Value::from(500), Value::from("uid:7")])?);
+/// assert!(p.matches(&schema, &[Value::from(5), Value::from("uid:7")], &[])?);
+/// assert!(!p.matches(&schema, &[Value::from(500), Value::from("uid:7")], &[])?);
 /// assert_eq!(p.to_sql(), "(owner = 'uid:7' AND id < 100)");
 /// # Ok(())
 /// # }
@@ -209,24 +209,23 @@ impl Predicate {
     }
 
     /// Substitutes placeholders with `params`, producing a fully bound
-    /// predicate.
+    /// predicate that owns its values.
+    ///
+    /// This copies the whole tree, so it is for predicates that outlive
+    /// the call — a finder's bound definition, kept to filter cached beans.
+    /// Statement execution reads placeholders in place instead (see
+    /// [`Predicate::matches`]).
     ///
     /// # Errors
     /// Returns [`DbError::ParamCount`] if a placeholder index is out of
     /// range.
     pub fn bind(&self, params: &[Value]) -> DbResult<Predicate> {
         Ok(match self {
-            Predicate::CmpParam { column, op, index } => {
-                let value = params.get(*index).cloned().ok_or(DbError::ParamCount {
-                    expected: self.param_count(),
-                    actual: params.len(),
-                })?;
-                Predicate::Cmp {
-                    column: column.clone(),
-                    op: *op,
-                    value,
-                }
-            }
+            Predicate::CmpParam { column, op, index } => Predicate::Cmp {
+                column: column.clone(),
+                op: *op,
+                value: param(params, *index)?.clone(),
+            },
             Predicate::And(a, b) => {
                 Predicate::And(Box::new(a.bind(params)?), Box::new(b.bind(params)?))
             }
@@ -238,27 +237,53 @@ impl Predicate {
         })
     }
 
-    /// Evaluates this (fully bound) predicate against `row` under `schema`.
+    /// The first placeholder (in [`Predicate::bind`]'s order) that `params`
+    /// is too short for, as the error `bind` would return.
+    fn check_params(&self, params: &[Value]) -> DbResult<()> {
+        match self {
+            Predicate::CmpParam { index, .. } => param(params, *index).map(|_| ()),
+            Predicate::And(a, b) | Predicate::Or(a, b) => {
+                a.check_params(params)?;
+                b.check_params(params)
+            }
+            Predicate::Not(p) => p.check_params(params),
+            _ => Ok(()),
+        }
+    }
+
+    /// Evaluates this predicate against `row` under `schema`, reading each
+    /// `?` placeholder from `params` in place. The answer — value or error
+    /// — is that of `self.bind(params)?` evaluated with no parameters,
+    /// without building the bound copy. A predicate with no placeholders
+    /// takes `&[]`.
     ///
     /// SQL three-valued logic is collapsed: comparisons involving NULL are
     /// false (except `IS NULL` / `IS NOT NULL`).
     ///
     /// # Errors
-    /// Returns [`DbError::NoSuchColumn`] for unknown columns, and
-    /// [`DbError::Parse`] if an unbound placeholder remains.
-    pub fn matches(&self, schema: &Schema, row: &[Value]) -> DbResult<bool> {
+    /// Returns [`DbError::ParamCount`] if any placeholder index is out of
+    /// range, and [`DbError::NoSuchColumn`] for unknown columns.
+    pub fn matches(&self, schema: &Schema, row: &[Value], params: &[Value]) -> DbResult<bool> {
+        self.check_params(params)?;
+        self.eval(schema, row, params)
+    }
+
+    /// [`Predicate::matches`] once every placeholder is known to be in
+    /// range.
+    fn eval(&self, schema: &Schema, row: &[Value], params: &[Value]) -> DbResult<bool> {
+        let compare = |column: &str, op: CmpOp, value: &Value| -> DbResult<bool> {
+            let idx = schema.column_index(column)?;
+            Ok(match row[idx].sql_cmp(value) {
+                Some(ord) => op.eval(ord),
+                None => false,
+            })
+        };
         match self {
             Predicate::True => Ok(true),
-            Predicate::Cmp { column, op, value } => {
-                let idx = schema.column_index(column)?;
-                Ok(match row[idx].sql_cmp(value) {
-                    Some(ord) => op.eval(ord),
-                    None => false,
-                })
+            Predicate::Cmp { column, op, value } => compare(column, *op, value),
+            Predicate::CmpParam { column, op, index } => {
+                compare(column, *op, param(params, *index)?)
             }
-            Predicate::CmpParam { .. } => Err(DbError::Parse(
-                "unbound parameter in predicate evaluation".to_owned(),
-            )),
             Predicate::Like { column, pattern } => {
                 let idx = schema.column_index(column)?;
                 Ok(match row[idx].as_str() {
@@ -292,23 +317,32 @@ impl Predicate {
                 );
                 Ok(ge_low && le_high)
             }
-            Predicate::And(a, b) => Ok(a.matches(schema, row)? && b.matches(schema, row)?),
-            Predicate::Or(a, b) => Ok(a.matches(schema, row)? || b.matches(schema, row)?),
-            Predicate::Not(p) => Ok(!p.matches(schema, row)?),
+            Predicate::And(a, b) => {
+                Ok(a.eval(schema, row, params)? && b.eval(schema, row, params)?)
+            }
+            Predicate::Or(a, b) => Ok(a.eval(schema, row, params)? || b.eval(schema, row, params)?),
+            Predicate::Not(p) => Ok(!p.eval(schema, row, params)?),
         }
     }
 
     /// If this predicate pins `column` to a single value via an equality
-    /// conjunct, returns that value. Drives primary-key point lookups and
-    /// secondary-index probes.
-    pub fn equality_on(&self, column: &str) -> Option<&Value> {
+    /// conjunct — a literal, or a `?` read from `params` — returns that
+    /// value. Drives primary-key point lookups and secondary-index probes.
+    pub fn equality_on<'a>(&'a self, column: &str, params: &'a [Value]) -> Option<&'a Value> {
         match self {
             Predicate::Cmp {
                 column: c,
                 op: CmpOp::Eq,
                 value,
             } if c == column => Some(value),
-            Predicate::And(a, b) => a.equality_on(column).or_else(|| b.equality_on(column)),
+            Predicate::CmpParam {
+                column: c,
+                op: CmpOp::Eq,
+                index,
+            } if c == column => params.get(*index),
+            Predicate::And(a, b) => a
+                .equality_on(column, params)
+                .or_else(|| b.equality_on(column, params)),
             _ => None,
         }
     }
@@ -498,6 +532,15 @@ impl fmt::Display for Predicate {
     }
 }
 
+/// Placeholder `index` of `params`, or the [`DbError::ParamCount`] an
+/// out-of-range `?` has always raised.
+fn param(params: &[Value], index: usize) -> DbResult<&Value> {
+    params.get(index).ok_or(DbError::ParamCount {
+        expected: index + 1,
+        actual: params.len(),
+    })
+}
+
 /// SQL `LIKE` matching: `%` matches any run, `_` matches one character.
 fn like_match(pattern: &str, text: &str) -> bool {
     let p: Vec<char> = pattern.chars().collect();
@@ -550,18 +593,24 @@ mod tests {
     fn comparisons() {
         let s = schema();
         let r = row();
-        assert!(Predicate::eq("owner", "uid:7").matches(&s, &r).unwrap());
-        assert!(!Predicate::eq("owner", "uid:8").matches(&s, &r).unwrap());
+        assert!(Predicate::eq("owner", "uid:7")
+            .matches(&s, &r, &[])
+            .unwrap());
+        assert!(!Predicate::eq("owner", "uid:8")
+            .matches(&s, &r, &[])
+            .unwrap());
         assert!(Predicate::cmp("qty", CmpOp::Gt, 10)
-            .matches(&s, &r)
+            .matches(&s, &r, &[])
             .unwrap());
         assert!(Predicate::cmp("qty", CmpOp::Le, 50)
-            .matches(&s, &r)
+            .matches(&s, &r, &[])
             .unwrap());
         assert!(!Predicate::cmp("qty", CmpOp::Lt, 50)
-            .matches(&s, &r)
+            .matches(&s, &r, &[])
             .unwrap());
-        assert!(Predicate::cmp("id", CmpOp::Ne, 2).matches(&s, &r).unwrap());
+        assert!(Predicate::cmp("id", CmpOp::Ne, 2)
+            .matches(&s, &r, &[])
+            .unwrap());
     }
 
     #[test]
@@ -569,16 +618,16 @@ mod tests {
         let s = schema();
         let r = row();
         // comparisons with NULL column are false
-        assert!(!Predicate::eq("note", "x").matches(&s, &r).unwrap());
+        assert!(!Predicate::eq("note", "x").matches(&s, &r, &[]).unwrap());
         assert!(Predicate::IsNull {
             column: "note".into()
         }
-        .matches(&s, &r)
+        .matches(&s, &r, &[])
         .unwrap());
         assert!(Predicate::IsNotNull {
             column: "owner".into()
         }
-        .matches(&s, &r)
+        .matches(&s, &r, &[])
         .unwrap());
     }
 
@@ -587,11 +636,11 @@ mod tests {
         let s = schema();
         let r = row();
         let p = Predicate::eq("owner", "uid:7").and(Predicate::cmp("qty", CmpOp::Ge, 50));
-        assert!(p.matches(&s, &r).unwrap());
+        assert!(p.matches(&s, &r, &[]).unwrap());
         let q = Predicate::eq("owner", "nope").or(Predicate::eq("id", 1));
-        assert!(q.matches(&s, &r).unwrap());
+        assert!(q.matches(&s, &r, &[]).unwrap());
         assert!(!Predicate::Not(Box::new(Predicate::True))
-            .matches(&s, &r)
+            .matches(&s, &r, &[])
             .unwrap());
     }
 
@@ -615,19 +664,19 @@ mod tests {
         };
         assert_eq!(p.param_count(), 1);
         let bound = p.bind(&[Value::from("uid:7")]).unwrap();
-        assert!(bound.matches(&schema(), &row()).unwrap());
+        assert!(bound.matches(&schema(), &row(), &[]).unwrap());
         assert!(p.bind(&[]).is_err());
         // evaluating unbound is an error
-        assert!(p.matches(&schema(), &row()).is_err());
+        assert!(p.matches(&schema(), &row(), &[]).is_err());
     }
 
     #[test]
     fn equality_extraction() {
         let p = Predicate::eq("id", 5).and(Predicate::cmp("qty", CmpOp::Gt, 0));
-        assert_eq!(p.equality_on("id"), Some(&Value::from(5)));
-        assert_eq!(p.equality_on("qty"), None);
+        assert_eq!(p.equality_on("id", &[]), Some(&Value::from(5)));
+        assert_eq!(p.equality_on("qty", &[]), None);
         let ne = Predicate::cmp("id", CmpOp::Ne, 5);
-        assert_eq!(ne.equality_on("id"), None);
+        assert_eq!(ne.equality_on("id", &[]), None);
     }
 
     #[test]
@@ -638,42 +687,42 @@ mod tests {
             column: "owner".into(),
             values: vec![Value::from("uid:1"), Value::from("uid:7")],
         };
-        assert!(p.matches(&s, &r).unwrap());
+        assert!(p.matches(&s, &r, &[]).unwrap());
         let p = Predicate::In {
             column: "owner".into(),
             values: vec![Value::from("uid:1")],
         };
-        assert!(!p.matches(&s, &r).unwrap());
+        assert!(!p.matches(&s, &r, &[]).unwrap());
         let p = Predicate::In {
             column: "owner".into(),
             values: vec![],
         };
-        assert!(!p.matches(&s, &r).unwrap());
+        assert!(!p.matches(&s, &r, &[]).unwrap());
         let p = Predicate::Between {
             column: "qty".into(),
             low: Value::from(50),
             high: Value::from(60),
         };
-        assert!(p.matches(&s, &r).unwrap(), "inclusive lower bound");
+        assert!(p.matches(&s, &r, &[]).unwrap(), "inclusive lower bound");
         let p = Predicate::Between {
             column: "qty".into(),
             low: Value::from(10),
             high: Value::from(50),
         };
-        assert!(p.matches(&s, &r).unwrap(), "inclusive upper bound");
+        assert!(p.matches(&s, &r, &[]).unwrap(), "inclusive upper bound");
         let p = Predicate::Between {
             column: "qty".into(),
             low: Value::from(51),
             high: Value::from(60),
         };
-        assert!(!p.matches(&s, &r).unwrap());
+        assert!(!p.matches(&s, &r, &[]).unwrap());
         // NULL never matches
         let p = Predicate::Between {
             column: "note".into(),
             low: Value::from("a"),
             high: Value::from("z"),
         };
-        assert!(!p.matches(&s, &r).unwrap());
+        assert!(!p.matches(&s, &r, &[]).unwrap());
     }
 
     #[test]
@@ -717,15 +766,15 @@ mod tests {
         // under OR, and flip under NOT — both in the evaluator and after a
         // to_sql → parse round trip.
         let under_or = empty().or(Predicate::eq("owner", "uid:7"));
-        assert!(under_or.matches(&s, &r).unwrap());
+        assert!(under_or.matches(&s, &r, &[]).unwrap());
         assert_sql_round_trip(&under_or);
 
         let under_and = empty().and(Predicate::eq("owner", "uid:7"));
-        assert!(!under_and.matches(&s, &r).unwrap());
+        assert!(!under_and.matches(&s, &r, &[]).unwrap());
         assert_sql_round_trip(&under_and);
 
         let under_not = Predicate::Not(Box::new(empty()));
-        assert!(under_not.matches(&s, &r).unwrap());
+        assert!(under_not.matches(&s, &r, &[]).unwrap());
         assert_sql_round_trip(&under_not);
 
         assert_sql_round_trip(&empty());
@@ -749,7 +798,7 @@ mod tests {
         assert_sql_round_trip(&p);
         // Type-mismatched comparison is simply false; the empty IN never
         // matches; the whole disjunction is false.
-        assert!(!p.matches(&schema(), &row()).unwrap());
+        assert!(!p.matches(&schema(), &row(), &[]).unwrap());
     }
 
     #[test]
@@ -782,7 +831,7 @@ mod tests {
     fn unknown_column_is_error() {
         let s = schema();
         assert!(matches!(
-            Predicate::eq("ghost", 1).matches(&s, &row()),
+            Predicate::eq("ghost", 1).matches(&s, &row(), &[]),
             Err(DbError::NoSuchColumn(_))
         ));
     }

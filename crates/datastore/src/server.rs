@@ -22,7 +22,6 @@ use crate::connection::Connection;
 use crate::engine::Database;
 use crate::error::DbError;
 use crate::result::ResultSet;
-use crate::trace::statement_class;
 use crate::value::Value;
 use crate::{BatchOutcome, BatchStatement, DbResult, SqlConnection};
 
@@ -290,16 +289,19 @@ impl DbServer {
         let span = tracer
             .as_ref()
             .map(|t| (t.begin_rpc_server(span_op, wire_trace_id), self.now_us()));
-        let mut class = String::new();
-        let result = self.run_op(op, request, &mut class);
+        // The statement class labels the span, so it is read only when a
+        // span is being recorded.
+        let mut class = tracer.is_some().then(String::new);
+        let result = self.run_op(op, request, class.as_mut());
         if let (Some(tracer), Some((span, start_us))) = (&tracer, span) {
             let outcome = if result.is_ok() {
                 SpanOutcome::Committed
             } else {
                 SpanOutcome::Error
             };
-            let detail =
-                (op == OP_EXEC || op == OP_EXEC_BATCH).then_some(SpanDetail::Statement { class });
+            let detail = class
+                .filter(|_| op == OP_EXEC || op == OP_EXEC_BATCH)
+                .map(|class| SpanDetail::Statement { class });
             tracer.finish_with(span, 0, 0, start_us, self.now_us(), outcome, detail);
         }
         result
@@ -321,7 +323,7 @@ impl DbServer {
         }
     }
 
-    fn run_op(&self, op: u8, request: &mut Reader, class: &mut String) -> DbResult<Writer> {
+    fn run_op(&self, op: u8, request: &mut Reader, class: Option<&mut String>) -> DbResult<Writer> {
         let per_request_us = self.charge(self.cost.per_request);
         let mut w = Writer::new();
         w.put_u8(STATUS_OK);
@@ -383,7 +385,9 @@ impl DbServer {
                             );
                         }
                         Self::read_stamp(request, conn);
-                        *class = statement_class(&sql);
+                        if let Some(class) = class {
+                            *class = self.db.statement_class(&sql);
+                        }
                         let rs = conn.execute(&sql, &params)?;
                         let row_us = self.charge(self.cost.per_row.saturating_mul(rs.len() as u64));
                         self.metrics.statements.inc();
@@ -417,7 +421,9 @@ impl DbServer {
                             stmts.push((sql, params));
                         }
                         Self::read_stamp(request, conn);
-                        *class = format!("batch:{count}");
+                        if let Some(class) = class {
+                            *class = format!("batch:{count}");
+                        }
                         // One per_request charge (taken above) covers the
                         // whole frame; rows still cost per_row each, so the
                         // db.batch span's duration decomposes exactly into

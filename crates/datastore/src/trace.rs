@@ -156,7 +156,11 @@ impl Trace {
     pub(crate) fn record(&self, table: &str, kind: OpKind) {
         let mut t = self.inner.lock();
         t.statements += 1;
-        let counts = t.tables.entry(table.to_owned()).or_default();
+        // Look up before allocating a key: the table is new once per reset.
+        if !t.tables.contains_key(table) {
+            t.tables.insert(table.to_owned(), OpCounts::default());
+        }
+        let counts = t.tables.get_mut(table).expect("present or just inserted");
         match kind {
             OpKind::Create => counts.creates += 1,
             OpKind::Read => counts.reads += 1,

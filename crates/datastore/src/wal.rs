@@ -17,6 +17,8 @@
 //! which wipes only volatile state), while unflushed `pending` records die
 //! with the process — exactly the distinction recovery semantics hinge on.
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 use sli_simnet::wire::{DecodeError, Reader, Writer};
 use sli_telemetry::{Counter, Registry, Timeline};
@@ -68,21 +70,22 @@ pub const CRASH_POINTS: [CrashPoint; 4] = [
 ];
 
 /// One logged operation: enough to redo (new image) and undo (old image)
-/// the physical change.
+/// the physical change. `table` is the table's shared name; on the log it
+/// is the same length-prefixed string as ever.
 #[derive(Debug, Clone)]
 pub(crate) enum WalOp {
     Insert {
-        table: String,
+        table: Arc<str>,
         row: Vec<Value>,
     },
     Update {
-        table: String,
+        table: Arc<str>,
         pk: Value,
         old: Vec<Value>,
         new: Vec<Value>,
     },
     Delete {
-        table: String,
+        table: Arc<str>,
         old: Vec<Value>,
     },
 }
@@ -126,6 +129,13 @@ fn get_row(r: &mut Reader) -> Result<Vec<Value>, DecodeError> {
         row.push(Value::decode(r)?);
     }
     Ok(row)
+}
+
+fn get_table(r: &mut Reader) -> Result<Arc<str>, DecodeError> {
+    let raw = r.get_bytes()?;
+    std::str::from_utf8(&raw)
+        .map(Arc::from)
+        .map_err(|_| DecodeError::new("utf-8"))
 }
 
 fn encode_op(lsn: u64, txn: u64, op: &WalOp) -> Bytes {
@@ -189,12 +199,12 @@ fn decode_record(frame: &Bytes) -> Result<WalRecord, DecodeError> {
         REC_INSERT => WalBody::Op {
             txn,
             op: WalOp::Insert {
-                table: r.get_str()?,
+                table: get_table(&mut r)?,
                 row: get_row(&mut r)?,
             },
         },
         REC_UPDATE => {
-            let table = r.get_str()?;
+            let table = get_table(&mut r)?;
             let pk = Value::decode(&mut r)?;
             let old = get_row(&mut r)?;
             let new = get_row(&mut r)?;
@@ -211,7 +221,7 @@ fn decode_record(frame: &Bytes) -> Result<WalRecord, DecodeError> {
         REC_DELETE => WalBody::Op {
             txn,
             op: WalOp::Delete {
-                table: r.get_str()?,
+                table: get_table(&mut r)?,
                 old: get_row(&mut r)?,
             },
         },

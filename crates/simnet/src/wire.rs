@@ -62,6 +62,7 @@ pub mod protocol {
 
 const FRAME_MAGIC: u32 = 0x534C_4957; // "SLIW"
 const FRAME_VERSION: u16 = 1;
+const FRAME_HEADER_LEN: usize = 32;
 
 /// Parsed header of a framed protocol message.
 ///
@@ -94,17 +95,16 @@ pub fn frame(proto: u16, correlation: u64, payload: &Bytes) -> Bytes {
 /// header's token slot, so the receiver can attach its spans to the
 /// sender's causal trace.
 pub fn frame_traced(proto: u16, correlation: u64, trace_id: u64, payload: &Bytes) -> Bytes {
-    let mut w = Writer::new();
-    w.put_u32(FRAME_MAGIC)
-        .put_u16(FRAME_VERSION)
-        .put_u16(proto)
-        .put_u64(correlation)
-        .put_u64(trace_id)
-        .put_u32(payload.len() as u32)
-        .put_u32(checksum(payload));
-    let mut buf = BytesMut::with_capacity(32 + payload.len());
-    buf.extend_from_slice(&w.finish());
-    buf.extend_from_slice(payload);
+    // Header and payload go into the one buffer the frame is sized for.
+    let mut buf = BytesMut::with_capacity(FRAME_HEADER_LEN + payload.len());
+    buf.put_u32(FRAME_MAGIC);
+    buf.put_u16(FRAME_VERSION);
+    buf.put_u16(proto);
+    buf.put_u64(correlation);
+    buf.put_u64(trace_id);
+    buf.put_u32(payload.len() as u32);
+    buf.put_u32(checksum(payload));
+    buf.put_slice(payload);
     buf.freeze()
 }
 
@@ -472,6 +472,39 @@ mod tests {
         assert_eq!(header.trace_id, 0xDEAD_BEEF);
         assert_eq!(header.correlation, 9);
         assert_eq!(body, payload);
+    }
+
+    #[test]
+    fn frame_bytes_are_pinned() {
+        // Header layout and checksum, byte for byte: magic "SLIW",
+        // version 1, protocol, correlation, trace id, payload length,
+        // checksum (acc * 31 + byte, wrapping), then the payload.
+        let payload = Bytes::from_static(b"SELECT 1");
+        let framed = frame_traced(
+            protocol::JDBC,
+            0x0102_0304_0506_0708,
+            0x1112_1314_1516_1718,
+            &payload,
+        );
+        let expected: [u8; 40] = [
+            0x53, 0x4C, 0x49, 0x57, // magic
+            0x00, 0x01, // version
+            0x44, 0x42, // protocol::JDBC
+            0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, // correlation
+            0x11, 0x12, 0x13, 0x14, 0x15, 0x16, 0x17, 0x18, // trace id
+            0x00, 0x00, 0x00, 0x08, // payload length
+            0x75, 0xAB, 0xDE, 0x0D, // checksum
+            b'S', b'E', b'L', b'E', b'C', b'T', b' ', b'1',
+        ];
+        assert_eq!(&framed[..], &expected[..]);
+        assert_eq!(
+            &frame(protocol::BACKEND, 7, &Bytes::new())[..],
+            &[
+                0x53, 0x4C, 0x49, 0x57, 0, 1, 0x52, 0x4D, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0,
+                0, 0, 0, 0, 0, 0, 0, 0, 0, 0
+            ][..],
+            "empty payload: length 0, checksum 0"
+        );
     }
 
     #[test]

@@ -5,15 +5,31 @@
 //! transmit "more than 7000 bytes to the back-end server" per interaction
 //! (Figure 8). The boilerplate below (masthead, navigation, styles, footer)
 //! mirrors the weight of Trade2's real JSP output.
+//!
+//! All of that chrome but the title is the same on every page, so it is
+//! built once per process (`HEAD_TAIL`, `FOOT`); a request copies it
+//! and writes only its own title, fields and rows.
+
+use std::fmt::Write as _;
+use std::sync::LazyLock;
 
 use crate::action::TradeResult;
 
-/// Shared page chrome: masthead, inline styles and navigation bar.
-fn chrome_head(title: &str) -> String {
+/// The page up to the title text.
+const HEAD_LEAD: &str = "<!DOCTYPE HTML PUBLIC \"-//W3C//DTD HTML 4.01 Transitional//EN\">\n\
+                         <html>\n<head>\n<title>Trade: ";
+
+/// From the end of the title to the end of the navigation bar.
+static HEAD_TAIL: LazyLock<String> = LazyLock::new(head_tail);
+
+/// Sidebar, market summary and footer: everything after a page's content.
+static FOOT: LazyLock<String> = LazyLock::new(foot);
+
+/// Shared page chrome after the title: inline styles, masthead and
+/// navigation bar.
+fn head_tail() -> String {
     let mut s = String::with_capacity(4096);
-    s.push_str("<!DOCTYPE HTML PUBLIC \"-//W3C//DTD HTML 4.01 Transitional//EN\">\n");
-    s.push_str("<html>\n<head>\n");
-    s.push_str(&format!("<title>Trade: {title}</title>\n"));
+    s.push_str("</title>\n");
     s.push_str("<meta http-equiv=\"Content-Type\" content=\"text/html; charset=iso-8859-1\">\n");
     s.push_str("<style type=\"text/css\">\n");
     s.push_str(
@@ -69,6 +85,17 @@ fn chrome_head(title: &str) -> String {
         ));
     }
     s.push_str("</div>\n");
+    s
+}
+
+/// Starts a page: the chrome head around `title`, in a buffer with room
+/// for `body` more bytes and the foot, so rendering allocates once.
+fn page_head(title: &str, body: usize) -> String {
+    let mut s =
+        String::with_capacity(HEAD_LEAD.len() + title.len() + HEAD_TAIL.len() + body + FOOT.len());
+    s.push_str(HEAD_LEAD);
+    s.push_str(title);
+    s.push_str(&HEAD_TAIL);
     s
 }
 
@@ -153,7 +180,7 @@ fn sidebar_fragment() -> String {
     s
 }
 
-fn chrome_foot() -> String {
+fn foot() -> String {
     let mut s = sidebar_fragment();
     s.push_str(&market_summary_fragment());
     s.push_str(
@@ -172,45 +199,69 @@ fn chrome_foot() -> String {
     s
 }
 
+/// Markup bytes [`render`] writes around each field, header and cell, and
+/// around the content block as a whole — upper bounds for sizing the page.
+const FIELD_MARKUP: usize = "<tr><td class=\"field-name\"></td><td></td></tr>\n".len();
+const CELL_MARKUP: usize = "<td></td>".len();
+const ROW_MARKUP: usize = "<tr></tr>\n".len();
+const CONTENT_MARKUP: usize = 128;
+
 /// Renders one action's result to a full HTML page.
 pub fn render(result: &TradeResult) -> String {
-    let mut s = chrome_head(&result.title);
-    s.push_str("<div class=\"content\">\n");
-    s.push_str(&format!("<h1>{}</h1>\n", result.title));
-    s.push_str("<table>\n");
+    let fields: usize = result
+        .fields
+        .iter()
+        .map(|(name, value)| FIELD_MARKUP + name.len() + value.len())
+        .sum();
+    let cells: usize = std::iter::once(&result.table_header)
+        .chain(&result.table_rows)
+        .map(|row| ROW_MARKUP + row.iter().map(|c| CELL_MARKUP + c.len()).sum::<usize>())
+        .sum();
+    let mut s = page_head(
+        &result.title,
+        CONTENT_MARKUP + result.title.len() + fields + cells,
+    );
+    // Writing to a `String` cannot fail.
+    let _ = write!(
+        s,
+        "<div class=\"content\">\n<h1>{}</h1>\n<table>\n",
+        result.title
+    );
     for (name, value) in &result.fields {
-        s.push_str(&format!(
-            "<tr><td class=\"field-name\">{name}</td><td>{value}</td></tr>\n"
-        ));
+        let _ = writeln!(
+            s,
+            "<tr><td class=\"field-name\">{name}</td><td>{value}</td></tr>"
+        );
     }
     s.push_str("</table>\n");
     if !result.table_header.is_empty() {
         s.push_str("<table class=\"data\">\n<tr>");
         for h in &result.table_header {
-            s.push_str(&format!("<th>{h}</th>"));
+            let _ = write!(s, "<th>{h}</th>");
         }
         s.push_str("</tr>\n");
         for row in &result.table_rows {
             s.push_str("<tr>");
             for cell in row {
-                s.push_str(&format!("<td>{cell}</td>"));
+                let _ = write!(s, "<td>{cell}</td>");
             }
             s.push_str("</tr>\n");
         }
         s.push_str("</table>\n");
     }
     s.push_str("</div>\n");
-    s.push_str(&chrome_foot());
+    s.push_str(&FOOT);
     s
 }
 
 /// Renders an error page (HTTP 4xx/5xx body).
 pub fn render_error(title: &str, message: &str) -> String {
-    let mut s = chrome_head(title);
-    s.push_str(&format!(
-        "<div class=\"content\"><h1>{title}</h1><p>{message}</p></div>\n"
-    ));
-    s.push_str(&chrome_foot());
+    let mut s = page_head(title, CONTENT_MARKUP + title.len() + message.len());
+    let _ = writeln!(
+        s,
+        "<div class=\"content\"><h1>{title}</h1><p>{message}</p></div>"
+    );
+    s.push_str(&FOOT);
     s
 }
 
@@ -240,6 +291,31 @@ mod tests {
         assert!(html.contains("<tr><td>s:1</td><td>100</td></tr>"));
         assert!(html.contains("<tr><td>s:2</td><td>50</td></tr>"));
         assert!(html.contains("<th>symbol</th>"));
+    }
+
+    /// FNV-1a, to pin a whole page in one number.
+    fn fnv(text: &str) -> u64 {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn page_bytes_are_pinned() {
+        // Lengths and hashes recorded from the renderer that rebuilt the
+        // chrome on every call: the constant chrome must not move a byte.
+        let mut r = TradeResult::new("Portfolio")
+            .field("user", "uid:7")
+            .field("balance", "10000.00")
+            .header(&["symbol", "qty"]);
+        r.row(vec!["s:1".into(), "100".into()]);
+        r.row(vec!["s:2".into(), "50".into()]);
+        let page = render(&r);
+        assert_eq!((page.len(), fnv(&page)), (5671, 0xb52d_85ac_a99b_953f));
+        let plain = render(&TradeResult::new("Trade Home"));
+        assert_eq!((plain.len(), fnv(&plain)), (5421, 0xd769_d214_7fa8_1b16));
+        let error = render_error("Error", "no such user");
+        assert_eq!((error.len(), fnv(&error)), (5411, 0xc4be_3db9_608e_1c3b));
     }
 
     #[test]

@@ -35,7 +35,9 @@ use sli_edge::core::{
     CommitOutcome, CommitRequest, CommonStore, DirectSource, EntryKind, MetaRegistry, SliHome,
     SliResourceManager,
 };
-use sli_edge::datastore::{CmpOp, ColumnType, Database, Predicate, SqlConnection, Value};
+use sli_edge::datastore::{
+    CmpOp, Column, ColumnType, Database, DbError, Predicate, Schema, SqlConnection, Value,
+};
 use sli_edge::simnet::wire::{Reader, Writer};
 use sli_edge::workload::{batch_means, fit};
 
@@ -205,6 +207,110 @@ fn predicate_to_sql_round_trips_through_parser() {
     let mut rng = StdRng::seed_from_u64(0x3e3e_0003);
     for _ in 0..300 {
         assert_sql_round_trip(&gen_predicate(&mut rng, 3));
+    }
+}
+
+// ---------- in-place placeholder evaluation ----------
+
+/// [`gen_predicate`] with `?` placeholders: a third of the leaves compare a
+/// column with parameter 0..`params`.
+fn gen_param_predicate(rng: &mut StdRng, depth: u32, params: usize) -> Predicate {
+    if depth > 0 && rng.gen_range(0..8u32) < 4 {
+        let a = Box::new(gen_param_predicate(rng, depth - 1, params));
+        return match rng.gen_range(0..3u32) {
+            0 => Predicate::And(a, Box::new(gen_param_predicate(rng, depth - 1, params))),
+            1 => Predicate::Or(a, Box::new(gen_param_predicate(rng, depth - 1, params))),
+            _ => Predicate::Not(a),
+        };
+    }
+    if rng.gen_range(0..3u32) > 0 {
+        return gen_predicate(rng, 0);
+    }
+    Predicate::CmpParam {
+        column: ["owner", "qty", "id"][rng.gen_range(0..3usize)].into(),
+        // Equalities are over-weighted: they are what `equality_on` finds.
+        op: [CmpOp::Eq, CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Ge][rng.gen_range(0..5usize)],
+        index: rng.gen_range(0..params),
+    }
+}
+
+/// The engine evaluates `?` placeholders where they stand instead of
+/// building `bind`'s owned copy of the predicate. For every tree, row and
+/// parameter vector — vectors too short for the tree included — the two
+/// must agree: the same `bool` or the same error from `matches`, the same
+/// pinned value from `equality_on`.
+#[test]
+fn in_place_evaluation_equals_bind_then_match() {
+    const PARAMS: usize = 4;
+    let schema = Schema::new(
+        "holding",
+        vec![
+            Column::new("id", ColumnType::Int),
+            Column::new("owner", ColumnType::Varchar),
+            Column::new("qty", ColumnType::Double),
+            Column::new("note", ColumnType::Varchar),
+        ],
+        "id",
+    )
+    .unwrap();
+    let mut rng = StdRng::seed_from_u64(0x3e3e_000a);
+    let (mut matched, mut rejected, mut short, mut pinned) = (0, 0, 0, 0);
+    for case in 0..4_000 {
+        let p = gen_param_predicate(&mut rng, 3, PARAMS);
+        let mut row = [
+            Value::from(rng.gen_range(0i64..100)),
+            Value::from(gen_string(&mut rng, b"az09:", 4)),
+            Value::from(rng.gen_range(0.0f64..100.0)),
+            Value::from("n"),
+        ];
+        for cell in &mut row[1..] {
+            if rng.gen_range(0..6u32) == 0 {
+                *cell = Value::Null;
+            }
+        }
+        let mut params: Vec<Value> = (0..PARAMS)
+            .map(|_| match rng.gen_range(0..4u32) {
+                // Values present in the row, so equalities also hold.
+                0 => row[rng.gen_range(0..3usize)].clone(),
+                1 => Value::Null,
+                _ => gen_sql_literal(&mut rng),
+            })
+            .collect();
+        if rng.gen_range(0..4u32) == 0 {
+            params.truncate(rng.gen_range(0..PARAMS));
+        }
+        let at = format!("case {case}: {p:?} on {row:?} with {params:?}");
+
+        let bound = p.bind(&params);
+        let in_place = p.matches(&schema, &row, &params);
+        let via_bind = bound
+            .clone()
+            .and_then(|bound| bound.matches(&schema, &row, &[]));
+        assert_eq!(in_place, via_bind, "{at}");
+        match in_place {
+            Ok(true) => matched += 1,
+            Ok(false) => rejected += 1,
+            Err(e) => {
+                assert!(matches!(e, DbError::ParamCount { .. }), "{at}: {e}");
+                short += 1;
+            }
+        }
+        if let Ok(bound) = bound {
+            for column in ["id", "owner", "qty", "note"] {
+                let value = p.equality_on(column, &params);
+                assert_eq!(value, bound.equality_on(column, &[]), "{at}: {column}");
+                pinned += usize::from(value.is_some());
+            }
+        }
+    }
+    // Every outcome is well represented, so none of the checks is vacuous.
+    for (what, n) in [
+        ("matched", matched),
+        ("rejected", rejected),
+        ("too few parameters", short),
+        ("pinned columns", pinned),
+    ] {
+        assert!(n >= 200, "only {n} cases of: {what}");
     }
 }
 
