@@ -33,7 +33,7 @@ use sli_component::{
     ResourceManager, TxContext,
 };
 use sli_core::{
-    memento_digest, BackendServer, BackendSource, CombinedCommitter, CommonStore,
+    memento_digest, BackendServer, BackendSource, CombinedCommitter, CommitPoint, CommonStore,
     DeferredInvalidationSink, DirectSource, MetaRegistry, SliHome, SliResourceManager,
     SplitCommitter,
 };
@@ -639,11 +639,20 @@ struct World {
     clients: Vec<ClientState>,
     sinks: Vec<Arc<DeferredInvalidationSink>>,
     stores: Vec<(String, Arc<CommonStore>)>,
-    /// The split-servers back-end (ES/RBES only) — its dedup table must be
-    /// reseeded from the recovery report after a crash.
+    /// The split-servers back-end (ES/RBES only): its replay table dies
+    /// with the database machine.
     backend: Option<Arc<BackendServer>>,
-    /// Combined committers (cached flavors) — same reseed obligation.
+    /// Combined committers (cached flavors).
     committers: Vec<Arc<CombinedCommitter>>,
+}
+
+impl World {
+    /// Every commit point — the back-end's and the edges' — whose replay
+    /// table must be reseeded from the recovery report after a crash.
+    fn commit_points(&self) -> impl Iterator<Item = &CommitPoint> {
+        let backend = self.backend.iter().map(|b| b.commit_point());
+        backend.chain(self.committers.iter().map(|c| &**c))
+    }
 }
 
 fn build_world(cfg: &SliCheckConfig) -> World {
@@ -682,12 +691,9 @@ fn build_world(cfg: &SliCheckConfig) -> World {
     let combined_edge = |origin: u32| {
         let store = CommonStore::new();
         let source = Arc::new(DirectSource::new(Box::new(db.connect()), registry()));
-        let mut committer = CombinedCommitter::new(Box::new(db.connect()), registry())
-            .with_history(Arc::clone(&log), Arc::clone(&clock));
-        if cfg.inject_bug {
-            committer = committer.with_injected_bug();
-        }
-        let committer = Arc::new(committer);
+        let committer = Arc::new(CombinedCommitter::new(Box::new(db.connect()), registry()));
+        committer.set_history(Arc::clone(&log), Arc::clone(&clock));
+        committer.set_inject_bug(cfg.inject_bug);
         let rm = Arc::new(
             SliResourceManager::new(origin, Arc::clone(&committer) as _, Arc::clone(&store))
                 .with_history(Arc::clone(&log), Arc::clone(&clock)),
@@ -732,10 +738,9 @@ fn build_world(cfg: &SliCheckConfig) -> World {
             // deferred so their delivery becomes a schedulable step.
             let backend =
                 BackendServer::new(Box::new(db.connect()), registry(), Arc::clone(&clock));
-            backend.set_history(Arc::clone(&log));
-            if cfg.inject_bug {
-                backend.set_inject_bug(true);
-            }
+            let point = backend.commit_point();
+            point.set_history(Arc::clone(&log), Arc::clone(&clock));
+            point.set_inject_bug(cfg.inject_bug);
             backend_handle = Some(Arc::clone(&backend));
             (0..cfg.clients)
                 .map(|id| {
@@ -819,11 +824,8 @@ fn restart_world(world: &World) {
         .db
         .recover()
         .expect("flushed WAL replays cleanly on restart");
-    if let Some(backend) = &world.backend {
-        backend.reseed_completed(&report.committed);
-    }
-    for committer in &world.committers {
-        committer.reseed_completed(&report.committed);
+    for point in world.commit_points() {
+        point.reseed_completed(&report.committed);
     }
 }
 
@@ -887,7 +889,7 @@ pub fn run_slicheck(cfg: &SliCheckConfig, source: ScheduleSource) -> SliCheckOut
             Ready::Crash => {
                 world.db.crash();
                 if let Some(backend) = &world.backend {
-                    backend.reseed_completed(&[]);
+                    backend.commit_point().reseed_completed(&[]);
                 }
                 down = true;
                 crashes_left -= 1;

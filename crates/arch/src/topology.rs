@@ -5,8 +5,8 @@ use std::sync::Arc;
 
 use sli_component::share_connection;
 use sli_core::{
-    BackendServer, BackendSource, CombinedCommitter, CommonStore, DeferredInvalidationSink,
-    DirectSource, SliResourceManager, SplitCommitter,
+    BackendServer, BackendSource, CombinedCommitter, CommitPoint, CommonStore,
+    DeferredInvalidationSink, DirectSource, SliResourceManager, SplitCommitter,
 };
 use sli_datastore::server::{DbCostModel, DbServer, RemoteConnection};
 use sli_datastore::{Database, RecoveryReport};
@@ -295,7 +295,6 @@ impl Testbed {
             conn.set_batching(config.wire_batching);
             let backend = BackendServer::new(Box::new(conn), trade_registry(), Arc::clone(&clock));
             backend.set_tracer(Arc::clone(&tracer));
-            backend.register_with(&telemetry, "backend.commit");
             Some(backend)
         } else {
             None
@@ -405,7 +404,6 @@ impl Testbed {
                                 CombinedCommitter::new(Box::new(commit_conn), trade_registry())
                                     .with_tracer(Arc::clone(&tracer), Arc::clone(&clock)),
                             );
-                            combined.register_with(&telemetry, &format!("committer.edge-{id}"));
                             combined_committer = Some(Arc::clone(&combined));
                             (
                                 Arc::new(DirectSource::new(Box::new(fetch_conn), trade_registry())),
@@ -460,7 +458,7 @@ impl Testbed {
         let monitor = MonitorMetrics::new();
         monitor.register_with(&telemetry, "monitor");
 
-        Testbed {
+        let testbed = Testbed {
             clock,
             db,
             edges,
@@ -472,7 +470,27 @@ impl Testbed {
             db_server,
             paths,
             monitor,
+        };
+        for (prefix, point) in testbed.commit_points() {
+            point.register_with(&testbed.telemetry, &prefix);
         }
+        testbed
+    }
+
+    /// Every commit point of this testbed under its metric prefix: the
+    /// shared back-end's (`backend.commit`, ES/RBES) and each edge's
+    /// combined committer (`committer.edge-{id}`, cached flavors without a
+    /// back-end).
+    fn commit_points(&self) -> Vec<(String, &CommitPoint)> {
+        let backend = self
+            .backend
+            .iter()
+            .map(|b| ("backend.commit".to_owned(), b.commit_point()));
+        let edges = self.edges.iter().enumerate().filter_map(|(i, edge)| {
+            let committer = edge.committer.as_deref()?;
+            Some((format!("committer.edge-{}", i + 1), committer))
+        });
+        backend.chain(edges).collect()
     }
 
     /// The architecture this testbed implements.
@@ -588,7 +606,9 @@ impl Testbed {
         self.db.wal_timeline_into(&timeline, "db");
         // The shared ES/RBES back-end's commit outcomes.
         if let Some(backend) = &self.backend {
-            backend.timeline_into(&timeline, "backend.commit");
+            backend
+                .commit_point()
+                .timeline_into(&timeline, "backend.commit");
         }
         // The SLO monitor's own series: incident/evaluation rates and the
         // remaining error budget as a level.
@@ -704,7 +724,7 @@ impl Testbed {
                 // The dedup table is volatile memory on the crashed
                 // machine; recovery reseeds it from the WAL's committed
                 // stamps.
-                backend.reseed_completed(&[]);
+                backend.commit_point().reseed_completed(&[]);
             }
         } else {
             for edge in &self.edges {
@@ -731,13 +751,8 @@ impl Testbed {
     pub fn restart(&self, kind: CrashKind) -> Option<RecoveryReport> {
         let report = if kind == CrashKind::Backend {
             let report = self.db.recover().expect("flushed WAL replays cleanly");
-            if let Some(backend) = &self.backend {
-                backend.reseed_completed(&report.committed);
-            }
-            for edge in &self.edges {
-                if let Some(committer) = &edge.committer {
-                    committer.reseed_completed(&report.committed);
-                }
+            for (_, point) in self.commit_points() {
+                point.reseed_completed(&report.committed);
             }
             Some(report)
         } else {

@@ -135,9 +135,6 @@ pub struct OpenLoad {
     pub process: ArrivalProcess,
     /// Sessions arriving in the measured phase.
     pub sessions: usize,
-    /// Per-session think time between consecutive interactions (ms).
-    /// Zero by default so the knee reflects pure queueing.
-    pub think_ms: u64,
     /// Whether remote database connections batch statements onto the wire
     /// (`false` is the pre-batching ablation).
     pub wire_batching: bool,
@@ -201,7 +198,6 @@ impl RunSpec {
                 session_rps,
                 process: ArrivalProcess::Poisson,
                 sessions: if quick { 60 } else { 200 },
-                think_ms: 0,
                 wire_batching: true,
                 scale: ResourceScale::nominal(),
                 monitor: None,
@@ -583,7 +579,8 @@ pub fn run(spec: &RunSpec) -> RunArtifacts {
                     process,
                 },
                 sessions: open.sessions,
-                think: SimDuration::from_millis(open.think_ms),
+                // No think time: the knee reflects pure queueing.
+                think: SimDuration::ZERO,
                 session_seed: spec.seed ^ 0x5e55_1011,
                 scheduler_seed: spec.seed ^ 0x5c4e_d01e,
                 population: spec.population,

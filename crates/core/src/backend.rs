@@ -3,9 +3,9 @@
 //! "The logic that handles cache misses and the logic that implements the
 //! optimistic concurrency control algorithm reside on the back-end server"
 //! (§2.4). [`BackendServer`] is that tier: it answers point fetches and
-//! finder queries from its co-located database, validates and applies
-//! commit requests, and fans invalidations out to the *other* edge caches
-//! after each successful writing commit.
+//! finder queries from its co-located database, decides commit requests
+//! through its [`CommitPoint`], and fans invalidations out to the *other*
+//! edge caches after each successful writing commit.
 
 use std::sync::Arc;
 
@@ -16,12 +16,11 @@ use sli_datastore::{Predicate, SqlConnection, Value};
 use sli_simnet::wire::{frame, frame_traced, protocol, unframe, DecodeError, Reader, Writer};
 use sli_simnet::{CallError, Clock, Remote, Service, SimDuration};
 
-use sli_telemetry::{HistoryLog, Registry, SpanOutcome, Timeline, Tracer};
+use sli_telemetry::{SpanOutcome, Tracer};
 
 use crate::commit::{CommitOutcome, CommitRequest};
 use crate::committer::{
-    fetch_current, span_outcome, validate_and_apply_forensic, CommitHistory, CommitMetrics,
-    CommitTracer, Committer, CommitterStats, CompletedTxns, COMPLETED_TXN_CAPACITY,
+    fetch_current, query_current, CommitPoint, CommitStep, CommitTracer, Committer, Decision,
 };
 use crate::registry::MetaRegistry;
 use crate::source::StateSource;
@@ -56,31 +55,23 @@ impl Default for BackendCostModel {
     }
 }
 
-/// The back-end server: cache-miss service + optimistic commit point.
+/// The back-end server: cache-miss service around a [`CommitPoint`].
+///
+/// The commit point decides; what the back-end adds is its machine's CPU
+/// cost, the wire protocol, the fetch/query handlers that share the commit
+/// point's connection, and the invalidation fan-out.
 pub struct BackendServer {
-    conn: Mutex<Box<dyn SqlConnection + Send>>,
-    registry: MetaRegistry,
+    point: CommitPoint,
     clock: Arc<Clock>,
     cost: BackendCostModel,
     /// (edge id, invalidation send function) pairs for fan-out.
     peers: Mutex<Vec<(u32, InvalidationSender)>>,
-    /// Replay memory: commit requests resent after a lost response are
-    /// answered from here instead of being applied (and fanned out) twice.
-    completed: Mutex<CompletedTxns>,
-    metrics: CommitMetrics,
-    /// Optional commit-protocol span recorder ([`BackendServer::new`]
-    /// returns an [`Arc`], so tracing is enabled post-construction).
-    tracer: Mutex<Option<CommitTracer>>,
-    /// Optional apply-side history recorder for the consistency checker.
-    history: Mutex<Option<CommitHistory>>,
-    /// The checker's seeded lost-update bug (`slicheck --inject-bug`).
-    inject_bug: std::sync::atomic::AtomicBool,
 }
 
 impl std::fmt::Debug for BackendServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BackendServer")
-            .field("beans", &self.registry.len())
+            .field("point", &self.point)
             .field("peers", &self.peers.lock().len())
             .finish_non_exhaustive()
     }
@@ -94,60 +85,27 @@ impl BackendServer {
         clock: Arc<Clock>,
     ) -> Arc<BackendServer> {
         Arc::new(BackendServer {
-            conn: Mutex::new(conn),
-            registry,
+            point: CommitPoint::in_rounds(conn, registry),
             clock,
             cost: BackendCostModel::default(),
             peers: Mutex::new(Vec::new()),
-            completed: Mutex::new(CompletedTxns::new(COMPLETED_TXN_CAPACITY)),
-            metrics: CommitMetrics::default(),
-            tracer: Mutex::new(None),
-            history: Mutex::new(None),
-            inject_bug: std::sync::atomic::AtomicBool::new(false),
         })
     }
 
+    /// The commit point this server decides through: its counters, replay
+    /// table, history and seeded-bug switch.
+    pub fn commit_point(&self) -> &CommitPoint {
+        &self.point
+    }
+
     /// Records one span per commit step through `tracer`, timestamped from
-    /// this server's clock: `commit.validate_apply` / `commit.replay` for
-    /// the commit itself, `commit.invalidate` around the fan-out to peers,
-    /// and an `occ.conflict` forensics span when validation rejects a
-    /// request. Wire-dispatched work joins the caller's trace via the
-    /// frame-carried trace id.
+    /// this server's clock: the commit point's `commit.validate_apply` /
+    /// `commit.replay` / `occ.conflict`, `commit.invalidate` around the
+    /// fan-out to peers, and a `backend.*` span per wire request.
+    /// Wire-dispatched work joins the caller's trace via the frame-carried
+    /// trace id.
     pub fn set_tracer(&self, tracer: Arc<Tracer>) {
-        *self.tracer.lock() = Some(CommitTracer::new(tracer, Arc::clone(&self.clock)));
-    }
-
-    /// Records an apply-outcome history event per fresh commit into `log`
-    /// (timestamped from this server's clock and tagged with the
-    /// co-located datastore's commit-order witness), for the
-    /// schedule-exploring consistency checker.
-    pub fn set_history(&self, log: Arc<HistoryLog>) {
-        *self.history.lock() = Some(CommitHistory::new(log, Arc::clone(&self.clock)));
-    }
-
-    /// Seeds the deliberate lost-update bug (`slicheck --inject-bug`):
-    /// updates apply without validating their before-image. Test harness
-    /// only.
-    pub fn set_inject_bug(&self, on: bool) {
-        self.inject_bug
-            .store(on, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Attaches the commit counters to `registry` under `{prefix}.committed`,
-    /// `.conflicts`, `.errors` and `.dedup_replays`.
-    pub fn register_with(&self, registry: &Registry, prefix: &str) {
-        self.metrics.register_with(registry, prefix);
-    }
-
-    /// Tracks the same commit counters in `timeline` under the
-    /// [`BackendServer::register_with`] names.
-    pub fn timeline_into(&self, timeline: &Timeline, prefix: &str) {
-        self.metrics.timeline_into(timeline, prefix);
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> CommitterStats {
-        self.metrics.snapshot()
+        self.point.set_tracer(tracer, Arc::clone(&self.clock));
     }
 
     /// Registers an edge's invalidation channel. After a successful commit
@@ -163,132 +121,77 @@ impl BackendServer {
     }
 
     /// In-process commit entry point (used by the wire handler and by
-    /// tests).
-    ///
-    /// A request whose `(origin, txn_id)` already finished here is a retry
-    /// of a commit whose response was lost: the recorded outcome is
-    /// returned without re-validating, re-applying, or re-fanning-out
-    /// invalidations, so a debit is applied exactly once no matter how many
-    /// times the message is resent.
+    /// tests): the commit point's decision, with this machine's CPU cost
+    /// charged inside each step's span, then the invalidation fan-out — for
+    /// a fresh writing commit only, so a retry whose first response was lost
+    /// is neither re-applied nor re-announced.
     ///
     /// # Errors
     /// Datastore failures; conflicts are an `Ok` outcome.
     pub fn commit(&self, request: &CommitRequest) -> EjbResult<CommitOutcome> {
-        let tracer = self.tracer.lock().clone();
-        if let Some(outcome) = self.completed.lock().lookup(request) {
-            let span = tracer
-                .as_ref()
-                .map(|t| (t.begin("commit.replay"), t.now_us()));
-            self.clock.advance(self.cost.per_request);
-            self.metrics.dedup_replays.inc();
-            if let (Some(t), Some((span, start_us))) = (&tracer, span) {
-                t.finish(span, request, start_us, SpanOutcome::Replayed);
-            }
-            return Ok(outcome);
-        }
-        let span = tracer
-            .as_ref()
-            .map(|t| (t.begin("commit.validate_apply"), t.now_us()));
-        self.clock.advance(
-            self.cost
-                .per_image
-                .saturating_mul(request.entries.len() as u64),
-        );
-        let mut forensics = None;
-        let (result, csn) = {
-            let mut conn = self.conn.lock();
-            // Announce the request's identity so the datastore's WAL commit
-            // record carries it and recovery can reseed this dedup table.
-            conn.stamp_next_commit(request.origin, request.txn_id);
-            let result = validate_and_apply_forensic(
-                conn.as_mut(),
-                &self.registry,
-                request,
-                &mut forensics,
-                self.inject_bug.load(std::sync::atomic::Ordering::Relaxed),
-            );
-            let csn = conn.commit_seq().unwrap_or(0);
-            (result, csn)
-        };
-        if let Some(h) = self.history.lock().as_ref() {
-            h.record_apply(request, &result, csn);
-        }
-        if let Ok(outcome) = &result {
-            self.completed.lock().record(request, outcome);
-        }
-        self.metrics.observe(&result);
-        if let Some(t) = &tracer {
-            if let Some(info) = forensics {
-                t.record_conflict(request, info);
-            }
-            if let Some((span, start_us)) = span {
-                t.finish(span, request, start_us, span_outcome(&result));
-            }
-        }
-        if matches!(result, Ok(CommitOutcome::Committed)) && request.has_writes() {
-            let span = tracer
-                .as_ref()
-                .map(|t| (t.begin("commit.invalidate"), t.now_us()));
-            // Stamp the fan-out frames with the commit's trace id so the
-            // (possibly deferred) delivery at each edge can re-join it.
-            let trace_id = tracer
-                .as_ref()
-                .map(CommitTracer::current_trace_id)
-                .unwrap_or(0);
-            let written = request.written_keys();
-            let message = frame_traced(
-                protocol::BACKEND,
-                0,
-                trace_id,
-                &encode_invalidations(&written),
-            );
-            let mut notified = 0usize;
-            for (edge_id, send) in self.peers.lock().iter() {
-                if *edge_id != request.origin {
-                    send(message.clone());
-                    notified += 1;
-                }
-            }
-            if let (Some(t), Some((span, start_us))) = (&tracer, span) {
-                if notified > 0 {
-                    t.finish(span, request, start_us, SpanOutcome::Committed);
-                } else {
-                    t.cancel(span);
-                }
-            }
+        let Decision { result, fresh } = self.point.decide(request, |step| {
+            self.clock.advance(match step {
+                CommitStep::Replay => self.cost.per_request,
+                CommitStep::ValidateApply => self
+                    .cost
+                    .per_image
+                    .saturating_mul(request.entries.len() as u64),
+            });
+        });
+        if fresh && matches!(result, Ok(CommitOutcome::Committed)) && request.has_writes() {
+            self.fan_out(request);
         }
         result
     }
 
-    /// Rebuilds the dedup table from the committed `(origin, txn_id)`
-    /// stamps a datastore recovery replayed out of its WAL (commit order,
-    /// oldest first). Called after a back-end crash + restart so retried
-    /// commits that were durable before the crash dedup instead of
-    /// double-applying their debits.
-    pub fn reseed_completed(&self, pairs: &[(u32, u64)]) {
-        self.completed.lock().reseed(pairs);
+    /// Tells every edge but the request's origin which keys it wrote.
+    fn fan_out(&self, request: &CommitRequest) {
+        let tracer = self.point.tracer();
+        let span = tracer.as_ref().map(|t| t.open("commit.invalidate"));
+        // Stamp the fan-out frames with the commit's trace id so the
+        // (possibly deferred) delivery at each edge can re-join it.
+        let trace_id = tracer.as_ref().map_or(0, CommitTracer::current_trace_id);
+        let message = frame_traced(
+            protocol::BACKEND,
+            0,
+            trace_id,
+            &encode_invalidations(&request.written_keys()),
+        );
+        let mut notified = 0usize;
+        for (edge_id, send) in self.peers.lock().iter() {
+            if *edge_id != request.origin {
+                send(message.clone());
+                notified += 1;
+            }
+        }
+        if let Some(span) = span {
+            if notified > 0 {
+                span.close(request, SpanOutcome::Committed);
+            } else {
+                span.cancel();
+            }
+        }
     }
 
     fn dispatch(&self, r: &mut Reader, wire_trace_id: u64) -> EjbResult<Writer> {
         let op = r.get_u8().map_err(wire_err)?;
-        let tracer = self.tracer.lock().clone();
         let span_op = match op {
             OP_FETCH => "backend.fetch",
             OP_QUERY => "backend.query",
             OP_COMMIT => "backend.commit",
             _ => "backend.op",
         };
+        let tracer = self.point.tracer();
         let span = tracer
             .as_ref()
-            .map(|t| (t.begin_rpc_server(span_op, wire_trace_id), t.now_us()));
+            .map(|t| t.open_rpc_server(span_op, wire_trace_id));
         let result = self.run_op(op, r);
-        if let (Some(t), Some((span, start_us))) = (&tracer, span) {
-            let outcome = if result.is_ok() {
+        if let Some(span) = span {
+            span.close_unstamped(if result.is_ok() {
                 SpanOutcome::Committed
             } else {
                 SpanOutcome::Error
-            };
-            t.finish_raw(span, start_us, outcome);
+            });
         }
         result
     }
@@ -301,12 +204,8 @@ impl BackendServer {
             OP_FETCH => {
                 let bean = r.get_str().map_err(wire_err)?;
                 let key = Value::decode(r).map_err(wire_err)?;
-                let meta = self.registry.meta(&bean)?;
-                let image = {
-                    let mut conn = self.conn.lock();
-                    fetch_current(conn.as_mut(), meta, &key)?
-                };
-                match image {
+                let meta = self.point.registry().meta(&bean)?;
+                match fetch_current(self.point.conn().as_mut(), meta, &key)? {
                     Some(m) => {
                         w.put_bool(true);
                         m.encode(&mut w);
@@ -321,13 +220,8 @@ impl BackendServer {
             OP_QUERY => {
                 let bean = r.get_str().map_err(wire_err)?;
                 let predicate = Predicate::decode(r).map_err(wire_err)?;
-                let meta = self.registry.meta(&bean)?;
-                let cols = meta.select_columns().join(", ");
-                let sql = match &predicate {
-                    Predicate::True => format!("SELECT {cols} FROM {}", meta.table()),
-                    p => format!("SELECT {cols} FROM {} WHERE {}", meta.table(), p.to_sql()),
-                };
-                let rs = self.conn.lock().execute(&sql, &[])?;
+                let meta = self.point.registry().meta(&bean)?;
+                let rs = query_current(self.point.conn().as_mut(), meta, &predicate)?;
                 w.put_u32(rs.len() as u32);
                 for row in rs.rows() {
                     meta.memento_from_row(row).encode(&mut w);
@@ -337,7 +231,9 @@ impl BackendServer {
                 Ok(w)
             }
             OP_COMMIT => {
-                let request = Self::decode_commit(r).map_err(wire_err)?;
+                // The request travels as a nested frame (see SplitCommitter).
+                let frame = r.get_frame().map_err(wire_err)?;
+                let request = CommitRequest::decode(&mut Reader::new(frame)).map_err(wire_err)?;
                 let outcome = self.commit(&request)?;
                 outcome.encode(&mut w);
                 Ok(w)
@@ -371,7 +267,16 @@ fn encode_ejb_error(e: &EjbError) -> Bytes {
     w.finish()
 }
 
-fn decode_response(resp: Bytes) -> EjbResult<Reader> {
+/// One round trip to the back-end: frames `body` under the caller's trace,
+/// sends it (the transport retries identical bytes) and opens the reply.
+fn round_trip(remote: &Remote<Arc<BackendServer>>, body: Writer) -> EjbResult<Reader> {
+    let framed = frame_traced(
+        protocol::BACKEND,
+        0,
+        remote.current_trace_id(),
+        &body.finish(),
+    );
+    let resp = remote.call(framed).map_err(transport_err)?;
     let (_, payload) = unframe(resp).map_err(wire_err)?;
     let mut r = Reader::new(payload);
     match r.get_u8().map_err(wire_err)? {
@@ -433,14 +338,7 @@ impl StateSource for BackendSource {
         let mut w = Writer::new();
         w.put_u8(OP_FETCH).put_str(bean);
         key.encode(&mut w);
-        let framed = frame_traced(
-            protocol::BACKEND,
-            0,
-            self.remote.current_trace_id(),
-            &w.finish(),
-        );
-        let resp = self.remote.call(framed).map_err(transport_err)?;
-        let mut r = decode_response(resp)?;
+        let mut r = round_trip(&self.remote, w)?;
         if r.get_bool().map_err(wire_err)? {
             Ok(Some(Memento::decode(&mut r).map_err(wire_err)?))
         } else {
@@ -452,14 +350,7 @@ impl StateSource for BackendSource {
         let mut w = Writer::new();
         w.put_u8(OP_QUERY).put_str(bean);
         predicate.encode(&mut w);
-        let framed = frame_traced(
-            protocol::BACKEND,
-            0,
-            self.remote.current_trace_id(),
-            &w.finish(),
-        );
-        let resp = self.remote.call(framed).map_err(transport_err)?;
-        let mut r = decode_response(resp)?;
+        let mut r = round_trip(&self.remote, w)?;
         let n = r.get_u32().map_err(wire_err)? as usize;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
@@ -493,26 +384,10 @@ impl Committer for SplitCommitter {
         let mut w = Writer::new();
         w.put_u8(OP_COMMIT);
         w.put_frame(&request.encode());
-        let framed = frame_traced(
-            protocol::BACKEND,
-            0,
-            self.remote.current_trace_id(),
-            &w.finish(),
-        );
         // Retries resend identical bytes — same (origin, txn_id) — so the
         // backend's replay table keeps the commit idempotent.
-        let resp = self.remote.call(framed).map_err(transport_err)?;
-        let mut r = decode_response(resp)?;
+        let mut r = round_trip(&self.remote, w)?;
         CommitOutcome::decode(&mut r).map_err(wire_err)
-    }
-}
-
-// The backend's OP_COMMIT handler must read the nested frame written by
-// SplitCommitter. A small wrapper keeps the dispatch symmetric.
-impl BackendServer {
-    fn decode_commit(r: &mut Reader) -> Result<CommitRequest, DecodeError> {
-        let frame = r.get_frame()?;
-        CommitRequest::decode(&mut Reader::new(frame))
     }
 }
 
@@ -558,6 +433,54 @@ mod tests {
         Memento::new("Account", Value::from(key)).with_field("balance", balance)
     }
 
+    /// A one-entry request from edge 1 about account `u1`.
+    fn request(txn_id: u64, kind: EntryKind) -> CommitRequest {
+        CommitRequest {
+            origin: 1,
+            txn_id,
+            entries: vec![CommitEntry {
+                bean: "Account".into(),
+                key: Value::from("u1"),
+                kind,
+            }],
+        }
+    }
+
+    fn update(txn_id: u64, before: f64, after: f64) -> CommitRequest {
+        let (before, after) = (img("u1", before), img("u1", after));
+        request(txn_id, EntryKind::Update { before, after })
+    }
+
+    fn read(txn_id: u64, before: f64) -> CommitRequest {
+        let before = img("u1", before);
+        request(txn_id, EntryKind::Read { before })
+    }
+
+    /// Registers edge `id` with `backend`: a common store caching `u1`,
+    /// invalidated over a LAN path.
+    fn edge(backend: &BackendServer, clock: &Arc<Clock>, id: u32) -> Arc<CommonStore> {
+        let store = CommonStore::new();
+        store.put(img("u1", 100.0));
+        let path = Path::new(format!("inv-{id}"), Arc::clone(clock), PathSpec::lan());
+        backend.register_edge(
+            id,
+            Remote::new(path, InvalidationSink::new(Arc::clone(&store))),
+        );
+        store
+    }
+
+    fn caches_u1(store: &CommonStore) -> bool {
+        store.get("Account", &Value::from("u1")).is_some()
+    }
+
+    fn balance(db: &Arc<Database>) -> Value {
+        let mut conn = db.connect();
+        let rs = conn
+            .execute("SELECT balance FROM account WHERE userid = 'u1'", &[])
+            .unwrap();
+        rs.rows()[0][0].clone()
+    }
+
     #[test]
     fn backend_fetch_round_trip() {
         let (_db, _clock, _backend, remote) = setup();
@@ -591,189 +514,49 @@ mod tests {
         let path = Arc::clone(remote.path());
         path.reset_stats();
         let committer = SplitCommitter::new(remote);
-        let outcome = committer
-            .commit(&CommitRequest {
-                origin: 1,
-                txn_id: 1,
-                entries: vec![CommitEntry {
-                    bean: "Account".into(),
-                    key: Value::from("u1"),
-                    kind: EntryKind::Update {
-                        before: img("u1", 100.0),
-                        after: img("u1", 50.0),
-                    },
-                }],
-            })
-            .unwrap();
+        let outcome = committer.commit(&update(1, 100.0, 50.0)).unwrap();
         assert_eq!(outcome, CommitOutcome::Committed);
         assert_eq!(path.stats().round_trips(), 1, "split commit must be one RT");
-        let mut conn = db.connect();
-        let rs = conn
-            .execute("SELECT balance FROM account WHERE userid = 'u1'", &[])
-            .unwrap();
-        assert_eq!(rs.rows()[0][0], Value::from(50.0));
+        assert_eq!(balance(&db), Value::from(50.0));
     }
 
     #[test]
     fn split_commit_reports_conflict() {
         let (_db, _clock, _backend, remote) = setup();
         let committer = SplitCommitter::new(remote);
-        let outcome = committer
-            .commit(&CommitRequest {
-                origin: 1,
-                txn_id: 2,
-                entries: vec![CommitEntry {
-                    bean: "Account".into(),
-                    key: Value::from("u1"),
-                    kind: EntryKind::Read {
-                        before: img("u1", 42.0), // stale
-                    },
-                }],
-            })
-            .unwrap();
+        let outcome = committer.commit(&read(2, 42.0)).unwrap(); // stale
         assert!(matches!(outcome, CommitOutcome::Conflict { .. }));
     }
 
     #[test]
     fn commit_fans_out_invalidations_to_other_edges() {
         let (_db, clock, backend, remote) = setup();
-        // Two edges with their own common stores.
-        let store1 = CommonStore::new();
-        let store2 = CommonStore::new();
-        store1.put(img("u1", 100.0));
-        store2.put(img("u1", 100.0));
-        let p1 = Path::new("inv-1", Arc::clone(&clock), PathSpec::lan());
-        let p2 = Path::new("inv-2", Arc::clone(&clock), PathSpec::lan());
-        backend.register_edge(
-            1,
-            Remote::new(p1, InvalidationSink::new(Arc::clone(&store1))),
-        );
-        backend.register_edge(
-            2,
-            Remote::new(p2, InvalidationSink::new(Arc::clone(&store2))),
-        );
-
+        let (store1, store2) = (edge(&backend, &clock, 1), edge(&backend, &clock, 2));
         let committer = SplitCommitter::new(remote);
-        committer
-            .commit(&CommitRequest {
-                origin: 1,
-                txn_id: 3,
-                entries: vec![CommitEntry {
-                    bean: "Account".into(),
-                    key: Value::from("u1"),
-                    kind: EntryKind::Update {
-                        before: img("u1", 100.0),
-                        after: img("u1", 77.0),
-                    },
-                }],
-            })
-            .unwrap();
+        committer.commit(&update(3, 100.0, 77.0)).unwrap();
         // Edge 1 (the committer) keeps its entry; edge 2 is invalidated.
-        assert!(store1.get("Account", &Value::from("u1")).is_some());
-        assert!(store2.get("Account", &Value::from("u1")).is_none());
+        assert!(caches_u1(&store1));
+        assert!(!caches_u1(&store2));
     }
 
     #[test]
     fn read_only_commit_sends_no_invalidations() {
         let (_db, clock, backend, remote) = setup();
-        let store2 = CommonStore::new();
-        store2.put(img("u1", 100.0));
-        let p2 = Path::new("inv-2", Arc::clone(&clock), PathSpec::lan());
-        backend.register_edge(
-            2,
-            Remote::new(p2, InvalidationSink::new(Arc::clone(&store2))),
-        );
+        let store2 = edge(&backend, &clock, 2);
         let committer = SplitCommitter::new(remote);
-        committer
-            .commit(&CommitRequest {
-                origin: 1,
-                txn_id: 4,
-                entries: vec![CommitEntry {
-                    bean: "Account".into(),
-                    key: Value::from("u1"),
-                    kind: EntryKind::Read {
-                        before: img("u1", 100.0),
-                    },
-                }],
-            })
-            .unwrap();
-        assert!(store2.get("Account", &Value::from("u1")).is_some());
+        committer.commit(&read(4, 100.0)).unwrap();
+        assert!(caches_u1(&store2));
     }
 
     #[test]
-    fn backend_counts_commits_and_traces_invalidation_fan_out() {
-        let (_db, clock, backend, _remote) = setup();
+    fn replayed_commit_is_neither_reapplied_nor_fanned_out_again() {
+        let (db, clock, backend, _remote) = setup();
         let trace = Arc::new(sli_telemetry::TraceLog::new());
         backend.set_tracer(Arc::new(Tracer::new(Arc::clone(&trace))));
-        let telemetry = Registry::new();
-        backend.register_with(&telemetry, "backend.commit");
-        let store2 = CommonStore::new();
-        store2.put(img("u1", 100.0));
-        let p2 = Path::new("inv-2", Arc::clone(&clock), PathSpec::lan());
-        backend.register_edge(
-            2,
-            Remote::new(p2, InvalidationSink::new(Arc::clone(&store2))),
-        );
-        let request = CommitRequest {
-            origin: 1,
-            txn_id: 11,
-            entries: vec![CommitEntry {
-                bean: "Account".into(),
-                key: Value::from("u1"),
-                kind: EntryKind::Update {
-                    before: img("u1", 100.0),
-                    after: img("u1", 70.0),
-                },
-            }],
-        };
-        backend.commit(&request).unwrap();
-        backend.commit(&request).unwrap(); // dedup replay
-        let stats = backend.stats();
-        assert_eq!(stats.committed, 1);
-        assert_eq!(stats.dedup_replays, 1);
-        assert_eq!(
-            telemetry.snapshot()["backend.commit.dedup_replays"],
-            sli_telemetry::MetricValue::Counter(1)
-        );
-        assert_eq!(
-            trace.count(Some("commit.validate_apply"), Some(SpanOutcome::Committed)),
-            1
-        );
-        assert_eq!(
-            trace.count(Some("commit.invalidate"), None),
-            1,
-            "fan-out traced exactly once despite the replay"
-        );
-        assert_eq!(
-            trace.count(Some("commit.replay"), Some(SpanOutcome::Replayed)),
-            1
-        );
-    }
-
-    #[test]
-    fn replayed_commit_does_not_reapply_or_refan_invalidations() {
-        let (db, clock, backend, _remote) = setup();
-        let store2 = CommonStore::new();
-        store2.put(img("u1", 100.0));
-        let p2 = Path::new("inv-2", Arc::clone(&clock), PathSpec::lan());
-        backend.register_edge(
-            2,
-            Remote::new(p2, InvalidationSink::new(Arc::clone(&store2))),
-        );
-        let request = CommitRequest {
-            origin: 1,
-            txn_id: 9,
-            entries: vec![CommitEntry {
-                bean: "Account".into(),
-                key: Value::from("u1"),
-                kind: EntryKind::Update {
-                    before: img("u1", 100.0),
-                    after: img("u1", 60.0),
-                },
-            }],
-        };
+        let store2 = edge(&backend, &clock, 2);
+        let request = update(9, 100.0, 60.0);
         assert_eq!(backend.commit(&request).unwrap(), CommitOutcome::Committed);
-        assert!(store2.get("Account", &Value::from("u1")).is_none());
+        assert!(!caches_u1(&store2));
         // Edge 2 refreshes its cache; a replay of the same commit must not
         // invalidate it again (or re-apply the debit).
         store2.put(img("u1", 60.0));
@@ -782,14 +565,63 @@ mod tests {
             CommitOutcome::Committed,
             "replay returns the recorded outcome"
         );
-        assert!(
-            store2.get("Account", &Value::from("u1")).is_some(),
-            "replay re-sent invalidations"
+        assert!(caches_u1(&store2), "replay re-sent invalidations");
+        assert_eq!(
+            trace.count(Some("commit.invalidate"), None),
+            1,
+            "fan-out traced exactly once despite the replay"
         );
-        let mut conn = db.connect();
-        let rs = conn
-            .execute("SELECT balance FROM account WHERE userid = 'u1'", &[])
-            .unwrap();
-        assert_eq!(rs.rows()[0][0], Value::from(60.0), "debit applied twice");
+        assert_eq!(backend.commit_point().stats().dedup_replays, 1);
+        assert_eq!(balance(&db), Value::from(60.0), "debit applied twice");
+    }
+
+    #[test]
+    fn cpu_cost_is_charged_inside_the_commit_spans() {
+        use sli_datastore::server::{DbCostModel, DbServer, RemoteConnection};
+        // The back-end reaches its database over a LAN path here, so the
+        // statements cost simulated time too — traced as rpc.call spans.
+        let (db, clock, _local, _remote) = setup();
+        let trace = Arc::new(sli_telemetry::TraceLog::new());
+        let tracer = Arc::new(Tracer::new(Arc::clone(&trace)));
+        let db_server = DbServer::new(db, Arc::clone(&clock), DbCostModel::default());
+        let db_path = Path::new("backend-db", Arc::clone(&clock), PathSpec::lan());
+        let conn = RemoteConnection::open(
+            Remote::new(db_path, db_server).with_tracer(Arc::clone(&tracer)),
+        )
+        .unwrap();
+        let backend = BackendServer::new(Box::new(conn), registry(), Arc::clone(&clock));
+        backend.set_tracer(tracer);
+        let mut request = update(5, 100.0, 90.0);
+        request.entries.push(CommitEntry {
+            bean: "Account".into(),
+            key: Value::from("u2"),
+            kind: EntryKind::Create {
+                after: img("u2", 10.0),
+            },
+        });
+        let cost = BackendCostModel::default();
+        let t0 = clock.now();
+        assert_eq!(backend.commit(&request).unwrap(), CommitOutcome::Committed);
+        let t1 = clock.now();
+        assert_eq!(backend.commit(&request).unwrap(), CommitOutcome::Committed);
+        let t2 = clock.now();
+
+        let events = trace.events();
+        let span = |op: &str| events.iter().find(|e| e.op == op).expect("span recorded");
+        let (validate, replay) = (span("commit.validate_apply"), span("commit.replay"));
+        let statements: u64 = events
+            .iter()
+            .filter(|e| e.op == "rpc.call" && e.parent_span_id == validate.span_id)
+            .map(|e| e.duration_us())
+            .sum();
+        assert!(statements > 0);
+        assert_eq!(
+            validate.duration_us(),
+            cost.per_image.saturating_mul(2).as_micros() + statements
+        );
+        assert_eq!(replay.duration_us(), cost.per_request.as_micros());
+        // Nothing is charged outside the spans.
+        assert_eq!(validate.duration_us(), (t1 - t0).as_micros());
+        assert_eq!(replay.duration_us(), (t2 - t1).as_micros());
     }
 }

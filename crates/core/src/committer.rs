@@ -1,11 +1,15 @@
-//! Optimistic validation and the combined-servers committer.
+//! Optimistic validation and the commit point both server configurations
+//! decide commits through.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use sli_component::{EjbError, EjbResult, EntityMeta, Memento};
-use sli_datastore::{BatchOutcome, BatchStatement, DbResult, ResultSet, SqlConnection, Value};
+use sli_datastore::{
+    BatchOutcome, BatchStatement, DbResult, Predicate, ResultSet, SqlConnection, Value,
+};
 use sli_simnet::Clock;
 use sli_telemetry::{
     ConflictInfo, Counter, HistoryEvent, HistoryLog, OpenSpan, Registry, SpanDetail, SpanOutcome,
@@ -15,29 +19,29 @@ use sli_telemetry::{
 use crate::commit::{CommitEntry, CommitOutcome, CommitRequest, EntryKind};
 use crate::registry::MetaRegistry;
 
-/// How many finished transactions a committer remembers for replay
+/// How many finished transactions a commit point remembers for replay
 /// deduplication. Old entries fall out FIFO; the window only has to outlive
 /// a retry burst (a handful of resends within one call's retry budget), so
 /// a small bound is plenty.
-pub(crate) const COMPLETED_TXN_CAPACITY: usize = 1024;
+const COMPLETED_TXN_CAPACITY: usize = 1024;
 
 /// Bounded FIFO memory of finished transactions, keyed by `(origin,
 /// txn_id)`.
 ///
 /// Commit requests are retried over lossy paths with *identical* bytes, so
-/// a committer that already applied `(origin, txn_id)` must recognise the
+/// a commit point that already applied `(origin, txn_id)` must recognise the
 /// replay and answer with the recorded [`CommitOutcome`] instead of
 /// validating (and applying!) the images a second time. Requests with
 /// `txn_id == 0` are unstamped and bypass the table.
 #[derive(Debug)]
-pub(crate) struct CompletedTxns {
+struct CompletedTxns {
     outcomes: HashMap<(u32, u64), CommitOutcome>,
     order: VecDeque<(u32, u64)>,
     capacity: usize,
 }
 
 impl CompletedTxns {
-    pub(crate) fn new(capacity: usize) -> CompletedTxns {
+    fn new(capacity: usize) -> CompletedTxns {
         CompletedTxns {
             outcomes: HashMap::new(),
             order: VecDeque::new(),
@@ -46,7 +50,7 @@ impl CompletedTxns {
     }
 
     /// The recorded outcome for `request`, if it already ran here.
-    pub(crate) fn lookup(&self, request: &CommitRequest) -> Option<CommitOutcome> {
+    fn lookup(&self, request: &CommitRequest) -> Option<CommitOutcome> {
         if request.txn_id == 0 {
             return None;
         }
@@ -55,13 +59,14 @@ impl CompletedTxns {
             .cloned()
     }
 
-    /// Records the outcome of a freshly processed request.
-    pub(crate) fn record(&mut self, request: &CommitRequest, outcome: &CommitOutcome) {
-        if request.txn_id == 0 {
+    /// Records the outcome of the freshly processed `(origin, txn_id)`,
+    /// evicting the oldest entry past the bound.
+    fn record(&mut self, origin: u32, txn_id: u64, outcome: CommitOutcome) {
+        if txn_id == 0 {
             return;
         }
-        let id = (request.origin, request.txn_id);
-        if self.outcomes.insert(id, outcome.clone()).is_none() {
+        let id = (origin, txn_id);
+        if self.outcomes.insert(id, outcome).is_none() {
             self.order.push_back(id);
             if self.order.len() > self.capacity {
                 if let Some(evicted) = self.order.pop_front() {
@@ -77,33 +82,16 @@ impl CompletedTxns {
     /// retrying an unacked-but-durable commit gets a replay, not a double
     /// apply. The FIFO bound applies as usual, evicting the oldest stamps
     /// when the log's committed prefix outgrows the table.
-    pub(crate) fn reseed(&mut self, pairs: &[(u32, u64)]) {
+    fn reseed(&mut self, pairs: &[(u32, u64)]) {
         self.outcomes.clear();
         self.order.clear();
         for &(origin, txn_id) in pairs {
-            if txn_id == 0 {
-                continue;
-            }
-            let id = (origin, txn_id);
-            if self.outcomes.insert(id, CommitOutcome::Committed).is_none() {
-                self.order.push_back(id);
-                if self.order.len() > self.capacity {
-                    if let Some(evicted) = self.order.pop_front() {
-                        self.outcomes.remove(&evicted);
-                    }
-                }
-            }
+            self.record(origin, txn_id, CommitOutcome::Committed);
         }
-    }
-
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.outcomes.len()
     }
 }
 
-/// Counter snapshot of one committer's lifetime activity — the same shape
-/// for the combined committer and the back-end server.
+/// Counter snapshot of one commit point's lifetime activity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CommitterStats {
     /// Requests that validated and applied.
@@ -117,136 +105,86 @@ pub struct CommitterStats {
     pub dedup_replays: u64,
 }
 
-/// Registry-backed counters behind [`CommitterStats`], shared by both
-/// commit points.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct CommitMetrics {
-    pub(crate) committed: Counter,
-    pub(crate) conflicts: Counter,
-    pub(crate) errors: Counter,
-    pub(crate) dedup_replays: Counter,
+/// Registry-backed counters behind [`CommitterStats`].
+#[derive(Debug, Default)]
+struct CommitMetrics {
+    committed: Counter,
+    conflicts: Counter,
+    errors: Counter,
+    dedup_replays: Counter,
 }
 
 impl CommitMetrics {
-    pub(crate) fn register_with(&self, registry: &Registry, prefix: &str) {
-        registry.attach_counter(format!("{prefix}.committed"), &self.committed);
-        registry.attach_counter(format!("{prefix}.conflicts"), &self.conflicts);
-        registry.attach_counter(format!("{prefix}.errors"), &self.errors);
-        registry.attach_counter(format!("{prefix}.dedup_replays"), &self.dedup_replays);
+    fn counters(&self) -> [(&'static str, &Counter); 4] {
+        [
+            ("committed", &self.committed),
+            ("conflicts", &self.conflicts),
+            ("errors", &self.errors),
+            ("dedup_replays", &self.dedup_replays),
+        ]
     }
 
-    pub(crate) fn timeline_into(&self, timeline: &Timeline, prefix: &str) {
-        timeline.track_counter(format!("{prefix}.committed"), &self.committed);
-        timeline.track_counter(format!("{prefix}.conflicts"), &self.conflicts);
-        timeline.track_counter(format!("{prefix}.errors"), &self.errors);
-        timeline.track_counter(format!("{prefix}.dedup_replays"), &self.dedup_replays);
-    }
-
-    pub(crate) fn snapshot(&self) -> CommitterStats {
-        CommitterStats {
-            committed: self.committed.get(),
-            conflicts: self.conflicts.get(),
-            errors: self.errors.get(),
-            dedup_replays: self.dedup_replays.get(),
-        }
-    }
-
-    /// Buckets a fresh (non-replayed) commit result into a counter.
-    pub(crate) fn observe(&self, result: &EjbResult<CommitOutcome>) {
+    /// How a fresh (non-replayed) decision ended, in each vocabulary that
+    /// records it: its counter, its span outcome and its history label.
+    fn classify(&self, result: &EjbResult<CommitOutcome>) -> (&Counter, SpanOutcome, &'static str) {
         match result {
-            Ok(CommitOutcome::Committed) => self.committed.inc(),
-            Ok(CommitOutcome::Conflict { .. }) => self.conflicts.inc(),
-            Err(_) => self.errors.inc(),
+            Ok(CommitOutcome::Committed) => (&self.committed, SpanOutcome::Committed, "committed"),
+            Ok(CommitOutcome::Conflict { .. }) => {
+                (&self.conflicts, SpanOutcome::Conflict, "conflict")
+            }
+            Err(_) => (&self.errors, SpanOutcome::Error, "error"),
         }
     }
 }
 
-/// Maps a commit result onto the span outcome vocabulary.
-pub(crate) fn span_outcome(result: &EjbResult<CommitOutcome>) -> SpanOutcome {
-    match result {
-        Ok(CommitOutcome::Committed) => SpanOutcome::Committed,
-        Ok(CommitOutcome::Conflict { .. }) => SpanOutcome::Conflict,
-        Err(_) => SpanOutcome::Error,
-    }
-}
-
-/// A clock + [`Tracer`] pair for recording commit-protocol spans with
-/// causal trace context.
+/// A [`Tracer`] and the clock its commit-protocol spans are stamped from.
 #[derive(Clone)]
 pub(crate) struct CommitTracer {
     tracer: Arc<Tracer>,
     clock: Arc<Clock>,
 }
 
-impl std::fmt::Debug for CommitTracer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CommitTracer")
-            .field("events", &self.tracer.log().len())
-            .finish_non_exhaustive()
-    }
+/// A span opened through a [`CommitTracer`], with its start time. Whatever
+/// the clock is charged before the span closes is the span's duration.
+pub(crate) struct TimedSpan<'t> {
+    by: &'t CommitTracer,
+    span: OpenSpan,
+    start_us: u64,
 }
 
 impl CommitTracer {
-    pub(crate) fn new(tracer: Arc<Tracer>, clock: Arc<Clock>) -> CommitTracer {
-        CommitTracer { tracer, clock }
+    fn now_us(&self) -> u64 {
+        self.clock.now().as_micros()
     }
 
-    /// Current simulated time, for span starts.
-    pub(crate) fn now_us(&self) -> u64 {
-        self.clock.now().as_micros()
+    fn timed(&self, span: OpenSpan) -> TimedSpan<'_> {
+        TimedSpan {
+            by: self,
+            span,
+            start_us: self.now_us(),
+        }
     }
 
     /// Opens a commit-protocol span as a child of the caller's current
     /// trace context (the servlet/RPC span in a wired deployment).
-    pub(crate) fn begin(&self, op: &'static str) -> OpenSpan {
-        self.tracer.begin(op)
+    pub(crate) fn open(&self, op: &'static str) -> TimedSpan<'_> {
+        self.timed(self.tracer.begin(op))
     }
 
     /// Opens a server-side span, preferring the in-process context and
     /// falling back to the wire-carried `trace_id` for detached work.
-    pub(crate) fn begin_rpc_server(&self, op: &'static str, wire_trace_id: u64) -> OpenSpan {
-        self.tracer.begin_rpc_server(op, wire_trace_id)
+    pub(crate) fn open_rpc_server(&self, op: &'static str, wire_trace_id: u64) -> TimedSpan<'_> {
+        self.timed(self.tracer.begin_rpc_server(op, wire_trace_id))
     }
 
     /// The trace id of the currently open span, or 0 outside any trace.
     pub(crate) fn current_trace_id(&self) -> u64 {
-        self.tracer.current().map(|c| c.trace_id).unwrap_or(0)
-    }
-
-    /// Abandons `span` without recording it (e.g. a fan-out that notified
-    /// nobody).
-    pub(crate) fn cancel(&self, span: OpenSpan) {
-        self.tracer.cancel(span);
-    }
-
-    /// Closes `span` without a commit request in hand (server dispatch
-    /// spans for fetch/query traffic).
-    pub(crate) fn finish_raw(&self, span: OpenSpan, start_us: u64, outcome: SpanOutcome) {
-        self.tracer
-            .finish(span, 0, 0, start_us, self.now_us(), outcome);
-    }
-
-    /// Closes `span`, stamping the request's origin and txn identity.
-    pub(crate) fn finish(
-        &self,
-        span: OpenSpan,
-        request: &CommitRequest,
-        start_us: u64,
-        outcome: SpanOutcome,
-    ) {
-        self.tracer.finish(
-            span,
-            request.origin,
-            request.txn_id,
-            start_us,
-            self.now_us(),
-            outcome,
-        );
+        self.tracer.current().map_or(0, |c| c.trace_id)
     }
 
     /// Records a zero-duration `occ.conflict` forensics span under the
     /// currently open commit span.
-    pub(crate) fn record_conflict(&self, request: &CommitRequest, info: ConflictInfo) {
+    fn record_conflict(&self, request: &CommitRequest, info: ConflictInfo) {
         let span = self.tracer.begin("occ.conflict");
         let now = self.now_us();
         self.tracer.finish_with(
@@ -261,53 +199,29 @@ impl CommitTracer {
     }
 }
 
-/// Labels a commit result with the history-outcome vocabulary.
-pub(crate) fn outcome_label(result: &EjbResult<CommitOutcome>) -> &'static str {
-    match result {
-        Ok(CommitOutcome::Committed) => "committed",
-        Ok(CommitOutcome::Conflict { .. }) => "conflict",
-        Err(_) => "error",
-    }
-}
-
-/// A [`HistoryLog`] + clock pair both commit points use to record their
-/// apply-side [`HistoryEvent`]s for the schedule-exploring checker.
-#[derive(Clone)]
-pub(crate) struct CommitHistory {
-    log: Arc<HistoryLog>,
-    clock: Arc<Clock>,
-}
-
-impl std::fmt::Debug for CommitHistory {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CommitHistory")
-            .field("events", &self.log.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl CommitHistory {
-    pub(crate) fn new(log: Arc<HistoryLog>, clock: Arc<Clock>) -> CommitHistory {
-        CommitHistory { log, clock }
+impl TimedSpan<'_> {
+    /// Closes the span, stamping `request`'s origin and txn identity.
+    pub(crate) fn close(self, request: &CommitRequest, outcome: SpanOutcome) {
+        self.close_as(request.origin, request.txn_id, outcome);
     }
 
-    /// Records the committer-side outcome of a *fresh* request (dedup
-    /// replays answer from memory and are not re-applied, so they do not
-    /// appear in the history). `csn` is the datastore's commit-order
-    /// witness after the apply, or 0 when it is unobservable.
-    pub(crate) fn record_apply(
-        &self,
-        request: &CommitRequest,
-        result: &EjbResult<CommitOutcome>,
-        csn: u64,
-    ) {
-        self.log.record(HistoryEvent::Apply {
-            origin: request.origin,
-            txn_id: request.txn_id,
-            csn,
-            outcome: outcome_label(result).to_owned(),
-            t_us: self.clock.now().as_micros(),
-        });
+    /// Closes the span without a commit request in hand (server dispatch
+    /// spans for fetch/query traffic).
+    pub(crate) fn close_unstamped(self, outcome: SpanOutcome) {
+        self.close_as(0, 0, outcome);
+    }
+
+    fn close_as(self, origin: u32, txn_id: u64, outcome: SpanOutcome) {
+        let end_us = self.by.now_us();
+        self.by
+            .tracer
+            .finish(self.span, origin, txn_id, self.start_us, end_us, outcome);
+    }
+
+    /// Abandons the span without recording it (e.g. a fan-out that
+    /// notified nobody).
+    pub(crate) fn cancel(self) {
+        self.by.tracer.cancel(self.span);
     }
 }
 
@@ -339,7 +253,7 @@ pub fn memento_digest(m: &Memento) -> u64 {
 /// Builds the forensic record for a validation failure: what before-image
 /// the transaction expected, what the store actually held, and (when both
 /// images are in hand) the first field whose value diverged.
-pub(crate) fn conflict_info(
+fn conflict_info(
     entry: &CommitEntry,
     expected: Option<&Memento>,
     found: Option<&Memento>,
@@ -358,6 +272,29 @@ pub(crate) fn conflict_info(
         field,
         expected_digest: expected.map(memento_digest).unwrap_or(0),
         found_digest: found.map(memento_digest),
+    }
+}
+
+/// A validator's verdict on a request that ran without error: `None`
+/// validated and applied; `Some` is the forensic record of the entry that
+/// failed validation, after which nothing stays applied.
+type Verdict = Option<ConflictInfo>;
+
+/// A validation protocol: [`in_rounds`] or [`per_image`]. The flag is the
+/// checker's seeded bug (`slicheck --inject-bug`): when set, `Update`
+/// entries apply without validating their before-image — the classic
+/// lost-update anomaly optimistic validation exists to prevent.
+type Validator =
+    fn(&mut dyn SqlConnection, &MetaRegistry, &CommitRequest, bool) -> EjbResult<Verdict>;
+
+/// The outcome a verdict means to the application.
+fn outcome_of(verdict: &Verdict) -> CommitOutcome {
+    match verdict {
+        None => CommitOutcome::Committed,
+        Some(info) => CommitOutcome::Conflict {
+            bean: info.bean.clone(),
+            key: info.key.clone(),
+        },
     }
 }
 
@@ -383,12 +320,11 @@ pub(crate) fn conflict_info(
 /// first; the applied state and the committed/not-committed outcome are
 /// unaffected.
 ///
-/// The same function backs both deployment flavors' split-style commits:
-/// the [`BackendServer`](crate::BackendServer) runs it over its co-located
-/// connection so the round trips are cheap, where the
-/// [`CombinedCommitter`] pays the high-latency path per access — which is
-/// precisely the performance distinction the paper measures between
-/// ES/RDB-cached and ES/RBES.
+/// This is the protocol the [`BackendServer`](crate::BackendServer)'s
+/// commit point runs, over its co-located connection so the round trips
+/// are cheap, where the [`CombinedCommitter`] pays the high-latency path
+/// per access — which is precisely the performance distinction the paper
+/// measures between ES/RDB-cached and ES/RBES.
 ///
 /// # Errors
 /// Datastore failures (including deadlocks) surface as `Err`; a validation
@@ -398,23 +334,15 @@ pub fn validate_and_apply(
     registry: &MetaRegistry,
     request: &CommitRequest,
 ) -> EjbResult<CommitOutcome> {
-    validate_and_apply_forensic(conn, registry, request, &mut None, false)
+    in_rounds(conn, registry, request, false).map(|verdict| outcome_of(&verdict))
 }
 
-/// [`validate_and_apply`] with an out-parameter that receives the
-/// [`ConflictInfo`] forensics record when validation fails.
-///
-/// `unchecked_writes` is the checker's seeded bug (`slicheck
-/// --inject-bug`): when set, `Update` entries skip before-image validation
-/// and apply blindly — the classic lost-update anomaly optimistic
-/// validation exists to prevent. Never set in production paths.
-pub(crate) fn validate_and_apply_forensic(
+fn in_rounds(
     conn: &mut dyn SqlConnection,
     registry: &MetaRegistry,
     request: &CommitRequest,
-    forensics: &mut Option<ConflictInfo>,
     unchecked_writes: bool,
-) -> EjbResult<CommitOutcome> {
+) -> EjbResult<Verdict> {
     let single = request.entries.len() == 1;
     in_transaction(conn, true, |conn| {
         for round in distinct_key_rounds(&request.entries) {
@@ -427,9 +355,9 @@ pub(crate) fn validate_and_apply_forensic(
             let fetched = ship(conn, &fetches, single)?.into_result()?;
             let mut writes = Vec::new();
             for ((entry, meta), rs) in round.iter().zip(&metas).zip(&fetched) {
-                if let Some(info) = judge(entry, meta, rs, false, unchecked_writes) {
-                    *forensics = Some(info);
-                    return Ok(conflict_on(entry));
+                let conflict = judge(entry, meta, rs, false, unchecked_writes);
+                if conflict.is_some() {
+                    return Ok(conflict);
                 }
                 writes.extend(write_statement(entry, meta, false));
             }
@@ -437,7 +365,7 @@ pub(crate) fn validate_and_apply_forensic(
                 ship(conn, &writes, single)?.into_result()?;
             }
         }
-        Ok(CommitOutcome::Committed)
+        Ok(None)
     })
 }
 
@@ -460,6 +388,10 @@ pub(crate) fn validate_and_apply_forensic(
 /// Statements past a conflicting one may have executed — the rollback
 /// undoes them.
 ///
+/// A conditional write detects a conflict from "0 rows affected" without
+/// ever seeing the winning image, so its forensic record carries
+/// `found_digest: None`.
+///
 /// Semantically equivalent to [`validate_and_apply`]: both compare every
 /// before-image by value (a property-based test in the suite pins both to
 /// a one-entry-at-a-time model).
@@ -471,24 +403,15 @@ pub fn validate_and_apply_per_image(
     registry: &MetaRegistry,
     request: &CommitRequest,
 ) -> EjbResult<CommitOutcome> {
-    validate_and_apply_per_image_forensic(conn, registry, request, &mut None, false)
+    per_image(conn, registry, request, false).map(|verdict| outcome_of(&verdict))
 }
 
-/// [`validate_and_apply_per_image`] with an out-parameter that receives the
-/// [`ConflictInfo`] forensics record when validation fails. Conditional
-/// writes detect a conflict from "0 rows affected" without ever seeing the
-/// winning image, so their records carry `found_digest: None`.
-///
-/// `unchecked_writes` is the checker's seeded bug: `Update` entries lose
-/// their before-image `WHERE` clause and apply unconditionally. Never set
-/// in production paths.
-pub(crate) fn validate_and_apply_per_image_forensic(
+fn per_image(
     conn: &mut dyn SqlConnection,
     registry: &MetaRegistry,
     request: &CommitRequest,
-    forensics: &mut Option<ConflictInfo>,
     unchecked_writes: bool,
-) -> EjbResult<CommitOutcome> {
+) -> EjbResult<Verdict> {
     let single = request.entries.len() == 1;
     in_transaction(conn, !single, |conn| {
         let metas = metas_of(registry, &request.entries)?;
@@ -503,9 +426,9 @@ pub(crate) fn validate_and_apply_per_image_forensic(
             .collect();
         let outcome = ship(conn, &stmts, single)?;
         for ((entry, meta), rs) in request.entries.iter().zip(&metas).zip(&outcome.results) {
-            if let Some(info) = judge(entry, meta, rs, true, unchecked_writes) {
-                *forensics = Some(info);
-                return Ok(conflict_on(entry));
+            let conflict = judge(entry, meta, rs, true, unchecked_writes);
+            if conflict.is_some() {
+                return Ok(conflict);
             }
         }
         // No conflict in the prefix: the statement that stopped the batch
@@ -517,33 +440,32 @@ pub(crate) fn validate_and_apply_per_image_forensic(
                 if matches!(entry.kind, EntryKind::Create { .. })
                     && matches!(err, sli_datastore::DbError::DuplicateKey(_))
                 {
-                    *forensics = Some(conflict_info(entry, None, None));
-                    return Ok(conflict_on(entry));
+                    return Ok(Some(conflict_info(entry, None, None)));
                 }
             }
             return Err(err.into());
         }
-        Ok(CommitOutcome::Committed)
+        Ok(None)
     })
 }
 
-/// Runs `body` as one datastore transaction: commit when it reports
-/// `Committed`, roll back on a conflict or an error. A body that is a
-/// single self-validating statement passes `explicit = false` and runs
+/// Runs `body` as one datastore transaction: commit when it validates,
+/// roll back on a conflict or an error. A body that is a single
+/// self-validating statement passes `explicit = false` and runs
 /// autocommitted, with no `BEGIN`/`COMMIT` round trips.
 fn in_transaction(
     conn: &mut dyn SqlConnection,
     explicit: bool,
-    body: impl FnOnce(&mut dyn SqlConnection) -> EjbResult<CommitOutcome>,
-) -> EjbResult<CommitOutcome> {
+    body: impl FnOnce(&mut dyn SqlConnection) -> EjbResult<Verdict>,
+) -> EjbResult<Verdict> {
     if !explicit {
         return body(conn);
     }
     conn.begin()?;
     match body(conn) {
-        Ok(CommitOutcome::Committed) => {
+        Ok(None) => {
             conn.commit()?;
-            Ok(CommitOutcome::Committed)
+            Ok(None)
         }
         Ok(conflict) => {
             conn.rollback()?;
@@ -572,7 +494,7 @@ fn judge(
     rs: &ResultSet,
     conditional: bool,
     unchecked_writes: bool,
-) -> Option<ConflictInfo> {
+) -> Verdict {
     let expected = match &entry.kind {
         EntryKind::Update { .. } if unchecked_writes => return None,
         EntryKind::Read { before }
@@ -661,14 +583,6 @@ fn metas_of<'r>(
     entries.iter().map(|e| registry.meta(&e.bean)).collect()
 }
 
-/// The outcome naming `entry` as the one that failed validation.
-fn conflict_on(entry: &CommitEntry) -> CommitOutcome {
-    CommitOutcome::Conflict {
-        bean: entry.bean.clone(),
-        key: entry.key.to_string(),
-    }
-}
-
 /// Fetches the current persistent image of (`meta`, `key`), if any.
 pub(crate) fn fetch_current(
     conn: &mut dyn SqlConnection,
@@ -677,6 +591,22 @@ pub(crate) fn fetch_current(
 ) -> EjbResult<Option<Memento>> {
     let rs = conn.execute(&meta.load_sql(), std::slice::from_ref(key))?;
     Ok(rs.rows().first().map(|row| meta.memento_from_row(row)))
+}
+
+/// Runs a *bound* finder predicate, returning one row per matching bean in
+/// `meta`'s column order ([`EntityMeta::memento_from_row`] turns each into
+/// its current persistent image).
+pub(crate) fn query_current(
+    conn: &mut dyn SqlConnection,
+    meta: &EntityMeta,
+    predicate: &Predicate,
+) -> EjbResult<ResultSet> {
+    let cols = meta.select_columns().join(", ");
+    let sql = match predicate {
+        Predicate::True => format!("SELECT {cols} FROM {}", meta.table()),
+        p => format!("SELECT {cols} FROM {} WHERE {}", meta.table(), p.to_sql()),
+    };
+    Ok(conn.execute(&sql, &[])?)
 }
 
 /// Where a cache-enabled application server sends its transaction state at
@@ -689,8 +619,54 @@ pub trait Committer: Send + Sync {
     fn commit(&self, request: &CommitRequest) -> EjbResult<CommitOutcome>;
 }
 
-/// The *combined-servers* committer: validation and apply logic co-located
-/// with the edge server, driving the (remote) database connection directly.
+/// The two steps of a decision that take simulated time, as named to the
+/// cost callback of [`CommitPoint::decide`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CommitStep {
+    /// Answering a retried request from the replay table.
+    Replay,
+    /// Validating and applying a fresh request.
+    ValidateApply,
+}
+
+/// What [`CommitPoint::decide`] did with a request.
+pub(crate) struct Decision {
+    /// The outcome, recorded or fresh.
+    pub(crate) result: EjbResult<CommitOutcome>,
+    /// Whether the request was validated now, rather than answered from
+    /// the replay table.
+    pub(crate) fresh: bool,
+}
+
+/// The optimistic commit point: the one place a commit request is decided,
+/// exactly once, in either server configuration.
+///
+/// It owns the datastore connection the decision runs on and everything
+/// that makes the decision exactly-once and observable: the replay table
+/// keyed by `(origin, txn_id)`, the WAL stamp that lets recovery reseed
+/// that table, the validation protocol (fixed at construction), the
+/// apply-side history, the outcome counters and the `commit.*` spans.
+///
+/// Standing alone it is the paper's *combined-servers* committer
+/// ([`CombinedCommitter`]): co-located with the edge server, it drives the
+/// (remote) database connection with one conditional statement per
+/// memento image. Inside a [`BackendServer`](crate::BackendServer) it is
+/// the *split-servers* commit logic, validating in fetch/write rounds over
+/// the back-end's local connection; the back-end adds only what is its
+/// own — CPU cost, the wire, and the invalidation fan-out.
+pub struct CommitPoint {
+    conn: Mutex<Box<dyn SqlConnection + Send>>,
+    registry: MetaRegistry,
+    validate: Validator,
+    completed: Mutex<CompletedTxns>,
+    metrics: CommitMetrics,
+    tracer: Mutex<Option<CommitTracer>>,
+    history: Mutex<Option<(Arc<HistoryLog>, Arc<Clock>)>>,
+    inject_bug: AtomicBool,
+}
+
+/// The *combined-servers* committer: a [`CommitPoint`] co-located with the
+/// edge server, driving the (remote) database connection directly.
 ///
 /// Every validation fetch and every write is its own statement on the
 /// connection — "the combined-servers configuration requires multiple
@@ -698,139 +674,205 @@ pub trait Committer: Send + Sync {
 /// connection crosses the delay proxy, commit cost grows with the
 /// transaction's footprint. This is the ES/RDB-cached data point of
 /// Figures 6/7.
-pub struct CombinedCommitter {
-    conn: Mutex<Box<dyn SqlConnection + Send>>,
-    registry: MetaRegistry,
-    completed: Mutex<CompletedTxns>,
-    metrics: CommitMetrics,
-    tracer: Option<CommitTracer>,
-    history: Option<CommitHistory>,
-    inject_bug: bool,
-}
+pub type CombinedCommitter = CommitPoint;
 
-impl std::fmt::Debug for CombinedCommitter {
+impl std::fmt::Debug for CommitPoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CombinedCommitter")
+        f.debug_struct("CommitPoint")
             .field("beans", &self.registry.len())
             .finish_non_exhaustive()
     }
 }
 
-impl CombinedCommitter {
-    /// Creates a committer over `conn` with deployment metadata `registry`.
-    pub fn new(conn: Box<dyn SqlConnection + Send>, registry: MetaRegistry) -> CombinedCommitter {
-        CombinedCommitter {
+impl CommitPoint {
+    /// Creates a commit point over `conn` with deployment metadata
+    /// `registry`, validating one conditional statement per image
+    /// ([`validate_and_apply_per_image`]).
+    pub fn new(conn: Box<dyn SqlConnection + Send>, registry: MetaRegistry) -> CommitPoint {
+        CommitPoint {
             conn: Mutex::new(conn),
             registry,
+            validate: per_image,
             completed: Mutex::new(CompletedTxns::new(COMPLETED_TXN_CAPACITY)),
             metrics: CommitMetrics::default(),
-            tracer: None,
-            history: None,
-            inject_bug: false,
+            tracer: Mutex::new(None),
+            history: Mutex::new(None),
+            inject_bug: AtomicBool::new(false),
         }
     }
 
-    /// Records one span per commit through `tracer`, timestamped from
+    /// A commit point that validates in fetch/write rounds
+    /// ([`validate_and_apply`]) — the back-end's, whose connection is local.
+    pub(crate) fn in_rounds(
+        conn: Box<dyn SqlConnection + Send>,
+        registry: MetaRegistry,
+    ) -> CommitPoint {
+        CommitPoint {
+            validate: in_rounds,
+            ..CommitPoint::new(conn, registry)
+        }
+    }
+
+    /// Records one span per decision through `tracer`, timestamped from
     /// `clock` (`commit.validate_apply` for fresh requests, `commit.replay`
     /// for deduplicated retries), plus an `occ.conflict` forensics span
     /// when validation rejects a request. Spans join the caller's current
-    /// trace context, so commits nest under the servlet span that drove
-    /// them.
-    pub fn with_tracer(mut self, tracer: Arc<Tracer>, clock: Arc<Clock>) -> CombinedCommitter {
-        self.tracer = Some(CommitTracer::new(tracer, clock));
+    /// trace context, so commits nest under the servlet or RPC span that
+    /// drove them.
+    pub fn with_tracer(self, tracer: Arc<Tracer>, clock: Arc<Clock>) -> CommitPoint {
+        self.set_tracer(tracer, clock);
         self
     }
 
-    /// Records an apply-outcome [`HistoryEvent`] per fresh commit into
+    pub(crate) fn set_tracer(&self, tracer: Arc<Tracer>, clock: Arc<Clock>) {
+        *self.tracer.lock() = Some(CommitTracer { tracer, clock });
+    }
+
+    /// The span recorder, for the spans a server wraps around a decision.
+    pub(crate) fn tracer(&self) -> Option<CommitTracer> {
+        self.tracer.lock().clone()
+    }
+
+    /// Records an apply-outcome [`HistoryEvent`] per fresh decision into
     /// `log`, timestamped from `clock` and tagged with the datastore's
     /// commit-order witness (when the connection can observe it). This is
-    /// the committer-side half of the histories `slicheck` checks.
-    pub fn with_history(mut self, log: Arc<HistoryLog>, clock: Arc<Clock>) -> CombinedCommitter {
-        self.history = Some(CommitHistory::new(log, clock));
-        self
+    /// the commit-side half of the histories `slicheck` checks.
+    pub fn set_history(&self, log: Arc<HistoryLog>, clock: Arc<Clock>) {
+        *self.history.lock() = Some((log, clock));
     }
 
     /// Seeds the deliberate lost-update bug (`slicheck --inject-bug`):
-    /// updates apply without their before-image `WHERE` clause. Test
-    /// harness only.
-    pub fn with_injected_bug(mut self) -> CombinedCommitter {
-        self.inject_bug = true;
-        self
+    /// updates apply without validating their before-image. Test harness
+    /// only.
+    pub fn set_inject_bug(&self, on: bool) {
+        self.inject_bug.store(on, Ordering::Relaxed);
     }
 
     /// Attaches the commit counters to `registry` under `{prefix}.committed`,
     /// `.conflicts`, `.errors` and `.dedup_replays`.
     pub fn register_with(&self, registry: &Registry, prefix: &str) {
-        self.metrics.register_with(registry, prefix);
+        for (name, counter) in self.metrics.counters() {
+            registry.attach_counter(format!("{prefix}.{name}"), counter);
+        }
     }
 
     /// Tracks the same commit counters in `timeline` under the
-    /// [`CombinedCommitter::register_with`] names.
+    /// [`CommitPoint::register_with`] names.
     pub fn timeline_into(&self, timeline: &Timeline, prefix: &str) {
-        self.metrics.timeline_into(timeline, prefix);
+        for (name, counter) in self.metrics.counters() {
+            timeline.track_counter(format!("{prefix}.{name}"), counter);
+        }
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> CommitterStats {
-        self.metrics.snapshot()
+        CommitterStats {
+            committed: self.metrics.committed.get(),
+            conflicts: self.metrics.conflicts.get(),
+            errors: self.metrics.errors.get(),
+            dedup_replays: self.metrics.dedup_replays.get(),
+        }
     }
 
-    /// Rebuilds the dedup table from the committed `(origin, txn_id)`
+    /// Rebuilds the replay table from the committed `(origin, txn_id)`
     /// stamps a datastore recovery replayed out of its WAL (commit order,
     /// oldest first). Called after a crash + restart so retried commits
-    /// that were durable before the crash dedup instead of double-applying.
+    /// that were durable before the crash dedup instead of double-applying;
+    /// an empty slice is the crash itself, wiping the volatile table.
     pub fn reseed_completed(&self, pairs: &[(u32, u64)]) {
         self.completed.lock().reseed(pairs);
     }
-}
 
-impl Committer for CombinedCommitter {
-    fn commit(&self, request: &CommitRequest) -> EjbResult<CommitOutcome> {
+    /// The connection decisions run on, for the owner's other traffic.
+    pub(crate) fn conn(&self) -> MutexGuard<'_, Box<dyn SqlConnection + Send>> {
+        self.conn.lock()
+    }
+
+    /// The deployment metadata decisions are validated against.
+    pub(crate) fn registry(&self) -> &MetaRegistry {
+        &self.registry
+    }
+
+    /// Decides `request`, exactly once.
+    ///
+    /// A request whose `(origin, txn_id)` already finished here is a retry
+    /// of a commit whose response was lost: the recorded outcome is
+    /// returned without re-validating or re-applying, so a debit is applied
+    /// exactly once no matter how many times the message is resent. A fresh
+    /// request announces its identity to the datastore (so the WAL commit
+    /// record carries it and recovery can reseed the replay table),
+    /// validates and applies, and is remembered.
+    ///
+    /// `charge` is called once, inside the step's span, before the step's
+    /// work: whatever simulated time the owner charges there is part of the
+    /// span's duration, which is how the back-end's CPU cost shows up in
+    /// `commit.replay` and `commit.validate_apply` without this type
+    /// knowing a cost model.
+    pub(crate) fn decide(&self, request: &CommitRequest, charge: impl Fn(CommitStep)) -> Decision {
+        let tracer = self.tracer();
         if let Some(outcome) = self.completed.lock().lookup(request) {
+            let span = tracer.as_ref().map(|t| t.open("commit.replay"));
+            charge(CommitStep::Replay);
             self.metrics.dedup_replays.inc();
-            if let Some(t) = &self.tracer {
-                let span = t.begin("commit.replay");
-                let now = t.now_us();
-                t.finish(span, request, now, SpanOutcome::Replayed);
+            if let Some(span) = span {
+                span.close(request, SpanOutcome::Replayed);
             }
-            return Ok(outcome);
+            return Decision {
+                result: Ok(outcome),
+                fresh: false,
+            };
         }
-        let span = self
-            .tracer
-            .as_ref()
-            .map(|t| (t.begin("commit.validate_apply"), t.now_us()));
-        let mut forensics = None;
-        let (result, csn) = {
+        let span = tracer.as_ref().map(|t| t.open("commit.validate_apply"));
+        charge(CommitStep::ValidateApply);
+        let (verdict, csn) = {
             let mut conn = self.conn.lock();
-            // Announce the request's identity so the datastore's WAL commit
-            // record carries it and recovery can reseed this dedup table.
             conn.stamp_next_commit(request.origin, request.txn_id);
-            let result = validate_and_apply_per_image_forensic(
+            let verdict = (self.validate)(
                 conn.as_mut(),
                 &self.registry,
                 request,
-                &mut forensics,
-                self.inject_bug,
+                self.inject_bug.load(Ordering::Relaxed),
             );
-            let csn = conn.commit_seq().unwrap_or(0);
-            (result, csn)
+            (verdict, conn.commit_seq().unwrap_or(0))
         };
-        if let Some(h) = &self.history {
-            h.record_apply(request, &result, csn);
+        let (result, conflict) = match verdict {
+            Ok(verdict) => (Ok(outcome_of(&verdict)), verdict),
+            Err(e) => (Err(e), None),
+        };
+        let (counter, span_outcome, label) = self.metrics.classify(&result);
+        // Replays answer from memory and are not re-applied, so only fresh
+        // decisions appear in the history.
+        if let Some((log, clock)) = self.history.lock().as_ref() {
+            log.record(HistoryEvent::Apply {
+                origin: request.origin,
+                txn_id: request.txn_id,
+                csn,
+                outcome: label.to_owned(),
+                t_us: clock.now().as_micros(),
+            });
         }
         if let Ok(outcome) = &result {
-            self.completed.lock().record(request, outcome);
+            self.completed
+                .lock()
+                .record(request.origin, request.txn_id, outcome.clone());
         }
-        self.metrics.observe(&result);
-        if let Some(t) = &self.tracer {
-            if let Some(info) = forensics {
-                t.record_conflict(request, info);
-            }
-            if let Some((span, start_us)) = span {
-                t.finish(span, request, start_us, span_outcome(&result));
-            }
+        counter.inc();
+        if let (Some(t), Some(info)) = (&tracer, conflict) {
+            t.record_conflict(request, info);
         }
-        result
+        if let Some(span) = span {
+            span.close(request, span_outcome);
+        }
+        Decision {
+            result,
+            fresh: true,
+        }
+    }
+}
+
+impl Committer for CommitPoint {
+    fn commit(&self, request: &CommitRequest) -> EjbResult<CommitOutcome> {
+        self.decide(request, |_| {}).result
     }
 }
 
@@ -910,11 +952,7 @@ mod tests {
             )],
         );
         assert_eq!(outcome, CommitOutcome::Committed);
-        let mut conn = db.connect();
-        let rs = conn
-            .execute("SELECT balance FROM account WHERE userid = 'u1'", &[])
-            .unwrap();
-        assert_eq!(rs.rows()[0][0], Value::from(150.0));
+        assert_eq!(balance(&db), Value::from(150.0));
     }
 
     #[test]
@@ -941,11 +979,7 @@ mod tests {
             ],
         );
         assert!(matches!(outcome, CommitOutcome::Conflict { .. }));
-        let mut conn = db.connect();
-        let rs = conn
-            .execute("SELECT balance FROM account WHERE userid = 'u1'", &[])
-            .unwrap();
-        assert_eq!(rs.rows()[0][0], Value::from(100.0), "partial apply leaked");
+        assert_eq!(balance(&db), Value::from(100.0), "partial apply leaked");
     }
 
     #[test]
@@ -1046,26 +1080,6 @@ mod tests {
     }
 
     #[test]
-    fn combined_committer_drives_connection() {
-        let (db, reg) = setup();
-        let committer = CombinedCommitter::new(Box::new(db.connect()), reg);
-        let outcome = committer
-            .commit(&CommitRequest {
-                origin: 0,
-                txn_id: 0,
-                entries: vec![entry(
-                    "u1",
-                    EntryKind::Update {
-                        before: img("u1", 100.0),
-                        after: img("u1", 200.0),
-                    },
-                )],
-            })
-            .unwrap();
-        assert_eq!(outcome, CommitOutcome::Committed);
-    }
-
-    #[test]
     fn unknown_bean_is_error_not_conflict() {
         let (db, reg) = setup();
         let mut conn = db.connect();
@@ -1089,84 +1103,85 @@ mod tests {
         assert!(!conn.in_transaction(), "failed validation left txn open");
     }
 
-    #[test]
-    fn stamped_replay_returns_recorded_outcome_without_reapplying() {
-        let (db, reg) = setup();
-        let committer = CombinedCommitter::new(Box::new(db.connect()), reg);
-        let request = CommitRequest {
-            origin: 2,
-            txn_id: 41,
+    /// Both validation modes: the combined committer's and the back-end's.
+    const MODES: [(&str, Constructor); 2] = [
+        ("per-image", CommitPoint::new),
+        ("rounds", CommitPoint::in_rounds),
+    ];
+    type Constructor = fn(Box<dyn SqlConnection + Send>, MetaRegistry) -> CommitPoint;
+
+    fn update(origin: u32, txn_id: u64, before: f64, after: f64) -> CommitRequest {
+        CommitRequest {
+            origin,
+            txn_id,
             entries: vec![entry(
                 "u1",
                 EntryKind::Update {
-                    before: img("u1", 100.0),
-                    after: img("u1", 150.0),
+                    before: img("u1", before),
+                    after: img("u1", after),
                 },
             )],
-        };
-        assert_eq!(
-            committer.commit(&request).unwrap(),
-            CommitOutcome::Committed
-        );
-        // Replaying the identical request must not re-validate: the stored
-        // image is now 150.0, so a second validation would conflict.
-        assert_eq!(
-            committer.commit(&request).unwrap(),
-            CommitOutcome::Committed,
-            "replay must return the recorded outcome"
-        );
+        }
+    }
+
+    fn balance(db: &Arc<Database>) -> Value {
         let mut conn = db.connect();
         let rs = conn
             .execute("SELECT balance FROM account WHERE userid = 'u1'", &[])
             .unwrap();
-        assert_eq!(rs.rows()[0][0], Value::from(150.0), "applied exactly once");
+        rs.rows()[0][0].clone()
+    }
+
+    #[test]
+    fn stamped_replay_returns_recorded_outcome_without_reapplying() {
+        for (mode, build) in MODES {
+            let (db, reg) = setup();
+            let point = build(Box::new(db.connect()), reg);
+            let request = update(2, 41, 100.0, 150.0);
+            let first = point.decide(&request, |_| {});
+            assert_eq!(first.result.unwrap(), CommitOutcome::Committed, "{mode}");
+            assert!(first.fresh, "{mode}");
+            // Replaying the identical request must not re-validate: the
+            // stored image is now 150.0, so a second validation would
+            // conflict.
+            let replay = point.decide(&request, |_| {});
+            assert_eq!(replay.result.unwrap(), CommitOutcome::Committed, "{mode}");
+            assert!(!replay.fresh, "{mode}: a replay is not a fresh decision");
+            assert_eq!(balance(&db), Value::from(150.0), "{mode}: applied once");
+        }
     }
 
     #[test]
     fn unstamped_requests_bypass_the_dedup_table() {
-        let (db, reg) = setup();
-        let committer = CombinedCommitter::new(Box::new(db.connect()), reg);
-        let request = CommitRequest {
-            origin: 2,
-            txn_id: 0,
-            entries: vec![entry(
-                "u1",
-                EntryKind::Update {
-                    before: img("u1", 100.0),
-                    after: img("u1", 150.0),
-                },
-            )],
-        };
-        assert_eq!(
-            committer.commit(&request).unwrap(),
-            CommitOutcome::Committed
-        );
-        // With no txn identity the replay is a fresh request and the stale
-        // before-image legitimately conflicts.
-        assert!(matches!(
-            committer.commit(&request).unwrap(),
-            CommitOutcome::Conflict { .. }
-        ));
+        for (mode, build) in MODES {
+            let (db, reg) = setup();
+            let point = build(Box::new(db.connect()), reg);
+            let request = update(2, 0, 100.0, 150.0);
+            assert_eq!(point.commit(&request).unwrap(), CommitOutcome::Committed);
+            // With no txn identity the replay is a fresh request and the
+            // stale before-image legitimately conflicts.
+            assert!(
+                matches!(
+                    point.commit(&request).unwrap(),
+                    CommitOutcome::Conflict { .. }
+                ),
+                "{mode}"
+            );
+        }
     }
 
     #[test]
     fn conflicts_replay_as_conflicts() {
-        let (db, reg) = setup();
-        let committer = CombinedCommitter::new(Box::new(db.connect()), reg.clone());
-        let request = CommitRequest {
-            origin: 1,
-            txn_id: 7,
-            entries: vec![entry(
-                "u1",
-                EntryKind::Update {
-                    before: img("u1", 1.0), // stale
-                    after: img("u1", 2.0),
-                },
-            )],
-        };
-        let first = committer.commit(&request).unwrap();
-        assert!(matches!(first, CommitOutcome::Conflict { .. }));
-        assert_eq!(committer.commit(&request).unwrap(), first);
+        for (mode, build) in MODES {
+            let (db, reg) = setup();
+            let point = build(Box::new(db.connect()), reg);
+            let request = update(1, 7, 1.0, 2.0); // stale before-image
+            let first = point.commit(&request).unwrap();
+            assert!(matches!(first, CommitOutcome::Conflict { .. }), "{mode}");
+            assert_eq!(point.commit(&request).unwrap(), first, "{mode}");
+            assert_eq!(point.stats().conflicts, 1, "{mode}");
+            assert_eq!(point.stats().dedup_replays, 1, "{mode}");
+        }
     }
 
     #[test]
@@ -1178,160 +1193,180 @@ mod tests {
             entries: vec![],
         };
         for id in 1..=3 {
-            table.record(&req(id), &CommitOutcome::Committed);
+            table.record(1, id, CommitOutcome::Committed);
         }
-        assert_eq!(table.len(), 2);
+        assert_eq!(table.outcomes.len(), 2);
         assert!(table.lookup(&req(1)).is_none(), "oldest entry evicted");
         assert!(table.lookup(&req(2)).is_some());
         assert!(table.lookup(&req(3)).is_some());
         // re-recording an id does not grow the FIFO
-        table.record(&req(3), &CommitOutcome::Committed);
-        assert_eq!(table.len(), 2);
+        table.record(1, 3, CommitOutcome::Committed);
+        assert_eq!(table.outcomes.len(), 2);
         // unstamped requests are never stored
-        table.record(&req(0), &CommitOutcome::Committed);
+        table.record(1, 0, CommitOutcome::Committed);
         assert!(table.lookup(&req(0)).is_none());
+        // a reseed replaces the contents, under the same bound
+        table.reseed(&[(1, 7), (1, 0), (1, 8), (1, 9)]);
+        assert_eq!(table.outcomes.len(), 2);
+        assert!(table.lookup(&req(3)).is_none());
+        assert!(table.lookup(&req(7)).is_none(), "oldest stamp evicted");
+        assert_eq!(table.lookup(&req(9)), Some(CommitOutcome::Committed));
     }
 
     #[test]
-    fn commit_counters_and_spans_track_outcomes() {
+    fn counters_spans_and_history_track_outcomes() {
         use sli_telemetry::{MetricValue, TraceLog};
-        let (db, reg) = setup();
-        let trace = Arc::new(TraceLog::new());
-        let tracer = Arc::new(Tracer::new(Arc::clone(&trace)));
-        let clock = Arc::new(Clock::new());
-        let committer = CombinedCommitter::new(Box::new(db.connect()), reg)
-            .with_tracer(Arc::clone(&tracer), clock);
-        let telemetry = Registry::new();
-        committer.register_with(&telemetry, "committer.edge-1");
+        for (mode, build) in MODES {
+            let (db, reg) = setup();
+            let trace = Arc::new(TraceLog::new());
+            let tracer = Arc::new(Tracer::new(Arc::clone(&trace)));
+            let clock = Arc::new(Clock::new());
+            let point = build(Box::new(db.connect()), reg)
+                .with_tracer(Arc::clone(&tracer), Arc::clone(&clock));
+            let history = Arc::new(HistoryLog::new());
+            point.set_history(Arc::clone(&history), clock);
+            let telemetry = Registry::new();
+            point.register_with(&telemetry, "committer.edge-1");
 
-        let fresh = CommitRequest {
-            origin: 1,
-            txn_id: 1,
-            entries: vec![entry(
-                "u1",
-                EntryKind::Update {
-                    before: img("u1", 100.0),
-                    after: img("u1", 80.0),
-                },
-            )],
-        };
-        committer.commit(&fresh).unwrap();
-        committer.commit(&fresh).unwrap(); // dedup replay
-        let stale = CommitRequest {
-            origin: 1,
-            txn_id: 2,
-            entries: vec![entry(
-                "u1",
-                EntryKind::Read {
-                    before: img("u1", 1.0),
-                },
-            )],
-        };
-        assert!(matches!(
-            committer.commit(&stale).unwrap(),
-            CommitOutcome::Conflict { .. }
-        ));
-        let broken = CommitRequest {
-            origin: 1,
-            txn_id: 3,
-            entries: vec![CommitEntry {
-                bean: "Ghost".into(),
-                key: Value::from(1),
-                kind: EntryKind::Read {
-                    before: Memento::new("Ghost", Value::from(1)),
-                },
-            }],
-        };
-        assert!(committer.commit(&broken).is_err());
+            let fresh = update(1, 1, 100.0, 80.0);
+            point.commit(&fresh).unwrap();
+            point.commit(&fresh).unwrap(); // dedup replay
+            let stale = CommitRequest {
+                origin: 1,
+                txn_id: 2,
+                entries: vec![entry(
+                    "u1",
+                    EntryKind::Read {
+                        before: img("u1", 1.0),
+                    },
+                )],
+            };
+            assert!(matches!(
+                point.commit(&stale).unwrap(),
+                CommitOutcome::Conflict { .. }
+            ));
+            let broken = CommitRequest {
+                origin: 1,
+                txn_id: 3,
+                entries: vec![CommitEntry {
+                    bean: "Ghost".into(),
+                    key: Value::from(1),
+                    kind: EntryKind::Read {
+                        before: Memento::new("Ghost", Value::from(1)),
+                    },
+                }],
+            };
+            assert!(point.commit(&broken).is_err());
 
-        assert_eq!(
-            committer.stats(),
-            CommitterStats {
-                committed: 1,
-                conflicts: 1,
-                errors: 1,
-                dedup_replays: 1,
+            assert_eq!(
+                point.stats(),
+                CommitterStats {
+                    committed: 1,
+                    conflicts: 1,
+                    errors: 1,
+                    dedup_replays: 1,
+                },
+                "{mode}"
+            );
+            let snapshot = telemetry.snapshot();
+            for (name, count) in [("committed", 1), ("dedup_replays", 1), ("errors", 1)] {
+                assert_eq!(
+                    snapshot[&format!("committer.edge-1.{name}")],
+                    MetricValue::Counter(count),
+                    "{mode}: {name}"
+                );
             }
-        );
-        assert_eq!(
-            telemetry.snapshot()["committer.edge-1.committed"],
-            MetricValue::Counter(1)
-        );
-        assert_eq!(
-            telemetry.snapshot()["committer.edge-1.dedup_replays"],
-            MetricValue::Counter(1)
-        );
-        assert_eq!(
-            trace.count(Some("commit.validate_apply"), Some(SpanOutcome::Committed)),
-            1
-        );
-        assert_eq!(
-            trace.count(Some("commit.validate_apply"), Some(SpanOutcome::Conflict)),
-            1
-        );
-        assert_eq!(
-            trace.count(Some("commit.validate_apply"), Some(SpanOutcome::Error)),
-            1
-        );
-        assert_eq!(
-            trace.count(Some("commit.replay"), Some(SpanOutcome::Replayed)),
-            1
-        );
-        // The stale read produced an occ.conflict forensics span nested
-        // under its commit.validate_apply span, naming the entity.
-        let events = trace.events();
-        let conflict = events
-            .iter()
-            .find(|e| e.op == "occ.conflict")
-            .expect("forensics span");
-        let info = conflict.conflict().expect("conflict detail");
-        assert_eq!(info.entity(), "Account['u1']");
-        assert_eq!(info.field.as_deref(), Some("balance"));
-        assert_ne!(info.expected_digest, 0);
-        assert!(info.found_digest.is_some(), "read conflicts see the winner");
-        let parent = events
-            .iter()
-            .find(|e| e.span_id == conflict.parent_span_id)
-            .expect("parent span");
-        assert_eq!(parent.op, "commit.validate_apply");
-        assert_eq!(parent.trace_id, conflict.trace_id);
+            for outcome in [
+                SpanOutcome::Committed,
+                SpanOutcome::Conflict,
+                SpanOutcome::Error,
+            ] {
+                assert_eq!(
+                    trace.count(Some("commit.validate_apply"), Some(outcome)),
+                    1,
+                    "{mode}: {outcome:?}"
+                );
+            }
+            assert_eq!(
+                trace.count(Some("commit.replay"), Some(SpanOutcome::Replayed)),
+                1,
+                "{mode}"
+            );
+            // Only fresh decisions reach the history, each with the
+            // datastore's commit-order witness at the time.
+            let applies: Vec<(u64, String, u64)> = history
+                .events()
+                .into_iter()
+                .filter_map(|e| match e {
+                    HistoryEvent::Apply {
+                        txn_id,
+                        outcome,
+                        csn,
+                        ..
+                    } => Some((txn_id, outcome, csn)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(
+                applies,
+                [
+                    (1, "committed".to_owned(), 2),
+                    (2, "conflict".to_owned(), 2),
+                    (3, "error".to_owned(), 2),
+                ],
+                "{mode}"
+            );
+            // The stale read produced an occ.conflict forensics span nested
+            // under its commit.validate_apply span, naming the entity.
+            let events = trace.events();
+            let conflict = events
+                .iter()
+                .find(|e| e.op == "occ.conflict")
+                .expect("forensics span");
+            let info = conflict.conflict().expect("conflict detail");
+            assert_eq!(info.entity(), "Account['u1']");
+            assert_eq!(info.field.as_deref(), Some("balance"));
+            assert_ne!(info.expected_digest, 0);
+            assert!(info.found_digest.is_some(), "read conflicts see the winner");
+            let parent = events
+                .iter()
+                .find(|e| e.span_id == conflict.parent_span_id)
+                .expect("parent span");
+            assert_eq!(parent.op, "commit.validate_apply");
+            assert_eq!(parent.trace_id, conflict.trace_id);
+        }
     }
 
     #[test]
-    fn conditional_write_conflicts_record_blind_forensics() {
+    fn write_conflict_forensics_see_what_the_protocol_saw() {
         use sli_telemetry::TraceLog;
-        let (db, reg) = setup();
-        let trace = Arc::new(TraceLog::new());
-        let tracer = Arc::new(Tracer::new(Arc::clone(&trace)));
-        let committer = CombinedCommitter::new(Box::new(db.connect()), reg)
-            .with_tracer(tracer, Arc::new(Clock::new()));
-        let stale_write = CommitRequest {
-            origin: 1,
-            txn_id: 9,
-            entries: vec![entry(
-                "u1",
-                EntryKind::Update {
-                    before: img("u1", 1.0), // stale
-                    after: img("u1", 2.0),
-                },
-            )],
-        };
-        assert!(matches!(
-            committer.commit(&stale_write).unwrap(),
-            CommitOutcome::Conflict { .. }
-        ));
-        let events = trace.events();
-        let info = events
-            .iter()
-            .find_map(|e| e.conflict())
-            .expect("forensics span")
-            .clone();
-        assert_eq!(info.entity(), "Account['u1']");
-        // A conditional UPDATE learns of the conflict from "0 rows
-        // affected" — it never sees the winning image.
-        assert_eq!(info.field, None);
-        assert_eq!(info.found_digest, None);
-        assert_eq!(info.expected_digest, memento_digest(&img("u1", 1.0)));
+        for (mode, build) in MODES {
+            let (db, reg) = setup();
+            let trace = Arc::new(TraceLog::new());
+            let tracer = Arc::new(Tracer::new(Arc::clone(&trace)));
+            let point =
+                build(Box::new(db.connect()), reg).with_tracer(tracer, Arc::new(Clock::new()));
+            assert!(matches!(
+                point.commit(&update(1, 9, 1.0, 2.0)).unwrap(), // stale
+                CommitOutcome::Conflict { .. }
+            ));
+            let events = trace.events();
+            let info = events
+                .iter()
+                .find_map(|e| e.conflict())
+                .expect("forensics span");
+            assert_eq!(info.entity(), "Account['u1']");
+            assert_eq!(info.expected_digest, memento_digest(&img("u1", 1.0)));
+            if mode == "per-image" {
+                // A conditional UPDATE learns of the conflict from "0 rows
+                // affected" — it never sees the winning image.
+                assert_eq!(info.field, None);
+                assert_eq!(info.found_digest, None);
+            } else {
+                assert_eq!(info.field.as_deref(), Some("balance"));
+                assert_eq!(info.found_digest, Some(memento_digest(&img("u1", 100.0))));
+            }
+        }
     }
 
     #[test]

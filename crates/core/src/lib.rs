@@ -19,17 +19,20 @@
 //!   by value against the current persistent images; creates require key
 //!   absence, removes require the current image to still exist; on success
 //!   the after-images are written in a single datastore transaction;
+//! * [`CommitPoint`] — the one place a commit request is decided, exactly
+//!   once: replay table, WAL stamp, validation, history, counters, spans.
+//!   The two server configurations differ only in where it runs;
 //! * [`SliResourceManager`] — the optimistic replacement for the JDBC
 //!   resource manager, with pluggable [`Committer`]s:
-//!   [`CombinedCommitter`] (the *combined-servers* configuration — commit
-//!   logic co-located with the edge, one datastore access **per memento
-//!   image** across the high-latency path) and
+//!   [`CombinedCommitter`] (the *combined-servers* configuration — a
+//!   [`CommitPoint`] co-located with the edge, one datastore access **per
+//!   memento image** across the high-latency path) and
 //!   [`SplitCommitter`]/[`BackendServer`] (the *split-servers*
-//!   configuration — the whole transaction state ships to the back-end in
-//!   one round trip, and the multiple datastore accesses happen over the
-//!   back-end's low-latency path, §2.4);
-//! * [`BackendServer`] — the back-end tier: cache-miss fetch/query service,
-//!   commit validation, and invalidation fan-out to peer edges;
+//!   configuration — the whole transaction state ships to the back-end's
+//!   [`CommitPoint`] in one round trip, and the multiple datastore accesses
+//!   happen over the back-end's low-latency path, §2.4);
+//! * [`BackendServer`] — the back-end tier: cache-miss fetch/query service
+//!   and invalidation fan-out to peer edges around its commit point;
 //! * [`StateSource`] — where an edge faults bean state in from:
 //!   [`DirectSource`] (short autocommitted SQL against the database, as in
 //!   ES/RDB) or [`BackendSource`] (one wire round trip to the back-end, as
@@ -50,8 +53,8 @@ mod store;
 pub use backend::{BackendServer, BackendSource, SplitCommitter};
 pub use commit::{CommitEntry, CommitOutcome, CommitRequest, EntryKind};
 pub use committer::{
-    memento_digest, validate_and_apply, validate_and_apply_per_image, CombinedCommitter, Committer,
-    CommitterStats,
+    memento_digest, validate_and_apply, validate_and_apply_per_image, CombinedCommitter,
+    CommitPoint, Committer, CommitterStats,
 };
 pub use home::SliHome;
 pub use registry::MetaRegistry;

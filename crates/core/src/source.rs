@@ -4,7 +4,7 @@ use parking_lot::Mutex;
 use sli_component::{EjbResult, Memento};
 use sli_datastore::{Predicate, SqlConnection, Value};
 
-use crate::committer::fetch_current;
+use crate::committer::{fetch_current, query_current};
 use crate::registry::MetaRegistry;
 
 /// The persistent tier as seen by a cache-enabled application server:
@@ -62,18 +62,12 @@ impl DirectSource {
 impl StateSource for DirectSource {
     fn fetch(&self, bean: &str, key: &Value) -> EjbResult<Option<Memento>> {
         let meta = self.registry.meta(bean)?;
-        let mut conn = self.conn.lock();
-        fetch_current(conn.as_mut(), meta, key)
+        fetch_current(self.conn.lock().as_mut(), meta, key)
     }
 
     fn query(&self, bean: &str, predicate: &Predicate) -> EjbResult<Vec<Memento>> {
         let meta = self.registry.meta(bean)?;
-        let cols = meta.select_columns().join(", ");
-        let sql = match predicate {
-            Predicate::True => format!("SELECT {cols} FROM {}", meta.table()),
-            p => format!("SELECT {cols} FROM {} WHERE {}", meta.table(), p.to_sql()),
-        };
-        let rs = self.conn.lock().execute(&sql, &[])?;
+        let rs = query_current(self.conn.lock().as_mut(), meta, predicate)?;
         Ok(rs.rows().iter().map(|r| meta.memento_from_row(r)).collect())
     }
 }

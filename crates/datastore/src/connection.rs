@@ -36,6 +36,19 @@ impl Connection {
     pub fn database(&self) -> &Arc<Database> {
         &self.db
     }
+
+    /// Commits `txn`. A writing commit is a commit boundary and consumes
+    /// the pending stamp (the committers' single-entry fast path commits
+    /// through an autocommitted statement); a read-only one leaves it for
+    /// the writing commit that follows.
+    fn commit_txn(&mut self, txn: TxnState) -> DbResult<()> {
+        let stamp = if txn.has_writes() {
+            self.pending_stamp.take()
+        } else {
+            None
+        };
+        self.db.commit_txn(txn, stamp)
+    }
 }
 
 impl SqlConnection for Connection {
@@ -55,17 +68,7 @@ impl SqlConnection for Connection {
                 let mut txn = self.db.begin_txn();
                 match self.db.execute_in(&mut txn, sql, params) {
                     Ok(rs) => {
-                        // A writing autocommitted statement is a commit
-                        // boundary: it consumes the pending stamp (the
-                        // committers' single-entry fast path commits this
-                        // way). Read-only statements leave it for the
-                        // writing commit that follows.
-                        let stamp = if txn.has_writes() {
-                            self.pending_stamp.take()
-                        } else {
-                            None
-                        };
-                        self.db.commit_txn(txn, stamp)?;
+                        self.commit_txn(txn)?;
                         Ok(rs)
                     }
                     Err(e) => {
@@ -79,14 +82,7 @@ impl SqlConnection for Connection {
 
     fn commit(&mut self) -> DbResult<()> {
         match self.txn.take() {
-            Some(txn) => {
-                let stamp = if txn.has_writes() {
-                    self.pending_stamp.take()
-                } else {
-                    None
-                };
-                self.db.commit_txn(txn, stamp)
-            }
+            Some(txn) => self.commit_txn(txn),
             None => Err(DbError::NoTransaction),
         }
     }

@@ -1,5 +1,5 @@
-//! The storage engine: tables, indexes, statement execution, undo-log
-//! rollback.
+//! The storage engine: tables, indexes, statement execution, and the
+//! per-transaction log behind rollback, the WAL and recovery.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -23,8 +23,8 @@ use crate::DbResult;
 /// One table: schema, primary-key-ordered rows, secondary indexes.
 ///
 /// The schema and the name are shared, not owned: a statement takes a
-/// pointer copy of each, and every lock key, undo record and redo record it
-/// builds carries the same `Arc<str>`.
+/// pointer copy of each, and every lock key and log record it builds
+/// carries the same `Arc<str>`.
 #[derive(Debug)]
 struct Table {
     schema: Arc<Schema>,
@@ -85,34 +85,25 @@ impl Table {
         self.index_remove(&row);
         Some(row)
     }
+
+    /// Removes the row stored under `image`'s primary key.
+    fn remove_image(&mut self, image: &[Value]) {
+        let pk = &image[self.schema.pk_index()];
+        self.remove_row(pk);
+    }
 }
 
-/// Undo-log entry for rollback.
-#[derive(Debug)]
-enum UndoRecord {
-    RemoveInserted {
-        table: Arc<str>,
-        pk: Value,
-    },
-    RestoreUpdated {
-        table: Arc<str>,
-        pk: Value,
-        old: Vec<Value>,
-    },
-    RestoreDeleted {
-        table: Arc<str>,
-        old: Vec<Value>,
-    },
-}
-
-/// Server-side transaction state: id, undo log, redo log (populated only
-/// while a WAL is attached) and the crash epoch the transaction was born
-/// under. Owned by a [`Connection`] or by a remote session.
+/// Server-side transaction state: id, the log of every row change made so
+/// far and the crash epoch the transaction was born under. Owned by a
+/// [`Connection`] or by a remote session.
+///
+/// The log is the transaction's only record of its writes: rollback pops
+/// it through [`Database::undo_op`], commit appends it to the WAL, and
+/// recovery undoes the same records when the commit record never made it.
 #[derive(Debug)]
 pub(crate) struct TxnState {
     pub(crate) id: TxnId,
-    undo: Vec<UndoRecord>,
-    redo: Vec<WalOp>,
+    log: Vec<WalOp>,
     epoch: u64,
 }
 
@@ -120,7 +111,7 @@ impl TxnState {
     /// Whether this transaction wrote anything — only writers consume a
     /// pending commit stamp or touch the WAL.
     pub(crate) fn has_writes(&self) -> bool {
-        !self.undo.is_empty()
+        !self.log.is_empty()
     }
 }
 
@@ -286,8 +277,7 @@ pub struct Database {
     /// has been called.
     wal: Mutex<Option<WalDisk>>,
     wal_metrics: WalMetrics,
-    /// Cheap per-statement gate on redo-log capture (true iff `wal` is
-    /// attached).
+    /// True iff `wal` is attached, readable without taking its lock.
     logging: AtomicBool,
     /// Set by [`Database::crash`]; every operation fails `Unavailable`
     /// until [`Database::recover`] clears it.
@@ -376,28 +366,9 @@ impl Database {
         // meets a logged op whose table is missing from the base. The
         // crashed gate keeps recovery's own rebuild DDL out of here.
         if self.logging.load(Ordering::Relaxed) && !self.crashed.load(Ordering::Relaxed) {
-            let stamps = {
-                let guard = self.wal.lock();
-                match guard.as_ref() {
-                    Some(wal) => {
-                        let mut stamps = wal.base_stamps.clone();
-                        let mut winners: BTreeMap<u64, Option<(u32, u64)>> = BTreeMap::new();
-                        for rec in wal.decode_flushed()? {
-                            if let WalBody::Commit {
-                                commit_seq, stamp, ..
-                            } = rec.body
-                            {
-                                winners.insert(commit_seq, stamp);
-                            }
-                        }
-                        stamps.extend(winners.into_values().flatten());
-                        Some(stamps)
-                    }
-                    None => None,
-                }
-            };
-            if let Some(stamps) = stamps {
-                self.rebase_wal(stamps);
+            let analysis = self.wal.lock().as_ref().map(WalDisk::analyze).transpose()?;
+            if let Some(analysis) = analysis {
+                self.rebase_wal(analysis.stamps);
             }
         }
         Ok(())
@@ -456,7 +427,8 @@ impl Database {
 
     /// Creates an empty database whose plan cache holds at most `capacity`
     /// plans (the default is [`PLAN_CACHE_CAPACITY`]).
-    pub fn with_plan_cache_capacity(capacity: usize) -> Arc<Database> {
+    #[cfg(test)]
+    fn with_plan_cache_capacity(capacity: usize) -> Arc<Database> {
         let db = Database {
             plans: Mutex::new(PlanCache::new(capacity)),
             ..Database::default()
@@ -623,18 +595,12 @@ impl Database {
     /// (undecodable records, or ops referencing tables absent from the
     /// base checkpoint). On error the engine stays down.
     pub fn recover(&self) -> DbResult<RecoveryReport> {
-        let (base, base_seq, base_next, base_stamps, records) = {
+        let (base, base_next, log) = {
             let guard = self.wal.lock();
             let wal = guard
                 .as_ref()
                 .ok_or_else(|| DbError::Remote("recover: no WAL attached".to_owned()))?;
-            (
-                wal.base.clone(),
-                wal.base_commit_seq,
-                wal.base_next_txn,
-                wal.base_stamps.clone(),
-                wal.decode_flushed()?,
-            )
+            (wal.base.clone(), wal.base_next_txn, wal.analyze()?)
         };
         // Volatile state is gone (crash) or about to be rebuilt.
         self.tables.write().clear();
@@ -650,29 +616,9 @@ impl Database {
                 t.insert_row(row);
             }
         }
-        // Analysis.
-        let mut winners: BTreeMap<u64, Option<(u32, u64)>> = BTreeMap::new();
-        let mut committed: HashSet<u64> = HashSet::new();
-        let mut max_lsn = 0u64;
-        let mut max_txn = 0u64;
-        for rec in &records {
-            max_lsn = max_lsn.max(rec.lsn);
-            match &rec.body {
-                WalBody::Commit {
-                    txn,
-                    commit_seq,
-                    stamp,
-                } => {
-                    winners.insert(*commit_seq, *stamp);
-                    committed.insert(*txn);
-                    max_txn = max_txn.max(*txn);
-                }
-                WalBody::Op { txn, .. } => max_txn = max_txn.max(*txn),
-            }
-        }
         // Redo.
         let mut redo_count = 0u64;
-        for rec in &records {
+        for rec in &log.records {
             if let WalBody::Op { op, .. } = &rec.body {
                 self.redo_op(op)?;
                 redo_count += 1;
@@ -681,46 +627,36 @@ impl Database {
         // Undo.
         let mut undo_count = 0u64;
         let mut torn: HashSet<u64> = HashSet::new();
-        for rec in records.iter().rev() {
-            if let WalBody::Op { txn, op } = &rec.body {
-                if !committed.contains(txn) {
+        for rec in log.records.into_iter().rev() {
+            if let WalBody::Op { txn, op } = rec.body {
+                if !log.winners.contains(&txn) {
                     self.undo_op(op)?;
                     undo_count += 1;
-                    torn.insert(*txn);
+                    torn.insert(txn);
                 }
             }
         }
         // Restore the witness and the txn-id source past everything the
         // log has seen, then bring the engine back up.
-        let max_seq = winners
-            .keys()
-            .next_back()
-            .copied()
-            .unwrap_or(0)
-            .max(base_seq);
-        self.commit_seq.store(max_seq, Ordering::Relaxed);
+        self.commit_seq.store(log.commit_seq, Ordering::Relaxed);
         let next = self
             .next_txn
             .load(Ordering::Relaxed)
             .max(base_next)
-            .max(max_txn + 1);
+            .max(log.max_txn + 1);
         self.next_txn.store(next, Ordering::Relaxed);
         self.crashed.store(false, Ordering::Relaxed);
         self.wal_metrics.recoveries.inc();
         self.wal_metrics.redone.add(redo_count);
         self.wal_metrics.undone.add(undo_count);
         self.wal_metrics.torn_discarded.add(torn.len() as u64);
-        // Committed identities accumulate across rebases: stamps already
-        // folded into the base, then this log's winners in commit order.
-        let mut stamps = base_stamps;
-        stamps.extend(winners.into_values().flatten());
-        self.rebase_wal(stamps.clone());
+        self.rebase_wal(log.stamps.clone());
         Ok(RecoveryReport {
-            committed: stamps,
+            committed: log.stamps,
             redo_count,
             undo_count,
             torn_txns: torn.len() as u64,
-            max_lsn,
+            max_lsn: log.max_lsn,
         })
     }
 
@@ -738,14 +674,14 @@ impl Database {
         }
     }
 
-    /// A recovered table handle: unlike the execution path, restart
-    /// treats a logged op whose table is missing from the base checkpoint
-    /// as log corruption, not a no-op — silently skipping it would turn
-    /// committed writes into undetectable data loss.
-    fn recovered_table(&self, name: &str) -> DbResult<Arc<RwLock<Table>>> {
+    /// The table a log record names. A logged op whose table does not
+    /// exist is log corruption (or, on rollback, a broken invariant), never
+    /// a no-op — silently skipping it would turn committed writes into
+    /// undetectable data loss.
+    fn logged_table(&self, name: &str) -> DbResult<Arc<RwLock<Table>>> {
         self.table(name).map_err(|_| {
             DbError::Remote(format!(
-                "recovery: logged op references table {name} absent from the base checkpoint"
+                "logged op references table {name}, which does not exist"
             ))
         })
     }
@@ -759,46 +695,40 @@ impl Database {
     fn redo_op(&self, op: &WalOp) -> DbResult<()> {
         match op {
             WalOp::Insert { table, row } => {
-                self.recovered_table(table)?.write().insert_row(row.clone());
+                self.logged_table(table)?.write().insert_row(row.clone());
             }
             WalOp::Update {
                 table, old, new, ..
             } => {
-                let t = self.recovered_table(table)?;
+                let t = self.logged_table(table)?;
                 let mut t = t.write();
-                let pk = t.pk_of(old);
-                t.remove_row(&pk);
+                t.remove_image(old);
                 t.insert_row(new.clone());
             }
             WalOp::Delete { table, old } => {
-                let t = self.recovered_table(table)?;
-                let mut t = t.write();
-                let pk = t.pk_of(old);
-                t.remove_row(&pk);
+                self.logged_table(table)?.write().remove_image(old);
             }
         }
         Ok(())
     }
 
-    fn undo_op(&self, op: &WalOp) -> DbResult<()> {
+    /// Reverses one logged change, putting the old image back. Rollback of
+    /// a live transaction and recovery's undo pass both come through here.
+    fn undo_op(&self, op: WalOp) -> DbResult<()> {
         match op {
             WalOp::Insert { table, row } => {
-                let t = self.recovered_table(table)?;
-                let mut t = t.write();
-                let pk = t.pk_of(row);
-                t.remove_row(&pk);
+                self.logged_table(&table)?.write().remove_image(&row);
             }
             WalOp::Update {
                 table, old, new, ..
             } => {
-                let t = self.recovered_table(table)?;
+                let t = self.logged_table(&table)?;
                 let mut t = t.write();
-                let pk = t.pk_of(new);
-                t.remove_row(&pk);
-                t.insert_row(old.clone());
+                t.remove_image(&new);
+                t.insert_row(old);
             }
             WalOp::Delete { table, old } => {
-                self.recovered_table(table)?.write().insert_row(old.clone());
+                self.logged_table(&table)?.write().insert_row(old);
             }
         }
         Ok(())
@@ -841,8 +771,7 @@ impl Database {
     pub(crate) fn begin_txn(&self) -> TxnState {
         TxnState {
             id: self.next_txn.fetch_add(1, Ordering::Relaxed),
-            undo: Vec::new(),
-            redo: Vec::new(),
+            log: Vec::new(),
             epoch: self.crash_epoch.load(Ordering::Relaxed),
         }
     }
@@ -857,7 +786,7 @@ impl Database {
             || txn.epoch != self.crash_epoch.load(Ordering::Relaxed)
     }
 
-    /// Commits `txn`, group-flushing its redo records plus a commit record
+    /// Commits `txn`, group-flushing its log records plus a commit record
     /// (carrying the `commit_seq` witness and the caller's optional
     /// `(origin, txn_id)` `stamp`) to the WAL when one is attached.
     ///
@@ -891,7 +820,7 @@ impl Database {
         if logging {
             let mut guard = self.wal.lock();
             if let Some(wal) = guard.as_mut() {
-                for op in &txn.redo {
+                for op in &txn.log {
                     wal.append_op(txn.id, op, &self.wal_metrics);
                 }
                 if point == Some(CrashPoint::MidApply) {
@@ -925,32 +854,20 @@ impl Database {
         Ok(())
     }
 
+    /// Rolls `txn` back by undoing its log newest-first, then releases its
+    /// locks.
+    ///
+    /// # Panics
+    /// Panics if a logged table no longer exists: there is no `DROP TABLE`,
+    /// and the crash that does wipe the tables fences the transaction.
     pub(crate) fn rollback_txn(&self, mut txn: TxnState) {
         // A transaction fenced by a crash has nothing to undo: the crash
-        // already wiped the volatile state its undo records refer to.
-        if self.fenced(&txn) {
-            self.locks.release_all(txn.id);
-            return;
-        }
-        while let Some(rec) = txn.undo.pop() {
-            match rec {
-                UndoRecord::RemoveInserted { table, pk } => {
-                    if let Ok(t) = self.table(&table) {
-                        t.write().remove_row(&pk);
-                    }
-                }
-                UndoRecord::RestoreUpdated { table, pk, old } => {
-                    if let Ok(t) = self.table(&table) {
-                        let mut t = t.write();
-                        t.remove_row(&pk);
-                        t.insert_row(old);
-                    }
-                }
-                UndoRecord::RestoreDeleted { table, old } => {
-                    if let Ok(t) = self.table(&table) {
-                        t.write().insert_row(old);
-                    }
-                }
+        // already wiped the volatile state its log refers to, and recovery
+        // undoes whatever part of it reached the durable log.
+        if !self.fenced(&txn) {
+            while let Some(op) = txn.log.pop() {
+                self.undo_op(op)
+                    .expect("a live transaction's tables outlive it");
             }
         }
         self.locks.release_all(txn.id);
@@ -1041,28 +958,24 @@ impl Database {
             row[ci] = schema.columns()[ci].ty.coerce(scalar.resolve(params)?);
         }
         schema.check_row(&row)?;
-        let pk = row[schema.pk_index()].clone();
+        let pk = &row[schema.pk_index()];
 
         self.locks
             .acquire(txn.id, t.table_lock(), LockMode::IntentExclusive)?;
         self.locks
-            .acquire(txn.id, t.row_lock(&pk), LockMode::Exclusive)?;
+            .acquire(txn.id, t.row_lock(pk), LockMode::Exclusive)?;
 
         {
             let mut stored = t.table.write();
-            if stored.rows.contains_key(&pk) {
+            if stored.rows.contains_key(pk) {
                 return Err(DbError::DuplicateKey(format!("{table}[{pk}]")));
             }
-            if self.logging.load(Ordering::Relaxed) {
-                txn.redo.push(WalOp::Insert {
-                    table: Arc::clone(&t.name),
-                    row: row.clone(),
-                });
-            }
+            txn.log.push(WalOp::Insert {
+                table: t.name,
+                row: row.clone(),
+            });
             stored.insert_row(row);
         }
-        txn.undo
-            .push(UndoRecord::RemoveInserted { table: t.name, pk });
         self.trace.record(table, OpKind::Create);
         Ok(ResultSet::affected(1))
     }
@@ -1314,7 +1227,6 @@ impl Database {
             assignments.push((ci, v));
         }
 
-        let logging = self.logging.load(Ordering::Relaxed);
         let mut affected = 0;
         {
             let mut stored = t.table.write();
@@ -1326,20 +1238,13 @@ impl Database {
                 for (ci, v) in &assignments {
                     new_row[*ci] = v.clone();
                 }
-                if logging {
-                    txn.redo.push(WalOp::Update {
-                        table: Arc::clone(&t.name),
-                        pk: pk.clone(),
-                        old: old.clone(),
-                        new: new_row.clone(),
-                    });
-                }
-                stored.insert_row(new_row);
-                txn.undo.push(UndoRecord::RestoreUpdated {
+                txn.log.push(WalOp::Update {
                     table: Arc::clone(&t.name),
                     pk,
                     old,
+                    new: new_row.clone(),
                 });
+                stored.insert_row(new_row);
                 affected += 1;
             }
         }
@@ -1357,19 +1262,12 @@ impl Database {
     ) -> DbResult<ResultSet> {
         let t = self.open(table)?;
         let pks = self.plan_matches(txn, &t, predicate, params, true, plan)?;
-        let logging = self.logging.load(Ordering::Relaxed);
         let mut affected = 0;
         {
             let mut stored = t.table.write();
             for pk in &pks {
                 if let Some(old) = stored.remove_row(pk) {
-                    if logging {
-                        txn.redo.push(WalOp::Delete {
-                            table: Arc::clone(&t.name),
-                            old: old.clone(),
-                        });
-                    }
-                    txn.undo.push(UndoRecord::RestoreDeleted {
+                    txn.log.push(WalOp::Delete {
                         table: Arc::clone(&t.name),
                         old,
                     });
@@ -1383,8 +1281,8 @@ impl Database {
 }
 
 /// A statement's handle on its table: the table plus pointer copies of its
-/// schema and name, so nothing a statement builds (lock keys, undo and redo
-/// records) copies the name's bytes or the column list.
+/// schema and name, so nothing a statement builds (lock keys, log records)
+/// copies the name's bytes or the column list.
 struct OpenTable {
     table: Arc<RwLock<Table>>,
     schema: Arc<Schema>,

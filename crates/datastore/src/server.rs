@@ -115,6 +115,11 @@ pub(crate) fn decode_db_error(r: &mut Reader) -> Result<DbError, DecodeError> {
     })
 }
 
+/// A frame that does not decode, as the error its sender sees.
+fn wire_err(e: DecodeError) -> DbError {
+    DbError::Remote(e.to_string())
+}
+
 /// CPU cost model for the database machine.
 ///
 /// These costs give the simulation a realistic zero-delay intercept (the
@@ -273,9 +278,7 @@ impl DbServer {
     }
 
     fn dispatch(&self, request: &mut Reader, wire_trace_id: u64) -> DbResult<Writer> {
-        let op = request
-            .get_u8()
-            .map_err(|e| DbError::Remote(e.to_string()))?;
+        let op = request.get_u8().map_err(wire_err)?;
         let span_op = match op {
             OP_OPEN => "db.open",
             OP_CLOSE => "db.close",
@@ -313,14 +316,30 @@ impl DbServer {
 
     /// Reads the optional trailing commit-stamp section a
     /// [`RemoteConnection`] appends after a frame's payload and forwards
-    /// it to the session. Pre-WAL frames simply end here — a failed read
-    /// means no stamp.
-    fn read_stamp(request: &mut Reader, conn: &mut Connection) {
-        if let Ok(true) = request.get_bool() {
-            if let (Ok(origin), Ok(txn_id)) = (request.get_u32(), request.get_u64()) {
-                conn.stamp_next_commit(origin, txn_id);
-            }
+    /// it to the session. A frame that ends here carries no stamp. A
+    /// section that is there must be whole: running the statement
+    /// unstamped would leave its WAL commit record without the identity
+    /// that stops a retry after a crash from applying twice.
+    fn read_stamp(request: &mut Reader, conn: &mut Connection) -> DbResult<()> {
+        if !request.is_empty() && request.get_bool().map_err(wire_err)? {
+            let origin = request.get_u32().map_err(wire_err)?;
+            let txn_id = request.get_u64().map_err(wire_err)?;
+            conn.stamp_next_commit(origin, txn_id);
         }
+        Ok(())
+    }
+
+    /// Reads one statement — package name, SQL text, parameters — of an
+    /// `OP_EXEC` or `OP_EXEC_BATCH` frame.
+    fn read_statement(request: &mut Reader) -> DbResult<(String, Vec<Value>)> {
+        let _package = request.get_str().map_err(wire_err)?;
+        let sql = request.get_str().map_err(wire_err)?;
+        let n = request.get_u32().map_err(wire_err)? as usize;
+        let mut params = Vec::with_capacity(n);
+        for _ in 0..n {
+            params.push(Value::decode(request).map_err(wire_err)?);
+        }
+        Ok((sql, params))
     }
 
     fn run_op(&self, op: u8, request: &mut Reader, class: Option<&mut String>) -> DbResult<Writer> {
@@ -338,16 +357,12 @@ impl DbServer {
                 Ok(w)
             }
             OP_CLOSE => {
-                let session = request
-                    .get_u64()
-                    .map_err(|e| DbError::Remote(e.to_string()))?;
+                let session = request.get_u64().map_err(wire_err)?;
                 self.sessions.lock().remove(&session);
                 Ok(w)
             }
             OP_BEGIN | OP_EXEC | OP_EXEC_BATCH | OP_COMMIT | OP_ROLLBACK => {
-                let session = request
-                    .get_u64()
-                    .map_err(|e| DbError::Remote(e.to_string()))?;
+                let session = request.get_u64().map_err(wire_err)?;
                 let mut sessions = self.sessions.lock();
                 let conn = sessions
                     .get_mut(&session)
@@ -355,7 +370,12 @@ impl DbServer {
                 match op {
                     OP_BEGIN => conn.begin()?,
                     OP_COMMIT => {
-                        Self::read_stamp(request, conn);
+                        if let Err(e) = Self::read_stamp(request, conn) {
+                            // A commit attempt finishes the transaction win
+                            // or lose; the client will not roll it back.
+                            let _ = conn.rollback();
+                            return Err(e);
+                        }
                         conn.commit()?
                     }
                     // Idempotent, like real drivers: a commit attempt always
@@ -367,24 +387,8 @@ impl DbServer {
                         other => other?,
                     },
                     OP_EXEC => {
-                        let _package = request
-                            .get_str()
-                            .map_err(|e| DbError::Remote(e.to_string()))?;
-                        let sql = request
-                            .get_str()
-                            .map_err(|e| DbError::Remote(e.to_string()))?;
-                        let n = request
-                            .get_u32()
-                            .map_err(|e| DbError::Remote(e.to_string()))?
-                            as usize;
-                        let mut params = Vec::with_capacity(n);
-                        for _ in 0..n {
-                            params.push(
-                                Value::decode(request)
-                                    .map_err(|e| DbError::Remote(e.to_string()))?,
-                            );
-                        }
-                        Self::read_stamp(request, conn);
+                        let (sql, params) = Self::read_statement(request)?;
+                        Self::read_stamp(request, conn)?;
                         if let Some(class) = class {
                             *class = self.db.statement_class(&sql);
                         }
@@ -395,32 +399,11 @@ impl DbServer {
                         rs.encode(&mut w);
                     }
                     OP_EXEC_BATCH => {
-                        let count = request
-                            .get_u32()
-                            .map_err(|e| DbError::Remote(e.to_string()))?
-                            as usize;
-                        let mut stmts = Vec::with_capacity(count);
-                        for _ in 0..count {
-                            let _package = request
-                                .get_str()
-                                .map_err(|e| DbError::Remote(e.to_string()))?;
-                            let sql = request
-                                .get_str()
-                                .map_err(|e| DbError::Remote(e.to_string()))?;
-                            let n = request
-                                .get_u32()
-                                .map_err(|e| DbError::Remote(e.to_string()))?
-                                as usize;
-                            let mut params = Vec::with_capacity(n);
-                            for _ in 0..n {
-                                params.push(
-                                    Value::decode(request)
-                                        .map_err(|e| DbError::Remote(e.to_string()))?,
-                                );
-                            }
-                            stmts.push((sql, params));
-                        }
-                        Self::read_stamp(request, conn);
+                        let count = request.get_u32().map_err(wire_err)? as usize;
+                        let stmts = (0..count)
+                            .map(|_| Self::read_statement(request))
+                            .collect::<DbResult<Vec<_>>>()?;
+                        Self::read_stamp(request, conn)?;
                         if let Some(class) = class {
                             *class = format!("batch:{count}");
                         }
@@ -494,6 +477,17 @@ impl Service for DbServer {
     }
 }
 
+/// Writes one statement of an `OP_EXEC` or `OP_EXEC_BATCH` frame, as
+/// [`DbServer::read_statement`] reads it. DRDA identifies the prepared
+/// package/section alongside the text.
+fn put_statement(w: &mut Writer, sql: &str, params: &[Value]) {
+    w.put_str("NULLID.SYSSH200").put_str(sql);
+    w.put_u32(params.len() as u32);
+    for p in params {
+        p.encode(w);
+    }
+}
+
 /// A JDBC-style connection reached across a simulated network path.
 ///
 /// Every call is one round trip on the path; this is the component whose
@@ -531,10 +525,10 @@ impl RemoteConnection {
             .call_once(framed)
             .map_err(|e| DbError::Unavailable(e.to_string()))?;
         let mut r = Self::open_response(resp)?;
-        match r.get_u8().map_err(|e| DbError::Remote(e.to_string()))? {
+        match r.get_u8().map_err(wire_err)? {
             STATUS_OK => {
-                r.get_bytes().map_err(|e| DbError::Remote(e.to_string()))?; // SQLCA
-                let session = r.get_u64().map_err(|e| DbError::Remote(e.to_string()))?;
+                r.get_bytes().map_err(wire_err)?; // SQLCA
+                let session = r.get_u64().map_err(wire_err)?;
                 Ok(RemoteConnection {
                     remote,
                     session,
@@ -544,12 +538,12 @@ impl RemoteConnection {
                     correlation: std::sync::atomic::AtomicU64::new(1),
                 })
             }
-            _ => Err(decode_db_error(&mut r).unwrap_or_else(|e| DbError::Remote(e.to_string()))),
+            _ => Err(decode_db_error(&mut r).unwrap_or_else(wire_err)),
         }
     }
 
     fn open_response(resp: Bytes) -> DbResult<Reader> {
-        let (_, payload) = unframe(resp).map_err(|e| DbError::Remote(e.to_string()))?;
+        let (_, payload) = unframe(resp).map_err(wire_err)?;
         Ok(Reader::new(payload))
     }
 
@@ -573,14 +567,14 @@ impl RemoteConnection {
             .remote
             .call_once(framed)
             .map_err(|e| DbError::Unavailable(e.to_string()))?;
-        let (_, payload) = unframe(resp).map_err(|e| DbError::Remote(e.to_string()))?;
+        let (_, payload) = unframe(resp).map_err(wire_err)?;
         let mut r = Reader::new(payload);
-        match r.get_u8().map_err(|e| DbError::Remote(e.to_string()))? {
+        match r.get_u8().map_err(wire_err)? {
             STATUS_OK => {
-                r.get_bytes().map_err(|e| DbError::Remote(e.to_string()))?; // SQLCA
+                r.get_bytes().map_err(wire_err)?; // SQLCA
                 Ok(r)
             }
-            _ => Err(decode_db_error(&mut r).unwrap_or_else(|e| DbError::Remote(e.to_string()))),
+            _ => Err(decode_db_error(&mut r).unwrap_or_else(wire_err)),
         }
     }
 
@@ -627,16 +621,10 @@ impl SqlConnection for RemoteConnection {
     fn execute(&mut self, sql: &str, params: &[Value]) -> DbResult<ResultSet> {
         let mut w = Writer::new();
         w.put_u8(OP_EXEC).put_u64(self.session);
-        // DRDA identifies the prepared package/section alongside the text.
-        w.put_str("NULLID.SYSSH200");
-        w.put_str(sql);
-        w.put_u32(params.len() as u32);
-        for p in params {
-            p.encode(&mut w);
-        }
+        put_statement(&mut w, sql, params);
         self.put_stamp(&mut w);
         let mut r = self.exchange(w)?;
-        ResultSet::decode(&mut r).map_err(|e| DbError::Remote(e.to_string()))
+        ResultSet::decode(&mut r).map_err(wire_err)
     }
 
     fn commit(&mut self) -> DbResult<()> {
@@ -699,23 +687,18 @@ impl SqlConnection for RemoteConnection {
         w.put_u8(OP_EXEC_BATCH).put_u64(self.session);
         w.put_u32(statements.len() as u32);
         for stmt in statements {
-            w.put_str("NULLID.SYSSH200");
-            w.put_str(&stmt.sql);
-            w.put_u32(stmt.params.len() as u32);
-            for p in &stmt.params {
-                p.encode(&mut w);
-            }
+            put_statement(&mut w, &stmt.sql, &stmt.params);
         }
         self.put_stamp(&mut w);
         let mut r = self.exchange(w)?;
-        let executed = r.get_u32().map_err(|e| DbError::Remote(e.to_string()))? as usize;
+        let executed = r.get_u32().map_err(wire_err)? as usize;
         let mut results = Vec::with_capacity(executed);
         for _ in 0..executed {
-            results.push(ResultSet::decode(&mut r).map_err(|e| DbError::Remote(e.to_string()))?);
+            results.push(ResultSet::decode(&mut r).map_err(wire_err)?);
         }
-        let failed = r.get_bool().map_err(|e| DbError::Remote(e.to_string()))?;
+        let failed = r.get_bool().map_err(wire_err)?;
         let error = if failed {
-            Some(decode_db_error(&mut r).unwrap_or_else(|e| DbError::Remote(e.to_string())))
+            Some(decode_db_error(&mut r).unwrap_or_else(wire_err))
         } else {
             None
         };
@@ -1075,6 +1058,67 @@ mod tests {
             decode_db_error(&mut r).unwrap(),
             DbError::Remote(_)
         ));
+    }
+
+    #[test]
+    fn truncated_commit_stamp_is_rejected_before_anything_runs() {
+        const UPDATE: &str = "UPDATE t SET b = 'changed' WHERE a = 1";
+        let (_clock, _path, mut conn, server) = setup();
+        let db = Arc::clone(server.database());
+        conn.execute("INSERT INTO t (a, b) VALUES (1, 'kept')", &[])
+            .unwrap();
+        db.attach_wal();
+        let session = conn.session;
+        let statement = |w: &mut Writer| {
+            w.put_str("NULLID.SYSSH200").put_str(UPDATE).put_u32(0);
+        };
+        // A stamp section that announces itself (`true`) and then ends:
+        // after the flag, and after the origin.
+        for tail in [&[1u8][..], &[1, 0, 0, 0, 7]] {
+            for op in [OP_EXEC, OP_EXEC_BATCH, OP_COMMIT] {
+                let before = (db.wal_stats(), db.commit_seq());
+                let mut w = Writer::new();
+                w.put_u8(op).put_u64(session);
+                match op {
+                    OP_EXEC => statement(&mut w),
+                    OP_EXEC_BATCH => {
+                        w.put_u32(1);
+                        statement(&mut w);
+                    }
+                    _ => {
+                        conn.begin().unwrap();
+                        conn.execute(UPDATE, &[]).unwrap();
+                    }
+                }
+                for byte in tail {
+                    w.put_u8(*byte);
+                }
+                let resp = server.handle(frame(protocol::JDBC, 1, &w.finish()));
+                let mut r = Reader::new(unframe(resp).unwrap().1);
+                assert_eq!(r.get_u8().unwrap(), STATUS_ERR, "op {op}");
+                assert!(matches!(
+                    decode_db_error(&mut r).unwrap(),
+                    DbError::Remote(_)
+                ));
+                if op == OP_COMMIT {
+                    // The hand-built frame went around the client, which
+                    // still believes its transaction is open; the server
+                    // has already rolled it back.
+                    conn.rollback().unwrap();
+                }
+                assert_eq!((db.wal_stats(), db.commit_seq()), before, "op {op}");
+                let rs = conn.execute("SELECT b FROM t WHERE a = 1", &[]).unwrap();
+                assert_eq!(rs.rows()[0][0], Value::from("kept"), "op {op}");
+            }
+        }
+        // The session is not wedged: its next transaction commits, stamped.
+        conn.stamp_next_commit(7, 1);
+        conn.begin().unwrap();
+        conn.execute(UPDATE, &[]).unwrap();
+        conn.commit().unwrap();
+        assert_eq!(db.commit_seq(), 2);
+        db.crash();
+        assert_eq!(db.recover().unwrap().committed, vec![(7, 1)]);
     }
 
     #[test]

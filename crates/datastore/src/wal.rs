@@ -17,6 +17,7 @@
 //! which wipes only volatile state), while unflushed `pending` records die
 //! with the process — exactly the distinction recovery semantics hinge on.
 
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -353,15 +354,68 @@ impl WalDisk {
         self.pending.clear();
     }
 
-    /// Decodes the durable prefix in LSN order.
-    pub(crate) fn decode_flushed(&self) -> DbResult<Vec<WalRecord>> {
-        self.flushed
+    /// The analysis pass: decodes the durable prefix in LSN order and
+    /// finds the winners — transactions whose commit record reached it.
+    pub(crate) fn analyze(&self) -> DbResult<LogAnalysis> {
+        let records: Vec<WalRecord> = self
+            .flushed
             .iter()
             .map(|f| {
                 decode_record(f).map_err(|e| DbError::Remote(format!("corrupt wal record: {e}")))
             })
-            .collect()
+            .collect::<DbResult<_>>()?;
+        let mut by_seq: BTreeMap<u64, Option<(u32, u64)>> = BTreeMap::new();
+        let mut winners = HashSet::new();
+        let mut max_lsn = 0;
+        let mut max_txn = 0;
+        for rec in &records {
+            max_lsn = max_lsn.max(rec.lsn);
+            match &rec.body {
+                WalBody::Commit {
+                    txn,
+                    commit_seq,
+                    stamp,
+                } => {
+                    by_seq.insert(*commit_seq, *stamp);
+                    winners.insert(*txn);
+                    max_txn = max_txn.max(*txn);
+                }
+                WalBody::Op { txn, .. } => max_txn = max_txn.max(*txn),
+            }
+        }
+        let commit_seq = by_seq
+            .keys()
+            .next_back()
+            .map_or(self.base_commit_seq, |seq| (*seq).max(self.base_commit_seq));
+        let mut stamps = self.base_stamps.clone();
+        stamps.extend(by_seq.into_values().flatten());
+        Ok(LogAnalysis {
+            records,
+            winners,
+            stamps,
+            commit_seq,
+            max_lsn,
+            max_txn,
+        })
     }
+}
+
+/// What [`WalDisk::analyze`] learned from the durable log.
+#[derive(Debug)]
+pub(crate) struct LogAnalysis {
+    /// The durable records, in LSN order.
+    pub(crate) records: Vec<WalRecord>,
+    /// Datastore transaction ids whose commit record is durable.
+    pub(crate) winners: HashSet<u64>,
+    /// Every committed `(origin, txn_id)` identity: the stamps already
+    /// folded into the base, then this log's, in `commit_seq` order.
+    pub(crate) stamps: Vec<(u32, u64)>,
+    /// The `commit_seq` witness after the last durable commit.
+    pub(crate) commit_seq: u64,
+    /// Highest LSN in the log (0 when it is empty).
+    pub(crate) max_lsn: u64,
+    /// Highest datastore transaction id the log mentions.
+    pub(crate) max_txn: u64,
 }
 
 /// Counters for the log device and the restart path, attached to the

@@ -65,14 +65,17 @@ fn allocs_of<T>(op: impl FnOnce() -> T) -> (u64, T) {
 }
 
 /// The steady-state cost `measure` reports: the cheapest of eight runs,
-/// which leaves out the run in which an amortised buffer (the log, a
-/// transaction's undo list) happens to double.
+/// which leaves out the run in which an amortised buffer (the WAL's tail,
+/// a transaction's log) happens to double.
 fn steady(measure: impl FnMut() -> u64) -> u64 {
     std::iter::repeat_with(measure).take(8).min().unwrap()
 }
 
 const SELECT: &str = "SELECT owner, balance, logins FROM account WHERE userid = ?";
 const UPDATE: &str = "UPDATE account SET balance = ?, logins = ? WHERE userid = ?";
+const DELETE: &str = "DELETE FROM account WHERE userid = ?";
+const INSERT: &str = "INSERT INTO account \
+    (userid, owner, balance, opened, logins, email, address, active) VALUES (?, ?, ?, ?, ?, ?, ?, ?)";
 
 #[test]
 fn statement_path_stays_within_its_allocation_budget() {
@@ -85,22 +88,20 @@ fn statement_path_stays_within_its_allocation_budget() {
     let mut conn = db.connect();
     // Eight rows: the table stays one B-tree leaf, so an update's
     // remove-and-reinsert never splits or merges a node.
+    let row = |i: i32| {
+        [
+            Value::from(format!("uid:{i}")),
+            Value::from(format!("Owner Number {i}")),
+            Value::from(10_000.0 + f64::from(i)),
+            Value::from(20_040_101),
+            Value::from(i),
+            Value::from(format!("uid{i}@example.com")),
+            Value::from(format!("{i} Main Street, Springfield")),
+            Value::from(true),
+        ]
+    };
     for i in 0..8 {
-        conn.execute(
-            "INSERT INTO account (userid, owner, balance, opened, logins, email, address, active) \
-             VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-            &[
-                Value::from(format!("uid:{i}")),
-                Value::from(format!("Owner Number {i}")),
-                Value::from(10_000.0 + f64::from(i)),
-                Value::from(20_040_101),
-                Value::from(i),
-                Value::from(format!("uid{i}@example.com")),
-                Value::from(format!("{i} Main Street, Springfield")),
-                Value::from(true),
-            ],
-        )
-        .unwrap();
+        conn.execute(INSERT, &row(i)).unwrap();
     }
     db.attach_wal();
 
@@ -148,13 +149,12 @@ fn statement_path_stays_within_its_allocation_budget() {
         "pk SELECT: {select} allocations"
     );
 
-    // (c) A primary-key UPDATE inside a transaction, WAL attached: 21 — the
-    // new row (5: a vector and four strings), the old and new images and
-    // the key for the redo record (11), the key in the match list (2), in
-    // the lock probe (1) and in the table's map (1), and the assignment
-    // list. It was 60 with two deep schema copies, the bound predicate,
-    // five copies of the table name, two more row clones and two more
-    // copies of the key.
+    // (c) A primary-key UPDATE inside a transaction, WAL attached: 15 — the
+    // new row (5: a vector and four strings) and its copy for the log
+    // record (5), whose old image is the row taken out of the table; the
+    // key in the match list (2), in the lock probe (1) and in the table's
+    // map (1), and the assignment list. It was 21 while the transaction
+    // kept an undo record and a redo record of the same change.
     conn.begin().unwrap();
     let update = steady(|| {
         let (allocs, rs) = allocs_of(|| conn.execute(UPDATE, &sets).unwrap());
@@ -163,7 +163,7 @@ fn statement_path_stays_within_its_allocation_budget() {
     });
     conn.commit().unwrap();
     assert!(
-        update <= 21,
+        update <= 15,
         "pk UPDATE in a transaction: {update} allocations"
     );
 
@@ -177,4 +177,32 @@ fn statement_path_stays_within_its_allocation_budget() {
         allocs_of(|| conn.commit().unwrap()).0
     });
     assert!(commit <= 6, "commit: {commit} allocations");
+
+    // (e) A primary-key DELETE inside a transaction: 3 — the key in the
+    // match list (2) and in the lock probe (1). The row taken out of the
+    // table is the log record's old image; nothing is copied. Each run
+    // puts the row back, unmeasured, for the next.
+    let gone = row(3);
+    conn.begin().unwrap();
+    let delete = steady(|| {
+        let (allocs, rs) = allocs_of(|| conn.execute(DELETE, &key).unwrap());
+        assert_eq!(rs.affected_rows(), 1);
+        conn.execute(INSERT, &gone).unwrap();
+        allocs
+    });
+    conn.rollback().unwrap();
+    assert!(
+        delete <= 3,
+        "pk DELETE in a transaction: {delete} allocations"
+    );
+
+    // (f) The rollback of a one-UPDATE transaction: 1 — the key the table's
+    // map takes when the log record's old image goes back in. The image
+    // itself is moved, not copied.
+    let rollback = steady(|| {
+        conn.begin().unwrap();
+        conn.execute(UPDATE, &sets).unwrap();
+        allocs_of(|| conn.rollback().unwrap()).0
+    });
+    assert!(rollback <= 1, "rollback: {rollback} allocations");
 }

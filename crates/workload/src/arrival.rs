@@ -69,15 +69,6 @@ pub enum ArrivalProcess {
     /// Memoryless arrivals: iid exponential inter-arrival gaps. The
     /// canonical model of a large population of independent users.
     Poisson,
-    /// On/off modulated Poisson: alternating blocks of `burst_len`
-    /// arrivals, the "on" block at `intensity` times the base rate and the
-    /// "off" block slowed so the long-run rate is still the plan's `rps`.
-    Bursty {
-        /// Arrivals per on- or off-block.
-        burst_len: u32,
-        /// Rate multiplier inside a burst (> 1).
-        intensity: f64,
-    },
     /// A quiet baseline with one step-change surge: base rate until
     /// `at_us`, `peak` times the base rate for `dur_us` of virtual time,
     /// then base rate again. Models the "millions of users show up at
@@ -132,21 +123,6 @@ impl ArrivalPlan {
         for i in 0..n {
             let mean = match self.process {
                 ArrivalProcess::Poisson => base_gap,
-                ArrivalProcess::Bursty {
-                    burst_len,
-                    intensity,
-                } => {
-                    let burst_len = burst_len.max(1) as u64;
-                    let k = if intensity > 1.0 { intensity } else { 1.0 };
-                    if (i as u64 / burst_len).is_multiple_of(2) {
-                        // On-block: gaps shrink by the intensity factor.
-                        base_gap / k
-                    } else {
-                        // Off-block mean chosen so on+off average back to
-                        // base_gap: 2·base − base/k.
-                        base_gap * (2.0 - 1.0 / k)
-                    }
-                }
                 ArrivalProcess::FlashCrowd {
                     at_us,
                     dur_us,
@@ -190,10 +166,6 @@ mod tests {
     fn same_seed_same_schedule_byte_for_byte() {
         for process in [
             ArrivalProcess::Poisson,
-            ArrivalProcess::Bursty {
-                burst_len: 16,
-                intensity: 4.0,
-            },
             ArrivalProcess::FlashCrowd {
                 at_us: 1_000_000,
                 dur_us: 500_000,
@@ -231,9 +203,10 @@ mod tests {
         let plan = ArrivalPlan {
             seed: 7,
             rps: 10_000.0,
-            process: ArrivalProcess::Bursty {
-                burst_len: 8,
-                intensity: 10.0,
+            process: ArrivalProcess::FlashCrowd {
+                at_us: 100_000,
+                dur_us: 100_000,
+                peak: 10.0,
             },
         };
         let times = plan.times_us(5_000);
@@ -251,25 +224,6 @@ mod tests {
         assert!(
             (mean_gap - 2_000.0).abs() < 40.0,
             "empirical mean gap {mean_gap} µs outside CI around 2000 µs"
-        );
-    }
-
-    #[test]
-    fn bursty_preserves_long_run_rate() {
-        let plan = ArrivalPlan {
-            seed: 5,
-            rps: 500.0,
-            process: ArrivalProcess::Bursty {
-                burst_len: 32,
-                intensity: 4.0,
-            },
-        };
-        let n = 40_000usize;
-        let times = plan.times_us(n);
-        let mean_gap = *times.last().unwrap() as f64 / n as f64;
-        assert!(
-            (mean_gap - 2_000.0).abs() < 60.0,
-            "bursty long-run mean gap {mean_gap} µs drifted from 2000 µs"
         );
     }
 

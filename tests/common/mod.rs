@@ -72,9 +72,9 @@ fn build_combined_edge(
 ) -> (Container, Arc<CommonStore>) {
     let store = CommonStore::new();
     let source = Arc::new(DirectSource::new(Box::new(db.connect()), registry()));
-    let mut committer = CombinedCommitter::new(Box::new(db.connect()), registry());
+    let committer = CombinedCommitter::new(Box::new(db.connect()), registry());
     if let Some((log, clock)) = history {
-        committer = committer.with_history(Arc::clone(log), Arc::clone(clock));
+        committer.set_history(Arc::clone(log), Arc::clone(clock));
     }
     let mut rm = SliResourceManager::new(origin, Arc::new(committer), Arc::clone(&store));
     if let Some((log, clock)) = history {

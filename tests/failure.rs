@@ -10,8 +10,9 @@ use sli_edge::component::{
 };
 use sli_edge::core::{BackendServer, BackendSource};
 use sli_edge::core::{
-    CombinedCommitter, CommitEntry, CommitOutcome, CommitRequest, Committer, CommonStore,
-    DirectSource, EntryKind, MetaRegistry, SliHome, SliResourceManager, SplitCommitter,
+    CombinedCommitter, CommitEntry, CommitOutcome, CommitPoint, CommitRequest, Committer,
+    CommonStore, DirectSource, EntryKind, MetaRegistry, SliHome, SliResourceManager,
+    SplitCommitter,
 };
 use sli_edge::datastore::server::{DbCostModel, DbServer, RemoteConnection};
 use sli_edge::datastore::{
@@ -138,7 +139,7 @@ fn dropped_commit_response_debits_exactly_once() {
     assert!(m.rpc_timeouts.get() >= 1, "first attempt waited out");
     assert!(m.rpc_retries.get() >= 1, "the commit was resent");
     assert_eq!(
-        backend.stats().dedup_replays,
+        backend.commit_point().stats().dedup_replays,
         1,
         "resend replayed, not re-applied"
     );
@@ -163,7 +164,7 @@ fn dropped_commit_request_is_retried_transparently() {
     // first application, not a dedup replay.
     assert!(path.metrics().rpc_retries.get() >= 1);
     assert!(path.metrics().rpc_timeouts.get() >= 1);
-    assert_eq!(backend.stats().dedup_replays, 0);
+    assert_eq!(backend.commit_point().stats().dedup_replays, 0);
     assert_eq!(db.lock_manager().lock_count(), 0);
 }
 
@@ -185,7 +186,7 @@ fn duplicated_commit_delivery_debits_exactly_once() {
     assert_eq!(path.fault_stats().duplicates, 1);
     // The duplicate copy hit the dedup table: exactly one replay, and no
     // timeout/retry since the first response came back fine.
-    assert_eq!(backend.stats().dedup_replays, 1);
+    assert_eq!(backend.commit_point().stats().dedup_replays, 1);
     assert_eq!(path.metrics().rpc_retries.get(), 0);
     assert_eq!(db.lock_manager().lock_count(), 0);
 }
@@ -662,28 +663,6 @@ fn vanilla_transfer(container: &Container) -> Result<(), EjbError> {
     })
 }
 
-/// The committer under test for the stamped (dedup-capable) combos.
-enum MatrixCommitter {
-    Combined(Arc<CombinedCommitter>),
-    Split(Arc<SplitCommitter>, Arc<BackendServer>),
-}
-
-impl MatrixCommitter {
-    fn commit(&self, request: &CommitRequest) -> Result<CommitOutcome, EjbError> {
-        match self {
-            MatrixCommitter::Combined(c) => c.commit(request),
-            MatrixCommitter::Split(s, _) => s.commit(request),
-        }
-    }
-
-    fn reseed(&self, pairs: &[(u32, u64)]) {
-        match self {
-            MatrixCommitter::Combined(c) => c.reseed_completed(pairs),
-            MatrixCommitter::Split(_, b) => b.reseed_completed(pairs),
-        }
-    }
-}
-
 /// Whether the crash point leaves the commit record on the durable log
 /// (so recovery must redo the transaction and retries must dedup).
 fn is_durable(point: CrashPoint) -> bool {
@@ -703,18 +682,21 @@ fn run_crash_point_cell(key: &str, point: CrashPoint) {
         "es-rdb-cached" | "clients-ras-cached" | "es-rbes" => {
             // Committer combos: the retry carries the same (origin, txn_id),
             // so exactly-once rests on the dedup table the WAL reseeds.
-            let committer = if key == "es-rbes" {
+            // What the edge commits through, and the commit point deciding.
+            let (backend, combined);
+            let (committer, decider): (Arc<dyn Committer>, &CommitPoint) = if key == "es-rbes" {
                 let clock = Arc::new(Clock::new());
-                let backend =
+                backend =
                     BackendServer::new(Box::new(db.connect()), registry(), Arc::clone(&clock));
                 let path = Path::new("edge-backend", clock, PathSpec::lan());
-                let split = Arc::new(SplitCommitter::new(Remote::new(path, Arc::clone(&backend))));
-                MatrixCommitter::Split(split, backend)
+                let remote = Remote::new(path, Arc::clone(&backend));
+                (
+                    Arc::new(SplitCommitter::new(remote)),
+                    backend.commit_point(),
+                )
             } else {
-                MatrixCommitter::Combined(Arc::new(CombinedCommitter::new(
-                    Box::new(db.connect()),
-                    registry(),
-                )))
+                combined = Arc::new(CombinedCommitter::new(Box::new(db.connect()), registry()));
+                (Arc::clone(&combined) as _, &*combined)
             };
             let request = transfer_request();
             db.script_crash(point);
@@ -722,7 +704,7 @@ fn run_crash_point_cell(key: &str, point: CrashPoint) {
             assert!(first.is_err(), "{tag}: commit through a crash must fail");
 
             let report = db.recover().unwrap();
-            committer.reseed(&report.committed);
+            decider.reseed_completed(&report.committed);
             if durable {
                 assert_eq!(
                     balance_of(&db, "alice"),
@@ -751,13 +733,11 @@ fn run_crash_point_cell(key: &str, point: CrashPoint) {
                 CommitOutcome::Committed,
                 "{tag}: retry must report success"
             );
-            if let MatrixCommitter::Split(_, backend) = &committer {
-                assert_eq!(
-                    backend.stats().dedup_replays,
-                    u64::from(durable),
-                    "{tag}: dedup replay count"
-                );
-            }
+            assert_eq!(
+                decider.stats().dedup_replays,
+                u64::from(durable),
+                "{tag}: dedup replay count"
+            );
         }
         "es-rdb-jdbc" | "clients-ras-jdbc" => {
             // SQL transactions carry no retry identity: the client re-reads

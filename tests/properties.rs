@@ -10,6 +10,8 @@
 //!   persistent state for arbitrary operation sequences;
 //! * the common store is observationally a naive list-ordered LRU cache at
 //!   every capacity;
+//! * a rolled-back transaction, and one torn by a crash and undone by
+//!   recovery, both leave the database as if they had never run;
 //! * the regression and batching math behaves on arbitrary affine data.
 //!
 //! These used to be `proptest` properties; they are now plain seeded loops
@@ -36,7 +38,8 @@ use sli_edge::core::{
     SliResourceManager,
 };
 use sli_edge::datastore::{
-    CmpOp, Column, ColumnType, Database, DbError, Predicate, Schema, SqlConnection, Value,
+    CmpOp, Column, ColumnType, CrashPoint, Database, DbError, Predicate, Schema, SqlConnection,
+    Value,
 };
 use sli_edge::simnet::wire::{Reader, Writer};
 use sli_edge::workload::{batch_means, fit};
@@ -850,6 +853,167 @@ fn common_store_matches_a_naive_lru_model() {
         assert!(s.hits > 0 && s.misses > 0 && s.invalidations > 0, "{s:?}");
         assert_eq!(s.evictions > 0, capacity.is_some(), "{capacity:?}: {s:?}");
     }
+}
+
+// ---------- one transaction log: rollback ≡ recovery undo ≡ never happened ----------
+
+const LOG_IDS: i64 = 3;
+const LOG_OWNERS: [&str; 3] = ["ann", "bob", "cy"];
+
+/// The write statements over `plain (id, v)` and `indexed (id, owner, v)`:
+/// SQL, what each `?` binds (`k`ey, `o`wner, `v`alue) and — for a statement
+/// aimed at one primary key — the table it aims at.
+const LOG_WRITES: [(&str, &str, Option<&str>); 8] = [
+    (
+        "INSERT INTO plain (id, v) VALUES (?, ?)",
+        "kv",
+        Some("plain"),
+    ),
+    (
+        "INSERT INTO indexed (id, owner, v) VALUES (?, ?, ?)",
+        "kov",
+        Some("indexed"),
+    ),
+    ("UPDATE plain SET v = ? WHERE id = ?", "vk", Some("plain")),
+    (
+        "UPDATE indexed SET owner = ?, v = ? WHERE id = ?",
+        "ovk",
+        Some("indexed"),
+    ),
+    ("UPDATE indexed SET v = ? WHERE owner = ?", "vo", None),
+    ("DELETE FROM plain WHERE id = ?", "k", Some("plain")),
+    ("DELETE FROM indexed WHERE id = ?", "k", Some("indexed")),
+    ("DELETE FROM indexed WHERE owner = ?", "o", None),
+];
+
+/// A random write, its parameters and the `(table, id)` row it aims at.
+fn gen_write(rng: &mut StdRng) -> (&'static str, Vec<Value>, Option<(&'static str, i64)>) {
+    let (sql, binds, table) = LOG_WRITES[rng.gen_range(0..LOG_WRITES.len())];
+    let id = rng.gen_range(0..LOG_IDS);
+    let params = binds
+        .chars()
+        .map(|bind| match bind {
+            'k' => Value::from(id),
+            'o' => Value::from(LOG_OWNERS[rng.gen_range(0..LOG_OWNERS.len())]),
+            _ => Value::from(rng.gen_range(0i64..1000)),
+        })
+        .collect();
+    (sql, params, table.map(|t| (t, id)))
+}
+
+/// Probes the secondary index for every owner: it must find exactly the
+/// rows a scan of the table finds, and lock exactly those rows — an index
+/// entry left behind for a row that moved or vanished shows as a lock on a
+/// row the statement never returns.
+fn assert_index_probe_equals_scan(db: &Arc<Database>, at: &str) {
+    let rows = db.dump_rows("indexed");
+    let mut conn = db.connect();
+    for owner in LOG_OWNERS {
+        let scanned: Vec<Value> = rows
+            .iter()
+            .filter(|row| row[1] == Value::from(owner))
+            .map(|row| row[0].clone())
+            .collect();
+        conn.begin().unwrap();
+        let rs = conn
+            .execute(
+                "SELECT id FROM indexed WHERE owner = ? ORDER BY id",
+                &[Value::from(owner)],
+            )
+            .unwrap();
+        let probed: Vec<Value> = rs.rows().iter().map(|row| row[0].clone()).collect();
+        // One intent lock on the table, one shared lock per candidate row.
+        let locks = db.lock_manager().lock_count();
+        conn.commit().unwrap();
+        assert_eq!(probed, scanned, "{at}: owner {owner}");
+        assert_eq!(locks, scanned.len() + 1, "{at}: owner {owner}");
+    }
+}
+
+#[test]
+fn rollback_and_recovery_undo_both_leave_no_trace() {
+    const CASES: u64 = 400;
+    let mut rng = StdRng::seed_from_u64(0x3e3e_0010);
+    let (mut rewrites, mut reinserts, mut torn) = (0, 0, 0);
+    for case in 0..CASES {
+        let db = Database::new();
+        db.execute_ddl("CREATE TABLE plain (id INT PRIMARY KEY, v INT)")
+            .unwrap();
+        db.execute_ddl("CREATE TABLE indexed (id INT PRIMARY KEY, owner VARCHAR, v INT)")
+            .unwrap();
+        db.execute_ddl("CREATE INDEX indexed_owner ON indexed (owner)")
+            .unwrap();
+        let mut conn = db.connect();
+        for id in 0..LOG_IDS {
+            if rng.gen_range(0..2u32) == 0 {
+                conn.execute(
+                    "INSERT INTO plain (id, v) VALUES (?, ?)",
+                    &[Value::from(id), Value::from(id * 10)],
+                )
+                .unwrap();
+            }
+            if rng.gen_range(0..2u32) == 0 {
+                let owner = LOG_OWNERS[rng.gen_range(0..LOG_OWNERS.len())];
+                conn.execute(
+                    "INSERT INTO indexed (id, owner, v) VALUES (?, ?, ?)",
+                    &[Value::from(id), Value::from(owner), Value::from(id * 10)],
+                )
+                .unwrap();
+            }
+        }
+        db.attach_wal();
+        let before = db.checkpoint();
+        let writes: Vec<_> = (0..rng.gen_range(1..13u32))
+            .map(|_| gen_write(&mut rng))
+            .collect();
+
+        // (a) Run, then roll back. A statement may fail (a duplicate key)
+        // or match nothing; the transaction goes on either way.
+        let mut touched: Vec<(&str, i64, bool)> = Vec::new();
+        conn.begin().unwrap();
+        for (sql, params, target) in &writes {
+            if let (Ok(rs), Some((table, id))) = (conn.execute(sql, params), target) {
+                if rs.affected_rows() > 0 {
+                    touched.push((table, *id, sql.starts_with("INSERT")));
+                }
+            }
+        }
+        conn.rollback().unwrap();
+        let at = format!("case {case}, rolled back {writes:?}");
+        assert_eq!(db.checkpoint(), before, "{at}");
+        assert_index_probe_equals_scan(&db, &at);
+        assert_eq!(db.lock_manager().lock_count(), 0, "{at}");
+        let wrote_before = |i: usize| {
+            let (table, id, _) = touched[i];
+            touched[..i].iter().any(|(t, k, _)| (*t, *k) == (table, id))
+        };
+        rewrites += u32::from((0..touched.len()).any(wrote_before));
+        reinserts += u32::from((0..touched.len()).any(|i| touched[i].2 && wrote_before(i)));
+
+        // (b) The same statements, torn by a crash between the op records
+        // and the commit record, then undone by recovery.
+        db.script_crash(CrashPoint::MidApply);
+        conn.begin().unwrap();
+        for (sql, params, _) in &writes {
+            let _ = conn.execute(sql, params);
+        }
+        if conn.commit().is_err() {
+            torn += 1;
+            assert!(db.is_crashed());
+            let report = db.recover().unwrap();
+            let at = format!("case {case}, recovered {writes:?}");
+            assert_eq!(report.torn_txns, 1, "{at}");
+            assert!(report.undo_count > 0, "{at}");
+            assert_eq!(db.checkpoint(), before, "{at}");
+            assert_index_probe_equals_scan(&db, &at);
+        } else {
+            // Nothing was written, so there was no commit to tear.
+            assert!(touched.is_empty(), "case {case}");
+        }
+    }
+    assert!(rewrites >= 100, "several writes to one key: {rewrites}");
+    assert!(reinserts >= 30, "delete-then-reinsert: {reinserts}");
+    assert!(torn >= 300, "torn commits: {torn}");
 }
 
 // ---------- measurement math ----------
