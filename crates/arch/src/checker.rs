@@ -302,7 +302,7 @@ pub fn analyze(events: &[HistoryEvent], initial: &[(String, String, u64)]) -> Hi
                 violations.push(Violation::new(
                     "phantom-read",
                     format!(
-                        "txn {id} validated a before-image of {}[{}] (digest {before:#x}) \
+                        "txn {id} validated a before-image of {}[{}] (digest {before:#018x}) \
                          that no committed transaction had installed by its apply",
                         entry.bean, entry.key
                     ),

@@ -120,7 +120,9 @@ impl LoadMetrics {
     }
 
     /// Tracks arrival/completion/dispatch rates and both level gauges in
-    /// `timeline` under the [`LoadMetrics::register_with`] names.
+    /// `timeline` under the [`LoadMetrics::register_with`] names. A no-op on
+    /// a [`Testbed::standard_timeline`] built after the engine, which
+    /// already has them from the registry; `benchmark/` calls it that way.
     pub fn timeline_into(&self, timeline: &Timeline, prefix: &str) {
         timeline.track_counter(format!("{prefix}.arrivals"), &self.arrivals);
         timeline.track_counter(format!("{prefix}.completions"), &self.completions);

@@ -196,34 +196,6 @@ impl ServletMetrics {
         }
         registry.attach_gauge(format!("{prefix}.sessions"), &self.sessions);
     }
-
-    /// Tracks the servlet's throughput and every per-status rate in
-    /// `timeline` under the [`ServletMetrics::register_with`] names —
-    /// successes, `409` (optimistic aborts surfacing as HTTP conflicts),
-    /// `503` (unavailable back end) and the rest, so nothing the registry
-    /// counts is invisible to the timeline (the action histograms have no
-    /// windowed form and are exempt).
-    pub fn timeline_into(&self, timeline: &sli_telemetry::Timeline, prefix: &str) {
-        timeline.track_counter(format!("{prefix}.requests"), &self.requests);
-        for (code, counter) in &self.statuses {
-            timeline.track_counter(format!("{prefix}.status.{code}"), counter);
-        }
-        timeline.track_counter(format!("{prefix}.status.other"), &self.other);
-        timeline.track_gauge(format!("{prefix}.sessions"), &self.sessions);
-    }
-
-    /// Zeroes every counter and histogram.
-    pub fn reset(&self) {
-        self.requests.reset();
-        for (_, counter) in &self.statuses {
-            counter.reset();
-        }
-        self.other.reset();
-        for (_, hist) in &self.actions {
-            hist.reset();
-        }
-        self.sessions.reset();
-    }
 }
 
 /// One application-server machine: HTTP front end over a [`TradeEngine`].
@@ -630,7 +602,7 @@ mod tests {
         ));
         assert!(snap.contains_key("servlet.edge-1.action.quote_us"));
 
-        m.reset();
+        registry.reset_all();
         assert_eq!(m.status(200), 0);
         assert_eq!(m.action_latency_us("quote").unwrap().count, 0);
     }

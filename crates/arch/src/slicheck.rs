@@ -46,42 +46,28 @@ use sli_telemetry::{
 use crate::checker::{analyze, HistoryAnalysis, Violation};
 use crate::topology::{Architecture, Flavor};
 
-/// Stable CLI keys for the seven architecture × flavor combinations.
-pub const ARCH_KEYS: [&str; 7] = [
-    "es-rdb-jdbc",
-    "es-rdb-vanilla",
-    "es-rdb-cached",
-    "es-rbes",
-    "clients-ras-jdbc",
-    "clients-ras-vanilla",
-    "clients-ras-cached",
-];
+/// Stable CLI keys for the seven architecture × flavor combinations (the
+/// key column of [`Architecture::ALL`]).
+pub const ARCH_KEYS: [&str; 7] = {
+    let mut keys = [""; 7];
+    let mut i = 0;
+    while i < keys.len() {
+        keys[i] = Architecture::ALL[i].1;
+        i += 1;
+    }
+    keys
+};
 
 /// The CLI key for `arch`.
 pub fn arch_key(arch: Architecture) -> &'static str {
-    match arch {
-        Architecture::EsRdb(Flavor::Jdbc) => "es-rdb-jdbc",
-        Architecture::EsRdb(Flavor::VanillaEjb) => "es-rdb-vanilla",
-        Architecture::EsRdb(Flavor::CachedEjb) => "es-rdb-cached",
-        Architecture::EsRbes => "es-rbes",
-        Architecture::ClientsRas(Flavor::Jdbc) => "clients-ras-jdbc",
-        Architecture::ClientsRas(Flavor::VanillaEjb) => "clients-ras-vanilla",
-        Architecture::ClientsRas(Flavor::CachedEjb) => "clients-ras-cached",
-    }
+    let row = Architecture::ALL.iter().find(|(a, _)| *a == arch);
+    row.expect("Architecture::ALL lists every combination").1
 }
 
 /// Resolves a CLI key back to its architecture.
 pub fn arch_by_key(key: &str) -> Option<Architecture> {
-    match key {
-        "es-rdb-jdbc" => Some(Architecture::EsRdb(Flavor::Jdbc)),
-        "es-rdb-vanilla" => Some(Architecture::EsRdb(Flavor::VanillaEjb)),
-        "es-rdb-cached" => Some(Architecture::EsRdb(Flavor::CachedEjb)),
-        "es-rbes" => Some(Architecture::EsRbes),
-        "clients-ras-jdbc" => Some(Architecture::ClientsRas(Flavor::Jdbc)),
-        "clients-ras-vanilla" => Some(Architecture::ClientsRas(Flavor::VanillaEjb)),
-        "clients-ras-cached" => Some(Architecture::ClientsRas(Flavor::CachedEjb)),
-        _ => None,
-    }
+    let row = Architecture::ALL.iter().find(|(_, k)| *k == key);
+    row.map(|(arch, _)| *arch)
 }
 
 /// Starting balance of every seeded account.
@@ -970,7 +956,7 @@ fn check_world(cfg: &SliCheckConfig, world: &World, analysis: &mut HistoryAnalys
                     analysis.violations.push(Violation::new(
                         "abort-leak",
                         format!(
-                            "store {label} caches Account[{key}] digest {digest:#x} that no \
+                            "store {label} caches Account[{key}] digest {digest:#018x} that no \
                              committed transaction installed"
                         ),
                     ));
@@ -1008,8 +994,8 @@ fn check_world(cfg: &SliCheckConfig, world: &World, analysis: &mut HistoryAnalys
                 analysis.violations.push(Violation::new(
                     "lost-committed-write",
                     format!(
-                        "Account[{key}] holds digest {digest:#x} after recovery but the \
-                         latest committed transaction installed {expected:#x}"
+                        "Account[{key}] holds digest {digest:#018x} after recovery but the \
+                         latest committed transaction installed {expected:#018x}"
                     ),
                 ));
             }
@@ -1031,7 +1017,7 @@ fn check_world(cfg: &SliCheckConfig, world: &World, analysis: &mut HistoryAnalys
                         analysis.violations.push(Violation::new(
                             "stale-invalidation",
                             format!(
-                                "store {label} still caches Account[{key}] digest {digest:#x} \
+                                "store {label} still caches Account[{key}] digest {digest:#018x} \
                                  after all invalidations drained (latest is {latest:?})"
                             ),
                         ));

@@ -64,6 +64,25 @@ pub enum Architecture {
 }
 
 impl Architecture {
+    /// The seven architecture × flavor combinations the paper evaluates,
+    /// each with the stable key used in CLI flags, artifact names and CSV
+    /// rows.
+    pub const ALL: [(Architecture, &'static str); 7] = [
+        (Architecture::EsRdb(Flavor::Jdbc), "es-rdb-jdbc"),
+        (Architecture::EsRdb(Flavor::VanillaEjb), "es-rdb-vanilla"),
+        (Architecture::EsRdb(Flavor::CachedEjb), "es-rdb-cached"),
+        (Architecture::EsRbes, "es-rbes"),
+        (Architecture::ClientsRas(Flavor::Jdbc), "clients-ras-jdbc"),
+        (
+            Architecture::ClientsRas(Flavor::VanillaEjb),
+            "clients-ras-vanilla",
+        ),
+        (
+            Architecture::ClientsRas(Flavor::CachedEjb),
+            "clients-ras-cached",
+        ),
+    ];
+
     /// Report label matching the paper.
     pub fn label(self) -> &'static str {
         match self {
@@ -171,7 +190,8 @@ pub struct EdgeNode {
     /// The back-end → edge invalidation path (ES/RBES only).
     pub invalidation_path: Option<Arc<Path>>,
     /// The combined commit pipeline (CachedEjb without a back-end only) —
-    /// retained so its commit counters can be timeline-tracked.
+    /// retained so [`Testbed::restart`] can reseed its dedup table from the
+    /// recovered WAL.
     pub committer: Option<Arc<CombinedCommitter>>,
 }
 
@@ -577,20 +597,13 @@ impl Testbed {
         self.commit_trace.clear();
     }
 
-    /// Builds the standard observability timeline for this testbed: every
-    /// edge's servlet status series, cache rates and working-set size,
-    /// commit/conflict rates (edge committers *and* the shared back-end),
-    /// invalidation-queue depth, every communication path's traffic and
-    /// RPC-outcome rates, and the `monitor.*` SLO series — all under the
-    /// same dotted names the [`Testbed::telemetry`] registry uses, so
-    /// per-window rate totals can be checked against run-end counter reads.
-    ///
-    /// Coverage is *total* by construction: everything any machine
-    /// registers at build time is tracked here, except histograms (which
-    /// have no windowed form) and the `engine.*` metrics a
-    /// [`LoadEngine`](crate::LoadEngine) registers later and tracks itself. The
-    /// `registry_is_fully_timeline_tracked` test pins that invariant —
-    /// three previous PRs silently grew the registry past the timeline.
+    /// Builds the standard observability timeline for this testbed: a view
+    /// of the [`Testbed::telemetry`] registry as it stands now, every
+    /// counter a rate series and every gauge a level series under its
+    /// registry name (see [`Timeline::track_registry`]), so per-window rate
+    /// totals can be checked against run-end counter reads. Build the
+    /// [`LoadEngine`](crate::LoadEngine) first to include its `engine.*`
+    /// metrics.
     ///
     /// The caller drives it: [`Timeline::rebase`] at the warm-up/measure
     /// boundary (after [`Testbed::reset_telemetry`]), then
@@ -598,46 +611,7 @@ impl Testbed {
     /// interaction.
     pub fn standard_timeline(&self, window_us: u64) -> Timeline {
         let timeline = Timeline::new(window_us);
-        // The shared database machine: statement/batch throughput and the
-        // plan-cache hit/miss/eviction rates, under the same `db.stmt.*` /
-        // `db.plan.*` names the registry uses.
-        self.db_server.metrics().timeline_into(&timeline, "db.stmt");
-        self.db.plan_timeline_into(&timeline, "db.plan");
-        self.db.wal_timeline_into(&timeline, "db");
-        // The shared ES/RBES back-end's commit outcomes.
-        if let Some(backend) = &self.backend {
-            backend
-                .commit_point()
-                .timeline_into(&timeline, "backend.commit");
-        }
-        // The SLO monitor's own series: incident/evaluation rates and the
-        // remaining error budget as a level.
-        self.monitor.timeline_into(&timeline, "monitor");
-        for (i, edge) in self.edges.iter().enumerate() {
-            let id = i + 1;
-            edge.server
-                .metrics()
-                .timeline_into(&timeline, &format!("servlet.edge-{id}"));
-            if let Some(store) = &edge.store {
-                store.timeline_into(&timeline, &format!("store.edge-{id}"));
-            }
-            if let Some(rm) = &edge.rm {
-                rm.timeline_into(&timeline, &format!("rm.edge-{id}"));
-            }
-            if let Some(sink) = &edge.invalidations {
-                sink.timeline_into(&timeline, &format!("invalidations.edge-{id}"));
-            }
-            if let Some(committer) = &edge.committer {
-                committer.timeline_into(&timeline, &format!("committer.edge-{id}"));
-            }
-        }
-        // Every communication path, exactly once: client and shared paths
-        // (distinct objects even for Clients/RAS), invalidation channels
-        // and the back-end ↔ database LAN.
-        for path in &self.paths {
-            path.metrics()
-                .timeline_into(&timeline, &format!("simnet.path.{}", path.name()));
-        }
+        timeline.track_registry(&self.telemetry);
         timeline
     }
 
@@ -789,21 +763,9 @@ mod tests {
     use crate::client::VirtualClient;
     use sli_trade::TradeAction;
 
-    fn all_architectures() -> Vec<Architecture> {
-        vec![
-            Architecture::EsRdb(Flavor::Jdbc),
-            Architecture::EsRdb(Flavor::VanillaEjb),
-            Architecture::EsRdb(Flavor::CachedEjb),
-            Architecture::EsRbes,
-            Architecture::ClientsRas(Flavor::Jdbc),
-            Architecture::ClientsRas(Flavor::VanillaEjb),
-            Architecture::ClientsRas(Flavor::CachedEjb),
-        ]
-    }
-
     #[test]
     fn every_architecture_builds_and_serves_a_quote() {
-        for arch in all_architectures() {
+        for (arch, _) in Architecture::ALL {
             let tb = Testbed::build(arch, TestbedConfig::default());
             let mut client = VirtualClient::new(&tb, 0);
             let outcome = client.perform(&TradeAction::Quote {
@@ -869,17 +831,25 @@ mod tests {
         let names = tb.telemetry().names();
         for expected in [
             "db.stmt.statements",
+            "db.stmt.batches",
             "db.plan.hits",
             "db.plan.misses",
+            "db.plan.evictions",
             "backend.commit.committed",
+            "backend.commit.conflicts",
             "backend.commit.dedup_replays",
+            "monitor.incidents",
+            "monitor.evaluations",
+            "monitor.budget_remaining_ppm",
             "store.edge-1.hits",
+            "store.edge-1.resident_bytes",
             "rm.edge-1.commits",
             "servlet.edge-1.status.200",
             "servlet.edge-1.action.buy_us",
             "simnet.path.client-1.requests",
             "simnet.path.edge-backend-1.rpc_retries",
             "simnet.path.backend-invalidate-1.requests",
+            "simnet.path.backend-invalidate-1.rpc_unavailable",
             "simnet.path.backend-db.requests",
         ] {
             assert!(
@@ -917,6 +887,7 @@ mod tests {
             .names()
             .iter()
             .any(|n| n == "committer.edge-1.committed"));
+        let timeline = tb.standard_timeline(1_000);
         let mut client = VirtualClient::new(&tb, 0);
         let o = client.perform(&TradeAction::Buy {
             user: "uid:0".into(),
@@ -925,12 +896,20 @@ mod tests {
         });
         assert_eq!(o.status, 200);
         assert!(!tb.commit_trace().is_empty());
+        timeline.sample(tb.clock.now().as_micros());
+        let report = timeline.report("buy");
+        let committed = report
+            .series
+            .iter()
+            .find(|s| s.name == "committer.edge-1.committed")
+            .expect("the in-edge commit point is a windowed series");
+        assert!(committed.total > 0, "the buy ran the commit pipeline");
     }
 
     #[test]
     fn trace_bucket_sums_equal_measured_latency_everywhere() {
         use sli_telemetry::{critical_path, Bucket};
-        for arch in all_architectures() {
+        for (arch, _) in Architecture::ALL {
             let tb = Testbed::build(arch, TestbedConfig::default());
             tb.set_delay(SimDuration::from_millis(10));
             // Drop build-time connection-handshake traces; measure fresh.
@@ -1013,104 +992,36 @@ mod tests {
     }
 
     #[test]
-    fn standard_timeline_tracks_the_db_and_cache_observability_series() {
-        // Audit: every counter/gauge the recent store/db work added must be
-        // wired into the standard timeline, not just the registry.
-        let tb = Testbed::build(Architecture::EsRbes, TestbedConfig::default());
-        let timeline = tb.standard_timeline(1_000);
-        let mut client = VirtualClient::new(&tb, 0);
-        client.perform(&TradeAction::Quote {
-            symbol: "s:1".into(),
-        });
-        timeline.sample(tb.clock.now().as_micros());
-        let report = timeline.report("audit");
-        let names: Vec<&str> = report.series.iter().map(|s| s.name.as_str()).collect();
-        for expected in [
-            "db.stmt.statements",
-            "db.stmt.batches",
-            "db.plan.hits",
-            "db.plan.misses",
-            "db.plan.evictions",
-            "store.edge-1.resident_bytes",
-            "backend.commit.committed",
-            "backend.commit.conflicts",
-            "monitor.incidents",
-            "monitor.evaluations",
-            "monitor.budget_remaining_ppm",
-            "simnet.path.backend-db.requests",
-            "simnet.path.backend-invalidate-1.rpc_unavailable",
-        ] {
-            assert!(
-                names.contains(&expected),
-                "standard timeline must track {expected}; have {names:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn combined_committer_series_are_timeline_tracked() {
-        // The combined-servers configuration commits through an in-edge
-        // CombinedCommitter rather than a back-end; its conflict counters
-        // are the ones the incident artifact's hot-entity view corroborates,
-        // so they must be visible as windowed series too.
-        let tb = Testbed::build(
-            Architecture::EsRdb(Flavor::CachedEjb),
-            TestbedConfig::default(),
-        );
-        let timeline = tb.standard_timeline(1_000);
-        let mut client = VirtualClient::new(&tb, 0);
-        client.perform(&TradeAction::Buy {
-            user: "uid:0".into(),
-            symbol: "s:1".into(),
-            quantity: 1.0,
-        });
-        timeline.sample(tb.clock.now().as_micros());
-        let report = timeline.report("audit");
-        let names: Vec<&str> = report.series.iter().map(|s| s.name.as_str()).collect();
-        for expected in [
-            "committer.edge-1.committed",
-            "committer.edge-1.conflicts",
-            "committer.edge-1.dedup_replays",
-        ] {
-            assert!(
-                names.contains(&expected),
-                "standard timeline must track {expected}; have {names:?}"
-            );
-        }
-        let committed = report
-            .series
-            .iter()
-            .find(|s| s.name == "committer.edge-1.committed")
-            .unwrap();
-        assert!(committed.total > 0, "the buy ran the commit pipeline");
-    }
-
-    #[test]
-    fn registry_is_fully_timeline_tracked() {
-        // Completeness gate: every metric any architecture registers must
-        // be a windowed series in the standard timeline (plus the engine's
-        // own series, which the load harness tracks itself), or be a
-        // histogram — the one structural exemption, since histograms have
-        // no windowed form. A metric added to a machine's `register_with`
-        // without a matching `timeline_into` line fails here by name.
-        use sli_telemetry::Metric;
-        for arch in all_architectures() {
-            let tb = Testbed::build(arch, TestbedConfig::default());
-            let timeline = tb.standard_timeline(1_000);
-            let engine = crate::LoadEngine::new(&tb);
-            engine.metrics().timeline_into(&timeline, "engine");
-            timeline.sample(tb.clock.now().as_micros());
-            let report = timeline.report("audit");
-            let tracked: Vec<&str> = report.series.iter().map(|s| s.name.as_str()).collect();
-            for name in tb.telemetry().names() {
-                if let Some(Metric::Histogram(_)) = tb.telemetry().get(&name) {
-                    continue;
-                }
-                assert!(
-                    tracked.contains(&name.as_str()),
-                    "{arch:?}: registry metric {name} is not tracked by the \
-                     standard timeline (and is not a histogram)"
-                );
+    fn standard_timeline_is_exactly_the_registrys_counters_and_gauges() {
+        use sli_telemetry::{Metric, SeriesKind};
+        for (arch, key) in Architecture::ALL {
+            for (edges, with_engine) in [(1, false), (1, true), (2, false), (2, true)] {
+                let config = TestbedConfig {
+                    edges,
+                    ..TestbedConfig::default()
+                };
+                let tb = Testbed::build(arch, config);
+                let _engine = with_engine.then(|| crate::LoadEngine::new(&tb));
+                let report = tb.standard_timeline(1_000).report("audit");
+                let tracked: Vec<(&str, SeriesKind)> = report
+                    .series
+                    .iter()
+                    .map(|s| (s.name.as_str(), s.kind))
+                    .collect();
+                let names = tb.telemetry().names();
+                let registered: Vec<(&str, SeriesKind)> = names
+                    .iter()
+                    .filter_map(|name| match tb.telemetry().get(name)? {
+                        Metric::Counter(_) => Some((name.as_str(), SeriesKind::Rate)),
+                        Metric::Gauge(_) => Some((name.as_str(), SeriesKind::Level)),
+                        Metric::Histogram(_) => None,
+                    })
+                    .collect();
+                // `names()` is sorted and duplicate-free, so equality also
+                // pins the series order and that no name repeats.
+                assert_eq!(tracked, registered, "{key} × {edges} edge(s)");
+                let has_engine = tracked.contains(&("engine.queue_depth", SeriesKind::Level));
+                assert_eq!(has_engine, with_engine, "{key} × {edges} edge(s)");
             }
         }
     }

@@ -25,10 +25,6 @@ fn main() {
         "ablation_batching",
         "Ablation: batching k client requests per transaction (paper section 4.4)",
     )
-    .flag(
-        "smoke",
-        "accepted for CI symmetry (the sweep is already scaled down)",
-    )
     .parse();
     let pop = Population::default();
     let sessions = 150;

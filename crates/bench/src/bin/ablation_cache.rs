@@ -72,10 +72,6 @@ fn main() {
         "ablation_cache",
         "Ablation: ES/RBES latency sensitivity vs bounded common-store capacity",
     )
-    .flag(
-        "smoke",
-        "accepted for CI symmetry (the sweep is already scaled down)",
-    )
     .parse();
     let population = Population::default();
     println!("Ablation: ES/RBES latency sensitivity vs common-store capacity");

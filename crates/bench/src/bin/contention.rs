@@ -103,10 +103,6 @@ fn main() {
         "contention",
         "Contention study: optimistic conflicts vs number of edges sharing hot users",
     )
-    .flag(
-        "smoke",
-        "accepted for CI symmetry (the study is already quick)",
-    )
     .parse();
     println!("Contention: optimistic conflicts vs number of edges");
     println!("(5 hot users shared by all edges, 40 ms one-way delay, interleaved sessions)\n");

@@ -8,7 +8,7 @@
 //! default is a seed sweep over all seven combinations; on a violation the
 //! failing schedule is shrunk to a minimal prefix and exported as
 //! `results/slicheck-counterexample.json` (validated against
-//! `sli-edge.slicheck-counterexample/v1`), and the process exits non-zero.
+//! `sli-edge.slicheck-counterexample/v2`), and the process exits non-zero.
 //!
 //! `--inject-bug` seeds a deliberately broken validate-apply variant
 //! (updates skip before-image validation — the classic lost update) and
@@ -171,7 +171,8 @@ fn main() {
         archs
     };
 
-    let single_seed: Option<u64> = args.value("seed", "a non-negative integer", |_| true);
+    // The counterexample carries the seed as a JSON number, exact below 2^53.
+    let single_seed: Option<u64> = args.value("seed", "an integer below 2^53", |v| *v < 1 << 53);
     let seeds = parse_u64(&args, "seeds", 256);
     let per_mille: u64 = args
         .value("faults", "a per-mille rate in 0..=1000", |v| *v <= 1000)

@@ -449,18 +449,19 @@ pub fn run(spec: &RunSpec) -> RunArtifacts {
     if !spec.faults.is_clean() {
         testbed.set_faults(spec.faults);
     }
+    // The engine registers `engine.*` on construction; building it first
+    // makes those metrics part of the timeline like any machine's.
+    let engine = matches!(spec.load, Load::Open(_)).then(|| LoadEngine::new(&testbed));
     let timeline = testbed.standard_timeline(spec.timeline_window_us.max(1));
     let mut generator = SessionGenerator::new(spec.seed, spec.population);
     let mut harvest = TraceHarvest::default();
     // The closed-loop warm-up both protocols share, ending at the
-    // warm-up/measure boundary: path statistics and telemetry are reset and
-    // the timeline rebased, so everything downstream covers exactly the
-    // measured phase.
+    // warm-up/measure boundary: telemetry is reset and the timeline
+    // rebased, so everything downstream covers exactly the measured phase.
     let warm_up = |client: &mut VirtualClient<'_>, generator: &mut SessionGenerator| {
         for _ in 0..spec.warmup_sessions {
             client.run_session(&generator.session());
         }
-        testbed.reset_path_stats();
         testbed.reset_telemetry();
         timeline.rebase(testbed.clock.now().as_micros());
     };
@@ -519,8 +520,7 @@ pub fn run(spec: &RunSpec) -> RunArtifacts {
         }
         Load::Open(open) => {
             testbed.apply_scale(open.scale);
-            let engine = LoadEngine::new(&testbed);
-            engine.metrics().timeline_into(&timeline, "engine");
+            let engine = engine.expect("open loads build their engine above");
             warm_up(&mut VirtualClient::new(&testbed, 0), &mut generator);
 
             // A monitored run's arrival process and fault script realise

@@ -5,26 +5,15 @@
 //! and the assembled document must round-trip through the schema
 //! validator from its rendered bytes.
 
-use sli_arch::{Architecture, Flavor};
+use sli_arch::Architecture;
 use sli_bench::{run, RunSpec};
 use sli_simnet::SimDuration;
 use sli_telemetry::{validate_timeline, Json, SeriesKind, TimelineDoc};
 
-/// Every architecture × flavor combination the testbed supports.
-fn all_combos() -> Vec<Architecture> {
-    let flavors = [Flavor::Jdbc, Flavor::VanillaEjb, Flavor::CachedEjb];
-    let mut combos: Vec<Architecture> = flavors.iter().map(|&f| Architecture::EsRdb(f)).collect();
-    combos.push(Architecture::EsRbes);
-    combos.extend(flavors.iter().map(|&f| Architecture::ClientsRas(f)));
-    combos
-}
-
 #[test]
 fn rate_series_conserve_counter_totals_across_all_architectures() {
-    let combos = all_combos();
-    assert_eq!(combos.len(), 7);
     let mut doc = TimelineDoc::new("timeline conservation test");
-    for arch in combos {
+    for (arch, _) in Architecture::ALL {
         let run = run(&RunSpec::closed(arch, SimDuration::from_millis(20), true));
         assert!(
             run.timeline.series.len() > 3,

@@ -13,7 +13,7 @@ use sli_datastore::{
 use sli_simnet::Clock;
 use sli_telemetry::{
     ConflictInfo, Counter, HistoryEvent, HistoryLog, OpenSpan, Registry, SpanDetail, SpanOutcome,
-    Timeline, Tracer,
+    Tracer,
 };
 
 use crate::commit::{CommitEntry, CommitOutcome, CommitRequest, EntryKind};
@@ -115,15 +115,6 @@ struct CommitMetrics {
 }
 
 impl CommitMetrics {
-    fn counters(&self) -> [(&'static str, &Counter); 4] {
-        [
-            ("committed", &self.committed),
-            ("conflicts", &self.conflicts),
-            ("errors", &self.errors),
-            ("dedup_replays", &self.dedup_replays),
-        ]
-    }
-
     /// How a fresh (non-replayed) decision ended, in each vocabulary that
     /// records it: its counter, its span outcome and its history label.
     fn classify(&self, result: &EjbResult<CommitOutcome>) -> (&Counter, SpanOutcome, &'static str) {
@@ -751,17 +742,11 @@ impl CommitPoint {
     /// Attaches the commit counters to `registry` under `{prefix}.committed`,
     /// `.conflicts`, `.errors` and `.dedup_replays`.
     pub fn register_with(&self, registry: &Registry, prefix: &str) {
-        for (name, counter) in self.metrics.counters() {
-            registry.attach_counter(format!("{prefix}.{name}"), counter);
-        }
-    }
-
-    /// Tracks the same commit counters in `timeline` under the
-    /// [`CommitPoint::register_with`] names.
-    pub fn timeline_into(&self, timeline: &Timeline, prefix: &str) {
-        for (name, counter) in self.metrics.counters() {
-            timeline.track_counter(format!("{prefix}.{name}"), counter);
-        }
+        let m = &self.metrics;
+        registry.attach_counter(format!("{prefix}.committed"), &m.committed);
+        registry.attach_counter(format!("{prefix}.conflicts"), &m.conflicts);
+        registry.attach_counter(format!("{prefix}.errors"), &m.errors);
+        registry.attach_counter(format!("{prefix}.dedup_replays"), &m.dedup_replays);
     }
 
     /// Counter snapshot.

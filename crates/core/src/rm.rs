@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use sli_component::{EjbResult, Home, ResourceManager, TxContext};
 use sli_simnet::Clock;
-use sli_telemetry::{Counter, HistoryEvent, HistoryImage, HistoryLog, Registry, Timeline};
+use sli_telemetry::{Counter, HistoryEvent, HistoryImage, HistoryLog, Registry};
 
 use crate::commit::{CommitOutcome, CommitRequest, EntryKind};
 use crate::committer::{conflict_error, memento_digest, Committer};
@@ -129,17 +129,6 @@ impl SliResourceManager {
         registry.attach_counter(format!("{prefix}.commits"), &self.commits);
         registry.attach_counter(format!("{prefix}.conflicts"), &self.conflicts);
         registry.attach_counter(format!("{prefix}.empty"), &self.empty);
-    }
-
-    /// Tracks commit/conflict/empty rates in `timeline` under the
-    /// [`register_with`] names — the conflict series is the per-window OCC
-    /// abort rate the paper's bursty-contention argument turns on.
-    ///
-    /// [`register_with`]: SliResourceManager::register_with
-    pub fn timeline_into(&self, timeline: &Timeline, prefix: &str) {
-        timeline.track_counter(format!("{prefix}.commits"), &self.commits);
-        timeline.track_counter(format!("{prefix}.conflicts"), &self.conflicts);
-        timeline.track_counter(format!("{prefix}.empty"), &self.empty);
     }
 }
 

@@ -9,7 +9,7 @@ use sli_component::Memento;
 use sli_datastore::Value;
 use sli_simnet::wire::{Reader, Writer};
 use sli_simnet::Service;
-use sli_telemetry::{Counter, Gauge, Registry, Timeline};
+use sli_telemetry::{Counter, Gauge, Registry};
 
 /// Hit/miss counters for a [`CommonStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -247,18 +247,6 @@ impl CommonStore {
         registry.attach_gauge(format!("{prefix}.size"), &self.size);
         registry.attach_gauge(format!("{prefix}.resident_bytes"), &self.resident_bytes);
     }
-
-    /// Tracks this store's activity in `timeline`: hit/miss/invalidation/
-    /// eviction rates plus the working-set size and resident-bytes levels,
-    /// under the same names [`CommonStore::register_with`] uses.
-    pub fn timeline_into(&self, timeline: &Timeline, prefix: &str) {
-        timeline.track_counter(format!("{prefix}.hits"), &self.hits);
-        timeline.track_counter(format!("{prefix}.misses"), &self.misses);
-        timeline.track_counter(format!("{prefix}.invalidations"), &self.invalidations);
-        timeline.track_counter(format!("{prefix}.evictions"), &self.evictions);
-        timeline.track_gauge(format!("{prefix}.size"), &self.size);
-        timeline.track_gauge(format!("{prefix}.resident_bytes"), &self.resident_bytes);
-    }
 }
 
 /// Encodes an invalidation notification: the set of (bean, key) pairs a
@@ -430,16 +418,6 @@ impl DeferredInvalidationSink {
         registry.attach_counter(format!("{prefix}.queued"), &self.queued);
         registry.attach_counter(format!("{prefix}.delivered"), &self.delivered);
         registry.attach_gauge(format!("{prefix}.queue_depth"), &self.queue_depth);
-    }
-
-    /// Tracks the queue in `timeline`: enqueue/delivery rates plus the
-    /// in-flight depth level, under the [`register_with`] names.
-    ///
-    /// [`register_with`]: DeferredInvalidationSink::register_with
-    pub fn timeline_into(&self, timeline: &Timeline, prefix: &str) {
-        timeline.track_counter(format!("{prefix}.queued"), &self.queued);
-        timeline.track_counter(format!("{prefix}.delivered"), &self.delivered);
-        timeline.track_gauge(format!("{prefix}.queue_depth"), &self.queue_depth);
     }
 }
 

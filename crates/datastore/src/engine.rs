@@ -474,15 +474,6 @@ impl Database {
         registry.attach_counter(format!("{prefix}.evictions"), &self.plan_evictions);
     }
 
-    /// Tracks the plan-cache counters in `timeline` under the
-    /// [`Database::register_plan_metrics`] names, so their per-window rates
-    /// are covered by the timeline conservation validator.
-    pub fn plan_timeline_into(&self, timeline: &sli_telemetry::Timeline, prefix: &str) {
-        timeline.track_counter(format!("{prefix}.hits"), &self.plan_hits);
-        timeline.track_counter(format!("{prefix}.misses"), &self.plan_misses);
-        timeline.track_counter(format!("{prefix}.evictions"), &self.plan_evictions);
-    }
-
     /// Columns with secondary indexes on `table` (sorted; empty for
     /// unknown tables). Used by the checkpointer.
     pub fn index_columns(&self, table: &str) -> Vec<String> {
@@ -738,12 +729,6 @@ impl Database {
     /// `{prefix}.wal.*` and `{prefix}.recovery.*`.
     pub fn register_wal_metrics(&self, registry: &Registry, prefix: &str) {
         self.wal_metrics.register_with(registry, prefix);
-    }
-
-    /// Tracks the WAL/recovery counters in `timeline` under the
-    /// [`Database::register_wal_metrics`] names.
-    pub fn wal_timeline_into(&self, timeline: &sli_telemetry::Timeline, prefix: &str) {
-        self.wal_metrics.timeline_into(timeline, prefix);
     }
 
     fn table(&self, name: &str) -> DbResult<Arc<RwLock<Table>>> {

@@ -173,25 +173,6 @@ impl DbServerMetrics {
         registry.attach_histogram(format!("{prefix}.batch_statements"), &self.batch_statements);
         registry.attach_histogram(format!("{prefix}.batch_us"), &self.batch_us);
     }
-
-    /// Tracks the counter-backed handles in `timeline` under the
-    /// [`DbServerMetrics::register_with`] names. The histograms
-    /// (`statement_us`, `batch_statements`, `batch_us`) are distributions,
-    /// not counters, so they have no windowed rate series — the timeline
-    /// layer only folds counters and gauges.
-    pub fn timeline_into(&self, timeline: &sli_telemetry::Timeline, prefix: &str) {
-        timeline.track_counter(format!("{prefix}.statements"), &self.statements);
-        timeline.track_counter(format!("{prefix}.batches"), &self.batches);
-    }
-
-    /// Zeroes every metric (between measurement phases).
-    pub fn reset(&self) {
-        self.statements.reset();
-        self.statement_us.reset();
-        self.batches.reset();
-        self.batch_statements.reset();
-        self.batch_us.reset();
-    }
 }
 
 /// The database server: sessions, statement dispatch, cost accounting.
@@ -807,7 +788,7 @@ mod tests {
             telemetry.snapshot()["db.stmt.statements"],
             sli_telemetry::MetricValue::Counter(2)
         );
-        m.reset();
+        telemetry.reset_all();
         assert_eq!(m.statement_us.count(), 0);
     }
 
@@ -907,7 +888,7 @@ mod tests {
             telemetry.snapshot()["db.stmt.batches"],
             sli_telemetry::MetricValue::Counter(1)
         );
-        m.reset();
+        telemetry.reset_all();
         assert_eq!(m.batch_statements.count(), 0);
     }
 

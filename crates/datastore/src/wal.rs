@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use sli_simnet::wire::{DecodeError, Reader, Writer};
-use sli_telemetry::{Counter, Registry, Timeline};
+use sli_telemetry::{Counter, Registry};
 
 use crate::error::DbError;
 use crate::value::Value;
@@ -464,24 +464,6 @@ impl WalMetrics {
         registry.attach_counter(format!("{prefix}.recovery.redone_ops"), &self.redone);
         registry.attach_counter(format!("{prefix}.recovery.undone_ops"), &self.undone);
         registry.attach_counter(format!("{prefix}.recovery.torn_txns"), &self.torn_discarded);
-    }
-
-    pub(crate) fn timeline_into(&self, timeline: &Timeline, prefix: &str) {
-        timeline.track_counter(format!("{prefix}.wal.appends"), &self.appends);
-        timeline.track_counter(format!("{prefix}.wal.flushes"), &self.flushes);
-        timeline.track_counter(
-            format!("{prefix}.wal.flushed_records"),
-            &self.flushed_records,
-        );
-        timeline.track_counter(format!("{prefix}.wal.flushed_bytes"), &self.flushed_bytes);
-        timeline.track_counter(
-            format!("{prefix}.wal.dropped_flushes"),
-            &self.dropped_flushes,
-        );
-        timeline.track_counter(format!("{prefix}.recovery.recoveries"), &self.recoveries);
-        timeline.track_counter(format!("{prefix}.recovery.redone_ops"), &self.redone);
-        timeline.track_counter(format!("{prefix}.recovery.undone_ops"), &self.undone);
-        timeline.track_counter(format!("{prefix}.recovery.torn_txns"), &self.torn_discarded);
     }
 
     pub(crate) fn stats(&self) -> WalStats {

@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use sli_telemetry::{Counter, Gauge, Histogram, Registry, Timeline};
+use sli_telemetry::{Counter, Gauge, Histogram, Registry};
 
 use crate::clock::{Clock, SimDuration};
 use crate::fault::{Fault, FaultPlan, FaultState, FaultStats};
@@ -151,29 +151,9 @@ impl PathMetrics {
         registry.attach_gauge(format!("{prefix}.in_flight"), &self.in_flight);
     }
 
-    /// Tracks this path's traffic in `timeline` under the
-    /// [`PathMetrics::register_with`] names: request/response/byte rates,
-    /// every RPC outcome counter (calls, retries, timeouts, unavailability,
-    /// backoff time) and the in-flight depth level — everything the
-    /// registry holds except the crossing-time histogram, which has no
-    /// windowed form.
-    pub fn timeline_into(&self, timeline: &Timeline, prefix: &str) {
-        timeline.track_counter(format!("{prefix}.requests"), &self.requests);
-        timeline.track_counter(format!("{prefix}.responses"), &self.responses);
-        timeline.track_counter(format!("{prefix}.bytes_to_server"), &self.bytes_to_server);
-        timeline.track_counter(
-            format!("{prefix}.bytes_from_server"),
-            &self.bytes_from_server,
-        );
-        timeline.track_counter(format!("{prefix}.rpc_calls"), &self.rpc_calls);
-        timeline.track_counter(format!("{prefix}.rpc_retries"), &self.rpc_retries);
-        timeline.track_counter(format!("{prefix}.rpc_timeouts"), &self.rpc_timeouts);
-        timeline.track_counter(format!("{prefix}.rpc_unavailable"), &self.rpc_unavailable);
-        timeline.track_counter(format!("{prefix}.rpc_backoff_us"), &self.rpc_backoff_us);
-        timeline.track_gauge(format!("{prefix}.in_flight"), &self.in_flight);
-    }
-
-    /// Resets every handle to empty.
+    /// Zeroes every counter and the crossing histogram. The `in_flight`
+    /// gauge is a level, not a rate: it keeps mirroring the round trips
+    /// actually open (as [`Registry::reset_all`] leaves it).
     pub fn reset(&self) {
         self.bytes_to_server.reset();
         self.bytes_from_server.reset();
@@ -185,7 +165,6 @@ impl PathMetrics {
         self.rpc_timeouts.reset();
         self.rpc_unavailable.reset();
         self.rpc_backoff_us.reset();
-        self.in_flight.reset();
     }
 }
 
@@ -417,8 +396,8 @@ impl Path {
         }
     }
 
-    /// Zeroes all telemetry (traffic counters, crossing histogram, RPC
-    /// outcome counters) — used between warm-up and measurement.
+    /// Zeroes the traffic counters, crossing histogram and RPC outcome
+    /// counters (see [`PathMetrics::reset`]).
     pub fn reset_stats(&self) {
         self.metrics.reset();
     }
@@ -566,11 +545,15 @@ mod tests {
     }
 
     #[test]
-    fn reset_stats_zeroes_counters() {
+    fn reset_stats_zeroes_counters_and_keeps_the_in_flight_level() {
         let (_clock, path) = test_path(PathSpec::lan());
         path.request(100);
         path.reset_stats();
         assert_eq!(path.stats(), PathStats::default());
+        // The round trip opened before the reset is still open after it.
+        assert_eq!(path.metrics().in_flight.get(), 1);
+        path.respond(100);
+        assert_eq!(path.metrics().in_flight.get(), 0);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 
 use crate::json::Json;
 use crate::span::{SpanDetail, SpanEvent};
-use crate::tree::bucket_for;
+use crate::tree::{bucket_for, walk_complete_traces};
 
 /// Builds a Chrome trace-event JSON document from `events`.
 ///
@@ -24,25 +24,8 @@ use crate::tree::bucket_for;
 /// always satisfies [`validate_chrome_trace`]. Untraced events
 /// (`trace_id == 0`) are skipped.
 pub fn chrome_trace(events: &[SpanEvent]) -> Json {
-    let mut traces: BTreeMap<u64, Vec<&SpanEvent>> = BTreeMap::new();
-    for e in events {
-        if e.trace_id != 0 {
-            traces.entry(e.trace_id).or_default().push(e);
-        }
-    }
     let mut out = Vec::new();
-    for spans in traces.values() {
-        let ids: Vec<u64> = spans.iter().map(|s| s.span_id).collect();
-        let complete = spans
-            .iter()
-            .all(|s| s.parent_span_id == 0 || ids.contains(&s.parent_span_id));
-        if !complete {
-            continue;
-        }
-        for s in spans.iter() {
-            out.push(event_json(s));
-        }
-    }
+    walk_complete_traces(events, |v| out.push(event_json(v.span)));
     Json::obj([
         ("displayTimeUnit", Json::from("ms")),
         ("traceEvents", Json::Arr(out)),
@@ -98,19 +81,6 @@ fn event_json(e: &SpanEvent) -> Json {
     ])
 }
 
-fn field_u64(event: &Json, key: &str, at: usize) -> Result<u64, String> {
-    let v = event
-        .get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("event {at}: missing numeric {key:?}"))?;
-    if v < 0.0 || v.fract() != 0.0 {
-        return Err(format!(
-            "event {at}: {key:?} must be a non-negative integer"
-        ));
-    }
-    Ok(v as u64)
-}
-
 /// Validates a Chrome trace-event document produced by [`chrome_trace`]:
 /// structural shape, required fields, and — the causal invariant — every
 /// span's `[ts, ts + dur]` interval contained within its parent's.
@@ -135,14 +105,13 @@ pub fn validate_chrome_trace(doc: &Json) -> Result<(), String> {
             .get("name")
             .and_then(Json::as_str)
             .ok_or_else(|| format!("event {at}: missing name"))?;
-        let ts = field_u64(event, "ts", at)?;
-        let dur = field_u64(event, "dur", at)?;
-        let args = event
-            .get("args")
-            .ok_or_else(|| format!("event {at}: missing args"))?;
-        let trace_id = field_u64(args, "trace_id", at)?;
-        let span_id = field_u64(args, "span_id", at)?;
-        let parent = field_u64(args, "parent_span_id", at)?;
+        let what = format!("event {at}");
+        let ts = event.req_u64("ts", &what)?;
+        let dur = event.req_u64("dur", &what)?;
+        let args = event.req("args", &what)?;
+        let trace_id = args.req_u64("trace_id", &what)?;
+        let span_id = args.req_u64("span_id", &what)?;
+        let parent = args.req_u64("parent_span_id", &what)?;
         if span_id == 0 {
             return Err(format!("event {at}: span_id must be non-zero"));
         }

@@ -140,9 +140,12 @@ impl HistoryLog {
     }
 }
 
-fn opt_u64(v: Option<u64>) -> Json {
-    match v {
-        Some(n) => Json::from(n),
+/// A memento digest uses all 64 bits, more than a JSON number carries, so
+/// it is rendered as 16 hex digits (the span exports' `expected_digest`
+/// format).
+fn digest_json(digest: Option<u64>) -> Json {
+    match digest {
+        Some(d) => Json::from(format!("{d:016x}")),
         None => Json::Null,
     }
 }
@@ -152,8 +155,8 @@ fn image_json(img: &HistoryImage) -> Json {
         ("bean", Json::from(img.bean.clone())),
         ("key", Json::from(img.key.clone())),
         ("kind", Json::from(img.kind.clone())),
-        ("before", opt_u64(img.before)),
-        ("after", opt_u64(img.after)),
+        ("before", digest_json(img.before)),
+        ("after", digest_json(img.after)),
     ])
 }
 
@@ -234,29 +237,21 @@ fn event_json(event: &HistoryEvent) -> Json {
     }
 }
 
-fn need_u64(obj: &Json, key: &str, what: &str) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(Json::as_f64)
-        .map(|v| v as u64)
-        .ok_or_else(|| format!("{what}: missing numeric {key:?}"))
-}
-
-fn need_str(obj: &Json, key: &str, what: &str) -> Result<String, String> {
-    obj.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| format!("{what}: missing string {key:?}"))
+fn req_u32(obj: &Json, key: &str, what: &str) -> Result<u32, String> {
+    u32::try_from(obj.req_u64(key, what)?).map_err(|_| format!("{what}: {key:?} exceeds 32 bits"))
 }
 
 fn opt_digest(obj: &Json, key: &str, what: &str) -> Result<Option<u64>, String> {
-    match obj.get(key) {
-        Some(Json::Null) => Ok(None),
-        Some(v) => v
-            .as_f64()
-            .map(|n| Some(n as u64))
-            .ok_or_else(|| format!("{what}: {key:?} is neither null nor a number")),
-        None => Err(format!("{what}: missing {key:?}")),
-    }
+    let parsed = match obj.req(key, what)? {
+        Json::Null => return Ok(None),
+        Json::Str(hex) if hex.len() == 16 && !hex.starts_with('+') => {
+            u64::from_str_radix(hex, 16).ok()
+        }
+        _ => None,
+    };
+    let digest =
+        parsed.ok_or_else(|| format!("{what}: {key:?} is neither null nor 16 hex digits"))?;
+    Ok(Some(digest))
 }
 
 /// Parses a history previously rendered by [`history_json`].
@@ -268,20 +263,19 @@ pub fn parse_history(json: &Json) -> Result<Vec<HistoryEvent>, String> {
     let mut events = Vec::with_capacity(items.len());
     for (i, item) in items.iter().enumerate() {
         let what = format!("history[{i}]");
-        let kind = need_str(item, "type", &what)?;
-        let event = match kind.as_str() {
+        let event = match item.req_str("type", &what)? {
             "invoke" => HistoryEvent::Invoke {
-                client: need_u64(item, "client", &what)? as u32,
-                op_id: need_u64(item, "op_id", &what)?,
-                op: need_str(item, "op", &what)?,
-                bean: need_str(item, "bean", &what)?,
-                key: need_str(item, "key", &what)?,
-                t_us: need_u64(item, "t_us", &what)?,
+                client: req_u32(item, "client", &what)?,
+                op_id: item.req_u64("op_id", &what)?,
+                op: item.req_str("op", &what)?.to_owned(),
+                bean: item.req_str("bean", &what)?.to_owned(),
+                key: item.req_str("key", &what)?.to_owned(),
+                t_us: item.req_u64("t_us", &what)?,
             },
             "return" => HistoryEvent::Return {
-                client: need_u64(item, "client", &what)? as u32,
-                op_id: need_u64(item, "op_id", &what)?,
-                outcome: need_str(item, "outcome", &what)?,
+                client: req_u32(item, "client", &what)?,
+                op_id: item.req_u64("op_id", &what)?,
+                outcome: item.req_str("outcome", &what)?.to_owned(),
                 value: match item.get("value") {
                     Some(Json::Null) | None => None,
                     Some(v) => Some(
@@ -290,38 +284,35 @@ pub fn parse_history(json: &Json) -> Result<Vec<HistoryEvent>, String> {
                             .to_owned(),
                     ),
                 },
-                t_us: need_u64(item, "t_us", &what)?,
+                t_us: item.req_u64("t_us", &what)?,
             },
             "commit" => {
-                let entries = item
-                    .get("entries")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| format!("{what}: missing entries array"))?;
+                let entries = item.req_arr("entries", &what)?;
                 let mut images = Vec::with_capacity(entries.len());
                 for (j, e) in entries.iter().enumerate() {
                     let ew = format!("{what}.entries[{j}]");
                     images.push(HistoryImage {
-                        bean: need_str(e, "bean", &ew)?,
-                        key: need_str(e, "key", &ew)?,
-                        kind: need_str(e, "kind", &ew)?,
+                        bean: e.req_str("bean", &ew)?.to_owned(),
+                        key: e.req_str("key", &ew)?.to_owned(),
+                        kind: e.req_str("kind", &ew)?.to_owned(),
                         before: opt_digest(e, "before", &ew)?,
                         after: opt_digest(e, "after", &ew)?,
                     });
                 }
                 HistoryEvent::Commit {
-                    origin: need_u64(item, "origin", &what)? as u32,
-                    txn_id: need_u64(item, "txn_id", &what)?,
-                    outcome: need_str(item, "outcome", &what)?,
+                    origin: req_u32(item, "origin", &what)?,
+                    txn_id: item.req_u64("txn_id", &what)?,
+                    outcome: item.req_str("outcome", &what)?.to_owned(),
                     entries: images,
-                    t_us: need_u64(item, "t_us", &what)?,
+                    t_us: item.req_u64("t_us", &what)?,
                 }
             }
             "apply" => HistoryEvent::Apply {
-                origin: need_u64(item, "origin", &what)? as u32,
-                txn_id: need_u64(item, "txn_id", &what)?,
-                csn: need_u64(item, "csn", &what)?,
-                outcome: need_str(item, "outcome", &what)?,
-                t_us: need_u64(item, "t_us", &what)?,
+                origin: req_u32(item, "origin", &what)?,
+                txn_id: item.req_u64("txn_id", &what)?,
+                csn: item.req_u64("csn", &what)?,
+                outcome: item.req_str("outcome", &what)?.to_owned(),
+                t_us: item.req_u64("t_us", &what)?,
             },
             other => return Err(format!("{what}: unknown event type {other:?}")),
         };
@@ -331,7 +322,7 @@ pub fn parse_history(json: &Json) -> Result<Vec<HistoryEvent>, String> {
 }
 
 /// Schema identifier of the counterexample export.
-pub const COUNTEREXAMPLE_SCHEMA: &str = "sli-edge.slicheck-counterexample/v1";
+pub const COUNTEREXAMPLE_SCHEMA: &str = "sli-edge.slicheck-counterexample/v2";
 
 /// Validates a counterexample document before (and after) it is written.
 ///
@@ -354,15 +345,15 @@ pub fn validate_counterexample(doc: &Json) -> Result<(), String> {
     doc.get("arch")
         .and_then(Json::as_str)
         .ok_or("missing arch")?;
-    need_u64(doc, "seed", "doc")?;
+    doc.req_u64("seed", "doc")?;
     let schedule = doc
         .get("schedule")
         .and_then(Json::as_arr)
         .ok_or("missing schedule array")?;
     for (i, step) in schedule.iter().enumerate() {
         let what = format!("schedule[{i}]");
-        let choice = need_u64(step, "choice", &what)?;
-        let arity = need_u64(step, "arity", &what)?;
+        let choice = step.req_u64("choice", &what)?;
+        let arity = step.req_u64("arity", &what)?;
         if arity == 0 || choice >= arity {
             return Err(format!(
                 "{what}: choice {choice} out of range for arity {arity}"
@@ -390,13 +381,13 @@ pub fn validate_counterexample(doc: &Json) -> Result<(), String> {
     }
     for (i, v) in violations.iter().enumerate() {
         let what = format!("violations[{i}]");
-        need_str(v, "kind", &what)?;
-        need_str(v, "details", &what)?;
+        v.req_str("kind", &what)?;
+        v.req_str("details", &what)?;
         if let Some(cycle) = v.get("cycle").and_then(Json::as_arr) {
             for (j, node) in cycle.iter().enumerate() {
                 let nw = format!("{what}.cycle[{j}]");
-                let origin = need_u64(node, "origin", &nw)? as u32;
-                let txn_id = need_u64(node, "txn_id", &nw)?;
+                let origin = req_u32(node, "origin", &nw)?;
+                let txn_id = node.req_u64("txn_id", &nw)?;
                 if (origin, txn_id) != (0, 0) && !txns.contains(&(origin, txn_id)) {
                     return Err(format!(
                         "{nw}: txn {origin}/{txn_id} not present in history"
@@ -437,8 +428,9 @@ mod tests {
                     bean: "Account".to_owned(),
                     key: "alice".to_owned(),
                     kind: "update".to_owned(),
-                    before: Some(11),
-                    after: Some(22),
+                    // Real digests use all 64 bits; an `f64` keeps 53.
+                    before: Some(0xcbf2_9ce4_8422_2325),
+                    after: Some(u64::MAX - 1),
                 }],
                 t_us: 30,
             },
@@ -467,6 +459,19 @@ mod tests {
         let missing = Json::Arr(vec![Json::obj([("type", Json::from("apply"))])]);
         assert!(parse_history(&missing).is_err());
         assert!(parse_history(&Json::Null).is_err());
+        // Integers are checked, not cast: no sign, fraction or magnitude
+        // beyond what a JSON number carries exactly slips through.
+        for bad in ["-1", "1.5", "1e300"] {
+            let text = history_json(&sample_history()).render();
+            let text = text.replacen("\"t_us\":10", &format!("\"t_us\":{bad}"), 1);
+            let err = parse_history(&Json::parse(&text).unwrap()).unwrap_err();
+            assert!(err.contains("non-negative integer below 2^53"), "{err}");
+        }
+        // A digest is 16 hex digits or null, never a (rounded) number.
+        let text = history_json(&sample_history()).render();
+        let text = text.replacen("\"cbf29ce484222325\"", "14695981039346656037", 1);
+        let err = parse_history(&Json::parse(&text).unwrap()).unwrap_err();
+        assert!(err.contains("16 hex digits"), "{err}");
     }
 
     fn sample_counterexample() -> Json {

@@ -101,6 +101,19 @@ impl Json {
             .ok_or_else(|| format!("{at}: {key:?} must be a number"))
     }
 
+    /// The required member `key` of the object at `at` as a `u64`: a
+    /// non-negative integer below 2^53, the range in which an `f64` (all a
+    /// [`Json::Num`] holds) is exact. Wider values travel as hex strings.
+    pub fn req_u64(&self, key: &str, at: &str) -> Result<u64, String> {
+        let v = self.req_num(key, at)?;
+        if v < 0.0 || v.fract() != 0.0 || v >= EXACT_INT_LIMIT {
+            return Err(format!(
+                "{at}: {key:?} = {v} must be a non-negative integer below 2^53"
+            ));
+        }
+        Ok(v as u64)
+    }
+
     /// The required string member `key` of the object at `at`.
     pub fn req_str(&self, key: &str, at: &str) -> Result<&str, String> {
         self.req(key, at)?
@@ -172,11 +185,14 @@ impl fmt::Display for Json {
     }
 }
 
+/// 2^53: below it every integer is exactly representable in an `f64`.
+const EXACT_INT_LIMIT: f64 = 9_007_199_254_740_992.0;
+
 fn write_number(v: f64, out: &mut String) {
     use fmt::Write as _;
     if !v.is_finite() {
         out.push_str("null"); // JSON has no NaN/Inf
-    } else if v.fract() == 0.0 && v.abs() < 9_007_199_254_740_992.0 {
+    } else if v.fract() == 0.0 && v.abs() < EXACT_INT_LIMIT {
         let _ = write!(out, "{}", v as i64);
     } else {
         let _ = write!(out, "{v}");
@@ -397,5 +413,12 @@ mod tests {
         assert_eq!(j.get("missing"), None);
         assert_eq!(j.as_str(), None);
         assert_eq!(Json::from("x").as_str(), Some("x"));
+        assert_eq!(j.req_u64("n", "j"), Ok(4));
+        for bad in [-1.0, 1.5, EXACT_INT_LIMIT] {
+            let j = Json::obj([("n", Json::Num(bad))]);
+            assert!(j.req_u64("n", "j").is_err(), "{bad}");
+        }
+        let j = Json::obj([("n", Json::Num(EXACT_INT_LIMIT - 1.0))]);
+        assert_eq!(j.req_u64("n", "j"), Ok((1 << 53) - 1));
     }
 }

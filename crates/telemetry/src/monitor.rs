@@ -52,7 +52,6 @@
 use crate::metrics::Gauge;
 use crate::registry::Registry;
 use crate::span::SpanEvent;
-use crate::timeline::Timeline;
 use crate::tree::conflict_leaderboard;
 use crate::Counter;
 use crate::Json;
@@ -169,16 +168,6 @@ impl MonitorMetrics {
         registry.attach_counter(format!("{prefix}.incidents"), &self.incidents);
         registry.attach_counter(format!("{prefix}.evaluations"), &self.evaluations);
         registry.attach_gauge(
-            format!("{prefix}.budget_remaining_ppm"),
-            &self.budget_remaining_ppm,
-        );
-    }
-
-    /// Tracks every handle into `timeline` under the same names.
-    pub fn timeline_into(&self, timeline: &Timeline, prefix: &str) {
-        timeline.track_counter(format!("{prefix}.incidents"), &self.incidents);
-        timeline.track_counter(format!("{prefix}.evaluations"), &self.evaluations);
-        timeline.track_gauge(
             format!("{prefix}.budget_remaining_ppm"),
             &self.budget_remaining_ppm,
         );
@@ -1134,8 +1123,8 @@ mod tests {
         ] {
             assert!(names.iter().any(|n| n == name), "missing {name}");
         }
-        let timeline = Timeline::new(1_000_000);
-        metrics.timeline_into(&timeline, "monitor");
+        let timeline = crate::Timeline::new(1_000_000);
+        timeline.track_registry(&registry);
         assert_eq!(timeline.series_count(), 3);
     }
 }

@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 
 use crate::json::Json;
 use crate::span::{SpanDetail, SpanEvent};
-use crate::tree::{bucket_for, Bucket};
+use crate::tree::{bucket_for, walk_complete_traces, Bucket};
 
 /// Schema identifier embedded in every exported profile document; bump on
 /// any incompatible shape change.
@@ -132,60 +132,28 @@ pub struct Profile {
 }
 
 impl Profile {
-    /// Folds every *complete* trace in `events` into the profile, using
-    /// the same completeness rules as [`critical_path`](crate::critical_path)
-    /// (all parent links resolve; untraced events are ignored), so the two
-    /// agree span for span.
+    /// Folds every complete trace in `events` into the profile. Like
+    /// [`critical_path`](crate::critical_path) this is a fold over the one
+    /// span-tree walk, so the two agree span for span.
     pub fn fold(&mut self, events: &[SpanEvent]) {
-        let mut traces: BTreeMap<u64, Vec<&SpanEvent>> = BTreeMap::new();
-        for e in events {
-            if e.trace_id != 0 {
-                traces.entry(e.trace_id).or_default().push(e);
-            }
-        }
-        for spans in traces.values() {
-            let by_id: BTreeMap<u64, &SpanEvent> = spans.iter().map(|s| (s.span_id, *s)).collect();
-            let complete = spans
-                .iter()
-                .all(|s| s.parent_span_id == 0 || by_id.contains_key(&s.parent_span_id));
-            if !complete {
-                continue;
-            }
-            let mut child_us: BTreeMap<u64, u64> = BTreeMap::new();
-            for s in spans.iter() {
-                if s.parent_span_id != 0 {
-                    *child_us.entry(s.parent_span_id).or_default() += s.duration_us();
-                }
-            }
-            for s in spans.iter() {
-                let nested = child_us.get(&s.span_id).copied().unwrap_or(0);
-                let self_us = s.duration_us().saturating_sub(nested);
-                let class = span_class(s);
-                let slot = self.classes.entry(class).or_insert(ClassStat {
-                    self_us: 0,
-                    spans: 0,
-                    bucket: bucket_for(s.op),
-                });
-                slot.self_us += self_us;
-                slot.spans += 1;
-                // Root → self frame path for the collapsed stack. Trees
-                // are a handful of levels deep, so chasing parents per
-                // span is cheap.
-                let mut frames = vec![span_class(s)];
-                let mut at = s.parent_span_id;
-                while at != 0 {
-                    let parent = by_id[&at];
-                    frames.push(span_class(parent));
-                    at = parent.parent_span_id;
-                }
-                frames.reverse();
-                *self.stacks.entry(frames.join(";")).or_default() += self_us;
-                if s.parent_span_id == 0 {
-                    self.total_us += s.duration_us();
-                }
-            }
-            self.traces += 1;
-        }
+        let (traces, total_us) = walk_complete_traces(events, |v| {
+            let slot = self.classes.entry(span_class(v.span)).or_insert(ClassStat {
+                self_us: 0,
+                spans: 0,
+                bucket: bucket_for(v.span.op),
+            });
+            slot.self_us += v.self_us;
+            slot.spans += 1;
+            // Root → self frame path for the collapsed stack.
+            let mut frames: Vec<String> = std::iter::once(v.span)
+                .chain(v.ancestors())
+                .map(span_class)
+                .collect();
+            frames.reverse();
+            *self.stacks.entry(frames.join(";")).or_default() += v.self_us;
+        });
+        self.traces += traces;
+        self.total_us += total_us;
     }
 
     /// Builds a profile from one batch of events.

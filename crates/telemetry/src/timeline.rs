@@ -24,11 +24,12 @@
 //! [`validate_timeline`]; [`sparkline`] renders a series as a fixed ASCII
 //! ramp for the bench binaries' terminal tables.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
 
 use crate::json::Json;
 use crate::metrics::{Counter, Gauge};
+use crate::registry::{Metric, Registry};
 
 /// Schema identifier embedded in every emitted timeline document; bump on
 /// any incompatible shape change.
@@ -93,6 +94,9 @@ struct Inner {
 
 /// A set of counter/gauge series sampled into fixed-width virtual-time
 /// windows (see the module docs).
+///
+/// Series are kept in name order whatever order they were tracked in, and
+/// tracking a name that is already tracked changes nothing.
 ///
 /// The sampling cadence is the caller's: nothing in the simulation ticks on
 /// its own, so the measurement loop calls [`Timeline::sample`] with the
@@ -170,19 +174,36 @@ impl Timeline {
         self.track(name.into(), SeriesKind::Level, Source::Gauge(gauge.clone()));
     }
 
+    /// Tracks every counter (as a rate series) and gauge (as a level
+    /// series) `registry` holds right now, under its registry name.
+    /// Histograms have no windowed form and are skipped. Names already
+    /// tracked are left alone, so calling this again after a later attach
+    /// adds only what is new.
+    pub fn track_registry(&self, registry: &Registry) {
+        for name in registry.names() {
+            match registry.get(&name) {
+                Some(Metric::Counter(c)) => self.track_counter(name, &c),
+                Some(Metric::Gauge(g)) => self.track_gauge(name, &g),
+                Some(Metric::Histogram(_)) | None => {}
+            }
+        }
+    }
+
     fn track(&self, name: String, kind: SeriesKind, source: Source) {
-        let base = source.value();
-        self.inner
-            .lock()
-            .expect("timeline lock")
-            .series
-            .push(SeriesState {
-                name,
-                kind,
-                source,
-                base,
-                windows: BTreeMap::new(),
-            });
+        let series = &mut self.inner.lock().expect("timeline lock").series;
+        if let Err(at) = series.binary_search_by(|s| s.name.as_str().cmp(&name)) {
+            let base = source.value();
+            series.insert(
+                at,
+                SeriesState {
+                    name,
+                    kind,
+                    source,
+                    base,
+                    windows: BTreeMap::new(),
+                },
+            );
+        }
     }
 
     /// Number of tracked series.
@@ -395,8 +416,9 @@ impl TimelineDoc {
 }
 
 /// Validates parsed JSON against the [`TIMELINE_SCHEMA`] shape, including
-/// the conservation law: every rate series' windows must sum exactly to
-/// its `total`. Returns a description of the first violation found.
+/// the conservation law (every rate series' windows must sum exactly to
+/// its `total`) and that no run names a series twice. Returns a
+/// description of the first violation found.
 pub fn validate_timeline(json: &Json) -> Result<(), String> {
     let schema = json.req_str("schema", "timeline")?;
     if schema != TIMELINE_SCHEMA {
@@ -418,9 +440,13 @@ pub fn validate_timeline(json: &Json) -> Result<(), String> {
         }
         let windows = run.req_num("windows", &at)? as usize;
         let series = run.req_arr("series", &at)?;
+        let mut names = BTreeSet::new();
         for (j, s) in series.iter().enumerate() {
             let at = format!("{at}.series[{j}]");
             let name = s.req_str("name", &at)?;
+            if !names.insert(name) {
+                return Err(format!("{at}: duplicate series name {name:?}"));
+            }
             let kind = s.req_str("kind", &at)?;
             if kind != "rate" && kind != "level" {
                 return Err(format!("{at}: kind {kind:?} not in {{rate, level}}"));
@@ -493,6 +519,44 @@ mod tests {
         assert_eq!(report.series[0].total, expected);
         assert_eq!(report.series[0].values.iter().sum::<u64>(), expected);
         assert_eq!(report.series[0].kind, SeriesKind::Rate);
+    }
+
+    #[test]
+    fn track_registry_is_a_view_of_the_registrys_counters_and_gauges() {
+        let registry = Registry::new();
+        let (hits, size) = (Counter::new(), Gauge::new());
+        registry.attach_gauge("store.size", &size);
+        registry.attach_counter("store.hits", &hits);
+        registry.attach_histogram("store.latency_us", &crate::Histogram::new());
+        let tl = Timeline::new(1_000);
+        tl.track_registry(&registry);
+        tl.track_registry(&registry); // re-tracking changes nothing
+        tl.track_counter("store.hits", &Counter::new()); // nor does a second handle
+        hits.add(3);
+        size.set(7);
+        tl.sample(100);
+        let kinds = |tl: &Timeline| -> Vec<(String, SeriesKind, u64)> {
+            let series = tl.report("r").series;
+            series
+                .into_iter()
+                .map(|s| (s.name, s.kind, s.total))
+                .collect()
+        };
+        // Name order, counter → rate, gauge → level, histogram skipped.
+        assert_eq!(
+            kinds(&tl),
+            [
+                ("store.hits".to_owned(), SeriesKind::Rate, 3),
+                ("store.size".to_owned(), SeriesKind::Level, 7),
+            ]
+        );
+        // A later attach is picked up by a later call, at its place in
+        // name order, without disturbing what was collected.
+        registry.attach_counter("store.evictions", &Counter::new());
+        tl.track_registry(&registry);
+        let names: Vec<String> = kinds(&tl).into_iter().map(|(name, ..)| name).collect();
+        assert_eq!(names, ["store.evictions", "store.hits", "store.size"]);
+        assert_eq!(kinds(&tl)[1].2, 3);
     }
 
     #[test]
@@ -611,6 +675,20 @@ mod tests {
         }
         let err = validate_timeline(&Json::Obj(broken)).unwrap_err();
         assert!(err.contains("sum"), "{err}");
+
+        // The same series name twice in one run.
+        let mut twice = good.clone();
+        if let Json::Obj(doc) = &mut twice {
+            if let Some(Json::Arr(runs)) = doc.get_mut("runs") {
+                if let Json::Obj(run) = &mut runs[0] {
+                    if let Some(Json::Arr(series)) = run.get_mut("series") {
+                        series.push(series[0].clone());
+                    }
+                }
+            }
+        }
+        let err = validate_timeline(&twice).unwrap_err();
+        assert!(err.contains("duplicate series name \"hits\""), "{err}");
 
         // Length mismatch against the declared window count.
         let mut short = match good {

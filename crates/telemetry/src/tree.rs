@@ -130,41 +130,82 @@ impl Breakdown {
     }
 }
 
-/// Decomposes every *complete* trace in `events` (one whose parent links
-/// all resolve — eviction can behead old traces) into per-bucket self
-/// times. Untraced events (`trace_id == 0`) are ignored.
-pub fn critical_path(events: &[SpanEvent]) -> Breakdown {
+/// One span of a complete trace, as [`walk_complete_traces`] hands it to a
+/// fold.
+pub(crate) struct SpanVisit<'a> {
+    /// The span itself.
+    pub span: &'a SpanEvent,
+    /// Its duration minus its direct children's.
+    pub self_us: u64,
+    by_id: &'a BTreeMap<u64, &'a SpanEvent>,
+}
+
+impl<'a> SpanVisit<'a> {
+    /// The span's ancestors, parent first, root last (none for a root).
+    pub fn ancestors(&self) -> impl Iterator<Item = &'a SpanEvent> + '_ {
+        let mut at = self.span.parent_span_id;
+        std::iter::from_fn(move || {
+            if at == 0 {
+                return None;
+            }
+            let parent = *self.by_id.get(&at)?;
+            at = parent.parent_span_id;
+            Some(parent)
+        })
+    }
+}
+
+/// The one span-tree walk every aggregate view folds over: groups `events`
+/// by trace (untraced events, `trace_id == 0`, are ignored), keeps the
+/// *complete* traces (every parent link resolves — eviction can behead old
+/// traces) and calls `visit` once per span of each with its self time.
+/// Returns `(traces, total_us)`: how many traces were complete and their
+/// summed root-span durations.
+pub(crate) fn walk_complete_traces(
+    events: &[SpanEvent],
+    mut visit: impl FnMut(SpanVisit<'_>),
+) -> (u64, u64) {
     let mut traces: BTreeMap<u64, Vec<&SpanEvent>> = BTreeMap::new();
     for e in events {
         if e.trace_id != 0 {
             traces.entry(e.trace_id).or_default().push(e);
         }
     }
-    let mut out = Breakdown::default();
+    let (mut walked, mut total_us) = (0, 0);
     for spans in traces.values() {
-        let ids: BTreeMap<u64, u64> = spans.iter().map(|s| (s.span_id, s.duration_us())).collect();
-        let complete = spans
-            .iter()
-            .all(|s| s.parent_span_id == 0 || ids.contains_key(&s.parent_span_id));
+        let by_id: BTreeMap<u64, &SpanEvent> = spans.iter().map(|s| (s.span_id, *s)).collect();
+        let mut child_us: BTreeMap<u64, u64> = BTreeMap::new();
+        for s in spans.iter().filter(|s| s.parent_span_id != 0) {
+            *child_us.entry(s.parent_span_id).or_default() += s.duration_us();
+        }
+        let complete = child_us.keys().all(|parent| by_id.contains_key(parent));
         if !complete {
             continue;
         }
-        let mut child_us: BTreeMap<u64, u64> = BTreeMap::new();
-        for s in spans.iter() {
-            if s.parent_span_id != 0 {
-                *child_us.entry(s.parent_span_id).or_default() += s.duration_us();
+        for &span in spans {
+            let nested = child_us.get(&span.span_id).copied().unwrap_or(0);
+            visit(SpanVisit {
+                span,
+                self_us: span.duration_us().saturating_sub(nested),
+                by_id: &by_id,
+            });
+            if span.parent_span_id == 0 {
+                total_us += span.duration_us();
             }
         }
-        for s in spans.iter() {
-            let nested = child_us.get(&s.span_id).copied().unwrap_or(0);
-            let self_us = s.duration_us().saturating_sub(nested);
-            out.bucket_us[bucket_for(s.op).index()] += self_us;
-            if s.parent_span_id == 0 {
-                out.total_us += s.duration_us();
-            }
-        }
-        out.traces += 1;
+        walked += 1;
     }
+    (walked, total_us)
+}
+
+/// Decomposes every *complete* trace in `events` (one whose parent links
+/// all resolve — eviction can behead old traces) into per-bucket self
+/// times. Untraced events (`trace_id == 0`) are ignored.
+pub fn critical_path(events: &[SpanEvent]) -> Breakdown {
+    let mut out = Breakdown::default();
+    (out.traces, out.total_us) = walk_complete_traces(events, |v| {
+        out.bucket_us[bucket_for(v.span.op).index()] += v.self_us;
+    });
     out
 }
 

@@ -10,21 +10,9 @@ use sli_edge::trade::seed::Population;
 use sli_edge::trade::session::SessionGenerator;
 use sli_edge::trade::TradeAction;
 
-fn all_architectures() -> Vec<Architecture> {
-    vec![
-        Architecture::EsRdb(Flavor::Jdbc),
-        Architecture::EsRdb(Flavor::VanillaEjb),
-        Architecture::EsRdb(Flavor::CachedEjb),
-        Architecture::EsRbes,
-        Architecture::ClientsRas(Flavor::Jdbc),
-        Architecture::ClientsRas(Flavor::VanillaEjb),
-        Architecture::ClientsRas(Flavor::CachedEjb),
-    ]
-}
-
 #[test]
 fn twenty_sessions_succeed_on_every_architecture() {
-    for arch in all_architectures() {
+    for (arch, _) in Architecture::ALL {
         let tb = Testbed::build(arch, TestbedConfig::default());
         tb.set_delay(SimDuration::from_millis(10));
         let mut generator = SessionGenerator::new(99, Population::default());
@@ -243,7 +231,7 @@ fn every_architecture_emits_a_valid_run_report() {
     use sli_edge::telemetry::{validate_run_report, RunReport};
 
     let mut run = RunReport::new("architectures integration smoke");
-    for arch in all_architectures() {
+    for (arch, _) in Architecture::ALL {
         let tb = Testbed::build(arch, TestbedConfig::default());
         tb.set_delay(SimDuration::from_millis(15));
         let mut generator = SessionGenerator::new(41, Population::default());
@@ -280,7 +268,7 @@ fn every_architecture_emits_a_valid_run_report() {
     validate_run_report(&json).expect("all seven rows validate");
     // The rendered table carries one line per architecture row.
     let text = run.render_text();
-    for arch in all_architectures() {
+    for (arch, _) in Architecture::ALL {
         assert!(
             text.contains(arch.label()),
             "{} missing from\n{text}",
