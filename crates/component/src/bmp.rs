@@ -19,8 +19,6 @@
 //! the worst latency sensitivity (23.6) of all ES/RDB configurations in
 //! Table 2.
 
-use std::collections::BTreeMap;
-
 use sli_datastore::{DbError, Predicate, Value};
 
 use crate::context::TxContext;
@@ -35,11 +33,6 @@ use crate::{EjbResult, SharedConnection};
 pub struct BmpHome {
     meta: EntityMeta,
     conn: SharedConnection,
-    exists_sql: String,
-    load_sql: String,
-    insert_sql: String,
-    update_sql: String,
-    delete_sql: String,
 }
 
 impl std::fmt::Debug for BmpHome {
@@ -52,23 +45,10 @@ impl std::fmt::Debug for BmpHome {
 }
 
 impl BmpHome {
-    /// Builds the home (and its prepared statement texts) for `meta` over
-    /// `conn`.
+    /// Builds the home for `meta` (which carries the statement texts)
+    /// over `conn`.
     pub fn new(meta: EntityMeta, conn: SharedConnection) -> BmpHome {
-        let exists_sql = meta.exists_sql();
-        let load_sql = meta.load_sql();
-        let insert_sql = meta.insert_sql();
-        let update_sql = meta.update_sql();
-        let delete_sql = meta.delete_sql();
-        BmpHome {
-            meta,
-            conn,
-            exists_sql,
-            load_sql,
-            insert_sql,
-            update_sql,
-            delete_sql,
-        }
+        BmpHome { meta, conn }
     }
 
     /// SQL text for a named finder (primary keys only — BMP finders return
@@ -84,10 +64,10 @@ impl BmpHome {
 
     /// `ejbLoad`: fetches the full row and installs it in the context.
     fn ensure_loaded(&self, ctx: &mut TxContext, key: &Value) -> EjbResult<()> {
-        let bean = self.meta.bean().to_owned();
-        if let Some(inst) = ctx.instance(&bean, key) {
+        let bean = self.meta.bean();
+        if let Some(inst) = ctx.instance(bean, key) {
             if inst.removed {
-                return Err(EjbError::not_found(&bean, key));
+                return Err(EjbError::not_found(bean, key));
             }
             if inst.loaded {
                 return Ok(());
@@ -96,12 +76,12 @@ impl BmpHome {
         let rs = self
             .conn
             .lock()
-            .execute(&self.load_sql, std::slice::from_ref(key))?;
+            .execute(self.meta.load_sql(), std::slice::from_ref(key))?;
         if rs.is_empty() {
-            return Err(EjbError::not_found(&bean, key));
+            return Err(EjbError::not_found(bean, key));
         }
         let image = self.meta.memento_from_row(&rs.rows()[0]);
-        ctx.enlist(&bean, key).load_from(&image);
+        ctx.enlist(bean, key).load_from(&image);
         Ok(())
     }
 }
@@ -112,78 +92,73 @@ impl Home for BmpHome {
     }
 
     fn create(&self, ctx: &mut TxContext, state: Memento) -> EjbResult<EjbRef> {
-        let bean = self.meta.bean().to_owned();
-        let key = state.primary_key().clone();
+        let bean = self.meta.bean();
+        let key = state.primary_key();
         for field in state.fields().keys() {
             self.meta.check_field(field)?;
         }
-        // ejbCreate inserts immediately.
-        let mut params = Vec::with_capacity(self.meta.fields().len() + 1);
-        params.push(key.clone());
-        let mut fields = BTreeMap::new();
-        for f in self.meta.fields() {
-            let v = state.get(&f.name).cloned().unwrap_or(Value::Null);
-            fields.insert(f.name.clone(), v.clone());
-            params.push(v);
-        }
-        match self.conn.lock().execute(&self.insert_sql, &params) {
+        // ejbCreate inserts immediately: the key, then every declared field
+        // (NULL where `state` has none) — which is also the row the bean's
+        // in-transaction state is read back from.
+        let params = self.meta.insert_params(&state);
+        match self.conn.lock().execute(self.meta.insert_sql(), &params) {
             Ok(_) => {}
             Err(DbError::DuplicateKey(_)) => {
                 return Err(EjbError::DuplicateKey {
-                    bean,
+                    bean: bean.to_owned(),
                     key: key.to_string(),
                 })
             }
             Err(e) => return Err(e.into()),
         }
-        let inst = ctx.enlist(&bean, &key);
-        inst.fields = fields;
+        let inst = ctx.enlist(bean, key);
+        inst.current = Some(self.meta.memento_from_row(&params));
         inst.loaded = true;
         inst.exists = true;
         inst.created = true;
         inst.dirty = false;
-        Ok(EjbRef::new(bean, key))
+        Ok(EjbRef::new(bean, key.clone()))
     }
 
     fn find_by_primary_key(&self, ctx: &mut TxContext, key: &Value) -> EjbResult<EjbRef> {
-        let bean = self.meta.bean().to_owned();
+        let bean = self.meta.bean();
         // Vanilla BMP always re-verifies existence with a SELECT — this is
         // the uncacheable find the paper blames for BMP's poor sensitivity.
         let rs = self
             .conn
             .lock()
-            .execute(&self.exists_sql, std::slice::from_ref(key))?;
+            .execute(self.meta.exists_sql(), std::slice::from_ref(key))?;
         if rs.is_empty() {
-            return Err(EjbError::not_found(&bean, key));
+            return Err(EjbError::not_found(bean, key));
         }
-        ctx.enlist(&bean, key).exists = true;
+        ctx.enlist(bean, key).exists = true;
         Ok(EjbRef::new(bean, key.clone()))
     }
 
     fn find(&self, ctx: &mut TxContext, finder: &str, params: &[Value]) -> EjbResult<Vec<EjbRef>> {
-        let bean = self.meta.bean().to_owned();
+        let bean = self.meta.bean();
         let def = self.meta.finder_def(finder)?;
         let sql = self.finder_sql(&def.predicate);
         let rs = self.conn.lock().execute(&sql, params)?;
         let mut refs = Vec::with_capacity(rs.len());
         for row in rs.rows() {
             let key = row[0].clone();
-            ctx.enlist(&bean, &key).exists = true;
-            refs.push(EjbRef::new(bean.clone(), key));
+            ctx.enlist(bean, &key).exists = true;
+            refs.push(EjbRef::new(bean, key));
         }
         Ok(refs)
     }
 
     fn remove(&self, ctx: &mut TxContext, key: &Value) -> EjbResult<()> {
-        let bean = self.meta.bean().to_owned();
+        let bean = self.meta.bean();
         let rs = self
             .conn
             .lock()
-            .execute(&self.delete_sql, std::slice::from_ref(key))?;
+            .execute(self.meta.delete_sql(), std::slice::from_ref(key))?;
         if rs.affected_rows() == 0 {
-            return Err(EjbError::not_found(&bean, key));
+            return Err(EjbError::not_found(bean, key));
         }
-        let inst = ctx.enlist(&bean, key);
+        let inst = ctx.enlist(bean, key);
         inst.removed = true;
         inst.dirty = false;
         Ok(())
@@ -198,7 +173,7 @@ impl Home for BmpHome {
         let inst = ctx
             .instance(self.meta.bean(), key)
             .expect("ensure_loaded enlists");
-        Ok(inst.fields.get(field).cloned().unwrap_or(Value::Null))
+        Ok(inst.field(field))
     }
 
     fn set_field(
@@ -208,24 +183,17 @@ impl Home for BmpHome {
         field: &str,
         value: Value,
     ) -> EjbResult<()> {
-        self.meta.check_field(field)?;
-        if field == self.meta.key_field() {
-            return Err(EjbError::NoSuchField {
-                bean: self.meta.bean().to_owned(),
-                field: format!("{field} (primary keys are immutable)"),
-            });
-        }
+        self.meta.check_writable(field)?;
         self.ensure_loaded(ctx, key)?;
         let inst = ctx
             .instance_mut(self.meta.bean(), key)
             .expect("ensure_loaded enlists");
-        inst.fields.insert(field.to_owned(), value);
-        inst.dirty = true;
+        inst.set_field(self.meta.bean(), key, field, value);
         Ok(())
     }
 
     fn flush(&self, ctx: &mut TxContext) -> EjbResult<()> {
-        let bean = self.meta.bean().to_owned();
+        let bean = self.meta.bean();
         // ejbStore: one UPDATE per dirty live instance of this type.
         let dirty_keys: Vec<Value> = ctx
             .iter()
@@ -234,17 +202,11 @@ impl Home for BmpHome {
             .collect();
         for key in dirty_keys {
             let inst = ctx
-                .instance(&bean, &key)
+                .instance_mut(bean, &key)
                 .expect("key collected from iteration");
-            let mut params: Vec<Value> = self
-                .meta
-                .fields()
-                .iter()
-                .map(|f| inst.fields.get(&f.name).cloned().unwrap_or(Value::Null))
-                .collect();
-            params.push(key.clone());
-            self.conn.lock().execute(&self.update_sql, &params)?;
-            ctx.instance_mut(&bean, &key).expect("still enlisted").dirty = false;
+            let params = self.meta.update_params(&inst.to_memento(bean, &key));
+            self.conn.lock().execute(self.meta.update_sql(), &params)?;
+            inst.dirty = false;
         }
         Ok(())
     }

@@ -105,6 +105,8 @@ impl ResourceManager for JdbcResourceManager {
 /// The EJB container: a home registry plus transaction demarcation.
 pub struct Container {
     homes: BTreeMap<String, Arc<dyn Home>>,
+    /// `homes.values()`, kept for handing to [`ResourceManager::commit`].
+    commit_order: Vec<Arc<dyn Home>>,
     rm: Arc<dyn ResourceManager>,
 }
 
@@ -121,6 +123,7 @@ impl Container {
     pub fn new(rm: Arc<dyn ResourceManager>) -> Container {
         Container {
             homes: BTreeMap::new(),
+            commit_order: Vec::new(),
             rm,
         }
     }
@@ -128,6 +131,7 @@ impl Container {
     /// Deploys a home into the container.
     pub fn register(&mut self, home: Arc<dyn Home>) {
         self.homes.insert(home.meta().bean().to_owned(), home);
+        self.commit_order = self.homes.values().cloned().collect();
     }
 
     /// Looks up the deployed home for `bean`.
@@ -188,8 +192,7 @@ impl Container {
         self.rm.begin(&mut ctx)?;
         match f(&mut ctx, self) {
             Ok(value) => {
-                let homes: Vec<Arc<dyn Home>> = self.homes.values().cloned().collect();
-                self.rm.commit(&mut ctx, &homes)?;
+                self.rm.commit(&mut ctx, &self.commit_order)?;
                 Ok(value)
             }
             Err(e) => {

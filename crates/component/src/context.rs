@@ -8,7 +8,7 @@
 //! uses it as the usual entity-instance cache, and the SLI runtime reads it
 //! at commit time to build the optimistic commit request.
 
-use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use sli_datastore::Value;
 
@@ -17,9 +17,11 @@ use crate::memento::Memento;
 /// In-transaction state of one enlisted bean.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct InstanceState {
-    /// Current (possibly modified) non-key fields.
-    pub fields: BTreeMap<String, Value>,
-    /// Whether `fields` has been populated from the store.
+    /// Current (possibly modified) state. It shares the loaded image until
+    /// the first field write, which is the one deep copy a transaction
+    /// makes of a bean; `None` until the state is loaded or created.
+    pub current: Option<Memento>,
+    /// Whether `current` has been populated from the store.
     pub loaded: bool,
     /// Whether the state diverged from the loaded image.
     pub dirty: bool,
@@ -37,18 +39,17 @@ pub struct InstanceState {
 
 impl InstanceState {
     /// Snapshot of the current state as a memento (the after-image when
-    /// taken at commit).
+    /// taken at commit); an empty image of (`bean`, `key`) when there is no
+    /// state yet.
     pub fn to_memento(&self, bean: &str, key: &Value) -> Memento {
-        let mut m = Memento::new(bean, key.clone());
-        for (name, value) in &self.fields {
-            m.set(name.clone(), value.clone());
-        }
-        m
+        self.current
+            .clone()
+            .unwrap_or_else(|| Memento::new(bean, key.clone()))
     }
 
     /// Loads `image` as this instance's observed state and before-image.
     pub fn load_from(&mut self, image: &Memento) {
-        self.fields = image.fields().clone();
+        self.current = Some(image.clone());
         self.loaded = true;
         self.exists = true;
         self.dirty = false;
@@ -56,14 +57,32 @@ impl InstanceState {
             self.before = Some(image.clone());
         }
     }
+
+    /// The current value of a non-key field (NULL when unset).
+    pub fn field(&self, name: &str) -> Value {
+        let value = self.current.as_ref().and_then(|m| m.get(name));
+        value.cloned().unwrap_or(Value::Null)
+    }
+
+    /// Writes a non-key field of the bean (`bean`, `key`) and marks the
+    /// state dirty.
+    pub fn set_field(&mut self, bean: &str, key: &Value, name: &str, value: Value) {
+        self.current
+            .get_or_insert_with(|| Memento::new(bean, key.clone()))
+            .set(name, value);
+        self.dirty = true;
+    }
 }
 
 /// The per-transaction transient store.
+///
+/// A transaction's footprint is a handful of beans, so the store is one
+/// vector in first-touch order (the order commit processing needs) and a
+/// lookup is a scan comparing borrowed keys: asking a question builds
+/// nothing.
 #[derive(Debug, Default)]
 pub struct TxContext {
-    instances: HashMap<(String, Value), InstanceState>,
-    /// Monotonic touch order, for deterministic commit processing.
-    order: Vec<(String, Value)>,
+    instances: Vec<(Arc<str>, Value, InstanceState)>,
 }
 
 impl TxContext {
@@ -72,32 +91,35 @@ impl TxContext {
         TxContext::default()
     }
 
+    fn position(&self, bean: &str, key: &Value) -> Option<usize> {
+        self.instances
+            .iter()
+            .position(|(b, k, _)| **b == *bean && k == key)
+    }
+
     /// Read-only view of an enlisted instance.
     pub fn instance(&self, bean: &str, key: &Value) -> Option<&InstanceState> {
-        self.instances.get(&(bean.to_owned(), key.clone()))
+        self.position(bean, key).map(|i| &self.instances[i].2)
     }
 
     /// Mutable view of an enlisted instance.
     pub fn instance_mut(&mut self, bean: &str, key: &Value) -> Option<&mut InstanceState> {
-        self.instances.get_mut(&(bean.to_owned(), key.clone()))
+        self.position(bean, key).map(|i| &mut self.instances[i].2)
     }
 
     /// Fetches or creates the instance entry for (`bean`, `key`).
     pub fn enlist(&mut self, bean: &str, key: &Value) -> &mut InstanceState {
-        let entry_key = (bean.to_owned(), key.clone());
-        if !self.instances.contains_key(&entry_key) {
-            self.order.push(entry_key.clone());
+        let i = self.position(bean, key).unwrap_or_else(|| {
             self.instances
-                .insert(entry_key.clone(), InstanceState::default());
-        }
-        self.instances.get_mut(&entry_key).expect("just inserted")
+                .push((bean.into(), key.clone(), InstanceState::default()));
+            self.instances.len() - 1
+        });
+        &mut self.instances[i].2
     }
 
     /// Iterates enlisted instances in first-touch order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value, &InstanceState)> {
-        self.order
-            .iter()
-            .filter_map(|k| self.instances.get(k).map(|st| (k.0.as_str(), &k.1, st)))
+        self.instances.iter().map(|(b, k, st)| (&**b, k, st))
     }
 
     /// Number of enlisted instances.
@@ -113,7 +135,6 @@ impl TxContext {
     /// Drops all enlisted state (transaction end).
     pub fn clear(&mut self) {
         self.instances.clear();
-        self.order.clear();
     }
 }
 
@@ -145,16 +166,29 @@ mod tests {
         let img2 = Memento::new("Account", Value::from("a")).with_field("balance", 20.0);
         st.load_from(&img2);
         assert_eq!(st.before.as_ref(), Some(&img1));
-        assert_eq!(st.fields.get("balance"), Some(&Value::from(20.0)));
+        assert_eq!(st.field("balance"), Value::from(20.0));
     }
 
     #[test]
     fn to_memento_captures_current_fields() {
         let mut st = InstanceState::default();
-        st.fields.insert("balance".into(), Value::from(42.0));
+        assert_eq!(st.field("balance"), Value::Null);
+        st.set_field("Account", &Value::from("a"), "balance", Value::from(42.0));
+        assert!(st.dirty);
         let m = st.to_memento("Account", &Value::from("a"));
         assert_eq!(m.bean(), "Account");
         assert_eq!(m.get("balance"), Some(&Value::from(42.0)));
+    }
+
+    #[test]
+    fn a_write_never_reaches_the_before_image() {
+        let image = Memento::new("Account", Value::from("a")).with_field("balance", 10.0);
+        let mut st = InstanceState::default();
+        st.load_from(&image);
+        st.set_field("Account", &Value::from("a"), "balance", Value::from(11.0));
+        assert_eq!(st.field("balance"), Value::from(11.0));
+        assert_eq!(st.before.as_ref(), Some(&image));
+        assert_eq!(image.get("balance"), Some(&Value::from(10.0)));
     }
 
     #[test]

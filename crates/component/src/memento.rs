@@ -8,59 +8,98 @@
 //! The optimistic commit protocol ships and compares exactly these images.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use sli_simnet::wire::{DecodeError, Reader, Writer};
 
 use sli_datastore::{Schema, Value};
 
+/// Java serialization's class descriptor for a memento is
+/// `{CLASS_PREFIX}{bean}{CLASS_SUFFIX}`.
+const CLASS_PREFIX: &str = "com.ibm.websphere.samples.trade.ejb.";
+const CLASS_SUFFIX: &str = "Memento";
+const SERIAL_VERSION_UID: u64 = 0x05CA_1AB1_EC0F_FEE5;
+/// What every encoded memento carries whatever it holds: the descriptor's
+/// length prefix and constant parts, the uid, the bean's length prefix and
+/// the field count.
+const FIXED_LEN: usize = 4 + CLASS_PREFIX.len() + CLASS_SUFFIX.len() + 8 + 4 + 4;
+
 /// A snapshot of one entity bean's state.
+///
+/// The image is shared and copy-on-write: `clone` is a reference count, so
+/// the common store, a transaction's before-image, its current state and
+/// the commit request all point at one image until somebody writes a field,
+/// and only the writer's handle is copied then. Equality is by value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Memento {
-    bean: String,
+    image: Arc<Image>,
+}
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Image {
+    bean: Arc<str>,
     key: Value,
-    fields: BTreeMap<String, Value>,
+    fields: BTreeMap<Arc<str>, Value>,
 }
 
 impl Memento {
+    /// The fewest bytes an encoded memento can take (empty bean name, NULL
+    /// key, no fields): what a decoder may assume each announced image
+    /// costs on the wire when it reserves room for them.
+    pub const MIN_ENCODED_LEN: usize = FIXED_LEN + 1;
+
     /// Creates a memento for bean type `bean` with identity `key`.
-    pub fn new(bean: impl Into<String>, key: Value) -> Memento {
+    pub fn new(bean: impl Into<Arc<str>>, key: Value) -> Memento {
         Memento {
-            bean: bean.into(),
-            key,
-            fields: BTreeMap::new(),
+            image: Arc::new(Image {
+                bean: bean.into(),
+                key,
+                fields: BTreeMap::new(),
+            }),
         }
     }
 
     /// The bean (entity) type name.
     pub fn bean(&self) -> &str {
-        &self.bean
+        &self.image.bean
     }
 
     /// The bean identity — the same value the bean's `getPrimaryKey`
     /// returns.
     pub fn primary_key(&self) -> &Value {
-        &self.key
+        &self.image.key
     }
 
     /// Sets a field (builder style).
-    pub fn with_field(mut self, name: impl Into<String>, value: impl Into<Value>) -> Memento {
-        self.fields.insert(name.into(), value.into());
+    pub fn with_field(
+        mut self,
+        name: impl Into<Arc<str>> + AsRef<str>,
+        value: impl Into<Value>,
+    ) -> Memento {
+        self.set(name, value);
         self
     }
 
-    /// Sets a field in place.
-    pub fn set(&mut self, name: impl Into<String>, value: impl Into<Value>) {
-        self.fields.insert(name.into(), value.into());
+    /// Sets a field in place, copying the image first if it is shared. An
+    /// existing field keeps its stored name.
+    pub fn set(&mut self, name: impl Into<Arc<str>> + AsRef<str>, value: impl Into<Value>) {
+        let fields = &mut Arc::make_mut(&mut self.image).fields;
+        match fields.get_mut(name.as_ref()) {
+            Some(slot) => *slot = value.into(),
+            None => {
+                fields.insert(name.into(), value.into());
+            }
+        }
     }
 
     /// Reads a field.
     pub fn get(&self, name: &str) -> Option<&Value> {
-        self.fields.get(name)
+        self.image.fields.get(name)
     }
 
     /// All fields, sorted by name.
-    pub fn fields(&self) -> &BTreeMap<String, Value> {
-        &self.fields
+    pub fn fields(&self) -> &BTreeMap<Arc<str>, Value> {
+        &self.image.fields
     }
 
     /// Converts this memento into a row aligned with `schema` (missing
@@ -72,41 +111,38 @@ impl Memento {
             .enumerate()
             .map(|(i, col)| {
                 if i == schema.pk_index() {
-                    self.key.clone()
+                    self.image.key.clone()
                 } else {
-                    self.fields.get(&col.name).cloned().unwrap_or(Value::Null)
+                    self.get(&col.name).cloned().unwrap_or(Value::Null)
                 }
             })
             .collect()
     }
 
     /// Builds a memento from a row aligned with `schema`.
-    pub fn from_row(bean: impl Into<String>, schema: &Schema, row: &[Value]) -> Memento {
+    pub fn from_row(bean: impl Into<Arc<str>>, schema: &Schema, row: &[Value]) -> Memento {
         let mut m = Memento::new(bean, row[schema.pk_index()].clone());
         for (i, col) in schema.columns().iter().enumerate() {
             if i != schema.pk_index() {
-                m.fields.insert(col.name.clone(), row[i].clone());
+                m.set(col.name.as_str(), row[i].clone());
             }
         }
         m
     }
 
-    /// Stream prefix mirroring Java serialization's class descriptor: the
-    /// fully-qualified memento class name plus a serialVersionUID. The
-    /// paper's mementos travel as serialized Java objects, whose wire form
-    /// carries this metadata with every instance.
-    fn class_descriptor(&self) -> String {
-        format!("com.ibm.websphere.samples.trade.ejb.{}Memento", self.bean)
-    }
-
-    /// Encodes the memento onto a wire frame.
+    /// Encodes the memento onto a wire frame. The stream prefix mirrors
+    /// Java serialization's class descriptor: the fully-qualified memento
+    /// class name plus a serialVersionUID. The paper's mementos travel as
+    /// serialized Java objects, whose wire form carries this metadata with
+    /// every instance.
     pub fn encode(&self, w: &mut Writer) {
-        w.put_str(&self.class_descriptor());
-        w.put_u64(0x05CA_1AB1_EC0F_FEE5); // serialVersionUID
-        w.put_str(&self.bean);
-        self.key.encode(w);
-        w.put_u32(self.fields.len() as u32);
-        for (name, value) in &self.fields {
+        let image = &*self.image;
+        w.put_str_parts(&[CLASS_PREFIX, &image.bean, CLASS_SUFFIX]);
+        w.put_u64(SERIAL_VERSION_UID);
+        w.put_str(&image.bean);
+        image.key.encode(w);
+        w.put_u32(image.fields.len() as u32);
+        for (name, value) in &image.fields {
             w.put_str(name);
             value.encode(w);
         }
@@ -115,30 +151,42 @@ impl Memento {
     /// Decodes a memento from a wire frame.
     ///
     /// # Errors
-    /// Returns [`DecodeError`] on truncation.
+    /// Returns [`DecodeError`] on truncation, or when the class descriptor
+    /// is not exactly the one [`Memento::encode`] writes for the bean.
     pub fn decode(r: &mut Reader) -> Result<Memento, DecodeError> {
-        let class = r.get_str()?;
+        let class = r.get_bytes()?;
         let _uid = r.get_u64()?;
-        let bean = r.get_str()?;
-        if !class.ends_with(&format!("{bean}Memento")) {
+        let bean = r.get_shared_str()?;
+        let named = class
+            .strip_prefix(CLASS_PREFIX.as_bytes())
+            .and_then(|rest| rest.strip_suffix(CLASS_SUFFIX.as_bytes()));
+        if named != Some(bean.as_bytes()) {
             return Err(DecodeError::new("memento class descriptor"));
         }
         let key = Value::decode(r)?;
-        let n = r.get_u32()? as usize;
+        // The count is not trusted with a reservation: a map grows a node
+        // at a time, and a truncated frame ends the loop at its first read.
+        let n = r.get_u32()?;
         let mut fields = BTreeMap::new();
         for _ in 0..n {
-            let name = r.get_str()?;
+            let name = r.get_shared_str()?;
             fields.insert(name, Value::decode(r)?);
         }
-        Ok(Memento { bean, key, fields })
+        Ok(Memento {
+            image: Arc::new(Image { bean, key, fields }),
+        })
     }
 
     /// The encoded size in bytes — the unit the paper's commit protocols
-    /// ship per image.
+    /// ship per image. Adds up what [`Memento::encode`] writes.
     pub fn encoded_len(&self) -> usize {
-        let mut w = Writer::new();
-        self.encode(&mut w);
-        w.len()
+        let image = &*self.image;
+        let fields: usize = image
+            .fields
+            .iter()
+            .map(|(name, value)| 4 + name.len() + value.encoded_len())
+            .sum();
+        FIXED_LEN + 2 * image.bean.len() + image.key.encoded_len() + fields
     }
 }
 
@@ -205,6 +253,64 @@ mod tests {
         assert_eq!(frame.len(), m.encoded_len());
         let back = Memento::decode(&mut Reader::new(frame)).unwrap();
         assert_eq!(back, m);
+    }
+
+    #[test]
+    fn wire_bytes_are_pinned() {
+        // Class descriptor (one length prefix over prefix + bean + suffix),
+        // serialVersionUID, bean, key, field count, then name/value pairs
+        // in name order — byte for byte what every earlier revision wrote.
+        let expected = concat!(
+            "00000032636f6d2e69626d2e7765627370686572652e73616d706c65732e7472",
+            "6164652e656a622e4163636f756e744d656d656e746f05ca1ab1ec0ffee50000",
+            "00074163636f756e7404000000057569643a31000000020000000762616c616e",
+            "636503408f400000000000000000066c6f67696e73020000000000000003",
+        );
+        let mut w = Writer::new();
+        sample().encode(&mut w);
+        let hex: String = w.finish().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, expected);
+        assert_eq!(sample().encoded_len(), expected.len() / 2);
+        let empty = Memento::new("", Value::Null);
+        assert_eq!(empty.encoded_len(), Memento::MIN_ENCODED_LEN);
+    }
+
+    #[test]
+    fn decode_requires_the_exact_class_descriptor() {
+        let encode_as = |class: &str, bean: &str| {
+            let mut w = Writer::new();
+            w.put_str(class).put_u64(SERIAL_VERSION_UID).put_str(bean);
+            Value::from(1).encode(&mut w);
+            w.put_u32(0);
+            Memento::decode(&mut Reader::new(w.finish()))
+        };
+        let account = "com.ibm.websphere.samples.trade.ejb.AccountMemento";
+        assert_eq!(
+            encode_as(account, "Account").unwrap(),
+            Memento::new("Account", Value::from(1))
+        );
+        // A descriptor that merely ends with `{bean}Memento` names another
+        // class.
+        assert!(encode_as(account, "t").is_err());
+        assert!(encode_as(account, "").is_err());
+        assert!(encode_as("AccountMemento", "Account").is_err());
+        assert!(encode_as(&format!("x{account}"), "Account").is_err());
+        assert!(encode_as(&format!("{account}x"), "Account").is_err());
+    }
+
+    #[test]
+    fn a_clone_shares_the_image_until_it_is_written() {
+        let original = sample();
+        let mut copy = original.clone();
+        assert!(Arc::ptr_eq(&original.image, &copy.image));
+        copy.set("balance", 1.0);
+        assert!(!Arc::ptr_eq(&original.image, &copy.image));
+        assert_eq!(original, sample(), "the write stayed in the copy");
+        // An unshared image is written in place, under its stored name.
+        let before = Arc::as_ptr(&copy.image);
+        copy.set(String::from("balance"), 2.0);
+        assert_eq!(Arc::as_ptr(&copy.image), before);
+        assert_eq!(copy.get("balance"), Some(&Value::from(2.0)));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! transparent to the application.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use sli_datastore::{ColumnType, Predicate, Value};
 
@@ -17,8 +18,8 @@ use crate::EjbResult;
 /// A non-key persistent field.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FieldDef {
-    /// Field (column) name.
-    pub name: String,
+    /// Field (column) name, shared with every image built from a row.
+    pub name: Arc<str>,
     /// Declared type.
     pub ty: ColumnType,
 }
@@ -34,22 +35,37 @@ pub struct FinderDef {
 }
 
 /// Deployment metadata for one entity bean type.
+///
+/// Whatever depends only on the descriptor is resolved when it is built:
+/// the bean and field names every image points at, and the five
+/// primary-key statements (refreshed by each [`EntityMeta::field`] call).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EntityMeta {
-    bean: String,
+    bean: Arc<str>,
     table: String,
     key_field: String,
     key_type: ColumnType,
     fields: Vec<FieldDef>,
     finders: BTreeMap<String, FinderDef>,
     indexes: Vec<String>,
+    sql: KeySql,
+}
+
+/// The five statements that address a bean by its primary key.
+#[derive(Debug, Clone, PartialEq, Default)]
+struct KeySql {
+    exists: String,
+    load: String,
+    insert: String,
+    update: String,
+    delete: String,
 }
 
 impl EntityMeta {
     /// Starts metadata for bean `bean` backed by `table`, keyed by
     /// `key_field` of type `key_type`.
     pub fn new(
-        bean: impl Into<String>,
+        bean: impl Into<Arc<str>>,
         table: impl Into<String>,
         key_field: impl Into<String>,
         key_type: ColumnType,
@@ -62,15 +78,38 @@ impl EntityMeta {
             fields: Vec::new(),
             finders: BTreeMap::new(),
             indexes: Vec::new(),
+            sql: KeySql::default(),
         }
+        .with_sql()
     }
 
     /// Adds a persistent field (builder style).
-    pub fn field(mut self, name: impl Into<String>, ty: ColumnType) -> EntityMeta {
+    pub fn field(mut self, name: impl Into<Arc<str>>, ty: ColumnType) -> EntityMeta {
         self.fields.push(FieldDef {
             name: name.into(),
             ty,
         });
+        self.with_sql()
+    }
+
+    /// Rebuilds the primary-key statements from the table, key and fields.
+    fn with_sql(mut self) -> EntityMeta {
+        let (table, key) = (&self.table, &self.key_field);
+        let cols = self.select_columns().join(", ");
+        let placeholders = vec!["?"; self.fields.len() + 1].join(", ");
+        let sets: Vec<String> = self
+            .fields
+            .iter()
+            .map(|f| format!("{} = ?", f.name))
+            .collect();
+        let sets = sets.join(", ");
+        self.sql = KeySql {
+            exists: format!("SELECT {key} FROM {table} WHERE {key} = ?"),
+            load: format!("SELECT {cols} FROM {table} WHERE {key} = ?"),
+            insert: format!("INSERT INTO {table} ({cols}) VALUES ({placeholders})"),
+            update: format!("UPDATE {table} SET {sets} WHERE {key} = ?"),
+            delete: format!("DELETE FROM {table} WHERE {key} = ?"),
+        };
         self
     }
 
@@ -110,7 +149,7 @@ impl EntityMeta {
 
     /// Whether `name` is a persistent field (key or non-key).
     pub fn has_field(&self, name: &str) -> bool {
-        name == self.key_field || self.fields.iter().any(|f| f.name == name)
+        name == self.key_field || self.fields.iter().any(|f| &*f.name == name)
     }
 
     /// Looks up a declared finder.
@@ -121,7 +160,7 @@ impl EntityMeta {
         self.finders
             .get(name)
             .ok_or_else(|| EjbError::NoSuchFinder {
-                bean: self.bean.clone(),
+                bean: self.bean.to_string(),
                 finder: name.to_owned(),
             })
     }
@@ -142,64 +181,35 @@ impl EntityMeta {
         cols.extend(
             self.fields
                 .iter()
-                .map(|f| sli_datastore::Column::new(f.name.clone(), f.ty)),
+                .map(|f| sli_datastore::Column::new(&*f.name, f.ty)),
         );
         sli_datastore::Schema::new(self.table.clone(), cols, &self.key_field)
             .expect("key field is always a column")
     }
 
     /// `SELECT <key> FROM <table> WHERE <key> = ?` — the existence probe.
-    pub fn exists_sql(&self) -> String {
-        format!(
-            "SELECT {key} FROM {table} WHERE {key} = ?",
-            key = self.key_field,
-            table = self.table
-        )
+    pub fn exists_sql(&self) -> &str {
+        &self.sql.exists
     }
 
     /// `SELECT <all columns> FROM <table> WHERE <key> = ?` — `ejbLoad`.
-    pub fn load_sql(&self) -> String {
-        format!(
-            "SELECT {cols} FROM {table} WHERE {key} = ?",
-            cols = self.select_columns().join(", "),
-            table = self.table,
-            key = self.key_field
-        )
+    pub fn load_sql(&self) -> &str {
+        &self.sql.load
     }
 
     /// `INSERT INTO <table> (<all columns>) VALUES (?, ...)` — `ejbCreate`.
-    pub fn insert_sql(&self) -> String {
-        let cols = self.select_columns();
-        format!(
-            "INSERT INTO {table} ({names}) VALUES ({ph})",
-            table = self.table,
-            names = cols.join(", "),
-            ph = vec!["?"; cols.len()].join(", ")
-        )
+    pub fn insert_sql(&self) -> &str {
+        &self.sql.insert
     }
 
     /// `UPDATE <table> SET f = ?, ... WHERE <key> = ?` — `ejbStore`.
-    pub fn update_sql(&self) -> String {
-        let sets = self
-            .fields
-            .iter()
-            .map(|f| format!("{} = ?", f.name))
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!(
-            "UPDATE {table} SET {sets} WHERE {key} = ?",
-            table = self.table,
-            key = self.key_field
-        )
+    pub fn update_sql(&self) -> &str {
+        &self.sql.update
     }
 
     /// `DELETE FROM <table> WHERE <key> = ?` — `ejbRemove`.
-    pub fn delete_sql(&self) -> String {
-        format!(
-            "DELETE FROM {table} WHERE {key} = ?",
-            table = self.table,
-            key = self.key_field
-        )
+    pub fn delete_sql(&self) -> &str {
+        &self.sql.delete
     }
 
     /// A `WHERE` fragment matching the key *and every field value* of
@@ -261,11 +271,27 @@ impl EntityMeta {
     /// Builds a memento from a row laid out as [`EntityMeta::select_columns`]
     /// (key first, then fields).
     pub fn memento_from_row(&self, row: &[Value]) -> crate::Memento {
-        let mut m = crate::Memento::new(self.bean.clone(), row[0].clone());
+        let mut m = crate::Memento::new(Arc::clone(&self.bean), row[0].clone());
         for (i, f) in self.fields.iter().enumerate() {
-            m.set(f.name.clone(), row[i + 1].clone());
+            m.set(Arc::clone(&f.name), row[i + 1].clone());
         }
         m
+    }
+
+    /// Whether `row` (laid out as for [`EntityMeta::memento_from_row`]) is
+    /// `image`: by definition `self.memento_from_row(row) == *image`,
+    /// decided where the two lie, without building a memento. (Field names
+    /// are a table's columns, so they are distinct.)
+    pub fn row_is_image(&self, row: &[Value], image: &crate::Memento) -> bool {
+        *self.bean == *image.bean()
+            && row.len() > self.fields.len()
+            && row[0] == *image.primary_key()
+            && image.fields().len() == self.fields.len()
+            && self
+                .fields
+                .iter()
+                .zip(&row[1..])
+                .all(|(f, cell)| image.get(&f.name) == Some(cell))
     }
 
     /// Parameter vector for [`EntityMeta::insert_sql`]: key, then declared
@@ -321,7 +347,7 @@ impl EntityMeta {
     /// order `to_row`/`from_row` expect.
     pub fn select_columns(&self) -> Vec<String> {
         let mut cols = vec![self.key_field.clone()];
-        cols.extend(self.fields.iter().map(|f| f.name.clone()));
+        cols.extend(self.fields.iter().map(|f| f.name.to_string()));
         cols
     }
 
@@ -334,10 +360,26 @@ impl EntityMeta {
             Ok(())
         } else {
             Err(EjbError::NoSuchField {
-                bean: self.bean.clone(),
+                bean: self.bean.to_string(),
                 field: field.to_owned(),
             })
         }
+    }
+
+    /// Validates a field write: the field is declared and is not the
+    /// primary key.
+    ///
+    /// # Errors
+    /// [`EjbError::NoSuchField`] for undeclared fields and for the key.
+    pub fn check_writable(&self, field: &str) -> EjbResult<()> {
+        self.check_field(field)?;
+        if field == self.key_field {
+            return Err(EjbError::NoSuchField {
+                bean: self.bean.to_string(),
+                field: format!("{field} (primary keys are immutable)"),
+            });
+        }
+        Ok(())
     }
 
     /// Binds a finder's predicate to concrete arguments.

@@ -351,13 +351,20 @@ impl StateSource for BackendSource {
         w.put_u8(OP_QUERY).put_str(bean);
         predicate.encode(&mut w);
         let mut r = round_trip(&self.remote, w)?;
-        let n = r.get_u32().map_err(wire_err)? as usize;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(Memento::decode(&mut r).map_err(wire_err)?);
-        }
-        Ok(out)
+        decode_images(&mut r).map_err(wire_err)
     }
+}
+
+/// Decodes a query reply: a count, then that many images.
+fn decode_images(r: &mut Reader) -> Result<Vec<Memento>, DecodeError> {
+    let n = r.get_u32()? as usize;
+    // A length prefix is not a budget: reserve for the images the
+    // remaining bytes can hold, not for the count they announce.
+    let mut out = Vec::with_capacity(n.min(r.remaining() / Memento::MIN_ENCODED_LEN));
+    for _ in 0..n {
+        out.push(Memento::decode(r)?);
+    }
+    Ok(out)
 }
 
 /// The *split-servers* committer: the whole transaction state crosses the
@@ -506,6 +513,20 @@ mod tests {
             .unwrap();
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].get("balance"), Some(&Value::from(100.0)));
+    }
+
+    #[test]
+    fn hostile_image_count_in_a_query_reply_is_a_decode_error() {
+        // u32::MAX images announced, a kilobyte of anything behind it: the
+        // reservation follows the bytes, and the first image fails to parse.
+        let mut w = Writer::new();
+        w.put_u32(u32::MAX).put_bytes(&[0xAB; 1024]);
+        assert!(decode_images(&mut Reader::new(w.finish())).is_err());
+        let mut honest = Writer::new();
+        honest.put_u32(1);
+        img("u1", 1.0).encode(&mut honest);
+        let decoded = decode_images(&mut Reader::new(honest.finish())).unwrap();
+        assert_eq!(decoded, vec![img("u1", 1.0)]);
     }
 
     #[test]

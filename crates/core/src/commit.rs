@@ -181,7 +181,9 @@ impl CommitRequest {
         let origin = r.get_u32()?;
         let txn_id = r.get_u64()?;
         let n = r.get_u32()? as usize;
-        let mut entries = Vec::with_capacity(n);
+        // A length prefix is not a budget: reserve for the entries the
+        // remaining bytes can hold (each carries at least one image).
+        let mut entries = Vec::with_capacity(n.min(r.remaining() / Memento::MIN_ENCODED_LEN));
         for _ in 0..n {
             let bean = r.get_str()?;
             let key = Value::decode(r)?;
@@ -273,8 +275,7 @@ mod tests {
         {
             let st = ctx.enlist("A", &Value::from(2));
             st.load_from(&img("A", 2, 20.0));
-            st.fields.insert("balance".into(), Value::from(25.0));
-            st.dirty = true;
+            st.set_field("A", &Value::from(2), "balance", Value::from(25.0));
         }
         // created bean
         {
@@ -282,7 +283,7 @@ mod tests {
             st.created = true;
             st.loaded = true;
             st.exists = true;
-            st.fields.insert("balance".into(), Value::from(30.0));
+            st.current = Some(img("A", 3, 30.0));
         }
         // removed bean
         {
@@ -333,6 +334,67 @@ mod tests {
         let frame = req.encode();
         let back = CommitRequest::decode(&mut Reader::new(frame)).unwrap();
         assert_eq!(back, req);
+    }
+
+    #[test]
+    fn wire_bytes_are_pinned() {
+        // Origin, txn id, entry count; per entry its bean, key, kind tag
+        // and images — byte for byte what every earlier revision wrote.
+        let expected = concat!(
+            "00000002000000000000000900000002000000074163636f756e740400000005",
+            "7569643a310100000032636f6d2e69626d2e7765627370686572652e73616d70",
+            "6c65732e74726164652e656a622e4163636f756e744d656d656e746f05ca1ab1",
+            "ec0ffee5000000074163636f756e7404000000057569643a3100000002000000",
+            "0762616c616e636503408f400000000000000000066c6f67696e730200000000",
+            "0000000300000032636f6d2e69626d2e7765627370686572652e73616d706c65",
+            "732e74726164652e656a622e4163636f756e744d656d656e746f05ca1ab1ec0f",
+            "fee5000000074163636f756e7404000000057569643a31000000020000000762",
+            "616c616e636503408ef00000000000000000066c6f67696e7302000000000000",
+            "000300000007486f6c64696e670200000000000000070200000032636f6d2e69",
+            "626d2e7765627370686572652e73616d706c65732e74726164652e656a622e48",
+            "6f6c64696e674d656d656e746f05ca1ab1ec0ffee500000007486f6c64696e67",
+            "020000000000000007000000010000000371747900",
+        );
+        let before = Memento::new("Account", Value::from("uid:1"))
+            .with_field("balance", 1000.0)
+            .with_field("logins", 3);
+        let after = before.clone().with_field("balance", 990.0);
+        let lot = Memento::new("Holding", Value::from(7)).with_field("qty", Value::Null);
+        let request = CommitRequest {
+            origin: 2,
+            txn_id: 9,
+            entries: vec![
+                CommitEntry {
+                    bean: "Account".into(),
+                    key: Value::from("uid:1"),
+                    kind: EntryKind::Update { before, after },
+                },
+                CommitEntry {
+                    bean: "Holding".into(),
+                    key: Value::from(7),
+                    kind: EntryKind::Create { after: lot },
+                },
+            ],
+        };
+        let hex: String = request
+            .encode()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(hex, expected);
+    }
+
+    #[test]
+    fn hostile_entry_count_is_a_decode_error() {
+        // Sixteen bytes announcing u32::MAX entries, alone and in front of
+        // padding that is no entry: the reservation follows the bytes, not
+        // the count.
+        for padding in [0, 4096] {
+            let mut w = Writer::new();
+            w.put_u32(1).put_u64(9).put_u32(u32::MAX);
+            w.put_bytes(&vec![0xAB; padding]);
+            assert!(CommitRequest::decode(&mut Reader::new(w.finish())).is_err());
+        }
     }
 
     #[test]

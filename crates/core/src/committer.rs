@@ -221,24 +221,39 @@ impl TimedSpan<'_> {
 /// say *which version* of a bean was expected vs found without shipping
 /// whole images around.
 pub fn memento_digest(m: &Memento) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x100_0000_01b3;
-    let mut hash = OFFSET;
-    let mut eat = |s: &str| {
-        for b in s.bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(PRIME);
-        }
-        hash ^= 0xff;
-        hash = hash.wrapping_mul(PRIME);
-    };
-    eat(m.bean());
-    eat(&m.primary_key().to_string());
+    let mut fnv = Fnv(0xcbf2_9ce4_8422_2325);
+    fnv.eat(m.bean());
+    fnv.eat(m.primary_key());
     for (name, value) in m.fields() {
-        eat(name);
-        eat(&value.to_string());
+        fnv.eat(name);
+        fnv.eat(value);
     }
-    hash
+    fnv.0
+}
+
+/// FNV-1a state that text is displayed straight into, so digesting a value
+/// never builds its string.
+struct Fnv(u64);
+
+impl Fnv {
+    fn byte(&mut self, b: u8) {
+        self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+    }
+
+    /// Digests `item`'s display form, then a terminator no UTF-8 text
+    /// contains.
+    fn eat(&mut self, item: impl std::fmt::Display) {
+        use std::fmt::Write;
+        write!(self, "{item}").expect("the digest sink never fails");
+        self.byte(0xff);
+    }
+}
+
+impl std::fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        s.bytes().for_each(|b| self.byte(b));
+        Ok(())
+    }
 }
 
 /// Builds the forensic record for a validation failure: what before-image
@@ -254,7 +269,7 @@ fn conflict_info(
             .fields()
             .iter()
             .find(|(name, value)| current.get(name) != Some(value))
-            .map(|(name, _)| name.clone()),
+            .map(|(name, _)| name.to_string()),
         _ => None,
     };
     ConflictInfo {
@@ -497,8 +512,18 @@ fn judge(
         let lost = expected.is_some() && rs.affected_rows() == 0;
         return lost.then(|| conflict_info(entry, expected, None));
     }
-    let current = rs.rows().first().map(|row| meta.memento_from_row(row));
-    (current.as_ref() != expected).then(|| conflict_info(entry, expected, current.as_ref()))
+    let row = rs.rows().first();
+    let unchanged = match (row, expected) {
+        (Some(row), Some(before)) => meta.row_is_image(row, before),
+        (None, None) => true,
+        _ => false,
+    };
+    if unchanged {
+        return None;
+    }
+    // Only a conflict's forensic record needs the winning image itself.
+    let current = row.map(|row| meta.memento_from_row(row));
+    Some(conflict_info(entry, expected, current.as_ref()))
 }
 
 /// The statement applying `entry`'s after-image (`None` for a pure read).
@@ -514,10 +539,10 @@ fn write_statement(
         EntryKind::Update { before, after } if conditional => {
             meta.conditional_update_sql(before, after)
         }
-        EntryKind::Update { after, .. } => (meta.update_sql(), meta.update_params(after)),
-        EntryKind::Create { after } => (meta.insert_sql(), meta.insert_params(after)),
+        EntryKind::Update { after, .. } => (meta.update_sql().into(), meta.update_params(after)),
+        EntryKind::Create { after } => (meta.insert_sql().into(), meta.insert_params(after)),
         EntryKind::Remove { before } if conditional => meta.conditional_delete_sql(before),
-        EntryKind::Remove { .. } => (meta.delete_sql(), vec![entry.key.clone()]),
+        EntryKind::Remove { .. } => (meta.delete_sql().into(), vec![entry.key.clone()]),
     };
     Some(BatchStatement::new(sql, params))
 }
@@ -580,7 +605,7 @@ pub(crate) fn fetch_current(
     meta: &EntityMeta,
     key: &Value,
 ) -> EjbResult<Option<Memento>> {
-    let rs = conn.execute(&meta.load_sql(), std::slice::from_ref(key))?;
+    let rs = conn.execute(meta.load_sql(), std::slice::from_ref(key))?;
     Ok(rs.rows().first().map(|row| meta.memento_from_row(row)))
 }
 
@@ -1368,6 +1393,50 @@ mod tests {
             memento_digest(&img("u1", 1.0)),
             memento_digest(&img("u2", 1.0))
         );
+    }
+
+    #[test]
+    fn memento_digests_are_pinned() {
+        // Counterexample files and `occ.conflict` spans carry these
+        // digests: FNV-1a over the display form of bean, key and each
+        // name/value pair, every item closed by 0xff. One row per `Value`
+        // variant, an empty image and a Trade-sized one.
+        let quote = Memento::new("Quote", Value::from("s:42"))
+            .with_field("companyname", "Company #42 Incorporated")
+            .with_field("price", 67.25)
+            .with_field("open", 66.0)
+            .with_field("low", 65.5)
+            .with_field("high", 68.0)
+            .with_field("volume", 1_000_000.0);
+        let doubles = Memento::new("T", Value::from(1.5))
+            .with_field("f", -0.0)
+            .with_field("g", 1.0e21)
+            .with_field("h", f64::NAN);
+        let strings = Memento::new("T", Value::from("it's"))
+            .with_field("f", "")
+            .with_field("g", "naïve 'q'");
+        let null = Memento::new("T", Value::Null).with_field("f", Value::Null);
+        let table = [
+            (
+                Memento::new("Quote", Value::from("s:1")),
+                0x1c07_2958_a429_6389,
+            ),
+            (null, 0x7bf5_7248_9fb6_7d4d),
+            (
+                Memento::new("T", Value::from(true)).with_field("f", false),
+                0x49a0_00d1_35fb_d98e,
+            ),
+            (
+                Memento::new("T", Value::from(-7)).with_field("f", i64::MAX),
+                0x764c_ad72_09bb_a157,
+            ),
+            (doubles, 0x0b0c_1b5e_6f6f_1c19),
+            (strings, 0xa8b0_6999_d2bf_f028),
+            (quote, 0x74da_f6c5_2e21_d4f0),
+        ];
+        for (image, digest) in table {
+            assert_eq!(memento_digest(&image), digest, "{image:?}");
+        }
     }
 
     #[test]

@@ -66,26 +66,26 @@ impl SliHome {
     /// Direct-access population: per-transaction store → common store →
     /// persistent fetch.
     fn ensure_loaded(&self, ctx: &mut TxContext, key: &Value) -> EjbResult<()> {
-        let bean = self.meta.bean().to_owned();
-        if let Some(inst) = ctx.instance(&bean, key) {
+        let bean = self.meta.bean();
+        if let Some(inst) = ctx.instance(bean, key) {
             if inst.removed {
-                return Err(EjbError::not_found(&bean, key));
+                return Err(EjbError::not_found(bean, key));
             }
             if inst.loaded {
                 return Ok(());
             }
         }
-        if let Some(image) = self.store.get(&bean, key) {
-            ctx.enlist(&bean, key).load_from(&image);
+        if let Some(image) = self.store.get(bean, key) {
+            ctx.enlist(bean, key).load_from(&image);
             return Ok(());
         }
-        match self.source.fetch(&bean, key)? {
+        match self.source.fetch(bean, key)? {
             Some(image) => {
                 self.store.put(image.clone());
-                ctx.enlist(&bean, key).load_from(&image);
+                ctx.enlist(bean, key).load_from(&image);
                 Ok(())
             }
-            None => Err(EjbError::not_found(&bean, key)),
+            None => Err(EjbError::not_found(bean, key)),
         }
     }
 }
@@ -96,28 +96,38 @@ impl Home for SliHome {
     }
 
     fn create(&self, ctx: &mut TxContext, state: Memento) -> EjbResult<EjbRef> {
-        let bean = self.meta.bean().to_owned();
+        let bean = self.meta.bean();
         let key = state.primary_key().clone();
         for field in state.fields().keys() {
             self.meta.check_field(field)?;
         }
+        // The after-image is filed under this home's bean name, whatever
+        // the caller labelled `state` with.
+        let state = if state.bean() == bean {
+            state
+        } else {
+            let fields = state.fields().iter();
+            fields.fold(Memento::new(bean, key.clone()), |m, (name, value)| {
+                m.with_field(name.clone(), value.clone())
+            })
+        };
         // Recreating a bean this transaction removed nets out to an update.
-        if let Some(inst) = ctx.instance_mut(&bean, &key) {
+        if let Some(inst) = ctx.instance_mut(bean, &key) {
             if inst.removed && !inst.created {
                 inst.removed = false;
                 inst.dirty = true;
-                inst.fields = state.fields().clone();
+                inst.current = Some(state);
                 return Ok(EjbRef::new(bean, key));
             }
             if !inst.removed {
                 return Err(EjbError::DuplicateKey {
-                    bean,
+                    bean: bean.to_owned(),
                     key: key.to_string(),
                 });
             }
         }
-        let inst = ctx.enlist(&bean, &key);
-        inst.fields = state.fields().clone();
+        let inst = ctx.enlist(bean, &key);
+        inst.current = Some(state);
         inst.created = true;
         inst.loaded = true;
         inst.exists = true;
@@ -131,18 +141,18 @@ impl Home for SliHome {
     }
 
     fn find(&self, ctx: &mut TxContext, finder: &str, params: &[Value]) -> EjbResult<Vec<EjbRef>> {
-        let bean = self.meta.bean().to_owned();
+        let bean = self.meta.bean();
         let bound = self.meta.bind_finder(finder, params)?;
         // 1. The persistent store is the only tier guaranteed to hold the
         //    entire potential result set.
-        let persistent = self.source.query(&bean, &bound)?;
+        let persistent = self.source.query(bean, &bound)?;
         // 2. Merge: cache the images, but never overlay state the
         //    transaction has already observed or modified.
         for image in persistent {
             self.store.put(image.clone());
-            let already_touched = ctx.instance(&bean, image.primary_key()).is_some();
+            let already_touched = ctx.instance(bean, image.primary_key()).is_some();
             if !already_touched {
-                ctx.enlist(&bean, image.primary_key()).load_from(&image);
+                ctx.enlist(bean, image.primary_key()).load_from(&image);
             }
         }
         // 3. Run the finder against the transient state (created beans and
@@ -152,9 +162,9 @@ impl Home for SliHome {
             if b != bean || st.removed || !(st.loaded || st.created) {
                 continue;
             }
-            let row = st.to_memento(&bean, key).to_row(&self.schema);
+            let row = st.to_memento(bean, key).to_row(&self.schema);
             if bound.matches(&self.schema, &row, &[])? {
-                matches.push(EjbRef::new(bean.clone(), key.clone()));
+                matches.push(EjbRef::new(bean, key.clone()));
             }
         }
         matches.sort_by(|a, b| a.primary_key().cmp(b.primary_key()));
@@ -182,7 +192,7 @@ impl Home for SliHome {
         let inst = ctx
             .instance(self.meta.bean(), key)
             .expect("ensure_loaded enlists");
-        Ok(inst.fields.get(field).cloned().unwrap_or(Value::Null))
+        Ok(inst.field(field))
     }
 
     fn set_field(
@@ -192,19 +202,12 @@ impl Home for SliHome {
         field: &str,
         value: Value,
     ) -> EjbResult<()> {
-        self.meta.check_field(field)?;
-        if field == self.meta.key_field() {
-            return Err(EjbError::NoSuchField {
-                bean: self.meta.bean().to_owned(),
-                field: format!("{field} (primary keys are immutable)"),
-            });
-        }
+        self.meta.check_writable(field)?;
         self.ensure_loaded(ctx, key)?;
         let inst = ctx
             .instance_mut(self.meta.bean(), key)
             .expect("ensure_loaded enlists");
-        inst.fields.insert(field.to_owned(), value);
-        inst.dirty = true;
+        inst.set_field(self.meta.bean(), key, field, value);
         Ok(())
     }
 
@@ -324,7 +327,7 @@ mod tests {
         home.create(&mut ctx, m).unwrap();
         let inst = ctx.instance("Holding", &Value::from(1)).unwrap();
         assert!(!inst.removed && inst.dirty && !inst.created);
-        assert_eq!(inst.fields.get("qty"), Some(&Value::from(999.0)));
+        assert_eq!(inst.field("qty"), Value::from(999.0));
     }
 
     #[test]

@@ -46,9 +46,10 @@ impl CacheStats {
 /// common store, the conflict window widens — which is exactly what the
 /// optimistic validator exists to catch.
 ///
-/// The image map, its recency index and the resident-byte total live behind
-/// one lock and change together, so eviction is exact LRU: the victim is
-/// always the least-recently-used image in the whole store.
+/// The image maps (one per bean type, so a lookup borrows its key), their
+/// recency index and the resident-byte total live behind one lock and
+/// change together, so eviction is exact LRU: the victim is always the
+/// least-recently-used image in the whole store.
 ///
 /// ```
 /// use sli_core::CommonStore;
@@ -77,13 +78,14 @@ pub struct CommonStore {
     resident_bytes: Gauge,
 }
 
-/// Image map plus LRU bookkeeping. Every image carries the tick of its last
+/// Image maps plus LRU bookkeeping. Every image carries the tick of its last
 /// use and `recency` holds exactly one entry per image under that tick, so
 /// the first entry of `recency` is the eviction victim.
 #[derive(Debug, Default)]
 struct Lru {
-    images: HashMap<(String, Value), (Memento, u64)>,
-    recency: BTreeMap<u64, (String, Value)>,
+    /// Bean name → key → (image, tick of last use).
+    images: HashMap<Arc<str>, HashMap<Value, (Memento, u64)>>,
+    recency: BTreeMap<u64, (Arc<str>, Value)>,
     tick: u64,
     /// Summed `encoded_len` of `images`.
     resident: u64,
@@ -95,21 +97,22 @@ impl Lru {
         self.tick
     }
 
-    fn remove(&mut self, key: &(String, Value)) -> Option<Memento> {
-        let (image, tick) = self.images.remove(key)?;
+    fn remove(&mut self, bean: &str, key: &Value) -> Option<Memento> {
+        let (image, tick) = self.images.get_mut(bean)?.remove(key)?;
         self.recency.remove(&tick);
         self.resident -= image.encoded_len() as u64;
         Some(image)
     }
 
     fn pop_lru(&mut self) {
-        let (_, key) = self
+        let (_, (bean, key)) = self
             .recency
             .pop_first()
             .expect("an over-capacity store has a recency entry");
         let (image, _) = self
             .images
-            .remove(&key)
+            .get_mut(&*bean)
+            .and_then(|of_bean| of_bean.remove(&key))
             .expect("recency tracks only resident images");
         self.resident -= image.encoded_len() as u64;
     }
@@ -144,26 +147,28 @@ impl CommonStore {
     }
 
     fn sync_gauges(&self, lru: &Lru) {
-        self.size.set(lru.images.len() as u64);
+        self.size.set(lru.recency.len() as u64);
         self.resident_bytes.set(lru.resident);
     }
 
     /// Looks up the cached image for (`bean`, `key`), counting hit or miss
-    /// and refreshing the entry's recency.
+    /// and refreshing the entry's recency. A hit hands out another handle
+    /// on the stored image and moves its recency slot; it copies nothing.
     pub fn get(&self, bean: &str, key: &Value) -> Option<Memento> {
-        let entry_key = (bean.to_owned(), key.clone());
         let mut lru = self.lru.lock();
         let tick = lru.next_tick();
         let Lru {
             images, recency, ..
         } = &mut *lru;
-        let Some((image, last_used)) = images.get_mut(&entry_key) else {
+        let Some((image, last_used)) = images.get_mut(bean).and_then(|of| of.get_mut(key)) else {
             self.misses.inc();
             return None;
         };
-        recency.remove(last_used);
+        let slot = recency
+            .remove(last_used)
+            .expect("every resident image has a recency slot");
         *last_used = tick;
-        recency.insert(tick, entry_key);
+        recency.insert(tick, slot);
         self.hits.inc();
         Some(image.clone())
     }
@@ -171,15 +176,22 @@ impl CommonStore {
     /// Installs or refreshes a committed image, evicting least-recently-used
     /// images while the store is over its capacity.
     pub fn put(&self, image: Memento) {
-        let entry_key = (image.bean().to_owned(), image.primary_key().clone());
+        let key = image.primary_key().clone();
         let mut lru = self.lru.lock();
-        lru.remove(&entry_key);
+        lru.remove(image.bean(), &key);
         let tick = lru.next_tick();
         lru.resident += image.encoded_len() as u64;
-        lru.images.insert(entry_key.clone(), (image, tick));
-        lru.recency.insert(tick, entry_key);
+        let bean = match lru.images.get_key_value(image.bean()) {
+            Some((bean, _)) => Arc::clone(bean),
+            None => Arc::from(image.bean()),
+        };
+        lru.recency.insert(tick, (Arc::clone(&bean), key.clone()));
+        lru.images
+            .entry(bean)
+            .or_default()
+            .insert(key, (image, tick));
         if let Some(capacity) = self.capacity {
-            while lru.images.len() > capacity {
+            while lru.recency.len() > capacity {
                 lru.pop_lru();
                 self.evictions.inc();
             }
@@ -189,9 +201,8 @@ impl CommonStore {
 
     /// Drops the image for (`bean`, `key`), if present.
     pub fn invalidate(&self, bean: &str, key: &Value) {
-        let entry_key = (bean.to_owned(), key.clone());
         let mut lru = self.lru.lock();
-        if lru.remove(&entry_key).is_some() {
+        if lru.remove(bean, key).is_some() {
             self.invalidations.inc();
             self.sync_gauges(&lru);
         }
@@ -208,7 +219,7 @@ impl CommonStore {
 
     /// Number of cached images.
     pub fn len(&self) -> usize {
-        self.lru.lock().images.len()
+        self.lru.lock().recency.len()
     }
 
     /// Whether the store holds no images.

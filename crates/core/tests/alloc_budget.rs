@@ -1,0 +1,299 @@
+//! Allocation budget of the image path, and what a hostile length prefix
+//! may reserve.
+//!
+//! An image is shared, never copied, on the read path, and whatever depends
+//! only on the deployment descriptor is resolved when it is built (DESIGN
+//! §20). The first test pins that as allocation counts, so a regression in
+//! `sli-component` or `sli-core` fails here, naming the layer, instead of as
+//! a drift in a benchmark run. Counts are kept per thread, so each test's
+//! numbers are exact.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::hint::black_box;
+use std::sync::Arc;
+
+use bytes::Bytes;
+use sli_component::{EntityMeta, Home, Memento, TxContext};
+use sli_core::{
+    validate_and_apply_per_image, BackendServer, CommitEntry, CommitOutcome, CommitRequest,
+    CommonStore, DirectSource, EntryKind, MetaRegistry, SliHome,
+};
+use sli_datastore::{ColumnType, Database, SqlConnection, Value};
+use sli_simnet::wire::{frame, protocol, unframe, Reader, Writer};
+use sli_simnet::{Clock, Service};
+
+thread_local! {
+    /// Allocations made by this thread and the bytes they asked for.
+    /// Const-initialised and without a destructor, so reading them inside
+    /// the allocator never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAlloc;
+
+fn count(size: usize) {
+    // A thread that is tearing down has no counters left; it is not a
+    // test's thread.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + size as u64));
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; the counters touch no allocator state.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        // SAFETY: `ptr`/`layout` describe a live block of this allocator and
+        // the caller vouched for `new_size`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations `op` makes on this thread.
+fn allocs_of<T>(op: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCS.with(Cell::get);
+    let out = op();
+    (ALLOCS.with(Cell::get) - before, out)
+}
+
+/// Bytes `op` asks the allocator for on this thread.
+fn bytes_of<T>(op: impl FnOnce() -> T) -> (u64, T) {
+    let before = BYTES.with(Cell::get);
+    let out = op();
+    (BYTES.with(Cell::get) - before, out)
+}
+
+/// The steady-state cost `measure` reports: the cheapest of eight runs,
+/// which leaves out the run in which an amortised structure (a recency
+/// tree's leaf, the datastore's lock table) happens to grow.
+fn steady(measure: impl FnMut() -> u64) -> u64 {
+    std::iter::repeat_with(measure).take(8).min().unwrap()
+}
+
+/// Trade's `Quote`: a string key and six fields, one of them a string.
+fn quote_meta() -> EntityMeta {
+    EntityMeta::new("Quote", "quote", "symbol", ColumnType::Varchar)
+        .field("companyname", ColumnType::Varchar)
+        .field("price", ColumnType::Double)
+        .field("open", ColumnType::Double)
+        .field("low", ColumnType::Double)
+        .field("high", ColumnType::Double)
+        .field("volume", ColumnType::Double)
+}
+
+/// A database of eight quotes `s:0`..`s:7` and the registry describing it.
+fn quotes() -> (Arc<Database>, MetaRegistry) {
+    let registry = MetaRegistry::new().with(quote_meta());
+    let db = Database::new();
+    registry.create_schema(&db).unwrap();
+    let mut conn = db.connect();
+    for i in 0..8 {
+        let params = [
+            Value::from(format!("s:{i}")),
+            Value::from(format!("Company #{i} Incorporated")),
+            Value::from(25.0 + f64::from(i)),
+            Value::from(24.0),
+            Value::from(23.5),
+            Value::from(26.5),
+            Value::from(1_000_000.0),
+        ];
+        conn.execute(quote_meta().insert_sql(), &params).unwrap();
+    }
+    (db, registry)
+}
+
+#[test]
+fn image_path_stays_within_its_allocation_budget() {
+    let (db, registry) = quotes();
+    let meta = registry.meta("Quote").unwrap();
+    let source = Arc::new(DirectSource::new(Box::new(db.connect()), registry.clone()));
+    let store = CommonStore::new();
+    let home = SliHome::new(meta.clone(), Arc::clone(&store), source);
+    let key = Value::from("s:3");
+    // Warm-up: every quote faulted into the common store through the home.
+    for i in 0..8 {
+        let mut ctx = TxContext::new();
+        home.find_by_primary_key(&mut ctx, &Value::from(format!("s:{i}")))
+            .unwrap();
+    }
+    assert_eq!(store.len(), 8);
+
+    // (a) A common-store hit: nothing. The lookup borrows its key, the
+    // recency slot's owned key moves from its old tick to the new one, and
+    // the caller gets another handle on the stored image. Eight images keep
+    // the recency tree one leaf. It was 12: an owned lookup key (2) and a
+    // deep copy of the image (10).
+    let hit = steady(|| {
+        let (allocs, image) = allocs_of(|| store.get("Quote", &key));
+        assert!(image.is_some());
+        allocs
+    });
+    assert_eq!(hit, 0, "CommonStore::get hit");
+    let image = store.get("Quote", &key).unwrap();
+
+    // (b) Cloning an image: a reference count. It was 10 — the bean name,
+    // the key, six field names, the one string value and the map node.
+    let (clone, copy) = allocs_of(|| image.clone());
+    assert_eq!(clone, 0, "Memento::clone");
+    assert_eq!(copy, image);
+
+    // (c) The load statement: a borrowed field of the descriptor. It was 12
+    // (seven column names, their vector, the joined list, the text).
+    let (sql, _) = allocs_of(|| black_box(meta.load_sql()).len());
+    assert_eq!(sql, 0, "EntityMeta::load_sql");
+
+    // (d) The encoded length: arithmetic over the image. It was 3 (a
+    // scratch writer, its growth, and the formatted class descriptor).
+    let (len, _) = allocs_of(|| black_box(image.encoded_len()));
+    assert_eq!(len, 0, "Memento::encoded_len");
+
+    // (e) A lookup by primary key answered by the common store, in a fresh
+    // context: 5 — the context's vector, its copy of the bean name and of
+    // the key, and the returned reference's bean name and key. Loading the
+    // image into the context is two reference counts. It was 43.
+    let find = steady(|| {
+        let mut ctx = TxContext::new();
+        allocs_of(|| home.find_by_primary_key(&mut ctx, &key).unwrap()).0
+    });
+    assert!(find <= 5, "find_by_primary_key on a store hit: {find}");
+
+    // (f) Reading fields of the enlisted bean: a double costs nothing, a
+    // string its own copy. They were 5 and 6 (an owned lookup key twice,
+    // the home's bean name).
+    let mut ctx = TxContext::new();
+    home.find_by_primary_key(&mut ctx, &key).unwrap();
+    let (double, price) = allocs_of(|| home.get_field(&mut ctx, &key, "price").unwrap());
+    assert_eq!(price, Value::from(28.0));
+    assert_eq!(double, 0, "get_field of a double");
+    let (string, _) = allocs_of(|| home.get_field(&mut ctx, &key, "companyname").unwrap());
+    assert!(string <= 1, "get_field of a string: {string}");
+
+    // (g) The commit request of that read-only transaction: 3 — the entry
+    // vector, the entry's bean name and its key; the before-image is a
+    // reference count. It was 13.
+    let (request, built) = allocs_of(|| CommitRequest::from_context(1, 1, &ctx));
+    assert!(matches!(built.entries[0].kind, EntryKind::Read { .. }));
+    assert!(request <= 3, "from_context with one read entry: {request}");
+
+    // (h) The first write to a bean is the one deep copy a transaction
+    // makes of it — 10, the image exactly as (b) used to copy it on every
+    // read — and it reuses the stored field name, so later writes of a
+    // double cost nothing.
+    let (first, _) = allocs_of(|| home.set_field(&mut ctx, &key, "price", Value::from(29.0)));
+    assert!(first <= 10, "first set_field: {first}");
+    let (second, _) = allocs_of(|| home.set_field(&mut ctx, &key, "price", Value::from(30.0)));
+    assert_eq!(second, 0, "second set_field");
+    assert_eq!(image.get("price"), Some(&Value::from(28.0)));
+
+    // (i) What the validator's `judge` runs on a fetched row that passes:
+    // the row compared with the before-image where each lies, nothing
+    // built. It was 10 per validated image (a memento from the row). A
+    // whole one-entry read validation costs its autocommitted SELECT plus
+    // 6: the metadata list, the statement list, the statement's text, its
+    // parameter list and the key in it, and the outcome's result list. It
+    // was the SELECT plus 27.
+    let mut conn = db.connect();
+    let rs = conn
+        .execute(meta.load_sql(), std::slice::from_ref(&key))
+        .unwrap();
+    let (judge, same) = allocs_of(|| meta.row_is_image(&rs.rows()[0], &image));
+    assert!(same);
+    assert_eq!(judge, 0, "row_is_image on a passing row");
+    let read = CommitRequest {
+        origin: 1,
+        txn_id: 0,
+        entries: vec![CommitEntry {
+            bean: "Quote".into(),
+            key: key.clone(),
+            kind: EntryKind::Read {
+                before: image.clone(),
+            },
+        }],
+    };
+    let statement = steady(|| {
+        allocs_of(|| {
+            conn.execute(meta.load_sql(), std::slice::from_ref(&key))
+                .unwrap()
+        })
+        .0
+    });
+    let validate = steady(|| {
+        let (allocs, outcome) =
+            allocs_of(|| validate_and_apply_per_image(&mut conn, &registry, &read).unwrap());
+        assert_eq!(outcome, CommitOutcome::Committed);
+        allocs
+    });
+    assert!(
+        validate <= statement + 6,
+        "one-entry read validation: {validate} (its SELECT alone: {statement})"
+    );
+}
+
+/// A well-framed request to the back-end with `body` as its payload.
+fn backend_frame(body: Writer) -> Bytes {
+    frame(protocol::BACKEND, 7, &body.finish())
+}
+
+#[test]
+fn a_hostile_length_prefix_reserves_only_what_its_frame_can_hold() {
+    let (db, registry) = quotes();
+    let backend = BackendServer::new(Box::new(db.connect()), registry, Arc::new(Clock::new()));
+
+    // A commit request that is origin, txn id and an entry count of
+    // u32::MAX — 16 bytes announcing 300 GB of entries — with some padding
+    // a length check cannot tell from entries.
+    let mut request = Writer::new();
+    request.put_u32(1).put_u64(9).put_u32(u32::MAX);
+    request.put_bytes(&[0xAB; 1024]);
+    let mut body = Writer::new();
+    body.put_u8(3); // OP_COMMIT
+    body.put_frame(&request.finish());
+    let message = backend_frame(body);
+    let sent = message.len() as u64;
+    let (asked, reply) = bytes_of(|| backend.handle(message));
+    let (_, payload) = unframe(reply).unwrap();
+    assert_eq!(Reader::new(payload).get_u8().unwrap(), 1, "STATUS_ERR");
+    assert!(
+        asked < 8 * sent,
+        "{asked} bytes requested for a {sent}-byte frame"
+    );
+
+    // The same count as a memento's field count. (A query reply's image
+    // count has its test beside `BackendSource`, whose peer cannot be
+    // substituted from outside the crate.)
+    let mut image = Writer::new();
+    Memento::new("Quote", Value::from("s:1")).encode(&mut image);
+    let encoded = image.finish();
+    let mut hostile = encoded.slice(0..encoded.len() - 4).to_vec();
+    hostile.extend_from_slice(&u32::MAX.to_be_bytes());
+    hostile.extend_from_slice(&[0xAB; 1024]);
+    let sent = hostile.len() as u64;
+    let (asked, decoded) = bytes_of(|| Memento::decode(&mut Reader::new(Bytes::from(hostile))));
+    assert!(decoded.is_err());
+    assert!(
+        asked < 8 * sent,
+        "{asked} bytes requested for a {sent}-byte image"
+    );
+}

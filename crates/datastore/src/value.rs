@@ -109,6 +109,16 @@ impl Value {
         }
     }
 
+    /// The number of bytes [`Value::encode`] writes.
+    pub fn encoded_len(&self) -> usize {
+        1 + match self {
+            Value::Null => 0,
+            Value::Bool(_) => 1,
+            Value::Int(_) | Value::Double(_) => 8,
+            Value::Str(v) => 4 + v.len(),
+        }
+    }
+
     /// Decodes a value from a wire frame.
     ///
     /// # Errors
@@ -273,7 +283,9 @@ mod tests {
         ];
         let mut w = Writer::new();
         for v in &vals {
+            let start = w.len();
             v.encode(&mut w);
+            assert_eq!(v.encoded_len(), w.len() - start, "{v}");
         }
         let mut r = Reader::new(w.finish());
         for v in &vals {

@@ -25,6 +25,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -207,6 +208,17 @@ impl Writer {
         self.put_bytes(v.as_bytes())
     }
 
+    /// Appends the concatenation of `parts` as one length-prefixed string,
+    /// without building it first.
+    pub fn put_str_parts(&mut self, parts: &[&str]) -> &mut Writer {
+        self.buf
+            .put_u32(parts.iter().map(|p| p.len()).sum::<usize>() as u32);
+        for part in parts {
+            self.buf.put_slice(part.as_bytes());
+        }
+        self
+    }
+
     /// Appends a length-prefixed byte string.
     pub fn put_bytes(&mut self, v: &[u8]) -> &mut Writer {
         self.buf.put_u32(v.len() as u32);
@@ -341,6 +353,18 @@ impl Reader {
         String::from_utf8(raw.to_vec()).map_err(|_| DecodeError::new("utf-8"))
     }
 
+    /// Reads a length-prefixed UTF-8 string straight into a shared `str`
+    /// (one allocation, for names that many values will point at).
+    ///
+    /// # Errors
+    /// Returns [`DecodeError`] on truncation or invalid UTF-8.
+    pub fn get_shared_str(&mut self) -> Result<Arc<str>, DecodeError> {
+        let raw = self.get_bytes()?;
+        std::str::from_utf8(&raw)
+            .map(Arc::from)
+            .map_err(|_| DecodeError::new("utf-8"))
+    }
+
     /// Reads a nested frame written with [`Writer::put_frame`].
     ///
     /// # Errors
@@ -405,7 +429,7 @@ mod tests {
         let mut w = Writer::new();
         w.put_str("outer").put_frame(&inner).put_bytes(&[1, 2, 3]);
         let mut r = Reader::new(w.finish());
-        assert_eq!(r.get_str().unwrap(), "outer");
+        assert_eq!(&*r.get_shared_str().unwrap(), "outer");
         let mut nested = Reader::new(r.get_frame().unwrap());
         assert_eq!(nested.get_str().unwrap(), "nested");
         assert_eq!(&r.get_bytes().unwrap()[..], &[1, 2, 3]);
@@ -441,8 +465,9 @@ mod tests {
     fn invalid_utf8_is_an_error() {
         let mut w = Writer::new();
         w.put_bytes(&[0xff, 0xfe]);
-        let mut r = Reader::new(w.finish());
-        assert!(r.get_str().is_err());
+        let frame = w.finish();
+        assert!(Reader::new(frame.clone()).get_str().is_err());
+        assert!(Reader::new(frame).get_shared_str().is_err());
     }
 
     #[test]
@@ -522,6 +547,14 @@ mod tests {
         assert!(unframe(Bytes::from(bad)).is_err());
         // truncated
         assert!(unframe(framed.slice(0..10)).is_err());
+    }
+
+    #[test]
+    fn string_parts_encode_as_their_concatenation() {
+        let (mut whole, mut parts) = (Writer::new(), Writer::new());
+        whole.put_str("com.example.QuoteMemento");
+        parts.put_str_parts(&["com.example.", "Quote", "Memento"]);
+        assert_eq!(parts.finish(), whole.finish());
     }
 
     #[test]

@@ -10,6 +10,10 @@
 //!   persistent state for arbitrary operation sequences;
 //! * the common store is observationally a naive list-ordered LRU cache at
 //!   every capacity;
+//! * images are shared copy-on-write without aliasing, the per-transaction
+//!   store is a map plus a touch order, and what the deployment descriptor
+//!   resolves once (`row_is_image`, the five statements) is what it used to
+//!   compute per call;
 //! * a rolled-back transaction, and one torn by a crash and undone by
 //!   recovery, both leave the database as if they had never run;
 //! * the regression and batching math behaves on arbitrary affine data.
@@ -30,7 +34,8 @@ use rand::{Rng, SeedableRng};
 use sli_edge::component::BmpHome;
 use sli_edge::component::JdbcResourceManager;
 use sli_edge::component::{
-    share_connection, Container, EjbResult, EntityMeta, Memento, ResourceManager, TxContext,
+    share_connection, Container, EjbResult, EntityMeta, InstanceState, Memento, ResourceManager,
+    TxContext,
 };
 use sli_edge::core::{
     validate_and_apply, validate_and_apply_per_image, CacheStats, CombinedCommitter, CommitEntry,
@@ -176,6 +181,7 @@ fn memento_codec_round_trips() {
         let m = gen_memento(&mut rng);
         let mut w = Writer::new();
         m.encode(&mut w);
+        assert_eq!(m.encoded_len(), w.len(), "memento {m:?}");
         let mut r = Reader::new(w.finish());
         assert_eq!(Memento::decode(&mut r).unwrap(), m, "memento {m:?}");
     }
@@ -852,6 +858,199 @@ fn common_store_matches_a_naive_lru_model() {
         let s = store.stats();
         assert!(s.hits > 0 && s.misses > 0 && s.invalidations > 0, "{s:?}");
         assert_eq!(s.evictions > 0, capacity.is_some(), "{capacity:?}: {s:?}");
+    }
+}
+
+// ---------- the image path: shared images, borrowed keys, resolved SQL ----------
+
+/// `m` rebuilt name by name and value by value: equal to it, sharing
+/// nothing with it.
+fn rebuilt(m: &Memento) -> Memento {
+    let empty = Memento::new(m.bean().to_owned(), m.primary_key().clone());
+    m.fields().iter().fold(empty, |copy, (name, value)| {
+        copy.with_field(name.to_string(), value.clone())
+    })
+}
+
+#[test]
+fn a_write_through_one_handle_never_reaches_another() {
+    let mut rng = StdRng::seed_from_u64(0x3e3e_000b);
+    for case in 0..300 {
+        let original = gen_memento(&mut rng);
+        let pristine = rebuilt(&original);
+        let (bean, key) = (original.bean(), original.primary_key());
+        // One image, four holders: the caller, the common store, and a
+        // transaction's before-image and current state.
+        let store = CommonStore::new();
+        store.put(original.clone());
+        let mut ctx = TxContext::new();
+        let st = ctx.enlist(bean, key);
+        st.load_from(&store.get(bean, key).expect("just put"));
+        // Write an existing field half the time, a new one otherwise.
+        let name = match original.fields().keys().next() {
+            Some(name) if rng.gen_range(0..2u32) == 0 => name.to_string(),
+            _ => "fresh".to_owned(),
+        };
+        let (a, b) = (gen_value(&mut rng), gen_value(&mut rng));
+        let mut clone = original.clone();
+        clone.set(name.as_str(), a.clone());
+        st.set_field(bean, key, &name, b.clone());
+        assert_eq!(clone.get(&name), Some(&a), "case {case}");
+        assert_eq!(st.field(&name), b, "case {case}");
+        assert_eq!(st.to_memento(bean, key).get(&name), Some(&b), "case {case}");
+        // Neither write is visible through any other holder.
+        assert_eq!(original, pristine, "case {case}: the caller's handle");
+        assert_eq!(st.before.as_ref(), Some(&pristine), "case {case}");
+        assert_eq!(store.get(bean, key), Some(pristine), "case {case}");
+    }
+}
+
+#[test]
+fn row_is_image_agrees_with_building_the_image() {
+    let meta = EntityMeta::new("Holding", "holding", "id", ColumnType::Int)
+        .field("owner", ColumnType::Varchar)
+        .field("qty", ColumnType::Double)
+        .field("note", ColumnType::Varchar);
+    // Small domains, so equal and unequal cells both come up often.
+    let gen_cell = |rng: &mut StdRng| match rng.gen_range(0..4u32) {
+        0 => Value::Null,
+        1 => Value::from(rng.gen_range(0i64..3)),
+        2 => Value::from(rng.gen_range(0..3u32) as f64),
+        _ => Value::from(["ann", "bob", ""][rng.gen_range(0..3usize)]),
+    };
+    let mut rng = StdRng::seed_from_u64(0x3e3e_000c);
+    let mut same = 0;
+    const CASES: usize = 4_000;
+    for case in 0..CASES {
+        let row: Vec<Value> = (0..4).map(|_| gen_cell(&mut rng)).collect();
+        // An image of the row, then, one time in six each: another bean,
+        // another key, a missing field, a changed (perhaps NULL) field, an
+        // extra field.
+        let odd = |rng: &mut StdRng| rng.gen_range(0..6u32) == 0;
+        let bean = if odd(&mut rng) { "Lot" } else { "Holding" };
+        let key = if odd(&mut rng) {
+            Value::from(99)
+        } else {
+            row[0].clone()
+        };
+        let mut image = Memento::new(bean, key);
+        for (f, cell) in meta.fields().iter().zip(&row[1..]) {
+            if odd(&mut rng) {
+                continue;
+            }
+            image.set(f.name.clone(), cell.clone());
+        }
+        if odd(&mut rng) {
+            let f = &meta.fields()[case % 3];
+            image.set(f.name.clone(), gen_cell(&mut rng));
+        }
+        if odd(&mut rng) {
+            image.set("ghost", gen_cell(&mut rng));
+        }
+        let expected = meta.memento_from_row(&row) == image;
+        assert_eq!(
+            meta.row_is_image(&row, &image),
+            expected,
+            "case {case}: {row:?} vs {image:?}"
+        );
+        same += usize::from(expected);
+    }
+    assert!(same > CASES / 10 && same < CASES * 9 / 10, "{same}");
+}
+
+#[test]
+fn tx_context_matches_a_map_and_touch_order_model() {
+    const BEANS: [&str; 3] = ["Account", "Quote", "Acc"];
+    let mut rng = StdRng::seed_from_u64(0x3e3e_000d);
+    let mut ctx = TxContext::new();
+    let mut model: HashMap<(String, Value), InstanceState> = HashMap::new();
+    let mut order: Vec<(String, Value)> = Vec::new();
+    for op in 0..6_000 {
+        let bean = BEANS[rng.gen_range(0..BEANS.len())];
+        let key = match rng.gen_range(0..3u32) {
+            0 => Value::from(rng.gen_range(0i64..4)),
+            1 => Value::from(format!("k{}", rng.gen_range(0..4u32))),
+            _ => Value::Null,
+        };
+        let slot = (bean.to_owned(), key.clone());
+        match rng.gen_range(0..100u32) {
+            0 => {
+                ctx.clear();
+                model.clear();
+                order.clear();
+            }
+            1..=40 => {
+                // Enlist and leave a mark only this touch could have left.
+                let image = Memento::new(bean, key.clone()).with_field("op", op);
+                if !model.contains_key(&slot) {
+                    order.push(slot.clone());
+                }
+                model.entry(slot).or_default().load_from(&image);
+                ctx.enlist(bean, &key).load_from(&image);
+            }
+            41..=60 => {
+                if let Some(st) = ctx.instance_mut(bean, &key) {
+                    st.removed = !st.removed;
+                }
+                if let Some(st) = model.get_mut(&slot) {
+                    st.removed = !st.removed;
+                }
+            }
+            _ => assert_eq!(ctx.instance(bean, &key), model.get(&slot), "op {op}"),
+        }
+        assert_eq!(ctx.len(), order.len(), "op {op}");
+        assert_eq!(ctx.is_empty(), order.is_empty(), "op {op}");
+        let seen: Vec<_> = ctx.iter().collect();
+        let expected: Vec<_> = order
+            .iter()
+            .map(|slot| (slot.0.as_str(), &slot.1, &model[slot]))
+            .collect();
+        assert_eq!(seen, expected, "op {op}");
+    }
+}
+
+#[test]
+fn resolved_sql_is_what_the_descriptor_used_to_format() {
+    for meta in sli_edge::trade::model::trade_registry().iter() {
+        let (table, key) = (meta.table(), meta.key_field());
+        let cols = meta.select_columns().join(", ");
+        let marks = vec!["?"; meta.fields().len() + 1].join(", ");
+        let sets: Vec<String> = meta
+            .fields()
+            .iter()
+            .map(|f| format!("{} = ?", f.name))
+            .collect();
+        let sets = sets.join(", ");
+        let bean = meta.bean();
+        assert_eq!(
+            meta.exists_sql(),
+            format!("SELECT {key} FROM {table} WHERE {key} = ?"),
+            "{bean}"
+        );
+        assert_eq!(
+            meta.load_sql(),
+            format!("SELECT {cols} FROM {table} WHERE {key} = ?"),
+            "{bean}"
+        );
+        assert_eq!(
+            meta.insert_sql(),
+            format!("INSERT INTO {table} ({cols}) VALUES ({marks})"),
+            "{bean}"
+        );
+        assert_eq!(
+            meta.update_sql(),
+            format!("UPDATE {table} SET {sets} WHERE {key} = ?"),
+            "{bean}"
+        );
+        assert_eq!(
+            meta.delete_sql(),
+            format!("DELETE FROM {table} WHERE {key} = ?"),
+            "{bean}"
+        );
+        // A descriptor extended after it was built re-resolves.
+        let wider = meta.clone().field("extra", ColumnType::Int);
+        assert!(wider.load_sql().contains(", extra FROM"), "{bean}");
+        assert!(wider.update_sql().contains(", extra = ? WHERE"), "{bean}");
     }
 }
 
