@@ -1,0 +1,161 @@
+//! Allocation budget of the message path.
+//!
+//! Every interaction crosses the HTTP hop once and the wire a few times, so
+//! what a message costs is paid by every workload. A message is one buffer,
+//! written in place and read where it lies (DESIGN §21); this test pins
+//! that as allocation counts per layer — the HTTP codec, the page, the
+//! engine's result, a whole interaction — so a regression fails here,
+//! naming the layer, instead of as a drift in a benchmark run. The file
+//! holds one test and counts on the test's own thread, so the numbers are
+//! exact.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use sli_arch::{Architecture, Flavor, Testbed, TestbedConfig, VirtualClient};
+use sli_component::share_connection;
+use sli_datastore::Database;
+use sli_simnet::{HttpRequest, HttpResponse};
+use sli_trade::seed::{create_and_seed, Population};
+use sli_trade::{page, JdbcTradeEngine, TradeAction, TradeEngine};
+
+thread_local! {
+    /// Allocations made by this thread. Const-initialised and without a
+    /// destructor, so reading it inside the allocator never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAlloc;
+
+fn count() {
+    // A thread that is tearing down has no counter left; it is not the
+    // test's thread.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; the counter touches no allocator state.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: `ptr`/`layout` describe a live block of this allocator and
+        // the caller vouched for `new_size`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations `op` makes on this thread.
+fn allocs_of<T>(op: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCS.with(Cell::get);
+    let out = op();
+    (ALLOCS.with(Cell::get) - before, out)
+}
+
+/// The steady-state cost `measure` reports: the cheapest of eight runs,
+/// which leaves out the run in which an amortised structure (the span log,
+/// the WAL's tail, the lock table) happens to grow.
+fn steady(measure: impl FnMut() -> u64) -> u64 {
+    std::iter::repeat_with(measure).take(8).min().unwrap()
+}
+
+#[test]
+fn message_path_stays_within_its_allocation_budget() {
+    let buy = TradeAction::Buy {
+        user: "uid:3".into(),
+        symbol: "s:5".into(),
+        quantity: 100.0,
+    };
+    let quote = TradeAction::Quote {
+        symbol: "s:5".into(),
+    };
+
+    // (a) An HTTP request with four parameters and a cookie: 1, the buffer
+    // of `encoded_len` bytes it is written into. It was 20 — a string per
+    // parameter, their vector, the joined query, the URI, and a string per
+    // formatted line appended to a buffer that grew from empty.
+    let request = HttpRequest::get("/trade/app", buy.query_params()).with_cookie("sess-uid:3");
+    let (allocs, raw) = allocs_of(|| request.encode());
+    assert_eq!(allocs, 1, "HttpRequest::encode");
+    assert_eq!(raw.len(), request.encoded_len());
+
+    // (b) A page: 1, sized for its chrome and its content. (The chrome is
+    // built once per process, by the first page.)
+    let db = Database::new();
+    create_and_seed(&db, Population::default()).unwrap();
+    let engine = JdbcTradeEngine::new(share_connection(db.connect()), 1_000_000);
+    let result = engine.perform(&quote).unwrap();
+    page::render(&result);
+    let (allocs, body) = allocs_of(|| page::render(&result));
+    assert_eq!(allocs, 1, "page::render");
+    assert!(body.len() > 5_000);
+
+    // (c) The response around it: 1. It was 8 — the 5.8 KB page pushed
+    // onto a buffer that grew from empty, and three formatted lines.
+    let response = HttpResponse::ok(body).with_cookie("sess-uid:3");
+    let (allocs, raw) = allocs_of(|| response.encode());
+    assert_eq!(allocs, 1, "HttpResponse::encode");
+    assert_eq!(raw.len(), response.encoded_len());
+
+    // (d) A quote by the JDBC engine on a local connection: 12 — its
+    // SELECT of six columns with the parameter's string, and the result's
+    // text and field list. It was 40 while every field was a name and a
+    // value of its own (14 for the seven) behind a formatted temporary,
+    // and every result copied its column names.
+    let perform = steady(|| {
+        let (allocs, result) = allocs_of(|| engine.perform(&quote).unwrap());
+        assert_eq!(result.get("symbol"), Some("s:5"));
+        allocs
+    });
+    assert!(perform <= 12, "JdbcTradeEngine::perform(quote): {perform}");
+
+    // (e) Whole interactions on ES/RDB (JDBC): request built, encoded,
+    // parsed, dispatched, statements over the wire to the database server,
+    // page rendered, response encoded and parsed — spans recorded, the
+    // span log emptied between repetitions. They were 80, 107, 136 and 198.
+    // Of what is left, 16 to 20 are the request's owned strings
+    // (`query_params`, `get`, `parse`), which `benchmark/`'s signatures fix.
+    let tb = Testbed::build(Architecture::EsRdb(Flavor::Jdbc), TestbedConfig::default());
+    let mut client = VirtualClient::new(&tb, 0);
+    let login = TradeAction::Login {
+        user: "uid:3".into(),
+    };
+    assert_eq!(client.perform(&login).status, 200);
+    let home = TradeAction::Home {
+        user: "uid:3".into(),
+    };
+    let portfolio = TradeAction::Portfolio {
+        user: "uid:3".into(),
+    };
+    for (action, budget) in [(&home, 41), (&quote, 44), (&portfolio, 65), (&buy, 123)] {
+        let allocs = steady(|| {
+            tb.commit_trace().clear();
+            let (allocs, done) = allocs_of(|| client.perform(action));
+            assert_eq!(done.status, 200, "{action}");
+            allocs
+        });
+        assert!(
+            allocs <= budget,
+            "VirtualClient::perform({action}): {allocs} allocations, budget {budget}"
+        );
+    }
+}

@@ -219,22 +219,42 @@ impl EntityMeta {
     /// with `IS NULL`. Returns the SQL fragment and the parameters it
     /// binds.
     pub fn before_image_where(&self, before: &crate::Memento) -> (String, Vec<Value>) {
-        let mut clauses = vec![format!("{} = ?", self.key_field)];
-        let mut params = vec![before.primary_key().clone()];
+        let params = Vec::with_capacity(self.fields.len() + 1);
+        self.with_before_image(&[&self.key_field, " = ?"], params, before)
+    }
+
+    /// `stem` — a statement that ends in `<key> = ?`, in parts — with the
+    /// before-image check appended: ` AND f = ?` or ` AND f IS NULL` per
+    /// field, written into one text of the right size. `params` holds what
+    /// the stem binds before the key; the key and the checked values follow.
+    fn with_before_image(
+        &self,
+        stem: &[&str],
+        mut params: Vec<Value>,
+        before: &crate::Memento,
+    ) -> (String, Vec<Value>) {
+        let per_field = " AND ".len() + " IS NULL".len();
+        let check: usize = self.fields.iter().map(|f| per_field + f.name.len()).sum();
+        let mut sql = String::with_capacity(stem.iter().map(|s| s.len()).sum::<usize>() + check);
+        stem.iter().for_each(|part| sql.push_str(part));
+        params.push(before.primary_key().clone());
         for f in &self.fields {
+            sql.push_str(" AND ");
+            sql.push_str(&f.name);
             match before.get(&f.name) {
-                Some(Value::Null) | None => clauses.push(format!("{} IS NULL", f.name)),
+                Some(Value::Null) | None => sql.push_str(" IS NULL"),
                 Some(v) => {
-                    clauses.push(format!("{} = ?", f.name));
+                    sql.push_str(" = ?");
                     params.push(v.clone());
                 }
             }
         }
-        (clauses.join(" AND "), params)
+        (sql, params)
     }
 
     /// `UPDATE <table> SET f = ?, ... WHERE <before-image clause>` — the
-    /// one-access-per-image optimistic update. Returns the SQL and the full
+    /// one-access-per-image optimistic update: [`EntityMeta::update_sql`]
+    /// with the before-image check appended. Returns the SQL and the full
     /// parameter vector (new field values, then the before-image
     /// parameters).
     pub fn conditional_update_sql(
@@ -242,30 +262,21 @@ impl EntityMeta {
         before: &crate::Memento,
         after: &crate::Memento,
     ) -> (String, Vec<Value>) {
-        let sets = self
-            .fields
-            .iter()
-            .map(|f| format!("{} = ?", f.name))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let (clause, where_params) = self.before_image_where(before);
-        let mut params: Vec<Value> = self
-            .fields
-            .iter()
-            .map(|f| after.get(&f.name).cloned().unwrap_or(Value::Null))
-            .collect();
-        params.extend(where_params);
-        (
-            format!("UPDATE {} SET {sets} WHERE {clause}", self.table),
-            params,
-        )
+        let mut params = Vec::with_capacity(2 * self.fields.len() + 1);
+        params.extend(
+            self.fields
+                .iter()
+                .map(|f| after.get(&f.name).cloned().unwrap_or(Value::Null)),
+        );
+        self.with_before_image(&[&self.sql.update], params, before)
     }
 
     /// `DELETE FROM <table> WHERE <before-image clause>` — the
-    /// one-access-per-image optimistic remove.
+    /// one-access-per-image optimistic remove: [`EntityMeta::delete_sql`]
+    /// with the before-image check appended.
     pub fn conditional_delete_sql(&self, before: &crate::Memento) -> (String, Vec<Value>) {
-        let (clause, params) = self.before_image_where(before);
-        (format!("DELETE FROM {} WHERE {clause}", self.table), params)
+        let params = Vec::with_capacity(self.fields.len() + 1);
+        self.with_before_image(&[&self.sql.delete], params, before)
     }
 
     /// Builds a memento from a row laid out as [`EntityMeta::select_columns`]

@@ -13,7 +13,7 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 use sli_component::{EjbError, EjbResult, Memento};
 use sli_datastore::{Predicate, SqlConnection, Value};
-use sli_simnet::wire::{frame, frame_traced, protocol, unframe, DecodeError, Reader, Writer};
+use sli_simnet::wire::{frame_traced, protocol, unframe, DecodeError, Reader, Writer};
 use sli_simnet::{CallError, Clock, Remote, Service, SimDuration};
 
 use sli_telemetry::{SpanOutcome, Tracer};
@@ -198,11 +198,11 @@ impl BackendServer {
 
     fn run_op(&self, op: u8, r: &mut Reader) -> EjbResult<Writer> {
         self.clock.advance(self.cost.per_request);
-        let mut w = Writer::new();
+        let mut w = Writer::framed();
         w.put_u8(STATUS_OK);
         match op {
             OP_FETCH => {
-                let bean = r.get_str().map_err(wire_err)?;
+                let bean = r.get_str_view().map_err(wire_err)?;
                 let key = Value::decode(r).map_err(wire_err)?;
                 let meta = self.point.registry().meta(&bean)?;
                 match fetch_current(self.point.conn().as_mut(), meta, &key)? {
@@ -218,7 +218,7 @@ impl BackendServer {
                 Ok(w)
             }
             OP_QUERY => {
-                let bean = r.get_str().map_err(wire_err)?;
+                let bean = r.get_str_view().map_err(wire_err)?;
                 let predicate = Predicate::decode(r).map_err(wire_err)?;
                 let meta = self.point.registry().meta(&bean)?;
                 let rs = query_current(self.point.conn().as_mut(), meta, &predicate)?;
@@ -254,8 +254,9 @@ fn transport_err(e: CallError) -> EjbError {
     EjbError::Db(sli_datastore::DbError::Unavailable(e.to_string()))
 }
 
-fn encode_ejb_error(e: &EjbError) -> Bytes {
-    let mut w = Writer::new();
+/// Starts a `STATUS_ERR` reply carrying `e`.
+fn error_reply(e: &EjbError) -> Writer {
+    let mut w = Writer::framed();
     w.put_u8(STATUS_ERR).put_str(&e.to_string());
     // Preserve the variants the edge reacts to programmatically.
     w.put_u8(match e {
@@ -264,18 +265,14 @@ fn encode_ejb_error(e: &EjbError) -> Bytes {
         EjbError::NotFound { .. } => 3,
         _ => 0,
     });
-    w.finish()
+    w
 }
 
-/// One round trip to the back-end: frames `body` under the caller's trace,
-/// sends it (the transport retries identical bytes) and opens the reply.
+/// One round trip to the back-end: closes the [`Writer::framed`] request
+/// `body` under the caller's trace, sends it (the transport retries
+/// identical bytes) and opens the reply.
 fn round_trip(remote: &Remote<Arc<BackendServer>>, body: Writer) -> EjbResult<Reader> {
-    let framed = frame_traced(
-        protocol::BACKEND,
-        0,
-        remote.current_trace_id(),
-        &body.finish(),
-    );
+    let framed = body.finish_frame(protocol::BACKEND, 0, remote.current_trace_id());
     let resp = remote.call(framed).map_err(transport_err)?;
     let (_, payload) = unframe(resp).map_err(wire_err)?;
     let mut r = Reader::new(payload);
@@ -303,19 +300,11 @@ impl Service for BackendServer {
     fn handle(&self, request: Bytes) -> Bytes {
         let (header, payload) = match unframe(request) {
             Ok(x) => x,
-            Err(e) => return frame(protocol::BACKEND, 0, &encode_ejb_error(&wire_err(e))),
+            Err(e) => return error_reply(&wire_err(e)).finish_frame(protocol::BACKEND, 0, 0),
         };
-        let mut r = Reader::new(payload);
-        let body = match self.dispatch(&mut r, header.trace_id) {
-            Ok(w) => w.finish(),
-            Err(e) => encode_ejb_error(&e),
-        };
-        frame_traced(
-            protocol::BACKEND,
-            header.correlation,
-            header.trace_id,
-            &body,
-        )
+        self.dispatch(&mut Reader::new(payload), header.trace_id)
+            .unwrap_or_else(|e| error_reply(&e))
+            .finish_frame(protocol::BACKEND, header.correlation, header.trace_id)
     }
 }
 
@@ -335,7 +324,7 @@ impl BackendSource {
 
 impl StateSource for BackendSource {
     fn fetch(&self, bean: &str, key: &Value) -> EjbResult<Option<Memento>> {
-        let mut w = Writer::new();
+        let mut w = Writer::framed();
         w.put_u8(OP_FETCH).put_str(bean);
         key.encode(&mut w);
         let mut r = round_trip(&self.remote, w)?;
@@ -347,7 +336,7 @@ impl StateSource for BackendSource {
     }
 
     fn query(&self, bean: &str, predicate: &Predicate) -> EjbResult<Vec<Memento>> {
-        let mut w = Writer::new();
+        let mut w = Writer::framed();
         w.put_u8(OP_QUERY).put_str(bean);
         predicate.encode(&mut w);
         let mut r = round_trip(&self.remote, w)?;
@@ -388,9 +377,10 @@ impl SplitCommitter {
 
 impl Committer for SplitCommitter {
     fn commit(&self, request: &CommitRequest) -> EjbResult<CommitOutcome> {
-        let mut w = Writer::new();
+        let mut w = Writer::framed();
         w.put_u8(OP_COMMIT);
-        w.put_frame(&request.encode());
+        // The request travels as a nested value, written where it lies.
+        w.put_nested(|w| request.encode_into(w));
         // Retries resend identical bytes — same (origin, txn_id) — so the
         // backend's replay table keeps the commit idempotent.
         let mut r = round_trip(&self.remote, w)?;

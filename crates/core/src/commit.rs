@@ -154,23 +154,29 @@ impl CommitRequest {
     /// Encodes the request to a wire frame.
     pub fn encode(&self) -> Bytes {
         let mut w = Writer::new();
+        self.encode_into(&mut w);
+        w.finish()
+    }
+
+    /// Writes the request's encoding at the end of `w` — straight into the
+    /// message that carries it.
+    pub fn encode_into(&self, w: &mut Writer) {
         w.put_u32(self.origin);
         w.put_u64(self.txn_id);
         w.put_u32(self.entries.len() as u32);
         for e in &self.entries {
             w.put_str(&e.bean);
-            e.key.encode(&mut w);
+            e.key.encode(w);
             w.put_u8(e.kind.tag());
             match &e.kind {
-                EntryKind::Read { before } | EntryKind::Remove { before } => before.encode(&mut w),
+                EntryKind::Read { before } | EntryKind::Remove { before } => before.encode(w),
                 EntryKind::Update { before, after } => {
-                    before.encode(&mut w);
-                    after.encode(&mut w);
+                    before.encode(w);
+                    after.encode(w);
                 }
-                EntryKind::Create { after } => after.encode(&mut w),
+                EntryKind::Create { after } => after.encode(w),
             }
         }
-        w.finish()
     }
 
     /// Decodes a request from a wire frame.

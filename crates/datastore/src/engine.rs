@@ -5,6 +5,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use sli_telemetry::{Counter, Registry};
 
@@ -12,7 +13,7 @@ use crate::connection::Connection;
 use crate::error::DbError;
 use crate::lock::{LockManager, LockMode, Resource, TxnId};
 use crate::predicate::Predicate;
-use crate::result::ResultSet;
+use crate::result::{encode_header, ResultSet};
 use crate::schema::Schema;
 use crate::sql::{parse, AggregateFn, Scalar, SelectList, Statement};
 use crate::trace::{statement_class, OpKind, Trace, TraceSnapshot};
@@ -148,8 +149,8 @@ impl AccessPath {
 /// What a statement's SQL text alone determines, computed on the plan-cache
 /// miss and shared by every later execution: the parsed statement, its
 /// placeholder count and the `{table}.{kind}` class its `db.stmt` span
-/// carries — plus the planner's access path, which also depends on the
-/// physical design.
+/// carries — plus what also depends on the schema or the physical design:
+/// the planner's access path and a SELECT's result header.
 #[derive(Debug)]
 struct CachedPlan {
     stmt: Statement,
@@ -158,6 +159,10 @@ struct CachedPlan {
     /// `(ddl_epoch, chosen path)` — valid while the epoch matches; a
     /// `CREATE INDEX` bumps the epoch so stale scan plans replan lazily.
     access: Mutex<Option<(u64, Arc<AccessPath>)>>,
+    /// `(ddl_epoch, projected column names in wire form)` of a SELECT,
+    /// encoded on its first execution under the epoch and shared by every
+    /// result after it.
+    header: Mutex<Option<(u64, Bytes)>>,
 }
 
 impl CachedPlan {
@@ -167,6 +172,21 @@ impl CachedPlan {
             class: statement_class(sql).into(),
             stmt,
             access: Mutex::new(None),
+            header: Mutex::new(None),
+        }
+    }
+
+    /// The result header recorded under `epoch`, or the one `names` spell,
+    /// recorded for the executions that follow.
+    fn header<'a>(&self, epoch: u64, names: impl ExactSizeIterator<Item = &'a str>) -> Bytes {
+        let mut slot = self.header.lock();
+        match &*slot {
+            Some((e, header)) if *e == epoch => header.clone(),
+            _ => {
+                let header = encode_header(names);
+                *slot = Some((epoch, header.clone()));
+                header
+            }
         }
     }
 
@@ -1105,6 +1125,9 @@ impl Database {
         params: &[Value],
         plan: &CachedPlan,
     ) -> DbResult<ResultSet> {
+        // Read before the schema, so a header recorded under this epoch is
+        // never older than it: DDL changes the tables first, the epoch after.
+        let epoch = self.ddl_epoch.load(Ordering::Relaxed);
         let t = self.open(table)?;
         let pks = self.plan_matches(txn, &t, predicate, params, false, plan)?;
         let schema = &*t.schema;
@@ -1162,9 +1185,9 @@ impl Database {
                 ))
             }
             SelectList::Star => {
-                let cols = schema.columns().iter().map(|c| c.name.clone()).collect();
+                let header = plan.header(epoch, schema.columns().iter().map(|c| &*c.name));
                 let rows = rows.into_iter().cloned().collect();
-                Ok(ResultSet::with_rows(cols, rows))
+                Ok(ResultSet::with_header(header, rows))
             }
             SelectList::Columns(cols) => {
                 let indices: Vec<usize> = cols
@@ -1175,7 +1198,8 @@ impl Database {
                     .into_iter()
                     .map(|row| indices.iter().map(|&i| row[i].clone()).collect())
                     .collect();
-                Ok(ResultSet::with_rows(cols.clone(), projected))
+                let header = plan.header(epoch, cols.iter().map(String::as_str));
+                Ok(ResultSet::with_header(header, projected))
             }
         }
     }
@@ -1796,6 +1820,39 @@ mod tests {
             db.plan_access(sql),
             Some(AccessPath::Index("owner".to_owned()))
         );
+    }
+
+    #[test]
+    fn a_cached_result_header_names_the_columns_across_ddl() {
+        let db = Database::new();
+        db.execute_ddl("CREATE TABLE h (id INT PRIMARY KEY, owner VARCHAR)")
+            .unwrap();
+        let mut conn = db.connect();
+        conn.execute("INSERT INTO h (id, owner) VALUES (1, 'a')", &[])
+            .unwrap();
+        let names = |rs: &ResultSet| rs.columns().map(str::to_owned).collect::<Vec<_>>();
+        let (star, named) = ("SELECT * FROM h", "SELECT owner, id FROM h WHERE id = 1");
+        // The first execution encodes the header, the second shares it; the
+        // epoch bump drops it with the access path, and the next execution
+        // encodes it again.
+        for ddl in [None, Some("CREATE INDEX h_owner ON h (owner)")] {
+            if let Some(ddl) = ddl {
+                db.execute_ddl(ddl).unwrap();
+            }
+            for _ in 0..2 {
+                let rs = conn.execute(star, &[]).unwrap();
+                assert_eq!(names(&rs), ["id", "owner"]);
+                assert_eq!(rs.value(0, "owner"), Some(&Value::from("a")));
+                let rs = conn.execute(named, &[]).unwrap();
+                assert_eq!(names(&rs), ["owner", "id"]);
+                assert_eq!(rs.value(0, "id"), Some(&Value::from(1)));
+            }
+        }
+        // Results that carry no projection name no columns.
+        let rs = conn.execute("DELETE FROM h WHERE id = 1", &[]).unwrap();
+        assert_eq!(rs.columns().count(), 0);
+        let rs = conn.execute("SELECT COUNT(*) FROM h", &[]).unwrap();
+        assert_eq!(names(&rs), ["count"]);
     }
 
     #[test]

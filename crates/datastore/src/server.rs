@@ -14,14 +14,14 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use sli_simnet::wire::{frame, frame_traced, protocol, unframe, DecodeError, Reader, Writer};
+use sli_simnet::wire::{protocol, unframe, DecodeError, FrameStr, Reader, Writer};
 use sli_simnet::{scale_cost_us, Clock, Remote, Service, SimDuration, COST_SCALE_UNIT};
 use sli_telemetry::{Counter, Histogram, Registry, SpanDetail, SpanOutcome, Tracer};
 
 use crate::connection::Connection;
 use crate::engine::Database;
 use crate::error::DbError;
-use crate::result::ResultSet;
+use crate::result::{self, ResultSet};
 use crate::value::Value;
 use crate::{BatchOutcome, BatchStatement, DbResult, SqlConnection};
 
@@ -311,12 +311,15 @@ impl DbServer {
     }
 
     /// Reads one statement — package name, SQL text, parameters — of an
-    /// `OP_EXEC` or `OP_EXEC_BATCH` frame.
-    fn read_statement(request: &mut Reader) -> DbResult<(String, Vec<Value>)> {
-        let _package = request.get_str().map_err(wire_err)?;
-        let sql = request.get_str().map_err(wire_err)?;
+    /// `OP_EXEC` or `OP_EXEC_BATCH` frame. The package name is checked and
+    /// skipped; the text is read where it lies in the frame.
+    fn read_statement(request: &mut Reader) -> DbResult<(FrameStr, Vec<Value>)> {
+        request.skip_str().map_err(wire_err)?;
+        let sql = request.get_str_view().map_err(wire_err)?;
         let n = request.get_u32().map_err(wire_err)? as usize;
-        let mut params = Vec::with_capacity(n);
+        // A length prefix is not a budget: room for the parameters the
+        // remaining bytes can hold (each is at least its tag byte).
+        let mut params = Vec::with_capacity(n.min(request.remaining()));
         for _ in 0..n {
             params.push(Value::decode(request).map_err(wire_err)?);
         }
@@ -325,7 +328,7 @@ impl DbServer {
 
     fn run_op(&self, op: u8, request: &mut Reader, class: Option<&mut String>) -> DbResult<Writer> {
         let per_request_us = self.charge(self.cost.per_request);
-        let mut w = Writer::new();
+        let mut w = Writer::framed();
         w.put_u8(STATUS_OK);
         // DRDA-style SQL communications area: SQLSTATE, SQLCODE, warning
         // flags and message tokens accompany every reply on the real wire.
@@ -393,7 +396,7 @@ impl DbServer {
                         // db.batch span's duration decomposes exactly into
                         // what the clock was charged.
                         let mut total_us = per_request_us;
-                        let mut results: Vec<ResultSet> = Vec::with_capacity(count);
+                        let mut results: Vec<ResultSet> = Vec::with_capacity(stmts.len());
                         let mut first_err: Option<DbError> = None;
                         for (sql, params) in &stmts {
                             match conn.execute(sql, params) {
@@ -433,28 +436,23 @@ impl DbServer {
     }
 }
 
+/// Starts a `STATUS_ERR` reply carrying `e`.
+fn error_reply(e: &DbError) -> Writer {
+    let mut w = Writer::framed();
+    w.put_u8(STATUS_ERR);
+    encode_db_error(&mut w, e);
+    w
+}
+
 impl Service for DbServer {
     fn handle(&self, request: Bytes) -> Bytes {
         let (header, payload) = match unframe(request) {
             Ok(x) => x,
-            Err(e) => {
-                let mut w = Writer::new();
-                w.put_u8(STATUS_ERR);
-                encode_db_error(&mut w, &DbError::Remote(e.to_string()));
-                return frame(protocol::JDBC, 0, &w.finish());
-            }
+            Err(e) => return error_reply(&wire_err(e)).finish_frame(protocol::JDBC, 0, 0),
         };
-        let mut reader = Reader::new(payload);
-        let body = match self.dispatch(&mut reader, header.trace_id) {
-            Ok(w) => w.finish(),
-            Err(e) => {
-                let mut w = Writer::new();
-                w.put_u8(STATUS_ERR);
-                encode_db_error(&mut w, &e);
-                w.finish()
-            }
-        };
-        frame_traced(protocol::JDBC, header.correlation, header.trace_id, &body)
+        self.dispatch(&mut Reader::new(payload), header.trace_id)
+            .unwrap_or_else(|e| error_reply(&e))
+            .finish_frame(protocol::JDBC, header.correlation, header.trace_id)
     }
 }
 
@@ -497,11 +495,11 @@ impl RemoteConnection {
     /// # Errors
     /// Fails if the server rejects the open or the response is malformed.
     pub fn open(remote: Remote<Arc<DbServer>>) -> DbResult<RemoteConnection> {
-        let mut w = Writer::new();
+        let mut w = Writer::framed();
         w.put_u8(OP_OPEN);
         // OP_OPEN allocates a server-side session, so blind resends would
         // leak sessions: one attempt only, like every other JDBC exchange.
-        let framed = frame_traced(protocol::JDBC, 0, remote.current_trace_id(), &w.finish());
+        let framed = w.finish_frame(protocol::JDBC, 0, remote.current_trace_id());
         let resp = remote
             .call_once(framed)
             .map_err(|e| DbError::Unavailable(e.to_string()))?;
@@ -533,12 +531,13 @@ impl RemoteConnection {
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
     }
 
+    /// One round trip: closes the [`Writer::framed`] request `w` under the
+    /// next correlation id and the caller's trace, and opens the reply.
     fn exchange(&self, w: Writer) -> DbResult<Reader> {
-        let framed = frame_traced(
+        let framed = w.finish_frame(
             protocol::JDBC,
             self.next_correlation(),
             self.remote.current_trace_id(),
-            &w.finish(),
         );
         // A JDBC statement is not idempotent (an INSERT resent after a lost
         // response would run twice), so the transport must not retry: a
@@ -560,7 +559,7 @@ impl RemoteConnection {
     }
 
     fn simple_call(&self, op: u8) -> DbResult<()> {
-        let mut w = Writer::new();
+        let mut w = Writer::framed();
         w.put_u8(op).put_u64(self.session);
         self.exchange(w)?;
         Ok(())
@@ -600,7 +599,7 @@ impl SqlConnection for RemoteConnection {
     }
 
     fn execute(&mut self, sql: &str, params: &[Value]) -> DbResult<ResultSet> {
-        let mut w = Writer::new();
+        let mut w = Writer::framed();
         w.put_u8(OP_EXEC).put_u64(self.session);
         put_statement(&mut w, sql, params);
         self.put_stamp(&mut w);
@@ -618,7 +617,7 @@ impl SqlConnection for RemoteConnection {
         // here would wedge the connection — every later `begin` would fail
         // with AlreadyInTransaction.
         self.in_txn = false;
-        let mut w = Writer::new();
+        let mut w = Writer::framed();
         w.put_u8(OP_COMMIT).put_u64(self.session);
         self.put_stamp(&mut w);
         self.exchange(w)?;
@@ -664,7 +663,7 @@ impl SqlConnection for RemoteConnection {
             // Ablation mode: every statement pays its own wire round trip.
             return Ok(crate::execute_each(self, statements));
         }
-        let mut w = Writer::new();
+        let mut w = Writer::framed();
         w.put_u8(OP_EXEC_BATCH).put_u64(self.session);
         w.put_u32(statements.len() as u32);
         for stmt in statements {
@@ -673,7 +672,10 @@ impl SqlConnection for RemoteConnection {
         self.put_stamp(&mut w);
         let mut r = self.exchange(w)?;
         let executed = r.get_u32().map_err(wire_err)? as usize;
-        let mut results = Vec::with_capacity(executed);
+        // As many results as the remaining bytes can hold, whatever the
+        // count says.
+        let room = r.remaining() / result::MIN_ENCODED_LEN;
+        let mut results = Vec::with_capacity(executed.min(room));
         for _ in 0..executed {
             results.push(ResultSet::decode(&mut r).map_err(wire_err)?);
         }
@@ -690,6 +692,7 @@ impl SqlConnection for RemoteConnection {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sli_simnet::wire::frame;
     use sli_simnet::{Path, PathSpec};
 
     fn setup() -> (

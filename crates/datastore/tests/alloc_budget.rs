@@ -1,42 +1,51 @@
-//! Allocation budget of the statement hot path.
+//! Allocation budget of the statement hot path and of the wire around it,
+//! and what a hostile count in a frame may reserve.
 //!
 //! What depends only on a statement's SQL text or on its table is resolved
-//! once (DESIGN §19); a call pays for what depends on its parameters. This
-//! test pins that as allocation counts, so a regression on the statement
-//! path fails here, naming the layer, instead of as a drift in a benchmark
-//! run. The file holds one test and counts on the test's own thread, so the
-//! numbers are exact.
+//! once (DESIGN §19); a call pays for what depends on its parameters, and a
+//! message is one buffer (DESIGN §21). The first test pins that as
+//! allocation counts, so a regression on the statement path fails here,
+//! naming the layer, instead of as a drift in a benchmark run. Counts are
+//! kept per thread, so each test's numbers are exact.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
-use sli_datastore::{Database, DbError, SqlConnection, Value};
+use bytes::Bytes;
+use sli_datastore::server::{DbCostModel, DbServer, RemoteConnection};
+use sli_datastore::{Database, DbError, ResultSet, SqlConnection, Value};
+use sli_simnet::wire::{frame, protocol, unframe, Reader, Writer};
+use sli_simnet::{Clock, Path, PathSpec, Remote, Service};
 
 thread_local! {
-    /// Allocations made by this thread. Const-initialised and without a
-    /// destructor, so reading it inside the allocator never allocates.
+    /// Allocations made by this thread and the bytes they asked for.
+    /// Const-initialised and without a destructor, so reading them inside
+    /// the allocator never allocates.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct CountingAlloc;
 
-fn count() {
-    // A thread that is tearing down has no counter left; it is not the
+fn count(size: usize) {
+    // A thread that is tearing down has no counters left; it is not a
     // test's thread.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + size as u64));
 }
 
 // SAFETY: every method forwards to `System` with the caller's arguments
 // unchanged; the counter touches no allocator state.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -47,7 +56,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         // SAFETY: `ptr`/`layout` describe a live block of this allocator and
         // the caller vouched for `new_size`.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -64,6 +73,13 @@ fn allocs_of<T>(op: impl FnOnce() -> T) -> (u64, T) {
     (ALLOCS.with(Cell::get) - before, out)
 }
 
+/// Bytes `op` asks the allocator for on this thread.
+fn bytes_of<T>(op: impl FnOnce() -> T) -> (u64, T) {
+    let before = BYTES.with(Cell::get);
+    let out = op();
+    (BYTES.with(Cell::get) - before, out)
+}
+
 /// The steady-state cost `measure` reports: the cheapest of eight runs,
 /// which leaves out the run in which an amortised buffer (the WAL's tail,
 /// a transaction's log) happens to double.
@@ -77,8 +93,24 @@ const DELETE: &str = "DELETE FROM account WHERE userid = ?";
 const INSERT: &str = "INSERT INTO account \
     (userid, owner, balance, opened, logins, email, address, active) VALUES (?, ?, ?, ?, ?, ?, ?, ?)";
 
-#[test]
-fn statement_path_stays_within_its_allocation_budget() {
+/// One account row.
+fn row(i: i32) -> [Value; 8] {
+    [
+        Value::from(format!("uid:{i}")),
+        Value::from(format!("Owner Number {i}")),
+        Value::from(10_000.0 + f64::from(i)),
+        Value::from(20_040_101),
+        Value::from(i),
+        Value::from(format!("uid{i}@example.com")),
+        Value::from(format!("{i} Main Street, Springfield")),
+        Value::from(true),
+    ]
+}
+
+/// A database of eight accounts `uid:0`..`uid:7` with its WAL attached.
+/// Eight rows: the table stays one B-tree leaf, so an update's
+/// remove-and-reinsert never splits or merges a node.
+fn accounts() -> Arc<Database> {
     let db = Database::new();
     db.execute_ddl(
         "CREATE TABLE account (userid VARCHAR PRIMARY KEY, owner VARCHAR, balance DOUBLE, \
@@ -86,24 +118,26 @@ fn statement_path_stays_within_its_allocation_budget() {
     )
     .unwrap();
     let mut conn = db.connect();
-    // Eight rows: the table stays one B-tree leaf, so an update's
-    // remove-and-reinsert never splits or merges a node.
-    let row = |i: i32| {
-        [
-            Value::from(format!("uid:{i}")),
-            Value::from(format!("Owner Number {i}")),
-            Value::from(10_000.0 + f64::from(i)),
-            Value::from(20_040_101),
-            Value::from(i),
-            Value::from(format!("uid{i}@example.com")),
-            Value::from(format!("{i} Main Street, Springfield")),
-            Value::from(true),
-        ]
-    };
     for i in 0..8 {
         conn.execute(INSERT, &row(i)).unwrap();
     }
     db.attach_wal();
+    db
+}
+
+/// A wire server over `db` (no tracer) and a connection to it over a LAN.
+fn remote(db: &Arc<Database>) -> (Arc<DbServer>, RemoteConnection) {
+    let clock = Arc::new(Clock::new());
+    let server = DbServer::new(Arc::clone(db), Arc::clone(&clock), DbCostModel::default());
+    let path = Path::new("edge-db", clock, PathSpec::lan());
+    let conn = RemoteConnection::open(Remote::new(path, Arc::clone(&server))).unwrap();
+    (server, conn)
+}
+
+#[test]
+fn statement_path_stays_within_its_allocation_budget() {
+    let db = accounts();
+    let mut conn = db.connect();
 
     let key = [Value::from("uid:3")];
     let sets = [Value::from(9_999.5), Value::from(42), Value::from("uid:3")];
@@ -130,24 +164,29 @@ fn statement_path_stays_within_its_allocation_budget() {
     assert_eq!(db.plan_cache_stats().hits, hits + 1);
     assert_eq!(allocs, 0, "plan-cache hit + parameter-count check");
 
-    // (b) A primary-key SELECT of three named columns, autocommitted: 12,
-    // its three result cells plus nine — the key copied into the lock table
-    // (1) and into the match list (2), the borrowed-row list, the projection
-    // indices, the row list and the row (2), the one string among the cells,
-    // and the result's column names (a vector and three strings). Before
-    // in-place evaluation and the shared schema it was 37: a deep schema
-    // copy, a bound copy of the predicate, the table name once per lock and
-    // a full-row clone on top.
-    let cells = 3;
+    // (b) A primary-key SELECT of three named columns, autocommitted: 8 —
+    // the key copied into the lock table (1) and into the match list (2),
+    // the borrowed-row list, the projection indices, the row list and the
+    // row, and the one string among the cells. The result's column names
+    // are the plan's header, shared; while they were a vector and three
+    // strings per result it was 12. Before in-place evaluation and the
+    // shared schema it was 37: a deep schema copy, a bound copy of the
+    // predicate, the table name once per lock and a full-row clone on top.
     let select = steady(|| {
         let (allocs, rs) = allocs_of(|| conn.execute(SELECT, &key).unwrap());
-        assert_eq!(rs.rows()[0].len(), cells);
+        assert_eq!(rs.rows()[0].len(), 3);
         allocs
     });
-    assert!(
-        select <= cells as u64 + 9,
-        "pk SELECT: {select} allocations"
-    );
+    assert!(select <= 8, "pk SELECT: {select} allocations");
+    // The header lives as long as the DDL epoch it was encoded under, like
+    // the access path: the statement after any DDL pays for both again
+    // (2 and 1), the one after that does not.
+    db.execute_ddl("CREATE TABLE aside (id INT PRIMARY KEY)")
+        .unwrap();
+    let (replanned, _) = allocs_of(|| conn.execute(SELECT, &key).unwrap());
+    assert_eq!(replanned, select + 3, "pk SELECT after DDL");
+    let (again, _) = allocs_of(|| conn.execute(SELECT, &key).unwrap());
+    assert_eq!(again, select, "pk SELECT, replanned");
 
     // (c) A primary-key UPDATE inside a transaction, WAL attached: 15 — the
     // new row (5: a vector and four strings) and its copy for the log
@@ -205,4 +244,145 @@ fn statement_path_stays_within_its_allocation_budget() {
         allocs_of(|| conn.rollback().unwrap()).0
     });
     assert!(rollback <= 1, "rollback: {rollback} allocations");
+}
+
+/// The wire around the statement path: a message is one buffer, written in
+/// place and read where it lies, so a remote call costs the local one plus
+/// two allocations per message (the buffer and the shared copy it freezes
+/// into) and what the reply's values need.
+#[test]
+fn wire_path_stays_within_its_allocation_budget() {
+    let db = accounts();
+    let mut local = db.connect();
+    let (_server, mut conn) = remote(&db);
+    let key = [Value::from("uid:3")];
+    let sets = [Value::from(9_999.5), Value::from(42), Value::from("uid:3")];
+    for _ in 0..4 {
+        conn.execute(SELECT, &key).unwrap();
+        conn.execute(UPDATE, &sets).unwrap();
+        local.execute(UPDATE, &sets).unwrap();
+    }
+
+    // (a) A framed message: 2 — the buffer the header and the payload are
+    // written into, and the shared copy it freezes into. It was 4: the
+    // payload's buffer and its frozen copy, then the frame's.
+    let (framed, message) = allocs_of(|| {
+        let mut w = Writer::framed();
+        w.put_u8(2).put_u64(1).put_str(SELECT);
+        w.finish_frame(protocol::JDBC, 1, 0)
+    });
+    assert_eq!(framed, 2, "a framed message");
+    assert_eq!(message.len(), 32 + 1 + 8 + 4 + SELECT.len());
+
+    // (b) The primary-key SELECT of three columns, over the wire: 17 — the
+    // engine's 8, two messages (4), the parameter list and the key in it
+    // (2), and the decoded rows (3: the list, the row, its string). The
+    // statement text and the package name are read in the frame; the
+    // column names stay in the reply. It was 31.
+    let select = steady(|| {
+        let (allocs, rs) = allocs_of(|| conn.execute(SELECT, &key).unwrap());
+        assert_eq!(
+            rs.columns().collect::<Vec<_>>(),
+            ["owner", "balance", "logins"]
+        );
+        allocs
+    });
+    assert!(select <= 17, "remote pk SELECT: {select} allocations");
+
+    // (c) The autocommitted primary-key UPDATE: what it costs on a local
+    // connection, plus two messages (4) and the parameter list with its
+    // one string (2).
+    let update_local = steady(|| allocs_of(|| local.execute(UPDATE, &sets).unwrap()).0);
+    let update = steady(|| {
+        let (allocs, rs) = allocs_of(|| conn.execute(UPDATE, &sets).unwrap());
+        assert_eq!(rs.affected_rows(), 1);
+        allocs
+    });
+    assert!(
+        update <= update_local + 6,
+        "remote pk UPDATE: {update} allocations (local: {update_local})"
+    );
+
+    // (d) An empty transaction: four messages, 8. It was 16.
+    let empty = steady(|| {
+        allocs_of(|| {
+            conn.begin().unwrap();
+            conn.commit().unwrap();
+        })
+        .0
+    });
+    assert!(empty <= 8, "remote BEGIN + COMMIT: {empty} allocations");
+}
+
+/// A well-framed `OP_EXEC` (2) of `UPDATE` on `session`, announcing
+/// `nparams` parameters and carrying none.
+fn exec_frame(session: u64, nparams: u32) -> Bytes {
+    let mut w = Writer::new();
+    w.put_u8(2).put_u64(session).put_str("NULLID.SYSSH200");
+    w.put_str("UPDATE account SET logins = ?").put_u32(nparams);
+    frame(protocol::JDBC, 7, &w.finish())
+}
+
+#[test]
+fn a_hostile_count_reserves_only_what_its_frame_can_hold() {
+    let db = accounts();
+    let (server, mut conn) = remote(&db);
+    // The connection above holds the server's first session.
+    let session = 1;
+    let logins = "SELECT logins FROM account WHERE userid = 'uid:3'";
+    let before = (
+        conn.execute(logins, &[]).unwrap(),
+        db.wal_stats(),
+        db.commit_seq(),
+    );
+
+    // A statement announcing u32::MAX parameters — 100 GB of them — in a
+    // frame of under a hundred bytes.
+    let message = exec_frame(session, u32::MAX);
+    let sent = message.len() as u64;
+    assert!(sent < 100);
+    let (asked, reply) = bytes_of(|| server.handle(message));
+    let (header, payload) = unframe(reply).unwrap();
+    assert_eq!(header.correlation, 7);
+    assert_eq!(Reader::new(payload).get_u8().unwrap(), 1, "STATUS_ERR");
+    assert!(
+        asked < 8 * sent,
+        "{asked} bytes requested for a {sent}-byte frame"
+    );
+    // Nothing ran, and the session still works.
+    let after = (
+        conn.execute(logins, &[]).unwrap(),
+        db.wal_stats(),
+        db.commit_seq(),
+    );
+    assert_eq!(after, before);
+
+    // Replies. Column and row counts a reply's bytes cannot hold: rows of
+    // three columns, rows of no columns (which cost no bytes each and would
+    // never end), and columns without names.
+    let reply = |ncols: u32, names: &[&str], nrows: u32| {
+        let mut w = Writer::new();
+        w.put_u32(0).put_u32(ncols);
+        for name in names {
+            w.put_str(name);
+        }
+        w.put_u32(nrows).put_bytes(&[0xAB; 1024]);
+        w.finish()
+    };
+    for hostile in [
+        reply(3, &["a", "b", "c"], u32::MAX),
+        reply(0, &[], u32::MAX),
+        reply(u32::MAX, &[], 1),
+    ] {
+        let sent = hostile.len() as u64;
+        let (asked, decoded) = bytes_of(|| ResultSet::decode(&mut Reader::new(hostile)));
+        assert!(decoded.is_err());
+        assert!(
+            asked < 8 * sent,
+            "{asked} bytes requested for a {sent}-byte reply"
+        );
+    }
+    // An honest reply of no columns and no rows still decodes.
+    let mut r = Reader::new(reply(0, &[], 0));
+    assert_eq!(ResultSet::decode(&mut r).unwrap(), ResultSet::affected(0));
 }

@@ -7,6 +7,42 @@
 //! the high-latency path — so requests and responses are rendered to real
 //! bytes.
 
+/// What every request carries between its request line and its cookie.
+const REQUEST_HEADERS: &str = " HTTP/1.0\r\n\
+    Host: trade.example.com\r\n\
+    User-Agent: sli-edge-loadgen/1.0\r\n\
+    Accept: text/html\r\n";
+const COOKIE: &str = "Cookie: JSESSIONID=";
+
+/// The constant parts of a response head, in order.
+const STATUS_LEAD: &str = "HTTP/1.0 ";
+const RESPONSE_HEADERS: &str = "\r\n\
+    Server: sli-edge/1.0\r\n\
+    Content-Type: text/html; charset=iso-8859-1\r\n\
+    Content-Length: ";
+const SET_COOKIE: &str = "Set-Cookie: JSESSIONID=";
+const SET_COOKIE_TAIL: &str = "; Path=/\r\n";
+
+/// Digits of `n` in decimal.
+fn decimal_len(n: usize) -> usize {
+    n.checked_ilog10().map_or(1, |log| log as usize + 1)
+}
+
+/// Appends `n` in decimal.
+fn put_decimal(out: &mut Vec<u8>, mut n: usize) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
 /// An HTTP request as issued by the simulated browser / load generator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HttpRequest {
@@ -37,33 +73,41 @@ impl HttpRequest {
         self
     }
 
-    /// Renders the request head + parameters to wire bytes.
+    /// Renders the request head + parameters to wire bytes, in one buffer
+    /// of [`HttpRequest::encoded_len`] bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = String::new();
-        let query: Vec<String> = self
-            .params
-            .iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect();
-        let uri = if query.is_empty() {
-            self.uri.clone()
-        } else {
-            format!("{}?{}", self.uri, query.join("&"))
-        };
-        out.push_str(&format!("{} {} HTTP/1.0\r\n", self.method, uri));
-        out.push_str("Host: trade.example.com\r\n");
-        out.push_str("User-Agent: sli-edge-loadgen/1.0\r\n");
-        out.push_str("Accept: text/html\r\n");
-        if let Some(c) = &self.session_cookie {
-            out.push_str(&format!("Cookie: JSESSIONID={c}\r\n"));
+        let mut out = Vec::with_capacity(self.encoded_len());
+        out.extend_from_slice(self.method.as_bytes());
+        out.push(b' ');
+        out.extend_from_slice(self.uri.as_bytes());
+        for (i, (k, v)) in self.params.iter().enumerate() {
+            out.push(if i == 0 { b'?' } else { b'&' });
+            out.extend_from_slice(k.as_bytes());
+            out.push(b'=');
+            out.extend_from_slice(v.as_bytes());
         }
-        out.push_str("\r\n");
-        out.into_bytes()
+        out.extend_from_slice(REQUEST_HEADERS.as_bytes());
+        if let Some(c) = &self.session_cookie {
+            out.extend_from_slice(COOKIE.as_bytes());
+            out.extend_from_slice(c.as_bytes());
+            out.extend_from_slice(b"\r\n");
+        }
+        out.extend_from_slice(b"\r\n");
+        out
     }
 
     /// Size of the encoded request in bytes.
     pub fn encoded_len(&self) -> usize {
-        self.encode().len()
+        let params: usize = self
+            .params
+            .iter()
+            .map(|(k, v)| 1 + k.len() + 1 + v.len())
+            .sum();
+        let cookie = self
+            .session_cookie
+            .as_ref()
+            .map_or(0, |c| COOKIE.len() + c.len() + 2);
+        self.method.len() + 1 + self.uri.len() + params + REQUEST_HEADERS.len() + cookie + 2
     }
 
     /// Convenience accessor for a named parameter.
@@ -163,10 +207,8 @@ impl HttpResponse {
         self
     }
 
-    /// Renders the status line, headers and body to wire bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = String::new();
-        let reason = match self.status {
+    fn reason(&self) -> &'static str {
+        match self.status {
             200 => "OK",
             302 => "Found",
             404 => "Not Found",
@@ -174,22 +216,46 @@ impl HttpResponse {
             500 => "Internal Server Error",
             503 => "Service Unavailable",
             _ => "Unknown",
-        };
-        out.push_str(&format!("HTTP/1.0 {} {}\r\n", self.status, reason));
-        out.push_str("Server: sli-edge/1.0\r\n");
-        out.push_str("Content-Type: text/html; charset=iso-8859-1\r\n");
-        out.push_str(&format!("Content-Length: {}\r\n", self.body.len()));
-        if let Some(c) = &self.set_cookie {
-            out.push_str(&format!("Set-Cookie: JSESSIONID={c}; Path=/\r\n"));
         }
-        out.push_str("\r\n");
-        out.push_str(&self.body);
-        out.into_bytes()
+    }
+
+    /// Renders the status line, headers and body to wire bytes, in one
+    /// buffer of [`HttpResponse::encoded_len`] bytes.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.encoded_len());
+        out.extend_from_slice(STATUS_LEAD.as_bytes());
+        put_decimal(&mut out, usize::from(self.status));
+        out.push(b' ');
+        out.extend_from_slice(self.reason().as_bytes());
+        out.extend_from_slice(RESPONSE_HEADERS.as_bytes());
+        put_decimal(&mut out, self.body.len());
+        out.extend_from_slice(b"\r\n");
+        if let Some(c) = &self.set_cookie {
+            out.extend_from_slice(SET_COOKIE.as_bytes());
+            out.extend_from_slice(c.as_bytes());
+            out.extend_from_slice(SET_COOKIE_TAIL.as_bytes());
+        }
+        out.extend_from_slice(b"\r\n");
+        out.extend_from_slice(self.body.as_bytes());
+        out
     }
 
     /// Size of the encoded response in bytes.
     pub fn encoded_len(&self) -> usize {
-        self.encode().len()
+        let cookie = self
+            .set_cookie
+            .as_ref()
+            .map_or(0, |c| SET_COOKIE.len() + c.len() + SET_COOKIE_TAIL.len());
+        STATUS_LEAD.len()
+            + decimal_len(usize::from(self.status))
+            + 1
+            + self.reason().len()
+            + RESPONSE_HEADERS.len()
+            + decimal_len(self.body.len())
+            + 2
+            + cookie
+            + 2
+            + self.body.len()
     }
 
     /// Parses a response produced by [`HttpResponse::encode`] — the client
@@ -342,5 +408,41 @@ mod tests {
     fn encoded_len_matches_encode() {
         let req = HttpRequest::get("/a", vec![("k".into(), "v".into())]);
         assert_eq!(req.encoded_len(), req.encode().len());
+    }
+
+    #[test]
+    fn message_bytes_are_pinned() {
+        // Byte for byte what the `format!`-per-line encoder wrote: these
+        // are the bytes the client path's bandwidth counts.
+        let req = HttpRequest::get(
+            "/trade/app",
+            vec![
+                ("action".into(), "buy".into()),
+                ("uid".into(), "uid:3".into()),
+                ("symbol".into(), "s:5".into()),
+                ("quantity".into(), "100".into()),
+            ],
+        )
+        .with_cookie("sess-uid:3");
+        assert_eq!(
+            String::from_utf8(req.encode()).unwrap(),
+            "GET /trade/app?action=buy&uid=uid:3&symbol=s:5&quantity=100 HTTP/1.0\r\n\
+             Host: trade.example.com\r\n\
+             User-Agent: sli-edge-loadgen/1.0\r\n\
+             Accept: text/html\r\n\
+             Cookie: JSESSIONID=sess-uid:3\r\n\
+             \r\n"
+        );
+        let resp = HttpResponse::ok("<html></html>").with_cookie("sess-uid:3");
+        assert_eq!(
+            String::from_utf8(resp.encode()).unwrap(),
+            "HTTP/1.0 200 OK\r\n\
+             Server: sli-edge/1.0\r\n\
+             Content-Type: text/html; charset=iso-8859-1\r\n\
+             Content-Length: 13\r\n\
+             Set-Cookie: JSESSIONID=sess-uid:3; Path=/\r\n\
+             \r\n\
+             <html></html>"
+        );
     }
 }

@@ -95,18 +95,13 @@ pub fn frame(proto: u16, correlation: u64, payload: &Bytes) -> Bytes {
 /// Wraps `payload` in a 32-byte protocol header carrying `trace_id` in the
 /// header's token slot, so the receiver can attach its spans to the
 /// sender's causal trace.
+///
+/// For a payload that already exists. A sender that builds its message
+/// writes it behind the header's room instead ([`Writer::framed`]).
 pub fn frame_traced(proto: u16, correlation: u64, trace_id: u64, payload: &Bytes) -> Bytes {
-    // Header and payload go into the one buffer the frame is sized for.
-    let mut buf = BytesMut::with_capacity(FRAME_HEADER_LEN + payload.len());
-    buf.put_u32(FRAME_MAGIC);
-    buf.put_u16(FRAME_VERSION);
-    buf.put_u16(proto);
-    buf.put_u64(correlation);
-    buf.put_u64(trace_id);
-    buf.put_u32(payload.len() as u32);
-    buf.put_u32(checksum(payload));
-    buf.put_slice(payload);
-    buf.freeze()
+    let mut w = Writer::framed_for(payload.len());
+    w.put_raw(payload);
+    w.finish_frame(proto, correlation, trace_id)
 }
 
 /// Validates and strips a [`frame`]d message.
@@ -147,10 +142,19 @@ fn checksum(payload: &[u8]) -> u32 {
         .fold(0u32, |acc, b| acc.wrapping_mul(31).wrapping_add(*b as u32))
 }
 
+/// Room a [`Writer::framed`] message starts with behind its header: with
+/// the header, 256 bytes, which a statement with its parameters or a point
+/// result fills without growing. (Twice and four times the room bought
+/// under 0.5 % fewer allocations on `jdbc_mix`.)
+const FRAMED_CAPACITY: usize = 224;
+
 /// Incrementally builds an encoded frame.
 #[derive(Debug, Default)]
 pub struct Writer {
     buf: BytesMut,
+    /// Bytes left blank at the front for the frame header: 0, or
+    /// [`FRAME_HEADER_LEN`] for a writer [`Writer::finish_frame`] closes.
+    header: usize,
 }
 
 impl Writer {
@@ -158,6 +162,23 @@ impl Writer {
     pub fn new() -> Writer {
         Writer {
             buf: BytesMut::with_capacity(128),
+            header: 0,
+        }
+    }
+
+    /// Creates a writer for a message that leaves as a frame: the payload
+    /// is written behind 32 blank bytes, which [`Writer::finish_frame`]
+    /// fills in, so header and payload share the one buffer.
+    pub fn framed() -> Writer {
+        Writer::framed_for(FRAMED_CAPACITY)
+    }
+
+    fn framed_for(payload: usize) -> Writer {
+        let mut buf = BytesMut::with_capacity(FRAME_HEADER_LEN + payload);
+        buf.put_slice(&[0; FRAME_HEADER_LEN]);
+        Writer {
+            buf,
+            header: FRAME_HEADER_LEN,
         }
     }
 
@@ -231,24 +252,80 @@ impl Writer {
         self.put_bytes(v)
     }
 
-    /// Number of bytes written so far.
+    /// Appends what `write` writes as a length-prefixed nested value — the
+    /// bytes [`Writer::put_frame`] appends for the finished value, written
+    /// in place under a length filled in afterwards.
+    pub fn put_nested(&mut self, write: impl FnOnce(&mut Writer)) -> &mut Writer {
+        let at = self.buf.len();
+        self.buf.put_u32(0);
+        write(self);
+        let len = (self.buf.len() - at - 4) as u32;
+        self.buf[at..at + 4].copy_from_slice(&len.to_be_bytes());
+        self
+    }
+
+    /// Appends bytes that are already in wire form (no length prefix).
+    pub fn put_raw(&mut self, v: &[u8]) -> &mut Writer {
+        self.buf.put_slice(v);
+        self
+    }
+
+    /// Number of payload bytes written so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.header
     }
 
     /// Whether nothing has been written yet.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
     /// Finalizes the frame.
+    ///
+    /// # Panics
+    /// Panics on a [`Writer::framed`] writer, whose header is still blank.
     pub fn finish(self) -> Bytes {
+        assert_eq!(self.header, 0, "a framed writer ends in finish_frame");
+        self.buf.freeze()
+    }
+
+    /// Finalizes a [`Writer::framed`] message: fills in the header — the
+    /// one place it is written — in front of the payload where it lies.
+    ///
+    /// # Panics
+    /// Panics on a writer that left no room for the header.
+    pub fn finish_frame(mut self, proto: u16, correlation: u64, trace_id: u64) -> Bytes {
+        assert_eq!(self.header, FRAME_HEADER_LEN, "not a framed writer");
+        let (header, payload) = self.buf.split_at_mut(FRAME_HEADER_LEN);
+        header[0..4].copy_from_slice(&FRAME_MAGIC.to_be_bytes());
+        header[4..6].copy_from_slice(&FRAME_VERSION.to_be_bytes());
+        header[6..8].copy_from_slice(&proto.to_be_bytes());
+        header[8..16].copy_from_slice(&correlation.to_be_bytes());
+        header[16..24].copy_from_slice(&trace_id.to_be_bytes());
+        header[24..28].copy_from_slice(&(payload.len() as u32).to_be_bytes());
+        header[28..32].copy_from_slice(&checksum(payload).to_be_bytes());
         self.buf.freeze()
     }
 }
 
-/// Decodes a frame produced by [`Writer`].
-#[derive(Debug)]
+/// A string read as a view of the frame it arrived in: checked as UTF-8
+/// where [`Reader::get_str_view`] read it, never copied out. The view
+/// keeps its whole frame alive, so it is for values that live as long as
+/// the handling of their message, not for values that are stored.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FrameStr(Bytes);
+
+impl std::ops::Deref for FrameStr {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        std::str::from_utf8(&self.0).expect("checked when read")
+    }
+}
+
+/// Decodes a frame produced by [`Writer`]. A clone reads on from the same
+/// place without moving the original — a way to look ahead.
+#[derive(Debug, Clone)]
 pub struct Reader {
     buf: Bytes,
 }
@@ -353,6 +430,38 @@ impl Reader {
         String::from_utf8(raw.to_vec()).map_err(|_| DecodeError::new("utf-8"))
     }
 
+    /// Consumes the length prefix of the UTF-8 string at the front and
+    /// returns the checked string's length.
+    fn str_len(&mut self) -> Result<usize, DecodeError> {
+        let len = self.get_u32()? as usize;
+        self.need(len, "bytes payload")?;
+        match std::str::from_utf8(&self.buf[..len]) {
+            Ok(_) => Ok(len),
+            Err(_) => Err(DecodeError::new("utf-8")),
+        }
+    }
+
+    /// Reads a length-prefixed UTF-8 string where it lies, as a view of
+    /// the frame (no copy; see [`FrameStr`] for what the view holds on to).
+    ///
+    /// # Errors
+    /// Returns [`DecodeError`] on truncation or invalid UTF-8, exactly as
+    /// [`Reader::get_str`] does.
+    pub fn get_str_view(&mut self) -> Result<FrameStr, DecodeError> {
+        let len = self.str_len()?;
+        Ok(FrameStr(self.buf.split_to(len)))
+    }
+
+    /// Checks and skips a length-prefixed UTF-8 string nobody reads.
+    ///
+    /// # Errors
+    /// As [`Reader::get_str`].
+    pub fn skip_str(&mut self) -> Result<(), DecodeError> {
+        let len = self.str_len()?;
+        self.buf.advance(len);
+        Ok(())
+    }
+
     /// Reads a length-prefixed UTF-8 string straight into a shared `str`
     /// (one allocation, for names that many values will point at).
     ///
@@ -449,8 +558,9 @@ mod tests {
         let mut w = Writer::new();
         w.put_str("hello world");
         let frame = w.finish().slice(0..6);
-        let mut r = Reader::new(frame);
-        assert!(r.get_str().is_err());
+        assert!(Reader::new(frame.clone()).get_str().is_err());
+        assert!(Reader::new(frame.clone()).get_str_view().is_err());
+        assert!(Reader::new(frame).skip_str().is_err());
     }
 
     #[test]
@@ -467,7 +577,36 @@ mod tests {
         w.put_bytes(&[0xff, 0xfe]);
         let frame = w.finish();
         assert!(Reader::new(frame.clone()).get_str().is_err());
+        assert!(Reader::new(frame.clone()).get_str_view().is_err());
+        assert!(Reader::new(frame.clone()).skip_str().is_err());
         assert!(Reader::new(frame).get_shared_str().is_err());
+    }
+
+    #[test]
+    fn strings_are_read_where_they_lie() {
+        let mut w = Writer::new();
+        w.put_str("skipped").put_str("SELECT 1").put_u8(9);
+        let mut r = Reader::new(w.finish());
+        r.skip_str().unwrap();
+        // A clone looks ahead without moving the original.
+        assert_eq!(r.clone().get_str().unwrap(), "SELECT 1");
+        let view = r.get_str_view().unwrap();
+        assert_eq!(&*view, "SELECT 1");
+        assert_eq!(r.get_u8().unwrap(), 9);
+        assert!(r.is_empty());
+        assert_eq!(view.len(), 8, "the view outlives its reader's position");
+    }
+
+    #[test]
+    #[should_panic(expected = "a framed writer ends in finish_frame")]
+    fn a_framed_writer_does_not_finish_headerless() {
+        Writer::framed().finish();
+    }
+
+    #[test]
+    #[should_panic(expected = "not a framed writer")]
+    fn a_plain_writer_has_no_room_for_a_header() {
+        Writer::new().finish_frame(protocol::JDBC, 0, 0);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Trade actions and their result payloads.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::ops::Range;
 
 /// One client interaction with the brokerage (Table 1 of the paper).
 #[derive(Debug, Clone, PartialEq)]
@@ -145,50 +146,95 @@ impl fmt::Display for TradeAction {
 
 /// The data an action produces, rendered to HTML by the JSP layer
 /// ([`page::render`](crate::page::render)).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+///
+/// One text buffer: every field value and table cell is written once, back
+/// to back, into `text`, and a field or cell is a range of it. Names,
+/// title and table header are the literals the engines pass.
+#[derive(Debug, Clone, Eq, Default)]
 pub struct TradeResult {
     /// Page title ("Trade Home", "Portfolio", ...).
-    pub title: String,
-    /// Scalar fields shown on the page, in order.
-    pub fields: Vec<(String, String)>,
-    /// Optional tabular data (holdings, market summary): header + rows.
-    pub table_header: Vec<String>,
-    /// Table rows.
-    pub table_rows: Vec<Vec<String>>,
+    pub title: &'static str,
+    text: String,
+    /// Scalar fields in order: name and where the value lies in `text`.
+    fields: Vec<(&'static str, Range<usize>)>,
+    table_header: &'static [&'static str],
+    /// Table cells in row-major order, a row per `table_header.len()`.
+    cells: Vec<Range<usize>>,
 }
 
 impl TradeResult {
     /// Starts a result page with the given title.
-    pub fn new(title: impl Into<String>) -> TradeResult {
+    pub fn new(title: &'static str) -> TradeResult {
         TradeResult {
-            title: title.into(),
+            title,
+            // Room for the fields of the widest page (a quote's seven).
+            text: String::with_capacity(128),
+            fields: Vec::with_capacity(8),
             ..TradeResult::default()
         }
     }
 
+    /// Writes `value` at the end of the text and returns where it lies.
+    fn write(&mut self, value: impl fmt::Display) -> Range<usize> {
+        let start = self.text.len();
+        // Writing to a `String` cannot fail.
+        let _ = write!(self.text, "{value}");
+        start..self.text.len()
+    }
+
     /// Appends a scalar field (builder style).
-    pub fn field(mut self, name: impl Into<String>, value: impl fmt::Display) -> TradeResult {
-        self.fields.push((name.into(), value.to_string()));
+    pub fn field(mut self, name: &'static str, value: impl fmt::Display) -> TradeResult {
+        let value = self.write(value);
+        self.fields.push((name, value));
         self
     }
 
     /// Sets the table header (builder style).
-    pub fn header(mut self, cols: &[&str]) -> TradeResult {
-        self.table_header = cols.iter().map(|c| (*c).to_owned()).collect();
+    pub fn header(mut self, cols: &'static [&'static str]) -> TradeResult {
+        self.table_header = cols;
         self
     }
 
-    /// Appends a table row.
-    pub fn row(&mut self, cells: Vec<String>) {
-        self.table_rows.push(cells);
+    /// Appends a table cell; a row is as many cells as the header has
+    /// columns.
+    pub fn cell(&mut self, value: impl fmt::Display) -> &mut TradeResult {
+        let value = self.write(value);
+        self.cells.push(value);
+        self
+    }
+
+    /// Scalar fields shown on the page, in order.
+    pub fn fields(&self) -> impl Iterator<Item = (&'static str, &str)> + '_ {
+        self.fields
+            .iter()
+            .map(|(name, value)| (*name, &self.text[value.clone()]))
+    }
+
+    /// Header of the optional tabular data (holdings); empty without one.
+    pub fn table_header(&self) -> &'static [&'static str] {
+        self.table_header
+    }
+
+    /// Table rows, each an iterator over its cells.
+    pub fn table_rows(&self) -> impl Iterator<Item = impl Iterator<Item = &str> + '_> + '_ {
+        self.cells
+            .chunks(self.table_header.len().max(1))
+            .map(|row| row.iter().map(|cell| &self.text[cell.clone()]))
     }
 
     /// Reads a scalar field back (tests and assertions).
     pub fn get(&self, name: &str) -> Option<&str> {
-        self.fields
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
+        self.fields().find(|(n, _)| *n == name).map(|(_, v)| v)
+    }
+}
+
+/// By what a page shows, not by where in the buffer it lies.
+impl PartialEq for TradeResult {
+    fn eq(&self, other: &TradeResult) -> bool {
+        self.title == other.title
+            && self.table_header == other.table_header
+            && self.fields().eq(other.fields())
+            && self.table_rows().flatten().eq(other.table_rows().flatten())
     }
 }
 
@@ -264,10 +310,10 @@ mod tests {
         let mut r = TradeResult::new("Portfolio")
             .field("user", "uid:1")
             .header(&["symbol", "qty"]);
-        r.row(vec!["s:1".into(), "100".into()]);
+        r.cell("s:1").cell("100");
         assert_eq!(r.title, "Portfolio");
         assert_eq!(r.get("user"), Some("uid:1"));
         assert_eq!(r.get("missing"), None);
-        assert_eq!(r.table_rows.len(), 1);
+        assert_eq!(r.table_rows().count(), 1);
     }
 }

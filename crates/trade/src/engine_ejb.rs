@@ -82,7 +82,7 @@ impl EjbTradeEngine {
             Ok(TradeResult::new("Trade Login")
                 .field("user", user)
                 .field("login count", count)
-                .field("balance", format!("{balance:.2}")))
+                .field("balance", format_args!("{balance:.2}")))
         }
     }
 
@@ -129,7 +129,7 @@ impl EjbTradeEngine {
             )?;
             Ok(TradeResult::new("Trade Registration")
                 .field("user", user)
-                .field("opening balance", format!("{balance:.2}")))
+                .field("opening balance", format_args!("{balance:.2}")))
         }
     }
 
@@ -140,7 +140,7 @@ impl EjbTradeEngine {
             let balance = Self::get_f64(account.as_ref(), ctx, &key, "balance")?;
             Ok(TradeResult::new("Trade Home")
                 .field("user", user)
-                .field("balance", format!("{balance:.2}"))
+                .field("balance", format_args!("{balance:.2}"))
                 .field("market summary", "TSIA 100.32 (+0.4%) volume 40.1M"))
         }
     }
@@ -187,15 +187,13 @@ impl EjbTradeEngine {
                 .header(&["holding", "symbol", "quantity", "purchase price"]);
             for r in &refs {
                 let symbol = holding.get_field(ctx, r.primary_key(), "symbol")?;
-                let symbol = crate::util::show(&symbol);
                 let qty = Self::get_f64(holding.as_ref(), ctx, r.primary_key(), "quantity")?;
                 let price = Self::get_f64(holding.as_ref(), ctx, r.primary_key(), "purchaseprice")?;
-                result.row(vec![
-                    r.primary_key().to_string(),
-                    symbol,
-                    format!("{qty}"),
-                    format!("{price:.2}"),
-                ]);
+                result
+                    .cell(r.primary_key())
+                    .cell(crate::util::show(&symbol))
+                    .cell(qty)
+                    .cell(format_args!("{price:.2}"));
             }
             Ok(result)
         }
@@ -252,9 +250,9 @@ impl EjbTradeEngine {
                 .field("user", user)
                 .field("symbol", symbol)
                 .field("quantity", qty)
-                .field("price", format!("{price:.2}"))
-                .field("total", format!("{cost:.2}"))
-                .field("new balance", format!("{:.2}", balance - cost)))
+                .field("price", format_args!("{price:.2}"))
+                .field("total", format_args!("{cost:.2}"))
+                .field("new balance", format_args!("{:.2}", balance - cost)))
         }
     }
 
@@ -283,9 +281,9 @@ impl EjbTradeEngine {
                 .field("holding", hkey)
                 .field("symbol", crate::util::show(&symbol))
                 .field("quantity", qty)
-                .field("price", format!("{price:.2}"))
-                .field("proceeds", format!("{proceeds:.2}"))
-                .field("new balance", format!("{:.2}", balance + proceeds)))
+                .field("price", format_args!("{price:.2}"))
+                .field("proceeds", format_args!("{proceeds:.2}"))
+                .field("new balance", format_args!("{:.2}", balance + proceeds)))
         }
     }
 

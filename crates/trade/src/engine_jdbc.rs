@@ -117,7 +117,7 @@ impl JdbcTradeEngine {
             Ok(TradeResult::new("Trade Login")
                 .field("user", user)
                 .field("login count", count)
-                .field("balance", format!("{balance:.2}")))
+                .field("balance", format_args!("{balance:.2}")))
         })
     }
 
@@ -172,7 +172,7 @@ impl JdbcTradeEngine {
             let balance = results[1].rows()[0][0].as_double().unwrap_or(0.0);
             Ok(TradeResult::new("Trade Registration")
                 .field("user", user)
-                .field("opening balance", format!("{balance:.2}")))
+                .field("opening balance", format_args!("{balance:.2}")))
         })
     }
 
@@ -190,7 +190,7 @@ impl JdbcTradeEngine {
             .unwrap_or(0.0);
         Ok(TradeResult::new("Trade Home")
             .field("user", user)
-            .field("balance", format!("{balance:.2}"))
+            .field("balance", format_args!("{balance:.2}"))
             .field("market summary", "TSIA 100.32 (+0.4%) volume 40.1M"))
     }
 
@@ -249,12 +249,11 @@ impl JdbcTradeEngine {
             .field("holdings", rs.len())
             .header(&["holding", "symbol", "quantity", "purchase price"]);
         for row in rs.rows() {
-            result.row(vec![
-                row[0].to_string(),
-                show(&row[1]),
-                row[2].to_string(),
-                format!("{:.2}", row[3].as_double().unwrap_or(0.0)),
-            ]);
+            result
+                .cell(&row[0])
+                .cell(show(&row[1]))
+                .cell(&row[2])
+                .cell(format_args!("{:.2}", row[3].as_double().unwrap_or(0.0)));
         }
         Ok(result)
     }
@@ -336,9 +335,9 @@ impl JdbcTradeEngine {
                 .field("user", user)
                 .field("symbol", symbol)
                 .field("quantity", quantity)
-                .field("price", format!("{price:.2}"))
-                .field("total", format!("{cost:.2}"))
-                .field("new balance", format!("{:.2}", balance - cost)))
+                .field("price", format_args!("{price:.2}"))
+                .field("total", format_args!("{cost:.2}"))
+                .field("new balance", format_args!("{:.2}", balance - cost)))
         })
     }
 
@@ -391,9 +390,9 @@ impl JdbcTradeEngine {
                 .field("holding", hid)
                 .field("symbol", show(&symbol))
                 .field("quantity", qty)
-                .field("price", format!("{price:.2}"))
-                .field("proceeds", format!("{proceeds:.2}"))
-                .field("new balance", format!("{:.2}", balance + proceeds)))
+                .field("price", format_args!("{price:.2}"))
+                .field("proceeds", format_args!("{proceeds:.2}"))
+                .field("new balance", format_args!("{:.2}", balance + proceeds)))
         })
     }
 }

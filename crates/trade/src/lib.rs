@@ -68,14 +68,25 @@ pub trait TradeEngine: Send + Sync {
 
 pub(crate) mod util {
     //! Small shared helpers.
+    use std::fmt;
+
     use sli_datastore::Value;
 
-    /// Renders a value for page display: strings without SQL quoting,
-    /// everything else via `Display`.
-    pub(crate) fn show(v: &Value) -> String {
-        match v.as_str() {
-            Some(s) => s.to_owned(),
-            None => v.to_string(),
+    /// Shows a value for page display — strings without SQL quoting,
+    /// everything else via `Display` — where it is written, without a
+    /// `String` in between.
+    pub(crate) fn show(v: &Value) -> impl fmt::Display + '_ {
+        Show(v)
+    }
+
+    struct Show<'a>(&'a Value);
+
+    impl fmt::Display for Show<'_> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            match self.0.as_str() {
+                Some(s) => f.write_str(s),
+                None => self.0.fmt(f),
+            }
         }
     }
 }

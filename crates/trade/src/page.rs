@@ -209,41 +209,46 @@ const CONTENT_MARKUP: usize = 128;
 /// Renders one action's result to a full HTML page.
 pub fn render(result: &TradeResult) -> String {
     let fields: usize = result
-        .fields
-        .iter()
+        .fields()
         .map(|(name, value)| FIELD_MARKUP + name.len() + value.len())
         .sum();
-    let cells: usize = std::iter::once(&result.table_header)
-        .chain(&result.table_rows)
-        .map(|row| ROW_MARKUP + row.iter().map(|c| CELL_MARKUP + c.len()).sum::<usize>())
-        .sum();
+    let header = result.table_header();
+    let cells: usize = ROW_MARKUP
+        + header.iter().map(|h| CELL_MARKUP + h.len()).sum::<usize>()
+        + result
+            .table_rows()
+            .map(|row| ROW_MARKUP + row.map(|c| CELL_MARKUP + c.len()).sum::<usize>())
+            .sum::<usize>();
     let mut s = page_head(
-        &result.title,
+        result.title,
         CONTENT_MARKUP + result.title.len() + fields + cells,
     );
-    // Writing to a `String` cannot fail.
-    let _ = write!(
-        s,
-        "<div class=\"content\">\n<h1>{}</h1>\n<table>\n",
-        result.title
-    );
-    for (name, value) in &result.fields {
-        let _ = writeln!(
-            s,
-            "<tr><td class=\"field-name\">{name}</td><td>{value}</td></tr>"
-        );
+    s.extend([
+        "<div class=\"content\">\n<h1>",
+        result.title,
+        "</h1>\n<table>\n",
+    ]);
+    for (name, value) in result.fields() {
+        let row = [
+            "<tr><td class=\"field-name\">",
+            name,
+            "</td><td>",
+            value,
+            "</td></tr>\n",
+        ];
+        s.extend(row);
     }
     s.push_str("</table>\n");
-    if !result.table_header.is_empty() {
+    if !header.is_empty() {
         s.push_str("<table class=\"data\">\n<tr>");
-        for h in &result.table_header {
-            let _ = write!(s, "<th>{h}</th>");
+        for h in header {
+            s.extend(["<th>", h, "</th>"]);
         }
         s.push_str("</tr>\n");
-        for row in &result.table_rows {
+        for row in result.table_rows() {
             s.push_str("<tr>");
             for cell in row {
-                let _ = write!(s, "<td>{cell}</td>");
+                s.extend(["<td>", cell, "</td>"]);
             }
             s.push_str("</tr>\n");
         }
@@ -285,8 +290,8 @@ mod tests {
     #[test]
     fn tables_render_rows() {
         let mut r = TradeResult::new("Portfolio").header(&["symbol", "qty"]);
-        r.row(vec!["s:1".into(), "100".into()]);
-        r.row(vec!["s:2".into(), "50".into()]);
+        r.cell("s:1").cell("100");
+        r.cell("s:2").cell("50");
         let html = render(&r);
         assert!(html.contains("<tr><td>s:1</td><td>100</td></tr>"));
         assert!(html.contains("<tr><td>s:2</td><td>50</td></tr>"));
@@ -308,8 +313,8 @@ mod tests {
             .field("user", "uid:7")
             .field("balance", "10000.00")
             .header(&["symbol", "qty"]);
-        r.row(vec!["s:1".into(), "100".into()]);
-        r.row(vec!["s:2".into(), "50".into()]);
+        r.cell("s:1").cell("100");
+        r.cell("s:2").cell("50");
         let page = render(&r);
         assert_eq!((page.len(), fnv(&page)), (5671, 0xb52d_85ac_a99b_953f));
         let plain = render(&TradeResult::new("Trade Home"));

@@ -10,7 +10,8 @@ use sli_datastore::{Database, SqlConnection, Value};
 use sli_trade::deploy::{cached_container, vanilla_container};
 use sli_trade::model::trade_registry;
 use sli_trade::seed::{create_and_seed, Population};
-use sli_trade::{EjbTradeEngine, JdbcTradeEngine, TradeAction, TradeEngine};
+use sli_trade::session::SessionGenerator;
+use sli_trade::{page, EjbTradeEngine, JdbcTradeEngine, TradeAction, TradeEngine};
 
 fn population() -> Population {
     Population {
@@ -383,4 +384,37 @@ fn failed_batch_applies_nothing() {
         scalar_i64(&db, "SELECT COUNT(*) FROM holding"),
         (population().users * population().holdings_per_user) as i64
     );
+}
+
+/// FNV-1a over `text`, continuing from `hash`.
+fn fnv(hash: u64, text: &str) -> u64 {
+    text.bytes().fold(hash, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn every_page_of_a_seeded_script_is_pinned() {
+    // A registration, then sixteen seeded sessions: every action at least once.
+    // The hashes were recorded from the engines that built a page's data as
+    // a vector of owned name/value strings; the bytes of a page are what
+    // the bandwidth figure counts, so none may move.
+    let mut script = vec![TradeAction::Register {
+        user: "uid:new".into(),
+    }];
+    let mut sessions = SessionGenerator::new(19, population());
+    for _ in 0..16 {
+        script.extend(sessions.session());
+    }
+    for name in TradeAction::NAMES {
+        assert!(script.iter().any(|a| a.name() == name), "no {name}");
+    }
+    for (_db, engine) in engines() {
+        let pages = script.iter().fold(0xcbf2_9ce4_8422_2325, |hash, action| {
+            let result = engine.perform(action).unwrap();
+            fnv(hash, &page::render(&result))
+        });
+        // One number: the three engines show the same pages.
+        assert_eq!(pages, 0xca78_58a0_b943_107b, "{}", engine.label());
+    }
 }

@@ -14,6 +14,10 @@
 //!   store is a map plus a touch order, and what the deployment descriptor
 //!   resolves once (`row_is_image`, the five statements) is what it used to
 //!   compute per call;
+//! * a message written into one buffer — an HTTP request or response, a
+//!   frame behind its header, a nested commit request, a result set with
+//!   its header in wire form, the validator's conditional statements — is
+//!   byte for byte what formatting and copying it used to produce;
 //! * a rolled-back transaction, and one torn by a crash and undone by
 //!   recovery, both leave the database as if they had never run;
 //! * the regression and batching math behaves on arbitrary affine data.
@@ -43,10 +47,11 @@ use sli_edge::core::{
     SliResourceManager,
 };
 use sli_edge::datastore::{
-    CmpOp, Column, ColumnType, CrashPoint, Database, DbError, Predicate, Schema, SqlConnection,
-    Value,
+    CmpOp, Column, ColumnType, CrashPoint, Database, DbError, Predicate, ResultSet, Schema,
+    SqlConnection, Value,
 };
-use sli_edge::simnet::wire::{Reader, Writer};
+use sli_edge::simnet::wire::{frame_traced, protocol, unframe, Reader, Writer};
+use sli_edge::simnet::{HttpRequest, HttpResponse};
 use sli_edge::workload::{batch_means, fit};
 
 // ---------- generators ----------
@@ -379,8 +384,169 @@ fn commit_request_codec_round_trips() {
             entries,
         };
         let frame = req.encode();
+        // Written in place under a back-patched length, it is the bytes a
+        // finished encoding is nested as.
+        let (mut nested, mut copied) = (Writer::new(), Writer::new());
+        nested.put_u8(3).put_nested(|w| req.encode_into(w));
+        copied.put_u8(3).put_frame(&frame);
+        assert_eq!(nested.finish(), copied.finish());
         let back = CommitRequest::decode(&mut Reader::new(frame)).unwrap();
         assert_eq!(back, req);
+    }
+}
+
+// ---------- the message path: one buffer, the same bytes ----------
+
+/// `HttpRequest::encode` as it was while it formatted a string per line.
+fn format_request(req: &HttpRequest) -> Vec<u8> {
+    let mut out = String::new();
+    let query: Vec<String> = req.params.iter().map(|(k, v)| format!("{k}={v}")).collect();
+    let uri = if query.is_empty() {
+        req.uri.clone()
+    } else {
+        format!("{}?{}", req.uri, query.join("&"))
+    };
+    out.push_str(&format!("{} {} HTTP/1.0\r\n", req.method, uri));
+    out.push_str("Host: trade.example.com\r\n");
+    out.push_str("User-Agent: sli-edge-loadgen/1.0\r\n");
+    out.push_str("Accept: text/html\r\n");
+    if let Some(c) = &req.session_cookie {
+        out.push_str(&format!("Cookie: JSESSIONID={c}\r\n"));
+    }
+    out.push_str("\r\n");
+    out.into_bytes()
+}
+
+/// `HttpResponse::encode` as it was while it formatted a string per line.
+fn format_response(resp: &HttpResponse) -> Vec<u8> {
+    let mut out = String::new();
+    let reason = match resp.status {
+        200 => "OK",
+        302 => "Found",
+        404 => "Not Found",
+        409 => "Conflict",
+        500 => "Internal Server Error",
+        503 => "Service Unavailable",
+        _ => "Unknown",
+    };
+    out.push_str(&format!("HTTP/1.0 {} {}\r\n", resp.status, reason));
+    out.push_str("Server: sli-edge/1.0\r\n");
+    out.push_str("Content-Type: text/html; charset=iso-8859-1\r\n");
+    out.push_str(&format!("Content-Length: {}\r\n", resp.body.len()));
+    if let Some(c) = &resp.set_cookie {
+        out.push_str(&format!("Set-Cookie: JSESSIONID={c}; Path=/\r\n"));
+    }
+    out.push_str("\r\n");
+    out.push_str(&resp.body);
+    out.into_bytes()
+}
+
+#[test]
+fn http_messages_are_what_the_formatter_wrote() {
+    let mut rng = StdRng::seed_from_u64(0x3e3e_0019);
+    // No parameters, empty names and values, an empty cookie and a status
+    // outside the reason table are all drawn.
+    const STATUSES: [u16; 8] = [200, 302, 404, 409, 500, 503, 418, 7];
+    for _ in 0..300 {
+        let params = (0..rng.gen_range(0..5u32))
+            .map(|_| {
+                (
+                    gen_string(&mut rng, b"abcxyz", 6),
+                    gen_string(&mut rng, b"abz09:.@-", 12),
+                )
+            })
+            .collect();
+        let mut req = HttpRequest::get(format!("/{}", gen_string(&mut rng, b"abc/", 9)), params);
+        if rng.gen_range(0..3u32) > 0 {
+            req = req.with_cookie(gen_string(&mut rng, b"abz09:-", 12));
+        }
+        let raw = req.encode();
+        assert_eq!(raw, format_request(&req), "{req:?}");
+        assert_eq!(raw.len(), req.encoded_len(), "{req:?}");
+        assert_eq!(HttpRequest::parse(&raw).unwrap(), req);
+
+        let body = gen_string(&mut rng, b"<html>/ \r\n09", 4000);
+        let status = STATUSES[rng.gen_range(0..STATUSES.len())];
+        let mut resp = HttpResponse::error(status, body);
+        if rng.gen_range(0..3u32) > 0 {
+            resp = resp.with_cookie(gen_string(&mut rng, b"abz09:-", 12));
+        }
+        let raw = resp.encode();
+        assert_eq!(raw, format_response(&resp), "status {status}");
+        assert_eq!(raw.len(), resp.encoded_len(), "status {status}");
+        assert_eq!(HttpResponse::parse(&raw).unwrap(), resp);
+    }
+}
+
+#[test]
+fn a_message_written_behind_its_header_is_the_framed_payload() {
+    let mut rng = StdRng::seed_from_u64(0x3e3e_0119);
+    // Empty, short, and longer than the room a framed writer starts with.
+    let mut lens = vec![0, 1, 31, 224, 225, 5000];
+    lens.extend((0..100).map(|_| rng.gen_range(0..2000usize)));
+    for len in lens {
+        let payload: Vec<u8> = (0..len).map(|_| rng.gen_range(0..256u32) as u8).collect();
+        let (proto, correlation, trace_id) = (
+            [protocol::JDBC, protocol::BACKEND][rng.gen_range(0..2usize)],
+            rng.gen_range(0..u64::MAX),
+            rng.gen_range(0..u64::MAX),
+        );
+        let (mut framed, mut plain) = (Writer::framed(), Writer::new());
+        assert!(framed.is_empty());
+        for w in [&mut framed, &mut plain] {
+            w.put_u8(2).put_bytes(&payload).put_str("tail");
+        }
+        assert_eq!(framed.len(), plain.len());
+        let message = framed.finish_frame(proto, correlation, trace_id);
+        let payload = plain.finish();
+        assert_eq!(
+            message,
+            frame_traced(proto, correlation, trace_id, &payload),
+            "{len} bytes"
+        );
+        let (header, body) = unframe(message).unwrap();
+        assert_eq!(
+            (header.protocol, header.correlation, header.trace_id),
+            (proto, correlation, trace_id)
+        );
+        assert_eq!(body, payload);
+    }
+}
+
+#[test]
+fn result_set_codec_round_trips_and_names_its_columns() {
+    let mut rng = StdRng::seed_from_u64(0x3e3e_0219);
+    // No columns, empty names and names outside ASCII are all drawn.
+    let alphabet: Vec<char> = "abz_09 é漢🙂".chars().collect();
+    for _ in 0..300 {
+        let names: Vec<String> = (0..rng.gen_range(0..5u32))
+            .map(|_| {
+                (0..rng.gen_range(0..7u32))
+                    .map(|_| alphabet[rng.gen_range(0..alphabet.len())])
+                    .collect()
+            })
+            .collect();
+        let rows: Vec<Vec<Value>> = (0..rng.gen_range(0..4u32))
+            .map(|_| names.iter().map(|_| gen_value(&mut rng)).collect())
+            .collect();
+        let rs = ResultSet::with_rows(names.clone(), rows.clone());
+        assert_eq!(rs.columns().collect::<Vec<_>>(), names);
+        for (i, name) in names.iter().enumerate() {
+            let first = names.iter().position(|n| n == name).unwrap();
+            assert_eq!(rs.column_index(name), Some(first));
+            if let (true, Some(row)) = (first == i, rows.first()) {
+                assert_eq!(rs.value(0, name), Some(&row[i]));
+            }
+        }
+        let mut w = Writer::new();
+        rs.encode(&mut w);
+        w.put_str("next");
+        let mut r = Reader::new(w.finish());
+        let back = ResultSet::decode(&mut r).unwrap();
+        assert_eq!(back, rs);
+        assert_eq!(back.columns().collect::<Vec<_>>(), names);
+        assert_eq!(back.rows(), rows);
+        assert_eq!(r.get_str().unwrap(), "next", "decode stops at its end");
     }
 }
 
@@ -1051,6 +1217,78 @@ fn resolved_sql_is_what_the_descriptor_used_to_format() {
         let wider = meta.clone().field("extra", ColumnType::Int);
         assert!(wider.load_sql().contains(", extra FROM"), "{bean}");
         assert!(wider.update_sql().contains(", extra = ? WHERE"), "{bean}");
+    }
+}
+
+/// The per-image validator's three texts as they were while each was a
+/// clause list joined and formatted.
+fn format_conditional_sql(
+    meta: &EntityMeta,
+    before: &Memento,
+    after: &Memento,
+) -> [(String, Vec<Value>); 3] {
+    let mut clauses = vec![format!("{} = ?", meta.key_field())];
+    let mut where_params = vec![before.primary_key().clone()];
+    for f in meta.fields() {
+        match before.get(&f.name) {
+            Some(Value::Null) | None => clauses.push(format!("{} IS NULL", f.name)),
+            Some(v) => {
+                clauses.push(format!("{} = ?", f.name));
+                where_params.push(v.clone());
+            }
+        }
+    }
+    let clause = clauses.join(" AND ");
+    let sets = meta
+        .fields()
+        .iter()
+        .map(|f| format!("{} = ?", f.name))
+        .collect::<Vec<_>>()
+        .join(", ");
+    let mut update_params: Vec<Value> = meta
+        .fields()
+        .iter()
+        .map(|f| after.get(&f.name).cloned().unwrap_or(Value::Null))
+        .collect();
+    update_params.extend(where_params.iter().cloned());
+    let table = meta.table();
+    [
+        (clause.clone(), where_params.clone()),
+        (
+            format!("UPDATE {table} SET {sets} WHERE {clause}"),
+            update_params,
+        ),
+        (format!("DELETE FROM {table} WHERE {clause}"), where_params),
+    ]
+}
+
+#[test]
+fn conditional_sql_is_what_the_descriptor_used_to_format() {
+    let mut rng = StdRng::seed_from_u64(0x3e3e_0319);
+    for meta in sli_edge::trade::model::trade_registry().iter() {
+        for _ in 0..40 {
+            // Each field present, NULL or missing, in both images.
+            let image = |rng: &mut StdRng| {
+                let mut m = Memento::new(meta.bean(), gen_key(rng));
+                for f in meta.fields() {
+                    match rng.gen_range(0..4u32) {
+                        0 => {}
+                        1 => m.set(f.name.clone(), Value::Null),
+                        _ => m.set(f.name.clone(), gen_sql_literal(rng)),
+                    }
+                }
+                m
+            };
+            let (before, after) = (image(&mut rng), image(&mut rng));
+            let [clause, update, delete] = format_conditional_sql(meta, &before, &after);
+            assert_eq!(meta.before_image_where(&before), clause, "{before:?}");
+            assert_eq!(
+                meta.conditional_update_sql(&before, &after),
+                update,
+                "{before:?} -> {after:?}"
+            );
+            assert_eq!(meta.conditional_delete_sql(&before), delete, "{before:?}");
+        }
     }
 }
 
