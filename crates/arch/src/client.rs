@@ -38,8 +38,8 @@ pub struct Interaction {
 /// machine" (§4.3); this is that program. It keeps the HTTP session cookie
 /// between requests like a browser would.
 ///
-/// Under the open-loop [`LoadEngine`](crate::LoadEngine) one `VirtualClient`
-/// exists per *logical session*: a `perform` call is the atomic step between
+/// Under the [`LoadEngine`](crate::LoadEngine) one `VirtualClient` exists
+/// per *logical session*: a `perform` call is the atomic step between
 /// two scheduler decisions, so sessions interleave at exactly the
 /// client-RPC boundary and every interleaving remains replayable.
 #[derive(Debug)]

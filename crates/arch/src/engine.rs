@@ -1,26 +1,29 @@
-//! The open-loop load engine: many logical sessions multiplexed on virtual
-//! time.
+//! The load engine: the one main loop, many logical sessions multiplexed on
+//! virtual time under one of two admission rules.
 //!
-//! The paper's protocol is closed-loop — one virtual client issues a
-//! request, waits, thinks, repeats — so offered load can never exceed the
-//! service rate and the saturation knee is structurally invisible. This
-//! engine inverts that: sessions *arrive* on an open-loop
+//! *Closed* admission is the paper's protocol (§4.3): one client starts its
+//! next session the instant its last one ends, so a single session is ever
+//! live and offered load can never exceed the service rate. *Open* admission
+//! is what makes the saturation knee visible: sessions *arrive* on an
 //! [`ArrivalPlan`] schedule whether or not earlier sessions have finished,
-//! wait in a ready queue, and interleave at client-RPC boundaries.
+//! wait in a ready queue, and interleave at client-RPC boundaries. The two
+//! differ only in when the loop admits a session and when that session first
+//! counts as ready; everything after admission is shared.
 //!
 //! The execution model is the slicheck [`Scheduler`] promoted from
 //! checker-only tool to the main loop. One atomic step = one HTTP round
 //! trip ([`VirtualClient::perform`]); whenever more than one session has a
-//! ready step, the scheduler decides which fires next, so every loaded run
-//! is a recorded, replayable interleaving — the same property the
+//! ready step, the scheduler decides which fires next, so every run is a
+//! recorded, replayable interleaving — the same property the
 //! serializability checker exploits, now carried by every measurement.
 //!
-//! Latency accounting is the standard open-loop decomposition: a request
-//! becomes *ready* (session arrival, or think-time expiry), possibly waits
-//! while the single virtual CPU serves other sessions, then is dispatched.
-//! Its reported latency is `queue_wait + service`, so as the offered rate
-//! approaches the service rate the queue grows and the latency curve bends
-//! up — the knee the `knee` bin plots.
+//! Latency accounting is the standard decomposition: a request becomes
+//! *ready* (session admission or arrival, or think-time expiry), possibly
+//! waits while the single virtual CPU serves other sessions, then is
+//! dispatched. Its reported latency is `queue_wait + service`. The closed
+//! client never waits; under open admission the queue grows as the offered
+//! rate approaches the service rate and the latency curve bends up — the
+//! knee the `knee` bin plots.
 
 use std::sync::Arc;
 
@@ -34,12 +37,12 @@ use sli_workload::ArrivalPlan;
 use crate::client::VirtualClient;
 use crate::topology::Testbed;
 
-/// Everything that defines one open-loop loaded run.
+/// Everything that defines one run of the engine.
 #[derive(Debug, Clone)]
 pub struct LoadPlan {
-    /// The session arrival schedule (rate, shape, seed).
+    /// The session arrival schedule (rate, shape, seed) of an open plan.
     pub arrivals: ArrivalPlan,
-    /// How many logical sessions arrive in total.
+    /// How many logical sessions run in total.
     pub sessions: usize,
     /// Per-session think time between consecutive interactions.
     pub think: SimDuration,
@@ -49,6 +52,14 @@ pub struct LoadPlan {
     pub scheduler_seed: u64,
     /// Database population the scripts draw users/symbols from.
     pub population: Population,
+    /// `true`: closed admission — one client, starting its next session
+    /// the instant its last one ends; `arrivals` is not consulted.
+    /// `false`: open admission on the `arrivals` schedule.
+    pub closed: bool,
+    /// Sessions of the `session_seed` script stream skipped before the
+    /// first one this plan runs, so one plan can continue the stream where
+    /// another (a warm-up) stopped.
+    pub first_session: usize,
 }
 
 impl LoadPlan {
@@ -63,6 +74,8 @@ impl LoadPlan {
             session_seed: seed ^ 0x5e55_1011,
             scheduler_seed: seed ^ 0x5c4e_d01e,
             population: Population::default(),
+            closed: false,
+            first_session: 0,
         }
     }
 }
@@ -70,7 +83,7 @@ impl LoadPlan {
 /// One dispatched interaction under load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoadedInteraction {
-    /// Which logical session issued it (arrival order, from 0).
+    /// Which logical session issued it (admission order, from 0).
     pub session: u32,
     /// Time spent ready-but-undispatched while other sessions were served.
     pub queue_wait: SimDuration,
@@ -88,7 +101,7 @@ impl LoadedInteraction {
 }
 
 /// Telemetry handles for the engine itself, registered under `engine.*`:
-/// session arrival/completion rates, the in-flight session level and the
+/// session admission/completion rates, the in-flight session level and the
 /// ready-queue depth — the load-side counterparts of the per-path
 /// `in_flight` gauges.
 #[derive(Debug, Clone, Default)]
@@ -137,8 +150,12 @@ impl LoadMetrics {
 pub struct LoadedRun {
     /// Every dispatched interaction, in dispatch order.
     pub interactions: Vec<LoadedInteraction>,
-    /// When the first session arrived.
+    /// When the first session arrived: its scheduled instant under open
+    /// admission, the run's start under closed.
     pub first_arrival: SimTime,
+    /// When the last session arrived (scheduled instant / admission
+    /// instant likewise); with `first_arrival`, the realized arrival span.
+    pub last_arrival: SimTime,
     /// When the last interaction completed.
     pub end: SimTime,
     /// Largest ready-queue depth observed.
@@ -175,14 +192,6 @@ impl LoadedRun {
         } else {
             self.interactions.len() as f64 / span_s
         }
-    }
-
-    /// Per-interaction total latencies (queue wait + service) in ms.
-    pub fn total_latencies_ms(&self) -> Vec<f64> {
-        self.interactions
-            .iter()
-            .map(|i| i.total().as_millis_f64())
-            .collect()
     }
 
     /// Little's-law check over the run: `L̄ = λ·W̄` with `L̄` from the exact
@@ -332,9 +341,9 @@ impl<'t> LoadEngine<'t> {
         )
     }
 
-    /// Runs `plan` to completion: admits sessions per the arrival schedule,
-    /// lets the scheduler pick among ready sessions at every step, and
-    /// returns every interaction with its queue-wait/service split.
+    /// Runs `plan` to completion: admits sessions per the plan's admission
+    /// rule, lets the scheduler pick among ready sessions at every step,
+    /// and returns every interaction with its queue-wait/service split.
     /// Arrival offsets — and the offsets of the scripts in `hooks` — are
     /// anchored at the clock's position on entry (testbed construction has
     /// already spent some virtual time on connection handshakes).
@@ -344,6 +353,10 @@ impl<'t> LoadEngine<'t> {
     /// lands at an exact, replayable position in the interleaving and a
     /// monitor's detection timestamps are exact virtual times of state
     /// transitions rather than sampling artifacts.
+    ///
+    /// # Panics
+    /// Panics on a plan with no sessions, or an open plan whose arrival rate
+    /// is not positive and finite.
     pub fn run_with(&self, plan: &LoadPlan, hooks: RunHooks<'_>) -> LoadedRun {
         let RunHooks {
             timeline,
@@ -355,20 +368,30 @@ impl<'t> LoadEngine<'t> {
         if let Some(mon) = monitor.as_deref_mut() {
             mon.bind_queue_gauge(self.metrics.queue_depth.clone());
         }
-        assert!(plan.sessions > 0, "a loaded run needs at least one session");
+        assert!(plan.sessions > 0, "a run needs at least one session");
         let clock = &self.testbed.clock;
         let edges = self.testbed.edges.len();
         let start = clock.now();
 
         // The whole schedule and every script are fixed up front: the run
-        // is a pure function of the plan.
-        let arrival_times: Vec<SimTime> = plan
-            .arrivals
-            .times_us(plan.sessions)
-            .into_iter()
-            .map(|us| start + SimDuration::from_micros(us))
-            .collect();
+        // is a pure function of the plan. A closed plan has no schedule —
+        // its admissions follow its completions.
+        let arrival_times: Vec<SimTime> = if plan.closed {
+            Vec::new()
+        } else {
+            plan.arrivals
+                .times_us(plan.sessions)
+                .into_iter()
+                .map(|us| start + SimDuration::from_micros(us))
+                .collect()
+        };
+        // A script depends only on the generator's state, so skipping
+        // `first_session` sessions continues an earlier plan's stream
+        // exactly.
         let mut generator = SessionGenerator::new(plan.session_seed, plan.population);
+        for _ in 0..plan.first_session {
+            generator.session();
+        }
         let scripts: Vec<Vec<TradeAction>> =
             (0..plan.sessions).map(|_| generator.session()).collect();
         let mut scheduler = Scheduler::random(plan.scheduler_seed);
@@ -395,6 +418,7 @@ impl<'t> LoadEngine<'t> {
         let mut interactions = Vec::with_capacity(expected);
         let mut live: Vec<LiveSession<'t>> = Vec::new();
         let mut next_arrival = 0usize;
+        let mut last_arrival = start;
         let mut peak_queue_depth = 0u64;
         // Little's-law accounting: the level integral advances at every
         // change point (admission, completion); residences accumulate at
@@ -423,8 +447,16 @@ impl<'t> LoadEngine<'t> {
                 }
                 next_crash_change += 1;
             }
-            // Admit every session whose arrival instant has passed.
-            while next_arrival < plan.sessions && arrival_times[next_arrival] <= now {
+            // Admit: an open plan's sessions as their arrival instants
+            // pass, a closed plan's next one when the client is free. The
+            // closed client is ready the moment it is admitted, so it never
+            // waits in the queue.
+            while next_arrival < plan.sessions {
+                let ready_at = match plan.closed {
+                    true if live.is_empty() => now,
+                    false if arrival_times[next_arrival] <= now => arrival_times[next_arrival],
+                    _ => break,
+                };
                 in_flight_area_us += live.len() as u64
                     * now
                         .checked_since(last_level_change)
@@ -436,9 +468,10 @@ impl<'t> LoadEngine<'t> {
                     client: VirtualClient::new(self.testbed, next_arrival % edges.max(1)),
                     actions: scripts[next_arrival].clone(),
                     next: 0,
-                    ready_at: arrival_times[next_arrival],
+                    ready_at,
                     admitted_at: now,
                 });
+                last_arrival = ready_at;
                 self.metrics.arrivals.inc();
                 next_arrival += 1;
             }
@@ -455,8 +488,8 @@ impl<'t> LoadEngine<'t> {
 
             if ready.is_empty() {
                 // Idle: jump straight to the next event — the earliest
-                // pending arrival or think-time expiry. Nothing left means
-                // the run is over.
+                // scheduled arrival (an open plan's) or think-time expiry.
+                // Nothing left means the run is over.
                 let next_event = live
                     .iter()
                     .map(|s| s.ready_at)
@@ -542,7 +575,8 @@ impl<'t> LoadEngine<'t> {
 
         LoadedRun {
             interactions,
-            first_arrival: arrival_times[0],
+            first_arrival: arrival_times.first().copied().unwrap_or(start),
+            last_arrival,
             end: clock.now(),
             peak_queue_depth,
             schedule_len: scheduler.taken().len(),
@@ -583,9 +617,108 @@ mod tests {
         let collect = || {
             let tb = Testbed::build(Architecture::EsRbes, TestbedConfig::default());
             let engine = LoadEngine::new(&tb);
-            engine.run(&plan(50.0, 10), None).interactions
+            engine.run(&plan(50.0, 10), None)
         };
-        assert_eq!(collect(), collect());
+        let run = collect();
+        assert_eq!(run, collect());
+        // Pinned to what the loop produced before it learned closed
+        // admission: an open plan's run did not move.
+        assert_eq!(run.interactions.len(), 110);
+        assert_eq!(run.first_arrival.as_micros(), 35_588);
+        assert_eq!(run.end.as_micros(), 5_292_490);
+        assert_eq!(run.peak_queue_depth, 1);
+        assert_eq!(run.in_flight_area_us, 51_186_925);
+        let waits: u64 = run
+            .interactions
+            .iter()
+            .map(|i| i.queue_wait.as_micros())
+            .sum();
+        let service: u64 = run.interactions.iter().map(|i| i.service.as_micros()).sum();
+        assert_eq!((waits, service), (55_366, 1_156_519));
+    }
+
+    fn closed_plan(sessions: usize, first_session: usize) -> LoadPlan {
+        LoadPlan {
+            think: SimDuration::ZERO,
+            closed: true,
+            first_session,
+            ..plan(1.0, sessions)
+        }
+    }
+
+    #[test]
+    fn a_closed_plan_is_the_papers_session_loop() {
+        for (arch, label) in Architecture::ALL {
+            for first_session in [0, 3] {
+                let plan = closed_plan(5, first_session);
+                // The reference: one client performing session after
+                // session, the script stream advanced past the offset.
+                let reference = Testbed::build(arch, TestbedConfig::default());
+                let mut generator = SessionGenerator::new(plan.session_seed, plan.population);
+                for _ in 0..first_session {
+                    generator.session();
+                }
+                let mut client = VirtualClient::new(&reference, 0);
+                let mut expected = Vec::new();
+                for _ in 0..plan.sessions {
+                    for action in &generator.session() {
+                        let outcome = client.perform(action);
+                        expected.push((outcome.status, outcome.latency));
+                    }
+                }
+
+                let tb = Testbed::build(arch, TestbedConfig::default());
+                let run = LoadEngine::new(&tb).run(&plan, None);
+                let got: Vec<(u16, SimDuration)> = run
+                    .interactions
+                    .iter()
+                    .map(|i| (i.status, i.service))
+                    .collect();
+                assert_eq!(got, expected, "{label} from session {first_session}");
+                assert!(
+                    run.interactions
+                        .iter()
+                        .all(|i| i.queue_wait == SimDuration::ZERO),
+                    "{label}: the closed client never queues"
+                );
+                assert_eq!(tb.clock.now(), reference.clock.now(), "{label}");
+                assert_eq!(run.end, tb.clock.now());
+                assert_eq!(run.sessions_completed, 5);
+            }
+        }
+    }
+
+    #[test]
+    fn a_closed_plan_keeps_one_session_live() {
+        let config = TestbedConfig {
+            edges: 2,
+            ..TestbedConfig::default()
+        };
+        let collect = || {
+            let tb = Testbed::build(Architecture::EsRbes, config);
+            let engine = LoadEngine::new(&tb);
+            let in_flight = engine.metrics().in_flight.clone();
+            let mut levels = Vec::new();
+            let mut sample = |_: &[SpanEvent]| levels.push(in_flight.get());
+            let run = engine.run_observed(&closed_plan(8, 0), None, Some(&mut sample));
+            (run, levels)
+        };
+        let (run, levels) = collect();
+        assert_eq!(levels.len(), run.interactions.len());
+        // Sampled after each dispatch: 1 mid-script, 0 right after a
+        // session's last interaction (the next admission is a loop top away).
+        assert_eq!(levels[0], 1);
+        assert!(levels.iter().all(|&l| l <= 1), "in_flight read {levels:?}");
+        assert_eq!(levels.iter().filter(|&&l| l == 0).count(), 8);
+        assert_eq!(run.peak_queue_depth, 1);
+        assert_eq!(run.sessions_completed, 8);
+        // The client is always in a session: the level integral is the
+        // makespan itself.
+        let ll = run.littles_law();
+        assert!(ll.holds(1e-9), "relative error {}", ll.relative_error);
+        assert_eq!(run.in_flight_area_us, run.makespan().as_micros());
+        assert_eq!(ll.avg_in_flight, 1.0);
+        assert_eq!((run, levels), collect(), "a closed plan replays");
     }
 
     #[test]

@@ -25,11 +25,11 @@
 //! serializability and the SLI invariants post-hoc.
 //!
 //! The same scheduler is the *main-loop* execution model too: the
-//! open-loop [`LoadEngine`] multiplexes many logical sessions on virtual
-//! time, admitting them from a deterministic arrival schedule and letting
-//! the scheduler pick which session's RPC fires next — so high-load
-//! throughput/latency measurements carry the same replayability guarantees
-//! as checker runs.
+//! [`LoadEngine`] multiplexes many logical sessions on virtual time,
+//! admitting them closed (the paper's one-client protocol) or open
+//! (from a deterministic arrival schedule) and letting the scheduler pick
+//! which session's RPC fires next — so every throughput/latency
+//! measurement carries the same replayability guarantees as checker runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -102,7 +102,7 @@ pub struct ServletMetrics {
     actions: Vec<(&'static str, Histogram)>,
     /// Live HTTP sessions (login raises, logout lowers) — the servlet
     /// tier's concurrency level. Flat at 0–1 under the paper's sequential
-    /// client; the open-loop load engine is what makes it climb.
+    /// client; open admission on the load engine is what makes it climb.
     sessions: Gauge,
 }
 

@@ -297,6 +297,18 @@ impl Testbed {
 
         let mut edges = Vec::with_capacity(config.edges);
         let mut paths: Vec<Arc<Path>> = Vec::new();
+        // Every database connection of the testbed opens here. Each open is
+        // a charged round trip and takes a session id, so the order of the
+        // calls below is observable.
+        let connect = |path: &Arc<Path>| {
+            let mut conn = RemoteConnection::open(
+                Remote::new(Arc::clone(path), Arc::clone(&db_server))
+                    .with_tracer(Arc::clone(&tracer)),
+            )
+            .expect("fresh db accepts connections");
+            conn.set_batching(config.wire_batching);
+            conn
+        };
 
         // The ES/RBES back-end is shared by all edges and clustered with
         // the database over a LAN path of its own.
@@ -307,12 +319,7 @@ impl Testbed {
                 &format!("simnet.path.{}", backend_db_path.name()),
             );
             paths.push(Arc::clone(&backend_db_path));
-            let mut conn = RemoteConnection::open(
-                Remote::new(backend_db_path, Arc::clone(&db_server))
-                    .with_tracer(Arc::clone(&tracer)),
-            )
-            .expect("backend connects to fresh db");
-            conn.set_batching(config.wire_batching);
+            let conn = connect(&backend_db_path);
             let backend = BackendServer::new(Box::new(conn), trade_registry(), Arc::clone(&clock));
             backend.set_tracer(Arc::clone(&tracer));
             Some(backend)
@@ -339,27 +346,17 @@ impl Testbed {
             let mut invalidation_path = None;
             let mut combined_committer = None;
             let (engine, store, rm): WiredEngine = match arch.flavor() {
-                Flavor::Jdbc => {
-                    let mut conn = RemoteConnection::open(
-                        Remote::new(Arc::clone(&shared_path), Arc::clone(&db_server))
-                            .with_tracer(Arc::clone(&tracer)),
-                    )
-                    .expect("edge connects to fresh db");
-                    conn.set_batching(config.wire_batching);
-                    (
-                        Box::new(JdbcTradeEngine::new(share_connection(conn), holding_base)),
-                        None,
-                        None,
-                    )
-                }
+                Flavor::Jdbc => (
+                    Box::new(JdbcTradeEngine::new(
+                        share_connection(connect(&shared_path)),
+                        holding_base,
+                    )),
+                    None,
+                    None,
+                ),
                 Flavor::VanillaEjb => {
-                    let mut conn = RemoteConnection::open(
-                        Remote::new(Arc::clone(&shared_path), Arc::clone(&db_server))
-                            .with_tracer(Arc::clone(&tracer)),
-                    )
-                    .expect("edge connects to fresh db");
-                    conn.set_batching(config.wire_batching);
-                    let container = deploy::vanilla_container(share_connection(conn));
+                    let container =
+                        deploy::vanilla_container(share_connection(connect(&shared_path)));
                     (
                         Box::new(EjbTradeEngine::new(container, "Vanilla EJBs", holding_base)),
                         None,
@@ -408,18 +405,8 @@ impl Testbed {
                         // Combined-servers: fault and commit straight
                         // against the (remote) database.
                         None => {
-                            let mut fetch_conn = RemoteConnection::open(
-                                Remote::new(Arc::clone(&shared_path), Arc::clone(&db_server))
-                                    .with_tracer(Arc::clone(&tracer)),
-                            )
-                            .expect("edge connects to fresh db");
-                            fetch_conn.set_batching(config.wire_batching);
-                            let mut commit_conn = RemoteConnection::open(
-                                Remote::new(Arc::clone(&shared_path), Arc::clone(&db_server))
-                                    .with_tracer(Arc::clone(&tracer)),
-                            )
-                            .expect("edge connects to fresh db");
-                            commit_conn.set_batching(config.wire_batching);
+                            let fetch_conn = connect(&shared_path);
+                            let commit_conn = connect(&shared_path);
                             let combined = Arc::new(
                                 CombinedCommitter::new(Box::new(commit_conn), trade_registry())
                                     .with_tracer(Arc::clone(&tracer), Arc::clone(&clock)),

@@ -60,19 +60,17 @@ fn main() {
     ]);
     let mut out = ArtifactSet::new("Figure 8: Bandwidth to the shared site");
     for (name, arch, paper) in series {
-        let p = *out
-            .push(name, run(&RunSpec::closed(arch, delay, smoke)))
-            .closed();
+        let p = out.push(name, run(&RunSpec::closed(arch, delay, smoke)));
         table.row(vec![
             name.to_owned(),
             format!("{:.0}", p.shared_bytes_per_interaction),
-            format!("{:.2}", p.shared_round_trips_per_interaction),
+            format!("{:.2}", p.round_trips_per_interaction),
             format!("~{paper:.0}"),
         ]);
         csv.row(vec![
             name.to_owned(),
             format!("{:.0}", p.shared_bytes_per_interaction),
-            format!("{:.2}", p.shared_round_trips_per_interaction),
+            format!("{:.2}", p.round_trips_per_interaction),
         ]);
     }
     println!("{}", table.render());

@@ -1,8 +1,8 @@
-//! `knee` — throughput–latency curves and saturation knees under the
-//! open-loop high-load engine.
+//! `knee` — throughput–latency curves and saturation knees under open
+//! admission on the load engine.
 //!
 //! For every architecture × flavor combination this sweeps the session
-//! arrival rate of an open-loop [`sli_bench::RunSpec`]: sessions arrive on a
+//! arrival rate of an open [`sli_bench::RunSpec`]: sessions arrive on a
 //! deterministic Poisson schedule regardless of how fast the server keeps
 //! up, the [`sli_arch::LoadEngine`] multiplexes the in-flight sessions on
 //! virtual time, and latency therefore includes queue wait. The first
@@ -31,8 +31,8 @@
 
 use sli_arch::{arch_by_key, arch_key, run_slicheck, ScheduleSource, SliCheckConfig, ARCH_KEYS};
 use sli_bench::{
-    knee_index, results_dir, run, timeline_table, ArtifactSet, Cli, LoadedPoint, RunArtifacts,
-    RunSpec,
+    knee_index, results_dir, run, timeline_table, ArtifactSet, Cli, RunArtifacts, RunSpec,
+    RunSummary,
 };
 use sli_simnet::SimDuration;
 use sli_workload::{Csv, TextTable};
@@ -87,7 +87,7 @@ fn main() {
             .iter()
             .map(|&rps| run(&RunSpec::open(arch, delay, rps, smoke)))
             .collect();
-        let points: Vec<LoadedPoint> = runs.iter().map(|r| r.result.open().point).collect();
+        let points: Vec<RunSummary> = runs.iter().map(|r| r.summary).collect();
         let knee = knee_index(&points);
 
         let mut table = TextTable::new(&[
@@ -99,10 +99,10 @@ fn main() {
             "queue-wait p95 ms",
             "peak queue",
         ]);
-        for (i, p) in points.iter().enumerate() {
+        for (i, (p, rps)) in points.iter().zip(rates).enumerate() {
             let marker = if knee == Some(i) { "  <- knee" } else { "" };
             table.row(vec![
-                format!("{:.1}{marker}", p.session_rps),
+                format!("{rps:.1}{marker}"),
                 format!("{:.1}", p.offered_tps),
                 format!("{:.1}", p.achieved_tps),
                 format!("{:.1}", p.latency_ms),
@@ -112,7 +112,7 @@ fn main() {
             ]);
             csv.row(vec![
                 key.to_owned(),
-                format!("{:.2}", p.session_rps),
+                format!("{rps:.2}"),
                 format!("{:.2}", p.offered_tps),
                 format!("{:.2}", p.achieved_tps),
                 format!("{:.2}", p.latency_ms),
@@ -129,7 +129,7 @@ fn main() {
             Some(i) => println!(
                 "  knee at {:.1} sessions/s: achieved {:.1} of {:.1} offered tps, \
                  mean latency {:.1} ms ({:.1} ms at the lightest rate)\n",
-                points[i].session_rps,
+                rates[i],
                 points[i].achieved_tps,
                 points[i].offered_tps,
                 points[i].latency_ms,
@@ -137,29 +137,27 @@ fn main() {
             ),
             None => println!("  no knee within the swept rates\n"),
         }
-        knees.push((key.to_owned(), knee.map(|i| points[i].session_rps)));
+        knees.push((key.to_owned(), knee.map(|i| rates[i])));
 
-        for run in runs {
-            let open = run.result.open();
+        for (run, rps) in runs.into_iter().zip(rates) {
             // Little's law is an exact identity for the engine; a loaded
             // run that drifts past CI tolerance has an accounting bug.
-            if !open.littles.holds(0.01) {
+            if !run.littles.holds(0.01) {
                 eprintln!(
-                    "error: Little's law violated on {key} @ {:.1}/s: \
+                    "error: Little's law violated on {key} @ {rps:.1}/s: \
                      L = {:.3}, lambda*W = {:.3} (relative error {:.4})",
-                    open.point.session_rps,
-                    open.littles.avg_in_flight,
-                    open.littles.throughput_per_s * open.littles.mean_residence_ms / 1e3,
-                    open.littles.relative_error,
+                    run.littles.avg_in_flight,
+                    run.littles.throughput_per_s * run.littles.mean_residence_ms / 1e3,
+                    run.littles.relative_error,
                 );
                 std::process::exit(1);
             }
             // The aggregate cross-session profile of every loaded run:
             // collapsed stacks for speedscope/inferno plus the
             // schema-validated per-resource attribution.
-            out.profile.merge(&open.profile);
+            out.profile.merge(&run.profile);
             let mut entry = run.report;
-            entry.arch = format!("{} @ {:.2} sessions/s", entry.arch, open.point.session_rps);
+            entry.arch = format!("{} @ {rps:.2} sessions/s", entry.arch);
             out.report.entries.push(entry);
             let queue_live = run
                 .timeline

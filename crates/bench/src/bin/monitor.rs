@@ -65,22 +65,22 @@ fn main() {
     let delay = SimDuration::from_millis(delay_ms);
     let monitored = |key: &str, fault: Option<FaultClass>| {
         let arch = arch_by_key(key).expect("built-in key");
-        let mut spec = RunSpec::open(arch, delay, CLEAN_RPS, smoke);
-        spec.open_mut().monitor = Some(Monitoring::standard(fault));
-        run(&spec)
+        run(&RunSpec {
+            monitor: Some(Monitoring::standard(fault)),
+            ..RunSpec::open(arch, delay, CLEAN_RPS, smoke)
+        })
     };
     let mut failed = false;
 
     // ---- Experiment 1: the clean sweep must not page. -------------------
     println!("Clean-run false-positive gate ({CLEAN_RPS} sessions/s, {delay_ms} ms one-way delay)");
     for key in ARCH_KEYS {
-        let artifacts = monitored(key, None);
-        let outcome = artifacts.result.open();
+        let outcome = monitored(key, None);
         if outcome.detections.is_empty() {
             println!(
                 "ok   {key}: 0 incidents ({} interactions, p95 {:.1} ms)",
-                outcome.point.ok + outcome.point.failed,
-                outcome.point.latency_p95_ms
+                outcome.summary.ok + outcome.summary.failed,
+                outcome.summary.latency_p95_ms
             );
         } else {
             failed = true;
@@ -115,8 +115,7 @@ fn main() {
     let mut cells: Vec<Vec<Vec<f64>>> = vec![vec![Vec::new(); FaultClass::ALL.len()]; 6];
     for key in &combos {
         for fault in FaultClass::ALL {
-            let artifacts = monitored(key, Some(fault));
-            let outcome = artifacts.result.open();
+            let outcome = monitored(key, Some(fault));
             let Some(truth) = outcome.truth_us else {
                 eprintln!("FAIL {key}/{}: disturbance never took effect", fault.key());
                 failed = true;

@@ -15,10 +15,10 @@
 //! editing code, dial seeded request loss into the measured run:
 //! `cargo run -p sli-bench --bin perfguard -- --check --smoke --faults 30`.
 //!
-//! `--record` appends an entry to `BENCH_perfguard.json`, the checked-in
-//! trajectory of recorded baselines over the repo's history. `--check`
-//! leaves the tree alone: its verdict lands next to the other run output,
-//! in `results/perfguard.verdict.json` (`results/smoke/` with `--smoke`).
+//! `--record` writes the baseline and nothing else. `--check` leaves the
+//! tree alone: its verdict lands next to the other run output, in
+//! `results/perfguard.verdict.json` (`results/smoke/` with `--smoke`).
+//! Neither reads the wall clock.
 
 use sli_bench::{
     compare_guard, guard_suite, parse_baseline, render_baseline, results_dir, Cli, GuardEntry,
@@ -27,9 +27,6 @@ use sli_bench::{
 use sli_simnet::FaultPlan;
 use sli_telemetry::Json;
 use sli_workload::TextTable;
-
-/// Where the trajectory of recorded baselines accumulates.
-const TRAJECTORY: &str = "BENCH_perfguard.json";
 
 fn main() {
     let cli = Cli::new(
@@ -96,8 +93,8 @@ fn main() {
     );
     let current = guard_suite(profile, faults);
     print_suite(&current);
-    let verdict = |mode: &str, verdict: &str, regressions: &[Regression]| {
-        verdict_json(profile, mode, verdict, &current, tolerance, regressions)
+    let verdict = |verdict: &str, regressions: &[Regression]| {
+        verdict_json(profile, verdict, &current, tolerance, regressions)
     };
 
     if record {
@@ -113,7 +110,6 @@ fn main() {
             std::process::exit(1);
         }
         println!("baseline written to {baseline_path}");
-        append_trajectory(verdict("record", "recorded", &[]));
         return;
     }
 
@@ -132,14 +128,14 @@ fn main() {
             eprintln!("error: {e}");
             eprintln!("(record one first: cargo run --release -p sli-bench --bin perfguard -- --record{})",
                 if profile == GuardProfile::Smoke { " --smoke" } else { "" });
-            write_verdict(verdict("check", "stale", &[]));
+            write_verdict(verdict("stale", &[]));
             std::process::exit(1);
         }
     };
     match compare_guard(&baseline, &current, tolerance) {
         Err(e) => {
             eprintln!("error: {e}");
-            write_verdict(verdict("check", "stale", &[]));
+            write_verdict(verdict("stale", &[]));
             std::process::exit(1);
         }
         Ok(regressions) if regressions.is_empty() => {
@@ -148,7 +144,7 @@ fn main() {
                 "PASS: {checked} metrics across {} points within tolerance {tolerance} of {baseline_path}",
                 baseline.len()
             );
-            write_verdict(verdict("check", "pass", &[]));
+            write_verdict(verdict("pass", &[]));
         }
         Ok(regressions) => {
             eprintln!(
@@ -167,7 +163,7 @@ fn main() {
                     ""
                 }
             );
-            write_verdict(verdict("check", "fail", &regressions));
+            write_verdict(verdict("fail", &regressions));
             std::process::exit(1);
         }
     }
@@ -240,22 +236,17 @@ fn load_baseline(path: &str, profile: GuardProfile) -> Result<Vec<GuardEntry>, S
     Ok(entries)
 }
 
-/// One verdict entry: what ran, when, and how the gate ruled.
+/// The verdict of one `--check`: what ran and how the gate ruled.
 fn verdict_json(
     profile: GuardProfile,
-    mode: &str,
     verdict: &str,
     current: &[GuardEntry],
     tolerance: f64,
     regressions: &[Regression],
 ) -> Json {
-    let timestamp = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
     Json::obj([
-        ("timestamp", Json::from(timestamp)),
         ("profile", Json::from(profile.label())),
-        ("mode", Json::from(mode)),
+        ("mode", Json::from("check")),
         ("verdict", Json::from(verdict)),
         (
             "checked",
@@ -281,20 +272,4 @@ fn verdict_json(
             ),
         ),
     ])
-}
-
-/// Appends `entry` to the [`TRAJECTORY`] file (a JSON array; a missing or
-/// unreadable file starts a fresh one).
-fn append_trajectory(entry: Json) {
-    let mut history = std::fs::read_to_string(TRAJECTORY)
-        .ok()
-        .and_then(|text| Json::parse(&text).ok())
-        .and_then(|json| json.as_arr().map(<[Json]>::to_vec))
-        .unwrap_or_default();
-    history.push(entry);
-    if let Err(e) = std::fs::write(TRAJECTORY, Json::Arr(history).render()) {
-        eprintln!("warning: could not append to {TRAJECTORY}: {e}");
-    } else {
-        println!("(verdict appended to {TRAJECTORY})");
-    }
 }

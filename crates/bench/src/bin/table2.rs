@@ -13,7 +13,7 @@
 
 use sli_arch::{Architecture, Flavor};
 use sli_bench::{
-    results_dir, run, sensitivity, ArtifactSet, Cli, RunSpec, SweepPoint, PAPER_DELAYS_MS,
+    results_dir, run, sensitivity, ArtifactSet, Cli, RunSpec, RunSummary, PAPER_DELAYS_MS,
 };
 use sli_simnet::SimDuration;
 use sli_workload::{Csv, TextTable};
@@ -32,11 +32,11 @@ fn main() {
 
     let mut out = ArtifactSet::new("Table 2: Algorithm Sensitivity to Communication Latency");
     let mut slope = |name: &str, arch: Architecture| {
-        let points: Vec<SweepPoint> = delays
+        let points: Vec<RunSummary> = delays
             .iter()
             .map(|&d| {
                 let spec = RunSpec::closed(arch, SimDuration::from_millis(d), smoke);
-                *out.push(name, run(&spec)).closed()
+                out.push(name, run(&spec))
             })
             .collect();
         sensitivity(&points).expect("multi-delay sweep").slope

@@ -37,8 +37,8 @@ use sli_workload::{Csv, TextTable};
 
 /// Runs one combo's causal profile and prints the per-resource table.
 fn show(label: &str, report: &WhatIfReport, csv: &mut Csv) {
-    let baseline = report.baseline.result.open();
-    let base = baseline.point;
+    let baseline = &report.baseline;
+    let base = baseline.summary;
     println!(
         "{label}: baseline {:.1} tps, mean {:.1} ms, p95 {:.1} ms over {} interactions",
         base.achieved_tps,
@@ -111,7 +111,7 @@ fn profile(
     csv: &mut Csv,
 ) -> WhatIfReport {
     let report = whatif(spec, speedup);
-    let baseline = report.baseline.result.open();
+    let baseline = &report.baseline;
     if !baseline.littles.holds(0.01) {
         eprintln!(
             "error: Little's law violated on {label}: relative error {:.4}",
@@ -175,8 +175,10 @@ fn main() {
         // per-statement round trips the wire must dominate, and batching
         // must shrink the wire's causal impact.
         let spec = RunSpec::open(Architecture::EsRdb(Flavor::Jdbc), delay, rps, true);
-        let mut unbatched_spec = spec;
-        unbatched_spec.open_mut().wire_batching = false;
+        let unbatched_spec = RunSpec {
+            wire_batching: false,
+            ..spec
+        };
         let unbatched = profile(
             "ES/RDB (JDBC), wire batching OFF",
             &unbatched_spec,
@@ -208,8 +210,7 @@ fn main() {
         };
         // Batching removes wire crossings, so a faster wire must buy less
         // absolute latency once batching is on…
-        let saved =
-            |r: &WhatIfReport| r.baseline.result.open().point.latency_ms - r.rows[0].latency_ms;
+        let saved = |r: &WhatIfReport| r.baseline.summary.latency_ms - r.rows[0].latency_ms;
         let (saved_off, saved_on) = (saved(&unbatched), saved(&batched));
         if saved_on >= saved_off {
             eprintln!(

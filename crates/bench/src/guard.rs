@@ -20,7 +20,7 @@ use sli_arch::Architecture;
 use sli_simnet::{FaultPlan, SimDuration};
 use sli_telemetry::{Json, Resource};
 
-use crate::{run, Load, RunResult, RunSpec};
+use crate::{run, Admission, RunSpec};
 
 /// Schema identifier stamped into every baseline file.
 pub const PERFGUARD_SCHEMA: &str = "sli-edge.perfguard-baseline/v1";
@@ -88,7 +88,7 @@ impl GuardProfile {
 
     /// The architecture×delay points this profile guards.
     pub fn points(&self) -> Vec<(Architecture, u64)> {
-        use sli_arch::Flavor::{CachedEjb, Jdbc, VanillaEjb};
+        use sli_arch::Flavor::{CachedEjb, Jdbc};
         match self {
             GuardProfile::Smoke => vec![
                 (Architecture::EsRdb(Jdbc), 20),
@@ -96,21 +96,10 @@ impl GuardProfile {
                 (Architecture::EsRbes, 20),
                 (Architecture::ClientsRas(Jdbc), 20),
             ],
-            GuardProfile::Full => {
-                let combos = [
-                    Architecture::EsRdb(Jdbc),
-                    Architecture::EsRdb(VanillaEjb),
-                    Architecture::EsRdb(CachedEjb),
-                    Architecture::EsRbes,
-                    Architecture::ClientsRas(Jdbc),
-                    Architecture::ClientsRas(VanillaEjb),
-                    Architecture::ClientsRas(CachedEjb),
-                ];
-                combos
-                    .into_iter()
-                    .flat_map(|a| [20u64, 80].into_iter().map(move |d| (a, d)))
-                    .collect()
-            }
+            GuardProfile::Full => Architecture::ALL
+                .into_iter()
+                .flat_map(|(a, _)| [20u64, 80].into_iter().map(move |d| (a, d)))
+                .collect(),
         }
     }
 
@@ -198,29 +187,28 @@ pub fn guard_run(spec: &RunSpec) -> GuardEntry {
         higher_is_worse,
         floor,
     };
-    let failure_rate = |ok: usize, failed: usize| {
-        scalar(
-            "failure_rate",
-            failed as f64 / (ok + failed).max(1) as f64,
-            true,
-            RATIO_FLOOR,
-        )
-    };
-    match (&artifacts.result, spec.load) {
-        (RunResult::Closed(point), Load::Closed(closed)) => GuardEntry {
+    let point = artifacts.summary;
+    let failure_rate = scalar(
+        "failure_rate",
+        point.failed as f64 / (point.ok + point.failed).max(1) as f64,
+        true,
+        RATIO_FLOOR,
+    );
+    match spec.admission {
+        Admission::Closed => GuardEntry {
             key: format!("{arch} @ {delay_ms}ms"),
             metrics: vec![
                 GuardMetric {
                     name: "latency_ms".to_owned(),
                     value: point.latency_ms,
                     stdev: point.latency_stdev_ms,
-                    n: closed.batches.max(1),
+                    n: spec.batches.max(1),
                     higher_is_worse: true,
                     floor: LATENCY_FLOOR_MS,
                 },
                 scalar("hit_ratio", artifacts.report.hit_ratio, false, RATIO_FLOOR),
                 scalar("abort_rate", artifacts.report.abort_rate, true, RATIO_FLOOR),
-                failure_rate(point.ok, point.failed),
+                failure_rate,
                 scalar(
                     "shared_bytes_per_interaction",
                     point.shared_bytes_per_interaction,
@@ -229,18 +217,17 @@ pub fn guard_run(spec: &RunSpec) -> GuardEntry {
                 ),
             ],
         },
-        (RunResult::Open(open), Load::Open(load)) => {
-            let point = open.point;
+        Admission::Open { session_rps } => {
             let share = |name: &str, resource: Resource| {
                 scalar(
                     name,
-                    open.profile.resource_share(resource),
+                    artifacts.profile.resource_share(resource),
                     true,
                     RATIO_FLOOR,
                 )
             };
             GuardEntry {
-                key: format!("{arch} loaded @ {delay_ms}ms @ {:.1}/s", load.session_rps),
+                key: format!("{arch} loaded @ {delay_ms}ms @ {session_rps:.1}/s"),
                 metrics: vec![
                     scalar("achieved_tps", point.achieved_tps, false, TPS_FLOOR),
                     scalar(
@@ -249,7 +236,7 @@ pub fn guard_run(spec: &RunSpec) -> GuardEntry {
                         true,
                         LATENCY_FLOOR_MS,
                     ),
-                    failure_rate(point.ok, point.failed),
+                    failure_rate,
                     scalar(
                         "peak_queue_depth",
                         point.peak_queue_depth as f64,
@@ -269,7 +256,6 @@ pub fn guard_run(spec: &RunSpec) -> GuardEntry {
                 ],
             }
         }
-        _ => unreachable!("run() answers a load with the matching result"),
     }
 }
 
@@ -652,14 +638,16 @@ mod tests {
 
     #[test]
     fn loaded_guard_run_is_deterministic_and_names_its_metrics() {
-        let mut spec = RunSpec::open(
-            Architecture::EsRbes,
-            SimDuration::from_millis(10),
-            6.0,
-            true,
-        );
-        spec.warmup_sessions = 5;
-        spec.open_mut().sessions = 30;
+        let spec = RunSpec {
+            warmup_sessions: 5,
+            sessions: 30,
+            ..RunSpec::open(
+                Architecture::EsRbes,
+                SimDuration::from_millis(10),
+                6.0,
+                true,
+            )
+        };
         let (a, b) = (guard_run(&spec), guard_run(&spec));
         assert_eq!(a, b, "virtual time makes loaded reruns bit-identical");
         assert_eq!(a.key, "ES/RBES (Cached EJBs) loaded @ 10ms @ 6.0/s");

@@ -26,24 +26,27 @@
 //! never touches the checked-in full-run CSVs.
 //!
 //! This library hosts the one way to measure — [`run`] takes a [`RunSpec`]
-//! (architecture, delay, and a closed-loop or open-loop [`Load`]) and
-//! returns [`RunArtifacts`] — and the one way to export: bins collect runs
-//! into an [`ArtifactSet`] and call [`ArtifactSet::write_all`]. A delay or
-//! rate sweep is `points.iter().map(|p| run(&spec_at(p)))`.
+//! (architecture, delay, and a closed or open [`Admission`]) and returns
+//! [`RunArtifacts`] — and the one way to export: bins collect runs into an
+//! [`ArtifactSet`] and call [`ArtifactSet::write_all`]. A delay or rate
+//! sweep is `points.iter().map(|p| run(&spec_at(p)))`.
 //!
-//! The closed-loop protocol is the paper's §4.3: one virtual client, 400
-//! warm-up sessions, 300 measured sessions (~11 interactions each),
+//! Every run is two plans on one [`sli_arch::LoadEngine`]: a one-client
+//! closed warm-up, then the measured phase under the spec's admission.
+//! [`RunSpec::closed`] is the paper's §4.3 protocol — one virtual client,
+//! 400 warm-up sessions, 300 measured sessions (~11 interactions each),
 //! latencies averaged over 20 batches, and a least-squares fit across the
-//! delay sweep ([`sensitivity`]). The open-loop protocol drives the same
-//! testbed through [`sli_arch::LoadEngine`] at a configured session
-//! arrival rate, optionally under the online SLO monitor.
+//! delay sweep ([`sensitivity`]). [`RunSpec::open`] offers sessions at a
+//! configured arrival rate instead, so latency includes queue wait. The
+//! online SLO monitor, the what-if resource scale and the wire-batching
+//! switch apply to either.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use sli_arch::{
-    arch_key, collect_report, Architecture, LoadEngine, LoadPlan, ResourceScale, RunHooks,
-    ScheduledFault, Testbed, TestbedConfig, VirtualClient,
+    arch_key, collect_report, Architecture, LoadEngine, LoadPlan, LoadedInteraction, ResourceScale,
+    RunHooks, ScheduledFault, Testbed, TestbedConfig,
 };
 use sli_simnet::{FaultPlan, SimDuration};
 use sli_telemetry::{
@@ -53,7 +56,6 @@ use sli_telemetry::{
     SloMonitor, SpanEvent, TimelineDoc, TimelineReport,
 };
 use sli_trade::seed::Population;
-use sli_trade::session::SessionGenerator;
 use sli_workload::{
     batch_means, fit, percentile, ArrivalPlan, ArrivalProcess, Csv, LinearFit, RunStats, TextTable,
 };
@@ -71,70 +73,33 @@ pub use guard::{
 pub const PAPER_SEED: u64 = 20040101;
 
 /// Everything that defines one measured run: where (architecture, delay),
-/// on what data, and under which load protocol.
+/// on what data, how much of it, and how sessions are admitted.
 #[derive(Debug, Clone, Copy)]
 pub struct RunSpec {
     /// The architecture × flavor combination under test.
     pub arch: Architecture,
     /// Injected one-way delay on the architecture's delayed path.
     pub delay: SimDuration,
-    /// Seed for session scripts, and for an open load's arrivals and
+    /// Seed for session scripts, and for an open run's arrivals and the
     /// dispatch scheduler.
     pub seed: u64,
     /// Database population.
     pub population: Population,
-    /// Closed-loop warm-up sessions before measurement (cache and
+    /// One-client closed warm-up sessions before measurement (cache and
     /// connection state; paper: 400).
     pub warmup_sessions: usize,
-    /// Initial timeline window width in virtual microseconds (the window
-    /// doubles automatically when a run outlives the window budget).
-    pub timeline_window_us: u64,
+    /// Measured sessions (paper: 300).
+    pub sessions: usize,
+    /// Batches for the batched latency average (paper: 20).
+    pub batches: usize,
     /// Fault plan dialled into the delayed paths for the whole run (clean
     /// by default; `perfguard --faults` uses it to stage an artificial
     /// regression).
     pub faults: FaultPlan,
-    /// The load protocol of the measured phase.
-    pub load: Load,
-}
-
-/// How the measured phase offers load.
-// Plain configuration, built a handful of times per process: boxing the
-// larger variant would only cost `Copy` (and `..spec` updates with it).
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, Copy)]
-pub enum Load {
-    /// The paper's §4.3 protocol: one virtual client issues a request,
-    /// waits for the response, repeats.
-    Closed(ClosedLoad),
-    /// Sessions *arrive* at a configured rate whether or not earlier ones
-    /// have finished, so latency includes queue wait.
-    Open(OpenLoad),
-}
-
-/// Closed-loop measurement parameters (§4.3 of the paper).
-#[derive(Debug, Clone, Copy)]
-pub struct ClosedLoad {
-    /// Measured sessions (paper: 300).
-    pub measured_sessions: usize,
-    /// Batches for the batched average (paper: 20).
-    pub batches: usize,
     /// Optional per-crossing jitter on the delayed path (maximum added
     /// microseconds). Zero reproduces the deterministic runs; a small value
     /// reproduces the paper's R² ≈ 0.99 texture.
     pub jitter_us: u64,
-}
-
-/// Open-loop measurement parameters: the high-load engine's protocol.
-#[derive(Debug, Clone, Copy)]
-pub struct OpenLoad {
-    /// Session arrival rate (sessions per second of virtual time). Each
-    /// session issues ~11 interactions, so the offered interaction rate is
-    /// roughly 11× this.
-    pub session_rps: f64,
-    /// Shape of the arrival schedule around that rate.
-    pub process: ArrivalProcess,
-    /// Sessions arriving in the measured phase.
-    pub sessions: usize,
     /// Whether remote database connections batch statements onto the wire
     /// (`false` is the pre-batching ablation).
     pub wire_batching: bool,
@@ -144,6 +109,25 @@ pub struct OpenLoad {
     /// Run under the online SLO monitor, optionally with a scripted
     /// mid-run disturbance.
     pub monitor: Option<Monitoring>,
+    /// How the measured phase admits sessions.
+    pub admission: Admission,
+}
+
+/// How the measured phase admits sessions.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Admission {
+    /// The paper's §4.3 protocol: one virtual client issues a request,
+    /// waits for the response and repeats, starting its next session the
+    /// instant its last one ends.
+    Closed,
+    /// Sessions *arrive* at a configured rate whether or not earlier ones
+    /// have finished, so latency includes queue wait.
+    Open {
+        /// Session arrival rate (sessions per second of virtual time). Each
+        /// session issues ~11 interactions, so the offered interaction rate
+        /// is roughly 11× this.
+        session_rps: f64,
+    },
 }
 
 /// The SLO detector configuration of a monitored run and the shape of its
@@ -177,44 +161,27 @@ impl RunSpec {
             seed: PAPER_SEED,
             population: Population::default(),
             warmup_sessions: if quick { 20 } else { 400 },
-            timeline_window_us: 100_000, // 100 ms of virtual time
+            sessions: if quick { 30 } else { 300 },
+            batches: if quick { 5 } else { 20 },
             faults: FaultPlan::NONE,
-            load: Load::Closed(ClosedLoad {
-                measured_sessions: if quick { 30 } else { 300 },
-                batches: if quick { 5 } else { 20 },
-                jitter_us: 0,
-            }),
+            jitter_us: 0,
+            wire_batching: true,
+            scale: ResourceScale::nominal(),
+            monitor: None,
+            admission: Admission::Closed,
         }
     }
 
     /// The standard open-loop protocol at `session_rps` Poisson arrivals
     /// per second: 200 sessions measured after a 40-session warm-up, or
-    /// 60 after 10 when `quick`.
+    /// 60 after 10 when `quick`; 20 batches either way.
     pub fn open(arch: Architecture, delay: SimDuration, session_rps: f64, quick: bool) -> RunSpec {
         RunSpec {
             warmup_sessions: if quick { 10 } else { 40 },
-            timeline_window_us: 500_000,
-            load: Load::Open(OpenLoad {
-                session_rps,
-                process: ArrivalProcess::Poisson,
-                sessions: if quick { 60 } else { 200 },
-                wire_batching: true,
-                scale: ResourceScale::nominal(),
-                monitor: None,
-            }),
+            sessions: if quick { 60 } else { 200 },
+            batches: 20,
+            admission: Admission::Open { session_rps },
             ..RunSpec::closed(arch, delay, quick)
-        }
-    }
-
-    /// The open-loop parameters, for adjusting a spec built by
-    /// [`RunSpec::open`].
-    ///
-    /// # Panics
-    /// Panics on a closed-loop spec.
-    pub fn open_mut(&mut self) -> &mut OpenLoad {
-        match &mut self.load {
-            Load::Open(open) => open,
-            Load::Closed(_) => panic!("not an open-loop spec"),
         }
     }
 }
@@ -248,35 +215,55 @@ impl Monitoring {
     }
 }
 
-/// The summary of a closed-loop run.
+/// The throughput, latency and traffic summary of one run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SweepPoint {
+pub struct RunSummary {
     /// Injected one-way delay in milliseconds.
     pub delay_ms: f64,
-    /// Batched-average client latency in milliseconds.
+    /// Empirical offered interaction rate of an open run: interactions
+    /// divided by the realized arrival span, so sampling noise in a random
+    /// schedule doesn't masquerade as a throughput deficit. A closed client
+    /// offers exactly what it is served: `achieved_tps`.
+    pub offered_tps: f64,
+    /// Achieved interaction throughput over the run's makespan.
+    pub achieved_tps: f64,
+    /// Batched mean total latency (queue wait + service) in ms.
     pub latency_ms: f64,
     /// Standard deviation across batch means.
     pub latency_stdev_ms: f64,
-    /// 95th-percentile interaction latency (over raw interactions, not
-    /// batches).
+    /// Median total latency (ms), over raw interactions like every
+    /// percentile here.
+    pub latency_p50_ms: f64,
+    /// 95th-percentile total latency (ms).
     pub latency_p95_ms: f64,
+    /// 99th-percentile total latency (ms).
+    pub latency_p99_ms: f64,
+    /// Mean service time alone (ms), for separating queueing delay from
+    /// service cost; a lone closed client's whole latency.
+    pub service_ms: f64,
+    /// 95th-percentile queue wait (ms).
+    pub queue_wait_p95_ms: f64,
+    /// Largest ready-queue depth the engine observed.
+    pub peak_queue_depth: u64,
     /// Bytes to the shared site per client interaction (Figure 8 metric).
     pub shared_bytes_per_interaction: f64,
-    /// Round trips across the delayed path per client interaction.
-    pub shared_round_trips_per_interaction: f64,
+    /// Mean wire round trips per interaction over the architecture's
+    /// delayed path — the quantity statement batching exists to shrink.
+    pub round_trips_per_interaction: f64,
     /// Interactions that returned HTTP 200.
     pub ok: usize,
     /// Interactions that returned a non-200 status.
     pub failed: usize,
 }
+
 /// Trace data harvested from the measured phase of a run: the aggregated
 /// critical-path breakdown, every OCC-conflict forensics event, and a
 /// sampled window of raw span events suitable for Chrome-trace export.
 ///
-/// [`run`] drains the testbed's bounded [`TraceLog`] after every session
-/// (every dispatch of an open run), so no mid-measurement span is ever
-/// evicted and the breakdown covers *every* measured interaction even at
-/// the paper's full 300-session protocol.
+/// [`run`] drains the testbed's bounded [`TraceLog`] after every dispatch,
+/// so no mid-measurement span is ever evicted and the breakdown covers
+/// *every* measured interaction even at the paper's full 300-session
+/// protocol.
 ///
 /// [`TraceLog`]: sli_telemetry::TraceLog
 #[derive(Clone, Debug, Default)]
@@ -286,7 +273,7 @@ pub struct TraceHarvest {
     /// All conflict-forensics (`occ.conflict`) events observed while
     /// measuring, across the whole run.
     pub conflict_events: Vec<SpanEvent>,
-    /// Complete raw span events from the first few measured sessions —
+    /// Complete raw span events from the head of the measured phase —
     /// a bounded, representative sample for the Chrome-trace export.
     pub sample_events: Vec<SpanEvent>,
 }
@@ -303,13 +290,13 @@ impl TraceHarvest {
         }
     }
 
-    /// Folds one drained batch of complete traces in; `sample` also keeps
-    /// the raw spans for the Chrome-trace export.
-    fn absorb(&mut self, events: &[SpanEvent], sample: bool) {
+    /// Folds one drained batch of complete traces in, keeping the raw spans
+    /// for the Chrome-trace export while the sample is under its cap.
+    fn absorb(&mut self, events: &[SpanEvent]) {
         self.breakdown.merge(&critical_path(events));
         self.conflict_events
             .extend(events.iter().filter(|e| e.conflict().is_some()).cloned());
-        if sample {
+        if self.sample_events.len() < SAMPLE_EVENTS {
             self.sample_events.extend_from_slice(events);
         }
     }
@@ -321,12 +308,10 @@ impl TraceHarvest {
     }
 }
 
-/// Measured sessions whose raw spans are kept as the Chrome-trace sample.
-const SAMPLE_SESSIONS: usize = 2;
-
-/// Span-sample cap for loaded runs (the per-dispatch drain keeps appending
-/// until the sample holds at least this many events).
-const LOADED_SAMPLE_EVENTS: usize = 4_000;
+/// Span-sample cap: the per-dispatch drain keeps appending whole traces
+/// until the sample holds at least this many events — about a session and
+/// a half, a window a trace viewer shows legibly.
+const SAMPLE_EVENTS: usize = 400;
 
 /// Everything one measured run yields.
 #[derive(Clone, Debug)]
@@ -334,39 +319,23 @@ pub struct RunArtifacts {
     /// The structured per-architecture report row (cache hit ratio, commit
     /// abort rate, RPC retry/timeout counts, latency percentiles, HTTP
     /// status mix). Telemetry is reset after warm-up, so it covers exactly
-    /// the measured interactions; an open run's latencies are total, queue
-    /// wait included.
+    /// the measured interactions; latencies are total, queue wait included.
     pub report: ArchReport,
     /// Critical-path breakdown, conflict forensics and span sample.
     pub harvest: TraceHarvest,
-    /// Per-window rate/level series of the measured phase (an open run's
-    /// include the `engine.*` queue/in-flight series). Rebased at the
+    /// Per-window rate/level series of the measured phase, the engine's
+    /// `engine.*` queue/in-flight series included. Rebased at the
     /// warm-up/measure boundary, so rate totals match the report's counter
     /// reads.
     pub timeline: TimelineReport,
-    /// The protocol-specific summary.
-    pub result: RunResult,
-}
-
-/// The protocol-specific part of [`RunArtifacts`], mirroring [`Load`].
-#[derive(Clone, Debug)]
-pub enum RunResult {
-    /// A closed-loop run's latency/traffic summary.
-    Closed(SweepPoint),
-    /// An open-loop run's summary, profile and monitor findings.
-    Open(Box<OpenRun>),
-}
-
-/// What an open-loop run yields beyond the common artifacts.
-#[derive(Clone, Debug)]
-pub struct OpenRun {
-    /// Throughput/latency summary of the point.
-    pub point: LoadedPoint,
+    /// Throughput, latency and traffic summary.
+    pub summary: RunSummary,
     /// The aggregate cross-session profile: per-class self times,
-    /// collapsed stacks and per-resource attribution.
+    /// collapsed stacks and per-resource attribution. Conserving: the
+    /// classes sum to the sum of the measured latencies.
     pub profile: Profile,
     /// Little's-law cross-check over the measured phase (exact identity
-    /// for a clean run).
+    /// for a clean run; `L` = 1 for a closed one).
     pub littles: LittlesLaw,
     /// Ground-truth disturbance onset of a monitored run, µs of virtual
     /// time. For fault injection this is the first *actually injected*
@@ -374,37 +343,14 @@ pub struct OpenRun {
     /// observable effect until a delivery attempt draws a fault. For a
     /// flash crowd it is the scripted surge instant.
     pub truth_us: Option<u64>,
-    /// `(detector, virtual firing instant µs)` for every latched detector.
+    /// `(detector, virtual firing instant µs)` for every latched detector
+    /// (empty when unmonitored).
     pub detections: Vec<(&'static str, u64)>,
     /// Every frozen incident, rendered and schema-validated.
     pub incidents: Vec<Json>,
 }
 
-impl RunResult {
-    /// The closed-loop summary.
-    ///
-    /// # Panics
-    /// Panics on an open-loop run.
-    pub fn closed(&self) -> &SweepPoint {
-        match self {
-            RunResult::Closed(point) => point,
-            RunResult::Open(_) => panic!("not a closed-loop run"),
-        }
-    }
-
-    /// The open-loop results.
-    ///
-    /// # Panics
-    /// Panics on a closed-loop run.
-    pub fn open(&self) -> &OpenRun {
-        match self {
-            RunResult::Open(open) => open,
-            RunResult::Closed(_) => panic!("not an open-loop run"),
-        }
-    }
-}
-
-impl OpenRun {
+impl RunArtifacts {
     /// Time-to-detect for `detector` in virtual ms: firing instant minus
     /// ground truth. `None` if the detector never fired or the run had no
     /// disturbance.
@@ -423,25 +369,23 @@ impl OpenRun {
     }
 }
 
-/// Measures one point: builds the testbed for `spec.arch`, warms it up
-/// closed-loop, resets telemetry, then runs the measured phase under
-/// `spec.load` — the one entry point behind every figure, table, gate and
-/// sweep of this crate.
+/// Measures one point: builds the testbed for `spec.arch`, warms it up with
+/// one closed client, resets telemetry, then runs the measured phase under
+/// `spec.admission` — the one entry point behind every figure, table, gate
+/// and sweep of this crate. Both phases are plans on one [`LoadEngine`].
 ///
 /// # Panics
-/// Panics if a frozen incident fails `validate_incident` — an artifact the
-/// monitor itself produced must round-trip its own schema.
+/// Panics on a closed spec monitored under [`FaultClass::FlashCrowd`] (an
+/// arrival surge needs arrivals), and if a frozen incident fails
+/// `validate_incident` — an artifact the monitor itself produced must
+/// round-trip its own schema.
 pub fn run(spec: &RunSpec) -> RunArtifacts {
-    let wire_batching = match spec.load {
-        Load::Closed(_) => true,
-        Load::Open(open) => open.wire_batching,
-    };
     let testbed = Testbed::build(
         spec.arch,
         TestbedConfig {
             population: spec.population,
             edges: 1,
-            wire_batching,
+            wire_batching: spec.wire_batching,
             ..TestbedConfig::default()
         },
     );
@@ -449,229 +393,203 @@ pub fn run(spec: &RunSpec) -> RunArtifacts {
     if !spec.faults.is_clean() {
         testbed.set_faults(spec.faults);
     }
+    if spec.jitter_us > 0 {
+        // Derive the jitter seed from the delay too: otherwise every sweep
+        // point would draw the identical noise sequence and the noise
+        // would cancel out of the fit entirely.
+        testbed.set_jitter(
+            SimDuration::from_micros(spec.jitter_us),
+            spec.seed ^ spec.delay.as_micros().wrapping_mul(0x9E37_79B9),
+        );
+    }
+    testbed.apply_scale(spec.scale);
     // The engine registers `engine.*` on construction; building it first
     // makes those metrics part of the timeline like any machine's.
-    let engine = matches!(spec.load, Load::Open(_)).then(|| LoadEngine::new(&testbed));
-    let timeline = testbed.standard_timeline(spec.timeline_window_us.max(1));
-    let mut generator = SessionGenerator::new(spec.seed, spec.population);
-    let mut harvest = TraceHarvest::default();
-    // The closed-loop warm-up both protocols share, ending at the
-    // warm-up/measure boundary: telemetry is reset and the timeline
-    // rebased, so everything downstream covers exactly the measured phase.
-    let warm_up = |client: &mut VirtualClient<'_>, generator: &mut SessionGenerator| {
-        for _ in 0..spec.warmup_sessions {
-            client.run_session(&generator.session());
-        }
-        testbed.reset_telemetry();
-        timeline.rebase(testbed.clock.now().as_micros());
+    let engine = LoadEngine::new(&testbed);
+    let (session_rps, timeline_window_us) = match spec.admission {
+        Admission::Closed => (None, 100_000),
+        Admission::Open { session_rps } => (Some(session_rps), 500_000),
     };
-    match spec.load {
-        Load::Closed(closed) => {
-            if closed.jitter_us > 0 {
-                // Derive the jitter seed from the delay too: otherwise
-                // every sweep point would draw the identical noise sequence
-                // and the noise would cancel out of the fit entirely.
-                testbed.set_jitter(
-                    SimDuration::from_micros(closed.jitter_us),
-                    spec.seed ^ spec.delay.as_micros().wrapping_mul(0x9E37_79B9),
-                );
-            }
-            let mut client = VirtualClient::new(&testbed, 0);
-            warm_up(&mut client, &mut generator);
-            let mut latencies = Vec::new();
-            let mut failed = 0;
-            for s in 0..closed.measured_sessions {
-                for action in &generator.session() {
-                    let outcome = client.perform(action);
-                    timeline.sample(testbed.clock.now().as_micros());
-                    latencies.push(outcome.latency.as_millis_f64());
-                    failed += usize::from(outcome.status != 200);
-                }
-                // Drain the bounded trace log every session: the breakdown
-                // and conflict forensics accumulate across the whole
-                // measured phase while the log itself never grows deep
-                // enough to evict a span from a trace still being
-                // decomposed.
-                let events = testbed.commit_trace().events();
-                harvest.absorb(&events, s < SAMPLE_SESSIONS);
-                testbed.commit_trace().clear();
-            }
-            let report = collect_report(&testbed, spec.delay, &latencies, failed as u64);
-            let batched = batch_means(&latencies, closed.batches);
-            let interactions = latencies.len().max(1) as f64;
-            let shared = testbed.delayed_path(0).stats();
-            let point = SweepPoint {
-                delay_ms: spec.delay.as_millis_f64(),
-                latency_ms: batched.overall.mean,
-                latency_stdev_ms: batched.overall.stdev,
-                latency_p95_ms: percentile(&latencies, 0.95).unwrap_or(0.0),
-                shared_bytes_per_interaction: shared.total_bytes() as f64 / interactions,
-                shared_round_trips_per_interaction: shared.round_trips() as f64 / interactions,
-                ok: latencies.len() - failed,
-                failed,
-            };
-            let timeline = timeline.report(format!("{} @ {:.0}ms", report.arch, point.delay_ms));
-            RunArtifacts {
-                report,
-                harvest,
-                timeline,
-                result: RunResult::Closed(point),
-            }
-        }
-        Load::Open(open) => {
-            testbed.apply_scale(open.scale);
-            let engine = engine.expect("open loads build their engine above");
-            warm_up(&mut VirtualClient::new(&testbed, 0), &mut generator);
+    let timeline = testbed.standard_timeline(timeline_window_us);
 
-            // A monitored run's arrival process and fault script realise
-            // its scenario.
-            let scenario = open.monitor.and_then(|m| m.fault.map(|fault| (m, fault)));
-            let mut process = open.process;
-            let mut script: Vec<ScheduledFault> = Vec::new();
-            if let Some((m, fault)) = scenario {
-                let plan = match fault {
-                    FaultClass::BackendOutage => Some(FaultPlan {
-                        seed: spec.seed,
-                        unavailable_per_mille: 1_000,
-                        ..FaultPlan::NONE
-                    }),
-                    FaultClass::LossBurst => Some(FaultPlan::lossy(spec.seed, m.loss_per_mille)),
-                    FaultClass::FlashCrowd => {
-                        process = ArrivalProcess::FlashCrowd {
-                            at_us: m.fault_at_ms * 1_000,
-                            dur_us: m.fault_dur_ms * 1_000,
-                            peak: m.flash_peak,
-                        };
-                        None
-                    }
+    // A monitored run's arrival process and fault script realise its
+    // scenario.
+    let scenario = spec.monitor.and_then(|m| m.fault.map(|fault| (m, fault)));
+    let mut process = ArrivalProcess::Poisson;
+    let mut script: Vec<ScheduledFault> = Vec::new();
+    if let Some((m, fault)) = scenario {
+        let plan = match fault {
+            FaultClass::BackendOutage => Some(FaultPlan {
+                seed: spec.seed,
+                unavailable_per_mille: 1_000,
+                ..FaultPlan::NONE
+            }),
+            FaultClass::LossBurst => Some(FaultPlan::lossy(spec.seed, m.loss_per_mille)),
+            FaultClass::FlashCrowd => {
+                assert!(
+                    spec.admission != Admission::Closed,
+                    "a flash crowd is a surge in an open run's arrival rate"
+                );
+                process = ArrivalProcess::FlashCrowd {
+                    at_us: m.fault_at_ms * 1_000,
+                    dur_us: m.fault_dur_ms * 1_000,
+                    peak: m.flash_peak,
                 };
-                if let Some(plan) = plan {
-                    script.push(ScheduledFault {
-                        at: SimDuration::from_millis(m.fault_at_ms),
-                        plan,
-                    });
-                    script.push(ScheduledFault {
-                        at: SimDuration::from_millis(m.fault_at_ms + m.fault_dur_ms),
-                        plan: FaultPlan::NONE,
-                    });
-                }
+                None
             }
-            let mut monitor = open.monitor.map(|m| {
-                let scenario = m.fault.map_or("clean", FaultClass::key);
-                let mut monitor = SloMonitor::new(m.slo)
-                    .with_label(format!("{} {scenario}", arch_key(spec.arch)))
-                    .share_metrics(testbed.monitor_metrics());
-                monitor.set_context("arch", Json::from(arch_key(spec.arch)));
-                monitor.set_context("scenario", Json::from(scenario));
-                monitor.set_context("delay_ms", Json::from(spec.delay.as_micros() / 1_000));
-                monitor.set_context("session_rps", Json::from(open.session_rps));
-                monitor.set_context(
-                    "fault_plan",
-                    fault_plan_json(script.first().map_or(FaultPlan::NONE, |s| s.plan)),
-                );
-                monitor
+        };
+        if let Some(plan) = plan {
+            script.push(ScheduledFault {
+                at: SimDuration::from_millis(m.fault_at_ms),
+                plan,
             });
-
-            let plan = LoadPlan {
-                arrivals: ArrivalPlan {
-                    seed: spec.seed,
-                    rps: open.session_rps,
-                    process,
-                },
-                sessions: open.sessions,
-                // No think time: the knee reflects pure queueing.
-                think: SimDuration::ZERO,
-                session_seed: spec.seed ^ 0x5e55_1011,
-                scheduler_seed: spec.seed ^ 0x5c4e_d01e,
-                population: spec.population,
-            };
-            let arrival_us = plan.arrivals.times_us(plan.sessions);
-            let mut profile = Profile::default();
-            let mut observer = |events: &[SpanEvent]| {
-                profile.fold(events);
-                let sample = harvest.sample_events.len() < LOADED_SAMPLE_EVENTS;
-                harvest.absorb(events, sample);
-            };
-            let t0 = testbed.clock.now().as_micros();
-            let run = engine.run_with(
-                &plan,
-                RunHooks {
-                    timeline: Some(&timeline),
-                    observer: Some(&mut observer),
-                    monitor: monitor.as_mut(),
-                    faults: &script,
-                    crashes: &[],
-                },
-            );
-
-            let arrival_span_s = arrival_us
-                .last()
-                .zip(arrival_us.first())
-                .map_or(0.0, |(last, first)| (last - first) as f64 / 1e6);
-            let totals = run.total_latencies_ms();
-            let waits: Vec<f64> = run
-                .interactions
-                .iter()
-                .map(|i| i.queue_wait.as_millis_f64())
-                .collect();
-            let services: Vec<f64> = run
-                .interactions
-                .iter()
-                .map(|i| i.service.as_millis_f64())
-                .collect();
-            let ok = run.interactions.iter().filter(|i| i.status == 200).count();
-            let failed = run.interactions.len() - ok;
-            let report = collect_report(&testbed, spec.delay, &totals, failed as u64);
-            let point = LoadedPoint {
-                session_rps: open.session_rps,
-                offered_tps: run.interactions.len() as f64 / arrival_span_s.max(1e-6),
-                achieved_tps: run.achieved_tps(),
-                latency_ms: batch_means(&totals, 20).overall.mean,
-                latency_p50_ms: percentile(&totals, 0.50).unwrap_or(0.0),
-                latency_p95_ms: percentile(&totals, 0.95).unwrap_or(0.0),
-                latency_p99_ms: percentile(&totals, 0.99).unwrap_or(0.0),
-                service_ms: RunStats::of(&services).mean,
-                queue_wait_p95_ms: percentile(&waits, 0.95).unwrap_or(0.0),
-                peak_queue_depth: run.peak_queue_depth,
-                round_trips_per_interaction: testbed.delayed_path(0).stats().round_trips() as f64
-                    / run.interactions.len().max(1) as f64,
-                ok,
-                failed,
-            };
-            let timeline = timeline.report(format!(
-                "{} loaded @ {:.2} sessions/s",
-                report.arch, open.session_rps
-            ));
-            let truth_us = scenario.and_then(|(m, fault)| match fault {
-                FaultClass::FlashCrowd => Some(t0 + m.fault_at_ms * 1_000),
-                _ => testbed.fault_first_effect_us(),
+            script.push(ScheduledFault {
+                at: SimDuration::from_millis(m.fault_at_ms + m.fault_dur_ms),
+                plan: FaultPlan::NONE,
             });
-            let incidents = monitor.as_ref().map_or_else(Vec::new, |monitor| {
-                monitor
-                    .incidents()
-                    .iter()
-                    .map(|incident| {
-                        let json = incident.to_json();
-                        validate_incident(&json).expect("monitor-frozen incident validates");
-                        json
-                    })
-                    .collect()
-            });
-            let open_run = OpenRun {
-                point,
-                profile,
-                littles: run.littles_law(),
-                truth_us,
-                detections: monitor.map_or_else(Vec::new, |m| m.detections()),
-                incidents,
-            };
-            RunArtifacts {
-                report,
-                harvest,
-                timeline,
-                result: RunResult::Open(Box::new(open_run)),
-            }
         }
+    }
+
+    // The warm-up every run shares: one closed client over the head of the
+    // `spec.seed` script stream, ending at the warm-up/measure boundary —
+    // telemetry is reset and the timeline rebased, so everything
+    // downstream covers exactly the measured phase.
+    let warm_up = LoadPlan {
+        // Consulted by an open measured phase only.
+        arrivals: ArrivalPlan {
+            seed: spec.seed,
+            rps: session_rps.unwrap_or(0.0),
+            process,
+        },
+        sessions: spec.warmup_sessions,
+        // No think time: latency is pure service, the knee pure queueing.
+        think: SimDuration::ZERO,
+        session_seed: spec.seed,
+        scheduler_seed: spec.seed ^ 0x5c4e_d01e,
+        population: spec.population,
+        closed: true,
+        first_session: 0,
+    };
+    if spec.warmup_sessions > 0 {
+        engine.run_with(&warm_up, RunHooks::default());
+    }
+    testbed.reset_telemetry();
+    timeline.rebase(testbed.clock.now().as_micros());
+
+    // A closed measured phase continues the warm-up's script stream; an
+    // open one draws its own.
+    let plan = match spec.admission {
+        Admission::Closed => LoadPlan {
+            sessions: spec.sessions,
+            first_session: spec.warmup_sessions,
+            ..warm_up
+        },
+        Admission::Open { .. } => LoadPlan {
+            sessions: spec.sessions,
+            session_seed: spec.seed ^ 0x5e55_1011,
+            closed: false,
+            ..warm_up
+        },
+    };
+    let mut monitor = spec.monitor.map(|m| {
+        let scenario = m.fault.map_or("clean", FaultClass::key);
+        let mut monitor = SloMonitor::new(m.slo)
+            .with_label(format!("{} {scenario}", arch_key(spec.arch)))
+            .share_metrics(testbed.monitor_metrics());
+        monitor.set_context("arch", Json::from(arch_key(spec.arch)));
+        monitor.set_context("scenario", Json::from(scenario));
+        monitor.set_context("delay_ms", Json::from(spec.delay.as_micros() / 1_000));
+        if let Some(rps) = session_rps {
+            monitor.set_context("session_rps", Json::from(rps));
+        }
+        monitor.set_context(
+            "fault_plan",
+            fault_plan_json(script.first().map_or(FaultPlan::NONE, |s| s.plan)),
+        );
+        monitor
+    });
+    let mut harvest = TraceHarvest::default();
+    let mut profile = Profile::default();
+    let mut observer = |events: &[SpanEvent]| {
+        profile.fold(events);
+        harvest.absorb(events);
+    };
+    let t0 = testbed.clock.now().as_micros();
+    let run = engine.run_with(
+        &plan,
+        RunHooks {
+            timeline: Some(&timeline),
+            observer: Some(&mut observer),
+            monitor: monitor.as_mut(),
+            faults: &script,
+            crashes: &[],
+        },
+    );
+
+    let offered_tps = match spec.admission {
+        Admission::Closed => run.achieved_tps(),
+        Admission::Open { .. } => {
+            let arrival_span_s = (run.last_arrival - run.first_arrival).as_micros() as f64 / 1e6;
+            run.interactions.len() as f64 / arrival_span_s.max(1e-6)
+        }
+    };
+    let ms = |part: fn(&LoadedInteraction) -> SimDuration| -> Vec<f64> {
+        let parts = run.interactions.iter();
+        parts.map(|i| part(i).as_millis_f64()).collect()
+    };
+    let (totals, waits, services) = (ms(|i| i.total()), ms(|i| i.queue_wait), ms(|i| i.service));
+    let ok = run.interactions.iter().filter(|i| i.status == 200).count();
+    let failed = run.interactions.len() - ok;
+    let interactions = run.interactions.len().max(1) as f64;
+    let report = collect_report(&testbed, spec.delay, &totals, failed as u64);
+    let batched = batch_means(&totals, spec.batches).overall;
+    let shared = testbed.delayed_path(0).stats();
+    let summary = RunSummary {
+        delay_ms: spec.delay.as_millis_f64(),
+        offered_tps,
+        achieved_tps: run.achieved_tps(),
+        latency_ms: batched.mean,
+        latency_stdev_ms: batched.stdev,
+        latency_p50_ms: percentile(&totals, 0.50).unwrap_or(0.0),
+        latency_p95_ms: percentile(&totals, 0.95).unwrap_or(0.0),
+        latency_p99_ms: percentile(&totals, 0.99).unwrap_or(0.0),
+        service_ms: RunStats::of(&services).mean,
+        queue_wait_p95_ms: percentile(&waits, 0.95).unwrap_or(0.0),
+        peak_queue_depth: run.peak_queue_depth,
+        shared_bytes_per_interaction: shared.total_bytes() as f64 / interactions,
+        round_trips_per_interaction: shared.round_trips() as f64 / interactions,
+        ok,
+        failed,
+    };
+    let timeline = timeline.report(match session_rps {
+        None => format!("{} @ {:.0}ms", report.arch, summary.delay_ms),
+        Some(rps) => format!("{} loaded @ {rps:.2} sessions/s", report.arch),
+    });
+    let truth_us = scenario.and_then(|(m, fault)| match fault {
+        FaultClass::FlashCrowd => Some(t0 + m.fault_at_ms * 1_000),
+        _ => testbed.fault_first_effect_us(),
+    });
+    let incidents = monitor.as_ref().map_or_else(Vec::new, |monitor| {
+        monitor
+            .incidents()
+            .iter()
+            .map(|incident| {
+                let json = incident.to_json();
+                validate_incident(&json).expect("monitor-frozen incident validates");
+                json
+            })
+            .collect()
+    });
+    RunArtifacts {
+        report,
+        harvest,
+        timeline,
+        summary,
+        profile,
+        littles: run.littles_law(),
+        truth_us,
+        detections: monitor.map_or_else(Vec::new, |m| m.detections()),
+        incidents,
     }
 }
 
@@ -765,17 +683,17 @@ impl ArtifactSet {
     }
 
     /// Adds one run's report row, timeline and trace harvest under
-    /// `series`, and hands back its protocol-specific result. Consecutive
-    /// runs of one series share a harvest: breakdowns and conflicts
-    /// accumulate while the exported trace keeps one sample per series.
-    pub fn push(&mut self, series: &str, run: RunArtifacts) -> RunResult {
+    /// `series`, and hands back its summary. Consecutive runs of one series
+    /// share a harvest: breakdowns and conflicts accumulate while the
+    /// exported trace keeps one sample per series.
+    pub fn push(&mut self, series: &str, run: RunArtifacts) -> RunSummary {
         self.report.entries.push(run.report);
         self.timelines.push(run.timeline);
         match self.harvests.last_mut() {
             Some((name, harvest)) if name == series => harvest.merge(run.harvest),
             _ => self.harvests.push((series.to_owned(), run.harvest)),
         }
-        run.result
+        run.summary
     }
 
     /// Prints the critical-path breakdown of every series and the timeline
@@ -917,7 +835,7 @@ impl WhatIfRow {
 /// virtually-sped-up rerun per [`WHATIF_KNOBS`] resource.
 #[derive(Debug, Clone)]
 pub struct WhatIfReport {
-    /// The unscaled open-loop run everything is measured against.
+    /// The unscaled run everything is measured against.
     pub baseline: RunArtifacts,
     /// One row per speedable resource, in [`WHATIF_KNOBS`] order.
     pub rows: Vec<WhatIfRow>,
@@ -943,9 +861,9 @@ impl WhatIfReport {
     }
 }
 
-/// Runs the what-if (causal-profile) protocol: one baseline open-loop run
-/// of `spec`, then for each speedable resource the *same* deterministic loaded point
-/// with that resource's cost virtually scaled by `1/speedup` — exact
+/// Runs the what-if (causal-profile) protocol: one baseline run of `spec`,
+/// then for each speedable resource the *same* deterministic point with
+/// that resource's cost virtually scaled by `1/speedup` — exact
 /// fixed-point scaling inside the simulation, the virtual-time analogue of
 /// a Coz experiment. Latency/throughput deltas are normalized into causal
 /// shares and compared against the aggregate profile's prediction.
@@ -953,15 +871,13 @@ pub fn whatif(spec: &RunSpec, speedup: f64) -> WhatIfReport {
     assert!(speedup > 1.0, "a what-if speedup must exceed 1×");
     let baseline = run(spec);
     let s = 1.0 - 1.0 / speedup;
-    let base = baseline.result.open().point;
-    let profile = &baseline.result.open().profile;
+    let base = baseline.summary;
     let rows = WHATIF_KNOBS
         .iter()
         .map(|&resource| {
             let ppm = ResourceScale::ppm_for_speedup(speedup);
             let nominal = ResourceScale::nominal();
-            let mut sped_spec = *spec;
-            sped_spec.open_mut().scale = match resource {
+            let scale = match resource {
                 Resource::Wire => ResourceScale {
                     wire_ppm: ppm,
                     ..nominal
@@ -976,7 +892,7 @@ pub fn whatif(spec: &RunSpec, speedup: f64) -> WhatIfReport {
                 },
                 Resource::StoreLock => unreachable!("store/lock wait has no speed knob"),
             };
-            let sped = run(&sped_spec).result.open().point;
+            let sped = run(&RunSpec { scale, ..*spec }).summary;
             WhatIfRow {
                 resource,
                 speedup,
@@ -984,7 +900,7 @@ pub fn whatif(spec: &RunSpec, speedup: f64) -> WhatIfReport {
                 latency_ms: sped.latency_ms,
                 latency_p95_ms: sped.latency_p95_ms,
                 causal_share: ((base.latency_ms - sped.latency_ms) / base.latency_ms.max(1e-9)) / s,
-                profile_share: profile.resource_share(resource),
+                profile_share: baseline.profile.resource_share(resource),
                 d_tps: ((sped.achieved_tps - base.achieved_tps) / base.achieved_tps.max(1e-9)) / s,
                 d_p95: ((base.latency_p95_ms - sped.latency_p95_ms)
                     / base.latency_p95_ms.max(1e-9))
@@ -1026,47 +942,11 @@ pub fn timeline_table(report: &TimelineReport) -> String {
     out
 }
 
-/// The summary of an open-loop run: offered vs achieved throughput plus the
-/// latency distribution including queue wait.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LoadedPoint {
-    /// Configured session arrival rate (sessions/s of virtual time).
-    pub session_rps: f64,
-    /// Empirical offered interaction rate: interactions divided by the
-    /// realized arrival span, so sampling noise in the random schedule
-    /// doesn't masquerade as a throughput deficit.
-    pub offered_tps: f64,
-    /// Achieved interaction throughput over the run's makespan.
-    pub achieved_tps: f64,
-    /// Batched mean total latency (queue wait + service) in ms.
-    pub latency_ms: f64,
-    /// Median total latency (ms).
-    pub latency_p50_ms: f64,
-    /// 95th-percentile total latency (ms).
-    pub latency_p95_ms: f64,
-    /// 99th-percentile total latency (ms).
-    pub latency_p99_ms: f64,
-    /// Mean service time alone (ms) — the closed-loop view of the same
-    /// interactions, for separating queueing delay from service cost.
-    pub service_ms: f64,
-    /// 95th-percentile queue wait (ms).
-    pub queue_wait_p95_ms: f64,
-    /// Largest ready-queue depth the engine observed.
-    pub peak_queue_depth: u64,
-    /// Mean wire round trips per interaction over the architecture's
-    /// delayed path — the quantity statement batching exists to shrink.
-    pub round_trips_per_interaction: f64,
-    /// Interactions that returned HTTP 200.
-    pub ok: usize,
-    /// Interactions that returned a non-200 status.
-    pub failed: usize,
-}
-
 /// Finds the saturation knee of a rate-ordered load sweep: the first point
 /// whose achieved throughput falls more than 10% short of offered, or
 /// whose mean latency exceeds 3× the lightest point's. `None` if the sweep
 /// never saturates.
-pub fn knee_index(points: &[LoadedPoint]) -> Option<usize> {
+pub fn knee_index(points: &[RunSummary]) -> Option<usize> {
     let base_latency = points.first()?.latency_ms;
     points.iter().position(|p| {
         p.achieved_tps < 0.9 * p.offered_tps || p.latency_ms > 3.0 * base_latency.max(0.001)
@@ -1146,14 +1026,14 @@ pub fn latency_vs_delay(
 ) {
     let delays: &[u64] = if smoke { &[0, 40] } else { PAPER_DELAYS_MS };
     let mut out = ArtifactSet::new(title);
-    let results: Vec<Vec<SweepPoint>> = series
+    let results: Vec<Vec<RunSummary>> = series
         .iter()
         .map(|(label, _, arch)| {
             delays
                 .iter()
                 .map(|&d| {
                     let spec = RunSpec::closed(*arch, SimDuration::from_millis(d), smoke);
-                    *out.push(label, run(&spec)).closed()
+                    out.push(label, run(&spec))
                 })
                 .collect()
         })
@@ -1207,7 +1087,7 @@ pub fn latency_vs_delay(
 /// sensitivity of Table 2.
 ///
 /// Returns `None` for degenerate sweeps (fewer than two distinct delays).
-pub fn sensitivity(points: &[SweepPoint]) -> Option<LinearFit> {
+pub fn sensitivity(points: &[RunSummary]) -> Option<LinearFit> {
     fit(&points
         .iter()
         .map(|p| (p.delay_ms, p.latency_ms))
@@ -1220,16 +1100,15 @@ mod tests {
     use sli_arch::Flavor;
 
     /// A delay sweep of `template`: one run per delay.
-    fn sweep(template: RunSpec, delays_ms: &[u64]) -> Vec<SweepPoint> {
+    fn sweep(template: RunSpec, delays_ms: &[u64]) -> Vec<RunSummary> {
         delays_ms
             .iter()
             .map(|&d| {
-                *run(&RunSpec {
+                run(&RunSpec {
                     delay: SimDuration::from_millis(d),
                     ..template
                 })
-                .result
-                .closed()
+                .summary
             })
             .collect()
     }
@@ -1239,10 +1118,11 @@ mod tests {
     }
 
     fn quick_open(arch: Architecture, rps: f64, sessions: usize, warmup: usize) -> RunSpec {
-        let mut spec = RunSpec::open(arch, SimDuration::from_millis(10), rps, true);
-        spec.warmup_sessions = warmup;
-        spec.open_mut().sessions = sessions;
-        spec
+        RunSpec {
+            warmup_sessions: warmup,
+            sessions,
+            ..RunSpec::open(arch, SimDuration::from_millis(10), rps, true)
+        }
     }
 
     #[test]
@@ -1285,7 +1165,7 @@ mod tests {
     #[test]
     fn run_emits_a_valid_report_row() {
         let artifacts = run(&quick(Architecture::EsRbes));
-        let (point, report) = (*artifacts.result.closed(), artifacts.report);
+        let (point, report) = (artifacts.summary, artifacts.report);
         assert_eq!(report.arch, "ES/RBES (Cached EJBs)");
         assert_eq!(report.delay_ms, 20.0);
         assert_eq!(report.interactions, (point.ok + point.failed) as u64);
@@ -1301,10 +1181,10 @@ mod tests {
 
     #[test]
     fn jitter_reproduces_the_papers_imperfect_fits() {
-        let mut spec = quick(Architecture::EsRdb(Flavor::Jdbc));
-        if let Load::Closed(closed) = &mut spec.load {
-            closed.jitter_us = 2_000; // ±2 ms per crossing
-        }
+        let spec = RunSpec {
+            jitter_us: 2_000, // ±2 ms per crossing
+            ..quick(Architecture::EsRdb(Flavor::Jdbc))
+        };
         let points = sweep(spec, &[0, 40, 80]);
         let f = sensitivity(&points).unwrap();
         assert!(f.r2 < 1.0, "jitter must leave residuals");
@@ -1321,9 +1201,9 @@ mod tests {
     #[test]
     fn run_decomposes_every_measured_interaction() {
         let artifacts = run(&quick(Architecture::EsRdb(Flavor::CachedEjb)));
-        let point = *artifacts.result.closed();
+        let point = artifacts.summary;
         let (report, harvest) = (artifacts.report, artifacts.harvest);
-        // Per-session draining must not lose a single request trace: the
+        // Per-dispatch draining must not lose a single request trace: the
         // breakdown covers exactly the measured interactions, and its
         // bucket sums decompose the total without remainder.
         assert_eq!(harvest.breakdown.traces, report.interactions);
@@ -1351,17 +1231,19 @@ mod tests {
 
     #[test]
     fn knee_index_flags_the_first_saturated_point() {
-        let mut p = LoadedPoint {
-            session_rps: 1.0,
+        let mut p = RunSummary {
+            delay_ms: 10.0,
             offered_tps: 10.0,
             achieved_tps: 10.0,
             latency_ms: 50.0,
+            latency_stdev_ms: 2.0,
             latency_p50_ms: 50.0,
             latency_p95_ms: 60.0,
             latency_p99_ms: 70.0,
             service_ms: 45.0,
             queue_wait_p95_ms: 1.0,
             peak_queue_depth: 1,
+            shared_bytes_per_interaction: 900.0,
             round_trips_per_interaction: 3.0,
             ok: 100,
             failed: 0,
@@ -1382,7 +1264,7 @@ mod tests {
     #[test]
     fn loaded_point_emits_validated_artifacts_with_live_queue_gauges() {
         let run = run(&quick_open(Architecture::EsRdb(Flavor::Jdbc), 4.0, 60, 10));
-        let p = run.result.open().point;
+        let p = run.summary;
         assert!(p.ok > 0, "loaded run completed interactions");
         assert_eq!(p.failed, 0, "clean run has no failures");
         assert!(p.offered_tps > 0.0 && p.achieved_tps > 0.0);
@@ -1433,14 +1315,9 @@ mod tests {
 
     #[test]
     fn loaded_sweep_finds_the_saturation_knee() {
-        let points: Vec<LoadedPoint> = [0.5, 30.0]
+        let points: Vec<RunSummary> = [0.5, 30.0]
             .iter()
-            .map(|&rps| {
-                run(&quick_open(Architecture::EsRdb(Flavor::Jdbc), rps, 60, 10))
-                    .result
-                    .open()
-                    .point
-            })
+            .map(|&rps| run(&quick_open(Architecture::EsRdb(Flavor::Jdbc), rps, 60, 10)).summary)
             .collect();
         // Light load keeps up with the offered rate; 30 sessions/s is far
         // beyond the single-server capacity (~22 interactions/s at 10 ms
@@ -1460,42 +1337,76 @@ mod tests {
     fn loaded_runs_are_deterministic_at_the_bench_layer() {
         let spec = quick_open(Architecture::EsRbes, 3.0, 25, 5);
         let (a, b) = (run(&spec), run(&spec));
-        assert_eq!(a.result.open().point, b.result.open().point);
+        assert_eq!(a.summary, b.summary);
         assert_eq!(a.timeline, b.timeline);
     }
 
     #[test]
-    fn loaded_profiles_conserve_latency_for_every_architecture() {
+    fn profiles_conserve_latency_for_every_architecture_and_admission() {
         use sli_arch::{arch_by_key, ARCH_KEYS};
         for key in ARCH_KEYS {
             let arch = arch_by_key(key).unwrap();
-            let artifacts = run(&quick_open(arch, 3.0, 12, 4));
-            let (harvest, run) = (&artifacts.harvest, artifacts.result.open());
-            // Every dispatched interaction is one complete trace; the
-            // profile and the critical-path breakdown must agree on both
-            // the trace count and the total measured latency.
-            let interactions = (run.point.ok + run.point.failed) as u64;
-            assert_eq!(run.profile.traces, interactions, "{key}: trace count");
-            assert_eq!(harvest.breakdown.traces, interactions, "{key}");
-            assert_eq!(
-                run.profile.total_us, harvest.breakdown.total_us,
-                "{key}: profile vs breakdown total"
-            );
-            // Per-resource self times decompose the total exactly.
-            let resource_sum: u64 = Resource::ALL
-                .iter()
-                .map(|&r| run.profile.resource_us(r))
-                .sum();
-            assert_eq!(resource_sum, run.profile.total_us, "{key}: conservation");
-            validate_profile(&run.profile.to_json(key)).expect("schema-valid profile");
-            assert!(!run.profile.folded().is_empty(), "{key}: folded output");
-            // Little's law holds exactly on a clean deterministic run.
-            assert!(
-                run.littles.holds(1e-9),
-                "{key}: L = λW violated, relative error {}",
-                run.littles.relative_error
-            );
+            let closed = RunSpec {
+                warmup_sessions: 4,
+                sessions: 12,
+                ..quick(arch)
+            };
+            for spec in [quick_open(arch, 3.0, 12, 4), closed] {
+                let key = format!("{key} {:?}", spec.admission);
+                let run = run(&spec);
+                let harvest = &run.harvest;
+                // Every dispatched interaction is one complete trace; the
+                // profile and the critical-path breakdown must agree on
+                // both the trace count and the total measured latency.
+                let interactions = (run.summary.ok + run.summary.failed) as u64;
+                assert_eq!(run.profile.traces, interactions, "{key}: trace count");
+                assert_eq!(harvest.breakdown.traces, interactions, "{key}");
+                assert_eq!(
+                    run.profile.total_us, harvest.breakdown.total_us,
+                    "{key}: profile vs breakdown total"
+                );
+                // A trace spans one service time, so the profile's total is
+                // the sum of the measured service times.
+                let service_us = run.summary.service_ms * interactions as f64 * 1e3;
+                assert!(
+                    (run.profile.total_us as f64 - service_us).abs() < 1e-3,
+                    "{key}: profile {} us vs measured {service_us} us",
+                    run.profile.total_us
+                );
+                // Per-resource self times decompose the total exactly.
+                let resource_sum: u64 = Resource::ALL
+                    .iter()
+                    .map(|&r| run.profile.resource_us(r))
+                    .sum();
+                assert_eq!(resource_sum, run.profile.total_us, "{key}: conservation");
+                validate_profile(&run.profile.to_json(&key)).expect("schema-valid profile");
+                assert!(!run.profile.folded().is_empty(), "{key}: folded output");
+                // Little's law holds exactly on a clean deterministic run.
+                assert!(
+                    run.littles.holds(1e-9),
+                    "{key}: L = λW violated, relative error {}",
+                    run.littles.relative_error
+                );
+                if spec.admission == Admission::Closed {
+                    // The closed client is always in a session and never
+                    // queues: service time is the whole latency, and it
+                    // offers exactly what it is served.
+                    assert_eq!(run.littles.avg_in_flight, 1.0, "{key}");
+                    assert_eq!(run.summary.queue_wait_p95_ms, 0.0, "{key}");
+                    assert_eq!(run.report.mean_ms, run.summary.service_ms, "{key}");
+                    assert_eq!(run.summary.offered_tps, run.summary.achieved_tps);
+                }
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "a flash crowd is a surge in an open run's arrival rate")]
+    fn a_closed_run_cannot_stage_a_flash_crowd() {
+        run(&RunSpec {
+            monitor: Some(Monitoring::standard(Some(FaultClass::FlashCrowd))),
+            ..quick(Architecture::EsRbes)
+        });
     }
 
     #[test]
@@ -1518,7 +1429,7 @@ mod tests {
         // crossings; both the profile and the causal run must agree.
         assert_eq!(report.top_bottleneck(), Resource::Wire);
         assert_eq!(
-            report.baseline.result.open().profile.bottleneck_ranking()[0],
+            report.baseline.profile.bottleneck_ranking()[0],
             Resource::Wire
         );
         let wire = &report.rows[0];
@@ -1531,12 +1442,7 @@ mod tests {
 
     #[test]
     fn bandwidth_ordering_matches_figure8() {
-        let bytes = |arch| {
-            run(&quick(arch))
-                .result
-                .closed()
-                .shared_bytes_per_interaction
-        };
+        let bytes = |arch| run(&quick(arch)).summary.shared_bytes_per_interaction;
         let ras = bytes(Architecture::ClientsRas(Flavor::Jdbc));
         let rbes = bytes(Architecture::EsRbes);
         let rdb = bytes(Architecture::EsRdb(Flavor::Jdbc));

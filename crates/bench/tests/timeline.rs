@@ -56,7 +56,7 @@ fn rate_series_conserve_counter_totals_across_all_architectures() {
         // `interactions` already counts every measured request, failed
         // ones included.
         assert_eq!(requests.total, run.report.interactions);
-        assert_eq!(run.report.failed, run.result.closed().failed as u64);
+        assert_eq!(run.report.failed, run.summary.failed as u64);
 
         doc.runs.push(run.timeline);
     }

@@ -1,11 +1,10 @@
-//! Checkpoint / restore: the durability face of the DB2 stand-in.
+//! Checkpoints: the base image under the write-ahead log.
 //!
 //! The paper's persistent tier survives process restarts; an in-memory
 //! engine needs an explicit mechanism. [`Database::checkpoint`] serializes
 //! every table — schema, secondary-index declarations and rows — through
-//! the wire codec; [`Database::restore`] rebuilds an identical engine.
-//! The failure-injection suite uses this to model a database machine
-//! crash + recovery under the edge architectures.
+//! the wire codec; [`Database::recover`] decodes that frame to reload the
+//! engine in place before replaying the log over it.
 
 use bytes::Bytes;
 use sli_simnet::wire::{DecodeError, Reader, Writer};
@@ -15,7 +14,6 @@ use crate::error::DbError;
 use crate::schema::ColumnType;
 use crate::value::Value;
 use crate::DbResult;
-use std::sync::Arc;
 
 const SNAPSHOT_MAGIC: u32 = 0x534C_4944; // "SLID"
 const SNAPSHOT_VERSION: u16 = 1;
@@ -84,45 +82,11 @@ impl Database {
         }
         w.finish()
     }
-
-    /// Rebuilds a database from a [`Database::checkpoint`] frame.
-    ///
-    /// # Errors
-    /// [`DbError::Remote`] wraps malformed frames; DDL/DML failures cannot
-    /// occur on a well-formed checkpoint.
-    pub fn restore(frame: Bytes) -> DbResult<Arc<Database>> {
-        let db = Database::new();
-        for img in decode_checkpoint(frame)? {
-            db.execute_ddl(&img.table_ddl())?;
-            for col in &img.indexes {
-                db.execute_ddl(&img.index_ddl(col))?;
-            }
-            if !img.rows.is_empty() {
-                let insert = format!(
-                    "INSERT INTO {} ({}) VALUES ({})",
-                    img.name,
-                    img.cols
-                        .iter()
-                        .map(|(c, _)| c.as_str())
-                        .collect::<Vec<_>>()
-                        .join(", "),
-                    vec!["?"; img.cols.len()].join(", ")
-                );
-                let mut conn = db.connect();
-                use crate::SqlConnection as _;
-                for row in &img.rows {
-                    conn.execute(&insert, row)?;
-                }
-            }
-        }
-        Ok(db)
-    }
 }
 
 /// A decoded table from a checkpoint frame: schema, secondary-index
-/// declarations and rows. Shared by [`Database::restore`] (which builds a
-/// fresh engine through the SQL layer) and [`Database::recover`] (which
-/// reloads the base image in place before replaying the WAL).
+/// declarations and rows — what [`Database::recover`] reloads in place
+/// before replaying the WAL.
 pub(crate) struct TableImage {
     pub(crate) name: String,
     pub(crate) cols: Vec<(String, ColumnType)>,
@@ -205,6 +169,7 @@ pub(crate) fn decode_checkpoint(frame: Bytes) -> DbResult<Vec<TableImage>> {
 mod tests {
     use super::*;
     use crate::SqlConnection;
+    use std::sync::Arc;
 
     fn sample_db() -> Arc<Database> {
         let db = Database::new();
@@ -234,65 +199,79 @@ mod tests {
         db
     }
 
+    /// Every row of every table, as `SELECT *` reads them.
+    fn contents(db: &Arc<Database>) -> Vec<crate::ResultSet> {
+        let mut conn = db.connect();
+        ["holding", "note"]
+            .iter()
+            .map(|t| conn.execute(&format!("SELECT * FROM {t}"), &[]).unwrap())
+            .collect()
+    }
+
     #[test]
-    fn checkpoint_restore_round_trip() {
+    fn checkpoint_recover_round_trip() {
         let db = sample_db();
-        let frame = db.checkpoint();
-        let restored = Database::restore(frame).unwrap();
-        assert_eq!(restored.table_names(), db.table_names());
-        assert_eq!(restored.row_count("holding").unwrap(), 25);
-        assert_eq!(restored.row_count("note").unwrap(), 1);
-        // full contents identical
-        let mut a = db.connect();
-        let mut b = restored.connect();
-        for t in ["holding", "note"] {
-            assert_eq!(
-                a.execute(&format!("SELECT * FROM {t}"), &[]).unwrap(),
-                b.execute(&format!("SELECT * FROM {t}"), &[]).unwrap(),
-                "{t} diverged"
-            );
-        }
+        let (names, before) = (db.table_names(), contents(&db));
+        db.attach_wal();
+        db.crash();
+        db.recover().unwrap();
+        assert_eq!(db.table_names(), names);
+        assert_eq!(db.row_count("holding").unwrap(), 25);
+        assert_eq!(db.row_count("note").unwrap(), 1);
+        assert_eq!(contents(&db), before, "contents diverged");
         // secondary index survives (probe works and stays consistent)
-        let rs = b
+        let mut conn = db.connect();
+        let rs = conn
             .execute("SELECT id FROM holding WHERE owner = 'uid:1'", &[])
             .unwrap();
         assert_eq!(rs.len(), 6); // ids 1, 5, 9, 13, 17, 21
-                                 // and the restored engine is writable
-        b.execute("DELETE FROM holding WHERE id = 1", &[]).unwrap();
-        let rs = b
+
+        // and the recovered engine is writable
+        conn.execute("DELETE FROM holding WHERE id = 1", &[])
+            .unwrap();
+        let rs = conn
             .execute("SELECT id FROM holding WHERE owner = 'uid:1'", &[])
             .unwrap();
         assert_eq!(rs.len(), 5);
     }
 
     #[test]
-    fn restore_rejects_garbage() {
-        assert!(Database::restore(Bytes::from_static(b"junk")).is_err());
+    fn decode_rejects_garbage() {
+        assert!(decode_checkpoint(Bytes::from_static(b"junk")).is_err());
         let db = sample_db();
         let frame = db.checkpoint();
+        assert_eq!(decode_checkpoint(frame.clone()).unwrap().len(), 2);
         let cut = frame.slice(0..frame.len() / 2);
-        assert!(Database::restore(cut).is_err());
+        assert!(decode_checkpoint(cut).is_err());
         let mut corrupt = frame.to_vec();
         corrupt[0] = 0;
-        assert!(Database::restore(Bytes::from(corrupt)).is_err());
+        assert!(decode_checkpoint(Bytes::from(corrupt)).is_err());
     }
 
     #[test]
     fn empty_database_round_trips() {
         let db = Database::new();
-        let restored = Database::restore(db.checkpoint()).unwrap();
-        assert!(restored.table_names().is_empty());
+        db.attach_wal();
+        db.crash();
+        db.recover().unwrap();
+        assert!(db.table_names().is_empty());
     }
 
     #[test]
-    fn checkpoint_excludes_uncommitted_state() {
+    fn recovered_image_excludes_uncommitted_state() {
         let db = sample_db();
         let mut conn = db.connect();
         conn.begin().unwrap();
         conn.execute("DELETE FROM holding WHERE id = 0", &[])
             .unwrap();
         conn.rollback().unwrap();
-        let restored = Database::restore(db.checkpoint()).unwrap();
-        assert_eq!(restored.row_count("holding").unwrap(), 25);
+        db.attach_wal();
+        // A transaction still open when the machine dies is lost with it.
+        conn.begin().unwrap();
+        conn.execute("DELETE FROM holding WHERE id = 2", &[])
+            .unwrap();
+        db.crash();
+        db.recover().unwrap();
+        assert_eq!(db.row_count("holding").unwrap(), 25);
     }
 }

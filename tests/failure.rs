@@ -1069,6 +1069,7 @@ fn killed_split_edge_with_pending_invalidation_rewarms_coherently() {
 #[test]
 fn database_crash_and_restore_preserves_committed_state_only() {
     let db = seeded_db();
+    db.attach_wal();
     let (edge, store) = cached_edge(&db);
     // Two committed transactions...
     edge.with_transaction(|ctx, c| {
@@ -1085,11 +1086,10 @@ fn database_crash_and_restore_preserves_committed_state_only() {
         Ok(())
     })
     .unwrap();
-    // ...then the database machine checkpoints and "crashes".
-    let checkpoint = db.checkpoint();
-    drop(db);
-    let recovered = Database::restore(checkpoint).unwrap();
-    let mut conn = recovered.connect();
+    // ...then the database machine crashes and replays its log.
+    db.crash();
+    db.recover().unwrap();
+    let mut conn = db.connect();
     let rs = conn
         .execute("SELECT balance FROM account WHERE userid = 'alice'", &[])
         .unwrap();
@@ -1102,7 +1102,7 @@ fn database_crash_and_restore_preserves_committed_state_only() {
     // A fresh edge over the recovered database serves the same data; the
     // old edge's still-cached images validate cleanly because they match
     // the recovered state.
-    let (edge2, _s2) = cached_edge(&recovered);
+    let (edge2, _s2) = cached_edge(&db);
     edge2
         .with_transaction(|ctx, c| {
             let b = c
