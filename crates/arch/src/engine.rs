@@ -134,8 +134,9 @@ impl LoadMetrics {
 
     /// Tracks arrival/completion/dispatch rates and both level gauges in
     /// `timeline` under the [`LoadMetrics::register_with`] names. A no-op on
-    /// a [`Testbed::standard_timeline`] built after the engine, which
-    /// already has them from the registry; `benchmark/` calls it that way.
+    /// a [`standard_timeline`](crate::DataTier::standard_timeline) built
+    /// after the engine, which already has them from the registry;
+    /// `benchmark/` calls it that way.
     pub fn timeline_into(&self, timeline: &Timeline, prefix: &str) {
         timeline.track_counter(format!("{prefix}.arrivals"), &self.arrivals);
         timeline.track_counter(format!("{prefix}.completions"), &self.completions);
@@ -215,11 +216,12 @@ pub type SpanObserver<'a> = &'a mut dyn FnMut(&[SpanEvent]);
 
 /// One mid-run fault-plan change on a loaded run's script: at virtual
 /// offset `at` from the run's start, dial `plan` onto the testbed's delayed
-/// paths ([`Testbed::set_faults`]). A scenario is a sequence of these — an
-/// outage is a faulty plan followed by [`FaultPlan::NONE`] at the recovery
-/// instant. The plan change itself is instantaneous; its *first effect* is
-/// the next delivery attempt, which the paths timestamp
-/// (`Path::first_fault_at_us`) as the detection ground truth.
+/// paths ([`set_faults`](crate::DataTier::set_faults)). A scenario is a
+/// sequence of these — an outage is a faulty plan followed by
+/// [`FaultPlan::NONE`] at the recovery instant. The plan change itself is
+/// instantaneous; its *first effect* is the next delivery attempt, which
+/// the paths timestamp (`Path::first_fault_at_us`) as the detection ground
+/// truth.
 #[derive(Debug, Clone, Copy)]
 pub struct ScheduledFault {
     /// Virtual-time offset from the run's start.
@@ -229,10 +231,11 @@ pub struct ScheduledFault {
 }
 
 /// One scripted machine death on a loaded run: at virtual offset `at` from
-/// the run's start the machine `kind` names is killed ([`Testbed::crash`]),
-/// and `restart_after` later it is restarted ([`Testbed::restart`] — a
-/// backend restart replays the WAL and reseeds the dedup tables; an edge
-/// restart comes back with cold caches). Both transitions apply at the
+/// the run's start the machine `kind` names is killed
+/// ([`crash`](crate::DataTier::crash)), and `restart_after` later it is
+/// restarted ([`restart`](crate::DataTier::restart) — a backend restart
+/// replays the WAL and reseeds the dedup tables; an edge restart comes
+/// back with cold caches). Both transitions apply at the
 /// loop's change points — the instants between atomic dispatch steps — so
 /// a crash lands at an exact, replayable position in the interleaving:
 /// every RPC issued toward the dead machine fails as an outage and the

@@ -14,13 +14,16 @@
 //! * **Clients/RAS** — no edge servers: clients cross the delay proxy to
 //!   reach a remote application server co-located with the database.
 //!
-//! [`Testbed::build`] assembles the four simulated machines (application
-//! server, delay proxy, back-end, database — §4.1) for any architecture ×
-//! flavor combination; [`VirtualClient`] plays the load-generator machine.
+//! [`DataTier::build`] is the one assembly of an architecture × flavor
+//! combination's data side (database machine, back-end, paths, caches,
+//! commit points) for any entity metadata; [`Testbed::build`] deploys
+//! Trade's application servers on it to complete the four simulated
+//! machines of §4.1, and [`VirtualClient`] plays the load-generator
+//! machine.
 //!
 //! The crate also hosts `slicheck`, the schedule-exploring consistency
-//! checker: [`run_slicheck`] drives N logical clients against a freshly
-//! built world under a deterministic [`Scheduler`](sli_simnet::Scheduler),
+//! checker: [`run_slicheck`] drives N logical bank clients on the same
+//! [`DataTier`] under a deterministic [`Scheduler`](sli_simnet::Scheduler),
 //! records an operation history, and [`analyze`] checks it for
 //! serializability and the SLI invariants post-hoc.
 //!
@@ -40,6 +43,7 @@ mod engine;
 mod report;
 mod servlet;
 mod slicheck;
+mod tier;
 mod topology;
 
 pub use checker::{analyze, ChainVersion, HistoryAnalysis, TxnRef, Violation};
@@ -54,4 +58,5 @@ pub use slicheck::{
     arch_by_key, arch_key, counterexample_json, run_slicheck, shrink_schedule, ScheduleSource,
     SliCheckConfig, SliCheckOutcome, ARCH_KEYS,
 };
+pub use tier::{DataTier, EdgeCache, TierEdge};
 pub use topology::{Architecture, EdgeNode, Flavor, ResourceScale, Testbed, TestbedConfig};

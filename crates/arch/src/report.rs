@@ -18,7 +18,7 @@ use crate::topology::Testbed;
 /// (one entry each, milliseconds of simulated time); `failed` counts how
 /// many of them ended in a non-200 response. Cache, commit and RPC
 /// counters are read live from the testbed's registry and component stats,
-/// so call this before [`Testbed::reset_telemetry`].
+/// so call this before [`reset_telemetry`](crate::DataTier::reset_telemetry).
 pub fn collect_report(
     testbed: &Testbed,
     delay: SimDuration,

@@ -1,12 +1,16 @@
 //! `slicheck` — the schedule-exploring consistency checker.
 //!
-//! A run builds a fresh world for one architecture × flavor combination
-//! (a seeded bank of accounts plus N logical clients running a
-//! deterministic program of transfers and audits), then executes it one
-//! *atomic step* at a time. The only nondeterminism in the single-threaded
-//! simulation is which ready participant fires next, and a
-//! [`Scheduler`] makes that choice — seeded random walks for exploration,
-//! verbatim replay for reproduction and shrinking.
+//! A run builds the [`DataTier`] of one architecture × flavor combination
+//! — the assembly the figures measure, here with a seeded bank of accounts
+//! in place of Trade — puts N logical clients on it, each running a
+//! deterministic program of transfers and audits, then executes them one
+//! *atomic step* at a time. Every fetch, statement and commit crosses the
+//! edge's shared path to the database server or the back-end and costs
+//! virtual time, exactly as under a [`Testbed`](crate::Testbed). The only
+//! nondeterminism in the single-threaded simulation is which ready
+//! participant fires next, and a [`Scheduler`] makes that choice — seeded
+//! random walks for exploration, verbatim replay for reproduction and
+//! shrinking.
 //!
 //! For the cached (optimistic) flavors a client transaction is split into
 //! its natural atomic phases — read, read, buffer writes, commit — so
@@ -16,7 +20,11 @@
 //! exercises the checker's no-false-positive property on serial histories.
 //! In the split-servers architecture, pending cache invalidations are
 //! themselves schedulable steps, so the checker explores the staleness
-//! window between a commit and its invalidation fan-out.
+//! window between a commit and its invalidation fan-out: a delivery picked
+//! before its messages have crossed the invalidation channel first
+//! advances the clock to their arrival. A back-end crash and its restart
+//! are steps too, taken through [`DataTier::crash`] and
+//! [`DataTier::restart`].
 //!
 //! Every run records a complete operation history, checked post-hoc by
 //! [`analyze`](crate::analyze) plus harness-side invariants (money
@@ -32,18 +40,15 @@ use sli_component::{
     share_connection, BmpHome, Container, EjbError, EntityMeta, Home, JdbcResourceManager, Memento,
     ResourceManager, TxContext,
 };
-use sli_core::{
-    memento_digest, BackendServer, BackendSource, CombinedCommitter, CommitPoint, CommonStore,
-    DeferredInvalidationSink, DirectSource, MetaRegistry, SliHome, SliResourceManager,
-    SplitCommitter,
-};
+use sli_core::{memento_digest, MetaRegistry, SliHome, SliResourceManager};
 use sli_datastore::{ColumnType, Database, SqlConnection, Value};
-use sli_simnet::{Clock, FaultPlan, Path, PathSpec, Remote, ScheduleStep, Scheduler, SimDuration};
+use sli_simnet::{splitmix, Clock, CrashKind, FaultPlan, ScheduleStep, Scheduler};
 use sli_telemetry::{
     history_json, HistoryEvent, HistoryImage, HistoryLog, Json, COUNTEREXAMPLE_SCHEMA,
 };
 
 use crate::checker::{analyze, HistoryAnalysis, Violation};
+use crate::tier::DataTier;
 use crate::topology::{Architecture, Flavor};
 
 /// Stable CLI keys for the seven architecture × flavor combinations (the
@@ -89,8 +94,10 @@ pub struct SliCheckConfig {
     pub txns_per_client: u32,
     /// Retries after an optimistic conflict or transport error.
     pub max_retries: u32,
-    /// Fault plan applied to the edge↔back-end request path (ES/RBES
-    /// only; the other architectures have no faultable wire here).
+    /// Fault plan dialled into the edge↔back-end request path. ES/RBES
+    /// only: the other six combinations ignore it, because a fault inside
+    /// their coarse transactions leaves an outcome the client programs
+    /// cannot yet account for.
     pub faults: FaultPlan,
     /// Seed the deliberate lost-update bug in the committer (cached
     /// flavors only) — the checker must then find a violation.
@@ -152,11 +159,9 @@ pub struct SliCheckOutcome {
     pub committed: usize,
     /// Aborted (conflicted / errored) transactions.
     pub aborted: usize,
-    /// WAL/recovery counters at run end (`None` when the run had no WAL
-    /// attached, i.e. `crashes == 0` and no WAL bug). Two replays of the
-    /// same crash schedule must produce identical values — the
-    /// determinism pin.
-    pub wal: Option<sli_datastore::WalStats>,
+    /// WAL/recovery counters at run end. Two replays of the same crash
+    /// schedule must produce identical values — the determinism pin.
+    pub wal: sli_datastore::WalStats,
     /// Checkpoint of the database's final committed state, byte-for-byte.
     /// Replaying the same schedule must reproduce it exactly.
     pub final_state: Vec<u8>,
@@ -169,13 +174,6 @@ pub struct SliCheckOutcome {
 enum Op {
     Transfer { from: u32, to: u32, amount: f64 },
     Audit { a: u32, b: u32 },
-}
-
-fn splitmix(seed: u64, n: u64) -> u64 {
-    let mut z = seed.wrapping_add(n.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 fn program_for(cfg: &SliCheckConfig, client: u32) -> Vec<Op> {
@@ -219,20 +217,6 @@ fn acct(i: u32) -> Value {
 
 fn balance_digest(key: &Value, balance: f64) -> u64 {
     memento_digest(&Memento::new("Account", key.clone()).with_field("balance", balance))
-}
-
-fn seeded_db(accounts: u32) -> Arc<Database> {
-    let db = Database::new();
-    registry().create_schema(&db).unwrap();
-    let mut conn = db.connect();
-    for i in 0..accounts {
-        conn.execute(
-            "INSERT INTO account (userid, balance) VALUES (?, ?)",
-            &[acct(i), Value::from(INITIAL_BALANCE)],
-        )
-        .unwrap();
-    }
-    db
 }
 
 /// How a client talks to the system.
@@ -456,12 +440,10 @@ impl ClientState {
 
     /// One whole pessimistic SQL transaction as a single atomic step.
     fn step_jdbc(&mut self, op: Op) {
-        let db = Arc::clone(&self.db);
         let Access::Jdbc { conn } = &mut self.access else {
             unreachable!("jdbc step on a non-jdbc client");
         };
         let result = jdbc_txn(conn.as_mut(), op);
-        drop(db);
         self.finish_coarse(op, result);
     }
 
@@ -617,211 +599,120 @@ fn jdbc_txn(conn: &mut dyn SqlConnection, op: Op) -> Result<(f64, f64), String> 
     }
 }
 
-/// The assembled world: clients, shared infrastructure, and the handles
-/// the post-run invariant checks need.
-struct World {
-    db: Arc<Database>,
-    log: Arc<HistoryLog>,
-    clients: Vec<ClientState>,
-    sinks: Vec<Arc<DeferredInvalidationSink>>,
-    stores: Vec<(String, Arc<CommonStore>)>,
-    /// The split-servers back-end (ES/RBES only): its replay table dies
-    /// with the database machine.
-    backend: Option<Arc<BackendServer>>,
-    /// Combined committers (cached flavors).
-    committers: Vec<Arc<CombinedCommitter>>,
+/// Builds the measured data tier for `cfg` — one edge per client for the
+/// edge architectures, one shared application server for Clients/RAS —
+/// over the bank's one-entity registry and seed, with the run's history,
+/// seeded bugs and fault plan switched on.
+fn build_tier(cfg: &SliCheckConfig, log: &Arc<HistoryLog>) -> DataTier {
+    let edges = match cfg.arch {
+        Architecture::ClientsRas(_) => 1,
+        _ => cfg.clients as usize,
+    };
+    let tier = DataTier::build(cfg.arch, edges, None, true, registry(), |dba| {
+        for i in 0..cfg.accounts.max(2) {
+            dba.execute(
+                "INSERT INTO account (userid, balance) VALUES (?, ?)",
+                &[acct(i), Value::from(INITIAL_BALANCE)],
+            )?;
+        }
+        Ok(())
+    });
+    tier.db.set_wal_drop_flush(cfg.inject_wal_bug);
+    for (_, point) in tier.commit_points() {
+        point.set_history(Arc::clone(log), Arc::clone(&tier.clock));
+        point.set_inject_bug(cfg.inject_bug);
+    }
+    if cfg.arch == Architecture::EsRbes {
+        tier.set_faults(cfg.faults);
+    }
+    tier
 }
 
-impl World {
-    /// Every commit point — the back-end's and the edges' — whose replay
-    /// table must be reseeded from the recovery report after a crash.
-    fn commit_points(&self) -> impl Iterator<Item = &CommitPoint> {
-        let backend = self.backend.iter().map(|b| b.commit_point());
-        backend.chain(self.committers.iter().map(|c| &**c))
-    }
-}
-
-fn build_world(cfg: &SliCheckConfig) -> World {
-    let accounts = cfg.accounts.max(2);
-    let db = seeded_db(accounts);
-    if cfg.crashes > 0 || cfg.inject_wal_bug {
-        // Crash exploration needs durability: WAL from the seeded state,
-        // optionally with the torn-commit bug armed.
-        db.attach_wal();
-        db.set_wal_drop_flush(cfg.inject_wal_bug);
-    }
-    let clock = Arc::new(Clock::new());
-    let log = Arc::new(HistoryLog::new());
-    let mut sinks = Vec::new();
-    let mut stores = Vec::new();
-    let mut backend_handle = None;
-    let mut committers = Vec::new();
-
-    let client_shell = |id: u32, access: Access| ClientState {
-        id,
-        access,
-        program: program_for(cfg, id),
-        txn: 0,
-        attempts: 0,
-        phase: 0,
-        ctx: None,
-        staged: Vec::new(),
-        op_seq: 0,
-        coarse_txn_seq: 0,
-        log: Arc::clone(&log),
-        clock: Arc::clone(&clock),
-        db: Arc::clone(&db),
-        max_retries: cfg.max_retries,
-    };
-
-    let combined_edge = |origin: u32| {
-        let store = CommonStore::new();
-        let source = Arc::new(DirectSource::new(Box::new(db.connect()), registry()));
-        let committer = Arc::new(CombinedCommitter::new(Box::new(db.connect()), registry()));
-        committer.set_history(Arc::clone(&log), Arc::clone(&clock));
-        committer.set_inject_bug(cfg.inject_bug);
-        let rm = Arc::new(
-            SliResourceManager::new(origin, Arc::clone(&committer) as _, Arc::clone(&store))
-                .with_history(Arc::clone(&log), Arc::clone(&clock)),
-        );
-        let home: Arc<dyn Home> =
-            Arc::new(SliHome::new(account_meta(), Arc::clone(&store), source));
-        (home, rm, store, committer)
-    };
-
-    let clients: Vec<ClientState> = match cfg.arch {
-        Architecture::EsRdb(Flavor::CachedEjb) => (0..cfg.clients)
-            .map(|id| {
-                // One combined-servers edge per client over the shared
-                // database — the ES/RDB cached configuration.
-                let (home, rm, store, committer) = combined_edge(id + 1);
-                stores.push((format!("edge{}", id + 1), store));
-                committers.push(committer);
-                client_shell(id, Access::Fine { home, rm })
-            })
-            .collect(),
-        Architecture::ClientsRas(Flavor::CachedEjb) => {
-            // One shared application server: every client runs against the
-            // same store and resource manager, with its own context.
-            let (home, rm, store, committer) = combined_edge(1);
-            stores.push(("ras".to_owned(), store));
-            committers.push(committer);
-            (0..cfg.clients)
-                .map(|id| {
-                    client_shell(
-                        id,
-                        Access::Fine {
-                            home: Arc::clone(&home),
-                            rm: Arc::clone(&rm),
-                        },
-                    )
-                })
-                .collect()
-        }
-        Architecture::EsRbes => {
-            // Split-servers: per-client edges commit through one back-end;
-            // faults (if any) hit the request path, and invalidations are
-            // deferred so their delivery becomes a schedulable step.
-            let backend =
-                BackendServer::new(Box::new(db.connect()), registry(), Arc::clone(&clock));
-            let point = backend.commit_point();
-            point.set_history(Arc::clone(&log), Arc::clone(&clock));
-            point.set_inject_bug(cfg.inject_bug);
-            backend_handle = Some(Arc::clone(&backend));
-            (0..cfg.clients)
-                .map(|id| {
-                    let origin = id + 1;
-                    let store = CommonStore::new();
-                    let path = Path::new(
-                        format!("slicheck-edge{origin}"),
-                        Arc::clone(&clock),
-                        PathSpec::lan(),
-                    );
-                    path.set_fault_plan(FaultPlan {
-                        seed: cfg.faults.seed.wrapping_add(u64::from(origin)),
-                        ..cfg.faults
-                    });
-                    let remote = Remote::new(path, Arc::clone(&backend));
-                    let sink = DeferredInvalidationSink::new(
-                        Arc::clone(&store),
-                        Arc::clone(&clock),
-                        SimDuration::ZERO,
-                    );
-                    let inv_path = Path::new(
-                        format!("slicheck-inv{origin}"),
-                        Arc::clone(&clock),
-                        PathSpec::lan(),
-                    );
-                    backend.register_edge(origin, Remote::new(inv_path, Arc::clone(&sink)));
-                    sinks.push(sink);
-                    let source = Arc::new(BackendSource::new(remote.clone()));
-                    let committer = Arc::new(SplitCommitter::new(remote));
-                    let rm = Arc::new(
-                        SliResourceManager::new(origin, committer, Arc::clone(&store))
-                            .with_history(Arc::clone(&log), Arc::clone(&clock)),
-                    );
-                    let home: Arc<dyn Home> =
-                        Arc::new(SliHome::new(account_meta(), Arc::clone(&store), source));
-                    stores.push((format!("edge{origin}"), store));
-                    client_shell(id, Access::Fine { home, rm })
-                })
-                .collect()
-        }
-        Architecture::EsRdb(Flavor::Jdbc) | Architecture::ClientsRas(Flavor::Jdbc) => (0..cfg
-            .clients)
-            .map(|id| {
-                client_shell(
-                    id,
-                    Access::Jdbc {
-                        conn: Box::new(db.connect()),
-                    },
-                )
-            })
-            .collect(),
-        Architecture::EsRdb(Flavor::VanillaEjb) | Architecture::ClientsRas(Flavor::VanillaEjb) => {
-            (0..cfg.clients)
-                .map(|id| {
-                    let conn = share_connection(db.connect());
+/// Puts `cfg.clients` thin clients on the tier: client `id` runs on edge
+/// `id` (every client on edge 0 for Clients/RAS). Cached clients of one
+/// edge share its home and resource manager, each with its own context;
+/// pessimistic clients each hold a database session of their own on the
+/// edge's shared path.
+fn clients_on(cfg: &SliCheckConfig, tier: &DataTier, log: &Arc<HistoryLog>) -> Vec<ClientState> {
+    let cached: Vec<(Arc<dyn Home>, Arc<SliResourceManager>)> = (1u32..)
+        .zip(&tier.edges)
+        .filter_map(|(origin, edge)| {
+            let cache = edge.cache.as_ref()?;
+            let store = Arc::clone(&cache.store);
+            let committer = Arc::clone(&cache.committer);
+            let rm = SliResourceManager::new(origin, committer, Arc::clone(&store))
+                .with_history(Arc::clone(log), Arc::clone(&tier.clock));
+            let home = SliHome::new(account_meta(), store, Arc::clone(&cache.source));
+            Some((Arc::new(home) as Arc<dyn Home>, Arc::new(rm)))
+        })
+        .collect();
+    (0..cfg.clients)
+        .map(|id| {
+            let edge = id as usize % tier.edges.len();
+            let access = match cfg.arch.flavor() {
+                Flavor::CachedEjb => {
+                    let (home, rm) = cached[edge].clone();
+                    Access::Fine { home, rm }
+                }
+                Flavor::Jdbc => Access::Jdbc {
+                    conn: Box::new(tier.connect(edge)),
+                },
+                Flavor::VanillaEjb => {
+                    let conn = share_connection(tier.connect(edge));
                     let mut container =
                         Container::new(Arc::new(JdbcResourceManager::new(Arc::clone(&conn))));
                     container.register(Arc::new(BmpHome::new(account_meta(), conn)));
-                    client_shell(id, Access::Vanilla { container })
-                })
-                .collect()
-        }
-    };
-
-    World {
-        db,
-        log,
-        clients,
-        sinks,
-        stores,
-        backend: backend_handle,
-        committers,
-    }
-}
-
-/// ARIES-lite restart: replay the flushed WAL in place, then reseed every
-/// committer-side `(origin, txn_id)` dedup table from the recovered commit
-/// order so retry dedup agrees with the durable state.
-fn restart_world(world: &World) {
-    let report = world
-        .db
-        .recover()
-        .expect("flushed WAL replays cleanly on restart");
-    for point in world.commit_points() {
-        point.reseed_completed(&report.committed);
-    }
+                    Access::Vanilla { container }
+                }
+            };
+            ClientState {
+                id,
+                access,
+                program: program_for(cfg, id),
+                txn: 0,
+                attempts: 0,
+                phase: 0,
+                ctx: None,
+                staged: Vec::new(),
+                op_seq: 0,
+                coarse_txn_seq: 0,
+                log: Arc::clone(log),
+                clock: Arc::clone(&tier.clock),
+                db: Arc::clone(&tier.db),
+                max_retries: cfg.max_retries,
+            }
+        })
+        .collect()
 }
 
 /// Runs one schedule to completion and checks the recorded history.
 pub fn run_slicheck(cfg: &SliCheckConfig, source: ScheduleSource) -> SliCheckOutcome {
+    run_on_tier(cfg, source).0
+}
+
+/// [`run_slicheck`], handing back the tier the run executed on as well.
+fn run_on_tier(cfg: &SliCheckConfig, source: ScheduleSource) -> (SliCheckOutcome, DataTier) {
     let mut scheduler = match source {
         ScheduleSource::Random(seed) => Scheduler::random(seed),
         ScheduleSource::Replay(script) => Scheduler::replay(script),
     };
-    let mut world = build_world(cfg);
+    let log = Arc::new(HistoryLog::new());
+    let tier = build_tier(cfg, &log);
+    let mut clients = clients_on(cfg, &tier, &log);
+    // Delivering an edge's pending invalidations is a step of its own; one
+    // picked while its messages are still crossing the invalidation channel
+    // waits for the last of them, so a delivery always drains the queue.
+    let sinks: Vec<_> = tier
+        .edges
+        .iter()
+        .filter_map(|edge| Some(&edge.cache.as_ref()?.invalidations.as_ref()?.0))
+        .collect();
+    let deliver = |j: usize| {
+        if let Some(arrival) = sinks[j].last_arrival() {
+            tier.clock.advance_to(arrival);
+        }
+        sinks[j].deliver_due();
+    };
 
     // Generous upper bound: phases per attempt × attempts per txn × txns,
     // plus invalidation deliveries and crash/restart steps. Purely a
@@ -845,12 +736,12 @@ pub fn run_slicheck(cfg: &SliCheckConfig, source: ScheduleSource) -> SliCheckOut
     let mut down = false;
     loop {
         let mut ready: Vec<Ready> = Vec::new();
-        for (i, client) in world.clients.iter().enumerate() {
+        for (i, client) in clients.iter().enumerate() {
             if !client.done() {
                 ready.push(Ready::Client(i));
             }
         }
-        for (j, sink) in world.sinks.iter().enumerate() {
+        for (j, sink) in sinks.iter().enumerate() {
             if sink.in_flight() > 0 {
                 ready.push(Ready::Sink(j));
             }
@@ -868,20 +759,15 @@ pub fn run_slicheck(cfg: &SliCheckConfig, source: ScheduleSource) -> SliCheckOut
         }
         let pick = scheduler.pick(ready.len() as u32) as usize;
         match ready[pick] {
-            Ready::Client(i) => world.clients[i].step(),
-            Ready::Sink(j) => {
-                world.sinks[j].deliver_due();
-            }
+            Ready::Client(i) => clients[i].step(),
+            Ready::Sink(j) => deliver(j),
             Ready::Crash => {
-                world.db.crash();
-                if let Some(backend) = &world.backend {
-                    backend.commit_point().reseed_completed(&[]);
-                }
+                tier.crash(CrashKind::Backend);
                 down = true;
                 crashes_left -= 1;
             }
             Ready::Restart => {
-                restart_world(&world);
+                tier.restart(CrashKind::Backend);
                 down = false;
             }
         }
@@ -890,15 +776,13 @@ pub fn run_slicheck(cfg: &SliCheckConfig, source: ScheduleSource) -> SliCheckOut
     if down {
         // The schedule ended mid-outage: restart so the final-state checks
         // compare the recovered database, not a fenced one.
-        restart_world(&world);
+        tier.restart(CrashKind::Backend);
     }
     // Drain every pending invalidation so the completeness check below
     // sees the steady state.
-    for sink in &world.sinks {
-        sink.deliver_due();
-    }
+    (0..sinks.len()).for_each(deliver);
 
-    let history = world.log.events();
+    let history = log.events();
     let accounts = cfg.accounts.max(2);
     let initial: Vec<(String, String, u64)> = (0..accounts)
         .map(|i| {
@@ -911,58 +795,45 @@ pub fn run_slicheck(cfg: &SliCheckConfig, source: ScheduleSource) -> SliCheckOut
         })
         .collect();
     let mut analysis = analyze(&history, &initial);
-    check_world(cfg, &world, &mut analysis, accounts);
+    check_tier(cfg, &tier, &mut analysis, accounts);
 
-    SliCheckOutcome {
+    let outcome = SliCheckOutcome {
         schedule: scheduler.taken().to_vec(),
         history,
         violations: analysis.violations.clone(),
         steps,
         committed: analysis.committed,
         aborted: analysis.aborted,
-        wal: world.db.has_wal().then(|| world.db.wal_stats()),
-        final_state: world.db.checkpoint().to_vec(),
-    }
+        wal: tier.db.wal_stats(),
+        final_state: tier.db.checkpoint().to_vec(),
+    };
+    (outcome, tier)
 }
 
-/// Harness-side invariants that need the live world, not just the history.
-fn check_world(cfg: &SliCheckConfig, world: &World, analysis: &mut HistoryAnalysis, accounts: u32) {
+/// Harness-side invariants that need the live tier, not just the history.
+fn check_tier(
+    cfg: &SliCheckConfig,
+    tier: &DataTier,
+    analysis: &mut HistoryAnalysis,
+    accounts: u32,
+) {
+    // The committed bank as the database machine holds it, read off the
+    // tables directly (every client transaction has ended): userid → balance.
+    let bank = tier.db.dump_rows("account");
+    let balance_of = |key: &Value| {
+        let row = bank.iter().find(|row| row.first() == Some(key))?;
+        row.get(1).and_then(Value::as_double)
+    };
+
     // Money conservation: every writer is a transfer, so the bank total is
     // invariant even across unknown-outcome commits.
-    let total: f64 = world
-        .db
-        .dump_rows("account")
-        .iter()
-        .flat_map(|row| row.iter().filter_map(Value::as_double))
-        .sum();
+    let total: f64 = (0..accounts).filter_map(|i| balance_of(&acct(i))).sum();
     let expected = f64::from(accounts) * INITIAL_BALANCE;
     if (total - expected).abs() > 1e-6 {
         analysis.violations.push(Violation::new(
             "money-conservation",
             format!("bank total {total} != seeded total {expected}"),
         ));
-    }
-
-    // Abort leak: every cached image must be a state some committed
-    // transaction (or the seed) installed — an aborted transaction's
-    // writes must never reach a CommonStore.
-    for (label, store) in &world.stores {
-        for i in 0..accounts {
-            let key = acct(i);
-            if let Some(image) = store.get("Account", &key) {
-                let digest = memento_digest(&image);
-                let known = analysis.committed_digests("Account", &key.to_string());
-                if !known.contains(&digest) {
-                    analysis.violations.push(Violation::new(
-                        "abort-leak",
-                        format!(
-                            "store {label} caches Account[{key}] digest {digest:#018x} that no \
-                             committed transaction installed"
-                        ),
-                    ));
-                }
-            }
-        }
     }
 
     // Lost committed write (crash runs without wire faults): every commit
@@ -972,7 +843,6 @@ fn check_world(cfg: &SliCheckConfig, world: &World, analysis: &mut HistoryAnalys
     // transaction installed. Only the torn-commit bug (a WAL that lies
     // about group-commit flushes) can break this.
     if cfg.crashes > 0 && cfg.faults.is_clean() {
-        let mut conn = world.db.connect();
         for i in 0..accounts {
             let key = acct(i);
             let expected = match analysis.latest_digest("Account", &key.to_string()) {
@@ -980,21 +850,12 @@ fn check_world(cfg: &SliCheckConfig, world: &World, analysis: &mut HistoryAnalys
                 Some(Some(digest)) => digest,
                 Some(None) => continue,
             };
-            let digest = match jdbc_select(&mut conn, i) {
-                Ok(balance) => balance_digest(&key, balance),
-                Err(e) => {
-                    analysis.violations.push(Violation::new(
-                        "lost-committed-write",
-                        format!("Account[{key}] unreadable after recovery: {e}"),
-                    ));
-                    continue;
-                }
-            };
-            if digest != expected {
+            let digest = balance_of(&key).map(|balance| balance_digest(&key, balance));
+            if digest != Some(expected) {
                 analysis.violations.push(Violation::new(
                     "lost-committed-write",
                     format!(
-                        "Account[{key}] holds digest {digest:#018x} after recovery but the \
+                        "Account[{key}] holds digest {digest:#018x?} after recovery but the \
                          latest committed transaction installed {expected:#018x}"
                     ),
                 ));
@@ -1002,27 +863,44 @@ fn check_world(cfg: &SliCheckConfig, world: &World, analysis: &mut HistoryAnalys
         }
     }
 
-    // Invalidation completeness (split-servers, fault-free runs): after a
-    // full drain, a cached image is either the latest committed state or
-    // absent. Under faults an edge may believe its own commit failed and
-    // keep a stale image, so the check only applies to clean runs.
-    if cfg.arch == Architecture::EsRbes && cfg.faults.is_clean() {
-        for (label, store) in &world.stores {
-            for i in 0..accounts {
-                let key = acct(i);
-                if let Some(image) = store.get("Account", &key) {
-                    let digest = memento_digest(&image);
-                    let latest = analysis.latest_digest("Account", &key.to_string());
-                    if latest != Some(Some(digest)) {
-                        analysis.violations.push(Violation::new(
-                            "stale-invalidation",
-                            format!(
-                                "store {label} still caches Account[{key}] digest {digest:#018x} \
-                                 after all invalidations drained (latest is {latest:?})"
-                            ),
-                        ));
-                    }
-                }
+    // Invalidation completeness applies to split-servers, fault-free runs:
+    // under faults an edge may believe its own commit failed and keep a
+    // stale image.
+    let drained = cfg.arch == Architecture::EsRbes && cfg.faults.is_clean();
+    let stores = (1..)
+        .zip(&tier.edges)
+        .filter_map(|(n, edge)| Some((n, &edge.cache.as_ref()?.store)));
+    for (n, store) in stores {
+        for i in 0..accounts {
+            let key = acct(i);
+            let Some(image) = store.get("Account", &key) else {
+                continue;
+            };
+            let digest = memento_digest(&image);
+            // Abort leak: every cached image must be a state some committed
+            // transaction (or the seed) installed — an aborted transaction's
+            // writes must never reach a CommonStore.
+            let known = analysis.committed_digests("Account", &key.to_string());
+            if !known.contains(&digest) {
+                analysis.violations.push(Violation::new(
+                    "abort-leak",
+                    format!(
+                        "store edge{n} caches Account[{key}] digest {digest:#018x} that no \
+                         committed transaction installed"
+                    ),
+                ));
+            }
+            // After a full drain, a cached image is either the latest
+            // committed state or absent.
+            let latest = analysis.latest_digest("Account", &key.to_string());
+            if drained && latest != Some(Some(digest)) {
+                analysis.violations.push(Violation::new(
+                    "stale-invalidation",
+                    format!(
+                        "store edge{n} still caches Account[{key}] digest {digest:#018x} \
+                         after all invalidations drained (latest is {latest:?})"
+                    ),
+                ));
             }
         }
     }
@@ -1155,6 +1033,54 @@ mod tests {
     }
 
     #[test]
+    fn every_run_crosses_the_measured_wiring() {
+        use sli_telemetry::Metric;
+        // The clients sit on the tier the figures measure: statements reach
+        // the database through its server machine, and every edge's traffic
+        // crosses its shared path.
+        for key in ARCH_KEYS {
+            let cfg = SliCheckConfig::new(arch_by_key(key).unwrap(), 7);
+            let (outcome, tier) = run_on_tier(&cfg, ScheduleSource::Random(7));
+            assert!(outcome.violations.is_empty(), "{key}");
+            let Some(Metric::Counter(statements)) = tier.telemetry().get("db.stmt.statements")
+            else {
+                panic!("{key}: the database server registers db.stmt.statements");
+            };
+            assert!(statements.get() > 0, "{key}: no statement reached DbServer");
+            let expected_edges = match cfg.arch {
+                Architecture::ClientsRas(_) => 1,
+                _ => cfg.clients as usize,
+            };
+            assert_eq!(tier.edges.len(), expected_edges, "{key}");
+            for edge in &tier.edges {
+                let stats = edge.shared_path.stats();
+                assert!(
+                    stats.total_bytes() > 0,
+                    "{key}: {}",
+                    edge.shared_path.name()
+                );
+            }
+            assert!(tier.clock.now().as_micros() > 0, "{key}: steps cost time");
+        }
+    }
+
+    #[test]
+    fn faults_land_on_the_split_servers_request_path_only() {
+        for (key, faulted) in [("es-rbes", true), ("es-rdb-cached", false)] {
+            let mut cfg = SliCheckConfig::new(arch_by_key(key).unwrap(), 3);
+            cfg.faults = FaultPlan::lossy(3, 300);
+            let (outcome, tier) = run_on_tier(&cfg, ScheduleSource::Random(3));
+            assert!(
+                outcome.violations.is_empty(),
+                "{key}: {:?}",
+                outcome.violations
+            );
+            let injected: u64 = tier.paths().iter().map(|p| p.fault_stats().total()).sum();
+            assert_eq!(injected > 0, faulted, "{key}: {injected} faults injected");
+        }
+    }
+
+    #[test]
     fn loaded_client_count_stays_serializable_on_every_architecture() {
         // The high-load engine's whole point is more concurrency on the
         // same commit protocols, so re-check the invariants with double
@@ -1193,7 +1119,7 @@ mod tests {
                     "{key} seed {seed}: violations across crashes {:?}",
                     outcome.violations
                 );
-                let wal = outcome.wal.expect("crash runs attach a WAL");
+                let wal = outcome.wal;
                 assert_eq!(
                     wal.recoveries, 2,
                     "{key} seed {seed}: every crash must be recovered"

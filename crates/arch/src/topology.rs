@@ -1,31 +1,20 @@
-//! Testbed assembly: the four simulated machines of §4.1 wired into any of
-//! the three architectures.
+//! Testbed assembly: the four simulated machines of §4.1 — Trade's engines
+//! and servlet containers deployed on the [`DataTier`] of any of the three
+//! architectures.
 
 use std::sync::Arc;
 
 use sli_component::share_connection;
-use sli_core::{
-    BackendServer, BackendSource, CombinedCommitter, CommitPoint, CommonStore,
-    DeferredInvalidationSink, DirectSource, SliResourceManager, SplitCommitter,
-};
-use sli_datastore::server::{DbCostModel, DbServer, RemoteConnection};
-use sli_datastore::{Database, RecoveryReport};
-use sli_simnet::{Clock, CrashKind, FaultPlan, Path, PathSpec, Remote, SimDuration};
-use sli_telemetry::{MonitorMetrics, Registry, Timeline, TraceLog, Tracer};
+use sli_core::{CommonStore, DeferredInvalidationSink, SliResourceManager};
+use sli_simnet::Path;
+use sli_telemetry::MonitorMetrics;
 use sli_trade::deploy;
 use sli_trade::model::trade_registry;
-use sli_trade::seed::{create_and_seed, Population};
+use sli_trade::seed::{seed, Population};
 use sli_trade::{EjbTradeEngine, JdbcTradeEngine, TradeEngine};
 
 use crate::servlet::AppServer;
-
-/// What a flavor's wiring yields: the engine plus the cache handles that
-/// only exist for the cached flavor.
-type WiredEngine = (
-    Box<dyn TradeEngine>,
-    Option<Arc<CommonStore>>,
-    Option<Arc<SliResourceManager>>,
-);
+use crate::tier::DataTier;
 
 /// Data-access flavor running on the application server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -171,7 +160,8 @@ impl ResourceScale {
     }
 }
 
-/// One application-server node plus its two communication paths.
+/// One application-server node: the Trade servlet container on one
+/// [`TierEdge`](crate::TierEdge), with that edge's handles alongside.
 pub struct EdgeNode {
     /// The HTTP application server the client talks to.
     pub server: Arc<AppServer>,
@@ -187,12 +177,6 @@ pub struct EdgeNode {
     /// In-flight peer-invalidation queue (ES/RBES only): messages crossing
     /// the back-end → edge channel that have not arrived yet.
     pub invalidations: Option<Arc<DeferredInvalidationSink>>,
-    /// The back-end → edge invalidation path (ES/RBES only).
-    pub invalidation_path: Option<Arc<Path>>,
-    /// The combined commit pipeline (CachedEjb without a back-end only) —
-    /// retained so [`Testbed::restart`] can reseed its dedup table from the
-    /// recovered WAL.
-    pub committer: Option<Arc<CombinedCommitter>>,
 }
 
 impl EdgeNode {
@@ -214,44 +198,34 @@ impl std::fmt::Debug for EdgeNode {
     }
 }
 
-/// The assembled four-machine testbed for one architecture.
+/// The assembled four-machine testbed for one architecture: the
+/// [`DataTier`] (which it derefs to — clock, database, paths, delay, fault
+/// and crash controls, telemetry) with Trade deployed on every edge.
 pub struct Testbed {
-    /// The simulation clock shared by every machine and path.
-    pub clock: Arc<Clock>,
-    /// The persistent store (the DB2 machine).
-    pub db: Arc<Database>,
+    tier: DataTier,
     /// Application-server nodes (one per edge; exactly one for
-    /// Clients/RAS).
+    /// Clients/RAS), parallel to the tier's own `edges`.
     pub edges: Vec<EdgeNode>,
-    arch: Architecture,
-    /// Every machine's metrics, attached under stable hierarchical names.
-    telemetry: Arc<Registry>,
-    /// Span log every machine records into (requests, RPCs, statements,
-    /// commits), shared through [`Testbed::tracer`].
-    commit_trace: Arc<TraceLog>,
-    /// The causal tracer all machines share: one trace per client request,
-    /// spans nested through RPC, database and commit layers.
-    tracer: Arc<Tracer>,
-    /// The shared back-end server (ES/RBES only).
-    backend: Option<Arc<BackendServer>>,
-    /// The database server machine (owner of the `db.stmt.*` metrics and
-    /// the backend-db CPU cost knob).
-    db_server: Arc<DbServer>,
-    /// Every communication path in the testbed (client, shared,
-    /// invalidation, backend↔db) — the full set the wire what-if knob
-    /// scales together.
-    paths: Vec<Arc<Path>>,
     /// Shared handles for the online SLO monitor, registered under
     /// `monitor.*` so incidents/evaluations/budget land in the same
     /// registry and timeline as every machine metric.
     monitor: MonitorMetrics,
 }
 
+impl std::ops::Deref for Testbed {
+    type Target = DataTier;
+
+    fn deref(&self) -> &DataTier {
+        &self.tier
+    }
+}
+
 impl std::fmt::Debug for Testbed {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let arch = self.architecture();
         f.debug_struct("Testbed")
-            .field("arch", &self.arch.label())
-            .field("flavor", &self.arch.flavor().label())
+            .field("arch", &arch.label())
+            .field("flavor", &arch.flavor().label())
             .field("edges", &self.edges.len())
             .finish_non_exhaustive()
     }
@@ -276,269 +250,73 @@ impl Testbed {
     /// Panics if seeding fails (schema conflicts cannot happen on a fresh
     /// database).
     pub fn build(arch: Architecture, config: TestbedConfig) -> Testbed {
-        let clock = Arc::new(Clock::new());
-        let db = Database::new();
-        create_and_seed(&db, config.population).expect("fresh database seeds cleanly");
-        // Durability on by default: the seeded state becomes the WAL's base
-        // checkpoint, and every writing transaction group-commits redo/undo
-        // records from here on, so a scripted backend crash can be recovered
-        // to a prefix-consistent state.
-        db.attach_wal();
-        let db_server = DbServer::new(Arc::clone(&db), Arc::clone(&clock), DbCostModel::default());
-        let telemetry = Arc::new(Registry::new());
-        // A measurement point at quick config already produces tens of
-        // thousands of spans; size the log so nothing is evicted mid-run.
-        let commit_trace = Arc::new(TraceLog::with_capacity(1 << 18));
-        let tracer = Arc::new(Tracer::new(Arc::clone(&commit_trace)));
-        db_server.metrics().register_with(&telemetry, "db.stmt");
-        db.register_plan_metrics(&telemetry, "db.plan");
-        db.register_wal_metrics(&telemetry, "db");
-        db_server.set_tracer(Arc::clone(&tracer));
-
-        let mut edges = Vec::with_capacity(config.edges);
-        let mut paths: Vec<Arc<Path>> = Vec::new();
-        // Every database connection of the testbed opens here. Each open is
-        // a charged round trip and takes a session id, so the order of the
-        // calls below is observable.
-        let connect = |path: &Arc<Path>| {
-            let mut conn = RemoteConnection::open(
-                Remote::new(Arc::clone(path), Arc::clone(&db_server))
-                    .with_tracer(Arc::clone(&tracer)),
-            )
-            .expect("fresh db accepts connections");
-            conn.set_batching(config.wire_batching);
-            conn
-        };
-
-        // The ES/RBES back-end is shared by all edges and clustered with
-        // the database over a LAN path of its own.
-        let backend = if arch == Architecture::EsRbes {
-            let backend_db_path = Path::new("backend-db", Arc::clone(&clock), PathSpec::lan());
-            backend_db_path.metrics().register_with(
-                &telemetry,
-                &format!("simnet.path.{}", backend_db_path.name()),
-            );
-            paths.push(Arc::clone(&backend_db_path));
-            let conn = connect(&backend_db_path);
-            let backend = BackendServer::new(Box::new(conn), trade_registry(), Arc::clone(&clock));
-            backend.set_tracer(Arc::clone(&tracer));
-            Some(backend)
-        } else {
-            None
-        };
-
-        for edge_id in 0..config.edges.max(1) {
-            let id = edge_id as u32 + 1;
-            let holding_base = 1_000_000 * id as i64;
-            let (client_spec, shared_name) = match arch {
-                Architecture::ClientsRas(_) => (PathSpec::lan(), "ras-db"),
-                Architecture::EsRdb(_) => (PathSpec::lan(), "edge-db"),
-                Architecture::EsRbes => (PathSpec::lan(), "edge-backend"),
-            };
-            let client_path = Path::new(format!("client-{id}"), Arc::clone(&clock), client_spec);
-            let shared_path = Path::new(
-                format!("{shared_name}-{id}"),
-                Arc::clone(&clock),
-                PathSpec::lan(),
-            );
-
-            let mut invalidations = None;
-            let mut invalidation_path = None;
-            let mut combined_committer = None;
-            let (engine, store, rm): WiredEngine = match arch.flavor() {
-                Flavor::Jdbc => (
-                    Box::new(JdbcTradeEngine::new(
-                        share_connection(connect(&shared_path)),
+        let tier = DataTier::build(
+            arch,
+            config.edges,
+            config.cache_capacity,
+            config.wire_batching,
+            trade_registry(),
+            |dba| seed(dba, config.population),
+        );
+        let telemetry = tier.telemetry();
+        let edges = tier
+            .edges
+            .iter()
+            .enumerate()
+            .map(|(i, edge)| {
+                let id = i as u32 + 1;
+                let holding_base = 1_000_000 * id as i64;
+                let mut rm = None;
+                let engine: Box<dyn TradeEngine> = match (&edge.cache, arch.flavor()) {
+                    (Some(cache), _) => {
+                        let (container, cached_rm) = deploy::cached_container_with_rm(
+                            id,
+                            Arc::clone(&cache.store),
+                            Arc::clone(&cache.source),
+                            Arc::clone(&cache.committer),
+                        );
+                        cached_rm.register_with(telemetry, &format!("rm.edge-{id}"));
+                        rm = Some(cached_rm);
+                        Box::new(EjbTradeEngine::new(container, "Cached EJBs", holding_base))
+                    }
+                    (None, Flavor::VanillaEjb) => {
+                        let container =
+                            deploy::vanilla_container(share_connection(tier.connect(i)));
+                        Box::new(EjbTradeEngine::new(container, "Vanilla EJBs", holding_base))
+                    }
+                    (None, _) => Box::new(JdbcTradeEngine::new(
+                        share_connection(tier.connect(i)),
                         holding_base,
                     )),
-                    None,
-                    None,
-                ),
-                Flavor::VanillaEjb => {
-                    let container =
-                        deploy::vanilla_container(share_connection(connect(&shared_path)));
-                    (
-                        Box::new(EjbTradeEngine::new(container, "Vanilla EJBs", holding_base)),
-                        None,
-                        None,
-                    )
+                };
+                let server = Arc::new(
+                    AppServer::new(engine, Arc::clone(&tier.clock))
+                        .with_tracer(Arc::clone(tier.tracer())),
+                );
+                server
+                    .metrics()
+                    .register_with(telemetry, &format!("servlet.edge-{id}"));
+                let cache = edge.cache.as_ref();
+                EdgeNode {
+                    server,
+                    client_path: Arc::clone(&edge.client_path),
+                    shared_path: Arc::clone(&edge.shared_path),
+                    store: cache.map(|c| Arc::clone(&c.store)),
+                    rm,
+                    invalidations: cache
+                        .and_then(|c| c.invalidations.as_ref())
+                        .map(|(sink, _)| Arc::clone(sink)),
                 }
-                Flavor::CachedEjb => {
-                    let store = match config.cache_capacity {
-                        Some(capacity) => CommonStore::with_capacity(capacity),
-                        None => CommonStore::new(),
-                    };
-                    let (source, committer): (
-                        Arc<dyn sli_core::StateSource>,
-                        Arc<dyn sli_core::Committer>,
-                    ) = match &backend {
-                        // Split-servers: fault and commit through the
-                        // back-end across the shared path.
-                        Some(backend) => {
-                            let remote = Remote::new(Arc::clone(&shared_path), Arc::clone(backend))
-                                .with_tracer(Arc::clone(&tracer));
-                            // Invalidations flow over a dedicated channel so
-                            // they never block the request path — but they
-                            // still take one (possibly delayed) crossing to
-                            // arrive, leaving a real staleness window.
-                            let inv_path = Path::new(
-                                format!("backend-invalidate-{id}"),
-                                Arc::clone(&clock),
-                                PathSpec::lan(),
-                            );
-                            let sink = DeferredInvalidationSink::over_path(
-                                Arc::clone(&store),
-                                Arc::clone(&inv_path),
-                            );
-                            backend.register_edge(
-                                id,
-                                Remote::new(Arc::clone(&inv_path), Arc::clone(&sink)),
-                            );
-                            sink.register_with(&telemetry, &format!("invalidations.edge-{id}"));
-                            invalidations = Some(sink);
-                            invalidation_path = Some(inv_path);
-                            (
-                                Arc::new(BackendSource::new(remote.clone())),
-                                Arc::new(SplitCommitter::new(remote)),
-                            )
-                        }
-                        // Combined-servers: fault and commit straight
-                        // against the (remote) database.
-                        None => {
-                            let fetch_conn = connect(&shared_path);
-                            let commit_conn = connect(&shared_path);
-                            let combined = Arc::new(
-                                CombinedCommitter::new(Box::new(commit_conn), trade_registry())
-                                    .with_tracer(Arc::clone(&tracer), Arc::clone(&clock)),
-                            );
-                            combined_committer = Some(Arc::clone(&combined));
-                            (
-                                Arc::new(DirectSource::new(Box::new(fetch_conn), trade_registry())),
-                                combined,
-                            )
-                        }
-                    };
-                    let (container, rm) =
-                        deploy::cached_container_with_rm(id, Arc::clone(&store), source, committer);
-                    (
-                        Box::new(EjbTradeEngine::new(container, "Cached EJBs", holding_base)),
-                        Some(store),
-                        Some(rm),
-                    )
-                }
-            };
-
-            let server = Arc::new(
-                AppServer::new(engine, Arc::clone(&clock)).with_tracer(Arc::clone(&tracer)),
-            );
-            server
-                .metrics()
-                .register_with(&telemetry, &format!("servlet.edge-{id}"));
-            for path in [&client_path, &shared_path]
-                .into_iter()
-                .chain(invalidation_path.as_ref())
-            {
-                path.metrics()
-                    .register_with(&telemetry, &format!("simnet.path.{}", path.name()));
-            }
-            if let Some(store) = &store {
-                store.register_with(&telemetry, &format!("store.edge-{id}"));
-            }
-            if let Some(rm) = &rm {
-                rm.register_with(&telemetry, &format!("rm.edge-{id}"));
-            }
-            paths.push(Arc::clone(&client_path));
-            paths.push(Arc::clone(&shared_path));
-            paths.extend(invalidation_path.as_ref().map(Arc::clone));
-            edges.push(EdgeNode {
-                server,
-                client_path,
-                shared_path,
-                store,
-                rm,
-                invalidations,
-                invalidation_path,
-                committer: combined_committer,
-            });
-        }
+            })
+            .collect();
 
         let monitor = MonitorMetrics::new();
-        monitor.register_with(&telemetry, "monitor");
-
-        let testbed = Testbed {
-            clock,
-            db,
+        monitor.register_with(telemetry, "monitor");
+        Testbed {
+            tier,
             edges,
-            arch,
-            telemetry,
-            commit_trace,
-            tracer,
-            backend,
-            db_server,
-            paths,
             monitor,
-        };
-        for (prefix, point) in testbed.commit_points() {
-            point.register_with(&testbed.telemetry, &prefix);
         }
-        testbed
-    }
-
-    /// Every commit point of this testbed under its metric prefix: the
-    /// shared back-end's (`backend.commit`, ES/RBES) and each edge's
-    /// combined committer (`committer.edge-{id}`, cached flavors without a
-    /// back-end).
-    fn commit_points(&self) -> Vec<(String, &CommitPoint)> {
-        let backend = self
-            .backend
-            .iter()
-            .map(|b| ("backend.commit".to_owned(), b.commit_point()));
-        let edges = self.edges.iter().enumerate().filter_map(|(i, edge)| {
-            let committer = edge.committer.as_deref()?;
-            Some((format!("committer.edge-{}", i + 1), committer))
-        });
-        backend.chain(edges).collect()
-    }
-
-    /// The architecture this testbed implements.
-    pub fn architecture(&self) -> Architecture {
-        self.arch
-    }
-
-    /// The metric registry every machine registered into at build time.
-    ///
-    /// Names are hierarchical and stable: `db.stmt.*`, `backend.commit.*`,
-    /// `committer.edge-{id}.*`, `store.edge-{id}.*`, `rm.edge-{id}.*`,
-    /// `servlet.edge-{id}.*` and `simnet.path.{name}.*`.
-    pub fn telemetry(&self) -> &Arc<Registry> {
-        &self.telemetry
-    }
-
-    /// The shared span log: request roots, `servlet.*`, `rpc.*`/`net.*`,
-    /// `db.*`, `commit.*` and `occ.conflict` events, all carrying trace /
-    /// parent-span ids for tree reconstruction.
-    pub fn commit_trace(&self) -> &Arc<TraceLog> {
-        &self.commit_trace
-    }
-
-    /// The causal tracer every machine of this testbed records through.
-    pub fn tracer(&self) -> &Arc<Tracer> {
-        &self.tracer
-    }
-
-    /// The shared ES/RBES back-end server, if this architecture has one.
-    pub fn backend(&self) -> Option<&Arc<BackendServer>> {
-        self.backend.as_ref()
-    }
-
-    /// The database server machine.
-    pub fn db_server(&self) -> &Arc<DbServer> {
-        &self.db_server
-    }
-
-    /// Every communication path in the testbed.
-    pub fn paths(&self) -> &[Arc<Path>] {
-        &self.paths
     }
 
     /// The shared `monitor.*` metric handles (incidents, evaluations,
@@ -550,197 +328,17 @@ impl Testbed {
         &self.monitor
     }
 
-    /// The virtual timestamp (µs) at which the first fault was actually
-    /// injected on any path, if one was. This is the ground truth a
-    /// time-to-detect measurement compares detection timestamps against:
-    /// dialling a [`FaultPlan`](sli_simnet::FaultPlan) has no observable
-    /// effect until the next delivery attempt draws a fault.
-    pub fn fault_first_effect_us(&self) -> Option<u64> {
-        self.paths
-            .iter()
-            .filter_map(|p| p.first_fault_at_us())
-            .min()
-    }
-
     /// Applies virtual per-resource speed knobs: every path, the database
     /// server and every application server take their scale from `scale`.
     /// [`ResourceScale::nominal`] restores measured-cost behaviour.
     pub fn apply_scale(&self, scale: ResourceScale) {
-        for path in &self.paths {
+        for path in self.paths() {
             path.set_cost_scale_ppm(scale.wire_ppm);
         }
-        self.db_server.set_cost_scale_ppm(scale.db_ppm);
+        self.db_server().set_cost_scale_ppm(scale.db_ppm);
         for edge in &self.edges {
             edge.server.set_cost_scale_ppm(scale.edge_ppm);
         }
-    }
-
-    /// Zeroes every registered counter and histogram and clears the commit
-    /// span log (between warm-up and measurement). Gauges keep their level:
-    /// cached images, HTTP sessions and in-flight invalidations all survive
-    /// into the measured phase.
-    pub fn reset_telemetry(&self) {
-        self.telemetry.reset_all();
-        self.commit_trace.clear();
-    }
-
-    /// Builds the standard observability timeline for this testbed: a view
-    /// of the [`Testbed::telemetry`] registry as it stands now, every
-    /// counter a rate series and every gauge a level series under its
-    /// registry name (see [`Timeline::track_registry`]), so per-window rate
-    /// totals can be checked against run-end counter reads. Build the
-    /// [`LoadEngine`](crate::LoadEngine) first to include its `engine.*`
-    /// metrics.
-    ///
-    /// The caller drives it: [`Timeline::rebase`] at the warm-up/measure
-    /// boundary (after [`Testbed::reset_telemetry`]), then
-    /// [`Timeline::sample`] with `clock.now().as_micros()` after each
-    /// interaction.
-    pub fn standard_timeline(&self, window_us: u64) -> Timeline {
-        let timeline = Timeline::new(window_us);
-        timeline.track_registry(&self.telemetry);
-        timeline
-    }
-
-    /// The path the delay proxy intercepts for this architecture (per
-    /// edge): the client path for Clients/RAS, the shared path otherwise.
-    pub fn delayed_path(&self, edge: usize) -> &Arc<Path> {
-        match self.arch {
-            Architecture::ClientsRas(_) => &self.edges[edge].client_path,
-            _ => &self.edges[edge].shared_path,
-        }
-    }
-
-    /// Sets the one-way delay injected by the proxy on every delayed path
-    /// (including the back-end → edge invalidation channels, which cross
-    /// the same wide-area link in ES/RBES).
-    pub fn set_delay(&self, delay: SimDuration) {
-        for i in 0..self.edges.len() {
-            self.delayed_path(i).set_proxy_delay(delay);
-            if let Some(inv) = &self.edges[i].invalidation_path {
-                inv.set_proxy_delay(delay);
-            }
-        }
-    }
-
-    /// Enables deterministic per-message jitter on every delayed path —
-    /// the paper's testbed noise (its fits report R² ≈ 0.99, not 1.0).
-    /// Each edge's path gets a distinct derived seed.
-    pub fn set_jitter(&self, max: SimDuration, seed: u64) {
-        for i in 0..self.edges.len() {
-            self.delayed_path(i)
-                .set_jitter(max, seed.wrapping_add(i as u64));
-        }
-    }
-
-    /// Dials a deterministic fault plan into every delayed path, turning
-    /// the wide-area link lossy for resilience experiments. Each edge's
-    /// path draws from a distinct derived seed (mirroring
-    /// [`Testbed::set_jitter`]), so schedules differ across edges but
-    /// replay identically run to run.
-    pub fn set_faults(&self, plan: FaultPlan) {
-        for i in 0..self.edges.len() {
-            let derived = FaultPlan {
-                seed: plan.seed.wrapping_add(i as u64),
-                ..plan
-            };
-            self.delayed_path(i).set_fault_plan(derived);
-        }
-    }
-
-    /// The paths that lead to the machine `kind` names: every in-flight or
-    /// future RPC on them fails as an outage while that machine is down.
-    fn paths_to(&self, kind: CrashKind) -> Vec<&Arc<Path>> {
-        match kind {
-            // The shared site (database machine, or the ES/RBES back-end
-            // clustered with it) sits behind every edge's shared path; the
-            // back-end ↔ database LAN and the invalidation channels
-            // originate on the same machine.
-            CrashKind::Backend => self
-                .paths
-                .iter()
-                .filter(|p| !p.name().starts_with("client-"))
-                .collect(),
-            CrashKind::Edge => self.edges.iter().map(|e| &e.client_path).collect(),
-        }
-    }
-
-    /// Kills the machine `kind` names at the current virtual time, exactly
-    /// as a process death would: volatile state is gone and every RPC
-    /// toward it fails as [`sli_simnet::Fault::Unavailable`] until
-    /// [`Testbed::restart`].
-    ///
-    /// * `Backend` — the database machine (and, in ES/RBES, the back-end
-    ///   server clustered with it) dies. The engine's tables, lock table
-    ///   and unflushed WAL tail vanish; the back-end's `(origin, txn_id)`
-    ///   dedup memory vanishes with it. Only the flushed WAL prefix
-    ///   survives.
-    /// * `Edge` — the edge tier dies: every edge's common store restarts
-    ///   cold, so post-restart requests re-fault state from the shared
-    ///   site instead of serving possibly-stale cached images.
-    pub fn crash(&self, kind: CrashKind) {
-        if kind == CrashKind::Backend {
-            self.db.crash();
-            if let Some(backend) = &self.backend {
-                // The dedup table is volatile memory on the crashed
-                // machine; recovery reseeds it from the WAL's committed
-                // stamps.
-                backend.commit_point().reseed_completed(&[]);
-            }
-        } else {
-            for edge in &self.edges {
-                if let Some(store) = &edge.store {
-                    store.clear();
-                }
-            }
-        }
-        for path in self.paths_to(kind) {
-            path.set_down(true);
-        }
-    }
-
-    /// Restarts the machine killed by [`Testbed::crash`]. A backend
-    /// restart replays the WAL (analysis / redo / undo) and reseeds every
-    /// commit-side dedup table from the recovered `(origin, txn_id)`
-    /// stamps, returning the [`RecoveryReport`]; an edge restart simply
-    /// comes back cold (`None`). Paths toward the machine come back up
-    /// either way, so retrying sessions get through again.
-    ///
-    /// # Panics
-    /// Panics if a backend recovery fails — the WAL is in-simulation
-    /// durable storage, so a decode failure is a harness bug.
-    pub fn restart(&self, kind: CrashKind) -> Option<RecoveryReport> {
-        let report = if kind == CrashKind::Backend {
-            let report = self.db.recover().expect("flushed WAL replays cleanly");
-            for (_, point) in self.commit_points() {
-                point.reseed_completed(&report.committed);
-            }
-            Some(report)
-        } else {
-            None
-        };
-        for path in self.paths_to(kind) {
-            path.set_down(false);
-        }
-        report
-    }
-
-    /// Zeroes traffic counters on every path (between warm-up and
-    /// measurement).
-    pub fn reset_path_stats(&self) {
-        for edge in &self.edges {
-            edge.client_path.reset_stats();
-            edge.shared_path.reset_stats();
-        }
-    }
-
-    /// Bytes transmitted to the shared site (back-end server or database —
-    /// or the remote application server for Clients/RAS), summed over both
-    /// directions. This is the Figure 8 metric.
-    pub fn shared_site_bytes(&self) -> u64 {
-        (0..self.edges.len())
-            .map(|i| self.delayed_path(i).stats().total_bytes())
-            .sum()
     }
 }
 
@@ -748,6 +346,7 @@ impl Testbed {
 mod tests {
     use super::*;
     use crate::client::VirtualClient;
+    use sli_simnet::{FaultPlan, SimDuration};
     use sli_trade::TradeAction;
 
     #[test]

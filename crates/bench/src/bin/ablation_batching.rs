@@ -10,12 +10,11 @@
 
 use std::sync::Arc;
 
-use sli_core::{BackendServer, BackendSource, CommonStore, SplitCommitter};
-use sli_datastore::Database;
-use sli_simnet::{Clock, Path, PathSpec, Remote, SimDuration};
+use sli_arch::{Architecture, DataTier};
+use sli_simnet::SimDuration;
 use sli_trade::deploy;
 use sli_trade::model::trade_registry;
-use sli_trade::seed::{create_and_seed, Population};
+use sli_trade::seed::{seed, Population};
 use sli_trade::session::SessionGenerator;
 use sli_trade::EjbTradeEngine;
 use sli_workload::{fit, TextTable};
@@ -40,21 +39,20 @@ fn main() {
     for k in [1usize, 2, 4, 8] {
         let mut points = Vec::new();
         for delay_ms in [0u64, 40, 80] {
-            // Build a fresh split-servers edge.
-            let db = Database::new();
-            create_and_seed(&db, pop).expect("seed");
-            let clock = Arc::new(Clock::new());
-            let backend =
-                BackendServer::new(Box::new(db.connect()), trade_registry(), Arc::clone(&clock));
-            let path = Path::new("edge-backend", Arc::clone(&clock), PathSpec::lan());
-            path.set_proxy_delay(SimDuration::from_millis(delay_ms));
-            let remote = Remote::new(Arc::clone(&path), backend);
-            let store = CommonStore::new();
+            // A fresh split-servers edge on the measured data tier, with the
+            // engine driven directly: batching is not a servlet feature.
+            let registry = trade_registry();
+            let tier = DataTier::build(Architecture::EsRbes, 1, None, true, registry, |dba| {
+                seed(dba, pop)
+            });
+            tier.set_delay(SimDuration::from_millis(delay_ms));
+            let clock = &tier.clock;
+            let cache = tier.edges[0].cache.as_ref().expect("ES/RBES edges cache");
             let container = deploy::cached_container(
                 1,
-                Arc::clone(&store),
-                Arc::new(BackendSource::new(remote.clone())),
-                Arc::new(SplitCommitter::new(remote)),
+                Arc::clone(&cache.store),
+                Arc::clone(&cache.source),
+                Arc::clone(&cache.committer),
             );
             let engine = EjbTradeEngine::new(container, "Cached EJBs", 1_000_000);
 

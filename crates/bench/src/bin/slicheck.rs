@@ -1,9 +1,10 @@
 //! `slicheck` — drives the schedule-exploring serializability checker
 //! from the command line.
 //!
-//! Each run picks an architecture × flavor combination and a seed, builds
-//! a fresh multi-client world and executes it under a deterministic
-//! scheduler ([`sli_arch::run_slicheck`]), then checks the recorded
+//! Each run picks an architecture × flavor combination and a seed, puts
+//! its bank clients on that combination's data tier (the assembly the
+//! figures measure, [`sli_arch::DataTier`]) and executes them under a
+//! deterministic scheduler ([`sli_arch::run_slicheck`]), then checks the recorded
 //! operation history for serializability and the SLI invariants. The
 //! default is a seed sweep over all seven combinations; on a violation the
 //! failing schedule is shrunk to a minimal prefix and exported as
@@ -24,6 +25,11 @@
 //! only if the checker catches a lost committed write. Unlike the
 //! lost-update bug, the WAL bug lives in the shared datastore, so every
 //! combination supports it.
+//!
+//! `--faults PER_MILLE` makes the edge ↔ back-end request path lossy
+//! (drops, duplicates, refusals). Only ES/RBES has that path, so like
+//! `--inject-bug` the flag narrows the sweep to the combinations it
+//! reaches and is a usage error when none is left.
 //!
 //! `--exhaustive <DEPTH>` switches from seeded random walks to bounded-
 //! exhaustive enumeration of every interleaving whose first `DEPTH`
@@ -49,6 +55,12 @@ fn supports_injected_bug(arch: Architecture) -> bool {
             | Architecture::ClientsRas(Flavor::CachedEjb)
             | Architecture::EsRbes
     )
+}
+
+/// Whether `--faults` reaches this combination: the plan lands on the
+/// edge ↔ back-end request path ([`SliCheckConfig::faults`]).
+fn supports_faults(arch: Architecture) -> bool {
+    arch == Architecture::EsRbes
 }
 
 fn parse_u64(args: &sli_bench::CliArgs, name: &str, default: u64) -> u64 {
@@ -109,7 +121,7 @@ fn main() {
     .option(
         "faults",
         "PER_MILLE",
-        "lossy fault plan on the edge<->backend wire (es-rbes)",
+        "lossy edge<->backend request path (narrows the sweep to es-rbes)",
     )
     .option(
         "exhaustive",
@@ -154,29 +166,35 @@ fn main() {
     };
     let inject_bug = args.has("inject-bug");
     let inject_wal_bug = args.has("inject-wal-bug");
-    let archs: Vec<Architecture> = if inject_bug {
-        let supported: Vec<Architecture> = archs
-            .into_iter()
-            .filter(|&a| supports_injected_bug(a))
-            .collect();
-        if supported.is_empty() {
-            eprintln!(
-                "error: --inject-bug needs an optimistic commit path \
-                 (es-rdb-cached, clients-ras-cached or es-rbes)"
-            );
-            std::process::exit(2);
-        }
-        supported
-    } else {
-        archs
-    };
-
     // The counterexample carries the seed as a JSON number, exact below 2^53.
     let single_seed: Option<u64> = args.value("seed", "an integer below 2^53", |v| *v < 1 << 53);
     let seeds = parse_u64(&args, "seeds", 256);
     let per_mille: u64 = args
         .value("faults", "a per-mille rate in 0..=1000", |v| *v <= 1000)
         .unwrap_or(0);
+    // A flag that reaches only some combinations narrows the sweep to them;
+    // a sweep that would run without the flag's effect is a usage error.
+    let narrowing = [
+        (
+            inject_bug,
+            supports_injected_bug as fn(Architecture) -> bool,
+            "--inject-bug needs an optimistic commit path \
+             (es-rdb-cached, clients-ras-cached or es-rbes)",
+        ),
+        (
+            per_mille > 0,
+            supports_faults,
+            "--faults needs the edge<->back-end request path (es-rbes)",
+        ),
+    ];
+    let mut archs = archs;
+    for (_, reaches, needs) in narrowing.into_iter().filter(|(on, ..)| *on) {
+        archs.retain(|&a| reaches(a));
+        if archs.is_empty() {
+            eprintln!("error: {needs}");
+            std::process::exit(2);
+        }
+    }
     let exhaustive_depth: Option<usize> = args.value("exhaustive", "a depth", |_| true);
     let max_runs = parse_u64(&args, "max-runs", 20_000);
     // The torn-commit bug only bites when something crashes and recovers,

@@ -339,9 +339,9 @@ pub struct RunArtifacts {
     pub littles: LittlesLaw,
     /// Ground-truth disturbance onset of a monitored run, µs of virtual
     /// time. For fault injection this is the first *actually injected*
-    /// fault ([`Testbed::fault_first_effect_us`]) — dialling a plan has no
-    /// observable effect until a delivery attempt draws a fault. For a
-    /// flash crowd it is the scripted surge instant.
+    /// fault ([`sli_arch::DataTier::fault_first_effect_us`]) — dialling a
+    /// plan has no observable effect until a delivery attempt draws a
+    /// fault. For a flash crowd it is the scripted surge instant.
     pub truth_us: Option<u64>,
     /// `(detector, virtual firing instant µs)` for every latched detector
     /// (empty when unmonitored).

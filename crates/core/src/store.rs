@@ -308,35 +308,13 @@ impl Service for InvalidationSink {
 /// The `contention` bench binary measures exactly that window.
 pub struct DeferredInvalidationSink {
     store: Arc<CommonStore>,
-    delay: DelaySource,
+    /// The channel the notifications cross: a message is due one
+    /// [`one_way_cost`](sli_simnet::Path::one_way_cost) after it was sent.
+    path: Arc<sli_simnet::Path>,
     pending: parking_lot::Mutex<Vec<(sli_simnet::SimTime, Bytes)>>,
     queued: Counter,
     delivered: Counter,
     queue_depth: Gauge,
-}
-
-/// How the sink computes a message's delivery deadline.
-enum DelaySource {
-    /// Fixed latency over an explicit clock.
-    Fixed(Arc<sli_simnet::Clock>, sli_simnet::SimDuration),
-    /// The one-way cost of a real path (tracks its proxy-delay setting).
-    OverPath(Arc<sli_simnet::Path>),
-}
-
-impl DelaySource {
-    fn deadline(&self, message_len: usize) -> sli_simnet::SimTime {
-        match self {
-            DelaySource::Fixed(clock, latency) => clock.now() + *latency,
-            DelaySource::OverPath(path) => path.clock().now() + path.one_way_cost(message_len),
-        }
-    }
-
-    fn now(&self) -> sli_simnet::SimTime {
-        match self {
-            DelaySource::Fixed(clock, _) => clock.now(),
-            DelaySource::OverPath(path) => path.clock().now(),
-        }
-    }
 }
 
 impl std::fmt::Debug for DeferredInvalidationSink {
@@ -348,23 +326,6 @@ impl std::fmt::Debug for DeferredInvalidationSink {
 }
 
 impl DeferredInvalidationSink {
-    /// Creates a sink whose notifications arrive `latency` after being
-    /// sent (one-way crossing of the invalidation channel).
-    pub fn new(
-        store: Arc<CommonStore>,
-        clock: Arc<sli_simnet::Clock>,
-        latency: sli_simnet::SimDuration,
-    ) -> Arc<DeferredInvalidationSink> {
-        Arc::new(DeferredInvalidationSink {
-            store,
-            delay: DelaySource::Fixed(clock, latency),
-            pending: parking_lot::Mutex::new(Vec::new()),
-            queued: Counter::new(),
-            delivered: Counter::new(),
-            queue_depth: Gauge::new(),
-        })
-    }
-
     /// Creates a sink whose notifications take one crossing of `path` to
     /// arrive — including whatever proxy delay the path currently injects,
     /// so a delay sweep automatically stretches the staleness window too.
@@ -374,7 +335,7 @@ impl DeferredInvalidationSink {
     ) -> Arc<DeferredInvalidationSink> {
         Arc::new(DeferredInvalidationSink {
             store,
-            delay: DelaySource::OverPath(path),
+            path,
             pending: parking_lot::Mutex::new(Vec::new()),
             queued: Counter::new(),
             delivered: Counter::new(),
@@ -398,7 +359,7 @@ impl DeferredInvalidationSink {
     /// request — the point at which an in-flight message would have been
     /// picked off the wire.
     pub fn deliver_due(&self) {
-        let now = self.delay.now();
+        let now = self.path.clock().now();
         let due: Vec<Bytes> = self.with_pending(|pending| {
             let mut due = Vec::new();
             pending.retain(|(deadline, frame)| {
@@ -422,6 +383,14 @@ impl DeferredInvalidationSink {
         self.pending.lock().len()
     }
 
+    /// The instant by which every queued notification will have arrived
+    /// (`None` when nothing is in flight) — what a driver that schedules
+    /// deliveries itself advances the clock to before
+    /// [`deliver_due`](DeferredInvalidationSink::deliver_due).
+    pub fn last_arrival(&self) -> Option<sli_simnet::SimTime> {
+        self.pending.lock().iter().map(|(due, _)| *due).max()
+    }
+
     /// Attaches the sink's queue metrics to `registry` under
     /// `{prefix}.queued`, `.delivered` and `.queue_depth` (e.g.
     /// `invalidations.edge-0.queue_depth`).
@@ -434,7 +403,7 @@ impl DeferredInvalidationSink {
 
 impl Service for DeferredInvalidationSink {
     fn handle(&self, request: Bytes) -> Bytes {
-        let deadline = self.delay.deadline(request.len());
+        let deadline = self.path.clock().now() + self.path.one_way_cost(request.len());
         self.with_pending(|pending| pending.push((deadline, request)));
         self.queued.inc();
         Bytes::new()
@@ -683,17 +652,28 @@ mod tests {
         assert_eq!(store.stats().evictions, 0);
     }
 
+    /// A sink on a channel whose one-way cost is exactly `latency`.
+    fn sink_after(
+        store: &Arc<CommonStore>,
+        clock: &Arc<sli_simnet::Clock>,
+        latency: sli_simnet::SimDuration,
+    ) -> Arc<DeferredInvalidationSink> {
+        let spec = sli_simnet::PathSpec {
+            base_latency: latency,
+            bandwidth_bytes_per_sec: u64::MAX,
+            ..sli_simnet::PathSpec::lan()
+        };
+        let path = sli_simnet::Path::new("inv", Arc::clone(clock), spec);
+        DeferredInvalidationSink::over_path(Arc::clone(store), path)
+    }
+
     #[test]
     fn deferred_sink_applies_only_after_latency() {
         use sli_simnet::{Clock, SimDuration};
         let store = CommonStore::new();
         store.put(image("a", 1.0));
         let clock = Arc::new(Clock::new());
-        let sink = DeferredInvalidationSink::new(
-            Arc::clone(&store),
-            Arc::clone(&clock),
-            SimDuration::from_millis(40),
-        );
+        let sink = sink_after(&store, &clock, SimDuration::from_millis(40));
         let frame = sli_simnet::wire::frame(
             sli_simnet::wire::protocol::BACKEND,
             0,
@@ -717,11 +697,7 @@ mod tests {
         use sli_telemetry::Registry;
         let store = CommonStore::new();
         let clock = Arc::new(Clock::new());
-        let sink = DeferredInvalidationSink::new(
-            Arc::clone(&store),
-            Arc::clone(&clock),
-            SimDuration::from_millis(10),
-        );
+        let sink = sink_after(&store, &clock, SimDuration::from_millis(10));
         let registry = Registry::new();
         sink.register_with(&registry, "inv.t");
         let depth = |reg: &Registry| match reg.get("inv.t.queue_depth").expect("registered") {
@@ -741,6 +717,7 @@ mod tests {
         clock.advance(SimDuration::from_millis(10));
         sink.handle(frame("b")); // due 10ms later than "a"
         assert_eq!(depth(&registry), 2);
+        assert_eq!(sink.last_arrival().map(|t| t.as_micros()), Some(20_000));
         // Partial drain: only "a" is due, so the gauge drops to 1.
         sink.deliver_due();
         assert_eq!(depth(&registry), 1);

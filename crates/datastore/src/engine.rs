@@ -537,11 +537,6 @@ impl Database {
         self.logging.store(true, Ordering::Relaxed);
     }
 
-    /// Whether a WAL is attached.
-    pub fn has_wal(&self) -> bool {
-        self.logging.load(Ordering::Relaxed)
-    }
-
     /// Snapshot of the `wal.*` / `recovery.*` counters (all zero before
     /// [`Database::attach_wal`]).
     pub fn wal_stats(&self) -> WalStats {

@@ -16,6 +16,8 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use crate::sched::splitmix;
+
 /// Which machine a scripted process-death fault kills. Unlike the
 /// transient [`Fault`]s below, a crash takes a whole endpoint down at an
 /// exact virtual-time point: its volatile state is gone (the datastore
@@ -113,15 +115,7 @@ impl FaultPlan {
         if self.is_clean() {
             return None;
         }
-        // splitmix64 over (seed, attempt index) — the same generator the
-        // path jitter uses, so schedules are reproducible byte-for-byte.
-        let mut z = self
-            .seed
-            .wrapping_add(n.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        let roll = (z % 1000) as u16;
+        let roll = (splitmix(self.seed, n) % 1000) as u16;
         let mut threshold = self.drop_request_per_mille;
         if roll < threshold {
             return Some(Fault::DropRequest);

@@ -63,4 +63,4 @@ pub use fault::{CrashKind, Fault, FaultPlan, FaultStats};
 pub use http::{HttpRequest, HttpResponse};
 pub use path::{scale_cost_us, Path, PathMetrics, PathSpec, PathStats, COST_SCALE_UNIT};
 pub use remote::{CallError, Remote, RetryPolicy, Service};
-pub use sched::{ExhaustiveExplorer, ScheduleStep, Scheduler};
+pub use sched::{splitmix, ExhaustiveExplorer, ScheduleStep, Scheduler};

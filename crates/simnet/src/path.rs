@@ -8,6 +8,7 @@ use sli_telemetry::{Counter, Gauge, Histogram, Registry};
 
 use crate::clock::{Clock, SimDuration};
 use crate::fault::{Fault, FaultPlan, FaultState, FaultStats};
+use crate::sched::splitmix;
 
 /// Static characteristics of a communication path.
 ///
@@ -265,11 +266,7 @@ impl Path {
     /// The jitter for message index `n` of one stream: splitmix64 over
     /// `(seed, n)`, reduced to `0..=max`.
     fn jitter_at(seed: u64, n: u64, max: u64) -> SimDuration {
-        let mut z = seed.wrapping_add(n.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        SimDuration::from_micros(z % (max + 1))
+        SimDuration::from_micros(splitmix(seed, n) % (max + 1))
     }
 
     /// The next *measured* crossing's jitter (consumes one tick of the

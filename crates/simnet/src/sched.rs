@@ -52,10 +52,11 @@ pub struct Scheduler {
     taken: Vec<ScheduleStep>,
 }
 
-/// splitmix64 over `(seed, n)` — the counter-based generator shared with
-/// [`FaultPlan::draw`](crate::FaultPlan::draw), so schedules and fault
-/// streams reproduce identically everywhere.
-fn splitmix(seed: u64, n: u64) -> u64 {
+/// splitmix64 over `(seed, n)` — the one counter-based generator behind
+/// schedules, [`FaultPlan::draw`](crate::FaultPlan::draw), path jitter and
+/// `slicheck`'s client programs, so every seeded stream reproduces
+/// identically everywhere.
+pub fn splitmix(seed: u64, n: u64) -> u64 {
     let mut z = seed.wrapping_add(n.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -329,11 +329,15 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one whole UTF-8 character.
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or escape at once
+                // (neither byte occurs inside a multi-byte character).
+                let end = bytes[*pos..]
+                    .iter()
+                    .position(|b| matches!(b, b'"' | b'\\'))
+                    .map_or(bytes.len(), |n| *pos + n);
+                let run = std::str::from_utf8(&bytes[*pos..end]).map_err(|e| e.to_string())?;
+                out.push_str(run);
+                *pos = end;
             }
         }
     }
@@ -395,6 +399,46 @@ mod tests {
         assert_eq!(
             j.get("k").unwrap().as_arr().unwrap()[1].as_str(),
             Some("éµ")
+        );
+    }
+
+    #[test]
+    fn a_long_string_parses_in_linear_time() {
+        // One 2 MiB string: minutes when every character re-validated the
+        // rest of the document, milliseconds when runs are copied whole.
+        let long = "xyé".repeat((2 << 20) / 4);
+        assert_eq!(long.len(), 2 << 20);
+        let j = Json::obj([("blob", Json::from(long.as_str()))]);
+        let parsed = Json::parse(&j.render()).unwrap();
+        assert_eq!(parsed.get("blob").unwrap().as_str(), Some(long.as_str()));
+    }
+
+    #[test]
+    fn mixed_strings_parse_to_pinned_values() {
+        let text = r#"{"a\"b":"tab\there \u00e9\u4e2d µ中😀 \\ \/ end","":"\ud800|\b\f\r\n"}"#;
+        let j = Json::parse(text).unwrap();
+        assert_eq!(
+            j.get("a\"b").unwrap().as_str(),
+            Some("tab\there é中 µ中😀 \\ / end")
+        );
+        // A lone surrogate decodes to the replacement character.
+        assert_eq!(j.get("").unwrap().as_str(), Some("\u{fffd}|\u{8}\u{c}\r\n"));
+        for (bad, error) in [
+            (r#""open"#, "unterminated string"),
+            (r#""open µ"#, "unterminated string"),
+            (r#""bad \x""#, "bad escape Some(120)"),
+            (r#""\u00"#, "truncated \\u escape"),
+            (r#""\u00eµ""#, "incomplete utf-8 byte sequence from index 3"),
+            (r#""\uzzzz""#, "invalid digit found in string"),
+        ] {
+            assert_eq!(Json::parse(bad), Err(error.to_owned()), "{bad}");
+        }
+        // A multi-byte character cut off by the end of the input (only
+        // reachable below `Json::parse`, which takes a `&str`).
+        let cut = parse_string(b"\"ab\xC3", &mut 0);
+        assert_eq!(
+            cut,
+            Err("incomplete utf-8 byte sequence from index 2".to_owned())
         );
     }
 

@@ -36,20 +36,7 @@ pub fn cached_container(
     source: Arc<dyn StateSource>,
     committer: Arc<dyn Committer>,
 ) -> Container {
-    let rm = Arc::new(SliResourceManager::new(
-        origin,
-        committer,
-        Arc::clone(&store),
-    ));
-    let mut container = Container::new(rm);
-    for meta in trade_registry().iter() {
-        container.register(Arc::new(SliHome::new(
-            meta.clone(),
-            Arc::clone(&store),
-            Arc::clone(&source),
-        )));
-    }
-    container
+    cached_container_with_rm(origin, store, source, committer).0
 }
 
 /// Builds a cache-enabled container and also returns its resource manager

@@ -49,15 +49,14 @@ impl Population {
 /// Propagates DDL/DML failures (e.g. seeding twice).
 pub fn create_and_seed(db: &Arc<Database>, pop: Population) -> EjbResult<()> {
     trade_registry().create_schema(db)?;
-    seed(db, pop)
+    seed(&mut db.connect(), pop)
 }
 
-/// Seeds an already-created schema.
+/// Seeds an already-created schema over `conn`.
 ///
 /// # Errors
 /// Propagates DML failures.
-pub fn seed(db: &Arc<Database>, pop: Population) -> EjbResult<()> {
-    let mut conn = db.connect();
+pub fn seed(conn: &mut dyn SqlConnection, pop: Population) -> EjbResult<()> {
     for q in 0..pop.quotes {
         let base = 10.0 + (q % 90) as f64;
         conn.execute(

@@ -267,21 +267,17 @@ fn deferred_invalidation_leaves_a_staleness_window_that_validation_catches() {
             PathSpec::lan(),
         );
         let remote = Remote::new(path, Arc::clone(&backend));
+        let inv = Path::new(format!("inv-{id}"), Arc::clone(&clock), PathSpec::lan());
         let sink = deferred.map(|latency| {
-            DeferredInvalidationSink::new(Arc::clone(&store), Arc::clone(&clock), latency)
+            inv.set_proxy_delay(latency);
+            DeferredInvalidationSink::over_path(Arc::clone(&store), Arc::clone(&inv))
         });
         match &sink {
-            Some(s) => {
-                let inv = Path::new(format!("inv-{id}"), Arc::clone(&clock), PathSpec::lan());
-                backend.register_edge(id, Remote::new(inv, Arc::clone(s)));
-            }
-            None => {
-                let inv = Path::new(format!("inv-{id}"), Arc::clone(&clock), PathSpec::lan());
-                backend.register_edge(
-                    id,
-                    Remote::new(inv, InvalidationSink::new(Arc::clone(&store))),
-                );
-            }
+            Some(s) => backend.register_edge(id, Remote::new(inv, Arc::clone(s))),
+            None => backend.register_edge(
+                id,
+                Remote::new(inv, InvalidationSink::new(Arc::clone(&store))),
+            ),
         }
         let source = Arc::new(BackendSource::new(remote.clone()));
         let committer = Arc::new(SplitCommitter::new(remote));

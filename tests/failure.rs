@@ -935,7 +935,7 @@ fn crash_schedules_replay_byte_identically_on_all_combos() {
             "{key}: clean crash run must check out: {:?}",
             first.violations
         );
-        let wal = first.wal.expect("crash runs attach a WAL");
+        let wal = first.wal;
         assert_eq!(wal.recoveries, 2, "{key}: both scheduled crashes recover");
         assert_eq!(
             first.wal, replay.wal,
@@ -1009,12 +1009,9 @@ fn killed_split_edge_with_pending_invalidation_rewarms_coherently() {
     let (edge1, _s1) = split_edge(&backend, &path1, RetryPolicy::default());
     let path2 = Path::new("edge-backend-2", Arc::clone(&clock), PathSpec::lan());
     let (edge2, store2) = split_edge_with_origin(&backend, &path2, RetryPolicy::default(), 2);
-    let sink2 = DeferredInvalidationSink::new(
-        Arc::clone(&store2),
-        Arc::clone(&clock),
-        SimDuration::from_millis(5),
-    );
     let inv_path = Path::new("backend-invalidate-2", Arc::clone(&clock), PathSpec::lan());
+    inv_path.set_proxy_delay(SimDuration::from_millis(5));
+    let sink2 = DeferredInvalidationSink::over_path(Arc::clone(&store2), Arc::clone(&inv_path));
     backend.register_edge(2, Remote::new(inv_path, Arc::clone(&sink2)));
 
     // Warm edge 2's cache with alice@100.
