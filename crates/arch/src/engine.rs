@@ -257,14 +257,17 @@ pub struct RunHooks<'a> {
     /// Sampled after every dispatch, so level series capture the queue
     /// building and draining.
     pub timeline: Option<&'a Timeline>,
-    /// Fed the testbed's commit-trace log after every dispatch, before the
-    /// log is cleared. One dispatch ([`VirtualClient::perform`]) is one
-    /// atomic step, so at drain time the log holds only *complete* traces —
-    /// no span of an in-flight interaction can be split across two drains,
-    /// and sessions completing out of admission order cannot drop or
-    /// double-count spans. Draining per dispatch also bounds the log:
-    /// without it a long loaded run overflows the fixed-capacity trace ring
-    /// and silently sheds the oldest spans.
+    /// Fed what each dispatch left in the testbed's commit-trace log, which
+    /// is drained into one buffer the run keeps
+    /// ([`TraceLog::drain_into`](sli_telemetry::TraceLog::drain_into)). One
+    /// dispatch ([`VirtualClient::perform`]) is one atomic step, so at drain
+    /// time the log holds only *complete* traces — no span of an in-flight
+    /// interaction can be split across two drains, and sessions completing
+    /// out of admission order cannot drop or double-count spans. Draining
+    /// per dispatch also bounds the log: without it a long loaded run
+    /// overflows the fixed-capacity trace ring, which then sheds its oldest
+    /// spans and counts them
+    /// ([`TraceLog::evicted`](sli_telemetry::TraceLog::evicted)).
     pub observer: Option<SpanObserver<'a>>,
     /// Live SLO monitoring: [`SloMonitor::evaluate`] runs after every
     /// admission batch (the queue detectors see depth the instant it
@@ -430,6 +433,10 @@ impl<'t> LoadEngine<'t> {
         let mut residence_sum_us = 0u64;
         let mut sessions_completed = 0u64;
         let mut last_level_change = start;
+        // Reused by every step: the ready sessions' indices, and the spans
+        // the step's dispatch recorded.
+        let mut ready: Vec<usize> = Vec::new();
+        let mut spans: Vec<SpanEvent> = Vec::new();
 
         loop {
             let now = clock.now();
@@ -480,9 +487,8 @@ impl<'t> LoadEngine<'t> {
             }
             self.metrics.in_flight.set(live.len() as u64);
 
-            let ready: Vec<usize> = (0..live.len())
-                .filter(|&i| live[i].ready_at <= now)
-                .collect();
+            ready.clear();
+            ready.extend((0..live.len()).filter(|&i| live[i].ready_at <= now));
             self.metrics.queue_depth.set(ready.len() as u64);
             peak_queue_depth = peak_queue_depth.max(ready.len() as u64);
             if let Some(mon) = monitor.as_deref_mut() {
@@ -515,8 +521,8 @@ impl<'t> LoadEngine<'t> {
             let queue_wait = now
                 .checked_since(live[idx].ready_at)
                 .expect("ready sessions became ready in the past");
-            let action = live[idx].actions[live[idx].next].clone();
-            let outcome = live[idx].client.perform(&action);
+            let session = &mut live[idx];
+            let outcome = session.client.perform(&session.actions[session.next]);
             self.metrics.dispatches.inc();
             self.metrics.queue_wait_us.record(queue_wait.as_micros());
             interactions.push(LoadedInteraction {
@@ -547,16 +553,15 @@ impl<'t> LoadEngine<'t> {
                 live[idx].ready_at = clock.now() + plan.think;
             }
             if observer.is_some() || monitor.is_some() {
-                let trace = self.testbed.commit_trace();
-                let events = trace.events();
-                if !events.is_empty() {
+                spans.clear();
+                self.testbed.commit_trace().drain_into(&mut spans);
+                if !spans.is_empty() {
                     if let Some(mon) = monitor.as_deref_mut() {
-                        mon.observe_spans(&events);
+                        mon.observe_spans(&spans);
                     }
                     if let Some(obs) = observer.as_mut() {
-                        obs(&events);
+                        obs(&spans);
                     }
-                    trace.clear();
                 }
             }
             if let Some(mon) = monitor.as_deref_mut() {

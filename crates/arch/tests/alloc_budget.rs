@@ -16,6 +16,7 @@ use sli_arch::{Architecture, Flavor, Testbed, TestbedConfig, VirtualClient};
 use sli_component::share_connection;
 use sli_datastore::Database;
 use sli_simnet::{HttpRequest, HttpResponse};
+use sli_telemetry::{critical_path, Breakdown, Profile, SpanEvent};
 use sli_trade::seed::{create_and_seed, Population};
 use sli_trade::{page, JdbcTradeEngine, TradeAction, TradeEngine};
 
@@ -158,4 +159,40 @@ fn message_path_stays_within_its_allocation_budget() {
             "VirtualClient::perform({action}): {allocs} allocations, budget {budget}"
         );
     }
+
+    // (f) What observing a dispatch adds, on ES/RBES: the spans it recorded
+    // drained into the run's buffer and folded into a `Profile` and a
+    // `critical_path`, as `LoadEngine::run_with` does for the observer
+    // `sli_bench::run` and `benchmark/` attach. At most 16 on top of the
+    // dispatch itself — it is 8, the two walks' scratch vectors (DESIGN
+    // §16); it was 294, a few strings per span.
+    let tb = Testbed::build(Architecture::EsRbes, TestbedConfig::default());
+    let mut client = VirtualClient::new(&tb, 0);
+    assert_eq!(client.perform(&login).status, 200);
+    let unobserved = steady(|| {
+        tb.commit_trace().clear();
+        let (allocs, done) = allocs_of(|| client.perform(&quote));
+        assert_eq!(done.status, 200);
+        allocs
+    });
+    let mut spans: Vec<SpanEvent> = Vec::new();
+    let mut profile = Profile::default();
+    let mut breakdown = Breakdown::default();
+    let observed = steady(|| {
+        let (allocs, done) = allocs_of(|| {
+            let done = client.perform(&quote);
+            spans.clear();
+            tb.commit_trace().drain_into(&mut spans);
+            profile.fold(&spans);
+            breakdown.merge(&critical_path(&spans));
+            done
+        });
+        assert_eq!(done.status, 200);
+        allocs
+    });
+    assert!(profile.traces >= 8 && profile.traces == breakdown.traces);
+    assert!(
+        observed <= unobserved + 16,
+        "an observed quote on ES/RBES: {observed} allocations, {unobserved} unobserved"
+    );
 }

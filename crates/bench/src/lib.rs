@@ -376,9 +376,11 @@ impl RunArtifacts {
 ///
 /// # Panics
 /// Panics on a closed spec monitored under [`FaultClass::FlashCrowd`] (an
-/// arrival surge needs arrivals), and if a frozen incident fails
+/// arrival surge needs arrivals), if a frozen incident fails
 /// `validate_incident` — an artifact the monitor itself produced must
-/// round-trip its own schema.
+/// round-trip its own schema — and if the span log evicted anything during
+/// the measured phase, naming how many events: the profile and breakdown
+/// would silently lack the traces those spans belonged to.
 pub fn run(spec: &RunSpec) -> RunArtifacts {
     let testbed = Testbed::build(
         spec.arch,
@@ -524,6 +526,16 @@ pub fn run(spec: &RunSpec) -> RunArtifacts {
             faults: &script,
             crashes: &[],
         },
+    );
+
+    // The log was emptied at the warm-up boundary and is drained after
+    // every dispatch, so it never fills; if it did, the beheaded traces
+    // would be missing from every aggregate below without a word.
+    let evicted = testbed.commit_trace().evicted();
+    assert!(
+        evicted == 0,
+        "the span log evicted {evicted} events during the measured phase: \
+         the harvest is not whole"
     );
 
     let offered_tps = match spec.admission {

@@ -104,6 +104,9 @@ impl BackendServer {
     /// fan-out to peers, and a `backend.*` span per wire request.
     /// Wire-dispatched work joins the caller's trace via the frame-carried
     /// trace id.
+    ///
+    /// # Panics
+    /// Panics if a tracer is already attached.
     pub fn set_tracer(&self, tracer: Arc<Tracer>) {
         self.point.set_tracer(tracer, Arc::clone(&self.clock));
     }
@@ -147,10 +150,10 @@ impl BackendServer {
     /// Tells every edge but the request's origin which keys it wrote.
     fn fan_out(&self, request: &CommitRequest) {
         let tracer = self.point.tracer();
-        let span = tracer.as_ref().map(|t| t.open("commit.invalidate"));
+        let span = tracer.map(|t| t.open("commit.invalidate"));
         // Stamp the fan-out frames with the commit's trace id so the
         // (possibly deferred) delivery at each edge can re-join it.
-        let trace_id = tracer.as_ref().map_or(0, CommitTracer::current_trace_id);
+        let trace_id = tracer.map_or(0, CommitTracer::current_trace_id);
         let message = frame_traced(
             protocol::BACKEND,
             0,
@@ -182,9 +185,7 @@ impl BackendServer {
             _ => "backend.op",
         };
         let tracer = self.point.tracer();
-        let span = tracer
-            .as_ref()
-            .map(|t| t.open_rpc_server(span_op, wire_trace_id));
+        let span = tracer.map(|t| t.open_rpc_server(span_op, wire_trace_id));
         let result = self.run_op(op, r);
         if let Some(span) = span {
             span.close_unstamped(if result.is_ok() {

@@ -3,7 +3,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, MutexGuard};
 use sli_component::{EjbError, EjbResult, EntityMeta, Memento};
@@ -129,7 +129,6 @@ impl CommitMetrics {
 }
 
 /// A [`Tracer`] and the clock its commit-protocol spans are stamped from.
-#[derive(Clone)]
 pub(crate) struct CommitTracer {
     tracer: Arc<Tracer>,
     clock: Arc<Clock>,
@@ -676,7 +675,7 @@ pub struct CommitPoint {
     validate: Validator,
     completed: Mutex<CompletedTxns>,
     metrics: CommitMetrics,
-    tracer: Mutex<Option<CommitTracer>>,
+    tracer: OnceLock<CommitTracer>,
     history: Mutex<Option<(Arc<HistoryLog>, Arc<Clock>)>>,
     inject_bug: AtomicBool,
 }
@@ -711,7 +710,7 @@ impl CommitPoint {
             validate: per_image,
             completed: Mutex::new(CompletedTxns::new(COMPLETED_TXN_CAPACITY)),
             metrics: CommitMetrics::default(),
-            tracer: Mutex::new(None),
+            tracer: OnceLock::new(),
             history: Mutex::new(None),
             inject_bug: AtomicBool::new(false),
         }
@@ -735,18 +734,26 @@ impl CommitPoint {
     /// when validation rejects a request. Spans join the caller's current
     /// trace context, so commits nest under the servlet or RPC span that
     /// drove them.
+    ///
+    /// # Panics
+    /// Panics if a tracer is already attached.
     pub fn with_tracer(self, tracer: Arc<Tracer>, clock: Arc<Clock>) -> CommitPoint {
         self.set_tracer(tracer, clock);
         self
     }
 
+    /// Attaches the tracer — once, while the deployment is wired, so that
+    /// every decision reads it without a lock.
     pub(crate) fn set_tracer(&self, tracer: Arc<Tracer>, clock: Arc<Clock>) {
-        *self.tracer.lock() = Some(CommitTracer { tracer, clock });
+        assert!(
+            self.tracer.set(CommitTracer { tracer, clock }).is_ok(),
+            "a commit point's tracer is attached once"
+        );
     }
 
     /// The span recorder, for the spans a server wraps around a decision.
-    pub(crate) fn tracer(&self) -> Option<CommitTracer> {
-        self.tracer.lock().clone()
+    pub(crate) fn tracer(&self) -> Option<&CommitTracer> {
+        self.tracer.get()
     }
 
     /// Records an apply-outcome [`HistoryEvent`] per fresh decision into
@@ -821,7 +828,7 @@ impl CommitPoint {
     pub(crate) fn decide(&self, request: &CommitRequest, charge: impl Fn(CommitStep)) -> Decision {
         let tracer = self.tracer();
         if let Some(outcome) = self.completed.lock().lookup(request) {
-            let span = tracer.as_ref().map(|t| t.open("commit.replay"));
+            let span = tracer.map(|t| t.open("commit.replay"));
             charge(CommitStep::Replay);
             self.metrics.dedup_replays.inc();
             if let Some(span) = span {
@@ -832,7 +839,7 @@ impl CommitPoint {
                 fresh: false,
             };
         }
-        let span = tracer.as_ref().map(|t| t.open("commit.validate_apply"));
+        let span = tracer.map(|t| t.open("commit.validate_apply"));
         charge(CommitStep::ValidateApply);
         let (verdict, csn) = {
             let mut conn = self.conn.lock();
@@ -867,7 +874,7 @@ impl CommitPoint {
                 .record(request.origin, request.txn_id, outcome.clone());
         }
         counter.inc();
-        if let (Some(t), Some(info)) = (&tracer, conflict) {
+        if let (Some(t), Some(info)) = (tracer, conflict) {
             t.record_conflict(request, info);
         }
         if let Some(span) = span {

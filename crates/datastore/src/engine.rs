@@ -155,7 +155,7 @@ impl AccessPath {
 struct CachedPlan {
     stmt: Statement,
     param_count: usize,
-    class: Box<str>,
+    class: Arc<str>,
     /// `(ddl_epoch, chosen path)` — valid while the epoch matches; a
     /// `CREATE INDEX` bumps the epoch so stale scan plans replan lazily.
     access: Mutex<Option<(u64, Arc<AccessPath>)>>,
@@ -479,10 +479,10 @@ impl Database {
     /// the wire server labels `db.stmt` spans. Read from the cached plan
     /// when there is one — without touching its recency or the hit/miss
     /// counters — and derived from the text otherwise.
-    pub(crate) fn statement_class(&self, sql: &str) -> String {
+    pub(crate) fn statement_class(&self, sql: &str) -> Arc<str> {
         match self.plans.lock().peek(sql) {
-            Some(plan) => plan.class.to_string(),
-            None => statement_class(sql),
+            Some(plan) => Arc::clone(&plan.class),
+            None => statement_class(sql).into(),
         }
     }
 

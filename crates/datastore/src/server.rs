@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -188,8 +188,16 @@ pub struct DbServer {
     cost_scale_ppm: AtomicU64,
     clock: Arc<Clock>,
     metrics: DbServerMetrics,
-    tracer: Mutex<Option<Arc<Tracer>>>,
+    tracer: OnceLock<Arc<Tracer>>,
+    /// The `batch:{n}` span classes handed out so far, at index `n`: a
+    /// batch's class is shared the way a statement's is through its cached
+    /// plan. Only the first [`SHARED_BATCH_CLASSES`] sizes are kept.
+    batch_classes: Mutex<Vec<Arc<str>>>,
 }
+
+/// Batch sizes whose span class is kept for sharing; a larger batch (the
+/// count comes off the wire) formats its own.
+const SHARED_BATCH_CLASSES: usize = 64;
 
 impl DbServer {
     /// Wraps `db` in a wire server charging CPU costs to `clock`.
@@ -202,7 +210,8 @@ impl DbServer {
             cost_scale_ppm: AtomicU64::new(COST_SCALE_UNIT),
             clock,
             metrics: DbServerMetrics::default(),
-            tracer: Mutex::new(None),
+            tracer: OnceLock::new(),
+            batch_classes: Mutex::new(Vec::new()),
         })
     }
 
@@ -210,8 +219,15 @@ impl DbServer {
     /// span (`db.stmt` leaves for statements, `db.txn.*` for transaction
     /// bracketing, `db.open`/`db.close` for sessions) in the trace carried
     /// by the request frame.
+    ///
+    /// # Panics
+    /// Panics if a tracer is already attached: it is set once, while the
+    /// server is being wired up, so that dispatch reads it without a lock.
     pub fn set_tracer(&self, tracer: Arc<Tracer>) {
-        *self.tracer.lock() = Some(tracer);
+        assert!(
+            self.tracer.set(tracer).is_ok(),
+            "a server's tracer is attached once"
+        );
     }
 
     /// The server's wire-level statement metrics.
@@ -269,30 +285,43 @@ impl DbServer {
             OP_EXEC_BATCH => "db.batch",
             _ => "db.stmt",
         };
-        let tracer = self.tracer.lock().clone();
-        let span = tracer
-            .as_ref()
-            .map(|t| (t.begin_rpc_server(span_op, wire_trace_id), self.now_us()));
+        let Some(tracer) = self.tracer.get() else {
+            return self.run_op(op, request, None);
+        };
+        let span = tracer.begin_rpc_server(span_op, wire_trace_id);
+        let start_us = self.now_us();
         // The statement class labels the span, so it is read only when a
         // span is being recorded.
-        let mut class = tracer.is_some().then(String::new);
-        let result = self.run_op(op, request, class.as_mut());
-        if let (Some(tracer), Some((span, start_us))) = (&tracer, span) {
-            let outcome = if result.is_ok() {
-                SpanOutcome::Committed
-            } else {
-                SpanOutcome::Error
-            };
-            let detail = class
-                .filter(|_| op == OP_EXEC || op == OP_EXEC_BATCH)
-                .map(|class| SpanDetail::Statement { class });
-            tracer.finish_with(span, 0, 0, start_us, self.now_us(), outcome, detail);
-        }
+        let mut class = None;
+        let result = self.run_op(op, request, Some(&mut class));
+        let outcome = if result.is_ok() {
+            SpanOutcome::Committed
+        } else {
+            SpanOutcome::Error
+        };
+        // A statement that failed before it was read carries the empty class.
+        let detail = (op == OP_EXEC || op == OP_EXEC_BATCH).then(|| SpanDetail::Statement {
+            class: class.unwrap_or_else(|| "".into()),
+        });
+        tracer.finish_with(span, 0, 0, start_us, self.now_us(), outcome, detail);
         result
     }
 
     fn now_us(&self) -> u64 {
         self.clock.now().as_micros()
+    }
+
+    /// The span class of a batch of `count` statements, `batch:{count}`.
+    fn batch_class(&self, count: usize) -> Arc<str> {
+        if count >= SHARED_BATCH_CLASSES {
+            return format!("batch:{count}").into();
+        }
+        let mut classes = self.batch_classes.lock();
+        while classes.len() <= count {
+            let class = format!("batch:{}", classes.len());
+            classes.push(class.into());
+        }
+        Arc::clone(&classes[count])
     }
 
     /// Reads the optional trailing commit-stamp section a
@@ -326,7 +355,12 @@ impl DbServer {
         Ok((sql, params))
     }
 
-    fn run_op(&self, op: u8, request: &mut Reader, class: Option<&mut String>) -> DbResult<Writer> {
+    fn run_op(
+        &self,
+        op: u8,
+        request: &mut Reader,
+        class: Option<&mut Option<Arc<str>>>,
+    ) -> DbResult<Writer> {
         let per_request_us = self.charge(self.cost.per_request);
         let mut w = Writer::framed();
         w.put_u8(STATUS_OK);
@@ -374,7 +408,7 @@ impl DbServer {
                         let (sql, params) = Self::read_statement(request)?;
                         Self::read_stamp(request, conn)?;
                         if let Some(class) = class {
-                            *class = self.db.statement_class(&sql);
+                            *class = Some(self.db.statement_class(&sql));
                         }
                         let rs = conn.execute(&sql, &params)?;
                         let row_us = self.charge(self.cost.per_row.saturating_mul(rs.len() as u64));
@@ -389,7 +423,7 @@ impl DbServer {
                             .collect::<DbResult<Vec<_>>>()?;
                         Self::read_stamp(request, conn)?;
                         if let Some(class) = class {
-                            *class = format!("batch:{count}");
+                            *class = Some(self.batch_class(count));
                         }
                         // One per_request charge (taken above) covers the
                         // whole frame; rows still cost per_row each, so the
@@ -770,7 +804,7 @@ mod tests {
         let classes: Vec<_> = stmts
             .iter()
             .map(|e| match &e.detail {
-                Some(SpanDetail::Statement { class }) => class.as_str(),
+                Some(SpanDetail::Statement { class }) => &**class,
                 other => panic!("expected statement detail, got {other:?}"),
             })
             .collect();
@@ -876,7 +910,7 @@ mod tests {
         // still decompose.
         assert_eq!(batches[0].duration_us(), 425);
         match &batches[0].detail {
-            Some(SpanDetail::Statement { class }) => assert_eq!(class, "batch:2"),
+            Some(SpanDetail::Statement { class }) => assert_eq!(&**class, "batch:2"),
             other => panic!("expected statement detail, got {other:?}"),
         }
         let m = server.metrics();

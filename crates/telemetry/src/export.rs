@@ -45,7 +45,7 @@ fn event_json(e: &SpanEvent) -> Json {
     match &e.detail {
         Some(SpanDetail::Statement { class }) if !class.is_empty() => {
             name = format!("{} {class}", e.op);
-            args.push(("statement".to_owned(), Json::from(class.clone())));
+            args.push(("statement".to_owned(), Json::from(&**class)));
         }
         Some(SpanDetail::Statement { .. }) | None => {}
         Some(SpanDetail::Conflict(info)) => {
@@ -198,7 +198,7 @@ mod tests {
     fn statement_detail_reaches_name_and_args() {
         let mut e = span("db.stmt", 1, 1, 0, 0, 10);
         e.detail = Some(SpanDetail::Statement {
-            class: "account.read".to_owned(),
+            class: "account.read".into(),
         });
         let doc = chrome_trace(&[e]);
         let event = &doc.get("traceEvents").unwrap().as_arr().unwrap()[0];

@@ -22,6 +22,7 @@
 //! under the engine's in-flight trajectory must equal the summed session
 //! residences — L = λ·W as an integer identity, not an approximation.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use crate::json::Json;
@@ -96,12 +97,43 @@ pub fn resource_for(bucket: Bucket) -> Resource {
 /// frame names free of spaces — collapsed-stack parsers split the count
 /// off at the last space.
 pub fn span_class(event: &SpanEvent) -> String {
+    class_name(event.op, statement_of(event))
+}
+
+/// The statement class that refines `event`'s frame name ("" for none).
+fn statement_of(event: &SpanEvent) -> &str {
     match &event.detail {
-        Some(SpanDetail::Statement { class }) if !class.is_empty() => {
-            format!("{}:{class}", event.op)
-        }
-        _ => event.op.to_owned(),
+        Some(SpanDetail::Statement { class }) => class,
+        _ => "",
     }
+}
+
+fn class_name(op: &str, statement: &str) -> String {
+    if statement.is_empty() {
+        op.to_owned()
+    } else {
+        format!("{op}:{statement}")
+    }
+}
+
+/// Orders two `(op, statement)` pairs as their [`class_name`]s order as
+/// strings, without building either name.
+fn class_name_cmp((a_op, a_stmt): (&str, &str), (b_op, b_stmt): (&str, &str)) -> Ordering {
+    let shared = a_op.len().min(b_op.len());
+    match a_op.as_bytes()[..shared].cmp(&b_op.as_bytes()[..shared]) {
+        // The same op: `op` sorts before every `op:statement`, as "" does
+        // before every statement.
+        Ordering::Equal if a_op.len() == b_op.len() => a_stmt.cmp(b_stmt),
+        // One op is the head of the other, so the separator takes part.
+        Ordering::Equal => name_bytes(a_op, a_stmt).cmp(name_bytes(b_op, b_stmt)),
+        decided => decided,
+    }
+}
+
+/// The bytes of [`class_name`]`(op, statement)`.
+fn name_bytes<'a>(op: &'a str, statement: &'a str) -> impl Iterator<Item = u8> + 'a {
+    let sep = if statement.is_empty() { "" } else { ":" };
+    [op, sep, statement].into_iter().flat_map(str::bytes)
 }
 
 /// Aggregated statistics for one span class.
@@ -116,41 +148,200 @@ pub struct ClassStat {
     pub bucket: Bucket,
 }
 
+/// One interned span class: what names it, and what was folded into it.
+#[derive(Clone, Debug)]
+struct Class {
+    op: &'static str,
+    /// The statement class refining the op ("" = none).
+    statement: Box<str>,
+    stat: ClassStat,
+}
+
+impl Class {
+    fn key(&self) -> (&str, &str) {
+        (self.op, &self.statement)
+    }
+
+    fn name(&self) -> String {
+        class_name(self.op, &self.statement)
+    }
+}
+
+/// One distinct call stack: a node of the trie whose path from a top-level
+/// node spells `root;...;leaf`.
+#[derive(Clone, Copy, Debug)]
+struct Stack {
+    /// The enclosing stack (`None` for a root frame's).
+    parent: Option<usize>,
+    /// Class id of the leaf frame.
+    class: usize,
+    /// Aggregated self time of the leaf frame.
+    self_us: u64,
+    /// Head of the list of stacks one frame deeper, linked by `next`.
+    first_child: Option<usize>,
+    next: Option<usize>,
+}
+
 /// A weighted cross-session profile: per-class self times, collapsed
 /// stacks and resource totals folded from complete span trees (see the
 /// module docs for the conservation guarantees).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// Folding handles spans by number: a class is interned once, as its
+/// `(op, statement class)` pair, and a stack is a trie node reached from
+/// its parent's, so a span whose class and stack have been seen costs
+/// index arithmetic. Names are built only on the way out
+/// ([`classes`](Profile::classes), [`folded`](Profile::folded),
+/// [`to_json`](Profile::to_json)), sorted as strings. Two profiles are
+/// equal when those exports are: ids depend on the order things were seen
+/// in, and are not compared.
+#[derive(Clone, Debug, Default)]
 pub struct Profile {
-    /// Span class → aggregated self time.
-    classes: BTreeMap<String, ClassStat>,
-    /// `root;...;leaf` stack → aggregated self time of the leaf frame.
-    stacks: BTreeMap<String, u64>,
+    /// Class id → class, in the order first seen. Two classes never share
+    /// a [`class_name`].
+    classes: Vec<Class>,
+    /// The class ids in name order.
+    by_name: Vec<usize>,
+    /// Stack id → stack; a stack's parent has the smaller id.
+    stacks: Vec<Stack>,
+    /// Head of the list of root-frame stacks.
+    first_root: Option<usize>,
     /// Total root-span time profiled, microseconds.
     pub total_us: u64,
     /// Number of complete traces folded in.
     pub traces: u64,
 }
 
+impl PartialEq for Profile {
+    fn eq(&self, other: &Profile) -> bool {
+        self.total_us == other.total_us
+            && self.traces == other.traces
+            && self.classes().eq(other.classes())
+            && self.stack_table() == other.stack_table()
+    }
+}
+
+impl Eq for Profile {}
+
 impl Profile {
+    /// The id of the class named by `op` and `statement`, interned with
+    /// `bucket` if it is new. (A name could in principle be spelled by two
+    /// ops, `a` + `b:c` and `a:b` + `c`; the class keeps the first one's
+    /// bucket. No op in this workspace contains a colon.)
+    fn class_id(&mut self, op: &'static str, statement: &str, bucket: Bucket) -> usize {
+        let found = self
+            .by_name
+            .binary_search_by(|&id| class_name_cmp(self.classes[id].key(), (op, statement)));
+        match found {
+            Ok(rank) => self.by_name[rank],
+            Err(rank) => {
+                let id = self.classes.len();
+                self.classes.push(Class {
+                    op,
+                    statement: statement.into(),
+                    stat: ClassStat {
+                        self_us: 0,
+                        spans: 0,
+                        bucket,
+                    },
+                });
+                self.by_name.insert(rank, id);
+                id
+            }
+        }
+    }
+
+    /// Head of the list of stacks one frame deeper than `parent`.
+    fn first_child(&self, parent: Option<usize>) -> Option<usize> {
+        match parent {
+            Some(p) => self.stacks[p].first_child,
+            None => self.first_root,
+        }
+    }
+
+    /// The id of the stack that extends `parent` by a frame of `class`.
+    fn stack_id(&mut self, parent: Option<usize>, class: usize) -> usize {
+        let head = self.first_child(parent);
+        let mut at = head;
+        while let Some(id) = at {
+            if self.stacks[id].class == class {
+                return id;
+            }
+            at = self.stacks[id].next;
+        }
+        let id = self.stacks.len();
+        self.stacks.push(Stack {
+            parent,
+            class,
+            self_us: 0,
+            first_child: None,
+            next: head,
+        });
+        match parent {
+            Some(p) => self.stacks[p].first_child = Some(id),
+            None => self.first_root = Some(id),
+        }
+        id
+    }
+
+    /// The id of the stack that extends `parent` by `span`'s frame. A
+    /// stack seen before is found among `parent`'s few children by the
+    /// span's op and statement class as they stand, which is what keeps
+    /// the class table out of the steady state. Ops are literals, so one
+    /// often matches by address — not always: a call site compiled into
+    /// two crates has two.
+    fn stack_of(&mut self, parent: Option<usize>, span: &SpanEvent) -> usize {
+        let (op, statement) = (span.op, statement_of(span));
+        let mut at = self.first_child(parent);
+        while let Some(id) = at {
+            let class = &self.classes[self.stacks[id].class];
+            if (std::ptr::eq(class.op, op) || class.op == op) && *class.statement == *statement {
+                return id;
+            }
+            at = self.stacks[id].next;
+        }
+        let class = self.class_id(op, statement, bucket_for(op));
+        self.stack_id(parent, class)
+    }
+
     /// Folds every complete trace in `events` into the profile. Like
     /// [`critical_path`](crate::critical_path) this is a fold over the one
     /// span-tree walk, so the two agree span for span.
     pub fn fold(&mut self, events: &[SpanEvent]) {
+        // The stack of each span of the trace being walked, by position,
+        // once known: a span's stack extends its parent's, and a parent is
+        // usually recorded after its children.
+        let mut stack_at: Vec<Option<usize>> = Vec::new();
+        // The positions a climb passed on its way up; no chain is longer
+        // than its trace.
+        let mut unresolved: Vec<usize> = Vec::new();
         let (traces, total_us) = walk_complete_traces(events, |v| {
-            let slot = self.classes.entry(span_class(v.span)).or_insert(ClassStat {
-                self_us: 0,
-                spans: 0,
-                bucket: bucket_for(v.span.op),
-            });
-            slot.self_us += v.self_us;
-            slot.spans += 1;
-            // Root → self frame path for the collapsed stack.
-            let mut frames: Vec<String> = std::iter::once(v.span)
-                .chain(v.ancestors())
-                .map(span_class)
-                .collect();
-            frames.reverse();
-            *self.stacks.entry(frames.join(";")).or_default() += v.self_us;
+            if v.at == 0 {
+                stack_at.clear();
+                stack_at.resize(v.trace.len(), None);
+                unresolved.reserve(v.trace.len());
+            }
+            // Climb to the nearest span whose stack is known (or past a
+            // root), then come back down extending it frame by frame.
+            let mut at = v.at;
+            let mut stack = loop {
+                if stack_at[at].is_some() {
+                    break stack_at[at];
+                }
+                unresolved.push(at);
+                match v.trace.parent(at) {
+                    Some(parent) => at = parent,
+                    None => break None,
+                }
+            };
+            while let Some(at) = unresolved.pop() {
+                stack = Some(self.stack_of(stack, v.trace.span(at)));
+                stack_at[at] = stack;
+            }
+            let stack = stack.expect("the walk visits spans, so the climb resolved one");
+            self.stacks[stack].self_us += v.self_us;
+            let stat = &mut self.classes[self.stacks[stack].class].stat;
+            stat.self_us += v.self_us;
+            stat.spans += 1;
         });
         self.traces += traces;
         self.total_us += total_us;
@@ -165,38 +356,72 @@ impl Profile {
 
     /// Folds another profile into this one.
     pub fn merge(&mut self, other: &Profile) {
-        for (class, stat) in &other.classes {
-            let slot = self.classes.entry(class.clone()).or_insert(ClassStat {
-                self_us: 0,
-                spans: 0,
-                bucket: stat.bucket,
-            });
-            slot.self_us += stat.self_us;
-            slot.spans += stat.spans;
-        }
-        for (stack, us) in &other.stacks {
-            *self.stacks.entry(stack.clone()).or_default() += us;
+        let class_ids: Vec<usize> = other
+            .classes
+            .iter()
+            .map(|class| {
+                let id = self.class_id(class.op, &class.statement, class.stat.bucket);
+                let stat = &mut self.classes[id].stat;
+                stat.self_us += class.stat.self_us;
+                stat.spans += class.stat.spans;
+                id
+            })
+            .collect();
+        // A stack's parent has the smaller id, so it is mapped by the time
+        // the stack is.
+        let mut stack_ids: Vec<usize> = Vec::with_capacity(other.stacks.len());
+        for stack in &other.stacks {
+            let parent = stack.parent.map(|p| stack_ids[p]);
+            let id = self.stack_id(parent, class_ids[stack.class]);
+            self.stacks[id].self_us += stack.self_us;
+            stack_ids.push(id);
         }
         self.total_us += other.total_us;
         self.traces += other.traces;
     }
 
-    /// Per-class statistics in deterministic (sorted) order.
-    pub fn classes(&self) -> impl Iterator<Item = (&str, &ClassStat)> {
-        self.classes.iter().map(|(k, v)| (k.as_str(), v))
+    /// Per-class statistics in deterministic (name-sorted) order.
+    pub fn classes(&self) -> impl Iterator<Item = (String, ClassStat)> + '_ {
+        self.by_name
+            .iter()
+            .map(|&id| (self.classes[id].name(), self.classes[id].stat))
     }
 
     /// Self time attributed to one span class (0 when absent).
     pub fn class_self_us(&self, class: &str) -> u64 {
-        self.classes.get(class).map_or(0, |s| s.self_us)
+        self.classes
+            .iter()
+            .find(|c| name_bytes(c.op, &c.statement).eq(class.bytes()))
+            .map_or(0, |c| c.stat.self_us)
+    }
+
+    /// Every distinct stack spelled out, `root;...;leaf` → self time of
+    /// the leaf frame, in string order.
+    fn stack_table(&self) -> BTreeMap<String, u64> {
+        let names: Vec<String> = self.classes.iter().map(Class::name).collect();
+        let mut spelled: Vec<String> = Vec::with_capacity(self.stacks.len());
+        let mut table = BTreeMap::new();
+        for stack in &self.stacks {
+            let name = &names[stack.class];
+            let path = match stack.parent {
+                Some(p) => format!("{};{name}", spelled[p]),
+                None => name.clone(),
+            };
+            // Every stack is some span's own (the walk visits each
+            // ancestor it resolves), so each belongs in the table, zero or
+            // not.
+            *table.entry(path.clone()).or_default() += stack.self_us;
+            spelled.push(path);
+        }
+        table
     }
 
     /// Self time attributed to `resource`, microseconds.
     pub fn resource_us(&self, resource: Resource) -> u64 {
         self.classes
-            .values()
-            .filter(|s| resource_for(s.bucket) == resource)
-            .map(|s| s.self_us)
+            .iter()
+            .filter(|c| resource_for(c.stat.bucket) == resource)
+            .map(|c| c.stat.self_us)
             .sum()
     }
 
@@ -242,7 +467,7 @@ impl Profile {
     /// speedscope as `{name}.folded`.
     pub fn folded(&self) -> String {
         let mut out = String::new();
-        for (stack, us) in &self.stacks {
+        for (stack, us) in &self.stack_table() {
             out.push_str(stack);
             out.push(' ');
             out.push_str(&us.to_string());
@@ -255,11 +480,10 @@ impl Profile {
     /// Round-trips through [`validate_profile`].
     pub fn to_json(&self, label: &str) -> Json {
         let classes = self
-            .classes
-            .iter()
+            .classes()
             .map(|(class, stat)| {
                 Json::obj([
-                    ("class", Json::from(class.clone())),
+                    ("class", Json::from(class)),
                     ("bucket", Json::from(stat.bucket.label())),
                     ("resource", Json::from(resource_for(stat.bucket).label())),
                     ("self_us", Json::from(stat.self_us)),
@@ -278,13 +502,10 @@ impl Profile {
             })
             .collect();
         let stacks = self
-            .stacks
-            .iter()
+            .stack_table()
+            .into_iter()
             .map(|(stack, us)| {
-                Json::obj([
-                    ("stack", Json::from(stack.clone())),
-                    ("self_us", Json::from(*us)),
-                ])
+                Json::obj([("stack", Json::from(stack)), ("self_us", Json::from(us))])
             })
             .collect();
         Json::obj([
@@ -487,7 +708,7 @@ mod tests {
     ) -> SpanEvent {
         let mut e = span(op, trace, id, parent, start, end);
         e.detail = Some(SpanDetail::Statement {
-            class: class.to_owned(),
+            class: class.into(),
         });
         e
     }
@@ -594,6 +815,73 @@ mod tests {
             span("request", 5, 1, 0, 0, 20),
         ];
         assert_eq!(Profile::from_events(&orphan), Profile::default());
+    }
+
+    #[test]
+    fn a_cycle_of_parent_links_makes_its_trace_incomplete() {
+        // Spans 2 and 3 of trace 9 name each other as parent. Every parent
+        // id resolves, which is all the completeness rule used to ask, and
+        // the fold then followed the links round and round collecting
+        // frames (at the parent commit this test does not fail, it hangs
+        // until the allocator gives up). No chain of theirs reaches a
+        // root, so the trace is skipped like a beheaded one — its good
+        // spans included — and the trace beside it folds as if alone.
+        let mut events = demo_events();
+        events.extend([
+            span("request", 9, 1, 0, 0, 50),
+            span("rpc.call", 9, 2, 3, 10, 40),
+            span("rpc.attempt", 9, 3, 2, 10, 40),
+        ]);
+        // A span that is its own parent is the shortest cycle.
+        events.push(span("request", 11, 5, 5, 0, 10));
+        let alone = demo_events();
+        assert_eq!(Profile::from_events(&events), Profile::from_events(&alone));
+        assert_eq!(Profile::from_events(&events).traces, 1);
+        assert_eq!(critical_path(&events), critical_path(&alone));
+        assert_eq!(
+            crate::chrome_trace(&events).render(),
+            crate::chrome_trace(&alone).render()
+        );
+    }
+
+    #[test]
+    fn equality_is_by_content_not_by_the_order_things_were_seen_in() {
+        let other = vec![
+            span("request", 8, 1, 0, 0, 30),
+            stmt("db.stmt", "quote.read", 8, 2, 1, 5, 25),
+        ];
+        let mut ab = Profile::from_events(&demo_events());
+        ab.fold(&other);
+        let mut ba = Profile::from_events(&other);
+        ba.fold(&demo_events());
+        assert_eq!(ab, ba);
+        assert_eq!(ab.folded(), ba.folded());
+        assert_eq!(ab.to_json("x").render(), ba.to_json("x").render());
+        let mut merged = Profile::from_events(&other);
+        merged.merge(&Profile::from_events(&demo_events()));
+        assert_eq!(merged, ab);
+        assert_ne!(ab, Profile::from_events(&demo_events()));
+    }
+
+    #[test]
+    fn class_names_sort_as_strings_whatever_the_op_and_statement_split() {
+        // `db.stmt.slow` < `db.stmt:a` as strings ('.' < ':'), though
+        // `db.stmt` < `db.stmt.slow` as ops; an op sorts before its own
+        // refinements.
+        let events = vec![
+            span("request", 7, 1, 0, 0, 100),
+            stmt("db.stmt", "a", 7, 2, 1, 0, 10),
+            span("db.stmt.slow", 7, 3, 1, 10, 20),
+            span("db.stmt", 7, 4, 1, 20, 30),
+            stmt("db.stmt", "", 7, 5, 1, 30, 40),
+        ];
+        let p = Profile::from_events(&events);
+        let names: Vec<String> = p.classes().map(|(name, _)| name).collect();
+        assert_eq!(names, ["db.stmt", "db.stmt.slow", "db.stmt:a", "request"]);
+        assert_eq!(p.class_self_us("db.stmt"), 20, "an empty class is none");
+        assert_eq!(p.class_self_us("db.stmt:a"), 10);
+        assert_eq!(p.class_self_us("db.stmt:"), 0);
+        assert_eq!(p.class_self_us("db"), 0);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! instead.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// How a traced protocol step ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -45,8 +45,10 @@ pub enum SpanDetail {
     /// A datastore statement leaf: `{table}.{kind}` class, e.g.
     /// `"account.read"` (empty for DDL/unclassified statements).
     Statement {
-        /// Statement class, `"{table}.{kind}"`.
-        class: String,
+        /// Statement class, `"{table}.{kind}"` — shared with the cached
+        /// plan that computed it, so recording and copying the span copy
+        /// no text.
+        class: Arc<str>,
     },
     /// OCC validation-failure forensics.
     Conflict(ConflictInfo),
@@ -150,11 +152,18 @@ impl SpanEvent {
 }
 
 /// A bounded in-memory log of [`SpanEvent`]s; oldest events are dropped
-/// once the capacity is reached.
+/// once the capacity is reached, and counted ([`TraceLog::evicted`]).
 #[derive(Debug)]
 pub struct TraceLog {
-    events: Mutex<VecDeque<SpanEvent>>,
+    inner: Mutex<Retained>,
     capacity: usize,
+}
+
+#[derive(Debug, Default)]
+struct Retained {
+    events: VecDeque<SpanEvent>,
+    /// Events dropped to make room since the last [`TraceLog::clear`].
+    evicted: u64,
 }
 
 impl Default for TraceLog {
@@ -172,33 +181,50 @@ impl TraceLog {
     /// Creates a log keeping at most `capacity` recent events.
     pub fn with_capacity(capacity: usize) -> TraceLog {
         TraceLog {
-            events: Mutex::new(VecDeque::new()),
+            inner: Mutex::new(Retained::default()),
             capacity: capacity.max(1),
         }
     }
 
-    /// Appends an event, evicting the oldest if full.
+    fn lock(&self) -> MutexGuard<'_, Retained> {
+        self.inner.lock().expect("trace lock")
+    }
+
+    /// Appends an event, evicting (and counting) the oldest if full.
     pub fn record(&self, event: SpanEvent) {
-        let mut events = self.events.lock().expect("trace lock");
-        if events.len() == self.capacity {
-            events.pop_front();
+        let mut log = self.lock();
+        if log.events.len() == self.capacity {
+            log.events.pop_front();
+            log.evicted += 1;
         }
-        events.push_back(event);
+        log.events.push_back(event);
     }
 
     /// A copy of the retained events, oldest first.
     pub fn events(&self) -> Vec<SpanEvent> {
-        self.events
-            .lock()
-            .expect("trace lock")
-            .iter()
-            .cloned()
-            .collect()
+        self.lock().events.iter().cloned().collect()
+    }
+
+    /// Moves the retained events, oldest first, onto the end of `out`,
+    /// leaving the log empty: what a reader that consumes the log calls in
+    /// place of [`events`](TraceLog::events) + [`clear`](TraceLog::clear),
+    /// which copies every event only to drop the original. The eviction
+    /// count stays.
+    pub fn drain_into(&self, out: &mut Vec<SpanEvent>) {
+        out.extend(self.lock().events.drain(..));
+    }
+
+    /// How many events were dropped to make room since the last
+    /// [`clear`](TraceLog::clear). An evicted span beheads its trace, which
+    /// every aggregate view then skips, so a harvest that must be whole
+    /// checks that this is zero.
+    pub fn evicted(&self) -> u64 {
+        self.lock().evicted
     }
 
     /// Number of retained events.
     pub fn len(&self) -> usize {
-        self.events.lock().expect("trace lock").len()
+        self.lock().events.len()
     }
 
     /// True when no events are retained.
@@ -209,18 +235,19 @@ impl TraceLog {
     /// Counts retained events matching `op` (any op if `None`) and
     /// `outcome` (any outcome if `None`).
     pub fn count(&self, op: Option<&str>, outcome: Option<SpanOutcome>) -> usize {
-        self.events
-            .lock()
-            .expect("trace lock")
+        self.lock()
+            .events
             .iter()
             .filter(|e| op.is_none_or(|o| e.op == o))
             .filter(|e| outcome.is_none_or(|o| e.outcome == o))
             .count()
     }
 
-    /// Discards all retained events.
+    /// Discards all retained events and zeroes the eviction count.
     pub fn clear(&self) {
-        self.events.lock().expect("trace lock").clear();
+        let mut log = self.lock();
+        log.events.clear();
+        log.evicted = 0;
     }
 }
 
@@ -256,6 +283,42 @@ mod tests {
         }
         let kept: Vec<u64> = log.events().iter().map(|e| e.txn_id).collect();
         assert_eq!(kept, vec![2, 3]);
+    }
+
+    #[test]
+    fn eviction_is_counted_until_the_log_is_cleared() {
+        let log = TraceLog::with_capacity(2);
+        for txn in 1..=2 {
+            log.record(event("op", txn, SpanOutcome::Committed));
+        }
+        assert_eq!(log.evicted(), 0, "a full log has shed nothing yet");
+        for txn in 3..=5 {
+            log.record(event("op", txn, SpanOutcome::Committed));
+        }
+        assert_eq!(log.evicted(), 3);
+        // Draining empties the log but keeps the count: the reader still
+        // has to learn that what it drained is not everything recorded.
+        let mut drained = Vec::new();
+        log.drain_into(&mut drained);
+        assert_eq!(drained.len(), 2);
+        assert_eq!(log.evicted(), 3);
+        log.clear();
+        assert_eq!(log.evicted(), 0);
+    }
+
+    #[test]
+    fn drain_moves_events_out_in_order_after_what_the_buffer_holds() {
+        let log = TraceLog::new();
+        let mut out = vec![event("kept", 9, SpanOutcome::Committed)];
+        for txn in 1..=3 {
+            log.record(event("op", txn, SpanOutcome::Committed));
+        }
+        log.drain_into(&mut out);
+        assert!(log.is_empty());
+        let ids: Vec<u64> = out.iter().map(|e| e.txn_id).collect();
+        assert_eq!(ids, vec![9, 1, 2, 3]);
+        log.drain_into(&mut out);
+        assert_eq!(out.len(), 4, "an empty log adds nothing");
     }
 
     #[test]

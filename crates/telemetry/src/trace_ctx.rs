@@ -17,7 +17,7 @@
 //! call stack (e.g. deferred invalidation delivery).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::span::{SpanDetail, SpanEvent, SpanOutcome, TraceLog};
 
@@ -71,11 +71,20 @@ impl OpenSpan {
 /// One `Tracer` per testbed; every traced component holds a clone of the
 /// same `Arc<Tracer>` so ids are unique across layers and the current
 /// context flows through the (synchronous) simulated call stack.
+///
+/// The current context is two plain cells, not a pair updated as one: the
+/// testbed runs a request on one logical call stack, and a tracer shared
+/// by threads that trace concurrently would interleave their contexts
+/// whatever the cells were.
 #[derive(Debug)]
 pub struct Tracer {
     log: Arc<TraceLog>,
     next_id: AtomicU64,
-    current: Mutex<Option<TraceCtx>>,
+    /// Trace id of the current context; 0 = no context is open (an open
+    /// span always has a nonzero trace id).
+    current_trace: AtomicU64,
+    /// Span id children of the current context attach to.
+    current_parent: AtomicU64,
 }
 
 impl Tracer {
@@ -85,7 +94,8 @@ impl Tracer {
         Tracer {
             log,
             next_id: AtomicU64::new(1),
-            current: Mutex::new(None),
+            current_trace: AtomicU64::new(0),
+            current_parent: AtomicU64::new(0),
         }
     }
 
@@ -100,56 +110,56 @@ impl Tracer {
 
     /// The context new child spans would currently attach to.
     pub fn current(&self) -> Option<TraceCtx> {
-        *self.current.lock().expect("tracer lock")
+        let trace_id = self.current_trace.load(Ordering::Relaxed);
+        (trace_id != 0).then(|| TraceCtx {
+            trace_id,
+            parent_span_id: self.current_parent.load(Ordering::Relaxed),
+        })
+    }
+
+    fn set_current(&self, ctx: Option<TraceCtx>) {
+        let ctx = ctx.unwrap_or_default();
+        self.current_trace.store(ctx.trace_id, Ordering::Relaxed);
+        self.current_parent
+            .store(ctx.parent_span_id, Ordering::Relaxed);
+    }
+
+    /// Opens a span of `under`'s trace (a fresh one when it names none),
+    /// parented where `under` says, and makes it the current context;
+    /// `prev` is the context its end restores.
+    fn open(&self, op: &'static str, under: TraceCtx, prev: Option<TraceCtx>) -> OpenSpan {
+        let trace_id = if under.trace_id != 0 {
+            under.trace_id
+        } else {
+            self.alloc()
+        };
+        let span_id = self.alloc();
+        self.set_current(Some(TraceCtx {
+            trace_id,
+            parent_span_id: span_id,
+        }));
+        OpenSpan {
+            op,
+            trace_id,
+            span_id,
+            parent_span_id: under.parent_span_id,
+            prev,
+        }
     }
 
     /// Begins a span as a child of the current context, or as the root of
     /// a brand-new trace when no context is open. The new span becomes the
     /// current context until [`finish`](Tracer::finish).
     pub fn begin(&self, op: &'static str) -> OpenSpan {
-        let mut cur = self.current.lock().expect("tracer lock");
-        let prev = *cur;
-        let (trace_id, parent_span_id) = match prev {
-            Some(ctx) if ctx.trace_id != 0 => (ctx.trace_id, ctx.parent_span_id),
-            _ => (self.alloc(), 0),
-        };
-        let span_id = self.alloc();
-        *cur = Some(TraceCtx {
-            trace_id,
-            parent_span_id: span_id,
-        });
-        OpenSpan {
-            op,
-            trace_id,
-            span_id,
-            parent_span_id,
-            prev,
-        }
+        let prev = self.current();
+        self.open(op, prev.unwrap_or_default(), prev)
     }
 
     /// Begins a span under an explicit context — used when the context
     /// arrived out-of-band (decoded from a wire frame) rather than through
     /// the in-process call stack.
     pub fn begin_under(&self, op: &'static str, ctx: TraceCtx) -> OpenSpan {
-        let mut cur = self.current.lock().expect("tracer lock");
-        let prev = *cur;
-        let trace_id = if ctx.trace_id != 0 {
-            ctx.trace_id
-        } else {
-            self.alloc()
-        };
-        let span_id = self.alloc();
-        *cur = Some(TraceCtx {
-            trace_id,
-            parent_span_id: span_id,
-        });
-        OpenSpan {
-            op,
-            trace_id,
-            span_id,
-            parent_span_id: ctx.parent_span_id,
-            prev,
-        }
+        self.open(op, ctx, self.current())
     }
 
     /// Begins a server-side span for a request whose frame carried
@@ -159,11 +169,8 @@ impl Tracer {
     /// duplicates — the wire id re-attaches the work to the originating
     /// trace.
     pub fn begin_rpc_server(&self, op: &'static str, wire_trace_id: u64) -> OpenSpan {
-        if self.current().is_some() {
-            self.begin(op)
-        } else {
-            self.begin_under(op, TraceCtx::root_of(wire_trace_id))
-        }
+        let prev = self.current();
+        self.open(op, prev.unwrap_or(TraceCtx::root_of(wire_trace_id)), prev)
     }
 
     /// Finishes a span: records the [`SpanEvent`] and restores the
@@ -193,7 +200,7 @@ impl Tracer {
         outcome: SpanOutcome,
         detail: Option<SpanDetail>,
     ) {
-        *self.current.lock().expect("tracer lock") = span.prev;
+        self.set_current(span.prev);
         self.log.record(SpanEvent {
             op: span.op,
             origin,
@@ -210,7 +217,7 @@ impl Tracer {
 
     /// Drops a span without recording it, restoring the enclosing context.
     pub fn cancel(&self, span: OpenSpan) {
-        *self.current.lock().expect("tracer lock") = span.prev;
+        self.set_current(span.prev);
     }
 }
 

@@ -130,6 +130,49 @@ impl Breakdown {
     }
 }
 
+/// What the walk knows about one span of the trace it is resolving, kept
+/// by the span's *position* — its rank in event order within the trace.
+#[derive(Clone, Copy)]
+struct Slot {
+    /// Position of the span the parent id resolves to (`None` for a root).
+    parent: Option<usize>,
+    /// Position the span's own id resolves to: itself, unless a later span
+    /// of the trace repeats the id (the last one recorded wins).
+    holder: usize,
+    /// Summed durations of the spans whose parent id resolves here.
+    child_us: u64,
+    /// Whether the parent links from here are known to end at a root.
+    rooted: bool,
+}
+
+/// The trace a [`SpanVisit`] belongs to, addressed by position.
+#[derive(Clone, Copy)]
+pub(crate) struct TraceView<'a> {
+    events: &'a [SpanEvent],
+    /// Indices into `events` of this trace's spans, in event order.
+    order: &'a [usize],
+    slots: &'a [Slot],
+}
+
+impl<'a> TraceView<'a> {
+    /// Number of spans in the trace.
+    pub fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    /// The span at position `at`.
+    pub fn span(&self, at: usize) -> &'a SpanEvent {
+        &self.events[self.order[at]]
+    }
+
+    /// Position of the parent of the span at `at` (`None` for a root).
+    /// Following it from any position ends at a root: the walk visits no
+    /// trace where it does not.
+    pub fn parent(&self, at: usize) -> Option<usize> {
+        self.slots[at].parent
+    }
+}
+
 /// One span of a complete trace, as [`walk_complete_traces`] hands it to a
 /// fold.
 pub(crate) struct SpanVisit<'a> {
@@ -137,57 +180,124 @@ pub(crate) struct SpanVisit<'a> {
     pub span: &'a SpanEvent,
     /// Its duration minus its direct children's.
     pub self_us: u64,
-    by_id: &'a BTreeMap<u64, &'a SpanEvent>,
+    /// Its position in `trace`; 0 opens a new trace.
+    pub at: usize,
+    /// The trace it belongs to.
+    pub trace: TraceView<'a>,
 }
 
-impl<'a> SpanVisit<'a> {
-    /// The span's ancestors, parent first, root last (none for a root).
-    pub fn ancestors(&self) -> impl Iterator<Item = &'a SpanEvent> + '_ {
-        let mut at = self.span.parent_span_id;
-        std::iter::from_fn(move || {
-            if at == 0 {
-                return None;
-            }
-            let parent = *self.by_id.get(&at)?;
-            at = parent.parent_span_id;
-            Some(parent)
-        })
+/// Resolves one trace's parent links into `slots`, through `ids` — the
+/// trace's `(span id, position)` pairs, sorted, so that the last pair of an
+/// id is the span recorded last under it. Returns whether the trace is
+/// complete: every parent id names a span of the trace and every chain of
+/// parents ends at a root (two spans naming each other never do).
+fn index_trace(
+    events: &[SpanEvent],
+    trace: &[usize],
+    ids: &mut Vec<(u64, usize)>,
+    slots: &mut Vec<Slot>,
+) -> bool {
+    ids.clear();
+    ids.extend(
+        trace
+            .iter()
+            .enumerate()
+            .map(|(at, &i)| (events[i].span_id, at)),
+    );
+    ids.sort_unstable();
+    slots.clear();
+    slots.resize(
+        trace.len(),
+        Slot {
+            parent: None,
+            holder: 0,
+            child_us: 0,
+            rooted: false,
+        },
+    );
+    for same_id in ids.chunk_by(|a, b| a.0 == b.0) {
+        let holder = same_id[same_id.len() - 1].1;
+        for &(_, at) in same_id {
+            slots[at].holder = holder;
+        }
     }
+    for (at, &i) in trace.iter().enumerate() {
+        let span = &events[i];
+        if span.parent_span_id == 0 {
+            slots[at].rooted = true;
+            continue;
+        }
+        let after = ids.partition_point(|&(id, _)| id <= span.parent_span_id);
+        match ids[..after].last() {
+            Some(&(id, parent)) if id == span.parent_span_id => {
+                slots[at].parent = Some(parent);
+                slots[parent].child_us += span.duration_us();
+            }
+            _ => return false,
+        }
+    }
+    // Every span not yet known to reach a root climbs to one that is and
+    // marks its path, so each span is climbed past once; a climb longer
+    // than the trace has gone round a cycle.
+    for start in 0..slots.len() {
+        let mut at = start;
+        let mut steps = 0;
+        while !slots[at].rooted {
+            at = slots[at].parent.expect("a span without a parent is rooted");
+            steps += 1;
+            if steps > slots.len() {
+                return false;
+            }
+        }
+        let mut at = start;
+        while !slots[at].rooted {
+            slots[at].rooted = true;
+            at = slots[at].parent.expect("a span without a parent is rooted");
+        }
+    }
+    true
 }
 
 /// The one span-tree walk every aggregate view folds over: groups `events`
 /// by trace (untraced events, `trace_id == 0`, are ignored), keeps the
-/// *complete* traces (every parent link resolves — eviction can behead old
-/// traces) and calls `visit` once per span of each with its self time.
+/// *complete* traces (every parent link resolves and leads to a root —
+/// eviction can behead old traces) and calls `visit` once per span of each
+/// with its self time. Traces are visited by ascending id and a trace's
+/// spans in event order; folds rely on that order. Where two spans of a
+/// trace share an id, parent links resolve to the one recorded last.
 /// Returns `(traces, total_us)`: how many traces were complete and their
 /// summed root-span durations.
+///
+/// Nothing is built per trace: one index vector sorted by `(trace id,
+/// event index)` groups the events, and each trace reuses one sorted
+/// `(span id, position)` table and one slot per position.
 pub(crate) fn walk_complete_traces(
     events: &[SpanEvent],
     mut visit: impl FnMut(SpanVisit<'_>),
 ) -> (u64, u64) {
-    let mut traces: BTreeMap<u64, Vec<&SpanEvent>> = BTreeMap::new();
-    for e in events {
-        if e.trace_id != 0 {
-            traces.entry(e.trace_id).or_default().push(e);
-        }
-    }
+    let mut order: Vec<usize> = Vec::with_capacity(events.len());
+    order.extend((0..events.len()).filter(|&i| events[i].trace_id != 0));
+    order.sort_unstable_by_key(|&i| (events[i].trace_id, i));
+    let mut ids = Vec::with_capacity(order.len());
+    let mut slots = Vec::with_capacity(order.len());
     let (mut walked, mut total_us) = (0, 0);
-    for spans in traces.values() {
-        let by_id: BTreeMap<u64, &SpanEvent> = spans.iter().map(|s| (s.span_id, *s)).collect();
-        let mut child_us: BTreeMap<u64, u64> = BTreeMap::new();
-        for s in spans.iter().filter(|s| s.parent_span_id != 0) {
-            *child_us.entry(s.parent_span_id).or_default() += s.duration_us();
-        }
-        let complete = child_us.keys().all(|parent| by_id.contains_key(parent));
-        if !complete {
+    for trace in order.chunk_by(|&a, &b| events[a].trace_id == events[b].trace_id) {
+        if !index_trace(events, trace, &mut ids, &mut slots) {
             continue;
         }
-        for &span in spans {
-            let nested = child_us.get(&span.span_id).copied().unwrap_or(0);
+        let view = TraceView {
+            events,
+            order: trace,
+            slots: &slots,
+        };
+        for at in 0..trace.len() {
+            let span = view.span(at);
+            let nested = slots[slots[at].holder].child_us;
             visit(SpanVisit {
                 span,
                 self_us: span.duration_us().saturating_sub(nested),
-                by_id: &by_id,
+                at,
+                trace: view,
             });
             if span.parent_span_id == 0 {
                 total_us += span.duration_us();
@@ -199,8 +309,8 @@ pub(crate) fn walk_complete_traces(
 }
 
 /// Decomposes every *complete* trace in `events` (one whose parent links
-/// all resolve — eviction can behead old traces) into per-bucket self
-/// times. Untraced events (`trace_id == 0`) are ignored.
+/// all resolve and lead to a root — eviction can behead old traces) into
+/// per-bucket self times. Untraced events (`trace_id == 0`) are ignored.
 pub fn critical_path(events: &[SpanEvent]) -> Breakdown {
     let mut out = Breakdown::default();
     (out.traces, out.total_us) = walk_complete_traces(events, |v| {

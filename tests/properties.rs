@@ -20,6 +20,9 @@
 //!   byte for byte what formatting and copying it used to produce;
 //! * a rolled-back transaction, and one torn by a crash and undone by
 //!   recovery, both leave the database as if they had never run;
+//! * the span fold that handles spans by number — interned classes, a
+//!   stack trie, one index walk — exports byte for byte what the fold that
+//!   built a string per frame and three maps per trace exported;
 //! * the regression and batching math behaves on arbitrary affine data.
 //!
 //! These used to be `proptest` properties; they are now plain seeded loops
@@ -29,7 +32,7 @@
 //! `tests/properties.proptest-regressions` and are pinned as explicit cases
 //! below (see [`empty_in_regression_survives_sql_round_trip`]).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -52,6 +55,10 @@ use sli_edge::datastore::{
 };
 use sli_edge::simnet::wire::{frame_traced, protocol, unframe, Reader, Writer};
 use sli_edge::simnet::{HttpRequest, HttpResponse};
+use sli_edge::telemetry::{
+    bucket_for, chrome_trace, critical_path, resource_for, span_class, Bucket, ClassStat,
+    ConflictInfo, Json, Profile, Resource, SpanDetail, SpanEvent, SpanOutcome, PROFILE_SCHEMA,
+};
 use sli_edge::workload::{batch_means, fit};
 
 // ---------- generators ----------
@@ -1451,6 +1458,515 @@ fn rollback_and_recovery_undo_both_leave_no_trace() {
     assert!(rewrites >= 100, "several writes to one key: {rewrites}");
     assert!(reinserts >= 30, "delete-then-reinsert: {reinserts}");
     assert!(torn >= 300, "torn commits: {torn}");
+}
+
+// ---------- the span fold: numbers inside, the same bytes outside ----------
+
+/// One span of a complete trace as the fold met it while it built maps:
+/// the span, its self time and its ancestors, parent first.
+struct ModelVisit<'a> {
+    span: &'a SpanEvent,
+    self_us: u64,
+    ancestors: Vec<&'a SpanEvent>,
+}
+
+/// `walk_complete_traces` as it was — a map of traces and, per trace, a map
+/// of spans by id and a map of child time by parent id — under the
+/// completeness rule as it stands: every chain of parent links must reach
+/// a root. (As it was, a chain that came back on itself was followed for
+/// ever.) Returns the visits in order, the traces walked and their summed
+/// root durations.
+fn model_walk(events: &[SpanEvent]) -> (Vec<ModelVisit<'_>>, u64, u64) {
+    let mut traces: BTreeMap<u64, Vec<&SpanEvent>> = BTreeMap::new();
+    for e in events {
+        if e.trace_id != 0 {
+            traces.entry(e.trace_id).or_default().push(e);
+        }
+    }
+    let (mut visits, mut walked, mut total_us) = (Vec::new(), 0, 0);
+    'traces: for spans in traces.values() {
+        let by_id: BTreeMap<u64, &SpanEvent> = spans.iter().map(|s| (s.span_id, *s)).collect();
+        let mut child_us: BTreeMap<u64, u64> = BTreeMap::new();
+        for s in spans.iter().filter(|s| s.parent_span_id != 0) {
+            *child_us.entry(s.parent_span_id).or_default() += s.duration_us();
+        }
+        let mut of_trace = Vec::new();
+        for &span in spans {
+            let mut ancestors = Vec::new();
+            let mut at = span.parent_span_id;
+            while at != 0 {
+                let Some(&parent) = by_id.get(&at) else {
+                    continue 'traces;
+                };
+                if ancestors.len() == spans.len() {
+                    continue 'traces;
+                }
+                ancestors.push(parent);
+                at = parent.parent_span_id;
+            }
+            let nested = child_us.get(&span.span_id).copied().unwrap_or(0);
+            of_trace.push(ModelVisit {
+                span,
+                self_us: span.duration_us().saturating_sub(nested),
+                ancestors,
+            });
+        }
+        total_us += spans
+            .iter()
+            .filter(|s| s.parent_span_id == 0)
+            .map(|s| s.duration_us())
+            .sum::<u64>();
+        visits.extend(of_trace);
+        walked += 1;
+    }
+    (visits, walked, total_us)
+}
+
+/// `Profile` as it was: a map from class name to its statistics and a map
+/// from the joined stack to its self time, a `String` built per span for
+/// the one and per ancestor for the other.
+#[derive(Debug, Default, PartialEq)]
+struct ModelProfile {
+    classes: BTreeMap<String, ClassStat>,
+    stacks: BTreeMap<String, u64>,
+    total_us: u64,
+    traces: u64,
+}
+
+impl ModelProfile {
+    fn fold(&mut self, events: &[SpanEvent]) {
+        let (visits, traces, total_us) = model_walk(events);
+        for v in visits {
+            let slot = self.classes.entry(span_class(v.span)).or_insert(ClassStat {
+                self_us: 0,
+                spans: 0,
+                bucket: bucket_for(v.span.op),
+            });
+            slot.self_us += v.self_us;
+            slot.spans += 1;
+            let mut frames: Vec<String> = std::iter::once(v.span)
+                .chain(v.ancestors.iter().copied())
+                .map(span_class)
+                .collect();
+            frames.reverse();
+            *self.stacks.entry(frames.join(";")).or_default() += v.self_us;
+        }
+        self.traces += traces;
+        self.total_us += total_us;
+    }
+
+    fn resource_us(&self, resource: Resource) -> u64 {
+        self.classes
+            .values()
+            .filter(|s| resource_for(s.bucket) == resource)
+            .map(|s| s.self_us)
+            .sum()
+    }
+
+    fn folded(&self) -> String {
+        let mut out = String::new();
+        for (stack, us) in &self.stacks {
+            out.push_str(&format!("{stack} {us}\n"));
+        }
+        out
+    }
+
+    fn to_json(&self, label: &str) -> Json {
+        let classes = self
+            .classes
+            .iter()
+            .map(|(class, stat)| {
+                Json::obj([
+                    ("class", Json::from(class.clone())),
+                    ("bucket", Json::from(stat.bucket.label())),
+                    ("resource", Json::from(resource_for(stat.bucket).label())),
+                    ("self_us", Json::from(stat.self_us)),
+                    ("spans", Json::from(stat.spans)),
+                ])
+            })
+            .collect();
+        let resources = Resource::ALL
+            .into_iter()
+            .map(|r| {
+                let share = match self.total_us {
+                    0 => 0.0,
+                    total => self.resource_us(r) as f64 / total as f64,
+                };
+                Json::obj([
+                    ("resource", Json::from(r.label())),
+                    ("self_us", Json::from(self.resource_us(r))),
+                    ("share", Json::from(share)),
+                ])
+            })
+            .collect();
+        let stacks = self
+            .stacks
+            .iter()
+            .map(|(stack, us)| {
+                Json::obj([
+                    ("stack", Json::from(stack.clone())),
+                    ("self_us", Json::from(*us)),
+                ])
+            })
+            .collect();
+        Json::obj([
+            ("schema", Json::from(PROFILE_SCHEMA)),
+            ("label", Json::from(label)),
+            ("traces", Json::from(self.traces)),
+            ("total_us", Json::from(self.total_us)),
+            ("classes", Json::Arr(classes)),
+            ("resources", Json::Arr(resources)),
+            ("stacks", Json::Arr(stacks)),
+        ])
+    }
+}
+
+/// `chrome_trace` over the model's walk: one complete event per visited
+/// span, in visit order.
+fn model_chrome_trace(events: &[SpanEvent]) -> Json {
+    let event_json = |e: &SpanEvent| {
+        let mut args = vec![
+            ("trace_id", Json::from(e.trace_id)),
+            ("span_id", Json::from(e.span_id)),
+            ("parent_span_id", Json::from(e.parent_span_id)),
+            ("origin", Json::from(u64::from(e.origin))),
+            ("txn_id", Json::from(e.txn_id)),
+            ("outcome", Json::from(e.outcome.label())),
+        ];
+        let mut name = e.op.to_owned();
+        match &e.detail {
+            Some(SpanDetail::Statement { class }) if !class.is_empty() => {
+                name = format!("{} {class}", e.op);
+                args.push(("statement", Json::from(class.to_string())));
+            }
+            Some(SpanDetail::Statement { .. }) | None => {}
+            Some(SpanDetail::Conflict(info)) => {
+                args.push(("entity", Json::from(info.entity())));
+                if let Some(field) = &info.field {
+                    args.push(("field", Json::from(field.clone())));
+                }
+                args.push((
+                    "expected_digest",
+                    Json::from(format!("{:016x}", info.expected_digest)),
+                ));
+                args.push((
+                    "found_digest",
+                    info.found_digest
+                        .map_or(Json::Null, |d| Json::from(format!("{d:016x}"))),
+                ));
+            }
+            Some(SpanDetail::Attempt { number }) => {
+                args.push(("attempt", Json::from(u64::from(*number))));
+            }
+        }
+        Json::obj([
+            ("name", Json::from(name)),
+            ("cat", Json::from(bucket_for(e.op).label())),
+            ("ph", Json::from("X")),
+            ("ts", Json::from(e.start_us)),
+            ("dur", Json::from(e.duration_us())),
+            ("pid", Json::from(1u64)),
+            ("tid", Json::from(e.trace_id)),
+            ("args", Json::obj(args)),
+        ])
+    };
+    let (visits, _, _) = model_walk(events);
+    Json::obj([
+        ("displayTimeUnit", Json::from("ms")),
+        (
+            "traceEvents",
+            Json::Arr(visits.iter().map(|v| event_json(v.span)).collect()),
+        ),
+    ])
+}
+
+/// Real ops, and two made up so that one op is the head of another
+/// (`db.stmt.slow` sorts between `db.stmt` and `db.stmt:a` as a name,
+/// after both as an op).
+const SPAN_OPS: [&str; 14] = [
+    "request",
+    "servlet.buy",
+    "rpc.call",
+    "rpc.attempt",
+    "net.request",
+    "net.request.retry",
+    "db.stmt",
+    "db.stmt.slow",
+    "db.batch",
+    "db.txn.begin",
+    "db.open",
+    "commit.validate_apply",
+    "occ.conflict",
+    "invalidate.deliver",
+];
+
+const STATEMENT_CLASSES: [&str; 8] = [
+    "",
+    "a",
+    "account.read",
+    "quote.read",
+    "holding.update",
+    "batch:1",
+    "batch:2",
+    "batch:12",
+];
+
+/// What [`gen_span_batch`] put into a batch besides well-formed traces.
+#[derive(Default)]
+struct BatchFaults {
+    orphans: u32,
+    duplicate_ids: u32,
+    cycles: u32,
+}
+
+/// One drained batch: a few traces of up to ten spans each, their events
+/// interleaved and in no particular order (so parents come both before and
+/// after their children), untraced events among them. Span ids are small
+/// and collide across traces. Some traces are damaged: a parent id nobody
+/// has, a span id used twice, a root hung under one of its descendants.
+fn gen_span_batch(rng: &mut StdRng, first_trace: u64, faults: &mut BatchFaults) -> Vec<SpanEvent> {
+    const OUTCOMES: [SpanOutcome; 4] = [
+        SpanOutcome::Committed,
+        SpanOutcome::Conflict,
+        SpanOutcome::Replayed,
+        SpanOutcome::Error,
+    ];
+    let mut events = Vec::new();
+    let mut trace_ids: Vec<u64> = (0..rng.gen_range(1..6u64))
+        .map(|t| first_trace + t)
+        .collect();
+    // Ascending ids in descending event order, and the other way round.
+    if rng.gen_range(0..2u32) == 0 {
+        trace_ids.reverse();
+    }
+    for &trace_id in &trace_ids {
+        let n = rng.gen_range(1..11usize);
+        let base = rng.gen_range(1..20u64);
+        let mut spans: Vec<SpanEvent> = (0..n)
+            .map(|k| {
+                let start_us = rng.gen_range(0..1_000u64);
+                // Now and then a span that ends before it starts, or
+                // outlasts its parent: durations saturate.
+                let end_us =
+                    (start_us + rng.gen_range(0..200u64)).saturating_sub(rng.gen_range(0..20u64));
+                let parent_span_id = match k {
+                    0 => 0,
+                    _ if rng.gen_range(0..20u32) == 0 => 0,
+                    _ => base + rng.gen_range(0..k) as u64,
+                };
+                let detail = match rng.gen_range(0..10u32) {
+                    0..=3 => Some(SpanDetail::Statement {
+                        class: STATEMENT_CLASSES[rng.gen_range(0..STATEMENT_CLASSES.len())].into(),
+                    }),
+                    4 => Some(SpanDetail::Attempt {
+                        number: rng.gen_range(1..4u32),
+                    }),
+                    5 => Some(SpanDetail::Conflict(ConflictInfo {
+                        bean: "holding".to_owned(),
+                        key: rng.gen_range(0..9u32).to_string(),
+                        field: (rng.gen_range(0..2u32) == 0).then(|| "quantity".to_owned()),
+                        expected_digest: rng.next_u64(),
+                        found_digest: (rng.gen_range(0..2u32) == 0).then(|| rng.next_u64()),
+                    })),
+                    _ => None,
+                };
+                SpanEvent {
+                    op: SPAN_OPS[rng.gen_range(0..SPAN_OPS.len())],
+                    origin: rng.gen_range(0..3u32),
+                    txn_id: rng.gen_range(0..50u64),
+                    start_us,
+                    end_us,
+                    outcome: OUTCOMES[rng.gen_range(0..OUTCOMES.len())],
+                    trace_id,
+                    span_id: base + k as u64,
+                    parent_span_id,
+                    detail,
+                }
+            })
+            .collect();
+        match rng.gen_range(0..12u32) {
+            0 => {
+                let k = rng.gen_range(0..n);
+                spans[k].parent_span_id = 9_999;
+                faults.orphans += 1;
+            }
+            1 | 2 if n > 1 => {
+                let k = rng.gen_range(1..n);
+                spans[k].span_id = spans[rng.gen_range(0..k)].span_id;
+                faults.duplicate_ids += 1;
+            }
+            3 if n > 1 => {
+                spans[0].parent_span_id = spans[rng.gen_range(0..n)].span_id;
+                faults.cycles += 1;
+            }
+            _ => {}
+        }
+        events.extend(spans);
+    }
+    for _ in 0..rng.gen_range(0..4u32) {
+        let mut flat = SpanEvent::flat("commit.validate_apply", 1, 7, 0, 5, SpanOutcome::Committed);
+        flat.span_id = rng.gen_range(0..20u64);
+        flat.parent_span_id = rng.gen_range(0..20u64);
+        events.push(flat);
+    }
+    for i in (1..events.len()).rev() {
+        events.swap(i, rng.gen_range(0..i + 1));
+    }
+    events
+}
+
+/// Everything a profile exports: the collapsed stacks, the rendered
+/// document, the class table, the per-resource totals, `total_us` and
+/// `traces`.
+type ProfileExports = (String, String, Vec<(String, ClassStat)>, Vec<u64>, u64, u64);
+
+fn profile_exports(p: &Profile) -> ProfileExports {
+    (
+        p.folded(),
+        p.to_json("x").render(),
+        p.classes().collect(),
+        Resource::ALL
+            .into_iter()
+            .map(|r| p.resource_us(r))
+            .collect(),
+        p.total_us,
+        p.traces,
+    )
+}
+
+fn model_exports(p: &ModelProfile) -> ProfileExports {
+    (
+        p.folded(),
+        p.to_json("x").render(),
+        p.classes.iter().map(|(k, v)| (k.clone(), *v)).collect(),
+        Resource::ALL
+            .into_iter()
+            .map(|r| p.resource_us(r))
+            .collect(),
+        p.total_us,
+        p.traces,
+    )
+}
+
+#[test]
+fn the_span_fold_exports_what_the_string_building_fold_exported() {
+    let mut rng = StdRng::seed_from_u64(0x3e3e_0023);
+    let mut faults = BatchFaults::default();
+    let (mut skipped, mut folded_traces) = (0u64, 0u64);
+    let (mut parent_first, mut child_first, mut twice_in_a_complete_trace) = (0u32, 0u32, 0u32);
+    for case in 0..2_000 {
+        let first_trace = 1 + rng.gen_range(0..90u64);
+        let a = gen_span_batch(&mut rng, first_trace, &mut faults);
+        let b = gen_span_batch(&mut rng, 1_000 + first_trace, &mut faults);
+        for events in [&a, &b] {
+            let profile = Profile::from_events(events);
+            let mut model = ModelProfile::default();
+            model.fold(events);
+            assert_eq!(
+                profile_exports(&profile),
+                model_exports(&model),
+                "case {case}: {events:#?}"
+            );
+
+            let (visits, walked, total_us) = model_walk(events);
+            let breakdown = critical_path(events);
+            assert_eq!(
+                (breakdown.traces, breakdown.total_us),
+                (walked, total_us),
+                "case {case}: {events:#?}"
+            );
+            for bucket in Bucket::ALL {
+                let us: u64 = visits
+                    .iter()
+                    .filter(|v| bucket_for(v.span.op) == bucket)
+                    .map(|v| v.self_us)
+                    .sum();
+                assert_eq!(
+                    breakdown.bucket_us(bucket),
+                    us,
+                    "{bucket:?}, case {case}: {events:#?}"
+                );
+            }
+            assert_eq!(
+                chrome_trace(events).render(),
+                model_chrome_trace(events).render(),
+                "case {case}: {events:#?}"
+            );
+
+            // What the batch exercised.
+            let traced: std::collections::BTreeSet<u64> = events
+                .iter()
+                .map(|e| e.trace_id)
+                .filter(|&t| t != 0)
+                .collect();
+            folded_traces += walked;
+            skipped += traced.len() as u64 - walked;
+            let position = |span: &SpanEvent| events.iter().position(|e| std::ptr::eq(e, span));
+            for v in &visits {
+                if let Some(parent) = v.ancestors.first() {
+                    if position(parent) < position(v.span) {
+                        parent_first += 1;
+                    } else {
+                        child_first += 1;
+                    }
+                }
+                let same_id =
+                    |e: &&SpanEvent| (e.trace_id, e.span_id) == (v.span.trace_id, v.span.span_id);
+                twice_in_a_complete_trace += u32::from(events.iter().filter(same_id).count() > 1);
+            }
+        }
+
+        // Merging two profiles is folding both batches into one, in either
+        // order, and is folding the concatenation (the batches share no
+        // trace id).
+        let whole: Vec<SpanEvent> = a.iter().chain(&b).cloned().collect();
+        let mut model = ModelProfile::default();
+        model.fold(&whole);
+        let (pa, pb) = (Profile::from_events(&a), Profile::from_events(&b));
+        let mut merged = pa.clone();
+        merged.merge(&pb);
+        let mut a_then_b = pa.clone();
+        a_then_b.fold(&b);
+        let mut b_then_a = pb.clone();
+        b_then_a.fold(&a);
+        let mut merged_into_b = pb.clone();
+        merged_into_b.merge(&pa);
+        let concatenated = Profile::from_events(&whole);
+        for (how, p) in [
+            ("merge(a, b)", &merged),
+            ("merge(b, a)", &merged_into_b),
+            ("fold a, fold b", &a_then_b),
+            ("fold b, fold a", &b_then_a),
+            ("fold a ++ b", &concatenated),
+        ] {
+            assert_eq!(
+                profile_exports(p),
+                model_exports(&model),
+                "case {case}: {how}"
+            );
+            assert!(*p == merged, "case {case}: {how} == merge(a, b)");
+        }
+        if pb.traces > 0 {
+            assert!(pa != merged, "case {case}: a profile is not its merge");
+        }
+    }
+    assert!(faults.orphans >= 200, "orphans: {}", faults.orphans);
+    assert!(
+        faults.duplicate_ids >= 400,
+        "duplicated ids: {}",
+        faults.duplicate_ids
+    );
+    assert!(faults.cycles >= 200, "cycles: {}", faults.cycles);
+    assert!(skipped >= 500, "incomplete traces: {skipped}");
+    assert!(folded_traces >= 8_000, "complete traces: {folded_traces}");
+    assert!(
+        twice_in_a_complete_trace >= 300,
+        "an id used twice in a trace that folds: {twice_in_a_complete_trace}"
+    );
+    assert!(
+        parent_first >= 5_000 && child_first >= 5_000,
+        "{parent_first} / {child_first}"
+    );
 }
 
 // ---------- measurement math ----------
