@@ -196,7 +196,10 @@ impl DataTier {
                             sink.register_with(&telemetry, &format!("invalidations.edge-{id}"));
                             EdgeCache {
                                 store,
-                                source: Arc::new(BackendSource::new(remote.clone())),
+                                source: Arc::new(
+                                    BackendSource::new(remote.clone())
+                                        .with_registry(registry.clone()),
+                                ),
                                 committer: Arc::new(SplitCommitter::new(remote)),
                                 combined: None,
                                 invalidations: Some((sink, inv_path)),

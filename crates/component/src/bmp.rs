@@ -94,7 +94,7 @@ impl Home for BmpHome {
     fn create(&self, ctx: &mut TxContext, state: Memento) -> EjbResult<EjbRef> {
         let bean = self.meta.bean();
         let key = state.primary_key();
-        for field in state.fields().keys() {
+        for (field, _) in state.fields() {
             self.meta.check_field(field)?;
         }
         // ejbCreate inserts immediately: the key, then every declared field

@@ -7,7 +7,6 @@
 //! **before-image**; the state at transaction end is the **after-image**.
 //! The optimistic commit protocol ships and compares exactly these images.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use sli_simnet::wire::{DecodeError, Reader, Writer};
@@ -39,7 +38,56 @@ pub struct Memento {
 struct Image {
     bean: Arc<str>,
     key: Value,
-    fields: BTreeMap<Arc<str>, Value>,
+    /// Sorted by name, every name once: the order the wire and the digest
+    /// walk, and what `get` / `set` search.
+    fields: Vec<(Arc<str>, Value)>,
+}
+
+impl Image {
+    fn position(&self, name: &str) -> Result<usize, usize> {
+        self.fields
+            .binary_search_by(|(field, _)| (**field).cmp(name))
+    }
+
+    /// Puts `value` where `name` sorts: over the value of a field that
+    /// exists, which keeps its stored name, or as a new field.
+    fn place(&mut self, name: impl Into<Arc<str>> + AsRef<str>, value: Value) {
+        match self.position(name.as_ref()) {
+            Ok(at) => self.fields[at].1 = value,
+            Err(at) => self.fields.insert(at, (name.into(), value)),
+        }
+    }
+}
+
+/// The names a deployment descriptor lends to the images of its bean: the
+/// bean's own, and its fields' in name order — the order an image keeps
+/// them in. Names belong to the descriptor; an image built or decoded with
+/// one in hand points at these instead of owning copies.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ImageNames {
+    bean: Arc<str>,
+    fields: Vec<Arc<str>>,
+}
+
+impl ImageNames {
+    /// The names of bean `bean` with fields `fields` (in any order, a
+    /// repeated name counted once).
+    pub fn new(bean: Arc<str>, fields: impl IntoIterator<Item = Arc<str>>) -> ImageNames {
+        let mut fields: Vec<Arc<str>> = fields.into_iter().collect();
+        fields.sort_unstable();
+        fields.dedup();
+        ImageNames { bean, fields }
+    }
+
+    /// The bean type name.
+    pub fn bean(&self) -> &Arc<str> {
+        &self.bean
+    }
+
+    /// The field names, sorted, each once.
+    pub fn fields(&self) -> &[Arc<str>] {
+        &self.fields
+    }
 }
 
 impl Memento {
@@ -50,12 +98,19 @@ impl Memento {
 
     /// Creates a memento for bean type `bean` with identity `key`.
     pub fn new(bean: impl Into<Arc<str>>, key: Value) -> Memento {
+        Memento::from_sorted(bean.into(), key, Vec::new())
+    }
+
+    /// An image of `fields`, which the caller has sorted by name with no
+    /// name repeated.
+    pub(crate) fn from_sorted(
+        bean: Arc<str>,
+        key: Value,
+        fields: Vec<(Arc<str>, Value)>,
+    ) -> Memento {
+        debug_assert!(fields.windows(2).all(|pair| pair[0].0 < pair[1].0));
         Memento {
-            image: Arc::new(Image {
-                bean: bean.into(),
-                key,
-                fields: BTreeMap::new(),
-            }),
+            image: Arc::new(Image { bean, key, fields }),
         }
     }
 
@@ -83,22 +138,17 @@ impl Memento {
     /// Sets a field in place, copying the image first if it is shared. An
     /// existing field keeps its stored name.
     pub fn set(&mut self, name: impl Into<Arc<str>> + AsRef<str>, value: impl Into<Value>) {
-        let fields = &mut Arc::make_mut(&mut self.image).fields;
-        match fields.get_mut(name.as_ref()) {
-            Some(slot) => *slot = value.into(),
-            None => {
-                fields.insert(name.into(), value.into());
-            }
-        }
+        Arc::make_mut(&mut self.image).place(name, value.into());
     }
 
     /// Reads a field.
     pub fn get(&self, name: &str) -> Option<&Value> {
-        self.image.fields.get(name)
+        let at = self.image.position(name).ok()?;
+        Some(&self.image.fields[at].1)
     }
 
     /// All fields, sorted by name.
-    pub fn fields(&self) -> &BTreeMap<Arc<str>, Value> {
+    pub fn fields(&self) -> &[(Arc<str>, Value)] {
         &self.image.fields
     }
 
@@ -148,32 +198,57 @@ impl Memento {
         }
     }
 
-    /// Decodes a memento from a wire frame.
+    /// Decodes a memento from a wire frame. With the `names` of the image's
+    /// bean in hand the image points at them: the bean name, and every
+    /// field name the wire spells as `names` does at the same position. A
+    /// name spelled otherwise — all of them for another bean's `names`, or
+    /// with none — is the image's own copy. Fields may arrive in any order;
+    /// of a repeated name the last value stands.
     ///
     /// # Errors
     /// Returns [`DecodeError`] on truncation, or when the class descriptor
     /// is not exactly the one [`Memento::encode`] writes for the bean.
-    pub fn decode(r: &mut Reader) -> Result<Memento, DecodeError> {
+    pub fn decode(r: &mut Reader, names: Option<&ImageNames>) -> Result<Memento, DecodeError> {
         let class = r.get_bytes()?;
         let _uid = r.get_u64()?;
-        let bean = r.get_shared_str()?;
+        let bean = r.get_shared_str_as(names.map(|n| &n.bean))?;
         let named = class
             .strip_prefix(CLASS_PREFIX.as_bytes())
             .and_then(|rest| rest.strip_suffix(CLASS_SUFFIX.as_bytes()));
         if named != Some(bean.as_bytes()) {
             return Err(DecodeError::new("memento class descriptor"));
         }
+        // Another bean's descriptor lends nothing.
+        let lent = names
+            .filter(|n| n.bean == bean)
+            .map_or(&[][..], |n| &n.fields);
         let key = Value::decode(r)?;
-        // The count is not trusted with a reservation: a map grows a node
-        // at a time, and a truncated frame ends the loop at its first read.
-        let n = r.get_u32()?;
-        let mut fields = BTreeMap::new();
-        for _ in 0..n {
-            let name = r.get_shared_str()?;
-            fields.insert(name, Value::decode(r)?);
+        let n = r.get_u32()? as usize;
+        // The count is not trusted with a reservation: room for the fields
+        // the bean declares or, with no descriptor to say, for the slots
+        // the remaining bytes would fill. A truncated frame ends the loop
+        // at its first read.
+        let room = if lent.is_empty() {
+            r.remaining() / std::mem::size_of::<(Arc<str>, Value)>()
+        } else {
+            lent.len()
+        };
+        let mut image = Image {
+            bean,
+            key,
+            fields: Vec::with_capacity(n.min(room)),
+        };
+        for i in 0..n {
+            let name = r.get_shared_str_as(lent.get(i))?;
+            let value = Value::decode(r)?;
+            match image.fields.last() {
+                // Out of order or repeated: placed as `set` places it.
+                Some((last, _)) if *last >= name => image.place(name, value),
+                _ => image.fields.push((name, value)),
+            }
         }
         Ok(Memento {
-            image: Arc::new(Image { bean, key, fields }),
+            image: Arc::new(image),
         })
     }
 
@@ -251,7 +326,7 @@ mod tests {
         m.encode(&mut w);
         let frame = w.finish();
         assert_eq!(frame.len(), m.encoded_len());
-        let back = Memento::decode(&mut Reader::new(frame)).unwrap();
+        let back = Memento::decode(&mut Reader::new(frame), None).unwrap();
         assert_eq!(back, m);
     }
 
@@ -282,7 +357,7 @@ mod tests {
             w.put_str(class).put_u64(SERIAL_VERSION_UID).put_str(bean);
             Value::from(1).encode(&mut w);
             w.put_u32(0);
-            Memento::decode(&mut Reader::new(w.finish()))
+            Memento::decode(&mut Reader::new(w.finish()), None)
         };
         let account = "com.ibm.websphere.samples.trade.ejb.AccountMemento";
         assert_eq!(
@@ -296,6 +371,37 @@ mod tests {
         assert!(encode_as("AccountMemento", "Account").is_err());
         assert!(encode_as(&format!("x{account}"), "Account").is_err());
         assert!(encode_as(&format!("{account}x"), "Account").is_err());
+    }
+
+    #[test]
+    fn decode_borrows_the_names_it_is_lent_and_sorts_what_it_reads() {
+        let lent = ImageNames::new("Account".into(), ["logins".into(), "balance".into()]);
+        let mut w = Writer::new();
+        sample().encode(&mut w);
+        let tidy = Memento::decode(&mut Reader::new(w.finish()), Some(&lent)).unwrap();
+        assert_eq!(tidy, sample());
+        assert!(Arc::ptr_eq(&tidy.image.bean, lent.bean()));
+        for ((name, _), lent) in tidy.fields().iter().zip(lent.fields()) {
+            assert!(Arc::ptr_eq(name, lent), "{name} is the image's own copy");
+        }
+        // The same image with its fields named backwards and one of them
+        // twice: sorted, the last value standing, the names its own.
+        let mut w = Writer::new();
+        Memento::new("Account", Value::from("uid:1")).encode(&mut w);
+        let head = w.finish();
+        let mut w = Writer::new();
+        w.put_raw(&head[..head.len() - 4]).put_u32(3);
+        for (name, value) in [
+            ("logins", Value::from(3)),
+            ("balance", Value::from(7.0)),
+            ("balance", Value::from(1_000.0)),
+        ] {
+            w.put_str(name);
+            value.encode(&mut w);
+        }
+        let untidy = Memento::decode(&mut Reader::new(w.finish()), Some(&lent)).unwrap();
+        assert_eq!(untidy, sample());
+        assert!(!Arc::ptr_eq(&untidy.fields()[0].0, &lent.fields()[0]));
     }
 
     #[test]

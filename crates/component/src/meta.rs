@@ -13,6 +13,7 @@ use std::sync::Arc;
 use sli_datastore::{ColumnType, Predicate, Value};
 
 use crate::error::EjbError;
+use crate::memento::ImageNames;
 use crate::EjbResult;
 
 /// A non-key persistent field.
@@ -37,23 +38,31 @@ pub struct FinderDef {
 /// Deployment metadata for one entity bean type.
 ///
 /// Whatever depends only on the descriptor is resolved when it is built:
-/// the bean and field names every image points at, and the five
-/// primary-key statements (refreshed by each [`EntityMeta::field`] call).
+/// the bean and field names every image points at, the order that sorts
+/// the fields by name, the five primary-key statements and the finders'
+/// `SELECT ... FROM <table>` (refreshed by each [`EntityMeta::field`] call).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EntityMeta {
-    bean: Arc<str>,
     table: String,
     key_field: String,
     key_type: ColumnType,
     fields: Vec<FieldDef>,
     finders: BTreeMap<String, FinderDef>,
     indexes: Vec<String>,
+    /// The bean's name and its fields' in name order, shared with every
+    /// image of the bean.
+    names: ImageNames,
+    /// Indexes into `fields`, in name order: `names.fields()[i]` is
+    /// `fields[by_name[i]].name`.
+    by_name: Vec<usize>,
     sql: KeySql,
 }
 
-/// The five statements that address a bean by its primary key.
+/// The five statements that address a bean by its primary key, and the
+/// stem of every finder's statement.
 #[derive(Debug, Clone, PartialEq, Default)]
 struct KeySql {
+    select: String,
     exists: String,
     load: String,
     insert: String,
@@ -71,7 +80,8 @@ impl EntityMeta {
         key_type: ColumnType,
     ) -> EntityMeta {
         EntityMeta {
-            bean: bean.into(),
+            names: ImageNames::new(bean.into(), []),
+            by_name: Vec::new(),
             table: table.into(),
             key_field: key_field.into(),
             key_type,
@@ -80,7 +90,7 @@ impl EntityMeta {
             indexes: Vec::new(),
             sql: KeySql::default(),
         }
-        .with_sql()
+        .resolved()
     }
 
     /// Adds a persistent field (builder style).
@@ -89,11 +99,21 @@ impl EntityMeta {
             name: name.into(),
             ty,
         });
-        self.with_sql()
+        self.resolved()
     }
 
-    /// Rebuilds the primary-key statements from the table, key and fields.
-    fn with_sql(mut self) -> EntityMeta {
+    /// Rebuilds what is resolved once from the table, key and fields: the
+    /// shared names and the statements.
+    fn resolved(mut self) -> EntityMeta {
+        let fields = &self.fields;
+        self.names = ImageNames::new(
+            Arc::clone(self.names.bean()),
+            fields.iter().map(|f| Arc::clone(&f.name)),
+        );
+        // Of a name declared twice the last declaration stands, as the last
+        // `Memento::set` does.
+        let last_named = |name: &Arc<str>| fields.iter().rposition(|f| f.name == *name);
+        self.by_name = self.names.fields().iter().filter_map(last_named).collect();
         let (table, key) = (&self.table, &self.key_field);
         let cols = self.select_columns().join(", ");
         let placeholders = vec!["?"; self.fields.len() + 1].join(", ");
@@ -104,6 +124,7 @@ impl EntityMeta {
             .collect();
         let sets = sets.join(", ");
         self.sql = KeySql {
+            select: format!("SELECT {cols} FROM {table}"),
             exists: format!("SELECT {key} FROM {table} WHERE {key} = ?"),
             load: format!("SELECT {cols} FROM {table} WHERE {key} = ?"),
             insert: format!("INSERT INTO {table} ({cols}) VALUES ({placeholders})"),
@@ -129,7 +150,7 @@ impl EntityMeta {
 
     /// The bean type name.
     pub fn bean(&self) -> &str {
-        &self.bean
+        self.names.bean()
     }
 
     /// The backing table name.
@@ -160,7 +181,7 @@ impl EntityMeta {
         self.finders
             .get(name)
             .ok_or_else(|| EjbError::NoSuchFinder {
-                bean: self.bean.to_string(),
+                bean: self.bean().to_owned(),
                 finder: name.to_owned(),
             })
     }
@@ -195,6 +216,18 @@ impl EntityMeta {
     /// `SELECT <all columns> FROM <table> WHERE <key> = ?` — `ejbLoad`.
     pub fn load_sql(&self) -> &str {
         &self.sql.load
+    }
+
+    /// `SELECT <all columns> FROM <table>` — every row, and the stem a
+    /// finder's `WHERE` is appended to.
+    pub fn select_sql(&self) -> &str {
+        &self.sql.select
+    }
+
+    /// The names this descriptor lends to its bean's images: what
+    /// [`Memento::decode`](crate::Memento::decode) takes to share them.
+    pub fn image_names(&self) -> &ImageNames {
+        &self.names
     }
 
     /// `INSERT INTO <table> (<all columns>) VALUES (?, ...)` — `ejbCreate`.
@@ -282,11 +315,12 @@ impl EntityMeta {
     /// Builds a memento from a row laid out as [`EntityMeta::select_columns`]
     /// (key first, then fields).
     pub fn memento_from_row(&self, row: &[Value]) -> crate::Memento {
-        let mut m = crate::Memento::new(Arc::clone(&self.bean), row[0].clone());
-        for (i, f) in self.fields.iter().enumerate() {
-            m.set(Arc::clone(&f.name), row[i + 1].clone());
-        }
-        m
+        let names = self.names.fields().iter();
+        let fields = names
+            .zip(&self.by_name)
+            .map(|(name, &i)| (Arc::clone(name), row[i + 1].clone()))
+            .collect();
+        crate::Memento::from_sorted(Arc::clone(self.names.bean()), row[0].clone(), fields)
     }
 
     /// Whether `row` (laid out as for [`EntityMeta::memento_from_row`]) is
@@ -294,7 +328,7 @@ impl EntityMeta {
     /// decided where the two lie, without building a memento. (Field names
     /// are a table's columns, so they are distinct.)
     pub fn row_is_image(&self, row: &[Value], image: &crate::Memento) -> bool {
-        *self.bean == *image.bean()
+        self.bean() == image.bean()
             && row.len() > self.fields.len()
             && row[0] == *image.primary_key()
             && image.fields().len() == self.fields.len()
@@ -371,7 +405,7 @@ impl EntityMeta {
             Ok(())
         } else {
             Err(EjbError::NoSuchField {
-                bean: self.bean.to_string(),
+                bean: self.bean().to_owned(),
                 field: field.to_owned(),
             })
         }
@@ -386,7 +420,7 @@ impl EntityMeta {
         self.check_field(field)?;
         if field == self.key_field {
             return Err(EjbError::NoSuchField {
-                bean: self.bean.to_string(),
+                bean: self.bean().to_owned(),
                 field: format!("{field} (primary keys are immutable)"),
             });
         }
@@ -541,6 +575,43 @@ mod tests {
             "UPDATE holding SET owner = ?, symbol = ?, qty = ? WHERE id = ?"
         );
         assert_eq!(m.delete_sql(), "DELETE FROM holding WHERE id = ?");
+        assert_eq!(m.select_sql(), "SELECT id, owner, symbol, qty FROM holding");
+    }
+
+    #[test]
+    fn a_row_becomes_an_image_on_the_descriptors_names() {
+        let m = holding_meta();
+        let names = m.image_names();
+        assert_eq!(&**names.bean(), "Holding");
+        let sorted: Vec<&str> = names.fields().iter().map(|n| &**n).collect();
+        assert_eq!(sorted, ["owner", "qty", "symbol"]);
+        let row = [
+            Value::from(7),
+            Value::from("uid:1"),
+            Value::from("s:1"),
+            Value::from(5.0),
+        ];
+        let image = m.memento_from_row(&row);
+        let built = crate::Memento::new("Holding", Value::from(7))
+            .with_field("owner", "uid:1")
+            .with_field("symbol", "s:1")
+            .with_field("qty", 5.0);
+        assert_eq!(image, built);
+        for ((name, _), lent) in image.fields().iter().zip(names.fields()) {
+            assert!(Arc::ptr_eq(name, lent), "{name} is the image's own copy");
+        }
+        // Of a name declared twice the last column stands, as the last
+        // `set` would.
+        let twice = EntityMeta::new("T", "t", "id", ColumnType::Int)
+            .field("a", ColumnType::Int)
+            .field("b", ColumnType::Int)
+            .field("a", ColumnType::Int);
+        let cells = [1, 10, 20, 30].map(Value::from);
+        let image = twice.memento_from_row(&cells);
+        let built = crate::Memento::new("T", Value::from(1))
+            .with_field("a", 30)
+            .with_field("b", 20);
+        assert_eq!(image, built);
     }
 
     #[test]

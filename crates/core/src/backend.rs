@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use sli_component::{EjbError, EjbResult, Memento};
+use sli_component::{EjbError, EjbResult, ImageNames, Memento};
 use sli_datastore::{Predicate, SqlConnection, Value};
 use sli_simnet::wire::{frame_traced, protocol, unframe, DecodeError, Reader, Writer};
 use sli_simnet::{CallError, Clock, Remote, Service, SimDuration};
@@ -234,7 +234,8 @@ impl BackendServer {
             OP_COMMIT => {
                 // The request travels as a nested frame (see SplitCommitter).
                 let frame = r.get_frame().map_err(wire_err)?;
-                let request = CommitRequest::decode(&mut Reader::new(frame)).map_err(wire_err)?;
+                let request = CommitRequest::decode(&mut Reader::new(frame), self.point.registry())
+                    .map_err(wire_err)?;
                 let outcome = self.commit(&request)?;
                 outcome.encode(&mut w);
                 Ok(w)
@@ -314,12 +315,24 @@ impl Service for BackendServer {
 #[derive(Debug, Clone)]
 pub struct BackendSource {
     remote: Remote<Arc<BackendServer>>,
+    registry: MetaRegistry,
 }
 
 impl BackendSource {
     /// Creates a source that reaches `remote` across its path.
     pub fn new(remote: Remote<Arc<BackendServer>>) -> BackendSource {
-        BackendSource { remote }
+        BackendSource {
+            remote,
+            registry: MetaRegistry::new(),
+        }
+    }
+
+    /// The edge's deployment registry (builder style): the images this
+    /// source decodes share the names of its descriptors instead of owning
+    /// a copy each.
+    pub fn with_registry(mut self, registry: MetaRegistry) -> BackendSource {
+        self.registry = registry;
+        self
     }
 }
 
@@ -330,7 +343,9 @@ impl StateSource for BackendSource {
         key.encode(&mut w);
         let mut r = round_trip(&self.remote, w)?;
         if r.get_bool().map_err(wire_err)? {
-            Ok(Some(Memento::decode(&mut r).map_err(wire_err)?))
+            Ok(Some(
+                Memento::decode(&mut r, self.registry.image_names(bean)).map_err(wire_err)?,
+            ))
         } else {
             Ok(None)
         }
@@ -341,18 +356,18 @@ impl StateSource for BackendSource {
         w.put_u8(OP_QUERY).put_str(bean);
         predicate.encode(&mut w);
         let mut r = round_trip(&self.remote, w)?;
-        decode_images(&mut r).map_err(wire_err)
+        decode_images(&mut r, self.registry.image_names(bean)).map_err(wire_err)
     }
 }
 
 /// Decodes a query reply: a count, then that many images.
-fn decode_images(r: &mut Reader) -> Result<Vec<Memento>, DecodeError> {
+fn decode_images(r: &mut Reader, names: Option<&ImageNames>) -> Result<Vec<Memento>, DecodeError> {
     let n = r.get_u32()? as usize;
     // A length prefix is not a budget: reserve for the images the
     // remaining bytes can hold, not for the count they announce.
     let mut out = Vec::with_capacity(n.min(r.remaining() / Memento::MIN_ENCODED_LEN));
     for _ in 0..n {
-        out.push(Memento::decode(r)?);
+        out.push(Memento::decode(r, names)?);
     }
     Ok(out)
 }
@@ -496,6 +511,29 @@ mod tests {
     }
 
     #[test]
+    fn fetched_and_found_images_borrow_the_registrys_names() {
+        let (_db, _clock, _backend, remote) = setup();
+        let edge_registry = registry();
+        let lent = edge_registry.meta("Account").unwrap().image_names().clone();
+        let shares = |image: &Memento| {
+            let names = image.fields().iter().zip(lent.fields());
+            names.fold(true, |all, ((name, _), lent)| {
+                all && Arc::ptr_eq(name, lent)
+            })
+        };
+        let bare = BackendSource::new(remote.clone());
+        let source = BackendSource::new(remote).with_registry(edge_registry);
+        let key = Value::from("u1");
+        let (own, shared) = (bare.fetch("Account", &key), source.fetch("Account", &key));
+        let (own, shared) = (own.unwrap().unwrap(), shared.unwrap().unwrap());
+        assert_eq!(own, shared);
+        assert!(shares(&shared) && !shares(&own));
+        let found = source.query("Account", &Predicate::True).unwrap();
+        assert_eq!(found, vec![shared]);
+        assert!(shares(&found[0]));
+    }
+
+    #[test]
     fn backend_query_round_trip() {
         let (_db, _clock, _backend, remote) = setup();
         let source = BackendSource::new(remote);
@@ -512,11 +550,11 @@ mod tests {
         // reservation follows the bytes, and the first image fails to parse.
         let mut w = Writer::new();
         w.put_u32(u32::MAX).put_bytes(&[0xAB; 1024]);
-        assert!(decode_images(&mut Reader::new(w.finish())).is_err());
+        assert!(decode_images(&mut Reader::new(w.finish()), None).is_err());
         let mut honest = Writer::new();
         honest.put_u32(1);
         img("u1", 1.0).encode(&mut honest);
-        let decoded = decode_images(&mut Reader::new(honest.finish())).unwrap();
+        let decoded = decode_images(&mut Reader::new(honest.finish()), None).unwrap();
         assert_eq!(decoded, vec![img("u1", 1.0)]);
     }
 

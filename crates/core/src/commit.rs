@@ -6,6 +6,8 @@ use sli_component::{InstanceState, Memento, TxContext};
 use sli_datastore::Value;
 use sli_simnet::wire::{DecodeError, Reader, Writer};
 
+use crate::registry::MetaRegistry;
+
 /// What happened to one bean inside the transaction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EntryKind {
@@ -179,11 +181,13 @@ impl CommitRequest {
         }
     }
 
-    /// Decodes a request from a wire frame.
+    /// Decodes a request from a wire frame. Each entry's images share the
+    /// names of the descriptor `registry` holds for the entry's bean (an
+    /// unknown bean's images own theirs; see [`Memento::decode`]).
     ///
     /// # Errors
     /// Returns [`DecodeError`] on truncation or unknown tags.
-    pub fn decode(r: &mut Reader) -> Result<CommitRequest, DecodeError> {
+    pub fn decode(r: &mut Reader, registry: &MetaRegistry) -> Result<CommitRequest, DecodeError> {
         let origin = r.get_u32()?;
         let txn_id = r.get_u64()?;
         let n = r.get_u32()? as usize;
@@ -193,19 +197,20 @@ impl CommitRequest {
         for _ in 0..n {
             let bean = r.get_str()?;
             let key = Value::decode(r)?;
+            let names = registry.image_names(&bean);
             let kind = match r.get_u8()? {
                 0 => EntryKind::Read {
-                    before: Memento::decode(r)?,
+                    before: Memento::decode(r, names)?,
                 },
                 1 => EntryKind::Update {
-                    before: Memento::decode(r)?,
-                    after: Memento::decode(r)?,
+                    before: Memento::decode(r, names)?,
+                    after: Memento::decode(r, names)?,
                 },
                 2 => EntryKind::Create {
-                    after: Memento::decode(r)?,
+                    after: Memento::decode(r, names)?,
                 },
                 3 => EntryKind::Remove {
-                    before: Memento::decode(r)?,
+                    before: Memento::decode(r, names)?,
                 },
                 _ => return Err(DecodeError::new("commit entry tag")),
             };
@@ -338,7 +343,7 @@ mod tests {
     fn wire_round_trip() {
         let req = CommitRequest::from_context(3, u64::MAX, &context_with_all_kinds());
         let frame = req.encode();
-        let back = CommitRequest::decode(&mut Reader::new(frame)).unwrap();
+        let back = CommitRequest::decode(&mut Reader::new(frame), &MetaRegistry::new()).unwrap();
         assert_eq!(back, req);
     }
 
@@ -399,7 +404,9 @@ mod tests {
             let mut w = Writer::new();
             w.put_u32(1).put_u64(9).put_u32(u32::MAX);
             w.put_bytes(&vec![0xAB; padding]);
-            assert!(CommitRequest::decode(&mut Reader::new(w.finish())).is_err());
+            assert!(
+                CommitRequest::decode(&mut Reader::new(w.finish()), &MetaRegistry::new()).is_err()
+            );
         }
     }
 
@@ -435,6 +442,6 @@ mod tests {
     fn truncated_decode_is_error() {
         let frame = CommitRequest::from_context(0, 1, &context_with_all_kinds()).encode();
         let cut = frame.slice(0..frame.len() / 2);
-        assert!(CommitRequest::decode(&mut Reader::new(cut)).is_err());
+        assert!(CommitRequest::decode(&mut Reader::new(cut), &MetaRegistry::new()).is_err());
     }
 }

@@ -616,12 +616,11 @@ pub(crate) fn query_current(
     meta: &EntityMeta,
     predicate: &Predicate,
 ) -> EjbResult<ResultSet> {
-    let cols = meta.select_columns().join(", ");
-    let sql = match predicate {
-        Predicate::True => format!("SELECT {cols} FROM {}", meta.table()),
-        p => format!("SELECT {cols} FROM {} WHERE {}", meta.table(), p.to_sql()),
-    };
-    Ok(conn.execute(&sql, &[])?)
+    let select = meta.select_sql();
+    Ok(match predicate {
+        Predicate::True => conn.execute(select, &[])?,
+        p => conn.execute(&[select, " WHERE ", &p.to_sql()].concat(), &[])?,
+    })
 }
 
 /// Where a cache-enabled application server sends its transaction state at

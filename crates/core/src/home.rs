@@ -98,7 +98,7 @@ impl Home for SliHome {
     fn create(&self, ctx: &mut TxContext, state: Memento) -> EjbResult<EjbRef> {
         let bean = self.meta.bean();
         let key = state.primary_key().clone();
-        for field in state.fields().keys() {
+        for (field, _) in state.fields() {
             self.meta.check_field(field)?;
         }
         // The after-image is filed under this home's bean name, whatever

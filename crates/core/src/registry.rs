@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use sli_component::{EjbError, EjbResult, EntityMeta};
+use sli_component::{EjbError, EjbResult, EntityMeta, ImageNames};
 use sli_datastore::Database;
 
 /// A registry of the entity types deployed in a cache-enabled application.
@@ -41,6 +41,12 @@ impl MetaRegistry {
             bean: bean.to_owned(),
             key: "<meta>".to_owned(),
         })
+    }
+
+    /// The names `bean`'s descriptor lends to the images decoded against
+    /// it, if the bean is registered.
+    pub fn image_names(&self, bean: &str) -> Option<&ImageNames> {
+        self.metas.get(bean).map(EntityMeta::image_names)
     }
 
     /// All registered metadata, ordered by bean name.
@@ -98,6 +104,9 @@ mod tests {
         assert!(!reg.is_empty());
         assert_eq!(reg.meta("Account").unwrap().table(), "account");
         assert!(reg.meta("Ghost").is_err());
+        let lent = reg.image_names("Account").expect("registered");
+        assert_eq!(lent, reg.meta("Account").unwrap().image_names());
+        assert!(reg.image_names("Ghost").is_none());
         let names: Vec<&str> = reg.iter().map(|m| m.bean()).collect();
         assert_eq!(names, vec!["Account", "Holding"]);
     }

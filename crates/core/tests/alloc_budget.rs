@@ -170,39 +170,41 @@ fn image_path_stays_within_its_allocation_budget() {
     assert_eq!(len, 0, "Memento::encoded_len");
 
     // (e) A lookup by primary key answered by the common store, in a fresh
-    // context: 5 — the context's vector, its copy of the bean name and of
-    // the key, and the returned reference's bean name and key. Loading the
-    // image into the context is two reference counts. It was 43.
+    // context: 3 — the context's vector, its copy of the bean name and the
+    // returned reference's. The key, a string, is shared by both (it was 5
+    // while each copied it); loading the image into the context is two
+    // reference counts. It was 43.
     let find = steady(|| {
         let mut ctx = TxContext::new();
         allocs_of(|| home.find_by_primary_key(&mut ctx, &key).unwrap()).0
     });
-    assert!(find <= 5, "find_by_primary_key on a store hit: {find}");
+    assert!(find <= 3, "find_by_primary_key on a store hit: {find}");
 
-    // (f) Reading fields of the enlisted bean: a double costs nothing, a
-    // string its own copy. They were 5 and 6 (an owned lookup key twice,
-    // the home's bean name).
+    // (f) Reading fields of the enlisted bean: nothing, a string being
+    // another handle on the image's text (it was 1, its copy). They were 5
+    // and 6 (an owned lookup key twice, the home's bean name).
     let mut ctx = TxContext::new();
     home.find_by_primary_key(&mut ctx, &key).unwrap();
     let (double, price) = allocs_of(|| home.get_field(&mut ctx, &key, "price").unwrap());
     assert_eq!(price, Value::from(28.0));
     assert_eq!(double, 0, "get_field of a double");
     let (string, _) = allocs_of(|| home.get_field(&mut ctx, &key, "companyname").unwrap());
-    assert!(string <= 1, "get_field of a string: {string}");
+    assert_eq!(string, 0, "get_field of a string");
 
-    // (g) The commit request of that read-only transaction: 3 — the entry
-    // vector, the entry's bean name and its key; the before-image is a
-    // reference count. It was 13.
+    // (g) The commit request of that read-only transaction: 2 — the entry
+    // vector and the entry's bean name; its key and the before-image are
+    // reference counts. It was 13.
     let (request, built) = allocs_of(|| CommitRequest::from_context(1, 1, &ctx));
     assert!(matches!(built.entries[0].kind, EntryKind::Read { .. }));
-    assert!(request <= 3, "from_context with one read entry: {request}");
+    assert!(request <= 2, "from_context with one read entry: {request}");
 
-    // (h) The first write to a bean is the one deep copy a transaction
-    // makes of it — 10, the image exactly as (b) used to copy it on every
-    // read — and it reuses the stored field name, so later writes of a
-    // double cost nothing.
+    // (h) The first write to a bean is the one copy a transaction makes of
+    // its image — 2, the image and its field vector, every name, the key
+    // and the string in it shared with the original (it was 10, the image
+    // exactly as (b) used to copy it on every read) — and it reuses the
+    // stored field name, so later writes of a double cost nothing.
     let (first, _) = allocs_of(|| home.set_field(&mut ctx, &key, "price", Value::from(29.0)));
-    assert!(first <= 10, "first set_field: {first}");
+    assert!(first <= 2, "first set_field: {first}");
     let (second, _) = allocs_of(|| home.set_field(&mut ctx, &key, "price", Value::from(30.0)));
     assert_eq!(second, 0, "second set_field");
     assert_eq!(image.get("price"), Some(&Value::from(28.0)));
@@ -256,6 +258,65 @@ fn backend_frame(body: Writer) -> Bytes {
     frame(protocol::BACKEND, 7, &body.finish())
 }
 
+/// An image off the wire borrows its names from the descriptor it is
+/// decoded against (DESIGN §20): what is left is the image's own.
+#[test]
+fn a_decoded_image_owns_only_what_the_descriptor_cannot_lend() {
+    let registry = MetaRegistry::new().with(quote_meta());
+    let names = registry.meta("Quote").unwrap().image_names();
+    let before = Memento::new("Quote", Value::from("s:3"))
+        .with_field("companyname", "Company #3 Incorporated")
+        .with_field("price", 28.0)
+        .with_field("open", 24.0)
+        .with_field("low", 23.5)
+        .with_field("high", 26.5)
+        .with_field("volume", 1_000_000.0);
+    let mut w = Writer::new();
+    before.encode(&mut w);
+    let encoded = w.finish();
+
+    // (a) A `Quote` image against its descriptor: 4 — the image, its field
+    // vector, the key and the one string. It was 11 with the bean name and
+    // six field names copied off the wire, into a map node.
+    let (shared, image) =
+        allocs_of(|| Memento::decode(&mut Reader::new(encoded.clone()), Some(names)).unwrap());
+    assert_eq!(image, before);
+    assert!(
+        shared <= 4,
+        "Memento::decode against its descriptor: {shared}"
+    );
+    // With no descriptor in hand it owns them: seven names more, and one
+    // growth of a vector reserved by the bytes left, not the count.
+    let (owned, image) =
+        allocs_of(|| Memento::decode(&mut Reader::new(encoded.clone()), None).unwrap());
+    assert_eq!(image, before);
+    assert_eq!(owned, shared + 8, "Memento::decode on its own");
+
+    // (b) The commit request of one `Quote` update, as the back-end decodes
+    // it with its registry: 11 — the entry vector, the entry's bean name
+    // and key, and two images of 4. It was 25.
+    let request = CommitRequest {
+        origin: 1,
+        txn_id: 7,
+        entries: vec![CommitEntry {
+            bean: "Quote".into(),
+            key: Value::from("s:3"),
+            kind: EntryKind::Update {
+                after: before.clone().with_field("price", 29.0),
+                before,
+            },
+        }],
+    };
+    let frame = request.encode();
+    let (allocs, decoded) =
+        allocs_of(|| CommitRequest::decode(&mut Reader::new(frame.clone()), &registry).unwrap());
+    assert_eq!(decoded, request);
+    assert!(
+        allocs <= 11,
+        "CommitRequest::decode of one update: {allocs}"
+    );
+}
+
 #[test]
 fn a_hostile_length_prefix_reserves_only_what_its_frame_can_hold() {
     let (db, registry) = quotes();
@@ -290,10 +351,20 @@ fn a_hostile_length_prefix_reserves_only_what_its_frame_can_hold() {
     hostile.extend_from_slice(&u32::MAX.to_be_bytes());
     hostile.extend_from_slice(&[0xAB; 1024]);
     let sent = hostile.len() as u64;
-    let (asked, decoded) = bytes_of(|| Memento::decode(&mut Reader::new(Bytes::from(hostile))));
-    assert!(decoded.is_err());
-    assert!(
-        asked < 8 * sent,
-        "{asked} bytes requested for a {sent}-byte image"
-    );
+    // The field vector's slots are eight times the size of the smallest
+    // field on the wire, so it is not reserved by that measure: with the
+    // bean's descriptor in hand it takes room for the declared fields,
+    // without one for no more bytes than the frame has left.
+    let registry = MetaRegistry::new().with(quote_meta());
+    let names = registry.meta("Quote").unwrap().image_names();
+    for names in [None, Some(names)] {
+        let hostile = hostile.clone();
+        let (asked, decoded) =
+            bytes_of(|| Memento::decode(&mut Reader::new(Bytes::from(hostile)), names));
+        assert!(decoded.is_err());
+        assert!(
+            asked < 8 * sent,
+            "{asked} bytes requested for a {sent}-byte image"
+        );
+    }
 }

@@ -7,6 +7,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
+use sli_simnet::wire::Writer;
 use sli_telemetry::{Counter, Registry};
 
 use crate::connection::Connection;
@@ -517,6 +518,18 @@ impl Database {
         }
     }
 
+    /// Writes `table`'s rows onto `w` as the checkpoint holds them — a
+    /// count, then every row's cells, in primary-key order — straight from
+    /// the table, without [`Database::dump_rows`]' copy of it.
+    pub(crate) fn encode_rows(&self, table: &str, w: &mut Writer) {
+        let table = self.table(table).expect("listed table exists");
+        let table = table.read();
+        w.put_u32(table.rows.len() as u32);
+        for cell in table.rows.values().flatten() {
+            cell.encode(w);
+        }
+    }
+
     /// Attaches the write-ahead log, capturing the current committed
     /// state as the base checkpoint the log is relative to. From here on
     /// every writing transaction appends redo/undo mementos that are
@@ -622,25 +635,27 @@ impl Database {
                 t.insert_row(row);
             }
         }
-        // Redo.
+        // Redo consumes the log: a winner's images move into their table;
+        // only a loser's op is needed again, by the undo pass.
         let mut redo_count = 0u64;
-        for rec in &log.records {
-            if let WalBody::Op { op, .. } = &rec.body {
-                self.redo_op(op)?;
+        let mut losers: Vec<(u64, WalOp)> = Vec::new();
+        for rec in log.records {
+            if let WalBody::Op { txn, op } = rec.body {
+                if log.winners.contains(&txn) {
+                    self.redo_op(op)?;
+                } else {
+                    self.redo_op(op.clone())?;
+                    losers.push((txn, op));
+                }
                 redo_count += 1;
             }
         }
-        // Undo.
-        let mut undo_count = 0u64;
+        // Undo, newest first.
+        let undo_count = losers.len() as u64;
         let mut torn: HashSet<u64> = HashSet::new();
-        for rec in log.records.into_iter().rev() {
-            if let WalBody::Op { txn, op } = rec.body {
-                if !log.winners.contains(&txn) {
-                    self.undo_op(op)?;
-                    undo_count += 1;
-                    torn.insert(txn);
-                }
-            }
+        for (txn, op) in losers.into_iter().rev() {
+            self.undo_op(op)?;
+            torn.insert(txn);
         }
         // Restore the witness and the txn-id source past everything the
         // log has seen, then bring the engine back up.
@@ -698,21 +713,21 @@ impl Database {
     // row under the other key. The SQL layer rejects SET on the pk
     // column, so today the two coincide; this keeps the recovery path
     // correct on its own terms.
-    fn redo_op(&self, op: &WalOp) -> DbResult<()> {
+    fn redo_op(&self, op: WalOp) -> DbResult<()> {
         match op {
             WalOp::Insert { table, row } => {
-                self.logged_table(table)?.write().insert_row(row.clone());
+                self.logged_table(&table)?.write().insert_row(row);
             }
             WalOp::Update {
                 table, old, new, ..
             } => {
-                let t = self.logged_table(table)?;
+                let t = self.logged_table(&table)?;
                 let mut t = t.write();
-                t.remove_image(old);
-                t.insert_row(new.clone());
+                t.remove_image(&old);
+                t.insert_row(new);
             }
             WalOp::Delete { table, old } => {
-                self.logged_table(table)?.write().remove_image(old);
+                self.logged_table(&table)?.write().remove_image(&old);
             }
         }
         Ok(())
@@ -1365,6 +1380,43 @@ mod tests {
             .unwrap();
         }
         db
+    }
+
+    #[test]
+    fn recovery_moves_winners_in_and_undoes_the_torn_transaction() {
+        let db = db_with_quotes();
+        db.attach_wal();
+        let mut conn = db.connect();
+        let price = "UPDATE quote SET price = ? WHERE symbol = ?";
+        // A winner of two ops, then a transaction of three torn between
+        // its op records and its commit record.
+        conn.begin().unwrap();
+        conn.execute(price, &[Value::from(99.0), Value::from("s:1")])
+            .unwrap();
+        conn.execute("DELETE FROM quote WHERE symbol = 's:4'", &[])
+            .unwrap();
+        conn.commit().unwrap();
+        let committed = db.checkpoint();
+        db.script_crash(CrashPoint::MidApply);
+        conn.begin().unwrap();
+        conn.execute(price, &[Value::from(1.0), Value::from("s:1")])
+            .unwrap();
+        conn.execute(price, &[Value::from(2.0), Value::from("s:1")])
+            .unwrap();
+        conn.execute(
+            "INSERT INTO quote (symbol, price, volume) VALUES ('s:9', 9.0, 9)",
+            &[],
+        )
+        .unwrap();
+        assert!(conn.commit().is_err());
+        let report = db.recover().unwrap();
+        assert_eq!(
+            (report.redo_count, report.undo_count, report.torn_txns),
+            (5, 3, 1)
+        );
+        assert_eq!(db.checkpoint(), committed);
+        let stats = db.wal_stats();
+        assert_eq!((stats.redone_ops, stats.undone_ops), (5, 3));
     }
 
     #[test]

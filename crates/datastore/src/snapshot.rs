@@ -72,13 +72,7 @@ impl Database {
             for col in &indexes {
                 w.put_str(col);
             }
-            let rows = self.dump_rows(&name);
-            w.put_u32(rows.len() as u32);
-            for row in rows {
-                for v in row {
-                    v.encode(&mut w);
-                }
-            }
+            self.encode_rows(&name, &mut w);
         }
         w.finish()
     }

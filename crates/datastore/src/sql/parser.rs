@@ -222,7 +222,7 @@ impl Parser {
             }
             Some(Token::Int(v)) => Ok(Scalar::Literal(Value::Int(v))),
             Some(Token::Float(v)) => Ok(Scalar::Literal(Value::Double(v))),
-            Some(Token::Str(v)) => Ok(Scalar::Literal(Value::Str(v))),
+            Some(Token::Str(v)) => Ok(Scalar::Literal(Value::from(v))),
             Some(Token::Word(w)) if w == "null" => Ok(Scalar::Literal(Value::Null)),
             Some(Token::Word(w)) if w == "true" => Ok(Scalar::Literal(Value::Bool(true))),
             Some(Token::Word(w)) if w == "false" => Ok(Scalar::Literal(Value::Bool(false))),

@@ -3,6 +3,7 @@
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use sli_simnet::wire::{DecodeError, Reader, Writer};
 
@@ -22,8 +23,10 @@ pub enum Value {
     Int(i64),
     /// A 64-bit float (DOUBLE).
     Double(f64),
-    /// A variable-length string (VARCHAR).
-    Str(String),
+    /// A variable-length string (VARCHAR). The text is shared: a clone —
+    /// a row copied out of a table, a lock key, a log image, a bound
+    /// parameter — is a reference count, not a copy.
+    Str(Arc<str>),
 }
 
 impl Value {
@@ -129,7 +132,7 @@ impl Value {
             1 => Ok(Value::Bool(r.get_bool()?)),
             2 => Ok(Value::Int(r.get_i64()?)),
             3 => Ok(Value::Double(r.get_f64()?)),
-            4 => Ok(Value::Str(r.get_str()?)),
+            4 => Ok(Value::Str(r.get_shared_str()?)),
             _ => Err(DecodeError::new("value tag")),
         }
     }
@@ -213,13 +216,13 @@ impl From<bool> for Value {
 
 impl From<&str> for Value {
     fn from(v: &str) -> Value {
-        Value::Str(v.to_owned())
+        Value::Str(Arc::from(v))
     }
 }
 
 impl From<String> for Value {
     fn from(v: String) -> Value {
-        Value::Str(v)
+        Value::Str(Arc::from(v))
     }
 }
 
@@ -310,6 +313,18 @@ mod tests {
         assert_eq!(Value::from(true).as_bool(), Some(true));
         assert!(Value::Null.is_null());
         assert_eq!(Value::from("x").as_int(), None);
+    }
+
+    #[test]
+    fn a_string_is_shared_text_in_a_three_word_value() {
+        assert_eq!(std::mem::size_of::<Value>(), 24);
+        let original = Value::from(String::from("uid:3"));
+        let copy = original.clone();
+        match (&original, &copy) {
+            (Value::Str(a), Value::Str(b)) => assert!(Arc::ptr_eq(a, b)),
+            other => panic!("not strings: {other:?}"),
+        }
+        assert_eq!(copy, Value::from("uid:3"));
     }
 
     #[test]

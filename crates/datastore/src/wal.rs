@@ -116,6 +116,11 @@ const REC_UPDATE: u8 = 2;
 const REC_DELETE: u8 = 3;
 const REC_COMMIT: u8 = 4;
 
+/// The number of bytes [`put_row`] writes.
+fn row_len(row: &[Value]) -> usize {
+    4 + row.iter().map(Value::encoded_len).sum::<usize>()
+}
+
 fn put_row(w: &mut Writer, row: &[Value]) {
     w.put_u32(row.len() as u32);
     for v in row {
@@ -132,15 +137,31 @@ fn get_row(r: &mut Reader) -> Result<Vec<Value>, DecodeError> {
     Ok(row)
 }
 
-fn get_table(r: &mut Reader) -> Result<Arc<str>, DecodeError> {
-    let raw = r.get_bytes()?;
-    std::str::from_utf8(&raw)
-        .map(Arc::from)
-        .map_err(|_| DecodeError::new("utf-8"))
+/// Kind, LSN and transaction id: what every record starts with.
+const REC_HEAD_LEN: usize = 1 + 8 + 8;
+
+/// The number of bytes [`encode_op`] writes for `op`.
+fn op_len(op: &WalOp) -> usize {
+    let (table, images) = match op {
+        WalOp::Insert { table, row } => (table, row_len(row)),
+        WalOp::Update {
+            table,
+            pk,
+            old,
+            new,
+        } => (table, pk.encoded_len() + row_len(old) + row_len(new)),
+        WalOp::Delete { table, old } => (table, row_len(old)),
+    };
+    REC_HEAD_LEN + 4 + table.len() + images
+}
+
+/// The number of bytes [`encode_commit`] writes: 26, or 38 with a stamp.
+fn commit_len(stamp: Option<(u32, u64)>) -> usize {
+    REC_HEAD_LEN + 8 + 1 + stamp.map_or(0, |_| 4 + 8)
 }
 
 fn encode_op(lsn: u64, txn: u64, op: &WalOp) -> Bytes {
-    let mut w = Writer::new();
+    let mut w = Writer::with_capacity(op_len(op));
     match op {
         WalOp::Insert { table, row } => {
             w.put_u8(REC_INSERT)
@@ -175,7 +196,7 @@ fn encode_op(lsn: u64, txn: u64, op: &WalOp) -> Bytes {
 }
 
 fn encode_commit(lsn: u64, txn: u64, commit_seq: u64, stamp: Option<(u32, u64)>) -> Bytes {
-    let mut w = Writer::new();
+    let mut w = Writer::with_capacity(commit_len(stamp));
     w.put_u8(REC_COMMIT)
         .put_u64(lsn)
         .put_u64(txn)
@@ -200,12 +221,12 @@ fn decode_record(frame: &Bytes) -> Result<WalRecord, DecodeError> {
         REC_INSERT => WalBody::Op {
             txn,
             op: WalOp::Insert {
-                table: get_table(&mut r)?,
+                table: r.get_shared_str()?,
                 row: get_row(&mut r)?,
             },
         },
         REC_UPDATE => {
-            let table = get_table(&mut r)?;
+            let table = r.get_shared_str()?;
             let pk = Value::decode(&mut r)?;
             let old = get_row(&mut r)?;
             let new = get_row(&mut r)?;
@@ -222,7 +243,7 @@ fn decode_record(frame: &Bytes) -> Result<WalRecord, DecodeError> {
         REC_DELETE => WalBody::Op {
             txn,
             op: WalOp::Delete {
-                table: get_table(&mut r)?,
+                table: r.get_shared_str()?,
                 old: get_row(&mut r)?,
             },
         },
@@ -521,4 +542,39 @@ pub struct RecoveryReport {
     pub torn_txns: u64,
     /// Highest LSN seen in the durable log (0 when the log is empty).
     pub max_lsn: u64,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_record_is_sized_exactly_before_it_is_written() {
+        let table: Arc<str> = Arc::from("holding");
+        let row = |qty: f64| vec![Value::from(7), Value::from("uid:3"), Value::from(qty)];
+        let ops = [
+            WalOp::Insert {
+                table: Arc::clone(&table),
+                row: row(1.0),
+            },
+            WalOp::Update {
+                table: Arc::clone(&table),
+                pk: Value::from(7),
+                old: row(1.0),
+                new: vec![Value::Null, Value::from(""), Value::from(true)],
+            },
+            WalOp::Delete {
+                table,
+                old: Vec::new(),
+            },
+        ];
+        for op in &ops {
+            assert_eq!(encode_op(3, 9, op).len(), op_len(op), "{op:?}");
+        }
+        assert_eq!(encode_commit(4, 9, 1, None).len(), commit_len(None));
+        assert_eq!(commit_len(None), 26);
+        let stamp = Some((2, 11));
+        assert_eq!(encode_commit(4, 9, 1, stamp).len(), commit_len(stamp));
+        assert_eq!(commit_len(stamp), 38);
+    }
 }

@@ -164,20 +164,28 @@ fn statement_path_stays_within_its_allocation_budget() {
     assert_eq!(db.plan_cache_stats().hits, hits + 1);
     assert_eq!(allocs, 0, "plan-cache hit + parameter-count check");
 
-    // (b) A primary-key SELECT of three named columns, autocommitted: 8 —
-    // the key copied into the lock table (1) and into the match list (2),
-    // the borrowed-row list, the projection indices, the row list and the
-    // row, and the one string among the cells. The result's column names
-    // are the plan's header, shared; while they were a vector and three
-    // strings per result it was 12. Before in-place evaluation and the
-    // shared schema it was 37: a deep schema copy, a bound copy of the
-    // predicate, the table name once per lock and a full-row clone on top.
+    // A string value's clone: a reference count on its text. It was 1, the
+    // text's copy.
+    let (clone, copy) = allocs_of(|| key[0].clone());
+    assert_eq!(clone, 0, "Value::clone of a string");
+    assert_eq!(copy, key[0]);
+
+    // (b) A primary-key SELECT of three named columns, autocommitted: 5 —
+    // the match list, the borrowed-row list, the projection indices, the
+    // row list and the row. A string cell is shared text, so the key in
+    // the lock table and in the match list and the one string among the
+    // result's cells are reference counts; it was 8 while each was a copy.
+    // The result's column names are the plan's header, shared; while they
+    // were a vector and three strings per result it was 12. Before
+    // in-place evaluation and the shared schema it was 37: a deep schema
+    // copy, a bound copy of the predicate, the table name once per lock
+    // and a full-row clone on top.
     let select = steady(|| {
         let (allocs, rs) = allocs_of(|| conn.execute(SELECT, &key).unwrap());
         assert_eq!(rs.rows()[0].len(), 3);
         allocs
     });
-    assert!(select <= 8, "pk SELECT: {select} allocations");
+    assert!(select <= 5, "pk SELECT: {select} allocations");
     // The header lives as long as the DDL epoch it was encoded under, like
     // the access path: the statement after any DDL pays for both again
     // (2 and 1), the one after that does not.
@@ -188,12 +196,13 @@ fn statement_path_stays_within_its_allocation_budget() {
     let (again, _) = allocs_of(|| conn.execute(SELECT, &key).unwrap());
     assert_eq!(again, select, "pk SELECT, replanned");
 
-    // (c) A primary-key UPDATE inside a transaction, WAL attached: 15 — the
-    // new row (5: a vector and four strings) and its copy for the log
-    // record (5), whose old image is the row taken out of the table; the
-    // key in the match list (2), in the lock probe (1) and in the table's
-    // map (1), and the assignment list. It was 21 while the transaction
-    // kept an undo record and a redo record of the same change.
+    // (c) A primary-key UPDATE inside a transaction, WAL attached: 4 — the
+    // new row's vector and its copy's for the log record, whose old image
+    // is the row taken out of the table; the match list and the assignment
+    // list. The rows' four strings and the key — in the match list, the
+    // lock probe and the table's map — are shared; it was 15 while every
+    // one was copied, and 21 while the transaction kept an undo record and
+    // a redo record of the same change.
     conn.begin().unwrap();
     let update = steady(|| {
         let (allocs, rs) = allocs_of(|| conn.execute(UPDATE, &sets).unwrap());
@@ -202,25 +211,25 @@ fn statement_path_stays_within_its_allocation_budget() {
     });
     conn.commit().unwrap();
     assert!(
-        update <= 15,
+        update <= 4,
         "pk UPDATE in a transaction: {update} allocations"
     );
 
-    // (d) The commit of that one-statement transaction: 6 — the update
-    // record (buffer, two growths, frozen copy) and the commit record
-    // (buffer, frozen copy). Unchanged by this test's PR; pinned so the
-    // log's cost per commit is on record.
+    // (d) The commit of that one-statement transaction: 4 — the update
+    // record and the commit record, each a buffer of the record's exact
+    // size and its frozen copy. It was 6 while the update record outgrew
+    // a 128-byte buffer twice.
     let commit = steady(|| {
         conn.begin().unwrap();
         conn.execute(UPDATE, &sets).unwrap();
         allocs_of(|| conn.commit().unwrap()).0
     });
-    assert!(commit <= 6, "commit: {commit} allocations");
+    assert!(commit <= 4, "commit: {commit} allocations");
 
-    // (e) A primary-key DELETE inside a transaction: 3 — the key in the
-    // match list (2) and in the lock probe (1). The row taken out of the
-    // table is the log record's old image; nothing is copied. Each run
-    // puts the row back, unmeasured, for the next.
+    // (e) A primary-key DELETE inside a transaction: 1 — the match list;
+    // the key in it and in the lock probe is shared (it was 3). The row
+    // taken out of the table is the log record's old image; nothing is
+    // copied. Each run puts the row back, unmeasured, for the next.
     let gone = row(3);
     conn.begin().unwrap();
     let delete = steady(|| {
@@ -231,19 +240,19 @@ fn statement_path_stays_within_its_allocation_budget() {
     });
     conn.rollback().unwrap();
     assert!(
-        delete <= 3,
+        delete <= 1,
         "pk DELETE in a transaction: {delete} allocations"
     );
 
-    // (f) The rollback of a one-UPDATE transaction: 1 — the key the table's
-    // map takes when the log record's old image goes back in. The image
-    // itself is moved, not copied.
+    // (f) The rollback of a one-UPDATE transaction: nothing. The log
+    // record's old image is moved back in, and the key the table's map
+    // takes is shared with it (it was 1).
     let rollback = steady(|| {
         conn.begin().unwrap();
         conn.execute(UPDATE, &sets).unwrap();
         allocs_of(|| conn.rollback().unwrap()).0
     });
-    assert!(rollback <= 1, "rollback: {rollback} allocations");
+    assert_eq!(rollback, 0, "rollback");
 }
 
 /// The wire around the statement path: a message is one buffer, written in
@@ -274,11 +283,12 @@ fn wire_path_stays_within_its_allocation_budget() {
     assert_eq!(framed, 2, "a framed message");
     assert_eq!(message.len(), 32 + 1 + 8 + 4 + SELECT.len());
 
-    // (b) The primary-key SELECT of three columns, over the wire: 17 — the
-    // engine's 8, two messages (4), the parameter list and the key in it
+    // (b) The primary-key SELECT of three columns, over the wire: 14 — the
+    // engine's 5, two messages (4), the parameter list and the key in it
     // (2), and the decoded rows (3: the list, the row, its string). The
     // statement text and the package name are read in the frame; the
-    // column names stay in the reply. It was 31.
+    // column names stay in the reply. It was 17 with the engine's 8, and
+    // 31 before that.
     let select = steady(|| {
         let (allocs, rs) = allocs_of(|| conn.execute(SELECT, &key).unwrap());
         assert_eq!(
@@ -287,7 +297,7 @@ fn wire_path_stays_within_its_allocation_budget() {
         );
         allocs
     });
-    assert!(select <= 17, "remote pk SELECT: {select} allocations");
+    assert!(select <= 14, "remote pk SELECT: {select} allocations");
 
     // (c) The autocommitted primary-key UPDATE: what it costs on a local
     // connection, plus two messages (4) and the parameter list with its

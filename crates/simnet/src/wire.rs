@@ -136,10 +136,39 @@ pub fn unframe(message: Bytes) -> Result<(FrameHeader, Bytes), DecodeError> {
     ))
 }
 
+/// `31^k` in wrapping `u32`.
+const fn pow31(k: u32) -> u32 {
+    31u32.wrapping_pow(k)
+}
+
+/// The frame checksum: `acc * 31 + byte` over the payload, wrapping — a
+/// value both ends compute, so part of the wire contract. Folded eight
+/// bytes a step (`acc * 31^8 + b0 * 31^7 + ... + b7`, the same sum with
+/// the multiplies regrouped), so the chain that each step waits on is one
+/// multiply per eight bytes; the tail goes byte by byte.
 fn checksum(payload: &[u8]) -> u32 {
-    payload
+    const WEIGHTS: [u32; 8] = [
+        pow31(7),
+        pow31(6),
+        pow31(5),
+        pow31(4),
+        pow31(3),
+        pow31(2),
+        pow31(1),
+        pow31(0),
+    ];
+    let mut chunks = payload.chunks_exact(8);
+    let mut acc = 0u32;
+    for chunk in &mut chunks {
+        let lanes = chunk.iter().zip(WEIGHTS).fold(0u32, |sum, (b, w)| {
+            sum.wrapping_add((*b as u32).wrapping_mul(w))
+        });
+        acc = acc.wrapping_mul(pow31(8)).wrapping_add(lanes);
+    }
+    chunks
+        .remainder()
         .iter()
-        .fold(0u32, |acc, b| acc.wrapping_mul(31).wrapping_add(*b as u32))
+        .fold(acc, |acc, b| acc.wrapping_mul(31).wrapping_add(*b as u32))
 }
 
 /// Room a [`Writer::framed`] message starts with behind its header: with
@@ -160,8 +189,14 @@ pub struct Writer {
 impl Writer {
     /// Creates an empty frame writer.
     pub fn new() -> Writer {
+        Writer::with_capacity(128)
+    }
+
+    /// Creates an empty frame writer with room for `capacity` bytes, for a
+    /// message whose encoded size is known before it is written.
+    pub fn with_capacity(capacity: usize) -> Writer {
         Writer {
-            buf: BytesMut::with_capacity(128),
+            buf: BytesMut::with_capacity(capacity),
             header: 0,
         }
     }
@@ -468,10 +503,27 @@ impl Reader {
     /// # Errors
     /// Returns [`DecodeError`] on truncation or invalid UTF-8.
     pub fn get_shared_str(&mut self) -> Result<Arc<str>, DecodeError> {
-        let raw = self.get_bytes()?;
-        std::str::from_utf8(&raw)
-            .map(Arc::from)
-            .map_err(|_| DecodeError::new("utf-8"))
+        self.get_shared_str_as(None)
+    }
+
+    /// Reads a length-prefixed UTF-8 string as a shared `str` that may
+    /// exist already: another handle on `known` where the frame spells
+    /// exactly that, otherwise what [`Reader::get_shared_str`] returns.
+    ///
+    /// # Errors
+    /// As [`Reader::get_shared_str`].
+    pub fn get_shared_str_as(&mut self, known: Option<&Arc<str>>) -> Result<Arc<str>, DecodeError> {
+        let len = self.get_u32()? as usize;
+        self.need(len, "bytes payload")?;
+        let shared = match known {
+            Some(known) if known.as_bytes() == &self.buf[..len] => Arc::clone(known),
+            _ => match std::str::from_utf8(&self.buf[..len]) {
+                Ok(text) => Arc::from(text),
+                Err(_) => return Err(DecodeError::new("utf-8")),
+            },
+        };
+        self.buf.advance(len);
+        Ok(shared)
     }
 
     /// Reads a nested frame written with [`Writer::put_frame`].
@@ -583,6 +635,34 @@ mod tests {
     }
 
     #[test]
+    fn a_known_string_is_shared_only_where_the_frame_spells_it() {
+        let known: Arc<str> = Arc::from("balance");
+        let mut w = Writer::with_capacity(32);
+        w.put_str("balance").put_str("balancE").put_str("bal");
+        let mut r = Reader::new(w.finish());
+        assert!(Arc::ptr_eq(
+            &r.get_shared_str_as(Some(&known)).unwrap(),
+            &known
+        ));
+        for other in ["balancE", "bal"] {
+            let own = r.get_shared_str_as(Some(&known)).unwrap();
+            assert_eq!(&*own, other);
+            assert!(!Arc::ptr_eq(&own, &known));
+        }
+        assert!(r.is_empty());
+        // Malformed input fails as it does with nothing known.
+        let mut w = Writer::new();
+        w.put_bytes(&[0xff, 0xfe]);
+        let frame = w.finish();
+        assert!(Reader::new(frame.clone())
+            .get_shared_str_as(Some(&known))
+            .is_err());
+        assert!(Reader::new(frame.slice(0..5))
+            .get_shared_str_as(Some(&known))
+            .is_err());
+    }
+
+    #[test]
     fn strings_are_read_where_they_lie() {
         let mut w = Writer::new();
         w.put_str("skipped").put_str("SELECT 1").put_u8(9);
@@ -669,6 +749,17 @@ mod tests {
             ][..],
             "empty payload: length 0, checksum 0"
         );
+    }
+
+    #[test]
+    fn the_checksum_is_the_byte_fold_at_every_length_around_its_stride() {
+        let payload: Vec<u8> = (0..40u32).map(|i| (i * 37 + 201) as u8).collect();
+        for len in 0..=payload.len() {
+            let fold = payload[..len]
+                .iter()
+                .fold(0u32, |acc, b| acc.wrapping_mul(31).wrapping_add(*b as u32));
+            assert_eq!(checksum(&payload[..len]), fold, "{len} bytes");
+        }
     }
 
     #[test]

@@ -14,6 +14,11 @@
 //!   store is a map plus a touch order, and what the deployment descriptor
 //!   resolves once (`row_is_image`, the five statements) is what it used to
 //!   compute per call;
+//! * an image decoded into a name-sorted vector, with or without a
+//!   descriptor lending it names, is the image the map-building decoder
+//!   built, whatever order and however often the wire names its fields; a
+//!   string value behaves as it did while it owned a `String`; and the
+//!   frame checksum folded eight bytes a step is the byte-by-byte fold;
 //! * a message written into one buffer — an HTTP request or response, a
 //!   frame behind its header, a nested commit request, a result set with
 //!   its header in wire form, the validator's conditional statements — is
@@ -41,19 +46,19 @@ use rand::{Rng, SeedableRng};
 use sli_edge::component::BmpHome;
 use sli_edge::component::JdbcResourceManager;
 use sli_edge::component::{
-    share_connection, Container, EjbResult, EntityMeta, InstanceState, Memento, ResourceManager,
-    TxContext,
+    share_connection, Container, EjbResult, EntityMeta, ImageNames, InstanceState, Memento,
+    ResourceManager, TxContext,
 };
 use sli_edge::core::{
-    validate_and_apply, validate_and_apply_per_image, CacheStats, CombinedCommitter, CommitEntry,
-    CommitOutcome, CommitRequest, CommonStore, DirectSource, EntryKind, MetaRegistry, SliHome,
-    SliResourceManager,
+    memento_digest, validate_and_apply, validate_and_apply_per_image, CacheStats,
+    CombinedCommitter, CommitEntry, CommitOutcome, CommitRequest, CommonStore, DirectSource,
+    EntryKind, MetaRegistry, SliHome, SliResourceManager,
 };
 use sli_edge::datastore::{
     CmpOp, Column, ColumnType, CrashPoint, Database, DbError, Predicate, ResultSet, Schema,
     SqlConnection, Value,
 };
-use sli_edge::simnet::wire::{frame_traced, protocol, unframe, Reader, Writer};
+use sli_edge::simnet::wire::{frame, frame_traced, protocol, unframe, Reader, Writer};
 use sli_edge::simnet::{HttpRequest, HttpResponse};
 use sli_edge::telemetry::{
     bucket_for, chrome_trace, critical_path, resource_for, span_class, Bucket, ClassStat,
@@ -186,6 +191,131 @@ fn value_codec_round_trips() {
     }
 }
 
+/// `Value` as it was while a string value owned its text: the derived
+/// behaviour of this enum is what the hand-written `Ord`, `Hash`, `Display`
+/// and encoding of `Value` have to keep.
+#[derive(Debug, Clone, PartialEq)]
+enum ModelValue {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Double(f64),
+    Str(String),
+}
+
+impl ModelValue {
+    fn of(v: &Value) -> ModelValue {
+        match v {
+            Value::Null => ModelValue::Null,
+            Value::Bool(b) => ModelValue::Bool(*b),
+            Value::Int(i) => ModelValue::Int(*i),
+            Value::Double(d) => ModelValue::Double(*d),
+            Value::Str(s) => ModelValue::Str(String::from(&**s)),
+        }
+    }
+
+    fn rank(&self) -> u8 {
+        match self {
+            ModelValue::Null => 0,
+            ModelValue::Bool(_) => 1,
+            ModelValue::Int(_) => 2,
+            ModelValue::Double(_) => 3,
+            ModelValue::Str(_) => 4,
+        }
+    }
+
+    fn cmp(&self, other: &ModelValue) -> std::cmp::Ordering {
+        match (self, other) {
+            (ModelValue::Bool(a), ModelValue::Bool(b)) => a.cmp(b),
+            (ModelValue::Int(a), ModelValue::Int(b)) => a.cmp(b),
+            (ModelValue::Double(a), ModelValue::Double(b)) => a.total_cmp(b),
+            (ModelValue::Str(a), ModelValue::Str(b)) => a.cmp(b),
+            (a, b) => a.rank().cmp(&b.rank()),
+        }
+    }
+
+    fn hash_code(&self) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut state = std::collections::hash_map::DefaultHasher::new();
+        self.rank().hash(&mut state);
+        match self {
+            ModelValue::Null => {}
+            ModelValue::Bool(v) => v.hash(&mut state),
+            ModelValue::Int(v) => v.hash(&mut state),
+            ModelValue::Double(v) => v.to_bits().hash(&mut state),
+            ModelValue::Str(v) => v.hash(&mut state),
+        }
+        state.finish()
+    }
+
+    fn display(&self) -> String {
+        match self {
+            ModelValue::Null => "NULL".to_owned(),
+            ModelValue::Bool(v) => format!("{v}"),
+            ModelValue::Int(v) => format!("{v}"),
+            ModelValue::Double(v) => format!("{v}"),
+            ModelValue::Str(v) => format!("'{v}'"),
+        }
+    }
+
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            ModelValue::Null => w.put_u8(0),
+            ModelValue::Bool(v) => w.put_u8(1).put_bool(*v),
+            ModelValue::Int(v) => w.put_u8(2).put_i64(*v),
+            ModelValue::Double(v) => w.put_u8(3).put_f64(*v),
+            ModelValue::Str(v) => w.put_u8(4).put_str(v),
+        };
+    }
+}
+
+#[test]
+fn a_shared_string_value_behaves_as_an_owned_one_did() {
+    use std::hash::{Hash, Hasher};
+    let hash_code = |v: &Value| {
+        let mut state = std::collections::hash_map::DefaultHasher::new();
+        v.hash(&mut state);
+        state.finish()
+    };
+    let mut rng = StdRng::seed_from_u64(0x5ede_c0df);
+    let mut strings = 0;
+    for case in 0..2_000 {
+        // Short strings over a small alphabet, so equal texts and shared
+        // prefixes both come up; a clone half the time, so two handles on
+        // one text do too.
+        let gen = |rng: &mut StdRng| match rng.gen_range(0..3u32) {
+            0 => gen_value(rng),
+            _ => Value::from(gen_string(rng, b"ab'", 3)),
+        };
+        let a = gen(&mut rng);
+        let b = if rng.gen_range(0..2u32) == 0 {
+            a.clone()
+        } else {
+            gen(&mut rng)
+        };
+        let (ma, mb) = (ModelValue::of(&a), ModelValue::of(&b));
+        assert_eq!(a.cmp(&b), ma.cmp(&mb), "case {case}: {a} vs {b}");
+        assert_eq!(a == b, ma == mb, "case {case}: {a} vs {b}");
+        assert_eq!(hash_code(&a), ma.hash_code(), "case {case}: {a}");
+        assert_eq!(a.to_string(), ma.display(), "case {case}");
+        let (mut w, mut model) = (Writer::new(), Writer::new());
+        a.encode(&mut w);
+        ma.encode(&mut model);
+        assert_eq!(a.encoded_len(), w.len(), "case {case}: {a}");
+        let bytes = w.finish();
+        assert_eq!(bytes, model.finish(), "case {case}: {a}");
+        let back = Value::decode(&mut Reader::new(bytes)).unwrap();
+        assert_eq!(ModelValue::of(&back), ma, "case {case}");
+        if let ModelValue::Str(text) = &ma {
+            strings += 1;
+            assert_eq!(a.as_str(), Some(text.as_str()), "case {case}");
+            assert_eq!(Value::from(text.as_str()), a, "case {case}");
+            assert_eq!(Value::from(text.clone()), a, "case {case}");
+        }
+    }
+    assert!(strings > 1_000, "{strings} string cases");
+}
+
 #[test]
 fn memento_codec_round_trips() {
     let mut rng = StdRng::seed_from_u64(0x3e3e_0001);
@@ -195,7 +325,7 @@ fn memento_codec_round_trips() {
         m.encode(&mut w);
         assert_eq!(m.encoded_len(), w.len(), "memento {m:?}");
         let mut r = Reader::new(w.finish());
-        assert_eq!(Memento::decode(&mut r).unwrap(), m, "memento {m:?}");
+        assert_eq!(Memento::decode(&mut r, None).unwrap(), m, "memento {m:?}");
     }
 }
 
@@ -397,7 +527,7 @@ fn commit_request_codec_round_trips() {
         nested.put_u8(3).put_nested(|w| req.encode_into(w));
         copied.put_u8(3).put_frame(&frame);
         assert_eq!(nested.finish(), copied.finish());
-        let back = CommitRequest::decode(&mut Reader::new(frame)).unwrap();
+        let back = CommitRequest::decode(&mut Reader::new(frame), &MetaRegistry::new()).unwrap();
         assert_eq!(back, req);
     }
 }
@@ -517,6 +647,64 @@ fn a_message_written_behind_its_header_is_the_framed_payload() {
             (proto, correlation, trace_id)
         );
         assert_eq!(body, payload);
+    }
+}
+
+/// The frame checksum as it was computed a byte a step: `acc * 31 + byte`,
+/// wrapping.
+fn byte_fold(payload: &[u8]) -> u32 {
+    payload.iter().fold(0u32, |acc, b| {
+        acc.wrapping_mul(31).wrapping_add(u32::from(*b))
+    })
+}
+
+/// The checksum `wire::frame` wrote for `payload`: bytes 28..32 of the
+/// frame's header.
+fn framed_checksum(payload: &[u8]) -> u32 {
+    let framed = frame(protocol::JDBC, 1, &payload.to_vec().into());
+    assert_eq!(&framed[32..], payload);
+    u32::from_be_bytes(framed[28..32].try_into().unwrap())
+}
+
+#[test]
+fn the_strided_checksum_is_the_byte_fold() {
+    let mut rng = StdRng::seed_from_u64(0x3e3e_0018);
+    // Every length around the stride: no lane, a tail alone, whole strides,
+    // strides and a tail. High bytes included, so a lane's product wraps.
+    for len in 0..=64usize {
+        let payload: Vec<u8> = (0..len).map(|_| rng.gen_range(0..256u32) as u8).collect();
+        assert_eq!(
+            framed_checksum(&payload),
+            byte_fold(&payload),
+            "{len} bytes"
+        );
+        let ones = vec![0xFF; len];
+        assert_eq!(
+            framed_checksum(&ones),
+            byte_fold(&ones),
+            "{len} bytes of 0xFF"
+        );
+    }
+    for case in 0..1_200 {
+        let len = rng.gen_range(0..8 * 1024 + 1usize);
+        let payload: Vec<u8> = (0..len).map(|_| rng.gen_range(0..256u32) as u8).collect();
+        assert_eq!(
+            framed_checksum(&payload),
+            byte_fold(&payload),
+            "case {case}: {len} bytes"
+        );
+    }
+    // A flipped payload byte is still caught wherever it lies: in any lane
+    // of any stride, or in the tail.
+    for len in [64usize, 61] {
+        let payload: Vec<u8> = (0..len).map(|_| rng.gen_range(0..256u32) as u8).collect();
+        let framed = frame(protocol::BACKEND, 9, &payload.clone().into());
+        assert_eq!(&unframe(framed.clone()).unwrap().1[..], &payload[..]);
+        for at in 0..len {
+            let mut bad = framed.to_vec();
+            bad[32 + at] ^= 1 << rng.gen_range(0..8u32);
+            assert!(unframe(bad.into()).is_err(), "byte {at} of {len}");
+        }
     }
 }
 
@@ -1045,12 +1233,189 @@ fn rebuilt(m: &Memento) -> Memento {
     })
 }
 
+/// The bytes of an image of `bean` / `key` whose fields the wire names as
+/// `fields` does, in that order and as often — which `Memento::encode`
+/// writes only for sorted, distinct names.
+fn encode_image(bean: &str, key: &Value, fields: &[(String, Value)]) -> bytes::Bytes {
+    let mut head = Writer::new();
+    Memento::new(bean, key.clone()).encode(&mut head);
+    let head = head.finish();
+    let mut w = Writer::new();
+    // Everything up to the field count, which is the last four bytes.
+    w.put_raw(&head[..head.len() - 4])
+        .put_u32(fields.len() as u32);
+    for (name, value) in fields {
+        w.put_str(name);
+        value.encode(&mut w);
+    }
+    w.finish()
+}
+
+/// `Memento::decode` as it was while an image kept its fields in a map:
+/// every name copied off the wire and inserted, the last value of a
+/// repeated name standing.
+fn model_decode(frame: bytes::Bytes) -> (String, Value, BTreeMap<String, Value>) {
+    let mut r = Reader::new(frame);
+    let class = r.get_str().unwrap();
+    let _uid = r.get_u64().unwrap();
+    let bean = r.get_str().unwrap();
+    assert_eq!(
+        class,
+        format!("com.ibm.websphere.samples.trade.ejb.{bean}Memento")
+    );
+    let key = Value::decode(&mut r).unwrap();
+    let mut fields = BTreeMap::new();
+    for _ in 0..r.get_u32().unwrap() {
+        let name = r.get_str().unwrap();
+        fields.insert(name, Value::decode(&mut r).unwrap());
+    }
+    assert!(r.is_empty());
+    (bean, key, fields)
+}
+
+/// The names a descriptor of `bean` declaring `fields` lends, taken from an
+/// `EntityMeta` that declares them in that order.
+fn lent_names(bean: &str, fields: &[String]) -> ImageNames {
+    let meta = fields.iter().fold(
+        EntityMeta::new(bean, "t", "id", ColumnType::Int),
+        |meta, name| meta.field(name.as_str(), ColumnType::Varchar),
+    );
+    let names = meta.image_names().clone();
+    let mut sorted: Vec<&str> = fields.iter().map(String::as_str).collect();
+    sorted.sort_unstable();
+    sorted.dedup();
+    assert_eq!(&**names.bean(), bean);
+    assert!(names.fields().iter().map(|n| &**n).eq(sorted));
+    names
+}
+
+#[test]
+fn an_image_decodes_as_the_map_built_one_did_whoever_lends_the_names() {
+    let mut rng = StdRng::seed_from_u64(0x3e3e_0019);
+    let (mut tidy_cases, mut repeats, mut shared_names) = (0, 0, 0);
+    for case in 0..600 {
+        let image = gen_memento(&mut rng);
+        let (bean, key) = (image.bean(), image.primary_key());
+        let own: Vec<String> = image.fields().iter().map(|(n, _)| n.to_string()).collect();
+        // What the wire says: one time in three what `encode` writes, else
+        // the fields shuffled, some named again with another value.
+        let mut wire: Vec<(String, Value)> = own
+            .iter()
+            .cloned()
+            .zip(image.fields().iter().map(|(_, v)| v.clone()))
+            .collect();
+        let tidy = rng.gen_range(0..3u32) == 0;
+        if !tidy && !wire.is_empty() {
+            for _ in 0..rng.gen_range(0..3u32) {
+                let name = wire[rng.gen_range(0..wire.len())].0.clone();
+                let at = rng.gen_range(0..wire.len() + 1);
+                wire.insert(at, (name, gen_value(&mut rng)));
+                repeats += 1;
+            }
+            for i in (1..wire.len()).rev() {
+                wire.swap(i, rng.gen_range(0..i + 1));
+            }
+        }
+        let frame = encode_image(bean, key, &wire);
+        let (model_bean, model_key, model_fields) = model_decode(frame.clone());
+        let model_fields: Vec<(String, Value)> = model_fields.into_iter().collect();
+        let model_bytes = encode_image(&model_bean, &model_key, &model_fields);
+        let model = model_fields
+            .iter()
+            .fold(Memento::new(model_bean, model_key), |m, (name, value)| {
+                m.with_field(name.as_str(), value.clone())
+            });
+        if tidy {
+            tidy_cases += 1;
+            assert_eq!(frame, model_bytes, "case {case}");
+            assert_eq!(model, image, "case {case}");
+        }
+
+        // Who lends the names: nobody; the bean's descriptor, declaring its
+        // fields in the wire's order; descriptors that lack one of the
+        // fields, declare one more, or spell one differently; and the
+        // descriptor of another bean with the same fields.
+        let declared: Vec<String> = wire.iter().map(|(n, _)| n.clone()).collect();
+        let mut lacking = own.clone();
+        let mut renamed = own.clone();
+        if !own.is_empty() {
+            let at = rng.gen_range(0..own.len());
+            lacking.remove(at);
+            renamed[at].push('x');
+        }
+        let mut extra = own.clone();
+        extra.push(format!("f{}", gen_string(&mut rng, b"abcxyz09_", 4)));
+        let lenders = [
+            None,
+            Some(lent_names(bean, &declared)),
+            Some(lent_names(bean, &lacking)),
+            Some(lent_names(bean, &extra)),
+            Some(lent_names(bean, &renamed)),
+            Some(lent_names("Other", &own)),
+        ];
+        for (which, lender) in lenders.iter().enumerate() {
+            let at = format!("case {case}, lender {which}");
+            let decoded = Memento::decode(&mut Reader::new(frame.clone()), lender.as_ref())
+                .unwrap_or_else(|e| panic!("{at}: {e}"));
+            assert_eq!(decoded, model, "{at}");
+            assert_eq!(decoded.bean(), model.bean(), "{at}");
+            assert_eq!(decoded.primary_key(), model.primary_key(), "{at}");
+            let fields: Vec<(String, Value)> = decoded
+                .fields()
+                .iter()
+                .map(|(n, v)| (n.to_string(), v.clone()))
+                .collect();
+            assert_eq!(fields, model_fields, "{at}");
+            for (name, value) in &model_fields {
+                assert_eq!(decoded.get(name), Some(value), "{at}: {name}");
+            }
+            assert_eq!(decoded.get("no such field"), None, "{at}");
+            let mut w = Writer::new();
+            decoded.encode(&mut w);
+            assert_eq!(decoded.encoded_len(), w.len(), "{at}");
+            assert_eq!(w.finish(), model_bytes, "{at}");
+            assert_eq!(memento_digest(&decoded), memento_digest(&model), "{at}");
+            // Where the descriptor is the bean's own and the wire is what
+            // `encode` writes, every name is the descriptor's, not a copy.
+            if let (1, true, Some(lender)) = (which, tidy, lender) {
+                for ((name, _), lent) in decoded.fields().iter().zip(lender.fields()) {
+                    assert!(Arc::ptr_eq(name, lent), "{at}: {name}");
+                    shared_names += 1;
+                }
+            }
+            // Another bean's descriptor lends nothing, however it spells.
+            if let (5, Some(lender)) = (which, lender) {
+                for ((name, _), lent) in decoded.fields().iter().zip(lender.fields()) {
+                    assert!(!Arc::ptr_eq(name, lent), "{at}: {name}");
+                }
+            }
+        }
+    }
+    assert!(tidy_cases > 100 && repeats > 100 && shared_names > 100);
+}
+
 #[test]
 fn a_write_through_one_handle_never_reaches_another() {
     let mut rng = StdRng::seed_from_u64(0x3e3e_000b);
     for case in 0..300 {
         let original = gen_memento(&mut rng);
         let pristine = rebuilt(&original);
+        // Half the time the image is one decoded against its descriptor, so
+        // the names it holds are the descriptor's, lent to every image of
+        // the bean.
+        let own: Vec<String> = original
+            .fields()
+            .iter()
+            .map(|(n, _)| n.to_string())
+            .collect();
+        let lender = lent_names(original.bean(), &own);
+        let original = if rng.gen_range(0..2u32) == 0 {
+            let mut w = Writer::new();
+            original.encode(&mut w);
+            Memento::decode(&mut Reader::new(w.finish()), Some(&lender)).unwrap()
+        } else {
+            original
+        };
         let (bean, key) = (original.bean(), original.primary_key());
         // One image, four holders: the caller, the common store, and a
         // transaction's before-image and current state.
@@ -1060,8 +1425,8 @@ fn a_write_through_one_handle_never_reaches_another() {
         let st = ctx.enlist(bean, key);
         st.load_from(&store.get(bean, key).expect("just put"));
         // Write an existing field half the time, a new one otherwise.
-        let name = match original.fields().keys().next() {
-            Some(name) if rng.gen_range(0..2u32) == 0 => name.to_string(),
+        let name = match original.fields().first() {
+            Some((name, _)) if rng.gen_range(0..2u32) == 0 => name.to_string(),
             _ => "fresh".to_owned(),
         };
         let (a, b) = (gen_value(&mut rng), gen_value(&mut rng));
@@ -1071,7 +1436,16 @@ fn a_write_through_one_handle_never_reaches_another() {
         assert_eq!(clone.get(&name), Some(&a), "case {case}");
         assert_eq!(st.field(&name), b, "case {case}");
         assert_eq!(st.to_memento(bean, key).get(&name), Some(&b), "case {case}");
-        // Neither write is visible through any other holder.
+        // The writer's copy stays an image: sorted, every name once.
+        assert!(
+            clone.fields().windows(2).all(|p| p[0].0 < p[1].0),
+            "case {case}"
+        );
+        let expected = original.fields().len() + usize::from(original.get(&name).is_none());
+        assert_eq!(clone.fields().len(), expected, "case {case}");
+        // Neither write is visible through any other holder, nor in the
+        // names the descriptor lends.
+        assert_eq!(lender, lent_names(pristine.bean(), &own), "case {case}");
         assert_eq!(original, pristine, "case {case}: the caller's handle");
         assert_eq!(st.before.as_ref(), Some(&pristine), "case {case}");
         assert_eq!(store.get(bean, key), Some(pristine), "case {case}");
@@ -1448,6 +1822,9 @@ fn rollback_and_recovery_undo_both_leave_no_trace() {
             let at = format!("case {case}, recovered {writes:?}");
             assert_eq!(report.torn_txns, 1, "{at}");
             assert!(report.undo_count > 0, "{at}");
+            // The log held the torn transaction alone: all of it redone,
+            // all of it undone.
+            assert_eq!(report.redo_count, report.undo_count, "{at}");
             assert_eq!(db.checkpoint(), before, "{at}");
             assert_index_probe_equals_scan(&db, &at);
         } else {
