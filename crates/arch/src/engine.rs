@@ -903,7 +903,10 @@ mod tests {
         // registry handles saw exactly those firings.
         assert_eq!(monitor.incidents().len(), detections.len());
         for incident in monitor.incidents() {
-            sli_telemetry::validate_incident(&incident.to_json()).expect("incident validates");
+            assert_eq!(
+                sli_telemetry::validate(&incident.to_json()),
+                Ok(sli_telemetry::Schema::Incident)
+            );
         }
         assert_eq!(
             tb.monitor_metrics().incidents.get(),

@@ -155,7 +155,10 @@ mod tests {
         // The row renders into a validating run report.
         let mut run = sli_telemetry::RunReport::new("smoke");
         run.entries.push(report);
-        sli_telemetry::validate_run_report(&run.to_json()).expect("schema-valid");
+        assert_eq!(
+            sli_telemetry::validate(&run.to_json()),
+            Ok(sli_telemetry::Schema::RunReport)
+        );
     }
 
     #[test]

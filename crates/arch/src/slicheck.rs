@@ -1176,7 +1176,10 @@ mod tests {
         assert!(!shrunk_outcome.violations.is_empty());
         assert!(shrunk.len() <= choices.len());
         let doc = counterexample_json(&cfg, &shrunk_outcome);
-        sli_telemetry::validate_counterexample(&doc).expect("counterexample must validate");
+        assert_eq!(
+            sli_telemetry::validate(&doc),
+            Ok(sli_telemetry::Schema::Counterexample)
+        );
     }
 
     #[test]
@@ -1199,6 +1202,9 @@ mod tests {
         assert!(!shrunk_outcome.violations.is_empty());
         assert!(shrunk.len() <= choices.len());
         let doc = counterexample_json(&cfg, &shrunk_outcome);
-        sli_telemetry::validate_counterexample(&doc).expect("counterexample must validate");
+        assert_eq!(
+            sli_telemetry::validate(&doc),
+            Ok(sli_telemetry::Schema::Counterexample)
+        );
     }
 }

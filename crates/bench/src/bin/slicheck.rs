@@ -41,7 +41,7 @@ use sli_arch::{
 };
 use sli_bench::Cli;
 use sli_simnet::{ExhaustiveExplorer, FaultPlan};
-use sli_telemetry::validate_counterexample;
+use sli_telemetry::validate;
 
 /// Where the counterexample export lands.
 const COUNTEREXAMPLE_PATH: &str = "results/slicheck-counterexample.json";
@@ -87,7 +87,7 @@ fn report_violation(cfg: &SliCheckConfig, outcome: &SliCheckOutcome) -> SliCheck
         println!("    [{}] {}", v.kind, v.details);
     }
     let doc = counterexample_json(cfg, &shrunk_outcome);
-    if let Err(e) = validate_counterexample(&doc) {
+    if let Err(e) = validate(&doc) {
         eprintln!("error: counterexample failed its own validator: {e}");
         std::process::exit(1);
     }

@@ -1,74 +1,44 @@
-//! CI gate for exported telemetry: re-parses every `results/*.trace.json`,
-//! `results/*.timeline.json`, `results/*.profile.json` and
-//! `results/*.incident.json` from its on-disk bytes and validates it
-//! (`--smoke` checks `results/smoke/`, where the bins' `--smoke` runs
-//! write).
-//!
-//! Trace files are checked for Chrome trace-event well-formedness —
-//! required fields present and every span's `ts + dur` contained within
-//! its parent's interval. Timeline files are checked against the
-//! `sli-edge.timeline/v1` schema, including the rate-conservation law
-//! (each rate series' windows must sum to its run-end total). Profile
-//! files are checked against the `sli-edge.profile/v1` schema, including
-//! its conservation law (per-class self times and per-resource times must
-//! each sum to the total measured latency). Incident files — the SLO
-//! monitor's frozen flight-recorder pages — are checked against the
-//! `sli-edge.incident/v1` schema (detector name known, budget arithmetic
-//! in range, span intervals well-formed).
+//! CI gate for exported artifacts: re-parses every run report, Chrome
+//! trace, timeline, profile and incident under `results/` (`--smoke`
+//! checks `results/smoke/`, where the bins' `--smoke` runs write), and a
+//! `slicheck` counterexample if one is there, from its on-disk bytes, and
+//! checks each with [`sli_telemetry::validate`]: the shape its embedded id
+//! names, that kind's law (rate and profile conservation, every span
+//! within its parent, incident budget geometry, cycle references), and
+//! that the id agrees with the file's suffix.
 //!
 //! Run with `cargo run -p sli-bench --bin tracecheck` after the figure and
 //! table binaries. Exits non-zero if no exports exist or any fails.
 
-use sli_bench::{results_dir, Cli};
-use sli_telemetry::{
-    validate_chrome_trace, validate_incident, validate_profile, validate_timeline, Json,
-};
+use std::path::{Path, PathBuf};
 
-/// Validates one file, returning a short success label.
-fn check(path: &std::path::Path) -> Result<String, String> {
+use sli_bench::{results_dir, Cli};
+use sli_telemetry::{validate, Json, Schema};
+
+/// The file-name suffix each kind is exported under.
+const SUFFIXES: [(&str, Schema); 6] = [
+    (".report.json", Schema::RunReport),
+    (".trace.json", Schema::ChromeTrace),
+    (".timeline.json", Schema::Timeline),
+    (".profile.json", Schema::Profile),
+    (".incident.json", Schema::Incident),
+    ("-counterexample.json", Schema::Counterexample),
+];
+
+/// Validates one file, which its suffix says holds a `want` document.
+fn check(path: &Path, want: Schema) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read: {e}"))?;
     let doc = Json::parse(&text).map_err(|e| format!("parse: {e}"))?;
-    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-    if name.ends_with(".timeline.json") {
-        validate_timeline(&doc)?;
-        let runs = doc
-            .get("runs")
-            .and_then(Json::as_arr)
-            .map_or(0, <[Json]>::len);
-        Ok(format!("{runs} timeline run(s)"))
-    } else if name.ends_with(".incident.json") {
-        validate_incident(&doc)?;
-        let detector = doc
-            .get("detector")
-            .and_then(Json::as_str)
-            .unwrap_or("?")
-            .to_owned();
-        let spans = doc
-            .get("recent_spans")
-            .and_then(Json::as_arr)
-            .map_or(0, <[Json]>::len);
-        Ok(format!("{detector} incident, {spans} recorded span(s)"))
-    } else if name.ends_with(".profile.json") {
-        validate_profile(&doc)?;
-        let classes = doc
-            .get("classes")
-            .and_then(Json::as_arr)
-            .map_or(0, <[Json]>::len);
-        Ok(format!("{classes} span class(es), conservation holds"))
-    } else {
-        validate_chrome_trace(&doc)?;
-        let spans = doc
-            .get("traceEvents")
-            .and_then(Json::as_arr)
-            .map_or(0, <[Json]>::len);
-        Ok(format!("{spans} spans"))
+    match validate(&doc)? {
+        kind if kind == want => Ok(()),
+        kind => Err(format!("its id names a {kind:?}, its suffix a {want:?}")),
     }
 }
 
 fn main() {
     let args = Cli::new(
         "tracecheck",
-        "Validates every results/*.{trace,timeline,profile,incident}.json export",
+        "Validates every exported artifact under results/ from its bytes",
     )
     .flag("smoke", "check results/smoke/ (the --smoke runs' output)")
     .parse();
@@ -80,34 +50,31 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let mut paths: Vec<_> = entries
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| {
-            p.file_name().and_then(|n| n.to_str()).is_some_and(|n| {
-                n.ends_with(".trace.json")
-                    || n.ends_with(".timeline.json")
-                    || n.ends_with(".profile.json")
-                    || n.ends_with(".incident.json")
-            })
+    let mut files: Vec<(PathBuf, Schema)> = entries
+        .filter_map(|e| {
+            let path = e.ok()?.path();
+            let name = path.file_name()?.to_str()?;
+            let (_, kind) = SUFFIXES.iter().find(|(suffix, _)| name.ends_with(suffix))?;
+            Some((path, *kind))
         })
         .collect();
-    paths.sort();
-    if paths.is_empty() {
-        eprintln!("error: no {dir}/*.{{trace,timeline,profile,incident}}.json files to validate");
+    files.sort_by(|(a, _), (b, _)| a.cmp(b));
+    if files.is_empty() {
+        eprintln!("error: no exported artifacts in {dir}/ to validate");
         std::process::exit(1);
     }
 
     let mut failed = 0usize;
-    for path in &paths {
-        match check(path) {
-            Ok(label) => println!("ok   {} ({label})", path.display()),
+    for (path, kind) in &files {
+        match check(path, *kind) {
+            Ok(()) => println!("ok   {} ({kind:?})", path.display()),
             Err(e) => {
                 eprintln!("FAIL {}: {e}", path.display());
                 failed += 1;
             }
         }
     }
-    println!("{} export(s) checked, {failed} failed", paths.len());
+    println!("{} export(s) checked, {failed} failed", files.len());
     if failed > 0 {
         std::process::exit(1);
     }

@@ -50,9 +50,8 @@ use sli_arch::{
 };
 use sli_simnet::{FaultPlan, SimDuration};
 use sli_telemetry::{
-    chrome_trace, conflict_leaderboard, critical_path, sparkline, validate_chrome_trace,
-    validate_incident, validate_profile, validate_run_report, validate_timeline, ArchReport,
-    Breakdown, Bucket, ConflictEntry, Json, LittlesLaw, Profile, Resource, RunReport, SloConfig,
+    chrome_trace, conflict_leaderboard, critical_path, sparkline, validate, ArchReport, Breakdown,
+    Bucket, ConflictEntry, Json, LittlesLaw, Profile, Resource, RunReport, Schema, SloConfig,
     SloMonitor, SpanEvent, TimelineDoc, TimelineReport,
 };
 use sli_trade::seed::Population;
@@ -69,22 +68,21 @@ pub use guard::{
     GuardMetric, GuardProfile, Regression, PERFGUARD_SCHEMA,
 };
 
-/// The workload RNG seed of every standard protocol (Middleware 2004).
+/// The workload RNG seed of every standard protocol (Middleware 2004): it
+/// seeds every run's session scripts, and an open run's arrivals and
+/// dispatch scheduler.
 pub const PAPER_SEED: u64 = 20040101;
 
 /// Everything that defines one measured run: where (architecture, delay),
-/// on what data, how much of it, and how sessions are admitted.
+/// how much of it, and how sessions are admitted. Every run seeds its
+/// workload with [`PAPER_SEED`] and its database with the default
+/// [`Population`].
 #[derive(Debug, Clone, Copy)]
 pub struct RunSpec {
     /// The architecture × flavor combination under test.
     pub arch: Architecture,
     /// Injected one-way delay on the architecture's delayed path.
     pub delay: SimDuration,
-    /// Seed for session scripts, and for an open run's arrivals and the
-    /// dispatch scheduler.
-    pub seed: u64,
-    /// Database population.
-    pub population: Population,
     /// One-client closed warm-up sessions before measurement (cache and
     /// connection state; paper: 400).
     pub warmup_sessions: usize,
@@ -158,8 +156,6 @@ impl RunSpec {
         RunSpec {
             arch,
             delay,
-            seed: PAPER_SEED,
-            population: Population::default(),
             warmup_sessions: if quick { 20 } else { 400 },
             sessions: if quick { 30 } else { 300 },
             batches: if quick { 5 } else { 20 },
@@ -376,16 +372,17 @@ impl RunArtifacts {
 ///
 /// # Panics
 /// Panics on a closed spec monitored under [`FaultClass::FlashCrowd`] (an
-/// arrival surge needs arrivals), if a frozen incident fails
-/// `validate_incident` — an artifact the monitor itself produced must
-/// round-trip its own schema — and if the span log evicted anything during
-/// the measured phase, naming how many events: the profile and breakdown
-/// would silently lack the traces those spans belonged to.
+/// arrival surge needs arrivals), if a frozen incident fails [`validate`] —
+/// an artifact the monitor itself produced must round-trip its own schema —
+/// and if the span log evicted anything during the measured phase, naming
+/// how many events: the profile and breakdown would silently lack the
+/// traces those spans belonged to.
 pub fn run(spec: &RunSpec) -> RunArtifacts {
+    let population = Population::default();
     let testbed = Testbed::build(
         spec.arch,
         TestbedConfig {
-            population: spec.population,
+            population,
             edges: 1,
             wire_batching: spec.wire_batching,
             ..TestbedConfig::default()
@@ -401,7 +398,7 @@ pub fn run(spec: &RunSpec) -> RunArtifacts {
         // would cancel out of the fit entirely.
         testbed.set_jitter(
             SimDuration::from_micros(spec.jitter_us),
-            spec.seed ^ spec.delay.as_micros().wrapping_mul(0x9E37_79B9),
+            PAPER_SEED ^ spec.delay.as_micros().wrapping_mul(0x9E37_79B9),
         );
     }
     testbed.apply_scale(spec.scale);
@@ -422,11 +419,11 @@ pub fn run(spec: &RunSpec) -> RunArtifacts {
     if let Some((m, fault)) = scenario {
         let plan = match fault {
             FaultClass::BackendOutage => Some(FaultPlan {
-                seed: spec.seed,
+                seed: PAPER_SEED,
                 unavailable_per_mille: 1_000,
                 ..FaultPlan::NONE
             }),
-            FaultClass::LossBurst => Some(FaultPlan::lossy(spec.seed, m.loss_per_mille)),
+            FaultClass::LossBurst => Some(FaultPlan::lossy(PAPER_SEED, m.loss_per_mille)),
             FaultClass::FlashCrowd => {
                 assert!(
                     spec.admission != Admission::Closed,
@@ -453,22 +450,22 @@ pub fn run(spec: &RunSpec) -> RunArtifacts {
     }
 
     // The warm-up every run shares: one closed client over the head of the
-    // `spec.seed` script stream, ending at the warm-up/measure boundary —
+    // `PAPER_SEED` script stream, ending at the warm-up/measure boundary —
     // telemetry is reset and the timeline rebased, so everything
     // downstream covers exactly the measured phase.
     let warm_up = LoadPlan {
         // Consulted by an open measured phase only.
         arrivals: ArrivalPlan {
-            seed: spec.seed,
+            seed: PAPER_SEED,
             rps: session_rps.unwrap_or(0.0),
             process,
         },
         sessions: spec.warmup_sessions,
         // No think time: latency is pure service, the knee pure queueing.
         think: SimDuration::ZERO,
-        session_seed: spec.seed,
-        scheduler_seed: spec.seed ^ 0x5c4e_d01e,
-        population: spec.population,
+        session_seed: PAPER_SEED,
+        scheduler_seed: PAPER_SEED ^ 0x5c4e_d01e,
+        population,
         closed: true,
         first_session: 0,
     };
@@ -488,7 +485,7 @@ pub fn run(spec: &RunSpec) -> RunArtifacts {
         },
         Admission::Open { .. } => LoadPlan {
             sessions: spec.sessions,
-            session_seed: spec.seed ^ 0x5e55_1011,
+            session_seed: PAPER_SEED ^ 0x5e55_1011,
             closed: false,
             ..warm_up
         },
@@ -587,7 +584,7 @@ pub fn run(spec: &RunSpec) -> RunArtifacts {
             .iter()
             .map(|incident| {
                 let json = incident.to_json();
-                validate_incident(&json).expect("monitor-frozen incident validates");
+                validate(&json).expect("monitor-frozen incident validates");
                 json
             })
             .collect()
@@ -723,44 +720,48 @@ impl ArtifactSet {
         }
     }
 
-    /// Writes every non-empty part to `{dir}/{name}.*`, validating each
-    /// JSON document against its schema (conservation laws included) and
-    /// the trace for well-formedness (every span contained within its
-    /// parent) first; nothing is written if any part is invalid. Returns
-    /// the paths written.
+    /// Writes every non-empty part to `{dir}/{name}.*`, first checking
+    /// that each JSON document [`validate`]s as the kind its part holds
+    /// (laws included: conservation, every span within its parent);
+    /// nothing is written if any part is invalid. Returns the paths
+    /// written.
     ///
     /// # Errors
     /// Returns a description of the validation or I/O failure.
     pub fn write_all(&self, dir: &str, name: &str) -> Result<Vec<String>, String> {
+        let check = |json: &Json, want: Schema| match validate(json)? {
+            kind if kind == want => Ok(()),
+            kind => Err(format!("a {kind:?} document")),
+        };
         let mut files: Vec<(String, String)> = Vec::new();
         let mut add = |stem: &str, ext: &str, body: String| {
             files.push((format!("{dir}/{stem}.{ext}"), body));
         };
         if !self.report.entries.is_empty() {
             let json = self.report.to_json();
-            validate_run_report(&json).map_err(|e| format!("run report: {e}"))?;
+            check(&json, Schema::RunReport).map_err(|e| format!("run report: {e}"))?;
             add(name, "report.json", json.render());
         }
         if !self.harvests.is_empty() {
             let doc = chrome_trace(&combined_sample(&self.harvests));
-            validate_chrome_trace(&doc).map_err(|e| format!("trace: {e}"))?;
+            check(&doc, Schema::ChromeTrace).map_err(|e| format!("trace: {e}"))?;
             add(name, "trace.json", doc.render());
         }
         if !self.timelines.is_empty() {
             let mut doc = TimelineDoc::new(name);
             doc.runs.clone_from(&self.timelines);
             let json = doc.to_json();
-            validate_timeline(&json).map_err(|e| format!("timeline: {e}"))?;
+            check(&json, Schema::Timeline).map_err(|e| format!("timeline: {e}"))?;
             add(name, "timeline.json", json.render());
         }
         if self.profile.traces > 0 {
             let json = self.profile.to_json(&self.profile_label);
-            validate_profile(&json).map_err(|e| format!("profile: {e}"))?;
+            check(&json, Schema::Profile).map_err(|e| format!("profile: {e}"))?;
             add(name, "folded", self.profile.folded());
             add(name, "profile.json", json.render());
         }
         for (stem, incident) in &self.incidents {
-            validate_incident(incident).map_err(|e| format!("incident {stem}: {e}"))?;
+            check(incident, Schema::Incident).map_err(|e| format!("incident {stem}: {e}"))?;
             add(stem, "incident.json", incident.render());
         }
         if let Some(csv) = &self.csv {
@@ -1188,7 +1189,7 @@ mod tests {
 
         let mut doc = RunReport::new("bench smoke");
         doc.entries.push(report);
-        validate_run_report(&doc.to_json()).expect("valid run report");
+        assert_eq!(validate(&doc.to_json()), Ok(Schema::RunReport));
     }
 
     #[test]
@@ -1226,7 +1227,7 @@ mod tests {
         // The sampled window round-trips through the Chrome-trace export.
         assert!(!harvest.sample_events.is_empty());
         let doc = chrome_trace(&harvest.sample_events);
-        validate_chrome_trace(&doc).expect("sampled spans export cleanly");
+        assert_eq!(validate(&doc), Ok(Schema::ChromeTrace));
 
         // Merging harvests accumulates breakdowns but keeps one sample.
         let mut merged = TraceHarvest::default();
@@ -1296,12 +1297,12 @@ mod tests {
         assert_eq!(run.report.interactions as usize, p.ok + p.failed);
         let mut doc = RunReport::new("loaded smoke");
         doc.entries.push(run.report.clone());
-        validate_run_report(&doc.to_json()).expect("valid loaded report");
+        assert_eq!(validate(&doc.to_json()), Ok(Schema::RunReport));
 
         // The timeline validates and carries live engine gauges.
         let mut tl = TimelineDoc::new("loaded smoke");
         tl.runs.push(run.timeline.clone());
-        validate_timeline(&tl.to_json()).expect("valid loaded timeline");
+        assert_eq!(validate(&tl.to_json()), Ok(Schema::Timeline));
         let series = |name: &str| {
             run.timeline
                 .series
@@ -1385,13 +1386,13 @@ mod tests {
                     "{key}: profile {} us vs measured {service_us} us",
                     run.profile.total_us
                 );
-                // Per-resource self times decompose the total exactly.
-                let resource_sum: u64 = Resource::ALL
-                    .iter()
-                    .map(|&r| run.profile.resource_us(r))
-                    .sum();
-                assert_eq!(resource_sum, run.profile.total_us, "{key}: conservation");
-                validate_profile(&run.profile.to_json(&key)).expect("schema-valid profile");
+                // Per-class, per-resource and per-stack self times
+                // decompose the total exactly: the profile's law.
+                assert_eq!(
+                    validate(&run.profile.to_json(&key)),
+                    Ok(Schema::Profile),
+                    "{key}"
+                );
                 assert!(!run.profile.folded().is_empty(), "{key}: folded output");
                 // Little's law holds exactly on a clean deterministic run.
                 assert!(
@@ -1490,6 +1491,12 @@ mod tests {
             .unwrap_err()
             .contains("incident bad"));
         assert!(!std::path::Path::new(&format!("{dir}/u.report.json")).exists());
+        // So does a valid document of another kind in the part's place.
+        set.incidents[0].1 = set.report.to_json();
+        assert_eq!(
+            set.write_all(dir, "u"),
+            Err("incident bad: a RunReport document".to_owned())
+        );
         std::fs::remove_dir_all(dir).expect("temp dir removed");
     }
 }

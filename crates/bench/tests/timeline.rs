@@ -8,7 +8,7 @@
 use sli_arch::Architecture;
 use sli_bench::{run, RunSpec};
 use sli_simnet::SimDuration;
-use sli_telemetry::{validate_timeline, Json, SeriesKind, TimelineDoc};
+use sli_telemetry::{validate, Json, Schema, SeriesKind, TimelineDoc};
 
 #[test]
 fn rate_series_conserve_counter_totals_across_all_architectures() {
@@ -21,26 +21,13 @@ fn rate_series_conserve_counter_totals_across_all_architectures() {
             run.report.arch
         );
         assert!(run.timeline.windows() > 0, "{}", run.report.arch);
-        let mut rate_series = 0usize;
-        let mut active = 0usize;
-        for series in &run.timeline.series {
-            assert_eq!(series.values.len(), run.timeline.windows());
-            if series.kind == SeriesKind::Rate {
-                rate_series += 1;
-                let sum: u64 = series.values.iter().sum();
-                assert_eq!(
-                    sum, series.total,
-                    "{} / {}: windows must sum to the run-end total",
-                    run.report.arch, series.name
-                );
-                if series.total > 0 {
-                    active += 1;
-                }
-            }
-        }
-        assert!(rate_series > 0, "{}", run.report.arch);
+        // Window counts and rate sums are the timeline law's to check, on
+        // the document's bytes below.
         assert!(
-            active > 0,
+            run.timeline
+                .series
+                .iter()
+                .any(|s| s.kind == SeriesKind::Rate && s.total > 0),
             "{}: a measured run must move at least one counter",
             run.report.arch
         );
@@ -64,5 +51,5 @@ fn rate_series_conserve_counter_totals_across_all_architectures() {
     // The whole seven-run document survives a disk round trip: render,
     // re-parse the exact bytes, validate (including the conservation law).
     let reparsed = Json::parse(&doc.to_json().render()).expect("rendered JSON parses");
-    validate_timeline(&reparsed).expect("document validates from its bytes");
+    assert_eq!(validate(&reparsed), Ok(Schema::Timeline));
 }

@@ -7,21 +7,23 @@
 //! renders as its own track (`tid` = trace id) so the per-request span
 //! tree shows up as a flame graph.
 //!
-//! [`validate_chrome_trace`] is the CI-side well-formedness check: it
+//! [`validate`](crate::validate) is the CI-side well-formedness check: it
 //! re-parses the emitted JSON and verifies every span's `ts + dur` lies
 //! within its parent's interval.
 
 use std::collections::BTreeMap;
 
 use crate::json::Json;
+use crate::schema::Shape::{self, *};
+use crate::schema::{items, uint};
 use crate::span::{SpanDetail, SpanEvent};
-use crate::tree::{bucket_for, walk_complete_traces};
+use crate::tree::{bucket_for, walk_complete_traces, Bucket};
 
 /// Builds a Chrome trace-event JSON document from `events`.
 ///
 /// Only *complete* traces are exported — a trace beheaded by log eviction
 /// (some span's parent missing) is dropped entirely, so the emitted file
-/// always satisfies [`validate_chrome_trace`]. Untraced events
+/// always satisfies [`validate`](crate::validate). Untraced events
 /// (`trace_id == 0`) are skipped.
 pub fn chrome_trace(events: &[SpanEvent]) -> Json {
     let mut out = Vec::new();
@@ -81,63 +83,65 @@ fn event_json(e: &SpanEvent) -> Json {
     ])
 }
 
-/// Validates a Chrome trace-event document produced by [`chrome_trace`]:
-/// structural shape, required fields, and — the causal invariant — every
-/// span's `[ts, ts + dur]` interval contained within its parent's.
-///
-/// # Errors
-/// Returns a description of the first violation found.
-pub fn validate_chrome_trace(doc: &Json) -> Result<(), String> {
-    let events = doc
-        .get("traceEvents")
-        .and_then(Json::as_arr)
-        .ok_or("missing traceEvents array")?;
-    // (trace_id, span_id) -> interval.
-    let mut intervals: BTreeMap<(u64, u64), (u64, u64)> = BTreeMap::new();
-    let mut parsed = Vec::new();
-    for (at, event) in events.iter().enumerate() {
-        match event.get("ph").and_then(Json::as_str) {
-            Some("X") => {}
-            Some(_) => continue, // metadata events are fine, just unchecked
-            None => return Err(format!("event {at}: missing ph")),
-        }
-        event
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("event {at}: missing name"))?;
-        let what = format!("event {at}");
-        let ts = event.req_u64("ts", &what)?;
-        let dur = event.req_u64("dur", &what)?;
-        let args = event.req("args", &what)?;
-        let trace_id = args.req_u64("trace_id", &what)?;
-        let span_id = args.req_u64("span_id", &what)?;
-        let parent = args.req_u64("parent_span_id", &what)?;
-        if span_id == 0 {
-            return Err(format!("event {at}: span_id must be non-zero"));
-        }
-        if intervals
-            .insert((trace_id, span_id), (ts, ts + dur))
-            .is_some()
-        {
+/// The Chrome trace-event document [`chrome_trace`] writes. The format is
+/// Chrome's: no schema id, the `traceEvents` array names it.
+pub(crate) const SHAPE: Shape = Obj(&[
+    ("displayTimeUnit", OneOf(&["ms"])),
+    ("traceEvents", List(&EVENT)),
+]);
+
+/// One [`event_json`].
+const EVENT: Shape = Obj(&[
+    ("name", Str),
+    ("cat", OneOf(&Bucket::LABELS)),
+    ("ph", OneOf(&["X"])),
+    ("ts", U64),
+    ("dur", U64),
+    ("pid", U64),
+    ("tid", U64),
+    ("args", ARGS),
+]);
+
+/// The arguments every event carries.
+const ARGS: Shape = Obj(&[
+    ("trace_id", U64),
+    ("span_id", U64),
+    ("parent_span_id", U64),
+    ("origin", U64),
+    ("txn_id", U64),
+    ("outcome", Str),
+]);
+
+/// The trace's causal invariant: span ids are non-zero and unique within
+/// their trace, and every span's `[ts, ts + dur]` interval lies within its
+/// parent's, which the trace holds.
+pub(crate) fn law(doc: &Json) -> Result<(), String> {
+    let mut intervals = BTreeMap::new();
+    let mut children = Vec::new();
+    for (i, event) in items(doc, "traceEvents").iter().enumerate() {
+        let args = event.get("args").unwrap_or(&Json::Null);
+        let (trace, span) = (uint(args, "trace_id"), uint(args, "span_id"));
+        let (start, parent) = (uint(event, "ts"), uint(args, "parent_span_id"));
+        let interval = (start, start + uint(event, "dur"));
+        if span == 0 || intervals.insert((trace, span), interval).is_some() {
             return Err(format!(
-                "event {at}: duplicate span id {span_id} in trace {trace_id}"
+                "traceEvents[{i}]: span id {span} is 0 or repeated in trace {trace}"
             ));
         }
-        parsed.push((at, trace_id, span_id, parent, ts, ts + dur));
-    }
-    for (at, trace_id, span_id, parent, start, end) in parsed {
-        if parent == 0 {
-            continue;
+        if parent != 0 {
+            children.push((i, trace, span, parent, interval));
         }
-        let Some(&(p_start, p_end)) = intervals.get(&(trace_id, parent)) else {
+    }
+    for (i, trace, span, parent, (start, end)) in children {
+        let Some(&(p_start, p_end)) = intervals.get(&(trace, parent)) else {
             return Err(format!(
-                "event {at}: span {span_id} references missing parent {parent} in trace {trace_id}"
+                "traceEvents[{i}]: span {span}'s parent {parent} is missing"
             ));
         };
         if start < p_start || end > p_end {
             return Err(format!(
-                "event {at}: span {span_id} [{start}, {end}] escapes parent {parent} \
-                 [{p_start}, {p_end}] in trace {trace_id}"
+                "traceEvents[{i}]: span {span} [{start}, {end}] escapes parent {parent} \
+                 [{p_start}, {p_end}] in trace {trace}"
             ));
         }
     }
@@ -145,7 +149,7 @@ pub fn validate_chrome_trace(doc: &Json) -> Result<(), String> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::span::SpanOutcome;
 
@@ -164,22 +168,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn export_round_trips_through_validation() {
-        let events = vec![
+    /// A known-good trace of one three-span request, for the schema tests.
+    pub(crate) fn sample() -> Json {
+        chrome_trace(&[
             span("request", 1, 1, 0, 0, 100),
             span("servlet.buy", 1, 2, 1, 10, 90),
             span("db.stmt", 1, 3, 2, 20, 60),
-        ];
-        let doc = chrome_trace(&events);
-        validate_chrome_trace(&doc).unwrap();
-        // And through the parser, as CI does with the on-disk bytes.
-        let reparsed = Json::parse(&doc.render()).unwrap();
-        validate_chrome_trace(&reparsed).unwrap();
-        assert_eq!(
-            reparsed.get("traceEvents").unwrap().as_arr().unwrap().len(),
-            3
-        );
+        ])
     }
 
     #[test]
@@ -189,7 +184,7 @@ mod tests {
             span("request", 2, 4, 0, 0, 10),
         ];
         let doc = chrome_trace(&events);
-        validate_chrome_trace(&doc).unwrap();
+        assert_eq!(crate::validate(&doc), Ok(crate::Schema::ChromeTrace));
         let exported = doc.get("traceEvents").unwrap().as_arr().unwrap();
         assert_eq!(exported.len(), 1, "only the complete trace survives");
     }
@@ -219,35 +214,5 @@ mod tests {
             event.get("cat").unwrap().as_str(),
             Some("statement-execution")
         );
-    }
-
-    #[test]
-    fn validator_rejects_escaping_child() {
-        let doc = Json::parse(
-            r#"{"traceEvents":[
-                {"name":"a","ph":"X","ts":0,"dur":10,"pid":1,"tid":1,
-                 "args":{"trace_id":1,"span_id":1,"parent_span_id":0}},
-                {"name":"b","ph":"X","ts":5,"dur":10,"pid":1,"tid":1,
-                 "args":{"trace_id":1,"span_id":2,"parent_span_id":1}}
-            ]}"#,
-        )
-        .unwrap();
-        let err = validate_chrome_trace(&doc).unwrap_err();
-        assert!(err.contains("escapes parent"), "{err}");
-    }
-
-    #[test]
-    fn validator_rejects_missing_parent_and_shape_errors() {
-        let missing_parent = Json::parse(
-            r#"{"traceEvents":[{"name":"b","ph":"X","ts":0,"dur":1,
-                "args":{"trace_id":1,"span_id":2,"parent_span_id":7}}]}"#,
-        )
-        .unwrap();
-        assert!(validate_chrome_trace(&missing_parent)
-            .unwrap_err()
-            .contains("missing parent"));
-        assert!(validate_chrome_trace(&Json::Arr(vec![])).is_err());
-        let no_ts = Json::parse(r#"{"traceEvents":[{"name":"a","ph":"X"}]}"#).unwrap();
-        assert!(validate_chrome_trace(&no_ts).unwrap_err().contains("ts"));
     }
 }

@@ -10,13 +10,16 @@
 //!
 //! The module also defines the counterexample export: on a violation,
 //! `slicheck` shrinks the failing schedule and writes a
-//! [`COUNTEREXAMPLE_SCHEMA`] document which
-//! [`validate_counterexample`] checks for well-formedness — the same
-//! validated-export loop the trace and timeline schemas use.
+//! [`COUNTEREXAMPLE_SCHEMA`] document which [`validate`](crate::validate)
+//! checks for well-formedness — the same validated-export loop every
+//! other artifact goes through.
 
+use std::collections::BTreeSet;
 use std::sync::Mutex;
 
 use crate::json::Json;
+use crate::schema::Shape::{self, *};
+use crate::schema::{items, uint};
 
 /// One before- or after-image footprint of a transaction, with memento
 /// contents compressed to 64-bit digests (the checker compares identities,
@@ -324,75 +327,58 @@ pub fn parse_history(json: &Json) -> Result<Vec<HistoryEvent>, String> {
 /// Schema identifier of the counterexample export.
 pub const COUNTEREXAMPLE_SCHEMA: &str = "sli-edge.slicheck-counterexample/v2";
 
-/// Validates a counterexample document before (and after) it is written.
-///
-/// Checks the schema tag, the schedule (objects with in-range
-/// `choice`/`arity`), that the embedded history parses, and that every
-/// violation names its kind and details and — when it carries a dependency
-/// cycle — that each cycle node references a transaction present in the
-/// history's commit/apply events.
-///
-/// # Errors
-/// Describes the first problem found.
-pub fn validate_counterexample(doc: &Json) -> Result<(), String> {
-    let version = doc
-        .get("version")
-        .and_then(Json::as_str)
-        .ok_or("missing version")?;
-    if version != COUNTEREXAMPLE_SCHEMA {
-        return Err(format!("unexpected version {version:?}"));
-    }
-    doc.get("arch")
-        .and_then(Json::as_str)
-        .ok_or("missing arch")?;
-    doc.req_u64("seed", "doc")?;
-    let schedule = doc
-        .get("schedule")
-        .and_then(Json::as_arr)
-        .ok_or("missing schedule array")?;
-    for (i, step) in schedule.iter().enumerate() {
-        let what = format!("schedule[{i}]");
-        let choice = step.req_u64("choice", &what)?;
-        let arity = step.req_u64("arity", &what)?;
-        if arity == 0 || choice >= arity {
+/// The [`COUNTEREXAMPLE_SCHEMA`] document `slicheck` writes
+/// (`sli_arch::counterexample_json`). The history's events are
+/// [`parse_history`]'s to check, and a violation's optional `cycle` the
+/// law's.
+pub(crate) const SHAPE: Shape = Obj(&[
+    ("version", OneOf(&[COUNTEREXAMPLE_SCHEMA])),
+    ("arch", Str),
+    ("seed", U64),
+    ("schedule", List(&Obj(&[("choice", U64), ("arity", U64)]))),
+    ("history", List(&Obj(&[("type", Str), ("t_us", U64)]))),
+    (
+        "violations",
+        NonEmpty(&Obj(&[("kind", Str), ("details", Str)])),
+    ),
+]);
+
+/// The counterexample's law: every scheduling choice is below its arity,
+/// the history parses, and every node of a violation's dependency cycle
+/// is a transaction the history commits or applies (`0/0` stands for the
+/// initial state).
+pub(crate) fn law(doc: &Json) -> Result<(), String> {
+    for (i, step) in items(doc, "schedule").iter().enumerate() {
+        let (choice, arity) = (uint(step, "choice"), uint(step, "arity"));
+        if choice >= arity {
             return Err(format!(
-                "{what}: choice {choice} out of range for arity {arity}"
+                "schedule[{i}]: choice {choice} out of range for arity {arity}"
             ));
         }
     }
-    let history_json = doc.get("history").ok_or("missing history")?;
-    let history = parse_history(history_json)?;
-    let mut txns = std::collections::BTreeSet::new();
-    for event in &history {
-        match event {
-            HistoryEvent::Commit { origin, txn_id, .. }
-            | HistoryEvent::Apply { origin, txn_id, .. } => {
-                txns.insert((*origin, *txn_id));
-            }
-            _ => {}
+    let mut txns = BTreeSet::from([(0, 0)]);
+    for event in parse_history(doc.get("history").unwrap_or(&Json::Null))? {
+        if let HistoryEvent::Commit { origin, txn_id, .. }
+        | HistoryEvent::Apply { origin, txn_id, .. } = event
+        {
+            txns.insert((origin, txn_id));
         }
     }
-    let violations = doc
-        .get("violations")
-        .and_then(Json::as_arr)
-        .ok_or("missing violations array")?;
-    if violations.is_empty() {
-        return Err("counterexample with no violations".to_owned());
-    }
-    for (i, v) in violations.iter().enumerate() {
-        let what = format!("violations[{i}]");
-        v.req_str("kind", &what)?;
-        v.req_str("details", &what)?;
-        if let Some(cycle) = v.get("cycle").and_then(Json::as_arr) {
-            for (j, node) in cycle.iter().enumerate() {
-                let nw = format!("{what}.cycle[{j}]");
-                let origin = req_u32(node, "origin", &nw)?;
-                let txn_id = node.req_u64("txn_id", &nw)?;
-                if (origin, txn_id) != (0, 0) && !txns.contains(&(origin, txn_id)) {
-                    return Err(format!(
-                        "{nw}: txn {origin}/{txn_id} not present in history"
-                    ));
-                }
+    for (i, violation) in items(doc, "violations").iter().enumerate() {
+        let Some(cycle) = violation.get("cycle") else {
+            continue;
+        };
+        let at = format!("violations[{i}].cycle");
+        let nodes = cycle
+            .as_arr()
+            .ok_or_else(|| format!("{at}: expected an array"))?;
+        for (j, node) in nodes.iter().enumerate() {
+            let at = format!("{at}[{j}]");
+            let (origin, txn_id) = (req_u32(node, "origin", &at)?, node.req_u64("txn_id", &at)?);
+            if !txns.contains(&(origin, txn_id)) {
+                return Err(format!(
+                    "{at}: txn {origin}/{txn_id} not present in history"
+                ));
             }
         }
     }
@@ -400,7 +386,7 @@ pub fn validate_counterexample(doc: &Json) -> Result<(), String> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn sample_history() -> Vec<HistoryEvent> {
@@ -474,7 +460,9 @@ mod tests {
         assert!(err.contains("16 hex digits"), "{err}");
     }
 
-    fn sample_counterexample() -> Json {
+    /// A known-good counterexample whose history holds one event of each
+    /// type, for the schema tests.
+    pub(crate) fn sample() -> Json {
         Json::obj([
             ("version", Json::from(COUNTEREXAMPLE_SCHEMA)),
             ("arch", Json::from("es-rdb-cached")),
@@ -502,57 +490,6 @@ mod tests {
                 ])]),
             ),
         ])
-    }
-
-    #[test]
-    fn validator_accepts_well_formed_counterexample() {
-        validate_counterexample(&sample_counterexample()).unwrap();
-    }
-
-    #[test]
-    fn validator_rejects_broken_documents() {
-        let mut doc = sample_counterexample();
-        if let Json::Obj(map) = &mut doc {
-            map.insert("violations".to_owned(), Json::Arr(vec![]));
-        }
-        assert!(validate_counterexample(&doc)
-            .unwrap_err()
-            .contains("no violations"));
-
-        let mut doc = sample_counterexample();
-        if let Json::Obj(map) = &mut doc {
-            map.insert(
-                "schedule".to_owned(),
-                Json::Arr(vec![Json::obj([
-                    ("choice", Json::from(2u64)),
-                    ("arity", Json::from(2u64)),
-                ])]),
-            );
-        }
-        assert!(validate_counterexample(&doc)
-            .unwrap_err()
-            .contains("out of range"));
-
-        let mut doc = sample_counterexample();
-        if let Json::Obj(map) = &mut doc {
-            map.insert(
-                "violations".to_owned(),
-                Json::Arr(vec![Json::obj([
-                    ("kind", Json::from("non-serializable")),
-                    ("details", Json::from("x")),
-                    (
-                        "cycle",
-                        Json::Arr(vec![Json::obj([
-                            ("origin", Json::from(9u64)),
-                            ("txn_id", Json::from(9u64)),
-                        ])]),
-                    ),
-                ])]),
-            );
-        }
-        assert!(validate_counterexample(&doc)
-            .unwrap_err()
-            .contains("not present in history"));
     }
 
     #[test]

@@ -71,6 +71,14 @@ impl Json {
         }
     }
 
+    /// The value as a `u64`, if this is a non-negative integer below 2^53,
+    /// the range in which an `f64` (all a [`Json::Num`] holds) is exact.
+    /// Wider values travel as hex strings.
+    pub fn as_u64(&self) -> Option<u64> {
+        let v = self.as_f64()?;
+        (v >= 0.0 && v.fract() == 0.0 && v < EXACT_INT_LIMIT).then_some(v as u64)
+    }
+
     /// The string value, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -87,8 +95,8 @@ impl Json {
         }
     }
 
-    /// The required member `key` of the object at `at`, or the validators'
-    /// shared "missing key" message.
+    /// The required member `key` of the object at `at`, or the shared
+    /// "missing key" message.
     pub fn req(&self, key: &str, at: &str) -> Result<&Json, String> {
         self.get(key)
             .ok_or_else(|| format!("{at}: missing key {key:?}"))
@@ -101,17 +109,13 @@ impl Json {
             .ok_or_else(|| format!("{at}: {key:?} must be a number"))
     }
 
-    /// The required member `key` of the object at `at` as a `u64`: a
-    /// non-negative integer below 2^53, the range in which an `f64` (all a
-    /// [`Json::Num`] holds) is exact. Wider values travel as hex strings.
+    /// The required member `key` of the object at `at` as a `u64` (see
+    /// [`Json::as_u64`]).
     pub fn req_u64(&self, key: &str, at: &str) -> Result<u64, String> {
         let v = self.req_num(key, at)?;
-        if v < 0.0 || v.fract() != 0.0 || v >= EXACT_INT_LIMIT {
-            return Err(format!(
-                "{at}: {key:?} = {v} must be a non-negative integer below 2^53"
-            ));
-        }
-        Ok(v as u64)
+        Json::Num(v)
+            .as_u64()
+            .ok_or_else(|| format!("{at}: {key:?} = {v} must be a non-negative integer below 2^53"))
     }
 
     /// The required string member `key` of the object at `at`.

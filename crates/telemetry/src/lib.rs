@@ -24,29 +24,34 @@
 //!   per-[`Bucket`] latency attribution and OCC abort forensics.
 //! * [`Profile`] / [`Resource`] — cross-session aggregate profiling:
 //!   per-span-class self times, collapsed-stack flamegraph export,
-//!   per-resource accounting with utilization ρ, validated under
-//!   [`PROFILE_SCHEMA`] by [`validate_profile`], plus the [`littles_law`]
-//!   L = λ·W consistency check for loaded runs.
-//! * [`chrome_trace`] / [`validate_chrome_trace`] — Chrome trace-event
-//!   JSON export (Perfetto-loadable) and the CI well-formedness check.
+//!   per-resource accounting with utilization ρ, exported under
+//!   [`PROFILE_SCHEMA`], plus the [`littles_law`] L = λ·W consistency
+//!   check for loaded runs.
+//! * [`chrome_trace`] — Chrome trace-event JSON export
+//!   (Perfetto-loadable).
 //! * [`Json`] — a tiny self-contained JSON value (deterministic key order),
 //!   with a parser for validating emitted reports.
 //! * [`RunReport`] / [`ArchReport`] — the structured per-architecture
 //!   summary (hit ratio, abort rate, retries, tail latency) that the bench
-//!   bins emit and CI validates against [`validate_run_report`].
+//!   bins emit under [`RUN_REPORT_SCHEMA`].
 //! * [`HistoryLog`] / [`HistoryEvent`] — operation histories for the
-//!   schedule-exploring consistency checker, with a validated
-//!   counterexample export ([`COUNTEREXAMPLE_SCHEMA`]).
+//!   schedule-exploring consistency checker, with a counterexample export
+//!   ([`COUNTEREXAMPLE_SCHEMA`]).
 //! * [`Timeline`] / [`TimelineDoc`] — windowed virtual-time series:
 //!   counters and gauges sampled into fixed-width windows, exported under
-//!   [`TIMELINE_SCHEMA`] and checked by [`validate_timeline`], with
-//!   [`sparkline`] for terminal rendering.
+//!   [`TIMELINE_SCHEMA`], with [`sparkline`] for terminal rendering.
 //! * [`SloMonitor`] / [`Incident`] — *online* SLO detection on virtual
 //!   time: multi-window burn-rate, EWMA/CUSUM drift and availability-floor
 //!   detectors over the same shared handles, plus a flight recorder that
-//!   freezes [`INCIDENT_SCHEMA`] artifacts (checked by
-//!   [`validate_incident`]) the instant a detector fires — making
-//!   time-to-detect an exact measurement instead of a dashboard anecdote.
+//!   freezes [`INCIDENT_SCHEMA`] artifacts the instant a detector fires —
+//!   making time-to-detect an exact measurement instead of a dashboard
+//!   anecdote.
+//! * [`validate`] / [`Schema`] — the one check every artifact above goes
+//!   through before it is written and after it is read back: the
+//!   document's embedded id picks its kind, a declarative shape table
+//!   (kept beside the kind's `to_json`) fixes its members and their types,
+//!   and the kind's law checks what a shape cannot (conservation sums,
+//!   interval nesting, cross references).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -59,32 +64,30 @@ mod monitor;
 mod profile;
 mod registry;
 mod report;
+mod schema;
 mod span;
 mod timeline;
 mod trace_ctx;
 mod tree;
 
-pub use export::{chrome_trace, validate_chrome_trace};
+pub use export::chrome_trace;
 pub use history::{
-    history_json, parse_history, validate_counterexample, HistoryEvent, HistoryImage, HistoryLog,
-    COUNTEREXAMPLE_SCHEMA,
+    history_json, parse_history, HistoryEvent, HistoryImage, HistoryLog, COUNTEREXAMPLE_SCHEMA,
 };
 pub use json::Json;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use monitor::{
-    validate_incident, Incident, MonitorMetrics, SloConfig, SloMonitor, DETECTOR_NAMES,
-    INCIDENT_SCHEMA,
+    Incident, MonitorMetrics, SloConfig, SloMonitor, DETECTOR_NAMES, INCIDENT_SCHEMA,
 };
 pub use profile::{
-    littles_law, resource_for, span_class, validate_profile, ClassStat, LittlesLaw, Profile,
-    Resource, PROFILE_SCHEMA,
+    littles_law, resource_for, span_class, ClassStat, LittlesLaw, Profile, Resource, PROFILE_SCHEMA,
 };
 pub use registry::{Metric, MetricValue, Registry};
-pub use report::{validate_run_report, ArchReport, RunReport, RUN_REPORT_SCHEMA};
+pub use report::{ArchReport, RunReport, RUN_REPORT_SCHEMA};
+pub use schema::{validate, Schema};
 pub use span::{ConflictInfo, SpanDetail, SpanEvent, SpanOutcome, TraceLog};
 pub use timeline::{
-    sparkline, validate_timeline, SeriesKind, SeriesReport, Timeline, TimelineDoc, TimelineReport,
-    TIMELINE_SCHEMA,
+    sparkline, SeriesKind, SeriesReport, Timeline, TimelineDoc, TimelineReport, TIMELINE_SCHEMA,
 };
 pub use trace_ctx::{OpenSpan, TraceCtx, Tracer};
 pub use tree::{bucket_for, conflict_leaderboard, critical_path, Breakdown, Bucket, ConflictEntry};

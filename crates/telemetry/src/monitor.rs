@@ -41,7 +41,7 @@
 //! freezes an [`Incident`] artifact: breach geometry, budget state, recent
 //! span trees, hottest conflict entities, and whatever context the caller
 //! attached (the active `FaultPlan`, the architecture key). The artifact
-//! renders as `sli-edge.incident/v1` JSON and [`validate_incident`]
+//! renders as `sli-edge.incident/v1` JSON and [`validate`](crate::validate)
 //! round-trips it from bytes, so incident files get the same CI treatment
 //! as timelines and profiles.
 //!
@@ -51,6 +51,8 @@
 
 use crate::metrics::Gauge;
 use crate::registry::Registry;
+use crate::schema::Shape::{self, *};
+use crate::schema::{items, uint};
 use crate::span::SpanEvent;
 use crate::tree::conflict_leaderboard;
 use crate::Counter;
@@ -718,94 +720,90 @@ impl SloMonitor {
     }
 }
 
-/// Validates parsed JSON against the [`INCIDENT_SCHEMA`] shape. Checks the
-/// envelope, breach and budget geometry (remaining ≤ 1e6, bad ≤ events),
-/// and the element shape of every windows/recent_spans/hot_entities entry.
-/// Returns a description of the first violation found.
-pub fn validate_incident(json: &Json) -> Result<(), String> {
-    let schema = json.req_str("schema", "incident")?;
-    if schema != INCIDENT_SCHEMA {
-        return Err(format!(
-            "incident: schema is {schema:?}, expected {INCIDENT_SCHEMA:?}"
-        ));
-    }
-    json.req_str("label", "incident")?;
-    let detector = json.req_str("detector", "incident")?;
-    if !DETECTOR_NAMES.contains(&detector) {
-        return Err(format!("incident: unknown detector {detector:?}"));
-    }
-    json.req_str("signal", "incident")?;
-    json.req_num("detected_at_us", "incident")?;
+/// The [`INCIDENT_SCHEMA`] document [`Incident::to_json`] writes.
+pub(crate) const SHAPE: Shape = Obj(&[
+    ("schema", OneOf(&[INCIDENT_SCHEMA])),
+    ("label", Str),
+    ("detector", OneOf(&DETECTOR_NAMES)),
+    ("signal", Str),
+    ("detected_at_us", U64),
+    ("breach", BREACH),
+    ("budget", BUDGET),
+    // Whatever the caller attached.
+    ("context", Obj(&[])),
+    ("windows", List(&WINDOW)),
+    ("recent_spans", List(&SPAN)),
+    (
+        "hot_entities",
+        List(&Obj(&[("entity", Str), ("conflicts", U64)])),
+    ),
+]);
 
-    let breach = json.req("breach", "incident")?;
-    for key in ["observed", "threshold", "baseline", "sigma", "window_us"] {
-        breach.req_num(key, "incident.breach")?;
-    }
+const BREACH: Shape = Obj(&[
+    ("observed", Num),
+    ("threshold", Num),
+    ("baseline", Num),
+    ("sigma", Num),
+    ("window_us", U64),
+]);
 
-    let budget = json.req("budget", "incident")?;
-    let remaining = budget.req_num("remaining_ppm", "incident.budget")?;
-    if remaining > PPM as f64 {
-        return Err(format!(
-            "incident.budget: remaining_ppm {remaining} exceeds {PPM}"
-        ));
+const BUDGET: Shape = Obj(&[
+    ("objective_ppm", U64),
+    ("consumed_ppm", U64),
+    ("remaining_ppm", U64),
+    ("events", U64),
+    ("bad_events", U64),
+]);
+
+/// One flight-recorder window.
+const WINDOW: Shape = Obj(&[
+    ("at_us", U64),
+    ("completions", U64),
+    ("bad", U64),
+    ("max_latency_us", U64),
+    ("queue_depth", U64),
+]);
+
+/// One recorded span.
+const SPAN: Shape = Obj(&[
+    ("op", Str),
+    ("origin", U64),
+    ("start_us", U64),
+    ("end_us", U64),
+    ("outcome", Str),
+    ("trace_id", U64),
+    ("span_id", U64),
+    ("parent_span_id", U64),
+]);
+
+/// The incident's budget and interval geometry: at most the whole budget
+/// remains, no more events are bad than were seen (overall and per
+/// recorder window), and no recorded span ends before it starts.
+pub(crate) fn law(doc: &Json) -> Result<(), String> {
+    let budget = doc.get("budget").unwrap_or(&Json::Null);
+    let remaining = uint(budget, "remaining_ppm");
+    if remaining > PPM {
+        return Err(format!("budget: remaining_ppm {remaining} exceeds {PPM}"));
     }
-    budget.req_num("objective_ppm", "incident.budget")?;
-    budget.req_num("consumed_ppm", "incident.budget")?;
-    let events = budget.req_num("events", "incident.budget")?;
-    let bad = budget.req_num("bad_events", "incident.budget")?;
+    let (bad, events) = (uint(budget, "bad_events"), uint(budget, "events"));
     if bad > events {
-        return Err(format!(
-            "incident.budget: bad_events {bad} exceeds events {events}"
-        ));
+        return Err(format!("budget: bad_events {bad} exceeds events {events}"));
     }
-
-    if !matches!(json.req("context", "incident")?, Json::Obj(_)) {
-        return Err("incident: \"context\" must be an object".into());
-    }
-
-    let windows = json.req_arr("windows", "incident")?;
-    for (i, w) in windows.iter().enumerate() {
-        let at = format!("incident.windows[{i}]");
-        for key in [
-            "at_us",
-            "completions",
-            "bad",
-            "max_latency_us",
-            "queue_depth",
-        ] {
-            w.req_num(key, &at)?;
-        }
-        if w.req_num("bad", &at)? > w.req_num("completions", &at)? {
-            return Err(format!("{at}: bad exceeds completions"));
+    for (i, w) in items(doc, "windows").iter().enumerate() {
+        if uint(w, "bad") > uint(w, "completions") {
+            return Err(format!("windows[{i}]: bad exceeds completions"));
         }
     }
-
-    let spans = json.req_arr("recent_spans", "incident")?;
-    for (i, s) in spans.iter().enumerate() {
-        let at = format!("incident.recent_spans[{i}]");
-        s.req_str("op", &at)?;
-        s.req_str("outcome", &at)?;
-        let start = s.req_num("start_us", &at)?;
-        let end = s.req_num("end_us", &at)?;
-        if end < start {
-            return Err(format!("{at}: end_us precedes start_us"));
+    for (i, s) in items(doc, "recent_spans").iter().enumerate() {
+        if uint(s, "end_us") < uint(s, "start_us") {
+            return Err(format!("recent_spans[{i}]: end_us precedes start_us"));
         }
-        for key in ["origin", "trace_id", "span_id", "parent_span_id"] {
-            s.req_num(key, &at)?;
-        }
-    }
-
-    let hot = json.req_arr("hot_entities", "incident")?;
-    for (i, h) in hot.iter().enumerate() {
-        let at = format!("incident.hot_entities[{i}]");
-        h.req_str("entity", &at)?;
-        h.req_num("conflicts", &at)?;
     }
     Ok(())
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::span::{SpanDetail, SpanOutcome};
     use crate::ConflictInfo;
@@ -1007,8 +1005,8 @@ mod tests {
         );
     }
 
-    #[test]
-    fn incident_artifact_round_trips_through_bytes_and_validates() {
+    /// A monitor that saw a conflict, calibrated, then a hard outage.
+    fn outage() -> SloMonitor {
         let mut mon = SloMonitor::new(quick_cfg()).with_label("esrdb-cached/outage");
         mon.set_context(
             "fault_plan",
@@ -1037,45 +1035,27 @@ mod tests {
         for i in 0..400u64 {
             mon.observe_interaction(100_000 + 1_000 * (i + 1), 10_000, false);
         }
+        mon
+    }
+
+    /// A known-good incident (every list in it non-empty), for the schema
+    /// tests.
+    pub(crate) fn sample() -> Json {
+        outage().incidents()[0].to_json()
+    }
+
+    #[test]
+    fn incident_artifact_round_trips_through_bytes_and_validates() {
+        let mon = outage();
         assert!(!mon.incidents().is_empty(), "outage must freeze incidents");
         for incident in mon.incidents() {
             let rendered = incident.to_json().render();
             let parsed = Json::parse(&rendered).expect("incident must re-parse");
-            validate_incident(&parsed).expect("incident must validate");
+            assert_eq!(crate::validate(&parsed), Ok(crate::Schema::Incident));
             // Context and recorder payloads survive the round trip.
             assert!(rendered.contains("unavailable_per_mille"));
             assert!(rendered.contains("Quote[q-17]"));
         }
-    }
-
-    #[test]
-    fn validate_incident_rejects_malformed_artifacts() {
-        let mut mon = SloMonitor::new(quick_cfg());
-        calibrate(&mut mon, 100);
-        for i in 0..400u64 {
-            mon.observe_interaction(100_000 + 1_000 * (i + 1), 10_000, false);
-        }
-        let good = mon.incidents()[0].to_json();
-        validate_incident(&good).expect("baseline must validate");
-
-        let Json::Obj(map) = &good else {
-            unreachable!()
-        };
-        for key in ["schema", "detector", "breach", "budget", "windows"] {
-            let mut stripped = map.clone();
-            stripped.remove(key);
-            assert!(
-                validate_incident(&Json::Obj(stripped)).is_err(),
-                "must reject missing {key}"
-            );
-        }
-
-        let mut wrong = map.clone();
-        wrong.insert("detector".into(), Json::from("vibes"));
-        assert!(
-            validate_incident(&Json::Obj(wrong)).is_err(),
-            "must reject unknown detector names"
-        );
     }
 
     #[test]

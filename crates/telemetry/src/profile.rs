@@ -17,15 +17,18 @@
 //! The same conservation law that makes the bucket breakdown trustworthy
 //! holds here, exactly and at every granularity: class self times, stack
 //! self times and resource totals each sum to the total measured root
-//! latency ([`validate_profile`] pins all three on every exported
-//! document). [`littles_law`] closes the loop on the load side: the area
-//! under the engine's in-flight trajectory must equal the summed session
-//! residences — L = λ·W as an integer identity, not an approximation.
+//! latency (the profile's law, which [`validate`](crate::validate) runs,
+//! pins all three on every exported document). [`littles_law`] closes the
+//! loop on the load side: the area under the engine's in-flight trajectory
+//! must equal the summed session residences — L = λ·W as an integer
+//! identity, not an approximation.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use crate::json::Json;
+use crate::schema::Shape::{self, *};
+use crate::schema::{items, uint};
 use crate::span::{SpanDetail, SpanEvent};
 use crate::tree::{bucket_for, walk_complete_traces, Bucket};
 
@@ -63,19 +66,12 @@ impl Resource {
         Resource::StoreLock,
     ];
 
+    /// The [`Resource::label`]s, in [`Resource::ALL`] order.
+    const LABELS: [&'static str; 4] = ["edge-cpu", "wire", "backend-db", "store-lock"];
+
     /// Stable label for tables and JSON.
     pub fn label(self) -> &'static str {
-        match self {
-            Resource::EdgeCpu => "edge-cpu",
-            Resource::Wire => "wire",
-            Resource::BackendDb => "backend-db",
-            Resource::StoreLock => "store-lock",
-        }
-    }
-
-    /// Parses a [`Resource::label`] back to the resource.
-    pub fn from_label(label: &str) -> Option<Resource> {
-        Resource::ALL.into_iter().find(|r| r.label() == label)
+        Resource::LABELS[self as usize]
     }
 }
 
@@ -477,7 +473,7 @@ impl Profile {
     }
 
     /// The profile as a [`PROFILE_SCHEMA`] JSON document labelled `label`.
-    /// Round-trips through [`validate_profile`].
+    /// Round-trips through [`validate`](crate::validate).
     pub fn to_json(&self, label: &str) -> Json {
         let classes = self
             .classes()
@@ -520,97 +516,82 @@ impl Profile {
     }
 }
 
-/// Validates parsed JSON against the [`PROFILE_SCHEMA`] shape, including
-/// the conservation law at all three granularities: class self times,
-/// resource totals and stack self times must each sum exactly to
-/// `total_us`. Returns a description of the first violation found.
-pub fn validate_profile(json: &Json) -> Result<(), String> {
-    let schema = json.req_str("schema", "profile")?;
-    if schema != PROFILE_SCHEMA {
-        return Err(format!(
-            "profile: schema {schema:?}, expected {PROFILE_SCHEMA:?}"
-        ));
-    }
-    json.req_str("label", "profile")?;
-    let traces = json.req_num("traces", "profile")?;
-    let total_us = json.req_num("total_us", "profile")?;
-    if traces == 0.0 && total_us != 0.0 {
-        return Err("profile: zero traces cannot carry nonzero total_us".to_owned());
-    }
+/// The [`PROFILE_SCHEMA`] document [`Profile::to_json`] writes.
+pub(crate) const SHAPE: Shape = Obj(&[
+    ("schema", OneOf(&[PROFILE_SCHEMA])),
+    ("label", Str),
+    ("traces", U64),
+    ("total_us", U64),
+    ("classes", List(&CLASS)),
+    ("resources", List(&RESOURCE)),
+    ("stacks", List(&Obj(&[("stack", Str), ("self_us", U64)]))),
+]);
 
-    let classes = json.req_arr("classes", "profile")?;
-    let mut class_sum = 0.0;
-    for (i, c) in classes.iter().enumerate() {
-        let at = format!("classes[{i}]");
-        c.req_str("class", &at)?;
-        let bucket = c.req_str("bucket", &at)?;
-        if !Bucket::ALL.iter().any(|b| b.label() == bucket) {
-            return Err(format!("{at}: unknown bucket {bucket:?}"));
-        }
-        let resource = c.req_str("resource", &at)?;
-        if Resource::from_label(resource).is_none() {
-            return Err(format!("{at}: unknown resource {resource:?}"));
-        }
-        class_sum += c.req_num("self_us", &at)?;
-        if c.req_num("spans", &at)? < 1.0 {
-            return Err(format!("{at}: a listed class must have spans"));
-        }
-    }
-    if class_sum != total_us {
-        return Err(format!(
-            "profile: class self times sum to {class_sum}, total_us says {total_us}"
-        ));
-    }
+/// One per-class row of [`Profile::to_json`].
+const CLASS: Shape = Obj(&[
+    ("class", Str),
+    ("bucket", OneOf(&Bucket::LABELS)),
+    ("resource", OneOf(&Resource::LABELS)),
+    ("self_us", U64),
+    ("spans", U64),
+]);
 
-    let resources = json.req_arr("resources", "profile")?;
+/// One per-resource row of [`Profile::to_json`].
+const RESOURCE: Shape = Obj(&[
+    ("resource", OneOf(&Resource::LABELS)),
+    ("self_us", U64),
+    ("share", Ratio),
+]);
+
+/// The profile's conservation law, at all three granularities: class self
+/// times, resource totals and stack self times each sum exactly to
+/// `total_us`, each resource's share is its part of that total, and there
+/// is a row per resource, spans behind every class and a frame in every
+/// stack.
+pub(crate) fn law(doc: &Json) -> Result<(), String> {
+    let total_us = uint(doc, "total_us");
+    if uint(doc, "traces") == 0 && total_us != 0 {
+        return Err("zero traces cannot carry nonzero total_us".to_owned());
+    }
+    for part in ["classes", "resources", "stacks"] {
+        let sum: u128 = items(doc, part)
+            .iter()
+            .map(|row| u128::from(uint(row, "self_us")))
+            .sum();
+        if sum != u128::from(total_us) {
+            return Err(format!(
+                "{part}: self times sum to {sum}, total_us says {total_us}"
+            ));
+        }
+    }
+    let resources = items(doc, "resources");
     if resources.len() != Resource::ALL.len() {
         return Err(format!(
-            "profile: {} resource rows, expected {}",
+            "resources: {} rows, expected {}",
             resources.len(),
             Resource::ALL.len()
         ));
     }
-    let mut resource_sum = 0.0;
     for (i, r) in resources.iter().enumerate() {
-        let at = format!("resources[{i}]");
-        let label = r.req_str("resource", &at)?;
-        if Resource::from_label(label).is_none() {
-            return Err(format!("{at}: unknown resource {label:?}"));
-        }
-        let self_us = r.req_num("self_us", &at)?;
-        resource_sum += self_us;
-        let share = r.req_num("share", &at)?;
-        let expected = if total_us == 0.0 {
-            0.0
-        } else {
-            self_us / total_us
-        };
+        let share = r.get("share").and_then(Json::as_f64).unwrap_or_default();
+        let expected = uint(r, "self_us") as f64 / total_us.max(1) as f64;
         if (share - expected).abs() > 1e-9 {
             return Err(format!(
-                "{at}: share {share} does not match self_us/total_us = {expected}"
+                "resources[{i}]: share {share} does not match self_us/total_us = {expected}"
             ));
         }
     }
-    if resource_sum != total_us {
-        return Err(format!(
-            "profile: resource self times sum to {resource_sum}, total_us says {total_us}"
-        ));
+    if let Some(i) = items(doc, "classes")
+        .iter()
+        .position(|c| uint(c, "spans") == 0)
+    {
+        return Err(format!("classes[{i}]: a listed class must have spans"));
     }
-
-    let stacks = json.req_arr("stacks", "profile")?;
-    let mut stack_sum = 0.0;
-    for (i, s) in stacks.iter().enumerate() {
-        let at = format!("stacks[{i}]");
-        let stack = s.req_str("stack", &at)?;
-        if stack.is_empty() {
-            return Err(format!("{at}: empty stack"));
-        }
-        stack_sum += s.req_num("self_us", &at)?;
-    }
-    if stack_sum != total_us {
-        return Err(format!(
-            "profile: stack self times sum to {stack_sum}, total_us says {total_us}"
-        ));
+    if let Some(i) = items(doc, "stacks")
+        .iter()
+        .position(|s| s.get("stack") == Some(&Json::from("")))
+    {
+        return Err(format!("stacks[{i}]: empty stack"));
     }
     Ok(())
 }
@@ -677,7 +658,7 @@ pub fn littles_law(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::span::SpanOutcome;
     use crate::tree::critical_path;
@@ -724,6 +705,11 @@ mod tests {
             stmt("db.stmt", "account.read", 7, 5, 4, 22, 30),
             stmt("db.stmt", "holding.update", 7, 6, 4, 30, 36),
         ]
+    }
+
+    /// A known-good profile of one six-span request, for the schema tests.
+    pub(crate) fn sample() -> Json {
+        Profile::from_events(&demo_events()).to_json("unit @ 10ms")
     }
 
     #[test]
@@ -783,9 +769,6 @@ mod tests {
         assert_eq!(resource_for(Bucket::DbLockWait), Resource::BackendDb);
         assert_eq!(resource_for(Bucket::OccValidation), Resource::StoreLock);
         assert_eq!(resource_for(Bucket::LocalCompute), Resource::EdgeCpu);
-        for r in Resource::ALL {
-            assert_eq!(Resource::from_label(r.label()), Some(r));
-        }
     }
 
     #[test]
@@ -882,54 +865,6 @@ mod tests {
         assert_eq!(p.class_self_us("db.stmt:a"), 10);
         assert_eq!(p.class_self_us("db.stmt:"), 0);
         assert_eq!(p.class_self_us("db"), 0);
-    }
-
-    #[test]
-    fn json_round_trips_through_the_validator() {
-        let p = Profile::from_events(&demo_events());
-        let text = p.to_json("unit @ 10ms").render();
-        let parsed = Json::parse(&text).unwrap();
-        validate_profile(&parsed).unwrap();
-        assert_eq!(parsed.get("label").unwrap().as_str(), Some("unit @ 10ms"));
-        // Empty profiles validate too (zero traces, zero totals).
-        let empty = Profile::default().to_json("empty").render();
-        validate_profile(&Json::parse(&empty).unwrap()).unwrap();
-    }
-
-    #[test]
-    fn validator_catches_broken_conservation() {
-        let p = Profile::from_events(&demo_events());
-        let good = p.to_json("unit");
-        validate_profile(&good).unwrap();
-        let break_key = |key: &str| {
-            let mut broken = match good.clone() {
-                Json::Obj(m) => m,
-                _ => unreachable!(),
-            };
-            broken.insert(key.to_owned(), Json::from(999_999u64));
-            validate_profile(&Json::Obj(broken)).unwrap_err()
-        };
-        assert!(break_key("total_us").contains("sum"));
-        // Wrong schema id.
-        let mut wrong = match good.clone() {
-            Json::Obj(m) => m,
-            _ => unreachable!(),
-        };
-        wrong.insert("schema".to_owned(), Json::from("v0"));
-        assert!(validate_profile(&Json::Obj(wrong)).is_err());
-        // A tampered stack value breaks stack conservation even when the
-        // class sums still agree.
-        let mut tampered = match good {
-            Json::Obj(m) => m,
-            _ => unreachable!(),
-        };
-        if let Json::Arr(stacks) = tampered.get_mut("stacks").unwrap() {
-            if let Json::Obj(s) = &mut stacks[0] {
-                s.insert("self_us".to_owned(), Json::from(123_456u64));
-            }
-        }
-        let err = validate_profile(&Json::Obj(tampered)).unwrap_err();
-        assert!(err.contains("stack"), "{err}");
     }
 
     #[test]

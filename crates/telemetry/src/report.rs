@@ -10,6 +10,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::json::Json;
+use crate::schema::Shape::{self, *};
 
 /// Schema identifier embedded in every emitted report; bump on any
 /// incompatible shape change.
@@ -153,65 +154,38 @@ impl RunReport {
     }
 }
 
-/// Validates parsed JSON against the [`RUN_REPORT_SCHEMA`] shape. Returns
-/// a human-readable description of the first violation found.
-pub fn validate_run_report(json: &Json) -> Result<(), String> {
-    let schema = json.req_str("schema", "report")?;
-    if schema != RUN_REPORT_SCHEMA {
-        return Err(format!(
-            "report: schema {schema:?}, expected {RUN_REPORT_SCHEMA:?}"
-        ));
-    }
-    json.req_str("title", "report")?;
-    let entries = json.req_arr("entries", "report")?;
-    if entries.is_empty() {
-        return Err("report: \"entries\" must not be empty".to_owned());
-    }
-    for (i, entry) in entries.iter().enumerate() {
-        let at = format!("entries[{i}]");
-        entry.req_str("arch", &at)?;
-        for key in [
-            "delay_ms",
-            "interactions",
-            "failed",
-            "hit_ratio",
-            "abort_rate",
-            "retries",
-            "timeouts",
-            "dedup_replays",
-            "p50_ms",
-            "p95_ms",
-            "p99_ms",
-            "mean_ms",
-        ] {
-            entry.req_num(key, &at)?;
-        }
-        for key in ["hit_ratio", "abort_rate"] {
-            let v = entry.req_num(key, &at)?;
-            if !(0.0..=1.0).contains(&v) {
-                return Err(format!("{at}: {key:?} = {v} outside [0, 1]"));
-            }
-        }
-        match entry.req("status", &at)? {
-            Json::Obj(map) => {
-                for (code, n) in map {
-                    if n.as_f64().is_none() {
-                        return Err(format!("{at}: status[{code:?}] must be a number"));
-                    }
-                }
-            }
-            _ => return Err(format!("{at}: \"status\" must be an object")),
-        }
-    }
-    Ok(())
-}
+/// The [`RUN_REPORT_SCHEMA`] document [`RunReport::to_json`] writes.
+pub(crate) const SHAPE: Shape = Obj(&[
+    ("schema", OneOf(&[RUN_REPORT_SCHEMA])),
+    ("title", Str),
+    ("entries", NonEmpty(&ENTRY)),
+]);
+
+/// One [`ArchReport::to_json`].
+const ENTRY: Shape = Obj(&[
+    ("arch", Str),
+    ("delay_ms", Num),
+    ("interactions", U64),
+    ("failed", U64),
+    ("hit_ratio", Ratio),
+    ("abort_rate", Ratio),
+    ("retries", U64),
+    ("timeouts", U64),
+    ("dedup_replays", U64),
+    ("p50_ms", Num),
+    ("p95_ms", Num),
+    ("p99_ms", Num),
+    ("mean_ms", Num),
+    ("status", MapOf(&U64)),
+]);
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn sample_entry() -> ArchReport {
-        ArchReport {
+    fn sample_report() -> RunReport {
+        let mut report = RunReport::new("fig6");
+        report.entries.push(ArchReport {
             arch: "ES/RDB (JDBC)".to_owned(),
             delay_ms: 40.0,
             interactions: 330,
@@ -226,70 +200,18 @@ mod tests {
             p99_ms: 480.0,
             mean_ms: 120.25,
             status: BTreeMap::from([("200".to_owned(), 330u64)]),
-        }
+        });
+        report
     }
 
-    #[test]
-    fn emitted_json_validates_and_round_trips() {
-        let mut report = RunReport::new("fig6");
-        report.entries.push(sample_entry());
-        let text = report.to_json().render();
-        let parsed = Json::parse(&text).unwrap();
-        validate_run_report(&parsed).unwrap();
-        assert_eq!(parsed.get("title").unwrap().as_str(), Some("fig6"));
-        let entry = &parsed.get("entries").unwrap().as_arr().unwrap()[0];
-        assert_eq!(entry.get("hit_ratio").unwrap().as_f64(), Some(0.82));
-    }
-
-    #[test]
-    fn validation_catches_shape_regressions() {
-        let mut report = RunReport::new("fig6");
-        report.entries.push(sample_entry());
-        let good = report.to_json();
-
-        // Empty entries.
-        let empty = RunReport::new("x").to_json();
-        assert!(validate_run_report(&empty).is_err());
-
-        // Wrong schema id.
-        let mut wrong = match good.clone() {
-            Json::Obj(m) => m,
-            _ => unreachable!(),
-        };
-        wrong.insert("schema".to_owned(), Json::from("v0"));
-        assert!(validate_run_report(&Json::Obj(wrong)).is_err());
-
-        // Dropped required field.
-        let mut dropped = match good.clone() {
-            Json::Obj(m) => m,
-            _ => unreachable!(),
-        };
-        let entries = dropped.get_mut("entries").unwrap();
-        if let Json::Arr(items) = entries {
-            if let Json::Obj(e) = &mut items[0] {
-                e.remove("retries");
-            }
-        }
-        assert!(validate_run_report(&Json::Obj(dropped)).is_err());
-
-        // Out-of-range ratio.
-        let mut bad_ratio = match good {
-            Json::Obj(m) => m,
-            _ => unreachable!(),
-        };
-        if let Json::Arr(items) = bad_ratio.get_mut("entries").unwrap() {
-            if let Json::Obj(e) = &mut items[0] {
-                e.insert("hit_ratio".to_owned(), Json::Num(1.5));
-            }
-        }
-        assert!(validate_run_report(&Json::Obj(bad_ratio)).is_err());
+    /// A known-good run report, for the schema tests.
+    pub(crate) fn sample() -> Json {
+        sample_report().to_json()
     }
 
     #[test]
     fn text_table_is_aligned_and_titled() {
-        let mut report = RunReport::new("fig6");
-        report.entries.push(sample_entry());
-        let text = report.render_text();
+        let text = sample_report().render_text();
         assert!(text.starts_with("== fig6 ==\n"), "{text}");
         let lines: Vec<&str> = text.lines().skip(1).collect();
         assert_eq!(lines.len(), 2);

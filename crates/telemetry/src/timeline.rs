@@ -21,7 +21,7 @@
 //!   up front.
 //!
 //! Exports carry the [`TIMELINE_SCHEMA`] id and round-trip through
-//! [`validate_timeline`]; [`sparkline`] renders a series as a fixed ASCII
+//! [`validate`](crate::validate); [`sparkline`] renders a series as a fixed ASCII
 //! ramp for the bench binaries' terminal tables.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -30,6 +30,8 @@ use std::sync::Mutex;
 use crate::json::Json;
 use crate::metrics::{Counter, Gauge};
 use crate::registry::{Metric, Registry};
+use crate::schema::Shape::{self, *};
+use crate::schema::{items, uint};
 
 /// Schema identifier embedded in every emitted timeline document; bump on
 /// any incompatible shape change.
@@ -415,61 +417,53 @@ impl TimelineDoc {
     }
 }
 
-/// Validates parsed JSON against the [`TIMELINE_SCHEMA`] shape, including
-/// the conservation law (every rate series' windows must sum exactly to
-/// its `total`) and that no run names a series twice. Returns a
-/// description of the first violation found.
-pub fn validate_timeline(json: &Json) -> Result<(), String> {
-    let schema = json.req_str("schema", "timeline")?;
-    if schema != TIMELINE_SCHEMA {
-        return Err(format!(
-            "timeline: schema {schema:?}, expected {TIMELINE_SCHEMA:?}"
-        ));
-    }
-    json.req_str("title", "timeline")?;
-    let runs = json.req_arr("runs", "timeline")?;
-    if runs.is_empty() {
-        return Err("timeline: \"runs\" must not be empty".to_owned());
-    }
-    for (i, run) in runs.iter().enumerate() {
-        let at = format!("runs[{i}]");
-        run.req_str("run", &at)?;
-        let window_us = run.req_num("window_us", &at)?;
-        if window_us <= 0.0 {
-            return Err(format!("{at}: window_us = {window_us} must be positive"));
+/// The [`TIMELINE_SCHEMA`] document [`TimelineDoc::to_json`] writes.
+pub(crate) const SHAPE: Shape = Obj(&[
+    ("schema", OneOf(&[TIMELINE_SCHEMA])),
+    ("title", Str),
+    ("runs", NonEmpty(&RUN)),
+]);
+
+/// One [`TimelineReport::to_json`].
+const RUN: Shape = Obj(&[
+    ("run", Str),
+    ("window_us", U64),
+    ("windows", U64),
+    ("series", List(&SERIES)),
+]);
+
+/// One [`SeriesReport::to_json`].
+const SERIES: Shape = Obj(&[
+    ("name", Str),
+    ("kind", OneOf(&["rate", "level"])),
+    ("total", U64),
+    ("values", List(&U64)),
+]);
+
+/// The timeline's law: windows have a width, every series of a run has
+/// one value per declared window and a name no other series of the run
+/// has, and a rate series' windows sum exactly to its `total`
+/// (conservation).
+pub(crate) fn law(doc: &Json) -> Result<(), String> {
+    for (i, run) in items(doc, "runs").iter().enumerate() {
+        if uint(run, "window_us") == 0 {
+            return Err(format!("runs[{i}]: window_us must be positive"));
         }
-        let windows = run.req_num("windows", &at)? as usize;
-        let series = run.req_arr("series", &at)?;
         let mut names = BTreeSet::new();
-        for (j, s) in series.iter().enumerate() {
-            let at = format!("{at}.series[{j}]");
-            let name = s.req_str("name", &at)?;
+        for (j, s) in items(run, "series").iter().enumerate() {
+            let at = format!("runs[{i}].series[{j}]");
+            let name = s.get("name").and_then(Json::as_str).unwrap_or_default();
             if !names.insert(name) {
                 return Err(format!("{at}: duplicate series name {name:?}"));
             }
-            let kind = s.req_str("kind", &at)?;
-            if kind != "rate" && kind != "level" {
-                return Err(format!("{at}: kind {kind:?} not in {{rate, level}}"));
+            let (values, windows) = (items(s, "values"), uint(run, "windows"));
+            if values.len() as u64 != windows {
+                let n = values.len();
+                return Err(format!("{at} ({name}): {n} values for {windows} windows"));
             }
-            let total = s.req_num("total", &at)?;
-            let values = s.req_arr("values", &at)?;
-            if values.len() != windows {
-                return Err(format!(
-                    "{at} ({name}): {} values for {windows} windows",
-                    values.len()
-                ));
-            }
-            let mut sum = 0.0;
-            for (k, v) in values.iter().enumerate() {
-                let v = v
-                    .as_f64()
-                    .ok_or(format!("{at}: values[{k}] must be a number"))?;
-                if v < 0.0 {
-                    return Err(format!("{at}: values[{k}] = {v} is negative"));
-                }
-                sum += v;
-            }
-            if kind == "rate" && sum != total {
+            let sum: u128 = values.iter().filter_map(Json::as_u64).map(u128::from).sum();
+            let total = uint(s, "total");
+            if s.get("kind") == Some(&Json::from("rate")) && sum != u128::from(total) {
                 return Err(format!(
                     "{at} ({name}): rate windows sum to {sum}, total says {total}"
                 ));
@@ -501,7 +495,7 @@ pub fn sparkline(values: &[u64]) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -615,8 +609,8 @@ mod tests {
         assert_eq!(report.series[0].total, 0);
     }
 
-    #[test]
-    fn document_round_trips_through_the_validator() {
+    /// A known-good timeline document, for the schema tests.
+    pub(crate) fn sample() -> Json {
         let c = Counter::new();
         let g = Gauge::new();
         let tl = Timeline::new(1_000);
@@ -629,78 +623,7 @@ mod tests {
         }
         let mut doc = TimelineDoc::new("unit");
         doc.runs.push(tl.report("arch @ 0ms"));
-        let text = doc.to_json().render();
-        let parsed = Json::parse(&text).unwrap();
-        validate_timeline(&parsed).unwrap();
-        let run = &parsed.get("runs").unwrap().as_arr().unwrap()[0];
-        assert_eq!(run.get("run").unwrap().as_str(), Some("arch @ 0ms"));
-    }
-
-    #[test]
-    fn validator_catches_shape_and_conservation_regressions() {
-        let c = Counter::new();
-        let tl = Timeline::new(1_000);
-        tl.track_counter("hits", &c);
-        c.add(4);
-        tl.sample(100);
-        let mut doc = TimelineDoc::new("unit");
-        doc.runs.push(tl.report("run"));
-        let good = doc.to_json();
-        validate_timeline(&good).unwrap();
-
-        // Empty runs.
-        assert!(validate_timeline(&TimelineDoc::new("x").to_json()).is_err());
-
-        // Wrong schema id.
-        let mut wrong = match good.clone() {
-            Json::Obj(m) => m,
-            _ => unreachable!(),
-        };
-        wrong.insert("schema".to_owned(), Json::from("v0"));
-        assert!(validate_timeline(&Json::Obj(wrong)).is_err());
-
-        // Broken conservation: a window that does not sum to the total.
-        let mut broken = match good.clone() {
-            Json::Obj(m) => m,
-            _ => unreachable!(),
-        };
-        if let Json::Arr(runs) = broken.get_mut("runs").unwrap() {
-            if let Json::Obj(run) = &mut runs[0] {
-                if let Json::Arr(series) = run.get_mut("series").unwrap() {
-                    if let Json::Obj(s) = &mut series[0] {
-                        s.insert("total".to_owned(), Json::from(999u64));
-                    }
-                }
-            }
-        }
-        let err = validate_timeline(&Json::Obj(broken)).unwrap_err();
-        assert!(err.contains("sum"), "{err}");
-
-        // The same series name twice in one run.
-        let mut twice = good.clone();
-        if let Json::Obj(doc) = &mut twice {
-            if let Some(Json::Arr(runs)) = doc.get_mut("runs") {
-                if let Json::Obj(run) = &mut runs[0] {
-                    if let Some(Json::Arr(series)) = run.get_mut("series") {
-                        series.push(series[0].clone());
-                    }
-                }
-            }
-        }
-        let err = validate_timeline(&twice).unwrap_err();
-        assert!(err.contains("duplicate series name \"hits\""), "{err}");
-
-        // Length mismatch against the declared window count.
-        let mut short = match good {
-            Json::Obj(m) => m,
-            _ => unreachable!(),
-        };
-        if let Json::Arr(runs) = short.get_mut("runs").unwrap() {
-            if let Json::Obj(run) = &mut runs[0] {
-                run.insert("windows".to_owned(), Json::from(5u64));
-            }
-        }
-        assert!(validate_timeline(&Json::Obj(short)).is_err());
+        doc.to_json()
     }
 
     #[test]

@@ -44,15 +44,18 @@ impl Bucket {
         Bucket::LocalCompute,
     ];
 
+    /// The [`Bucket::label`]s, in [`Bucket::ALL`] order.
+    pub(crate) const LABELS: [&'static str; 5] = [
+        "network-crossing",
+        "db-lock-wait",
+        "statement-execution",
+        "occ-validation",
+        "local-compute",
+    ];
+
     /// Stable label for tables and JSON.
     pub fn label(self) -> &'static str {
-        match self {
-            Bucket::Network => "network-crossing",
-            Bucket::DbLockWait => "db-lock-wait",
-            Bucket::Statement => "statement-execution",
-            Bucket::OccValidation => "occ-validation",
-            Bucket::LocalCompute => "local-compute",
-        }
+        Bucket::LABELS[self.index()]
     }
 
     fn index(self) -> usize {

@@ -228,7 +228,7 @@ fn session_cookie_lifecycle_matches_http_sessions() {
 #[test]
 fn every_architecture_emits_a_valid_run_report() {
     use sli_edge::arch::collect_report;
-    use sli_edge::telemetry::{validate_run_report, RunReport};
+    use sli_edge::telemetry::{validate, RunReport, Schema};
 
     let mut run = RunReport::new("architectures integration smoke");
     for (arch, _) in Architecture::ALL {
@@ -265,7 +265,7 @@ fn every_architecture_emits_a_valid_run_report() {
     }
     assert_eq!(run.entries.len(), 7);
     let json = run.to_json();
-    validate_run_report(&json).expect("all seven rows validate");
+    assert_eq!(validate(&json), Ok(Schema::RunReport), "all seven rows");
     // The rendered table carries one line per architecture row.
     let text = run.render_text();
     for (arch, _) in Architecture::ALL {

@@ -19,8 +19,7 @@ use sli_edge::core::memento_digest;
 use sli_edge::datastore::Value;
 use sli_edge::simnet::Clock;
 use sli_edge::telemetry::{
-    history_json, parse_history, validate_counterexample, HistoryEvent, HistoryImage, HistoryLog,
-    Json,
+    history_json, parse_history, validate, HistoryEvent, HistoryImage, HistoryLog, Json, Schema,
 };
 
 /// `(bean, key, digest)` of the two seeded rows, for the checker's initial
@@ -209,7 +208,7 @@ fn counterexample_round_trips_from_rendered_bytes() {
     assert!(shrunk.len() <= choices.len());
     let rendered = counterexample_json(&cfg, &shrunk_outcome).render();
     let reparsed = Json::parse(&rendered).expect("rendered counterexample must parse");
-    validate_counterexample(&reparsed).expect("parsed counterexample must validate");
+    assert_eq!(validate(&reparsed), Ok(Schema::Counterexample));
     // The document reproduces the recorded history exactly, 64-bit image
     // digests included.
     let history = parse_history(reparsed.get("history").expect("history member"));
