@@ -117,24 +117,27 @@ fn message_path_stays_within_its_allocation_budget() {
     assert_eq!(allocs, 1, "HttpResponse::encode");
     assert_eq!(raw.len(), response.encoded_len());
 
-    // (d) A quote by the JDBC engine on a local connection: 12 — its
-    // SELECT of six columns with the parameter's string, and the result's
-    // text and field list. It was 40 while every field was a name and a
-    // value of its own (14 for the seven) behind a formatted temporary,
-    // and every result copied its column names.
+    // (d) A quote by the JDBC engine on a local connection: 5 — its
+    // SELECT of six columns (the match list and the one vector of cells),
+    // the parameter's string, and the result's text and field list. It
+    // was 9 while a result was a list of rows, and 40 while every field
+    // was a name and a value of its own (14 for the seven) behind a
+    // formatted temporary and every result copied its column names.
     let perform = steady(|| {
         let (allocs, result) = allocs_of(|| engine.perform(&quote).unwrap());
         assert_eq!(result.get("symbol"), Some("s:5"));
         allocs
     });
-    assert!(perform <= 12, "JdbcTradeEngine::perform(quote): {perform}");
+    assert!(perform <= 5, "JdbcTradeEngine::perform(quote): {perform}");
 
     // (e) Whole interactions on ES/RDB (JDBC): request built, encoded,
     // parsed, dispatched, statements over the wire to the database server,
     // page rendered, response encoded and parsed — spans recorded, the
-    // span log emptied between repetitions. They were 41, 44, 65 and 123
-    // while a string value was copied wherever it went, and 80, 107, 136
-    // and 198 before a message was one buffer.
+    // span log emptied between repetitions. They were 38, 40, 59 and 107
+    // while a result was a list of rows and a wire statement's parameters
+    // a list of their own (DESIGN §19, §21); 41, 44, 65 and 123 while a
+    // string value was copied wherever it went, and 80, 107, 136 and 198
+    // before a message was one buffer.
     // Of what is left, 16 to 20 are the request's owned strings
     // (`query_params`, `get`, `parse`), which `benchmark/`'s signatures fix.
     let tb = Testbed::build(Architecture::EsRdb(Flavor::Jdbc), TestbedConfig::default());
@@ -149,7 +152,7 @@ fn message_path_stays_within_its_allocation_budget() {
     let portfolio = TradeAction::Portfolio {
         user: "uid:3".into(),
     };
-    for (action, budget) in [(&home, 38), (&quote, 40), (&portfolio, 59), (&buy, 107)] {
+    for (action, budget) in [(&home, 33), (&quote, 34), (&portfolio, 47), (&buy, 91)] {
         let allocs = steady(|| {
             tb.commit_trace().clear();
             let (allocs, done) = allocs_of(|| client.perform(action));
@@ -201,8 +204,10 @@ fn message_path_stays_within_its_allocation_budget() {
     // (g) A whole buy on ES/RBES, the split-servers write path: images
     // faulted from the back-end, the transaction's state shipped as one
     // commit request, validated and applied image by image next to the
-    // database, logged and invalidated. At most 180 — it is 174; it was
-    // 222 while every decoded image owned its names in a map and every
+    // database, logged and invalidated. At most 160 — it is 154; it was
+    // 174 while results were lists of rows and the back-end wrote an
+    // invalidation frame for a tier whose one edge is the committing one,
+    // and 222 while every decoded image owned its names in a map and every
     // string cell was copied into rows, lock keys, log images and
     // parameters.
     let allocs = steady(|| {
@@ -212,7 +217,7 @@ fn message_path_stays_within_its_allocation_budget() {
         allocs
     });
     assert!(
-        allocs <= 180,
+        allocs <= 160,
         "VirtualClient::perform({buy}) on ES/RBES: {allocs} allocations"
     );
 }

@@ -13,7 +13,7 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 use sli_component::{EjbError, EjbResult, ImageNames, Memento};
 use sli_datastore::{Predicate, SqlConnection, Value};
-use sli_simnet::wire::{frame_traced, protocol, unframe, DecodeError, Reader, Writer};
+use sli_simnet::wire::{protocol, unframe, DecodeError, Reader, Writer};
 use sli_simnet::{CallError, Clock, Remote, Service, SimDuration};
 
 use sli_telemetry::{SpanOutcome, Tracer};
@@ -147,22 +147,25 @@ impl BackendServer {
         result
     }
 
-    /// Tells every edge but the request's origin which keys it wrote.
+    /// Tells every edge but the request's origin which keys it wrote. The
+    /// message is written only once a recipient is found — on a tier whose
+    /// one edge is the origin, never — and straight from the request's
+    /// entries into the frame's one buffer.
     fn fan_out(&self, request: &CommitRequest) {
         let tracer = self.point.tracer();
         let span = tracer.map(|t| t.open("commit.invalidate"));
         // Stamp the fan-out frames with the commit's trace id so the
         // (possibly deferred) delivery at each edge can re-join it.
         let trace_id = tracer.map_or(0, CommitTracer::current_trace_id);
-        let message = frame_traced(
-            protocol::BACKEND,
-            0,
-            trace_id,
-            &encode_invalidations(&request.written_keys()),
-        );
+        let mut message = None;
         let mut notified = 0usize;
         for (edge_id, send) in self.peers.lock().iter() {
             if *edge_id != request.origin {
+                let message = message.get_or_insert_with(|| {
+                    let mut w = Writer::framed();
+                    encode_invalidations(&mut w, request.written_keys());
+                    w.finish_frame(protocol::BACKEND, 0, trace_id)
+                });
                 send(message.clone());
                 notified += 1;
             }

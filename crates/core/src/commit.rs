@@ -144,13 +144,12 @@ impl CommitRequest {
     }
 
     /// The (bean, key) pairs whose persistent images this commit changes —
-    /// the invalidation set for peer edges.
-    pub fn written_keys(&self) -> Vec<(String, Value)> {
+    /// the invalidation set for peer edges — borrowed from the entries.
+    pub fn written_keys(&self) -> impl Iterator<Item = (&str, &Value)> {
         self.entries
             .iter()
             .filter(|e| e.kind.is_write())
-            .map(|e| (e.bean.clone(), e.key.clone()))
-            .collect()
+            .map(|e| (e.bean.as_str(), &e.key))
     }
 
     /// Encodes the request to a wire frame.
@@ -324,9 +323,9 @@ mod tests {
         assert!(matches!(req.entries[2].kind, EntryKind::Create { .. }));
         assert!(matches!(req.entries[3].kind, EntryKind::Remove { .. }));
         assert!(req.has_writes());
-        let written = req.written_keys();
+        let written: Vec<_> = req.written_keys().collect();
         assert_eq!(written.len(), 3);
-        assert!(!written.contains(&("A".to_owned(), Value::from(1))));
+        assert!(!written.contains(&("A", &Value::from(1))));
     }
 
     #[test]
@@ -336,7 +335,7 @@ mod tests {
             .load_from(&img("A", 1, 1.0));
         let req = CommitRequest::from_context(0, 1, &ctx);
         assert!(!req.has_writes());
-        assert!(req.written_keys().is_empty());
+        assert_eq!(req.written_keys().count(), 0);
     }
 
     #[test]

@@ -260,16 +260,20 @@ impl CommonStore {
     }
 }
 
-/// Encodes an invalidation notification: the set of (bean, key) pairs a
-/// peer's commit made stale.
-pub(crate) fn encode_invalidations(entries: &[(String, Value)]) -> Bytes {
-    let mut w = Writer::new();
-    w.put_u32(entries.len() as u32);
-    for (bean, key) in entries {
+/// Writes an invalidation notification onto `w`: the (bean, key) pairs a
+/// peer's commit made stale, under their count.
+pub(crate) fn encode_invalidations<'a>(
+    w: &mut Writer,
+    keys: impl Iterator<Item = (&'a str, &'a Value)>,
+) {
+    let at = w.put_u32_later();
+    let mut count = 0u32;
+    for (bean, key) in keys {
         w.put_str(bean);
-        key.encode(&mut w);
+        key.encode(w);
+        count += 1;
     }
-    w.finish()
+    w.patch_u32(at, count);
 }
 
 /// The edge-side endpoint for invalidation notifications.
@@ -433,6 +437,13 @@ mod tests {
         Memento::new("Account", Value::from(key)).with_field("balance", balance)
     }
 
+    /// The framed notification a back-end sends for `keys`.
+    fn invalidation(keys: &[(&str, Value)]) -> Bytes {
+        let mut w = Writer::framed();
+        encode_invalidations(&mut w, keys.iter().map(|(bean, key)| (*bean, key)));
+        w.finish_frame(sli_simnet::wire::protocol::BACKEND, 0, 0)
+    }
+
     #[test]
     fn put_get_invalidate() {
         let store = CommonStore::new();
@@ -573,14 +584,10 @@ mod tests {
         store.put(image("a", 1.0));
         store.put(image("b", 2.0));
         let sink = InvalidationSink::new(Arc::clone(&store));
-        let frame = sli_simnet::wire::frame(
-            sli_simnet::wire::protocol::BACKEND,
-            0,
-            &encode_invalidations(&[
-                ("Account".to_owned(), Value::from("a")),
-                ("Account".to_owned(), Value::from("missing")),
-            ]),
-        );
+        let frame = invalidation(&[
+            ("Account", Value::from("a")),
+            ("Account", Value::from("missing")),
+        ]);
         sink.handle(frame);
         assert!(store.get("Account", &Value::from("a")).is_none());
         assert!(store.get("Account", &Value::from("b")).is_some());
@@ -674,11 +681,7 @@ mod tests {
         store.put(image("a", 1.0));
         let clock = Arc::new(Clock::new());
         let sink = sink_after(&store, &clock, SimDuration::from_millis(40));
-        let frame = sli_simnet::wire::frame(
-            sli_simnet::wire::protocol::BACKEND,
-            0,
-            &encode_invalidations(&[("Account".to_owned(), Value::from("a"))]),
-        );
+        let frame = invalidation(&[("Account", Value::from("a"))]);
         sink.handle(frame);
         assert_eq!(sink.in_flight(), 1);
         // before the crossing completes, the stale image is still served
@@ -704,13 +707,7 @@ mod tests {
             sli_telemetry::Metric::Gauge(g) => g.get(),
             other => panic!("expected gauge, got {other:?}"),
         };
-        let frame = |key: &str| {
-            sli_simnet::wire::frame(
-                sli_simnet::wire::protocol::BACKEND,
-                0,
-                &encode_invalidations(&[("Account".to_owned(), Value::from(key))]),
-            )
-        };
+        let frame = |key: &str| invalidation(&[("Account", Value::from(key))]);
         // Enqueue must raise the gauge immediately, not only on drain.
         sink.handle(frame("a"));
         assert_eq!(depth(&registry), 1);

@@ -17,11 +17,11 @@ use bytes::Bytes;
 use sli_component::{EntityMeta, Home, Memento, TxContext};
 use sli_core::{
     validate_and_apply_per_image, BackendServer, CommitEntry, CommitOutcome, CommitRequest,
-    CommonStore, DirectSource, EntryKind, MetaRegistry, SliHome,
+    CommonStore, DirectSource, EntryKind, InvalidationSink, MetaRegistry, SliHome,
 };
 use sli_datastore::{ColumnType, Database, SqlConnection, Value};
 use sli_simnet::wire::{frame, protocol, unframe, Reader, Writer};
-use sli_simnet::{Clock, Service};
+use sli_simnet::{Clock, Path, PathSpec, Remote, Service};
 
 thread_local! {
     /// Allocations made by this thread and the bytes they asked for.
@@ -213,9 +213,11 @@ fn image_path_stays_within_its_allocation_budget() {
     // the row compared with the before-image where each lies, nothing
     // built. It was 10 per validated image (a memento from the row). A
     // whole one-entry read validation costs its autocommitted SELECT plus
-    // 6: the metadata list, the statement list, the statement's text, its
-    // parameter list and the key in it, and the outcome's result list. It
-    // was the SELECT plus 27.
+    // 5: the metadata list, the statement list, the statement's text, its
+    // parameter list and the outcome's result list. It was the SELECT plus
+    // 6 while the key in the parameter list was a copy, and plus 27 before
+    // that. The SELECT itself is 2, the match list and the result's one
+    // vector of cells; it was 6 while a result was a list of rows.
     let mut conn = db.connect();
     let rs = conn
         .execute(meta.load_sql(), std::slice::from_ref(&key))
@@ -247,10 +249,87 @@ fn image_path_stays_within_its_allocation_budget() {
         assert_eq!(outcome, CommitOutcome::Committed);
         allocs
     });
+    assert!(statement <= 2, "the validation's SELECT: {statement}");
     assert!(
-        validate <= statement + 6,
+        validate <= statement + 5,
         "one-entry read validation: {validate} (its SELECT alone: {statement})"
     );
+}
+
+/// `s:3` as `quotes()` stores it, at `price`.
+fn quote_3(price: f64) -> Memento {
+    Memento::new("Quote", Value::from("s:3"))
+        .with_field("companyname", "Company #3 Incorporated")
+        .with_field("price", price)
+        .with_field("open", 24.0)
+        .with_field("low", 23.5)
+        .with_field("high", 26.5)
+        .with_field("volume", 1_000_000.0)
+}
+
+/// The invalidation fan-out writes its frame only once it has a recipient.
+/// Per-commit allocations of alternating one-`Quote` updates from edge 1,
+/// with the given edges registered for invalidations.
+fn writing_commits(edges: &[u32]) -> Vec<u64> {
+    let (db, registry) = quotes();
+    let clock = Arc::new(Clock::new());
+    let backend = BackendServer::new(Box::new(db.connect()), registry, Arc::clone(&clock));
+    for &edge in edges {
+        let path = Path::new("backend-edge", Arc::clone(&clock), PathSpec::lan());
+        let sink = InvalidationSink::new(CommonStore::new());
+        backend.register_edge(edge, Remote::new(path, sink));
+    }
+    (1..=8u64)
+        .map(|txn_id| {
+            let (from, to) = if txn_id % 2 == 1 {
+                (28.0, 29.0)
+            } else {
+                (29.0, 28.0)
+            };
+            let request = CommitRequest {
+                origin: 1,
+                txn_id,
+                entries: vec![CommitEntry {
+                    bean: "Quote".into(),
+                    key: Value::from("s:3"),
+                    kind: EntryKind::Update {
+                        before: quote_3(from),
+                        after: quote_3(to),
+                    },
+                }],
+            };
+            let (allocs, outcome) = allocs_of(|| backend.commit(&request).unwrap());
+            assert_eq!(outcome, CommitOutcome::Committed);
+            allocs
+        })
+        .collect()
+}
+
+/// A writing commit whose only peer is its origin — a one-edge split tier —
+/// writes no invalidation frame: it costs what it costs with no edge
+/// registered, 18 once warm. It was 28: 6 for a frame built and dropped
+/// unsent (the written keys' list and a bean name per key, the payload's
+/// buffer and its frozen copy, then the frame's) and 4 in the validating
+/// SELECT's rows (DESIGN §19). With a second edge the frame is written —
+/// its one buffer and frozen copy — and received, the edge decoding the
+/// bean name and the key: 4 more.
+#[test]
+fn a_commit_whose_only_peer_is_its_origin_frames_no_invalidation() {
+    let alone = writing_commits(&[1]);
+    assert_eq!(alone, writing_commits(&[]), "only the origin registered");
+    let warm = alone[1..].iter().min().copied().unwrap();
+    assert!(
+        warm <= 18,
+        "a writing commit, its origin its only peer: {warm}"
+    );
+    let with_peer = writing_commits(&[1, 2]);
+    for (sent, alone) in with_peer[1..].iter().zip(&alone[1..]) {
+        assert_eq!(
+            *sent,
+            alone + 4,
+            "a writing commit with a peer to invalidate"
+        );
+    }
 }
 
 /// A well-framed request to the back-end with `body` as its payload.
@@ -264,13 +343,7 @@ fn backend_frame(body: Writer) -> Bytes {
 fn a_decoded_image_owns_only_what_the_descriptor_cannot_lend() {
     let registry = MetaRegistry::new().with(quote_meta());
     let names = registry.meta("Quote").unwrap().image_names();
-    let before = Memento::new("Quote", Value::from("s:3"))
-        .with_field("companyname", "Company #3 Incorporated")
-        .with_field("price", 28.0)
-        .with_field("open", 24.0)
-        .with_field("low", 23.5)
-        .with_field("high", 26.5)
-        .with_field("volume", 1_000_000.0);
+    let before = quote_3(28.0);
     let mut w = Writer::new();
     before.encode(&mut w);
     let encoded = w.finish();

@@ -37,6 +37,34 @@ impl Connection {
         &self.db
     }
 
+    /// [`SqlConnection::execute`], also reporting through `class` the
+    /// statement's span class as its plan has it (see
+    /// `Database::execute_in`).
+    pub(crate) fn execute_classed(
+        &mut self,
+        sql: &str,
+        params: &[Value],
+        class: Option<&mut Option<Arc<str>>>,
+    ) -> DbResult<ResultSet> {
+        match &mut self.txn {
+            Some(txn) => self.db.execute_in(txn, sql, params, class),
+            None => {
+                // Autocommit: private transaction per statement.
+                let mut txn = self.db.begin_txn();
+                match self.db.execute_in(&mut txn, sql, params, class) {
+                    Ok(rs) => {
+                        self.commit_txn(txn)?;
+                        Ok(rs)
+                    }
+                    Err(e) => {
+                        self.db.rollback_txn(txn);
+                        Err(e)
+                    }
+                }
+            }
+        }
+    }
+
     /// Commits `txn`. A writing commit is a commit boundary and consumes
     /// the pending stamp (the committers' single-entry fast path commits
     /// through an autocommitted statement); a read-only one leaves it for
@@ -61,23 +89,7 @@ impl SqlConnection for Connection {
     }
 
     fn execute(&mut self, sql: &str, params: &[Value]) -> DbResult<ResultSet> {
-        match &mut self.txn {
-            Some(txn) => self.db.execute_in(txn, sql, params),
-            None => {
-                // Autocommit: private transaction per statement.
-                let mut txn = self.db.begin_txn();
-                match self.db.execute_in(&mut txn, sql, params) {
-                    Ok(rs) => {
-                        self.commit_txn(txn)?;
-                        Ok(rs)
-                    }
-                    Err(e) => {
-                        self.db.rollback_txn(txn);
-                        Err(e)
-                    }
-                }
-            }
-        }
+        self.execute_classed(sql, params, None)
     }
 
     fn commit(&mut self) -> DbResult<()> {

@@ -1,7 +1,7 @@
 //! The storage engine: tables, indexes, statement execution, and the
 //! per-transaction log behind rollback, the WAL and recovery.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -12,6 +12,7 @@ use sli_telemetry::{Counter, Registry};
 
 use crate::connection::Connection;
 use crate::error::DbError;
+use crate::hash::FxHashMap;
 use crate::lock::{LockManager, LockMode, Resource, TxnId};
 use crate::predicate::Predicate;
 use crate::result::{encode_header, ResultSet};
@@ -33,7 +34,7 @@ struct Table {
     name: Arc<str>,
     rows: BTreeMap<Value, Vec<Value>>,
     /// column name → value → set of primary keys.
-    indexes: HashMap<String, BTreeMap<Value, BTreeSet<Value>>>,
+    indexes: FxHashMap<String, BTreeMap<Value, BTreeSet<Value>>>,
 }
 
 impl Table {
@@ -42,7 +43,7 @@ impl Table {
             name: Arc::from(schema.name()),
             schema: Arc::new(schema),
             rows: BTreeMap::new(),
-            indexes: HashMap::new(),
+            indexes: FxHashMap::default(),
         }
     }
 
@@ -151,7 +152,7 @@ impl AccessPath {
 /// miss and shared by every later execution: the parsed statement, its
 /// placeholder count and the `{table}.{kind}` class its `db.stmt` span
 /// carries — plus what also depends on the schema or the physical design:
-/// the planner's access path and a SELECT's result header.
+/// the planner's access path and a SELECT's projection.
 #[derive(Debug)]
 struct CachedPlan {
     stmt: Statement,
@@ -160,10 +161,28 @@ struct CachedPlan {
     /// `(ddl_epoch, chosen path)` — valid while the epoch matches; a
     /// `CREATE INDEX` bumps the epoch so stale scan plans replan lazily.
     access: Mutex<Option<(u64, Arc<AccessPath>)>>,
-    /// `(ddl_epoch, projected column names in wire form)` of a SELECT,
-    /// encoded on its first execution under the epoch and shared by every
-    /// result after it.
-    header: Mutex<Option<(u64, Bytes)>>,
+    /// `(ddl_epoch, projection)` of a SELECT, resolved on its first
+    /// execution under the epoch and shared by every result after it.
+    projection: Mutex<Option<(u64, Arc<Projection>)>>,
+}
+
+/// What a SELECT's list resolves to against its table's schema: the
+/// result's column names in wire form and, for a list of columns, the
+/// schema column each result column's cells are copied from (none for
+/// `COUNT(*)` or an aggregate, whose one value is computed).
+#[derive(Debug)]
+struct Projection {
+    header: Bytes,
+    columns: Vec<usize>,
+}
+
+impl Projection {
+    fn new<'a>(names: impl ExactSizeIterator<Item = &'a str>, columns: Vec<usize>) -> Projection {
+        Projection {
+            header: encode_header(names),
+            columns,
+        }
+    }
 }
 
 impl CachedPlan {
@@ -173,20 +192,24 @@ impl CachedPlan {
             class: statement_class(sql).into(),
             stmt,
             access: Mutex::new(None),
-            header: Mutex::new(None),
+            projection: Mutex::new(None),
         }
     }
 
-    /// The result header recorded under `epoch`, or the one `names` spell,
+    /// The projection recorded under `epoch`, or the one `resolve` builds,
     /// recorded for the executions that follow.
-    fn header<'a>(&self, epoch: u64, names: impl ExactSizeIterator<Item = &'a str>) -> Bytes {
-        let mut slot = self.header.lock();
+    fn projection(
+        &self,
+        epoch: u64,
+        resolve: impl FnOnce() -> DbResult<Projection>,
+    ) -> DbResult<Arc<Projection>> {
+        let mut slot = self.projection.lock();
         match &*slot {
-            Some((e, header)) if *e == epoch => header.clone(),
+            Some((e, projection)) if *e == epoch => Ok(Arc::clone(projection)),
             _ => {
-                let header = encode_header(names);
-                *slot = Some((epoch, header.clone()));
-                header
+                let projection = Arc::new(resolve()?);
+                *slot = Some((epoch, Arc::clone(&projection)));
+                Ok(projection)
             }
         }
     }
@@ -226,7 +249,7 @@ pub struct PlanCacheStats {
 /// where the parse that follows costs more than reading `capacity` ticks.
 #[derive(Debug)]
 struct PlanCache {
-    plans: HashMap<String, (Arc<CachedPlan>, u64)>,
+    plans: FxHashMap<String, (Arc<CachedPlan>, u64)>,
     tick: u64,
     capacity: usize,
 }
@@ -234,7 +257,7 @@ struct PlanCache {
 impl PlanCache {
     fn new(capacity: usize) -> PlanCache {
         PlanCache {
-            plans: HashMap::new(),
+            plans: FxHashMap::default(),
             tick: 0,
             capacity: capacity.max(1),
         }
@@ -280,7 +303,7 @@ impl PlanCache {
 /// provides transaction-level isolation on top.
 #[derive(Debug)]
 pub struct Database {
-    tables: RwLock<HashMap<String, Arc<RwLock<Table>>>>,
+    tables: RwLock<FxHashMap<String, Arc<RwLock<Table>>>>,
     locks: LockManager,
     next_txn: AtomicU64,
     /// Commit-order witness: bumped once per committed *writing*
@@ -313,7 +336,7 @@ pub struct Database {
 impl Default for Database {
     fn default() -> Database {
         Database {
-            tables: RwLock::new(HashMap::new()),
+            tables: RwLock::new(FxHashMap::default()),
             locks: LockManager::default(),
             next_txn: AtomicU64::new(1),
             commit_seq: AtomicU64::new(0),
@@ -474,17 +497,6 @@ impl Database {
         let plan = self.plans.lock().peek(sql)?;
         plan.recorded(self.ddl_epoch.load(Ordering::Relaxed))
             .map(|path| AccessPath::clone(&path))
-    }
-
-    /// The `{table}.{kind}` class of `sql` (empty when it is not DML), as
-    /// the wire server labels `db.stmt` spans. Read from the cached plan
-    /// when there is one — without touching its recency or the hit/miss
-    /// counters — and derived from the text otherwise.
-    pub(crate) fn statement_class(&self, sql: &str) -> Arc<str> {
-        match self.plans.lock().peek(sql) {
-            Some(plan) => Arc::clone(&plan.class),
-            None => statement_class(sql).into(),
-        }
     }
 
     /// Attaches the plan-cache counters to `registry` as
@@ -888,17 +900,35 @@ impl Database {
         self.locks.release_all(txn.id);
     }
 
-    /// Executes one (possibly parameterized) statement inside `txn`.
+    /// Executes one (possibly parameterized) statement inside `txn`. With
+    /// `class`, also reports the `{table}.{kind}` class the wire server
+    /// labels the statement's `db.stmt` span with (empty when it is not
+    /// DML): the plan's, or — for a statement that fails before it has one
+    /// — the text's.
     pub(crate) fn execute_in(
         &self,
         txn: &mut TxnState,
         sql: &str,
         params: &[Value],
+        class: Option<&mut Option<Arc<str>>>,
     ) -> DbResult<ResultSet> {
-        if self.fenced(txn) {
-            return Err(self.down("statement rejected"));
+        let plan = if self.fenced(txn) {
+            Err(self.down("statement rejected"))
+        } else {
+            self.cached_plan(sql)
+        };
+        let plan = match plan {
+            Ok(plan) => plan,
+            Err(e) => {
+                if let Some(class) = class {
+                    *class = Some(statement_class(sql).into());
+                }
+                return Err(e);
+            }
+        };
+        if let Some(class) = class {
+            *class = Some(Arc::clone(&plan.class));
         }
-        let plan = self.cached_plan(sql)?;
         if params.len() != plan.param_count {
             return Err(DbError::ParamCount {
                 expected: plan.param_count,
@@ -1135,8 +1165,9 @@ impl Database {
         params: &[Value],
         plan: &CachedPlan,
     ) -> DbResult<ResultSet> {
-        // Read before the schema, so a header recorded under this epoch is
-        // never older than it: DDL changes the tables first, the epoch after.
+        // Read before the schema, so a projection recorded under this epoch
+        // is never older than it: DDL changes the tables first, the epoch
+        // after.
         let epoch = self.ddl_epoch.load(Ordering::Relaxed);
         let t = self.open(table)?;
         let pks = self.plan_matches(txn, &t, predicate, params, false, plan)?;
@@ -1144,74 +1175,36 @@ impl Database {
         let stored = t.table.read();
         self.trace.record(table, OpKind::Read);
 
-        // Borrowed until the projection: only the cells a result carries
-        // are cloned.
-        let mut rows: Vec<&Vec<Value>> = pks.iter().filter_map(|pk| stored.rows.get(pk)).collect();
-
-        if let Some((col, desc)) = order_by {
-            let ci = schema.column_index(col)?;
-            rows.sort_by(|a, b| {
-                let ord = a[ci].cmp(&b[ci]);
-                if *desc {
-                    ord.reverse()
-                } else {
-                    ord
-                }
-            });
-        }
-        if let Some(n) = limit {
-            rows.truncate(n);
-        }
-
-        match list {
-            SelectList::CountStar => Ok(ResultSet::with_rows(
-                vec!["count".to_owned()],
-                vec![vec![Value::Int(rows.len() as i64)]],
-            )),
-            SelectList::Aggregate(func, column) => {
-                let ci = schema.column_index(column)?;
-                let values: Vec<&Value> = rows
-                    .iter()
-                    .map(|r| &r[ci])
-                    .filter(|v| !v.is_null())
-                    .collect();
-                let result = match func {
-                    AggregateFn::Count => Value::Int(values.len() as i64),
-                    AggregateFn::Min => values
-                        .iter()
-                        .min()
-                        .map(|v| (*v).clone())
-                        .unwrap_or(Value::Null),
-                    AggregateFn::Max => values
-                        .iter()
-                        .max()
-                        .map(|v| (*v).clone())
-                        .unwrap_or(Value::Null),
-                    AggregateFn::Sum | AggregateFn::Avg => sum_or_avg(*func, column, &values)?,
-                };
-                Ok(ResultSet::with_rows(
-                    vec![format!("{}({column})", func.name().to_lowercase())],
-                    vec![vec![result]],
-                ))
+        // Rows are borrowed until the projection: only the cells a result
+        // carries are cloned, and without an ORDER BY they are read straight
+        // off the match list.
+        let limit = limit.unwrap_or(usize::MAX);
+        let matched = pks
+            .iter()
+            .filter_map(|pk| stored.rows.get(pk).map(Vec::as_slice));
+        let Some((col, desc)) = order_by else {
+            return project(
+                list,
+                schema,
+                matched.take(limit),
+                pks.len().min(limit),
+                plan,
+                epoch,
+            );
+        };
+        let ci = schema.column_index(col)?;
+        let mut rows: Vec<&[Value]> = matched.collect();
+        rows.sort_by(|a, b| {
+            let ord = a[ci].cmp(&b[ci]);
+            if *desc {
+                ord.reverse()
+            } else {
+                ord
             }
-            SelectList::Star => {
-                let header = plan.header(epoch, schema.columns().iter().map(|c| &*c.name));
-                let rows = rows.into_iter().cloned().collect();
-                Ok(ResultSet::with_header(header, rows))
-            }
-            SelectList::Columns(cols) => {
-                let indices: Vec<usize> = cols
-                    .iter()
-                    .map(|c| schema.column_index(c))
-                    .collect::<DbResult<_>>()?;
-                let projected = rows
-                    .into_iter()
-                    .map(|row| indices.iter().map(|&i| row[i].clone()).collect())
-                    .collect();
-                let header = plan.header(epoch, cols.iter().map(String::as_str));
-                Ok(ResultSet::with_header(header, projected))
-            }
-        }
+        });
+        rows.truncate(limit);
+        let bound = rows.len();
+        project(list, schema, rows.into_iter(), bound, plan, epoch)
     }
 
     fn exec_update(
@@ -1316,6 +1309,82 @@ impl OpenTable {
     fn row_lock(&self, pk: &Value) -> Resource {
         Resource::Row(Arc::clone(&self.name), pk.clone())
     }
+}
+
+/// Builds a SELECT's result from the `rows` it matched (at most `bound` of
+/// them), under the projection `plan` records for its list: one vector of
+/// cells, sized before it is filled.
+fn project<'r>(
+    list: &SelectList,
+    schema: &Schema,
+    rows: impl Iterator<Item = &'r [Value]>,
+    bound: usize,
+    plan: &CachedPlan,
+    epoch: u64,
+) -> DbResult<ResultSet> {
+    let (name, value) = match list {
+        SelectList::Star | SelectList::Columns(_) => {
+            let projection = plan.projection(epoch, || match list {
+                SelectList::Columns(cols) => Ok(Projection::new(
+                    cols.iter().map(String::as_str),
+                    cols.iter()
+                        .map(|c| schema.column_index(c))
+                        .collect::<DbResult<_>>()?,
+                )),
+                _ => Ok(Projection::new(
+                    schema.columns().iter().map(|c| &*c.name),
+                    (0..schema.columns().len()).collect(),
+                )),
+            })?;
+            let width = projection.columns.len();
+            let mut cells = Vec::with_capacity(width * bound);
+            let mut len = 0;
+            for row in rows {
+                cells.extend(projection.columns.iter().map(|&i| row[i].clone()));
+                len += 1;
+            }
+            return Ok(ResultSet::with_cells(
+                projection.header.clone(),
+                width,
+                len,
+                cells,
+            ));
+        }
+        SelectList::CountStar => (None, Value::Int(rows.count() as i64)),
+        SelectList::Aggregate(func, column) => {
+            let ci = schema.column_index(column)?;
+            let values: Vec<&Value> = rows.map(|r| &r[ci]).filter(|v| !v.is_null()).collect();
+            let value = match func {
+                AggregateFn::Count => Value::Int(values.len() as i64),
+                AggregateFn::Min => values
+                    .iter()
+                    .min()
+                    .map(|v| (*v).clone())
+                    .unwrap_or(Value::Null),
+                AggregateFn::Max => values
+                    .iter()
+                    .max()
+                    .map(|v| (*v).clone())
+                    .unwrap_or(Value::Null),
+                AggregateFn::Sum | AggregateFn::Avg => sum_or_avg(*func, column, &values)?,
+            };
+            (Some((func, column)), value)
+        }
+    };
+    // One named value: `count`, or the aggregate as `sum(price)`.
+    let projection = plan.projection(epoch, || {
+        let name = match name {
+            Some((func, column)) => format!("{}({column})", func.name().to_lowercase()),
+            None => "count".to_owned(),
+        };
+        Ok(Projection::new([name.as_str()].into_iter(), Vec::new()))
+    })?;
+    Ok(ResultSet::with_cells(
+        projection.header.clone(),
+        1,
+        1,
+        vec![value],
+    ))
 }
 
 /// `SUM` / `AVG` over the non-NULL `values` of `column`. Integers are

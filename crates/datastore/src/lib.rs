@@ -41,6 +41,7 @@
 mod connection;
 mod engine;
 mod error;
+mod hash;
 mod lock;
 mod predicate;
 mod result;
@@ -57,7 +58,7 @@ pub use engine::{AccessPath, Database, PlanCacheStats, PLAN_CACHE_CAPACITY};
 pub use error::DbError;
 pub use lock::{LockManager, LockMode};
 pub use predicate::{CmpOp, Predicate};
-pub use result::ResultSet;
+pub use result::{ResultSet, RowIter, Rows};
 pub use schema::{Column, ColumnType, Schema};
 pub use trace::{OpCounts, TraceSnapshot};
 pub use value::Value;

@@ -7,13 +7,13 @@
 //! access completes so that locks are released quickly". This module
 //! provides those pessimistic semantics.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
 use crate::error::DbError;
+use crate::hash::{FxHashMap, FxHashSet};
 use crate::value::Value;
 use crate::DbResult;
 
@@ -88,7 +88,7 @@ pub type TxnId = u64;
 #[derive(Debug)]
 enum Holders {
     One(TxnId, LockMode),
-    Many(HashMap<TxnId, LockMode>),
+    Many(FxHashMap<TxnId, LockMode>),
 }
 
 impl Holders {
@@ -101,7 +101,7 @@ impl Holders {
 
     /// The other transactions whose held mode is incompatible with
     /// `requested`.
-    fn blockers(&self, txn: TxnId, requested: LockMode) -> HashSet<TxnId> {
+    fn blockers(&self, txn: TxnId, requested: LockMode) -> FxHashSet<TxnId> {
         let blocks = |id: TxnId, held: LockMode| id != txn && !requested.compatible(held);
         match self {
             Holders::One(id, held) => blocks(*id, *held).then_some(*id).into_iter().collect(),
@@ -117,7 +117,7 @@ impl Holders {
         match self {
             Holders::One(id, held) if *id == txn => *held = mode,
             Holders::One(id, held) => {
-                *self = Holders::Many(HashMap::from([(*id, *held), (txn, mode)]));
+                *self = Holders::Many(FxHashMap::from_iter([(*id, *held), (txn, mode)]));
             }
             Holders::Many(map) => {
                 map.insert(txn, mode);
@@ -147,12 +147,24 @@ impl Holders {
 #[derive(Debug, Default)]
 struct LmState {
     /// Current holders per resource.
-    locks: HashMap<Resource, Holders>,
+    locks: FxHashMap<Resource, Holders>,
     /// waits-for edges: blocked txn → the holders it waits on.
-    waits_for: HashMap<TxnId, HashSet<TxnId>>,
+    waits_for: FxHashMap<TxnId, FxHashSet<TxnId>>,
+    /// Acquirers parked on the condvar right now. A release wakes them only
+    /// when there are any: in a one-thread run there never are, and the
+    /// wake is a system call.
+    waiters: usize,
 }
 
 impl LmState {
+    /// Drops `txn`'s waits-for edge, if it has one. Nothing waits in a
+    /// one-thread run, so the graph is empty and this hashes nothing.
+    fn stop_waiting(&mut self, txn: TxnId) {
+        if !self.waits_for.is_empty() {
+            self.waits_for.remove(&txn);
+        }
+    }
+
     /// Depth-first search for a cycle through `start` in the waits-for
     /// graph.
     fn has_cycle_from(&self, start: TxnId) -> bool {
@@ -161,7 +173,7 @@ impl LmState {
             .get(&start)
             .map(|s| s.iter().copied().collect())
             .unwrap_or_default();
-        let mut seen = HashSet::new();
+        let mut seen = FxHashSet::default();
         while let Some(t) = stack.pop() {
             if t == start {
                 return true;
@@ -215,7 +227,7 @@ impl LockManager {
             let Some(holders) = st.locks.get_mut(&resource) else {
                 // Nobody holds it: the key moves into the table.
                 st.locks.insert(resource, Holders::One(txn, mode));
-                st.waits_for.remove(&txn);
+                st.stop_waiting(txn);
                 return Ok(());
             };
             let requested = holders
@@ -225,32 +237,43 @@ impl LockManager {
             let blockers = holders.blockers(txn, requested);
             if blockers.is_empty() {
                 holders.grant(txn, requested);
-                st.waits_for.remove(&txn);
+                st.stop_waiting(txn);
                 return Ok(());
             }
             st.waits_for.insert(txn, blockers);
             if st.has_cycle_from(txn) {
-                st.waits_for.remove(&txn);
+                st.stop_waiting(txn);
                 return Err(DbError::Deadlock);
             }
+            st.waiters += 1;
             let timed_out = self
                 .released
                 .wait_for(&mut st, self.wait_budget)
                 .timed_out();
+            st.waiters -= 1;
             if timed_out {
-                st.waits_for.remove(&txn);
+                st.stop_waiting(txn);
                 return Err(DbError::LockTimeout);
             }
         }
     }
 
     /// Releases every lock held by `txn` (strict 2PL: locks are held to
-    /// transaction end and dropped all at once).
+    /// transaction end and dropped all at once). Parked acquirers, if any
+    /// are counted, are woken to look again.
     pub fn release_all(&self, txn: TxnId) {
         let mut st = self.state.lock();
         st.locks.retain(|_, holders| !holders.release(txn));
-        st.waits_for.remove(&txn);
-        self.released.notify_all();
+        st.stop_waiting(txn);
+        if st.waiters > 0 {
+            self.released.notify_all();
+        }
+    }
+
+    /// Acquirers blocked in [`LockManager::acquire`] right now.
+    /// [`LockManager::release_all`] wakes them only when there are any.
+    pub fn waiters(&self) -> usize {
+        self.state.lock().waiters
     }
 
     /// The mode `txn` currently holds on `resource`, if any.
@@ -269,7 +292,9 @@ impl LockManager {
         let mut st = self.state.lock();
         st.locks.clear();
         st.waits_for.clear();
-        self.released.notify_all();
+        if st.waiters > 0 {
+            self.released.notify_all();
+        }
     }
 
     /// Total number of (resource, holder) pairs — used by tests to check
@@ -291,6 +316,13 @@ mod tests {
 
     fn table() -> Resource {
         Resource::Table("t".into())
+    }
+
+    /// Spins until `n` acquirers are parked on `lm`.
+    fn until_parked(lm: &LockManager, n: usize) {
+        while lm.waiters() < n {
+            std::thread::yield_now();
+        }
     }
 
     #[test]
@@ -351,11 +383,12 @@ mod tests {
         lm.acquire(1, row(1), LockMode::Exclusive).unwrap();
         let lm2 = Arc::clone(&lm);
         let handle = std::thread::spawn(move || lm2.acquire(2, row(1), LockMode::Exclusive));
-        std::thread::sleep(Duration::from_millis(50));
+        until_parked(&lm, 1);
         assert!(!handle.is_finished(), "waiter should be blocked");
         lm.release_all(1);
         handle.join().unwrap().unwrap();
         assert_eq!(lm.held(2, &row(1)), Some(LockMode::Exclusive));
+        assert_eq!(lm.waiters(), 0);
     }
 
     #[test]
@@ -384,7 +417,7 @@ mod tests {
         // txn 2 waits on row 1 (held by 1)
         let lm2 = Arc::clone(&lm);
         let waiter = std::thread::spawn(move || lm2.acquire(2, row(1), LockMode::Exclusive));
-        std::thread::sleep(Duration::from_millis(50));
+        until_parked(&lm, 1);
         // txn 1 now requests row 2 → cycle → txn 1 is the victim
         let err = lm.acquire(1, row(2), LockMode::Exclusive).unwrap_err();
         assert_eq!(err, DbError::Deadlock);
@@ -436,7 +469,7 @@ mod tests {
                 lm.acquire(id, row(1), LockMode::Shared)
             }));
         }
-        std::thread::sleep(Duration::from_millis(50));
+        until_parked(&lm, 3);
         lm.release_all(1);
         for h in handles {
             h.join().unwrap().unwrap();

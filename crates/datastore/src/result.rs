@@ -1,5 +1,8 @@
 //! Query results and their wire encoding.
 
+use std::fmt;
+use std::ops::Index;
+
 use bytes::Bytes;
 use sli_simnet::wire::{DecodeError, Reader, Writer};
 
@@ -10,6 +13,9 @@ pub(crate) const MIN_ENCODED_LEN: usize = 12;
 
 /// The outcome of one statement: a (possibly empty) result set and the
 /// number of rows a DML statement affected.
+///
+/// The rows are one vector of cells, row after row, `width` to a row: a
+/// result is built, and decoded, into one allocation whatever its shape.
 #[derive(Debug, Clone, Default)]
 pub struct ResultSet {
     /// The projected names in wire form — a count, then each name under
@@ -17,7 +23,12 @@ pub struct ResultSet {
     /// made: [`encode_header`] writes it from strings, [`ResultSet::decode`]
     /// checks every name of the slice of the reply it keeps.
     header: Bytes,
-    rows: Vec<Vec<Value>>,
+    /// Cells per row: the number of names the header holds.
+    width: usize,
+    /// Rows, counted apart from the cells: rows of no columns have none.
+    len: usize,
+    /// `width × len` cells in row order.
+    cells: Vec<Value>,
     affected: usize,
 }
 
@@ -41,16 +52,38 @@ impl ResultSet {
     }
 
     /// A query result with the given projection and rows.
+    ///
+    /// # Panics
+    /// Panics if a row does not have one value per column.
     pub fn with_rows(columns: Vec<String>, rows: Vec<Vec<Value>>) -> ResultSet {
-        ResultSet::with_header(encode_header(columns.iter().map(String::as_str)), rows)
+        let width = columns.len();
+        assert!(
+            rows.iter().all(|row| row.len() == width),
+            "every row has one value per column"
+        );
+        ResultSet::with_cells(
+            encode_header(columns.iter().map(String::as_str)),
+            width,
+            rows.len(),
+            rows.into_iter().flatten().collect(),
+        )
     }
 
     /// A query result whose projection is already in wire form (see
-    /// [`encode_header`]).
-    pub(crate) fn with_header(header: Bytes, rows: Vec<Vec<Value>>) -> ResultSet {
+    /// [`encode_header`]) naming `width` columns, over `len` rows of
+    /// `cells`.
+    pub(crate) fn with_cells(
+        header: Bytes,
+        width: usize,
+        len: usize,
+        cells: Vec<Value>,
+    ) -> ResultSet {
+        debug_assert_eq!(cells.len(), width * len, "width × len cells");
         ResultSet {
             header,
-            rows,
+            width,
+            len,
+            cells,
             affected: 0,
         }
     }
@@ -67,13 +100,12 @@ impl ResultSet {
     }
 
     /// The result rows.
-    pub fn rows(&self) -> &[Vec<Value>] {
-        &self.rows
-    }
-
-    /// Consumes the result set, yielding its rows.
-    pub fn into_rows(self) -> Vec<Vec<Value>> {
-        self.rows
+    pub fn rows(&self) -> Rows<'_> {
+        Rows {
+            cells: &self.cells,
+            width: self.width,
+            len: self.len,
+        }
     }
 
     /// Rows affected by a DML statement.
@@ -83,12 +115,12 @@ impl ResultSet {
 
     /// Whether the result has no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len == 0
     }
 
     /// Number of result rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.len
     }
 
     /// Index of a projected column by name.
@@ -99,13 +131,13 @@ impl ResultSet {
     /// The value at (`row`, `column-name`), if present.
     pub fn value(&self, row: usize, column: &str) -> Option<&Value> {
         let ci = self.column_index(column)?;
-        self.rows.get(row).and_then(|r| r.get(ci))
+        self.rows().get(row).map(|r| &r[ci])
     }
 
     /// The single value of a one-row, one-column result (e.g. `COUNT(*)`).
     pub fn scalar(&self) -> Option<&Value> {
-        if self.rows.len() == 1 && self.rows[0].len() == 1 {
-            Some(&self.rows[0][0])
+        if self.len == 1 && self.width == 1 {
+            Some(&self.cells[0])
         } else {
             None
         }
@@ -119,11 +151,9 @@ impl ResultSet {
         } else {
             w.put_raw(&self.header);
         }
-        w.put_u32(self.rows.len() as u32);
-        for row in &self.rows {
-            for v in row {
-                v.encode(w);
-            }
+        w.put_u32(self.len as u32);
+        for v in &self.cells {
+            v.encode(w);
         }
     }
 
@@ -137,30 +167,29 @@ impl ResultSet {
     pub fn decode(r: &mut Reader) -> Result<ResultSet, DecodeError> {
         let affected = r.get_u32()? as usize;
         let mut names = r.clone();
-        let ncols = names.get_u32()? as usize;
-        for _ in 0..ncols {
+        let width = names.get_u32()? as usize;
+        for _ in 0..width {
             names.skip_str()?;
         }
         let header = r.get_bytes_raw(r.remaining() - names.remaining())?;
-        let nrows = r.get_u32()? as usize;
+        let len = r.get_u32()? as usize;
         // A length prefix is not a budget. Every cell is at least its tag
         // byte, so the counts are checked against the bytes left before
         // anything is reserved — with the columns counted as at least one,
-        // or rows of nothing would cost no bytes and never end.
-        if nrows.saturating_mul(ncols.max(1)) > r.remaining() {
+        // or rows of nothing would cost no bytes and never end. The cells
+        // reserved are then at most one per byte left.
+        if len.saturating_mul(width.max(1)) > r.remaining() {
             return Err(DecodeError::new("result set size"));
         }
-        let mut rows = Vec::with_capacity(nrows);
-        for _ in 0..nrows {
-            let mut row = Vec::with_capacity(ncols);
-            for _ in 0..ncols {
-                row.push(Value::decode(r)?);
-            }
-            rows.push(row);
+        let mut cells = Vec::with_capacity(len * width);
+        for _ in 0..len * width {
+            cells.push(Value::decode(r)?);
         }
         Ok(ResultSet {
             header,
-            rows,
+            width,
+            len,
+            cells,
             affected,
         })
     }
@@ -171,10 +200,109 @@ impl ResultSet {
 impl PartialEq for ResultSet {
     fn eq(&self, other: &ResultSet) -> bool {
         self.affected == other.affected
-            && self.rows == other.rows
+            && self.len == other.len
+            && self.cells == other.cells
             && self.columns().eq(other.columns())
     }
 }
+
+/// A result's rows, each a slice of its cells: indexed, counted and
+/// iterated as the `&[Vec<Value>]` a result used to hand out.
+#[derive(Clone, Copy)]
+pub struct Rows<'a> {
+    cells: &'a [Value],
+    width: usize,
+    len: usize,
+}
+
+impl<'a> Rows<'a> {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Row `i`, if there is one.
+    pub fn get(&self, i: usize) -> Option<&'a [Value]> {
+        (i < self.len).then(|| &self.cells[i * self.width..(i + 1) * self.width])
+    }
+
+    /// The first row, if there is one.
+    pub fn first(&self) -> Option<&'a [Value]> {
+        self.get(0)
+    }
+
+    /// The rows in order.
+    pub fn iter(&self) -> RowIter<'a> {
+        RowIter {
+            rest: self.cells,
+            width: self.width,
+            left: self.len,
+        }
+    }
+
+    /// Copies the rows out, one vector each.
+    pub fn to_vec(&self) -> Vec<Vec<Value>> {
+        self.iter().map(<[Value]>::to_vec).collect()
+    }
+}
+
+impl Index<usize> for Rows<'_> {
+    type Output = [Value];
+
+    /// # Panics
+    /// Panics if there is no row `i`.
+    fn index(&self, i: usize) -> &[Value] {
+        match self.get(i) {
+            Some(row) => row,
+            None => panic!("row {i} of a result of {} rows", self.len),
+        }
+    }
+}
+
+impl<'a> IntoIterator for Rows<'a> {
+    type Item = &'a [Value];
+    type IntoIter = RowIter<'a>;
+
+    fn into_iter(self) -> RowIter<'a> {
+        self.iter()
+    }
+}
+
+impl fmt::Debug for Rows<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Iterator over a result's [`Rows`].
+#[derive(Debug, Clone)]
+pub struct RowIter<'a> {
+    rest: &'a [Value],
+    width: usize,
+    left: usize,
+}
+
+impl<'a> Iterator for RowIter<'a> {
+    type Item = &'a [Value];
+
+    fn next(&mut self) -> Option<&'a [Value]> {
+        self.left = self.left.checked_sub(1)?;
+        let (row, rest) = self.rest.split_at(self.width);
+        self.rest = rest;
+        Some(row)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for RowIter<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -200,6 +328,12 @@ mod tests {
         assert_eq!(rs.value(5, "price"), None);
         assert_eq!(rs.value(0, "nope"), None);
         assert_eq!(rs.affected_rows(), 0);
+        let rows = rs.rows();
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[1], [Value::from("s:1"), Value::from(12.5)]);
+        assert_eq!(rows.first(), rows.get(0));
+        assert_eq!(rows.get(2), None);
+        assert_eq!(rows.iter().len(), 2);
     }
 
     #[test]
@@ -215,6 +349,7 @@ mod tests {
         let rs = ResultSet::affected(4);
         assert_eq!(rs.affected_rows(), 4);
         assert!(rs.is_empty());
+        assert!(rs.rows().is_empty());
     }
 
     #[test]
@@ -259,8 +394,16 @@ mod tests {
     }
 
     #[test]
-    fn into_rows_moves_data() {
-        let rows = sample().into_rows();
+    fn rows_copy_out() {
+        let rows = sample().rows().to_vec();
         assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0], [Value::from("s:0"), Value::from(10.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row 2 of a result of 2 rows")]
+    fn indexing_past_the_last_row_panics() {
+        let rs = sample();
+        let _ = &rs.rows()[2];
     }
 }

@@ -8,7 +8,7 @@
 //! `begin`/`execute`/`commit`/`rollback` is one encoded round trip over the
 //! configured [`Path`](sli_simnet::Path).
 
-use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -21,6 +21,7 @@ use sli_telemetry::{Counter, Histogram, Registry, SpanDetail, SpanOutcome, Trace
 use crate::connection::Connection;
 use crate::engine::Database;
 use crate::error::DbError;
+use crate::hash::FxHashMap;
 use crate::result::{self, ResultSet};
 use crate::value::Value;
 use crate::{BatchOutcome, BatchStatement, DbResult, SqlConnection};
@@ -175,11 +176,25 @@ impl DbServerMetrics {
     }
 }
 
+/// A wire session: its connection, and the scratch a frame's statements
+/// are decoded into — kept with the session and emptied after each frame,
+/// so that once it has seen its largest frame a frame allocates no
+/// containers.
+#[derive(Debug)]
+struct Session {
+    conn: Connection,
+    /// The frame's statements: each one's text, a view of the frame, and
+    /// the range of `params` its parameters fill.
+    statements: Vec<(FrameStr, Range<usize>)>,
+    /// Every statement's parameters, one after another.
+    params: Vec<Value>,
+}
+
 /// The database server: sessions, statement dispatch, cost accounting.
 #[derive(Debug)]
 pub struct DbServer {
     db: Arc<Database>,
-    sessions: Mutex<HashMap<u64, Connection>>,
+    sessions: Mutex<FxHashMap<u64, Session>>,
     next_session: AtomicU64,
     cost: DbCostModel,
     /// Virtual-speedup scale applied to every CPU charge (ppm of nominal;
@@ -204,7 +219,7 @@ impl DbServer {
     pub fn new(db: Arc<Database>, clock: Arc<Clock>, cost: DbCostModel) -> Arc<DbServer> {
         Arc::new(DbServer {
             db,
-            sessions: Mutex::new(HashMap::new()),
+            sessions: Mutex::new(FxHashMap::default()),
             next_session: AtomicU64::new(1),
             cost,
             cost_scale_ppm: AtomicU64::new(COST_SCALE_UNIT),
@@ -339,20 +354,98 @@ impl DbServer {
         Ok(())
     }
 
-    /// Reads one statement — package name, SQL text, parameters — of an
-    /// `OP_EXEC` or `OP_EXEC_BATCH` frame. The package name is checked and
-    /// skipped; the text is read where it lies in the frame.
-    fn read_statement(request: &mut Reader) -> DbResult<(FrameStr, Vec<Value>)> {
-        request.skip_str().map_err(wire_err)?;
-        let sql = request.get_str_view().map_err(wire_err)?;
-        let n = request.get_u32().map_err(wire_err)? as usize;
-        // A length prefix is not a budget: room for the parameters the
-        // remaining bytes can hold (each is at least its tag byte).
-        let mut params = Vec::with_capacity(n.min(request.remaining()));
-        for _ in 0..n {
-            params.push(Value::decode(request).map_err(wire_err)?);
+    /// Reads `count` statements — each a package name, SQL text and
+    /// parameters — of an `OP_EXEC` or `OP_EXEC_BATCH` frame into the
+    /// session's scratch. The package name is checked and skipped; the
+    /// text is read where it lies in the frame. Nothing is reserved for a
+    /// count off the wire: the scratch grows by what the frame's bytes
+    /// actually hold.
+    fn read_statements(request: &mut Reader, count: usize, session: &mut Session) -> DbResult<()> {
+        for _ in 0..count {
+            request.skip_str().map_err(wire_err)?;
+            let sql = request.get_str_view().map_err(wire_err)?;
+            let n = request.get_u32().map_err(wire_err)?;
+            let start = session.params.len();
+            for _ in 0..n {
+                session
+                    .params
+                    .push(Value::decode(request).map_err(wire_err)?);
+            }
+            session.statements.push((sql, start..session.params.len()));
         }
-        Ok((sql, params))
+        Ok(())
+    }
+
+    /// Runs the statements of an `OP_EXEC` (one) or `OP_EXEC_BATCH` (a
+    /// counted list) frame on `session` and writes the reply's body: the
+    /// one result, or the executed prefix's results under a count filled
+    /// in afterwards, then the error that stopped the batch. Each result is
+    /// encoded as its statement finishes.
+    fn run_statements(
+        &self,
+        op: u8,
+        request: &mut Reader,
+        session: &mut Session,
+        class: Option<&mut Option<Arc<str>>>,
+        per_request_us: u64,
+        w: &mut Writer,
+    ) -> DbResult<()> {
+        let count = if op == OP_EXEC {
+            1
+        } else {
+            request.get_u32().map_err(wire_err)? as usize
+        };
+        Self::read_statements(request, count, session)?;
+        let Session {
+            conn,
+            statements,
+            params,
+        } = session;
+        Self::read_stamp(request, conn)?;
+        if op == OP_EXEC {
+            let (sql, range) = &statements[0];
+            let rs = conn.execute_classed(sql, &params[range.clone()], class)?;
+            let row_us = self.charge(self.cost.per_row.saturating_mul(rs.len() as u64));
+            self.metrics.statements.inc();
+            self.metrics.statement_us.record(per_request_us + row_us);
+            rs.encode(w);
+            return Ok(());
+        }
+        if let Some(class) = class {
+            *class = Some(self.batch_class(count));
+        }
+        // One per_request charge (taken by the caller) covers the whole
+        // frame; rows still cost per_row each, so the db.batch span's
+        // duration decomposes exactly into what the clock was charged.
+        let mut total_us = per_request_us;
+        let executed_at = w.put_u32_later();
+        let mut executed = 0u32;
+        let mut first_err: Option<DbError> = None;
+        for (sql, range) in statements.iter() {
+            match conn.execute_classed(sql, &params[range.clone()], None) {
+                Ok(rs) => {
+                    total_us += self.charge(self.cost.per_row.saturating_mul(rs.len() as u64));
+                    self.metrics.statements.inc();
+                    rs.encode(w);
+                    executed += 1;
+                }
+                Err(e) => {
+                    // Stop at the first failure: statements after it never
+                    // run, mirroring the unbatched loop this replaces.
+                    first_err = Some(e);
+                    break;
+                }
+            }
+        }
+        w.patch_u32(executed_at, executed);
+        self.metrics.batches.inc();
+        self.metrics.batch_statements.record(u64::from(executed));
+        self.metrics.batch_us.record(total_us);
+        w.put_bool(first_err.is_some());
+        if let Some(e) = &first_err {
+            encode_db_error(w, e);
+        }
+        Ok(())
     }
 
     fn run_op(
@@ -370,7 +463,12 @@ impl DbServer {
         match op {
             OP_OPEN => {
                 let id = self.next_session.fetch_add(1, Ordering::Relaxed);
-                self.sessions.lock().insert(id, self.db.connect());
+                let session = Session {
+                    conn: self.db.connect(),
+                    statements: Vec::new(),
+                    params: Vec::new(),
+                };
+                self.sessions.lock().insert(id, session);
                 w.put_u64(id);
                 Ok(w)
             }
@@ -382,9 +480,10 @@ impl DbServer {
             OP_BEGIN | OP_EXEC | OP_EXEC_BATCH | OP_COMMIT | OP_ROLLBACK => {
                 let session = request.get_u64().map_err(wire_err)?;
                 let mut sessions = self.sessions.lock();
-                let conn = sessions
+                let session = sessions
                     .get_mut(&session)
                     .ok_or_else(|| DbError::Remote(format!("no session {session}")))?;
+                let conn = &mut session.conn;
                 match op {
                     OP_BEGIN => conn.begin()?,
                     OP_COMMIT => {
@@ -404,64 +503,21 @@ impl DbServer {
                         Err(DbError::NoTransaction) => {}
                         other => other?,
                     },
-                    OP_EXEC => {
-                        let (sql, params) = Self::read_statement(request)?;
-                        Self::read_stamp(request, conn)?;
-                        if let Some(class) = class {
-                            *class = Some(self.db.statement_class(&sql));
-                        }
-                        let rs = conn.execute(&sql, &params)?;
-                        let row_us = self.charge(self.cost.per_row.saturating_mul(rs.len() as u64));
-                        self.metrics.statements.inc();
-                        self.metrics.statement_us.record(per_request_us + row_us);
-                        rs.encode(&mut w);
+                    _ => {
+                        let ran = self.run_statements(
+                            op,
+                            request,
+                            session,
+                            class,
+                            per_request_us,
+                            &mut w,
+                        );
+                        // The views pin the request frame: let it go with
+                        // the call, and keep only the scratch's room.
+                        session.statements.clear();
+                        session.params.clear();
+                        ran?;
                     }
-                    OP_EXEC_BATCH => {
-                        let count = request.get_u32().map_err(wire_err)? as usize;
-                        let stmts = (0..count)
-                            .map(|_| Self::read_statement(request))
-                            .collect::<DbResult<Vec<_>>>()?;
-                        Self::read_stamp(request, conn)?;
-                        if let Some(class) = class {
-                            *class = Some(self.batch_class(count));
-                        }
-                        // One per_request charge (taken above) covers the
-                        // whole frame; rows still cost per_row each, so the
-                        // db.batch span's duration decomposes exactly into
-                        // what the clock was charged.
-                        let mut total_us = per_request_us;
-                        let mut results: Vec<ResultSet> = Vec::with_capacity(stmts.len());
-                        let mut first_err: Option<DbError> = None;
-                        for (sql, params) in &stmts {
-                            match conn.execute(sql, params) {
-                                Ok(rs) => {
-                                    total_us += self
-                                        .charge(self.cost.per_row.saturating_mul(rs.len() as u64));
-                                    self.metrics.statements.inc();
-                                    results.push(rs);
-                                }
-                                Err(e) => {
-                                    // Stop at the first failure: statements
-                                    // after it never run, mirroring the
-                                    // unbatched loop this replaces.
-                                    first_err = Some(e);
-                                    break;
-                                }
-                            }
-                        }
-                        self.metrics.batches.inc();
-                        self.metrics.batch_statements.record(results.len() as u64);
-                        self.metrics.batch_us.record(total_us);
-                        w.put_u32(results.len() as u32);
-                        for rs in &results {
-                            rs.encode(&mut w);
-                        }
-                        w.put_bool(first_err.is_some());
-                        if let Some(e) = &first_err {
-                            encode_db_error(&mut w, e);
-                        }
-                    }
-                    _ => unreachable!(),
                 }
                 Ok(w)
             }

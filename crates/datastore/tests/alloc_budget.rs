@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use sli_datastore::server::{DbCostModel, DbServer, RemoteConnection};
-use sli_datastore::{Database, DbError, ResultSet, SqlConnection, Value};
+use sli_datastore::{BatchStatement, Database, DbError, ResultSet, SqlConnection, Value};
 use sli_simnet::wire::{frame, protocol, unframe, Reader, Writer};
 use sli_simnet::{Clock, Path, PathSpec, Remote, Service};
 
@@ -170,29 +170,33 @@ fn statement_path_stays_within_its_allocation_budget() {
     assert_eq!(clone, 0, "Value::clone of a string");
     assert_eq!(copy, key[0]);
 
-    // (b) A primary-key SELECT of three named columns, autocommitted: 5 —
-    // the match list, the borrowed-row list, the projection indices, the
-    // row list and the row. A string cell is shared text, so the key in
-    // the lock table and in the match list and the one string among the
-    // result's cells are reference counts; it was 8 while each was a copy.
-    // The result's column names are the plan's header, shared; while they
-    // were a vector and three strings per result it was 12. Before
-    // in-place evaluation and the shared schema it was 37: a deep schema
-    // copy, a bound copy of the predicate, the table name once per lock
-    // and a full-row clone on top.
+    // (b) A primary-key SELECT of three named columns, autocommitted: 2 —
+    // the match list and the result's one vector of cells, projected
+    // straight off the match list through the column indices the plan
+    // keeps beside its header. It was 5 while a result was a list of rows
+    // (the borrowed-row list, the projection indices, the row list and the
+    // row). A string cell is shared text, so the key in the lock table and
+    // in the match list and the one string among the result's cells are
+    // reference counts; it was 8 while each was a copy. The result's column
+    // names are the plan's header, shared; while they were a vector and
+    // three strings per result it was 12. Before in-place evaluation and
+    // the shared schema it was 37: a deep schema copy, a bound copy of the
+    // predicate, the table name once per lock and a full-row clone on top.
     let select = steady(|| {
         let (allocs, rs) = allocs_of(|| conn.execute(SELECT, &key).unwrap());
         assert_eq!(rs.rows()[0].len(), 3);
         allocs
     });
-    assert!(select <= 5, "pk SELECT: {select} allocations");
-    // The header lives as long as the DDL epoch it was encoded under, like
-    // the access path: the statement after any DDL pays for both again
-    // (2 and 1), the one after that does not.
+    assert!(select <= 3, "pk SELECT: {select} allocations");
+    // The projection lives as long as the DDL epoch it was resolved under,
+    // like the access path: the statement after any DDL pays for both
+    // again (4 — the header's buffer and its frozen copy, the column
+    // indices and the record holding both — and 1), the one after that
+    // does not.
     db.execute_ddl("CREATE TABLE aside (id INT PRIMARY KEY)")
         .unwrap();
     let (replanned, _) = allocs_of(|| conn.execute(SELECT, &key).unwrap());
-    assert_eq!(replanned, select + 3, "pk SELECT after DDL");
+    assert_eq!(replanned, select + 5, "pk SELECT after DDL");
     let (again, _) = allocs_of(|| conn.execute(SELECT, &key).unwrap());
     assert_eq!(again, select, "pk SELECT, replanned");
 
@@ -283,12 +287,14 @@ fn wire_path_stays_within_its_allocation_budget() {
     assert_eq!(framed, 2, "a framed message");
     assert_eq!(message.len(), 32 + 1 + 8 + 4 + SELECT.len());
 
-    // (b) The primary-key SELECT of three columns, over the wire: 14 — the
-    // engine's 5, two messages (4), the parameter list and the key in it
-    // (2), and the decoded rows (3: the list, the row, its string). The
-    // statement text and the package name are read in the frame; the
-    // column names stay in the reply. It was 17 with the engine's 8, and
-    // 31 before that.
+    // (b) The primary-key SELECT of three columns, over the wire: 9 — the
+    // engine's 2, two messages (4), the key decoded into the session's
+    // parameter scratch (1), and the decoded cells (2: their vector and
+    // the one string). The statement text and the package name are read in
+    // the frame; the column names stay in the reply. It was 14 while the
+    // server decoded into a parameter list of its own and the engine and
+    // the decoder built a list of rows, 17 with the engine's 8, and 31
+    // before that.
     let select = steady(|| {
         let (allocs, rs) = allocs_of(|| conn.execute(SELECT, &key).unwrap());
         assert_eq!(
@@ -297,11 +303,34 @@ fn wire_path_stays_within_its_allocation_budget() {
         );
         allocs
     });
-    assert!(select <= 14, "remote pk SELECT: {select} allocations");
+    assert!(select <= 10, "remote pk SELECT: {select} allocations");
+
+    // (b') Six primary-key SELECTs in one batch frame, the shape of a
+    // commit's read validation: 39 — six times the engine's 2, two
+    // messages (4) that each outgrow the room a message starts with twice
+    // (4), six keys (6), the outcome's result list (1) and six decoded
+    // results of two (12). The server decodes the frame's statements into
+    // the session's scratch and encodes each result into the reply as it
+    // finishes. It was 72: a statement list, a parameter list per
+    // statement and a result list on the server, and rows on both sides.
+    let batch: Vec<BatchStatement> = (0..6)
+        .map(|i| BatchStatement::new(SELECT, vec![Value::from(format!("uid:{i}"))]))
+        .collect();
+    let six = steady(|| {
+        let (allocs, out) = allocs_of(|| conn.execute_batch(&batch).unwrap());
+        assert_eq!(out.results.len(), 6);
+        assert!(out.error.is_none());
+        allocs
+    });
+    assert!(
+        six <= 45,
+        "remote batch of six pk SELECTs: {six} allocations"
+    );
 
     // (c) The autocommitted primary-key UPDATE: what it costs on a local
-    // connection, plus two messages (4) and the parameter list with its
-    // one string (2).
+    // connection, plus two messages (4) and its one string parameter (1).
+    // It was local + 6 while the server decoded into a parameter list of
+    // its own.
     let update_local = steady(|| allocs_of(|| local.execute(UPDATE, &sets).unwrap()).0);
     let update = steady(|| {
         let (allocs, rs) = allocs_of(|| conn.execute(UPDATE, &sets).unwrap());
@@ -309,7 +338,7 @@ fn wire_path_stays_within_its_allocation_budget() {
         allocs
     });
     assert!(
-        update <= update_local + 6,
+        update <= update_local + 5,
         "remote pk UPDATE: {update} allocations (local: {update_local})"
     );
 
@@ -333,6 +362,17 @@ fn exec_frame(session: u64, nparams: u32) -> Bytes {
     frame(protocol::JDBC, 7, &w.finish())
 }
 
+/// A well-framed `OP_EXEC_BATCH` (6) on `session`, announcing `count`
+/// statements and carrying one.
+fn batch_frame(session: u64, count: u32) -> Bytes {
+    let mut w = Writer::new();
+    w.put_u8(6).put_u64(session).put_u32(count);
+    w.put_str("NULLID.SYSSH200");
+    w.put_str("SELECT logins FROM account WHERE userid = 'uid:3'")
+        .put_u32(0);
+    frame(protocol::JDBC, 7, &w.finish())
+}
+
 #[test]
 fn a_hostile_count_reserves_only_what_its_frame_can_hold() {
     let db = accounts();
@@ -346,19 +386,24 @@ fn a_hostile_count_reserves_only_what_its_frame_can_hold() {
         db.commit_seq(),
     );
 
-    // A statement announcing u32::MAX parameters — 100 GB of them — in a
-    // frame of under a hundred bytes.
-    let message = exec_frame(session, u32::MAX);
-    let sent = message.len() as u64;
-    assert!(sent < 100);
-    let (asked, reply) = bytes_of(|| server.handle(message));
-    let (header, payload) = unframe(reply).unwrap();
-    assert_eq!(header.correlation, 7);
-    assert_eq!(Reader::new(payload).get_u8().unwrap(), 1, "STATUS_ERR");
-    assert!(
-        asked < 8 * sent,
-        "{asked} bytes requested for a {sent}-byte frame"
-    );
+    // A statement announcing u32::MAX parameters — 100 GB of them — and a
+    // batch announcing u32::MAX statements, each in a frame of about a
+    // hundred bytes.
+    for message in [
+        exec_frame(session, u32::MAX),
+        batch_frame(session, u32::MAX),
+    ] {
+        let sent = message.len() as u64;
+        assert!(sent < 128);
+        let (asked, reply) = bytes_of(|| server.handle(message));
+        let (header, payload) = unframe(reply).unwrap();
+        assert_eq!(header.correlation, 7);
+        assert_eq!(Reader::new(payload).get_u8().unwrap(), 1, "STATUS_ERR");
+        assert!(
+            asked < 8 * sent,
+            "{asked} bytes requested for a {sent}-byte frame"
+        );
+    }
     // Nothing ran, and the session still works.
     let after = (
         conn.execute(logins, &[]).unwrap(),
@@ -392,6 +437,18 @@ fn a_hostile_count_reserves_only_what_its_frame_can_hold() {
             "{asked} bytes requested for a {sent}-byte reply"
         );
     }
+    // Counts the reply's bytes could just hold as one-byte cells, with the
+    // cells not there: the one vector of cells is reserved for at most one
+    // cell per byte left, and the first cell that is not there fails.
+    let hostile = reply(1, &["a"], 4 + 1024);
+    let sent = hostile.len() as u64;
+    let (asked, decoded) = bytes_of(|| ResultSet::decode(&mut Reader::new(hostile)));
+    assert!(decoded.is_err());
+    let cell = std::mem::size_of::<Value>() as u64;
+    assert!(
+        asked <= cell * sent,
+        "{asked} bytes requested for a {sent}-byte reply"
+    );
     // An honest reply of no columns and no rows still decodes.
     let mut r = Reader::new(reply(0, &[], 0));
     assert_eq!(ResultSet::decode(&mut r).unwrap(), ResultSet::affected(0));

@@ -207,3 +207,88 @@ fn autocommit_storm_from_many_threads() {
     assert_eq!(db.row_count("account").unwrap(), 1 + 8 * 50);
     assert_eq!(db.lock_manager().lock_count(), 0);
 }
+
+/// Spins until `n` statements are parked in `db`'s lock manager.
+fn until_parked(db: &Database, n: usize) {
+    while db.lock_manager().waiters() < n {
+        thread::yield_now();
+    }
+}
+
+fn balance(conn: &mut impl SqlConnection, id: i64) -> Result<f64, DbError> {
+    let rs = conn.execute(
+        "SELECT balance FROM account WHERE id = ?",
+        &[Value::from(id)],
+    )?;
+    Ok(rs.rows()[0][0].as_double().unwrap())
+}
+
+// A release wakes parked acquirers only when the lock manager counts one,
+// so these three pin the count: it is 0 whenever nothing waits (a release
+// then wakes nobody), it is 1 while a statement is parked, and the parked
+// statement still wakes — a missed wake-up would end it in LockTimeout.
+
+#[test]
+fn a_parked_acquirer_is_woken_by_the_release() {
+    let db = bank(2, 100.0);
+    let mut holder = db.connect();
+    holder.begin().unwrap();
+    holder
+        .execute("UPDATE account SET balance = 50.0 WHERE id = 0", &[])
+        .unwrap();
+    assert_eq!(db.lock_manager().waiters(), 0);
+    thread::scope(|scope| {
+        let reader = scope.spawn(|| balance(&mut db.connect(), 0));
+        until_parked(&db, 1);
+        holder.commit().unwrap();
+        assert_eq!(reader.join().unwrap(), Ok(50.0));
+    });
+    assert_eq!(db.lock_manager().waiters(), 0);
+}
+
+#[test]
+fn a_deadlock_victim_errors_and_the_survivor_proceeds() {
+    let db = bank(2, 100.0);
+    let touch = "UPDATE account SET balance = 1.0 WHERE id = ?";
+    let mut first = db.connect();
+    first.begin().unwrap();
+    first.execute(touch, &[Value::from(0)]).unwrap();
+    let (holds, held) = std::sync::mpsc::channel();
+    thread::scope(|scope| {
+        let second = scope.spawn(|| {
+            let mut conn = db.connect();
+            conn.begin()?;
+            conn.execute(touch, &[Value::from(1)])?;
+            holds.send(()).unwrap();
+            // Parks on row 0, which the first transaction holds.
+            conn.execute(touch, &[Value::from(0)])?;
+            conn.commit()
+        });
+        held.recv().unwrap();
+        until_parked(&db, 1);
+        // Row 1 closes the cycle: the requester is the victim.
+        assert_eq!(
+            first.execute(touch, &[Value::from(1)]).unwrap_err(),
+            DbError::Deadlock
+        );
+        first.rollback().unwrap();
+        second.join().unwrap().unwrap();
+    });
+    assert_eq!(db.lock_manager().waiters(), 0);
+    assert_eq!(db.lock_manager().lock_count(), 0);
+}
+
+#[test]
+fn a_release_with_no_waiter_finds_none_counted() {
+    let db = bank(2, 100.0);
+    let mut conn = db.connect();
+    for _ in 0..3 {
+        conn.begin().unwrap();
+        conn.execute("UPDATE account SET balance = 90.0 WHERE id = 1", &[])
+            .unwrap();
+        assert_eq!(db.lock_manager().waiters(), 0);
+        conn.commit().unwrap();
+        assert_eq!(balance(&mut conn, 1), Ok(90.0));
+        assert_eq!(db.lock_manager().waiters(), 0);
+    }
+}

@@ -291,12 +291,28 @@ impl Writer {
     /// bytes [`Writer::put_frame`] appends for the finished value, written
     /// in place under a length filled in afterwards.
     pub fn put_nested(&mut self, write: impl FnOnce(&mut Writer)) -> &mut Writer {
-        let at = self.buf.len();
-        self.buf.put_u32(0);
+        let at = self.put_u32_later();
         write(self);
         let len = (self.buf.len() - at - 4) as u32;
-        self.buf[at..at + 4].copy_from_slice(&len.to_be_bytes());
+        self.patch_u32(at, len);
         self
+    }
+
+    /// Appends a `u32` whose value is not known yet — a count of what is
+    /// written after it — and returns where it lies, for
+    /// [`Writer::patch_u32`].
+    pub fn put_u32_later(&mut self) -> usize {
+        let at = self.buf.len();
+        self.buf.put_u32(0);
+        at
+    }
+
+    /// Fills in the `u32` that [`Writer::put_u32_later`] left at `at`.
+    ///
+    /// # Panics
+    /// Panics if `at` is not within what has been written.
+    pub fn patch_u32(&mut self, at: usize, v: u32) {
+        self.buf[at..at + 4].copy_from_slice(&v.to_be_bytes());
     }
 
     /// Appends bytes that are already in wire form (no length prefix).

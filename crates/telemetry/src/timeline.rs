@@ -24,7 +24,7 @@
 //! [`validate`](crate::validate); [`sparkline`] renders a series as a fixed ASCII
 //! ramp for the bench binaries' terminal tables.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Mutex;
 
 use crate::json::Json;
@@ -83,8 +83,43 @@ struct SeriesState {
     /// Reading at the last [`Timeline::rebase`]: rate totals are deltas
     /// against it, level series forward-fill from it.
     base: u64,
-    /// Window index → last reading observed within that window.
-    windows: BTreeMap<u64, u64>,
+    /// `(window index, last reading observed within it)`, ascending by
+    /// window. Samples come in time order, so filing one overwrites the
+    /// last window or appends a new one.
+    windows: Vec<(u64, u64)>,
+}
+
+impl SeriesState {
+    /// Files `reading` as window `w`'s latest.
+    fn file(&mut self, w: u64, reading: u64) {
+        match self.windows.last_mut() {
+            Some((last, v)) if *last == w => *v = reading,
+            Some((last, _)) if *last > w => {
+                match self.windows.binary_search_by_key(&w, |&(w, _)| w) {
+                    Ok(at) => self.windows[at].1 = reading,
+                    Err(at) => self.windows.insert(at, (w, reading)),
+                }
+            }
+            _ => self.windows.push((w, reading)),
+        }
+    }
+
+    /// Merges neighbouring windows in place for a doubled width: each pair
+    /// keeps its later (larger-index) reading, the correct "last reading"
+    /// for cumulative counters and gauges alike.
+    fn coalesce(&mut self) {
+        let mut kept = 0;
+        for i in 0..self.windows.len() {
+            let (w, v) = self.windows[i];
+            if kept > 0 && self.windows[kept - 1].0 == w / 2 {
+                self.windows[kept - 1].1 = v;
+            } else {
+                self.windows[kept] = (w / 2, v);
+                kept += 1;
+            }
+        }
+        self.windows.truncate(kept);
+    }
 }
 
 struct Inner {
@@ -202,7 +237,7 @@ impl Timeline {
                     kind,
                     source,
                     base,
-                    windows: BTreeMap::new(),
+                    windows: Vec::new(),
                 },
             );
         }
@@ -241,23 +276,15 @@ impl Timeline {
         let offset = now_us.saturating_sub(inner.origin_us);
         let mut w = offset / inner.window_us;
         while w as usize >= inner.max_windows {
-            // Double the width and merge neighbouring windows. Ascending
-            // iteration + overwrite keeps the later (larger-index) reading
-            // per merged pair, which is the correct "last reading" for
-            // cumulative counters and gauges alike.
             inner.window_us *= 2;
             for s in &mut inner.series {
-                let mut merged = BTreeMap::new();
-                for (&old_w, &v) in s.windows.iter() {
-                    merged.insert(old_w / 2, v);
-                }
-                s.windows = merged;
+                s.coalesce();
             }
             w = offset / inner.window_us;
         }
         for s in &mut inner.series {
             let v = s.source.value();
-            s.windows.insert(w, v);
+            s.file(w, v);
         }
     }
 
@@ -270,7 +297,7 @@ impl Timeline {
         let len = inner
             .series
             .iter()
-            .filter_map(|s| s.windows.keys().next_back().copied())
+            .filter_map(|s| s.windows.last().map(|&(w, _)| w))
             .max()
             .map_or(0, |w| w as usize + 1);
         let series = inner
@@ -281,7 +308,7 @@ impl Timeline {
                 match s.kind {
                     SeriesKind::Rate => {
                         let mut prev = s.base;
-                        for (&w, &cum) in &s.windows {
+                        for &(w, cum) in &s.windows {
                             values[w as usize] = cum.saturating_sub(prev);
                             prev = cum;
                         }
@@ -296,7 +323,7 @@ impl Timeline {
                         let mut last = s.base;
                         let mut next = s.windows.iter().peekable();
                         for (w, v) in values.iter_mut().enumerate() {
-                            while let Some((&sw, &sv)) = next.peek() {
+                            while let Some(&&(sw, sv)) = next.peek() {
                                 if sw as usize <= w {
                                     last = sv;
                                     next.next();
@@ -567,6 +594,67 @@ pub(crate) mod tests {
         assert!(report.windows() <= 4);
         assert_eq!(report.series[0].total, 1_000);
         assert_eq!(report.series[0].values.iter().sum::<u64>(), 1_000);
+    }
+
+    /// The windows as a map from index to reading, filed and coalesced the
+    /// way the timeline kept them before they were a sorted vector.
+    fn map_model(samples: &[(u64, u64)], window_us: u64, max: usize) -> Vec<(u64, u64)> {
+        let (mut width, mut windows) = (window_us, std::collections::BTreeMap::new());
+        for &(now_us, reading) in samples {
+            let mut w = now_us / width;
+            while w as usize >= max {
+                width *= 2;
+                windows = windows.into_iter().map(|(w, v)| (w / 2, v)).collect();
+                w = now_us / width;
+            }
+            windows.insert(w, reading);
+        }
+        windows.into_iter().collect()
+    }
+
+    #[test]
+    fn windows_file_and_coalesce_as_the_map_model_did() {
+        let mut seed = 0x5eed_0026u64;
+        let mut next = |n: u64| {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (seed >> 33) % n
+        };
+        for case in 0..200 {
+            let (c, g) = (Counter::new(), Gauge::new());
+            let tl = Timeline::with_max_windows(100, 8);
+            tl.track_counter("c", &c);
+            tl.track_gauge("g", &g);
+            let mut now = 0u64;
+            let mut samples = Vec::new();
+            for _ in 0..next(60) {
+                // Mostly forward within or past a window, sometimes back,
+                // sometimes far ahead (a widening).
+                now = match next(10) {
+                    0 => now.saturating_sub(next(400)),
+                    1 => now + next(20_000),
+                    _ => now + next(150),
+                };
+                c.add(next(5));
+                g.set(next(1_000));
+                tl.sample(now);
+                samples.push((now, c.get(), g.get()));
+            }
+            let counts: Vec<_> = samples.iter().map(|&(t, c, _)| (t, c)).collect();
+            let levels: Vec<_> = samples.iter().map(|&(t, _, g)| (t, g)).collect();
+            let inner = tl.inner.lock().unwrap();
+            assert_eq!(
+                inner.series[0].windows,
+                map_model(&counts, 100, 8),
+                "case {case}"
+            );
+            assert_eq!(
+                inner.series[1].windows,
+                map_model(&levels, 100, 8),
+                "case {case}"
+            );
+        }
     }
 
     #[test]

@@ -124,7 +124,7 @@ fn dump_state(tb: &Testbed) -> Vec<(String, Vec<Vec<Value>>)> {
             let rs = conn
                 .execute(&format!("SELECT * FROM {t}"), &[])
                 .expect("dump");
-            (t.to_string(), rs.into_rows())
+            (t.to_string(), rs.rows().to_vec())
         })
         .collect()
 }

@@ -21,8 +21,9 @@
 //!   frame checksum folded eight bytes a step is the byte-by-byte fold;
 //! * a message written into one buffer — an HTTP request or response, a
 //!   frame behind its header, a nested commit request, a result set with
-//!   its header in wire form, the validator's conditional statements — is
-//!   byte for byte what formatting and copying it used to produce;
+//!   its header in wire form and its rows one vector of cells, the
+//!   validator's conditional statements — is byte for byte what formatting
+//!   and copying it used to produce;
 //! * a rolled-back transaction, and one torn by a crash and undone by
 //!   recovery, both leave the database as if they had never run;
 //! * the span fold that handles spans by number — interned classes, a
@@ -740,9 +741,96 @@ fn result_set_codec_round_trips_and_names_its_columns() {
         let back = ResultSet::decode(&mut r).unwrap();
         assert_eq!(back, rs);
         assert_eq!(back.columns().collect::<Vec<_>>(), names);
-        assert_eq!(back.rows(), rows);
+        assert_eq!(back.rows().to_vec(), rows);
         assert_eq!(r.get_str().unwrap(), "next", "decode stops at its end");
     }
+}
+
+/// A result as it was before its cells were one vector: its names, and a
+/// vector of cells per row — encoded the way that form encoded itself.
+fn encode_nested(names: &[String], rows: &[Vec<Value>]) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.put_u32(0).put_u32(names.len() as u32);
+    for name in names {
+        w.put_str(name);
+    }
+    w.put_u32(rows.len() as u32);
+    for row in rows {
+        for v in row {
+            v.encode(&mut w);
+        }
+    }
+    w.finish().to_vec()
+}
+
+#[test]
+fn a_result_is_its_rows_in_one_vector_of_cells() {
+    let mut rng = StdRng::seed_from_u64(0x3e3e_0226);
+    let alphabet: Vec<char> = "ab_9 é漢🙂".chars().collect();
+    let mut shapes = std::collections::BTreeSet::new();
+    for case in 0..400 {
+        // 0–4 columns (none with rows too), 0–6 rows, every kind of value,
+        // strings outside ASCII.
+        let (width, len) = (rng.gen_range(0..5usize), rng.gen_range(0..7usize));
+        shapes.insert((width, len));
+        let names: Vec<String> = (0..width).map(|i| format!("c{i}")).collect();
+        let rows: Vec<Vec<Value>> = (0..len)
+            .map(|_| {
+                (0..width)
+                    .map(|_| match rng.gen_range(0..6u32) {
+                        5 => Value::from(
+                            (0..rng.gen_range(0..6u32))
+                                .map(|_| alphabet[rng.gen_range(0..alphabet.len())])
+                                .collect::<String>(),
+                        ),
+                        _ => gen_value(&mut rng),
+                    })
+                    .collect()
+            })
+            .collect();
+        let rs = ResultSet::with_rows(names.clone(), rows.clone());
+        let mut w = Writer::new();
+        rs.encode(&mut w);
+        let encoded = w.finish();
+        assert_eq!(
+            encoded.to_vec(),
+            encode_nested(&names, &rows),
+            "case {case}"
+        );
+
+        // Rows of no columns cost no bytes, so a reply holding them must
+        // have as many bytes behind it to decode: the next message's.
+        let mut w = Writer::new();
+        w.put_raw(&encoded).put_str("next");
+        let mut r = Reader::new(w.finish());
+        let back = ResultSet::decode(&mut r).unwrap();
+        assert_eq!(
+            r.get_str().unwrap(),
+            "next",
+            "case {case}: decode stops at its end"
+        );
+        assert_eq!(back, rs, "case {case}");
+        for result in [&rs, &back] {
+            let view = result.rows();
+            assert_eq!((result.len(), view.len()), (len, len), "case {case}");
+            assert_eq!(result.is_empty(), len == 0);
+            assert_eq!(view.first(), rows.first().map(Vec::as_slice));
+            assert_eq!(view.get(len), None);
+            for (i, row) in rows.iter().enumerate() {
+                assert_eq!(&view[i], row.as_slice(), "case {case}: row {i}");
+                assert_eq!(view.get(i), Some(row.as_slice()));
+            }
+            assert!(
+                view.iter().eq(rows.iter().map(Vec::as_slice)),
+                "case {case}"
+            );
+            assert_eq!(view.iter().len(), len);
+            assert_eq!(view.to_vec(), rows);
+            let scalar = (width == 1 && len == 1).then(|| &rows[0][0]);
+            assert_eq!(result.scalar(), scalar, "case {case}");
+        }
+    }
+    assert_eq!(shapes.len(), 5 * 7, "every shape drawn");
 }
 
 // ---------- validator equivalence ----------
@@ -775,7 +863,8 @@ fn dump(db: &Arc<Database>) -> Vec<Vec<Value>> {
     let mut conn = db.connect();
     conn.execute("SELECT * FROM account", &[])
         .unwrap()
-        .into_rows()
+        .rows()
+        .to_vec()
 }
 
 fn account_image(user: &str, balance: f64) -> Memento {
