@@ -1,9 +1,10 @@
 //! The load engine: the one main loop, many logical sessions multiplexed on
 //! virtual time under one of two admission rules.
 //!
-//! *Closed* admission is the paper's protocol (§4.3): one client starts its
-//! next session the instant its last one ends, so a single session is ever
-//! live and offered load can never exceed the service rate. *Open* admission
+//! *Closed* admission is the paper's protocol (§4.3) with a client count:
+//! each of `n` clients starts its next session the instant its last one
+//! ends, so exactly `n` sessions are live while scripts last and offered
+//! load can never exceed the service rate. The paper's is `n = 1`. *Open* admission
 //! is what makes the saturation knee visible: sessions *arrive* on an
 //! [`ArrivalPlan`] schedule whether or not earlier sessions have finished,
 //! wait in a ready queue, and interleave at client-RPC boundaries. The two
@@ -20,10 +21,11 @@
 //! Latency accounting is the standard decomposition: a request becomes
 //! *ready* (session admission or arrival, or think-time expiry), possibly
 //! waits while the single virtual CPU serves other sessions, then is
-//! dispatched. Its reported latency is `queue_wait + service`. The closed
-//! client never waits; under open admission the queue grows as the offered
-//! rate approaches the service rate and the latency curve bends up — the
-//! knee the `knee` bin plots.
+//! dispatched. Its reported latency is `queue_wait + service`. A lone closed
+//! client never waits (`n` closed clients wait for each other's round
+//! trips); under open admission the queue grows as the offered rate
+//! approaches the service rate and the latency curve bends up — the knee
+//! the `knee` bin plots.
 
 use std::sync::Arc;
 
@@ -52,10 +54,12 @@ pub struct LoadPlan {
     pub scheduler_seed: u64,
     /// Database population the scripts draw users/symbols from.
     pub population: Population,
-    /// `true`: closed admission — one client, starting its next session
-    /// the instant its last one ends; `arrivals` is not consulted.
-    /// `false`: open admission on the `arrivals` schedule.
-    pub closed: bool,
+    /// `Some(n)`: closed admission — `n` clients, each starting its next
+    /// session the instant its last one ends; client `c`'s sessions run on
+    /// edge `c % edges` and `arrivals` is not consulted. `None`: open
+    /// admission on the `arrivals` schedule, session `i` on edge
+    /// `i % edges` (an open session is its own client).
+    pub closed: Option<usize>,
     /// Sessions of the `session_seed` script stream skipped before the
     /// first one this plan runs, so one plan can continue the stream where
     /// another (a warm-up) stopped.
@@ -74,7 +78,7 @@ impl LoadPlan {
             session_seed: seed ^ 0x5e55_1011,
             scheduler_seed: seed ^ 0x5c4e_d01e,
             population: Population::default(),
-            closed: false,
+            closed: None,
             first_session: 0,
         }
     }
@@ -295,6 +299,8 @@ struct LiveSession<'t> {
     actions: Vec<TradeAction>,
     next: usize,
     ready_at: SimTime,
+    /// The client the session runs for; it picks the edge.
+    client_no: usize,
     /// When the session joined the live set (loop-top admission instant;
     /// under saturation this can lag the scheduled arrival because the
     /// loop only admits between dispatches). Residence is measured from
@@ -361,8 +367,8 @@ impl<'t> LoadEngine<'t> {
     /// transitions rather than sampling artifacts.
     ///
     /// # Panics
-    /// Panics on a plan with no sessions, or an open plan whose arrival rate
-    /// is not positive and finite.
+    /// Panics on a plan with no sessions, a closed plan with no clients, or
+    /// an open plan whose arrival rate is not positive and finite.
     pub fn run_with(&self, plan: &LoadPlan, hooks: RunHooks<'_>) -> LoadedRun {
         let RunHooks {
             timeline,
@@ -375,6 +381,10 @@ impl<'t> LoadEngine<'t> {
             mon.bind_queue_gauge(self.metrics.queue_depth.clone());
         }
         assert!(plan.sessions > 0, "a run needs at least one session");
+        assert!(
+            plan.closed != Some(0),
+            "a closed run needs at least one client"
+        );
         let clock = &self.testbed.clock;
         let edges = self.testbed.edges.len();
         let start = clock.now();
@@ -382,7 +392,7 @@ impl<'t> LoadEngine<'t> {
         // The whole schedule and every script are fixed up front: the run
         // is a pure function of the plan. A closed plan has no schedule —
         // its admissions follow its completions.
-        let arrival_times: Vec<SimTime> = if plan.closed {
+        let arrival_times: Vec<SimTime> = if plan.closed.is_some() {
             Vec::new()
         } else {
             plan.arrivals
@@ -424,6 +434,8 @@ impl<'t> LoadEngine<'t> {
         let mut interactions = Vec::with_capacity(expected);
         let mut live: Vec<LiveSession<'t>> = Vec::new();
         let mut next_arrival = 0usize;
+        // The closed clients not in a session, lowest number on top.
+        let mut free_clients: Vec<usize> = (0..plan.closed.unwrap_or(0)).rev().collect();
         let mut last_arrival = start;
         let mut peak_queue_depth = 0u64;
         // Little's-law accounting: the level integral advances at every
@@ -458,14 +470,19 @@ impl<'t> LoadEngine<'t> {
                 next_crash_change += 1;
             }
             // Admit: an open plan's sessions as their arrival instants
-            // pass, a closed plan's next one when the client is free. The
-            // closed client is ready the moment it is admitted, so it never
-            // waits in the queue.
+            // pass, a closed plan's next one whenever a client is free. A
+            // closed session is ready the moment its client admits it, so a
+            // client is never idle while scripts remain.
             while next_arrival < plan.sessions {
-                let ready_at = match plan.closed {
-                    true if live.is_empty() => now,
-                    false if arrival_times[next_arrival] <= now => arrival_times[next_arrival],
-                    _ => break,
+                let (ready_at, client_no) = match plan.closed {
+                    Some(_) => match free_clients.pop() {
+                        Some(c) => (now, c),
+                        None => break,
+                    },
+                    None if arrival_times[next_arrival] <= now => {
+                        (arrival_times[next_arrival], next_arrival)
+                    }
+                    None => break,
                 };
                 in_flight_area_us += live.len() as u64
                     * now
@@ -475,10 +492,11 @@ impl<'t> LoadEngine<'t> {
                 last_level_change = now;
                 live.push(LiveSession {
                     id: next_arrival as u32,
-                    client: VirtualClient::new(self.testbed, next_arrival % edges.max(1)),
+                    client: VirtualClient::new(self.testbed, client_no % edges.max(1)),
                     actions: scripts[next_arrival].clone(),
                     next: 0,
                     ready_at,
+                    client_no,
                     admitted_at: now,
                 });
                 last_arrival = ready_at;
@@ -546,7 +564,10 @@ impl<'t> LoadEngine<'t> {
                     .expect("a session completes after its admission")
                     .as_micros();
                 sessions_completed += 1;
-                live.swap_remove(idx);
+                let done = live.swap_remove(idx);
+                if plan.closed.is_some() {
+                    free_clients.push(done.client_no);
+                }
                 self.metrics.completions.inc();
                 self.metrics.in_flight.set(live.len() as u64);
             } else {
@@ -648,7 +669,7 @@ mod tests {
     fn closed_plan(sessions: usize, first_session: usize) -> LoadPlan {
         LoadPlan {
             think: SimDuration::ZERO,
-            closed: true,
+            closed: Some(1),
             first_session,
             ..plan(1.0, sessions)
         }
@@ -697,36 +718,99 @@ mod tests {
     }
 
     #[test]
-    fn a_closed_plan_keeps_one_session_live() {
+    fn a_closed_plan_keeps_n_clients_live_each_on_its_edge() {
         let config = TestbedConfig {
-            edges: 2,
+            edges: 4,
             ..TestbedConfig::default()
         };
-        let collect = || {
-            let tb = Testbed::build(Architecture::EsRbes, config);
-            let engine = LoadEngine::new(&tb);
-            let in_flight = engine.metrics().in_flight.clone();
-            let mut levels = Vec::new();
-            let mut sample = |_: &[SpanEvent]| levels.push(in_flight.get());
-            let run = engine.run_observed(&closed_plan(8, 0), None, Some(&mut sample));
-            (run, levels)
-        };
-        let (run, levels) = collect();
-        assert_eq!(levels.len(), run.interactions.len());
-        // Sampled after each dispatch: 1 mid-script, 0 right after a
-        // session's last interaction (the next admission is a loop top away).
-        assert_eq!(levels[0], 1);
-        assert!(levels.iter().all(|&l| l <= 1), "in_flight read {levels:?}");
-        assert_eq!(levels.iter().filter(|&&l| l == 0).count(), 8);
-        assert_eq!(run.peak_queue_depth, 1);
-        assert_eq!(run.sessions_completed, 8);
-        // The client is always in a session: the level integral is the
-        // makespan itself.
-        let ll = run.littles_law();
-        assert!(ll.holds(1e-9), "relative error {}", ll.relative_error);
-        assert_eq!(run.in_flight_area_us, run.makespan().as_micros());
-        assert_eq!(ll.avg_in_flight, 1.0);
-        assert_eq!((run, levels), collect(), "a closed plan replays");
+        for clients in [1usize, 2, 4] {
+            let plan = LoadPlan {
+                closed: Some(clients),
+                ..closed_plan(3 * clients, 0)
+            };
+            let collect = || {
+                let tb = Testbed::build(Architecture::EsRbes, config);
+                let engine = LoadEngine::new(&tb);
+                let metrics = Arc::clone(engine.metrics());
+                let requests = |e: usize| tb.edges[e].server.metrics().requests();
+                let mut served: Vec<u64> = (0..tb.edges.len()).map(requests).collect();
+                // After each dispatch: the instant, the live level, the
+                // completions so far and the edge that served it.
+                let mut samples = Vec::new();
+                let mut sample = |_: &[SpanEvent]| {
+                    let edge = (0..served.len())
+                        .find(|&e| requests(e) > served[e])
+                        .expect("some edge served the dispatch");
+                    served[edge] = requests(edge);
+                    let (level, done) = (metrics.in_flight.get(), metrics.completions.get());
+                    samples.push((tb.clock.now(), level, done, edge));
+                };
+                let run = engine.run_observed(&plan, None, Some(&mut sample));
+                (run, samples)
+            };
+            let (run, samples) = collect();
+            assert_eq!(samples.len(), run.interactions.len());
+            assert_eq!(run.sessions_completed, 3 * clients as u64);
+            let levels: Vec<u64> = samples.iter().map(|s| s.1).collect();
+            assert!(
+                levels.iter().all(|&l| l <= clients as u64),
+                "{clients} clients: in_flight read {levels:?}"
+            );
+            assert_eq!(levels[0], clients as u64);
+            assert!(run.peak_queue_depth <= clients as u64);
+
+            // Client `c` runs on edge `c`: every session stays on one edge,
+            // exactly the first `clients` edges serve, and an edge's
+            // sessions follow one another without overlapping.
+            let mut spans = vec![(usize::MAX, 0, usize::MAX); 3 * clients]; // (first, last, edge)
+            for (k, (i, s)) in run.interactions.iter().zip(&samples).enumerate() {
+                let span = &mut spans[i.session as usize];
+                if span.0 == usize::MAX {
+                    *span = (k, k, s.3);
+                }
+                assert_eq!(span.2, s.3, "session {} changed edge", i.session);
+                span.1 = k;
+            }
+            let mut edges: Vec<usize> = spans.iter().map(|s| s.2).collect();
+            edges.sort_unstable();
+            edges.dedup();
+            assert_eq!(edges, (0..clients).collect::<Vec<_>>());
+            for e in 0..clients {
+                let on_edge: Vec<_> = spans.iter().filter(|s| s.2 == e).collect();
+                assert!(on_edge.windows(2).all(|w| w[0].1 < w[1].0), "edge {e}");
+            }
+
+            // No session waits to be admitted: until the last admission every
+            // client is in a session, so the level integral is `clients` ×
+            // that span plus the tail in which the last sessions drain.
+            // (Round trips still serialise on the one virtual server, so
+            // with more than one client an interaction can wait for
+            // another client's; a lone client never does.)
+            let mut completions = Vec::new(); // in time order
+            let mut done_before = 0;
+            for &(at, _, done, _) in &samples {
+                if done > done_before {
+                    completions.push(at.as_micros());
+                }
+                done_before = done;
+            }
+            assert_eq!(completions.len(), 3 * clients);
+            let last = run.last_arrival.as_micros();
+            let tail: u64 = completions[2 * clients..].iter().map(|c| c - last).sum();
+            let span = (run.last_arrival - run.first_arrival).as_micros();
+            assert_eq!(run.in_flight_area_us, clients as u64 * span + tail);
+            if clients == 1 {
+                assert_eq!(run.in_flight_area_us, run.makespan().as_micros());
+                assert!(run
+                    .interactions
+                    .iter()
+                    .all(|i| i.queue_wait == SimDuration::ZERO));
+            }
+            let ll = run.littles_law();
+            assert!(ll.holds(1e-9), "relative error {}", ll.relative_error);
+            assert_eq!(run.in_flight_area_us, run.residence_sum_us);
+            assert_eq!((run, samples), collect(), "a closed plan replays");
+        }
     }
 
     #[test]

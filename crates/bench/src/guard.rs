@@ -195,7 +195,7 @@ pub fn guard_run(spec: &RunSpec) -> GuardEntry {
         RATIO_FLOOR,
     );
     match spec.admission {
-        Admission::Closed => GuardEntry {
+        Admission::Closed { .. } => GuardEntry {
             key: format!("{arch} @ {delay_ms}ms"),
             metrics: vec![
                 GuardMetric {

@@ -11,8 +11,7 @@
 //! | `fig8` | bytes to the shared site per client interaction |
 //! | `table2` | latency-sensitivity (slope) matrix |
 //! | `ablation_batching` | commit-batching ablation (paper §4.4) |
-//! | `ablation_cache` | common-store capacity ablation |
-//! | `contention` | conflict leaderboard under contended load |
+//! | `contention` | optimistic aborts and conflict leaderboard vs closed clients |
 //! | `knee` | throughput–latency curves, saturation knees, aggregate profile |
 //! | `whatif` | causal profiles via virtual resource speedups |
 //! | `perfguard` | performance-regression gate against recorded baselines |
@@ -31,10 +30,10 @@
 //! [`ArtifactSet`] and call [`ArtifactSet::write_all`]. A delay or rate
 //! sweep is `points.iter().map(|p| run(&spec_at(p)))`.
 //!
-//! Every run is two plans on one [`sli_arch::LoadEngine`]: a one-client
-//! closed warm-up, then the measured phase under the spec's admission.
-//! [`RunSpec::closed`] is the paper's §4.3 protocol — one virtual client,
-//! 400 warm-up sessions, 300 measured sessions (~11 interactions each),
+//! Every run is two plans on one [`sli_arch::LoadEngine`]: a closed warm-up
+//! with one client per edge, then the measured phase under the spec's
+//! admission. [`RunSpec::closed`] is the paper's §4.3 protocol — one
+//! virtual client, 400 warm-up sessions, 300 measured sessions (~11 interactions each),
 //! latencies averaged over 20 batches, and a least-squares fit across the
 //! delay sweep ([`sensitivity`]). [`RunSpec::open`] offers sessions at a
 //! configured arrival rate instead, so latency includes queue wait. The
@@ -73,18 +72,20 @@ pub use guard::{
 /// dispatch scheduler.
 pub const PAPER_SEED: u64 = 20040101;
 
-/// Everything that defines one measured run: where (architecture, delay),
-/// how much of it, and how sessions are admitted. Every run seeds its
-/// workload with [`PAPER_SEED`] and its database with the default
-/// [`Population`].
+/// Everything that defines one measured run: where (architecture, delay,
+/// data), how much of it, and how sessions are admitted. Every run seeds
+/// its workload with [`PAPER_SEED`].
 #[derive(Debug, Clone, Copy)]
 pub struct RunSpec {
     /// The architecture × flavor combination under test.
     pub arch: Architecture,
     /// Injected one-way delay on the architecture's delayed path.
     pub delay: SimDuration,
-    /// One-client closed warm-up sessions before measurement (cache and
-    /// connection state; paper: 400).
+    /// The seeded database the scripts draw users and symbols from (the
+    /// default everywhere but `contention`'s hot working set).
+    pub population: Population,
+    /// Closed warm-up sessions (one client per edge) before measurement
+    /// (cache and connection state; paper: 400).
     pub warmup_sessions: usize,
     /// Measured sessions (paper: 300).
     pub sessions: usize,
@@ -114,10 +115,14 @@ pub struct RunSpec {
 /// How the measured phase admits sessions.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Admission {
-    /// The paper's §4.3 protocol: one virtual client issues a request,
-    /// waits for the response and repeats, starting its next session the
-    /// instant its last one ends.
-    Closed,
+    /// `clients` virtual clients, each issuing a request, waiting for the
+    /// response and repeating, and starting its next session the instant
+    /// its last one ends. The testbed gets one edge per client. One client
+    /// is the paper's §4.3 protocol.
+    Closed {
+        /// How many clients (and edges).
+        clients: usize,
+    },
     /// Sessions *arrive* at a configured rate whether or not earlier ones
     /// have finished, so latency includes queue wait.
     Open {
@@ -156,6 +161,7 @@ impl RunSpec {
         RunSpec {
             arch,
             delay,
+            population: Population::default(),
             warmup_sessions: if quick { 20 } else { 400 },
             sessions: if quick { 30 } else { 300 },
             batches: if quick { 5 } else { 20 },
@@ -164,7 +170,7 @@ impl RunSpec {
             wire_batching: true,
             scale: ResourceScale::nominal(),
             monitor: None,
-            admission: Admission::Closed,
+            admission: Admission::Closed { clients: 1 },
         }
     }
 
@@ -244,7 +250,8 @@ pub struct RunSummary {
     /// Bytes to the shared site per client interaction (Figure 8 metric).
     pub shared_bytes_per_interaction: f64,
     /// Mean wire round trips per interaction over the architecture's
-    /// delayed path — the quantity statement batching exists to shrink.
+    /// delayed paths (every edge's) — the quantity statement batching
+    /// exists to shrink.
     pub round_trips_per_interaction: f64,
     /// Interactions that returned HTTP 200.
     pub ok: usize,
@@ -365,8 +372,9 @@ impl RunArtifacts {
     }
 }
 
-/// Measures one point: builds the testbed for `spec.arch`, warms it up with
-/// one closed client, resets telemetry, then runs the measured phase under
+/// Measures one point: builds the testbed for `spec.arch` (one edge per
+/// closed client, one edge for an open run), warms it up with one closed
+/// client per edge, resets telemetry, then runs the measured phase under
 /// `spec.admission` — the one entry point behind every figure, table, gate
 /// and sweep of this crate. Both phases are plans on one [`LoadEngine`].
 ///
@@ -378,12 +386,15 @@ impl RunArtifacts {
 /// how many events: the profile and breakdown would silently lack the
 /// traces those spans belonged to.
 pub fn run(spec: &RunSpec) -> RunArtifacts {
-    let population = Population::default();
+    let edges = match spec.admission {
+        Admission::Closed { clients } => clients,
+        Admission::Open { .. } => 1,
+    };
     let testbed = Testbed::build(
         spec.arch,
         TestbedConfig {
-            population,
-            edges: 1,
+            population: spec.population,
+            edges,
             wire_batching: spec.wire_batching,
             ..TestbedConfig::default()
         },
@@ -406,7 +417,7 @@ pub fn run(spec: &RunSpec) -> RunArtifacts {
     // makes those metrics part of the timeline like any machine's.
     let engine = LoadEngine::new(&testbed);
     let (session_rps, timeline_window_us) = match spec.admission {
-        Admission::Closed => (None, 100_000),
+        Admission::Closed { .. } => (None, 100_000),
         Admission::Open { session_rps } => (Some(session_rps), 500_000),
     };
     let timeline = testbed.standard_timeline(timeline_window_us);
@@ -426,7 +437,7 @@ pub fn run(spec: &RunSpec) -> RunArtifacts {
             FaultClass::LossBurst => Some(FaultPlan::lossy(PAPER_SEED, m.loss_per_mille)),
             FaultClass::FlashCrowd => {
                 assert!(
-                    spec.admission != Admission::Closed,
+                    session_rps.is_some(),
                     "a flash crowd is a surge in an open run's arrival rate"
                 );
                 process = ArrivalProcess::FlashCrowd {
@@ -449,9 +460,9 @@ pub fn run(spec: &RunSpec) -> RunArtifacts {
         }
     }
 
-    // The warm-up every run shares: one closed client over the head of the
-    // `PAPER_SEED` script stream, ending at the warm-up/measure boundary —
-    // telemetry is reset and the timeline rebased, so everything
+    // The warm-up every run shares: one closed client per edge over the
+    // head of the `PAPER_SEED` script stream, ending at the warm-up/measure
+    // boundary — telemetry is reset and the timeline rebased, so everything
     // downstream covers exactly the measured phase.
     let warm_up = LoadPlan {
         // Consulted by an open measured phase only.
@@ -465,8 +476,8 @@ pub fn run(spec: &RunSpec) -> RunArtifacts {
         think: SimDuration::ZERO,
         session_seed: PAPER_SEED,
         scheduler_seed: PAPER_SEED ^ 0x5c4e_d01e,
-        population,
-        closed: true,
+        population: spec.population,
+        closed: Some(edges),
         first_session: 0,
     };
     if spec.warmup_sessions > 0 {
@@ -478,7 +489,7 @@ pub fn run(spec: &RunSpec) -> RunArtifacts {
     // A closed measured phase continues the warm-up's script stream; an
     // open one draws its own.
     let plan = match spec.admission {
-        Admission::Closed => LoadPlan {
+        Admission::Closed { .. } => LoadPlan {
             sessions: spec.sessions,
             first_session: spec.warmup_sessions,
             ..warm_up
@@ -486,7 +497,7 @@ pub fn run(spec: &RunSpec) -> RunArtifacts {
         Admission::Open { .. } => LoadPlan {
             sessions: spec.sessions,
             session_seed: PAPER_SEED ^ 0x5e55_1011,
-            closed: false,
+            closed: None,
             ..warm_up
         },
     };
@@ -536,7 +547,7 @@ pub fn run(spec: &RunSpec) -> RunArtifacts {
     );
 
     let offered_tps = match spec.admission {
-        Admission::Closed => run.achieved_tps(),
+        Admission::Closed { .. } => run.achieved_tps(),
         Admission::Open { .. } => {
             let arrival_span_s = (run.last_arrival - run.first_arrival).as_micros() as f64 / 1e6;
             run.interactions.len() as f64 / arrival_span_s.max(1e-6)
@@ -552,7 +563,9 @@ pub fn run(spec: &RunSpec) -> RunArtifacts {
     let interactions = run.interactions.len().max(1) as f64;
     let report = collect_report(&testbed, spec.delay, &totals, failed as u64);
     let batched = batch_means(&totals, spec.batches).overall;
-    let shared = testbed.delayed_path(0).stats();
+    let round_trips: u64 = (0..edges)
+        .map(|e| testbed.delayed_path(e).stats().round_trips())
+        .sum();
     let summary = RunSummary {
         delay_ms: spec.delay.as_millis_f64(),
         offered_tps,
@@ -565,14 +578,15 @@ pub fn run(spec: &RunSpec) -> RunArtifacts {
         service_ms: RunStats::of(&services).mean,
         queue_wait_p95_ms: percentile(&waits, 0.95).unwrap_or(0.0),
         peak_queue_depth: run.peak_queue_depth,
-        shared_bytes_per_interaction: shared.total_bytes() as f64 / interactions,
-        round_trips_per_interaction: shared.round_trips() as f64 / interactions,
+        shared_bytes_per_interaction: testbed.shared_site_bytes() as f64 / interactions,
+        round_trips_per_interaction: round_trips as f64 / interactions,
         ok,
         failed,
     };
-    let timeline = timeline.report(match session_rps {
-        None => format!("{} @ {:.0}ms", report.arch, summary.delay_ms),
-        Some(rps) => format!("{} loaded @ {rps:.2} sessions/s", report.arch),
+    let timeline = timeline.report(match (session_rps, edges) {
+        (None, 1) => format!("{} @ {:.0}ms", report.arch, summary.delay_ms),
+        (None, n) => format!("{} @ {:.0}ms x{n} clients", report.arch, summary.delay_ms),
+        (Some(rps), _) => format!("{} loaded @ {rps:.2} sessions/s", report.arch),
     });
     let truth_us = scenario.and_then(|(m, fault)| match fault {
         FaultClass::FlashCrowd => Some(t0 + m.fault_at_ms * 1_000),
@@ -1400,7 +1414,7 @@ mod tests {
                     "{key}: L = λW violated, relative error {}",
                     run.littles.relative_error
                 );
-                if spec.admission == Admission::Closed {
+                if spec.admission == (Admission::Closed { clients: 1 }) {
                     // The closed client is always in a session and never
                     // queues: service time is the whole latency, and it
                     // offers exactly what it is served.
@@ -1411,6 +1425,41 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_multi_client_summary_counts_every_edges_delayed_path() {
+        let run = run(&RunSpec {
+            warmup_sessions: 4,
+            sessions: 8,
+            admission: Admission::Closed { clients: 2 },
+            ..quick(Architecture::EsRbes)
+        });
+        let interactions = (run.summary.ok + run.summary.failed) as f64;
+        // Each edge's delayed path counts its own bytes and trips; the
+        // timeline totals them from the warm-up boundary on.
+        let path = |edge: u32, counter: &str| {
+            let name = format!("simnet.path.edge-backend-{edge}.{counter}");
+            let series = run.timeline.series.iter().find(|s| s.name == name);
+            series.unwrap_or_else(|| panic!("no {name}")).total
+        };
+        let bytes = |e| path(e, "bytes_to_server") + path(e, "bytes_from_server");
+        let trips = |e| path(e, "requests").min(path(e, "responses"));
+        assert!(
+            bytes(1) > 0 && bytes(2) > 0,
+            "both clients crossed their path"
+        );
+        let close = |per_interaction: f64, total: u64| {
+            (per_interaction * interactions - total as f64).abs() < 1e-6 * total as f64
+        };
+        assert!(close(
+            run.summary.shared_bytes_per_interaction,
+            bytes(1) + bytes(2)
+        ));
+        assert!(close(
+            run.summary.round_trips_per_interaction,
+            trips(1) + trips(2)
+        ));
     }
 
     #[test]

@@ -126,9 +126,9 @@ impl CommonStore {
 
     /// Creates a store that holds at most `capacity` images (at least one),
     /// evicting the least-recently-used on overflow. The paper's prototype
-    /// keeps the common store unbounded; this bound is an ablation knob for
-    /// studying constrained edge servers (see the `ablation_cache` bench
-    /// binary).
+    /// keeps the common store unbounded; this bound models a constrained
+    /// edge server (the `rbes_evict` workload of `benchmark/` measures its
+    /// eviction path, and this module's tests pin exact LRU order).
     pub fn with_capacity(capacity: usize) -> Arc<CommonStore> {
         Arc::new(CommonStore {
             capacity: Some(capacity.max(1)),
