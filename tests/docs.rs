@@ -1,5 +1,6 @@
 //! The prose stays true to the repository: every `DESIGN §N` a source file
-//! or document cites names a section that exists.
+//! or document cites names a section that exists, and the numbers
+//! EXPERIMENTS.md quotes from a checked-in result file are that file's.
 
 use std::path::{Path, PathBuf};
 
@@ -65,4 +66,55 @@ fn every_design_citation_names_an_existing_section() {
         }
     }
     assert!(citations >= 20, "found only {citations} citations");
+}
+
+/// The first pipe table after `heading` in `text`: header cells, then one
+/// cell vector per body row.
+fn table_after(text: &str, heading: &str) -> (Vec<String>, Vec<Vec<String>>) {
+    let at = text
+        .find(heading)
+        .unwrap_or_else(|| panic!("no {heading:?}"));
+    let mut rows = text[at..]
+        .lines()
+        .skip_while(|l| !l.starts_with('|'))
+        .take_while(|l| l.starts_with('|'))
+        .map(|l| {
+            let cells = l.trim().trim_matches('|').split('|');
+            cells.map(|c| c.trim().to_owned()).collect::<Vec<_>>()
+        });
+    let header = rows.next().expect("a table header");
+    let body = rows.skip(1).collect();
+    (header, body)
+}
+
+/// `csv` rendered at the precision `printed` shows, so `8.52` matches
+/// `8.523` but not `8.53`; text cells compare as they are.
+fn agrees(printed: &str, csv: &str) -> bool {
+    match (printed.parse::<f64>(), csv.parse::<f64>()) {
+        (Ok(_), Ok(value)) => {
+            let decimals = printed.split_once('.').map_or(0, |(_, d)| d.len());
+            format!("{value:.decimals$}") == printed
+        }
+        _ => printed == csv,
+    }
+}
+
+#[test]
+fn the_contention_table_quotes_its_csv() {
+    let experiments = read(&root().join("EXPERIMENTS.md"));
+    let (header, rows) = table_after(&experiments, "### Contention");
+    let csv = read(&root().join("results/contention.csv"));
+    let mut lines = csv.lines().map(|l| l.split(',').collect::<Vec<_>>());
+    assert_eq!(header, lines.next().expect("a CSV header"));
+    let records: Vec<Vec<&str>> = lines.collect();
+    assert_eq!(rows.len(), records.len(), "one table row per CSV record");
+    for (row, record) in rows.iter().zip(&records) {
+        assert_eq!(row.len(), record.len(), "{row:?}");
+        for (printed, value) in row.iter().zip(record) {
+            assert!(
+                agrees(printed, value),
+                "EXPERIMENTS.md reads {printed}, results/contention.csv {value} (row {row:?})"
+            );
+        }
+    }
 }
