@@ -65,7 +65,7 @@ impl<'t> VirtualClient<'t> {
         let node = &self.testbed.edges[self.edge];
         let mut req = HttpRequest::get("/trade/app", action.query_params());
         if let Some(cookie) = &self.cookie {
-            req = req.with_cookie(cookie.clone());
+            req = req.with_cookie(cookie);
         }
         // The request really crosses the wire as bytes and is re-parsed by
         // the server, like every other protocol in the testbed.
@@ -175,8 +175,8 @@ impl<'t> VirtualClient<'t> {
             root_outcome,
         );
 
-        if let Some(cookie) = &resp.set_cookie {
-            self.cookie = Some(cookie.clone());
+        if let Some(cookie) = resp.set_cookie {
+            self.cookie = Some(cookie);
         }
         if matches!(action, TradeAction::Logout { .. }) {
             self.cookie = None;

@@ -59,7 +59,7 @@ fn servlet_op(action: Option<&TradeAction>) -> &'static str {
 ///
 /// Returns `None` for unknown actions or missing parameters (the servlet
 /// answers those with `404`).
-pub fn parse_action(req: &HttpRequest) -> Option<TradeAction> {
+pub fn parse_action(req: &HttpRequest<'_>) -> Option<TradeAction> {
     let action = req.param("action")?;
     let user = || req.param("uid").map(str::to_owned);
     Some(match action {
@@ -305,7 +305,7 @@ impl AppServer {
     /// The whole exchange — dispatch overhead, engine work (including any
     /// transparent retries) and JSP rendering — is timed on the simulated
     /// clock and recorded into [`ServletMetrics`] under the parsed action.
-    pub fn handle(&self, req: &HttpRequest) -> HttpResponse {
+    pub fn handle(&self, req: &HttpRequest<'_>) -> HttpResponse<'static> {
         let start = self.clock.now();
         let action = parse_action(req);
         let span = self
@@ -331,7 +331,7 @@ impl AppServer {
         resp
     }
 
-    fn respond(&self, action: Option<&TradeAction>) -> HttpResponse {
+    fn respond(&self, action: Option<&TradeAction>) -> HttpResponse<'static> {
         self.charge(self.cost.per_request);
         let Some(action) = action else {
             let body = page::render_error("Invalid Request", "unknown action or missing parameter");
@@ -377,7 +377,7 @@ impl AppServer {
         }
     }
 
-    fn finish(&self, resp: HttpResponse) -> HttpResponse {
+    fn finish(&self, resp: HttpResponse<'static>) -> HttpResponse<'static> {
         let kib = (resp.body.len() as u64).div_ceil(1024);
         self.charge(self.cost.render_per_kib.saturating_mul(kib));
         resp
@@ -400,14 +400,8 @@ mod tests {
         (Arc::clone(&clock), AppServer::new(Box::new(engine), clock))
     }
 
-    fn get(params: &[(&str, &str)]) -> HttpRequest {
-        HttpRequest::get(
-            "/trade/app",
-            params
-                .iter()
-                .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
-                .collect(),
-        )
+    fn get(params: &[(&str, &str)]) -> HttpRequest<'static> {
+        HttpRequest::get("/trade/app", params.iter().copied())
     }
 
     #[test]

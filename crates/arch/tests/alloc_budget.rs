@@ -90,14 +90,27 @@ fn message_path_stays_within_its_allocation_budget() {
         symbol: "s:5".into(),
     };
 
-    // (a) An HTTP request with four parameters and a cookie: 1, the buffer
-    // of `encoded_len` bytes it is written into. It was 20 — a string per
-    // parameter, their vector, the joined query, the URI, and a string per
-    // formatted line appended to a buffer that grew from empty.
-    let request = HttpRequest::get("/trade/app", buy.query_params()).with_cookie("sess-uid:3");
+    // (a) An HTTP request is its bytes. Built from the action, cookie
+    // included: 1, the buffer it is written into once, with room for the
+    // cookie line — and for a buy the formatted quantity, its one value
+    // that is not borrowed from the action. Handing the buffer over
+    // (`encode`) and reading the request where it lies (`parse`): 0. It
+    // was 20 to encode while every line was formatted, and 16 to 20 more
+    // to build and parse while a request owned its parts.
+    let (allocs, _) = allocs_of(|| {
+        HttpRequest::get("/trade/app", quote.query_params()).with_cookie("sess-uid:3")
+    });
+    assert_eq!(allocs, 1, "HttpRequest::get(quote).with_cookie");
+    let (allocs, request) =
+        allocs_of(|| HttpRequest::get("/trade/app", buy.query_params()).with_cookie("sess-uid:3"));
+    assert_eq!(allocs, 2, "HttpRequest::get(buy).with_cookie");
+    let len = request.encoded_len();
     let (allocs, raw) = allocs_of(|| request.encode());
-    assert_eq!(allocs, 1, "HttpRequest::encode");
-    assert_eq!(raw.len(), request.encoded_len());
+    assert_eq!(allocs, 0, "HttpRequest::encode");
+    assert_eq!(raw.len(), len);
+    let (allocs, parsed) = allocs_of(|| HttpRequest::parse(&raw).unwrap());
+    assert_eq!(allocs, 0, "HttpRequest::parse");
+    assert_eq!(parsed.param("quantity"), Some("100"));
 
     // (b) A page: 1, sized for its chrome and its content. (The chrome is
     // built once per process, by the first page.)
@@ -111,11 +124,20 @@ fn message_path_stays_within_its_allocation_budget() {
     assert!(body.len() > 5_000);
 
     // (c) The response around it: 1. It was 8 — the 5.8 KB page pushed
-    // onto a buffer that grew from empty, and three formatted lines.
+    // onto a buffer that grew from empty, and three formatted lines. Parsed,
+    // the page is borrowed from the bytes: 0, and the `Set-Cookie` value
+    // when there is one. It was 1 more, the page copied out.
     let response = HttpResponse::ok(body).with_cookie("sess-uid:3");
+    let len = response.encoded_len();
     let (allocs, raw) = allocs_of(|| response.encode());
     assert_eq!(allocs, 1, "HttpResponse::encode");
-    assert_eq!(raw.len(), response.encoded_len());
+    assert_eq!(raw.len(), len);
+    let (allocs, parsed) = allocs_of(|| HttpResponse::parse(&raw).unwrap());
+    assert_eq!(allocs, 1, "HttpResponse::parse with a cookie");
+    let raw = HttpResponse::ok(&*parsed.body).encode();
+    let (allocs, parsed) = allocs_of(|| HttpResponse::parse(&raw).unwrap());
+    assert_eq!(allocs, 0, "HttpResponse::parse");
+    assert!(parsed.body.len() > 5_000);
 
     // (d) A quote by the JDBC engine on a local connection: 5 — its
     // SELECT of six columns (the match list and the one vector of cells),
@@ -133,13 +155,13 @@ fn message_path_stays_within_its_allocation_budget() {
     // (e) Whole interactions on ES/RDB (JDBC): request built, encoded,
     // parsed, dispatched, statements over the wire to the database server,
     // page rendered, response encoded and parsed — spans recorded, the
-    // span log emptied between repetitions. They were 38, 40, 59 and 107
-    // while a result was a list of rows and a wire statement's parameters
-    // a list of their own (DESIGN §19, §21); 41, 44, 65 and 123 while a
-    // string value was copied wherever it went, and 80, 107, 136 and 198
-    // before a message was one buffer.
-    // Of what is left, 16 to 20 are the request's owned strings
-    // (`query_params`, `get`, `parse`), which `benchmark/`'s signatures fix.
+    // span log emptied between repetitions. They were 33, 34, 47 and 91
+    // while a request was built from and parsed into owned strings and a
+    // parsed response copied its page out; 38, 40, 59 and 107 while a
+    // result was a list of rows and a wire statement's parameters a list
+    // of their own (DESIGN §19, §21); 41, 44, 65 and 123 while a string
+    // value was copied wherever it went, and 80, 107, 136 and 198 before a
+    // message was one buffer.
     let tb = Testbed::build(Architecture::EsRdb(Flavor::Jdbc), TestbedConfig::default());
     let mut client = VirtualClient::new(&tb, 0);
     let login = TradeAction::Login {
@@ -152,7 +174,7 @@ fn message_path_stays_within_its_allocation_budget() {
     let portfolio = TradeAction::Portfolio {
         user: "uid:3".into(),
     };
-    for (action, budget) in [(&home, 33), (&quote, 34), (&portfolio, 47), (&buy, 91)] {
+    for (action, budget) in [(&home, 15), (&quote, 16), (&portfolio, 29), (&buy, 66)] {
         let allocs = steady(|| {
             tb.commit_trace().clear();
             let (allocs, done) = allocs_of(|| client.perform(action));
@@ -204,8 +226,9 @@ fn message_path_stays_within_its_allocation_budget() {
     // (g) A whole buy on ES/RBES, the split-servers write path: images
     // faulted from the back-end, the transaction's state shipped as one
     // commit request, validated and applied image by image next to the
-    // database, logged and invalidated. At most 160 — it is 154; it was
-    // 174 while results were lists of rows and the back-end wrote an
+    // database, logged and invalidated: 122. It was 147 while the HTTP hop
+    // owned its request's parts and copied its page out, 174 while
+    // results were lists of rows and the back-end wrote an
     // invalidation frame for a tier whose one edge is the committing one,
     // and 222 while every decoded image owned its names in a map and every
     // string cell was copied into rows, lock keys, log images and
@@ -217,7 +240,7 @@ fn message_path_stays_within_its_allocation_budget() {
         allocs
     });
     assert!(
-        allocs <= 160,
+        allocs <= 122,
         "VirtualClient::perform({buy}) on ES/RBES: {allocs} allocations"
     );
 }

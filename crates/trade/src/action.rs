@@ -1,5 +1,6 @@
 //! Trade actions and their result payloads.
 
+use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 use std::ops::Range;
 
@@ -113,28 +114,30 @@ impl TradeAction {
         }
     }
 
-    /// URL query parameters for the HTTP layer.
-    pub fn query_params(&self) -> Vec<(String, String)> {
-        let mut params = vec![("action".to_owned(), self.name().to_owned())];
-        if let Some(user) = self.user() {
-            params.push(("uid".to_owned(), user.to_owned()));
-        }
-        match self {
-            TradeAction::Quote { symbol } => {
-                params.push(("symbol".to_owned(), symbol.clone()));
-            }
+    /// URL query parameters for the HTTP layer, in URL order. Every value
+    /// is borrowed from the action but a buy's formatted quantity.
+    pub fn query_params(&self) -> impl Iterator<Item = (&'static str, Cow<'_, str>)> {
+        let (symbol, last) = match self {
+            TradeAction::Quote { symbol } => (Some(symbol), None),
             TradeAction::Buy {
                 symbol, quantity, ..
-            } => {
-                params.push(("symbol".to_owned(), symbol.clone()));
-                params.push(("quantity".to_owned(), format!("{quantity}")));
-            }
+            } => (
+                Some(symbol),
+                Some(("quantity", Cow::Owned(format!("{quantity}")))),
+            ),
             TradeAction::AccountUpdate { email, .. } => {
-                params.push(("email".to_owned(), email.clone()));
+                (None, Some(("email", Cow::Borrowed(email.as_str()))))
             }
-            _ => {}
-        }
-        params
+            _ => (None, None),
+        };
+        [
+            Some(("action", Cow::Borrowed(self.name()))),
+            self.user().map(|user| ("uid", Cow::Borrowed(user))),
+            symbol.map(|symbol| ("symbol", Cow::Borrowed(symbol.as_str()))),
+            last,
+        ]
+        .into_iter()
+        .flatten()
     }
 }
 
@@ -292,17 +295,28 @@ mod tests {
             symbol: "s:3".into(),
             quantity: 100.0,
         };
-        let params = a.query_params();
-        assert!(params.contains(&("action".to_owned(), "buy".to_owned())));
-        assert!(params.contains(&("symbol".to_owned(), "s:3".to_owned())));
-        assert!(params.contains(&("quantity".to_owned(), "100".to_owned())));
+        let params: Vec<_> = a.query_params().collect();
+        assert_eq!(
+            params,
+            [
+                ("action", "buy".into()),
+                ("uid", "uid:1".into()),
+                ("symbol", "s:3".into()),
+                ("quantity", "100".into()),
+            ]
+        );
+        assert!(params[..3]
+            .iter()
+            .all(|(_, v)| matches!(v, Cow::Borrowed(_))));
         let u = TradeAction::AccountUpdate {
             user: "uid:2".into(),
             email: "a@b.c".into(),
         };
-        assert!(u
-            .query_params()
-            .contains(&("email".to_owned(), "a@b.c".to_owned())));
+        assert!(u.query_params().any(|p| p == ("email", "a@b.c".into())));
+        let q = TradeAction::Quote {
+            symbol: "s:1".into(),
+        };
+        assert!(q.query_params().map(|(k, _)| k).eq(["action", "symbol"]));
     }
 
     #[test]

@@ -1,0 +1,188 @@
+//! Seeded fuzz loops over the decoders that read bytes off a simulated
+//! link. Arbitrary bytes, every prefix of a valid message and single-byte
+//! flips of one go in; each decoder must answer `Ok` or `Err` and never
+//! panic, and what an `Ok` hands back must be a view of the input.
+//!
+//! Like `tests/properties.rs`, these are plain loops over the workspace's
+//! deterministic [`StdRng`]: a failure prints the input that caused it.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+use sli_edge::simnet::{HttpRequest, HttpResponse};
+use sli_edge::trade::TradeAction;
+
+/// Whether `part` lies inside `raw`.
+fn lies_in(raw: &[u8], part: &str) -> bool {
+    let (outer, inner) = (raw.as_ptr_range(), part.as_bytes().as_ptr_range());
+    outer.start <= inner.start && inner.end <= outer.end
+}
+
+/// Reads everything a parsed request offers and checks it is `raw`'s.
+fn inspect_request(raw: &[u8], req: &HttpRequest<'_>) {
+    let mut parts = vec![req.method(), req.uri()];
+    parts.extend(req.session_cookie());
+    for (k, v) in req.params() {
+        assert!(req.param(k).is_some());
+        parts.extend([k, v]);
+    }
+    for part in parts {
+        assert!(lies_in(raw, part), "{part:?} is not a view of the input");
+    }
+    let head = req.clone().encode();
+    assert!(
+        raw.starts_with(&head),
+        "a parsed request is a prefix of its input"
+    );
+    assert_eq!(req.encoded_len(), head.len());
+    let recookied = req.clone().with_cookie("sess-x");
+    assert_eq!(recookied.session_cookie(), Some("sess-x"));
+}
+
+/// Reads everything a parsed response offers and checks its body is `raw`'s.
+fn inspect_response(raw: &[u8], resp: &HttpResponse<'_>) {
+    assert!(
+        lies_in(raw, &resp.body),
+        "the body is not a view of the input"
+    );
+    assert!(raw.ends_with(resp.body.as_bytes()));
+    let _ = (resp.status, resp.set_cookie.as_deref());
+}
+
+/// Runs both parsers on `raw`, inspects what they accept, and reports
+/// whether each accepted it. A panic fails with the input spelled out.
+fn decode(raw: &[u8]) -> (bool, bool) {
+    catch_unwind(AssertUnwindSafe(|| {
+        let request = HttpRequest::parse(raw).map(|req| inspect_request(raw, &req));
+        let response = HttpResponse::parse(raw).map(|resp| inspect_response(raw, &resp));
+        (request.is_ok(), response.is_ok())
+    }))
+    .unwrap_or_else(|_| panic!("a decoder panicked on b\"{}\"", raw.escape_ascii()))
+}
+
+/// Encoded requests: every Trade action, with and without a cookie, and
+/// requests with empty, odd and repeated parameters.
+fn valid_requests() -> Vec<Vec<u8>> {
+    let user = || "uid:37".to_owned();
+    let actions = [
+        TradeAction::Login { user: user() },
+        TradeAction::Logout { user: user() },
+        TradeAction::Register { user: user() },
+        TradeAction::Home { user: user() },
+        TradeAction::Account { user: user() },
+        TradeAction::AccountUpdate {
+            user: user(),
+            email: "uid:37@newmail.example.com".into(),
+        },
+        TradeAction::Portfolio { user: user() },
+        TradeAction::Quote {
+            symbol: "s:12".into(),
+        },
+        TradeAction::Buy {
+            user: user(),
+            symbol: "s:12".into(),
+            quantity: 12.5,
+        },
+        TradeAction::Sell { user: user() },
+    ];
+    let mut out = Vec::new();
+    for action in &actions {
+        let req = HttpRequest::get("/trade/app", action.query_params());
+        out.push(req.clone().encode());
+        out.push(req.with_cookie("sess-uid:37").encode());
+    }
+    let odd = [("", ""), ("k", ""), ("", "v"), ("k", "1"), ("k", "2")];
+    out.push(HttpRequest::get("/", odd).with_cookie("").encode());
+    out.push(HttpRequest::get("/", [("a", "é€")]).encode());
+    out
+}
+
+/// Encoded responses: empty, short, multi-byte and page-sized bodies, with
+/// and without a cookie, under known and unknown statuses.
+fn valid_responses(rng: &mut StdRng) -> Vec<Vec<u8>> {
+    let page: String = (0..300)
+        .map(|_| ['<', 'a', '>', ' ', '\r', '\n', '9', 'é', '€'][rng.gen_range(0..9usize)])
+        .collect();
+    let mut out = Vec::new();
+    for body in ["", "x", "<html>é€</html>", page.as_str()] {
+        for status in [200, 409, 7] {
+            let resp = HttpResponse::error(status, body);
+            out.push(resp.clone().encode());
+            out.push(resp.with_cookie("sess-uid:37").encode());
+        }
+    }
+    out
+}
+
+/// Pieces HTTP is made of, so random inputs get past the first check.
+const TOKENS: [&[u8]; 18] = [
+    b"GET",
+    b" ",
+    b"/trade/app",
+    b"?",
+    b"&",
+    b"=",
+    b"HTTP/1.0",
+    b" 200 OK",
+    b"\r\n",
+    b"\r\n\r\n",
+    b"Cookie: ",
+    b"JSESSIONID=",
+    b"; ",
+    b"Set-Cookie: JSESSIONID=",
+    b"Content-Length: ",
+    b"1",
+    "é".as_bytes(),
+    b"\xff",
+];
+
+#[test]
+fn http_decoders_never_panic() {
+    let mut rng = StdRng::seed_from_u64(0x4774_7001);
+    let requests = valid_requests();
+    let responses = valid_responses(&mut rng);
+
+    // A message parses whole, and no prefix of it does.
+    for (messages, as_request) in [(&requests, true), (&responses, false)] {
+        for raw in messages {
+            let pick = |(req, resp): (bool, bool)| if as_request { req } else { resp };
+            assert!(pick(decode(raw)), "b\"{}\" parses", raw.escape_ascii());
+            for len in 0..raw.len() {
+                let cut = &raw[..len];
+                assert!(
+                    !pick(decode(cut)),
+                    "a prefix parsed: b\"{}\"",
+                    cut.escape_ascii()
+                );
+            }
+        }
+    }
+
+    // Every byte of every message changed once. Most changes land in a
+    // value or a header nobody reads, so the views get inspected too.
+    let mut accepted = 0;
+    for raw in requests.iter().chain(&responses) {
+        for at in 0..raw.len() {
+            let mut flipped = raw.clone();
+            flipped[at] ^= rng.gen_range(1..256u32) as u8;
+            let (req, resp) = decode(&flipped);
+            accepted += usize::from(req) + usize::from(resp);
+        }
+    }
+    assert!(accepted > 1_000, "only {accepted} flipped messages parsed");
+
+    // Arbitrary bytes, and arbitrary strings of HTTP's own pieces.
+    for _ in 0..3_000 {
+        let noise: Vec<u8> = (0..rng.gen_range(0..200usize))
+            .map(|_| rng.gen_range(0..256u32) as u8)
+            .collect();
+        decode(&noise);
+        let pieces: Vec<u8> = (0..rng.gen_range(0..40usize))
+            .flat_map(|_| TOKENS[rng.gen_range(0..TOKENS.len())])
+            .copied()
+            .collect();
+        decode(&pieces);
+    }
+}

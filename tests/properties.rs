@@ -535,20 +535,21 @@ fn commit_request_codec_round_trips() {
 
 // ---------- the message path: one buffer, the same bytes ----------
 
-/// `HttpRequest::encode` as it was while it formatted a string per line.
-fn format_request(req: &HttpRequest) -> Vec<u8> {
+/// `HttpRequest::encode` as it was while it formatted a string per line,
+/// over the parts a request is built from.
+fn format_request(uri: &str, params: &[(String, String)], cookie: Option<&str>) -> Vec<u8> {
     let mut out = String::new();
-    let query: Vec<String> = req.params.iter().map(|(k, v)| format!("{k}={v}")).collect();
+    let query: Vec<String> = params.iter().map(|(k, v)| format!("{k}={v}")).collect();
     let uri = if query.is_empty() {
-        req.uri.clone()
+        uri.to_owned()
     } else {
-        format!("{}?{}", req.uri, query.join("&"))
+        format!("{}?{}", uri, query.join("&"))
     };
-    out.push_str(&format!("{} {} HTTP/1.0\r\n", req.method, uri));
+    out.push_str(&format!("GET {uri} HTTP/1.0\r\n"));
     out.push_str("Host: trade.example.com\r\n");
     out.push_str("User-Agent: sli-edge-loadgen/1.0\r\n");
     out.push_str("Accept: text/html\r\n");
-    if let Some(c) = &req.session_cookie {
+    if let Some(c) = cookie {
         out.push_str(&format!("Cookie: JSESSIONID={c}\r\n"));
     }
     out.push_str("\r\n");
@@ -586,7 +587,7 @@ fn http_messages_are_what_the_formatter_wrote() {
     // outside the reason table are all drawn.
     const STATUSES: [u16; 8] = [200, 302, 404, 409, 500, 503, 418, 7];
     for _ in 0..300 {
-        let params = (0..rng.gen_range(0..5u32))
+        let params: Vec<(String, String)> = (0..rng.gen_range(0..5u32))
             .map(|_| {
                 (
                     gen_string(&mut rng, b"abcxyz", 6),
@@ -594,14 +595,38 @@ fn http_messages_are_what_the_formatter_wrote() {
                 )
             })
             .collect();
-        let mut req = HttpRequest::get(format!("/{}", gen_string(&mut rng, b"abc/", 9)), params);
-        if rng.gen_range(0..3u32) > 0 {
-            req = req.with_cookie(gen_string(&mut rng, b"abz09:-", 12));
+        let uri = format!("/{}", gen_string(&mut rng, b"abc/", 9));
+        let cookie = (rng.gen_range(0..3u32) > 0).then(|| gen_string(&mut rng, b"abz09:-", 12));
+        let mut req = HttpRequest::get(&uri, params.iter().map(|(k, v)| (k, v)));
+        if let Some(c) = &cookie {
+            req = req.with_cookie(c);
         }
-        let raw = req.encode();
-        assert_eq!(raw, format_request(&req), "{req:?}");
+        let raw = req.clone().encode();
+        assert_eq!(
+            raw,
+            format_request(&uri, &params, cookie.as_deref()),
+            "{req:?}"
+        );
         assert_eq!(raw.len(), req.encoded_len(), "{req:?}");
-        assert_eq!(HttpRequest::parse(&raw).unwrap(), req);
+        let parsed = HttpRequest::parse(&raw).unwrap();
+        assert_eq!(parsed, req);
+        for r in [&req, &parsed] {
+            assert_eq!(
+                (r.method(), r.uri(), r.session_cookie()),
+                ("GET", uri.as_str(), cookie.as_deref())
+            );
+            assert!(r
+                .params()
+                .eq(params.iter().map(|(k, v)| (k.as_str(), v.as_str()))));
+        }
+        for (name, _) in &params {
+            let first = params
+                .iter()
+                .find(|(k, _)| k == name)
+                .map(|(_, v)| v.as_str());
+            assert_eq!(req.param(name), first, "{req:?}");
+            assert_eq!(parsed.param(name), first, "{req:?}");
+        }
 
         let body = gen_string(&mut rng, b"<html>/ \r\n09", 4000);
         let status = STATUSES[rng.gen_range(0..STATUSES.len())];
@@ -609,7 +634,7 @@ fn http_messages_are_what_the_formatter_wrote() {
         if rng.gen_range(0..3u32) > 0 {
             resp = resp.with_cookie(gen_string(&mut rng, b"abz09:-", 12));
         }
-        let raw = resp.encode();
+        let raw = resp.clone().encode();
         assert_eq!(raw, format_response(&resp), "status {status}");
         assert_eq!(raw.len(), resp.encoded_len(), "status {status}");
         assert_eq!(HttpResponse::parse(&raw).unwrap(), resp);
