@@ -14,7 +14,7 @@
 //! | `contention` | optimistic aborts and conflict leaderboard vs closed clients |
 //! | `knee` | throughput–latency curves, saturation knees, aggregate profile |
 //! | `whatif` | causal profiles via virtual resource speedups |
-//! | `perfguard` | performance-regression gate against recorded baselines |
+//! | `perfguard` | the guarded metrics, one per line, for the oracle's diff |
 //! | `monitor` | online SLO detection: false-positive gate + time-to-detect table |
 //! | `slicheck` | serializability checker across the seven combinations |
 //! | `tracecheck` | schema validation of every exported artifact |
@@ -62,10 +62,7 @@ mod cli;
 mod guard;
 
 pub use cli::{Cli, CliArgs, CliError};
-pub use guard::{
-    compare_guard, guard_run, guard_suite, parse_baseline, render_baseline, GuardEntry,
-    GuardMetric, GuardProfile, Regression, PERFGUARD_SCHEMA,
-};
+pub use guard::{guard_csv, guard_run, guard_suite, GuardEntry, GuardMetric};
 
 /// The workload RNG seed of every standard protocol (Middleware 2004): it
 /// seeds every run's session scripts, and an open run's arrivals and
@@ -91,10 +88,6 @@ pub struct RunSpec {
     pub sessions: usize,
     /// Batches for the batched latency average (paper: 20).
     pub batches: usize,
-    /// Fault plan dialled into the delayed paths for the whole run (clean
-    /// by default; `perfguard --faults` uses it to stage an artificial
-    /// regression).
-    pub faults: FaultPlan,
     /// Optional per-crossing jitter on the delayed path (maximum added
     /// microseconds). Zero reproduces the deterministic runs; a small value
     /// reproduces the paper's R² ≈ 0.99 texture.
@@ -165,7 +158,6 @@ impl RunSpec {
             warmup_sessions: if quick { 20 } else { 400 },
             sessions: if quick { 30 } else { 300 },
             batches: if quick { 5 } else { 20 },
-            faults: FaultPlan::NONE,
             jitter_us: 0,
             wire_batching: true,
             scale: ResourceScale::nominal(),
@@ -400,9 +392,6 @@ pub fn run(spec: &RunSpec) -> RunArtifacts {
         },
     );
     testbed.set_delay(spec.delay);
-    if !spec.faults.is_clean() {
-        testbed.set_faults(spec.faults);
-    }
     if spec.jitter_us > 0 {
         // Derive the jitter seed from the delay too: otherwise every sweep
         // point would draw the identical noise sequence and the noise

@@ -414,6 +414,23 @@ fn a_hostile_length_prefix_reserves_only_what_its_frame_can_hold() {
         "{asked} bytes requested for a {sent}-byte frame"
     );
 
+    // A query whose predicate is `symbol IN (…)` over u32::MAX values — 100
+    // GB of them — and the same padding. A value takes at least a byte on
+    // the wire and three machine words in a vector.
+    let mut body = Writer::new();
+    body.put_u8(2).put_str("Quote"); // OP_QUERY
+    body.put_u8(9).put_str("symbol").put_u32(u32::MAX); // IN
+    body.put_raw(&[0xAB; 1024]);
+    let message = backend_frame(body);
+    let sent = message.len() as u64;
+    let (asked, reply) = bytes_of(|| backend.handle(message));
+    let (_, payload) = unframe(reply).unwrap();
+    assert_eq!(Reader::new(payload).get_u8().unwrap(), 1, "STATUS_ERR");
+    assert!(
+        asked < 32 * sent,
+        "{asked} bytes requested for a {sent}-byte query"
+    );
+
     // The same count as a memento's field count. (A query reply's image
     // count has its test beside `BackendSource`, whose peer cannot be
     // substituted from outside the crate.)

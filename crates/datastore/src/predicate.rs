@@ -487,7 +487,9 @@ impl Predicate {
             9 => {
                 let column = r.get_str()?;
                 let n = r.get_u32()? as usize;
-                let mut values = Vec::with_capacity(n);
+                // Every value is at least its tag byte: reserve for what
+                // the frame can hold, not for the count it announces.
+                let mut values = Vec::with_capacity(n.min(r.remaining()));
                 for _ in 0..n {
                     values.push(Value::decode(r)?);
                 }

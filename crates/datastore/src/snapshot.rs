@@ -122,25 +122,34 @@ pub(crate) fn decode_checkpoint(frame: Bytes) -> DbResult<Vec<TableImage>> {
             "corrupt checkpoint: unsupported version".to_owned(),
         ));
     }
+    // The disk's bytes may be arbitrary, so a count is not a budget. Every
+    // table, column, index, row and cell takes at least one byte: each
+    // vector reserves no more than the frame has left.
     let tables = r.get_u32().map_err(wire)? as usize;
-    let mut images = Vec::with_capacity(tables);
+    let mut images = Vec::with_capacity(tables.min(r.remaining()));
     for _ in 0..tables {
         let name = r.get_str().map_err(wire)?;
         let ncols = r.get_u32().map_err(wire)? as usize;
-        let mut cols = Vec::with_capacity(ncols);
+        let mut cols = Vec::with_capacity(ncols.min(r.remaining()));
         for _ in 0..ncols {
             let col = r.get_str().map_err(wire)?;
             let ty = type_from_tag(r.get_u8().map_err(wire)?).map_err(wire)?;
             cols.push((col, ty));
         }
+        if cols.is_empty() {
+            // A row of no columns would take no bytes at all.
+            return Err(DbError::Remote(
+                "corrupt checkpoint: a table without columns".to_owned(),
+            ));
+        }
         let pk = r.get_str().map_err(wire)?;
         let nindexes = r.get_u32().map_err(wire)? as usize;
-        let mut indexes = Vec::with_capacity(nindexes);
+        let mut indexes = Vec::with_capacity(nindexes.min(r.remaining()));
         for _ in 0..nindexes {
             indexes.push(r.get_str().map_err(wire)?);
         }
         let nrows = r.get_u32().map_err(wire)? as usize;
-        let mut rows = Vec::with_capacity(nrows);
+        let mut rows = Vec::with_capacity(nrows.min(r.remaining()));
         for _ in 0..nrows {
             let mut row = Vec::with_capacity(ncols);
             for _ in 0..ncols {
@@ -240,6 +249,49 @@ mod tests {
         let mut corrupt = frame.to_vec();
         corrupt[0] = 0;
         assert!(decode_checkpoint(Bytes::from(corrupt)).is_err());
+    }
+
+    /// A checkpoint announcing `u32::MAX` tables, columns, indexes or rows
+    /// is an error, not a reservation of hundreds of gigabytes.
+    #[test]
+    fn a_hostile_count_is_an_error_not_an_allocation() {
+        let hostile = |body: &dyn Fn(&mut Writer)| {
+            let mut w = Writer::new();
+            w.put_u32(SNAPSHOT_MAGIC).put_u16(SNAPSHOT_VERSION);
+            body(&mut w);
+            w.put_raw(&[0xAB; 64]);
+            w.finish()
+        };
+        let max = u32::MAX;
+        // One table `t` whose one column `id` is its key.
+        let keyed = |w: &mut Writer| {
+            w.put_u32(1).put_str("t").put_u32(1).put_str("id");
+            w.put_u8(0).put_str("id");
+        };
+        let frames = [
+            hostile(&|w| {
+                w.put_u32(max);
+            }),
+            hostile(&|w| {
+                w.put_u32(1).put_str("t").put_u32(max);
+            }),
+            hostile(&|w| {
+                keyed(w);
+                w.put_u32(max);
+            }),
+            hostile(&|w| {
+                keyed(w);
+                w.put_u32(0).put_u32(max);
+            }),
+            // No columns: rows that would take no bytes.
+            hostile(&|w| {
+                w.put_u32(1).put_str("t").put_u32(0).put_str("id");
+                w.put_u32(0).put_u32(max);
+            }),
+        ];
+        for (i, frame) in frames.into_iter().enumerate() {
+            assert!(decode_checkpoint(frame).is_err(), "frame {i}");
+        }
     }
 
     #[test]

@@ -130,7 +130,8 @@ fn put_row(w: &mut Writer, row: &[Value]) {
 
 fn get_row(r: &mut Reader) -> Result<Vec<Value>, DecodeError> {
     let n = r.get_u32()? as usize;
-    let mut row = Vec::with_capacity(n);
+    // A value is at least its tag byte; the count is not a budget.
+    let mut row = Vec::with_capacity(n.min(r.remaining()));
     for _ in 0..n {
         row.push(Value::decode(r)?);
     }
@@ -576,5 +577,18 @@ mod tests {
         let stamp = Some((2, 11));
         assert_eq!(encode_commit(4, 9, 1, stamp).len(), commit_len(stamp));
         assert_eq!(commit_len(stamp), 38);
+    }
+
+    /// A record whose row announces `u32::MAX` values is an error, not a
+    /// reservation of a hundred gigabytes.
+    #[test]
+    fn a_hostile_row_count_is_an_error_not_an_allocation() {
+        let mut w = Writer::new();
+        w.put_u8(REC_INSERT)
+            .put_u64(1)
+            .put_u64(1)
+            .put_str("holding");
+        w.put_u32(u32::MAX).put_raw(&[0xAB; 64]);
+        assert!(decode_record(&w.finish()).is_err());
     }
 }

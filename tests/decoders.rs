@@ -1,16 +1,20 @@
 //! Seeded fuzz loops over the decoders that read bytes off a simulated
 //! link. Arbitrary bytes, every prefix of a valid message and single-byte
 //! flips of one go in; each decoder must answer `Ok` or `Err` and never
-//! panic, and what an `Ok` hands back must be a view of the input.
+//! panic, and what an HTTP parser's `Ok` hands back must be a view of the
+//! input.
 //!
 //! Like `tests/properties.rs`, these are plain loops over the workspace's
 //! deterministic [`StdRng`]: a failure prints the input that caused it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use sli_edge::datastore::{CmpOp, Predicate, Value};
+use sli_edge::simnet::wire::{Reader, Writer};
 use sli_edge::simnet::{HttpRequest, HttpResponse};
 use sli_edge::trade::TradeAction;
 
@@ -184,5 +188,109 @@ fn http_decoders_never_panic() {
             .copied()
             .collect();
         decode(&pieces);
+    }
+}
+
+/// Decodes `raw` as a predicate, as the back-end does an `OP_QUERY`'s. A
+/// panic fails with the input spelled out.
+fn decode_predicate(raw: &[u8]) -> Option<Predicate> {
+    let bytes = Bytes::copy_from_slice(raw);
+    catch_unwind(|| Predicate::decode(&mut Reader::new(bytes)).ok())
+        .unwrap_or_else(|_| panic!("Predicate::decode panicked on b\"{}\"", raw.escape_ascii()))
+}
+
+/// Every kind of predicate, a nested one among them.
+fn valid_predicates() -> Vec<Predicate> {
+    let price = Predicate::Cmp {
+        column: "price".into(),
+        op: CmpOp::Ge,
+        value: Value::from(25.5),
+    };
+    let owner = Predicate::Cmp {
+        column: "owner".into(),
+        op: CmpOp::Eq,
+        value: Value::from("uid:37"),
+    };
+    let symbol = || "symbol".to_owned();
+    vec![
+        Predicate::True,
+        price.clone(),
+        Predicate::CmpParam {
+            column: symbol(),
+            op: CmpOp::Ne,
+            index: 2,
+        },
+        Predicate::Like {
+            column: symbol(),
+            pattern: "s:1%é".into(),
+        },
+        Predicate::IsNull {
+            column: "email".into(),
+        },
+        Predicate::IsNotNull {
+            column: "email".into(),
+        },
+        Predicate::In {
+            column: symbol(),
+            values: vec![
+                Value::from("s:1"),
+                Value::Null,
+                Value::from(7),
+                Value::from(true),
+            ],
+        },
+        Predicate::In {
+            column: symbol(),
+            values: Vec::new(),
+        },
+        Predicate::Between {
+            column: "quantity".into(),
+            low: Value::from(1),
+            high: Value::from(9.5),
+        },
+        Predicate::And(
+            Box::new(price),
+            Box::new(Predicate::Not(Box::new(Predicate::Or(
+                Box::new(owner),
+                Box::new(Predicate::True),
+            )))),
+        ),
+    ]
+}
+
+#[test]
+fn the_predicate_decoder_never_panics() {
+    let mut rng = StdRng::seed_from_u64(0x5052_4544);
+    let mut accepted = 0;
+    for predicate in valid_predicates() {
+        let mut w = Writer::new();
+        predicate.encode(&mut w);
+        let raw = w.finish().to_vec();
+        // A predicate decodes whole, and no prefix of it does.
+        assert_eq!(decode_predicate(&raw).as_ref(), Some(&predicate));
+        for len in 0..raw.len() {
+            let cut = &raw[..len];
+            let prefix = decode_predicate(cut);
+            assert!(
+                prefix.is_none(),
+                "a prefix decoded: b\"{}\"",
+                cut.escape_ascii()
+            );
+        }
+        // Every byte changed once.
+        for at in 0..raw.len() {
+            let mut flipped = raw.clone();
+            flipped[at] ^= rng.gen_range(1..256u32) as u8;
+            accepted += usize::from(decode_predicate(&flipped).is_some());
+        }
+    }
+    assert!(accepted > 50, "only {accepted} flipped predicates decoded");
+
+    // Arbitrary bytes.
+    for _ in 0..3_000 {
+        let noise: Vec<u8> = (0..rng.gen_range(0..200usize))
+            .map(|_| rng.gen_range(0..256u32) as u8)
+            .collect();
+        decode_predicate(&noise);
     }
 }

@@ -99,22 +99,121 @@ fn agrees(printed: &str, csv: &str) -> bool {
     }
 }
 
-#[test]
-fn the_contention_table_quotes_its_csv() {
-    let experiments = read(&root().join("EXPERIMENTS.md"));
-    let (header, rows) = table_after(&experiments, "### Contention");
-    let csv = read(&root().join("results/contention.csv"));
-    let mut lines = csv.lines().map(|l| l.split(',').collect::<Vec<_>>());
-    assert_eq!(header, lines.next().expect("a CSV header"));
-    let records: Vec<Vec<&str>> = lines.collect();
-    assert_eq!(rows.len(), records.len(), "one table row per CSV record");
-    for (row, record) in rows.iter().zip(&records) {
+/// The records of `results/{name}`, header first. A quoted cell may hold
+/// commas; no cell here holds a quote.
+fn csv(name: &str) -> Vec<Vec<String>> {
+    let text = read(&root().join("results").join(name));
+    let split = |line: &str| {
+        let mut cells = vec![String::new()];
+        let mut quoted = false;
+        for c in line.chars() {
+            match c {
+                '"' => quoted = !quoted,
+                ',' if !quoted => cells.push(String::new()),
+                _ => cells.last_mut().expect("a cell").push(c),
+            }
+        }
+        cells
+    };
+    text.lines().map(split).collect()
+}
+
+fn experiments() -> String {
+    read(&root().join("EXPERIMENTS.md"))
+}
+
+/// Asserts that each table row quotes the record of `results/{name}` in
+/// the same place, cell for cell.
+fn assert_quotes(rows: &[Vec<String>], records: &[Vec<String>], name: &str) {
+    assert_eq!(rows.len(), records.len(), "one table row per {name} record");
+    for (row, record) in rows.iter().zip(records) {
         assert_eq!(row.len(), record.len(), "{row:?}");
         for (printed, value) in row.iter().zip(record) {
             assert!(
                 agrees(printed, value),
-                "EXPERIMENTS.md reads {printed}, results/contention.csv {value} (row {row:?})"
+                "EXPERIMENTS.md reads {printed}, results/{name} {value} (row {row:?})"
             );
         }
+    }
+}
+
+#[test]
+fn the_contention_table_quotes_its_csv() {
+    let (header, rows) = table_after(&experiments(), "### Contention");
+    let records = csv("contention.csv");
+    assert_eq!(header, records[0]);
+    assert_quotes(&rows, &records[1..], "contention.csv");
+}
+
+#[test]
+fn the_latency_figures_quote_their_csvs() {
+    for (heading, name) in [("## Figure 6", "fig6.csv"), ("## Figure 7", "fig7.csv")] {
+        let (_, rows) = table_after(&experiments(), heading);
+        assert_quotes(&rows, &csv(name)[1..], name);
+    }
+}
+
+#[test]
+fn table_2_and_its_factors_quote_the_csv() {
+    let text = experiments();
+    let (_, rows) = table_after(&text, "## Table 2");
+    let records = csv("table2.csv");
+    let records = &records[1..];
+    assert_eq!(rows.len(), records.len(), "one row per algorithm");
+    for (row, record) in rows.iter().zip(records) {
+        assert_eq!(row[0].to_lowercase().replace(' ', "_"), record[0]);
+        assert_eq!(row.len(), record.len(), "{row:?}");
+        for (cell, value) in row[1..].iter().zip(&record[1..]) {
+            // `measured (paper)`; an architecture without the algorithm
+            // is `N/A` here and an empty cell there.
+            let measured = cell.split(" (").next().expect("a measured value");
+            let value = if value.is_empty() { "N/A" } else { value };
+            assert!(
+                agrees(measured, value),
+                "EXPERIMENTS.md reads {cell}, results/table2.csv {value} (row {row:?})"
+            );
+        }
+    }
+
+    let slope = |algorithm: &str, column: usize| -> f64 {
+        let record = records.iter().find(|r| r[0] == algorithm).expect("a row");
+        record[column].parse().expect("a slope")
+    };
+    let (jdbc, cached) = (slope("jdbc", 1), slope("cached_ejbs", 1));
+    let factors = &text[text.find("Relative factors").expect("the factors")..];
+    for (label, ratio) in [
+        ("vanilla/JDBC = **", slope("vanilla_ejbs", 1) / jdbc),
+        ("cached/JDBC = **", cached / jdbc),
+        (
+            "ES/RDB-cached / ES/RBES = **",
+            cached / slope("cached_ejbs", 2),
+        ),
+    ] {
+        let at = factors.find(label).expect("a quoted factor") + label.len();
+        let printed = factors[at..].split("**").next().expect("a bold number");
+        assert!(
+            agrees(printed, &ratio.to_string()),
+            "EXPERIMENTS.md quotes {label}{printed}**, results/table2.csv gives {ratio}"
+        );
+    }
+}
+
+#[test]
+fn figure_8_quotes_its_bytes() {
+    let (_, rows) = table_after(&experiments(), "## Figure 8");
+    let records = csv("fig8.csv");
+    assert_eq!(rows.len(), records.len() - 1, "one row per architecture");
+    for row in &rows {
+        let record = records[1..]
+            .iter()
+            .find(|r| r[0] == row[0])
+            .unwrap_or_else(|| panic!("results/fig8.csv has no {:?}", row[0]));
+        assert!(
+            agrees(&row[1], &record[1]),
+            "EXPERIMENTS.md reads {} bytes for {}, results/fig8.csv {}",
+            row[1],
+            row[0],
+            record[1]
+        );
     }
 }
