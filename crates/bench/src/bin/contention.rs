@@ -122,6 +122,6 @@ fn main() {
          'failed' counts requests whose retries were exhausted."
     );
     println!("\nCSV:\n{}", csv.render());
-    out.csv = Some(csv);
+    out.csvs.push((env!("CARGO_BIN_NAME"), csv));
     out.write_or_exit(results_dir(smoke), env!("CARGO_BIN_NAME"));
 }

@@ -194,7 +194,7 @@ fn main() {
         std::process::exit(1);
     }
 
-    out.csv = Some(csv);
+    out.csvs.push((env!("CARGO_BIN_NAME"), csv));
     out.write_or_exit(results_dir(smoke), env!("CARGO_BIN_NAME"));
 
     // Consistency under load: the same commit protocols the loaded engine

@@ -1,7 +1,7 @@
 //! `monitor` — online SLO detection with measured time-to-detect.
 //!
 //! Two experiments share the monitored open-loop protocol (an open
-//! [`sli_bench::RunSpec`] with [`sli_bench::Monitoring`] attached):
+//! [`sli_bench::RunSpec`] with its `monitor` set):
 //!
 //! 1. **False-positive gate.** Every architecture × flavor combination runs
 //!    a clean sub-knee loaded point under the full detector suite. Any
@@ -34,7 +34,9 @@
 //! signals (the error-budget detectors catch it instead).
 
 use sli_arch::{arch_by_key, ARCH_KEYS};
-use sli_bench::{results_dir, run, ArtifactSet, Cli, FaultClass, Monitoring, RunSpec};
+use sli_bench::{
+    results_dir, run, ArtifactSet, Cli, FaultClass, RunSpec, FAULT_AT_MS, FAULT_DUR_MS,
+};
 use sli_simnet::SimDuration;
 use sli_telemetry::DETECTOR_NAMES;
 use sli_workload::{Csv, TextTable};
@@ -66,7 +68,7 @@ fn main() {
     let monitored = |key: &str, fault: Option<FaultClass>| {
         let arch = arch_by_key(key).expect("built-in key");
         run(&RunSpec {
-            monitor: Some(Monitoring::standard(fault)),
+            monitor: Some(fault),
             ..RunSpec::open(arch, delay, CLEAN_RPS, smoke)
         })
     };
@@ -97,10 +99,8 @@ fn main() {
         ARCH_KEYS.to_vec()
     };
     println!(
-        "\nScripted disturbances on {} (dialled at +{} ms for {} ms):",
+        "\nScripted disturbances on {} (dialled at +{FAULT_AT_MS} ms for {FAULT_DUR_MS} ms):",
         combos.join(", "),
-        Monitoring::standard(None).fault_at_ms,
-        Monitoring::standard(None).fault_dur_ms,
     );
     let mut out = ArtifactSet::default();
     let mut csv = Csv::new(&[
@@ -223,7 +223,7 @@ fn main() {
         }
     }
 
-    out.csv = Some(csv);
+    out.csvs.push(("monitor_ttd", csv));
     out.write_or_exit(results_dir(smoke), "monitor_ttd");
 
     if failed {

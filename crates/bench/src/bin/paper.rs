@@ -1,0 +1,274 @@
+//! Regenerates Figures 6–8 and Table 2 from the one experiment behind them
+//! (paper §4.3): one virtual client, latency against injected one-way
+//! delay. Each architecture × algorithm combination runs once at each
+//! delay, and those runs give `fig6.csv` (ES/RDB with its best algorithm,
+//! JDBC, against ES/RBES and Clients/RAS), `fig7.csv` (ES/RDB's three
+//! algorithms), `fig8.csv` (bytes to the shared site per interaction) and
+//! `table2.csv` (the slope of each combination's fit; ES/RBES runs only
+//! cached EJBs, so its other cells are N/A, as in the paper). Every run also
+//! lands in `paper.report.json`, `paper.trace.json` and `paper.timeline.json`.
+//!
+//! Run with `cargo run --release -p sli-bench --bin paper`; `--smoke` sweeps
+//! 0, 40 and 80 ms on the quick protocol into `results/smoke/`. Exits 1 if
+//! an artifact fails validation or a shape check against the paper's
+//! numbers fails (DESIGN §4).
+
+use sli_arch::{Architecture, Flavor};
+use sli_bench::{
+    results_dir, run, sensitivity, ArtifactSet, Cli, RunSpec, RunSummary, PAPER_DELAYS_MS,
+};
+use sli_simnet::SimDuration;
+use sli_workload::{Csv, TextTable};
+
+/// Table 2 and Fig. 8 in the paper's layout.
+struct Results {
+    /// Per algorithm (Table 2's rows), the latency-sensitivity slope on
+    /// ES/RDB, ES/RBES and Clients/RAS; `None` where the architecture does
+    /// not run the algorithm.
+    slopes: [(Flavor, [Option<f64>; 3]); 3],
+    /// Bytes to the shared site per interaction on [`FIG8_BARS`].
+    bytes: [f64; 3],
+}
+
+/// What the paper reports: the one place its numbers appear.
+const PAPER: Results = Results {
+    slopes: [
+        (Flavor::CachedEjb, [Some(13.0), Some(3.1), Some(2.0)]),
+        (Flavor::Jdbc, [Some(9.4), None, Some(2.0)]),
+        (Flavor::VanillaEjb, [Some(23.6), None, Some(2.0)]),
+    ],
+    bytes: [2_000.0, 3_000.0, 7_000.0],
+};
+
+/// Fig. 8's bars, in Table 2's column order: ES/RDB is represented by its
+/// best algorithm.
+const FIG8_BARS: [Architecture; 3] = [
+    Architecture::EsRdb(Flavor::Jdbc),
+    Architecture::EsRbes,
+    Architecture::ClientsRas(Flavor::Jdbc),
+];
+
+/// Fig. 8's rows: its bars, and ES/RDB's cached flavor as detail.
+const FIG8: [(&str, Architecture); 4] = [
+    ("ES/RDB (JDBC)", FIG8_BARS[0]),
+    (
+        "ES/RDB (Cached EJBs, supplementary)",
+        Architecture::EsRdb(Flavor::CachedEjb),
+    ),
+    ("ES/RBES (Cached EJBs)", FIG8_BARS[1]),
+    ("Clients/RAS (JDBC)", FIG8_BARS[2]),
+];
+
+/// Bandwidth per interaction does not depend on the delay; Fig. 8 reads
+/// it at the middle of the sweep.
+const FIG8_DELAY_MS: u64 = 40;
+
+/// A latency figure's series: `(CSV column, combination)` each.
+type Series = [(&'static str, Architecture); 3];
+
+/// Figures 6 and 7: file stem, title and series.
+const FIGURES: [(&str, &str, Series); 2] = [
+    (
+        "fig6",
+        "Figure 6: Comparison of High-Latency Architectures",
+        [
+            ("es_rdb_jdbc_ms", FIG8_BARS[0]),
+            ("es_rbes_cached_ms", FIG8_BARS[1]),
+            ("clients_ras_ms", FIG8_BARS[2]),
+        ],
+    ),
+    (
+        "fig7",
+        "Figure 7: Edge-Servers Accessing Remote Database (ES/RDB)",
+        [
+            ("jdbc_ms", Architecture::EsRdb(Flavor::Jdbc)),
+            ("vanilla_ejb_ms", Architecture::EsRdb(Flavor::VanillaEjb)),
+            ("cached_ejb_ms", Architecture::EsRdb(Flavor::CachedEjb)),
+        ],
+    ),
+];
+
+/// `arch`'s column in Table 2, and its bar in Fig. 8.
+fn column(arch: Architecture) -> usize {
+    match arch {
+        Architecture::EsRdb(_) => 0,
+        Architecture::EsRbes => 1,
+        Architecture::ClientsRas(_) => 2,
+    }
+}
+
+/// `arch`'s series name, e.g. `ES/RDB (Vanilla EJBs)`.
+fn label(arch: Architecture) -> String {
+    format!("{} ({})", arch.label(), arch.flavor().label())
+}
+
+fn main() {
+    let args = Cli::new(
+        "paper",
+        "Regenerates Figures 6-8 and Table 2 from one latency-vs-delay sweep",
+    )
+    .flag("smoke", "scaled-down run for CI schema checks")
+    .parse();
+    let smoke = args.has("smoke");
+    let delays: &[u64] = if smoke { &[0, 40, 80] } else { PAPER_DELAYS_MS };
+    let mut out = ArtifactSet::new("Figures 6-8 and Table 2: latency vs one-way delay");
+    let sweeps: Vec<(Architecture, Vec<RunSummary>)> = Architecture::ALL
+        .iter()
+        .map(|&(arch, _)| {
+            let spec = |d| RunSpec::closed(arch, SimDuration::from_millis(d), smoke);
+            let runs = delays
+                .iter()
+                .map(|&d| out.push(&label(arch), run(&spec(d))));
+            (arch, runs.collect())
+        })
+        .collect();
+    let points = |arch| {
+        let sweep = sweeps.iter().find(|(a, _)| *a == arch);
+        &sweep.expect("every combination is swept").1
+    };
+    println!("One virtual client; latency = batched average of the measured sessions.\n");
+
+    for (stem, title, series) in FIGURES {
+        let columns = [&["delay_ms"][..], &series.map(|(column, _)| column)].concat();
+        let (mut table, mut csv) = (TextTable::new(&columns), Csv::new(&columns));
+        for (i, delay) in delays.iter().enumerate() {
+            let latency = |arch| format!("{:.1}", points(arch)[i].latency_ms);
+            let latencies = series.iter().map(|(_, arch)| latency(*arch));
+            let cells: Vec<String> = [delay.to_string()].into_iter().chain(latencies).collect();
+            table.row(cells.clone());
+            csv.row(cells);
+        }
+        println!("{title} (latency, ms)\n{}", table.render());
+        out.csvs.push((stem, csv));
+    }
+
+    println!("Linear fits (latency_ms = slope * delay_ms + intercept):");
+    let mut fits = TextTable::new(&["series", "slope", "intercept (ms)", "R^2"]);
+    let mut measured = Results {
+        slopes: PAPER.slopes.map(|(flavor, _)| (flavor, [None; 3])),
+        bytes: [0.0; 3],
+    };
+    for (arch, points) in &sweeps {
+        let fit = sensitivity(points).expect("the sweep has several delays");
+        let [slope, intercept] = [fit.slope, fit.intercept].map(|v| format!("{v:.1}"));
+        let r2 = format!("{:.4}", fit.r2);
+        fits.row(vec![label(*arch), slope, intercept, r2]);
+        let row = measured.slopes.iter_mut().find(|r| r.0 == arch.flavor());
+        row.expect("every algorithm is a Table 2 row").1[column(*arch)] = Some(fit.slope);
+        let failed: usize = points.iter().map(|p| p.failed).sum();
+        if failed > 0 {
+            eprintln!("warning: {}: {failed} failed interactions", label(*arch));
+        }
+    }
+    println!("{}", fits.render());
+
+    println!("Table 2: Algorithm Sensitivity to Communication Latency (paper's in parentheses)");
+    let mut table = TextTable::new(&["Algorithm", "ES/RDB", "ES/RBES", "Clients/RAS"]);
+    let mut csv = Csv::new(&["algorithm", "es_rdb", "es_rbes", "clients_ras"]);
+    for ((flavor, cells), (_, paper)) in measured.slopes.iter().zip(&PAPER.slopes) {
+        let shown = cells.iter().zip(paper).map(|cell| match cell {
+            (Some(cell), Some(paper)) => format!("{cell:.1} ({paper:.1})"),
+            _ => "N/A".to_owned(),
+        });
+        let name = flavor.label().to_owned();
+        table.row([name].into_iter().chain(shown).collect());
+        let key = flavor.label().to_lowercase().replace(' ', "_");
+        let values = cells.map(|c| c.map_or(String::new(), |s| format!("{s:.2}")));
+        csv.row([key].into_iter().chain(values).collect());
+    }
+    println!("{}", table.render());
+    out.csvs.push(("table2", csv));
+
+    println!("Figure 8: Bandwidth to the shared site, at {FIG8_DELAY_MS} ms (paper's scale last)");
+    let header = [
+        "architecture",
+        "bytes_per_interaction",
+        "round_trips_per_interaction",
+    ];
+    let mut table = TextTable::new(&[&header[..], &["paper"]].concat());
+    let mut csv = Csv::new(&header);
+    let at = delays.iter().position(|&d| d == FIG8_DELAY_MS);
+    let at = at.expect("Fig. 8's delay is swept");
+    for (name, arch) in FIG8 {
+        let p = points(arch)[at];
+        let cells = vec![
+            name.to_owned(),
+            format!("{:.0}", p.shared_bytes_per_interaction),
+            format!("{:.2}", p.round_trips_per_interaction),
+        ];
+        csv.row(cells.clone());
+        table.row([cells, vec![format!("~{:.0}", PAPER.bytes[column(arch)])]].concat());
+    }
+    measured.bytes = FIG8_BARS.map(|arch| points(arch)[at].shared_bytes_per_interaction);
+    println!("{}", table.render());
+    out.csvs.push(("fig8", csv));
+
+    println!("Shape checks vs the paper:");
+    let mut failed = false;
+    for (check, ok) in shape_checks(&measured) {
+        println!("  [{}] {check}", if ok { "PASS" } else { "FAIL" });
+        failed |= !ok;
+    }
+    out.print_summary(delays.len());
+    out.write_or_exit(results_dir(smoke), env!("CARGO_BIN_NAME"));
+    if failed {
+        eprintln!("error: a shape check against the paper failed");
+        std::process::exit(1);
+    }
+}
+
+/// The shapes the reproduction is judged on (DESIGN §4), each with whether
+/// `r` has it.
+fn shape_checks(r: &Results) -> [(&'static str, bool); 5] {
+    let cell = |r: &Results, row: usize, column: usize| r.slopes[row].1[column].expect("a cell");
+    let slope = |row, column| cell(r, row, column);
+    let (cached, jdbc, vanilla) = (0, 1, 2);
+    let (rdb, rbes, ras) = (0, 1, 2);
+    [
+        (
+            "Clients/RAS slope = the paper's for every algorithm",
+            (0..3).all(|row| (slope(row, ras) - cell(&PAPER, row, ras)).abs() < 0.1),
+        ),
+        (
+            "ES/RDB ordering: vanilla > cached > JDBC",
+            slope(vanilla, rdb) > slope(cached, rdb) && slope(cached, rdb) > slope(jdbc, rdb),
+        ),
+        (
+            "ES/RBES cached far below every ES/RDB flavor",
+            slope(cached, rbes) < slope(jdbc, rdb),
+        ),
+        (
+            "ES/RBES still above the Clients/RAS floor",
+            slope(cached, rbes) > cell(&PAPER, cached, ras),
+        ),
+        (
+            "Fig. 8 bytes: Clients/RAS > ES/RBES > ES/RDB (JDBC)",
+            r.bytes[ras] > r.bytes[rbes] && r.bytes[rbes] > r.bytes[rdb],
+        ),
+    ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn failing(r: &Results) -> Vec<&'static str> {
+        let checks = shape_checks(r).into_iter();
+        checks
+            .filter(|(_, ok)| !ok)
+            .map(|(check, _)| check)
+            .collect()
+    }
+
+    #[test]
+    fn the_papers_own_numbers_pass_every_check() {
+        assert_eq!(failing(&PAPER), Vec::<&str>::new());
+    }
+
+    #[test]
+    fn vanilla_below_cached_fails_the_es_rdb_ordering() {
+        let mut r = PAPER;
+        r.slopes[2].1[0] = Some(12.0);
+        assert_eq!(failing(&r), ["ES/RDB ordering: vanilla > cached > JDBC"]);
+    }
+}

@@ -26,7 +26,7 @@ fn main() {
     let csv = guard_csv(&guard_suite());
     print!("{}", csv.render());
     let out = ArtifactSet {
-        csv: Some(csv),
+        csvs: vec![("perfguard", csv)],
         ..ArtifactSet::default()
     };
     out.write_or_exit(results_dir(false), "perfguard");

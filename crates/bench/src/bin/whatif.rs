@@ -246,6 +246,6 @@ fn main() {
         }
     }
 
-    out.csv = Some(csv);
+    out.csvs.push((env!("CARGO_BIN_NAME"), csv));
     out.write_or_exit(results_dir(smoke), env!("CARGO_BIN_NAME"));
 }

@@ -5,12 +5,12 @@
 //! gives them one declarative surface: declare flags and valued options,
 //! get usage text, `--help` handling and unknown-argument rejection for
 //! free. It is deliberately tiny (no external dependency, no subcommands,
-//! long options only) — exactly what thirteen single-purpose bins need.
+//! long options only) — exactly what eleven single-purpose bins need.
 //!
 //! ```
 //! use sli_bench::Cli;
 //!
-//! let cli = Cli::new("fig6", "Regenerates Figure 6")
+//! let cli = Cli::new("paper", "Regenerates Figures 6-8 and Table 2")
 //!     .flag("smoke", "scaled-down run for CI")
 //!     .option("seed", "N", "workload RNG seed");
 //! let args = cli

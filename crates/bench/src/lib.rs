@@ -1,15 +1,13 @@
 //! # sli-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper's evaluation, plus the
-//! harness's own validation and profiling bins:
+//! Two binaries regenerate the paper's evaluation — `table1`, and `paper`
+//! for the one experiment behind Figures 6–8 and Table 2 — beside the
+//! extension studies and the harness's own validation and profiling bins:
 //!
 //! | binary | regenerates / checks |
 //! |---|---|
 //! | `table1` | Trade2 runtime & database usage characteristics |
-//! | `fig6` | latency vs delay for the three architectures |
-//! | `fig7` | latency vs delay for the three ES/RDB flavors |
-//! | `fig8` | bytes to the shared site per client interaction |
-//! | `table2` | latency-sensitivity (slope) matrix |
+//! | `paper` | Figs. 6–8 and Table 2 from one latency-vs-delay sweep |
 //! | `ablation_batching` | commit-batching ablation (paper §4.4) |
 //! | `contention` | optimistic aborts and conflict leaderboard vs closed clients |
 //! | `knee` | throughput–latency curves, saturation knees, aggregate profile |
@@ -98,9 +96,9 @@ pub struct RunSpec {
     /// Virtual per-resource speed knobs for what-if runs (nominal by
     /// default — measured costs).
     pub scale: ResourceScale,
-    /// Run under the online SLO monitor, optionally with a scripted
-    /// mid-run disturbance.
-    pub monitor: Option<Monitoring>,
+    /// `Some` runs under the online SLO monitor: `Some(None)` on clean
+    /// traffic, `Some(Some(fault))` with `fault` scripted mid-run.
+    pub monitor: Option<Option<FaultClass>>,
     /// How the measured phase admits sessions.
     pub admission: Admission,
 }
@@ -124,26 +122,6 @@ pub enum Admission {
         /// is roughly 11× this.
         session_rps: f64,
     },
-}
-
-/// The SLO detector configuration of a monitored run and the shape of its
-/// mid-run disturbance.
-#[derive(Debug, Clone, Copy)]
-pub struct Monitoring {
-    /// Detector thresholds and windows.
-    pub slo: SloConfig,
-    /// Scripted disturbance, or `None` for a clean false-positive run.
-    pub fault: Option<FaultClass>,
-    /// When the disturbance starts, ms of virtual time after the measured
-    /// phase begins. Must leave room for drift calibration first.
-    pub fault_at_ms: u64,
-    /// How long the disturbance lasts (ms); the fault plan is dialled back
-    /// to [`FaultPlan::NONE`] afterwards.
-    pub fault_dur_ms: u64,
-    /// Per-mille attempt loss during a [`FaultClass::LossBurst`].
-    pub loss_per_mille: u16,
-    /// Arrival-rate multiplier during a [`FaultClass::FlashCrowd`].
-    pub flash_peak: f64,
 }
 
 impl RunSpec {
@@ -176,35 +154,6 @@ impl RunSpec {
             batches: 20,
             admission: Admission::Open { session_rps },
             ..RunSpec::closed(arch, delay, quick)
-        }
-    }
-}
-
-impl Monitoring {
-    /// The standard monitored protocol: disturbance from 25 s to 45 s of
-    /// the measured phase (the default 100-sample drift calibration
-    /// finishes first at ≥ 5 interactions/s; 20 s of outage lets the ready
-    /// queue back up far enough for the queue charts), heavy loss, a 20×
-    /// surge. The burn/availability windows are stretched over the
-    /// defaults so they hold `min_events` even at half-session-per-second
-    /// rates, where an outage thins completions to a trickle, and the
-    /// latency σ floor is raised (12% of the SLO) to clear the vanilla-EJB
-    /// combination's legitimately large clean-traffic latency swings
-    /// without loosening the queue charts.
-    pub fn standard(fault: Option<FaultClass>) -> Monitoring {
-        Monitoring {
-            slo: SloConfig {
-                fast_window_us: 4_000_000,
-                slow_window_us: 16_000_000,
-                min_events: 10,
-                latency_sigma_floor_us: 60_000.0,
-                ..SloConfig::default()
-            },
-            fault,
-            fault_at_ms: 25_000,
-            fault_dur_ms: 20_000,
-            loss_per_mille: 700,
-            flash_peak: 20.0,
         }
     }
 }
@@ -413,37 +362,37 @@ pub fn run(spec: &RunSpec) -> RunArtifacts {
 
     // A monitored run's arrival process and fault script realise its
     // scenario.
-    let scenario = spec.monitor.and_then(|m| m.fault.map(|fault| (m, fault)));
+    let scenario = spec.monitor.flatten();
     let mut process = ArrivalProcess::Poisson;
     let mut script: Vec<ScheduledFault> = Vec::new();
-    if let Some((m, fault)) = scenario {
+    if let Some(fault) = scenario {
         let plan = match fault {
             FaultClass::BackendOutage => Some(FaultPlan {
                 seed: PAPER_SEED,
                 unavailable_per_mille: 1_000,
                 ..FaultPlan::NONE
             }),
-            FaultClass::LossBurst => Some(FaultPlan::lossy(PAPER_SEED, m.loss_per_mille)),
+            FaultClass::LossBurst => Some(FaultPlan::lossy(PAPER_SEED, LOSS_BURST_PER_MILLE)),
             FaultClass::FlashCrowd => {
                 assert!(
                     session_rps.is_some(),
                     "a flash crowd is a surge in an open run's arrival rate"
                 );
                 process = ArrivalProcess::FlashCrowd {
-                    at_us: m.fault_at_ms * 1_000,
-                    dur_us: m.fault_dur_ms * 1_000,
-                    peak: m.flash_peak,
+                    at_us: FAULT_AT_MS * 1_000,
+                    dur_us: FAULT_DUR_MS * 1_000,
+                    peak: FLASH_CROWD_PEAK,
                 };
                 None
             }
         };
         if let Some(plan) = plan {
             script.push(ScheduledFault {
-                at: SimDuration::from_millis(m.fault_at_ms),
+                at: SimDuration::from_millis(FAULT_AT_MS),
                 plan,
             });
             script.push(ScheduledFault {
-                at: SimDuration::from_millis(m.fault_at_ms + m.fault_dur_ms),
+                at: SimDuration::from_millis(FAULT_AT_MS + FAULT_DUR_MS),
                 plan: FaultPlan::NONE,
             });
         }
@@ -490,9 +439,9 @@ pub fn run(spec: &RunSpec) -> RunArtifacts {
             ..warm_up
         },
     };
-    let mut monitor = spec.monitor.map(|m| {
-        let scenario = m.fault.map_or("clean", FaultClass::key);
-        let mut monitor = SloMonitor::new(m.slo)
+    let mut monitor = spec.monitor.map(|fault| {
+        let scenario = fault.map_or("clean", FaultClass::key);
+        let mut monitor = SloMonitor::new(MONITOR_SLO)
             .with_label(format!("{} {scenario}", arch_key(spec.arch)))
             .share_metrics(testbed.monitor_metrics());
         monitor.set_context("arch", Json::from(arch_key(spec.arch)));
@@ -577,8 +526,8 @@ pub fn run(spec: &RunSpec) -> RunArtifacts {
         (None, n) => format!("{} @ {:.0}ms x{n} clients", report.arch, summary.delay_ms),
         (Some(rps), _) => format!("{} loaded @ {rps:.2} sessions/s", report.arch),
     });
-    let truth_us = scenario.and_then(|(m, fault)| match fault {
-        FaultClass::FlashCrowd => Some(t0 + m.fault_at_ms * 1_000),
+    let truth_us = scenario.and_then(|fault| match fault {
+        FaultClass::FlashCrowd => Some(t0 + FAULT_AT_MS * 1_000),
         _ => testbed.fault_first_effect_us(),
     });
     let incidents = monitor.as_ref().map_or_else(Vec::new, |monitor| {
@@ -660,8 +609,8 @@ pub fn results_dir(smoke: bool) -> &'static str {
     }
 }
 
-/// Everything a bin exports under one file-name stem. A bin fills the parts
-/// it publishes; parts left empty are not written.
+/// Everything a bin exports. A bin fills the parts it publishes; parts
+/// left empty are not written.
 #[derive(Debug, Default)]
 pub struct ArtifactSet {
     /// One row per run → `{name}.report.json` (`sli-edge.run-report/v1`).
@@ -681,8 +630,8 @@ pub struct ArtifactSet {
     /// `(file stem, incident)` → `{stem}.incident.json`
     /// (`sli-edge.incident/v1`).
     pub incidents: Vec<(String, Json)>,
-    /// The paper-facing table → `{name}.csv`.
-    pub csv: Option<Csv>,
+    /// `(file stem, table)` → `{stem}.csv`: the paper-facing tables.
+    pub csvs: Vec<(&'static str, Csv)>,
 }
 
 impl ArtifactSet {
@@ -723,7 +672,8 @@ impl ArtifactSet {
         }
     }
 
-    /// Writes every non-empty part to `{dir}/{name}.*`, first checking
+    /// Writes every non-empty part to `{dir}/{name}.*` (incidents and
+    /// tables to `{dir}/{stem}.*`, under their own stems), first checking
     /// that each JSON document [`validate`]s as the kind its part holds
     /// (laws included: conservation, every span within its parent);
     /// nothing is written if any part is invalid. Returns the paths
@@ -767,8 +717,8 @@ impl ArtifactSet {
             check(incident, Schema::Incident).map_err(|e| format!("incident {stem}: {e}"))?;
             add(stem, "incident.json", incident.render());
         }
-        if let Some(csv) = &self.csv {
-            add(name, "csv", csv.render());
+        for (stem, csv) in &self.csvs {
+            add(stem, "csv", csv.render());
         }
         std::fs::create_dir_all(dir).map_err(|e| format!("create {dir}/: {e}"))?;
         for (path, body) in &files {
@@ -1005,6 +955,36 @@ impl FaultClass {
     }
 }
 
+/// The detector configuration of every monitored run. The burn and
+/// availability windows are stretched over the defaults so they hold
+/// `min_events` even at half-session-per-second rates, where an outage
+/// thins completions to a trickle, and the latency σ floor is raised (12%
+/// of the SLO) to clear the vanilla-EJB combination's legitimately large
+/// clean-traffic latency swings without loosening the queue charts.
+const MONITOR_SLO: SloConfig = SloConfig {
+    fast_window_us: 4_000_000,
+    slow_window_us: 16_000_000,
+    min_events: 10,
+    latency_sigma_floor_us: 60_000.0,
+    ..SloConfig::DEFAULT
+};
+
+/// When a scripted disturbance starts, ms of virtual time into the
+/// measured phase: the default 100-sample drift calibration finishes first
+/// at ≥ 5 interactions/s.
+pub const FAULT_AT_MS: u64 = 25_000;
+
+/// How long a scripted disturbance lasts (ms): long enough for an outage
+/// to back the ready queue up as far as the queue charts need. A fault
+/// plan is dialled back to [`FaultPlan::NONE`] afterwards.
+pub const FAULT_DUR_MS: u64 = 20_000;
+
+/// Per-mille attempt loss during a [`FaultClass::LossBurst`]: heavy.
+const LOSS_BURST_PER_MILLE: u16 = 700;
+
+/// Arrival-rate multiplier during a [`FaultClass::FlashCrowd`].
+const FLASH_CROWD_PEAK: f64 = 20.0;
+
 /// Renders a fault plan for incident context.
 fn fault_plan_json(plan: FaultPlan) -> Json {
     Json::obj([
@@ -1026,77 +1006,6 @@ fn fault_plan_json(plan: FaultPlan) -> Json {
             Json::from(u64::from(plan.unavailable_per_mille)),
         ),
     ])
-}
-
-/// The experiment behind Figures 6 and 7 — latency vs one-way delay for a
-/// set of `(label, csv column, architecture)` series. Sweeps each series
-/// over the paper's delays (0 and 40 ms under `smoke`) with the §4.3
-/// closed-loop protocol, prints the latency table, the linear fits the
-/// paper overlays (R² ≈ 99%) and the run summary, and exports every run
-/// plus the table as `{name}.csv`.
-pub fn latency_vs_delay(
-    name: &str,
-    title: &str,
-    series: &[(&str, &str, Architecture)],
-    smoke: bool,
-) {
-    let delays: &[u64] = if smoke { &[0, 40] } else { PAPER_DELAYS_MS };
-    let mut out = ArtifactSet::new(title);
-    let results: Vec<Vec<RunSummary>> = series
-        .iter()
-        .map(|(label, _, arch)| {
-            delays
-                .iter()
-                .map(|&d| {
-                    let spec = RunSpec::closed(*arch, SimDuration::from_millis(d), smoke);
-                    out.push(label, run(&spec))
-                })
-                .collect()
-        })
-        .collect();
-
-    let labels = series.iter().map(|(label, _, _)| *label);
-    let columns = series.iter().map(|(_, column, _)| *column);
-    let mut table = TextTable::new(
-        &std::iter::once("one-way delay (ms)")
-            .chain(labels)
-            .collect::<Vec<_>>(),
-    );
-    let mut csv = Csv::new(
-        &std::iter::once("delay_ms")
-            .chain(columns)
-            .collect::<Vec<_>>(),
-    );
-    for (i, delay) in delays.iter().enumerate() {
-        let cells: Vec<String> = std::iter::once(delay.to_string())
-            .chain(results.iter().map(|r| format!("{:.1}", r[i].latency_ms)))
-            .collect();
-        table.row(cells.clone());
-        csv.row(cells);
-    }
-    println!("{}", table.render());
-
-    println!("Linear fits (latency_ms = slope * delay_ms + intercept):");
-    let mut fits = TextTable::new(&["series", "slope (sensitivity)", "intercept (ms)", "R^2"]);
-    for ((label, _, _), points) in series.iter().zip(&results) {
-        let f = sensitivity(points).expect("sweep has multiple delays");
-        fits.row(vec![
-            (*label).to_owned(),
-            format!("{:.1}", f.slope),
-            format!("{:.1}", f.intercept),
-            format!("{:.4}", f.r2),
-        ]);
-        let failed: usize = points.iter().map(|p| p.failed).sum();
-        if failed > 0 {
-            eprintln!("warning: {label}: {failed} failed interactions");
-        }
-    }
-    println!("{}", fits.render());
-    out.print_summary(delays.len());
-    println!("\nCSV:\n{}", csv.render());
-    println!("\n{}", out.report.render_text());
-    out.csv = Some(csv);
-    out.write_or_exit(results_dir(smoke), name);
 }
 
 /// Fits latency (ms) against one-way delay (ms); the slope is the latency
@@ -1455,7 +1364,7 @@ mod tests {
     #[should_panic(expected = "a flash crowd is a surge in an open run's arrival rate")]
     fn a_closed_run_cannot_stage_a_flash_crowd() {
         run(&RunSpec {
-            monitor: Some(Monitoring::standard(Some(FaultClass::FlashCrowd))),
+            monitor: Some(Some(FaultClass::FlashCrowd)),
             ..quick(Architecture::EsRbes)
         });
     }

@@ -1,5 +1,5 @@
-//! Allocation budget of the image path, and what a hostile length prefix
-//! may reserve.
+//! Allocation budget of the image path, what a hostile length prefix may
+//! reserve, and that a hostile predicate's depth gets an error reply.
 //!
 //! An image is shared, never copied, on the read path, and whatever depends
 //! only on the deployment descriptor is resolved when it is built (DESIGN
@@ -457,4 +457,18 @@ fn a_hostile_length_prefix_reserves_only_what_its_frame_can_hold() {
             "{asked} bytes requested for a {sent}-byte image"
         );
     }
+}
+
+#[test]
+fn a_hostile_predicate_depth_gets_an_error_reply() {
+    let (db, registry) = quotes();
+    let backend = BackendServer::new(Box::new(db.connect()), registry, Arc::new(Clock::new()));
+    // A query whose predicate is 200 000 NOTs around TRUE. Decoded a frame
+    // per level, it would overflow the stack, which aborts the process
+    // rather than unwinding.
+    let mut body = Writer::new();
+    body.put_u8(2).put_str("Quote"); // OP_QUERY
+    body.put_raw(&[8; 200_000]).put_u8(0); // NOT … NOT TRUE
+    let (_, payload) = unframe(backend.handle(backend_frame(body))).unwrap();
+    assert_eq!(Reader::new(payload).get_u8().unwrap(), 1, "STATUS_ERR");
 }

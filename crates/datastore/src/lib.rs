@@ -57,7 +57,7 @@ pub use connection::Connection;
 pub use engine::{AccessPath, Database, PlanCacheStats, PLAN_CACHE_CAPACITY};
 pub use error::DbError;
 pub use lock::{LockManager, LockMode};
-pub use predicate::{CmpOp, Predicate};
+pub use predicate::{CmpOp, Predicate, MAX_PREDICATE_DEPTH};
 pub use result::{ResultSet, RowIter, Rows};
 pub use schema::{Column, ColumnType, Schema};
 pub use trace::{OpCounts, TraceSnapshot};

@@ -85,6 +85,13 @@ impl fmt::Display for CmpOp {
     }
 }
 
+/// The deepest nesting of `AND`, `OR` and `NOT` — and, in SQL text, of
+/// parentheses — that [`Predicate::decode`] and the SQL parser accept.
+/// Evaluating, rendering and dropping a predicate recurse once per level,
+/// so bytes off the wire must not choose the depth; a finder's predicate
+/// nests a few levels, and a left-deep chain of `OR`s counts one per term.
+pub const MAX_PREDICATE_DEPTH: usize = 64;
+
 /// A boolean predicate over a row.
 ///
 /// ```
@@ -451,8 +458,19 @@ impl Predicate {
     /// Decodes a predicate from a wire frame.
     ///
     /// # Errors
-    /// Returns [`DecodeError`] on truncation or unknown tags.
+    /// Returns [`DecodeError`] on truncation, unknown tags, or `AND`, `OR`
+    /// and `NOT` nested deeper than [`MAX_PREDICATE_DEPTH`].
     pub fn decode(r: &mut Reader) -> Result<Predicate, DecodeError> {
+        Predicate::decode_within(r, MAX_PREDICATE_DEPTH)
+    }
+
+    /// [`Predicate::decode`] with `levels` of `AND`/`OR`/`NOT` nesting
+    /// left: the frame, not the stack, runs out first.
+    fn decode_within(r: &mut Reader, levels: usize) -> Result<Predicate, DecodeError> {
+        let operand = |r: &mut Reader| match levels.checked_sub(1) {
+            Some(left) => Predicate::decode_within(r, left).map(Box::new),
+            None => Err(DecodeError::new("predicate nested too deep")),
+        };
         Ok(match r.get_u8()? {
             0 => Predicate::True,
             1 => Predicate::Cmp {
@@ -475,15 +493,9 @@ impl Predicate {
             5 => Predicate::IsNotNull {
                 column: r.get_str()?,
             },
-            6 => Predicate::And(
-                Box::new(Predicate::decode(r)?),
-                Box::new(Predicate::decode(r)?),
-            ),
-            7 => Predicate::Or(
-                Box::new(Predicate::decode(r)?),
-                Box::new(Predicate::decode(r)?),
-            ),
-            8 => Predicate::Not(Box::new(Predicate::decode(r)?)),
+            6 => Predicate::And(operand(r)?, operand(r)?),
+            7 => Predicate::Or(operand(r)?, operand(r)?),
+            8 => Predicate::Not(operand(r)?),
             9 => {
                 let column = r.get_str()?;
                 let n = r.get_u32()? as usize;

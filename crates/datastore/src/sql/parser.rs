@@ -1,7 +1,7 @@
 //! Recursive-descent parser for the SQL subset.
 
 use crate::error::DbError;
-use crate::predicate::{CmpOp, Predicate};
+use crate::predicate::{CmpOp, Predicate, MAX_PREDICATE_DEPTH};
 use crate::schema::{Column, ColumnType};
 use crate::sql::ast::{Scalar, SelectList, Statement};
 use crate::sql::lexer::{tokenize, Token};
@@ -18,6 +18,7 @@ pub fn parse(sql: &str) -> DbResult<Statement> {
         tokens,
         pos: 0,
         params: 0,
+        open: 0,
     };
     let stmt = p.statement()?;
     if p.pos != p.tokens.len() {
@@ -34,7 +35,13 @@ struct Parser {
     pos: usize,
     /// Running count of `?` placeholders, assigned left to right.
     params: usize,
+    /// `NOT`s and parentheses open around the token at `pos`.
+    open: usize,
 }
+
+/// A predicate and its height: the `AND`, `OR` and `NOT` nodes and
+/// parenthesis levels on its longest branch.
+type Parsed = DbResult<(Predicate, usize)>;
 
 impl Parser {
     fn peek(&self) -> Option<&Token> {
@@ -334,45 +341,75 @@ impl Parser {
 
     fn where_clause(&mut self) -> DbResult<Predicate> {
         if self.eat_word("where") {
-            self.or_expr()
+            Ok(self.or_expr()?.0)
         } else {
             Ok(Predicate::True)
         }
     }
 
-    fn or_expr(&mut self) -> DbResult<Predicate> {
-        let mut left = self.and_expr()?;
+    /// The height of a node over operands at most `height` high: one more,
+    /// unless that nests it, under the levels open around it, deeper than
+    /// [`MAX_PREDICATE_DEPTH`].
+    fn nest(&self, height: usize) -> DbResult<usize> {
+        if self.open + height >= MAX_PREDICATE_DEPTH {
+            return self.err(format!(
+                "predicate nested deeper than {MAX_PREDICATE_DEPTH} levels"
+            ));
+        }
+        Ok(height + 1)
+    }
+
+    /// Parses with `inner` one level in — a `NOT`'s operand or the inside
+    /// of parentheses — and returns what it parsed with its height from
+    /// this level.
+    fn deeper(&mut self, inner: fn(&mut Parser) -> Parsed) -> Parsed {
+        self.nest(0)?;
+        self.open += 1;
+        let parsed = inner(self);
+        self.open -= 1;
+        parsed.map(|(predicate, height)| (predicate, height + 1))
+    }
+
+    fn or_expr(&mut self) -> Parsed {
+        let (mut left, mut height) = self.and_expr()?;
         while self.eat_word("or") {
-            let right = self.and_expr()?;
+            let (right, h) = self.and_expr()?;
+            height = self.nest(height.max(h))?;
             left = left.or(right);
         }
-        Ok(left)
+        Ok((left, height))
     }
 
-    fn and_expr(&mut self) -> DbResult<Predicate> {
-        let mut left = self.not_expr()?;
+    fn and_expr(&mut self) -> Parsed {
+        let (mut left, mut height) = self.not_expr()?;
         while self.eat_word("and") {
-            let right = self.not_expr()?;
+            let (right, h) = self.not_expr()?;
+            height = self.nest(height.max(h))?;
             left = left.and(right);
         }
-        Ok(left)
+        Ok((left, height))
     }
 
-    fn not_expr(&mut self) -> DbResult<Predicate> {
+    fn not_expr(&mut self) -> Parsed {
         if self.eat_word("not") {
-            Ok(Predicate::Not(Box::new(self.not_expr()?)))
+            let (inner, height) = self.deeper(Parser::not_expr)?;
+            Ok((Predicate::Not(Box::new(inner)), height))
         } else {
             self.comparison()
         }
     }
 
-    fn comparison(&mut self) -> DbResult<Predicate> {
+    fn comparison(&mut self) -> Parsed {
         if self.peek() == Some(&Token::LParen) {
             self.next();
-            let inner = self.or_expr()?;
+            let inner = self.deeper(Parser::or_expr)?;
             self.expect(Token::RParen)?;
             return Ok(inner);
         }
+        self.leaf().map(|predicate| (predicate, 0))
+    }
+
+    fn leaf(&mut self) -> DbResult<Predicate> {
         let column = self.ident()?;
         if self.eat_word("like") {
             return match self.next() {

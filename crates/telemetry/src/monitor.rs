@@ -123,27 +123,32 @@ pub struct SloConfig {
     pub recorder_window_us: u64,
 }
 
+impl SloConfig {
+    /// [`SloConfig::default`], for building a configuration in a `const`.
+    pub const DEFAULT: SloConfig = SloConfig {
+        latency_slo_us: 500_000,
+        objective_ppm: 1_000,
+        fast_window_us: 2_000_000,
+        slow_window_us: 12_000_000,
+        burn_threshold: 25.0,
+        min_events: 12,
+        ewma_lambda: 0.25,
+        ewma_limit: 12.0,
+        cusum_slack: 4.0,
+        cusum_threshold: 80.0,
+        calibration: 100,
+        latency_sigma_floor_us: 25_000.0,
+        avail_window_us: 4_000_000,
+        avail_floor: 0.80,
+        span_ring: 256,
+        window_ring: 96,
+        recorder_window_us: 500_000,
+    };
+}
+
 impl Default for SloConfig {
     fn default() -> SloConfig {
-        SloConfig {
-            latency_slo_us: 500_000,
-            objective_ppm: 1_000,
-            fast_window_us: 2_000_000,
-            slow_window_us: 12_000_000,
-            burn_threshold: 25.0,
-            min_events: 12,
-            ewma_lambda: 0.25,
-            ewma_limit: 12.0,
-            cusum_slack: 4.0,
-            cusum_threshold: 80.0,
-            calibration: 100,
-            latency_sigma_floor_us: 25_000.0,
-            avail_window_us: 4_000_000,
-            avail_floor: 0.80,
-            span_ring: 256,
-            window_ring: 96,
-            recorder_window_us: 500_000,
-        }
+        SloConfig::DEFAULT
     }
 }
 

@@ -13,7 +13,9 @@ use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use sli_edge::datastore::{CmpOp, Predicate, Value};
+use sli_edge::datastore::{
+    CmpOp, Database, DbError, Predicate, SqlConnection, Value, MAX_PREDICATE_DEPTH,
+};
 use sli_edge::simnet::wire::{Reader, Writer};
 use sli_edge::simnet::{HttpRequest, HttpResponse};
 use sli_edge::trade::TradeAction;
@@ -293,4 +295,52 @@ fn the_predicate_decoder_never_panics() {
             .collect();
         decode_predicate(&noise);
     }
+}
+
+/// A stack overflow aborts the process rather than unwinding, so these
+/// inputs must be refused before they recurse: each would take a frame per
+/// level to decode or parse, and again to evaluate and to drop.
+#[test]
+fn a_predicate_deeper_than_the_bound_is_refused() {
+    // `NOT` tags around `TRUE`: the bound decodes, one more does not.
+    let nots = |n: usize| [vec![8u8; n], vec![0]].concat();
+    assert_eq!(decode_predicate(&nots(200_000)), None);
+    assert_eq!(decode_predicate(&nots(MAX_PREDICATE_DEPTH + 1)), None);
+    let mut deepest = Predicate::True;
+    for _ in 0..MAX_PREDICATE_DEPTH {
+        deepest = Predicate::Not(Box::new(deepest));
+    }
+    assert_eq!(decode_predicate(&nots(MAX_PREDICATE_DEPTH)), Some(deepest));
+}
+
+#[test]
+fn sql_nested_deeper_than_the_bound_is_refused() {
+    let db = Database::new();
+    db.execute_ddl("CREATE TABLE t (id INT PRIMARY KEY)")
+        .unwrap();
+    let mut conn = db.connect();
+    conn.execute("INSERT INTO t (id) VALUES (1)", &[]).unwrap();
+    let mut rows = |predicate: String| {
+        let sql = format!("SELECT * FROM t WHERE {predicate}");
+        conn.execute(&sql, &[]).map(|result| result.len())
+    };
+    let nots = |n: usize| format!("{}id = 1", "NOT ".repeat(n));
+    // A left-deep chain: `terms - 1` OR nodes, the first term the deepest.
+    let ors = |terms: usize| format!("id = 1{}", " OR id = 1".repeat(terms - 1));
+    for refused in [
+        nots(200_000),
+        ors(200_000),
+        nots(MAX_PREDICATE_DEPTH + 1),
+        ors(MAX_PREDICATE_DEPTH + 2),
+    ] {
+        let head = refused[..40].to_owned();
+        assert!(
+            matches!(rows(refused), Err(DbError::Parse(_))),
+            "{head}… was not refused"
+        );
+    }
+    // The deepest accepted: an even number of NOTs keeps the row.
+    let even = usize::from(MAX_PREDICATE_DEPTH.is_multiple_of(2));
+    assert_eq!(rows(nots(MAX_PREDICATE_DEPTH)), Ok(even));
+    assert_eq!(rows(ors(MAX_PREDICATE_DEPTH + 1)), Ok(1));
 }
