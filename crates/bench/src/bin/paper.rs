@@ -1,21 +1,26 @@
-//! Regenerates Figures 6–8 and Table 2 from the one experiment behind them
-//! (paper §4.3): one virtual client, latency against injected one-way
-//! delay. Each architecture × algorithm combination runs once at each
-//! delay, and those runs give `fig6.csv` (ES/RDB with its best algorithm,
-//! JDBC, against ES/RBES and Clients/RAS), `fig7.csv` (ES/RDB's three
-//! algorithms), `fig8.csv` (bytes to the shared site per interaction) and
+//! Regenerates Tables 1 and 2 and Figures 6–8 from the one experiment
+//! behind them (paper §4.3): one virtual client, latency against injected
+//! one-way delay. Each architecture × algorithm combination runs once at
+//! each delay, and those runs give `fig6.csv` (ES/RDB with its best
+//! algorithm, JDBC, against ES/RBES and Clients/RAS), `fig7.csv` (ES/RDB's
+//! three algorithms), `fig8.csv` (bytes to the shared site per interaction),
 //! `table2.csv` (the slope of each combination's fit; ES/RBES runs only
-//! cached EJBs, so its other cells are N/A, as in the paper). Every run also
-//! lands in `paper.report.json`, `paper.trace.json` and `paper.timeline.json`.
+//! cached EJBs, so its other cells are N/A, as in the paper) and
+//! `table1.csv` (per combination and action, what the spans of its Fig. 8
+//! run recorded). Every run also lands in `paper.report.json`,
+//! `paper.trace.json` and `paper.timeline.json`.
 //!
 //! Run with `cargo run --release -p sli-bench --bin paper`; `--smoke` sweeps
 //! 0, 40 and 80 ms on the quick protocol into `results/smoke/`. Exits 1 if
 //! an artifact fails validation or a shape check against the paper's
 //! numbers fails (DESIGN §4).
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use sli_arch::{Architecture, Flavor};
 use sli_bench::{
-    results_dir, run, sensitivity, ArtifactSet, Cli, RunSpec, RunSummary, PAPER_DELAYS_MS,
+    results_dir, run, sensitivity, ActionTally, ArtifactSet, Cli, RunSpec, RunSummary,
+    PAPER_DELAYS_MS,
 };
 use sli_simnet::SimDuration;
 use sli_workload::{Csv, TextTable};
@@ -39,6 +44,47 @@ const PAPER: Results = Results {
     ],
     bytes: [2_000.0, 3_000.0, 7_000.0],
 };
+
+/// The paper's Table 1, "Trade Runtime and Database Usage
+/// Characteristics", `|`-separated: per action, the key its servlet span
+/// and `table1.csv` name it by, then the paper's name, description, CMP
+/// bean operation and DB activity (per table, the statement kinds C/R/U/D).
+/// The session mix never issues Register.
+const TABLE1: [&str; 10] = [
+    "login | Login | User sign in, session creation | Update | Registry R, U; Account R",
+    "logout | Logout | User sign-off, session destroy | Update | Registry R, U",
+    "register | Register | Create a new user profile and account | Multi-Bean Create | Account C, R; Profile C; Registry C",
+    "home | Home | Personalized home page incl. market conditions | Read | Account R",
+    "account | Account | Review current user profile information | Read | Profile R",
+    "update | Account Update | \"Account\" followed by user profile update | Read/Update | Profile R, U",
+    "portfolio | Portfolio | View user's current security holdings | Read | Holding R",
+    "quote | Quote | View a current security quote | Read | Quote R",
+    "buy | Buy | \"Quote\" followed by a security purchase | Multi-Bean Read/Update | Quote R; Account R, U; Holding C, R",
+    "sell | Sell | \"Portfolio\" followed by the sell of a holding | Multi-Bean Read/Update | Quote R; Account R, U; Holding D, R",
+];
+
+/// A DB-activity label (`Registry R, U; Account R`) as its set of
+/// `(table, kind)` pairs.
+fn activity_pairs(label: &str) -> BTreeSet<(String, &str)> {
+    let parts = label.split("; ").filter_map(|part| part.split_once(' '));
+    let pairs =
+        parts.flat_map(|(table, kinds)| kinds.split(", ").map(|k| (table.to_lowercase(), k)));
+    pairs.collect()
+}
+
+/// The classes of `t`'s statements in Table 1's notation, tables and kinds
+/// in name order (`Account R; Registry R, U`).
+fn activity_label(t: &ActionTally) -> String {
+    let mut tables: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
+    for (table, kind) in t.statements.iter().filter_map(|c| c.split_once('.')) {
+        tables.entry(table).or_default().push(&kind[..1]);
+    }
+    let labels = tables.iter().map(|(table, kinds)| {
+        let kinds = kinds.join(", ").to_uppercase();
+        format!("{}{} {kinds}", table[..1].to_uppercase(), &table[1..])
+    });
+    labels.collect::<Vec<_>>().join("; ")
+}
 
 /// Fig. 8's bars, in Table 2's column order: ES/RDB is represented by its
 /// best algorithm.
@@ -105,20 +151,26 @@ fn label(arch: Architecture) -> String {
 fn main() {
     let args = Cli::new(
         "paper",
-        "Regenerates Figures 6-8 and Table 2 from one latency-vs-delay sweep",
+        "Regenerates Tables 1 and 2 and Figures 6-8 from one latency-vs-delay sweep",
     )
     .flag("smoke", "scaled-down run for CI schema checks")
     .parse();
     let smoke = args.has("smoke");
     let delays: &[u64] = if smoke { &[0, 40, 80] } else { PAPER_DELAYS_MS };
-    let mut out = ArtifactSet::new("Figures 6-8 and Table 2: latency vs one-way delay");
+    let mut out = ArtifactSet::new("Tables 1-2 and Figures 6-8: latency vs one-way delay");
+    // Per combination, what each action of its Fig. 8 run did.
+    let mut ledgers = Vec::new();
     let sweeps: Vec<(Architecture, Vec<RunSummary>)> = Architecture::ALL
         .iter()
         .map(|&(arch, _)| {
             let spec = |d| RunSpec::closed(arch, SimDuration::from_millis(d), smoke);
-            let runs = delays
-                .iter()
-                .map(|&d| out.push(&label(arch), run(&spec(d))));
+            let runs = delays.iter().map(|&d| {
+                let mut artifacts = run(&spec(d));
+                if d == FIG8_DELAY_MS {
+                    ledgers.push((arch, std::mem::take(&mut artifacts.actions)));
+                }
+                out.push(&label(arch), artifacts)
+            });
             (arch, runs.collect())
         })
         .collect();
@@ -203,9 +255,64 @@ fn main() {
     println!("{}", table.render());
     out.csvs.push(("fig8", csv));
 
+    let mut csv = Csv::new(&[
+        "combination",
+        "action",
+        "interactions",
+        "delayed_round_trips",
+        "db_activity",
+    ]);
+    let mut observed = TABLE1.map(|_| None);
+    for (arch, actions) in &ledgers {
+        let trips: u64 = actions.values().map(|t| t.delayed_round_trips).sum();
+        let counted = points(*arch)[at].round_trips;
+        if trips != counted {
+            let arch = label(*arch);
+            eprintln!("error: {arch}: the spans name {trips} round trips, the path {counted}");
+            std::process::exit(1);
+        }
+        let vanilla = arch.flavor() == Flavor::VanillaEjb;
+        for (action, t) in actions {
+            let activity = if vanilla {
+                activity_label(t)
+            } else {
+                String::new()
+            };
+            csv.row(vec![
+                label(*arch),
+                action.to_string(),
+                t.interactions.to_string(),
+                t.delayed_round_trips.to_string(),
+                activity,
+            ]);
+        }
+        // Table 1's check reads the combination that issues every
+        // statement on its own, so each names its table.
+        if *arch == Architecture::EsRdb(Flavor::VanillaEjb) {
+            let tally = |row: &str| actions.get(row.split(" | ").next()?);
+            observed = TABLE1.map(|row| tally(row).map(activity_label));
+        }
+    }
+    out.csvs.push(("table1", csv));
+
+    println!("Table 1: Trade Runtime and Database Usage Characteristics");
+    let mut table = TextTable::new(&[
+        "action",
+        "Trade Action",
+        "Description",
+        "CMP Bean Operation",
+        "DB Activity",
+        "observed, ES/RDB (Vanilla EJBs)",
+    ]);
+    for (row, seen) in TABLE1.iter().zip(&observed) {
+        let seen = seen.as_deref().unwrap_or("not in the session mix");
+        table.row(row.split(" | ").chain([seen]).collect());
+    }
+    println!("{}", table.render());
+
     println!("Shape checks vs the paper:");
     let mut failed = false;
-    for (check, ok) in shape_checks(&measured) {
+    for (check, ok) in shape_checks(&measured, &observed) {
         println!("  [{}] {check}", if ok { "PASS" } else { "FAIL" });
         failed |= !ok;
     }
@@ -218,8 +325,9 @@ fn main() {
 }
 
 /// The shapes the reproduction is judged on (DESIGN §4), each with whether
-/// `r` has it.
-fn shape_checks(r: &Results) -> [(&'static str, bool); 5] {
+/// `r` and `activity` (per [`TABLE1`] row, the DB activity observed on
+/// ES/RDB with vanilla EJBs) have it.
+fn shape_checks(r: &Results, activity: &[Option<String>; 10]) -> [(&'static str, bool); 6] {
     let cell = |r: &Results, row: usize, column: usize| r.slopes[row].1[column].expect("a cell");
     let slope = |row, column| cell(r, row, column);
     let (cached, jdbc, vanilla) = (0, 1, 2);
@@ -245,6 +353,13 @@ fn shape_checks(r: &Results) -> [(&'static str, bool); 5] {
             "Fig. 8 bytes: Clients/RAS > ES/RBES > ES/RDB (JDBC)",
             r.bytes[ras] > r.bytes[rbes] && r.bytes[rbes] > r.bytes[rdb],
         ),
+        (
+            "Table 1: every action in the mix has the paper's DB activity on ES/RDB (Vanilla EJBs)",
+            TABLE1.iter().zip(activity).all(|(row, seen)| {
+                let paper = activity_pairs(row.rsplit(" | ").next().expect("a DB activity"));
+                row.starts_with("register") || seen.as_deref().map(activity_pairs) == Some(paper)
+            }),
+        ),
     ]
 }
 
@@ -253,7 +368,14 @@ mod tests {
     use super::*;
 
     fn failing(r: &Results) -> Vec<&'static str> {
-        let checks = shape_checks(r).into_iter();
+        failing_with(
+            r,
+            TABLE1.map(|row| row.rsplit(" | ").next().map(str::to_owned)),
+        )
+    }
+
+    fn failing_with(r: &Results, activity: [Option<String>; 10]) -> Vec<&'static str> {
+        let checks = shape_checks(r, &activity).into_iter();
         checks
             .filter(|(_, ok)| !ok)
             .map(|(check, _)| check)
@@ -270,5 +392,33 @@ mod tests {
         let mut r = PAPER;
         r.slopes[2].1[0] = Some(12.0);
         assert_eq!(failing(&r), ["ES/RDB ordering: vanilla > cached > JDBC"]);
+    }
+
+    #[test]
+    fn a_missing_kind_or_action_fails_the_table_1_check() {
+        let check = shape_checks(&PAPER, &TABLE1.map(|_| None))[5].0;
+        let mut activity = TABLE1.map(|row| row.rsplit(" | ").next().map(str::to_owned));
+        activity[8] = Some("Quote R; Account R, U; Holding R".to_owned());
+        assert_eq!(failing_with(&PAPER, activity.clone()), [check]);
+        activity[8] = None;
+        assert_eq!(failing_with(&PAPER, activity), [check]);
+    }
+
+    #[test]
+    fn labels_compare_as_sets_of_table_and_kind() {
+        let statements = ["registry.update", "account.read", "registry.read"];
+        let tally = ActionTally {
+            statements: statements.map(Into::into).into(),
+            ..ActionTally::default()
+        };
+        let label = activity_label(&tally);
+        assert_eq!(label, "Account R; Registry R, U");
+        let login = TABLE1[0].rsplit(" | ").next().expect("a DB activity");
+        assert_eq!(login, "Registry R, U; Account R");
+        assert_eq!(activity_pairs(&label), activity_pairs(login));
+        assert_ne!(
+            activity_pairs("Registry R"),
+            activity_pairs("Registry R, U")
+        );
     }
 }

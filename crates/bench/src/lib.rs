@@ -1,13 +1,12 @@
 //! # sli-bench — the experiment harness
 //!
-//! Two binaries regenerate the paper's evaluation — `table1`, and `paper`
-//! for the one experiment behind Figures 6–8 and Table 2 — beside the
-//! extension studies and the harness's own validation and profiling bins:
+//! One binary, `paper`, regenerates the paper's evaluation — the one
+//! experiment behind Tables 1 and 2 and Figures 6–8 — beside the extension
+//! studies and the harness's own validation and profiling bins:
 //!
 //! | binary | regenerates / checks |
 //! |---|---|
-//! | `table1` | Trade2 runtime & database usage characteristics |
-//! | `paper` | Figs. 6–8 and Table 2 from one latency-vs-delay sweep |
+//! | `paper` | Tables 1–2 and Figs. 6–8 from one latency-vs-delay sweep |
 //! | `ablation_batching` | commit-batching ablation (paper §4.4) |
 //! | `contention` | optimistic aborts and conflict leaderboard vs closed clients |
 //! | `knee` | throughput–latency curves, saturation knees, aggregate profile |
@@ -41,6 +40,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+
 use sli_arch::{
     arch_key, collect_report, Architecture, LoadEngine, LoadPlan, LoadedInteraction, ResourceScale,
     RunHooks, ScheduledFault, Testbed, TestbedConfig,
@@ -49,7 +51,7 @@ use sli_simnet::{FaultPlan, SimDuration};
 use sli_telemetry::{
     chrome_trace, conflict_leaderboard, critical_path, sparkline, validate, ArchReport, Breakdown,
     Bucket, ConflictEntry, Json, LittlesLaw, Profile, Resource, RunReport, Schema, SloConfig,
-    SloMonitor, SpanEvent, TimelineDoc, TimelineReport,
+    SloMonitor, SpanDetail, SpanEvent, TimelineDoc, TimelineReport,
 };
 use sli_trade::seed::Population;
 use sli_workload::{
@@ -194,6 +196,8 @@ pub struct RunSummary {
     /// delayed paths (every edge's) — the quantity statement batching
     /// exists to shrink.
     pub round_trips_per_interaction: f64,
+    /// Those round trips in all.
+    pub round_trips: u64,
     /// Interactions that returned HTTP 200.
     pub ok: usize,
     /// Interactions that returned a non-200 status.
@@ -257,6 +261,60 @@ impl TraceHarvest {
 /// a half, a window a trace viewer shows legibly.
 const SAMPLE_EVENTS: usize = 400;
 
+/// What one Trade action did in a run's measured phase, folded from the
+/// traces whose `servlet.{action}` span names it.
+#[derive(Clone, Debug, Default)]
+pub struct ActionTally {
+    /// Its traces, one per interaction.
+    pub interactions: u64,
+    /// Its round trips over the delayed path: on Clients/RAS the client
+    /// hop's `net.client.request` crossings, elsewhere the `rpc.attempt`s
+    /// inside no other attempt (one inside is the back-end's own database
+    /// call, over the LAN).
+    pub delayed_round_trips: u64,
+    /// The `{table}.{kind}` classes of its `db.stmt` spans (a statement
+    /// inside a `db.batch` span names no table).
+    pub statements: BTreeSet<Arc<str>>,
+}
+
+/// Folds a drained batch of traces into `actions`, keyed by the action
+/// their servlet spans name (`buy` for `servlet.buy`).
+fn tally_actions(events: &[SpanEvent], client_hop: bool, actions: &mut Actions) {
+    let mut spans: Vec<&SpanEvent> = events.iter().filter(|e| e.trace_id != 0).collect();
+    spans.sort_unstable_by_key(|e| (e.trace_id, e.span_id));
+    let parent = |e: &SpanEvent| {
+        let at = spans
+            .binary_search_by_key(&(e.trace_id, e.parent_span_id), |p| (p.trace_id, p.span_id));
+        at.ok().map(|at| spans[at])
+    };
+    for trace in spans.chunk_by(|a, b| a.trace_id == b.trace_id) {
+        let Some(action) = trace.iter().find_map(|e| e.op.strip_prefix("servlet.")) else {
+            continue;
+        };
+        let tally = actions.entry(action).or_default();
+        tally.interactions += 1;
+        let nested = |e| {
+            let mut outer = std::iter::successors(parent(e), |p| parent(p)).take(trace.len());
+            outer.any(|p| p.op == "rpc.attempt")
+        };
+        for e in trace {
+            let trip = match (e.op, &e.detail) {
+                ("net.client.request", _) => client_hop,
+                ("rpc.attempt", _) => !client_hop && !nested(e),
+                ("db.stmt", Some(SpanDetail::Statement { class })) if !class.is_empty() => {
+                    tally.statements.insert(Arc::clone(class));
+                    false
+                }
+                _ => false,
+            };
+            tally.delayed_round_trips += u64::from(trip);
+        }
+    }
+}
+
+/// Per action (`buy`, `update`, ...), what it did in a run.
+pub type Actions = BTreeMap<&'static str, ActionTally>;
+
 /// Everything one measured run yields.
 #[derive(Clone, Debug)]
 pub struct RunArtifacts {
@@ -292,6 +350,8 @@ pub struct RunArtifacts {
     pub detections: Vec<(&'static str, u64)>,
     /// Every frozen incident, rendered and schema-validated.
     pub incidents: Vec<Json>,
+    /// What each Trade action did, folded from the spans.
+    pub actions: Actions,
 }
 
 impl RunArtifacts {
@@ -458,9 +518,12 @@ pub fn run(spec: &RunSpec) -> RunArtifacts {
     });
     let mut harvest = TraceHarvest::default();
     let mut profile = Profile::default();
+    let mut actions = Actions::new();
+    let client_hop = matches!(spec.arch, Architecture::ClientsRas(_));
     let mut observer = |events: &[SpanEvent]| {
         profile.fold(events);
         harvest.absorb(events);
+        tally_actions(events, client_hop, &mut actions);
     };
     let t0 = testbed.clock.now().as_micros();
     let run = engine.run_with(
@@ -518,6 +581,7 @@ pub fn run(spec: &RunSpec) -> RunArtifacts {
         peak_queue_depth: run.peak_queue_depth,
         shared_bytes_per_interaction: testbed.shared_site_bytes() as f64 / interactions,
         round_trips_per_interaction: round_trips as f64 / interactions,
+        round_trips,
         ok,
         failed,
     };
@@ -551,6 +615,7 @@ pub fn run(spec: &RunSpec) -> RunArtifacts {
         truth_us,
         detections: monitor.map_or_else(Vec::new, |m| m.detections()),
         incidents,
+        actions,
     }
 }
 
@@ -1170,6 +1235,7 @@ mod tests {
             peak_queue_depth: 1,
             shared_bytes_per_interaction: 900.0,
             round_trips_per_interaction: 3.0,
+            round_trips: 300,
             ok: 100,
             failed: 0,
         };
@@ -1286,6 +1352,16 @@ mod tests {
                 let interactions = (run.summary.ok + run.summary.failed) as u64;
                 assert_eq!(run.profile.traces, interactions, "{key}: trace count");
                 assert_eq!(harvest.breakdown.traces, interactions, "{key}");
+                // Every trace is one action's interaction, and the actions'
+                // delayed round trips are the delayed paths' count.
+                let tallies = run.actions.values();
+                let named: u64 = tallies.clone().map(|t| t.interactions).sum();
+                let trips: u64 = tallies.map(|t| t.delayed_round_trips).sum();
+                assert_eq!(named, interactions, "{key}: interactions by action");
+                assert_eq!(
+                    trips, run.summary.round_trips,
+                    "{key}: round trips by action"
+                );
                 assert_eq!(
                     run.profile.total_us, harvest.breakdown.total_us,
                     "{key}: profile vs breakdown total"

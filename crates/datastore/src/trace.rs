@@ -2,8 +2,8 @@
 //!
 //! Table 1 of the paper characterizes each Trade2 action by its database
 //! activity — which tables see Creates, Reads, Updates and Deletes. The
-//! engine counts statements per table and kind so the `table1` bench binary
-//! can regenerate that characterization from a live run.
+//! engine counts statements per table and kind (a Trade test checks
+//! Register's row this way; `paper` reads the rest off `db.stmt` spans).
 //!
 //! Per-statement *simulated latency* is not aggregated here: the wire
 //! server (the component that knows the CPU cost it charged) records each

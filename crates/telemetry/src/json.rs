@@ -8,6 +8,11 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+/// Parsing, validating and dropping a value recurse once per level, so the
+/// text must not choose the depth; the documents the bins write nest six.
+pub const MAX_JSON_DEPTH: usize = 64;
+
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -174,7 +179,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, MAX_JSON_DEPTH)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -237,10 +242,14 @@ fn expect(bytes: &[u8], pos: &mut usize, token: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value whose arrays and objects may nest `levels` deep.
+fn parse_value(bytes: &[u8], pos: &mut usize, levels: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_owned()),
+        Some(b'[' | b'{') if levels == 0 => Err(format!(
+            "nested deeper than {MAX_JSON_DEPTH} levels at byte {pos}"
+        )),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
         Some(b't') => expect(bytes, pos, "true").map(|()| Json::Bool(true)),
         Some(b'f') => expect(bytes, pos, "false").map(|()| Json::Bool(false)),
@@ -254,7 +263,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, levels - 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -279,7 +288,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, ":")?;
-                map.insert(key, parse_value(bytes, pos)?);
+                map.insert(key, parse_value(bytes, pos, levels - 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,

@@ -74,7 +74,7 @@ pub use export::chrome_trace;
 pub use history::{
     history_json, parse_history, HistoryEvent, HistoryImage, HistoryLog, COUNTEREXAMPLE_SCHEMA,
 };
-pub use json::Json;
+pub use json::{Json, MAX_JSON_DEPTH};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use monitor::{
     Incident, MonitorMetrics, SloConfig, SloMonitor, DETECTOR_NAMES, INCIDENT_SCHEMA,

@@ -2,6 +2,7 @@
 //! business effect on the persistent store, checked identically for all
 //! three data-access engines, plus the batched-transaction extension.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use sli_component::{share_connection, EjbError};
@@ -232,6 +233,48 @@ fn register_creates_all_three_beans_and_rejects_duplicates() {
             engine.label()
         );
     }
+}
+
+/// Register is the one Table 1 row the session mix never issues, so no
+/// measured run sees it: its DB activity is checked here, on the vanilla
+/// engine Table 1 characterizes.
+#[test]
+fn register_has_table_1s_db_activity() {
+    let db = seeded_db();
+    let engine = EjbTradeEngine::new(
+        vanilla_container(share_connection(db.connect())),
+        "Vanilla EJBs",
+        10_000,
+    );
+    db.reset_trace();
+    engine
+        .perform(&TradeAction::Register {
+            user: "uid:new".into(),
+        })
+        .unwrap();
+    let snapshot = db.trace_snapshot();
+    let observed: BTreeSet<(&str, char)> = snapshot
+        .tables
+        .iter()
+        .flat_map(|(table, n)| {
+            let kinds = [
+                ('C', n.creates),
+                ('R', n.reads),
+                ('U', n.updates),
+                ('D', n.deletes),
+            ];
+            let seen = kinds.into_iter().filter(|&(_, count)| count > 0);
+            seen.map(move |(kind, _)| (table.as_str(), kind))
+        })
+        .collect();
+    // The paper's "Account C, R; Profile C; Registry C".
+    let paper = [
+        ("account", 'C'),
+        ("account", 'R'),
+        ("profile", 'C'),
+        ("registry", 'C'),
+    ];
+    assert_eq!(observed, BTreeSet::from(paper));
 }
 
 #[test]

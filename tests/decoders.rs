@@ -7,17 +7,18 @@
 //! Like `tests/properties.rs`, these are plain loops over the workspace's
 //! deterministic [`StdRng`]: a failure prints the input that caused it.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe, RefUnwindSafe};
 
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use sli_edge::datastore::{
-    CmpOp, Database, DbError, Predicate, SqlConnection, Value, MAX_PREDICATE_DEPTH,
+    CmpOp, Database, DbError, Predicate, ResultSet, SqlConnection, Value, MAX_PREDICATE_DEPTH,
 };
-use sli_edge::simnet::wire::{Reader, Writer};
+use sli_edge::simnet::wire::{self, Reader, Writer};
 use sli_edge::simnet::{HttpRequest, HttpResponse};
+use sli_edge::telemetry::{Json, MAX_JSON_DEPTH};
 use sli_edge::trade::TradeAction;
 
 /// Whether `part` lies inside `raw`.
@@ -343,4 +344,138 @@ fn sql_nested_deeper_than_the_bound_is_refused() {
     let even = usize::from(MAX_PREDICATE_DEPTH.is_multiple_of(2));
     assert_eq!(rows(nots(MAX_PREDICATE_DEPTH)), Ok(even));
     assert_eq!(rows(ors(MAX_PREDICATE_DEPTH + 1)), Ok(1));
+}
+
+/// The seeded search every decoder below goes through: each of `valid`
+/// must decode, then every prefix of it, every byte of it changed once and
+/// arbitrary bytes go in. `decode` answers whether it accepted; a panic
+/// fails with the input spelled out. Returns how many changed inputs were
+/// accepted and whether any proper prefix was.
+fn search(
+    name: &str,
+    seed: u64,
+    valid: &[Vec<u8>],
+    decode: impl Fn(&[u8]) -> bool + RefUnwindSafe,
+) -> (usize, bool) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let run = |raw: &[u8]| {
+        catch_unwind(|| decode(raw))
+            .unwrap_or_else(|_| panic!("{name} panicked on b\"{}\"", raw.escape_ascii()))
+    };
+    let (mut accepted, mut prefix) = (0, false);
+    for raw in valid {
+        assert!(run(raw), "{name} refused b\"{}\"", raw.escape_ascii());
+        for len in 0..raw.len() {
+            prefix |= run(&raw[..len]);
+        }
+        for at in 0..raw.len() {
+            let mut flipped = raw.clone();
+            flipped[at] ^= rng.gen_range(1..256u32) as u8;
+            accepted += usize::from(run(&flipped));
+        }
+    }
+    for _ in 0..3_000 {
+        let noise: Vec<u8> = (0..rng.gen_range(0..200usize))
+            .map(|_| rng.gen_range(0..256u32) as u8)
+            .collect();
+        run(&noise);
+    }
+    (accepted, prefix)
+}
+
+fn parse_json(raw: &[u8]) -> bool {
+    Json::parse(&String::from_utf8_lossy(raw)).is_ok()
+}
+
+#[test]
+fn the_json_parser_never_panics() {
+    let doc = Json::obj([
+        ("schema", Json::from("sli-edge.run-report/v1")),
+        ("escaped", Json::from("q\"b\\n\n\t\u{1}é€")),
+        (
+            "rows",
+            Json::Arr(vec![
+                Json::obj([("p50", Json::Num(-2.5e-3)), ("n", Json::from(7u64))]),
+                Json::Arr(vec![Json::Null, Json::Bool(true), Json::Bool(false)]),
+                Json::Arr(Vec::new()),
+            ]),
+        ),
+        ("empty", Json::obj::<&str>([])),
+    ]);
+    let valid = [
+        doc.render(),
+        " { \"a\" : [ 1 , -2.5E3 , \"\\u00e9\\/\" ] } ".to_owned(),
+        "12".to_owned(),
+    ]
+    .map(String::into_bytes);
+    let (accepted, _) = search("Json::parse", 0x4a53_4f4e, &valid, parse_json);
+    assert!(accepted > 20, "only {accepted} changed documents parsed");
+}
+
+/// A stack overflow aborts the process rather than unwinding, so nesting
+/// past the bound must be refused before the parser recurses into it.
+#[test]
+fn json_nested_deeper_than_the_bound_is_refused() {
+    let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+    let objects = |n: usize| "{\"k\":".repeat(n) + "0" + &"}".repeat(n);
+    for refused in [
+        "[".repeat(1_000_000),
+        "{\"a\":".repeat(1_000_000),
+        arrays(MAX_JSON_DEPTH + 1),
+        objects(MAX_JSON_DEPTH + 1),
+    ] {
+        let head = refused[..20].to_owned();
+        assert!(Json::parse(&refused).is_err(), "{head}… was not refused");
+    }
+    assert!(Json::parse(&arrays(MAX_JSON_DEPTH)).is_ok());
+    assert!(Json::parse(&objects(MAX_JSON_DEPTH)).is_ok());
+}
+
+#[test]
+fn the_frame_decoder_never_panics() {
+    let payloads = [&b""[..], b"x", &[0xa5; 300]];
+    let valid: Vec<Vec<u8>> = payloads
+        .iter()
+        .map(|p| wire::frame(wire::protocol::BACKEND, 7, &Bytes::copy_from_slice(p)).to_vec())
+        .collect();
+    let unframe = |raw: &[u8]| wire::unframe(Bytes::copy_from_slice(raw)).is_ok();
+    let (accepted, prefix) = search("wire::unframe", 0x4652_414d, &valid, unframe);
+    assert!(!prefix, "a truncated frame was accepted");
+    // The header names the protocol and the correlation id, which a
+    // change may leave valid; the checksum catches one in the payload.
+    assert!(accepted > 0, "no changed frame was accepted");
+}
+
+#[test]
+fn the_result_set_decoder_never_panics() {
+    let db = Database::new();
+    db.execute_ddl("CREATE TABLE t (id INT PRIMARY KEY, name VARCHAR, price DOUBLE, ok BOOLEAN)")
+        .unwrap();
+    let mut conn = db.connect();
+    conn.execute(
+        "INSERT INTO t (id, name, price, ok) VALUES (1, 'é€', 2.5, TRUE)",
+        &[],
+    )
+    .unwrap();
+    conn.execute("INSERT INTO t (id, name) VALUES (2, NULL)", &[])
+        .unwrap();
+    let valid: Vec<Vec<u8>> = [
+        "SELECT * FROM t",
+        "SELECT name FROM t WHERE id = 3",
+        "UPDATE t SET price = 1.0 WHERE id = 2",
+    ]
+    .iter()
+    .map(|sql| {
+        let mut w = Writer::new();
+        conn.execute(sql, &[]).unwrap().encode(&mut w);
+        w.finish().to_vec()
+    })
+    .collect();
+    let decode = |raw: &[u8]| {
+        let mut r = Reader::new(Bytes::copy_from_slice(raw));
+        ResultSet::decode(&mut r).is_ok()
+    };
+    let (accepted, prefix) = search("ResultSet::decode", 0x5253_4554, &valid, decode);
+    assert!(!prefix, "a truncated result set was accepted");
+    assert!(accepted > 0, "no changed result set was accepted");
 }

@@ -1,7 +1,9 @@
 //! The prose stays true to the repository: every `DESIGN §N` a source file
-//! or document cites names a section that exists, and the numbers
-//! EXPERIMENTS.md quotes from a checked-in result file are that file's.
+//! or document cites names a section that exists, the numbers
+//! EXPERIMENTS.md quotes from a checked-in result file are that file's, and
+//! the result files agree where the paper's identity ties them together.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 fn root() -> &'static Path {
@@ -216,4 +218,145 @@ fn figure_8_quotes_its_bytes() {
             record[1]
         );
     }
+}
+
+/// A DB-activity label (`Registry R, U; Account R`) as its set of
+/// `(table, kind)` pairs.
+fn activity_pairs(label: &str) -> BTreeSet<(&str, &str)> {
+    let parts = label.split("; ").filter_map(|part| part.split_once(' '));
+    parts
+        .flat_map(|(table, kinds)| kinds.split(", ").map(move |kind| (table, kind)))
+        .collect()
+}
+
+#[test]
+fn table_1_quotes_its_csv() {
+    let (header, rows) = table_after(&experiments(), "## Table 1");
+    let records = csv("table1.csv");
+    let record = |combination: &str, action: &str| {
+        let found = records
+            .iter()
+            .find(|r| r[0] == combination && r[1] == action);
+        found.unwrap_or_else(|| panic!("results/table1.csv has no {combination} {action}"))
+    };
+    let vanilla = records.iter().filter(|r| r[0] == "ES/RDB (Vanilla EJBs)");
+    assert_eq!(rows.len(), vanilla.count(), "one row per action in the mix");
+    assert_eq!(header.len(), 7, "{header:?}");
+    for row in &rows {
+        let vanilla = record("ES/RDB (Vanilla EJBs)", &row[0]);
+        assert_eq!(row[1], vanilla[2], "interactions of {}", row[0]);
+        assert_eq!(row[2], vanilla[4], "observed DB activity of {}", row[0]);
+        assert_eq!(
+            activity_pairs(&row[2]),
+            activity_pairs(&row[3]),
+            "{}: the observed DB activity is not the paper's",
+            row[0]
+        );
+        for (printed, flavor) in row[4..].iter().zip(["JDBC", "Vanilla EJBs", "Cached EJBs"]) {
+            let r = record(&format!("ES/RDB ({flavor})"), &row[0]);
+            let trips = r[3].parse::<f64>().unwrap() / r[2].parse::<f64>().unwrap();
+            assert!(
+                agrees(printed, &trips.to_string()),
+                "EXPERIMENTS.md reads {printed} trips for {} on {flavor}, results/table1.csv {trips}",
+                row[0]
+            );
+        }
+    }
+}
+
+/// Where Table 2 and Fig. 8 disagree with Table 1's ledger, one message
+/// each. A delayed round trip costs twice the one-way delay and nothing
+/// else depends on it, so a combination's Table 2 slope is 2 × its delayed
+/// round trips per interaction, and Fig. 8's round trips per interaction
+/// are those trips, each at the precision its file prints.
+fn identity_failures(
+    table1: &[Vec<String>],
+    table2: &[Vec<String>],
+    fig8: &[Vec<String>],
+) -> Vec<String> {
+    let mut failures = Vec::new();
+    let (mut slopes, mut bars) = (0, 0);
+    let mut combinations: Vec<&str> = table1[1..].iter().map(|r| r[0].as_str()).collect();
+    combinations.dedup();
+    for combination in combinations {
+        let rows = table1[1..].iter().filter(|r| r[0] == combination);
+        let sum = |column: usize| -> u64 {
+            rows.clone()
+                .map(|r| r[column].parse::<u64>().unwrap())
+                .sum()
+        };
+        let per = sum(3) as f64 / sum(2) as f64;
+        let (arch, flavor) = combination.split_once(" (").expect("`ARCH (Flavor)`");
+        let key = flavor
+            .trim_end_matches(')')
+            .to_lowercase()
+            .replace(' ', "_");
+        let column = ["ES/RDB", "ES/RBES", "Clients/RAS"]
+            .iter()
+            .position(|a| *a == arch);
+        let row = table2[1..].iter().find(|r| r[0] == key);
+        match (row, column) {
+            (Some(row), Some(column)) if row[column + 1] == format!("{:.2}", 2.0 * per) => {
+                slopes += 1
+            }
+            _ => failures.push(format!(
+                "{combination}: 2 x {per} trips per interaction is not its table2.csv slope"
+            )),
+        }
+        if let Some(bar) = fig8[1..]
+            .iter()
+            .find(|r| r[0].replace(", supplementary", "") == combination)
+        {
+            if bar[2] == format!("{per:.2}") {
+                bars += 1;
+            } else {
+                failures.push(format!(
+                    "{combination}: {per} trips per interaction, fig8.csv reads {}",
+                    bar[2]
+                ));
+            }
+        }
+    }
+    let cells = table2[1..]
+        .iter()
+        .flat_map(|r| &r[1..])
+        .filter(|c| !c.is_empty())
+        .count();
+    if (slopes, bars) != (cells, fig8.len() - 1) {
+        failures.push(format!(
+            "{slopes} of {cells} slopes and {bars} of {} bars agree",
+            fig8.len() - 1
+        ));
+    }
+    failures
+}
+
+#[test]
+fn table_2_and_figure_8_are_table_1s_delayed_round_trips() {
+    let (table1, table2, fig8) = (csv("table1.csv"), csv("table2.csv"), csv("fig8.csv"));
+    assert_eq!(
+        identity_failures(&table1, &table2, &fig8),
+        Vec::<String>::new()
+    );
+
+    // One moved cell in either file breaks the identity, and the failure
+    // names the combination.
+    let names = |failures: Vec<String>, combination: &str| {
+        failures.iter().any(|f| f.starts_with(combination))
+    };
+    let mut moved = table1.clone();
+    assert_eq!(moved[1][0], "ES/RDB (JDBC)");
+    let trips: u64 = moved[1][3].parse().unwrap();
+    moved[1][3] = (trips + 300).to_string();
+    assert!(names(
+        identity_failures(&moved, &table2, &fig8),
+        "ES/RDB (JDBC)"
+    ));
+    let mut moved = table2.clone();
+    assert_eq!(moved[2][0], "jdbc");
+    moved[2][3] = "2.01".to_owned();
+    assert!(names(
+        identity_failures(&table1, &moved, &fig8),
+        "Clients/RAS (JDBC)"
+    ));
 }
