@@ -219,12 +219,6 @@ impl<'t> VirtualClient<'t> {
             response_bytes: 0,
         }
     }
-
-    /// Runs a full session (sequence of actions), returning one
-    /// measurement per interaction.
-    pub fn run_session(&mut self, actions: &[TradeAction]) -> Vec<Interaction> {
-        actions.iter().map(|a| self.perform(a)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -286,7 +280,7 @@ mod tests {
             let mut client = VirtualClient::new(&tb, 0);
             for _ in 0..3 {
                 let session = generator.session();
-                for outcome in client.run_session(&session) {
+                for outcome in session.iter().map(|a| client.perform(a)) {
                     assert_eq!(outcome.status, 200, "{arch:?}");
                 }
             }

@@ -218,40 +218,42 @@ impl LoadedRun {
 /// after a dispatch step of an observed run.
 pub type SpanObserver<'a> = &'a mut dyn FnMut(&[SpanEvent]);
 
-/// One mid-run fault-plan change on a loaded run's script: at virtual
-/// offset `at` from the run's start, dial `plan` onto the testbed's delayed
-/// paths ([`set_faults`](crate::DataTier::set_faults)). A scenario is a
-/// sequence of these — an outage is a faulty plan followed by
-/// [`FaultPlan::NONE`] at the recovery instant. The plan change itself is
-/// instantaneous; its *first effect* is the next delivery attempt, which
-/// the paths timestamp (`Path::first_fault_at_us`) as the detection ground
-/// truth.
+/// One event on a loaded run's fault script, which pairs each event with
+/// its virtual offset from the run's start. Every event applies at the
+/// loop's change points — the instants between atomic dispatch steps — so
+/// it lands at an exact, replayable position in the interleaving.
 #[derive(Debug, Clone, Copy)]
-pub struct ScheduledFault {
-    /// Virtual-time offset from the run's start.
-    pub at: SimDuration,
-    /// The plan to dial at that instant.
-    pub plan: FaultPlan,
+pub enum FaultEvent {
+    /// Dial a plan onto the testbed's delayed paths
+    /// ([`set_faults`](crate::DataTier::set_faults)). An outage is a faulty
+    /// plan followed by [`FaultPlan::NONE`] at the recovery instant. The
+    /// change itself is instantaneous; its *first effect* is the next
+    /// delivery attempt, which the paths timestamp
+    /// (`Path::first_fault_at_us`) as the detection ground truth.
+    Dial(FaultPlan),
+    /// Kill the machine `kind` names ([`crash`](crate::DataTier::crash)),
+    /// and restart it `down_for` later
+    /// ([`restart`](crate::DataTier::restart) — a backend restart replays
+    /// the WAL and reseeds the dedup tables; an edge restart comes back
+    /// with cold caches). Every RPC issued toward the dead machine fails as
+    /// an outage and the affected sessions retry through the transport's
+    /// backoff policy. Kill and restart are one event so that no script
+    /// restarts a machine that is up.
+    Crash {
+        /// Which machine dies.
+        kind: CrashKind,
+        /// How long it stays down before restarting.
+        down_for: SimDuration,
+    },
 }
 
-/// One scripted machine death on a loaded run: at virtual offset `at` from
-/// the run's start the machine `kind` names is killed
-/// ([`crash`](crate::DataTier::crash)), and `restart_after` later it is
-/// restarted ([`restart`](crate::DataTier::restart) — a backend restart
-/// replays the WAL and reseeds the dedup tables; an edge restart comes
-/// back with cold caches). Both transitions apply at the
-/// loop's change points — the instants between atomic dispatch steps — so
-/// a crash lands at an exact, replayable position in the interleaving:
-/// every RPC issued toward the dead machine fails as an outage and the
-/// affected sessions retry through the transport's backoff policy.
-#[derive(Debug, Clone, Copy)]
-pub struct ScheduledCrash {
-    /// Virtual-time offset of the kill from the run's start.
-    pub at: SimDuration,
-    /// Which machine dies.
-    pub kind: CrashKind,
-    /// How long the machine stays down before restarting.
-    pub restart_after: SimDuration,
+/// One instant of an unrolled fault script: a [`FaultEvent::Crash`] is a
+/// kill and, `down_for` later, a restart.
+#[derive(Clone, Copy)]
+enum Change {
+    Dial(FaultPlan),
+    Kill(CrashKind),
+    Restart(CrashKind),
 }
 
 /// What a loaded run carries besides its plan; every part is optional and
@@ -281,14 +283,12 @@ pub struct RunHooks<'a> {
     /// commit-trace log into the flight recorder (sharing the drain with
     /// `observer`, which still sees every span exactly once).
     pub monitor: Option<&'a mut SloMonitor>,
-    /// Mid-run fault-plan changes, applied in offset order the moment
-    /// virtual time crosses them.
-    pub faults: &'a [ScheduledFault],
-    /// Machine deaths: each kills its machine at its instant and restarts
-    /// it after its downtime. Sessions whose RPCs land in the downtime
-    /// window fail as outages and retry; a backend restart replays the WAL
-    /// before traffic resumes.
-    pub crashes: &'a [ScheduledCrash],
+    /// The fault script: each event at its offset from the run's start,
+    /// applied in offset order (ties in script order) the moment virtual
+    /// time crosses it. Sessions whose RPCs land in a crash's downtime fail
+    /// as outages and retry; a backend restart replays the WAL before
+    /// traffic resumes.
+    pub script: &'a [(SimDuration, FaultEvent)],
 }
 
 /// A live session mid-run: its client (cookie state), remaining script and
@@ -356,7 +356,7 @@ impl<'t> LoadEngine<'t> {
     /// Runs `plan` to completion: admits sessions per the plan's admission
     /// rule, lets the scheduler pick among ready sessions at every step,
     /// and returns every interaction with its queue-wait/service split.
-    /// Arrival offsets — and the offsets of the scripts in `hooks` — are
+    /// Arrival offsets — and the fault script's offsets in `hooks` — are
     /// anchored at the clock's position on entry (testbed construction has
     /// already spent some virtual time on connection handshakes).
     ///
@@ -374,8 +374,7 @@ impl<'t> LoadEngine<'t> {
             timeline,
             mut observer,
             mut monitor,
-            faults,
-            crashes,
+            script,
         } = hooks;
         if let Some(mon) = monitor.as_deref_mut() {
             mon.bind_queue_gauge(self.metrics.queue_depth.clone());
@@ -411,24 +410,20 @@ impl<'t> LoadEngine<'t> {
         let scripts: Vec<Vec<TradeAction>> =
             (0..plan.sessions).map(|_| generator.session()).collect();
         let mut scheduler = Scheduler::random(plan.scheduler_seed);
-        let mut fault_script: Vec<(SimTime, FaultPlan)> =
-            faults.iter().map(|s| (start + s.at, s.plan)).collect();
-        fault_script.sort_by_key(|&(t, _)| t);
-        let mut next_fault_change = 0usize;
-        // Each scripted crash unrolls to a kill event and a restart event;
-        // both apply at the loop-top change point the moment virtual time
-        // crosses them, so the interleaving position is exact and replays.
-        let mut crash_script: Vec<(SimTime, CrashKind, bool)> = crashes
-            .iter()
-            .flat_map(|c| {
-                [
-                    (start + c.at, c.kind, true),
-                    (start + c.at + c.restart_after, c.kind, false),
-                ]
-            })
-            .collect();
-        crash_script.sort_by_key(|&(t, _, _)| t);
-        let mut next_crash_change = 0usize;
+        // A crash unrolls to its kill and its restart; the sort is stable,
+        // so changes at one instant apply in script order.
+        let mut changes: Vec<(SimTime, Change)> = Vec::with_capacity(2 * script.len());
+        for &(at, event) in script {
+            match event {
+                FaultEvent::Dial(plan) => changes.push((start + at, Change::Dial(plan))),
+                FaultEvent::Crash { kind, down_for } => {
+                    changes.push((start + at, Change::Kill(kind)));
+                    changes.push((start + at + down_for, Change::Restart(kind)));
+                }
+            }
+        }
+        changes.sort_by_key(|&(t, _)| t);
+        let mut next_change = 0usize;
 
         let expected: usize = scripts.iter().map(Vec::len).sum();
         let mut interactions = Vec::with_capacity(expected);
@@ -452,22 +447,16 @@ impl<'t> LoadEngine<'t> {
 
         loop {
             let now = clock.now();
-            // Dial any fault-plan change whose instant has passed.
-            while next_fault_change < fault_script.len() && fault_script[next_fault_change].0 <= now
-            {
-                self.testbed.set_faults(fault_script[next_fault_change].1);
-                next_fault_change += 1;
-            }
-            // Apply any machine death / restart whose instant has passed.
-            while next_crash_change < crash_script.len() && crash_script[next_crash_change].0 <= now
-            {
-                let (_, kind, down) = crash_script[next_crash_change];
-                if down {
-                    self.testbed.crash(kind);
-                } else {
-                    self.testbed.restart(kind);
+            // Apply every scripted change whose instant has passed.
+            while let Some(&(_, change)) = changes.get(next_change).filter(|c| c.0 <= now) {
+                match change {
+                    Change::Dial(plan) => self.testbed.set_faults(plan),
+                    Change::Kill(kind) => self.testbed.crash(kind),
+                    Change::Restart(kind) => {
+                        self.testbed.restart(kind);
+                    }
                 }
-                next_crash_change += 1;
+                next_change += 1;
             }
             // Admit: an open plan's sessions as their arrival instants
             // pass, a closed plan's next one whenever a client is free. A
@@ -515,13 +504,20 @@ impl<'t> LoadEngine<'t> {
 
             if ready.is_empty() {
                 // Idle: jump straight to the next event — the earliest
-                // scheduled arrival (an open plan's) or think-time expiry.
-                // Nothing left means the run is over.
+                // scheduled arrival (an open plan's), think-time expiry, or
+                // kill or restart. Nothing left means the run is over. A
+                // dial wakes nothing: it bites only at the next delivery
+                // attempt, and waking for it would add a monitor
+                // evaluation (a queue-depth sample in the drift charts) and
+                // stretch `end` to a dial scripted past the last session.
+                let next_crash = changes[next_change..]
+                    .iter()
+                    .find(|(_, c)| !matches!(c, Change::Dial(_)));
                 let next_event = live
                     .iter()
                     .map(|s| s.ready_at)
                     .chain(arrival_times.get(next_arrival).copied())
-                    .chain(crash_script.get(next_crash_change).map(|&(t, _, _)| t))
+                    .chain(next_crash.map(|&(t, _)| t))
                     .min();
                 match next_event {
                     Some(t) => {
@@ -952,16 +948,13 @@ mod tests {
             unavailable_per_mille: 1_000,
             ..FaultPlan::NONE
         };
-        let schedule = [ScheduledFault {
-            at: SimDuration::from_millis(120),
-            plan: outage,
-        }];
+        let script = [(SimDuration::from_millis(120), FaultEvent::Dial(outage))];
         let t0 = tb.clock.now().as_micros();
         let run = engine.run_with(
             &p,
             RunHooks {
                 monitor: Some(&mut monitor),
-                faults: &schedule,
+                script: &script,
                 ..RunHooks::default()
             },
         );
@@ -1032,11 +1025,13 @@ mod tests {
         assert_eq!(interactions_of(true), interactions_of(false));
     }
 
-    fn crash_hooks(crashes: &[ScheduledCrash]) -> RunHooks<'_> {
-        RunHooks {
-            crashes,
-            ..RunHooks::default()
-        }
+    /// A one-event script: kill `kind` at `at_ms`, restart it `down_ms` later.
+    fn crash(at_ms: u64, kind: CrashKind, down_ms: u64) -> [(SimDuration, FaultEvent); 1] {
+        let down_for = SimDuration::from_millis(down_ms);
+        [(
+            SimDuration::from_millis(at_ms),
+            FaultEvent::Crash { kind, down_for },
+        )]
     }
 
     #[test]
@@ -1045,12 +1040,12 @@ mod tests {
         let engine = LoadEngine::new(&tb);
         let mut p = plan(60.0, 12);
         p.think = SimDuration::ZERO;
-        let crashes = [ScheduledCrash {
-            at: SimDuration::from_millis(40),
-            kind: CrashKind::Backend,
-            restart_after: SimDuration::from_millis(25),
-        }];
-        let run = engine.run_with(&p, crash_hooks(&crashes));
+        let script = crash(40, CrashKind::Backend, 25);
+        let hooks = RunHooks {
+            script: &script,
+            ..RunHooks::default()
+        };
+        let run = engine.run_with(&p, hooks);
         assert_eq!(run.sessions_completed, 12, "every session must finish");
         let wal = tb.db.wal_stats();
         assert_eq!(wal.recoveries, 1, "the restart must replay the WAL");
@@ -1081,12 +1076,12 @@ mod tests {
             let engine = LoadEngine::new(&tb);
             let mut p = plan(50.0, 10);
             p.think = SimDuration::ZERO;
-            let crashes = [ScheduledCrash {
-                at: SimDuration::from_millis(30),
-                kind: CrashKind::Backend,
-                restart_after: SimDuration::from_millis(20),
-            }];
-            let run = engine.run_with(&p, crash_hooks(&crashes));
+            let script = crash(30, CrashKind::Backend, 20);
+            let hooks = RunHooks {
+                script: &script,
+                ..RunHooks::default()
+            };
+            let run = engine.run_with(&p, hooks);
             (run.interactions, tb.db.wal_stats())
         };
         assert_eq!(collect(), collect());
@@ -1098,12 +1093,12 @@ mod tests {
         let engine = LoadEngine::new(&tb);
         let mut p = plan(40.0, 10);
         p.think = SimDuration::ZERO;
-        let crashes = [ScheduledCrash {
-            at: SimDuration::from_millis(60),
-            kind: CrashKind::Edge,
-            restart_after: SimDuration::from_millis(20),
-        }];
-        let run = engine.run_with(&p, crash_hooks(&crashes));
+        let script = crash(60, CrashKind::Edge, 20);
+        let hooks = RunHooks {
+            script: &script,
+            ..RunHooks::default()
+        };
+        let run = engine.run_with(&p, hooks);
         assert_eq!(run.sessions_completed, 10);
         // The edge restarted cold mid-run, so the store was rebuilt by
         // post-restart misses — and no WAL replay happened (the database
@@ -1121,17 +1116,19 @@ mod tests {
             let mut p = plan(60.0, 25);
             p.think = SimDuration::ZERO;
             let mut monitor = SloMonitor::new(quick_slo()).share_metrics(tb.monitor_metrics());
-            let crashes = [ScheduledCrash {
-                at: kill_at,
-                kind: CrashKind::Backend,
-                restart_after: SimDuration::from_millis(400),
-            }];
+            let script = [(
+                kill_at,
+                FaultEvent::Crash {
+                    kind: CrashKind::Backend,
+                    down_for: SimDuration::from_millis(400),
+                },
+            )];
             let t0 = tb.clock.now();
             let run = engine.run_with(
                 &p,
                 RunHooks {
                     monitor: Some(&mut monitor),
-                    crashes: &crashes,
+                    script: &script,
                     ..RunHooks::default()
                 },
             );
@@ -1152,6 +1149,38 @@ mod tests {
             (run, detections)
         };
         assert_eq!(collect(), collect());
+    }
+
+    #[test]
+    fn a_restart_holds_the_run_open_and_a_late_dial_does_not() {
+        let run = |script: &[(SimDuration, FaultEvent)]| {
+            let tb = Testbed::build(Architecture::EsRdb(Flavor::Jdbc), TestbedConfig::default());
+            let mut p = plan(60.0, 6);
+            p.think = SimDuration::ZERO;
+            let t0 = tb.clock.now();
+            let hooks = RunHooks {
+                script,
+                ..RunHooks::default()
+            };
+            let run = LoadEngine::new(&tb).run_with(&p, hooks);
+            assert_eq!(run.sessions_completed, 6);
+            (t0, run, tb)
+        };
+        let (_, unscripted, _) = run(&[]);
+
+        // Killed mid-run and down far past the last session: the idle loop
+        // wakes for the restart, so the run ends there with the back-end up.
+        let (t0, crashed, tb) = run(&crash(40, CrashKind::Backend, 60_000));
+        assert!(unscripted.end < t0 + SimDuration::from_millis(60_040));
+        assert_eq!(crashed.end, t0 + SimDuration::from_millis(60_040));
+        assert!(!tb.db.is_crashed());
+        assert_eq!(tb.db.wal_stats().recoveries, 1);
+
+        // A dial after the last session wakes nothing and never applies.
+        let lossy = FaultPlan::lossy(5, 500);
+        let (_, dialled, tb) = run(&[(SimDuration::from_secs(60), FaultEvent::Dial(lossy))]);
+        assert_eq!(dialled.end, unscripted.end);
+        assert!(tb.fault_first_effect_us().is_none());
     }
 
     #[test]

@@ -49,8 +49,8 @@ mod topology;
 pub use checker::{analyze, ChainVersion, HistoryAnalysis, TxnRef, Violation};
 pub use client::{Interaction, VirtualClient};
 pub use engine::{
-    LoadEngine, LoadMetrics, LoadPlan, LoadedInteraction, LoadedRun, RunHooks, ScheduledCrash,
-    ScheduledFault, SpanObserver,
+    FaultEvent, LoadEngine, LoadMetrics, LoadPlan, LoadedInteraction, LoadedRun, RunHooks,
+    SpanObserver,
 };
 pub use report::collect_report;
 pub use servlet::{parse_action, AppServer, AppServerCost, ServletMetrics};

@@ -44,8 +44,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use sli_arch::{
-    arch_key, collect_report, Architecture, LoadEngine, LoadPlan, LoadedInteraction, ResourceScale,
-    RunHooks, ScheduledFault, Testbed, TestbedConfig,
+    arch_key, collect_report, Architecture, FaultEvent, LoadEngine, LoadPlan, LoadedInteraction,
+    ResourceScale, RunHooks, Testbed, TestbedConfig,
 };
 use sli_simnet::{FaultPlan, SimDuration};
 use sli_telemetry::{
@@ -424,39 +424,33 @@ pub fn run(spec: &RunSpec) -> RunArtifacts {
     // scenario.
     let scenario = spec.monitor.flatten();
     let mut process = ArrivalProcess::Poisson;
-    let mut script: Vec<ScheduledFault> = Vec::new();
-    if let Some(fault) = scenario {
-        let plan = match fault {
-            FaultClass::BackendOutage => Some(FaultPlan {
-                seed: PAPER_SEED,
-                unavailable_per_mille: 1_000,
-                ..FaultPlan::NONE
-            }),
-            FaultClass::LossBurst => Some(FaultPlan::lossy(PAPER_SEED, LOSS_BURST_PER_MILLE)),
-            FaultClass::FlashCrowd => {
-                assert!(
-                    session_rps.is_some(),
-                    "a flash crowd is a surge in an open run's arrival rate"
-                );
-                process = ArrivalProcess::FlashCrowd {
-                    at_us: FAULT_AT_MS * 1_000,
-                    dur_us: FAULT_DUR_MS * 1_000,
-                    peak: FLASH_CROWD_PEAK,
-                };
-                None
-            }
-        };
-        if let Some(plan) = plan {
-            script.push(ScheduledFault {
-                at: SimDuration::from_millis(FAULT_AT_MS),
-                plan,
-            });
-            script.push(ScheduledFault {
-                at: SimDuration::from_millis(FAULT_AT_MS + FAULT_DUR_MS),
-                plan: FaultPlan::NONE,
-            });
+    let dialled = scenario.and_then(|fault| match fault {
+        FaultClass::BackendOutage => Some(FaultPlan {
+            seed: PAPER_SEED,
+            unavailable_per_mille: 1_000,
+            ..FaultPlan::NONE
+        }),
+        FaultClass::LossBurst => Some(FaultPlan::lossy(PAPER_SEED, LOSS_BURST_PER_MILLE)),
+        FaultClass::FlashCrowd => {
+            assert!(
+                session_rps.is_some(),
+                "a flash crowd is a surge in an open run's arrival rate"
+            );
+            process = ArrivalProcess::FlashCrowd {
+                at_us: FAULT_AT_MS * 1_000,
+                dur_us: FAULT_DUR_MS * 1_000,
+                peak: FLASH_CROWD_PEAK,
+            };
+            None
         }
-    }
+    });
+    // An outage or a loss burst is its plan dialled in, then dialled out.
+    let (at_ms, until_ms) = (FAULT_AT_MS, FAULT_AT_MS + FAULT_DUR_MS);
+    let script: Vec<(SimDuration, FaultEvent)> = dialled
+        .into_iter()
+        .flat_map(|plan| [(at_ms, plan), (until_ms, FaultPlan::NONE)])
+        .map(|(ms, plan)| (SimDuration::from_millis(ms), FaultEvent::Dial(plan)))
+        .collect();
 
     // The warm-up every run shares: one closed client per edge over the
     // head of the `PAPER_SEED` script stream, ending at the warm-up/measure
@@ -512,7 +506,7 @@ pub fn run(spec: &RunSpec) -> RunArtifacts {
         }
         monitor.set_context(
             "fault_plan",
-            fault_plan_json(script.first().map_or(FaultPlan::NONE, |s| s.plan)),
+            fault_plan_json(dialled.unwrap_or(FaultPlan::NONE)),
         );
         monitor
     });
@@ -532,8 +526,7 @@ pub fn run(spec: &RunSpec) -> RunArtifacts {
             timeline: Some(&timeline),
             observer: Some(&mut observer),
             monitor: monitor.as_mut(),
-            faults: &script,
-            crashes: &[],
+            script: &script,
         },
     );
 

@@ -155,13 +155,6 @@ impl Tracer {
         self.open(op, prev.unwrap_or_default(), prev)
     }
 
-    /// Begins a span under an explicit context — used when the context
-    /// arrived out-of-band (decoded from a wire frame) rather than through
-    /// the in-process call stack.
-    pub fn begin_under(&self, op: &'static str, ctx: TraceCtx) -> OpenSpan {
-        self.open(op, ctx, self.current())
-    }
-
     /// Begins a server-side span for a request whose frame carried
     /// `wire_trace_id`. Inside the simulated call stack the in-process
     /// context wins (it already carries the parent span); when the request

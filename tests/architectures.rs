@@ -19,7 +19,7 @@ fn twenty_sessions_succeed_on_every_architecture() {
         let mut client = VirtualClient::new(&tb, 0);
         let mut interactions = 0;
         for _ in 0..20 {
-            for outcome in client.run_session(&generator.session()) {
+            for outcome in generator.session().iter().map(|a| client.perform(a)) {
                 assert_eq!(outcome.status, 200, "{arch:?}");
                 interactions += 1;
             }
@@ -41,7 +41,7 @@ fn latency_is_affine_in_delay_for_fixed_workload() {
             let mut client = VirtualClient::new(&tb, 0);
             let mut total = 0.0;
             for _ in 0..10 {
-                for o in client.run_session(&generator.session()) {
+                for o in generator.session().iter().map(|a| client.perform(a)) {
                     total += o.latency.as_millis_f64();
                 }
             }
@@ -92,7 +92,7 @@ fn edge_architectures_keep_pages_off_the_shared_path() {
         let mut client = VirtualClient::new(&tb, 0);
         tb.reset_path_stats();
         let mut page_bytes = 0u64;
-        for o in client.run_session(&generator.session()) {
+        for o in generator.session().iter().map(|a| client.perform(a)) {
             page_bytes += o.response_bytes as u64;
         }
         let shared = tb.shared_site_bytes();
@@ -109,7 +109,7 @@ fn edge_architectures_keep_pages_off_the_shared_path() {
     let mut client = VirtualClient::new(&tb, 0);
     tb.reset_path_stats();
     let mut page_bytes = 0u64;
-    for o in client.run_session(&generator.session()) {
+    for o in generator.session().iter().map(|a| client.perform(a)) {
         page_bytes += o.response_bytes as u64;
     }
     assert!(tb.shared_site_bytes() >= page_bytes);
@@ -185,11 +185,15 @@ fn cached_edges_make_fewer_shared_round_trips_than_vanilla() {
         let mut client = VirtualClient::new(&tb, 0);
         // warm up to fill the cache
         for _ in 0..10 {
-            client.run_session(&generator.session());
+            for action in &generator.session() {
+                client.perform(action);
+            }
         }
         tb.reset_path_stats();
         for _ in 0..10 {
-            client.run_session(&generator.session());
+            for action in &generator.session() {
+                client.perform(action);
+            }
         }
         round_trips.push(tb.delayed_path(0).stats().round_trips());
     }
@@ -238,13 +242,15 @@ fn every_architecture_emits_a_valid_run_report() {
         let mut client = VirtualClient::new(&tb, 0);
         // Warm up, then measure a clean telemetry window.
         for _ in 0..3 {
-            client.run_session(&generator.session());
+            for action in &generator.session() {
+                client.perform(action);
+            }
         }
         tb.reset_telemetry();
         let mut latencies = Vec::new();
         let mut failed = 0u64;
         for _ in 0..5 {
-            for outcome in client.run_session(&generator.session()) {
+            for outcome in generator.session().iter().map(|a| client.perform(a)) {
                 latencies.push(outcome.latency.as_millis_f64());
                 if outcome.status != 200 {
                     failed += 1;

@@ -8,17 +8,22 @@
 //! deterministic [`StdRng`]: a failure prints the input that caused it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe, RefUnwindSafe};
+use std::sync::Arc;
 
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use sli_edge::component::Memento;
+use sli_edge::core::{CommitEntry, CommitRequest, EntryKind, MetaRegistry};
 use sli_edge::datastore::{
-    CmpOp, Database, DbError, Predicate, ResultSet, SqlConnection, Value, MAX_PREDICATE_DEPTH,
+    sql, CmpOp, Database, DbError, Predicate, ResultSet, SqlConnection, Value, MAX_PREDICATE_DEPTH,
 };
 use sli_edge::simnet::wire::{self, Reader, Writer};
 use sli_edge::simnet::{HttpRequest, HttpResponse};
 use sli_edge::telemetry::{Json, MAX_JSON_DEPTH};
+use sli_edge::trade::model::trade_registry;
+use sli_edge::trade::seed::{create_and_seed, Population};
 use sli_edge::trade::TradeAction;
 
 /// Whether `part` lies inside `raw`.
@@ -478,4 +483,152 @@ fn the_result_set_decoder_never_panics() {
     let (accepted, prefix) = search("ResultSet::decode", 0x5253_4554, &valid, decode);
     assert!(!prefix, "a truncated result set was accepted");
     assert!(accepted > 0, "no changed result set was accepted");
+}
+
+/// The Trade registry and one seeded image of each of its beans, in
+/// registry order: what an edge holds as before-images.
+fn trade_images() -> (MetaRegistry, Vec<Memento>) {
+    let registry = trade_registry();
+    let db = Arc::new(Database::new());
+    create_and_seed(&db, Population::default()).unwrap();
+    let mut conn = db.connect();
+    let images = registry
+        .iter()
+        .map(|meta| {
+            let rows = conn.execute(meta.select_sql(), &[]).unwrap();
+            meta.memento_from_row(rows.rows().first().unwrap())
+        })
+        .collect();
+    (registry, images)
+}
+
+fn parse_sql(raw: &[u8]) -> bool {
+    sql::parse(&String::from_utf8_lossy(raw)).is_ok()
+}
+
+#[test]
+fn the_sql_parser_never_panics() {
+    let (registry, images) = trade_images();
+    // What the EJB flavors send for each bean, and the JDBC engine's
+    // portfolio and sell reads.
+    let mut valid = vec![
+        "SELECT holdingid, symbol, quantity, purchaseprice FROM holding WHERE userid = ? \
+         ORDER BY holdingid"
+            .to_owned(),
+        "SELECT holdingid, symbol, quantity FROM holding WHERE userid = ? \
+         ORDER BY holdingid LIMIT 1"
+            .to_owned(),
+    ];
+    for (meta, image) in registry.iter().zip(&images) {
+        let texts = [
+            meta.exists_sql(),
+            meta.load_sql(),
+            meta.select_sql(),
+            meta.insert_sql(),
+            meta.update_sql(),
+            meta.delete_sql(),
+        ];
+        valid.extend(texts.map(str::to_owned));
+        valid.push(meta.conditional_update_sql(image, image).0);
+        valid.push(meta.conditional_delete_sql(image).0);
+    }
+    let valid: Vec<Vec<u8>> = valid.into_iter().map(String::into_bytes).collect();
+    let (accepted, _) = search("sql::parse", 0x5351_4c50, &valid, parse_sql);
+    assert!(accepted > 20, "only {accepted} changed statements parsed");
+}
+
+#[test]
+fn the_commit_request_decoder_never_panics() {
+    let (registry, images) = trade_images();
+    let image = |bean: &str| images.iter().find(|m| m.bean() == bean).unwrap().clone();
+    let entry = |kind: EntryKind| {
+        let (EntryKind::Read { before: image }
+        | EntryKind::Update { before: image, .. }
+        | EntryKind::Remove { before: image }
+        | EntryKind::Create { after: image }) = &kind;
+        CommitEntry {
+            bean: image.bean().to_owned(),
+            key: image.primary_key().clone(),
+            kind,
+        }
+    };
+    let (account, holding) = (image("Account"), image("Holding"));
+    let bought = holding.fields().iter().fold(
+        Memento::new("Holding", Value::from(250)),
+        |m, (name, value)| m.with_field(name.clone(), value.clone()),
+    );
+    let debited = account.clone().with_field("balance", 1_234.5);
+    // A buy, a sell, a login and a profile update, as Trade commits them.
+    let transactions = [
+        vec![
+            entry(EntryKind::Read {
+                before: image("Quote"),
+            }),
+            entry(EntryKind::Update {
+                before: account.clone(),
+                after: debited.clone(),
+            }),
+            entry(EntryKind::Create { after: bought }),
+        ],
+        vec![
+            entry(EntryKind::Update {
+                before: account,
+                after: debited,
+            }),
+            entry(EntryKind::Remove { before: holding }),
+        ],
+        vec![entry(EntryKind::Update {
+            before: image("Registry"),
+            after: image("Registry").with_field("loggedin", true),
+        })],
+        vec![entry(EntryKind::Update {
+            before: image("Profile"),
+            after: image("Profile").with_field("email", "uid:0@newmail.example.com"),
+        })],
+    ];
+    let valid: Vec<Vec<u8>> = transactions
+        .into_iter()
+        .zip(1..)
+        .map(|(entries, txn_id)| {
+            let request = CommitRequest {
+                origin: 1,
+                txn_id,
+                entries,
+            };
+            request.encode().to_vec()
+        })
+        .collect();
+    let decode = |raw: &[u8]| {
+        let mut r = Reader::new(Bytes::copy_from_slice(raw));
+        CommitRequest::decode(&mut r, &registry).is_ok()
+    };
+    let (accepted, prefix) = search("CommitRequest::decode", 0x434f_4d4d, &valid, decode);
+    assert!(!prefix, "a truncated commit request was accepted");
+    assert!(accepted > 0, "no changed commit request was accepted");
+}
+
+#[test]
+fn the_memento_decoder_never_panics() {
+    let (registry, images) = trade_images();
+    let valid: Vec<Vec<u8>> = images
+        .iter()
+        .map(|image| {
+            let mut w = Writer::new();
+            image.encode(&mut w);
+            w.finish().to_vec()
+        })
+        .collect();
+    // A descriptor decides which names an image shares, never whether or
+    // what it decodes: every bean's, and none, must agree.
+    let decode = |raw: &[u8]| {
+        let read = |names| Memento::decode(&mut Reader::new(Bytes::copy_from_slice(raw)), names);
+        let own = read(None).ok();
+        for meta in registry.iter() {
+            assert_eq!(read(Some(meta.image_names())).ok(), own, "{}", meta.bean());
+        }
+        own.is_some()
+    };
+    let (accepted, prefix) = search("Memento::decode", 0x4d45_4d4f, &valid, decode);
+    assert!(!prefix, "a truncated image was accepted");
+    assert!(accepted > 0, "no changed image was accepted");
 }

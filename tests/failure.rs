@@ -278,8 +278,9 @@ fn drop_response_plan_shows_up_in_retry_and_replay_counters() {
     let mut generator = SessionGenerator::new(7, Population::default());
     let mut client = VirtualClient::new(&tb, 0);
     for _ in 0..30 {
-        let session = generator.session();
-        client.run_session(&session);
+        for action in &generator.session() {
+            client.perform(action);
+        }
     }
 
     let snapshot = tb.telemetry().snapshot();
