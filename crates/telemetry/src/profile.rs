@@ -25,6 +25,7 @@
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::json::Json;
 use crate::schema::Shape::{self, *};
@@ -96,39 +97,38 @@ pub fn span_class(event: &SpanEvent) -> String {
     class_name(event.op, statement_of(event))
 }
 
-/// The statement class that refines `event`'s frame name ("" for none).
-fn statement_of(event: &SpanEvent) -> &str {
+/// The plan's statement class refining `event`'s frame name (none if empty).
+fn statement_of(event: &SpanEvent) -> Option<&Arc<str>> {
     match &event.detail {
-        Some(SpanDetail::Statement { class }) => class,
-        _ => "",
+        Some(SpanDetail::Statement { class }) if !class.is_empty() => Some(class),
+        _ => None,
     }
 }
 
-fn class_name(op: &str, statement: &str) -> String {
-    if statement.is_empty() {
-        op.to_owned()
-    } else {
-        format!("{op}:{statement}")
-    }
+fn class_name(op: &str, statement: Option<&Arc<str>>) -> String {
+    statement.map_or_else(|| op.to_owned(), |s| format!("{op}:{s}"))
 }
 
 /// Orders two `(op, statement)` pairs as their [`class_name`]s order as
 /// strings, without building either name.
-fn class_name_cmp((a_op, a_stmt): (&str, &str), (b_op, b_stmt): (&str, &str)) -> Ordering {
+fn class_name_cmp((a_op, a_stmt): Key, (b_op, b_stmt): Key) -> Ordering {
     let shared = a_op.len().min(b_op.len());
     match a_op.as_bytes()[..shared].cmp(&b_op.as_bytes()[..shared]) {
-        // The same op: `op` sorts before every `op:statement`, as "" does
-        // before every statement.
-        Ordering::Equal if a_op.len() == b_op.len() => a_stmt.cmp(b_stmt),
+        // The same op: `op` sorts before every `op:statement`, as `None`
+        // does before every `Some`.
+        Ordering::Equal if a_op.len() == b_op.len() => a_stmt.cmp(&b_stmt),
         // One op is the head of the other, so the separator takes part.
         Ordering::Equal => name_bytes(a_op, a_stmt).cmp(name_bytes(b_op, b_stmt)),
         decided => decided,
     }
 }
 
+/// A class's `(op, statement)` pair, as [`class_name_cmp`] orders it.
+type Key<'a> = (&'a str, Option<&'a Arc<str>>);
+
 /// The bytes of [`class_name`]`(op, statement)`.
-fn name_bytes<'a>(op: &'a str, statement: &'a str) -> impl Iterator<Item = u8> + 'a {
-    let sep = if statement.is_empty() { "" } else { ":" };
+fn name_bytes<'a>(op: &'a str, statement: Option<&'a Arc<str>>) -> impl Iterator<Item = u8> + 'a {
+    let (sep, statement) = statement.map_or(("", ""), |s| (":", &**s));
     [op, sep, statement].into_iter().flat_map(str::bytes)
 }
 
@@ -148,18 +148,18 @@ pub struct ClassStat {
 #[derive(Clone, Debug)]
 struct Class {
     op: &'static str,
-    /// The statement class refining the op ("" = none).
-    statement: Box<str>,
+    /// The statement class refining the op: the first span's own `Arc`.
+    statement: Option<Arc<str>>,
     stat: ClassStat,
 }
 
 impl Class {
-    fn key(&self) -> (&str, &str) {
-        (self.op, &self.statement)
+    fn key(&self) -> Key<'_> {
+        (self.op, self.statement.as_ref())
     }
 
     fn name(&self) -> String {
-        class_name(self.op, &self.statement)
+        class_name(self.op, self.statement.as_ref())
     }
 }
 
@@ -223,17 +223,17 @@ impl Profile {
     /// `bucket` if it is new. (A name could in principle be spelled by two
     /// ops, `a` + `b:c` and `a:b` + `c`; the class keeps the first one's
     /// bucket. No op in this workspace contains a colon.)
-    fn class_id(&mut self, op: &'static str, statement: &str, bucket: Bucket) -> usize {
+    fn class_id(&mut self, op: &'static str, stmt: Option<&Arc<str>>, bucket: Bucket) -> usize {
         let found = self
             .by_name
-            .binary_search_by(|&id| class_name_cmp(self.classes[id].key(), (op, statement)));
+            .binary_search_by(|&id| class_name_cmp(self.classes[id].key(), (op, stmt)));
         match found {
             Ok(rank) => self.by_name[rank],
             Err(rank) => {
                 let id = self.classes.len();
                 self.classes.push(Class {
                     op,
-                    statement: statement.into(),
+                    statement: stmt.cloned(),
                     stat: ClassStat {
                         self_us: 0,
                         spans: 0,
@@ -282,15 +282,19 @@ impl Profile {
     /// The id of the stack that extends `parent` by `span`'s frame. A
     /// stack seen before is found among `parent`'s few children by the
     /// span's op and statement class as they stand, which is what keeps
-    /// the class table out of the steady state. Ops are literals, so one
-    /// often matches by address — not always: a call site compiled into
-    /// two crates has two.
+    /// the class table out of the steady state: by address, then by text (a
+    /// call site compiled into two crates has two, two plans of one statement
+    /// two `Arc`s); two spans without a statement match with no compare.
     fn stack_of(&mut self, parent: Option<usize>, span: &SpanEvent) -> usize {
         let (op, statement) = (span.op, statement_of(span));
         let mut at = self.first_child(parent);
         while let Some(id) = at {
             let class = &self.classes[self.stacks[id].class];
-            if (std::ptr::eq(class.op, op) || class.op == op) && *class.statement == *statement {
+            let same_statement = match (&class.statement, statement) {
+                (Some(a), Some(b)) => Arc::ptr_eq(a, b) || **a == **b,
+                (a, b) => a.is_none() && b.is_none(),
+            };
+            if same_statement && (std::ptr::eq(class.op, op) || class.op == op) {
                 return id;
             }
             at = self.stacks[id].next;
@@ -356,7 +360,7 @@ impl Profile {
             .classes
             .iter()
             .map(|class| {
-                let id = self.class_id(class.op, &class.statement, class.stat.bucket);
+                let id = self.class_id(class.op, class.statement.as_ref(), class.stat.bucket);
                 let stat = &mut self.classes[id].stat;
                 stat.self_us += class.stat.self_us;
                 stat.spans += class.stat.spans;
@@ -387,7 +391,7 @@ impl Profile {
     pub fn class_self_us(&self, class: &str) -> u64 {
         self.classes
             .iter()
-            .find(|c| name_bytes(c.op, &c.statement).eq(class.bytes()))
+            .find(|c| name_bytes(c.op, c.statement.as_ref()).eq(class.bytes()))
             .map_or(0, |c| c.stat.self_us)
     }
 
@@ -462,14 +466,10 @@ impl Profile {
     /// deterministic output. Feed to `inferno-flamegraph` or drop into
     /// speedscope as `{name}.folded`.
     pub fn folded(&self) -> String {
-        let mut out = String::new();
-        for (stack, us) in &self.stack_table() {
-            out.push_str(stack);
-            out.push(' ');
-            out.push_str(&us.to_string());
-            out.push('\n');
-        }
-        out
+        self.stack_table()
+            .iter()
+            .map(|(stack, us)| format!("{stack} {us}\n"))
+            .collect()
     }
 
     /// The profile as a [`PROFILE_SCHEMA`] JSON document labelled `label`.
@@ -659,6 +659,8 @@ pub fn littles_law(
 
 #[cfg(test)]
 pub(crate) mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::span::SpanOutcome;
     use crate::tree::critical_path;
@@ -680,7 +682,7 @@ pub(crate) mod tests {
 
     fn stmt(
         op: &'static str,
-        class: &str,
+        class: impl Into<Arc<str>>,
         trace: u64,
         id: u64,
         parent: u64,
@@ -865,6 +867,132 @@ pub(crate) mod tests {
         assert_eq!(p.class_self_us("db.stmt:a"), 10);
         assert_eq!(p.class_self_us("db.stmt:"), 0);
         assert_eq!(p.class_self_us("db"), 0);
+    }
+
+    #[test]
+    fn one_statement_text_in_two_plans_is_one_class_and_one_stack() {
+        let (plan_a, plan_b): (Arc<str>, Arc<str>) = ("quote.read".into(), "quote.read".into());
+        assert!(!Arc::ptr_eq(&plan_a, &plan_b));
+        let p = Profile::from_events(&[
+            span("request", 1, 1, 0, 0, 30),
+            stmt("db.stmt", plan_a, 1, 2, 1, 5, 25),
+            span("request", 2, 1, 0, 0, 40),
+            stmt("db.stmt", plan_b, 2, 2, 1, 10, 20),
+        ]);
+        assert_eq!((p.classes.len(), p.stacks.len()), (2, 2));
+        assert_eq!(p.class_self_us("db.stmt:quote.read"), 30);
+        assert_eq!(p.folded(), "request 40\nrequest;db.stmt:quote.read 30\n");
+    }
+
+    #[test]
+    fn an_op_at_a_second_address_is_the_same_class() {
+        let op: &'static str = Box::leak(String::from("servlet.buy").into_boxed_str());
+        assert!(!std::ptr::eq(op, "servlet.buy"));
+        let p = Profile::from_events(&[
+            span("request", 1, 1, 0, 0, 30),
+            span("servlet.buy", 1, 2, 1, 5, 25),
+            span(op, 2, 2, 1, 10, 20),
+            span("request", 2, 1, 0, 0, 40),
+        ]);
+        assert_eq!((p.classes.len(), p.stacks.len()), (2, 2));
+        assert_eq!(p.class_self_us("servlet.buy"), 30);
+        assert_eq!(p.folded(), "request 40\nrequest;servlet.buy 30\n");
+    }
+
+    #[test]
+    fn an_empty_statement_class_is_no_class() {
+        let p = Profile::from_events(&[
+            span("request", 1, 1, 0, 0, 30),
+            stmt("db.stmt", "", 1, 2, 1, 5, 15),
+            span("db.stmt", 1, 3, 1, 15, 25),
+        ]);
+        assert_eq!((p.classes.len(), p.stacks.len()), (2, 2));
+        let names: Vec<String> = p.classes().map(|(name, _)| name).collect();
+        assert_eq!(names, ["db.stmt", "request"]);
+        assert_eq!(p.folded(), "request 10\nrequest;db.stmt 20\n");
+    }
+
+    /// Three traces that spell classes every way a run does: two plans'
+    /// copies of one statement class, one plan's class on two spans, an
+    /// empty class beside no detail, an op at a second address, a batch,
+    /// and details that are not statements; children recorded first.
+    fn mixed_events() -> Vec<SpanEvent> {
+        let (plan_a, plan_b): (Arc<str>, Arc<str>) = ("quote.read".into(), "quote.read".into());
+        let shared: Arc<str> = "holding.update".into();
+        let servlet: &'static str = Box::leak(String::from("servlet.buy").into_boxed_str());
+        let mut attempt = span("rpc.attempt", 2, 3, 2, 10, 40);
+        attempt.detail = Some(SpanDetail::Attempt { number: 1 });
+        let mut conflict = span("commit.validate_apply", 3, 2, 1, 2, 12);
+        conflict.outcome = SpanOutcome::Conflict;
+        conflict.detail = Some(SpanDetail::Conflict(crate::span::ConflictInfo {
+            bean: "Quote".into(),
+            key: "q-1".into(),
+            field: None,
+            expected_digest: 1,
+            found_digest: None,
+        }));
+        vec![
+            span("request", 1, 1, 0, 0, 100),
+            span("servlet.buy", 1, 2, 1, 5, 95),
+            stmt("db.batch", "batch:2", 1, 8, 2, 60, 90),
+            stmt("db.stmt", Arc::clone(&plan_a), 1, 3, 8, 60, 70),
+            stmt("db.stmt", Arc::clone(&shared), 1, 4, 2, 20, 35),
+            stmt("db.stmt", Arc::clone(&shared), 1, 5, 2, 35, 45),
+            stmt("db.stmt", "", 1, 6, 2, 45, 50),
+            span("db.stmt", 1, 7, 2, 50, 58),
+            stmt("db.stmt", plan_b, 2, 4, 3, 12, 30),
+            attempt,
+            stmt("db.stmt", "", 2, 5, 2, 40, 50),
+            span(servlet, 2, 2, 1, 5, 80),
+            span("request", 2, 1, 0, 0, 90),
+            conflict,
+            span("request", 3, 1, 0, 0, 20),
+        ]
+    }
+
+    #[test]
+    fn a_mixed_batch_exports_pinned_bytes() {
+        let mut p = Profile::from_events(&mixed_events());
+        p.merge(&Profile::from_events(&mixed_events()));
+        let folded = "request 70
+request;commit.validate_apply 20
+request;servlet.buy 114
+request;servlet.buy;db.batch:batch:2 40
+request;servlet.buy;db.batch:batch:2;db.stmt:quote.read 20
+request;servlet.buy;db.stmt 46
+request;servlet.buy;db.stmt:holding.update 50
+request;servlet.buy;rpc.attempt 24
+request;servlet.buy;rpc.attempt;db.stmt:quote.read 36
+";
+        assert_eq!(p.folded(), folded);
+        let json = concat!(
+            r#"{"classes":["#,
+            r#"{"bucket":"occ-validation","class":"commit.validate_apply","resource":"store-lock","self_us":20,"spans":2},"#,
+            r#"{"bucket":"statement-execution","class":"db.batch:batch:2","resource":"backend-db","self_us":40,"spans":2},"#,
+            r#"{"bucket":"statement-execution","class":"db.stmt","resource":"backend-db","self_us":46,"spans":6},"#,
+            r#"{"bucket":"statement-execution","class":"db.stmt:holding.update","resource":"backend-db","self_us":50,"spans":4},"#,
+            r#"{"bucket":"statement-execution","class":"db.stmt:quote.read","resource":"backend-db","self_us":56,"spans":4},"#,
+            r#"{"bucket":"local-compute","class":"request","resource":"edge-cpu","self_us":70,"spans":6},"#,
+            r#"{"bucket":"network-crossing","class":"rpc.attempt","resource":"wire","self_us":24,"spans":2},"#,
+            r#"{"bucket":"local-compute","class":"servlet.buy","resource":"edge-cpu","self_us":114,"spans":4}],"#,
+            r#""label":"mixed","resources":["#,
+            r#"{"resource":"edge-cpu","self_us":184,"share":0.4380952380952381},"#,
+            r#"{"resource":"wire","self_us":24,"share":0.05714285714285714},"#,
+            r#"{"resource":"backend-db","self_us":192,"share":0.45714285714285713},"#,
+            r#"{"resource":"store-lock","self_us":20,"share":0.047619047619047616}],"#,
+            r#""schema":"sli-edge.profile/v1","stacks":["#,
+            r#"{"self_us":70,"stack":"request"},"#,
+            r#"{"self_us":20,"stack":"request;commit.validate_apply"},"#,
+            r#"{"self_us":114,"stack":"request;servlet.buy"},"#,
+            r#"{"self_us":40,"stack":"request;servlet.buy;db.batch:batch:2"},"#,
+            r#"{"self_us":20,"stack":"request;servlet.buy;db.batch:batch:2;db.stmt:quote.read"},"#,
+            r#"{"self_us":46,"stack":"request;servlet.buy;db.stmt"},"#,
+            r#"{"self_us":50,"stack":"request;servlet.buy;db.stmt:holding.update"},"#,
+            r#"{"self_us":24,"stack":"request;servlet.buy;rpc.attempt"},"#,
+            r#"{"self_us":36,"stack":"request;servlet.buy;rpc.attempt;db.stmt:quote.read"}],"#,
+            r#""total_us":420,"traces":6}"#,
+        );
+        assert_eq!(p.to_json("mixed").render(), json);
     }
 
     #[test]

@@ -14,6 +14,9 @@ use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use sli_edge::arch::{
+    arch_by_key, counterexample_json, run_slicheck, shrink_schedule, ScheduleSource, SliCheckConfig,
+};
 use sli_edge::component::Memento;
 use sli_edge::core::{CommitEntry, CommitRequest, EntryKind, MetaRegistry};
 use sli_edge::datastore::{
@@ -21,7 +24,10 @@ use sli_edge::datastore::{
 };
 use sli_edge::simnet::wire::{self, Reader, Writer};
 use sli_edge::simnet::{HttpRequest, HttpResponse};
-use sli_edge::telemetry::{Json, MAX_JSON_DEPTH};
+use sli_edge::telemetry::{
+    chrome_trace, validate, ArchReport, Counter, Json, Profile, RunReport, Schema, SloConfig,
+    SloMonitor, SpanDetail, SpanEvent, SpanOutcome, Timeline, TimelineDoc, MAX_JSON_DEPTH,
+};
 use sli_edge::trade::model::trade_registry;
 use sli_edge::trade::seed::{create_and_seed, Population};
 use sli_edge::trade::TradeAction;
@@ -388,8 +394,102 @@ fn search(
     (accepted, prefix)
 }
 
+/// What `tracecheck` does with a file it reads back: parse it, and check
+/// a document that parses with `validate`, which must name the violation
+/// rather than panic on it.
 fn parse_json(raw: &[u8]) -> bool {
-    Json::parse(&String::from_utf8_lossy(raw)).is_ok()
+    let parsed = Json::parse(&String::from_utf8_lossy(raw));
+    if let Ok(doc) = &parsed {
+        let _ = validate(doc);
+    }
+    parsed.is_ok()
+}
+
+/// One small document of each kind the bins export, built by its emitter.
+fn exported_documents() -> Vec<(Schema, Json)> {
+    let span = |op, id, parent, start_us, end_us| SpanEvent {
+        trace_id: 1,
+        span_id: id,
+        parent_span_id: parent,
+        ..SpanEvent::flat(op, 1, 7, start_us, end_us, SpanOutcome::Committed)
+    };
+    let mut leaf = span("db.stmt", 2, 1, 10, 30);
+    leaf.detail = Some(SpanDetail::Statement {
+        class: "quote.read".into(),
+    });
+    let spans = [leaf, span("request", 1, 0, 0, 40)];
+
+    let mut report = RunReport::new("decoders");
+    report.entries.push(ArchReport {
+        arch: "ES/RBES".to_owned(),
+        delay_ms: 40.0,
+        interactions: 3,
+        failed: 1,
+        hit_ratio: 0.5,
+        abort_rate: 0.25,
+        retries: 1,
+        timeouts: 0,
+        dedup_replays: 0,
+        p50_ms: 80.5,
+        p95_ms: 120.0,
+        p99_ms: 130.0,
+        mean_ms: 90.25,
+        status: [("200".to_owned(), 2), ("503".to_owned(), 1)].into(),
+    });
+
+    let (hits, timeline) = (Counter::new(), Timeline::new(1_000));
+    timeline.track_counter("hits", &hits);
+    for at_us in [0, 1_500, 2_500] {
+        hits.add(2);
+        timeline.sample(at_us);
+    }
+    let mut timelines = TimelineDoc::new("decoders");
+    timelines.runs.push(timeline.report("es-rbes @ 40ms"));
+
+    // Clean completions calibrate the detectors; an outage then trips them.
+    let cfg = SloConfig {
+        span_ring: 2,
+        window_ring: 2,
+        ..SloConfig::DEFAULT
+    };
+    let mut monitor = SloMonitor::new(cfg).with_label("decoders");
+    monitor.observe_spans(&spans);
+    for i in 0..1_000u64 {
+        monitor.observe_interaction(10_000 * i, 10_000, i < 200);
+    }
+    let incident = monitor
+        .incidents()
+        .first()
+        .expect("an outage freezes an incident");
+
+    // The seeded lost-update bug gives the checker a violation to report.
+    let mut slicheck = SliCheckConfig::new(arch_by_key("clients-ras-cached").expect("key"), 1);
+    slicheck.inject_bug = true;
+    (slicheck.clients, slicheck.txns_per_client) = (2, 1);
+    let found = (1..=64)
+        .find_map(|seed| {
+            slicheck.seed = seed;
+            let outcome = run_slicheck(&slicheck, ScheduleSource::Random(seed));
+            (!outcome.violations.is_empty()).then_some(outcome)
+        })
+        .expect("the seeded bug surfaces within 64 seeds");
+    let choices: Vec<u32> = found.schedule.iter().map(|s| s.choice).collect();
+    let (_, outcome) = shrink_schedule(&slicheck, &choices);
+
+    vec![
+        (Schema::RunReport, report.to_json()),
+        (Schema::Timeline, timelines.to_json()),
+        (
+            Schema::Profile,
+            Profile::from_events(&spans).to_json("decoders"),
+        ),
+        (Schema::Incident, incident.to_json()),
+        (
+            Schema::Counterexample,
+            counterexample_json(&slicheck, &outcome),
+        ),
+        (Schema::ChromeTrace, chrome_trace(&spans)),
+    ]
 }
 
 #[test]
@@ -407,12 +507,16 @@ fn the_json_parser_never_panics() {
         ),
         ("empty", Json::obj::<&str>([])),
     ]);
-    let valid = [
+    let mut valid = vec![
         doc.render(),
         " { \"a\" : [ 1 , -2.5E3 , \"\\u00e9\\/\" ] } ".to_owned(),
         "12".to_owned(),
-    ]
-    .map(String::into_bytes);
+    ];
+    for (kind, doc) in exported_documents() {
+        assert_eq!(validate(&doc), Ok(kind), "{}", doc.render());
+        valid.push(doc.render());
+    }
+    let valid: Vec<Vec<u8>> = valid.into_iter().map(String::into_bytes).collect();
     let (accepted, _) = search("Json::parse", 0x4a53_4f4e, &valid, parse_json);
     assert!(accepted > 20, "only {accepted} changed documents parsed");
 }
