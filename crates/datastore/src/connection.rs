@@ -232,16 +232,13 @@ mod tests {
             .unwrap();
         c1.begin().unwrap();
         c1.execute("UPDATE t SET b = 11 WHERE a = 1", &[]).unwrap();
-        // c2 (on another thread) blocks until c1 commits.
-        let db2 = Arc::clone(&db);
-        let reader = std::thread::spawn(move || {
-            let mut c2 = db2.connect();
-            c2.execute("SELECT b FROM t WHERE a = 1", &[]).unwrap()
-        });
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        assert!(!reader.is_finished(), "reader should block on the X lock");
+        // c2 is refused the row while c1 holds its X lock, and reads the
+        // committed value once c1 commits.
+        let mut c2 = db.connect();
+        let read = "SELECT b FROM t WHERE a = 1";
+        assert_eq!(c2.execute(read, &[]).unwrap_err(), DbError::Blocked);
         c1.commit().unwrap();
-        let rs = reader.join().unwrap();
+        let rs = c2.execute(read, &[]).unwrap();
         assert_eq!(rs.rows()[0][0], Value::from(11));
     }
 }

@@ -25,8 +25,8 @@ pub enum DbError {
     },
     /// The transaction was chosen as a deadlock victim and rolled back.
     Deadlock,
-    /// A lock could not be acquired within the configured wait budget.
-    LockTimeout,
+    /// Another transaction holds a conflicting lock; the statement had no effect.
+    Blocked,
     /// `begin` was called while a transaction was already open.
     AlreadyInTransaction,
     /// `commit`/`rollback` was called with no open transaction.
@@ -53,7 +53,7 @@ impl fmt::Display for DbError {
                 "parameter count mismatch: statement has {expected} placeholders, {actual} values bound"
             ),
             DbError::Deadlock => write!(f, "transaction rolled back: deadlock victim"),
-            DbError::LockTimeout => write!(f, "lock wait timed out"),
+            DbError::Blocked => write!(f, "lock held elsewhere"),
             DbError::AlreadyInTransaction => write!(f, "a transaction is already open"),
             DbError::NoTransaction => write!(f, "no transaction is open"),
             DbError::Remote(msg) => write!(f, "remote connection failure: {msg}"),

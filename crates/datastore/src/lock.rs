@@ -1,16 +1,24 @@
-//! Strict two-phase locking with multi-granularity (table/row) locks,
-//! blocking waits and waits-for-graph deadlock detection.
+//! Strict two-phase locking with multi-granularity (table/row) locks and
+//! waits-for-graph deadlock detection.
 //!
 //! The paper's persistent store is an ordinary pessimistic RDBMS (DB2); the
 //! SLI runtime leans on that by bracketing every cache fill and every commit
 //! in a *short* datastore transaction "committed immediately after the
 //! access completes so that locks are released quickly". This module
 //! provides those pessimistic semantics.
+//!
+//! The table never waits. A request that conflicts with another
+//! transaction's lock is answered at once: [`DbError::Deadlock`] if its
+//! waits-for edge closes a cycle, [`DbError::Blocked`] otherwise. The edge
+//! stays until the requester is granted a lock or ends, so a later request
+//! that closes a cycle through it is still caught. Every statement takes its
+//! locks before it writes, so a blocked statement has had no effect and its
+//! caller may run it again once the holder has ended. Nothing here parks a
+//! thread or reads a clock.
 
 use std::sync::Arc;
-use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::error::DbError;
 use crate::hash::{FxHashMap, FxHashSet};
@@ -148,17 +156,13 @@ impl Holders {
 struct LmState {
     /// Current holders per resource.
     locks: FxHashMap<Resource, Holders>,
-    /// waits-for edges: blocked txn → the holders it waits on.
+    /// waits-for edges: blocked txn → the holders it was refused by.
     waits_for: FxHashMap<TxnId, FxHashSet<TxnId>>,
-    /// Acquirers parked on the condvar right now. A release wakes them only
-    /// when there are any: in a one-thread run there never are, and the
-    /// wake is a system call.
-    waiters: usize,
 }
 
 impl LmState {
-    /// Drops `txn`'s waits-for edge, if it has one. Nothing waits in a
-    /// one-thread run, so the graph is empty and this hashes nothing.
+    /// Drops `txn`'s waits-for edge, if it has one. An uncontended run
+    /// never blocks, so the graph is empty and this hashes nothing.
     fn stop_waiting(&mut self, txn: TxnId) {
         if !self.waits_for.is_empty() {
             self.waits_for.remove(&txn);
@@ -188,92 +192,53 @@ impl LmState {
     }
 }
 
-/// The lock manager: blocking acquisition with deadlock detection.
-#[derive(Debug)]
+/// The lock manager: no-wait acquisition with deadlock detection.
+#[derive(Debug, Default)]
 pub struct LockManager {
     state: Mutex<LmState>,
-    released: Condvar,
-    wait_budget: Duration,
-}
-
-impl Default for LockManager {
-    fn default() -> LockManager {
-        LockManager::new(Duration::from_secs(2))
-    }
 }
 
 impl LockManager {
-    /// Creates a lock manager whose blocking waits give up (with
-    /// [`DbError::LockTimeout`]) after `wait_budget`.
-    pub fn new(wait_budget: Duration) -> LockManager {
-        LockManager {
-            state: Mutex::new(LmState::default()),
-            released: Condvar::new(),
-            wait_budget,
-        }
-    }
-
-    /// Acquires (or upgrades to) `mode` on `resource` for `txn`, blocking
-    /// while incompatible locks are held by other transactions.
+    /// Acquires (or upgrades to) `mode` on `resource` for `txn`, or refuses
+    /// at once when another transaction holds an incompatible lock.
     ///
     /// # Errors
-    /// * [`DbError::Deadlock`] if granting would close a waits-for cycle —
-    ///   the requester is chosen as the victim;
-    /// * [`DbError::LockTimeout`] if the wait budget is exhausted (the
-    ///   safety net for a single-threaded caller that would block forever).
+    /// * [`DbError::Deadlock`] if the refusal's waits-for edge closes a
+    ///   cycle — the requester is chosen as the victim;
+    /// * [`DbError::Blocked`] otherwise: the request may be made again
+    ///   once a holder ends.
     pub fn acquire(&self, txn: TxnId, resource: Resource, mode: LockMode) -> DbResult<()> {
         let mut st = self.state.lock();
-        loop {
-            let Some(holders) = st.locks.get_mut(&resource) else {
-                // Nobody holds it: the key moves into the table.
-                st.locks.insert(resource, Holders::One(txn, mode));
-                st.stop_waiting(txn);
-                return Ok(());
-            };
-            let requested = holders
-                .get(txn)
-                .map(|held| held.combine(mode))
-                .unwrap_or(mode);
-            let blockers = holders.blockers(txn, requested);
-            if blockers.is_empty() {
-                holders.grant(txn, requested);
-                st.stop_waiting(txn);
-                return Ok(());
-            }
-            st.waits_for.insert(txn, blockers);
-            if st.has_cycle_from(txn) {
-                st.stop_waiting(txn);
-                return Err(DbError::Deadlock);
-            }
-            st.waiters += 1;
-            let timed_out = self
-                .released
-                .wait_for(&mut st, self.wait_budget)
-                .timed_out();
-            st.waiters -= 1;
-            if timed_out {
-                st.stop_waiting(txn);
-                return Err(DbError::LockTimeout);
-            }
+        let Some(holders) = st.locks.get_mut(&resource) else {
+            // Nobody holds it: the key moves into the table.
+            st.locks.insert(resource, Holders::One(txn, mode));
+            st.stop_waiting(txn);
+            return Ok(());
+        };
+        let requested = holders
+            .get(txn)
+            .map(|held| held.combine(mode))
+            .unwrap_or(mode);
+        let blockers = holders.blockers(txn, requested);
+        if blockers.is_empty() {
+            holders.grant(txn, requested);
+            st.stop_waiting(txn);
+            return Ok(());
         }
+        st.waits_for.insert(txn, blockers);
+        if st.has_cycle_from(txn) {
+            st.stop_waiting(txn);
+            return Err(DbError::Deadlock);
+        }
+        Err(DbError::Blocked)
     }
 
     /// Releases every lock held by `txn` (strict 2PL: locks are held to
-    /// transaction end and dropped all at once). Parked acquirers, if any
-    /// are counted, are woken to look again.
+    /// transaction end and dropped all at once), and its waits-for edge.
     pub fn release_all(&self, txn: TxnId) {
         let mut st = self.state.lock();
         st.locks.retain(|_, holders| !holders.release(txn));
         st.stop_waiting(txn);
-        if st.waiters > 0 {
-            self.released.notify_all();
-        }
-    }
-
-    /// Acquirers blocked in [`LockManager::acquire`] right now.
-    /// [`LockManager::release_all`] wakes them only when there are any.
-    pub fn waiters(&self) -> usize {
-        self.state.lock().waiters
     }
 
     /// The mode `txn` currently holds on `resource`, if any.
@@ -286,15 +251,11 @@ impl LockManager {
     }
 
     /// Wipes the entire lock table — the lock manager is volatile state,
-    /// so a crash forgets every holder and waiter at once. Blocked
-    /// acquirers are woken and re-evaluate against the empty table.
+    /// so a crash forgets every holder and waits-for edge at once.
     pub(crate) fn clear(&self) {
         let mut st = self.state.lock();
         st.locks.clear();
         st.waits_for.clear();
-        if st.waiters > 0 {
-            self.released.notify_all();
-        }
     }
 
     /// Total number of (resource, holder) pairs — used by tests to check
@@ -307,8 +268,6 @@ impl LockManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use std::time::Duration;
 
     fn row(pk: i64) -> Resource {
         Resource::Row("t".into(), Value::from(pk))
@@ -316,13 +275,6 @@ mod tests {
 
     fn table() -> Resource {
         Resource::Table("t".into())
-    }
-
-    /// Spins until `n` acquirers are parked on `lm`.
-    fn until_parked(lm: &LockManager, n: usize) {
-        while lm.waiters() < n {
-            std::thread::yield_now();
-        }
     }
 
     #[test]
@@ -378,17 +330,16 @@ mod tests {
     }
 
     #[test]
-    fn exclusive_blocks_until_release() {
-        let lm = Arc::new(LockManager::default());
+    fn a_conflicting_request_is_blocked_until_release() {
+        let lm = LockManager::default();
         lm.acquire(1, row(1), LockMode::Exclusive).unwrap();
-        let lm2 = Arc::clone(&lm);
-        let handle = std::thread::spawn(move || lm2.acquire(2, row(1), LockMode::Exclusive));
-        until_parked(&lm, 1);
-        assert!(!handle.is_finished(), "waiter should be blocked");
+        for mode in [LockMode::Shared, LockMode::Exclusive] {
+            assert_eq!(lm.acquire(2, row(1), mode), Err(DbError::Blocked));
+        }
+        assert_eq!(lm.held(2, &row(1)), None);
         lm.release_all(1);
-        handle.join().unwrap().unwrap();
+        lm.acquire(2, row(1), LockMode::Exclusive).unwrap();
         assert_eq!(lm.held(2, &row(1)), Some(LockMode::Exclusive));
-        assert_eq!(lm.waiters(), 0);
     }
 
     #[test]
@@ -400,31 +351,45 @@ mod tests {
     }
 
     #[test]
-    fn single_thread_conflict_times_out() {
-        let lm = LockManager::new(Duration::from_millis(30));
+    fn deadlock_is_detected() {
+        let lm = LockManager::default();
         lm.acquire(1, row(1), LockMode::Exclusive).unwrap();
+        lm.acquire(2, row(2), LockMode::Exclusive).unwrap();
+        // txn 2 is refused row 1 (held by 1); its edge stays
         assert_eq!(
-            lm.acquire(2, row(1), LockMode::Shared).unwrap_err(),
-            DbError::LockTimeout
+            lm.acquire(2, row(1), LockMode::Exclusive),
+            Err(DbError::Blocked)
         );
+        // txn 1 now requests row 2 → cycle → txn 1 is the victim
+        assert_eq!(
+            lm.acquire(1, row(2), LockMode::Exclusive),
+            Err(DbError::Deadlock)
+        );
+        lm.release_all(1);
+        lm.acquire(2, row(1), LockMode::Exclusive).unwrap();
+        lm.release_all(2);
+        assert_eq!(lm.lock_count(), 0);
     }
 
     #[test]
-    fn deadlock_is_detected() {
-        let lm = Arc::new(LockManager::default());
-        lm.acquire(1, row(1), LockMode::Exclusive).unwrap();
-        lm.acquire(2, row(2), LockMode::Exclusive).unwrap();
-        // txn 2 waits on row 1 (held by 1)
-        let lm2 = Arc::clone(&lm);
-        let waiter = std::thread::spawn(move || lm2.acquire(2, row(1), LockMode::Exclusive));
-        until_parked(&lm, 1);
-        // txn 1 now requests row 2 → cycle → txn 1 is the victim
-        let err = lm.acquire(1, row(2), LockMode::Exclusive).unwrap_err();
-        assert_eq!(err, DbError::Deadlock);
-        lm.release_all(1);
-        waiter.join().unwrap().unwrap();
-        lm.release_all(2);
-        assert_eq!(lm.lock_count(), 0);
+    fn a_grant_drops_the_waits_for_edge() {
+        // A free row and a row shared with txn 3: both ways of granting.
+        for (resource, mode) in [(row(2), LockMode::Exclusive), (row(3), LockMode::Shared)] {
+            let lm = LockManager::default();
+            lm.acquire(1, row(1), LockMode::Exclusive).unwrap();
+            lm.acquire(3, row(3), LockMode::Shared).unwrap();
+            assert_eq!(
+                lm.acquire(2, row(1), LockMode::Exclusive),
+                Err(DbError::Blocked)
+            );
+            // txn 2 goes on to a lock it can have: it no longer waits on 1,
+            // so 1 may wait on 2 without closing a cycle
+            lm.acquire(2, resource.clone(), mode).unwrap();
+            assert_eq!(
+                lm.acquire(1, resource, LockMode::Exclusive),
+                Err(DbError::Blocked)
+            );
+        }
     }
 
     #[test]
@@ -440,13 +405,12 @@ mod tests {
 
     #[test]
     fn table_scan_blocks_row_writer_via_intents() {
-        let lm = LockManager::new(Duration::from_millis(30));
+        let lm = LockManager::default();
         lm.acquire(1, table(), LockMode::Shared).unwrap();
         // a writer must take IX on the table first, which conflicts with S
         assert_eq!(
-            lm.acquire(2, table(), LockMode::IntentExclusive)
-                .unwrap_err(),
-            DbError::LockTimeout
+            lm.acquire(2, table(), LockMode::IntentExclusive),
+            Err(DbError::Blocked)
         );
     }
 
@@ -459,20 +423,18 @@ mod tests {
     }
 
     #[test]
-    fn release_wakes_multiple_readers() {
-        let lm = Arc::new(LockManager::default());
+    fn release_grants_several_blocked_readers() {
+        let lm = LockManager::default();
         lm.acquire(1, row(1), LockMode::Exclusive).unwrap();
-        let mut handles = Vec::new();
         for id in 2..5 {
-            let lm = Arc::clone(&lm);
-            handles.push(std::thread::spawn(move || {
-                lm.acquire(id, row(1), LockMode::Shared)
-            }));
+            assert_eq!(
+                lm.acquire(id, row(1), LockMode::Shared),
+                Err(DbError::Blocked)
+            );
         }
-        until_parked(&lm, 3);
         lm.release_all(1);
-        for h in handles {
-            h.join().unwrap().unwrap();
+        for id in 2..5 {
+            lm.acquire(id, row(1), LockMode::Shared).unwrap();
         }
         assert_eq!(lm.lock_count(), 3);
     }

@@ -2,7 +2,7 @@
 //! `std::sync` primitives so the workspace builds with no registry access.
 //!
 //! Only the surface the workspace actually uses is provided: `Mutex`,
-//! `RwLock`, `Condvar::wait_for`/`notify_all`, and the corresponding guards.
+//! `RwLock` and their guards.
 //! Poisoning is recovered transparently (parking_lot has no poisoning), so
 //! callers keep parking_lot's `lock()`-never-fails semantics.
 
@@ -10,7 +10,6 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::time::Duration;
 
 /// A mutual-exclusion lock with parking_lot's panic-free API.
 #[derive(Default)]
@@ -32,9 +31,7 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, blocking until it is available. Never fails:
     /// poison from a panicking holder is discarded.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard {
-            inner: Some(self.0.lock().unwrap_or_else(|e| e.into_inner())),
-        }
+        MutexGuard(self.0.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
     /// Mutable access without locking (requires exclusive ownership).
@@ -53,23 +50,18 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
 }
 
 /// RAII guard returned by [`Mutex::lock`].
-///
-/// The inner std guard sits in an `Option` so [`Condvar::wait_for`] can take
-/// it out across the wait and put it back, without unsafe code.
-pub struct MutexGuard<'a, T: ?Sized> {
-    inner: Option<std::sync::MutexGuard<'a, T>>,
-}
+pub struct MutexGuard<'a, T: ?Sized>(std::sync::MutexGuard<'a, T>);
 
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard taken during wait")
+        &self.0
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard taken during wait")
+        &mut self.0
     }
 }
 
@@ -133,61 +125,6 @@ impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
     }
 }
 
-/// Result of a timed wait on a [`Condvar`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitTimeoutResult(bool);
-
-impl WaitTimeoutResult {
-    /// Whether the wait ended because the timeout elapsed.
-    pub fn timed_out(&self) -> bool {
-        self.0
-    }
-}
-
-/// A condition variable compatible with this module's [`Mutex`].
-#[derive(Default)]
-pub struct Condvar(std::sync::Condvar);
-
-impl Condvar {
-    /// Creates a new condition variable.
-    pub const fn new() -> Condvar {
-        Condvar(std::sync::Condvar::new())
-    }
-
-    /// Blocks on `guard` until notified or `timeout` elapses.
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        let inner = guard.inner.take().expect("guard already waiting");
-        let (inner, result) = self
-            .0
-            .wait_timeout(inner, timeout)
-            .unwrap_or_else(|e| e.into_inner());
-        guard.inner = Some(inner);
-        WaitTimeoutResult(result.timed_out())
-    }
-
-    /// Wakes all threads blocked on this condition variable.
-    pub fn notify_all(&self) -> usize {
-        self.0.notify_all();
-        0
-    }
-
-    /// Wakes one thread blocked on this condition variable.
-    pub fn notify_one(&self) -> bool {
-        self.0.notify_one();
-        false
-    }
-}
-
-impl fmt::Debug for Condvar {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("Condvar")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,31 +144,6 @@ mod tests {
         assert_eq!(l.read().len(), 2);
         l.write().push(3);
         assert_eq!(l.read().len(), 3);
-    }
-
-    #[test]
-    fn condvar_times_out_and_wakes() {
-        let m = Mutex::new(false);
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        let r = cv.wait_for(&mut g, Duration::from_millis(10));
-        assert!(r.timed_out());
-        drop(g);
-
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let waker = Arc::clone(&pair);
-        let t = std::thread::spawn(move || {
-            *waker.0.lock() = true;
-            waker.1.notify_all();
-        });
-        let (lock, cv) = &*pair;
-        let mut ready = lock.lock();
-        while !*ready {
-            if cv.wait_for(&mut ready, Duration::from_secs(5)).timed_out() {
-                panic!("missed wakeup");
-            }
-        }
-        t.join().unwrap();
     }
 
     #[test]
