@@ -147,6 +147,54 @@ fn the_contention_table_quotes_its_csv() {
     assert_quotes(&rows, &records[1..], "contention.csv");
 }
 
+/// Each cell is the median (the upper one of an even count) and the range
+/// of the combinations' detection latencies for that detector and fault,
+/// or the one latency when a single combination detected it.
+#[test]
+fn the_time_to_detect_table_summarises_its_csv() {
+    let (header, rows) = table_after(&experiments(), "### Time-to-detect");
+    let records = csv("monitor_ttd.csv");
+    let col = |name: &str| {
+        records[0]
+            .iter()
+            .position(|c| c == name)
+            .unwrap_or_else(|| panic!("monitor_ttd.csv has no {name} column"))
+    };
+    let (fault, detector, ttd) = (col("fault"), col("detector"), col("ttd_ms"));
+    let all = |c: usize| -> BTreeSet<&str> { records[1..].iter().map(|r| r[c].as_str()).collect() };
+    assert_eq!(
+        header[1..]
+            .iter()
+            .map(String::as_str)
+            .collect::<BTreeSet<_>>(),
+        all(fault)
+    );
+    assert_eq!(
+        rows.iter().map(|r| r[0].as_str()).collect::<BTreeSet<_>>(),
+        all(detector)
+    );
+    for row in &rows {
+        for (f, printed) in header[1..].iter().zip(&row[1..]) {
+            let mut ttds: Vec<&str> = records[1..]
+                .iter()
+                .filter(|r| r[detector] == row[0] && r[fault] == *f)
+                .map(|r| r[ttd].as_str())
+                .collect();
+            ttds.sort_by(|a, b| a.parse::<f64>().unwrap().total_cmp(&b.parse().unwrap()));
+            let expected = match ttds[..] {
+                [] => panic!("no {} detection under {f} in monitor_ttd.csv", row[0]),
+                [one] => one.to_owned(),
+                [first, .., last] => format!("{} [{first}..{last}]", ttds[ttds.len() / 2]),
+            };
+            assert_eq!(
+                *printed, expected,
+                "EXPERIMENTS.md's {} cell under {f} is not monitor_ttd.csv's",
+                row[0]
+            );
+        }
+    }
+}
+
 #[test]
 fn the_latency_figures_quote_their_csvs() {
     for (heading, name) in [("## Figure 6", "fig6.csv"), ("## Figure 7", "fig7.csv")] {
