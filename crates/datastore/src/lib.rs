@@ -61,7 +61,7 @@ pub use predicate::{CmpOp, Predicate, MAX_PREDICATE_DEPTH};
 pub use result::{ResultSet, RowIter, Rows};
 pub use schema::{Column, ColumnType, Schema};
 pub use trace::{OpCounts, TraceSnapshot};
-pub use value::Value;
+pub use value::{Money, Value};
 pub use wal::{CrashPoint, RecoveryReport, WalStats, CRASH_POINTS};
 
 /// Convenient result alias for datastore operations.

@@ -184,10 +184,87 @@ impl fmt::Display for Value {
             Value::Null => write!(f, "NULL"),
             Value::Bool(v) => write!(f, "{v}"),
             Value::Int(v) => write!(f, "{v}"),
-            Value::Double(v) => write!(f, "{v}"),
+            Value::Double(v) => match shortest_cents(*v) {
+                Some(cents) => write_cents(f, v.is_sign_negative(), cents, true),
+                None => write!(f, "{v}"),
+            },
             Value::Str(v) => write!(f, "'{v}'"),
         }
     }
+}
+
+/// An amount of money as a page shows it: the bytes `format!("{:.2}", v)`
+/// writes. Like [`Value`]'s `Display`, it applies no formatter flags.
+///
+/// Most amounts are written from their integer cents. An amount the cents
+/// cannot be proved for — one within 10⁻³ cent of a half cent, one of
+/// 10⁹ or more, a non-finite one — is written by `core::fmt`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Money(pub f64);
+
+impl fmt::Display for Money {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match rounded_cents(self.0) {
+            Some(cents) => write_cents(f, self.0.is_sign_negative(), cents, false),
+            None => write!(f, "{:.2}", self.0),
+        }
+    }
+}
+
+/// Magnitudes below this have `|v|·100 < 2³⁷`, so the product's rounding
+/// error is at most 2⁻¹⁶ cent.
+const CENTS_LIMIT: f64 = 1e9;
+
+/// The cents `{:.2}` rounds `|v|` to. `fl(|v|·100)` is within 2⁻¹⁶ of the
+/// exact product, so when it lies more than 10⁻³ from a half cent both
+/// round to the same integer, and that is the exact product's rounding.
+fn rounded_cents(v: f64) -> Option<u64> {
+    let x = v.abs() * 100.0;
+    (v.abs() < CENTS_LIMIT && (x.fract() - 0.5).abs() > 1e-3).then(|| x.round() as u64)
+}
+
+/// The cents `n` when `n / 100`, trailing zeros trimmed, is the shortest
+/// text that reads back as `|v|`: division rounds correctly, so the text
+/// reads back when `n / 100.0 == |v|`, and doubles below 10⁹ lie closer
+/// than a cent apart, so no other text of at most two places does.
+fn shortest_cents(v: f64) -> Option<u64> {
+    let a = v.abs();
+    let n = (a * 100.0).round();
+    (a > 0.0 && a < CENTS_LIMIT && n / 100.0 == a).then_some(n as u64)
+}
+
+/// Writes `cents / 100` with two places, or with its trailing zeros (and
+/// then its point) trimmed.
+fn write_cents(f: &mut fmt::Formatter<'_>, negative: bool, cents: u64, trim: bool) -> fmt::Result {
+    let mut buf = [0u8; 24];
+    let mut at = buf.len();
+    let (mut whole, mut frac, mut places) = (cents / 100, cents % 100, 2);
+    while trim && places > 0 && frac % 10 == 0 {
+        frac /= 10;
+        places -= 1;
+    }
+    for _ in 0..places {
+        at -= 1;
+        buf[at] = b'0' + (frac % 10) as u8;
+        frac /= 10;
+    }
+    if places > 0 {
+        at -= 1;
+        buf[at] = b'.';
+    }
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (whole % 10) as u8;
+        whole /= 10;
+        if whole == 0 {
+            break;
+        }
+    }
+    if negative {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    f.write_str(std::str::from_utf8(&buf[at..]).expect("digits are ASCII"))
 }
 
 impl From<i64> for Value {

@@ -128,9 +128,9 @@ impl<'a> HttpRequest<'a> {
         let text = self.text.to_mut();
         if let Some(old) = self.cookie.take() {
             let start = text[..old.start].rfind("\r\n").map_or(0, |at| at + 2);
-            let end = text[old.end..]
-                .find("\r\n")
-                .map_or(text.len(), |at| old.end + at + 2);
+            let end = HeadLines::new(&text.as_bytes()[old.end..])
+                .next()
+                .map_or(text.len(), |line| old.end + line.end + 2);
             text.replace_range(start..end, "");
         }
         text.truncate(text.len() - 2);
@@ -190,7 +190,8 @@ impl<'a> HttpRequest<'a> {
     /// no blank line ends (a truncated request).
     pub fn parse(raw: &'a [u8]) -> Result<HttpRequest<'a>, String> {
         let text = std::str::from_utf8(raw).map_err(|e| format!("non-utf8 request: {e}"))?;
-        let line_end = text.find("\r\n").unwrap_or(text.len());
+        let mut lines = HeadLines::new(raw);
+        let line_end = lines.next().map_or(text.len(), |line| line.end);
         let mut parts = text[..line_end].split(' ');
         let method = parts.next().ok_or("missing method")?;
         let uri_full = parts.next().ok_or("missing uri")?;
@@ -201,14 +202,9 @@ impl<'a> HttpRequest<'a> {
         let (uri, query) = uri_full
             .split_once('?')
             .unwrap_or((uri_full, &uri_full[uri_full.len()..]));
-        let head_end = text
-            .find(BLANK_LINE)
-            .ok_or("truncated request: no blank line ends the head")?;
-        // The header lines; none when the blank line ends the request line.
-        let headers = text.get(line_end + 2..head_end).unwrap_or("");
         let mut cookie = None;
-        for line in headers.split("\r\n") {
-            if let Some(value) = line.strip_prefix("Cookie: ") {
+        for line in lines.by_ref() {
+            if let Some(value) = text[line].strip_prefix("Cookie: ") {
                 for c in value.split("; ") {
                     if let Some(id) = c.strip_prefix("JSESSIONID=") {
                         cookie = Some(range_in(text, id));
@@ -216,8 +212,11 @@ impl<'a> HttpRequest<'a> {
                 }
             }
         }
+        let head_end = lines
+            .end()
+            .ok_or("truncated request: no blank line ends the head")?;
         Ok(HttpRequest {
-            text: Cow::Borrowed(&text[..head_end + BLANK_LINE.len()]),
+            text: Cow::Borrowed(&text[..head_end]),
             method: range_in(text, method),
             uri: range_in(text, uri),
             query: range_in(text, query),
@@ -332,17 +331,11 @@ impl<'a> HttpResponse<'a> {
     /// Returns a description of the first malformed line, of a head without
     /// `Content-Length`, or of a body that is not as long as it says.
     pub fn parse(raw: &'a [u8]) -> Result<HttpResponse<'a>, String> {
-        let head_end = raw
-            .windows(BLANK_LINE.len())
-            .position(|w| w == BLANK_LINE.as_bytes())
-            .ok_or("missing header/body separator")?;
         fn utf8(bytes: &[u8]) -> Result<&str, String> {
             std::str::from_utf8(bytes).map_err(|e| format!("non-utf8 response: {e}"))
         }
-        let head = utf8(&raw[..head_end])?;
-        let body = utf8(&raw[head_end + BLANK_LINE.len()..])?;
-        let mut lines = head.split("\r\n");
-        let status_line = lines.next().ok_or("empty response")?;
+        let mut lines = HeadLines::new(raw);
+        let status_line = utf8(&raw[lines.next().ok_or("missing header/body separator")?])?;
         let mut parts = status_line.split(' ');
         match parts.next() {
             Some(v) if v.starts_with("HTTP/") => {}
@@ -355,7 +348,8 @@ impl<'a> HttpResponse<'a> {
             .map_err(|e| format!("bad status code: {e}"))?;
         let mut set_cookie = None;
         let mut content_length = None;
-        for line in lines {
+        for line in lines.by_ref() {
+            let line = utf8(&raw[line])?;
             if let Some(value) = line.strip_prefix("Set-Cookie: JSESSIONID=") {
                 set_cookie = Some(
                     value
@@ -372,6 +366,8 @@ impl<'a> HttpResponse<'a> {
                 );
             }
         }
+        let head_end = lines.end().ok_or("missing header/body separator")?;
+        let body = utf8(&raw[head_end..])?;
         let len = content_length.ok_or("truncated response: no Content-Length in the head")?;
         if body.len() != len {
             return Err(format!(
@@ -384,6 +380,59 @@ impl<'a> HttpResponse<'a> {
             body: Cow::Borrowed(body),
             set_cookie,
         })
+    }
+}
+
+/// The lines of a message head, each without its CRLF: the first line,
+/// then every line up to the empty one that ends the head. A CRLF is found
+/// by a scan for `\n` that checks the byte before it.
+#[derive(Debug, Clone)]
+pub struct HeadLines<'a> {
+    bytes: &'a [u8],
+    /// Where the next line starts.
+    at: usize,
+    /// Past the blank line, once it has been reached.
+    end: Option<usize>,
+}
+
+impl<'a> HeadLines<'a> {
+    /// The head lines at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> HeadLines<'a> {
+        HeadLines {
+            bytes,
+            at: 0,
+            end: None,
+        }
+    }
+
+    /// Where the head ends, just past its blank line; `None` until the
+    /// lines have run out, and after that when no blank line ends them.
+    pub fn end(&self) -> Option<usize> {
+        self.end
+    }
+}
+
+impl Iterator for HeadLines<'_> {
+    type Item = Range<usize>;
+
+    fn next(&mut self) -> Option<Range<usize>> {
+        if self.end.is_some() {
+            return None;
+        }
+        let start = self.at;
+        let mut lf = start;
+        let cr = loop {
+            lf += 1 + self.bytes.get(lf + 1..)?.iter().position(|&b| b == b'\n')?;
+            if self.bytes[lf - 1] == b'\r' {
+                break lf - 1;
+            }
+        };
+        self.at = cr + 2;
+        if cr == start && start > 0 {
+            self.end = Some(self.at);
+            return None;
+        }
+        Some(start..cr)
     }
 }
 

@@ -10,7 +10,7 @@
 use std::sync::atomic::{AtomicI64, Ordering};
 
 use sli_component::{Container, EjbResult, Home, Memento, TxContext};
-use sli_datastore::Value;
+use sli_datastore::{Money, Value};
 
 use crate::action::{TradeAction, TradeResult};
 use crate::TradeEngine;
@@ -82,7 +82,7 @@ impl EjbTradeEngine {
             Ok(TradeResult::new("Trade Login")
                 .field("user", user)
                 .field("login count", count)
-                .field("balance", format_args!("{balance:.2}")))
+                .field("balance", Money(balance)))
         }
     }
 
@@ -129,7 +129,7 @@ impl EjbTradeEngine {
             )?;
             Ok(TradeResult::new("Trade Registration")
                 .field("user", user)
-                .field("opening balance", format_args!("{balance:.2}")))
+                .field("opening balance", Money(balance)))
         }
     }
 
@@ -140,7 +140,7 @@ impl EjbTradeEngine {
             let balance = Self::get_f64(account.as_ref(), ctx, &key, "balance")?;
             Ok(TradeResult::new("Trade Home")
                 .field("user", user)
-                .field("balance", format_args!("{balance:.2}"))
+                .field("balance", Money(balance))
                 .field("market summary", "TSIA 100.32 (+0.4%) volume 40.1M"))
         }
     }
@@ -193,7 +193,7 @@ impl EjbTradeEngine {
                     .cell(r.primary_key())
                     .cell(crate::util::show(&symbol))
                     .cell(qty)
-                    .cell(format_args!("{price:.2}"));
+                    .cell(Money(price));
             }
             Ok(result)
         }
@@ -250,9 +250,9 @@ impl EjbTradeEngine {
                 .field("user", user)
                 .field("symbol", symbol)
                 .field("quantity", qty)
-                .field("price", format_args!("{price:.2}"))
-                .field("total", format_args!("{cost:.2}"))
-                .field("new balance", format_args!("{:.2}", balance - cost)))
+                .field("price", Money(price))
+                .field("total", Money(cost))
+                .field("new balance", Money(balance - cost)))
         }
     }
 
@@ -281,9 +281,9 @@ impl EjbTradeEngine {
                 .field("holding", hkey)
                 .field("symbol", crate::util::show(&symbol))
                 .field("quantity", qty)
-                .field("price", format_args!("{price:.2}"))
-                .field("proceeds", format_args!("{proceeds:.2}"))
-                .field("new balance", format_args!("{:.2}", balance + proceeds)))
+                .field("price", Money(price))
+                .field("proceeds", Money(proceeds))
+                .field("new balance", Money(balance + proceeds)))
         }
     }
 

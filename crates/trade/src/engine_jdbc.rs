@@ -13,7 +13,7 @@
 use std::sync::atomic::{AtomicI64, Ordering};
 
 use sli_component::{EjbError, EjbResult};
-use sli_datastore::{BatchStatement, ResultSet, SqlConnection, Value};
+use sli_datastore::{BatchStatement, Money, ResultSet, SqlConnection, Value};
 
 use crate::action::{TradeAction, TradeResult};
 use crate::util::show;
@@ -117,7 +117,7 @@ impl JdbcTradeEngine {
             Ok(TradeResult::new("Trade Login")
                 .field("user", user)
                 .field("login count", count)
-                .field("balance", format_args!("{balance:.2}")))
+                .field("balance", Money(balance)))
         })
     }
 
@@ -172,7 +172,7 @@ impl JdbcTradeEngine {
             let balance = results[1].rows()[0][0].as_double().unwrap_or(0.0);
             Ok(TradeResult::new("Trade Registration")
                 .field("user", user)
-                .field("opening balance", format_args!("{balance:.2}")))
+                .field("opening balance", Money(balance)))
         })
     }
 
@@ -190,7 +190,7 @@ impl JdbcTradeEngine {
             .unwrap_or(0.0);
         Ok(TradeResult::new("Trade Home")
             .field("user", user)
-            .field("balance", format_args!("{balance:.2}"))
+            .field("balance", Money(balance))
             .field("market summary", "TSIA 100.32 (+0.4%) volume 40.1M"))
     }
 
@@ -253,7 +253,7 @@ impl JdbcTradeEngine {
                 .cell(&row[0])
                 .cell(show(&row[1]))
                 .cell(&row[2])
-                .cell(format_args!("{:.2}", row[3].as_double().unwrap_or(0.0)));
+                .cell(Money(row[3].as_double().unwrap_or(0.0)));
         }
         Ok(result)
     }
@@ -335,9 +335,9 @@ impl JdbcTradeEngine {
                 .field("user", user)
                 .field("symbol", symbol)
                 .field("quantity", quantity)
-                .field("price", format_args!("{price:.2}"))
-                .field("total", format_args!("{cost:.2}"))
-                .field("new balance", format_args!("{:.2}", balance - cost)))
+                .field("price", Money(price))
+                .field("total", Money(cost))
+                .field("new balance", Money(balance - cost)))
         })
     }
 
@@ -390,9 +390,9 @@ impl JdbcTradeEngine {
                 .field("holding", hid)
                 .field("symbol", show(&symbol))
                 .field("quantity", qty)
-                .field("price", format_args!("{price:.2}"))
-                .field("proceeds", format_args!("{proceeds:.2}"))
-                .field("new balance", format_args!("{:.2}", balance + proceeds)))
+                .field("price", Money(price))
+                .field("proceeds", Money(proceeds))
+                .field("new balance", Money(balance + proceeds)))
         })
     }
 }

@@ -23,7 +23,7 @@ use sli_edge::datastore::{
     sql, CmpOp, Database, DbError, Predicate, ResultSet, SqlConnection, Value, MAX_PREDICATE_DEPTH,
 };
 use sli_edge::simnet::wire::{self, Reader, Writer};
-use sli_edge::simnet::{HttpRequest, HttpResponse};
+use sli_edge::simnet::{HeadLines, HttpRequest, HttpResponse};
 use sli_edge::telemetry::{
     chrome_trace, validate, ArchReport, Counter, Json, Profile, RunReport, Schema, SloConfig,
     SloMonitor, SpanDetail, SpanEvent, SpanOutcome, Timeline, TimelineDoc, MAX_JSON_DEPTH,
@@ -69,9 +69,44 @@ fn inspect_response(raw: &[u8], resp: &HttpResponse<'_>) {
     let _ = (resp.status, resp.set_cookie.as_deref());
 }
 
+/// Where `needle` first lies in `raw`, by the substring search the head
+/// scanner replaced: `str::find`, or a window search over bytes that are
+/// not UTF-8.
+fn find(raw: &[u8], needle: &str) -> Option<usize> {
+    match std::str::from_utf8(raw) {
+        Ok(text) => text.find(needle),
+        Err(_) => raw
+            .windows(needle.len())
+            .position(|w| w == needle.as_bytes()),
+    }
+}
+
+/// Checks the head scanner both parsers use against the substring search:
+/// its first line ends at the first CRLF, and its head just past the first
+/// blank line.
+fn check_head_lines(raw: &[u8]) {
+    let mut lines = HeadLines::new(raw);
+    let first_end = lines.next().map(|line| line.end);
+    assert_eq!(
+        first_end,
+        find(raw, "\r\n"),
+        "first CRLF of b\"{}\"",
+        raw.escape_ascii()
+    );
+    lines.by_ref().for_each(drop);
+    let blank = find(raw, "\r\n\r\n").map(|at| at + 4);
+    assert_eq!(
+        lines.end(),
+        blank,
+        "blank line of b\"{}\"",
+        raw.escape_ascii()
+    );
+}
+
 /// Runs both parsers on `raw`, inspects what they accept, and reports
 /// whether each accepted it. A panic fails with the input spelled out.
 fn decode(raw: &[u8]) -> (bool, bool) {
+    check_head_lines(raw);
     catch_unwind(AssertUnwindSafe(|| {
         let request = HttpRequest::parse(raw).map(|req| inspect_request(raw, &req));
         let response = HttpResponse::parse(raw).map(|resp| inspect_response(raw, &resp));

@@ -26,6 +26,8 @@
 //!   and copying it used to produce;
 //! * a rolled-back transaction, and one torn by a crash and undone by
 //!   recovery, both leave the database as if they had never run;
+//! * money and doubles written from their integer cents are byte for byte
+//!   what `core::fmt`'s `{:.2}` and `{}` write;
 //! * the span fold that handles spans by number — interned classes, a
 //!   stack trie, one index walk — exports byte for byte what the fold that
 //!   built a string per frame and three maps per trace exported;
@@ -56,7 +58,7 @@ use sli_edge::core::{
     EntryKind, MetaRegistry, SliHome, SliResourceManager,
 };
 use sli_edge::datastore::{
-    CmpOp, Column, ColumnType, CrashPoint, Database, DbError, Predicate, ResultSet, Schema,
+    CmpOp, Column, ColumnType, CrashPoint, Database, DbError, Money, Predicate, ResultSet, Schema,
     SqlConnection, Value,
 };
 use sli_edge::simnet::wire::{frame, frame_traced, protocol, unframe, Reader, Writer};
@@ -638,6 +640,76 @@ fn http_messages_are_what_the_formatter_wrote() {
         assert_eq!(raw, format_response(&resp), "status {status}");
         assert_eq!(raw.len(), resp.encoded_len(), "status {status}");
         assert_eq!(HttpResponse::parse(&raw).unwrap(), resp);
+    }
+}
+
+/// Fails unless [`Money`] and a [`Value`] write `v` byte for byte as
+/// `core::fmt`'s `{:.2}` and `{}` do.
+fn assert_written_as_core_fmt(v: f64) {
+    let bits = v.to_bits();
+    assert_eq!(
+        Money(v).to_string(),
+        format!("{v:.2}"),
+        "Money of {v:?} ({bits:#x})"
+    );
+    assert_eq!(
+        Value::Double(v).to_string(),
+        format!("{v}"),
+        "{v:?} ({bits:#x})"
+    );
+}
+
+#[test]
+fn money_and_doubles_are_written_as_core_fmt_writes_them() {
+    let check = assert_written_as_core_fmt;
+    // Ties of the exact value, ties only in decimal, the fast path's
+    // bounds, signed zero, the smallest subnormal and the non-finite.
+    for v in [
+        0.125,
+        0.375,
+        2.675,
+        1.005,
+        0.005,
+        0.015,
+        0.0,
+        5e-324,
+        0.1 + 0.2,
+    ] {
+        check(v);
+        check(-v);
+    }
+    for v in [1e9, 1e9 - 0.005, 1e9 + 0.005, 1e9 - 0.01, 999_999_999.995] {
+        check(v);
+        check(-v);
+    }
+    for v in [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MAX,
+        f64::MIN_POSITIVE,
+    ] {
+        check(v);
+    }
+    let mut rng = StdRng::seed_from_u64(0x0c0f_fee5);
+    for _ in 0..250_000 {
+        // Whole cents, as prices and balances are, and sums of them.
+        let cents = rng.gen_range(0..100_000_000_000u64) as f64 / 100.0;
+        let sign = if rng.gen_range(0..2u32) == 0 {
+            1.0
+        } else {
+            -1.0
+        };
+        check(sign * cents);
+        check(cents - rng.gen_range(0..1_000_000u64) as f64 / 100.0);
+        // Any bit pattern: mostly what the fallback writes.
+        check(f64::from_bits(rng.next_u64()));
+        // Uniforms scaled over the fast path's range and past it, and a
+        // half cent nudged by a few ulps.
+        let scaled = rng.gen_range(0.0..1.0) * 10f64.powi(rng.gen_range(-4..12i32));
+        check(scaled);
+        let half = (rng.gen_range(0..1_000_000u64) as f64 + 0.5) / 100.0;
+        check(f64::from_bits(half.to_bits() + rng.gen_range(0..5u64) - 2));
     }
 }
 
