@@ -295,6 +295,19 @@ mod tests {
     }
 
     #[test]
+    fn the_checkpoint_decoder_never_panics() {
+        let empty = Database::new();
+        let valid = [sample_db().checkpoint(), empty.checkpoint()];
+        let accepted = crate::wal::tests::search_decoder(0xc4ec_5eed, &valid, |raw| {
+            decode_checkpoint(raw).is_ok()
+        });
+        assert!(
+            accepted > 100,
+            "only {accepted} flipped checkpoints decoded"
+        );
+    }
+
+    #[test]
     fn empty_database_round_trips() {
         let db = Database::new();
         db.attach_wal();

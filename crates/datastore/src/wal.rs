@@ -546,7 +546,7 @@ pub struct RecoveryReport {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -590,5 +590,75 @@ mod tests {
             .put_str("holding");
         w.put_u32(u32::MAX).put_raw(&[0xAB; 64]);
         assert!(decode_record(&w.finish()).is_err());
+    }
+
+    /// A seeded search of hostile bytes for `decode`, which answers whether
+    /// it accepted them: each valid frame must decode and no prefix of it
+    /// may; then every byte of each is flipped once, and noise goes in. A
+    /// panic fails with the input spelled out. Returns how many flipped
+    /// frames decoded.
+    pub(crate) fn search_decoder(
+        seed: u64,
+        valid: &[Bytes],
+        decode: impl Fn(Bytes) -> bool,
+    ) -> usize {
+        let mut n = 0;
+        let mut draw = |bound: u64| {
+            n += 1;
+            sli_simnet::splitmix(seed, n) % bound
+        };
+        let run = |raw: &[u8]| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                decode(Bytes::copy_from_slice(raw))
+            }))
+            .unwrap_or_else(|_| panic!("the decoder panicked on b\"{}\"", raw.escape_ascii()))
+        };
+        let mut accepted = 0;
+        for frame in valid {
+            assert!(run(frame), "b\"{}\" decodes", frame.escape_ascii());
+            for len in 0..frame.len() {
+                let cut = &frame[..len];
+                assert!(!run(cut), "a prefix decoded: b\"{}\"", cut.escape_ascii());
+            }
+            for at in 0..frame.len() {
+                let mut flipped = frame.to_vec();
+                flipped[at] ^= 1 + draw(255) as u8;
+                accepted += usize::from(run(&flipped));
+            }
+        }
+        for _ in 0..3_000 {
+            let noise: Vec<u8> = (0..draw(200)).map(|_| draw(256) as u8).collect();
+            run(&noise);
+        }
+        accepted
+    }
+
+    #[test]
+    fn the_record_decoder_never_panics() {
+        let table: Arc<str> = Arc::from("holding");
+        let row = vec![
+            Value::from(7),
+            Value::from("uid:3"),
+            Value::from(2.5),
+            Value::Null,
+        ];
+        let ops = [
+            WalOp::Insert {
+                table: Arc::clone(&table),
+                row: row.clone(),
+            },
+            WalOp::Update {
+                table: Arc::clone(&table),
+                pk: Value::from(7),
+                old: row.clone(),
+                new: vec![Value::from(true), Value::from("")],
+            },
+            WalOp::Delete { table, old: row },
+        ];
+        let mut valid: Vec<Bytes> = ops.iter().map(|op| encode_op(3, 9, op)).collect();
+        valid.push(encode_commit(4, 9, 1, None));
+        valid.push(encode_commit(4, 9, 1, Some((2, 11))));
+        let accepted = search_decoder(0x0a1_5eed, &valid, |raw| decode_record(&raw).is_ok());
+        assert!(accepted > 100, "only {accepted} flipped records decoded");
     }
 }
