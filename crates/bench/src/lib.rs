@@ -32,8 +32,9 @@
 //! admission. [`RunSpec::closed`] is the paper's §4.3 protocol — one
 //! virtual client, 400 warm-up sessions, 300 measured sessions (~11 interactions each),
 //! latencies averaged over 20 batches, and a least-squares fit across the
-//! delay sweep ([`sensitivity`]). [`RunSpec::open`] offers sessions at a
-//! configured arrival rate instead, so latency includes queue wait. The
+//! delay sweep ([`sensitivity`]) — on the paper's wire, one round trip per
+//! statement. [`RunSpec::open`] offers sessions at a configured arrival
+//! rate instead, so latency includes queue wait, on the batched wire. The
 //! online SLO monitor, the what-if resource scale and the wire-batching
 //! switch apply to either.
 
@@ -93,7 +94,8 @@ pub struct RunSpec {
     /// reproduces the paper's R² ≈ 0.99 texture.
     pub jitter_us: u64,
     /// Whether remote database connections batch statements onto the wire
-    /// (`false` is the pre-batching ablation).
+    /// (`OP_EXEC_BATCH`, the §4.4 conjecture). `false` is the paper's wire,
+    /// one round trip per statement.
     pub wire_batching: bool,
     /// Virtual per-resource speed knobs for what-if runs (nominal by
     /// default — measured costs).
@@ -127,9 +129,9 @@ pub enum Admission {
 }
 
 impl RunSpec {
-    /// The §4.3 closed-loop protocol for `arch` at `delay`; `quick` scales
-    /// it down (20 warm-up + 30 measured sessions, 5 batches) for unit
-    /// tests and `--smoke` runs.
+    /// The §4.3 closed-loop protocol for `arch` at `delay`, on the paper's
+    /// wire (no statement batching); `quick` scales it down (20 warm-up +
+    /// 30 measured sessions, 5 batches) for unit tests and `--smoke` runs.
     pub fn closed(arch: Architecture, delay: SimDuration, quick: bool) -> RunSpec {
         RunSpec {
             arch,
@@ -139,7 +141,7 @@ impl RunSpec {
             sessions: if quick { 30 } else { 300 },
             batches: if quick { 5 } else { 20 },
             jitter_us: 0,
-            wire_batching: true,
+            wire_batching: false,
             scale: ResourceScale::nominal(),
             monitor: None,
             admission: Admission::Closed { clients: 1 },
@@ -148,12 +150,14 @@ impl RunSpec {
 
     /// The standard open-loop protocol at `session_rps` Poisson arrivals
     /// per second: 200 sessions measured after a 40-session warm-up, or
-    /// 60 after 10 when `quick`; 20 batches either way.
+    /// 60 after 10 when `quick`; 20 batches either way; on the batched
+    /// wire.
     pub fn open(arch: Architecture, delay: SimDuration, session_rps: f64, quick: bool) -> RunSpec {
         RunSpec {
             warmup_sessions: if quick { 10 } else { 40 },
             sessions: if quick { 60 } else { 200 },
             batches: 20,
+            wire_batching: true,
             admission: Admission::Open { session_rps },
             ..RunSpec::closed(arch, delay, quick)
         }
@@ -1164,20 +1168,22 @@ mod tests {
 
     #[test]
     fn jitter_reproduces_the_papers_imperfect_fits() {
+        let spec_without_jitter = quick(Architecture::EsRdb(Flavor::Jdbc));
         let spec = RunSpec {
             jitter_us: 2_000, // ±2 ms per crossing
-            ..quick(Architecture::EsRdb(Flavor::Jdbc))
+            ..spec_without_jitter
         };
         let points = sweep(spec, &[0, 40, 80]);
         let f = sensitivity(&points).unwrap();
         assert!(f.r2 < 1.0, "jitter must leave residuals");
         assert!(f.r2 > 0.98, "but the fit stays excellent: r2 = {}", f.r2);
-        // ~3.3 crossings/interaction since the JDBC engine batches its
-        // independent statements (was ~3.9 with one statement per trip).
+        // ~3.9 crossings/interaction on the paper's wire, one per statement.
+        let exact = sensitivity(&sweep(spec_without_jitter, &[0, 40, 80])).unwrap();
         assert!(
-            (f.slope - 3.3).abs() < 0.5,
-            "slope survives jitter: {}",
-            f.slope
+            (f.slope - exact.slope).abs() < 0.5,
+            "slope survives jitter: {} against {}",
+            f.slope,
+            exact.slope
         );
     }
 
