@@ -408,3 +408,95 @@ fn table_2_and_figure_8_are_table_1s_delayed_round_trips() {
         "Clients/RAS (JDBC)"
     ));
 }
+
+/// The paper's claims as bands over Table 2 and Figure 8, each failure
+/// naming its claim. The bands are set from the spread over seeds, so a
+/// checked-in cell outside one is a finding, not noise.
+fn band_failures(table2: &[Vec<String>], fig8: &[Vec<String>]) -> Vec<String> {
+    let slope = |algorithm: &str, column: usize| -> f64 {
+        let record = table2.iter().find(|r| r[0] == algorithm).expect("a row");
+        record[column].parse().expect("a slope")
+    };
+    let bytes = |architecture: &str| -> f64 {
+        let record = fig8.iter().find(|r| r[0] == architecture).expect("a row");
+        record[1].parse().expect("a byte count")
+    };
+    let mut failures = Vec::new();
+    let mut band = |claim: String, value: f64, low: f64, high: f64| {
+        if !(low..=high).contains(&value) {
+            failures.push(format!("{claim}: reads {value:.3}"));
+        }
+    };
+    let jdbc = slope("jdbc", 1);
+    let cached = slope("cached_ejbs", 1);
+    let paper_vanilla_over_jdbc = 23.6 / 9.4;
+    band(
+        "vanilla/JDBC within 20 % of the paper's 2.51".into(),
+        slope("vanilla_ejbs", 1) / jdbc,
+        0.8 * paper_vanilla_over_jdbc,
+        1.2 * paper_vanilla_over_jdbc,
+    );
+    band(
+        "cached/JDBC ≥ 1.25: cached EJBs lose to JDBC on combined servers".into(),
+        cached / jdbc,
+        1.25,
+        f64::INFINITY,
+    );
+    band(
+        "ES/RDB-cached / ES/RBES ≥ 2.0: splitting the servers more than halves the slope".into(),
+        cached / slope("cached_ejbs", 2),
+        2.0,
+        f64::INFINITY,
+    );
+    for algorithm in ["cached_ejbs", "jdbc", "vanilla_ejbs"] {
+        band(
+            format!("Clients/RAS {algorithm} = 2.0 ± 0.05"),
+            slope(algorithm, 3),
+            1.95,
+            2.05,
+        );
+    }
+    let (ras, rbes, rdb) = (
+        bytes("Clients/RAS (JDBC)"),
+        bytes("ES/RBES (Cached EJBs)"),
+        bytes("ES/RDB (JDBC)"),
+    );
+    if !(ras > rbes && rbes > rdb) {
+        failures.push(format!(
+            "Fig. 8 Clients/RAS > ES/RBES > ES/RDB JDBC: reads {ras} / {rbes} / {rdb}"
+        ));
+    }
+    failures
+}
+
+#[test]
+fn the_results_keep_the_papers_claims_within_their_bands() {
+    let (table2, fig8) = (csv("table2.csv"), csv("fig8.csv"));
+    assert_eq!(band_failures(&table2, &fig8), Vec::<String>::new());
+
+    // A cell moved out of its band fails the claim it carries.
+    let fails = |table2: &[Vec<String>], fig8: &[Vec<String>], claim: &str| {
+        let failures = band_failures(table2, fig8);
+        assert!(
+            failures.iter().any(|f| f.starts_with(claim)),
+            "{claim} holds after a move: {failures:?}"
+        );
+    };
+    let at =
+        |table: &[Vec<String>], name: &str| table.iter().position(|r| r[0] == name).expect("a row");
+    for (algorithm, column, value, claim) in [
+        ("vanilla_ejbs", 1, "20.00", "vanilla/JDBC"),
+        ("cached_ejbs", 1, "3.40", "cached/JDBC"),
+        ("cached_ejbs", 2, "4.00", "ES/RDB-cached / ES/RBES"),
+        ("jdbc", 3, "2.10", "Clients/RAS jdbc"),
+    ] {
+        let mut moved = table2.clone();
+        let row = at(&moved, algorithm);
+        moved[row][column] = value.to_owned();
+        fails(&moved, &fig8, claim);
+    }
+    let mut moved = fig8.clone();
+    let row = at(&moved, "ES/RBES (Cached EJBs)");
+    moved[row][1] = "400".to_owned();
+    fails(&table2, &moved, "Fig. 8");
+}
