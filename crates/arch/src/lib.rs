@@ -59,4 +59,4 @@ pub use slicheck::{
     SliCheckConfig, SliCheckOutcome, ARCH_KEYS,
 };
 pub use tier::{DataTier, EdgeCache, TierEdge};
-pub use topology::{Architecture, EdgeNode, Flavor, ResourceScale, Testbed, TestbedConfig};
+pub use topology::{Architecture, EdgeNode, Flavor, Testbed, TestbedConfig};

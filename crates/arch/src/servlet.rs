@@ -10,10 +10,11 @@
 use std::collections::{BTreeMap, HashMap};
 
 use parking_lot::Mutex;
-use sli_simnet::{scale_cost_us, Clock, HttpRequest, HttpResponse, SimDuration, COST_SCALE_UNIT};
-use sli_telemetry::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, SpanOutcome, Tracer};
+use sli_simnet::{Clock, HttpRequest, HttpResponse, SimDuration};
+use sli_telemetry::{
+    Counter, Gauge, Histogram, HistogramSnapshot, Registry, Resource, SpanOutcome, Tracer,
+};
 use sli_trade::{page, TradeAction, TradeEngine, TradeResult};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// CPU cost model for an application-server machine (servlet container +
@@ -213,11 +214,6 @@ pub struct AppServer {
     /// Optional causal tracer: each handled request gets a
     /// `servlet.{action}` span under the caller's current context.
     tracer: Option<Arc<Tracer>>,
-    /// Virtual edge-CPU speed knob in parts-per-million of nominal cost
-    /// (`COST_SCALE_UNIT` = unscaled). The what-if engine lowers this to
-    /// answer "what if the app server were f× faster?" without touching
-    /// the cost model itself.
-    cost_scale_ppm: AtomicU64,
 }
 
 impl std::fmt::Debug for AppServer {
@@ -239,30 +235,7 @@ impl AppServer {
             retries: 3,
             metrics: ServletMetrics::new(),
             tracer: None,
-            cost_scale_ppm: AtomicU64::new(COST_SCALE_UNIT),
         }
-    }
-
-    /// Sets the virtual edge-CPU cost scale in parts-per-million
-    /// ([`COST_SCALE_UNIT`] = nominal). Scales the servlet dispatch and
-    /// JSP rendering charges; engine-internal costs are charged elsewhere.
-    pub fn set_cost_scale_ppm(&self, ppm: u64) {
-        assert!(ppm > 0, "cost scale must be positive");
-        self.cost_scale_ppm.store(ppm, Ordering::Relaxed);
-    }
-
-    /// Current edge-CPU cost scale in parts-per-million.
-    pub fn cost_scale_ppm(&self) -> u64 {
-        self.cost_scale_ppm.load(Ordering::Relaxed)
-    }
-
-    /// Advances the clock by `cost` scaled by the edge-CPU knob.
-    fn charge(&self, cost: SimDuration) {
-        let ppm = self.cost_scale_ppm.load(Ordering::Relaxed);
-        self.clock.advance(SimDuration::from_micros(scale_cost_us(
-            cost.as_micros(),
-            ppm,
-        )));
     }
 
     /// Enables causal tracing: every handled request records a
@@ -332,7 +305,7 @@ impl AppServer {
     }
 
     fn respond(&self, action: Option<&TradeAction>) -> HttpResponse<'static> {
-        self.charge(self.cost.per_request);
+        self.clock.charge(Resource::EdgeCpu, self.cost.per_request);
         let Some(action) = action else {
             let body = page::render_error("Invalid Request", "unknown action or missing parameter");
             return self.finish(HttpResponse::error(404, body));
@@ -379,7 +352,8 @@ impl AppServer {
 
     fn finish(&self, resp: HttpResponse<'static>) -> HttpResponse<'static> {
         let kib = (resp.body.len() as u64).div_ceil(1024);
-        self.charge(self.cost.render_per_kib.saturating_mul(kib));
+        let render = self.cost.render_per_kib.saturating_mul(kib);
+        self.clock.charge(Resource::EdgeCpu, render);
         resp
     }
 }
@@ -481,8 +455,7 @@ mod tests {
         // charges (the engine's own costs are not edge CPU and stay put).
         let (nominal_clock, nominal) = server();
         let (scaled_clock, scaled) = server();
-        scaled.set_cost_scale_ppm(COST_SCALE_UNIT / 2);
-        assert_eq!(scaled.cost_scale_ppm(), COST_SCALE_UNIT / 2);
+        scaled_clock.set_speedup(Resource::EdgeCpu, 2.0);
         let req = get(&[("action", "quote"), ("symbol", "s:1")]);
         nominal.handle(&req);
         scaled.handle(&req);
@@ -492,13 +465,6 @@ mod tests {
         // dispatch 2_500 halves to 1_250; render charge halves too.
         let saved = nominal_us - scaled_us;
         assert!(saved >= 1_250, "saved only {saved}µs");
-    }
-
-    #[test]
-    #[should_panic(expected = "cost scale must be positive")]
-    fn zero_edge_cost_scale_is_rejected() {
-        let (_clock, server) = server();
-        server.set_cost_scale_ppm(0);
     }
 
     /// An engine that conflicts twice before succeeding, to exercise the

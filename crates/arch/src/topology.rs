@@ -117,49 +117,6 @@ impl Default for TestbedConfig {
     }
 }
 
-/// Virtual per-resource speed knobs for what-if (causal-profile) runs, in
-/// parts-per-million of nominal cost ([`sli_simnet::COST_SCALE_UNIT`] =
-/// unscaled). A resource `f×` faster runs at `COST_SCALE_UNIT / f` ppm.
-///
-/// The three knobs map onto the profile's resource taxonomy: `wire` scales
-/// every [`Path`] crossing, `db` scales the database server's CPU cost
-/// model, `edge` scales servlet dispatch + JSP rendering. Store/lock wait
-/// has no knob — it is contention, not a machine one can buy faster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResourceScale {
-    /// Scale on every network path's latency + transfer cost.
-    pub wire_ppm: u64,
-    /// Scale on the database server's per-request / per-row / per-lock-wait
-    /// charges.
-    pub db_ppm: u64,
-    /// Scale on the application server's dispatch + render charges.
-    pub edge_ppm: u64,
-}
-
-impl Default for ResourceScale {
-    fn default() -> ResourceScale {
-        ResourceScale {
-            wire_ppm: sli_simnet::COST_SCALE_UNIT,
-            db_ppm: sli_simnet::COST_SCALE_UNIT,
-            edge_ppm: sli_simnet::COST_SCALE_UNIT,
-        }
-    }
-}
-
-impl ResourceScale {
-    /// Nominal speed on every resource.
-    pub fn nominal() -> ResourceScale {
-        ResourceScale::default()
-    }
-
-    /// The ppm for a resource sped up by factor `f` (e.g. `f = 2.0` →
-    /// half-cost). Panics on non-positive factors.
-    pub fn ppm_for_speedup(f: f64) -> u64 {
-        assert!(f > 0.0, "speedup factor must be positive");
-        ((sli_simnet::COST_SCALE_UNIT as f64 / f).round() as u64).max(1)
-    }
-}
-
 /// One application-server node: the Trade servlet container on one
 /// [`TierEdge`](crate::TierEdge), with that edge's handles alongside.
 pub struct EdgeNode {
@@ -327,19 +284,6 @@ impl Testbed {
     pub fn monitor_metrics(&self) -> &MonitorMetrics {
         &self.monitor
     }
-
-    /// Applies virtual per-resource speed knobs: every path, the database
-    /// server and every application server take their scale from `scale`.
-    /// [`ResourceScale::nominal`] restores measured-cost behaviour.
-    pub fn apply_scale(&self, scale: ResourceScale) {
-        for path in self.paths() {
-            path.set_cost_scale_ppm(scale.wire_ppm);
-        }
-        self.db_server().set_cost_scale_ppm(scale.db_ppm);
-        for edge in &self.edges {
-            edge.server.set_cost_scale_ppm(scale.edge_ppm);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -347,6 +291,7 @@ mod tests {
     use super::*;
     use crate::client::VirtualClient;
     use sli_simnet::{FaultPlan, SimDuration};
+    use sli_telemetry::Resource;
     use sli_trade::TradeAction;
 
     #[test]
@@ -613,11 +558,13 @@ mod tests {
     }
 
     #[test]
-    fn resource_scale_knobs_shrink_the_matching_costs() {
-        let serve = |scale: ResourceScale| {
+    fn resource_speedups_shrink_the_matching_costs() {
+        let serve = |sped: Option<Resource>| {
             let tb = Testbed::build(Architecture::EsRdb(Flavor::Jdbc), TestbedConfig::default());
             tb.set_delay(SimDuration::from_millis(10));
-            tb.apply_scale(scale);
+            if let Some(resource) = sped {
+                tb.clock.set_speedup(resource, 10.0);
+            }
             let t0 = tb.clock.now();
             let mut client = VirtualClient::new(&tb, 0);
             client.perform(&TradeAction::Quote {
@@ -625,19 +572,10 @@ mod tests {
             });
             tb.clock.now().checked_since(t0).unwrap().as_micros()
         };
-        let nominal = serve(ResourceScale::nominal());
-        let fast_wire = serve(ResourceScale {
-            wire_ppm: ResourceScale::ppm_for_speedup(10.0),
-            ..ResourceScale::nominal()
-        });
-        let fast_db = serve(ResourceScale {
-            db_ppm: ResourceScale::ppm_for_speedup(10.0),
-            ..ResourceScale::nominal()
-        });
-        let fast_edge = serve(ResourceScale {
-            edge_ppm: ResourceScale::ppm_for_speedup(10.0),
-            ..ResourceScale::nominal()
-        });
+        let nominal = serve(None);
+        let fast_wire = serve(Some(Resource::Wire));
+        let fast_db = serve(Some(Resource::BackendDb));
+        let fast_edge = serve(Some(Resource::EdgeCpu));
         assert!(fast_wire < nominal, "wire {fast_wire} vs nominal {nominal}");
         assert!(fast_db < nominal, "db {fast_db} vs nominal {nominal}");
         assert!(fast_edge < nominal, "edge {fast_edge} vs nominal {nominal}");

@@ -46,7 +46,7 @@ use std::sync::Arc;
 
 use sli_arch::{
     arch_key, collect_report, Architecture, FaultEvent, LoadEngine, LoadPlan, LoadedInteraction,
-    ResourceScale, RunHooks, Testbed, TestbedConfig,
+    RunHooks, Testbed, TestbedConfig,
 };
 use sli_simnet::{FaultPlan, SimDuration};
 use sli_telemetry::{
@@ -97,9 +97,9 @@ pub struct RunSpec {
     /// (`OP_EXEC_BATCH`, the §4.4 conjecture). `false` is the paper's wire,
     /// one round trip per statement.
     pub wire_batching: bool,
-    /// Virtual per-resource speed knobs for what-if runs (nominal by
-    /// default — measured costs).
-    pub scale: ResourceScale,
+    /// At most one resource virtually sped up by a factor, for what-if
+    /// runs (`None` by default: measured costs).
+    pub scale: Option<(Resource, f64)>,
     /// `Some` runs under the online SLO monitor: `Some(None)` on clean
     /// traffic, `Some(Some(fault))` with `fault` scripted mid-run.
     pub monitor: Option<Option<FaultClass>>,
@@ -142,7 +142,7 @@ impl RunSpec {
             batches: if quick { 5 } else { 20 },
             jitter_us: 0,
             wire_batching: false,
-            scale: ResourceScale::nominal(),
+            scale: None,
             monitor: None,
             admission: Admission::Closed { clients: 1 },
         }
@@ -414,7 +414,9 @@ pub fn run(spec: &RunSpec) -> RunArtifacts {
             PAPER_SEED ^ spec.delay.as_micros().wrapping_mul(0x9E37_79B9),
         );
     }
-    testbed.apply_scale(spec.scale);
+    if let Some((resource, speedup)) = spec.scale {
+        testbed.clock.set_speedup(resource, speedup);
+    }
     // The engine registers `engine.*` on construction; building it first
     // makes those metrics part of the timeline like any machine's.
     let engine = LoadEngine::new(&testbed);
@@ -802,10 +804,11 @@ impl ArtifactSet {
     }
 }
 
-/// The three virtually-speedable resources of the what-if engine, with the
-/// [`ResourceScale`] each one's knob drives. Store/lock wait is
-/// deliberately absent: it is contention, not a machine to buy faster —
-/// its causal impact shows up as *divergence* on the other knobs instead.
+/// The three virtually-speedable resources of the what-if engine: each is
+/// sped up with [`Clock::set_speedup`](sli_simnet::Clock::set_speedup) and
+/// charged through [`Clock::charge`](sli_simnet::Clock::charge). Store/lock wait is deliberately absent:
+/// it is contention, not a machine to buy faster — its causal impact shows
+/// up as *divergence* on the other knobs instead.
 pub const WHATIF_KNOBS: [Resource; 3] = [Resource::Wire, Resource::BackendDb, Resource::EdgeCpu];
 
 /// One row of a causal profile: what actually happened when `resource` was
@@ -903,23 +906,7 @@ pub fn whatif(spec: &RunSpec, speedup: f64) -> WhatIfReport {
     let rows = WHATIF_KNOBS
         .iter()
         .map(|&resource| {
-            let ppm = ResourceScale::ppm_for_speedup(speedup);
-            let nominal = ResourceScale::nominal();
-            let scale = match resource {
-                Resource::Wire => ResourceScale {
-                    wire_ppm: ppm,
-                    ..nominal
-                },
-                Resource::BackendDb => ResourceScale {
-                    db_ppm: ppm,
-                    ..nominal
-                },
-                Resource::EdgeCpu => ResourceScale {
-                    edge_ppm: ppm,
-                    ..nominal
-                },
-                Resource::StoreLock => unreachable!("store/lock wait has no speed knob"),
-            };
+            let scale = Some((resource, speedup));
             let sped = run(&RunSpec { scale, ..*spec }).summary;
             WhatIfRow {
                 resource,

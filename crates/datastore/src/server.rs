@@ -15,8 +15,8 @@ use std::sync::{Arc, OnceLock};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use sli_simnet::wire::{protocol, unframe, DecodeError, FrameStr, Reader, Writer};
-use sli_simnet::{scale_cost_us, Clock, Remote, Service, SimDuration, COST_SCALE_UNIT};
-use sli_telemetry::{Counter, Histogram, Registry, SpanDetail, SpanOutcome, Tracer};
+use sli_simnet::{Clock, Remote, Service, SimDuration};
+use sli_telemetry::{Counter, Histogram, Registry, Resource, SpanDetail, SpanOutcome, Tracer};
 
 use crate::connection::Connection;
 use crate::engine::Database;
@@ -197,10 +197,6 @@ pub struct DbServer {
     sessions: Mutex<FxHashMap<u64, Session>>,
     next_session: AtomicU64,
     cost: DbCostModel,
-    /// Virtual-speedup scale applied to every CPU charge (ppm of nominal;
-    /// see [`COST_SCALE_UNIT`]). The what-if profiler dials it down to
-    /// measure the causal impact of a faster database.
-    cost_scale_ppm: AtomicU64,
     clock: Arc<Clock>,
     metrics: DbServerMetrics,
     tracer: OnceLock<Arc<Tracer>>,
@@ -222,7 +218,6 @@ impl DbServer {
             sessions: Mutex::new(FxHashMap::default()),
             next_session: AtomicU64::new(1),
             cost,
-            cost_scale_ppm: AtomicU64::new(COST_SCALE_UNIT),
             clock,
             metrics: DbServerMetrics::default(),
             tracer: OnceLock::new(),
@@ -260,33 +255,12 @@ impl DbServer {
         self.sessions.lock().len()
     }
 
-    /// Sets the virtual-speedup cost scale: every subsequent `per_request`
-    /// and `per_row` charge is multiplied by `ppm / 1e6`. Span durations
-    /// and the `statement_us`/`batch_us` histograms record the scaled
-    /// charges, so the trace conservation law keeps holding under what-if
-    /// experiments.
-    ///
-    /// # Panics
-    /// Panics if `ppm` is zero (a free database would break causality).
-    pub fn set_cost_scale_ppm(&self, ppm: u64) {
-        assert!(ppm > 0, "cost scale must be positive");
-        self.cost_scale_ppm.store(ppm, Ordering::Relaxed);
-    }
-
-    /// The current virtual-speedup cost scale (ppm of nominal).
-    pub fn cost_scale_ppm(&self) -> u64 {
-        self.cost_scale_ppm.load(Ordering::Relaxed)
-    }
-
-    /// Charges `cost` to the clock after the speedup scale, returning the
-    /// microseconds actually charged.
+    /// Charges `cost` of database work to the clock at the database's
+    /// what-if speed, returning the microseconds actually charged. Spans
+    /// and the `statement_us`/`batch_us` histograms record that value, so
+    /// the trace conservation law holds under what-if experiments too.
     fn charge(&self, cost: SimDuration) -> u64 {
-        let us = scale_cost_us(
-            cost.as_micros(),
-            self.cost_scale_ppm.load(Ordering::Relaxed),
-        );
-        self.clock.advance(SimDuration::from_micros(us));
-        us
+        self.clock.charge(Resource::BackendDb, cost).as_micros()
     }
 
     fn dispatch(&self, request: &mut Reader, wire_trace_id: u64) -> DbResult<Writer> {
@@ -1056,16 +1030,15 @@ mod tests {
 
     #[test]
     fn cost_scale_halves_every_db_charge() {
-        let (clock, path, mut conn, server) = setup();
+        let (clock, _path, mut conn, server) = setup();
         conn.execute("INSERT INTO t (a, b) VALUES (1, 'x')", &[])
             .unwrap();
-        path.set_cost_scale_ppm(1); // silence the wire; measure db cpu only
+        clock.set_speedup(Resource::Wire, 1e6); // silence the wire; measure db cpu only
         let t0 = clock.now();
         conn.execute("SELECT b FROM t WHERE a = 1", &[]).unwrap();
         let nominal = (clock.now() - t0).as_micros();
         assert_eq!(nominal, 425, "per_request 400 + one row at 25");
-        server.set_cost_scale_ppm(COST_SCALE_UNIT / 2);
-        assert_eq!(server.cost_scale_ppm(), COST_SCALE_UNIT / 2);
+        clock.set_speedup(Resource::BackendDb, 2.0);
         let t0 = clock.now();
         conn.execute("SELECT b FROM t WHERE a = 1", &[]).unwrap();
         let scaled = (clock.now() - t0).as_micros();
@@ -1074,13 +1047,6 @@ mod tests {
         // keep matching clock time under what-if experiments.
         // Insert (no rows) 400, nominal select 425, scaled select 213.
         assert_eq!(server.metrics().statement_us.sum(), 400 + 425 + 213);
-    }
-
-    #[test]
-    #[should_panic(expected = "cost scale must be positive")]
-    fn zero_db_cost_scale_is_rejected() {
-        let (_clock, _path, _conn, server) = setup();
-        server.set_cost_scale_ppm(0);
     }
 
     #[test]

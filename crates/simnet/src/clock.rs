@@ -4,6 +4,8 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use sli_telemetry::Resource;
+
 /// A point in simulated time, measured in microseconds since the start of the
 /// simulation.
 ///
@@ -191,6 +193,17 @@ impl Sub for SimDuration {
     }
 }
 
+/// The fixed-point unit of the what-if cost scale: a resource at
+/// `COST_SCALE_UNIT` parts per million charges its nominal costs, one at
+/// half of it half of them. Integers keep scaled runs exactly deterministic.
+const COST_SCALE_UNIT: u64 = 1_000_000;
+
+/// Applies a parts-per-million cost scale to `us` microseconds, rounding
+/// to nearest so small charges do not vanish under mild speedups.
+fn scale_cost_us(us: u64, ppm: u64) -> u64 {
+    ((us as u128 * ppm as u128 + (COST_SCALE_UNIT as u128 / 2)) / COST_SCALE_UNIT as u128) as u64
+}
+
 /// The simulation's virtual clock.
 ///
 /// Every node in a topology shares one `Clock` (via `Arc`). Crossing a
@@ -198,16 +211,31 @@ impl Sub for SimDuration {
 /// ever sleeps, so a full latency sweep that would take hours of wall-clock
 /// time on the paper's testbed completes in milliseconds here, with *exactly*
 /// reproducible timings.
-#[derive(Debug, Default)]
+///
+/// The clock also holds the what-if speed of each [`Resource`]: work
+/// charged with [`Clock::charge`] is scaled by it, so one setter speeds up
+/// every path, the database server or every edge's servlet container.
+#[derive(Debug)]
 pub struct Clock {
     micros: AtomicU64,
+    /// Cost scale per resource, in parts per million of nominal, at
+    /// `resource as usize`. `StoreLock`'s stays nominal.
+    scale_ppm: [AtomicU64; Resource::ALL.len()],
+}
+
+impl Default for Clock {
+    fn default() -> Clock {
+        Clock::new()
+    }
 }
 
 impl Clock {
-    /// Creates a clock positioned at [`SimTime::ZERO`].
+    /// Creates a clock positioned at [`SimTime::ZERO`], every resource at
+    /// nominal speed.
     pub fn new() -> Clock {
         Clock {
             micros: AtomicU64::new(0),
+            scale_ppm: std::array::from_fn(|_| AtomicU64::new(COST_SCALE_UNIT)),
         }
     }
 
@@ -219,6 +247,39 @@ impl Clock {
     /// Advances simulated time by `d`.
     pub fn advance(&self, d: SimDuration) {
         self.micros.fetch_add(d.0, Ordering::Relaxed);
+    }
+
+    /// Advances simulated time by `d` of work on `resource`, scaled by that
+    /// resource's what-if speed, and returns what it charged.
+    pub fn charge(&self, resource: Resource, d: SimDuration) -> SimDuration {
+        let charged = self.scaled(resource, d);
+        self.advance(charged);
+        charged
+    }
+
+    /// What [`Clock::charge`] would charge for `d` on `resource`, without
+    /// advancing: the cost of work that does not hold up the caller.
+    pub(crate) fn scaled(&self, resource: Resource, d: SimDuration) -> SimDuration {
+        let ppm = self.scale_ppm[resource as usize].load(Ordering::Relaxed);
+        SimDuration(scale_cost_us(d.0, ppm))
+    }
+
+    /// Virtually speeds `resource` up by factor `f`: every later charge to
+    /// it costs `1/f` of nominal (`f = 1.0` restores nominal).
+    ///
+    /// # Panics
+    /// If `f` is not positive (a free or negative cost would break the
+    /// causality the clock depends on), or if `resource` is
+    /// [`Resource::StoreLock`]: lock wait is contention, not a machine one
+    /// can buy faster.
+    pub fn set_speedup(&self, resource: Resource, f: f64) {
+        assert!(f > 0.0, "speedup factor must be positive");
+        assert!(
+            resource != Resource::StoreLock,
+            "store/lock wait has no speed knob"
+        );
+        let ppm = ((COST_SCALE_UNIT as f64 / f).round() as u64).max(1);
+        self.scale_ppm[resource as usize].store(ppm, Ordering::Relaxed);
     }
 
     /// Advances simulated time to instant `t` if `t` is in the future; a
@@ -233,7 +294,8 @@ impl Clock {
         self.micros.fetch_max(t.0, Ordering::Relaxed);
     }
 
-    /// Rewinds the clock to zero (used between measurement runs).
+    /// Rewinds the clock to zero (used between measurement runs). The
+    /// resources' speeds are kept.
     pub fn reset(&self) {
         self.micros.store(0, Ordering::Relaxed);
     }
@@ -339,5 +401,41 @@ mod tests {
         // Dispatching overdue work must not rewind the clock.
         c.advance_to(SimTime::ZERO + SimDuration::from_millis(2));
         assert_eq!(c.now().as_micros(), 5_000);
+    }
+
+    #[test]
+    fn charges_scale_per_resource_and_round_to_nearest() {
+        let c = Clock::new();
+        let us = SimDuration::from_micros;
+        // Nominal speed is the identity.
+        for r in Resource::ALL {
+            assert_eq!(c.scaled(r, us(7)), us(7));
+        }
+        c.set_speedup(Resource::Wire, 2.0);
+        assert_eq!(c.scaled(Resource::Wire, us(3)), us(2), "1.5 rounds up");
+        assert_eq!(c.charge(Resource::Wire, us(4_000)), us(2_000));
+        assert_eq!(c.now().as_micros(), 2_000);
+        assert_eq!(c.scaled(Resource::Wire, us(4_000)), us(2_000));
+        assert_eq!(c.now().as_micros(), 2_000, "scaled does not advance");
+        c.set_speedup(Resource::Wire, 4.0);
+        assert_eq!(c.scaled(Resource::Wire, us(1)), us(0), "0.25 rounds down");
+        // A scale on one resource leaves the others' charges alone.
+        for r in [Resource::EdgeCpu, Resource::BackendDb, Resource::StoreLock] {
+            assert_eq!(c.charge(r, us(3)), us(3), "{r:?}");
+        }
+        c.set_speedup(Resource::Wire, 1.0);
+        assert_eq!(c.scaled(Resource::Wire, us(3)), us(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "speedup factor must be positive")]
+    fn a_zero_speedup_is_refused() {
+        Clock::new().set_speedup(Resource::BackendDb, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "store/lock wait has no speed knob")]
+    fn the_store_lock_has_no_speed_knob() {
+        Clock::new().set_speedup(Resource::StoreLock, 2.0);
     }
 }

@@ -61,6 +61,6 @@ pub mod wire;
 pub use clock::{Clock, SimDuration, SimTime, TimeWarp};
 pub use fault::{CrashKind, Fault, FaultPlan, FaultStats};
 pub use http::{HeadLines, HttpRequest, HttpResponse};
-pub use path::{scale_cost_us, Path, PathMetrics, PathSpec, PathStats, COST_SCALE_UNIT};
+pub use path::{Path, PathMetrics, PathSpec, PathStats};
 pub use remote::{CallError, Remote, RetryPolicy, Service};
 pub use sched::{splitmix, ExhaustiveExplorer, ScheduleStep, Scheduler};

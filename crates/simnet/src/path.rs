@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use sli_telemetry::{Counter, Gauge, Histogram, Registry};
+use sli_telemetry::{Counter, Gauge, Histogram, Registry, Resource};
 
 use crate::clock::{Clock, SimDuration};
 use crate::fault::{Fault, FaultPlan, FaultState, FaultStats};
@@ -169,19 +169,6 @@ impl PathMetrics {
     }
 }
 
-/// The fixed-point unit of the virtual-speedup cost scale: a component
-/// whose `cost_scale_ppm` is `COST_SCALE_UNIT` charges its nominal costs;
-/// `COST_SCALE_UNIT / 2` halves them (a 2× virtual speedup). Parts per
-/// million keeps the arithmetic in integers, so scaled runs remain exactly
-/// deterministic.
-pub const COST_SCALE_UNIT: u64 = 1_000_000;
-
-/// Applies a parts-per-million cost scale to `us` microseconds, rounding
-/// to nearest so small charges do not vanish under mild speedups.
-pub fn scale_cost_us(us: u64, ppm: u64) -> u64 {
-    ((us as u128 * ppm as u128 + (COST_SCALE_UNIT as u128 / 2)) / COST_SCALE_UNIT as u128) as u64
-}
-
 /// A bidirectional communication path between two simulated nodes.
 ///
 /// Crossing the path advances the shared [`Clock`] by
@@ -198,7 +185,6 @@ pub struct Path {
     base_latency_us: AtomicU64,
     bandwidth: AtomicU64,
     proxy_delay_us: AtomicU64,
-    cost_scale_ppm: AtomicU64,
     jitter_max_us: AtomicU64,
     jitter_seed: AtomicU64,
     jitter_counter: AtomicU64,
@@ -217,7 +203,6 @@ impl Path {
             base_latency_us: AtomicU64::new(spec.base_latency.as_micros()),
             bandwidth: AtomicU64::new(spec.bandwidth_bytes_per_sec.max(1)),
             proxy_delay_us: AtomicU64::new(0),
-            cost_scale_ppm: AtomicU64::new(COST_SCALE_UNIT),
             jitter_max_us: AtomicU64::new(0),
             jitter_seed: AtomicU64::new(0),
             jitter_counter: AtomicU64::new(0),
@@ -294,38 +279,33 @@ impl Path {
         Path::jitter_at(seed, n, max)
     }
 
-    /// The nominal cost of moving an `n`-byte message one way across this
-    /// path (excluding any configured jitter), after the virtual-speedup
-    /// cost scale.
-    pub fn one_way_cost(&self, n: usize) -> SimDuration {
+    /// Latency, proxy delay and serialisation of an `n`-byte message one
+    /// way across this path, at nominal speed.
+    fn nominal_cost(&self, n: usize) -> SimDuration {
         let latency = self.base_latency_us.load(Ordering::Relaxed)
             + self.proxy_delay_us.load(Ordering::Relaxed);
         // `bandwidth` is clamped to ≥ 1 at every write site, but guard the
         // division anyway: a zero here must saturate, not panic mid-run.
         let bw = self.bandwidth.load(Ordering::Relaxed).max(1);
         let transfer_us = (n as u64).saturating_mul(1_000_000) / bw;
-        let ppm = self.cost_scale_ppm.load(Ordering::Relaxed);
-        SimDuration::from_micros(scale_cost_us(latency + transfer_us, ppm))
+        SimDuration::from_micros(latency + transfer_us)
     }
 
-    /// Sets the virtual-speedup cost scale in parts per million of
-    /// [`COST_SCALE_UNIT`]: every subsequent crossing's latency, proxy
-    /// delay and serialisation cost are multiplied by `ppm / 1e6` (what-if
-    /// profiling scales a resource down to probe its causal impact).
-    /// Jitter is deliberately *not* scaled — it models ambient noise, not
-    /// link speed.
-    ///
-    /// # Panics
-    /// Panics if `ppm` is zero: a free wire would collapse the simulated
-    /// causality the clock depends on.
-    pub fn set_cost_scale_ppm(&self, ppm: u64) {
-        assert!(ppm > 0, "cost scale must be positive");
-        self.cost_scale_ppm.store(ppm, Ordering::Relaxed);
+    /// The cost of moving an `n`-byte message one way across this path:
+    /// latency, proxy delay and serialisation, scaled by the clock's
+    /// [`Resource::Wire`] speed. Jitter is not included; it models ambient
+    /// noise, not link speed, so no crossing scales it.
+    pub fn one_way_cost(&self, n: usize) -> SimDuration {
+        self.clock.scaled(Resource::Wire, self.nominal_cost(n))
     }
 
-    /// The current virtual-speedup cost scale (ppm of nominal).
-    pub fn cost_scale_ppm(&self) -> u64 {
-        self.cost_scale_ppm.load(Ordering::Relaxed)
+    /// Charges one measured crossing of `n` bytes to the clock (its jitter
+    /// unscaled, after the scaled cost) and records it.
+    fn cross(&self, n: usize) {
+        let cost = self.clock.charge(Resource::Wire, self.nominal_cost(n));
+        let jitter = self.next_jitter();
+        self.clock.advance(jitter);
+        self.metrics.crossing_us.record((cost + jitter).as_micros());
     }
 
     /// Changes the usable link bandwidth (Figure 8 sweeps it); zero is
@@ -343,9 +323,7 @@ impl Path {
     /// Sends an `n`-byte message in the request direction, advancing the
     /// clock and recording the traffic.
     pub fn request(&self, n: usize) {
-        let cost = self.one_way_cost(n) + self.next_jitter();
-        self.clock.advance(cost);
-        self.metrics.crossing_us.record(cost.as_micros());
+        self.cross(n);
         self.metrics.bytes_to_server.add(n as u64);
         self.metrics.requests.inc();
         self.metrics.in_flight.add(1);
@@ -354,9 +332,7 @@ impl Path {
     /// Sends an `n`-byte message in the response direction, advancing the
     /// clock and recording the traffic.
     pub fn respond(&self, n: usize) {
-        let cost = self.one_way_cost(n) + self.next_jitter();
-        self.clock.advance(cost);
-        self.metrics.crossing_us.record(cost.as_micros());
+        self.cross(n);
         self.metrics.bytes_from_server.add(n as u64);
         self.metrics.responses.inc();
         self.metrics.in_flight.sub(1);
@@ -498,7 +474,7 @@ mod tests {
     }
 
     #[test]
-    fn cost_scale_speeds_every_crossing_component() {
+    fn wire_speedup_scales_every_crossing_component() {
         let (clock, path) = test_path(PathSpec {
             base_latency: SimDuration::from_millis(1),
             bandwidth_bytes_per_sec: 1_000_000,
@@ -508,22 +484,31 @@ mod tests {
         // Nominal: 1ms latency + 2ms proxy + 1ms transfer = 4ms.
         assert_eq!(path.one_way_cost(1_000).as_micros(), 4_000);
         // A 2× virtual speedup halves latency, proxy delay and transfer.
-        path.set_cost_scale_ppm(COST_SCALE_UNIT / 2);
-        assert_eq!(path.cost_scale_ppm(), COST_SCALE_UNIT / 2);
+        clock.set_speedup(Resource::Wire, 2.0);
         assert_eq!(path.one_way_cost(1_000).as_micros(), 2_000);
         path.request(1_000);
         assert_eq!(clock.now().as_micros(), 2_000);
-        // Rounding is to nearest, so odd costs do not vanish.
-        assert_eq!(scale_cost_us(3, 500_000), 2);
-        assert_eq!(scale_cost_us(1, 250_000), 0);
-        assert_eq!(scale_cost_us(7, COST_SCALE_UNIT), 7);
     }
 
     #[test]
-    #[should_panic(expected = "cost scale must be positive")]
-    fn zero_cost_scale_is_rejected() {
-        let (_clock, path) = test_path(PathSpec::lan());
-        path.set_cost_scale_ppm(0);
+    fn an_async_crossing_scales_as_a_measured_one_does() {
+        // Invalidation fan-out is charged to nobody, so it reads the wire
+        // scale through `one_way_cost` rather than through a charge.
+        let (clock, path) = test_path(PathSpec {
+            base_latency: SimDuration::from_micros(333),
+            bandwidth_bytes_per_sec: 1_000_000,
+            faults: FaultPlan::NONE,
+        });
+        clock.set_speedup(Resource::Wire, 4.0);
+        path.request(1_000);
+        let charged = clock.now().as_micros();
+        assert_eq!(charged, 333, "(333 + 1 000) / 4 rounds to nearest");
+        assert_eq!(path.one_way_cost(1_000).as_micros(), charged);
+        path.request_async(1_000);
+        assert_eq!(clock.now().as_micros(), charged, "async charges nobody");
+        let crossings = &path.metrics().crossing_us;
+        assert_eq!(crossings.count(), 2);
+        assert_eq!(crossings.sum(), 2 * charged, "both crossings scaled alike");
     }
 
     #[test]

@@ -590,6 +590,85 @@ fn the_frame_decoder_never_panics() {
     assert!(accepted > 0, "no changed frame was accepted");
 }
 
+/// Values of every kind a `wire::Reader` reads, each after the tag that
+/// [`read_tagged`] dispatches on, so the bytes choose the sequence of
+/// reads: a valid buffer is a seeded mix, and noise is any mix at all.
+fn write_tagged(rng: &mut StdRng, texts: &[&str]) -> Vec<u8> {
+    let mut w = Writer::new();
+    for _ in 0..24 {
+        let tag = rng.gen_range(0..15u8);
+        let text = texts[rng.gen_range(0..texts.len())];
+        let bits = rng.next_u64();
+        w.put_u8(tag);
+        match tag {
+            0 => w.put_u8(bits as u8),
+            1 => w.put_u16(bits as u16),
+            2 => w.put_u32(bits as u32),
+            3 => w.put_u64(bits),
+            4 => w.put_i64(bits as i64),
+            5 => w.put_f64(f64::from_bits(bits)),
+            6 => w.put_bool(bits & 1 == 1),
+            7..=11 => w.put_str(text),
+            12 => w.put_bytes(&[0xff, 0x00, 0xc3]),
+            13 => w.put_nested(|w| {
+                w.put_str(text).put_u32(9);
+            }),
+            _ => w.put_u8(text.len() as u8).put_raw(text.as_bytes()),
+        };
+    }
+    w.finish().to_vec()
+}
+
+/// Reads what [`write_tagged`] writes with every `Reader::get_*`, the
+/// string views dereferenced; whether all of it decoded.
+fn read_tagged(raw: &[u8], known: &Arc<str>) -> bool {
+    let mut r = Reader::new(Bytes::copy_from_slice(raw));
+    let mut read = || -> Result<(), wire::DecodeError> {
+        while !r.is_empty() {
+            match r.get_u8()? {
+                0 => r.get_u8().map(drop)?,
+                1 => r.get_u16().map(drop)?,
+                2 => r.get_u32().map(drop)?,
+                3 => r.get_u64().map(drop)?,
+                4 => r.get_i64().map(drop)?,
+                5 => r.get_f64().map(drop)?,
+                6 => r.get_bool().map(drop)?,
+                7 => r.get_str().map(drop)?,
+                8 => assert!(r.get_str_view()?.len() <= raw.len()),
+                9 => r.skip_str()?,
+                10 => r.get_shared_str().map(drop)?,
+                11 => r.get_shared_str_as(Some(known)).map(drop)?,
+                12 => r.get_bytes().map(drop)?,
+                13 => {
+                    let mut nested = Reader::new(r.get_frame()?);
+                    assert!(nested.get_str_view()?.chars().count() <= raw.len());
+                    nested.get_u32()?;
+                }
+                14 => {
+                    let len = r.get_u8()?;
+                    r.get_bytes_raw(usize::from(len))?;
+                }
+                _ => return Err(wire::DecodeError::new("tag")),
+            }
+        }
+        Ok(())
+    };
+    read().is_ok()
+}
+
+#[test]
+fn the_wire_reader_never_panics() {
+    let mut rng = StdRng::seed_from_u64(0x5245_4144);
+    let known: Arc<str> = Arc::from("quote");
+    let texts = ["", "quote", "é€", "a much longer string than the others"];
+    let valid: Vec<Vec<u8>> = (0..4).map(|_| write_tagged(&mut rng, &texts)).collect();
+    let read = |raw: &[u8]| read_tagged(raw, &known);
+    let (accepted, _) = search("wire::Reader", 0x5245_4144, &valid, read);
+    // A changed number is another valid number; a changed tag or length
+    // prefix is mostly caught.
+    assert!(accepted > 0, "no changed buffer was accepted");
+}
+
 #[test]
 fn the_result_set_decoder_never_panics() {
     let db = Database::new();
