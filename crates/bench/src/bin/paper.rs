@@ -12,65 +12,19 @@
 //!
 //! Run with `cargo run --release -p sli-bench --bin paper`; `--smoke` sweeps
 //! 0, 40 and 80 ms on the quick protocol into `results/smoke/`. Exits 1 if
-//! an artifact fails validation or a shape check against the paper's
-//! numbers fails (DESIGN §4).
+//! an artifact fails validation or [`judge`] finds a claim of the paper's
+//! that the three tables it wrote do not hold (DESIGN §4).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use sli_arch::{Architecture, Flavor};
+use sli_bench::paper::{column, judge, label, row_key, FIG8, FIG8_BARS, PAPER, TABLE1};
 use sli_bench::{
     results_dir, run, sensitivity, ActionTally, ArtifactSet, Cli, RunSpec, RunSummary,
     PAPER_DELAYS_MS,
 };
 use sli_simnet::SimDuration;
 use sli_workload::{Csv, TextTable};
-
-/// Table 2 and Fig. 8 in the paper's layout.
-struct Results {
-    /// Per algorithm (Table 2's rows), the latency-sensitivity slope on
-    /// ES/RDB, ES/RBES and Clients/RAS; `None` where the architecture does
-    /// not run the algorithm.
-    slopes: [(Flavor, [Option<f64>; 3]); 3],
-    /// Bytes to the shared site per interaction on [`FIG8_BARS`].
-    bytes: [f64; 3],
-}
-
-/// What the paper reports: the one place its numbers appear.
-const PAPER: Results = Results {
-    slopes: [
-        (Flavor::CachedEjb, [Some(13.0), Some(3.1), Some(2.0)]),
-        (Flavor::Jdbc, [Some(9.4), None, Some(2.0)]),
-        (Flavor::VanillaEjb, [Some(23.6), None, Some(2.0)]),
-    ],
-    bytes: [2_000.0, 3_000.0, 7_000.0],
-};
-
-/// The paper's Table 1, "Trade Runtime and Database Usage
-/// Characteristics", `|`-separated: per action, the key its servlet span
-/// and `table1.csv` name it by, then the paper's name, description, CMP
-/// bean operation and DB activity (per table, the statement kinds C/R/U/D).
-/// The session mix never issues Register.
-const TABLE1: [&str; 10] = [
-    "login | Login | User sign in, session creation | Update | Registry R, U; Account R",
-    "logout | Logout | User sign-off, session destroy | Update | Registry R, U",
-    "register | Register | Create a new user profile and account | Multi-Bean Create | Account C, R; Profile C; Registry C",
-    "home | Home | Personalized home page incl. market conditions | Read | Account R",
-    "account | Account | Review current user profile information | Read | Profile R",
-    "update | Account Update | \"Account\" followed by user profile update | Read/Update | Profile R, U",
-    "portfolio | Portfolio | View user's current security holdings | Read | Holding R",
-    "quote | Quote | View a current security quote | Read | Quote R",
-    "buy | Buy | \"Quote\" followed by a security purchase | Multi-Bean Read/Update | Quote R; Account R, U; Holding C, R",
-    "sell | Sell | \"Portfolio\" followed by the sell of a holding | Multi-Bean Read/Update | Quote R; Account R, U; Holding D, R",
-];
-
-/// A DB-activity label (`Registry R, U; Account R`) as its set of
-/// `(table, kind)` pairs.
-fn activity_pairs(label: &str) -> BTreeSet<(String, &str)> {
-    let parts = label.split("; ").filter_map(|part| part.split_once(' '));
-    let pairs =
-        parts.flat_map(|(table, kinds)| kinds.split(", ").map(|k| (table.to_lowercase(), k)));
-    pairs.collect()
-}
 
 /// The classes of `t`'s statements in Table 1's notation, tables and kinds
 /// in name order (`Account R; Registry R, U`).
@@ -85,25 +39,6 @@ fn activity_label(t: &ActionTally) -> String {
     });
     labels.collect::<Vec<_>>().join("; ")
 }
-
-/// Fig. 8's bars, in Table 2's column order: ES/RDB is represented by its
-/// best algorithm.
-const FIG8_BARS: [Architecture; 3] = [
-    Architecture::EsRdb(Flavor::Jdbc),
-    Architecture::EsRbes,
-    Architecture::ClientsRas(Flavor::Jdbc),
-];
-
-/// Fig. 8's rows: its bars, and ES/RDB's cached flavor as detail.
-const FIG8: [(&str, Architecture); 4] = [
-    ("ES/RDB (JDBC)", FIG8_BARS[0]),
-    (
-        "ES/RDB (Cached EJBs, supplementary)",
-        Architecture::EsRdb(Flavor::CachedEjb),
-    ),
-    ("ES/RBES (Cached EJBs)", FIG8_BARS[1]),
-    ("Clients/RAS (JDBC)", FIG8_BARS[2]),
-];
 
 /// Bandwidth per interaction does not depend on the delay; Fig. 8 reads
 /// it at the middle of the sweep.
@@ -133,20 +68,6 @@ const FIGURES: [(&str, &str, Series); 2] = [
         ],
     ),
 ];
-
-/// `arch`'s column in Table 2, and its bar in Fig. 8.
-fn column(arch: Architecture) -> usize {
-    match arch {
-        Architecture::EsRdb(_) => 0,
-        Architecture::EsRbes => 1,
-        Architecture::ClientsRas(_) => 2,
-    }
-}
-
-/// `arch`'s series name, e.g. `ES/RDB (Vanilla EJBs)`.
-fn label(arch: Architecture) -> String {
-    format!("{} ({})", arch.label(), arch.flavor().label())
-}
 
 fn main() {
     let args = Cli::new(
@@ -196,16 +117,13 @@ fn main() {
 
     println!("Linear fits (latency_ms = slope * delay_ms + intercept):");
     let mut fits = TextTable::new(&["series", "slope", "intercept (ms)", "R^2"]);
-    let mut measured = Results {
-        slopes: PAPER.slopes.map(|(flavor, _)| (flavor, [None; 3])),
-        bytes: [0.0; 3],
-    };
+    let mut slopes = PAPER.slopes.map(|(flavor, _)| (flavor, [None; 3]));
     for (arch, points) in &sweeps {
         let fit = sensitivity(points).expect("the sweep has several delays");
         let [slope, intercept] = [fit.slope, fit.intercept].map(|v| format!("{v:.1}"));
         let r2 = format!("{:.4}", fit.r2);
         fits.row(vec![label(*arch), slope, intercept, r2]);
-        let row = measured.slopes.iter_mut().find(|r| r.0 == arch.flavor());
+        let row = slopes.iter_mut().find(|r| r.0 == arch.flavor());
         row.expect("every algorithm is a Table 2 row").1[column(*arch)] = Some(fit.slope);
         let failed: usize = points.iter().map(|p| p.failed).sum();
         if failed > 0 {
@@ -217,16 +135,15 @@ fn main() {
     println!("Table 2: Algorithm Sensitivity to Communication Latency (paper's in parentheses)");
     let mut table = TextTable::new(&["Algorithm", "ES/RDB", "ES/RBES", "Clients/RAS"]);
     let mut csv = Csv::new(&["algorithm", "es_rdb", "es_rbes", "clients_ras"]);
-    for ((flavor, cells), (_, paper)) in measured.slopes.iter().zip(&PAPER.slopes) {
+    for ((flavor, cells), (_, paper)) in slopes.iter().zip(&PAPER.slopes) {
         let shown = cells.iter().zip(paper).map(|cell| match cell {
             (Some(cell), Some(paper)) => format!("{cell:.1} ({paper:.1})"),
             _ => "N/A".to_owned(),
         });
         let name = flavor.label().to_owned();
         table.row([name].into_iter().chain(shown).collect());
-        let key = flavor.label().to_lowercase().replace(' ', "_");
         let values = cells.map(|c| c.map_or(String::new(), |s| format!("{s:.2}")));
-        csv.row([key].into_iter().chain(values).collect());
+        csv.row([row_key(*flavor)].into_iter().chain(values).collect());
     }
     println!("{}", table.render());
     out.csvs.push(("table2", csv));
@@ -251,7 +168,6 @@ fn main() {
         csv.row(cells.clone());
         table.row([cells, vec![format!("~{:.0}", PAPER.bytes[column(arch)])]].concat());
     }
-    measured.bytes = FIG8_BARS.map(|arch| points(arch)[at].shared_bytes_per_interaction);
     println!("{}", table.render());
     out.csvs.push(("fig8", csv));
 
@@ -286,8 +202,8 @@ fn main() {
                 activity,
             ]);
         }
-        // Table 1's check reads the combination that issues every
-        // statement on its own, so each names its table.
+        // The vanilla flavor on ES/RDB issues every statement on its own,
+        // so each names its table; `judge` reads the same labels.
         if *arch == Architecture::EsRdb(Flavor::VanillaEjb) {
             let tally = |row: &str| actions.get(row.split(" | ").next()?);
             observed = TABLE1.map(|row| tally(row).map(activity_label));
@@ -310,99 +226,30 @@ fn main() {
     }
     println!("{}", table.render());
 
-    println!("Shape checks vs the paper:");
-    let mut failed = false;
-    for (check, ok) in shape_checks(&measured, &observed) {
-        println!("  [{}] {check}", if ok { "PASS" } else { "FAIL" });
-        failed |= !ok;
+    // Judged from the text written, so the checked-in files and this run
+    // answer to the same claims.
+    let text = |stem| {
+        let csv = out.csvs.iter().find(|(s, _)| *s == stem);
+        csv.expect("a rendered table").1.render()
+    };
+    let failures = judge(&text("table1"), &text("table2"), &text("fig8"));
+    println!("The paper's claims (DESIGN §4): {} failed", failures.len());
+    for failure in &failures {
+        println!("  [FAIL] {failure}");
     }
     out.print_summary(delays.len());
     out.write_or_exit(results_dir(smoke), env!("CARGO_BIN_NAME"));
-    if failed {
-        eprintln!("error: a shape check against the paper failed");
+    if !failures.is_empty() {
+        eprintln!("error: a claim of the paper's does not hold");
         std::process::exit(1);
     }
 }
 
-/// The shapes the reproduction is judged on (DESIGN §4), each with whether
-/// `r` and `activity` (per [`TABLE1`] row, the DB activity observed on
-/// ES/RDB with vanilla EJBs) have it.
-fn shape_checks(r: &Results, activity: &[Option<String>; 10]) -> [(&'static str, bool); 6] {
-    let cell = |r: &Results, row: usize, column: usize| r.slopes[row].1[column].expect("a cell");
-    let slope = |row, column| cell(r, row, column);
-    let (cached, jdbc, vanilla) = (0, 1, 2);
-    let (rdb, rbes, ras) = (0, 1, 2);
-    [
-        (
-            "Clients/RAS slope = the paper's for every algorithm",
-            (0..3).all(|row| (slope(row, ras) - cell(&PAPER, row, ras)).abs() < 0.1),
-        ),
-        (
-            "ES/RDB ordering: vanilla > cached > JDBC",
-            slope(vanilla, rdb) > slope(cached, rdb) && slope(cached, rdb) > slope(jdbc, rdb),
-        ),
-        (
-            "ES/RBES cached far below every ES/RDB flavor",
-            slope(cached, rbes) < slope(jdbc, rdb),
-        ),
-        (
-            "ES/RBES still above the Clients/RAS floor",
-            slope(cached, rbes) > cell(&PAPER, cached, ras),
-        ),
-        (
-            "Fig. 8 bytes: Clients/RAS > ES/RBES > ES/RDB (JDBC)",
-            r.bytes[ras] > r.bytes[rbes] && r.bytes[rbes] > r.bytes[rdb],
-        ),
-        (
-            "Table 1: every action in the mix has the paper's DB activity on ES/RDB (Vanilla EJBs)",
-            TABLE1.iter().zip(activity).all(|(row, seen)| {
-                let paper = activity_pairs(row.rsplit(" | ").next().expect("a DB activity"));
-                row.starts_with("register") || seen.as_deref().map(activity_pairs) == Some(paper)
-            }),
-        ),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
+    use sli_bench::paper::activity_pairs;
+
     use super::*;
-
-    fn failing(r: &Results) -> Vec<&'static str> {
-        failing_with(
-            r,
-            TABLE1.map(|row| row.rsplit(" | ").next().map(str::to_owned)),
-        )
-    }
-
-    fn failing_with(r: &Results, activity: [Option<String>; 10]) -> Vec<&'static str> {
-        let checks = shape_checks(r, &activity).into_iter();
-        checks
-            .filter(|(_, ok)| !ok)
-            .map(|(check, _)| check)
-            .collect()
-    }
-
-    #[test]
-    fn the_papers_own_numbers_pass_every_check() {
-        assert_eq!(failing(&PAPER), Vec::<&str>::new());
-    }
-
-    #[test]
-    fn vanilla_below_cached_fails_the_es_rdb_ordering() {
-        let mut r = PAPER;
-        r.slopes[2].1[0] = Some(12.0);
-        assert_eq!(failing(&r), ["ES/RDB ordering: vanilla > cached > JDBC"]);
-    }
-
-    #[test]
-    fn a_missing_kind_or_action_fails_the_table_1_check() {
-        let check = shape_checks(&PAPER, &TABLE1.map(|_| None))[5].0;
-        let mut activity = TABLE1.map(|row| row.rsplit(" | ").next().map(str::to_owned));
-        activity[8] = Some("Quote R; Account R, U; Holding R".to_owned());
-        assert_eq!(failing_with(&PAPER, activity.clone()), [check]);
-        activity[8] = None;
-        assert_eq!(failing_with(&PAPER, activity), [check]);
-    }
 
     #[test]
     fn labels_compare_as_sets_of_table_and_kind() {

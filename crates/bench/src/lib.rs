@@ -61,6 +61,7 @@ use sli_workload::{
 
 mod cli;
 mod guard;
+pub mod paper;
 
 pub use cli::{Cli, CliArgs, CliError};
 pub use guard::{guard_csv, guard_run, guard_suite, GuardEntry, GuardMetric};

@@ -33,25 +33,6 @@ impl OpCounts {
     pub fn total(&self) -> u64 {
         self.creates + self.reads + self.updates + self.deletes
     }
-
-    /// Renders the counts in the paper's `C/R/U/D` shorthand, eliding
-    /// zero entries (e.g. `R, U`).
-    pub fn crud_label(&self) -> String {
-        let mut parts = Vec::new();
-        if self.creates > 0 {
-            parts.push("C".to_owned());
-        }
-        if self.reads > 0 {
-            parts.push("R".to_owned());
-        }
-        if self.updates > 0 {
-            parts.push("U".to_owned());
-        }
-        if self.deletes > 0 {
-            parts.push("D".to_owned());
-        }
-        parts.join(", ")
-    }
 }
 
 /// A snapshot of all per-table counters.
@@ -207,22 +188,6 @@ mod tests {
         );
         assert_eq!(snap.table("holding").total(), 2);
         assert_eq!(snap.table("missing"), OpCounts::default());
-    }
-
-    #[test]
-    fn crud_labels() {
-        let t = Trace::default();
-        t.record("registry", OpKind::Read);
-        t.record("registry", OpKind::Update);
-        assert_eq!(t.snapshot().table("registry").crud_label(), "R, U");
-        assert_eq!(OpCounts::default().crud_label(), "");
-        let all = OpCounts {
-            creates: 1,
-            reads: 1,
-            updates: 1,
-            deletes: 1,
-        };
-        assert_eq!(all.crud_label(), "C, R, U, D");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Structured run reports: the per-architecture summary every bench bin
-//! emits (JSON and text table) and CI validates.
+//! emits as JSON and CI validates.
 //!
 //! A [`RunReport`] is a titled list of [`ArchReport`] entries — one per
 //! (architecture, delay) measurement point — carrying exactly the numbers
@@ -7,7 +7,6 @@
 //! rate, retry/timeout counts, and p50/p95/p99 request latency.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use crate::json::Json;
 use crate::schema::Shape::{self, *};
@@ -23,7 +22,7 @@ pub struct ArchReport {
     pub arch: String,
     /// Injected one-way delay of the measured point, milliseconds.
     pub delay_ms: f64,
-    /// Measured client interactions (successful).
+    /// Measured client interactions, failed ones included.
     pub interactions: u64,
     /// Failed client interactions.
     pub failed: u64,
@@ -108,50 +107,6 @@ impl RunReport {
             ),
         ])
     }
-
-    /// The report as an aligned plain-text table.
-    pub fn render_text(&self) -> String {
-        let header = [
-            "arch", "delay_ms", "ok", "fail", "hit%", "abort%", "retry", "t/o", "replay", "p50_ms",
-            "p95_ms", "p99_ms",
-        ];
-        let mut rows: Vec<Vec<String>> = vec![header.iter().map(|s| (*s).to_owned()).collect()];
-        for e in &self.entries {
-            rows.push(vec![
-                e.arch.clone(),
-                format!("{:.0}", e.delay_ms),
-                e.interactions.to_string(),
-                e.failed.to_string(),
-                format!("{:.1}", e.hit_ratio * 100.0),
-                format!("{:.2}", e.abort_rate * 100.0),
-                e.retries.to_string(),
-                e.timeouts.to_string(),
-                e.dedup_replays.to_string(),
-                format!("{:.2}", e.p50_ms),
-                format!("{:.2}", e.p95_ms),
-                format!("{:.2}", e.p99_ms),
-            ]);
-        }
-        let widths: Vec<usize> = (0..header.len())
-            .map(|col| rows.iter().map(|r| r[col].len()).max().unwrap_or(0))
-            .collect();
-        let mut out = format!("== {} ==\n", self.title);
-        for row in &rows {
-            for (col, cell) in row.iter().enumerate() {
-                if col > 0 {
-                    out.push_str("  ");
-                }
-                // Left-align the first column, right-align numbers.
-                if col == 0 {
-                    let _ = write!(out, "{cell:<width$}", width = widths[col]);
-                } else {
-                    let _ = write!(out, "{cell:>width$}", width = widths[col]);
-                }
-            }
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// The [`RUN_REPORT_SCHEMA`] document [`RunReport::to_json`] writes.
@@ -207,15 +162,5 @@ pub(crate) mod tests {
     /// A known-good run report, for the schema tests.
     pub(crate) fn sample() -> Json {
         sample_report().to_json()
-    }
-
-    #[test]
-    fn text_table_is_aligned_and_titled() {
-        let text = sample_report().render_text();
-        assert!(text.starts_with("== fig6 ==\n"), "{text}");
-        let lines: Vec<&str> = text.lines().skip(1).collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(lines[0].len(), lines[1].len(), "rows must align:\n{text}");
-        assert!(lines[1].contains("ES/RDB (JDBC)"));
     }
 }

@@ -197,8 +197,8 @@ fn cached_edges_make_fewer_shared_round_trips_than_vanilla() {
         }
         round_trips.push(tb.delayed_path(0).stats().round_trips());
     }
-    // Paper Table 2: caching cuts ES/RDB sensitivity from 23.6 to 13.0
-    // (≈ 0.55×); require a clear reduction here.
+    // Paper Table 2: caching cuts ES/RDB's vanilla sensitivity to about
+    // 0.55× (sli_bench::paper::PAPER); require a clear reduction here.
     assert!(
         (round_trips[1] as f64) < round_trips[0] as f64 * 0.8,
         "cached {} vs vanilla {}",
@@ -272,13 +272,4 @@ fn every_architecture_emits_a_valid_run_report() {
     assert_eq!(run.entries.len(), 7);
     let json = run.to_json();
     assert_eq!(validate(&json), Ok(Schema::RunReport), "all seven rows");
-    // The rendered table carries one line per architecture row.
-    let text = run.render_text();
-    for (arch, _) in Architecture::ALL {
-        assert!(
-            text.contains(arch.label()),
-            "{} missing from\n{text}",
-            arch.label()
-        );
-    }
 }
