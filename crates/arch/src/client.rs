@@ -1,16 +1,17 @@
 //! The virtual client: the paper's load-generator machine.
 
-use sli_simnet::{Fault, HttpRequest, HttpResponse, SimDuration};
+use sli_simnet::{Fault, HttpRequest, HttpResponse, RetryPolicy, SimDuration};
 use sli_telemetry::SpanOutcome;
 use sli_trade::TradeAction;
 
 use crate::topology::Testbed;
 
 /// How long the client waits for a response before abandoning the request
-/// (a browser-style HTTP timeout). Matches the RPC tier's default
-/// [`RetryPolicy`](sli_simnet::RetryPolicy) timeout so a message lost on
-/// the access link costs the caller the same as one lost further in.
-const HTTP_TIMEOUT_MS: u64 = 1_000;
+/// (a browser-style HTTP timeout): the RPC tier's, so a message lost on the
+/// access link costs the caller the same as one lost further in.
+fn http_timeout() -> SimDuration {
+    RetryPolicy::default().timeout
+}
 
 /// Status the client reports when its HTTP timeout expires without a
 /// response (the request or the response was lost on the access link).
@@ -92,7 +93,7 @@ impl<'t> VirtualClient<'t> {
                 // The bytes leave but never arrive; the server does not run
                 // and the client waits out its timeout.
                 node.client_path.request_async(request_bytes);
-                clock.advance(SimDuration::from_millis(HTTP_TIMEOUT_MS));
+                clock.advance(http_timeout());
                 return self.abandoned(root, start, request_bytes, STATUS_CLIENT_TIMEOUT);
             }
             Some(Fault::DropResponse) => {
@@ -104,7 +105,7 @@ impl<'t> VirtualClient<'t> {
                 let parsed =
                     HttpRequest::parse(&raw_request).expect("client emits well-formed HTTP");
                 let _ = node.server.handle(&parsed);
-                let timeout = SimDuration::from_millis(HTTP_TIMEOUT_MS);
+                let timeout = http_timeout();
                 let elapsed = clock.now() - start;
                 if elapsed < timeout {
                     clock.advance(timeout - elapsed);

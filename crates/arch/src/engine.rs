@@ -616,7 +616,6 @@ impl<'t> LoadEngine<'t> {
 mod tests {
     use super::*;
     use crate::topology::{Architecture, Flavor, Testbed, TestbedConfig};
-    use sli_telemetry::SloConfig;
 
     fn plan(rps: f64, sessions: usize) -> LoadPlan {
         LoadPlan::poisson(rps, sessions, 77)
@@ -921,26 +920,18 @@ mod tests {
         assert_eq!(ids.len(), before, "span ids must be unique across drains");
     }
 
-    fn quick_slo() -> SloConfig {
-        // Shortened windows / early arming so a sub-second loaded run can
-        // exercise every detector; thresholds keep the defaults' shape.
-        SloConfig {
-            fast_window_us: 500_000,
-            slow_window_us: 2_000_000,
-            avail_window_us: 1_000_000,
-            min_events: 6,
-            calibration: 30,
-            ..SloConfig::default()
-        }
-    }
+    /// Monitored runs admit this many sessions per second and script their
+    /// fault this far in (ms): past the 100 completions that calibrate the
+    /// drift charts and the 16 s that fill the slow burn window.
+    const SESSIONS_PER_S: f64 = 2.0;
+    const FAULT_AT_MS: u64 = 20_000;
 
     #[test]
     fn monitored_run_detects_a_scripted_outage_after_it_starts() {
         let tb = Testbed::build(Architecture::EsRbes, TestbedConfig::default());
         let engine = LoadEngine::new(&tb);
-        let mut p = plan(60.0, 25);
-        p.think = SimDuration::ZERO;
-        let mut monitor = SloMonitor::new(quick_slo())
+        let p = plan(SESSIONS_PER_S, 60);
+        let mut monitor = SloMonitor::new()
             .with_label("EsRbes outage drill")
             .share_metrics(tb.monitor_metrics());
         let outage = FaultPlan {
@@ -948,7 +939,10 @@ mod tests {
             unavailable_per_mille: 1_000,
             ..FaultPlan::NONE
         };
-        let script = [(SimDuration::from_millis(120), FaultEvent::Dial(outage))];
+        let script = [(
+            SimDuration::from_millis(FAULT_AT_MS),
+            FaultEvent::Dial(outage),
+        )];
         let t0 = tb.clock.now().as_micros();
         let run = engine.run_with(
             &p,
@@ -958,18 +952,26 @@ mod tests {
                 ..RunHooks::default()
             },
         );
-        assert_eq!(run.sessions_completed, 25, "the run must still complete");
+        assert_eq!(run.sessions_completed, 60, "the run must still complete");
         // Ground truth is the first *injected* fault, not the dial instant:
         // the plan change only bites on the next delivery attempt.
         let truth = tb
             .fault_first_effect_us()
             .expect("a total outage must inject at least one fault");
-        assert!(truth >= t0 + 120_000, "truth {truth} vs dial at {t0}+120ms");
-        let detections = monitor.detections();
         assert!(
-            !detections.is_empty(),
-            "a total back-end outage must trip at least one detector"
+            truth >= t0 + FAULT_AT_MS * 1_000,
+            "truth {truth} vs dial at {t0}"
         );
+        let detections = monitor.detections();
+        // RPC retries turn the outage into slow interactions, so the latency
+        // charts page: they arm only once 100 clean completions calibrated
+        // them.
+        for chart in ["latency_ewma", "latency_cusum"] {
+            assert!(
+                detections.iter().any(|(d, _)| *d == chart),
+                "{chart} must page on the outage: {detections:?}"
+            );
+        }
         for (name, at) in &detections {
             assert!(
                 *at >= truth,
@@ -999,10 +1001,9 @@ mod tests {
             let engine = LoadEngine::new(&tb);
             // Below the saturation knee: stationary latency. (Past the
             // knee, queue growth is *genuine* drift and should fire.)
-            let mut p = plan(4.0, 15);
-            p.think = SimDuration::ZERO;
+            let p = plan(SESSIONS_PER_S, 40);
             if monitored {
-                let mut monitor = SloMonitor::new(quick_slo());
+                let mut monitor = SloMonitor::new();
                 let run = engine.run_with(
                     &p,
                     RunHooks {
@@ -1109,18 +1110,17 @@ mod tests {
 
     #[test]
     fn monitored_crash_is_detected_after_the_kill_and_replays_identically() {
-        let kill_at = SimDuration::from_millis(150);
+        let kill_at = SimDuration::from_millis(FAULT_AT_MS);
         let collect = || {
             let tb = Testbed::build(Architecture::EsRbes, TestbedConfig::default());
             let engine = LoadEngine::new(&tb);
-            let mut p = plan(60.0, 25);
-            p.think = SimDuration::ZERO;
-            let mut monitor = SloMonitor::new(quick_slo()).share_metrics(tb.monitor_metrics());
+            let p = plan(SESSIONS_PER_S, 60);
+            let mut monitor = SloMonitor::new().share_metrics(tb.monitor_metrics());
             let script = [(
                 kill_at,
                 FaultEvent::Crash {
                     kind: CrashKind::Backend,
-                    down_for: SimDuration::from_millis(400),
+                    down_for: SimDuration::from_millis(5_000),
                 },
             )];
             let t0 = tb.clock.now();
@@ -1132,7 +1132,7 @@ mod tests {
                     ..RunHooks::default()
                 },
             );
-            assert_eq!(run.sessions_completed, 25, "the run must still complete");
+            assert_eq!(run.sessions_completed, 60, "the run must still complete");
             assert_eq!(tb.db.wal_stats().recoveries, 1);
             let detections = monitor.detections();
             assert!(

@@ -53,7 +53,7 @@ pub use engine::{
     SpanObserver,
 };
 pub use report::collect_report;
-pub use servlet::{parse_action, AppServer, AppServerCost, ServletMetrics};
+pub use servlet::{parse_action, AppServer, ServletMetrics};
 pub use slicheck::{
     arch_by_key, arch_key, counterexample_json, run_slicheck, shrink_schedule, ScheduleSource,
     SliCheckConfig, SliCheckOutcome, ARCH_KEYS,

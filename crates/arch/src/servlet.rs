@@ -17,25 +17,15 @@ use sli_telemetry::{
 use sli_trade::{page, TradeAction, TradeEngine, TradeResult};
 use std::sync::Arc;
 
-/// CPU cost model for an application-server machine (servlet container +
-/// JSP engine). Gives the latency curves their non-zero intercept, like the
-/// paper's Pentium III machines did.
-#[derive(Debug, Clone, Copy)]
-pub struct AppServerCost {
-    /// Servlet dispatch + session-bean invocation overhead per request.
-    pub per_request: SimDuration,
-    /// JSP rendering cost per KiB of produced HTML.
-    pub render_per_kib: SimDuration,
-}
+/// CPU cost of the application-server machine (servlet container + JSP
+/// engine): servlet dispatch and session-bean invocation per request, and
+/// JSP rendering per KiB of HTML. They give the latency curves their
+/// non-zero intercept, like the paper's Pentium III machines did.
+const PER_REQUEST: SimDuration = SimDuration::from_micros(2_500);
+const RENDER_PER_KIB: SimDuration = SimDuration::from_micros(400);
 
-impl Default for AppServerCost {
-    fn default() -> AppServerCost {
-        AppServerCost {
-            per_request: SimDuration::from_micros(2_500),
-            render_per_kib: SimDuration::from_micros(400),
-        }
-    }
-}
+/// Transparent application-level retries on optimistic aborts.
+const RETRIES: usize = 3;
 
 /// The `servlet.{action}` span op for a parsed (or unparsable) request.
 /// Span ops are `&'static str`, so the names are enumerated rather than
@@ -203,12 +193,9 @@ impl ServletMetrics {
 pub struct AppServer {
     engine: Box<dyn TradeEngine>,
     clock: Arc<Clock>,
-    cost: AppServerCost,
     /// HTTP sessions: cookie → user (created at login, destroyed at
     /// logout — Table 1's "HTTP Session" column).
     sessions: Mutex<HashMap<String, String>>,
-    /// Transparent application-level retries on optimistic aborts.
-    retries: usize,
     /// Status counters and per-action latency histograms.
     metrics: ServletMetrics,
     /// Optional causal tracer: each handled request gets a
@@ -230,9 +217,7 @@ impl AppServer {
         AppServer {
             engine,
             clock,
-            cost: AppServerCost::default(),
             sessions: Mutex::new(HashMap::new()),
-            retries: 3,
             metrics: ServletMetrics::new(),
             tracer: None,
         }
@@ -263,7 +248,7 @@ impl AppServer {
 
     fn perform_with_retry(&self, action: &TradeAction) -> sli_component::EjbResult<TradeResult> {
         let mut last_err = None;
-        for _ in 0..self.retries.max(1) {
+        for _ in 0..RETRIES {
             match self.engine.perform(action) {
                 Ok(r) => return Ok(r),
                 Err(e) if e.is_retryable() => last_err = Some(e),
@@ -305,7 +290,7 @@ impl AppServer {
     }
 
     fn respond(&self, action: Option<&TradeAction>) -> HttpResponse<'static> {
-        self.clock.charge(Resource::EdgeCpu, self.cost.per_request);
+        self.clock.charge(Resource::EdgeCpu, PER_REQUEST);
         let Some(action) = action else {
             let body = page::render_error("Invalid Request", "unknown action or missing parameter");
             return self.finish(HttpResponse::error(404, body));
@@ -352,7 +337,7 @@ impl AppServer {
 
     fn finish(&self, resp: HttpResponse<'static>) -> HttpResponse<'static> {
         let kib = (resp.body.len() as u64).div_ceil(1024);
-        let render = self.cost.render_per_kib.saturating_mul(kib);
+        let render = RENDER_PER_KIB.saturating_mul(kib);
         self.clock.charge(Resource::EdgeCpu, render);
         resp
     }
@@ -511,8 +496,8 @@ mod tests {
             }),
             clock,
         );
-        // retries=3 but Flaky needs 3 failures before success at call 3;
-        // force permanent failure instead
+        // Flaky succeeds within the 3 retries; force permanent failure
+        // instead
         struct Always;
         impl TradeEngine for Always {
             fn perform(&self, _a: &TradeAction) -> EjbResult<TradeResult> {

@@ -51,8 +51,8 @@ use sli_arch::{
 use sli_simnet::{FaultPlan, SimDuration};
 use sli_telemetry::{
     chrome_trace, conflict_leaderboard, critical_path, sparkline, validate, ArchReport, Breakdown,
-    Bucket, ConflictEntry, Json, LittlesLaw, Profile, Resource, RunReport, Schema, SloConfig,
-    SloMonitor, SpanDetail, SpanEvent, TimelineDoc, TimelineReport,
+    Bucket, ConflictEntry, Json, LittlesLaw, Profile, Resource, RunReport, Schema, SloMonitor,
+    SpanDetail, SpanEvent, TimelineDoc, TimelineReport,
 };
 use sli_trade::seed::Population;
 use sli_workload::{
@@ -502,7 +502,7 @@ pub fn run(spec: &RunSpec) -> RunArtifacts {
     };
     let mut monitor = spec.monitor.map(|fault| {
         let scenario = fault.map_or("clean", FaultClass::key);
-        let mut monitor = SloMonitor::new(MONITOR_SLO)
+        let mut monitor = SloMonitor::new()
             .with_label(format!("{} {scenario}", arch_key(spec.arch)))
             .share_metrics(testbed.monitor_metrics());
         monitor.set_context("arch", Json::from(arch_key(spec.arch)));
@@ -1005,22 +1005,8 @@ impl FaultClass {
     }
 }
 
-/// The detector configuration of every monitored run. The burn and
-/// availability windows are stretched over the defaults so they hold
-/// `min_events` even at half-session-per-second rates, where an outage
-/// thins completions to a trickle, and the latency σ floor is raised (12%
-/// of the SLO) to clear the vanilla-EJB combination's legitimately large
-/// clean-traffic latency swings without loosening the queue charts.
-const MONITOR_SLO: SloConfig = SloConfig {
-    fast_window_us: 4_000_000,
-    slow_window_us: 16_000_000,
-    min_events: 10,
-    latency_sigma_floor_us: 60_000.0,
-    ..SloConfig::DEFAULT
-};
-
 /// When a scripted disturbance starts, ms of virtual time into the
-/// measured phase: the default 100-sample drift calibration finishes first
+/// measured phase: the monitor's 100-sample drift calibration finishes first
 /// at ≥ 5 interactions/s.
 pub const FAULT_AT_MS: u64 = 25_000;
 

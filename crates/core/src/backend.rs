@@ -36,24 +36,10 @@ const STATUS_ERR: u8 = 1;
 /// A registered peer's invalidation send function.
 type InvalidationSender = Box<dyn Fn(Bytes) + Send + Sync>;
 
-/// CPU cost model for the back-end machine.
-#[derive(Debug, Clone, Copy)]
-pub struct BackendCostModel {
-    /// Fixed cost of receiving and dispatching one request.
-    pub per_request: SimDuration,
-    /// Additional cost per memento handled (validated, applied or
-    /// returned).
-    pub per_image: SimDuration,
-}
-
-impl Default for BackendCostModel {
-    fn default() -> BackendCostModel {
-        BackendCostModel {
-            per_request: SimDuration::from_micros(300),
-            per_image: SimDuration::from_micros(40),
-        }
-    }
-}
+/// CPU cost of the back-end machine: receiving and dispatching one
+/// request, and each memento handled (validated, applied or returned).
+const PER_REQUEST: SimDuration = SimDuration::from_micros(300);
+const PER_IMAGE: SimDuration = SimDuration::from_micros(40);
 
 /// The back-end server: cache-miss service around a [`CommitPoint`].
 ///
@@ -63,7 +49,6 @@ impl Default for BackendCostModel {
 pub struct BackendServer {
     point: CommitPoint,
     clock: Arc<Clock>,
-    cost: BackendCostModel,
     /// (edge id, invalidation send function) pairs for fan-out.
     peers: Mutex<Vec<(u32, InvalidationSender)>>,
 }
@@ -87,7 +72,6 @@ impl BackendServer {
         Arc::new(BackendServer {
             point: CommitPoint::in_rounds(conn, registry),
             clock,
-            cost: BackendCostModel::default(),
             peers: Mutex::new(Vec::new()),
         })
     }
@@ -134,11 +118,8 @@ impl BackendServer {
     pub fn commit(&self, request: &CommitRequest) -> EjbResult<CommitOutcome> {
         let Decision { result, fresh } = self.point.decide(request, |step| {
             self.clock.advance(match step {
-                CommitStep::Replay => self.cost.per_request,
-                CommitStep::ValidateApply => self
-                    .cost
-                    .per_image
-                    .saturating_mul(request.entries.len() as u64),
+                CommitStep::Replay => PER_REQUEST,
+                CommitStep::ValidateApply => PER_IMAGE.saturating_mul(request.entries.len() as u64),
             });
         });
         if fresh && matches!(result, Ok(CommitOutcome::Committed)) && request.has_writes() {
@@ -201,7 +182,7 @@ impl BackendServer {
     }
 
     fn run_op(&self, op: u8, r: &mut Reader) -> EjbResult<Writer> {
-        self.clock.advance(self.cost.per_request);
+        self.clock.advance(PER_REQUEST);
         let mut w = Writer::framed();
         w.put_u8(STATUS_OK);
         match op {
@@ -213,7 +194,7 @@ impl BackendServer {
                     Some(m) => {
                         w.put_bool(true);
                         m.encode(&mut w);
-                        self.clock.advance(self.cost.per_image);
+                        self.clock.advance(PER_IMAGE);
                     }
                     None => {
                         w.put_bool(false);
@@ -231,7 +212,7 @@ impl BackendServer {
                     meta.memento_from_row(row).encode(&mut w);
                 }
                 self.clock
-                    .advance(self.cost.per_image.saturating_mul(rs.len() as u64));
+                    .advance(PER_IMAGE.saturating_mul(rs.len() as u64));
                 Ok(w)
             }
             OP_COMMIT => {
@@ -652,7 +633,6 @@ mod tests {
                 after: img("u2", 10.0),
             },
         });
-        let cost = BackendCostModel::default();
         let t0 = clock.now();
         assert_eq!(backend.commit(&request).unwrap(), CommitOutcome::Committed);
         let t1 = clock.now();
@@ -670,9 +650,9 @@ mod tests {
         assert!(statements > 0);
         assert_eq!(
             validate.duration_us(),
-            cost.per_image.saturating_mul(2).as_micros() + statements
+            PER_IMAGE.saturating_mul(2).as_micros() + statements
         );
-        assert_eq!(replay.duration_us(), cost.per_request.as_micros());
+        assert_eq!(replay.duration_us(), PER_REQUEST.as_micros());
         // Nothing is charged outside the spans.
         assert_eq!(validate.duration_us(), (t1 - t0).as_micros());
         assert_eq!(replay.duration_us(), (t2 - t1).as_micros());

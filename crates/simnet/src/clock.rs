@@ -121,7 +121,7 @@ impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0);
 
     /// Builds a duration from whole microseconds.
-    pub fn from_micros(us: u64) -> SimDuration {
+    pub const fn from_micros(us: u64) -> SimDuration {
         SimDuration(us)
     }
 

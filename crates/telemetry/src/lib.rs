@@ -76,9 +76,7 @@ pub use history::{
 };
 pub use json::{Json, MAX_JSON_DEPTH};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
-pub use monitor::{
-    Incident, MonitorMetrics, SloConfig, SloMonitor, DETECTOR_NAMES, INCIDENT_SCHEMA,
-};
+pub use monitor::{Incident, MonitorMetrics, SloMonitor, DETECTOR_NAMES, INCIDENT_SCHEMA};
 pub use profile::{
     littles_law, resource_for, span_class, ClassStat, LittlesLaw, Profile, Resource, PROFILE_SCHEMA,
 };

@@ -17,11 +17,11 @@
 //! * `burn_rate` — multi-window error-budget burn. An interaction is *bad*
 //!   when it fails outright or exceeds the latency SLO; the detector fires
 //!   when the bad-event fraction over both a fast and a slow window exceeds
-//!   `burn_threshold` times the objective (the classic two-window page rule:
+//!   `BURN_THRESHOLD` times the objective (the classic two-window page rule:
 //!   the fast window gives speed, the slow window gives evidence).
 //! * `latency_ewma` / `latency_cusum` — drift detectors on per-interaction
 //!   latency. Both calibrate a baseline mean/σ from the first
-//!   `calibration` completions (Welford), then watch for upward drift: the
+//!   `CALIBRATION` completions (Welford), then watch for upward drift: the
 //!   EWMA control chart fires when the smoothed level leaves
 //!   `μ₀ + L·σ·√(λ/(2−λ))`, CUSUM accumulates `max(0, S + x − μ₀ − kσ)`
 //!   and fires at `S > hσ` — EWMA reacts to sustained small shifts, CUSUM
@@ -32,7 +32,7 @@
 //!   do, because depth rises the moment service slows while latency is only
 //!   observed at completion.
 //! * `availability` — windowed good-fraction floor: fires when fewer than
-//!   `avail_floor` of the interactions in the trailing window were good.
+//!   `AVAIL_FLOOR` of the interactions in the trailing window were good.
 //!
 //! Detectors **latch**: each fires at most once per run, and the first
 //! firing timestamp is the detection time. When any detector fires, the
@@ -66,91 +66,48 @@ pub const INCIDENT_SCHEMA: &str = "sli-edge.incident/v1";
 /// Parts-per-million denominator used for budget arithmetic.
 const PPM: u64 = 1_000_000;
 
-/// Tuning for the six detectors and the flight recorder rings.
-///
-/// Defaults are calibrated against the loaded points the bench layer runs:
-/// clean runs at moderate utilisation must stay silent (the `monitor` bin's
-/// false-positive gate sweeps all seven architecture combos), while any of
-/// the scripted fault classes — backend outage, loss burst, flash crowd —
-/// must trip every detector. The scale separation that makes both possible
-/// is the retry policy: a clean interaction costs tens of milliseconds of
-/// virtual time, a faulted one costs at least one 1 s timeout or a growing
-/// backoff chain, so a 500 ms latency SLO splits them cleanly.
-#[derive(Debug, Clone, Copy)]
-pub struct SloConfig {
-    /// Latency objective in µs: an interaction slower than this is *bad*
-    /// even if it succeeded.
-    pub latency_slo_us: u64,
-    /// Error-budget objective as a bad-event fraction in parts-per-million
-    /// (1_000 = 0.1% of interactions may be bad).
-    pub objective_ppm: u64,
-    /// Fast burn window (µs of virtual time).
-    pub fast_window_us: u64,
-    /// Slow burn window (µs of virtual time).
-    pub slow_window_us: u64,
-    /// Burn-rate multiple of the objective at which both windows must
-    /// burn for the detector to fire.
-    pub burn_threshold: f64,
-    /// Minimum events in a window before its fraction is trusted.
-    pub min_events: u64,
-    /// EWMA smoothing factor λ ∈ (0, 1].
-    pub ewma_lambda: f64,
-    /// EWMA control limit in σ-of-the-statistic units (L).
-    pub ewma_limit: f64,
-    /// CUSUM slack per sample, in baseline-σ units (k).
-    pub cusum_slack: f64,
-    /// CUSUM decision threshold, in baseline-σ units (h).
-    pub cusum_threshold: f64,
-    /// Samples used to establish each drift baseline before arming.
-    pub calibration: u64,
-    /// Absolute floor for the calibrated latency σ (µs). This sets the
-    /// smallest latency shift the drift charts can page on: an SLO monitor
-    /// should ignore drift that is negligible *at the objective's scale*,
-    /// however tight the calibration happened to be — a 5 ms shift in a
-    /// 7 ms baseline is statistically real and operationally irrelevant
-    /// against a 500 ms SLO. Defaults to 5% of the default SLO.
-    pub latency_sigma_floor_us: f64,
-    /// Availability window (µs of virtual time).
-    pub avail_window_us: u64,
-    /// Availability floor: fire when good/total in the window drops below
-    /// this fraction.
-    pub avail_floor: f64,
-    /// Flight-recorder span ring capacity.
-    pub span_ring: usize,
-    /// Flight-recorder metric-window ring capacity.
-    pub window_ring: usize,
-    /// Flight-recorder aggregation window (µs of virtual time).
-    pub recorder_window_us: u64,
-}
+// The one detector configuration. Clean runs at moderate utilisation must
+// stay silent (the `monitor` bin's false-positive gate sweeps all seven
+// combinations), while every scripted fault class — back-end outage, loss
+// burst, flash crowd — must trip every detector. The retry policy is what
+// makes both possible: a clean interaction costs tens of milliseconds of
+// virtual time, a faulted one at least one 1 s time-out or a growing backoff
+// chain, so a 500 ms latency SLO splits them cleanly.
 
-impl SloConfig {
-    /// [`SloConfig::default`], for building a configuration in a `const`.
-    pub const DEFAULT: SloConfig = SloConfig {
-        latency_slo_us: 500_000,
-        objective_ppm: 1_000,
-        fast_window_us: 2_000_000,
-        slow_window_us: 12_000_000,
-        burn_threshold: 25.0,
-        min_events: 12,
-        ewma_lambda: 0.25,
-        ewma_limit: 12.0,
-        cusum_slack: 4.0,
-        cusum_threshold: 80.0,
-        calibration: 100,
-        latency_sigma_floor_us: 25_000.0,
-        avail_window_us: 4_000_000,
-        avail_floor: 0.80,
-        span_ring: 256,
-        window_ring: 96,
-        recorder_window_us: 500_000,
-    };
-}
-
-impl Default for SloConfig {
-    fn default() -> SloConfig {
-        SloConfig::DEFAULT
-    }
-}
+/// Latency objective, µs: a slower interaction is *bad* even if it succeeded.
+const LATENCY_SLO_US: u64 = 500_000;
+/// Error-budget objective: 0.1 % of interactions may be bad.
+const OBJECTIVE_PPM: u64 = 1_000;
+/// Fast and slow burn windows, µs: long enough to hold `MIN_EVENTS` even
+/// at half a session per second, where an outage thins completions to a
+/// trickle.
+const FAST_WINDOW_US: u64 = 4_000_000;
+const SLOW_WINDOW_US: u64 = 16_000_000;
+/// Multiple of the objective at which both burn windows must burn.
+const BURN_THRESHOLD: f64 = 25.0;
+/// Events a window must hold before its fraction is trusted.
+const MIN_EVENTS: u64 = 10;
+/// EWMA smoothing factor λ and control limit L (σ-of-the-statistic units).
+const EWMA_LAMBDA: f64 = 0.25;
+const EWMA_LIMIT: f64 = 12.0;
+/// CUSUM slack k and decision threshold h, in baseline-σ units.
+const CUSUM_SLACK: f64 = 4.0;
+const CUSUM_THRESHOLD: f64 = 80.0;
+/// Samples each drift baseline calibrates on before its charts arm.
+const CALIBRATION: u64 = 100;
+/// Floor on the calibrated latency σ, µs (12 % of the SLO): the smallest
+/// shift the latency charts page on. Drift negligible at the objective's
+/// scale is ignored however tight the calibration was, which clears the
+/// vanilla-EJB combination's large clean-traffic latency swings.
+const LATENCY_SIGMA_FLOOR_US: f64 = 60_000.0;
+/// Availability window, µs, and the good fraction below which it fires.
+const AVAIL_WINDOW_US: u64 = 4_000_000;
+const AVAIL_FLOOR: f64 = 0.80;
+/// Flight-recorder span ring and metric-window ring capacities, and the
+/// length of one metric window (µs).
+const SPAN_RING: usize = 256;
+const WINDOW_RING: usize = 96;
+const RECORDER_WINDOW_US: u64 = 500_000;
 
 /// Shared metric handles for the monitor itself, registered under
 /// `monitor.*` by the testbed so the timeline can watch the watcher.
@@ -247,10 +204,10 @@ impl DriftPair {
     }
 
     /// Feeds one sample; arms the charts once calibration completes.
-    fn push(&mut self, cfg: &SloConfig, now_us: u64, x: f64) {
+    fn push(&mut self, now_us: u64, x: f64) {
         let Some((mu, sigma)) = self.baseline else {
             self.cal.push(x);
-            if self.cal.n >= cfg.calibration {
+            if self.cal.n >= CALIBRATION {
                 let mu = self.cal.mean;
                 let sigma = self.cal.sigma().max(self.sigma_floor).max(mu.abs() * 0.05);
                 self.baseline = Some((mu, sigma));
@@ -259,10 +216,9 @@ impl DriftPair {
             }
             return;
         };
-        let lambda = cfg.ewma_lambda;
-        self.ewma = lambda * x + (1.0 - lambda) * self.ewma;
-        let ewma_sigma = sigma * (lambda / (2.0 - lambda)).sqrt();
-        let ewma_limit = mu + cfg.ewma_limit * ewma_sigma;
+        self.ewma = EWMA_LAMBDA * x + (1.0 - EWMA_LAMBDA) * self.ewma;
+        let ewma_sigma = sigma * (EWMA_LAMBDA / (2.0 - EWMA_LAMBDA)).sqrt();
+        let ewma_limit = mu + EWMA_LIMIT * ewma_sigma;
         if self.ewma_fired.is_none() && self.ewma > ewma_limit {
             self.ewma_fired = Some(Fired {
                 at_us: now_us,
@@ -273,8 +229,8 @@ impl DriftPair {
                 window_us: 0,
             });
         }
-        self.cusum = (self.cusum + x - mu - cfg.cusum_slack * sigma).max(0.0);
-        let cusum_limit = cfg.cusum_threshold * sigma;
+        self.cusum = (self.cusum + x - mu - CUSUM_SLACK * sigma).max(0.0);
+        let cusum_limit = CUSUM_THRESHOLD * sigma;
         if self.cusum_fired.is_none() && self.cusum > cusum_limit {
             self.cusum_fired = Some(Fired {
                 at_us: now_us,
@@ -428,7 +384,6 @@ pub const DETECTOR_NAMES: [&str; 6] = [
 /// points, read incidents when the run ends.
 #[derive(Debug)]
 pub struct SloMonitor {
-    cfg: SloConfig,
     metrics: MonitorMetrics,
     label: String,
     context: BTreeMap<String, Json>,
@@ -450,11 +405,16 @@ pub struct SloMonitor {
     incidents: Vec<Incident>,
 }
 
+impl Default for SloMonitor {
+    fn default() -> SloMonitor {
+        SloMonitor::new()
+    }
+}
+
 impl SloMonitor {
     /// Creates a monitor with its own (unregistered) metric handles.
-    pub fn new(cfg: SloConfig) -> SloMonitor {
+    pub fn new() -> SloMonitor {
         SloMonitor {
-            cfg,
             metrics: MonitorMetrics::new(),
             label: String::from("run"),
             context: BTreeMap::new(),
@@ -462,7 +422,7 @@ impl SloMonitor {
             events: VecDeque::new(),
             total_events: 0,
             bad_events: 0,
-            latency: DriftPair::new(cfg.latency_sigma_floor_us),
+            latency: DriftPair::new(LATENCY_SIGMA_FLOOR_US),
             queue: DriftPair::new(1.0),
             burn_fired: None,
             avail_fired: None,
@@ -493,11 +453,6 @@ impl SloMonitor {
     /// Binds the ready-queue depth gauge the queue detectors sample.
     pub fn bind_queue_gauge(&mut self, gauge: Gauge) {
         self.queue_gauge = Some(gauge);
-    }
-
-    /// Active configuration.
-    pub fn config(&self) -> &SloConfig {
-        &self.cfg
     }
 
     /// All frozen incidents, in firing order.
@@ -533,7 +488,7 @@ impl SloMonitor {
     /// Feeds recently committed span events into the flight recorder ring.
     pub fn observe_spans(&mut self, events: &[SpanEvent]) {
         for e in events {
-            if self.spans.len() == self.cfg.span_ring {
+            if self.spans.len() == SPAN_RING {
                 self.spans.pop_front();
             }
             self.spans.push_back(e.clone());
@@ -542,10 +497,10 @@ impl SloMonitor {
 
     /// Rolls the flight-recorder aggregation window forward to `now_us`.
     fn roll_window(&mut self, now_us: u64) -> &mut WindowStat {
-        let slot = now_us - now_us % self.cfg.recorder_window_us;
+        let slot = now_us - now_us % RECORDER_WINDOW_US;
         let open = self.windows.back().map(|w| w.at_us);
         if open != Some(slot) {
-            if self.windows.len() == self.cfg.window_ring {
+            if self.windows.len() == WINDOW_RING {
                 self.windows.pop_front();
             }
             self.windows.push_back(WindowStat {
@@ -561,11 +516,11 @@ impl SloMonitor {
     /// transport/HTTP verdict; the monitor additionally classifies any
     /// completion slower than the latency SLO as bad.
     pub fn observe_interaction(&mut self, now_us: u64, latency_us: u64, ok: bool) {
-        let bad = !ok || latency_us > self.cfg.latency_slo_us;
+        let bad = !ok || latency_us > LATENCY_SLO_US;
         self.total_events += 1;
         self.bad_events += u64::from(bad);
         self.events.push_back((now_us, bad));
-        let horizon = self.cfg.slow_window_us.max(self.cfg.avail_window_us);
+        let horizon = SLOW_WINDOW_US.max(AVAIL_WINDOW_US);
         while let Some(&(t, _)) = self.events.front() {
             if t + horizon < now_us {
                 self.events.pop_front();
@@ -582,11 +537,10 @@ impl SloMonitor {
         w.queue_depth = depth;
 
         self.update_budget_gauge();
-        let cfg = self.cfg;
-        self.latency.push(&cfg, now_us, latency_us as f64);
+        self.latency.push(now_us, latency_us as f64);
         self.check_burn(now_us);
         self.check_availability(now_us);
-        self.freeze_new_firings(now_us);
+        self.freeze_new_firings();
         self.metrics.evaluations.inc();
     }
 
@@ -596,10 +550,9 @@ impl SloMonitor {
     pub fn evaluate(&mut self, now_us: u64) {
         if let Some(gauge) = &self.queue_gauge {
             let depth = gauge.get();
-            let cfg = self.cfg;
             self.roll_window(now_us).queue_depth = depth;
-            self.queue.push(&cfg, now_us, depth as f64);
-            self.freeze_new_firings(now_us);
+            self.queue.push(now_us, depth as f64);
+            self.freeze_new_firings();
         }
         self.metrics.evaluations.inc();
     }
@@ -629,22 +582,18 @@ impl SloMonitor {
         if self.burn_fired.is_some() {
             return;
         }
-        let objective = self.cfg.objective_ppm as f64 / PPM as f64;
-        let (fast, fast_n) = self.window_fraction(now_us, self.cfg.fast_window_us);
-        let (slow, slow_n) = self.window_fraction(now_us, self.cfg.slow_window_us);
-        let limit = self.cfg.burn_threshold * objective;
-        if fast_n >= self.cfg.min_events
-            && slow_n >= self.cfg.min_events
-            && fast >= limit
-            && slow >= limit
-        {
+        let objective = OBJECTIVE_PPM as f64 / PPM as f64;
+        let (fast, fast_n) = self.window_fraction(now_us, FAST_WINDOW_US);
+        let (slow, slow_n) = self.window_fraction(now_us, SLOW_WINDOW_US);
+        let limit = BURN_THRESHOLD * objective;
+        if fast_n >= MIN_EVENTS && slow_n >= MIN_EVENTS && fast >= limit && slow >= limit {
             self.burn_fired = Some(Fired {
                 at_us: now_us,
                 observed: fast / objective,
-                threshold: self.cfg.burn_threshold,
+                threshold: BURN_THRESHOLD,
                 baseline: objective,
                 sigma: 0.0,
-                window_us: self.cfg.fast_window_us,
+                window_us: FAST_WINDOW_US,
             });
         }
     }
@@ -653,16 +602,16 @@ impl SloMonitor {
         if self.avail_fired.is_some() {
             return;
         }
-        let (bad_frac, n) = self.window_fraction(now_us, self.cfg.avail_window_us);
+        let (bad_frac, n) = self.window_fraction(now_us, AVAIL_WINDOW_US);
         let avail = 1.0 - bad_frac;
-        if n >= self.cfg.min_events && avail < self.cfg.avail_floor {
+        if n >= MIN_EVENTS && avail < AVAIL_FLOOR {
             self.avail_fired = Some(Fired {
                 at_us: now_us,
                 observed: avail,
-                threshold: self.cfg.avail_floor,
+                threshold: AVAIL_FLOOR,
                 baseline: 1.0,
                 sigma: 0.0,
-                window_us: self.cfg.avail_window_us,
+                window_us: AVAIL_WINDOW_US,
             });
         }
     }
@@ -670,7 +619,7 @@ impl SloMonitor {
     /// Budget consumed so far, ppm of the run's allowance (bad events over
     /// `objective × total`), and the clamped remainder.
     fn budget_ppm(&self) -> (u64, u64) {
-        let allowance = self.cfg.objective_ppm as f64 / PPM as f64 * self.total_events as f64;
+        let allowance = OBJECTIVE_PPM as f64 / PPM as f64 * self.total_events as f64;
         if allowance <= 0.0 {
             return (0, PPM);
         }
@@ -685,7 +634,7 @@ impl SloMonitor {
 
     /// Freezes an incident for every detector that fired since the last
     /// check. Incidents capture the recorder state at the firing instant.
-    fn freeze_new_firings(&mut self, _now_us: u64) {
+    fn freeze_new_firings(&mut self) {
         let frozen: Vec<&'static str> = self.incidents.iter().map(|i| i.detector).collect();
         let firings: Vec<(&'static str, &'static str, Fired)> = [
             ("burn_rate", "bad_fraction", self.burn_fired),
@@ -711,7 +660,7 @@ impl SloMonitor {
                 baseline: fired.baseline,
                 sigma: fired.sigma,
                 window_us: fired.window_us,
-                objective_ppm: self.cfg.objective_ppm,
+                objective_ppm: OBJECTIVE_PPM,
                 consumed_ppm: consumed,
                 remaining_ppm: remaining,
                 events: self.total_events,
@@ -813,48 +762,48 @@ pub(crate) mod tests {
     use crate::span::{SpanDetail, SpanOutcome};
     use crate::ConflictInfo;
 
-    /// A config with short windows and fast calibration so unit tests can
-    /// exercise the detectors with a handful of synthetic samples.
-    fn quick_cfg() -> SloConfig {
-        SloConfig {
-            latency_slo_us: 100_000,
-            objective_ppm: 10_000,
-            fast_window_us: 1_000_000,
-            slow_window_us: 3_000_000,
-            burn_threshold: 10.0,
-            min_events: 5,
-            ewma_lambda: 0.25,
-            ewma_limit: 6.0,
-            cusum_slack: 1.0,
-            cusum_threshold: 10.0,
-            calibration: 20,
-            // Unit tests pin the detector math at µs scale; keep the
-            // operational floor out of their way.
-            latency_sigma_floor_us: 500.0,
-            avail_window_us: 1_000_000,
-            avail_floor: 0.80,
-            span_ring: 8,
-            window_ring: 4,
-            recorder_window_us: 250_000,
+    /// The tests' spacing of samples: a 4 s window holds 41 of them, the
+    /// 16 s window 161.
+    const GAP_US: u64 = 100_000;
+
+    /// Feeds `n` clean completions at 10 ms latency, `GAP_US` apart;
+    /// returns the last instant.
+    fn calibrate(mon: &mut SloMonitor, n: u64) -> u64 {
+        for i in 1..=n {
+            mon.observe_interaction(GAP_US * i, 10_000, true);
         }
+        GAP_US * n
     }
 
-    /// Feeds `n` clean completions at 10 ms latency, 1 ms apart.
-    fn calibrate(mon: &mut SloMonitor, n: u64) -> u64 {
-        for i in 0..n {
-            mon.observe_interaction(1_000 * (i + 1), 10_000, true);
-        }
-        1_000 * n
+    /// Feeds samples `1..=n` at `t0 + GAP_US·i` through `feed` and returns
+    /// the first after which `detector` has fired, checking that it fired
+    /// at that sample's instant.
+    fn firing_sample(
+        mon: &mut SloMonitor,
+        detector: &str,
+        t0: u64,
+        n: u64,
+        mut feed: impl FnMut(&mut SloMonitor, u64, u64),
+    ) -> Option<u64> {
+        (1..=n).find_map(|i| {
+            let now = t0 + GAP_US * i;
+            feed(mon, now, i);
+            let &(_, at) = mon.detections().iter().find(|(d, _)| *d == detector)?;
+            assert_eq!(at, now, "{detector} fired before sample {i}");
+            Some(i)
+        })
     }
 
     #[test]
     fn clean_stationary_traffic_fires_nothing() {
-        let mut mon = SloMonitor::new(quick_cfg());
-        for i in 0..2_000u64 {
-            // Latency wobbles ±2 ms around 10 ms — stationary noise.
-            let jitter = (i % 5) * 1_000;
-            mon.observe_interaction(1_000 * (i + 1), 8_000 + jitter, true);
-            mon.evaluate(1_000 * (i + 1));
+        let mut mon = SloMonitor::new();
+        let gauge = Gauge::new();
+        mon.bind_queue_gauge(gauge.clone());
+        for i in 1..=2_000u64 {
+            // Latency cycles 20…100 ms and depth 0…4: stationary noise.
+            gauge.set(i % 5);
+            mon.observe_interaction(GAP_US * i, 20_000 * (1 + i % 5), true);
+            mon.evaluate(GAP_US * i);
         }
         assert!(mon.detections().is_empty(), "{:?}", mon.detections());
         assert!(mon.incidents().is_empty());
@@ -863,156 +812,106 @@ pub(crate) mod tests {
 
     #[test]
     fn ewma_detects_a_latency_step_within_a_pinned_window() {
-        let mut mon = SloMonitor::new(quick_cfg());
-        let t0 = calibrate(&mut mon, 40);
-        // Step change: latency jumps 10 ms → 80 ms at t0. With λ = 0.25
-        // the EWMA needs ⌈log(1 − needed/step)/log(1 − λ)⌉ samples to
-        // cross the limit; pin the observed detection sample index.
-        let mut detected_at = None;
-        for i in 0..20u64 {
-            let now = t0 + 1_000 * (i + 1);
-            mon.observe_interaction(now, 80_000, true);
-            if detected_at.is_none() {
-                if let Some(&(_, at)) = mon.detections().iter().find(|(d, _)| *d == "latency_ewma")
-                {
-                    detected_at = Some((i + 1, at));
-                }
-            }
-        }
-        let (samples, at) = detected_at.expect("EWMA must detect a 7x step");
-        // Calibration σ is floored at 5% of μ₀ (= 500 µs here), so the
-        // limit sits at μ₀ + 6·500·√(λ/(2−λ)) ≈ 11.1 ms — the first
-        // post-step EWMA value 0.25·80 + 0.75·10 = 27.5 ms clears it.
-        assert_eq!(samples, 1, "detected after {samples} samples");
-        assert_eq!(at, t0 + 1_000);
+        let mut mon = SloMonitor::new();
+        let t0 = calibrate(&mut mon, CALIBRATION);
+        // A 1 s time-out step on a 10 ms baseline. σ is floored at 60 ms,
+        // so the limit is μ₀ + L·σ·√(λ/(2−λ)) = 10 + 12·60·√(1/7) ≈ 282.1
+        // ms. The first post-step level, 0.25·1 000 + 0.75·10 = 257.5 ms,
+        // stays under it; the second, 443.1 ms, clears it.
+        let fired = firing_sample(&mut mon, "latency_ewma", t0, 10, |mon, now, _| {
+            mon.observe_interaction(now, 1_000_000, true)
+        });
+        assert_eq!(fired, Some(2));
     }
 
     #[test]
     fn cusum_accumulates_evidence_for_a_small_step() {
-        let mut mon = SloMonitor::new(quick_cfg());
-        let t0 = calibrate(&mut mon, 40);
-        // A small step (10 ms → 11 ms = 2σ, σ floored at 5% of μ₀) that
-        // the EWMA chart tolerates forever — its smoothed level converges
-        // to 11 ms, below the μ₀ + 6σ·√(λ/(2−λ)) ≈ 11.13 ms limit — but
-        // CUSUM accumulates: each sample adds x − μ₀ − kσ = 500 µs, so
-        // the hσ = 5 000 µs threshold is strictly exceeded on sample 11.
-        let mut detected = None;
-        for i in 0..40u64 {
-            let now = t0 + 1_000 * (i + 1);
-            mon.observe_interaction(now, 11_000, true);
-            if detected.is_none() {
-                if let Some(&(_, at)) = mon.detections().iter().find(|(d, _)| *d == "latency_cusum")
-                {
-                    detected = Some((i + 1, at));
-                }
-            }
-        }
-        let (samples, at) = detected.expect("CUSUM must detect a sustained small step");
-        assert_eq!(samples, 11);
-        assert_eq!(at, t0 + 11_000);
+        let mut mon = SloMonitor::new();
+        let t0 = calibrate(&mut mon, CALIBRATION);
+        // A step to 280 ms, μ₀ + 4.5σ. The EWMA converges to 280 ms, under
+        // its ≈ 282.1 ms limit, and never pages. CUSUM gains x − μ₀ − kσ =
+        // 30 ms a sample and strictly exceeds hσ = 4 800 ms on sample 161.
+        let fired = firing_sample(&mut mon, "latency_cusum", t0, 400, |mon, now, _| {
+            mon.observe_interaction(now, 280_000, true)
+        });
+        assert_eq!(fired, Some(161));
         // The division of labour between the charts: EWMA never pages on
         // a shift this small, CUSUM does.
         assert!(
             !mon.detections().iter().any(|(d, _)| *d == "latency_ewma"),
-            "EWMA must tolerate a 2σ shift"
+            "EWMA must tolerate a 4.5σ shift"
         );
     }
 
     #[test]
     fn burn_rate_fires_exactly_at_budget_exhaustion_rate() {
-        // objective 1% (10_000 ppm), threshold 10× → the page line is a
-        // 10% bad fraction in both windows. Feed interactions whose bad
-        // fraction ramps: below the line nothing fires, at the line the
-        // detector fires on the very interaction that tips both windows.
-        let cfg = quick_cfg();
-        let mut mon = SloMonitor::new(cfg);
-        // 9% bad for 200 interactions (1 bad in every 11.11… ≈ every 12th):
-        // stays silent.
-        for i in 0..200u64 {
-            let bad = i % 12 == 0 && i > 0;
-            mon.observe_interaction(1_000 * (i + 1), 10_000, !bad);
-        }
-        assert!(
-            mon.detections().is_empty(),
-            "sub-threshold burn must not page: {:?}",
-            mon.detections()
-        );
-        // Now every 10th interaction is bad → exactly 10% in the trailing
-        // windows once the 8% prefix ages out of the 3 s slow window
-        // (~3000 events at this spacing); the detector fires.
-        let mut fired = None;
-        for i in 200..6_000u64 {
-            let bad = i % 10 == 0;
-            mon.observe_interaction(1_000 * (i + 1), 10_000, !bad);
-            if let Some(&(_, at)) = mon.detections().iter().find(|(d, _)| *d == "burn_rate") {
-                fired = Some((i, at));
-                break;
-            }
-        }
-        let (i, at) = fired.expect("burn rate must fire at the exhaustion rate");
-        assert_eq!(at, 1_000 * (i + 1), "fires at an interaction instant");
-        // It fired once the slow window (3 s = 3000 events here) filled
-        // with the 10% mixture — not instantly, not never.
-        assert!(i >= 210, "needs evidence in both windows (fired at {i})");
+        // The page line is 25 × the 0.1 % objective: one bad in 40. The
+        // fast window holds 41 samples, the slow one 161. After 200 clean
+        // completions, every `period`-th sample is bad.
+        let burn = |period: u64| {
+            let mut mon = SloMonitor::new();
+            let t0 = calibrate(&mut mon, 200);
+            firing_sample(&mut mon, "burn_rate", t0, 2_000, |mon, now, i| {
+                mon.observe_interaction(now, 10_000, i % period != 0)
+            })
+        };
+        // One in 41 stays under the line: 41 samples hold one bad (2.44 %).
+        assert_eq!(burn(41), None);
+        // One in 40: from the second bad sample on, the fast window holds
+        // two (4.9 %), but the slow window first holds five (3.1 %; four
+        // are 2.48 %) on the fifth, sample 200.
+        assert_eq!(burn(40), Some(200));
     }
 
     #[test]
     fn availability_floor_detects_an_outage_window() {
-        let cfg = quick_cfg();
-        let mut mon = SloMonitor::new(cfg);
-        calibrate(&mut mon, 100);
-        // Total outage: every interaction fails.
-        let mut fired = None;
-        for i in 0..50u64 {
-            let now = 100_000 + 1_000 * (i + 1);
-            mon.observe_interaction(now, 10_000, false);
-            if let Some(&(_, at)) = mon.detections().iter().find(|(d, _)| *d == "availability") {
-                fired = Some((i + 1, at));
-                break;
-            }
-        }
-        let (failures, _) = fired.expect("availability must detect a hard outage");
-        // The 1 s window still holds the 100 clean calibration events, so
-        // good/total = 100/(100 + f) drops below the 0.80 floor at the
-        // 26th failure — quick, bounded, and strictly after the outage.
-        assert!(failures <= 30, "took {failures} failures");
+        let mut mon = SloMonitor::new();
+        let t0 = calibrate(&mut mon, CALIBRATION);
+        // Total outage. The 4 s window holds 41 completions, so f failures
+        // leave (41 − f)/41 good: 33/41 ≈ 0.805 holds the 0.80 floor, and
+        // 32/41 ≈ 0.780 breaks it on the 9th failure.
+        let fired = firing_sample(&mut mon, "availability", t0, 50, |mon, now, _| {
+            mon.observe_interaction(now, 10_000, false)
+        });
+        assert_eq!(fired, Some(9));
         assert_eq!(mon.metrics.incidents.get() as usize, mon.incidents().len());
     }
 
     #[test]
     fn queue_drift_detectors_see_depth_growth_via_the_bound_gauge() {
-        let mut mon = SloMonitor::new(quick_cfg());
-        let gauge = Gauge::new();
-        mon.bind_queue_gauge(gauge.clone());
-        // Calibration: idle-ish queue depth alternating 0/1.
-        for i in 0..40u64 {
-            gauge.set(i % 2);
-            mon.evaluate(1_000 * (i + 1));
-        }
-        // Ramp: depth climbs 2, 4, 6, … — a saturating server.
-        let mut fired = Vec::new();
-        for i in 0..60u64 {
-            gauge.set(2 * (i + 1));
-            mon.evaluate(40_000 + 1_000 * (i + 1));
-            for (d, at) in mon.detections() {
-                if !fired.iter().any(|(fd, _)| *fd == d) {
-                    fired.push((d, at));
-                }
+        let ramp = |detector| {
+            let mut mon = SloMonitor::new();
+            let gauge = Gauge::new();
+            mon.bind_queue_gauge(gauge.clone());
+            // Calibration on an idle-ish queue alternating 0/1: μ₀ = 0.5,
+            // and the sample σ ≈ 0.50 is floored at 1.
+            for i in 1..=CALIBRATION {
+                gauge.set(i % 2);
+                mon.evaluate(GAP_US * i);
             }
-        }
-        assert!(
-            fired.iter().any(|(d, _)| *d == "queue_ewma"),
-            "EWMA must catch the ramp: {fired:?}"
-        );
-        assert!(
-            fired.iter().any(|(d, _)| *d == "queue_cusum"),
-            "CUSUM must catch the ramp: {fired:?}"
-        );
+            // Ramp: depth 2, 4, 6, … — a saturating server.
+            firing_sample(
+                &mut mon,
+                detector,
+                GAP_US * CALIBRATION,
+                40,
+                |mon, now, i| {
+                    gauge.set(2 * i);
+                    mon.evaluate(now)
+                },
+            )
+        };
+        // The EWMA limit is 0.5 + 12·√(1/7) ≈ 5.04; the level runs 0.875,
+        // 1.66, 2.74, 4.06, 5.54 and crosses on sample 5.
+        assert_eq!(ramp("queue_ewma"), Some(5));
+        // CUSUM gains 2i − 4.5 once positive: 1.5, 5, 10.5, … 68 on sample
+        // 10, then 85.5 > hσ = 80 on sample 11.
+        assert_eq!(ramp("queue_cusum"), Some(11));
     }
 
     /// A monitor that saw a conflict, calibrated, then a hard outage.
     fn outage() -> SloMonitor {
-        let mut mon = SloMonitor::new(quick_cfg()).with_label("esrdb-cached/outage");
+        let mut mon = SloMonitor::new().with_label("esrdb-cached/outage");
         mon.set_context(
             "fault_plan",
             Json::obj(vec![("unavailable_per_mille", Json::from(1_000u64))]),
@@ -1036,9 +935,9 @@ pub(crate) mod tests {
             SpanEvent::flat("http.request", 1, 0, 1_000, 2_000, SpanOutcome::Committed),
             conflict,
         ]);
-        calibrate(&mut mon, 100);
-        for i in 0..400u64 {
-            mon.observe_interaction(100_000 + 1_000 * (i + 1), 10_000, false);
+        let t0 = calibrate(&mut mon, CALIBRATION);
+        for i in 1..=50 {
+            mon.observe_interaction(t0 + GAP_US * i, 10_000, false);
         }
         mon
     }
@@ -1065,34 +964,32 @@ pub(crate) mod tests {
 
     #[test]
     fn flight_recorder_rings_stay_bounded() {
-        let cfg = quick_cfg();
-        let mut mon = SloMonitor::new(cfg);
-        let burst: Vec<SpanEvent> = (0..100)
+        let mut mon = SloMonitor::new();
+        let burst: Vec<SpanEvent> = (0..300)
             .map(|i| SpanEvent::flat("db.stmt", 1, 0, i, i + 1, SpanOutcome::Committed))
             .collect();
         mon.observe_spans(&burst);
-        assert_eq!(mon.spans.len(), cfg.span_ring);
-        assert_eq!(mon.spans.front().map(|s| s.start_us), Some(92));
+        assert_eq!(mon.spans.len(), SPAN_RING);
+        assert_eq!(mon.spans.front().map(|s| s.start_us), Some(44));
         for i in 0..1_000u64 {
-            mon.observe_interaction(cfg.recorder_window_us * i, 1_000, true);
+            mon.observe_interaction(RECORDER_WINDOW_US * i, 1_000, true);
         }
-        assert_eq!(mon.windows.len(), cfg.window_ring);
+        assert_eq!(mon.windows.len(), WINDOW_RING);
     }
 
     #[test]
     fn budget_gauge_tracks_remaining_allowance() {
         let metrics = MonitorMetrics::new();
-        let mut mon = SloMonitor::new(quick_cfg()).share_metrics(&metrics);
-        // 100 clean interactions: full budget.
-        calibrate(&mut mon, 100);
+        let mut mon = SloMonitor::new().share_metrics(&metrics);
+        let t0 = calibrate(&mut mon, CALIBRATION);
         assert_eq!(metrics.budget_remaining_ppm.get(), PPM);
-        // One bad in the next 100: 1% objective × 200 events allows 2 bad;
-        // 1 consumed = 50% of allowance.
-        for i in 0..100u64 {
-            mon.observe_interaction(100_000 + 1_000 * (i + 1), 10_000, i != 0);
+        // One bad in the next 1 900: the 0.1 % objective allows 2 bad in
+        // 2 000 events, so 1 consumed is half the allowance.
+        for i in 1..=1_900u64 {
+            mon.observe_interaction(t0 + GAP_US * i, 10_000, i != 1);
         }
         assert_eq!(metrics.budget_remaining_ppm.get(), PPM / 2);
-        assert_eq!(metrics.evaluations.get(), 200);
+        assert_eq!(metrics.evaluations.get(), 2_000);
     }
 
     #[test]

@@ -10,7 +10,6 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use crate::json::Json;
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 
 /// A registered metric handle of any kind.
@@ -144,28 +143,6 @@ impl Registry {
             }
         }
     }
-
-    /// The whole registry as a JSON object (histograms as summary objects).
-    pub fn to_json(&self) -> Json {
-        let mut obj = BTreeMap::new();
-        for (name, value) in self.snapshot() {
-            let v = match value {
-                MetricValue::Counter(n) | MetricValue::Gauge(n) => Json::from(n),
-                MetricValue::Histogram(s) => Json::Obj(BTreeMap::from([
-                    ("count".to_owned(), Json::from(s.count)),
-                    ("sum".to_owned(), Json::from(s.sum)),
-                    ("min".to_owned(), Json::from(s.min)),
-                    ("max".to_owned(), Json::from(s.max)),
-                    ("mean".to_owned(), Json::Num(s.mean)),
-                    ("p50".to_owned(), Json::from(s.p50)),
-                    ("p95".to_owned(), Json::from(s.p95)),
-                    ("p99".to_owned(), Json::from(s.p99)),
-                ])),
-            };
-            obj.insert(name, v);
-        }
-        Json::Obj(obj)
-    }
 }
 
 #[cfg(test)]
@@ -212,16 +189,5 @@ mod tests {
             MetricValue::Histogram(s) => assert_eq!(s.count, 0),
             ref other => panic!("wrong kind {other:?}"),
         }
-    }
-
-    #[test]
-    fn json_snapshot_has_deterministic_order() {
-        let registry = Registry::new();
-        registry.counter("b.second").add(2);
-        registry.counter("a.first").add(1);
-        let text = registry.to_json().render();
-        let a = text.find("a.first").unwrap();
-        let b = text.find("b.second").unwrap();
-        assert!(a < b, "{text}");
     }
 }

@@ -25,8 +25,8 @@ use sli_edge::datastore::{
 use sli_edge::simnet::wire::{self, Reader, Writer};
 use sli_edge::simnet::{HeadLines, HttpRequest, HttpResponse};
 use sli_edge::telemetry::{
-    chrome_trace, validate, ArchReport, Counter, Json, Profile, RunReport, Schema, SloConfig,
-    SloMonitor, SpanDetail, SpanEvent, SpanOutcome, Timeline, TimelineDoc, MAX_JSON_DEPTH,
+    chrome_trace, validate, ArchReport, Counter, Json, Profile, RunReport, Schema, SloMonitor,
+    SpanDetail, SpanEvent, SpanOutcome, Timeline, TimelineDoc, MAX_JSON_DEPTH,
 };
 use sli_edge::trade::model::trade_registry;
 use sli_edge::trade::seed::{create_and_seed, Population};
@@ -481,16 +481,13 @@ fn exported_documents() -> Vec<(Schema, Json)> {
     let mut timelines = TimelineDoc::new("decoders");
     timelines.runs.push(timeline.report("es-rbes @ 40ms"));
 
-    // Clean completions calibrate the detectors; an outage then trips them.
-    let cfg = SloConfig {
-        span_ring: 2,
-        window_ring: 2,
-        ..SloConfig::DEFAULT
-    };
-    let mut monitor = SloMonitor::new(cfg).with_label("decoders");
+    // Clean completions, then an outage that trips the burn rate on its
+    // sixth failure, 820 ms in: the incident holds two spans and two
+    // recorder windows, small enough for the search to walk.
+    let mut monitor = SloMonitor::new().with_label("decoders");
     monitor.observe_spans(&spans);
     for i in 0..1_000u64 {
-        monitor.observe_interaction(10_000 * i, 10_000, i < 200);
+        monitor.observe_interaction(4_000 * i, 10_000, i < 200);
     }
     let incident = monitor
         .incidents()
