@@ -926,6 +926,19 @@ mod tests {
     const SESSIONS_PER_S: f64 = 2.0;
     const FAULT_AT_MS: u64 = 20_000;
 
+    /// Asserts that `detector` fired strictly before every other detector.
+    fn assert_first_page(detections: &[(&'static str, u64)], detector: &str) {
+        let at = detections
+            .iter()
+            .find(|(d, _)| *d == detector)
+            .unwrap_or_else(|| panic!("{detector} must page: {detections:?}"))
+            .1;
+        assert!(
+            detections.iter().all(|(d, t)| *d == detector || *t > at),
+            "{detector} must page first: {detections:?}"
+        );
+    }
+
     #[test]
     fn monitored_run_detects_a_scripted_outage_after_it_starts() {
         let tb = Testbed::build(Architecture::EsRbes, TestbedConfig::default());
@@ -964,14 +977,9 @@ mod tests {
         );
         let detections = monitor.detections();
         // RPC retries turn the outage into slow interactions, so the latency
-        // charts page: they arm only once 100 clean completions calibrated
-        // them.
-        for chart in ["latency_ewma", "latency_cusum"] {
-            assert!(
-                detections.iter().any(|(d, _)| *d == chart),
-                "{chart} must page on the outage: {detections:?}"
-            );
-        }
+        // chart pages first: it arms only once 100 clean completions
+        // calibrated it.
+        assert_first_page(&detections, "latency_ewma");
         for (name, at) in &detections {
             assert!(
                 *at >= truth,
@@ -1135,10 +1143,10 @@ mod tests {
             assert_eq!(run.sessions_completed, 60, "the run must still complete");
             assert_eq!(tb.db.wal_stats().recoveries, 1);
             let detections = monitor.detections();
-            assert!(
-                !detections.is_empty(),
-                "a dead back-end must trip at least one detector"
-            );
+            // A dead back-end looks like the outage above to ES/RBES: RPC
+            // retries slow every interaction, and the latency chart pages
+            // first.
+            assert_first_page(&detections, "latency_ewma");
             let killed_us = (t0 + kill_at).as_micros();
             for (name, at) in &detections {
                 assert!(

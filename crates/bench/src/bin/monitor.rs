@@ -13,7 +13,8 @@
 //!    virtual timestamp of the first *actually injected* fault (recorded
 //!    by the path's fault state, not the dial instant); for the flash
 //!    crowd, the scripted surge instant. The bin reports a detector ×
-//!    fault-class table of detection latencies against that truth.
+//!    fault-class table of detection latencies against that truth, and how
+//!    many (combination, fault) pairs each detector paged strictly first.
 //!
 //! Artifacts: `results/monitor_ttd.csv` (one row per combo × fault ×
 //! detector) and `results/monitor-{arch}-{fault}.incident.json` — the
@@ -23,15 +24,18 @@
 //!
 //! Run with `cargo run --release -p sli-bench --bin monitor`. Pass
 //! `--smoke` for the CI profile (scenarios on one combination, written to
-//! `results/smoke/`). Exits
-//! non-zero if a clean run pages, a scripted disturbance goes undetected,
-//! any detection precedes its ground truth, any detector × fault-class
-//! cell of the aggregate table stays empty, or an artifact fails
-//! validation. Smoke mode is stricter still: its single combination must
-//! light up *all six* detectors for every fault class. Full mode demands
-//! that per cell, not per combination — an architecture that fails fast
-//! under a given fault legitimately never moves the latency or queue
-//! signals (the error-budget detectors catch it instead).
+//! `results/smoke/`). Exits non-zero if a clean run pages, a scripted
+//! disturbance goes undetected, any detection precedes its ground truth,
+//! any detector × fault-class cell of the aggregate table stays empty, or
+//! an artifact fails validation. Full mode also fails unless every detector
+//! in [`DETECTOR_NAMES`] is *strictly* first to page on at least one
+//! (combination, fault) pair: a detector that only ever pages after
+//! another one earns no place in the suite. Smoke mode cannot carry that
+//! gate — on its one combination, `es-rbes`, `burn_rate` is never first —
+//! so it demands instead that every detector fire for every fault class.
+//! Full mode demands firing per cell, not per combination: an architecture
+//! that fails fast under a given fault legitimately never moves the
+//! latency or queue signals (`burn_rate` catches it instead).
 
 use sli_arch::{arch_by_key, ARCH_KEYS};
 use sli_bench::{
@@ -112,7 +116,10 @@ fn main() {
         "truth_us",
     ]);
     // ttd[detector][fault] across combos, for the aggregate table.
-    let mut cells: Vec<Vec<Vec<f64>>> = vec![vec![Vec::new(); FaultClass::ALL.len()]; 6];
+    let mut cells: Vec<Vec<Vec<f64>>> =
+        vec![vec![Vec::new(); FaultClass::ALL.len()]; DETECTOR_NAMES.len()];
+    // The (combination, fault) pairs each detector paged strictly first.
+    let mut first = vec![0usize; DETECTOR_NAMES.len()];
     for key in &combos {
         for fault in FaultClass::ALL {
             let outcome = monitored(key, Some(fault));
@@ -131,6 +138,9 @@ fn main() {
                     fault.key()
                 );
                 failed = true;
+            }
+            if let Some(d) = strictly_first(&outcome.detections) {
+                first[d] += 1;
             }
             for (d, detector) in DETECTOR_NAMES.iter().enumerate() {
                 match outcome.ttd_ms(detector) {
@@ -223,14 +233,48 @@ fn main() {
         }
     }
 
+    let counts: Vec<String> = DETECTOR_NAMES
+        .iter()
+        .zip(&first)
+        .map(|(detector, n)| format!("{detector} {n}"))
+        .collect();
+    println!("Strictly first to page: {}", counts.join(", "));
+    // Each detector must be the one that pages first somewhere, or it
+    // adds nothing an operator would see.
+    if !smoke {
+        for (detector, n) in DETECTOR_NAMES.iter().zip(&first) {
+            if *n == 0 {
+                eprintln!(
+                    "FAIL aggregate: {detector} is never strictly first to page on any \
+                     (combination, fault) pair"
+                );
+                failed = true;
+            }
+        }
+    }
+
     out.csvs.push(("monitor_ttd", csv));
     out.write_or_exit(results_dir(smoke), "monitor_ttd");
 
     if failed {
-        eprintln!("error: the SLO monitor missed a disturbance or paged a clean run");
+        eprintln!(
+            "error: the SLO monitor missed a disturbance, paged a clean run or \
+             kept a detector that never pages first"
+        );
         std::process::exit(1);
     }
     println!("every scripted disturbance detected; no clean run paged");
+}
+
+/// The [`DETECTOR_NAMES`] index of the detector that fired strictly before
+/// every other one, or `None` if nothing fired or the earliest instant is
+/// shared.
+fn strictly_first(detections: &[(&str, u64)]) -> Option<usize> {
+    let &(name, at) = detections.iter().min_by_key(|(_, at)| *at)?;
+    if detections.iter().filter(|(_, t)| *t == at).count() > 1 {
+        return None;
+    }
+    DETECTOR_NAMES.iter().position(|d| *d == name)
 }
 
 /// `median [min..max]` of a cell, or `-` if the cell is empty.

@@ -41,11 +41,10 @@
 //!   counters and gauges sampled into fixed-width windows, exported under
 //!   [`TIMELINE_SCHEMA`], with [`sparkline`] for terminal rendering.
 //! * [`SloMonitor`] / [`Incident`] — *online* SLO detection on virtual
-//!   time: multi-window burn-rate, EWMA/CUSUM drift and availability-floor
-//!   detectors over the same shared handles, plus a flight recorder that
-//!   freezes [`INCIDENT_SCHEMA`] artifacts the instant a detector fires —
-//!   making time-to-detect an exact measurement instead of a dashboard
-//!   anecdote.
+//!   time: multi-window burn-rate and EWMA drift detectors over the same
+//!   shared handles, plus a flight recorder that freezes
+//!   [`INCIDENT_SCHEMA`] artifacts the instant a detector fires — making
+//!   time-to-detect an exact measurement instead of a dashboard anecdote.
 //! * [`validate`] / [`Schema`] — the one check every artifact above goes
 //!   through before it is written and after it is read back: the
 //!   document's embedded id picks its kind, a declarative shape table
