@@ -3,7 +3,7 @@
 //! EXPERIMENTS.md quotes from a checked-in result file are that file's, and
 //! the result files hold the paper's claims by the judge `paper` runs.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 use sli_bench::paper::{factors, judge, records, Results, PAPER, TABLE1};
@@ -114,6 +114,14 @@ fn csv(name: &str) -> Vec<Vec<String>> {
     records(&result(name))
 }
 
+/// The position of column `name` in the header record of `results/{file}`.
+fn column(records: &[Vec<String>], name: &str, file: &str) -> usize {
+    records[0]
+        .iter()
+        .position(|c| c == name)
+        .unwrap_or_else(|| panic!("{file} has no {name} column"))
+}
+
 fn experiments() -> String {
     read(&root().join("EXPERIMENTS.md"))
 }
@@ -148,12 +156,7 @@ fn the_contention_table_quotes_its_csv() {
 fn the_time_to_detect_table_summarises_its_csv() {
     let (header, rows) = table_after(&experiments(), "### Time-to-detect");
     let records = csv("monitor_ttd.csv");
-    let col = |name: &str| {
-        records[0]
-            .iter()
-            .position(|c| c == name)
-            .unwrap_or_else(|| panic!("monitor_ttd.csv has no {name} column"))
-    };
+    let col = |name| column(&records, name, "monitor_ttd.csv");
     let (fault, detector, ttd) = (col("fault"), col("detector"), col("ttd_ms"));
     let all = |c: usize| -> BTreeSet<&str> { records[1..].iter().map(|r| r[c].as_str()).collect() };
     assert_eq!(
@@ -186,6 +189,69 @@ fn the_time_to_detect_table_summarises_its_csv() {
                 row[0]
             );
         }
+    }
+}
+
+/// Each detector's count is the number of (combination, fault) pairs on
+/// which it fired strictly before every other detector; a shared earliest
+/// instant counts for none. Every detector must lead somewhere, and with no
+/// ties the counts cover every pair.
+#[test]
+fn the_first_to_page_table_counts_its_csv() {
+    let (_, rows) = table_after(&experiments(), "#### First to page");
+    let records = csv("monitor_ttd.csv");
+    let col = |name| column(&records, name, "monitor_ttd.csv");
+    let (arch, fault, detector, at) = (
+        col("arch"),
+        col("fault"),
+        col("detector"),
+        col("detected_at_us"),
+    );
+    let mut pairs: BTreeMap<(&str, &str), Vec<(u64, &str)>> = BTreeMap::new();
+    let mut first: BTreeMap<&str, usize> = BTreeMap::new();
+    for r in &records[1..] {
+        let fired = r[at].parse().expect("an integer detected_at_us");
+        let pair = (r[arch].as_str(), r[fault].as_str());
+        pairs
+            .entry(pair)
+            .or_default()
+            .push((fired, r[detector].as_str()));
+        first.entry(r[detector].as_str()).or_default();
+    }
+    for fired in pairs.values_mut() {
+        fired.sort_unstable();
+        match fired[..] {
+            [(t, _), (u, _), ..] if t == u => {}
+            [(_, lead), ..] => *first.get_mut(lead).expect("a counted detector") += 1,
+            [] => unreachable!("a pair is made by its first row"),
+        }
+    }
+    for (name, n) in &first {
+        assert_ne!(
+            *n, 0,
+            "{name} is never strictly first to page in monitor_ttd.csv"
+        );
+    }
+    assert_eq!(
+        first.values().sum::<usize>(),
+        pairs.len(),
+        "a pair's first page is tied"
+    );
+    assert_eq!(
+        rows.len(),
+        first.len(),
+        "one table row per monitor_ttd.csv detector"
+    );
+    for row in &rows {
+        let n = first
+            .get(row[0].as_str())
+            .unwrap_or_else(|| panic!("{} has no row in monitor_ttd.csv", row[0]));
+        assert_eq!(
+            row[1],
+            n.to_string(),
+            "EXPERIMENTS.md's count for {}",
+            row[0]
+        );
     }
 }
 
