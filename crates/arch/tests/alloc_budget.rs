@@ -226,7 +226,10 @@ fn message_path_stays_within_its_allocation_budget() {
     // (g) A whole buy on ES/RBES, the split-servers write path: images
     // faulted from the back-end, the transaction's state shipped as one
     // commit request, validated and applied image by image next to the
-    // database, logged and invalidated: 122. It was 147 while the HTTP hop
+    // database, logged and invalidated: 93. It was 122 while bean names
+    // were copied into the context, the references and the commit entries,
+    // each decoded image spelled its own key and values, and the commit
+    // point built its statements afresh; 147 while the HTTP hop
     // owned its request's parts and copied its page out, 174 while
     // results were lists of rows and the back-end wrote an
     // invalidation frame for a tier whose one edge is the committing one,
@@ -240,7 +243,7 @@ fn message_path_stays_within_its_allocation_budget() {
         allocs
     });
     assert!(
-        allocs <= 122,
+        allocs <= 93,
         "VirtualClient::perform({buy}) on ES/RBES: {allocs} allocations"
     );
 }

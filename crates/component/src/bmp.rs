@@ -19,7 +19,9 @@
 //! the worst latency sensitivity (23.6) of all ES/RDB configurations in
 //! Table 2.
 
-use sli_datastore::{DbError, Predicate, Value};
+use std::sync::Arc;
+
+use sli_datastore::{BatchStatement, DbError, Predicate, Value};
 
 use crate::context::TxContext;
 use crate::error::EjbError;
@@ -51,6 +53,12 @@ impl BmpHome {
         BmpHome { meta, conn }
     }
 
+    /// The bean's name as the descriptor holds it, shared by every
+    /// enlisted instance and reference.
+    fn name(&self) -> Arc<str> {
+        Arc::clone(self.meta.image_names().bean())
+    }
+
     /// SQL text for a named finder (primary keys only — BMP finders return
     /// keys, and each bean loads separately).
     fn finder_sql(&self, predicate: &Predicate) -> String {
@@ -58,7 +66,7 @@ impl BmpHome {
         let table = self.meta.table();
         match predicate {
             Predicate::True => format!("SELECT {key} FROM {table}"),
-            p => format!("SELECT {key} FROM {table} WHERE {}", p.to_sql()),
+            p => format!("SELECT {key} FROM {table} WHERE {p}"),
         }
     }
 
@@ -81,7 +89,7 @@ impl BmpHome {
             return Err(EjbError::not_found(bean, key));
         }
         let image = self.meta.memento_from_row(&rs.rows()[0]);
-        ctx.enlist(bean, key).load_from(&image);
+        ctx.enlist(self.name(), key).load_from(&image);
         Ok(())
     }
 }
@@ -100,8 +108,9 @@ impl Home for BmpHome {
         // ejbCreate inserts immediately: the key, then every declared field
         // (NULL where `state` has none) — which is also the row the bean's
         // in-transaction state is read back from.
-        let params = self.meta.insert_params(&state);
-        match self.conn.lock().execute(self.meta.insert_sql(), &params) {
+        let mut insert = BatchStatement::default();
+        self.meta.insert_statement(&mut insert, &state);
+        match self.conn.lock().execute(&insert.sql, &insert.params) {
             Ok(_) => {}
             Err(DbError::DuplicateKey(_)) => {
                 return Err(EjbError::DuplicateKey {
@@ -111,13 +120,13 @@ impl Home for BmpHome {
             }
             Err(e) => return Err(e.into()),
         }
-        let inst = ctx.enlist(bean, key);
-        inst.current = Some(self.meta.memento_from_row(&params));
+        let inst = ctx.enlist(self.name(), key);
+        inst.current = Some(self.meta.memento_from_row(&insert.params));
         inst.loaded = true;
         inst.exists = true;
         inst.created = true;
         inst.dirty = false;
-        Ok(EjbRef::new(bean, key.clone()))
+        Ok(EjbRef::new(self.name(), key.clone()))
     }
 
     fn find_by_primary_key(&self, ctx: &mut TxContext, key: &Value) -> EjbResult<EjbRef> {
@@ -131,20 +140,19 @@ impl Home for BmpHome {
         if rs.is_empty() {
             return Err(EjbError::not_found(bean, key));
         }
-        ctx.enlist(bean, key).exists = true;
-        Ok(EjbRef::new(bean, key.clone()))
+        ctx.enlist(self.name(), key).exists = true;
+        Ok(EjbRef::new(self.name(), key.clone()))
     }
 
     fn find(&self, ctx: &mut TxContext, finder: &str, params: &[Value]) -> EjbResult<Vec<EjbRef>> {
-        let bean = self.meta.bean();
         let def = self.meta.finder_def(finder)?;
         let sql = self.finder_sql(&def.predicate);
         let rs = self.conn.lock().execute(&sql, params)?;
         let mut refs = Vec::with_capacity(rs.len());
         for row in rs.rows() {
             let key = row[0].clone();
-            ctx.enlist(bean, &key).exists = true;
-            refs.push(EjbRef::new(bean, key));
+            ctx.enlist(self.name(), &key).exists = true;
+            refs.push(EjbRef::new(self.name(), key));
         }
         Ok(refs)
     }
@@ -158,7 +166,7 @@ impl Home for BmpHome {
         if rs.affected_rows() == 0 {
             return Err(EjbError::not_found(bean, key));
         }
-        let inst = ctx.enlist(bean, key);
+        let inst = ctx.enlist(self.name(), key);
         inst.removed = true;
         inst.dirty = false;
         Ok(())
@@ -197,15 +205,17 @@ impl Home for BmpHome {
         // ejbStore: one UPDATE per dirty live instance of this type.
         let dirty_keys: Vec<Value> = ctx
             .iter()
-            .filter(|(b, _, st)| *b == bean && st.dirty && !st.removed)
+            .filter(|(b, _, st)| ***b == *bean && st.dirty && !st.removed)
             .map(|(_, k, _)| k.clone())
             .collect();
+        let mut update = BatchStatement::default();
         for key in dirty_keys {
             let inst = ctx
                 .instance_mut(bean, &key)
                 .expect("key collected from iteration");
-            let params = self.meta.update_params(&inst.to_memento(bean, &key));
-            self.conn.lock().execute(self.meta.update_sql(), &params)?;
+            let image = inst.to_memento(bean, &key);
+            self.meta.update_statement(&mut update, &image);
+            self.conn.lock().execute(&update.sql, &update.params)?;
             inst.dirty = false;
         }
         Ok(())
@@ -217,7 +227,6 @@ mod tests {
     use super::*;
     use crate::share_connection;
     use sli_datastore::{CmpOp, ColumnType, Database, SqlConnection};
-    use std::sync::Arc;
 
     fn holding_meta() -> EntityMeta {
         EntityMeta::new("Holding", "holding", "id", ColumnType::Int)

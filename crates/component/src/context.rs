@@ -107,19 +107,29 @@ impl TxContext {
         self.position(bean, key).map(|i| &mut self.instances[i].2)
     }
 
-    /// Fetches or creates the instance entry for (`bean`, `key`).
-    pub fn enlist(&mut self, bean: &str, key: &Value) -> &mut InstanceState {
-        let i = self.position(bean, key).unwrap_or_else(|| {
-            self.instances
-                .push((bean.into(), key.clone(), InstanceState::default()));
-            self.instances.len() - 1
-        });
+    /// Fetches or creates the instance entry for (`bean`, `key`). The bean
+    /// name is converted only when a new instance is enlisted, so a home
+    /// that passes its descriptor's shared name makes the context point at
+    /// it.
+    pub fn enlist(
+        &mut self,
+        bean: impl Into<Arc<str>> + AsRef<str>,
+        key: &Value,
+    ) -> &mut InstanceState {
+        let i = match self.position(bean.as_ref(), key) {
+            Some(i) => i,
+            None => {
+                self.instances
+                    .push((bean.into(), key.clone(), InstanceState::default()));
+                self.instances.len() - 1
+            }
+        };
         &mut self.instances[i].2
     }
 
     /// Iterates enlisted instances in first-touch order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Value, &InstanceState)> {
-        self.instances.iter().map(|(b, k, st)| (&**b, k, st))
+    pub fn iter(&self) -> impl Iterator<Item = (&Arc<str>, &Value, &InstanceState)> {
+        self.instances.iter().map(|(b, k, st)| (b, k, st))
     }
 
     /// Number of enlisted instances.
@@ -149,7 +159,7 @@ mod tests {
         ctx.enlist("Quote", &Value::from("q"));
         ctx.enlist("Account", &Value::from("a")).dirty = true;
         assert_eq!(ctx.len(), 2);
-        let touched: Vec<&str> = ctx.iter().map(|(b, _, _)| b).collect();
+        let touched: Vec<&str> = ctx.iter().map(|(b, _, _)| &**b).collect();
         assert_eq!(touched, vec!["Account", "Quote"]);
         let acct = ctx.instance("Account", &Value::from("a")).unwrap();
         assert!(acct.exists && acct.dirty);
@@ -189,6 +199,16 @@ mod tests {
         assert_eq!(st.field("balance"), Value::from(11.0));
         assert_eq!(st.before.as_ref(), Some(&image));
         assert_eq!(image.get("balance"), Some(&Value::from(10.0)));
+    }
+
+    #[test]
+    fn an_enlisted_instance_points_at_the_name_it_was_given() {
+        let mut ctx = TxContext::new();
+        let bean: Arc<str> = Arc::from("Account");
+        ctx.enlist(Arc::clone(&bean), &Value::from("a"));
+        ctx.enlist("Account", &Value::from("a")).dirty = true;
+        let (name, _, st) = ctx.iter().next().unwrap();
+        assert!(Arc::ptr_eq(name, &bean) && st.dirty);
     }
 
     #[test]

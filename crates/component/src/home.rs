@@ -1,6 +1,7 @@
 //! The Home interface and bean references.
 
 use std::fmt;
+use std::sync::Arc;
 
 use sli_datastore::Value;
 
@@ -16,13 +17,14 @@ use crate::EjbResult;
 /// can mediate loading, caching and dirty tracking.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EjbRef {
-    bean: String,
+    bean: Arc<str>,
     key: Value,
 }
 
 impl EjbRef {
-    /// Creates a reference to bean `bean` with identity `key`.
-    pub fn new(bean: impl Into<String>, key: Value) -> EjbRef {
+    /// Creates a reference to bean `bean` with identity `key`. A home
+    /// passes its descriptor's shared name.
+    pub fn new(bean: impl Into<Arc<str>>, key: Value) -> EjbRef {
         EjbRef {
             bean: bean.into(),
             key,

@@ -10,10 +10,11 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use sli_datastore::{ColumnType, Predicate, Value};
+use sli_datastore::{BatchStatement, ColumnType, Predicate, Value};
+use sli_simnet::wire::Writer;
 
 use crate::error::EjbError;
-use crate::memento::ImageNames;
+use crate::memento::{encode_image, ImageNames};
 use crate::EjbResult;
 
 /// A non-key persistent field.
@@ -245,71 +246,85 @@ impl EntityMeta {
         &self.sql.delete
     }
 
-    /// A `WHERE` fragment matching the key *and every field value* of
-    /// `before` — the single-statement optimistic check: a conditional
-    /// `UPDATE`/`DELETE` using this clause affects one row exactly when the
-    /// persistent image still equals the before-image. NULL fields compare
-    /// with `IS NULL`. Returns the SQL fragment and the parameters it
-    /// binds.
-    pub fn before_image_where(&self, before: &crate::Memento) -> (String, Vec<Value>) {
-        let params = Vec::with_capacity(self.fields.len() + 1);
-        self.with_before_image(&[&self.key_field, " = ?"], params, before)
+    /// `stmt` becomes [`EntityMeta::load_sql`] binding `key`.
+    pub fn load_statement(&self, stmt: &mut BatchStatement, key: &Value) {
+        restart(stmt, &self.sql.load);
+        stmt.params.push(key.clone());
     }
 
-    /// `stem` — a statement that ends in `<key> = ?`, in parts — with the
-    /// before-image check appended: ` AND f = ?` or ` AND f IS NULL` per
-    /// field, written into one text of the right size. `params` holds what
-    /// the stem binds before the key; the key and the checked values follow.
-    fn with_before_image(
+    /// `stmt` becomes [`EntityMeta::insert_sql`] binding the key, then the
+    /// declared fields of `image` (missing ones NULL).
+    pub fn insert_statement(&self, stmt: &mut BatchStatement, image: &crate::Memento) {
+        restart(stmt, &self.sql.insert);
+        stmt.params.push(image.primary_key().clone());
+        self.bind_fields(stmt, image);
+    }
+
+    /// `stmt` becomes [`EntityMeta::update_sql`] binding the declared
+    /// fields of `image` (missing ones NULL), then the key.
+    pub fn update_statement(&self, stmt: &mut BatchStatement, image: &crate::Memento) {
+        restart(stmt, &self.sql.update);
+        self.bind_fields(stmt, image);
+        stmt.params.push(image.primary_key().clone());
+    }
+
+    /// `stmt` becomes [`EntityMeta::delete_sql`] binding `key`.
+    pub fn delete_statement(&self, stmt: &mut BatchStatement, key: &Value) {
+        restart(stmt, &self.sql.delete);
+        stmt.params.push(key.clone());
+    }
+
+    /// `stmt` becomes `UPDATE <table> SET f = ?, ... WHERE <before-image
+    /// clause>` — the one-access-per-image optimistic update:
+    /// [`EntityMeta::update_sql`] with the before-image check appended. It
+    /// binds the new field values, then the before-image's.
+    pub fn conditional_update_statement(
         &self,
-        stem: &[&str],
-        mut params: Vec<Value>,
+        stmt: &mut BatchStatement,
         before: &crate::Memento,
-    ) -> (String, Vec<Value>) {
+        after: &crate::Memento,
+    ) {
+        restart(stmt, &self.sql.update);
+        self.bind_fields(stmt, after);
+        self.check_before_image(stmt, before);
+    }
+
+    /// `stmt` becomes `DELETE FROM <table> WHERE <before-image clause>` —
+    /// the one-access-per-image optimistic remove:
+    /// [`EntityMeta::delete_sql`] with the before-image check appended.
+    pub fn conditional_delete_statement(&self, stmt: &mut BatchStatement, before: &crate::Memento) {
+        restart(stmt, &self.sql.delete);
+        self.check_before_image(stmt, before);
+    }
+
+    /// Binds `image`'s declared fields in declaration order, NULL where it
+    /// has none.
+    fn bind_fields(&self, stmt: &mut BatchStatement, image: &crate::Memento) {
+        let values = self.fields.iter().map(|f| image.get(&f.name));
+        stmt.params
+            .extend(values.map(|value| value.cloned().unwrap_or(Value::Null)));
+    }
+
+    /// Appends the before-image check to a statement that ends in
+    /// `<key> = ?` — ` AND f = ?` or ` AND f IS NULL` per field, so that it
+    /// affects one row exactly when the persistent image still equals
+    /// `before` — and binds the key and the checked values.
+    fn check_before_image(&self, stmt: &mut BatchStatement, before: &crate::Memento) {
         let per_field = " AND ".len() + " IS NULL".len();
         let check: usize = self.fields.iter().map(|f| per_field + f.name.len()).sum();
-        let mut sql = String::with_capacity(stem.iter().map(|s| s.len()).sum::<usize>() + check);
-        stem.iter().for_each(|part| sql.push_str(part));
-        params.push(before.primary_key().clone());
+        stmt.sql.reserve(check);
+        stmt.params.push(before.primary_key().clone());
         for f in &self.fields {
-            sql.push_str(" AND ");
-            sql.push_str(&f.name);
+            stmt.sql.push_str(" AND ");
+            stmt.sql.push_str(&f.name);
             match before.get(&f.name) {
-                Some(Value::Null) | None => sql.push_str(" IS NULL"),
+                Some(Value::Null) | None => stmt.sql.push_str(" IS NULL"),
                 Some(v) => {
-                    sql.push_str(" = ?");
-                    params.push(v.clone());
+                    stmt.sql.push_str(" = ?");
+                    stmt.params.push(v.clone());
                 }
             }
         }
-        (sql, params)
-    }
-
-    /// `UPDATE <table> SET f = ?, ... WHERE <before-image clause>` — the
-    /// one-access-per-image optimistic update: [`EntityMeta::update_sql`]
-    /// with the before-image check appended. Returns the SQL and the full
-    /// parameter vector (new field values, then the before-image
-    /// parameters).
-    pub fn conditional_update_sql(
-        &self,
-        before: &crate::Memento,
-        after: &crate::Memento,
-    ) -> (String, Vec<Value>) {
-        let mut params = Vec::with_capacity(2 * self.fields.len() + 1);
-        params.extend(
-            self.fields
-                .iter()
-                .map(|f| after.get(&f.name).cloned().unwrap_or(Value::Null)),
-        );
-        self.with_before_image(&[&self.sql.update], params, before)
-    }
-
-    /// `DELETE FROM <table> WHERE <before-image clause>` — the
-    /// one-access-per-image optimistic remove: [`EntityMeta::delete_sql`]
-    /// with the before-image check appended.
-    pub fn conditional_delete_sql(&self, before: &crate::Memento) -> (String, Vec<Value>) {
-        let params = Vec::with_capacity(self.fields.len() + 1);
-        self.with_before_image(&[&self.sql.delete], params, before)
     }
 
     /// Builds a memento from a row laid out as [`EntityMeta::select_columns`]
@@ -321,6 +336,17 @@ impl EntityMeta {
             .map(|(name, &i)| (Arc::clone(name), row[i + 1].clone()))
             .collect();
         crate::Memento::from_sorted(Arc::clone(self.names.bean()), row[0].clone(), fields)
+    }
+
+    /// Writes the wire form of the image `row` (laid out as for
+    /// [`EntityMeta::memento_from_row`]) is — byte for byte what
+    /// `self.memento_from_row(row).encode(w)` writes, with no image built.
+    pub fn encode_row(&self, row: &[Value], w: &mut Writer) {
+        let names = self.names.fields().iter();
+        let fields = names
+            .zip(&self.by_name)
+            .map(|(name, &i)| (&**name, &row[i + 1]));
+        encode_image(w, self.bean(), &row[0], fields);
     }
 
     /// Whether `row` (laid out as for [`EntityMeta::memento_from_row`]) is
@@ -337,29 +363,6 @@ impl EntityMeta {
                 .iter()
                 .zip(&row[1..])
                 .all(|(f, cell)| image.get(&f.name) == Some(cell))
-    }
-
-    /// Parameter vector for [`EntityMeta::insert_sql`]: key, then declared
-    /// fields (missing ones become NULL).
-    pub fn insert_params(&self, image: &crate::Memento) -> Vec<Value> {
-        let mut params = Vec::with_capacity(self.fields.len() + 1);
-        params.push(image.primary_key().clone());
-        for f in &self.fields {
-            params.push(image.get(&f.name).cloned().unwrap_or(Value::Null));
-        }
-        params
-    }
-
-    /// Parameter vector for [`EntityMeta::update_sql`]: declared fields,
-    /// then the key.
-    pub fn update_params(&self, image: &crate::Memento) -> Vec<Value> {
-        let mut params: Vec<Value> = self
-            .fields
-            .iter()
-            .map(|f| image.get(&f.name).cloned().unwrap_or(Value::Null))
-            .collect();
-        params.push(image.primary_key().clone());
-        params
     }
 
     /// `CREATE TABLE` DDL for the backing table.
@@ -438,6 +441,13 @@ impl EntityMeta {
     }
 }
 
+/// Empties `stmt`, keeping its buffers, and starts its text with `sql`.
+fn restart(stmt: &mut BatchStatement, sql: &str) {
+    stmt.sql.clear();
+    stmt.sql.push_str(sql);
+    stmt.params.clear();
+}
+
 fn ddl_type(ty: ColumnType) -> &'static str {
     match ty {
         ColumnType::Int => "INT",
@@ -509,16 +519,23 @@ mod tests {
         assert_eq!(m.finders().count(), 1);
     }
 
+    /// What `build` writes into a statement that held something else.
+    fn built(build: impl FnOnce(&mut BatchStatement)) -> (String, Vec<Value>) {
+        let mut stmt = BatchStatement::new("SELECT stale FROM t WHERE x = ?", vec![Value::from(0)]);
+        build(&mut stmt);
+        (stmt.sql, stmt.params)
+    }
+
     #[test]
-    fn before_image_where_handles_nulls() {
+    fn before_image_check_handles_nulls() {
         let m = holding_meta();
         let before = crate::Memento::new("Holding", Value::from(7))
             .with_field("owner", "uid:1")
             .with_field("qty", 5.0); // symbol missing → NULL
-        let (clause, params) = m.before_image_where(&before);
+        let (sql, params) = built(|stmt| m.conditional_delete_statement(stmt, &before));
         assert_eq!(
-            clause,
-            "id = ? AND owner = ? AND symbol IS NULL AND qty = ?"
+            sql,
+            "DELETE FROM holding WHERE id = ? AND owner = ? AND symbol IS NULL AND qty = ?"
         );
         assert_eq!(
             params,
@@ -527,7 +544,7 @@ mod tests {
     }
 
     #[test]
-    fn conditional_update_sql_sets_after_and_matches_before() {
+    fn conditional_update_sets_after_and_matches_before() {
         let m = holding_meta();
         let before = crate::Memento::new("Holding", Value::from(7))
             .with_field("owner", "uid:1")
@@ -535,7 +552,7 @@ mod tests {
             .with_field("qty", 5.0);
         let mut after = before.clone();
         after.set("qty", 6.0);
-        let (sql, params) = m.conditional_update_sql(&before, &after);
+        let (sql, params) = built(|stmt| m.conditional_update_statement(stmt, &before, &after));
         assert_eq!(
             sql,
             "UPDATE holding SET owner = ?, symbol = ?, qty = ? \
@@ -547,13 +564,13 @@ mod tests {
     }
 
     #[test]
-    fn conditional_delete_sql_matches_full_image() {
+    fn conditional_delete_matches_full_image() {
         let m = holding_meta();
         let before = crate::Memento::new("Holding", Value::from(7))
             .with_field("owner", "uid:1")
             .with_field("symbol", "s:1")
             .with_field("qty", 5.0);
-        let (sql, params) = m.conditional_delete_sql(&before);
+        let (sql, params) = built(|stmt| m.conditional_delete_statement(stmt, &before));
         assert!(sql.starts_with("DELETE FROM holding WHERE id = ?"));
         assert_eq!(params.len(), 4);
     }
@@ -615,19 +632,42 @@ mod tests {
     }
 
     #[test]
-    fn insert_and_update_params_align_with_sql() {
+    fn key_statements_bind_what_their_sql_names() {
         let m = holding_meta();
         let image = crate::Memento::new("Holding", Value::from(3)).with_field("qty", 1.5);
-        let ins = m.insert_params(&image);
+        let (sql, ins) = built(|stmt| m.insert_statement(stmt, &image));
+        assert_eq!(sql, m.insert_sql());
         assert_eq!(
             ins,
             vec![Value::from(3), Value::Null, Value::Null, Value::from(1.5)]
         );
-        let upd = m.update_params(&image);
+        let (sql, upd) = built(|stmt| m.update_statement(stmt, &image));
+        assert_eq!(sql, m.update_sql());
         assert_eq!(
             upd,
             vec![Value::Null, Value::Null, Value::from(1.5), Value::from(3)]
         );
+        let key = Value::from(3);
+        let load = built(|stmt| m.load_statement(stmt, &key));
+        assert_eq!(load, (m.load_sql().to_owned(), vec![Value::from(3)]));
+        let delete = built(|stmt| m.delete_statement(stmt, &key));
+        assert_eq!(delete, (m.delete_sql().to_owned(), vec![Value::from(3)]));
+    }
+
+    #[test]
+    fn a_row_encodes_as_its_image_does() {
+        let twice = EntityMeta::new("T", "t", "id", ColumnType::Int)
+            .field("b", ColumnType::Varchar)
+            .field("a", ColumnType::Int)
+            .field("b", ColumnType::Varchar);
+        for m in [holding_meta(), twice] {
+            let row: Vec<Value> = (0..=m.fields().len() as i64).map(Value::from).collect();
+            let mut built = Writer::new();
+            m.memento_from_row(&row).encode(&mut built);
+            let mut direct = Writer::new();
+            m.encode_row(&row, &mut direct);
+            assert_eq!(direct.finish(), built.finish(), "{}", m.bean());
+        }
     }
 
     #[test]

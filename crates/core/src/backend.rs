@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use sli_component::{EjbError, EjbResult, ImageNames, Memento};
+use sli_component::{EjbError, EjbResult, ImageNames, Memento, Template};
 use sli_datastore::{Predicate, SqlConnection, Value};
 use sli_simnet::wire::{protocol, unframe, DecodeError, Reader, Writer};
 use sli_simnet::{CallError, Clock, Remote, Service, SimDuration};
@@ -19,9 +19,7 @@ use sli_simnet::{CallError, Clock, Remote, Service, SimDuration};
 use sli_telemetry::{SpanOutcome, Tracer};
 
 use crate::commit::{CommitOutcome, CommitRequest};
-use crate::committer::{
-    fetch_current, query_current, CommitPoint, CommitStep, CommitTracer, Committer, Decision,
-};
+use crate::committer::{query_current, CommitPoint, CommitStep, CommitTracer, Committer, Decision};
 use crate::registry::MetaRegistry;
 use crate::source::StateSource;
 use crate::store::encode_invalidations;
@@ -186,14 +184,20 @@ impl BackendServer {
         let mut w = Writer::framed();
         w.put_u8(STATUS_OK);
         match op {
+            // A reply's images are written from the rows, as the images
+            // built from them would encode.
             OP_FETCH => {
                 let bean = r.get_str_view().map_err(wire_err)?;
                 let key = Value::decode(r).map_err(wire_err)?;
                 let meta = self.point.registry().meta(&bean)?;
-                match fetch_current(self.point.conn().as_mut(), meta, &key)? {
-                    Some(m) => {
+                let mut session = self.point.session();
+                let rs = session
+                    .conn
+                    .execute(meta.load_sql(), std::slice::from_ref(&key))?;
+                match rs.rows().first() {
+                    Some(row) => {
                         w.put_bool(true);
-                        m.encode(&mut w);
+                        meta.encode_row(row, &mut w);
                         self.clock.advance(PER_IMAGE);
                     }
                     None => {
@@ -206,10 +210,10 @@ impl BackendServer {
                 let bean = r.get_str_view().map_err(wire_err)?;
                 let predicate = Predicate::decode(r).map_err(wire_err)?;
                 let meta = self.point.registry().meta(&bean)?;
-                let rs = query_current(self.point.conn().as_mut(), meta, &predicate)?;
+                let rs = query_current(&mut self.point.session(), meta, &predicate)?;
                 w.put_u32(rs.len() as u32);
                 for row in rs.rows() {
-                    meta.memento_from_row(row).encode(&mut w);
+                    meta.encode_row(row, &mut w);
                 }
                 self.clock
                     .advance(PER_IMAGE.saturating_mul(rs.len() as u64));
@@ -328,7 +332,8 @@ impl StateSource for BackendSource {
         let mut r = round_trip(&self.remote, w)?;
         if r.get_bool().map_err(wire_err)? {
             Ok(Some(
-                Memento::decode(&mut r, self.registry.image_names(bean)).map_err(wire_err)?,
+                Memento::decode(&mut r, self.registry.image_names(bean), Template::default())
+                    .map_err(wire_err)?,
             ))
         } else {
             Ok(None)
@@ -351,7 +356,7 @@ fn decode_images(r: &mut Reader, names: Option<&ImageNames>) -> Result<Vec<Memen
     // remaining bytes can hold, not for the count they announce.
     let mut out = Vec::with_capacity(n.min(r.remaining() / Memento::MIN_ENCODED_LEN));
     for _ in 0..n {
-        out.push(Memento::decode(r, names)?);
+        out.push(Memento::decode(r, names, Template::default())?);
     }
     Ok(out)
 }

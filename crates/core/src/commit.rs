@@ -1,8 +1,10 @@
 //! The optimistic commit request: before- and after-images of everything a
 //! transaction touched.
 
+use std::sync::Arc;
+
 use bytes::Bytes;
-use sli_component::{InstanceState, Memento, TxContext};
+use sli_component::{InstanceState, Memento, Template, TxContext};
 use sli_datastore::Value;
 use sli_simnet::wire::{DecodeError, Reader, Writer};
 
@@ -56,8 +58,9 @@ impl EntryKind {
 /// One bean's contribution to a commit request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommitEntry {
-    /// Bean type name.
-    pub bean: String,
+    /// Bean type name: the deployment descriptor's own where the request
+    /// was built by a home or decoded against a registry.
+    pub bean: Arc<str>,
     /// Bean identity.
     pub key: Value,
     /// Life-cycle classification plus images.
@@ -102,7 +105,7 @@ impl CommitRequest {
         for (bean, key, st) in ctx.iter() {
             if let Some(kind) = Self::classify(bean, key, st) {
                 entries.push(CommitEntry {
-                    bean: bean.to_owned(),
+                    bean: Arc::clone(bean),
                     key: key.clone(),
                     kind,
                 });
@@ -149,7 +152,7 @@ impl CommitRequest {
         self.entries
             .iter()
             .filter(|e| e.kind.is_write())
-            .map(|e| (e.bean.as_str(), &e.key))
+            .map(|e| (&*e.bean, &e.key))
     }
 
     /// Encodes the request to a wire frame.
@@ -180,9 +183,12 @@ impl CommitRequest {
         }
     }
 
-    /// Decodes a request from a wire frame. Each entry's images share the
-    /// names of the descriptor `registry` holds for the entry's bean (an
-    /// unknown bean's images own theirs; see [`Memento::decode`]).
+    /// Decodes a request from a wire frame. Each entry's bean name and its
+    /// images' names are those of the descriptor `registry` holds for the
+    /// bean (an unknown bean's entry and images own theirs; see
+    /// [`Memento::decode`]). What an entry already spelled is not copied
+    /// again: each image's key shares the entry's, and an update's
+    /// after-image shares every value its before-image spells alike.
     ///
     /// # Errors
     /// Returns [`DecodeError`] on truncation or unknown tags.
@@ -194,22 +200,25 @@ impl CommitRequest {
         // remaining bytes can hold (each carries at least one image).
         let mut entries = Vec::with_capacity(n.min(r.remaining() / Memento::MIN_ENCODED_LEN));
         for _ in 0..n {
-            let bean = r.get_str()?;
+            let spelled = r.get_str_view()?;
+            let names = registry.image_names(&spelled);
+            let bean = names.map_or_else(|| Arc::from(&*spelled), |n| Arc::clone(n.bean()));
             let key = Value::decode(r)?;
-            let names = registry.image_names(&bean);
+            let first = Template::keyed(&key);
             let kind = match r.get_u8()? {
                 0 => EntryKind::Read {
-                    before: Memento::decode(r, names)?,
+                    before: Memento::decode(r, names, first)?,
                 },
-                1 => EntryKind::Update {
-                    before: Memento::decode(r, names)?,
-                    after: Memento::decode(r, names)?,
-                },
+                1 => {
+                    let before = Memento::decode(r, names, first)?;
+                    let after = Memento::decode(r, names, Template::of(&before))?;
+                    EntryKind::Update { before, after }
+                }
                 2 => EntryKind::Create {
-                    after: Memento::decode(r, names)?,
+                    after: Memento::decode(r, names, first)?,
                 },
                 3 => EntryKind::Remove {
-                    before: Memento::decode(r, names)?,
+                    before: Memento::decode(r, names, first)?,
                 },
                 _ => return Err(DecodeError::new("commit entry tag")),
             };

@@ -2,6 +2,7 @@
 //! decide commits through.
 
 use std::collections::{HashMap, VecDeque};
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -272,7 +273,7 @@ fn conflict_info(
         _ => None,
     };
     ConflictInfo {
-        bean: entry.bean.clone(),
+        bean: entry.bean.to_string(),
         key: entry.key.to_string(),
         field,
         expected_digest: expected.map(memento_digest).unwrap_or(0),
@@ -285,12 +286,19 @@ fn conflict_info(
 /// failed validation, after which nothing stays applied.
 type Verdict = Option<ConflictInfo>;
 
-/// A validation protocol: [`in_rounds`] or [`per_image`]. The flag is the
-/// checker's seeded bug (`slicheck --inject-bug`): when set, `Update`
-/// entries apply without validating their before-image — the classic
-/// lost-update anomaly optimistic validation exists to prevent.
-type Validator =
-    fn(&mut dyn SqlConnection, &MetaRegistry, &CommitRequest, bool) -> EjbResult<Verdict>;
+/// A validation protocol: [`in_rounds`] or [`per_image`], writing its
+/// statements into the buffers it is handed (refilled in place, so a warm
+/// session's decisions build no statement). The flag is the checker's
+/// seeded bug (`slicheck --inject-bug`): when set, `Update` entries apply
+/// without validating their before-image — the classic lost-update anomaly
+/// optimistic validation exists to prevent.
+type Validator = fn(
+    &mut dyn SqlConnection,
+    &mut Vec<BatchStatement>,
+    &MetaRegistry,
+    &CommitRequest,
+    bool,
+) -> EjbResult<Verdict>;
 
 /// The outcome a verdict means to the application.
 fn outcome_of(verdict: &Verdict) -> CommitOutcome {
@@ -339,36 +347,44 @@ pub fn validate_and_apply(
     registry: &MetaRegistry,
     request: &CommitRequest,
 ) -> EjbResult<CommitOutcome> {
-    in_rounds(conn, registry, request, false).map(|verdict| outcome_of(&verdict))
+    let mut stmts = Vec::new();
+    in_rounds(conn, &mut stmts, registry, request, false).map(|verdict| outcome_of(&verdict))
 }
 
 fn in_rounds(
     conn: &mut dyn SqlConnection,
+    stmts: &mut Vec<BatchStatement>,
     registry: &MetaRegistry,
     request: &CommitRequest,
     unchecked_writes: bool,
 ) -> EjbResult<Verdict> {
-    let single = request.entries.len() == 1;
+    let entries = &request.entries;
+    let single = entries.len() == 1;
     in_transaction(conn, true, |conn| {
-        for round in distinct_key_rounds(&request.entries) {
-            let metas = metas_of(registry, round)?;
-            let fetches: Vec<BatchStatement> = round
-                .iter()
-                .zip(&metas)
-                .map(|(e, meta)| BatchStatement::new(meta.load_sql(), vec![e.key.clone()]))
-                .collect();
-            let fetched = ship(conn, &fetches, single)?.into_result()?;
-            let mut writes = Vec::new();
-            for ((entry, meta), rs) in round.iter().zip(&metas).zip(&fetched) {
+        let mut start = 0;
+        while start < entries.len() {
+            let round = &entries[start..round_end(entries, start)];
+            for (at, entry) in round.iter().enumerate() {
+                let meta = registry.meta(&entry.bean)?;
+                meta.load_statement(slot(stmts, at), &entry.key);
+            }
+            let fetched = ship(conn, &stmts[..round.len()], single)?.into_result()?;
+            let mut writes = 0;
+            for (entry, rs) in round.iter().zip(&fetched) {
+                let meta = registry.meta(&entry.bean)?;
                 let conflict = judge(entry, meta, rs, false, unchecked_writes);
                 if conflict.is_some() {
                     return Ok(conflict);
                 }
-                writes.extend(write_statement(entry, meta, false));
+                if entry.kind.is_write() {
+                    entry_statement(entry, meta, false, slot(stmts, writes));
+                    writes += 1;
+                }
             }
-            if !writes.is_empty() {
-                ship(conn, &writes, single)?.into_result()?;
+            if writes > 0 {
+                ship(conn, &stmts[..writes], single)?.into_result()?;
             }
+            start += round.len();
         }
         Ok(None)
     })
@@ -408,29 +424,27 @@ pub fn validate_and_apply_per_image(
     registry: &MetaRegistry,
     request: &CommitRequest,
 ) -> EjbResult<CommitOutcome> {
-    per_image(conn, registry, request, false).map(|verdict| outcome_of(&verdict))
+    let mut stmts = Vec::new();
+    per_image(conn, &mut stmts, registry, request, false).map(|verdict| outcome_of(&verdict))
 }
 
 fn per_image(
     conn: &mut dyn SqlConnection,
+    stmts: &mut Vec<BatchStatement>,
     registry: &MetaRegistry,
     request: &CommitRequest,
     unchecked_writes: bool,
 ) -> EjbResult<Verdict> {
-    let single = request.entries.len() == 1;
+    let entries = &request.entries;
+    let single = entries.len() == 1;
     in_transaction(conn, !single, |conn| {
-        let metas = metas_of(registry, &request.entries)?;
-        let stmts: Vec<BatchStatement> = request
-            .entries
-            .iter()
-            .zip(&metas)
-            .map(|(e, meta)| {
-                write_statement(e, meta, !unchecked_writes)
-                    .unwrap_or_else(|| BatchStatement::new(meta.load_sql(), vec![e.key.clone()]))
-            })
-            .collect();
-        let outcome = ship(conn, &stmts, single)?;
-        for ((entry, meta), rs) in request.entries.iter().zip(&metas).zip(&outcome.results) {
+        for (at, entry) in entries.iter().enumerate() {
+            let meta = registry.meta(&entry.bean)?;
+            entry_statement(entry, meta, !unchecked_writes, slot(stmts, at));
+        }
+        let outcome = ship(conn, &stmts[..entries.len()], single)?;
+        for (entry, rs) in entries.iter().zip(&outcome.results) {
+            let meta = registry.meta(&entry.bean)?;
             let conflict = judge(entry, meta, rs, true, unchecked_writes);
             if conflict.is_some() {
                 return Ok(conflict);
@@ -525,25 +539,37 @@ fn judge(
     Some(conflict_info(entry, expected, current.as_ref()))
 }
 
-/// The statement applying `entry`'s after-image (`None` for a pure read).
-/// With `conditional` the `WHERE` clause of an `UPDATE`/`DELETE` carries
-/// the whole before-image, so the statement validates and applies at once.
-fn write_statement(
+/// `stmt` becomes the statement that applies `entry`'s after-image — for a
+/// pure read, the one that fetches its current image. With `conditional`
+/// the `WHERE` clause of an `UPDATE`/`DELETE` carries the whole
+/// before-image, so the statement validates and applies at once.
+fn entry_statement(
     entry: &CommitEntry,
     meta: &EntityMeta,
     conditional: bool,
-) -> Option<BatchStatement> {
-    let (sql, params) = match &entry.kind {
-        EntryKind::Read { .. } => return None,
+    stmt: &mut BatchStatement,
+) {
+    match &entry.kind {
+        EntryKind::Read { .. } => meta.load_statement(stmt, &entry.key),
         EntryKind::Update { before, after } if conditional => {
-            meta.conditional_update_sql(before, after)
+            meta.conditional_update_statement(stmt, before, after)
         }
-        EntryKind::Update { after, .. } => (meta.update_sql().into(), meta.update_params(after)),
-        EntryKind::Create { after } => (meta.insert_sql().into(), meta.insert_params(after)),
-        EntryKind::Remove { before } if conditional => meta.conditional_delete_sql(before),
-        EntryKind::Remove { .. } => (meta.delete_sql().into(), vec![entry.key.clone()]),
-    };
-    Some(BatchStatement::new(sql, params))
+        EntryKind::Update { after, .. } => meta.update_statement(stmt, after),
+        EntryKind::Create { after } => meta.insert_statement(stmt, after),
+        EntryKind::Remove { before } if conditional => {
+            meta.conditional_delete_statement(stmt, before)
+        }
+        EntryKind::Remove { .. } => meta.delete_statement(stmt, &entry.key),
+    }
+}
+
+/// Statement `at` of a session's buffers, which grow to the longest
+/// request seen and are refilled in place after that.
+fn slot(stmts: &mut Vec<BatchStatement>, at: usize) -> &mut BatchStatement {
+    if stmts.len() <= at {
+        stmts.resize_with(at + 1, BatchStatement::default);
+    }
+    &mut stmts[at]
 }
 
 /// One round trip for `stmts`. A request that is a single entry ships each
@@ -571,31 +597,20 @@ fn ship(
     })
 }
 
-/// Splits `entries` into consecutive runs in which every `(bean, key)` is
-/// distinct, cutting only where an entry repeats a key of the current run.
-/// (Footprints are a handful of entries, so the scan is linear per entry.)
-fn distinct_key_rounds(entries: &[CommitEntry]) -> Vec<&[CommitEntry]> {
-    let mut rounds = Vec::new();
-    let mut start = 0;
-    for (i, e) in entries.iter().enumerate() {
-        let round = &entries[start..i];
-        if round.iter().any(|p| p.bean == e.bean && p.key == e.key) {
-            rounds.push(round);
-            start = i;
-        }
-    }
-    if start < entries.len() {
-        rounds.push(&entries[start..]);
-    }
-    rounds
-}
-
-/// Deployment metadata of every entry, in order.
-fn metas_of<'r>(
-    registry: &'r MetaRegistry,
-    entries: &[CommitEntry],
-) -> EjbResult<Vec<&'r EntityMeta>> {
-    entries.iter().map(|e| registry.meta(&e.bean)).collect()
+/// The end of the round of `entries` that starts at `start`: the first
+/// entry that repeats a `(bean, key)` of the round, or the end. Rounds are
+/// consecutive runs in which every `(bean, key)` is distinct. (Footprints
+/// are a handful of entries, so the scan is linear per entry.)
+fn round_end(entries: &[CommitEntry], start: usize) -> usize {
+    let repeats = |i: &usize| {
+        let e = &entries[*i];
+        entries[start..*i]
+            .iter()
+            .any(|p| p.bean == e.bean && p.key == e.key)
+    };
+    (start + 1..entries.len())
+        .find(repeats)
+        .unwrap_or(entries.len())
 }
 
 /// Fetches the current persistent image of (`meta`, `key`), if any.
@@ -610,17 +625,47 @@ pub(crate) fn fetch_current(
 
 /// Runs a *bound* finder predicate, returning one row per matching bean in
 /// `meta`'s column order ([`EntityMeta::memento_from_row`] turns each into
-/// its current persistent image).
+/// its current persistent image). The statement is written into the
+/// session's text.
 pub(crate) fn query_current(
-    conn: &mut dyn SqlConnection,
+    session: &mut Session,
     meta: &EntityMeta,
     predicate: &Predicate,
 ) -> EjbResult<ResultSet> {
     let select = meta.select_sql();
+    let conn = session.conn.as_mut();
     Ok(match predicate {
         Predicate::True => conn.execute(select, &[])?,
-        p => conn.execute(&[select, " WHERE ", &p.to_sql()].concat(), &[])?,
+        p => {
+            let text = &mut session.text;
+            text.clear();
+            write!(text, "{select} WHERE {p}").expect("a String takes any text");
+            conn.execute(text, &[])?
+        }
     })
+}
+
+/// A datastore connection and the buffers the statements on it are
+/// written into, under one lock — like a database server's session, whose
+/// scratch outlives the statement it serves. The buffers grow to the
+/// largest request seen and are refilled in place after that.
+pub(crate) struct Session {
+    pub(crate) conn: Box<dyn SqlConnection + Send>,
+    /// A decision's statements: the fetches, writes or conditional
+    /// statements of the round in flight.
+    stmts: Vec<BatchStatement>,
+    /// A finder's statement text.
+    text: String,
+}
+
+impl Session {
+    pub(crate) fn new(conn: Box<dyn SqlConnection + Send>) -> Session {
+        Session {
+            conn,
+            stmts: Vec::new(),
+            text: String::new(),
+        }
+    }
 }
 
 /// Where a cache-enabled application server sends its transaction state at
@@ -669,7 +714,7 @@ pub(crate) struct Decision {
 /// the back-end's local connection; the back-end adds only what is its
 /// own — CPU cost, the wire, and the invalidation fan-out.
 pub struct CommitPoint {
-    conn: Mutex<Box<dyn SqlConnection + Send>>,
+    session: Mutex<Session>,
     registry: MetaRegistry,
     validate: Validator,
     completed: Mutex<CompletedTxns>,
@@ -704,7 +749,7 @@ impl CommitPoint {
     /// ([`validate_and_apply_per_image`]).
     pub fn new(conn: Box<dyn SqlConnection + Send>, registry: MetaRegistry) -> CommitPoint {
         CommitPoint {
-            conn: Mutex::new(conn),
+            session: Mutex::new(Session::new(conn)),
             registry,
             validate: per_image,
             completed: Mutex::new(CompletedTxns::new(COMPLETED_TXN_CAPACITY)),
@@ -799,9 +844,9 @@ impl CommitPoint {
         self.completed.lock().reseed(pairs);
     }
 
-    /// The connection decisions run on, for the owner's other traffic.
-    pub(crate) fn conn(&self) -> MutexGuard<'_, Box<dyn SqlConnection + Send>> {
-        self.conn.lock()
+    /// The session decisions run on, for the owner's other traffic.
+    pub(crate) fn session(&self) -> MutexGuard<'_, Session> {
+        self.session.lock()
     }
 
     /// The deployment metadata decisions are validated against.
@@ -841,10 +886,12 @@ impl CommitPoint {
         let span = tracer.map(|t| t.open("commit.validate_apply"));
         charge(CommitStep::ValidateApply);
         let (verdict, csn) = {
-            let mut conn = self.conn.lock();
+            let mut session = self.session.lock();
+            let Session { conn, stmts, .. } = &mut *session;
             conn.stamp_next_commit(request.origin, request.txn_id);
             let verdict = (self.validate)(
                 conn.as_mut(),
+                stmts,
                 &self.registry,
                 request,
                 self.inject_bug.load(Ordering::Relaxed),

@@ -63,6 +63,12 @@ impl SliHome {
         &self.store
     }
 
+    /// The bean's name as the descriptor holds it, shared by every
+    /// enlisted instance, reference and after-image.
+    fn name(&self) -> Arc<str> {
+        Arc::clone(self.meta.image_names().bean())
+    }
+
     /// Direct-access population: per-transaction store → common store →
     /// persistent fetch.
     fn ensure_loaded(&self, ctx: &mut TxContext, key: &Value) -> EjbResult<()> {
@@ -76,13 +82,13 @@ impl SliHome {
             }
         }
         if let Some(image) = self.store.get(bean, key) {
-            ctx.enlist(bean, key).load_from(&image);
+            ctx.enlist(self.name(), key).load_from(&image);
             return Ok(());
         }
         match self.source.fetch(bean, key)? {
             Some(image) => {
                 self.store.put(image.clone());
-                ctx.enlist(bean, key).load_from(&image);
+                ctx.enlist(self.name(), key).load_from(&image);
                 Ok(())
             }
             None => Err(EjbError::not_found(bean, key)),
@@ -107,9 +113,10 @@ impl Home for SliHome {
             state
         } else {
             let fields = state.fields().iter();
-            fields.fold(Memento::new(bean, key.clone()), |m, (name, value)| {
-                m.with_field(name.clone(), value.clone())
-            })
+            fields.fold(
+                Memento::new(self.name(), key.clone()),
+                |m, (name, value)| m.with_field(name.clone(), value.clone()),
+            )
         };
         // Recreating a bean this transaction removed nets out to an update.
         if let Some(inst) = ctx.instance_mut(bean, &key) {
@@ -117,7 +124,7 @@ impl Home for SliHome {
                 inst.removed = false;
                 inst.dirty = true;
                 inst.current = Some(state);
-                return Ok(EjbRef::new(bean, key));
+                return Ok(EjbRef::new(self.name(), key));
             }
             if !inst.removed {
                 return Err(EjbError::DuplicateKey {
@@ -126,18 +133,18 @@ impl Home for SliHome {
                 });
             }
         }
-        let inst = ctx.enlist(bean, &key);
+        let inst = ctx.enlist(self.name(), &key);
         inst.current = Some(state);
         inst.created = true;
         inst.loaded = true;
         inst.exists = true;
         inst.removed = false;
-        Ok(EjbRef::new(bean, key))
+        Ok(EjbRef::new(self.name(), key))
     }
 
     fn find_by_primary_key(&self, ctx: &mut TxContext, key: &Value) -> EjbRefResult {
         self.ensure_loaded(ctx, key)?;
-        Ok(EjbRef::new(self.meta.bean(), key.clone()))
+        Ok(EjbRef::new(self.name(), key.clone()))
     }
 
     fn find(&self, ctx: &mut TxContext, finder: &str, params: &[Value]) -> EjbResult<Vec<EjbRef>> {
@@ -152,19 +159,20 @@ impl Home for SliHome {
             self.store.put(image.clone());
             let already_touched = ctx.instance(bean, image.primary_key()).is_some();
             if !already_touched {
-                ctx.enlist(bean, image.primary_key()).load_from(&image);
+                ctx.enlist(self.name(), image.primary_key())
+                    .load_from(&image);
             }
         }
         // 3. Run the finder against the transient state (created beans and
         //    in-transaction updates are visible; removed beans are not).
         let mut matches = Vec::new();
         for (b, key, st) in ctx.iter() {
-            if b != bean || st.removed || !(st.loaded || st.created) {
+            if **b != *bean || st.removed || !(st.loaded || st.created) {
                 continue;
             }
             let row = st.to_memento(bean, key).to_row(&self.schema);
             if bound.matches(&self.schema, &row, &[])? {
-                matches.push(EjbRef::new(bean, key.clone()));
+                matches.push(EjbRef::new(Arc::clone(b), key.clone()));
             }
         }
         matches.sort_by(|a, b| a.primary_key().cmp(b.primary_key()));

@@ -97,7 +97,7 @@ impl SliResourceManager {
                     EntryKind::Remove { before } => ("remove", Some(before), None),
                 };
                 HistoryImage {
-                    bean: entry.bean.clone(),
+                    bean: entry.bean.to_string(),
                     key: entry.key.to_string(),
                     kind: kind.to_owned(),
                     before: before.map(memento_digest),

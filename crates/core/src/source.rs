@@ -4,7 +4,7 @@ use parking_lot::Mutex;
 use sli_component::{EjbResult, Memento};
 use sli_datastore::{Predicate, SqlConnection, Value};
 
-use crate::committer::{fetch_current, query_current};
+use crate::committer::{fetch_current, query_current, Session};
 use crate::registry::MetaRegistry;
 
 /// The persistent tier as seen by a cache-enabled application server:
@@ -37,7 +37,7 @@ pub trait StateSource: Send + Sync {
 /// (ES/RDB): each fetch or query is one autocommitted statement on the
 /// (typically remote) JDBC connection.
 pub struct DirectSource {
-    conn: Mutex<Box<dyn SqlConnection + Send>>,
+    session: Mutex<Session>,
     registry: MetaRegistry,
 }
 
@@ -53,7 +53,7 @@ impl DirectSource {
     /// Creates a source over `conn` with deployment metadata `registry`.
     pub fn new(conn: Box<dyn SqlConnection + Send>, registry: MetaRegistry) -> DirectSource {
         DirectSource {
-            conn: Mutex::new(conn),
+            session: Mutex::new(Session::new(conn)),
             registry,
         }
     }
@@ -62,12 +62,12 @@ impl DirectSource {
 impl StateSource for DirectSource {
     fn fetch(&self, bean: &str, key: &Value) -> EjbResult<Option<Memento>> {
         let meta = self.registry.meta(bean)?;
-        fetch_current(self.conn.lock().as_mut(), meta, key)
+        fetch_current(self.session.lock().conn.as_mut(), meta, key)
     }
 
     fn query(&self, bean: &str, predicate: &Predicate) -> EjbResult<Vec<Memento>> {
         let meta = self.registry.meta(bean)?;
-        let rs = query_current(self.conn.lock().as_mut(), meta, predicate)?;
+        let rs = query_current(&mut self.session.lock(), meta, predicate)?;
         Ok(rs.rows().iter().map(|r| meta.memento_from_row(r)).collect())
     }
 }

@@ -14,12 +14,12 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use sli_component::{EntityMeta, Home, Memento, TxContext};
+use sli_component::{EntityMeta, Home, Memento, Template, TxContext};
 use sli_core::{
-    validate_and_apply_per_image, BackendServer, CommitEntry, CommitOutcome, CommitRequest,
+    BackendServer, CombinedCommitter, CommitEntry, CommitOutcome, CommitRequest, Committer,
     CommonStore, DirectSource, EntryKind, InvalidationSink, MetaRegistry, SliHome,
 };
-use sli_datastore::{ColumnType, Database, SqlConnection, Value};
+use sli_datastore::{CmpOp, ColumnType, Database, Predicate, SqlConnection, Value};
 use sli_simnet::wire::{frame, protocol, unframe, Reader, Writer};
 use sli_simnet::{Clock, Path, PathSpec, Remote, Service};
 
@@ -170,15 +170,16 @@ fn image_path_stays_within_its_allocation_budget() {
     assert_eq!(len, 0, "Memento::encoded_len");
 
     // (e) A lookup by primary key answered by the common store, in a fresh
-    // context: 3 — the context's vector, its copy of the bean name and the
-    // returned reference's. The key, a string, is shared by both (it was 5
-    // while each copied it); loading the image into the context is two
-    // reference counts. It was 43.
+    // context: 1 — the context's vector. The bean name is the descriptor's
+    // in the context and the returned reference (it was 3 while each copied
+    // it), the key, a string, is shared by both (it was 5 while each copied
+    // it), and loading the image into the context is two reference counts.
+    // It was 43.
     let find = steady(|| {
         let mut ctx = TxContext::new();
         allocs_of(|| home.find_by_primary_key(&mut ctx, &key).unwrap()).0
     });
-    assert!(find <= 3, "find_by_primary_key on a store hit: {find}");
+    assert!(find <= 1, "find_by_primary_key on a store hit: {find}");
 
     // (f) Reading fields of the enlisted bean: nothing, a string being
     // another handle on the image's text (it was 1, its copy). They were 5
@@ -191,12 +192,12 @@ fn image_path_stays_within_its_allocation_budget() {
     let (string, _) = allocs_of(|| home.get_field(&mut ctx, &key, "companyname").unwrap());
     assert_eq!(string, 0, "get_field of a string");
 
-    // (g) The commit request of that read-only transaction: 2 — the entry
-    // vector and the entry's bean name; its key and the before-image are
-    // reference counts. It was 13.
+    // (g) The commit request of that read-only transaction: 1 — the entry
+    // vector; its bean name, key and before-image are reference counts. It
+    // was 2 while the entry copied the bean name, and 13 before that.
     let (request, built) = allocs_of(|| CommitRequest::from_context(1, 1, &ctx));
     assert!(matches!(built.entries[0].kind, EntryKind::Read { .. }));
-    assert!(request <= 2, "from_context with one read entry: {request}");
+    assert!(request <= 1, "from_context with one read entry: {request}");
 
     // (h) The first write to a bean is the one copy a transaction makes of
     // its image — 2, the image and its field vector, every name, the key
@@ -212,12 +213,14 @@ fn image_path_stays_within_its_allocation_budget() {
     // (i) What the validator's `judge` runs on a fetched row that passes:
     // the row compared with the before-image where each lies, nothing
     // built. It was 10 per validated image (a memento from the row). A
-    // whole one-entry read validation costs its autocommitted SELECT plus
-    // 5: the metadata list, the statement list, the statement's text, its
-    // parameter list and the outcome's result list. It was the SELECT plus
-    // 6 while the key in the parameter list was a copy, and plus 27 before
-    // that. The SELECT itself is 2, the match list and the result's one
-    // vector of cells; it was 6 while a result was a list of rows.
+    // whole one-entry read validation by a warm combined committer costs
+    // its autocommitted SELECT plus 1, the outcome's result list: the
+    // statement is refilled in the commit point's session. It was the
+    // SELECT plus 5 while each validation built its metadata list,
+    // statement list, statement text and parameter list, plus 6 while the
+    // key in the parameter list was a copy, and plus 27 before that. The
+    // SELECT itself is 2, the match list and the result's one vector of
+    // cells; it was 6 while a result was a list of rows.
     let mut conn = db.connect();
     let rs = conn
         .execute(meta.load_sql(), std::slice::from_ref(&key))
@@ -243,15 +246,15 @@ fn image_path_stays_within_its_allocation_budget() {
         })
         .0
     });
+    let committer = CombinedCommitter::new(Box::new(conn), registry.clone());
     let validate = steady(|| {
-        let (allocs, outcome) =
-            allocs_of(|| validate_and_apply_per_image(&mut conn, &registry, &read).unwrap());
+        let (allocs, outcome) = allocs_of(|| committer.commit(&read).unwrap());
         assert_eq!(outcome, CommitOutcome::Committed);
         allocs
     });
     assert!(statement <= 2, "the validation's SELECT: {statement}");
     assert!(
-        validate <= statement + 5,
+        validate <= statement + 1,
         "one-entry read validation: {validate} (its SELECT alone: {statement})"
     );
 }
@@ -307,19 +310,22 @@ fn writing_commits(edges: &[u32]) -> Vec<u64> {
 
 /// A writing commit whose only peer is its origin — a one-edge split tier —
 /// writes no invalidation frame: it costs what it costs with no edge
-/// registered, 18 once warm. It was 28: 6 for a frame built and dropped
-/// unsent (the written keys' list and a bean name per key, the payload's
-/// buffer and its frozen copy, then the frame's) and 4 in the validating
-/// SELECT's rows (DESIGN §19). With a second edge the frame is written —
-/// its one buffer and frozen copy — and received, the edge decoding the
-/// bean name and the key: 4 more.
+/// registered, 9 once warm. Its fetch and write statements are refilled in
+/// the commit point's session: it was 18 while each decision built its
+/// round and metadata lists and both statements (each a list, a text and a
+/// parameter list). It was 28 with 6 for a frame built and dropped unsent
+/// (the written keys' list and a bean name per key, the payload's buffer
+/// and its frozen copy, then the frame's) and 4 in the validating SELECT's
+/// rows (DESIGN §19). With a second edge the frame is written — its one
+/// buffer and frozen copy — and received, the edge decoding the bean name
+/// and the key: 4 more.
 #[test]
 fn a_commit_whose_only_peer_is_its_origin_frames_no_invalidation() {
     let alone = writing_commits(&[1]);
     assert_eq!(alone, writing_commits(&[]), "only the origin registered");
     let warm = alone[1..].iter().min().copied().unwrap();
     assert!(
-        warm <= 18,
+        warm <= 9,
         "a writing commit, its origin its only peer: {warm}"
     );
     let with_peer = writing_commits(&[1, 2]);
@@ -330,6 +336,11 @@ fn a_commit_whose_only_peer_is_its_origin_frames_no_invalidation() {
             "a writing commit with a peer to invalidate"
         );
     }
+}
+
+/// A template that holds nothing.
+fn none() -> Template<'static> {
+    Template::default()
 }
 
 /// A well-framed request to the back-end with `body` as its payload.
@@ -351,8 +362,9 @@ fn a_decoded_image_owns_only_what_the_descriptor_cannot_lend() {
     // (a) A `Quote` image against its descriptor: 4 — the image, its field
     // vector, the key and the one string. It was 11 with the bean name and
     // six field names copied off the wire, into a map node.
-    let (shared, image) =
-        allocs_of(|| Memento::decode(&mut Reader::new(encoded.clone()), Some(names)).unwrap());
+    let (shared, image) = allocs_of(|| {
+        Memento::decode(&mut Reader::new(encoded.clone()), Some(names), none()).unwrap()
+    });
     assert_eq!(image, before);
     assert!(
         shared <= 4,
@@ -361,13 +373,18 @@ fn a_decoded_image_owns_only_what_the_descriptor_cannot_lend() {
     // With no descriptor in hand it owns them: seven names more, and one
     // growth of a vector reserved by the bytes left, not the count.
     let (owned, image) =
-        allocs_of(|| Memento::decode(&mut Reader::new(encoded.clone()), None).unwrap());
+        allocs_of(|| Memento::decode(&mut Reader::new(encoded.clone()), None, none()).unwrap());
     assert_eq!(image, before);
     assert_eq!(owned, shared + 8, "Memento::decode on its own");
 
     // (b) The commit request of one `Quote` update, as the back-end decodes
-    // it with its registry: 11 — the entry vector, the entry's bean name
-    // and key, and two images of 4. It was 25.
+    // it with its registry: 7 — the entry vector, the entry's key, the
+    // before-image's image, field vector and one string, and the
+    // after-image's image and field vector. The bean name is the
+    // registry's, both images' keys are the entry's, and the after-image's
+    // unchanged string is the before-image's. It was 11 while the entry
+    // copied its bean name and each image spelled its own key and values,
+    // and 25 before that.
     let request = CommitRequest {
         origin: 1,
         txn_id: 7,
@@ -384,9 +401,72 @@ fn a_decoded_image_owns_only_what_the_descriptor_cannot_lend() {
     let (allocs, decoded) =
         allocs_of(|| CommitRequest::decode(&mut Reader::new(frame.clone()), &registry).unwrap());
     assert_eq!(decoded, request);
+    assert!(allocs <= 7, "CommitRequest::decode of one update: {allocs}");
+    // An after-image string the update left alone is the before-image's;
+    // one it changed is its own.
+    let text = |image: &Memento| match image.get("companyname") {
+        Some(Value::Str(text)) => Arc::clone(text),
+        other => panic!("{other:?}"),
+    };
+    let shares = |request: &CommitRequest| {
+        let decoded = CommitRequest::decode(&mut Reader::new(request.encode()), &registry);
+        match &decoded.unwrap().entries[0].kind {
+            EntryKind::Update { before, after } => Arc::ptr_eq(&text(before), &text(after)),
+            other => panic!("{other:?}"),
+        }
+    };
+    let mut renamed = request.clone();
+    if let EntryKind::Update { after, .. } = &mut renamed.entries[0].kind {
+        after.set("companyname", "Company #3 Renamed");
+    }
+    assert!(shares(&request) && !shares(&renamed));
+}
+
+/// What the back-end's query reply costs grows per row by no more than the
+/// result set it is written from and the bytes it writes: the images are
+/// encoded from the rows, none built. (Building them cost two allocations
+/// a row more.)
+#[test]
+fn a_query_reply_costs_no_more_per_row_than_its_result_set() {
+    let (db, registry) = quotes();
+    let meta = quote_meta();
+    let backend = BackendServer::new(Box::new(db.connect()), registry, Arc::new(Clock::new()));
+    let mut conn = db.connect();
+    let mut cost = |predicate: Predicate| {
+        let sql = format!("{} WHERE {predicate}", meta.select_sql());
+        let rows = steady(|| allocs_of(|| conn.execute(&sql, &[]).unwrap()).0);
+        let result = conn.execute(&sql, &[]).unwrap();
+        let images: Vec<Memento> = result
+            .rows()
+            .iter()
+            .map(|row| meta.memento_from_row(row))
+            .collect();
+        // The reply's bytes written from images already built.
+        let bytes = steady(|| {
+            allocs_of(|| {
+                let mut w = Writer::framed();
+                w.put_u8(0).put_u32(images.len() as u32);
+                images.iter().for_each(|image| image.encode(&mut w));
+                w.finish_frame(protocol::BACKEND, 7, 0)
+            })
+            .0
+        });
+        let reply = steady(|| {
+            let mut body = Writer::new();
+            body.put_u8(2).put_str("Quote"); // OP_QUERY
+            predicate.encode(&mut body);
+            let message = backend_frame(body);
+            allocs_of(|| backend.handle(message)).0
+        });
+        (images.len(), rows + bytes, reply)
+    };
+    let (n_one, made_one, reply_one) = cost(Predicate::eq("symbol", "s:3"));
+    let (n_all, made_all, reply_all) = cost(Predicate::cmp("symbol", CmpOp::Ge, "s:0"));
+    assert_eq!((n_one, n_all), (1, 8));
     assert!(
-        allocs <= 11,
-        "CommitRequest::decode of one update: {allocs}"
+        reply_all - reply_one <= made_all - made_one,
+        "OP_QUERY for 8 rows vs 1: {reply_all} vs {reply_one} allocations; \
+         the result sets and the reply's bytes alone {made_all} vs {made_one}"
     );
 }
 
@@ -450,7 +530,7 @@ fn a_hostile_length_prefix_reserves_only_what_its_frame_can_hold() {
     for names in [None, Some(names)] {
         let hostile = hostile.clone();
         let (asked, decoded) =
-            bytes_of(|| Memento::decode(&mut Reader::new(Bytes::from(hostile)), names));
+            bytes_of(|| Memento::decode(&mut Reader::new(Bytes::from(hostile)), names, none()));
         assert!(decoded.is_err());
         assert!(
             asked < 8 * sent,

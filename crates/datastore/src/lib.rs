@@ -68,7 +68,7 @@ pub use wal::{CrashPoint, RecoveryReport, WalStats, CRASH_POINTS};
 pub type DbResult<T> = std::result::Result<T, DbError>;
 
 /// One statement in a batched execution: SQL text plus bound parameters.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct BatchStatement {
     /// SQL text with `?` placeholders.
     pub sql: String,

@@ -109,7 +109,7 @@ pub const MAX_PREDICATE_DEPTH: usize = 64;
 /// let p = Predicate::eq("owner", "uid:7").and(Predicate::cmp("id", CmpOp::Lt, 100));
 /// assert!(p.matches(&schema, &[Value::from(5), Value::from("uid:7")], &[])?);
 /// assert!(!p.matches(&schema, &[Value::from(500), Value::from("uid:7")], &[])?);
-/// assert_eq!(p.to_sql(), "(owner = 'uid:7' AND id < 100)");
+/// assert_eq!(p.to_string(), "(owner = 'uid:7' AND id < 100)");
 /// # Ok(())
 /// # }
 /// ```
@@ -354,53 +354,6 @@ impl Predicate {
         }
     }
 
-    /// Renders this predicate as SQL text suitable for a `WHERE` clause.
-    ///
-    /// `CmpParam` placeholders render as bare `?`; for the text to execute
-    /// correctly the placeholder *indexes must ascend left-to-right*, which
-    /// is how finder predicates are declared. String literals are quoted
-    /// with `''` escaping.
-    pub fn to_sql(&self) -> String {
-        fn value_sql(v: &Value) -> String {
-            match v {
-                Value::Str(s) => format!("'{}'", s.replace('\'', "''")),
-                other => other.to_string(),
-            }
-        }
-        match self {
-            Predicate::True => "TRUE".to_owned(),
-            Predicate::Cmp { column, op, value } => {
-                format!("{column} {op} {}", value_sql(value))
-            }
-            Predicate::CmpParam { column, op, .. } => format!("{column} {op} ?"),
-            Predicate::Like { column, pattern } => {
-                format!("{column} LIKE '{}'", pattern.replace('\'', "''"))
-            }
-            Predicate::IsNull { column } => format!("{column} IS NULL"),
-            Predicate::IsNotNull { column } => format!("{column} IS NOT NULL"),
-            // An empty IN list matches nothing. Standard SQL has no literal
-            // for it, but this dialect's parser accepts `IN ()` — rendering
-            // anything else (e.g. a `col IS NULL AND col IS NOT NULL`
-            // contradiction) would not parse back to `In { values: [] }`,
-            // breaking the to_sql → parse round trip that the split
-            // configuration relies on when it ships predicates by SQL text.
-            Predicate::In { column, values } => format!(
-                "{column} IN ({})",
-                values.iter().map(value_sql).collect::<Vec<_>>().join(", ")
-            ),
-            Predicate::Between { column, low, high } => {
-                format!(
-                    "{column} BETWEEN {} AND {}",
-                    value_sql(low),
-                    value_sql(high)
-                )
-            }
-            Predicate::And(a, b) => format!("({} AND {})", a.to_sql(), b.to_sql()),
-            Predicate::Or(a, b) => format!("({} OR {})", a.to_sql(), b.to_sql()),
-            Predicate::Not(p) => format!("NOT ({})", p.to_sql()),
-        }
-    }
-
     /// Encodes the predicate onto a wire frame (used when a finder query is
     /// shipped to the persistent store).
     pub fn encode(&self, w: &mut Writer) {
@@ -517,32 +470,75 @@ impl Predicate {
     }
 }
 
+/// The predicate as the text of a `WHERE` clause — what a finder's
+/// statement carries and the plan cache keys on.
+///
+/// `CmpParam` placeholders render as bare `?`; for the text to execute
+/// correctly the placeholder *indexes must ascend left-to-right*, which is
+/// how finder predicates are declared. String literals are quoted with
+/// `''` escaping. The SQL parser reads a placeholder-free text back as the
+/// same tree.
 impl fmt::Display for Predicate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Predicate::True => write!(f, "TRUE"),
-            Predicate::Cmp { column, op, value } => write!(f, "{column} {op} {value}"),
-            Predicate::CmpParam { column, op, index } => write!(f, "{column} {op} ?{index}"),
-            Predicate::Like { column, pattern } => write!(f, "{column} LIKE '{pattern}'"),
+            Predicate::True => f.write_str("TRUE"),
+            Predicate::Cmp { column, op, value } => write!(f, "{column} {op} {}", Literal(value)),
+            Predicate::CmpParam { column, op, .. } => write!(f, "{column} {op} ?"),
+            Predicate::Like { column, pattern } => write!(f, "{column} LIKE {}", Quoted(pattern)),
             Predicate::IsNull { column } => write!(f, "{column} IS NULL"),
             Predicate::IsNotNull { column } => write!(f, "{column} IS NOT NULL"),
+            // An empty IN list matches nothing. Standard SQL has no literal
+            // for it, but this dialect's parser accepts `IN ()` — rendering
+            // anything else (e.g. a `col IS NULL AND col IS NOT NULL`
+            // contradiction) would not parse back to `In { values: [] }`,
+            // breaking the text → parse round trip that the split
+            // configuration relies on when it ships predicates by SQL text.
             Predicate::In { column, values } => {
                 write!(f, "{column} IN (")?;
                 for (i, v) in values.iter().enumerate() {
                     if i > 0 {
-                        write!(f, ", ")?;
+                        f.write_str(", ")?;
                     }
-                    write!(f, "{v}")?;
+                    write!(f, "{}", Literal(v))?;
                 }
-                write!(f, ")")
+                f.write_str(")")
             }
             Predicate::Between { column, low, high } => {
-                write!(f, "{column} BETWEEN {low} AND {high}")
+                write!(f, "{column} BETWEEN {} AND {}", Literal(low), Literal(high))
             }
             Predicate::And(a, b) => write!(f, "({a} AND {b})"),
             Predicate::Or(a, b) => write!(f, "({a} OR {b})"),
             Predicate::Not(p) => write!(f, "NOT ({p})"),
         }
+    }
+}
+
+/// A literal as SQL text: a string [`Quoted`], anything else as it
+/// displays.
+struct Literal<'a>(&'a Value);
+
+impl fmt::Display for Literal<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Value::Str(text) => write!(f, "{}", Quoted(text)),
+            other => write!(f, "{other}"),
+        }
+    }
+}
+
+/// A string literal: in single quotes, each quote inside doubled.
+struct Quoted<'a>(&'a str);
+
+impl fmt::Display for Quoted<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("'")?;
+        for (i, part) in self.0.split('\'').enumerate() {
+            if i > 0 {
+                f.write_str("''")?;
+            }
+            f.write_str(part)?;
+        }
+        f.write_str("'")
     }
 }
 
@@ -750,16 +746,16 @@ mod tests {
             low: Value::from(1),
             high: Value::from(100),
         });
-        let sql = format!("SELECT * FROM t WHERE {}", p.to_sql());
+        let sql = format!("SELECT * FROM t WHERE {p}");
         match crate::sql::parse(&sql).unwrap() {
             crate::sql::Statement::Select { predicate, .. } => assert_eq!(predicate, p),
             other => panic!("wrong statement {other:?}"),
         }
     }
 
-    /// Parses `p.to_sql()` back and asserts structural equality.
+    /// Parses `p`'s text back and asserts structural equality.
     fn assert_sql_round_trip(p: &Predicate) {
-        let sql = format!("SELECT * FROM t WHERE {}", p.to_sql());
+        let sql = format!("SELECT * FROM t WHERE {p}");
         match crate::sql::parse(&sql).unwrap() {
             crate::sql::Statement::Select { predicate, .. } => {
                 assert_eq!(&predicate, p, "via {sql:?}")
@@ -778,7 +774,7 @@ mod tests {
         };
         // `x IN ()` is FALSE, so it must be absorbing under AND, neutral
         // under OR, and flip under NOT — both in the evaluator and after a
-        // to_sql → parse round trip.
+        // text → parse round trip.
         let under_or = empty().or(Predicate::eq("owner", "uid:7"));
         assert!(under_or.matches(&s, &r, &[]).unwrap());
         assert_sql_round_trip(&under_or);
@@ -858,7 +854,7 @@ mod tests {
                 column: "owner".into(),
                 pattern: "uid:%".into(),
             });
-        let sql = format!("SELECT * FROM t WHERE {}", p.to_sql());
+        let sql = format!("SELECT * FROM t WHERE {p}");
         let stmt = crate::sql::parse(&sql).unwrap();
         match stmt {
             crate::sql::Statement::Select { predicate, .. } => assert_eq!(predicate, p),
@@ -873,7 +869,80 @@ mod tests {
             op: CmpOp::Eq,
             index: 0,
         };
-        assert_eq!(p.to_sql(), "owner = ?");
+        assert_eq!(p.to_string(), "owner = ?");
+    }
+
+    #[test]
+    fn display_text_is_pinned() {
+        // What a finder's statement carries and the plan cache keys on,
+        // byte for byte, for every kind of predicate.
+        let quoted = || Predicate::eq("owner", "it's 'x'");
+        let cases = [
+            (Predicate::True, "TRUE"),
+            (quoted(), "owner = 'it''s ''x'''"),
+            (Predicate::cmp("qty", CmpOp::Ge, 2.5), "qty >= 2.5"),
+            (Predicate::cmp("id", CmpOp::Ne, -7), "id <> -7"),
+            (Predicate::cmp("ok", CmpOp::Lt, true), "ok < true"),
+            (Predicate::cmp("n", CmpOp::Le, Value::Null), "n <= NULL"),
+            (
+                Predicate::CmpParam {
+                    column: "owner".into(),
+                    op: CmpOp::Gt,
+                    index: 3,
+                },
+                "owner > ?",
+            ),
+            (
+                Predicate::Like {
+                    column: "owner".into(),
+                    pattern: "o'%".into(),
+                },
+                "owner LIKE 'o''%'",
+            ),
+            (
+                Predicate::IsNull {
+                    column: "note".into(),
+                },
+                "note IS NULL",
+            ),
+            (
+                Predicate::IsNotNull {
+                    column: "note".into(),
+                },
+                "note IS NOT NULL",
+            ),
+            (
+                Predicate::In {
+                    column: "owner".into(),
+                    values: vec![],
+                },
+                "owner IN ()",
+            ),
+            (
+                Predicate::In {
+                    column: "owner".into(),
+                    values: vec![Value::from("a'b"), Value::from(1), Value::from(0.5)],
+                },
+                "owner IN ('a''b', 1, 0.5)",
+            ),
+            (
+                Predicate::Between {
+                    column: "qty".into(),
+                    low: Value::from("a"),
+                    high: Value::from(100),
+                },
+                "qty BETWEEN 'a' AND 100",
+            ),
+            (
+                Predicate::Not(Box::new(quoted().and(Predicate::True.or(Predicate::Not(
+                    Box::new(Predicate::IsNull { column: "n".into() }),
+                ))))),
+                "NOT ((owner = 'it''s ''x''' AND (TRUE OR NOT (n IS NULL))))",
+            ),
+        ];
+        for (p, text) in cases {
+            assert_eq!(p.to_string(), text, "{p:?}");
+        }
     }
 
     #[test]

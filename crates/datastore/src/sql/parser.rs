@@ -421,7 +421,7 @@ impl Parser {
             self.expect(Token::LParen)?;
             let mut values = Vec::new();
             // `IN ()` is the canonical spelling of the empty list (matches
-            // no row), mirroring what `Predicate::to_sql` emits.
+            // no row), mirroring what `Predicate` displays as.
             if self.peek() == Some(&Token::RParen) {
                 self.next();
                 return Ok(Predicate::In { column, values });
@@ -673,7 +673,7 @@ mod tests {
         assert!(parse("SELECT * FROM t WHERE a IN (?)").is_err());
         assert!(parse("SELECT * FROM t WHERE a BETWEEN ? AND 3").is_err());
         // The empty list is legal in this dialect: it matches no row and is
-        // what `Predicate::to_sql` emits for `In { values: [] }`.
+        // what `Predicate` displays for `In { values: [] }`.
         match parse("SELECT * FROM t WHERE a IN ()").unwrap() {
             crate::sql::Statement::Select { predicate, .. } => {
                 assert_eq!(

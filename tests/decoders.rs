@@ -17,10 +17,11 @@ use rand::{Rng, SeedableRng};
 use sli_edge::arch::{
     arch_by_key, counterexample_json, run_slicheck, shrink_schedule, ScheduleSource, SliCheckConfig,
 };
-use sli_edge::component::Memento;
+use sli_edge::component::{Memento, Template};
 use sli_edge::core::{CommitEntry, CommitRequest, EntryKind, MetaRegistry};
 use sli_edge::datastore::{
-    sql, CmpOp, Database, DbError, Predicate, ResultSet, SqlConnection, Value, MAX_PREDICATE_DEPTH,
+    sql, BatchStatement, CmpOp, Database, DbError, Predicate, ResultSet, SqlConnection, Value,
+    MAX_PREDICATE_DEPTH,
 };
 use sli_edge::simnet::wire::{self, Reader, Writer};
 use sli_edge::simnet::{HeadLines, HttpRequest, HttpResponse};
@@ -721,11 +722,10 @@ fn parse_sql(raw: &[u8]) -> bool {
     sql::parse(&String::from_utf8_lossy(raw)).is_ok()
 }
 
-#[test]
-fn the_sql_parser_never_panics() {
+/// What the EJB flavors send for each Trade bean, and the JDBC engine's
+/// portfolio and sell reads.
+fn trade_statements() -> Vec<String> {
     let (registry, images) = trade_images();
-    // What the EJB flavors send for each bean, and the JDBC engine's
-    // portfolio and sell reads.
     let mut valid = vec![
         "SELECT holdingid, symbol, quantity, purchaseprice FROM holding WHERE userid = ? \
          ORDER BY holdingid"
@@ -744,12 +744,61 @@ fn the_sql_parser_never_panics() {
             meta.delete_sql(),
         ];
         valid.extend(texts.map(str::to_owned));
-        valid.push(meta.conditional_update_sql(image, image).0);
-        valid.push(meta.conditional_delete_sql(image).0);
+        let mut stmt = BatchStatement::default();
+        meta.conditional_update_statement(&mut stmt, image, image);
+        valid.push(stmt.sql.clone());
+        meta.conditional_delete_statement(&mut stmt, image);
+        valid.push(stmt.sql);
     }
-    let valid: Vec<Vec<u8>> = valid.into_iter().map(String::into_bytes).collect();
+    valid
+}
+
+#[test]
+fn the_sql_parser_never_panics() {
+    let valid: Vec<Vec<u8>> = trade_statements()
+        .into_iter()
+        .map(String::into_bytes)
+        .collect();
     let (accepted, _) = search("sql::parse", 0x5351_4c50, &valid, parse_sql);
     assert!(accepted > 20, "only {accepted} changed statements parsed");
+}
+
+/// The lexer on its own: whether it accepts `raw`, and that what it
+/// accepts is at most one token per byte of the text it read (it emits no
+/// end marker).
+fn tokenize_sql(raw: &[u8]) -> bool {
+    let text = String::from_utf8_lossy(raw);
+    match sql::tokenize(&text) {
+        Ok(tokens) => {
+            assert!(
+                tokens.len() <= text.len(),
+                "{} tokens from {} bytes: {text:?}",
+                tokens.len(),
+                text.len()
+            );
+            true
+        }
+        Err(_) => false,
+    }
+}
+
+#[test]
+fn the_sql_lexer_never_panics() {
+    let mut valid = trade_statements();
+    valid.extend(
+        [
+            "SELECT * FROM quote WHERE companyname = 'it''s' OR companyname = ''''",
+            "SELECT a FROM t WHERE b >= -7 AND c < -2.5 AND d <> 1.5e-3 AND e != 1e3",
+            "UPDATE t SET a = 0.25, b = -0 WHERE c = 9223372036854775807",
+        ]
+        .map(str::to_owned),
+    );
+    let valid: Vec<Vec<u8>> = valid.into_iter().map(String::into_bytes).collect();
+    for unterminated in ["SELECT a FROM t WHERE b = 'open", "'", "'it''s"] {
+        assert!(!tokenize_sql(unterminated.as_bytes()), "{unterminated}");
+    }
+    let (accepted, _) = search("sql::tokenize", 0x4c45_5853, &valid, tokenize_sql);
+    assert!(accepted > 100, "only {accepted} changed statements lexed");
 }
 
 #[test]
@@ -762,7 +811,7 @@ fn the_commit_request_decoder_never_panics() {
         | EntryKind::Remove { before: image }
         | EntryKind::Create { after: image }) = &kind;
         CommitEntry {
-            bean: image.bean().to_owned(),
+            bean: image.bean().into(),
             key: image.primary_key().clone(),
             kind,
         }
@@ -836,7 +885,10 @@ fn the_memento_decoder_never_panics() {
     // A descriptor decides which names an image shares, never whether or
     // what it decodes: every bean's, and none, must agree.
     let decode = |raw: &[u8]| {
-        let read = |names| Memento::decode(&mut Reader::new(Bytes::copy_from_slice(raw)), names);
+        let read = |names| {
+            let mut frame = Reader::new(Bytes::copy_from_slice(raw));
+            Memento::decode(&mut frame, names, Template::default())
+        };
         let own = read(None).ok();
         for meta in registry.iter() {
             assert_eq!(read(Some(meta.image_names())).ok(), own, "{}", meta.bean());

@@ -588,7 +588,7 @@ fn transfer_request() -> CommitRequest {
         txn_id: 7,
         entries: vec![
             CommitEntry {
-                bean: "Account".to_owned(),
+                bean: "Account".into(),
                 key: Value::from("alice"),
                 kind: EntryKind::Update {
                     before: account_memento("alice", 100.0),
@@ -596,7 +596,7 @@ fn transfer_request() -> CommitRequest {
                 },
             },
             CommitEntry {
-                bean: "Account".to_owned(),
+                bean: "Account".into(),
                 key: Value::from("bob"),
                 kind: EntryKind::Update {
                     before: account_memento("bob", 28.0),

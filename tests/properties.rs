@@ -50,7 +50,7 @@ use sli_edge::component::BmpHome;
 use sli_edge::component::JdbcResourceManager;
 use sli_edge::component::{
     share_connection, Container, EjbResult, EntityMeta, ImageNames, InstanceState, Memento,
-    ResourceManager, TxContext,
+    ResourceManager, Template, TxContext,
 };
 use sli_edge::core::{
     memento_digest, validate_and_apply, validate_and_apply_per_image, CacheStats,
@@ -58,8 +58,8 @@ use sli_edge::core::{
     EntryKind, MetaRegistry, SliHome, SliResourceManager,
 };
 use sli_edge::datastore::{
-    CmpOp, Column, ColumnType, CrashPoint, Database, DbError, Money, Predicate, ResultSet, Schema,
-    SqlConnection, Value,
+    BatchStatement, CmpOp, Column, ColumnType, CrashPoint, Database, DbError, Money, Predicate,
+    ResultSet, Schema, SqlConnection, Value,
 };
 use sli_edge::simnet::wire::{frame, frame_traced, protocol, unframe, Reader, Writer};
 use sli_edge::simnet::{HttpRequest, HttpResponse};
@@ -328,7 +328,8 @@ fn memento_codec_round_trips() {
         m.encode(&mut w);
         assert_eq!(m.encoded_len(), w.len(), "memento {m:?}");
         let mut r = Reader::new(w.finish());
-        assert_eq!(Memento::decode(&mut r, None).unwrap(), m, "memento {m:?}");
+        let decoded = Memento::decode(&mut r, None, Template::default()).unwrap();
+        assert_eq!(decoded, m, "memento {m:?}");
     }
 }
 
@@ -345,7 +346,7 @@ fn predicate_codec_round_trips() {
 }
 
 fn assert_sql_round_trip(p: &Predicate) {
-    let sql = format!("SELECT * FROM holding WHERE {}", p.to_sql());
+    let sql = format!("SELECT * FROM holding WHERE {p}");
     let stmt = sli_edge::datastore::sql::parse(&sql)
         .unwrap_or_else(|e| panic!("{sql:?} does not parse: {e}"));
     match stmt {
@@ -504,7 +505,7 @@ fn commit_request_codec_round_trips() {
             .map(|i| {
                 let m = gen_memento(&mut rng);
                 CommitEntry {
-                    bean: m.bean().to_owned(),
+                    bean: m.bean().into(),
                     key: m.primary_key().clone(),
                     kind: match i % 4 {
                         0 => EntryKind::Read { before: m.clone() },
@@ -1520,7 +1521,15 @@ fn an_image_decodes_as_the_map_built_one_did_whoever_lends_the_names() {
         // Who lends the names: nobody; the bean's descriptor, declaring its
         // fields in the wire's order; descriptors that lack one of the
         // fields, declare one more, or spell one differently; and the
-        // descriptor of another bean with the same fields.
+        // descriptor of another bean with the same fields. Each reads
+        // against a template in turn: none, the image the frame spells, and
+        // an unrelated one — what it may share, never what it decodes to.
+        let unrelated = gen_memento(&mut rng);
+        let templates = [
+            Template::default(),
+            Template::of(&model),
+            Template::of(&unrelated),
+        ];
         let declared: Vec<String> = wire.iter().map(|(n, _)| n.clone()).collect();
         let mut lacking = own.clone();
         let mut renamed = own.clone();
@@ -1541,8 +1550,10 @@ fn an_image_decodes_as_the_map_built_one_did_whoever_lends_the_names() {
         ];
         for (which, lender) in lenders.iter().enumerate() {
             let at = format!("case {case}, lender {which}");
-            let decoded = Memento::decode(&mut Reader::new(frame.clone()), lender.as_ref())
-                .unwrap_or_else(|e| panic!("{at}: {e}"));
+            let template = templates[(case + which) % templates.len()];
+            let decoded =
+                Memento::decode(&mut Reader::new(frame.clone()), lender.as_ref(), template)
+                    .unwrap_or_else(|e| panic!("{at}: {e}"));
             assert_eq!(decoded, model, "{at}");
             assert_eq!(decoded.bean(), model.bean(), "{at}");
             assert_eq!(decoded.primary_key(), model.primary_key(), "{at}");
@@ -1598,7 +1609,12 @@ fn a_write_through_one_handle_never_reaches_another() {
         let original = if rng.gen_range(0..2u32) == 0 {
             let mut w = Writer::new();
             original.encode(&mut w);
-            Memento::decode(&mut Reader::new(w.finish()), Some(&lender)).unwrap()
+            Memento::decode(
+                &mut Reader::new(w.finish()),
+                Some(&lender),
+                Template::default(),
+            )
+            .unwrap()
         } else {
             original
         };
@@ -1738,6 +1754,7 @@ fn tx_context_matches_a_map_and_touch_order_model() {
             .iter()
             .map(|slot| (slot.0.as_str(), &slot.1, &model[slot]))
             .collect();
+        let seen: Vec<_> = seen.into_iter().map(|(b, k, st)| (&**b, k, st)).collect();
         assert_eq!(seen, expected, "op {op}");
     }
 }
@@ -1848,13 +1865,30 @@ fn conditional_sql_is_what_the_descriptor_used_to_format() {
             };
             let (before, after) = (image(&mut rng), image(&mut rng));
             let [clause, update, delete] = format_conditional_sql(meta, &before, &after);
-            assert_eq!(meta.before_image_where(&before), clause, "{before:?}");
+            // Written over whatever the statement held before, as a
+            // session's buffers are.
+            let mut stmt = BatchStatement::new(update.0.clone(), clause.1.clone());
+            meta.conditional_update_statement(&mut stmt, &before, &after);
             assert_eq!(
-                meta.conditional_update_sql(&before, &after),
+                (stmt.sql.clone(), stmt.params.clone()),
                 update,
                 "{before:?} -> {after:?}"
             );
-            assert_eq!(meta.conditional_delete_sql(&before), delete, "{before:?}");
+            meta.conditional_delete_statement(&mut stmt, &before);
+            assert_eq!(
+                (stmt.sql.clone(), stmt.params.clone()),
+                delete,
+                "{before:?}"
+            );
+            let table = meta.table();
+            let check = stmt
+                .sql
+                .strip_prefix(&format!("DELETE FROM {table} WHERE "));
+            assert_eq!(
+                (check, &stmt.params),
+                (Some(&*clause.0), &clause.1),
+                "{before:?}"
+            );
         }
     }
 }
