@@ -3,9 +3,11 @@
 //! Because the testbed runs on virtual time, every metric is a pure
 //! function of the code and the seeds. `perfguard` measures the guarded
 //! points — four closed-loop combinations at 20 ms and two open-loop
-//! loaded points at 10 ms, each on its quick protocol — prints them as
-//! `point,metric,value` and writes the same CSV to `results/perfguard.csv`
-//! (checked in). There is no separate check: the gate is
+//! loaded points at 10 ms, each on its quick protocol and the paper's
+//! wire, then the JDBC loaded point again on the batched wire — prints
+//! them as `point,metric,value` and writes the same CSV to
+//! `results/perfguard.csv` (checked in). There is no separate check: the
+//! gate is
 //!
 //! ```text
 //! cargo run --release -p sli-bench --bin perfguard

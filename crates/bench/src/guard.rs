@@ -115,12 +115,21 @@ pub fn guard_run(spec: &RunSpec) -> GuardEntry {
 }
 
 /// Measures every guarded point, closed-loop points first, each on its
-/// quick protocol.
+/// quick protocol and the paper's wire; then the JDBC loaded point again on
+/// the batched wire (`OP_EXEC_BATCH`, the §4.4 conjecture), keyed with a
+/// ` batched` suffix, so the batched wire's round trips stay guarded.
 pub fn guard_suite() -> Vec<GuardEntry> {
     let ms = SimDuration::from_millis;
     let closed = CLOSED_POINTS.map(|arch| RunSpec::closed(arch, ms(20), true));
     let open = LOADED_POINTS.map(|(arch, rps)| RunSpec::open(arch, ms(10), rps, true));
-    closed.iter().chain(&open).map(guard_run).collect()
+    let mut entries: Vec<GuardEntry> = closed.iter().chain(&open).map(guard_run).collect();
+    let mut batched = guard_run(&RunSpec {
+        wire_batching: true,
+        ..open[0]
+    });
+    batched.key.push_str(" batched");
+    entries.push(batched);
+    entries
 }
 
 /// The recorded form of a suite: `point,metric,value`, one metric per line.
