@@ -31,7 +31,7 @@ use crate::json::Json;
 use crate::schema::Shape::{self, *};
 use crate::schema::{items, uint};
 use crate::span::{SpanDetail, SpanEvent};
-use crate::tree::{bucket_for, walk_complete_traces, Bucket};
+use crate::tree::{bucket_for, walk_complete_traces, Breakdown, Bucket};
 
 /// Schema identifier embedded in every exported profile document; bump on
 /// any incompatible shape change.
@@ -416,6 +416,22 @@ impl Profile {
         table
     }
 
+    /// The profile's class self times summed by [`ClassStat::bucket`], over
+    /// its traces and total: what [`critical_path`](crate::critical_path)
+    /// returns for the same spans, read off the classes instead of a second
+    /// walk.
+    pub fn breakdown(&self) -> Breakdown {
+        let mut out = Breakdown {
+            bucket_us: [0; 5],
+            total_us: self.total_us,
+            traces: self.traces,
+        };
+        for class in &self.classes {
+            out.bucket_us[class.stat.bucket.index()] += class.stat.self_us;
+        }
+        out
+    }
+
     /// Self time attributed to `resource`, microseconds.
     pub fn resource_us(&self, resource: Resource) -> u64 {
         self.classes
@@ -734,6 +750,7 @@ pub(crate) mod tests {
         let events = demo_events();
         let p = Profile::from_events(&events);
         let b = critical_path(&events);
+        assert_eq!(p.breakdown(), b);
         assert_eq!(p.total_us, b.total_us);
         assert_eq!(p.traces, b.traces);
         for bucket in Bucket::ALL {

@@ -58,7 +58,7 @@ impl Bucket {
         Bucket::LABELS[self.index()]
     }
 
-    fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             Bucket::Network => 0,
             Bucket::DbLockWait => 1,
@@ -87,7 +87,7 @@ pub fn bucket_for(op: &str) -> Bucket {
 /// Aggregated critical-path decomposition over a set of traces.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Breakdown {
-    bucket_us: [u64; 5],
+    pub(crate) bucket_us: [u64; 5],
     /// Total root-span time decomposed, microseconds.
     pub total_us: u64,
     /// Number of complete traces aggregated.
