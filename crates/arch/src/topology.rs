@@ -101,8 +101,10 @@ pub struct TestbedConfig {
     /// `None` reproduces the paper's unbounded store.
     pub cache_capacity: Option<usize>,
     /// Whether remote database connections coalesce statement batches into
-    /// one wire round trip (`OP_EXEC_BATCH`). `false` is the ablation knob:
-    /// every statement pays its own round trip, as before PR 7.
+    /// one wire round trip (`OP_EXEC_BATCH`, the paper's §4.4 conjecture).
+    /// `false` is the paper's wire, one round trip per statement, which
+    /// every published `sli_bench` run sets; the default `true` serves the
+    /// batching ablation, slicheck and the wall-clock benchmark.
     pub wire_batching: bool,
 }
 

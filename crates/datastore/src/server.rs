@@ -547,8 +547,8 @@ pub struct RemoteConnection {
     /// next `BEGIN` or autocommitted statement first sends a `ROLLBACK`.
     in_doubt: bool,
     /// Whether `execute_batch` ships one `OP_EXEC_BATCH` frame (true, the
-    /// default) or falls back to one round trip per statement — the
-    /// pre-batching wire protocol, kept as an ablation knob.
+    /// default, the paper's §4.4 conjecture) or sends one round trip per
+    /// statement, the paper's wire.
     batching: bool,
     /// `(origin, txn_id)` commit identity announced via
     /// [`SqlConnection::stamp_next_commit`], shipped as a trailing section
@@ -658,9 +658,9 @@ impl RemoteConnection {
     }
 
     /// Enables or disables wire batching. With batching off,
-    /// `execute_batch` degrades to the pre-`OP_EXEC_BATCH` behaviour — one
-    /// round trip per statement — which the what-if profiler uses as the
-    /// ablation configuration when ranking the wire as a bottleneck.
+    /// `execute_batch` sends one round trip per statement, the paper's
+    /// wire, which every published measurement runs; batching on is the
+    /// §4.4 conjecture that the batching ablations measure.
     pub fn set_batching(&mut self, enabled: bool) {
         self.batching = enabled;
     }
