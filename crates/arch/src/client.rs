@@ -1,7 +1,7 @@
 //! The virtual client: the paper's load-generator machine.
 
-use sli_simnet::{Fault, HttpRequest, HttpResponse, RetryPolicy, SimDuration};
-use sli_telemetry::SpanOutcome;
+use sli_simnet::{Fault, HttpRequest, HttpResponse, RetryPolicy, SimDuration, SimTime};
+use sli_telemetry::{OpenSpan, SpanOutcome};
 use sli_trade::TradeAction;
 
 use crate::topology::Testbed;
@@ -86,52 +86,40 @@ impl<'t> VirtualClient<'t> {
         // fault state as detection ground truth. A browser does not retry:
         // a lost message surfaces as a client-side timeout, a refused
         // connection as an immediate error page.
-        let fault = node.client_path.next_fault();
+        let path = &node.client_path;
+        let fault = path.next_fault();
         match fault {
             None | Some(Fault::Duplicate) => {}
             Some(Fault::DropRequest) => {
                 // The bytes leave but never arrive; the server does not run
                 // and the client waits out its timeout.
-                node.client_path.request_async(request_bytes);
-                clock.advance(http_timeout());
+                path.request_async(request_bytes);
+                self.on_wire("net.client.timeout", || clock.delay(http_timeout()));
                 return self.abandoned(root, start, request_bytes, STATUS_CLIENT_TIMEOUT);
             }
             Some(Fault::DropResponse) => {
                 // The request arrives and the server does the work — side
                 // effects happen — but the response is lost, so the client
                 // still times out, measured from the send.
-                node.client_path.request(request_bytes);
+                self.on_wire("net.client.request", || path.request(request_bytes));
                 node.deliver_due_invalidations();
                 let parsed =
                     HttpRequest::parse(&raw_request).expect("client emits well-formed HTTP");
                 let _ = node.server.handle(&parsed);
-                let timeout = http_timeout();
-                let elapsed = clock.now() - start;
-                if elapsed < timeout {
-                    clock.advance(timeout - elapsed);
-                }
+                let deadline = start + http_timeout();
+                self.on_wire("net.client.timeout", || clock.delay_until(deadline));
                 return self.abandoned(root, start, request_bytes, STATUS_CLIENT_TIMEOUT);
             }
             Some(Fault::Unavailable) => {
                 // Connection refused: the request crosses, a one-byte
                 // refusal comes straight back, the server never runs.
-                node.client_path.request(request_bytes);
-                node.client_path.respond(1);
+                self.on_wire("net.client.request", || path.request(request_bytes));
+                self.on_wire("net.client.respond", || path.respond(1));
                 return self.abandoned(root, start, request_bytes, STATUS_REFUSED);
             }
         }
 
-        let crossing = tracer.begin("net.client.request");
-        let crossing_start = clock.now().as_micros();
-        node.client_path.request(request_bytes);
-        tracer.finish(
-            crossing,
-            self.edge as u32 + 1,
-            0,
-            crossing_start,
-            clock.now().as_micros(),
-            SpanOutcome::Committed,
-        );
+        self.on_wire("net.client.request", || path.request(request_bytes));
         // Any peer-invalidation messages whose crossing completed while this
         // request was in flight are picked off the wire first.
         node.deliver_due_invalidations();
@@ -141,22 +129,12 @@ impl<'t> VirtualClient<'t> {
             // The request was delivered twice: the second copy crosses on
             // the async stream (the client sent once) and the server runs
             // again on identical bytes; one response returns.
-            node.client_path.request_async(request_bytes);
+            path.request_async(request_bytes);
             let _ = node.server.handle(&parsed);
         }
         let raw_response = resp.encode();
         let response_bytes = raw_response.len();
-        let crossing = tracer.begin("net.client.respond");
-        let crossing_start = clock.now().as_micros();
-        node.client_path.respond(response_bytes);
-        tracer.finish(
-            crossing,
-            self.edge as u32 + 1,
-            0,
-            crossing_start,
-            clock.now().as_micros(),
-            SpanOutcome::Committed,
-        );
+        self.on_wire("net.client.respond", || path.respond(response_bytes));
         let resp = HttpResponse::parse(&raw_response).expect("server emits well-formed HTTP");
         let latency = clock
             .now()
@@ -167,14 +145,7 @@ impl<'t> VirtualClient<'t> {
             409 => SpanOutcome::Conflict,
             _ => SpanOutcome::Error,
         };
-        tracer.finish(
-            root,
-            self.edge as u32 + 1,
-            0,
-            start.as_micros(),
-            clock.now().as_micros(),
-            root_outcome,
-        );
+        self.finish(root, start.as_micros(), root_outcome);
 
         if let Some(cookie) = resp.set_cookie {
             self.cookie = Some(cookie);
@@ -190,13 +161,32 @@ impl<'t> VirtualClient<'t> {
         }
     }
 
+    /// Runs `step` — a crossing of the access link or a wait for it —
+    /// inside an `op` span, so the profile files its time as network.
+    fn on_wire(&self, op: &'static str, step: impl FnOnce()) {
+        let span = self.testbed.tracer().begin(op);
+        let start_us = self.testbed.clock.now().as_micros();
+        step();
+        self.finish(span, start_us, SpanOutcome::Committed);
+    }
+
+    /// Records `span`, begun at `start_us`, as ending now on this client's
+    /// edge.
+    fn finish(&self, span: OpenSpan, start_us: u64, outcome: SpanOutcome) {
+        let end_us = self.testbed.clock.now().as_micros();
+        let origin = self.edge as u32 + 1;
+        self.testbed
+            .tracer()
+            .finish(span, origin, 0, start_us, end_us, outcome);
+    }
+
     /// Closes out an interaction the client gave up on (timeout or refused
     /// connection): the root span ends in error and no response bytes ever
     /// arrived.
     fn abandoned(
         &self,
-        root: sli_telemetry::OpenSpan,
-        start: sli_simnet::SimTime,
+        root: OpenSpan,
+        start: SimTime,
         request_bytes: usize,
         status: u16,
     ) -> Interaction {
@@ -205,14 +195,7 @@ impl<'t> VirtualClient<'t> {
             .now()
             .checked_since(start)
             .expect("virtual time is monotone across a round trip");
-        self.testbed.tracer().finish(
-            root,
-            self.edge as u32 + 1,
-            0,
-            start.as_micros(),
-            clock.now().as_micros(),
-            SpanOutcome::Error,
-        );
+        self.finish(root, start.as_micros(), SpanOutcome::Error);
         Interaction {
             latency,
             status,

@@ -521,7 +521,7 @@ impl<'t> LoadEngine<'t> {
                     .min();
                 match next_event {
                     Some(t) => {
-                        clock.advance_to(t);
+                        clock.delay_until(t);
                         continue;
                     }
                     None => break,

@@ -709,7 +709,7 @@ fn run_on_tier(cfg: &SliCheckConfig, source: ScheduleSource) -> (SliCheckOutcome
         .collect();
     let deliver = |j: usize| {
         if let Some(arrival) = sinks[j].last_arrival() {
-            tier.clock.advance_to(arrival);
+            tier.clock.delay_until(arrival);
         }
         sinks[j].deliver_due();
     };

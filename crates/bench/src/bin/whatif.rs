@@ -84,7 +84,7 @@ fn show(label: &str, report: &WhatIfReport, csv: &mut Csv) {
     // Un-speedable time still shows up in the profile; name it so the
     // shares visibly account for the whole latency.
     println!(
-        "{}  (store/lock wait holds the remaining {:.1}% — contention, no speed knob)",
+        "{}  (store-lock holds the remaining {:.1}% — the back-end's commit CPU, no speed knob)",
         table.render(),
         baseline.profile.resource_share(Resource::StoreLock) * 100.0,
     );

@@ -806,9 +806,9 @@ impl ArtifactSet {
 
 /// The three virtually-speedable resources of the what-if engine: each is
 /// sped up with [`Clock::set_speedup`](sli_simnet::Clock::set_speedup) and
-/// charged through [`Clock::charge`](sli_simnet::Clock::charge). Store/lock wait is deliberately absent:
-/// it is contention, not a machine to buy faster — its causal impact shows
-/// up as *divergence* on the other knobs instead.
+/// charged through [`Clock::charge`](sli_simnet::Clock::charge). Store-lock is deliberately absent:
+/// it holds only the ES/RBES back-end's CPU, which no knob models, so
+/// `whatif.csv` keeps that time at nominal on every ablation.
 pub const WHATIF_KNOBS: [Resource; 3] = [Resource::Wire, Resource::BackendDb, Resource::EdgeCpu];
 
 /// One row of a causal profile: what actually happened when `resource` was

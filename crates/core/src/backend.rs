@@ -16,7 +16,7 @@ use sli_datastore::{Predicate, SqlConnection, Value};
 use sli_simnet::wire::{protocol, unframe, DecodeError, Reader, Writer};
 use sli_simnet::{CallError, Clock, Remote, Service, SimDuration};
 
-use sli_telemetry::{SpanOutcome, Tracer};
+use sli_telemetry::{Resource, SpanOutcome, Tracer};
 
 use crate::commit::{CommitOutcome, CommitRequest};
 use crate::committer::{query_current, CommitPoint, CommitStep, CommitTracer, Committer, Decision};
@@ -115,10 +115,11 @@ impl BackendServer {
     /// Datastore failures; conflicts are an `Ok` outcome.
     pub fn commit(&self, request: &CommitRequest) -> EjbResult<CommitOutcome> {
         let Decision { result, fresh } = self.point.decide(request, |step| {
-            self.clock.advance(match step {
+            let cpu = match step {
                 CommitStep::Replay => PER_REQUEST,
                 CommitStep::ValidateApply => PER_IMAGE.saturating_mul(request.entries.len() as u64),
-            });
+            };
+            self.clock.charge(Resource::StoreLock, cpu);
         });
         if fresh && matches!(result, Ok(CommitOutcome::Committed)) && request.has_writes() {
             self.fan_out(request);
@@ -180,7 +181,7 @@ impl BackendServer {
     }
 
     fn run_op(&self, op: u8, r: &mut Reader) -> EjbResult<Writer> {
-        self.clock.advance(PER_REQUEST);
+        self.clock.charge(Resource::StoreLock, PER_REQUEST);
         let mut w = Writer::framed();
         w.put_u8(STATUS_OK);
         match op {
@@ -198,7 +199,7 @@ impl BackendServer {
                     Some(row) => {
                         w.put_bool(true);
                         meta.encode_row(row, &mut w);
-                        self.clock.advance(PER_IMAGE);
+                        self.clock.charge(Resource::StoreLock, PER_IMAGE);
                     }
                     None => {
                         w.put_bool(false);
@@ -215,8 +216,8 @@ impl BackendServer {
                 for row in rs.rows() {
                     meta.encode_row(row, &mut w);
                 }
-                self.clock
-                    .advance(PER_IMAGE.saturating_mul(rs.len() as u64));
+                let images = PER_IMAGE.saturating_mul(rs.len() as u64);
+                self.clock.charge(Resource::StoreLock, images);
                 Ok(w)
             }
             OP_COMMIT => {

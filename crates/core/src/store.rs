@@ -688,7 +688,7 @@ mod tests {
         sink.deliver_due();
         assert!(store.get("Account", &Value::from("a")).is_some());
         // after 40 ms of simulated time, delivery happens
-        clock.advance(SimDuration::from_millis(40));
+        clock.delay(SimDuration::from_millis(40));
         sink.deliver_due();
         assert_eq!(sink.in_flight(), 0);
         assert!(store.get("Account", &Value::from("a")).is_none());
@@ -711,7 +711,7 @@ mod tests {
         // Enqueue must raise the gauge immediately, not only on drain.
         sink.handle(frame("a"));
         assert_eq!(depth(&registry), 1);
-        clock.advance(SimDuration::from_millis(10));
+        clock.delay(SimDuration::from_millis(10));
         sink.handle(frame("b")); // due 10ms later than "a"
         assert_eq!(depth(&registry), 2);
         assert_eq!(sink.last_arrival().map(|t| t.as_micros()), Some(20_000));
@@ -719,7 +719,7 @@ mod tests {
         sink.deliver_due();
         assert_eq!(depth(&registry), 1);
         assert_eq!(sink.in_flight(), 1);
-        clock.advance(SimDuration::from_millis(10));
+        clock.delay(SimDuration::from_millis(10));
         sink.deliver_due();
         assert_eq!(depth(&registry), 0);
         assert_eq!(sink.in_flight(), 0);

@@ -16,7 +16,7 @@ use sli_telemetry::Resource;
 /// use sli_simnet::{Clock, SimDuration};
 /// let clock = Clock::new();
 /// let start = clock.now();
-/// clock.advance(SimDuration::from_millis(3));
+/// clock.delay(SimDuration::from_millis(3));
 /// assert_eq!((clock.now() - start).as_millis_f64(), 3.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -212,15 +212,18 @@ fn scale_cost_us(us: u64, ppm: u64) -> u64 {
 /// time on the paper's testbed completes in milliseconds here, with *exactly*
 /// reproducible timings.
 ///
-/// The clock also holds the what-if speed of each [`Resource`]: work
-/// charged with [`Clock::charge`] is scaled by it, so one setter speeds up
-/// every path, the database server or every edge's servlet container.
+/// The clock also holds the what-if speed of each [`Resource`]. Time moves
+/// only as [`Clock::charge`], work on a resource, scaled by its speed and
+/// counted as its busy time, or as [`Clock::delay`] /
+/// [`Clock::delay_until`], time that occupies no resource.
 #[derive(Debug)]
 pub struct Clock {
     micros: AtomicU64,
     /// Cost scale per resource, in parts per million of nominal, at
     /// `resource as usize`. `StoreLock`'s stays nominal.
     scale_ppm: [AtomicU64; Resource::ALL.len()],
+    /// Microseconds charged to each resource, at `resource as usize`.
+    busy_us: [AtomicU64; Resource::ALL.len()],
 }
 
 impl Default for Clock {
@@ -231,11 +234,12 @@ impl Default for Clock {
 
 impl Clock {
     /// Creates a clock positioned at [`SimTime::ZERO`], every resource at
-    /// nominal speed.
+    /// nominal speed and idle.
     pub fn new() -> Clock {
         Clock {
             micros: AtomicU64::new(0),
             scale_ppm: std::array::from_fn(|_| AtomicU64::new(COST_SCALE_UNIT)),
+            busy_us: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
 
@@ -244,17 +248,41 @@ impl Clock {
         SimTime(self.micros.load(Ordering::Relaxed))
     }
 
-    /// Advances simulated time by `d`.
-    pub fn advance(&self, d: SimDuration) {
+    fn advance(&self, d: SimDuration) {
         self.micros.fetch_add(d.0, Ordering::Relaxed);
     }
 
     /// Advances simulated time by `d` of work on `resource`, scaled by that
-    /// resource's what-if speed, and returns what it charged.
+    /// resource's what-if speed, adds it to the resource's busy time and
+    /// returns what it charged.
     pub fn charge(&self, resource: Resource, d: SimDuration) -> SimDuration {
         let charged = self.scaled(resource, d);
+        self.busy_us[resource as usize].fetch_add(charged.0, Ordering::Relaxed);
         self.advance(charged);
         charged
+    }
+
+    /// Advances simulated time by `d` that occupies no resource: a wait
+    /// such as jitter, a retry's back-off or a lost message's time-out.
+    pub fn delay(&self, d: SimDuration) {
+        self.advance(d);
+    }
+
+    /// Advances simulated time to instant `t` if `t` is in the future; a
+    /// no-op otherwise.
+    ///
+    /// This is the load engine's idle transition: when no session has a
+    /// ready step, the clock jumps straight to the next arrival or
+    /// think-time expiry instead of spinning. Dispatching work whose due
+    /// time has already passed (it queued behind earlier work) must *not*
+    /// rewind the clock, hence the monotone no-op rather than an error.
+    pub fn delay_until(&self, t: SimTime) {
+        self.micros.fetch_max(t.0, Ordering::Relaxed);
+    }
+
+    /// Microseconds charged to `resource` since the clock was created.
+    pub fn busy(&self, resource: Resource) -> SimDuration {
+        SimDuration(self.busy_us[resource as usize].load(Ordering::Relaxed))
     }
 
     /// What [`Clock::charge`] would charge for `d` on `resource`, without
@@ -270,8 +298,9 @@ impl Clock {
     /// # Panics
     /// If `f` is not positive (a free or negative cost would break the
     /// causality the clock depends on), or if `resource` is
-    /// [`Resource::StoreLock`]: lock wait is contention, not a machine one
-    /// can buy faster.
+    /// [`Resource::StoreLock`]: its only charges are the split-servers
+    /// back-end's own CPU, a machine the what-if engine keeps at nominal
+    /// speed.
     pub fn set_speedup(&self, resource: Resource, f: f64) {
         assert!(f > 0.0, "speedup factor must be positive");
         assert!(
@@ -280,24 +309,6 @@ impl Clock {
         );
         let ppm = ((COST_SCALE_UNIT as f64 / f).round() as u64).max(1);
         self.scale_ppm[resource as usize].store(ppm, Ordering::Relaxed);
-    }
-
-    /// Advances simulated time to instant `t` if `t` is in the future; a
-    /// no-op otherwise.
-    ///
-    /// This is the load engine's idle transition: when no session has a
-    /// ready step, the clock jumps straight to the next arrival or
-    /// think-time expiry instead of spinning. Dispatching work whose due
-    /// time has already passed (it queued behind earlier work) must *not*
-    /// rewind the clock, hence the monotone no-op rather than an error.
-    pub fn advance_to(&self, t: SimTime) {
-        self.micros.fetch_max(t.0, Ordering::Relaxed);
-    }
-
-    /// Rewinds the clock to zero (used between measurement runs). The
-    /// resources' speeds are kept.
-    pub fn reset(&self) {
-        self.micros.store(0, Ordering::Relaxed);
     }
 }
 
@@ -312,26 +323,18 @@ mod tests {
     }
 
     #[test]
-    fn advance_accumulates() {
+    fn delay_accumulates() {
         let c = Clock::new();
-        c.advance(SimDuration::from_millis(5));
-        c.advance(SimDuration::from_micros(250));
+        c.delay(SimDuration::from_millis(5));
+        c.delay(SimDuration::from_micros(250));
         assert_eq!(c.now().as_micros(), 5_250);
-    }
-
-    #[test]
-    fn reset_rewinds() {
-        let c = Clock::new();
-        c.advance(SimDuration::from_millis(1));
-        c.reset();
-        assert_eq!(c.now(), SimTime::ZERO);
     }
 
     #[test]
     fn time_subtraction_yields_duration() {
         let c = Clock::new();
         let t0 = c.now();
-        c.advance(SimDuration::from_micros(42));
+        c.delay(SimDuration::from_micros(42));
         assert_eq!((c.now() - t0).as_micros(), 42);
     }
 
@@ -394,13 +397,40 @@ mod tests {
     }
 
     #[test]
-    fn advance_to_is_monotone() {
+    fn delay_until_is_monotone() {
         let c = Clock::new();
-        c.advance_to(SimTime::ZERO + SimDuration::from_millis(5));
+        c.delay_until(SimTime::ZERO + SimDuration::from_millis(5));
         assert_eq!(c.now().as_micros(), 5_000);
         // Dispatching overdue work must not rewind the clock.
-        c.advance_to(SimTime::ZERO + SimDuration::from_millis(2));
+        c.delay_until(SimTime::ZERO + SimDuration::from_millis(2));
         assert_eq!(c.now().as_micros(), 5_000);
+    }
+
+    #[test]
+    fn delays_leave_every_busy_counter_untouched() {
+        let c = Clock::new();
+        c.delay(SimDuration::from_millis(3));
+        c.delay_until(SimTime::ZERO + SimDuration::from_millis(7));
+        assert_eq!(c.now().as_micros(), 7_000);
+        for r in Resource::ALL {
+            assert_eq!(c.busy(r), SimDuration::ZERO, "{r:?}");
+        }
+    }
+
+    #[test]
+    fn a_charge_adds_what_it_returns_to_its_resource_only() {
+        let c = Clock::new();
+        let us = SimDuration::from_micros;
+        c.set_speedup(Resource::BackendDb, 4.0);
+        let fast = c.charge(Resource::BackendDb, us(1_002));
+        assert_eq!(fast, us(251), "250.5 rounds up");
+        let nominal = c.charge(Resource::StoreLock, us(300));
+        c.charge(Resource::StoreLock, us(40));
+        assert_eq!(c.busy(Resource::BackendDb), fast);
+        assert_eq!(c.busy(Resource::StoreLock), nominal + us(40));
+        assert_eq!(c.busy(Resource::EdgeCpu), SimDuration::ZERO);
+        assert_eq!(c.busy(Resource::Wire), SimDuration::ZERO);
+        assert_eq!(c.now().as_micros(), 251 + 340);
     }
 
     #[test]

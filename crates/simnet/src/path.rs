@@ -304,7 +304,7 @@ impl Path {
     fn cross(&self, n: usize) {
         let cost = self.clock.charge(Resource::Wire, self.nominal_cost(n));
         let jitter = self.next_jitter();
-        self.clock.advance(jitter);
+        self.clock.delay(jitter);
         self.metrics.crossing_us.record((cost + jitter).as_micros());
     }
 

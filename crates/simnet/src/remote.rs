@@ -210,7 +210,7 @@ impl<S: Service> Remote<S> {
                 }
             }
             if attempt < self.policy.max_attempts {
-                self.path.clock().advance(backoff);
+                self.path.clock().delay(backoff);
                 metrics.rpc_backoff_us.add(backoff.as_micros());
                 backoff = backoff + backoff;
             }
@@ -325,7 +325,7 @@ impl<S: Service> Remote<S> {
                 // The bytes leave the caller but never arrive; the service
                 // does not run and the caller waits out its timeout.
                 self.path.request_async(request.len());
-                clock.advance(self.policy.timeout);
+                clock.delay(self.policy.timeout);
                 Err(AttemptError::TimedOut)
             }
             Some(Fault::DropResponse) => {
@@ -335,10 +335,7 @@ impl<S: Service> Remote<S> {
                 let start = clock.now();
                 self.spanned("net.request", || self.path.request(request.len()));
                 let _ = self.service.handle(request.clone());
-                let elapsed = clock.now() - start;
-                if elapsed < self.policy.timeout {
-                    clock.advance(self.policy.timeout - elapsed);
-                }
+                clock.delay_until(start + self.policy.timeout);
                 Err(AttemptError::TimedOut)
             }
             Some(Fault::Unavailable) => {
@@ -424,7 +421,7 @@ mod tests {
 
     impl Service for Worker {
         fn handle(&self, _request: Bytes) -> Bytes {
-            self.0.advance(SimDuration::from_millis(2));
+            self.0.delay(SimDuration::from_millis(2));
             Bytes::from_static(b"done!")
         }
     }

@@ -24,9 +24,9 @@
 //!   per-[`Bucket`] latency attribution and OCC abort forensics.
 //! * [`Profile`] / [`Resource`] — cross-session aggregate profiling:
 //!   per-span-class self times, collapsed-stack flamegraph export,
-//!   per-resource accounting with utilization ρ, exported under
-//!   [`PROFILE_SCHEMA`], plus the [`littles_law`] L = λ·W consistency
-//!   check for loaded runs.
+//!   per-resource shares of latency (utilization is the simulation
+//!   clock's busy count), exported under [`PROFILE_SCHEMA`], plus the
+//!   [`littles_law`] L = λ·W consistency check for loaded runs.
 //! * [`chrome_trace`] — Chrome trace-event JSON export
 //!   (Perfetto-loadable).
 //! * [`Json`] — a tiny self-contained JSON value (deterministic key order),

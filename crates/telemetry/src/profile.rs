@@ -11,8 +11,10 @@
 //!   standard flamegraph collapsed-stack format ([`Profile::folded`]),
 //!   loadable directly into inferno or speedscope;
 //! * **per-resource accounting** — every class maps through its bucket to
-//!   the simulated [`Resource`] its self time occupies, giving utilization
-//!   ρ per resource over a measured window.
+//!   the simulated [`Resource`] its self time occupies, giving each
+//!   resource's share of the measured latency. Utilization — busy time
+//!   over a window — is the simulation clock's own count of what it
+//!   charged each resource, not rebuilt here.
 //!
 //! The same conservation law that makes the bucket breakdown trustworthy
 //! holds here, exactly and at every granularity: class self times, stack
@@ -39,22 +41,25 @@ pub const PROFILE_SCHEMA: &str = "sli-edge.profile/v1";
 
 /// The simulated resource a span's self time occupies — the unit of
 /// virtual speedup in the what-if engine: each resource maps to one cost
-/// knob (path costs, database CPU, edge CPU), except the lock/validation
-/// resource, which is contention and has no knob to turn.
+/// knob (path costs, database CPU, edge CPU), except store-lock, which
+/// holds the split-servers back-end's CPU and has no knob to turn.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Resource {
     /// Application-server compute at the edge: servlet dispatch, engine
     /// work, page rendering.
     EdgeCpu,
     /// Network crossings — WAN and LAN path latency, serialisation,
-    /// proxy delay and retry backoff.
+    /// proxy delay — plus, in a profile, the jitter, retry backoff and
+    /// time-outs waited inside network spans, which the clock charges to
+    /// no resource.
     Wire,
     /// Back-end database work: statement execution plus the transaction
     /// bracketing (BEGIN/COMMIT, session open/close) the same server
     /// charges for.
     BackendDb,
-    /// Store/lock contention: OCC validation, replay lookup and
-    /// invalidation fan-out — time spent agreeing, not computing.
+    /// The commit protocol: OCC validation, replay lookup and
+    /// invalidation fan-out. The only time charged to it is the
+    /// split-servers back-end's CPU; no store wait is charged anywhere.
     StoreLock,
 }
 
@@ -449,24 +454,6 @@ impl Profile {
         } else {
             self.resource_us(resource) as f64 / self.total_us as f64
         }
-    }
-
-    /// Utilization ρ of each resource over a measured window of
-    /// `makespan_us` virtual microseconds: the fraction of the window the
-    /// resource was busy. The simulation serialises service on one
-    /// virtual timeline, so Σρ ≤ 1 and the remainder is think/idle time.
-    pub fn utilization(&self, makespan_us: u64) -> Vec<(Resource, f64)> {
-        Resource::ALL
-            .into_iter()
-            .map(|r| {
-                let rho = if makespan_us == 0 {
-                    0.0
-                } else {
-                    self.resource_us(r) as f64 / makespan_us as f64
-                };
-                (r, rho)
-            })
-            .collect()
     }
 
     /// The resources ranked by profile share, largest first (ties broken

@@ -3,9 +3,12 @@
 //! injected delay the way the paper reports, and the three data-access
 //! engines are observationally equivalent on committed state.
 
-use sli_edge::arch::{Architecture, Flavor, Testbed, TestbedConfig, VirtualClient};
+use sli_edge::arch::{
+    Architecture, Flavor, LoadEngine, LoadPlan, RunHooks, Testbed, TestbedConfig, VirtualClient,
+};
 use sli_edge::datastore::{SqlConnection, Value};
-use sli_edge::simnet::SimDuration;
+use sli_edge::simnet::{FaultPlan, SimDuration};
+use sli_edge::telemetry::{Profile, Resource, SpanEvent};
 use sli_edge::trade::seed::Population;
 use sli_edge::trade::session::SessionGenerator;
 use sli_edge::trade::TradeAction;
@@ -272,4 +275,112 @@ fn every_architecture_emits_a_valid_run_report() {
     assert_eq!(run.entries.len(), 7);
     let json = run.to_json();
     assert_eq!(validate(&json), Ok(Schema::RunReport), "all seven rows");
+}
+
+/// What the clock charged each resource over one run of `plan` on a fresh
+/// `arch` testbed (the paper's wire, `delay` each way, `faults` dialled on
+/// the delayed path), beside the profile of the run's spans.
+fn charged_and_profiled(
+    arch: Architecture,
+    delay: SimDuration,
+    faults: FaultPlan,
+    plan: &LoadPlan,
+) -> ([u64; 4], Profile) {
+    let tb = Testbed::build(
+        arch,
+        TestbedConfig {
+            wire_batching: false,
+            ..TestbedConfig::default()
+        },
+    );
+    tb.set_delay(delay);
+    tb.set_faults(faults);
+    tb.reset_telemetry();
+    let busy = || Resource::ALL.map(|r| tb.clock.busy(r).as_micros());
+    let before = busy();
+    let mut profile = Profile::default();
+    let mut fold = |events: &[SpanEvent]| profile.fold(events);
+    let hooks = RunHooks {
+        observer: Some(&mut fold),
+        ..RunHooks::default()
+    };
+    LoadEngine::new(&tb).run_with(plan, hooks);
+    let after = busy();
+    (std::array::from_fn(|r| after[r] - before[r]), profile)
+}
+
+/// The profile's time per resource, with the self time of the `backend.*`
+/// classes moved from edge-cpu to store-lock, and that moved amount. The
+/// profile files the ES/RBES back-end's request CPU (300 µs a fetch, query
+/// or commit, 40 µs an image) by span name as edge compute; the clock
+/// charges it to store-lock, as it does the same machine's commit steps.
+fn profiled_as_charged(profile: &Profile) -> ([u64; 4], u64) {
+    let backend: u64 = profile
+        .classes()
+        .filter(|(class, _)| class.starts_with("backend."))
+        .map(|(_, stat)| stat.self_us)
+        .sum();
+    let mut us = Resource::ALL.map(|r| profile.resource_us(r));
+    us[Resource::EdgeCpu as usize] -= backend;
+    us[Resource::StoreLock as usize] += backend;
+    (us, backend)
+}
+
+/// One client running `sessions` sessions back to back, without think time.
+fn one_client(sessions: usize) -> LoadPlan {
+    LoadPlan {
+        closed: Some(1),
+        think: SimDuration::ZERO,
+        ..LoadPlan::poisson(1.0, sessions, 48)
+    }
+}
+
+/// On every combination closed at 20 ms, and on perfguard's two loaded
+/// points at 10 ms, the clock's busy counters equal the profile's resource
+/// times once the back-end's misfiled CPU is moved, and only ES/RBES has
+/// any to move.
+#[test]
+fn the_clock_charges_each_resource_what_the_profile_files_under_it() {
+    let ms = SimDuration::from_millis;
+    let closed = Architecture::ALL.map(|(arch, _)| (arch, ms(20), one_client(20)));
+    let loaded = [
+        (Architecture::EsRdb(Flavor::Jdbc), 3.0),
+        (Architecture::EsRbes, 8.0),
+    ]
+    .map(|(arch, rps)| (arch, ms(10), LoadPlan::poisson(rps, 30, 48)));
+    for (arch, delay, plan) in closed.into_iter().chain(loaded) {
+        let (busy, profile) = charged_and_profiled(arch, delay, FaultPlan::NONE, &plan);
+        let (profiled, backend) = profiled_as_charged(&profile);
+        assert_eq!(
+            busy, profiled,
+            "{arch:?}: busy vs profile, in Resource::ALL order"
+        );
+        assert_eq!(
+            backend > 0,
+            arch == Architecture::EsRbes,
+            "{arch:?}: {backend} µs of backend.* self time"
+        );
+    }
+}
+
+/// A browser's lost request or response is waited out, and a refused
+/// connection crosses, inside `net.client.*` spans: off the wire the
+/// clock and the profile agree, and on it the profile holds the charged
+/// crossings plus the time-outs waited, which occupy no resource.
+#[test]
+fn a_lossy_access_link_is_charged_to_the_wire_and_waited_in_its_spans() {
+    let arch = Architecture::ClientsRas(Flavor::Jdbc);
+    let lossy = FaultPlan::lossy(48, 200);
+    let (busy, profile) =
+        charged_and_profiled(arch, SimDuration::from_millis(20), lossy, &one_client(20));
+    let wire = Resource::Wire as usize;
+    for r in Resource::ALL.into_iter().filter(|&r| r != Resource::Wire) {
+        assert_eq!(busy[r as usize], profile.resource_us(r), "{}", r.label());
+    }
+    assert!(
+        profile.resource_us(Resource::Wire) > busy[wire],
+        "the time-outs waited: profile {} µs of wire, {} µs charged",
+        profile.resource_us(Resource::Wire),
+        busy[wire]
+    );
 }

@@ -318,7 +318,7 @@ fn deferred_invalidation_leaves_a_staleness_window_that_validation_catches() {
     assert!(matches!(result, Err(EjbError::OptimisticConflict { .. })));
     assert_eq!(balance_of(&db, "alice"), 70.0, "stale write must not land");
     // After the crossing completes, delivery happens and the retry works.
-    clock.advance(SimDuration::from_millis(50));
+    clock.delay(SimDuration::from_millis(50));
     sink2.deliver_due();
     debit(&edge2, "alice", 30.0).unwrap();
     assert_eq!(balance_of(&db, "alice"), 40.0);

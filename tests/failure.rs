@@ -1053,7 +1053,7 @@ fn killed_split_edge_with_pending_invalidation_rewarms_coherently() {
     // The lost invalidation's late twin (delivered after restart) is
     // harmless: it may blow the fresh image away, but the next miss
     // refetches the same ground truth.
-    clock.advance(SimDuration::from_millis(10));
+    clock.delay(SimDuration::from_millis(10));
     sink2.deliver_due();
     let read = edge2
         .with_transaction(|ctx, c| {
