@@ -139,10 +139,11 @@ fn message_path_stays_within_its_allocation_budget() {
     assert_eq!(allocs, 0, "HttpResponse::parse");
     assert!(parsed.body.len() > 5_000);
 
-    // (d) A quote by the JDBC engine on a local connection: 5 — its
-    // SELECT of six columns (the match list and the one vector of cells),
-    // the parameter's string, and the result's text and field list. It
-    // was 9 while a result was a list of rows, and 40 while every field
+    // (d) A quote by the JDBC engine on a local connection: 4 — its
+    // SELECT of six columns (the one vector of cells), the parameter's
+    // string, and the result's text and field list. It was 5 while the
+    // SELECT's one matched key was a list of its own, 9 while a result was
+    // a list of rows, and 40 while every field
     // was a name and a value of its own (14 for the seven) behind a
     // formatted temporary and every result copied its column names.
     let perform = steady(|| {
@@ -150,15 +151,17 @@ fn message_path_stays_within_its_allocation_budget() {
         assert_eq!(result.get("symbol"), Some("s:5"));
         allocs
     });
-    assert!(perform <= 5, "JdbcTradeEngine::perform(quote): {perform}");
+    assert!(perform <= 4, "JdbcTradeEngine::perform(quote): {perform}");
 
     // (e) Whole interactions on ES/RDB (JDBC): request built, encoded,
     // parsed, dispatched, statements over the wire to the database server,
     // page rendered, response encoded and parsed — spans recorded, the
-    // span log emptied between repetitions. They were 33, 34, 47 and 91
-    // while a request was built from and parsed into owned strings and a
-    // parsed response copied its page out; 38, 40, 59 and 107 while a
-    // result was a list of rows and a wire statement's parameters a list
+    // span log emptied between repetitions. They were 15, 16, 29 and 66
+    // while each JDBC message and each WAL record was a buffer and its
+    // frozen copy and a pk lookup built a one-key match list; 33, 34, 47
+    // and 91 while a request was built from and parsed into owned strings
+    // and a parsed response copied its page out; 38, 40, 59 and 107 while
+    // a result was a list of rows and a wire statement's parameters a list
     // of their own (DESIGN §19, §21); 41, 44, 65 and 123 while a string
     // value was copied wherever it went, and 80, 107, 136 and 198 before a
     // message was one buffer.
@@ -174,7 +177,7 @@ fn message_path_stays_within_its_allocation_budget() {
     let portfolio = TradeAction::Portfolio {
         user: "uid:3".into(),
     };
-    for (action, budget) in [(&home, 15), (&quote, 16), (&portfolio, 29), (&buy, 66)] {
+    for (action, budget) in [(&home, 12), (&quote, 13), (&portfolio, 26), (&buy, 51)] {
         let allocs = steady(|| {
             tb.commit_trace().clear();
             let (allocs, done) = allocs_of(|| client.perform(action));
@@ -227,7 +230,10 @@ fn message_path_stays_within_its_allocation_budget() {
     // (g) A whole buy on ES/RBES, the split-servers write path: images
     // faulted from the back-end, the transaction's state shipped as one
     // commit request, validated and applied image by image next to the
-    // database, logged and invalidated: 93. It was 122 while bean names
+    // database, logged and invalidated: 76. It was 93 while each message
+    // between the back-end and the database and each WAL record was a
+    // buffer and its frozen copy and a pk lookup built a one-key match
+    // list, 122 while bean names
     // were copied into the context, the references and the commit entries,
     // each decoded image spelled its own key and values, and the commit
     // point built its statements afresh; 147 while the HTTP hop
@@ -244,7 +250,7 @@ fn message_path_stays_within_its_allocation_budget() {
         allocs
     });
     assert!(
-        allocs <= 93,
+        allocs <= 76,
         "VirtualClient::perform({buy}) on ES/RBES: {allocs} allocations"
     );
 }

@@ -219,8 +219,9 @@ fn image_path_stays_within_its_allocation_budget() {
     // SELECT plus 5 while each validation built its metadata list,
     // statement list, statement text and parameter list, plus 6 while the
     // key in the parameter list was a copy, and plus 27 before that. The
-    // SELECT itself is 2, the match list and the result's one vector of
-    // cells; it was 6 while a result was a list of rows.
+    // SELECT itself is 1, the result's one vector of cells; it was 2 while
+    // its one matched key was a list of its own, and 6 while a result was
+    // a list of rows.
     let mut conn = db.connect();
     let rs = conn
         .execute(meta.load_sql(), std::slice::from_ref(&key))
@@ -252,7 +253,7 @@ fn image_path_stays_within_its_allocation_budget() {
         assert_eq!(outcome, CommitOutcome::Committed);
         allocs
     });
-    assert!(statement <= 2, "the validation's SELECT: {statement}");
+    assert!(statement <= 1, "the validation's SELECT: {statement}");
     assert!(
         validate <= statement + 1,
         "one-entry read validation: {validate} (its SELECT alone: {statement})"
@@ -310,13 +311,14 @@ fn writing_commits(edges: &[u32]) -> Vec<u64> {
 
 /// A writing commit whose only peer is its origin — a one-edge split tier —
 /// writes no invalidation frame: it costs what it costs with no edge
-/// registered, 9 once warm. Its fetch and write statements are refilled in
-/// the commit point's session: it was 18 while each decision built its
-/// round and metadata lists and both statements (each a list, a text and a
-/// parameter list). It was 28 with 6 for a frame built and dropped unsent
-/// (the written keys' list and a bean name per key, the payload's buffer
-/// and its frozen copy, then the frame's) and 4 in the validating SELECT's
-/// rows (DESIGN §19). With a second edge the frame is written — its one
+/// registered, 7 once warm. It was 9 while each of its two WAL records was
+/// a buffer and its frozen copy. Its fetch and write statements are
+/// refilled in the commit point's session: it was 18 while each decision
+/// built its round and metadata lists and both statements (each a list, a
+/// text and a parameter list). It was 28 with 6 for a frame built and
+/// dropped unsent (the written keys' list and a bean name per key, the
+/// payload's buffer and its frozen copy, then the frame's) and 4 in the
+/// validating SELECT's rows (DESIGN §19). With a second edge the frame is written — its one
 /// buffer and frozen copy — and received, the edge decoding the bean name
 /// and the key: 4 more.
 #[test]
@@ -325,7 +327,7 @@ fn a_commit_whose_only_peer_is_its_origin_frames_no_invalidation() {
     assert_eq!(alone, writing_commits(&[]), "only the origin registered");
     let warm = alone[1..].iter().min().copied().unwrap();
     assert!(
-        warm <= 9,
+        warm <= 7,
         "a writing commit, its origin its only peer: {warm}"
     );
     let with_peer = writing_commits(&[1, 2]);

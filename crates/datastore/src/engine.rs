@@ -1042,7 +1042,7 @@ impl Database {
         params: &[Value],
         for_write: bool,
         plan: &CachedPlan,
-    ) -> DbResult<Vec<Value>> {
+    ) -> DbResult<Matches> {
         let schema = &*t.schema;
         let row_mode = if for_write {
             LockMode::Exclusive
@@ -1072,8 +1072,10 @@ impl Database {
                 self.locks.acquire(txn.id, t.row_lock(pk), row_mode)?;
                 let stored = t.table.read();
                 return Ok(match stored.rows.get(pk) {
-                    Some(row) if predicate.matches(schema, row, params)? => vec![pk.clone()],
-                    _ => Vec::new(),
+                    Some(row) if predicate.matches(schema, row, params)? => {
+                        Matches::One(pk.clone())
+                    }
+                    _ => Matches::Many(Vec::new()),
                 });
             }
         }
@@ -1123,7 +1125,7 @@ impl Database {
                     }
                 }
             }
-            return Ok(out);
+            return Ok(Matches::Many(out));
         }
 
         // Full scan: table-level S (readers) or S+IX→SIX (writers).
@@ -1150,7 +1152,7 @@ impl Database {
                     .acquire(txn.id, t.row_lock(pk), LockMode::Exclusive)?;
             }
         }
-        Ok(out)
+        Ok(Matches::Many(out))
     }
 
     #[allow(clippy::too_many_arguments)] // mirrors the SELECT clause list
@@ -1179,6 +1181,7 @@ impl Database {
         // carries are cloned, and without an ORDER BY they are read straight
         // off the match list.
         let limit = limit.unwrap_or(usize::MAX);
+        let pks = pks.as_slice();
         let matched = pks
             .iter()
             .filter_map(|pk| stored.rows.get(pk).map(Vec::as_slice));
@@ -1242,8 +1245,8 @@ impl Database {
         let mut affected = 0;
         {
             let mut stored = t.table.write();
-            for pk in pks {
-                let Some(old) = stored.remove_row(&pk) else {
+            for pk in pks.as_slice() {
+                let Some(old) = stored.remove_row(pk) else {
                     continue;
                 };
                 let mut new_row = old.clone();
@@ -1252,7 +1255,7 @@ impl Database {
                 }
                 txn.log.push(WalOp::Update {
                     table: Arc::clone(&t.name),
-                    pk,
+                    pk: pk.clone(),
                     old,
                     new: new_row.clone(),
                 });
@@ -1277,7 +1280,7 @@ impl Database {
         let mut affected = 0;
         {
             let mut stored = t.table.write();
-            for pk in &pks {
+            for pk in pks.as_slice() {
                 if let Some(old) = stored.remove_row(pk) {
                     txn.log.push(WalOp::Delete {
                         table: Arc::clone(&t.name),
@@ -1289,6 +1292,22 @@ impl Database {
         }
         self.trace.record(table, OpKind::Delete);
         Ok(ResultSet::affected(affected))
+    }
+}
+
+/// The primary keys a predicate matched: a point lookup's one key held
+/// inline, or the list an index probe or a scan built.
+enum Matches {
+    One(Value),
+    Many(Vec<Value>),
+}
+
+impl Matches {
+    fn as_slice(&self) -> &[Value] {
+        match self {
+            Matches::One(pk) => std::slice::from_ref(pk),
+            Matches::Many(pks) => pks,
+        }
     }
 }
 

@@ -12,9 +12,9 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use parking_lot::Mutex;
-use sli_simnet::wire::{protocol, unframe, DecodeError, FrameStr, Reader, Writer};
+use sli_simnet::wire::{protocol, unframe, DecodeError, FrameHeader, FrameStr, Reader, Writer};
 use sli_simnet::{Clock, Remote, Service, SimDuration};
 use sli_telemetry::{Counter, Histogram, Registry, Resource, SpanDetail, SpanOutcome, Tracer};
 
@@ -176,10 +176,11 @@ impl DbServerMetrics {
     }
 }
 
-/// A wire session: its connection, and the scratch a frame's statements
-/// are decoded into — kept with the session and emptied after each frame,
-/// so that once it has seen its largest frame a frame allocates no
-/// containers.
+/// A wire session: its connection, the scratch a frame's statements are
+/// decoded into and the buffer its replies are written in — kept with the
+/// session and emptied for each frame, so that once it has seen its
+/// largest frame a frame allocates no containers and a reply is one
+/// allocation, its exact copy.
 #[derive(Debug)]
 struct Session {
     conn: Connection,
@@ -188,6 +189,9 @@ struct Session {
     statements: Vec<(FrameStr, Range<usize>)>,
     /// Every statement's parameters, one after another.
     params: Vec<Value>,
+    /// The buffer the session's replies are written in, between frames
+    /// (see [`Writer::framed_in`]). A reply that fails leaves without it.
+    reply: BytesMut,
 }
 
 /// The database server: sessions, statement dispatch, cost accounting.
@@ -263,7 +267,7 @@ impl DbServer {
         self.clock.charge(Resource::BackendDb, cost).as_micros()
     }
 
-    fn dispatch(&self, request: &mut Reader, wire_trace_id: u64) -> DbResult<Writer> {
+    fn dispatch(&self, request: &mut Reader, header: &FrameHeader) -> DbResult<Bytes> {
         let op = request.get_u8().map_err(wire_err)?;
         let span_op = match op {
             OP_OPEN => "db.open",
@@ -275,14 +279,14 @@ impl DbServer {
             _ => "db.stmt",
         };
         let Some(tracer) = self.tracer.get() else {
-            return self.run_op(op, request, None);
+            return self.run_op(op, request, None, header);
         };
-        let span = tracer.begin_rpc_server(span_op, wire_trace_id);
+        let span = tracer.begin_rpc_server(span_op, header.trace_id);
         let start_us = self.now_us();
         // The statement class labels the span, so it is read only when a
         // span is being recorded.
         let mut class = None;
-        let result = self.run_op(op, request, Some(&mut class));
+        let result = self.run_op(op, request, Some(&mut class), header);
         let outcome = if result.is_ok() {
             SpanOutcome::Committed
         } else {
@@ -374,6 +378,7 @@ impl DbServer {
             conn,
             statements,
             params,
+            ..
         } = session;
         Self::read_stamp(request, conn)?;
         if op == OP_EXEC {
@@ -422,18 +427,19 @@ impl DbServer {
         Ok(())
     }
 
+    /// Runs one operation and returns its reply, finished under the
+    /// request's correlation and trace id. A session's reply is written in
+    /// the session's kept buffer, and finished while the session is held.
     fn run_op(
         &self,
         op: u8,
         request: &mut Reader,
         class: Option<&mut Option<Arc<str>>>,
-    ) -> DbResult<Writer> {
+        header: &FrameHeader,
+    ) -> DbResult<Bytes> {
         let per_request_us = self.charge(self.cost.per_request);
-        let mut w = Writer::framed();
-        w.put_u8(STATUS_OK);
-        // DRDA-style SQL communications area: SQLSTATE, SQLCODE, warning
-        // flags and message tokens accompany every reply on the real wire.
-        w.put_bytes(&SQLCA_OK);
+        let finish =
+            |w: Writer| w.finish_frame_keeping(protocol::JDBC, header.correlation, header.trace_id);
         match op {
             OP_OPEN => {
                 let id = self.next_session.fetch_add(1, Ordering::Relaxed);
@@ -441,15 +447,17 @@ impl DbServer {
                     conn: self.db.connect(),
                     statements: Vec::new(),
                     params: Vec::new(),
+                    reply: BytesMut::new(),
                 };
                 self.sessions.lock().insert(id, session);
+                let mut w = ok_reply(Writer::framed());
                 w.put_u64(id);
-                Ok(w)
+                Ok(finish(w).0)
             }
             OP_CLOSE => {
                 let session = request.get_u64().map_err(wire_err)?;
                 self.sessions.lock().remove(&session);
-                Ok(w)
+                Ok(finish(ok_reply(Writer::framed())).0)
             }
             OP_BEGIN | OP_EXEC | OP_EXEC_BATCH | OP_COMMIT | OP_ROLLBACK => {
                 let session = request.get_u64().map_err(wire_err)?;
@@ -457,6 +465,7 @@ impl DbServer {
                 let session = sessions
                     .get_mut(&session)
                     .ok_or_else(|| DbError::Remote(format!("no session {session}")))?;
+                let mut w = ok_reply(Writer::framed_in(std::mem::take(&mut session.reply)));
                 let conn = &mut session.conn;
                 match op {
                     OP_BEGIN => conn.begin()?,
@@ -493,11 +502,21 @@ impl DbServer {
                         ran?;
                     }
                 }
-                Ok(w)
+                let (reply, kept) = finish(w);
+                session.reply = kept;
+                Ok(reply)
             }
             other => Err(DbError::Remote(format!("unknown opcode {other}"))),
         }
     }
+}
+
+/// Starts a `STATUS_OK` reply in `w`, with its DRDA-style SQL
+/// communications area: SQLSTATE, SQLCODE, warning flags and message
+/// tokens accompany every reply on the real wire.
+fn ok_reply(mut w: Writer) -> Writer {
+    w.put_u8(STATUS_OK).put_bytes(&SQLCA_OK);
+    w
 }
 
 /// Starts a `STATUS_ERR` reply carrying `e`.
@@ -514,9 +533,10 @@ impl Service for DbServer {
             Ok(x) => x,
             Err(e) => return error_reply(&wire_err(e)).finish_frame(protocol::JDBC, 0, 0),
         };
-        self.dispatch(&mut Reader::new(payload), header.trace_id)
-            .unwrap_or_else(|e| error_reply(&e))
-            .finish_frame(protocol::JDBC, header.correlation, header.trace_id)
+        self.dispatch(&mut Reader::new(payload), &header)
+            .unwrap_or_else(|e| {
+                error_reply(&e).finish_frame(protocol::JDBC, header.correlation, header.trace_id)
+            })
     }
 }
 
@@ -556,6 +576,9 @@ pub struct RemoteConnection {
     /// record it in the WAL commit record.
     pending_stamp: Option<(u32, u64)>,
     correlation: std::sync::atomic::AtomicU64,
+    /// The buffer the connection's requests are written in, between calls
+    /// (see [`Writer::framed_in`]).
+    request: BytesMut,
 }
 
 impl RemoteConnection {
@@ -585,6 +608,7 @@ impl RemoteConnection {
                     batching: true,
                     pending_stamp: None,
                     correlation: std::sync::atomic::AtomicU64::new(1),
+                    request: BytesMut::new(),
                 })
             }
             _ => Err(decode_db_error(&mut r).unwrap_or_else(wire_err)),
@@ -601,14 +625,24 @@ impl RemoteConnection {
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// One round trip: closes the [`Writer::framed`] request `w` under the
-    /// next correlation id and the caller's trace, and opens the reply.
+    /// Starts an `op` request on this session in the connection's kept
+    /// buffer.
+    fn request(&mut self, op: u8) -> Writer {
+        let mut w = Writer::framed_in(std::mem::take(&mut self.request));
+        w.put_u8(op).put_u64(self.session);
+        w
+    }
+
+    /// One round trip: closes the [`RemoteConnection::request`] `w` under
+    /// the next correlation id and the caller's trace, keeps its buffer,
+    /// and opens the reply.
     fn exchange(&mut self, w: Writer) -> DbResult<Reader> {
-        let framed = w.finish_frame(
+        let (framed, kept) = w.finish_frame_keeping(
             protocol::JDBC,
             self.next_correlation(),
             self.remote.current_trace_id(),
         );
+        self.request = kept;
         // A JDBC statement is not idempotent (an INSERT resent after a lost
         // response would run twice), so the transport must not retry: a
         // delivery failure surfaces as Unavailable and aborts the enclosing
@@ -629,8 +663,7 @@ impl RemoteConnection {
     }
 
     fn simple_call(&mut self, op: u8) -> DbResult<()> {
-        let mut w = Writer::framed();
-        w.put_u8(op).put_u64(self.session);
+        let w = self.request(op);
         self.exchange(w)?;
         Ok(())
     }
@@ -684,8 +717,7 @@ impl SqlConnection for RemoteConnection {
 
     fn execute(&mut self, sql: &str, params: &[Value]) -> DbResult<ResultSet> {
         self.settle()?;
-        let mut w = Writer::framed();
-        w.put_u8(OP_EXEC).put_u64(self.session);
+        let mut w = self.request(OP_EXEC);
         put_statement(&mut w, sql, params);
         self.put_stamp(&mut w);
         let mut r = self.exchange(w)?;
@@ -702,8 +734,7 @@ impl SqlConnection for RemoteConnection {
         // here would wedge the connection — every later `begin` would fail
         // with AlreadyInTransaction.
         self.in_txn = false;
-        let mut w = Writer::framed();
-        w.put_u8(OP_COMMIT).put_u64(self.session);
+        let mut w = self.request(OP_COMMIT);
         self.put_stamp(&mut w);
         self.exchange(w)?;
         Ok(())
@@ -753,8 +784,7 @@ impl SqlConnection for RemoteConnection {
             return Ok(crate::execute_each(self, statements));
         }
         self.settle()?;
-        let mut w = Writer::framed();
-        w.put_u8(OP_EXEC_BATCH).put_u64(self.session);
+        let mut w = self.request(OP_EXEC_BATCH);
         w.put_u32(statements.len() as u32);
         for stmt in statements {
             put_statement(&mut w, &stmt.sql, &stmt.params);
@@ -1228,6 +1258,38 @@ mod tests {
         assert_eq!(db.commit_seq(), 2);
         db.crash();
         assert_eq!(db.recover().unwrap().committed, vec![(7, 1)]);
+    }
+
+    #[test]
+    fn a_reply_past_the_cap_leaves_no_buffer_past_the_cap() {
+        use sli_simnet::wire::MAX_KEPT_CAPACITY;
+        let (_clock, _path, mut conn, server) = setup();
+        let session = conn.session;
+        let kept = || server.sessions.lock()[&session].reply.capacity();
+        let big = "x".repeat(MAX_KEPT_CAPACITY);
+        // The request is past the cap too, on the connection's side.
+        conn.execute(
+            "INSERT INTO t (a, b) VALUES (?, ?)",
+            &[Value::from(1), Value::from(big.as_str())],
+        )
+        .unwrap();
+        assert!(conn.request.capacity() <= MAX_KEPT_CAPACITY);
+        conn.execute("INSERT INTO t (a, b) VALUES (2, 'small')", &[])
+            .unwrap();
+        let small = |conn: &mut RemoteConnection| {
+            let rs = conn.execute("SELECT b FROM t WHERE a = 2", &[]).unwrap();
+            assert_eq!(rs.rows()[0][0], Value::from("small"));
+        };
+        small(&mut conn);
+        let room = kept();
+        assert!(room > 0, "a reply's buffer is kept");
+        for _ in 0..2 {
+            let rs = conn.execute("SELECT b FROM t WHERE a = 1", &[]).unwrap();
+            assert_eq!(rs.rows()[0][0], Value::from(big.as_str()));
+            assert!(kept() <= MAX_KEPT_CAPACITY, "kept {}", kept());
+            small(&mut conn);
+            assert_eq!(kept(), room, "the next reply keeps its own room");
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use sli_simnet::wire::{DecodeError, Reader, Writer};
 use sli_telemetry::{Counter, Registry};
 
@@ -116,11 +116,6 @@ const REC_UPDATE: u8 = 2;
 const REC_DELETE: u8 = 3;
 const REC_COMMIT: u8 = 4;
 
-/// The number of bytes [`put_row`] writes.
-fn row_len(row: &[Value]) -> usize {
-    4 + row.iter().map(Value::encoded_len).sum::<usize>()
-}
-
 fn put_row(w: &mut Writer, row: &[Value]) {
     w.put_u32(row.len() as u32);
     for v in row {
@@ -138,38 +133,14 @@ fn get_row(r: &mut Reader) -> Result<Vec<Value>, DecodeError> {
     Ok(row)
 }
 
-/// Kind, LSN and transaction id: what every record starts with.
-const REC_HEAD_LEN: usize = 1 + 8 + 8;
-
-/// The number of bytes [`encode_op`] writes for `op`.
-fn op_len(op: &WalOp) -> usize {
-    let (table, images) = match op {
-        WalOp::Insert { table, row } => (table, row_len(row)),
-        WalOp::Update {
-            table,
-            pk,
-            old,
-            new,
-        } => (table, pk.encoded_len() + row_len(old) + row_len(new)),
-        WalOp::Delete { table, old } => (table, row_len(old)),
-    };
-    REC_HEAD_LEN + 4 + table.len() + images
-}
-
-/// The number of bytes [`encode_commit`] writes: 26, or 38 with a stamp.
-fn commit_len(stamp: Option<(u32, u64)>) -> usize {
-    REC_HEAD_LEN + 8 + 1 + stamp.map_or(0, |_| 4 + 8)
-}
-
-fn encode_op(lsn: u64, txn: u64, op: &WalOp) -> Bytes {
-    let mut w = Writer::with_capacity(op_len(op));
+fn encode_op(w: &mut Writer, lsn: u64, txn: u64, op: &WalOp) {
     match op {
         WalOp::Insert { table, row } => {
             w.put_u8(REC_INSERT)
                 .put_u64(lsn)
                 .put_u64(txn)
                 .put_str(table);
-            put_row(&mut w, row);
+            put_row(w, row);
         }
         WalOp::Update {
             table,
@@ -181,23 +152,22 @@ fn encode_op(lsn: u64, txn: u64, op: &WalOp) -> Bytes {
                 .put_u64(lsn)
                 .put_u64(txn)
                 .put_str(table);
-            pk.encode(&mut w);
-            put_row(&mut w, old);
-            put_row(&mut w, new);
+            pk.encode(w);
+            put_row(w, old);
+            put_row(w, new);
         }
         WalOp::Delete { table, old } => {
             w.put_u8(REC_DELETE)
                 .put_u64(lsn)
                 .put_u64(txn)
                 .put_str(table);
-            put_row(&mut w, old);
+            put_row(w, old);
         }
     }
-    w.finish()
 }
 
-fn encode_commit(lsn: u64, txn: u64, commit_seq: u64, stamp: Option<(u32, u64)>) -> Bytes {
-    let mut w = Writer::with_capacity(commit_len(stamp));
+/// Writes a commit record: 26 bytes, or 38 with a stamp.
+fn encode_commit(w: &mut Writer, lsn: u64, txn: u64, commit_seq: u64, stamp: Option<(u32, u64)>) {
     w.put_u8(REC_COMMIT)
         .put_u64(lsn)
         .put_u64(txn)
@@ -210,7 +180,6 @@ fn encode_commit(lsn: u64, txn: u64, commit_seq: u64, stamp: Option<(u32, u64)>)
             w.put_bool(false);
         }
     }
-    w.finish()
 }
 
 fn decode_record(frame: &Bytes) -> Result<WalRecord, DecodeError> {
@@ -285,6 +254,9 @@ pub(crate) struct WalDisk {
     pending: Vec<Bytes>,
     flushed: Vec<Bytes>,
     next_lsn: u64,
+    /// The buffer records are encoded in before their exact copy is
+    /// appended, kept from one record to the next.
+    scratch: BytesMut,
     /// Inject-bug switch: when set, `flush` silently discards the pending
     /// tail while reporting success — an acked-but-not-durable commit the
     /// slicheck crash sweep must catch as a lost committed write.
@@ -301,6 +273,7 @@ impl WalDisk {
             pending: Vec::new(),
             flushed: Vec::new(),
             next_lsn: 0,
+            scratch: BytesMut::new(),
             drop_flush: false,
         }
     }
@@ -332,15 +305,20 @@ impl WalDisk {
         self.drop_flush = on;
     }
 
-    fn append(&mut self, frame: Bytes, metrics: &WalMetrics) {
-        self.pending.push(frame);
+    /// Appends the record `encode` writes under the next LSN: written in
+    /// the kept scratch buffer, appended as its exact copy.
+    fn append(&mut self, metrics: &WalMetrics, encode: impl FnOnce(&mut Writer, u64)) {
+        let mut w = Writer::new_in(std::mem::take(&mut self.scratch));
+        encode(&mut w, self.next_lsn);
+        self.next_lsn += 1;
+        let (record, scratch) = w.finish_keeping();
+        self.scratch = scratch;
+        self.pending.push(record);
         metrics.appends.inc();
     }
 
     pub(crate) fn append_op(&mut self, txn: u64, op: &WalOp, metrics: &WalMetrics) {
-        let lsn = self.next_lsn;
-        self.next_lsn += 1;
-        self.append(encode_op(lsn, txn, op), metrics);
+        self.append(metrics, |w, lsn| encode_op(w, lsn, txn, op));
     }
 
     pub(crate) fn append_commit(
@@ -350,9 +328,9 @@ impl WalDisk {
         stamp: Option<(u32, u64)>,
         metrics: &WalMetrics,
     ) {
-        let lsn = self.next_lsn;
-        self.next_lsn += 1;
-        self.append(encode_commit(lsn, txn, commit_seq, stamp), metrics);
+        self.append(metrics, |w, lsn| {
+            encode_commit(w, lsn, txn, commit_seq, stamp)
+        });
     }
 
     /// Makes the pending tail durable (or, under the injected bug, lies
@@ -549,34 +527,65 @@ pub struct RecoveryReport {
 pub(crate) mod tests {
     use super::*;
 
+    /// The bytes `encode` writes, as one record.
+    fn record(encode: impl FnOnce(&mut Writer)) -> Bytes {
+        let mut w = Writer::new();
+        encode(&mut w);
+        w.finish()
+    }
+
+    /// Records appended one after another through the log's one scratch
+    /// buffer: a short record after a long one is exactly its own bytes,
+    /// with no stale tail of the long one behind it, and each decodes to
+    /// what was appended.
     #[test]
-    fn a_record_is_sized_exactly_before_it_is_written() {
+    fn records_through_one_scratch_keep_no_stale_tail() {
         let table: Arc<str> = Arc::from("holding");
-        let row = |qty: f64| vec![Value::from(7), Value::from("uid:3"), Value::from(qty)];
-        let ops = [
-            WalOp::Insert {
-                table: Arc::clone(&table),
-                row: row(1.0),
-            },
-            WalOp::Update {
-                table: Arc::clone(&table),
-                pk: Value::from(7),
-                old: row(1.0),
-                new: vec![Value::Null, Value::from(""), Value::from(true)],
-            },
-            WalOp::Delete {
-                table,
-                old: Vec::new(),
-            },
+        let row = |text: &str| vec![Value::from(7), Value::from(text), Value::from(1.0)];
+        let long = WalOp::Update {
+            table: Arc::clone(&table),
+            pk: Value::from(7),
+            old: row(&"x".repeat(300)),
+            new: row(&"y".repeat(300)),
+        };
+        let short = WalOp::Delete {
+            table,
+            old: vec![Value::from(7)],
+        };
+        let metrics = WalMetrics::new();
+        let mut disk = WalDisk::new(Bytes::new(), 0, 0);
+        disk.append_op(9, &long, &metrics);
+        disk.append_op(9, &short, &metrics);
+        disk.append_commit(9, 1, Some((2, 11)), &metrics);
+        disk.append_commit(10, 2, None, &metrics);
+        disk.flush(&metrics);
+        let expected = [
+            record(|w| encode_op(w, 0, 9, &long)),
+            record(|w| encode_op(w, 1, 9, &short)),
+            record(|w| encode_commit(w, 2, 9, 1, Some((2, 11)))),
+            record(|w| encode_commit(w, 3, 10, 2, None)),
         ];
-        for op in &ops {
-            assert_eq!(encode_op(3, 9, op).len(), op_len(op), "{op:?}");
+        assert_eq!(disk.flushed, expected);
+        assert_eq!(expected.map(|r| r.len())[2..], [38, 26]);
+        let records = disk.analyze().unwrap().records;
+        for (rec, op) in records.iter().zip([&long, &short]) {
+            let WalBody::Op {
+                txn: 9,
+                op: decoded,
+            } = &rec.body
+            else {
+                panic!("{rec:?}");
+            };
+            assert_eq!(format!("{decoded:?}"), format!("{op:?}"));
         }
-        assert_eq!(encode_commit(4, 9, 1, None).len(), commit_len(None));
-        assert_eq!(commit_len(None), 26);
-        let stamp = Some((2, 11));
-        assert_eq!(encode_commit(4, 9, 1, stamp).len(), commit_len(stamp));
-        assert_eq!(commit_len(stamp), 38);
+        assert!(matches!(
+            records[2].body,
+            WalBody::Commit {
+                txn: 9,
+                commit_seq: 1,
+                stamp: Some((2, 11))
+            }
+        ));
     }
 
     /// A record whose row announces `u32::MAX` values is an error, not a
@@ -655,9 +664,12 @@ pub(crate) mod tests {
             },
             WalOp::Delete { table, old: row },
         ];
-        let mut valid: Vec<Bytes> = ops.iter().map(|op| encode_op(3, 9, op)).collect();
-        valid.push(encode_commit(4, 9, 1, None));
-        valid.push(encode_commit(4, 9, 1, Some((2, 11))));
+        let mut valid: Vec<Bytes> = ops
+            .iter()
+            .map(|op| record(|w| encode_op(w, 3, 9, op)))
+            .collect();
+        valid.push(record(|w| encode_commit(w, 4, 9, 1, None)));
+        valid.push(record(|w| encode_commit(w, 4, 9, 1, Some((2, 11)))));
         let accepted = search_decoder(0x0a1_5eed, &valid, |raw| decode_record(&raw).is_ok());
         assert!(accepted > 100, "only {accepted} flipped records decoded");
     }

@@ -3,7 +3,7 @@
 //!
 //! What depends only on a statement's SQL text or on its table is resolved
 //! once (DESIGN §19); a call pays for what depends on its parameters, and a
-//! message is one buffer (DESIGN §21). The first test pins that as
+//! message is one allocation where its buffer is kept (DESIGN §21). The first test pins that as
 //! allocation counts, so a regression on the statement path fails here,
 //! naming the layer, instead of as a drift in a benchmark run. Counts are
 //! kept per thread, so each test's numbers are exact.
@@ -12,7 +12,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use sli_datastore::server::{DbCostModel, DbServer, RemoteConnection};
 use sli_datastore::{BatchStatement, Database, DbError, ResultSet, SqlConnection, Value};
 use sli_simnet::wire::{frame, protocol, unframe, Reader, Writer};
@@ -170,10 +170,11 @@ fn statement_path_stays_within_its_allocation_budget() {
     assert_eq!(clone, 0, "Value::clone of a string");
     assert_eq!(copy, key[0]);
 
-    // (b) A primary-key SELECT of three named columns, autocommitted: 2 —
-    // the match list and the result's one vector of cells, projected
-    // straight off the match list through the column indices the plan
-    // keeps beside its header. It was 5 while a result was a list of rows
+    // (b) A primary-key SELECT of three named columns, autocommitted: 1 —
+    // the result's one vector of cells, projected straight off the one
+    // matched key through the column indices the plan keeps beside its
+    // header. It was 2 while the one key was a match list of its own, and
+    // 5 while a result was a list of rows
     // (the borrowed-row list, the projection indices, the row list and the
     // row). A string cell is shared text, so the key in the lock table and
     // in the match list and the one string among the result's cells are
@@ -187,7 +188,7 @@ fn statement_path_stays_within_its_allocation_budget() {
         assert_eq!(rs.rows()[0].len(), 3);
         allocs
     });
-    assert!(select <= 3, "pk SELECT: {select} allocations");
+    assert!(select <= 1, "pk SELECT: {select} allocations");
     // The projection lives as long as the DDL epoch it was resolved under,
     // like the access path: the statement after any DDL pays for both
     // again (4 — the header's buffer and its frozen copy, the column
@@ -200,13 +201,13 @@ fn statement_path_stays_within_its_allocation_budget() {
     let (again, _) = allocs_of(|| conn.execute(SELECT, &key).unwrap());
     assert_eq!(again, select, "pk SELECT, replanned");
 
-    // (c) A primary-key UPDATE inside a transaction, WAL attached: 4 — the
+    // (c) A primary-key UPDATE inside a transaction, WAL attached: 3 — the
     // new row's vector and its copy's for the log record, whose old image
-    // is the row taken out of the table; the match list and the assignment
-    // list. The rows' four strings and the key — in the match list, the
-    // lock probe and the table's map — are shared; it was 15 while every
-    // one was copied, and 21 while the transaction kept an undo record and
-    // a redo record of the same change.
+    // is the row taken out of the table, and the assignment list. The
+    // rows' four strings and the key — matched, in the lock probe and in
+    // the table's map — are shared. It was 4 while the one key was a match
+    // list, 15 while every string was copied, and 21 while the transaction
+    // kept an undo record and a redo record of the same change.
     conn.begin().unwrap();
     let update = steady(|| {
         let (allocs, rs) = allocs_of(|| conn.execute(UPDATE, &sets).unwrap());
@@ -215,25 +216,27 @@ fn statement_path_stays_within_its_allocation_budget() {
     });
     conn.commit().unwrap();
     assert!(
-        update <= 4,
+        update <= 3,
         "pk UPDATE in a transaction: {update} allocations"
     );
 
-    // (d) The commit of that one-statement transaction: 4 — the update
-    // record and the commit record, each a buffer of the record's exact
-    // size and its frozen copy. It was 6 while the update record outgrew
-    // a 128-byte buffer twice.
+    // (d) The commit of that one-statement transaction: 2 — the update
+    // record and the commit record, each encoded in the log's kept scratch
+    // buffer and appended as its exact copy. It was 4 while each was a
+    // buffer of the record's exact size and its frozen copy, and 6 while
+    // the update record outgrew a 128-byte buffer twice.
     let commit = steady(|| {
         conn.begin().unwrap();
         conn.execute(UPDATE, &sets).unwrap();
         allocs_of(|| conn.commit().unwrap()).0
     });
-    assert!(commit <= 4, "commit: {commit} allocations");
+    assert!(commit <= 2, "commit: {commit} allocations");
 
-    // (e) A primary-key DELETE inside a transaction: 1 — the match list;
-    // the key in it and in the lock probe is shared (it was 3). The row
-    // taken out of the table is the log record's old image; nothing is
-    // copied. Each run puts the row back, unmeasured, for the next.
+    // (e) A primary-key DELETE inside a transaction: nothing. The one
+    // matched key and the lock probe share the key's text; the row taken
+    // out of the table is the log record's old image. It was 1 while the
+    // one key was a match list, and 3 while the key was copied. Each run
+    // puts the row back, unmeasured, for the next.
     let gone = row(3);
     conn.begin().unwrap();
     let delete = steady(|| {
@@ -244,7 +247,7 @@ fn statement_path_stays_within_its_allocation_budget() {
     });
     conn.rollback().unwrap();
     assert!(
-        delete <= 1,
+        delete == 0,
         "pk DELETE in a transaction: {delete} allocations"
     );
 
@@ -259,10 +262,11 @@ fn statement_path_stays_within_its_allocation_budget() {
     assert_eq!(rollback, 0, "rollback");
 }
 
-/// The wire around the statement path: a message is one buffer, written in
-/// place and read where it lies, so a remote call costs the local one plus
-/// two allocations per message (the buffer and the shared copy it freezes
-/// into) and what the reply's values need.
+/// The wire around the statement path: a message is written in place in a
+/// buffer its sender keeps — the connection's for a request, the server
+/// session's for a reply — and read where it lies, so a remote call costs
+/// the local one plus one allocation per message (its exact copy) and what
+/// the reply's values need.
 #[test]
 fn wire_path_stays_within_its_allocation_budget() {
     let db = accounts();
@@ -287,14 +291,30 @@ fn wire_path_stays_within_its_allocation_budget() {
     assert_eq!(framed, 2, "a framed message");
     assert_eq!(message.len(), 32 + 1 + 8 + 4 + SELECT.len());
 
-    // (b) The primary-key SELECT of three columns, over the wire: 9 — the
-    // engine's 2, two messages (4), the key decoded into the session's
-    // parameter scratch (1), and the decoded cells (2: their vector and
-    // the one string). The statement text and the package name are read in
-    // the frame; the column names stay in the reply. It was 14 while the
-    // server decoded into a parameter list of its own and the engine and
-    // the decoder built a list of rows, 17 with the engine's 8, and 31
-    // before that.
+    // (a') The same message written into a kept buffer: 1 — its exact
+    // copy; the buffer comes back for the next message.
+    let mut kept = BytesMut::new();
+    let kept_message = steady(|| {
+        let (allocs, (message, buf)) = allocs_of(|| {
+            let mut w = Writer::framed_in(std::mem::take(&mut kept));
+            w.put_u8(2).put_u64(1).put_str(SELECT);
+            w.finish_frame_keeping(protocol::JDBC, 1, 0)
+        });
+        kept = buf;
+        assert_eq!(message.len(), 32 + 1 + 8 + 4 + SELECT.len());
+        allocs
+    });
+    assert_eq!(kept_message, 1, "a framed message in a kept buffer");
+
+    // (b) The primary-key SELECT of three columns, over the wire: 6 — the
+    // engine's 1, two messages in kept buffers (2), the key decoded into
+    // the session's parameter scratch (1), and the decoded cells (2: their
+    // vector and the one string). The statement text and the package name
+    // are read in the frame; the column names stay in the reply. It was 9
+    // while each message was a buffer and its frozen copy and the engine
+    // built a match list, 14 while the server decoded into a parameter
+    // list of its own and the engine and the decoder built a list of rows,
+    // 17 with the engine's 8, and 31 before that.
     let select = steady(|| {
         let (allocs, rs) = allocs_of(|| conn.execute(SELECT, &key).unwrap());
         assert_eq!(
@@ -303,16 +323,18 @@ fn wire_path_stays_within_its_allocation_budget() {
         );
         allocs
     });
-    assert!(select <= 10, "remote pk SELECT: {select} allocations");
+    assert!(select <= 6, "remote pk SELECT: {select} allocations");
 
     // (b') Six primary-key SELECTs in one batch frame, the shape of a
-    // commit's read validation: 39 — six times the engine's 2, two
-    // messages (4) that each outgrow the room a message starts with twice
-    // (4), six keys (6), the outcome's result list (1) and six decoded
-    // results of two (12). The server decodes the frame's statements into
-    // the session's scratch and encodes each result into the reply as it
-    // finishes. It was 72: a statement list, a parameter list per
-    // statement and a result list on the server, and rows on both sides.
+    // commit's read validation: 27 — six times the engine's 1, two
+    // messages in kept buffers that have grown to fit them (2), six keys
+    // (6), the outcome's result list (1) and six decoded results of two
+    // (12). The server decodes the frame's statements into the session's
+    // scratch and encodes each result into the reply as it finishes. It
+    // was 39 while each message was a buffer that outgrew its room twice
+    // and a frozen copy and the engine built match lists, and 72 with a
+    // statement list, a parameter list per statement and a result list on
+    // the server, and rows on both sides.
     let batch: Vec<BatchStatement> = (0..6)
         .map(|i| BatchStatement::new(SELECT, vec![Value::from(format!("uid:{i}"))]))
         .collect();
@@ -323,14 +345,15 @@ fn wire_path_stays_within_its_allocation_budget() {
         allocs
     });
     assert!(
-        six <= 45,
+        six <= 27,
         "remote batch of six pk SELECTs: {six} allocations"
     );
 
     // (c) The autocommitted primary-key UPDATE: what it costs on a local
-    // connection, plus two messages (4) and its one string parameter (1).
-    // It was local + 6 while the server decoded into a parameter list of
-    // its own.
+    // connection, plus two messages in kept buffers (2) and its one string
+    // parameter (1). It was local + 5 while each message was a buffer and
+    // its frozen copy, and local + 6 while the server decoded into a
+    // parameter list of its own.
     let update_local = steady(|| allocs_of(|| local.execute(UPDATE, &sets).unwrap()).0);
     let update = steady(|| {
         let (allocs, rs) = allocs_of(|| conn.execute(UPDATE, &sets).unwrap());
@@ -338,11 +361,13 @@ fn wire_path_stays_within_its_allocation_budget() {
         allocs
     });
     assert!(
-        update <= update_local + 5,
+        update <= update_local + 3,
         "remote pk UPDATE: {update} allocations (local: {update_local})"
     );
 
-    // (d) An empty transaction: four messages, 8. It was 16.
+    // (d) An empty transaction: four messages in kept buffers, 4. It was 8
+    // while each was a buffer and its frozen copy, and 16 before a message
+    // was one buffer.
     let empty = steady(|| {
         allocs_of(|| {
             conn.begin().unwrap();
@@ -350,7 +375,7 @@ fn wire_path_stays_within_its_allocation_budget() {
         })
         .0
     });
-    assert!(empty <= 8, "remote BEGIN + COMMIT: {empty} allocations");
+    assert!(empty <= 4, "remote BEGIN + COMMIT: {empty} allocations");
 }
 
 /// A well-framed `OP_EXEC` (2) of `UPDATE` on `session`, announcing

@@ -177,6 +177,15 @@ fn checksum(payload: &[u8]) -> u32 {
 /// under 0.5 % fewer allocations on `jdbc_mix`.)
 const FRAMED_CAPACITY: usize = 224;
 
+/// Room past which a kept buffer is dropped instead of handed back by
+/// [`Writer::finish_keeping`] or [`Writer::finish_frame_keeping`], so one
+/// large message does not pin its buffer for the life of its owner. The
+/// largest message written in a kept buffer on the seven benchmark
+/// workloads is a 5 251-byte JDBC reply (`rbes_trade`), the largest WAL
+/// record 281 bytes. A message past the cap still goes out whole; its
+/// owner's next message starts in a fresh buffer.
+pub const MAX_KEPT_CAPACITY: usize = 16 * 1024;
+
 /// Incrementally builds an encoded frame.
 #[derive(Debug, Default)]
 pub struct Writer {
@@ -189,7 +198,7 @@ pub struct Writer {
 impl Writer {
     /// Creates an empty frame writer.
     pub fn new() -> Writer {
-        Writer::with_capacity(128)
+        Writer::new_in(BytesMut::new())
     }
 
     /// Creates an empty frame writer with room for `capacity` bytes, for a
@@ -209,12 +218,41 @@ impl Writer {
     }
 
     fn framed_for(payload: usize) -> Writer {
-        let mut buf = BytesMut::with_capacity(FRAME_HEADER_LEN + payload);
-        buf.put_slice(&[0; FRAME_HEADER_LEN]);
-        Writer {
-            buf,
-            header: FRAME_HEADER_LEN,
+        Writer::in_buf(
+            BytesMut::new(),
+            FRAME_HEADER_LEN + payload,
+            FRAME_HEADER_LEN,
+        )
+    }
+
+    /// Creates an empty writer in `buf`, a buffer its owner keeps from one
+    /// message to the next: what [`Writer::new`] returns, written into
+    /// `buf` emptied — or into a new buffer of that room when `buf` has
+    /// less. [`Writer::finish_keeping`] hands the buffer back.
+    pub fn new_in(buf: BytesMut) -> Writer {
+        Writer::in_buf(buf, 128, 0)
+    }
+
+    /// Creates a writer for a framed message in `buf`, a buffer its owner
+    /// keeps from one message to the next: what [`Writer::framed`]
+    /// returns, written into `buf` emptied — or into a new buffer of that
+    /// room when `buf` has less. [`Writer::finish_frame_keeping`] hands
+    /// the buffer back, so a message in a kept buffer is one allocation,
+    /// its exact copy.
+    pub fn framed_in(buf: BytesMut) -> Writer {
+        Writer::in_buf(buf, FRAME_HEADER_LEN + FRAMED_CAPACITY, FRAME_HEADER_LEN)
+    }
+
+    /// `buf` emptied, or a new buffer of `room` bytes if it holds less,
+    /// with `header` blank bytes written.
+    fn in_buf(mut buf: BytesMut, room: usize, header: usize) -> Writer {
+        if buf.capacity() < room {
+            buf = BytesMut::with_capacity(room);
+        } else {
+            buf.clear();
         }
+        buf.put_slice(&[0; FRAME_HEADER_LEN][..header]);
+        Writer { buf, header }
     }
 
     /// Appends a single byte.
@@ -336,8 +374,18 @@ impl Writer {
     /// # Panics
     /// Panics on a [`Writer::framed`] writer, whose header is still blank.
     pub fn finish(self) -> Bytes {
+        self.finish_keeping().0
+    }
+
+    /// Finalizes the message as its exact copy and hands back the buffer
+    /// it was written in, for the owner's next [`Writer::new_in`] — or an
+    /// empty one if the buffer grew past [`MAX_KEPT_CAPACITY`].
+    ///
+    /// # Panics
+    /// Panics on a [`Writer::framed`] writer, whose header is still blank.
+    pub fn finish_keeping(self) -> (Bytes, BytesMut) {
         assert_eq!(self.header, 0, "a framed writer ends in finish_frame");
-        self.buf.freeze()
+        self.copy_out()
     }
 
     /// Finalizes a [`Writer::framed`] message: fills in the header — the
@@ -345,7 +393,23 @@ impl Writer {
     ///
     /// # Panics
     /// Panics on a writer that left no room for the header.
-    pub fn finish_frame(mut self, proto: u16, correlation: u64, trace_id: u64) -> Bytes {
+    pub fn finish_frame(self, proto: u16, correlation: u64, trace_id: u64) -> Bytes {
+        self.finish_frame_keeping(proto, correlation, trace_id).0
+    }
+
+    /// Finalizes a framed message as [`Writer::finish_frame`] does, and
+    /// hands back the buffer it was written in, for the owner's next
+    /// [`Writer::framed_in`] — or an empty one if the buffer grew past
+    /// [`MAX_KEPT_CAPACITY`].
+    ///
+    /// # Panics
+    /// Panics on a writer that left no room for the header.
+    pub fn finish_frame_keeping(
+        mut self,
+        proto: u16,
+        correlation: u64,
+        trace_id: u64,
+    ) -> (Bytes, BytesMut) {
         assert_eq!(self.header, FRAME_HEADER_LEN, "not a framed writer");
         let (header, payload) = self.buf.split_at_mut(FRAME_HEADER_LEN);
         header[0..4].copy_from_slice(&FRAME_MAGIC.to_be_bytes());
@@ -355,7 +419,19 @@ impl Writer {
         header[16..24].copy_from_slice(&trace_id.to_be_bytes());
         header[24..28].copy_from_slice(&(payload.len() as u32).to_be_bytes());
         header[28..32].copy_from_slice(&checksum(payload).to_be_bytes());
-        self.buf.freeze()
+        self.copy_out()
+    }
+
+    /// The written bytes as one exact copy, and the buffer unless it grew
+    /// past [`MAX_KEPT_CAPACITY`].
+    fn copy_out(self) -> (Bytes, BytesMut) {
+        let message = Bytes::copy_from_slice(&self.buf);
+        let kept = if self.buf.capacity() > MAX_KEPT_CAPACITY {
+            BytesMut::new()
+        } else {
+            self.buf
+        };
+        (message, kept)
     }
 }
 
@@ -703,6 +779,49 @@ mod tests {
     #[should_panic(expected = "not a framed writer")]
     fn a_plain_writer_has_no_room_for_a_header() {
         Writer::new().finish_frame(protocol::JDBC, 0, 0);
+    }
+
+    #[test]
+    fn a_kept_buffer_writes_the_bytes_a_fresh_one_does() {
+        let write = |w: &mut Writer| {
+            w.put_u8(2).put_u64(7).put_str("SELECT 1");
+        };
+        let mut fresh = Writer::framed();
+        write(&mut fresh);
+        let fresh = fresh.finish_frame(protocol::JDBC, 3, 9);
+        // A dirty buffer with more room than a framed writer starts with.
+        let mut dirty = BytesMut::with_capacity(4 * (FRAME_HEADER_LEN + FRAMED_CAPACITY));
+        dirty.put_slice(&[0xAB; 300]);
+        let mut kept = Writer::framed_in(dirty);
+        write(&mut kept);
+        let (message, buf) = kept.finish_frame_keeping(protocol::JDBC, 3, 9);
+        assert_eq!(message, fresh);
+        assert!(buf.capacity() >= 4 * (FRAME_HEADER_LEN + FRAMED_CAPACITY));
+        // And again in the buffer handed back.
+        let mut again = Writer::framed_in(buf);
+        write(&mut again);
+        assert_eq!(again.finish_frame(protocol::JDBC, 3, 9), fresh);
+        // The same for a plain writer.
+        let mut stale = BytesMut::with_capacity(512);
+        stale.put_slice(b"stale");
+        let mut plain = Writer::new_in(stale);
+        plain.put_str("abc");
+        let (message, _) = plain.finish_keeping();
+        let mut fresh = Writer::new();
+        fresh.put_str("abc");
+        assert_eq!(message, fresh.finish());
+    }
+
+    #[test]
+    fn a_buffer_past_the_cap_is_not_handed_back() {
+        let mut w = Writer::framed_in(BytesMut::new());
+        w.put_raw(&vec![7; MAX_KEPT_CAPACITY]);
+        let (message, buf) = w.finish_frame_keeping(protocol::JDBC, 1, 0);
+        assert_eq!(message.len(), FRAME_HEADER_LEN + MAX_KEPT_CAPACITY);
+        assert_eq!(buf.capacity(), 0);
+        let mut w = Writer::new_in(BytesMut::new());
+        w.put_raw(&vec![7; MAX_KEPT_CAPACITY + 1]);
+        assert_eq!(w.finish_keeping().1.capacity(), 0);
     }
 
     #[test]

@@ -213,6 +213,16 @@ impl BytesMut {
         self.buf.is_empty()
     }
 
+    /// Number of bytes the buffer holds without reallocating.
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+
+    /// Empties the buffer, keeping its room.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// Appends `extend` to the buffer.
     pub fn extend_from_slice(&mut self, extend: &[u8]) {
         self.buf.extend_from_slice(extend);
@@ -406,6 +416,15 @@ mod tests {
         let b = Bytes::from(vec![b'a', b'b', b'c']);
         assert_eq!(a, b);
         assert_eq!(format!("{a:?}"), "b\"abc\"");
+    }
+
+    #[test]
+    fn clear_keeps_the_room() {
+        let mut w = BytesMut::with_capacity(64);
+        w.put_slice(b"stale");
+        w.clear();
+        assert!(w.is_empty());
+        assert!(w.capacity() >= 64);
     }
 
     #[test]
