@@ -3,10 +3,11 @@
 //!
 //! What depends only on a statement's SQL text or on its table is resolved
 //! once (DESIGN §19); a call pays for what depends on its parameters, and a
-//! message is one allocation where its buffer is kept (DESIGN §21). The first test pins that as
-//! allocation counts, so a regression on the statement path fails here,
-//! naming the layer, instead of as a drift in a benchmark run. Counts are
-//! kept per thread, so each test's numbers are exact.
+//! message is one allocation where its buffer is kept (DESIGN §21). The
+//! first test pins that as allocation counts, so a regression on the
+//! statement path fails here, naming the layer, instead of as a drift in a
+//! benchmark run. Counts are kept per thread, so each test's numbers are
+//! exact.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -174,11 +175,11 @@ fn statement_path_stays_within_its_allocation_budget() {
     // the result's one vector of cells, projected straight off the one
     // matched key through the column indices the plan keeps beside its
     // header. It was 2 while the one key was a match list of its own, and
-    // 5 while a result was a list of rows
-    // (the borrowed-row list, the projection indices, the row list and the
-    // row). A string cell is shared text, so the key in the lock table and
-    // in the match list and the one string among the result's cells are
-    // reference counts; it was 8 while each was a copy. The result's column
+    // 5 while a result was a list of rows (the borrowed-row list, the
+    // projection indices, the row list and the row). A string cell is
+    // shared text, so the matched key, the key in the lock table and the
+    // one string among the result's cells are reference counts; it was 8
+    // while each was a copy. The result's column
     // names are the plan's header, shared; while they were a vector and
     // three strings per result it was 12. Before in-place evaluation and
     // the shared schema it was 37: a deep schema copy, a bound copy of the
@@ -246,10 +247,7 @@ fn statement_path_stays_within_its_allocation_budget() {
         allocs
     });
     conn.rollback().unwrap();
-    assert!(
-        delete == 0,
-        "pk DELETE in a transaction: {delete} allocations"
-    );
+    assert_eq!(delete, 0, "pk DELETE in a transaction");
 
     // (f) The rollback of a one-UPDATE transaction: nothing. The log
     // record's old image is moved back in, and the key the table's map
