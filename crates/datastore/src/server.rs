@@ -627,15 +627,14 @@ impl RemoteConnection {
 
     /// Starts an `op` request on this session in the connection's kept
     /// buffer.
-    fn request(&mut self, op: u8) -> Writer {
+    fn start_request(&mut self, op: u8) -> Writer {
         let mut w = Writer::framed_in(std::mem::take(&mut self.request));
         w.put_u8(op).put_u64(self.session);
         w
     }
 
-    /// One round trip: closes the [`RemoteConnection::request`] `w` under
-    /// the next correlation id and the caller's trace, keeps its buffer,
-    /// and opens the reply.
+    /// One round trip: closes the request `w` under the next correlation
+    /// id and the caller's trace, keeps its buffer, and opens the reply.
     fn exchange(&mut self, w: Writer) -> DbResult<Reader> {
         let (framed, kept) = w.finish_frame_keeping(
             protocol::JDBC,
@@ -663,7 +662,7 @@ impl RemoteConnection {
     }
 
     fn simple_call(&mut self, op: u8) -> DbResult<()> {
-        let w = self.request(op);
+        let w = self.start_request(op);
         self.exchange(w)?;
         Ok(())
     }
@@ -717,7 +716,7 @@ impl SqlConnection for RemoteConnection {
 
     fn execute(&mut self, sql: &str, params: &[Value]) -> DbResult<ResultSet> {
         self.settle()?;
-        let mut w = self.request(OP_EXEC);
+        let mut w = self.start_request(OP_EXEC);
         put_statement(&mut w, sql, params);
         self.put_stamp(&mut w);
         let mut r = self.exchange(w)?;
@@ -734,7 +733,7 @@ impl SqlConnection for RemoteConnection {
         // here would wedge the connection — every later `begin` would fail
         // with AlreadyInTransaction.
         self.in_txn = false;
-        let mut w = self.request(OP_COMMIT);
+        let mut w = self.start_request(OP_COMMIT);
         self.put_stamp(&mut w);
         self.exchange(w)?;
         Ok(())
@@ -784,7 +783,7 @@ impl SqlConnection for RemoteConnection {
             return Ok(crate::execute_each(self, statements));
         }
         self.settle()?;
-        let mut w = self.request(OP_EXEC_BATCH);
+        let mut w = self.start_request(OP_EXEC_BATCH);
         w.put_u32(statements.len() as u32);
         for stmt in statements {
             put_statement(&mut w, &stmt.sql, &stmt.params);
