@@ -7,9 +7,10 @@
 //! the trade action is constructed in a JSP and returned to the client
 //! browser" (§4.2).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use parking_lot::Mutex;
+use sli_simnet::hash::FxHashMap;
 use sli_simnet::{Clock, HttpRequest, HttpResponse, SimDuration};
 use sli_telemetry::{
     Counter, Gauge, Histogram, HistogramSnapshot, Registry, Resource, SpanOutcome, Tracer,
@@ -195,7 +196,7 @@ pub struct AppServer {
     clock: Arc<Clock>,
     /// HTTP sessions: cookie → user (created at login, destroyed at
     /// logout — Table 1's "HTTP Session" column).
-    sessions: Mutex<HashMap<String, String>>,
+    sessions: Mutex<FxHashMap<String, String>>,
     /// Status counters and per-action latency histograms.
     metrics: ServletMetrics,
     /// Optional causal tracer: each handled request gets a
@@ -217,7 +218,7 @@ impl AppServer {
         AppServer {
             engine,
             clock,
-            sessions: Mutex::new(HashMap::new()),
+            sessions: Mutex::new(FxHashMap::default()),
             metrics: ServletMetrics::new(),
             tracer: None,
         }

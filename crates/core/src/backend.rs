@@ -9,11 +9,11 @@
 
 use std::sync::Arc;
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use parking_lot::Mutex;
 use sli_component::{EjbError, EjbResult, ImageNames, Memento, Template};
 use sli_datastore::{Predicate, SqlConnection, Value};
-use sli_simnet::wire::{protocol, unframe, DecodeError, Reader, Writer};
+use sli_simnet::wire::{protocol, unframe, DecodeError, Reader, StrTable, Writer};
 use sli_simnet::{CallError, Clock, Remote, Service, SimDuration};
 
 use sli_telemetry::{Resource, SpanOutcome, Tracer};
@@ -49,6 +49,12 @@ pub struct BackendServer {
     clock: Arc<Clock>,
     /// (edge id, invalidation send function) pairs for fan-out.
     peers: Mutex<Vec<(u32, InvalidationSender)>>,
+    /// The buffer the server's replies are written in, between requests
+    /// (see [`Writer::framed_in`]). An error reply leaves without it.
+    reply: Mutex<BytesMut>,
+    /// The strings the server's requests were read as: a key, a predicate
+    /// operand or an image value it read before is another handle on it.
+    strings: Arc<StrTable>,
 }
 
 impl std::fmt::Debug for BackendServer {
@@ -71,6 +77,8 @@ impl BackendServer {
             point: CommitPoint::in_rounds(conn, registry),
             clock,
             peers: Mutex::new(Vec::new()),
+            reply: Mutex::new(BytesMut::new()),
+            strings: StrTable::shared(),
         })
     }
 
@@ -182,7 +190,7 @@ impl BackendServer {
 
     fn run_op(&self, op: u8, r: &mut Reader) -> EjbResult<Writer> {
         self.clock.charge(Resource::StoreLock, PER_REQUEST);
-        let mut w = Writer::framed();
+        let mut w = Writer::framed_in(std::mem::take(&mut *self.reply.lock()));
         w.put_u8(STATUS_OK);
         match op {
             // A reply's images are written from the rows, as the images
@@ -223,8 +231,9 @@ impl BackendServer {
             OP_COMMIT => {
                 // The request travels as a nested frame (see SplitCommitter).
                 let frame = r.get_frame().map_err(wire_err)?;
-                let request = CommitRequest::decode(&mut Reader::new(frame), self.point.registry())
-                    .map_err(wire_err)?;
+                let mut frame = Reader::sharing(frame, &self.strings);
+                let request =
+                    CommitRequest::decode(&mut frame, self.point.registry()).map_err(wire_err)?;
                 let outcome = self.commit(&request)?;
                 outcome.encode(&mut w);
                 Ok(w)
@@ -259,14 +268,32 @@ fn error_reply(e: &EjbError) -> Writer {
     w
 }
 
-/// One round trip to the back-end: closes the [`Writer::framed`] request
-/// `body` under the caller's trace, sends it (the transport retries
-/// identical bytes) and opens the reply.
-fn round_trip(remote: &Remote<Arc<BackendServer>>, body: Writer) -> EjbResult<Reader> {
-    let framed = body.finish_frame(protocol::BACKEND, 0, remote.current_trace_id());
+/// Starts an `op` request in `kept`, the buffer its sender keeps between
+/// calls (see [`Writer::framed_in`]).
+fn start_request(kept: &Mutex<BytesMut>, op: u8) -> Writer {
+    let mut w = Writer::framed_in(std::mem::take(&mut *kept.lock()));
+    w.put_u8(op);
+    w
+}
+
+/// One round trip to the back-end: closes the request `body` that
+/// [`start_request`] started in `kept` under the caller's trace, hands the
+/// buffer back, sends the request (the transport retries identical bytes)
+/// and opens the reply — reading its strings through `strings`, if given.
+fn round_trip(
+    remote: &Remote<Arc<BackendServer>>,
+    kept: &Mutex<BytesMut>,
+    body: Writer,
+    strings: Option<&Arc<StrTable>>,
+) -> EjbResult<Reader> {
+    let (framed, buf) = body.finish_frame_keeping(protocol::BACKEND, 0, remote.current_trace_id());
+    *kept.lock() = buf;
     let resp = remote.call(framed).map_err(transport_err)?;
     let (_, payload) = unframe(resp).map_err(wire_err)?;
-    let mut r = Reader::new(payload);
+    let mut r = match strings {
+        Some(strings) => Reader::sharing(payload, strings),
+        None => Reader::new(payload),
+    };
     match r.get_u8().map_err(wire_err)? {
         STATUS_OK => Ok(r),
         _ => {
@@ -293,18 +320,32 @@ impl Service for BackendServer {
             Ok(x) => x,
             Err(e) => return error_reply(&wire_err(e)).finish_frame(protocol::BACKEND, 0, 0),
         };
-        self.dispatch(&mut Reader::new(payload), header.trace_id)
-            .unwrap_or_else(|e| error_reply(&e))
-            .finish_frame(protocol::BACKEND, header.correlation, header.trace_id)
+        let mut r = Reader::sharing(payload, &self.strings);
+        match self.dispatch(&mut r, header.trace_id) {
+            Ok(w) => {
+                let (reply, kept) =
+                    w.finish_frame_keeping(protocol::BACKEND, header.correlation, header.trace_id);
+                *self.reply.lock() = kept;
+                reply
+            }
+            Err(e) => {
+                error_reply(&e).finish_frame(protocol::BACKEND, header.correlation, header.trace_id)
+            }
+        }
     }
 }
 
 /// The edge side of the split configuration's fault path: one wire round
 /// trip per fetch or query.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct BackendSource {
     remote: Remote<Arc<BackendServer>>,
     registry: MetaRegistry,
+    /// The buffer the source's requests are written in, between calls.
+    request: Mutex<BytesMut>,
+    /// The strings the source's replies were read as: an image value the
+    /// edge read before is another handle on it.
+    strings: Arc<StrTable>,
 }
 
 impl BackendSource {
@@ -313,6 +354,8 @@ impl BackendSource {
         BackendSource {
             remote,
             registry: MetaRegistry::new(),
+            request: Mutex::new(BytesMut::new()),
+            strings: StrTable::shared(),
         }
     }
 
@@ -327,10 +370,10 @@ impl BackendSource {
 
 impl StateSource for BackendSource {
     fn fetch(&self, bean: &str, key: &Value) -> EjbResult<Option<Memento>> {
-        let mut w = Writer::framed();
-        w.put_u8(OP_FETCH).put_str(bean);
+        let mut w = start_request(&self.request, OP_FETCH);
+        w.put_str(bean);
         key.encode(&mut w);
-        let mut r = round_trip(&self.remote, w)?;
+        let mut r = round_trip(&self.remote, &self.request, w, Some(&self.strings))?;
         if r.get_bool().map_err(wire_err)? {
             Ok(Some(
                 Memento::decode(&mut r, self.registry.image_names(bean), Template::default())
@@ -342,10 +385,10 @@ impl StateSource for BackendSource {
     }
 
     fn query(&self, bean: &str, predicate: &Predicate) -> EjbResult<Vec<Memento>> {
-        let mut w = Writer::framed();
-        w.put_u8(OP_QUERY).put_str(bean);
+        let mut w = start_request(&self.request, OP_QUERY);
+        w.put_str(bean);
         predicate.encode(&mut w);
-        let mut r = round_trip(&self.remote, w)?;
+        let mut r = round_trip(&self.remote, &self.request, w, Some(&self.strings))?;
         decode_images(&mut r, self.registry.image_names(bean)).map_err(wire_err)
     }
 }
@@ -369,27 +412,31 @@ fn decode_images(r: &mut Reader, names: Option<&ImageNames>) -> Result<Vec<Memen
 /// "Assuming no cache misses, the split-server configuration requires only
 /// a single access to the back-end server" — this is why ES/RBES has
 /// sensitivity ≈ 3 where ES/RDB-cached has 13 (Table 2).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SplitCommitter {
     remote: Remote<Arc<BackendServer>>,
+    /// The buffer the committer's requests are written in, between calls.
+    request: Mutex<BytesMut>,
 }
 
 impl SplitCommitter {
     /// Creates a committer that ships requests to `remote`.
     pub fn new(remote: Remote<Arc<BackendServer>>) -> SplitCommitter {
-        SplitCommitter { remote }
+        SplitCommitter {
+            remote,
+            request: Mutex::new(BytesMut::new()),
+        }
     }
 }
 
 impl Committer for SplitCommitter {
     fn commit(&self, request: &CommitRequest) -> EjbResult<CommitOutcome> {
-        let mut w = Writer::framed();
-        w.put_u8(OP_COMMIT);
+        let mut w = start_request(&self.request, OP_COMMIT);
         // The request travels as a nested value, written where it lies.
         w.put_nested(|w| request.encode_into(w));
         // Retries resend identical bytes — same (origin, txn_id) — so the
         // backend's replay table keeps the commit idempotent.
-        let mut r = round_trip(&self.remote, w)?;
+        let mut r = round_trip(&self.remote, &self.request, w, None)?;
         CommitOutcome::decode(&mut r).map_err(wire_err)
     }
 }

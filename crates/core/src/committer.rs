@@ -1,7 +1,7 @@
 //! Optimistic validation and the commit point both server configurations
 //! decide commits through.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -11,6 +11,7 @@ use sli_component::{EjbError, EjbResult, EntityMeta, Memento};
 use sli_datastore::{
     BatchOutcome, BatchStatement, DbResult, Predicate, ResultSet, SqlConnection, Value,
 };
+use sli_simnet::hash::FxHashMap;
 use sli_simnet::Clock;
 use sli_telemetry::{
     ConflictInfo, Counter, HistoryEvent, HistoryLog, OpenSpan, Registry, SpanDetail, SpanOutcome,
@@ -36,7 +37,7 @@ const COMPLETED_TXN_CAPACITY: usize = 1024;
 /// `txn_id == 0` are unstamped and bypass the table.
 #[derive(Debug)]
 struct CompletedTxns {
-    outcomes: HashMap<(u32, u64), CommitOutcome>,
+    outcomes: FxHashMap<(u32, u64), CommitOutcome>,
     order: VecDeque<(u32, u64)>,
     capacity: usize,
 }
@@ -44,7 +45,7 @@ struct CompletedTxns {
 impl CompletedTxns {
     fn new(capacity: usize) -> CompletedTxns {
         CompletedTxns {
-            outcomes: HashMap::new(),
+            outcomes: FxHashMap::default(),
             order: VecDeque::new(),
             capacity: capacity.max(1),
         }

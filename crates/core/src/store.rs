@@ -1,12 +1,13 @@
 //! The common transient store: inter-transaction bean-image cache.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
 use sli_component::Memento;
 use sli_datastore::Value;
+use sli_simnet::hash::FxHashMap;
 use sli_simnet::wire::{Reader, Writer};
 use sli_simnet::Service;
 use sli_telemetry::{Counter, Gauge, Registry};
@@ -84,7 +85,7 @@ pub struct CommonStore {
 #[derive(Debug, Default)]
 struct Lru {
     /// Bean name → key → (image, tick of last use).
-    images: HashMap<Arc<str>, HashMap<Value, (Memento, u64)>>,
+    images: FxHashMap<Arc<str>, FxHashMap<Value, (Memento, u64)>>,
     recency: BTreeMap<u64, (Arc<str>, Value)>,
     tick: u64,
     /// Summed `encoded_len` of `images`.
@@ -421,7 +422,7 @@ fn apply_invalidation_frame(store: &CommonStore, request: Bytes) {
     let mut r = Reader::new(payload);
     if let Ok(n) = r.get_u32() {
         for _ in 0..n {
-            match (r.get_str(), Value::decode(&mut r)) {
+            match (r.get_str_view(), Value::decode(&mut r)) {
                 (Ok(bean), Ok(key)) => store.invalidate(&bean, &key),
                 _ => break,
             }

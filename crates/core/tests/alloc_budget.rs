@@ -20,7 +20,7 @@ use sli_core::{
     CommonStore, DirectSource, EntryKind, InvalidationSink, MetaRegistry, SliHome,
 };
 use sli_datastore::{CmpOp, ColumnType, Database, Predicate, SqlConnection, Value};
-use sli_simnet::wire::{frame, protocol, unframe, Reader, Writer};
+use sli_simnet::wire::{frame, protocol, unframe, Reader, StrTable, Writer};
 use sli_simnet::{Clock, Path, PathSpec, Remote, Service};
 
 thread_local! {
@@ -319,8 +319,9 @@ fn writing_commits(edges: &[u32]) -> Vec<u64> {
 /// dropped unsent (the written keys' list and a bean name per key, the
 /// payload's buffer and its frozen copy, then the frame's) and 4 in the
 /// validating SELECT's rows (DESIGN §19). With a second edge the frame is written — its one
-/// buffer and frozen copy — and received, the edge decoding the bean name
-/// and the key: 4 more.
+/// buffer and frozen copy — and received, the edge decoding the key: 3
+/// more. It was 4 while the edge copied each key's bean name out of the
+/// frame instead of reading it where it lies.
 #[test]
 fn a_commit_whose_only_peer_is_its_origin_frames_no_invalidation() {
     let alone = writing_commits(&[1]);
@@ -334,7 +335,7 @@ fn a_commit_whose_only_peer_is_its_origin_frames_no_invalidation() {
     for (sent, alone) in with_peer[1..].iter().zip(&alone[1..]) {
         assert_eq!(
             *sent,
-            alone + 4,
+            alone + 3,
             "a writing commit with a peer to invalidate"
         );
     }
@@ -404,6 +405,19 @@ fn a_decoded_image_owns_only_what_the_descriptor_cannot_lend() {
         allocs_of(|| CommitRequest::decode(&mut Reader::new(frame.clone()), &registry).unwrap());
     assert_eq!(decoded, request);
     assert!(allocs <= 7, "CommitRequest::decode of one update: {allocs}");
+    // (b') The back-end reads each request through its string table, so
+    // the same update decoded again costs 5: the key and the before-image's
+    // string are the ones the first decode left in the table.
+    let strings = StrTable::shared();
+    let decode = || CommitRequest::decode(&mut Reader::sharing(frame.clone(), &strings), &registry);
+    let (first, _) = allocs_of(|| decode().unwrap());
+    let (again, decoded) = allocs_of(|| decode().unwrap());
+    assert_eq!(decoded, request);
+    assert_eq!(
+        (first, again),
+        (allocs, allocs - 2),
+        "CommitRequest::decode of one update, first and again through a table"
+    );
     // An after-image string the update left alone is the before-image's;
     // one it changed is its own.
     let text = |image: &Memento| match image.get("companyname") {

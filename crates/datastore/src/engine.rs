@@ -1,18 +1,18 @@
 //! The storage engine: tables, indexes, statement execution, and the
 //! per-transaction log behind rollback, the WAL and recovery.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
+use sli_simnet::hash::{FxHashMap, FxHashSet};
 use sli_simnet::wire::Writer;
 use sli_telemetry::{Counter, Registry};
 
 use crate::connection::Connection;
 use crate::error::DbError;
-use crate::hash::FxHashMap;
 use crate::lock::{LockManager, LockMode, Resource, TxnId};
 use crate::predicate::Predicate;
 use crate::result::{encode_header, ResultSet};
@@ -664,7 +664,7 @@ impl Database {
         }
         // Undo, newest first.
         let undo_count = losers.len() as u64;
-        let mut torn: HashSet<u64> = HashSet::new();
+        let mut torn: FxHashSet<u64> = FxHashSet::default();
         for (txn, op) in losers.into_iter().rev() {
             self.undo_op(op)?;
             torn.insert(txn);

@@ -41,7 +41,6 @@
 mod connection;
 mod engine;
 mod error;
-mod hash;
 mod lock;
 mod predicate;
 mod result;

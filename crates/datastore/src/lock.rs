@@ -19,9 +19,9 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use sli_simnet::hash::{FxHashMap, FxHashSet};
 
 use crate::error::DbError;
-use crate::hash::{FxHashMap, FxHashSet};
 use crate::value::Value;
 use crate::DbResult;
 

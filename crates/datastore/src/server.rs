@@ -14,14 +14,16 @@ use std::sync::{Arc, OnceLock};
 
 use bytes::{Bytes, BytesMut};
 use parking_lot::Mutex;
-use sli_simnet::wire::{protocol, unframe, DecodeError, FrameHeader, FrameStr, Reader, Writer};
+use sli_simnet::hash::FxHashMap;
+use sli_simnet::wire::{
+    protocol, unframe, DecodeError, FrameHeader, FrameStr, Reader, StrTable, Writer,
+};
 use sli_simnet::{Clock, Remote, Service, SimDuration};
 use sli_telemetry::{Counter, Histogram, Registry, Resource, SpanDetail, SpanOutcome, Tracer};
 
 use crate::connection::Connection;
 use crate::engine::Database;
 use crate::error::DbError;
-use crate::hash::FxHashMap;
 use crate::result::{self, ResultSet};
 use crate::value::Value;
 use crate::{BatchOutcome, BatchStatement, DbResult, SqlConnection};
@@ -208,6 +210,9 @@ pub struct DbServer {
     /// batch's class is shared the way a statement's is through its cached
     /// plan. Only the first [`SHARED_BATCH_CLASSES`] sizes are kept.
     batch_classes: Mutex<Vec<Arc<str>>>,
+    /// The strings the server's statement parameters were read as: a
+    /// parameter the server read before is another handle on it.
+    strings: Arc<StrTable>,
 }
 
 /// Batch sizes whose span class is kept for sharing; a larger batch (the
@@ -226,6 +231,7 @@ impl DbServer {
             metrics: DbServerMetrics::default(),
             tracer: OnceLock::new(),
             batch_classes: Mutex::new(Vec::new()),
+            strings: StrTable::shared(),
         })
     }
 
@@ -533,7 +539,7 @@ impl Service for DbServer {
             Ok(x) => x,
             Err(e) => return error_reply(&wire_err(e)).finish_frame(protocol::JDBC, 0, 0),
         };
-        self.dispatch(&mut Reader::new(payload), &header)
+        self.dispatch(&mut Reader::sharing(payload, &self.strings), &header)
             .unwrap_or_else(|e| {
                 error_reply(&e).finish_frame(protocol::JDBC, header.correlation, header.trace_id)
             })
@@ -579,6 +585,9 @@ pub struct RemoteConnection {
     /// The buffer the connection's requests are written in, between calls
     /// (see [`Writer::framed_in`]).
     request: BytesMut,
+    /// The strings the connection's replies were read as: a result cell
+    /// the connection read before is another handle on it.
+    strings: Arc<StrTable>,
 }
 
 impl RemoteConnection {
@@ -609,6 +618,7 @@ impl RemoteConnection {
                     pending_stamp: None,
                     correlation: std::sync::atomic::AtomicU64::new(1),
                     request: BytesMut::new(),
+                    strings: StrTable::shared(),
                 })
             }
             _ => Err(decode_db_error(&mut r).unwrap_or_else(wire_err)),
@@ -651,7 +661,7 @@ impl RemoteConnection {
             DbError::Unavailable(e.to_string())
         })?;
         let (_, payload) = unframe(resp).map_err(wire_err)?;
-        let mut r = Reader::new(payload);
+        let mut r = Reader::sharing(payload, &self.strings);
         match r.get_u8().map_err(wire_err)? {
             STATUS_OK => {
                 r.get_bytes().map_err(wire_err)?; // SQLCA

@@ -7,7 +7,7 @@
 //! engine in place before replaying the log over it.
 
 use bytes::Bytes;
-use sli_simnet::wire::{DecodeError, Reader, Writer};
+use sli_simnet::wire::{DecodeError, Reader, StrTable, Writer};
 
 use crate::engine::Database;
 use crate::error::DbError;
@@ -110,10 +110,12 @@ impl TableImage {
     }
 }
 
-/// Decodes a [`Database::checkpoint`] frame into per-table images.
+/// Decodes a [`Database::checkpoint`] frame into per-table images. A
+/// string cell is shared with the last one the decode read alike, through
+/// one table kept for the decode.
 pub(crate) fn decode_checkpoint(frame: Bytes) -> DbResult<Vec<TableImage>> {
     let wire = |e: DecodeError| DbError::Remote(format!("corrupt checkpoint: {e}"));
-    let mut r = Reader::new(frame);
+    let mut r = Reader::sharing(frame, &StrTable::shared());
     if r.get_u32().map_err(wire)? != SNAPSHOT_MAGIC {
         return Err(DbError::Remote("corrupt checkpoint: bad magic".to_owned()));
     }

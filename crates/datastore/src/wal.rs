@@ -17,11 +17,12 @@
 //! which wipes only volatile state), while unflushed `pending` records die
 //! with the process — exactly the distinction recovery semantics hinge on.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
-use sli_simnet::wire::{DecodeError, Reader, Writer};
+use sli_simnet::hash::FxHashSet;
+use sli_simnet::wire::{DecodeError, Reader, StrTable, Writer};
 use sli_telemetry::{Counter, Registry};
 
 use crate::error::DbError;
@@ -182,8 +183,10 @@ fn encode_commit(w: &mut Writer, lsn: u64, txn: u64, commit_seq: u64, stamp: Opt
     }
 }
 
-fn decode_record(frame: &Bytes) -> Result<WalRecord, DecodeError> {
-    let mut r = Reader::new(frame.clone());
+/// Decodes one log record, reading its strings through `strings`, the
+/// recovery pass's table.
+fn decode_record(frame: &Bytes, strings: &Arc<StrTable>) -> Result<WalRecord, DecodeError> {
+    let mut r = Reader::sharing(frame.clone(), strings);
     let kind = r.get_u8()?;
     let lsn = r.get_u64()?;
     let txn = r.get_u64()?;
@@ -354,18 +357,21 @@ impl WalDisk {
         self.pending.clear();
     }
 
-    /// The analysis pass: decodes the durable prefix in LSN order and
-    /// finds the winners — transactions whose commit record reached it.
+    /// The analysis pass: decodes the durable prefix in LSN order, sharing
+    /// its strings through one table for the pass, and finds the winners —
+    /// transactions whose commit record reached it.
     pub(crate) fn analyze(&self) -> DbResult<LogAnalysis> {
+        let strings = StrTable::shared();
         let records: Vec<WalRecord> = self
             .flushed
             .iter()
             .map(|f| {
-                decode_record(f).map_err(|e| DbError::Remote(format!("corrupt wal record: {e}")))
+                decode_record(f, &strings)
+                    .map_err(|e| DbError::Remote(format!("corrupt wal record: {e}")))
             })
             .collect::<DbResult<_>>()?;
         let mut by_seq: BTreeMap<u64, Option<(u32, u64)>> = BTreeMap::new();
-        let mut winners = HashSet::new();
+        let mut winners = FxHashSet::default();
         let mut max_lsn = 0;
         let mut max_txn = 0;
         for rec in &records {
@@ -406,7 +412,7 @@ pub(crate) struct LogAnalysis {
     /// The durable records, in LSN order.
     pub(crate) records: Vec<WalRecord>,
     /// Datastore transaction ids whose commit record is durable.
-    pub(crate) winners: HashSet<u64>,
+    pub(crate) winners: FxHashSet<u64>,
     /// Every committed `(origin, txn_id)` identity: the stamps already
     /// folded into the base, then this log's, in `commit_seq` order.
     pub(crate) stamps: Vec<(u32, u64)>,
@@ -598,7 +604,7 @@ pub(crate) mod tests {
             .put_u64(1)
             .put_str("holding");
         w.put_u32(u32::MAX).put_raw(&[0xAB; 64]);
-        assert!(decode_record(&w.finish()).is_err());
+        assert!(decode_record(&w.finish(), &StrTable::shared()).is_err());
     }
 
     /// A seeded search of hostile bytes for `decode`, which answers whether
@@ -670,7 +676,10 @@ pub(crate) mod tests {
             .collect();
         valid.push(record(|w| encode_commit(w, 4, 9, 1, None)));
         valid.push(record(|w| encode_commit(w, 4, 9, 1, Some((2, 11)))));
-        let accepted = search_decoder(0x0a1_5eed, &valid, |raw| decode_record(&raw).is_ok());
+        let strings = StrTable::shared();
+        let accepted = search_decoder(0x0a1_5eed, &valid, |raw| {
+            decode_record(&raw, &strings).is_ok()
+        });
         assert!(accepted > 100, "only {accepted} flipped records decoded");
     }
 }

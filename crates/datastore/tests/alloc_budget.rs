@@ -264,7 +264,8 @@ fn statement_path_stays_within_its_allocation_budget() {
 /// buffer its sender keeps — the connection's for a request, the server
 /// session's for a reply — and read where it lies, so a remote call costs
 /// the local one plus one allocation per message (its exact copy) and what
-/// the reply's values need.
+/// the reply's values need. A string either end read before is shared
+/// from its string table, so a statement repeated, as here, decodes none.
 #[test]
 fn wire_path_stays_within_its_allocation_budget() {
     let db = accounts();
@@ -304,11 +305,13 @@ fn wire_path_stays_within_its_allocation_budget() {
     });
     assert_eq!(kept_message, 1, "a framed message in a kept buffer");
 
-    // (b) The primary-key SELECT of three columns, over the wire: 6 — the
-    // engine's 1, two messages in kept buffers (2), the key decoded into
-    // the session's parameter scratch (1), and the decoded cells (2: their
-    // vector and the one string). The statement text and the package name
-    // are read in the frame; the column names stay in the reply. It was 9
+    // (b) The primary-key SELECT of three columns, over the wire: 4 — the
+    // engine's 1, two messages in kept buffers (2), and the decoded cells'
+    // vector (1). The key decoded into the session's parameter scratch and
+    // the one string cell are the ones each end's string table holds. The
+    // statement text and the package name are read in the frame; the
+    // column names stay in the reply. It was 6 while both ends copied
+    // every string they decoded out of the frame, 9
     // while each message was a buffer and its frozen copy and the engine
     // built a match list, 14 while the server decoded into a parameter
     // list of its own and the engine and the decoder built a list of rows,
@@ -321,15 +324,16 @@ fn wire_path_stays_within_its_allocation_budget() {
         );
         allocs
     });
-    assert!(select <= 6, "remote pk SELECT: {select} allocations");
+    assert!(select <= 4, "remote pk SELECT: {select} allocations");
 
     // (b') Six primary-key SELECTs in one batch frame, the shape of a
-    // commit's read validation: 27 — six times the engine's 1, two
-    // messages in kept buffers that have grown to fit them (2), six keys
-    // (6), the outcome's result list (1) and six decoded results of two
-    // (12). The server decodes the frame's statements into the session's
-    // scratch and encodes each result into the reply as it finishes. It
-    // was 39 while each message was a buffer that outgrew its room twice
+    // commit's read validation: 15 — six times the engine's 1, two
+    // messages in kept buffers that have grown to fit them (2), the
+    // outcome's result list (1) and six decoded results' cell vectors (6);
+    // the six keys and six string cells are tabled. The server decodes the
+    // frame's statements into the session's scratch and encodes each
+    // result into the reply as it finishes. It was 27 while six keys and
+    // six string cells were decoded afresh, 39 while each message was a buffer that outgrew its room twice
     // and a frozen copy and the engine built match lists, and 72 with a
     // statement list, a parameter list per statement and a result list on
     // the server, and rows on both sides.
@@ -343,15 +347,16 @@ fn wire_path_stays_within_its_allocation_budget() {
         allocs
     });
     assert!(
-        six <= 27,
+        six <= 15,
         "remote batch of six pk SELECTs: {six} allocations"
     );
 
     // (c) The autocommitted primary-key UPDATE: what it costs on a local
-    // connection, plus two messages in kept buffers (2) and its one string
-    // parameter (1). It was local + 5 while each message was a buffer and
-    // its frozen copy, and local + 6 while the server decoded into a
-    // parameter list of its own.
+    // connection, plus two messages in kept buffers (2); its one string
+    // parameter is tabled. It was local + 3 while the server decoded that
+    // string afresh, local + 5 while each message was a buffer and its
+    // frozen copy, and local + 6 while the server decoded into a parameter
+    // list of its own.
     let update_local = steady(|| allocs_of(|| local.execute(UPDATE, &sets).unwrap()).0);
     let update = steady(|| {
         let (allocs, rs) = allocs_of(|| conn.execute(UPDATE, &sets).unwrap());
@@ -359,7 +364,7 @@ fn wire_path_stays_within_its_allocation_budget() {
         allocs
     });
     assert!(
-        update <= update_local + 3,
+        update <= update_local + 2,
         "remote pk UPDATE: {update} allocations (local: {update_local})"
     );
 
@@ -374,6 +379,32 @@ fn wire_path_stays_within_its_allocation_budget() {
         .0
     });
     assert!(empty <= 4, "remote BEGIN + COMMIT: {empty} allocations");
+}
+
+/// A row's strings are decoded once per endpoint: a remote pk SELECT of
+/// three string columns repeated on the same row costs 4 fewer allocations
+/// than its first read, the row's three string cells on the connection and
+/// its key on the server — each end shares what it read before from its
+/// string table.
+#[test]
+fn a_repeated_remote_read_decodes_its_row_strings_once() {
+    const ROW: &str = "SELECT owner, email, address FROM account WHERE userid = ?";
+    let db = accounts();
+    let (_server, mut conn) = remote(&db);
+    // Plan, buffers and scratch warmed on another row.
+    for _ in 0..4 {
+        conn.execute(ROW, &[Value::from("uid:0")]).unwrap();
+    }
+    let key = [Value::from("uid:3")];
+    let (first, rs) = allocs_of(|| conn.execute(ROW, &key).unwrap());
+    assert_eq!(rs.rows()[0][2], Value::from("3 Main Street, Springfield"));
+    let again = steady(|| allocs_of(|| conn.execute(ROW, &key).unwrap()).0);
+    assert_eq!(
+        first,
+        again + 4,
+        "a remote pk SELECT's first read ({first}) and its repeats ({again})"
+    );
+    assert_eq!(again, 4, "a repeated remote pk SELECT");
 }
 
 /// A well-framed `OP_EXEC` (2) of `UPDATE` on `session`, announcing

@@ -1,23 +1,28 @@
-//! The hasher behind the engine's own keyed maps.
+//! The one hasher behind every keyed map and set in the simulated system.
 //!
 //! A statement looks up its plan by SQL text, its table by name, and each
-//! lock it takes by table name and key; a wire statement also finds its
-//! session by id. SipHash, the standard map's default, spends longer on
-//! those short keys than the lookups themselves. `FxHasher` is the
-//! multiply-and-rotate word hash the Rust compiler uses for its own tables:
-//! a word a step, no per-map seed. It gives up SipHash's resistance to
-//! keys crafted to collide, which these maps do not need: their keys are
-//! the texts the workspace's own clients send, the names its own schemas
-//! declare and the ids the server itself hands out.
+//! lock it takes by table name and key; a wire statement finds its session
+//! by id, and an edge's common store its images by bean and key. SipHash,
+//! the standard map's default, spends longer on those short keys than the
+//! lookups themselves, and it draws a random seed per map, so the order a
+//! table's slots fill in — and with it when the table grows — differs from
+//! one process to the next. `FxHasher` is the multiply-and-rotate word
+//! hash the Rust compiler uses for its own tables: a word a step, no
+//! per-map seed, so a run is a function of its seed down to what it
+//! allocates. It gives up SipHash's resistance to keys crafted to collide,
+//! which these maps do not need: their keys are the texts the workspace's
+//! own clients send, the names its own schemas declare and the ids its
+//! servers hand out. [`StrTable`](crate::wire::StrTable), which does see
+//! hostile bytes, is bounded however they collide.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A map keyed by [`FxHasher`].
-pub(crate) type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// A set keyed by [`FxHasher`].
-pub(crate) type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
+pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
 /// The multiplier, from the fractional digits of the golden ratio as the
 /// compiler's own `FxHasher` has it.
@@ -25,7 +30,7 @@ const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 /// Folds each word in as `(hash.rotl(5) ^ word) * SEED`.
 #[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct FxHasher {
+pub struct FxHasher {
     hash: u64,
 }
 

@@ -27,6 +27,8 @@
 //!   exploration for multi-client checking harnesses: seeded random walks
 //!   with per-seed replay, scripted replay with sequential completion (the
 //!   shrinking primitive), and depth-bounded exhaustive enumeration.
+//! * [`hash`] — the one fixed hasher every keyed map in the workspace
+//!   uses, so no map draws a random seed.
 //! * [`wire`] — a small self-describing binary codec. All simulated traffic
 //!   is really encoded and decoded so that byte counts are honest.
 //! * [`HttpRequest`]/[`HttpResponse`] — minimal HTTP/1.0-style framing for
@@ -52,6 +54,7 @@
 
 mod clock;
 mod fault;
+pub mod hash;
 mod http;
 mod path;
 mod remote;
