@@ -38,7 +38,7 @@ pub use container::{Container, JdbcResourceManager, ResourceManager, TxAttr};
 pub use context::{InstanceState, TxContext};
 pub use error::EjbError;
 pub use home::{EjbRef, Home};
-pub use memento::{ImageNames, Memento, Template};
+pub use memento::{ImageNames, Memento};
 pub use meta::{EntityMeta, FieldDef, FinderDef};
 
 /// Convenient result alias for component operations.

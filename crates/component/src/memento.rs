@@ -90,35 +90,6 @@ impl ImageNames {
     }
 }
 
-/// What a decoder already holds that an image off the wire may spell
-/// again: the key its frame carried before it, and an image whose fields,
-/// position by position, it may repeat — an update's before-image for its
-/// after-image. [`Memento::decode`] shares whatever the wire spells exactly
-/// as the template does; `Template::default()` holds nothing.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Template<'a> {
-    key: Option<&'a Value>,
-    fields: &'a [(Arc<str>, Value)],
-}
-
-impl<'a> Template<'a> {
-    /// A template holding only `key`.
-    pub fn keyed(key: &'a Value) -> Template<'a> {
-        Template {
-            key: Some(key),
-            fields: &[],
-        }
-    }
-
-    /// A template holding `image`'s key and fields.
-    pub fn of(image: &'a Memento) -> Template<'a> {
-        Template {
-            key: Some(&image.image.key),
-            fields: &image.image.fields,
-        }
-    }
-}
-
 /// Writes an image's wire form — what [`Memento::encode`] writes — from
 /// its parts: `fields` in name order, each name once.
 pub(crate) fn encode_image<'a>(
@@ -243,20 +214,14 @@ impl Memento {
     /// bean in hand the image points at them: the bean name, and every
     /// field name the wire spells as `names` does at the same position. A
     /// name spelled otherwise — all of them for another bean's `names`, or
-    /// with none — is the image's own copy, unless the `template` spells it
-    /// at that position. The key and each field value the wire spells
-    /// exactly as the `template` does (a string is the one thing a value
-    /// allocates) are other handles on the template's. Fields may arrive in
-    /// any order; of a repeated name the last value stands.
+    /// with none — is the image's own copy, or the one the reader's string
+    /// table holds. Fields may arrive in any order; of a repeated name the
+    /// last value stands.
     ///
     /// # Errors
     /// Returns [`DecodeError`] on truncation, or when the class descriptor
     /// is not exactly the one [`Memento::encode`] writes for the bean.
-    pub fn decode(
-        r: &mut Reader,
-        names: Option<&ImageNames>,
-        template: Template<'_>,
-    ) -> Result<Memento, DecodeError> {
+    pub fn decode(r: &mut Reader, names: Option<&ImageNames>) -> Result<Memento, DecodeError> {
         let class = r.get_bytes()?;
         let _uid = r.get_u64()?;
         let bean = r.get_shared_str_as(names.map(|n| &n.bean))?;
@@ -270,7 +235,7 @@ impl Memento {
         let lent = names
             .filter(|n| n.bean == bean)
             .map_or(&[][..], |n| &n.fields);
-        let key = Value::decode_as(r, template.key)?;
+        let key = Value::decode(r)?;
         let n = r.get_u32()? as usize;
         // The count is not trusted with a reservation: room for the fields
         // the bean declares or, with no descriptor to say, for the slots
@@ -287,9 +252,8 @@ impl Memento {
             fields: Vec::with_capacity(n.min(room)),
         };
         for i in 0..n {
-            let spelled = template.fields.get(i);
-            let name = r.get_shared_str_as(lent.get(i).or(spelled.map(|(name, _)| name)))?;
-            let value = Value::decode_as(r, spelled.map(|(_, value)| value))?;
+            let name = r.get_shared_str_as(lent.get(i))?;
+            let value = Value::decode(r)?;
             match image.fields.last() {
                 // Out of order or repeated: placed as `set` places it.
                 Some((last, _)) if *last >= name => image.place(name, value),
@@ -375,7 +339,7 @@ mod tests {
         m.encode(&mut w);
         let frame = w.finish();
         assert_eq!(frame.len(), m.encoded_len());
-        let back = Memento::decode(&mut Reader::new(frame), None, Template::default()).unwrap();
+        let back = Memento::decode(&mut Reader::new(frame), None).unwrap();
         assert_eq!(back, m);
     }
 
@@ -406,7 +370,7 @@ mod tests {
             w.put_str(class).put_u64(SERIAL_VERSION_UID).put_str(bean);
             Value::from(1).encode(&mut w);
             w.put_u32(0);
-            Memento::decode(&mut Reader::new(w.finish()), None, Template::default())
+            Memento::decode(&mut Reader::new(w.finish()), None)
         };
         let account = "com.ibm.websphere.samples.trade.ejb.AccountMemento";
         assert_eq!(
@@ -427,12 +391,7 @@ mod tests {
         let lent = ImageNames::new("Account".into(), ["logins".into(), "balance".into()]);
         let mut w = Writer::new();
         sample().encode(&mut w);
-        let tidy = Memento::decode(
-            &mut Reader::new(w.finish()),
-            Some(&lent),
-            Template::default(),
-        )
-        .unwrap();
+        let tidy = Memento::decode(&mut Reader::new(w.finish()), Some(&lent)).unwrap();
         assert_eq!(tidy, sample());
         assert!(Arc::ptr_eq(&tidy.image.bean, lent.bean()));
         for ((name, _), lent) in tidy.fields().iter().zip(lent.fields()) {
@@ -453,46 +412,9 @@ mod tests {
             w.put_str(name);
             value.encode(&mut w);
         }
-        let untidy = Memento::decode(
-            &mut Reader::new(w.finish()),
-            Some(&lent),
-            Template::default(),
-        )
-        .unwrap();
+        let untidy = Memento::decode(&mut Reader::new(w.finish()), Some(&lent)).unwrap();
         assert_eq!(untidy, sample());
         assert!(!Arc::ptr_eq(&untidy.fields()[0].0, &lent.fields()[0]));
-    }
-
-    #[test]
-    fn decode_shares_what_its_template_spells() {
-        let before = Memento::new("Account", Value::from("uid:1"))
-            .with_field("name", "Ann")
-            .with_field("note", "old");
-        let after = before.clone().with_field("note", "new");
-        let mut w = Writer::new();
-        after.encode(&mut w);
-        let frame = w.finish();
-        let like = Memento::decode(&mut Reader::new(frame.clone()), None, Template::of(&before));
-        let like = like.unwrap();
-        assert_eq!(like, after);
-        let text = |m: &Memento, at: usize| match &m.fields()[at].1 {
-            Value::Str(text) => Arc::clone(text),
-            other => panic!("{other:?}"),
-        };
-        let key = |m: &Memento| match m.primary_key() {
-            Value::Str(text) => Arc::clone(text),
-            other => panic!("{other:?}"),
-        };
-        assert!(Arc::ptr_eq(&key(&like), &key(&before)));
-        assert!(Arc::ptr_eq(&text(&like, 0), &text(&before, 0)), "unchanged");
-        assert!(!Arc::ptr_eq(&text(&like, 1), &text(&before, 1)), "changed");
-        // With no descriptor the template lends its names too.
-        assert!(Arc::ptr_eq(&like.fields()[1].0, &before.fields()[1].0));
-        // A key alone is shared where the bytes match it.
-        let keyed = Template::keyed(before.primary_key());
-        let own = Memento::decode(&mut Reader::new(frame), None, keyed).unwrap();
-        assert!(Arc::ptr_eq(&key(&own), &key(&before)));
-        assert!(!Arc::ptr_eq(&text(&own, 0), &text(&before, 0)));
     }
 
     #[test]

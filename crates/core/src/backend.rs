@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
 use parking_lot::Mutex;
-use sli_component::{EjbError, EjbResult, ImageNames, Memento, Template};
+use sli_component::{EjbError, EjbResult, ImageNames, Memento};
 use sli_datastore::{Predicate, SqlConnection, Value};
 use sli_simnet::wire::{protocol, unframe, DecodeError, Reader, StrTable, Writer};
 use sli_simnet::{CallError, Clock, Remote, Service, SimDuration};
@@ -376,8 +376,7 @@ impl StateSource for BackendSource {
         let mut r = round_trip(&self.remote, &self.request, w, Some(&self.strings))?;
         if r.get_bool().map_err(wire_err)? {
             Ok(Some(
-                Memento::decode(&mut r, self.registry.image_names(bean), Template::default())
-                    .map_err(wire_err)?,
+                Memento::decode(&mut r, self.registry.image_names(bean)).map_err(wire_err)?,
             ))
         } else {
             Ok(None)
@@ -400,7 +399,7 @@ fn decode_images(r: &mut Reader, names: Option<&ImageNames>) -> Result<Vec<Memen
     // remaining bytes can hold, not for the count they announce.
     let mut out = Vec::with_capacity(n.min(r.remaining() / Memento::MIN_ENCODED_LEN));
     for _ in 0..n {
-        out.push(Memento::decode(r, names, Template::default())?);
+        out.push(Memento::decode(r, names)?);
     }
     Ok(out)
 }

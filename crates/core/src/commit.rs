@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use sli_component::{InstanceState, Memento, Template, TxContext};
+use sli_component::{InstanceState, Memento, TxContext};
 use sli_datastore::Value;
 use sli_simnet::wire::{DecodeError, Reader, Writer};
 
@@ -186,9 +186,7 @@ impl CommitRequest {
     /// Decodes a request from a wire frame. Each entry's bean name and its
     /// images' names are those of the descriptor `registry` holds for the
     /// bean (an unknown bean's entry and images own theirs; see
-    /// [`Memento::decode`]). What an entry already spelled is not copied
-    /// again: each image's key shares the entry's, and an update's
-    /// after-image shares every value its before-image spells alike.
+    /// [`Memento::decode`]).
     ///
     /// # Errors
     /// Returns [`DecodeError`] on truncation or unknown tags.
@@ -204,21 +202,19 @@ impl CommitRequest {
             let names = registry.image_names(&spelled);
             let bean = names.map_or_else(|| Arc::from(&*spelled), |n| Arc::clone(n.bean()));
             let key = Value::decode(r)?;
-            let first = Template::keyed(&key);
             let kind = match r.get_u8()? {
                 0 => EntryKind::Read {
-                    before: Memento::decode(r, names, first)?,
+                    before: Memento::decode(r, names)?,
                 },
-                1 => {
-                    let before = Memento::decode(r, names, first)?;
-                    let after = Memento::decode(r, names, Template::of(&before))?;
-                    EntryKind::Update { before, after }
-                }
+                1 => EntryKind::Update {
+                    before: Memento::decode(r, names)?,
+                    after: Memento::decode(r, names)?,
+                },
                 2 => EntryKind::Create {
-                    after: Memento::decode(r, names, first)?,
+                    after: Memento::decode(r, names)?,
                 },
                 3 => EntryKind::Remove {
-                    before: Memento::decode(r, names, first)?,
+                    before: Memento::decode(r, names)?,
                 },
                 _ => return Err(DecodeError::new("commit entry tag")),
             };

@@ -14,7 +14,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use sli_component::{EntityMeta, Home, Memento, Template, TxContext};
+use sli_component::{EntityMeta, Home, Memento, TxContext};
 use sli_core::{
     BackendServer, CombinedCommitter, CommitEntry, CommitOutcome, CommitRequest, Committer,
     CommonStore, DirectSource, EntryKind, InvalidationSink, MetaRegistry, SliHome,
@@ -341,11 +341,6 @@ fn a_commit_whose_only_peer_is_its_origin_frames_no_invalidation() {
     }
 }
 
-/// A template that holds nothing.
-fn none() -> Template<'static> {
-    Template::default()
-}
-
 /// A well-framed request to the back-end with `body` as its payload.
 fn backend_frame(body: Writer) -> Bytes {
     frame(protocol::BACKEND, 7, &body.finish())
@@ -365,9 +360,8 @@ fn a_decoded_image_owns_only_what_the_descriptor_cannot_lend() {
     // (a) A `Quote` image against its descriptor: 4 — the image, its field
     // vector, the key and the one string. It was 11 with the bean name and
     // six field names copied off the wire, into a map node.
-    let (shared, image) = allocs_of(|| {
-        Memento::decode(&mut Reader::new(encoded.clone()), Some(names), none()).unwrap()
-    });
+    let (shared, image) =
+        allocs_of(|| Memento::decode(&mut Reader::new(encoded.clone()), Some(names)).unwrap());
     assert_eq!(image, before);
     assert!(
         shared <= 4,
@@ -376,18 +370,21 @@ fn a_decoded_image_owns_only_what_the_descriptor_cannot_lend() {
     // With no descriptor in hand it owns them: seven names more, and one
     // growth of a vector reserved by the bytes left, not the count.
     let (owned, image) =
-        allocs_of(|| Memento::decode(&mut Reader::new(encoded.clone()), None, none()).unwrap());
+        allocs_of(|| Memento::decode(&mut Reader::new(encoded.clone()), None).unwrap());
     assert_eq!(image, before);
     assert_eq!(owned, shared + 8, "Memento::decode on its own");
 
     // (b) The commit request of one `Quote` update, as the back-end decodes
-    // it with its registry: 7 — the entry vector, the entry's key, the
-    // before-image's image, field vector and one string, and the
-    // after-image's image and field vector. The bean name is the
-    // registry's, both images' keys are the entry's, and the after-image's
-    // unchanged string is the before-image's. It was 11 while the entry
-    // copied its bean name and each image spelled its own key and values,
-    // and 25 before that.
+    // it with its registry and through its string table: 7 — the entry
+    // vector, the entry's key, the before-image's image, field vector and
+    // one string, and the after-image's image and field vector. The bean
+    // name is the registry's, and both images' keys and the after-image's
+    // unchanged string are the ones the table took from the first read of
+    // each spelling. It was 7 too while a template lent an update's
+    // before-image to its after-image, 11 while the entry copied its bean
+    // name and each image spelled its own key and values, and 25 before
+    // that. Without a table each image reads its own key and string: 3
+    // more.
     let request = CommitRequest {
         origin: 1,
         txn_id: 7,
@@ -401,22 +398,22 @@ fn a_decoded_image_owns_only_what_the_descriptor_cannot_lend() {
         }],
     };
     let frame = request.encode();
-    let (allocs, decoded) =
-        allocs_of(|| CommitRequest::decode(&mut Reader::new(frame.clone()), &registry).unwrap());
-    assert_eq!(decoded, request);
-    assert!(allocs <= 7, "CommitRequest::decode of one update: {allocs}");
-    // (b') The back-end reads each request through its string table, so
-    // the same update decoded again costs 5: the key and the before-image's
-    // string are the ones the first decode left in the table.
     let strings = StrTable::shared();
     let decode = || CommitRequest::decode(&mut Reader::sharing(frame.clone(), &strings), &registry);
-    let (first, _) = allocs_of(|| decode().unwrap());
+    let (first, decoded) = allocs_of(|| decode().unwrap());
+    assert_eq!(decoded, request);
+    assert!(first <= 7, "CommitRequest::decode of one update: {first}");
+    let (plain, _) =
+        allocs_of(|| CommitRequest::decode(&mut Reader::new(frame.clone()), &registry).unwrap());
+    assert_eq!(plain, first + 3, "CommitRequest::decode without a table");
+    // (b') The same update decoded again through the table costs 5: the
+    // key and the string are the ones the first decode left in it.
     let (again, decoded) = allocs_of(|| decode().unwrap());
     assert_eq!(decoded, request);
     assert_eq!(
-        (first, again),
-        (allocs, allocs - 2),
-        "CommitRequest::decode of one update, first and again through a table"
+        again,
+        first - 2,
+        "CommitRequest::decode of one update, again through the table"
     );
     // An after-image string the update left alone is the before-image's;
     // one it changed is its own.
@@ -425,7 +422,8 @@ fn a_decoded_image_owns_only_what_the_descriptor_cannot_lend() {
         other => panic!("{other:?}"),
     };
     let shares = |request: &CommitRequest| {
-        let decoded = CommitRequest::decode(&mut Reader::new(request.encode()), &registry);
+        let mut r = Reader::sharing(request.encode(), &StrTable::shared());
+        let decoded = CommitRequest::decode(&mut r, &registry);
         match &decoded.unwrap().entries[0].kind {
             EntryKind::Update { before, after } => Arc::ptr_eq(&text(before), &text(after)),
             other => panic!("{other:?}"),
@@ -546,7 +544,7 @@ fn a_hostile_length_prefix_reserves_only_what_its_frame_can_hold() {
     for names in [None, Some(names)] {
         let hostile = hostile.clone();
         let (asked, decoded) =
-            bytes_of(|| Memento::decode(&mut Reader::new(Bytes::from(hostile)), names, none()));
+            bytes_of(|| Memento::decode(&mut Reader::new(Bytes::from(hostile)), names));
         assert!(decoded.is_err());
         assert!(
             asked < 8 * sent,

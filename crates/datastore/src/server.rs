@@ -24,7 +24,7 @@ use sli_telemetry::{Counter, Histogram, Registry, Resource, SpanDetail, SpanOutc
 use crate::connection::Connection;
 use crate::engine::Database;
 use crate::error::DbError;
-use crate::result::{self, ResultSet};
+use crate::result::{self, HeaderTable, ResultSet};
 use crate::value::Value;
 use crate::{BatchOutcome, BatchStatement, DbResult, SqlConnection};
 
@@ -588,6 +588,9 @@ pub struct RemoteConnection {
     /// The strings the connection's replies were read as: a result cell
     /// the connection read before is another handle on it.
     strings: Arc<StrTable>,
+    /// The column headers of the results the connection read, so a result
+    /// does not pin its reply frame.
+    headers: HeaderTable,
 }
 
 impl RemoteConnection {
@@ -619,6 +622,7 @@ impl RemoteConnection {
                     correlation: std::sync::atomic::AtomicU64::new(1),
                     request: BytesMut::new(),
                     strings: StrTable::shared(),
+                    headers: HeaderTable::new(),
                 })
             }
             _ => Err(decode_db_error(&mut r).unwrap_or_else(wire_err)),
@@ -730,7 +734,7 @@ impl SqlConnection for RemoteConnection {
         put_statement(&mut w, sql, params);
         self.put_stamp(&mut w);
         let mut r = self.exchange(w)?;
-        ResultSet::decode(&mut r).map_err(wire_err)
+        ResultSet::decode_with(&mut r, Some(&mut self.headers)).map_err(wire_err)
     }
 
     fn commit(&mut self) -> DbResult<()> {
@@ -806,7 +810,8 @@ impl SqlConnection for RemoteConnection {
         let room = r.remaining() / result::MIN_ENCODED_LEN;
         let mut results = Vec::with_capacity(executed.min(room));
         for _ in 0..executed {
-            results.push(ResultSet::decode(&mut r).map_err(wire_err)?);
+            let result = ResultSet::decode_with(&mut r, Some(&mut self.headers));
+            results.push(result.map_err(wire_err)?);
         }
         let failed = r.get_bool().map_err(wire_err)?;
         let error = if failed {

@@ -127,29 +127,12 @@ impl Value {
     /// # Errors
     /// Returns [`DecodeError`] on truncation or an unknown type tag.
     pub fn decode(r: &mut Reader) -> Result<Value, DecodeError> {
-        Value::decode_as(r, None)
-    }
-
-    /// Decodes a value that may exist already: a string the frame spells
-    /// exactly as `known` does is another handle on `known`'s text (see
-    /// [`Reader::get_shared_str_as`]); anything else is what
-    /// [`Value::decode`] returns.
-    ///
-    /// # Errors
-    /// As [`Value::decode`].
-    pub fn decode_as(r: &mut Reader, known: Option<&Value>) -> Result<Value, DecodeError> {
         match r.get_u8()? {
             0 => Ok(Value::Null),
             1 => Ok(Value::Bool(r.get_bool()?)),
             2 => Ok(Value::Int(r.get_i64()?)),
             3 => Ok(Value::Double(r.get_f64()?)),
-            4 => {
-                let known = match known {
-                    Some(Value::Str(text)) => Some(text),
-                    _ => None,
-                };
-                Ok(Value::Str(r.get_shared_str_as(known)?))
-            }
+            4 => Ok(Value::Str(r.get_shared_str()?)),
             _ => Err(DecodeError::new("value tag")),
         }
     }

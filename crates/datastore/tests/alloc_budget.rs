@@ -3,7 +3,8 @@
 //!
 //! What depends only on a statement's SQL text or on its table is resolved
 //! once (DESIGN §19); a call pays for what depends on its parameters, and a
-//! message is one allocation where its buffer is kept (DESIGN §21). The
+//! message in a kept buffer allocates nothing once its receiver has let go
+//! of the one before (DESIGN §21). The
 //! first test pins that as allocation counts, so a regression on the
 //! statement path fails here, naming the layer, instead of as a drift in a
 //! benchmark run. Counts are kept per thread, so each test's numbers are
@@ -262,10 +263,12 @@ fn statement_path_stays_within_its_allocation_budget() {
 
 /// The wire around the statement path: a message is written in place in a
 /// buffer its sender keeps — the connection's for a request, the server
-/// session's for a reply — and read where it lies, so a remote call costs
-/// the local one plus one allocation per message (its exact copy) and what
-/// the reply's values need. A string either end read before is shared
-/// from its string table, so a statement repeated, as here, decodes none.
+/// session's for a reply — and read where it lies, and its exact copy goes
+/// where the last one went once its receiver has let go, so a remote call
+/// costs the local one plus what the reply's values need. A string either
+/// end read before is shared from its string table, and a result's column
+/// header from the connection's header table, so a statement repeated, as
+/// here, decodes none.
 #[test]
 fn wire_path_stays_within_its_allocation_budget() {
     let db = accounts();
@@ -290,8 +293,10 @@ fn wire_path_stays_within_its_allocation_budget() {
     assert_eq!(framed, 2, "a framed message");
     assert_eq!(message.len(), 32 + 1 + 8 + 4 + SELECT.len());
 
-    // (a') The same message written into a kept buffer: 1 — its exact
-    // copy; the buffer comes back for the next message.
+    // (a') The same message written into a kept buffer, the last one
+    // dropped: 0 — the buffer comes back for the next message, and the
+    // exact copy goes where the last one went. It was 1, the copy, while
+    // every copy was a new allocation.
     let mut kept = BytesMut::new();
     let kept_message = steady(|| {
         let (allocs, (message, buf)) = allocs_of(|| {
@@ -303,14 +308,16 @@ fn wire_path_stays_within_its_allocation_budget() {
         assert_eq!(message.len(), 32 + 1 + 8 + 4 + SELECT.len());
         allocs
     });
-    assert_eq!(kept_message, 1, "a framed message in a kept buffer");
+    assert_eq!(kept_message, 0, "a framed message in a kept buffer");
 
-    // (b) The primary-key SELECT of three columns, over the wire: 4 — the
-    // engine's 1, two messages in kept buffers (2), and the decoded cells'
-    // vector (1). The key decoded into the session's parameter scratch and
-    // the one string cell are the ones each end's string table holds. The
-    // statement text and the package name are read in the frame; the
-    // column names stay in the reply. It was 6 while both ends copied
+    // (b) The primary-key SELECT of three columns, over the wire: 2 — the
+    // engine's 1 and the decoded cells' vector (1). Both messages go where
+    // their sender's last ones went. The key decoded into the session's
+    // parameter scratch and the one string cell are the ones each end's
+    // string table holds, and the column names the connection's header
+    // table. The statement text and the package name are read in the
+    // frame. It was 4 while each message was a new exact copy (the header,
+    // a slice of the reply, held the server's copy), 6 while both ends copied
     // every string they decoded out of the frame, 9
     // while each message was a buffer and its frozen copy and the engine
     // built a match list, 14 while the server decoded into a parameter
@@ -324,15 +331,16 @@ fn wire_path_stays_within_its_allocation_budget() {
         );
         allocs
     });
-    assert!(select <= 4, "remote pk SELECT: {select} allocations");
+    assert!(select <= 2, "remote pk SELECT: {select} allocations");
 
     // (b') Six primary-key SELECTs in one batch frame, the shape of a
-    // commit's read validation: 15 — six times the engine's 1, two
-    // messages in kept buffers that have grown to fit them (2), the
+    // commit's read validation: 13 — six times the engine's 1, the
     // outcome's result list (1) and six decoded results' cell vectors (6);
-    // the six keys and six string cells are tabled. The server decodes the
-    // frame's statements into the session's scratch and encodes each
-    // result into the reply as it finishes. It was 27 while six keys and
+    // the two messages go where their senders' last ones went, and the six
+    // keys, six string cells and six headers are tabled. The server decodes
+    // the frame's statements into the session's scratch and encodes each
+    // result into the reply as it finishes. It was 15 while each message
+    // was a new exact copy, 27 while six keys and
     // six string cells were decoded afresh, 39 while each message was a buffer that outgrew its room twice
     // and a frozen copy and the engine built match lists, and 72 with a
     // statement list, a parameter list per statement and a result list on
@@ -347,13 +355,15 @@ fn wire_path_stays_within_its_allocation_budget() {
         allocs
     });
     assert!(
-        six <= 15,
+        six <= 13,
         "remote batch of six pk SELECTs: {six} allocations"
     );
 
     // (c) The autocommitted primary-key UPDATE: what it costs on a local
-    // connection, plus two messages in kept buffers (2); its one string
-    // parameter is tabled. It was local + 3 while the server decoded that
+    // connection, nothing more — its two messages go where their senders'
+    // last ones went, and its one string parameter is tabled. It was
+    // local + 2 while each message was a new exact copy, local + 3 while
+    // the server decoded that
     // string afresh, local + 5 while each message was a buffer and its
     // frozen copy, and local + 6 while the server decoded into a parameter
     // list of its own.
@@ -364,13 +374,14 @@ fn wire_path_stays_within_its_allocation_budget() {
         allocs
     });
     assert!(
-        update <= update_local + 2,
+        update <= update_local,
         "remote pk UPDATE: {update} allocations (local: {update_local})"
     );
 
-    // (d) An empty transaction: four messages in kept buffers, 4. It was 8
-    // while each was a buffer and its frozen copy, and 16 before a message
-    // was one buffer.
+    // (d) An empty transaction: four messages in kept buffers, each going
+    // where its sender's last one went: 0. It was 4 while each message was
+    // a new exact copy, 8 while each was a buffer and its frozen copy, and
+    // 16 before a message was one buffer.
     let empty = steady(|| {
         allocs_of(|| {
             conn.begin().unwrap();
@@ -378,14 +389,15 @@ fn wire_path_stays_within_its_allocation_budget() {
         })
         .0
     });
-    assert!(empty <= 4, "remote BEGIN + COMMIT: {empty} allocations");
+    assert_eq!(empty, 0, "remote BEGIN + COMMIT");
 }
 
 /// A row's strings are decoded once per endpoint: a remote pk SELECT of
 /// three string columns repeated on the same row costs 4 fewer allocations
 /// than its first read, the row's three string cells on the connection and
 /// its key on the server — each end shares what it read before from its
-/// string table.
+/// string table. A repeat then costs 2: the engine's 1 and the decoded
+/// cells' vector.
 #[test]
 fn a_repeated_remote_read_decodes_its_row_strings_once() {
     const ROW: &str = "SELECT owner, email, address FROM account WHERE userid = ?";
@@ -404,7 +416,8 @@ fn a_repeated_remote_read_decodes_its_row_strings_once() {
         again + 4,
         "a remote pk SELECT's first read ({first}) and its repeats ({again})"
     );
-    assert_eq!(again, 4, "a repeated remote pk SELECT");
+    // It was 4 while each message was a new exact copy.
+    assert_eq!(again, 2, "a repeated remote pk SELECT");
 }
 
 /// A well-framed `OP_EXEC` (2) of `UPDATE` on `session`, announcing

@@ -6,6 +6,12 @@
 //! into one. The [`Buf`]/[`BufMut`] traits carry the big-endian cursor
 //! methods the wire codec uses. Only the surface this workspace exercises
 //! is implemented.
+//!
+//! One departure from the upstream API: [`BytesMut::recycled_copy`] copies
+//! the written bytes out as a [`Bytes`] in the allocation the buffer's
+//! previous copy used, once nothing holds that copy any more. It is sound
+//! only because this crate has no `unsafe`: [`Arc::get_mut`] is the one way
+//! to write a shared allocation, and it refuses while any view of it lives.
 
 #![forbid(unsafe_code)]
 
@@ -185,9 +191,13 @@ impl FromIterator<u8> for Bytes {
 }
 
 /// A growable byte buffer that freezes into [`Bytes`].
-#[derive(Clone, Default, PartialEq, Eq)]
+#[derive(Clone, Default)]
 pub struct BytesMut {
     buf: Vec<u8>,
+    /// The allocation of the last [`BytesMut::recycled_copy`], which the
+    /// next one writes into if nothing else holds it by then. A clone
+    /// shares it, so neither twin writes it while the other holds it.
+    sent: Option<Arc<[u8]>>,
 }
 
 impl BytesMut {
@@ -200,6 +210,7 @@ impl BytesMut {
     pub fn with_capacity(capacity: usize) -> BytesMut {
         BytesMut {
             buf: Vec::with_capacity(capacity),
+            sent: None,
         }
     }
 
@@ -232,6 +243,33 @@ impl BytesMut {
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.buf)
     }
+
+    /// Copies the written bytes out as an immutable [`Bytes`], keeping the
+    /// buffer. The copy is written into the allocation the previous copy
+    /// used when nothing holds that one any more and it has the room;
+    /// otherwise it is a new allocation of exactly the written length, which
+    /// the next call may write into in turn. A copy that is still held is
+    /// never written: only an unshared allocation can be borrowed mutably.
+    ///
+    /// Not in the upstream `bytes` crate (see the crate docs).
+    pub fn recycled_copy(&mut self) -> Bytes {
+        let len = self.buf.len();
+        let mut last = self.sent.take().filter(|slab| slab.len() >= len);
+        let data = match last.as_mut().and_then(Arc::get_mut) {
+            Some(free) => {
+                free[..len].copy_from_slice(&self.buf);
+                last
+            }
+            None => None,
+        }
+        .unwrap_or_else(|| Arc::from(&self.buf[..]));
+        self.sent = Some(Arc::clone(&data));
+        Bytes {
+            data,
+            start: 0,
+            end: len,
+        }
+    }
 }
 
 impl Deref for BytesMut {
@@ -247,6 +285,16 @@ impl DerefMut for BytesMut {
     }
 }
 
+/// By the written bytes, not the room or the last copy's allocation.
+impl PartialEq for BytesMut {
+    fn eq(&self, other: &BytesMut) -> bool {
+        self.buf == other.buf
+    }
+}
+
+impl Eq for BytesMut {}
+
+/// The written bytes, as [`Bytes`] shows them.
 impl fmt::Debug for BytesMut {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(&Bytes::copy_from_slice(&self.buf), f)
@@ -425,6 +473,113 @@ mod tests {
         w.clear();
         assert!(w.is_empty());
         assert!(w.capacity() >= 64);
+    }
+
+    /// `w` emptied and refilled with `bytes`, copied out.
+    fn send(w: &mut BytesMut, bytes: &[u8]) -> Bytes {
+        w.clear();
+        w.put_slice(bytes);
+        w.recycled_copy()
+    }
+
+    #[test]
+    fn a_dropped_copys_allocation_is_written_again() {
+        let mut w = BytesMut::new();
+        let first = send(&mut w, b"hello");
+        let at = first.as_ptr();
+        drop(first);
+        let second = send(&mut w, b"world");
+        assert_eq!(second.as_ptr(), at);
+        assert_eq!(&second[..], b"world");
+        let mut same = BytesMut::with_capacity(64);
+        same.put_slice(b"world");
+        assert_eq!(w, same, "equal by the written bytes alone");
+    }
+
+    #[test]
+    fn a_held_copy_keeps_its_bytes_and_the_next_is_a_new_allocation() {
+        let mut w = BytesMut::new();
+        let held = send(&mut w, b"hello");
+        let next = send(&mut w, b"world");
+        assert_eq!(&held[..], b"hello");
+        assert_eq!(&next[..], b"world");
+        assert_ne!(held.as_ptr(), next.as_ptr());
+        assert_eq!(next.data.len(), 5, "exact size");
+    }
+
+    #[test]
+    fn a_longer_message_gets_a_new_exact_allocation() {
+        let mut w = BytesMut::new();
+        drop(send(&mut w, b"ab"));
+        let long = send(&mut w, b"abcdef");
+        assert_eq!(long.data.len(), 6, "exact size");
+        assert_eq!(&long[..], b"abcdef");
+        let at = long.as_ptr();
+        drop(long);
+        // A shorter one fits in what the longer one left.
+        let short = send(&mut w, b"xy");
+        assert_eq!((short.as_ptr(), short.len()), (at, 2));
+        assert_eq!(&short[..], b"xy");
+    }
+
+    #[test]
+    fn a_clone_never_writes_where_its_twins_copy_lives() {
+        let mut w = BytesMut::new();
+        let held = send(&mut w, b"abc");
+        let mut twin = w.clone();
+        let other = send(&mut twin, b"xyz");
+        assert_eq!((&held[..], &other[..]), (&b"abc"[..], &b"xyz"[..]));
+        // With the copy dropped, both twins still hold its allocation, so
+        // neither writes it; once one has moved on, the other may.
+        drop(held);
+        let mut w2 = w.clone();
+        let a = send(&mut w2, b"one");
+        let b = send(&mut w, b"two");
+        assert_ne!(a.as_ptr(), b.as_ptr());
+        assert_eq!((&a[..], &b[..]), (&b"one"[..], &b"two"[..]));
+        assert_eq!(format!("{w:?}"), "b\"two\"");
+    }
+
+    #[test]
+    fn no_held_copy_ever_changes() {
+        // Seeded random sequences of writes, holds, drops and clones over a
+        // few buffers: every copy still held reads what it was written as.
+        let mut state = 0x5eed_b17e_u64;
+        let mut next = move |below: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % below
+        };
+        let (mut reused, mut written) = (0, 0);
+        for _ in 0..10_000 {
+            let mut writers = vec![BytesMut::new(), BytesMut::new()];
+            let mut held: Vec<(Bytes, Vec<u8>)> = Vec::new();
+            for _ in 0..24 {
+                let i = next(writers.len() as u64) as usize;
+                match next(8) {
+                    0..=4 => {
+                        let len = next(12) as usize;
+                        let bytes: Vec<u8> = (0..len).map(|_| next(256) as u8).collect();
+                        let last = writers[i].sent.as_ref().map(|s| s.as_ptr());
+                        let copy = send(&mut writers[i], &bytes);
+                        reused += usize::from(last == Some(copy.as_ptr()));
+                        written += 1;
+                        held.push((copy, bytes));
+                    }
+                    5 | 6 if !held.is_empty() => {
+                        held.swap_remove(next(held.len() as u64) as usize);
+                    }
+                    _ if writers.len() < 4 => writers.push(writers[i].clone()),
+                    _ => {}
+                }
+                for (copy, bytes) in &held {
+                    assert_eq!(&copy[..], &bytes[..]);
+                }
+            }
+        }
+        assert!(reused > written / 10, "{reused} of {written} reused");
     }
 
     #[test]

@@ -17,7 +17,7 @@ use rand::{Rng, SeedableRng};
 use sli_edge::arch::{
     arch_by_key, counterexample_json, run_slicheck, shrink_schedule, ScheduleSource, SliCheckConfig,
 };
-use sli_edge::component::{Memento, Template};
+use sli_edge::component::Memento;
 use sli_edge::core::{CommitEntry, CommitRequest, EntryKind, MetaRegistry};
 use sli_edge::datastore::{
     sql, BatchStatement, CmpOp, Database, DbError, Predicate, ResultSet, SqlConnection, Value,
@@ -887,7 +887,7 @@ fn the_memento_decoder_never_panics() {
     let decode = |raw: &[u8]| {
         let read = |names| {
             let mut frame = Reader::new(Bytes::copy_from_slice(raw));
-            Memento::decode(&mut frame, names, Template::default())
+            Memento::decode(&mut frame, names)
         };
         let own = read(None).ok();
         for meta in registry.iter() {

@@ -50,7 +50,7 @@ use sli_edge::component::BmpHome;
 use sli_edge::component::JdbcResourceManager;
 use sli_edge::component::{
     share_connection, Container, EjbResult, EntityMeta, ImageNames, InstanceState, Memento,
-    ResourceManager, Template, TxContext,
+    ResourceManager, TxContext,
 };
 use sli_edge::core::{
     memento_digest, validate_and_apply, validate_and_apply_per_image, CacheStats,
@@ -61,7 +61,7 @@ use sli_edge::datastore::{
     BatchStatement, CmpOp, Column, ColumnType, CrashPoint, Database, DbError, Money, Predicate,
     ResultSet, Schema, SqlConnection, Value,
 };
-use sli_edge::simnet::wire::{frame, frame_traced, protocol, unframe, Reader, Writer};
+use sli_edge::simnet::wire::{frame, frame_traced, protocol, unframe, Reader, StrTable, Writer};
 use sli_edge::simnet::{HttpRequest, HttpResponse};
 use sli_edge::telemetry::{
     bucket_for, chrome_trace, critical_path, resource_for, span_class, Bucket, ClassStat,
@@ -328,7 +328,7 @@ fn memento_codec_round_trips() {
         m.encode(&mut w);
         assert_eq!(m.encoded_len(), w.len(), "memento {m:?}");
         let mut r = Reader::new(w.finish());
-        let decoded = Memento::decode(&mut r, None, Template::default()).unwrap();
+        let decoded = Memento::decode(&mut r, None).unwrap();
         assert_eq!(decoded, m, "memento {m:?}");
     }
 }
@@ -1480,6 +1480,8 @@ fn lent_names(bean: &str, fields: &[String]) -> ImageNames {
 fn an_image_decodes_as_the_map_built_one_did_whoever_lends_the_names() {
     let mut rng = StdRng::seed_from_u64(0x3e3e_0019);
     let (mut tidy_cases, mut repeats, mut shared_names) = (0, 0, 0);
+    // One string table across every case, as an endpoint keeps one.
+    let strings = StrTable::shared();
     for case in 0..600 {
         let image = gen_memento(&mut rng);
         let (bean, key) = (image.bean(), image.primary_key());
@@ -1521,15 +1523,9 @@ fn an_image_decodes_as_the_map_built_one_did_whoever_lends_the_names() {
         // Who lends the names: nobody; the bean's descriptor, declaring its
         // fields in the wire's order; descriptors that lack one of the
         // fields, declare one more, or spell one differently; and the
-        // descriptor of another bean with the same fields. Each reads
-        // against a template in turn: none, the image the frame spells, and
-        // an unrelated one — what it may share, never what it decodes to.
-        let unrelated = gen_memento(&mut rng);
-        let templates = [
-            Template::default(),
-            Template::of(&model),
-            Template::of(&unrelated),
-        ];
+        // descriptor of another bean with the same fields. Every other one
+        // reads through the string table, which earlier cases filled — what
+        // it may share, never what it decodes to.
         let declared: Vec<String> = wire.iter().map(|(n, _)| n.clone()).collect();
         let mut lacking = own.clone();
         let mut renamed = own.clone();
@@ -1550,10 +1546,12 @@ fn an_image_decodes_as_the_map_built_one_did_whoever_lends_the_names() {
         ];
         for (which, lender) in lenders.iter().enumerate() {
             let at = format!("case {case}, lender {which}");
-            let template = templates[(case + which) % templates.len()];
+            let mut r = match (case + which) % 2 {
+                0 => Reader::new(frame.clone()),
+                _ => Reader::sharing(frame.clone(), &strings),
+            };
             let decoded =
-                Memento::decode(&mut Reader::new(frame.clone()), lender.as_ref(), template)
-                    .unwrap_or_else(|e| panic!("{at}: {e}"));
+                Memento::decode(&mut r, lender.as_ref()).unwrap_or_else(|e| panic!("{at}: {e}"));
             assert_eq!(decoded, model, "{at}");
             assert_eq!(decoded.bean(), model.bean(), "{at}");
             assert_eq!(decoded.primary_key(), model.primary_key(), "{at}");
@@ -1609,12 +1607,7 @@ fn a_write_through_one_handle_never_reaches_another() {
         let original = if rng.gen_range(0..2u32) == 0 {
             let mut w = Writer::new();
             original.encode(&mut w);
-            Memento::decode(
-                &mut Reader::new(w.finish()),
-                Some(&lender),
-                Template::default(),
-            )
-            .unwrap()
+            Memento::decode(&mut Reader::new(w.finish()), Some(&lender)).unwrap()
         } else {
             original
         };
