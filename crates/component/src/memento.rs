@@ -7,6 +7,7 @@
 //! **before-image**; the state at transaction end is the **after-image**.
 //! The optimistic commit protocol ships and compares exactly these images.
 
+use std::iter;
 use std::sync::Arc;
 
 use sli_simnet::wire::{DecodeError, Reader, Writer};
@@ -22,41 +23,26 @@ const SERIAL_VERSION_UID: u64 = 0x05CA_1AB1_EC0F_FEE5;
 /// length prefix and constant parts, the uid, the bean's length prefix and
 /// the field count.
 const FIXED_LEN: usize = 4 + CLASS_PREFIX.len() + CLASS_SUFFIX.len() + 8 + 4 + 4;
+/// The fewest bytes a field takes on the wire: its name's length prefix
+/// and its value's tag.
+const MIN_FIELD_LEN: usize = 4 + 1;
+
+/// One slot of an image: `(bean, key)` in slot 0, `(name, value)` after it.
+type Slot = (Arc<str>, Value);
 
 /// A snapshot of one entity bean's state.
 ///
-/// The image is shared and copy-on-write: `clone` is a reference count, so
-/// the common store, a transaction's before-image, its current state and
-/// the commit request all point at one image until somebody writes a field,
-/// and only the writer's handle is copied then. Equality is by value.
+/// The image is one shared, copy-on-write slice: `clone` is a reference
+/// count, so the common store, a transaction's before-image, its current
+/// state and the commit request all point at one image until somebody
+/// writes a field, and only the writer's handle is copied then, in one
+/// allocation. Equality is by value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Memento {
-    image: Arc<Image>,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Image {
-    bean: Arc<str>,
-    key: Value,
-    /// Sorted by name, every name once: the order the wire and the digest
-    /// walk, and what `get` / `set` search.
-    fields: Vec<(Arc<str>, Value)>,
-}
-
-impl Image {
-    fn position(&self, name: &str) -> Result<usize, usize> {
-        self.fields
-            .binary_search_by(|(field, _)| (**field).cmp(name))
-    }
-
-    /// Puts `value` where `name` sorts: over the value of a field that
-    /// exists, which keeps its stored name, or as a new field.
-    fn place(&mut self, name: impl Into<Arc<str>> + AsRef<str>, value: Value) {
-        match self.position(name.as_ref()) {
-            Ok(at) => self.fields[at].1 = value,
-            Err(at) => self.fields.insert(at, (name.into(), value)),
-        }
-    }
+    /// Slot 0 is `(bean, key)`; the slots after it are the fields, sorted
+    /// by name, every name once: the order the wire and the digest walk,
+    /// and what `get` / `set` search.
+    image: Arc<[Slot]>,
 }
 
 /// The names a deployment descriptor lends to the images of its bean: the
@@ -109,6 +95,31 @@ pub(crate) fn encode_image<'a>(
     }
 }
 
+/// Whether `fields` are sorted by name, each name once.
+fn is_settled(fields: &[Slot]) -> bool {
+    fields.windows(2).all(|pair| pair[0].0 < pair[1].0)
+}
+
+/// Moves the last slot of each run of equal names in `fields` (sorted by
+/// name) to the front, in order, and returns how many there are.
+fn keep_last_of_each(fields: &mut [Slot]) -> usize {
+    let mut kept = 0;
+    for at in 0..fields.len() {
+        if fields.get(at + 1).is_none_or(|next| next.0 != fields[at].0) {
+            fields.swap(kept, at);
+            kept += 1;
+        }
+    }
+    kept
+}
+
+/// Reads one field: its name, shared with `known` when the wire spells it
+/// alike, and its value.
+fn read_field(r: &mut Reader, known: Option<&Arc<str>>) -> Result<Slot, DecodeError> {
+    let name = r.get_shared_str_as(known)?;
+    Ok((name, Value::decode(r)?))
+}
+
 impl Memento {
     /// The fewest bytes an encoded memento can take (empty bean name, NULL
     /// key, no fields): what a decoder may assume each announced image
@@ -117,31 +128,67 @@ impl Memento {
 
     /// Creates a memento for bean type `bean` with identity `key`.
     pub fn new(bean: impl Into<Arc<str>>, key: Value) -> Memento {
-        Memento::from_sorted(bean.into(), key, Vec::new())
+        Memento {
+            image: Arc::from([(bean.into(), key)]),
+        }
     }
 
-    /// An image of `fields`, which the caller has sorted by name with no
-    /// name repeated.
-    pub(crate) fn from_sorted(
+    /// An image of the bean `names` describes, with identity `key` and
+    /// `fields` in any order (of a repeated name the last value stands),
+    /// built in one allocation. The bean name and every field name `names`
+    /// declares are the descriptor's; an undeclared name is the image's own
+    /// copy.
+    pub fn from_fields<const N: usize>(
+        names: &ImageNames,
+        key: Value,
+        fields: [(&str, Value); N],
+    ) -> Memento {
+        let lend = |name: &str| match names.fields.binary_search_by(|known| (**known).cmp(name)) {
+            Ok(at) => Arc::clone(&names.fields[at]),
+            Err(_) => Arc::from(name),
+        };
+        let fields = fields.into_iter().map(|(name, value)| (lend(name), value));
+        Memento::from_parts(Arc::clone(&names.bean), key, fields)
+    }
+
+    /// An image of bean `bean` with identity `key` and `fields` in any
+    /// order (of a repeated name the last value stands). It is one
+    /// allocation when no name repeats and std can trust the iterator's
+    /// length, as it does a map over an array, a range or zipped slices.
+    pub(crate) fn from_parts(
         bean: Arc<str>,
         key: Value,
-        fields: Vec<(Arc<str>, Value)>,
+        fields: impl Iterator<Item = Slot>,
     ) -> Memento {
-        debug_assert!(fields.windows(2).all(|pair| pair[0].0 < pair[1].0));
-        Memento {
-            image: Arc::new(Image { bean, key, fields }),
+        Memento::settled(iter::once((bean, key)).chain(fields).collect())
+    }
+
+    /// `image`, just built and so not shared, with its fields settled:
+    /// sorted by name in place, and — only if a name repeats, the last
+    /// value standing — copied once more without the repeats.
+    fn settled(mut image: Arc<[Slot]>) -> Memento {
+        if !is_settled(&image[1..]) {
+            // Unshared, so this writes in place. A stable sort keeps the
+            // value read last the last of its name.
+            let slots = Arc::make_mut(&mut image);
+            slots[1..].sort_by(|a, b| a.0.cmp(&b.0));
+            if !is_settled(&slots[1..]) {
+                let kept = keep_last_of_each(&mut slots[1..]);
+                image = image[..1 + kept].iter().cloned().collect();
+            }
         }
+        Memento { image }
     }
 
     /// The bean (entity) type name.
     pub fn bean(&self) -> &str {
-        &self.image.bean
+        &self.image[0].0
     }
 
     /// The bean identity — the same value the bean's `getPrimaryKey`
     /// returns.
     pub fn primary_key(&self) -> &Value {
-        &self.image.key
+        &self.image[0].1
     }
 
     /// Sets a field (builder style).
@@ -154,49 +201,65 @@ impl Memento {
         self
     }
 
-    /// Sets a field in place, copying the image first if it is shared. An
-    /// existing field keeps its stored name.
+    /// Sets a field in place, copying the image first — in one allocation
+    /// — if it is shared. An existing field keeps its stored name; a new
+    /// one makes a new image a slot longer.
     pub fn set(&mut self, name: impl Into<Arc<str>> + AsRef<str>, value: impl Into<Value>) {
-        Arc::make_mut(&mut self.image).place(name, value.into());
+        let value = value.into();
+        match self.position(name.as_ref()) {
+            Ok(at) => Arc::make_mut(&mut self.image)[1 + at].1 = value,
+            Err(at) => {
+                let (head, tail) = self.image.split_at(1 + at);
+                let field = iter::once((name.into(), value));
+                self.image = head
+                    .iter()
+                    .cloned()
+                    .chain(field)
+                    .chain(tail.iter().cloned())
+                    .collect();
+            }
+        }
+    }
+
+    /// Where field `name` is, or would go, in [`Memento::fields`].
+    fn position(&self, name: &str) -> Result<usize, usize> {
+        self.fields()
+            .binary_search_by(|(field, _)| (**field).cmp(name))
     }
 
     /// Reads a field.
     pub fn get(&self, name: &str) -> Option<&Value> {
-        let at = self.image.position(name).ok()?;
-        Some(&self.image.fields[at].1)
+        let at = self.position(name).ok()?;
+        Some(&self.fields()[at].1)
     }
 
     /// All fields, sorted by name.
     pub fn fields(&self) -> &[(Arc<str>, Value)] {
-        &self.image.fields
+        &self.image[1..]
     }
 
-    /// Converts this memento into a row aligned with `schema` (missing
-    /// fields become NULL; the key lands in the primary-key column).
-    pub fn to_row(&self, schema: &Schema) -> Vec<Value> {
-        schema
-            .columns()
-            .iter()
-            .enumerate()
-            .map(|(i, col)| {
-                if i == schema.pk_index() {
-                    self.image.key.clone()
-                } else {
-                    self.get(&col.name).cloned().unwrap_or(Value::Null)
-                }
-            })
-            .collect()
+    /// Fills `row` with this memento laid out as `schema`'s columns
+    /// (missing fields become NULL; the key lands in the primary-key
+    /// column), keeping `row`'s buffer.
+    pub fn fill_row(&self, schema: &Schema, row: &mut Vec<Value>) {
+        row.clear();
+        row.extend(schema.columns().iter().enumerate().map(|(i, col)| {
+            if i == schema.pk_index() {
+                self.primary_key().clone()
+            } else {
+                self.get(&col.name).cloned().unwrap_or(Value::Null)
+            }
+        }));
     }
 
     /// Builds a memento from a row aligned with `schema`.
     pub fn from_row(bean: impl Into<Arc<str>>, schema: &Schema, row: &[Value]) -> Memento {
-        let mut m = Memento::new(bean, row[schema.pk_index()].clone());
-        for (i, col) in schema.columns().iter().enumerate() {
-            if i != schema.pk_index() {
-                m.set(col.name.as_str(), row[i].clone());
-            }
-        }
-        m
+        let (pk, columns) = (schema.pk_index(), schema.columns());
+        let fields = (0..columns.len() - 1).map(|field| {
+            let i = if field < pk { field } else { field + 1 };
+            (Arc::from(columns[i].name.as_str()), row[i].clone())
+        });
+        Memento::from_parts(bean.into(), row[pk].clone(), fields)
     }
 
     /// Encodes the memento onto a wire frame. The stream prefix mirrors
@@ -205,22 +268,22 @@ impl Memento {
     /// serialized Java objects, whose wire form carries this metadata with
     /// every instance.
     pub fn encode(&self, w: &mut Writer) {
-        let image = &*self.image;
-        let fields = image.fields.iter().map(|(name, value)| (&**name, value));
-        encode_image(w, &image.bean, &image.key, fields);
+        let fields = self.fields().iter().map(|(name, value)| (&**name, value));
+        encode_image(w, self.bean(), self.primary_key(), fields);
     }
 
-    /// Decodes a memento from a wire frame. With the `names` of the image's
-    /// bean in hand the image points at them: the bean name, and every
-    /// field name the wire spells as `names` does at the same position. A
-    /// name spelled otherwise — all of them for another bean's `names`, or
-    /// with none — is the image's own copy, or the one the reader's string
-    /// table holds. Fields may arrive in any order; of a repeated name the
-    /// last value stands.
+    /// Decodes a memento from a wire frame, in one allocation. With the
+    /// `names` of the image's bean in hand the image points at them: the
+    /// bean name, and every field name the wire spells as `names` does at
+    /// the same position. A name spelled otherwise — all of them for
+    /// another bean's `names`, or with none — is the image's own copy, or
+    /// the one the reader's string table holds. Fields may arrive in any
+    /// order; of a repeated name the last value stands.
     ///
     /// # Errors
-    /// Returns [`DecodeError`] on truncation, or when the class descriptor
-    /// is not exactly the one [`Memento::encode`] writes for the bean.
+    /// Returns [`DecodeError`] on truncation, when the field count is more
+    /// than the remaining bytes could hold, or when the class descriptor is
+    /// not exactly the one [`Memento::encode`] writes for the bean.
     pub fn decode(r: &mut Reader, names: Option<&ImageNames>) -> Result<Memento, DecodeError> {
         let class = r.get_bytes()?;
         let _uid = r.get_u64()?;
@@ -237,50 +300,49 @@ impl Memento {
             .map_or(&[][..], |n| &n.fields);
         let key = Value::decode(r)?;
         let n = r.get_u32()? as usize;
-        // The count is not trusted with a reservation: room for the fields
-        // the bean declares or, with no descriptor to say, for the slots
-        // the remaining bytes would fill. A truncated frame ends the loop
-        // at its first read.
-        let room = if lent.is_empty() {
-            r.remaining() / std::mem::size_of::<(Arc<str>, Value)>()
-        } else {
-            lent.len()
-        };
-        let mut image = Image {
-            bean,
-            key,
-            fields: Vec::with_capacity(n.min(room)),
-        };
-        for i in 0..n {
-            let name = r.get_shared_str_as(lent.get(i))?;
-            let value = Value::decode(r)?;
-            match image.fields.last() {
-                // Out of order or repeated: placed as `set` places it.
-                Some((last, _)) if *last >= name => image.place(name, value),
-                _ => image.fields.push((name, value)),
-            }
+        // The count is bounded before the image is reserved: a frame that
+        // announces more fields than its remaining bytes could hold would
+        // end in truncation anyway.
+        if n > r.remaining() / MIN_FIELD_LEN {
+            return Err(DecodeError::new("memento field count"));
         }
-        Ok(Memento {
-            image: Arc::new(image),
-        })
+        // Each field is read into its slot. After a failed read the rest
+        // are stand-ins — another handle on the bean's name and NULL —
+        // and the image is dropped.
+        let stand_in = Arc::clone(&bean);
+        let mut failed = None;
+        let fields = (0..n).map(|i| {
+            if failed.is_none() {
+                match read_field(r, lent.get(i)) {
+                    Ok(field) => return field,
+                    Err(e) => failed = Some(e),
+                }
+            }
+            (Arc::clone(&stand_in), Value::Null)
+        });
+        let image = iter::once((bean, key)).chain(fields).collect();
+        match failed {
+            Some(e) => Err(e),
+            None => Ok(Memento::settled(image)),
+        }
     }
 
     /// The encoded size in bytes — the unit the paper's commit protocols
     /// ship per image. Adds up what [`Memento::encode`] writes.
     pub fn encoded_len(&self) -> usize {
-        let image = &*self.image;
-        let fields: usize = image
-            .fields
+        let fields: usize = self
+            .fields()
             .iter()
             .map(|(name, value)| 4 + name.len() + value.encoded_len())
             .sum();
-        FIXED_LEN + 2 * image.bean.len() + image.key.encoded_len() + fields
+        FIXED_LEN + 2 * self.bean().len() + self.primary_key().encoded_len() + fields
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use sli_datastore::{Column, ColumnType};
 
     fn account_schema() -> Schema {
@@ -315,7 +377,8 @@ mod tests {
     fn row_round_trip() {
         let schema = account_schema();
         let m = sample();
-        let row = m.to_row(&schema);
+        let mut row = vec![Value::from("stale")];
+        m.fill_row(&schema, &mut row);
         assert_eq!(
             row,
             vec![Value::from("uid:1"), Value::from(1_000.0), Value::from(3)]
@@ -328,8 +391,109 @@ mod tests {
     fn missing_fields_become_null_in_rows() {
         let schema = account_schema();
         let m = Memento::new("Account", Value::from("uid:2")).with_field("balance", 5.0);
-        let row = m.to_row(&schema);
+        let mut row = Vec::new();
+        m.fill_row(&schema, &mut row);
         assert_eq!(row[2], Value::Null);
+    }
+
+    /// `fields` as a wire image of `Account` `uid:1`, in the order given.
+    fn account_frame(fields: &[(&str, Value)]) -> Bytes {
+        let mut w = Writer::new();
+        Memento::new("Account", Value::from("uid:1")).encode(&mut w);
+        let head = w.finish();
+        let mut w = Writer::new();
+        w.put_raw(&head[..head.len() - 4])
+            .put_u32(fields.len() as u32);
+        for (name, value) in fields {
+            w.put_str(name);
+            value.encode(&mut w);
+        }
+        w.finish()
+    }
+
+    #[test]
+    fn an_empty_image_is_its_identity_alone() {
+        let empty = Memento::new("Account", Value::from("uid:1"));
+        assert_eq!(empty.bean(), "Account");
+        assert_eq!(empty.primary_key(), &Value::from("uid:1"));
+        assert!(empty.fields().is_empty());
+        assert_eq!(empty.get("Account"), None, "slot 0 is not a field");
+        let decoded = Memento::decode(&mut Reader::new(account_frame(&[])), None).unwrap();
+        assert_eq!(decoded, empty);
+        let names = ImageNames::new("Account".into(), []);
+        assert_eq!(
+            Memento::from_fields(&names, Value::from("uid:1"), []),
+            empty
+        );
+    }
+
+    #[test]
+    fn out_of_order_fields_are_sorted() {
+        let backwards = [
+            ("logins", Value::from(3)),
+            ("balance", Value::from(1_000.0)),
+        ];
+        let decoded = Memento::decode(&mut Reader::new(account_frame(&backwards)), None);
+        assert_eq!(decoded.unwrap(), sample());
+        let names = ImageNames::new("Account".into(), ["balance".into(), "logins".into()]);
+        let built = Memento::from_fields(&names, Value::from("uid:1"), backwards);
+        assert_eq!(built, sample());
+        // The descriptor's names, however the caller ordered them.
+        for ((name, _), lent) in built.fields().iter().zip(names.fields()) {
+            assert!(Arc::ptr_eq(name, lent), "{name} is the image's own copy");
+        }
+        assert!(Arc::ptr_eq(&built.image[0].0, names.bean()));
+    }
+
+    #[test]
+    fn of_a_repeated_name_the_last_value_stands() {
+        let repeated = [
+            ("logins", Value::from(1)),
+            ("balance", Value::from(7.0)),
+            ("logins", Value::from(2)),
+            ("balance", Value::from(1_000.0)),
+            ("logins", Value::from(3)),
+        ];
+        let decoded = Memento::decode(&mut Reader::new(account_frame(&repeated)), None);
+        assert_eq!(decoded.unwrap(), sample());
+        let names = ImageNames::new("Account".into(), ["balance".into(), "logins".into()]);
+        let built = Memento::from_fields(&names, Value::from("uid:1"), repeated.clone());
+        assert_eq!(built, sample());
+        assert_eq!(built.fields().len(), 2);
+        let mut set = Memento::new("Account", Value::from("uid:1"));
+        for (name, value) in repeated {
+            set.set(name, value);
+        }
+        assert_eq!(set, sample());
+    }
+
+    #[test]
+    fn another_beans_names_lend_nothing() {
+        let holding = ImageNames::new("Holding".into(), ["balance".into(), "logins".into()]);
+        let mut w = Writer::new();
+        sample().encode(&mut w);
+        let decoded = Memento::decode(&mut Reader::new(w.finish()), Some(&holding)).unwrap();
+        assert_eq!(decoded, sample());
+        assert!(!Arc::ptr_eq(&decoded.image[0].0, holding.bean()));
+        for ((name, _), other) in decoded.fields().iter().zip(holding.fields()) {
+            assert_eq!(name, other);
+            assert!(!Arc::ptr_eq(name, other), "{name} is another bean's");
+        }
+    }
+
+    #[test]
+    fn a_field_count_the_frame_cannot_hold_is_refused() {
+        let one = [("balance", Value::Null)];
+        let frame = account_frame(&one);
+        assert!(Memento::decode(&mut Reader::new(frame.clone()), None).is_ok());
+        // Two fields announced and nine bytes left: a field of the fewest
+        // bytes (an empty name, NULL) and a name without its value.
+        let head = &frame[..frame.len() - (4 + 4 + "balance".len() + 1)];
+        let mut w = Writer::new();
+        w.put_raw(head).put_u32(2);
+        w.put_u32(0).put_u8(0).put_u32(0);
+        let err = Memento::decode(&mut Reader::new(w.finish()), None).unwrap_err();
+        assert_eq!(err, DecodeError::new("memento field count"));
     }
 
     #[test]
@@ -393,7 +557,7 @@ mod tests {
         sample().encode(&mut w);
         let tidy = Memento::decode(&mut Reader::new(w.finish()), Some(&lent)).unwrap();
         assert_eq!(tidy, sample());
-        assert!(Arc::ptr_eq(&tidy.image.bean, lent.bean()));
+        assert!(Arc::ptr_eq(&tidy.image[0].0, lent.bean()));
         for ((name, _), lent) in tidy.fields().iter().zip(lent.fields()) {
             assert!(Arc::ptr_eq(name, lent), "{name} is the image's own copy");
         }

@@ -328,14 +328,13 @@ impl EntityMeta {
     }
 
     /// Builds a memento from a row laid out as [`EntityMeta::select_columns`]
-    /// (key first, then fields).
+    /// (key first, then fields), in one allocation.
     pub fn memento_from_row(&self, row: &[Value]) -> crate::Memento {
         let names = self.names.fields().iter();
         let fields = names
             .zip(&self.by_name)
-            .map(|(name, &i)| (Arc::clone(name), row[i + 1].clone()))
-            .collect();
-        crate::Memento::from_sorted(Arc::clone(self.names.bean()), row[0].clone(), fields)
+            .map(|(name, &i)| (Arc::clone(name), row[i + 1].clone()));
+        crate::Memento::from_parts(Arc::clone(self.names.bean()), row[0].clone(), fields)
     }
 
     /// Writes the wire form of the image `row` (laid out as for
@@ -392,7 +391,7 @@ impl EntityMeta {
     }
 
     /// `SELECT *`-equivalent projection: key column then fields, in the
-    /// order `to_row`/`from_row` expect.
+    /// order `fill_row`/`from_row` use.
     pub fn select_columns(&self) -> Vec<String> {
         let mut cols = vec![self.key_field.clone()];
         cols.extend(self.fields.iter().map(|f| f.name.to_string()));

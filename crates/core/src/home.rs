@@ -164,13 +164,15 @@ impl Home for SliHome {
             }
         }
         // 3. Run the finder against the transient state (created beans and
-        //    in-transaction updates are visible; removed beans are not).
+        //    in-transaction updates are visible; removed beans are not),
+        //    each instance laid out in the one row buffer.
         let mut matches = Vec::new();
+        let mut row = Vec::with_capacity(self.schema.columns().len());
         for (b, key, st) in ctx.iter() {
             if **b != *bean || st.removed || !(st.loaded || st.created) {
                 continue;
             }
-            let row = st.to_memento(bean, key).to_row(&self.schema);
+            st.to_memento(bean, key).fill_row(&self.schema, &mut row);
             if bound.matches(&self.schema, &row, &[])? {
                 matches.push(EjbRef::new(Arc::clone(b), key.clone()));
             }

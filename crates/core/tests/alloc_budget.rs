@@ -200,12 +200,13 @@ fn image_path_stays_within_its_allocation_budget() {
     assert!(request <= 1, "from_context with one read entry: {request}");
 
     // (h) The first write to a bean is the one copy a transaction makes of
-    // its image — 2, the image and its field vector, every name, the key
-    // and the string in it shared with the original (it was 10, the image
-    // exactly as (b) used to copy it on every read) — and it reuses the
-    // stored field name, so later writes of a double cost nothing.
+    // its image — 1, the image's one slice, every name, the key and the
+    // string in it shared with the original (it was 2 while the image was
+    // a header and a field vector, and 10, the image exactly as (b) used
+    // to copy it on every read) — and it reuses the stored field name, so
+    // later writes of a double cost nothing.
     let (first, _) = allocs_of(|| home.set_field(&mut ctx, &key, "price", Value::from(29.0)));
-    assert!(first <= 2, "first set_field: {first}");
+    assert!(first <= 1, "first set_field: {first}");
     let (second, _) = allocs_of(|| home.set_field(&mut ctx, &key, "price", Value::from(30.0)));
     assert_eq!(second, 0, "second set_field");
     assert_eq!(image.get("price"), Some(&Value::from(28.0)));
@@ -357,34 +358,37 @@ fn a_decoded_image_owns_only_what_the_descriptor_cannot_lend() {
     before.encode(&mut w);
     let encoded = w.finish();
 
-    // (a) A `Quote` image against its descriptor: 4 — the image, its field
-    // vector, the key and the one string. It was 11 with the bean name and
-    // six field names copied off the wire, into a map node.
+    // (a) A `Quote` image against its descriptor: 3 — the image's one
+    // slice, the key and the one string. It was 4 while the image was a
+    // header and a field vector, and 11 with the bean name and six field
+    // names copied off the wire, into a map node.
     let (shared, image) =
         allocs_of(|| Memento::decode(&mut Reader::new(encoded.clone()), Some(names)).unwrap());
     assert_eq!(image, before);
     assert!(
-        shared <= 4,
+        shared <= 3,
         "Memento::decode against its descriptor: {shared}"
     );
-    // With no descriptor in hand it owns them: seven names more, and one
-    // growth of a vector reserved by the bytes left, not the count.
+    // With no descriptor in hand it owns them: seven names more, and
+    // nothing else, the slice being sized by the count, which the bytes
+    // left bound. (It was 8 more while a field vector reserved by the
+    // bytes left, not the count, grew once.)
     let (owned, image) =
         allocs_of(|| Memento::decode(&mut Reader::new(encoded.clone()), None).unwrap());
     assert_eq!(image, before);
-    assert_eq!(owned, shared + 8, "Memento::decode on its own");
+    assert_eq!(owned, shared + 7, "Memento::decode on its own");
 
     // (b) The commit request of one `Quote` update, as the back-end decodes
-    // it with its registry and through its string table: 7 — the entry
-    // vector, the entry's key, the before-image's image, field vector and
-    // one string, and the after-image's image and field vector. The bean
-    // name is the registry's, and both images' keys and the after-image's
-    // unchanged string are the ones the table took from the first read of
-    // each spelling. It was 7 too while a template lent an update's
-    // before-image to its after-image, 11 while the entry copied its bean
-    // name and each image spelled its own key and values, and 25 before
-    // that. Without a table each image reads its own key and string: 3
-    // more.
+    // it with its registry and through its string table: 5 — the entry
+    // vector, the entry's key, the before-image's slice and one string,
+    // and the after-image's slice. The bean name is the registry's, and
+    // both images' keys and the after-image's unchanged string are the
+    // ones the table took from the first read of each spelling. It was 7
+    // while each image was a header and a field vector (and while a
+    // template lent an update's before-image to its after-image), 11
+    // while the entry copied its bean name and each image spelled its own
+    // key and values, and 25 before that. Without a table each image reads
+    // its own key and string: 3 more.
     let request = CommitRequest {
         origin: 1,
         txn_id: 7,
@@ -402,12 +406,13 @@ fn a_decoded_image_owns_only_what_the_descriptor_cannot_lend() {
     let decode = || CommitRequest::decode(&mut Reader::sharing(frame.clone(), &strings), &registry);
     let (first, decoded) = allocs_of(|| decode().unwrap());
     assert_eq!(decoded, request);
-    assert!(first <= 7, "CommitRequest::decode of one update: {first}");
+    assert!(first <= 5, "CommitRequest::decode of one update: {first}");
     let (plain, _) =
         allocs_of(|| CommitRequest::decode(&mut Reader::new(frame.clone()), &registry).unwrap());
     assert_eq!(plain, first + 3, "CommitRequest::decode without a table");
-    // (b') The same update decoded again through the table costs 5: the
-    // key and the string are the ones the first decode left in it.
+    // (b') The same update decoded again through the table costs 3 (it was
+    // 5 while each image was two allocations): the key and the string are
+    // the ones the first decode left in it.
     let (again, decoded) = allocs_of(|| decode().unwrap());
     assert_eq!(decoded, request);
     assert_eq!(
@@ -525,31 +530,33 @@ fn a_hostile_length_prefix_reserves_only_what_its_frame_can_hold() {
         "{asked} bytes requested for a {sent}-byte query"
     );
 
-    // The same count as a memento's field count. (A query reply's image
-    // count has its test beside `BackendSource`, whose peer cannot be
-    // substituted from outside the crate.)
+    // The same count as a memento's field count, and the largest count
+    // the padding could hold. (A query reply's image count has its test
+    // beside `BackendSource`, whose peer cannot be substituted from outside
+    // the crate.) A count beyond what the bytes left could hold, at five
+    // bytes a field, is refused before anything is reserved; one within it
+    // reserves the image's slice in full, eight bytes of slot per byte of
+    // the smallest field, so no more than eight per byte the frame has
+    // left — with the bean's descriptor in hand or without one.
     let mut image = Writer::new();
     Memento::new("Quote", Value::from("s:1")).encode(&mut image);
     let encoded = image.finish();
-    let mut hostile = encoded.slice(0..encoded.len() - 4).to_vec();
-    hostile.extend_from_slice(&u32::MAX.to_be_bytes());
-    hostile.extend_from_slice(&[0xAB; 1024]);
-    let sent = hostile.len() as u64;
-    // The field vector's slots are eight times the size of the smallest
-    // field on the wire, so it is not reserved by that measure: with the
-    // bean's descriptor in hand it takes room for the declared fields,
-    // without one for no more bytes than the frame has left.
     let registry = MetaRegistry::new().with(quote_meta());
     let names = registry.meta("Quote").unwrap().image_names();
-    for names in [None, Some(names)] {
-        let hostile = hostile.clone();
-        let (asked, decoded) =
-            bytes_of(|| Memento::decode(&mut Reader::new(Bytes::from(hostile)), names));
-        assert!(decoded.is_err());
-        assert!(
-            asked < 8 * sent,
-            "{asked} bytes requested for a {sent}-byte image"
-        );
+    for count in [u32::MAX, 1024 / 5] {
+        let mut hostile = encoded.slice(0..encoded.len() - 4).to_vec();
+        hostile.extend_from_slice(&count.to_be_bytes());
+        hostile.extend_from_slice(&[0xAB; 1024]);
+        let sent = hostile.len() as u64;
+        for names in [None, Some(names)] {
+            let hostile = Bytes::from(hostile.clone());
+            let (asked, decoded) = bytes_of(|| Memento::decode(&mut Reader::new(hostile), names));
+            assert!(decoded.is_err());
+            assert!(
+                asked < 8 * sent,
+                "{asked} bytes requested for a {sent}-byte image announcing {count} fields"
+            );
+        }
     }
 }
 

@@ -99,34 +99,37 @@ impl EjbTradeEngine {
     fn register(&self, ctx: &mut TxContext, c: &Container, user: &str) -> EjbResult<TradeResult> {
         let now = self.logical_now();
         {
+            // Each image is built at once, named by its home's descriptor.
             let account = c.home("Account")?;
             let key = Value::from(user);
-            account.create(
-                ctx,
-                Memento::new("Account", key.clone())
-                    .with_field("balance", 10_000.0)
-                    .with_field("opentimestamp", now),
-            )?;
+            let fields = [
+                ("balance", Value::from(10_000.0)),
+                ("opentimestamp", Value::from(now)),
+            ];
+            let names = account.meta().image_names();
+            account.create(ctx, Memento::from_fields(names, key.clone(), fields))?;
             // Table 1: Account C *and* R — the confirmation page looks the
             // new account up again (a fresh find, not the cached create).
             let aref = account.find_by_primary_key(ctx, &key)?;
             let balance = Self::get_f64(account.as_ref(), ctx, aref.primary_key(), "balance")?;
-            c.home("Profile")?.create(
-                ctx,
-                Memento::new("Profile", key.clone())
-                    .with_field("fullname", format!("Trade User {user}"))
-                    .with_field("address", "1 Wall St, New York")
-                    .with_field("email", format!("{user}@trade.example.com"))
-                    .with_field("creditcard", "0000-1111-2222-3333")
-                    .with_field("password", "xxx"),
-            )?;
-            c.home("Registry")?.create(
-                ctx,
-                Memento::new("Registry", key)
-                    .with_field("loggedin", false)
-                    .with_field("logincount", 0)
-                    .with_field("lastlogin", 0),
-            )?;
+            let profile = c.home("Profile")?;
+            let fields = [
+                ("fullname", Value::from(format!("Trade User {user}"))),
+                ("address", Value::from("1 Wall St, New York")),
+                ("email", Value::from(format!("{user}@trade.example.com"))),
+                ("creditcard", Value::from("0000-1111-2222-3333")),
+                ("password", Value::from("xxx")),
+            ];
+            let names = profile.meta().image_names();
+            profile.create(ctx, Memento::from_fields(names, key.clone(), fields))?;
+            let registry = c.home("Registry")?;
+            let fields = [
+                ("loggedin", Value::from(false)),
+                ("logincount", Value::from(0)),
+                ("lastlogin", Value::from(0)),
+            ];
+            let names = registry.meta().image_names();
+            registry.create(ctx, Memento::from_fields(names, key, fields))?;
             Ok(TradeResult::new("Trade Registration")
                 .field("user", user)
                 .field("opening balance", Money(balance)))
@@ -179,8 +182,9 @@ impl EjbTradeEngine {
 
     fn portfolio(&self, ctx: &mut TxContext, c: &Container, user: &str) -> EjbResult<TradeResult> {
         {
+            let akey = Value::from(user);
             let holding = c.home("Holding")?;
-            let refs = holding.find(ctx, "findByUser", &[Value::from(user)])?;
+            let refs = holding.find(ctx, "findByUser", std::slice::from_ref(&akey))?;
             let mut result = TradeResult::new("Portfolio")
                 .field("user", user)
                 .field("holdings", refs.len())
@@ -233,15 +237,17 @@ impl EjbTradeEngine {
             let cost = price * quantity;
             account.set_field(ctx, &akey, "balance", Value::from(balance - cost))?;
             let holding = c.home("Holding")?;
-            let href = holding.create(
-                ctx,
-                Memento::new("Holding", Value::from(holding_id))
-                    .with_field("userid", user)
-                    .with_field("symbol", symbol)
-                    .with_field("quantity", quantity)
-                    .with_field("purchaseprice", price)
-                    .with_field("purchasedate", now),
-            )?;
+            // The keys' strings, shared rather than copied again.
+            let fields = [
+                ("userid", akey),
+                ("symbol", qkey),
+                ("quantity", Value::from(quantity)),
+                ("purchaseprice", Value::from(price)),
+                ("purchasedate", Value::from(now)),
+            ];
+            let names = holding.meta().image_names();
+            let image = Memento::from_fields(names, Value::from(holding_id), fields);
+            let href = holding.create(ctx, image)?;
             // Table 1: Holding C *and* R — the confirmation looks the new
             // holding up again.
             let href = holding.find_by_primary_key(ctx, href.primary_key())?;
@@ -258,8 +264,9 @@ impl EjbTradeEngine {
 
     fn sell(&self, ctx: &mut TxContext, c: &Container, user: &str) -> EjbResult<TradeResult> {
         {
+            let akey = Value::from(user);
             let holding = c.home("Holding")?;
-            let refs = holding.find(ctx, "findByUser", &[Value::from(user)])?;
+            let refs = holding.find(ctx, "findByUser", std::slice::from_ref(&akey))?;
             let Some(first) = refs.first() else {
                 return Ok(TradeResult::new("Sell")
                     .field("user", user)
@@ -271,7 +278,6 @@ impl EjbTradeEngine {
             let quote = c.home("Quote")?;
             let price = Self::get_f64(quote.as_ref(), ctx, &symbol, "price")?;
             let account = c.home("Account")?;
-            let akey = Value::from(user);
             let balance = Self::get_f64(account.as_ref(), ctx, &akey, "balance")?;
             let proceeds = price * qty;
             account.set_field(ctx, &akey, "balance", Value::from(balance + proceeds))?;
