@@ -312,8 +312,9 @@ fn writing_commits(edges: &[u32]) -> Vec<u64> {
 
 /// A writing commit whose only peer is its origin — a one-edge split tier —
 /// writes no invalidation frame: it costs what it costs with no edge
-/// registered, 7 once warm. It was 9 while each of its two WAL records was
-/// a buffer and its frozen copy. Its fetch and write statements are
+/// registered, 7 once warm. Its database has no WAL attached, so no log
+/// record is counted here; it was 9 while each of its two primary-key
+/// statements built a one-key match list. Its fetch and write statements are
 /// refilled in the commit point's session: it was 18 while each decision
 /// built its round and metadata lists and both statements (each a list, a
 /// text and a parameter list). It was 28 with 6 for a frame built and

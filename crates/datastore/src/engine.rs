@@ -20,7 +20,7 @@ use crate::schema::Schema;
 use crate::sql::{parse, AggregateFn, Scalar, SelectList, Statement};
 use crate::trace::{statement_class, OpKind, Trace, TraceSnapshot};
 use crate::value::Value;
-use crate::wal::{CrashPoint, RecoveryReport, WalBody, WalDisk, WalMetrics, WalOp, WalStats};
+use crate::wal::{CrashPoint, RecoveryReport, Redo, WalDisk, WalMetrics, WalOp, WalStats};
 use crate::DbResult;
 
 /// One table: schema, primary-key-ordered rows, secondary indexes.
@@ -34,7 +34,7 @@ struct Table {
     name: Arc<str>,
     rows: BTreeMap<Value, Vec<Value>>,
     /// column name → value → set of primary keys.
-    indexes: FxHashMap<String, BTreeMap<Value, BTreeSet<Value>>>,
+    indexes: FxHashMap<String, SecondaryIndex>,
 }
 
 impl Table {
@@ -53,34 +53,42 @@ impl Table {
 
     fn index_insert(&mut self, row: &[Value]) {
         let pk = &row[self.schema.pk_index()];
-        for (col, index) in &mut self.indexes {
-            let ci = self
-                .schema
-                .column_index(col)
-                .expect("index column exists by construction");
-            index.entry(row[ci].clone()).or_default().insert(pk.clone());
+        for (ci, index) in indexed(&self.schema, &mut self.indexes) {
+            index_add(index, &row[ci], pk);
         }
     }
 
     fn index_remove(&mut self, row: &[Value]) {
         let pk = &row[self.schema.pk_index()];
-        for (col, index) in &mut self.indexes {
-            let ci = self
-                .schema
-                .column_index(col)
-                .expect("index column exists by construction");
-            if let Some(pks) = index.get_mut(&row[ci]) {
-                pks.remove(pk);
-                if pks.is_empty() {
-                    index.remove(&row[ci]);
-                }
-            }
+        for (ci, index) in indexed(&self.schema, &mut self.indexes) {
+            index_drop(index, &row[ci], pk);
         }
     }
 
     fn insert_row(&mut self, row: Vec<Value>) {
         self.index_insert(&row);
         self.rows.insert(self.pk_of(&row), row);
+    }
+
+    /// Puts `row` where its key's row lies, touching only the secondary
+    /// indexes whose column it changes, and returns the row it displaced —
+    /// or, where no row has its key, inserts it. A live update, its
+    /// rollback and recovery's redo of either all change a stored row here.
+    fn replace_row(&mut self, row: Vec<Value>) -> Option<Vec<Value>> {
+        let pki = self.schema.pk_index();
+        let Some(slot) = self.rows.get_mut(&row[pki]) else {
+            self.insert_row(row);
+            return None;
+        };
+        let old = std::mem::replace(slot, row);
+        let (new, pk) = (&*slot, &old[pki]);
+        for (ci, index) in indexed(&self.schema, &mut self.indexes) {
+            if old[ci] != new[ci] {
+                index_drop(index, &old[ci], pk);
+                index_add(index, &new[ci], pk);
+            }
+        }
+        Some(old)
     }
 
     fn remove_row(&mut self, pk: &Value) -> Option<Vec<Value>> {
@@ -93,6 +101,36 @@ impl Table {
     fn remove_image(&mut self, image: &[Value]) {
         let pk = &image[self.schema.pk_index()];
         self.remove_row(pk);
+    }
+}
+
+/// A secondary index: column value → the primary keys of the rows that
+/// hold it.
+type SecondaryIndex = BTreeMap<Value, BTreeSet<Value>>;
+
+/// Each of a table's `indexes` with the column it is on.
+fn indexed<'t>(
+    schema: &'t Schema,
+    indexes: &'t mut FxHashMap<String, SecondaryIndex>,
+) -> impl Iterator<Item = (usize, &'t mut SecondaryIndex)> {
+    indexes.iter_mut().map(|(col, index)| {
+        let ci = schema
+            .column_index(col)
+            .expect("index column exists by construction");
+        (ci, index)
+    })
+}
+
+fn index_add(index: &mut SecondaryIndex, value: &Value, pk: &Value) {
+    index.entry(value.clone()).or_default().insert(pk.clone());
+}
+
+fn index_drop(index: &mut SecondaryIndex, value: &Value, pk: &Value) {
+    if let Some(pks) = index.get_mut(value) {
+        pks.remove(pk);
+        if pks.is_empty() {
+            index.remove(value);
+        }
     }
 }
 
@@ -391,9 +429,9 @@ impl Database {
                 if t.indexes.contains_key(&column) {
                     return Err(DbError::AlreadyExists(format!("index on {table}.{column}")));
                 }
-                let mut index: BTreeMap<Value, BTreeSet<Value>> = BTreeMap::new();
+                let mut index = SecondaryIndex::new();
                 for (pk, row) in &t.rows {
-                    index.entry(row[ci].clone()).or_default().insert(pk.clone());
+                    index_add(&mut index, &row[ci], pk);
                 }
                 t.indexes.insert(column, index);
             }
@@ -410,9 +448,14 @@ impl Database {
         // meets a logged op whose table is missing from the base. The
         // crashed gate keeps recovery's own rebuild DDL out of here.
         if self.logging.load(Ordering::Relaxed) && !self.crashed.load(Ordering::Relaxed) {
-            let analysis = self.wal.lock().as_ref().map(WalDisk::analyze).transpose()?;
-            if let Some(analysis) = analysis {
-                self.rebase_wal(analysis.stamps);
+            let replay = self
+                .wal
+                .lock()
+                .as_ref()
+                .map(|wal| wal.replay(|op| op.skip()))
+                .transpose()?;
+            if let Some(replay) = replay {
+                self.rebase_wal(replay.stamps);
             }
         }
         Ok(())
@@ -605,14 +648,14 @@ impl Database {
         }
     }
 
-    /// ARIES-lite restart: reloads the base checkpoint, then runs
-    /// analysis (winners are transactions whose commit record reached
-    /// the durable log), redo (repeat history — every logged op in LSN
-    /// order) and undo (reverse loser ops newest-first from their logged
-    /// old images), reconstructing tables, indexes, the `commit_seq`
-    /// witness and the committed `(origin, txn_id)` identities to a
-    /// prefix-consistent state. Rebuilds in place, so connections opened
-    /// before the crash keep working afterwards.
+    /// ARIES-lite restart: reloads the base checkpoint, then reads the
+    /// durable log once, in LSN order — redoing every logged op as it
+    /// meets it (repeating history) while its commit records pick out the
+    /// winners — and undoes the ops no commit record closed, newest first,
+    /// from their logged old images. That reconstructs tables, indexes,
+    /// the `commit_seq` witness and the committed `(origin, txn_id)`
+    /// identities to a prefix-consistent state. Rebuilds in place, so
+    /// connections opened before the crash keep working afterwards.
     ///
     /// A successful recovery *re-bases* the log: the recovered image
     /// becomes the new base checkpoint and the replayed records are
@@ -626,17 +669,17 @@ impl Database {
     /// (undecodable records, or ops referencing tables absent from the
     /// base checkpoint). On error the engine stays down.
     pub fn recover(&self) -> DbResult<RecoveryReport> {
-        let (base, base_next, log) = {
-            let guard = self.wal.lock();
-            let wal = guard
-                .as_ref()
-                .ok_or_else(|| DbError::Remote("recover: no WAL attached".to_owned()))?;
-            (wal.base.clone(), wal.base_next_txn, wal.analyze()?)
-        };
-        // Volatile state is gone (crash) or about to be rebuilt.
+        let guard = self.wal.lock();
+        let wal = guard
+            .as_ref()
+            .ok_or_else(|| DbError::Remote("recover: no WAL attached".to_owned()))?;
+        // Volatile state is gone (crash) or about to be rebuilt; the engine
+        // is down until it is, which also keeps the rebuild's DDL from
+        // folding the log it is about to read.
+        self.crashed.store(true, Ordering::Relaxed);
         self.tables.write().clear();
         self.locks.clear();
-        for img in crate::snapshot::decode_checkpoint(base)? {
+        for img in crate::snapshot::decode_checkpoint(wal.base.clone())? {
             self.execute_ddl(&img.table_ddl())?;
             for col in &img.indexes {
                 self.execute_ddl(&img.index_ddl(col))?;
@@ -647,28 +690,15 @@ impl Database {
                 t.insert_row(row);
             }
         }
-        // Redo consumes the log: a winner's images move into their table;
-        // only a loser's op is needed again, by the undo pass.
-        let mut redo_count = 0u64;
-        let mut losers: Vec<(u64, WalOp)> = Vec::new();
-        for rec in log.records {
-            if let WalBody::Op { txn, op } = rec.body {
-                if log.winners.contains(&txn) {
-                    self.redo_op(op)?;
-                } else {
-                    self.redo_op(op.clone())?;
-                    losers.push((txn, op));
-                }
-                redo_count += 1;
-            }
-        }
-        // Undo, newest first.
-        let undo_count = losers.len() as u64;
+        let log = wal.replay(|op| self.redo(op.redo()?))?;
+        // Undo, newest first, each op decoded again whole.
         let mut torn: FxHashSet<u64> = FxHashSet::default();
-        for (txn, op) in losers.into_iter().rev() {
-            self.undo_op(op)?;
+        for &(txn, at) in log.open.iter().rev() {
+            self.undo_op(wal.op_at(at)?)?;
             torn.insert(txn);
         }
+        let base_next = wal.base_next_txn;
+        drop(guard);
         // Restore the witness and the txn-id source past everything the
         // log has seen, then bring the engine back up.
         self.commit_seq.store(log.commit_seq, Ordering::Relaxed);
@@ -679,14 +709,15 @@ impl Database {
             .max(log.max_txn + 1);
         self.next_txn.store(next, Ordering::Relaxed);
         self.crashed.store(false, Ordering::Relaxed);
+        let undo_count = log.open.len() as u64;
         self.wal_metrics.recoveries.inc();
-        self.wal_metrics.redone.add(redo_count);
+        self.wal_metrics.redone.add(log.ops);
         self.wal_metrics.undone.add(undo_count);
         self.wal_metrics.torn_discarded.add(torn.len() as u64);
         self.rebase_wal(log.stamps.clone());
         Ok(RecoveryReport {
             committed: log.stamps,
-            redo_count,
+            redo_count: log.ops,
             undo_count,
             torn_txns: torn.len() as u64,
             max_lsn: log.max_lsn,
@@ -719,26 +750,16 @@ impl Database {
         })
     }
 
-    // Redo/undo remove rows by the pk of the image being replaced
-    // (`old` forward, `new` backward) rather than the record's stored
-    // pre-image pk, so a pk-changing update could never strand a ghost
-    // row under the other key. The SQL layer rejects SET on the pk
-    // column, so today the two coincide; this keeps the recovery path
-    // correct on its own terms.
-    fn redo_op(&self, op: WalOp) -> DbResult<()> {
+    /// Repeats one logged change: an insert's row or an update's new image
+    /// goes where its key's row lies, a delete's old image's key is taken
+    /// out. (The SQL layer rejects `SET` on the primary key, so an
+    /// update's two images share their key.)
+    fn redo(&self, op: Redo) -> DbResult<()> {
         match op {
-            WalOp::Insert { table, row } => {
-                self.logged_table(&table)?.write().insert_row(row);
+            Redo::Put { table, row } => {
+                self.logged_table(&table)?.write().replace_row(row);
             }
-            WalOp::Update {
-                table, old, new, ..
-            } => {
-                let t = self.logged_table(&table)?;
-                let mut t = t.write();
-                t.remove_image(&old);
-                t.insert_row(new);
-            }
-            WalOp::Delete { table, old } => {
+            Redo::Remove { table, old } => {
                 self.logged_table(&table)?.write().remove_image(&old);
             }
         }
@@ -752,13 +773,8 @@ impl Database {
             WalOp::Insert { table, row } => {
                 self.logged_table(&table)?.write().remove_image(&row);
             }
-            WalOp::Update {
-                table, old, new, ..
-            } => {
-                let t = self.logged_table(&table)?;
-                let mut t = t.write();
-                t.remove_image(&new);
-                t.insert_row(old);
+            WalOp::Update { table, old, .. } => {
+                self.logged_table(&table)?.write().replace_row(old);
             }
             WalOp::Delete { table, old } => {
                 self.logged_table(&table)?.write().insert_row(old);
@@ -1246,20 +1262,22 @@ impl Database {
         {
             let mut stored = t.table.write();
             for pk in pks.as_slice() {
-                let Some(old) = stored.remove_row(pk) else {
+                let Some(row) = stored.rows.get(pk) else {
                     continue;
                 };
-                let mut new_row = old.clone();
+                let mut new = row.clone();
                 for (ci, v) in &assignments {
-                    new_row[*ci] = v.clone();
+                    new[*ci] = v.clone();
                 }
+                let old = stored
+                    .replace_row(new.clone())
+                    .expect("the row was just read");
                 txn.log.push(WalOp::Update {
                     table: Arc::clone(&t.name),
                     pk: pk.clone(),
                     old,
-                    new: new_row.clone(),
+                    new,
                 });
-                stored.insert_row(new_row);
                 affected += 1;
             }
         }
@@ -1505,6 +1523,96 @@ mod tests {
         assert_eq!(db.checkpoint(), committed);
         let stats = db.wal_stats();
         assert_eq!((stats.redone_ops, stats.undone_ops), (5, 3));
+    }
+
+    /// A torn transaction whose op records run past a segment's end — one
+    /// of them a record longer than a segment, on one of its own — is
+    /// redone and undone whole, its index entries with it.
+    #[test]
+    fn a_torn_transaction_across_segments_is_undone() {
+        let db = db_with_quotes();
+        db.execute_ddl("CREATE INDEX quote_volume ON quote (volume)")
+            .unwrap();
+        db.attach_wal();
+        let mut conn = db.connect();
+        conn.execute(
+            "UPDATE quote SET price = ? WHERE symbol = ?",
+            &[Value::from(99.0), Value::from("s:1")],
+        )
+        .unwrap();
+        let committed = db.checkpoint();
+        let flushed = db.wal_stats().flushed_bytes;
+        db.script_crash(CrashPoint::MidApply);
+        conn.begin().unwrap();
+        let update = "UPDATE quote SET price = ?, volume = ? WHERE symbol = ?";
+        let long = "l".repeat(crate::wal::SEGMENT_BYTES);
+        for i in 0..400 {
+            if i == 200 {
+                conn.execute(
+                    "INSERT INTO quote (symbol, price, volume) VALUES (?, 1.0, 7)",
+                    &[Value::from(long.as_str())],
+                )
+                .unwrap();
+            }
+            let symbol = Value::from(format!("s:{}", i % 5));
+            conn.execute(update, &[Value::from(f64::from(i)), Value::from(i), symbol])
+                .unwrap();
+        }
+        assert!(conn.commit().is_err());
+        let torn = db.wal_stats().flushed_bytes - flushed;
+        assert!(torn > crate::wal::SEGMENT_BYTES as u64, "{torn} bytes");
+        let report = db.recover().unwrap();
+        assert_eq!(
+            (report.redo_count, report.undo_count, report.torn_txns),
+            (402, 401, 1)
+        );
+        assert_eq!(db.checkpoint(), committed);
+        let mut symbols = |volume: i64| -> Vec<Value> {
+            let sql = "SELECT symbol FROM quote WHERE volume = ?";
+            let rs = conn.execute(sql, &[Value::from(volume)]).unwrap();
+            rs.rows().iter().map(|r| r[0].clone()).collect()
+        };
+        assert_eq!(symbols(100), [Value::from("s:1")]);
+        assert!(symbols(7).is_empty() && symbols(399).is_empty());
+    }
+
+    /// `replace_row` moves a key between index entries only when the
+    /// indexed column changes, drops an entry it empties, and inserts a
+    /// row whose key it does not find.
+    #[test]
+    fn replace_row_keeps_the_index_whether_or_not_its_column_changes() {
+        let db = Database::new();
+        db.execute_ddl("CREATE TABLE h (id INT PRIMARY KEY, owner VARCHAR, qty INT)")
+            .unwrap();
+        db.execute_ddl("CREATE INDEX h_owner ON h (owner)").unwrap();
+        let row = |id: i64, owner: &str, qty: i64| {
+            vec![Value::from(id), Value::from(owner), Value::from(qty)]
+        };
+        let t = db.table("h").unwrap();
+        let mut t = t.write();
+        t.insert_row(row(1, "a", 1));
+        t.insert_row(row(2, "a", 2));
+        let index = |t: &Table| -> Vec<(String, Vec<i64>)> {
+            t.indexes["owner"]
+                .iter()
+                .map(|(owner, pks)| {
+                    let owner = owner.as_str().unwrap().to_owned();
+                    (owner, pks.iter().map(|pk| pk.as_int().unwrap()).collect())
+                })
+                .collect()
+        };
+        let entry = |owner: &str, pks: &[i64]| (owner.to_owned(), pks.to_vec());
+
+        assert_eq!(t.replace_row(row(1, "a", 5)), Some(row(1, "a", 1)));
+        assert_eq!(index(&t), [entry("a", &[1, 2])]);
+        assert_eq!(t.replace_row(row(1, "b", 5)), Some(row(1, "a", 5)));
+        assert_eq!(index(&t), [entry("a", &[2]), entry("b", &[1])]);
+        assert_eq!(t.replace_row(row(2, "b", 2)), Some(row(2, "a", 2)));
+        assert_eq!(index(&t), [entry("b", &[1, 2])]);
+        assert_eq!(t.replace_row(row(3, "c", 0)), None);
+        assert_eq!(index(&t), [entry("b", &[1, 2]), entry("c", &[3])]);
+        let rows: Vec<_> = t.rows.values().cloned().collect();
+        assert_eq!(rows, [row(1, "b", 5), row(2, "b", 2), row(3, "c", 0)]);
     }
 
     #[test]

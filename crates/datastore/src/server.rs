@@ -547,7 +547,7 @@ impl Service for DbServer {
 }
 
 /// Writes one statement of an `OP_EXEC` or `OP_EXEC_BATCH` frame, as
-/// [`DbServer::read_statement`] reads it. DRDA identifies the prepared
+/// [`DbServer::read_statements`] reads it. DRDA identifies the prepared
 /// package/section alongside the text.
 fn put_statement(w: &mut Writer, sql: &str, params: &[Value]) {
     w.put_str("NULLID.SYSSH200").put_str(sql);

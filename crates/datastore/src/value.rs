@@ -136,6 +136,19 @@ impl Value {
             _ => Err(DecodeError::new("value tag")),
         }
     }
+
+    /// Checks and skips a value nobody reads: what [`Value::decode`]
+    /// accepts, without building it.
+    pub(crate) fn skip(r: &mut Reader) -> Result<(), DecodeError> {
+        match r.get_u8()? {
+            0 => Ok(()),
+            1 => r.get_bool().map(drop),
+            2 => r.get_i64().map(drop),
+            3 => r.get_f64().map(drop),
+            4 => r.skip_str(),
+            _ => Err(DecodeError::new("value tag")),
+        }
+    }
 }
 
 impl PartialEq for Value {

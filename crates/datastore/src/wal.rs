@@ -8,21 +8,21 @@
 //! images) and a commit record carrying the `commit_seq` witness plus the
 //! caller's `(origin, txn_id)` dedup identity, flushed together at the
 //! transaction boundary (group commit). After a crash,
-//! [`Database::recover`](crate::Database::recover) runs
-//! analysis/redo/undo over the flushed prefix and hands back a
-//! [`RecoveryReport`] the committers use to reseed their dedup tables.
+//! [`Database::recover`](crate::Database::recover) reads the flushed
+//! prefix once, redoing each op as it meets it and undoing the ops no
+//! commit record closed, and hands back a [`RecoveryReport`] the
+//! committers use to reseed their dedup tables.
 //!
-//! The "disk" is a `Vec<Bytes>` of encoded records: durable in the
-//! simulation's sense (it survives [`Database::crash`](crate::Database::crash),
-//! which wipes only volatile state), while unflushed `pending` records die
-//! with the process — exactly the distinction recovery semantics hinge on.
+//! The "disk" is the encoded records back to back in segments: durable in
+//! the simulation's sense (it survives [`Database::crash`](crate::Database::crash),
+//! which wipes only volatile state), while the unflushed tail dies with
+//! the process — exactly the distinction recovery semantics hinge on.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
-use sli_simnet::hash::FxHashSet;
-use sli_simnet::wire::{DecodeError, Reader, StrTable, Writer};
+use sli_simnet::wire::{DecodeError, Reader, StrTable, Writer, MAX_KEPT_CAPACITY};
 use sli_telemetry::{Counter, Registry};
 
 use crate::error::DbError;
@@ -74,7 +74,7 @@ pub const CRASH_POINTS: [CrashPoint; 4] = [
 /// One logged operation: enough to redo (new image) and undo (old image)
 /// the physical change. `table` is the table's shared name; on the log it
 /// is the same length-prefixed string as ever.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) enum WalOp {
     Insert {
         table: Arc<str>,
@@ -92,30 +92,28 @@ pub(crate) enum WalOp {
     },
 }
 
-/// A decoded log record: LSN plus body.
+/// What redo needs of a logged op: the image it leaves in its table (an
+/// insert's row, an update's new image) or the one it takes out (a
+/// delete's old image).
 #[derive(Debug)]
-pub(crate) struct WalRecord {
-    pub(crate) lsn: u64,
-    pub(crate) body: WalBody,
-}
-
-#[derive(Debug)]
-pub(crate) enum WalBody {
-    /// A physical operation belonging to transaction `txn`.
-    Op { txn: u64, op: WalOp },
-    /// Transaction `txn` committed at `commit_seq`, optionally on behalf
-    /// of the application-level identity `stamp = (origin, txn_id)`.
-    Commit {
-        txn: u64,
-        commit_seq: u64,
-        stamp: Option<(u32, u64)>,
-    },
+pub(crate) enum Redo {
+    Put { table: Arc<str>, row: Vec<Value> },
+    Remove { table: Arc<str>, old: Vec<Value> },
 }
 
 const REC_INSERT: u8 = 1;
 const REC_UPDATE: u8 = 2;
 const REC_DELETE: u8 = 3;
 const REC_COMMIT: u8 = 4;
+
+/// Room a log segment is allocated with. Records lie back to back in a
+/// segment and never straddle two; one longer than this has an exact-size
+/// segment of its own. The benchmark's peak live heap at 16 / 64 / 256
+/// KiB read 4 182 / 4 178 / 4 369 KiB on `crash_recover` and 2 087 /
+/// 2 117 / 2 308 KiB on `jdbc_mix` (`--seconds 0`, one run each): 64 KiB
+/// is within 1.5 % of the least on both with a quarter of 16 KiB's
+/// segments.
+pub(crate) const SEGMENT_BYTES: usize = 64 * 1024;
 
 fn put_row(w: &mut Writer, row: &[Value]) {
     w.put_u32(row.len() as u32);
@@ -132,6 +130,14 @@ fn get_row(r: &mut Reader) -> Result<Vec<Value>, DecodeError> {
         row.push(Value::decode(r)?);
     }
     Ok(row)
+}
+
+/// Checks and skips a row image nobody reads: what [`get_row`] accepts.
+fn skip_row(r: &mut Reader) -> Result<(), DecodeError> {
+    for _ in 0..r.get_u32()? {
+        Value::skip(r)?;
+    }
+    Ok(())
 }
 
 fn encode_op(w: &mut Writer, lsn: u64, txn: u64, op: &WalOp) {
@@ -183,65 +189,128 @@ fn encode_commit(w: &mut Writer, lsn: u64, txn: u64, commit_seq: u64, stamp: Opt
     }
 }
 
-/// Decodes one log record, reading its strings through `strings`, the
-/// recovery pass's table.
-fn decode_record(frame: &Bytes, strings: &Arc<StrTable>) -> Result<WalRecord, DecodeError> {
-    let mut r = Reader::sharing(frame.clone(), strings);
-    let kind = r.get_u8()?;
-    let lsn = r.get_u64()?;
-    let txn = r.get_u64()?;
-    let body = match kind {
-        REC_INSERT => WalBody::Op {
-            txn,
-            op: WalOp::Insert {
-                table: r.get_shared_str()?,
-                row: get_row(&mut r)?,
-            },
-        },
-        REC_UPDATE => {
-            let table = r.get_shared_str()?;
-            let pk = Value::decode(&mut r)?;
-            let old = get_row(&mut r)?;
-            let new = get_row(&mut r)?;
-            WalBody::Op {
-                txn,
-                op: WalOp::Update {
-                    table,
-                    pk,
-                    old,
-                    new,
-                },
-            }
-        }
-        REC_DELETE => WalBody::Op {
-            txn,
-            op: WalOp::Delete {
-                table: r.get_shared_str()?,
-                old: get_row(&mut r)?,
-            },
-        },
-        REC_COMMIT => {
-            let commit_seq = r.get_u64()?;
-            let stamp = if r.get_bool()? {
-                Some((r.get_u32()?, r.get_u64()?))
-            } else {
-                None
-            };
-            WalBody::Commit {
-                txn,
-                commit_seq,
-                stamp,
-            }
-        }
-        _ => return Err(DecodeError::new("wal record kind")),
+fn corrupt(e: DecodeError) -> DbError {
+    DbError::Remote(format!("corrupt wal record: {e}"))
+}
+
+/// Reads a record's head: its kind, LSN and transaction.
+fn read_head(r: &mut Reader) -> Result<(u8, u64, u64), DecodeError> {
+    Ok((r.get_u8()?, r.get_u64()?, r.get_u64()?))
+}
+
+/// Reads a commit record's body: its `commit_seq` and stamp.
+fn read_commit(r: &mut Reader) -> Result<(u64, Option<(u32, u64)>), DecodeError> {
+    let commit_seq = r.get_u64()?;
+    let stamp = if r.get_bool()? {
+        Some((r.get_u32()?, r.get_u64()?))
+    } else {
+        None
     };
-    Ok(WalRecord { lsn, body })
+    Ok((commit_seq, stamp))
+}
+
+/// An op record met by [`WalDisk::replay`], read up to its body. The
+/// visitor reads the body with exactly one of [`OpRecord::redo`],
+/// [`OpRecord::skip`] or [`OpRecord::whole`]: the next record starts where
+/// the body ends.
+pub(crate) struct OpRecord<'r> {
+    kind: u8,
+    r: &'r mut Reader,
+}
+
+impl OpRecord<'_> {
+    fn read<T>(self, body: impl FnOnce(u8, &mut Reader) -> Result<T, DecodeError>) -> DbResult<T> {
+        body(self.kind, self.r).map_err(corrupt)
+    }
+
+    /// The body as far as redo needs it: the table, then an insert's row,
+    /// an update's new image (its key and old image checked and skipped)
+    /// or a delete's old image.
+    pub(crate) fn redo(self) -> DbResult<Redo> {
+        self.read(|kind, r| {
+            let table = r.get_shared_str()?;
+            if kind == REC_UPDATE {
+                Value::skip(r)?;
+                skip_row(r)?;
+            }
+            let row = get_row(r)?;
+            Ok(match kind {
+                REC_DELETE => Redo::Remove { table, old: row },
+                _ => Redo::Put { table, row },
+            })
+        })
+    }
+
+    /// Checks and skips the body.
+    pub(crate) fn skip(self) -> DbResult<()> {
+        self.read(|kind, r| {
+            r.skip_str()?;
+            if kind == REC_UPDATE {
+                Value::skip(r)?;
+                skip_row(r)?;
+            }
+            skip_row(r)
+        })
+    }
+
+    /// The whole op: what undo needs.
+    pub(crate) fn whole(self) -> DbResult<WalOp> {
+        self.read(|kind, r| {
+            let table = r.get_shared_str()?;
+            Ok(match kind {
+                REC_INSERT => WalOp::Insert {
+                    table,
+                    row: get_row(r)?,
+                },
+                REC_UPDATE => WalOp::Update {
+                    table,
+                    pk: Value::decode(r)?,
+                    old: get_row(r)?,
+                    new: get_row(r)?,
+                },
+                _ => WalOp::Delete {
+                    table,
+                    old: get_row(r)?,
+                },
+            })
+        })
+    }
+}
+
+/// Where a record lies on the log: its segment and its bytes there.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RecordAt {
+    segment: usize,
+    start: usize,
+    end: usize,
+}
+
+/// What [`WalDisk::replay`] learned from the durable log besides the ops
+/// it handed on.
+#[derive(Debug)]
+pub(crate) struct Replay {
+    /// Every committed `(origin, txn_id)` identity: the stamps already
+    /// folded into the base, then this log's, in `commit_seq` order.
+    pub(crate) stamps: Vec<(u32, u64)>,
+    /// The `commit_seq` witness after the last durable commit.
+    pub(crate) commit_seq: u64,
+    /// Highest LSN in the log (0 when it is empty).
+    pub(crate) max_lsn: u64,
+    /// Highest datastore transaction id the log mentions.
+    pub(crate) max_txn: u64,
+    /// Op records handed on.
+    pub(crate) ops: u64,
+    /// The op records no commit record closed — the torn transactions' —
+    /// with their transaction, in LSN order.
+    pub(crate) open: Vec<(u64, RecordAt)>,
 }
 
 /// The simulated durable log device.
 ///
-/// `flushed` frames survive a crash; `pending` frames are the in-memory
-/// tail that a crash discards. `base` is the checkpoint the log is
+/// The log is records back to back in LSN order, in segments of
+/// [`SEGMENT_BYTES`] each allocated once; a record never straddles two.
+/// The bytes up to `durable` survive a crash; past it lies the pending
+/// tail, which a crash discards. `base` is the checkpoint the log is
 /// relative to, captured when the WAL is attached.
 #[derive(Debug)]
 pub(crate) struct WalDisk {
@@ -254,11 +323,15 @@ pub(crate) struct WalDisk {
     /// committers *replace* their dedup tables from it, and forgetting a
     /// stamp would turn a very late retry into a double apply.
     pub(crate) base_stamps: Vec<(u32, u64)>,
-    pending: Vec<Bytes>,
-    flushed: Vec<Bytes>,
+    segments: Vec<Vec<u8>>,
+    /// Where the durable prefix ends: how many segments hold durable
+    /// bytes, and how many of the last of them are durable.
+    durable: (usize, usize),
+    /// Records and bytes in the pending tail.
+    pending: (u64, u64),
     next_lsn: u64,
-    /// The buffer records are encoded in before their exact copy is
-    /// appended, kept from one record to the next.
+    /// The buffer a record is encoded in before it is copied onto the
+    /// tail, kept from one record to the next.
     scratch: BytesMut,
     /// Inject-bug switch: when set, `flush` silently discards the pending
     /// tail while reporting success — an acked-but-not-durable commit the
@@ -273,8 +346,9 @@ impl WalDisk {
             base_commit_seq,
             base_next_txn,
             base_stamps: Vec::new(),
-            pending: Vec::new(),
-            flushed: Vec::new(),
+            segments: Vec::new(),
+            durable: (0, 0),
+            pending: (0, 0),
             next_lsn: 0,
             scratch: BytesMut::new(),
             drop_flush: false,
@@ -300,8 +374,9 @@ impl WalDisk {
         self.base_commit_seq = base_commit_seq;
         self.base_next_txn = base_next_txn;
         self.base_stamps = base_stamps;
-        self.pending.clear();
-        self.flushed.clear();
+        self.segments.clear();
+        self.durable = (0, 0);
+        self.pending = (0, 0);
     }
 
     pub(crate) fn set_drop_flush(&mut self, on: bool) {
@@ -309,14 +384,28 @@ impl WalDisk {
     }
 
     /// Appends the record `encode` writes under the next LSN: written in
-    /// the kept scratch buffer, appended as its exact copy.
+    /// the kept scratch buffer, copied onto the tail segment — or onto a
+    /// new one where the tail has no room for it.
     fn append(&mut self, metrics: &WalMetrics, encode: impl FnOnce(&mut Writer, u64)) {
         let mut w = Writer::new_in(std::mem::take(&mut self.scratch));
         encode(&mut w, self.next_lsn);
         self.next_lsn += 1;
-        let (record, scratch) = w.finish_keeping();
-        self.scratch = scratch;
-        self.pending.push(record);
+        let record = w.into_buf();
+        match self.segments.last_mut() {
+            Some(tail) if tail.capacity() - tail.len() >= record.len() => {
+                tail.extend_from_slice(&record);
+            }
+            _ => {
+                let mut segment = Vec::with_capacity(record.len().max(SEGMENT_BYTES));
+                segment.extend_from_slice(&record);
+                self.segments.push(segment);
+            }
+        }
+        self.pending.0 += 1;
+        self.pending.1 += record.len() as u64;
+        if record.capacity() <= MAX_KEPT_CAPACITY {
+            self.scratch = record;
+        }
         metrics.appends.inc();
     }
 
@@ -341,52 +430,94 @@ impl WalDisk {
     pub(crate) fn flush(&mut self, metrics: &WalMetrics) {
         metrics.flushes.inc();
         if self.drop_flush {
-            metrics.dropped_flushes.add(self.pending.len() as u64);
-            self.pending.clear();
+            metrics.dropped_flushes.add(self.pending.0);
+            self.discard_pending();
             return;
         }
-        for frame in self.pending.drain(..) {
-            metrics.flushed_records.inc();
-            metrics.flushed_bytes.add(frame.len() as u64);
-            self.flushed.push(frame);
-        }
+        metrics.flushed_records.add(self.pending.0);
+        metrics.flushed_bytes.add(self.pending.1);
+        self.pending = (0, 0);
+        self.durable = (
+            self.segments.len(),
+            self.segments.last().map_or(0, Vec::len),
+        );
     }
 
     /// Drops the un-flushed tail — what a crash does to volatile buffers.
     pub(crate) fn discard_pending(&mut self) {
-        self.pending.clear();
+        let (segments, tail) = self.durable;
+        self.segments.truncate(segments);
+        if let Some(last) = self.segments.last_mut() {
+            last.truncate(tail);
+        }
+        self.pending = (0, 0);
     }
 
-    /// The analysis pass: decodes the durable prefix in LSN order, sharing
-    /// its strings through one table for the pass, and finds the winners —
-    /// transactions whose commit record reached it.
-    pub(crate) fn analyze(&self) -> DbResult<LogAnalysis> {
-        let strings = StrTable::shared();
-        let records: Vec<WalRecord> = self
-            .flushed
+    /// The durable bytes, segment by segment.
+    fn durable_segments(&self) -> impl Iterator<Item = &[u8]> {
+        let (segments, tail) = self.durable;
+        self.segments[..segments]
             .iter()
-            .map(|f| {
-                decode_record(f, &strings)
-                    .map_err(|e| DbError::Remote(format!("corrupt wal record: {e}")))
-            })
-            .collect::<DbResult<_>>()?;
-        let mut by_seq: BTreeMap<u64, Option<(u32, u64)>> = BTreeMap::new();
-        let mut winners = FxHashSet::default();
-        let mut max_lsn = 0;
-        let mut max_txn = 0;
-        for rec in &records {
-            max_lsn = max_lsn.max(rec.lsn);
-            match &rec.body {
-                WalBody::Commit {
-                    txn,
-                    commit_seq,
-                    stamp,
-                } => {
-                    by_seq.insert(*commit_seq, *stamp);
-                    winners.insert(*txn);
-                    max_txn = max_txn.max(*txn);
+            .enumerate()
+            .map(move |(i, s)| {
+                if i + 1 == segments {
+                    &s[..tail]
+                } else {
+                    &s[..]
                 }
-                WalBody::Op { txn, .. } => max_txn = max_txn.max(*txn),
+            })
+    }
+
+    /// Reads the durable log once, in LSN order, sharing its strings
+    /// through one table for the pass: each op record goes to `visit`,
+    /// and each commit record closes its transaction's ops.
+    ///
+    /// # Errors
+    /// A record that does not decode, or whatever `visit` returns.
+    pub(crate) fn replay(
+        &self,
+        mut visit: impl FnMut(OpRecord<'_>) -> DbResult<()>,
+    ) -> DbResult<Replay> {
+        let strings = StrTable::shared();
+        let mut by_seq: BTreeMap<u64, Option<(u32, u64)>> = BTreeMap::new();
+        let mut open: Vec<(u64, RecordAt)> = Vec::new();
+        let (mut max_lsn, mut max_txn, mut ops) = (0, 0, 0);
+        for (segment, bytes) in self.durable_segments().enumerate() {
+            // A reader reads a `Bytes`: one copy per segment, none per record.
+            let mut r = Reader::sharing(Bytes::copy_from_slice(bytes), &strings);
+            while !r.is_empty() {
+                let start = bytes.len() - r.remaining();
+                let (kind, lsn, txn) = read_head(&mut r).map_err(corrupt)?;
+                max_lsn = max_lsn.max(lsn);
+                max_txn = max_txn.max(txn);
+                match kind {
+                    REC_INSERT | REC_UPDATE | REC_DELETE => {
+                        visit(OpRecord { kind, r: &mut r })?;
+                        let end = bytes.len() - r.remaining();
+                        open.push((
+                            txn,
+                            RecordAt {
+                                segment,
+                                start,
+                                end,
+                            },
+                        ));
+                        ops += 1;
+                    }
+                    REC_COMMIT => {
+                        let (commit_seq, stamp) = read_commit(&mut r).map_err(corrupt)?;
+                        by_seq.insert(commit_seq, stamp);
+                        // A transaction's ops are the newest open ones,
+                        // unless another's interleave with them.
+                        while open.last().is_some_and(|(t, _)| *t == txn) {
+                            open.pop();
+                        }
+                        if !open.is_empty() {
+                            open.retain(|(t, _)| *t != txn);
+                        }
+                    }
+                    _ => return Err(corrupt(DecodeError::new("wal record kind"))),
+                }
             }
         }
         let commit_seq = by_seq
@@ -395,33 +526,23 @@ impl WalDisk {
             .map_or(self.base_commit_seq, |seq| (*seq).max(self.base_commit_seq));
         let mut stamps = self.base_stamps.clone();
         stamps.extend(by_seq.into_values().flatten());
-        Ok(LogAnalysis {
-            records,
-            winners,
+        Ok(Replay {
             stamps,
             commit_seq,
             max_lsn,
             max_txn,
+            ops,
+            open,
         })
     }
-}
 
-/// What [`WalDisk::analyze`] learned from the durable log.
-#[derive(Debug)]
-pub(crate) struct LogAnalysis {
-    /// The durable records, in LSN order.
-    pub(crate) records: Vec<WalRecord>,
-    /// Datastore transaction ids whose commit record is durable.
-    pub(crate) winners: FxHashSet<u64>,
-    /// Every committed `(origin, txn_id)` identity: the stamps already
-    /// folded into the base, then this log's, in `commit_seq` order.
-    pub(crate) stamps: Vec<(u32, u64)>,
-    /// The `commit_seq` witness after the last durable commit.
-    pub(crate) commit_seq: u64,
-    /// Highest LSN in the log (0 when it is empty).
-    pub(crate) max_lsn: u64,
-    /// Highest datastore transaction id the log mentions.
-    pub(crate) max_txn: u64,
+    /// The whole op recorded `at`, decoded again.
+    pub(crate) fn op_at(&self, at: RecordAt) -> DbResult<WalOp> {
+        let bytes = &self.segments[at.segment][at.start..at.end];
+        let mut r = Reader::new(Bytes::copy_from_slice(bytes));
+        let (kind, _, _) = read_head(&mut r).map_err(corrupt)?;
+        OpRecord { kind, r: &mut r }.whole()
+    }
 }
 
 /// Counters for the log device and the restart path, attached to the
@@ -540,22 +661,50 @@ pub(crate) mod tests {
         w.finish()
     }
 
+    /// Each segment's durable bytes.
+    fn durable_bytes(disk: &WalDisk) -> Vec<Vec<u8>> {
+        disk.durable_segments().map(<[u8]>::to_vec).collect()
+    }
+
+    /// A log whose one durable segment is `raw`.
+    fn holding(raw: &[u8]) -> WalDisk {
+        let mut disk = WalDisk::new(Bytes::new(), 0, 0);
+        disk.segments.push(raw.to_vec());
+        disk.durable = (1, raw.len());
+        disk
+    }
+
+    /// The durable log read by the stream reader, each op decoded whole:
+    /// the ops as `Debug` text, and what the pass learned.
+    fn replayed(disk: &WalDisk) -> DbResult<(Vec<String>, Replay)> {
+        let mut ops = Vec::new();
+        let replay = disk.replay(|op| {
+            ops.push(format!("{:?}", op.whole()?));
+            Ok(())
+        })?;
+        Ok((ops, replay))
+    }
+
+    /// An update of `holding` row 7 whose images carry `text`.
+    fn update(text: &str) -> WalOp {
+        let row = |text: &str| vec![Value::from(7), Value::from(text), Value::from(1.0)];
+        WalOp::Update {
+            table: Arc::from("holding"),
+            pk: Value::from(7),
+            old: row(text),
+            new: row(&text.to_uppercase()),
+        }
+    }
+
     /// Records appended one after another through the log's one scratch
-    /// buffer: a short record after a long one is exactly its own bytes,
-    /// with no stale tail of the long one behind it, and each decodes to
-    /// what was appended.
+    /// buffer land back to back in one segment: a short record after a
+    /// long one is exactly its own bytes, with no stale tail of the long
+    /// one behind it, and each reads back as what was appended.
     #[test]
     fn records_through_one_scratch_keep_no_stale_tail() {
-        let table: Arc<str> = Arc::from("holding");
-        let row = |text: &str| vec![Value::from(7), Value::from(text), Value::from(1.0)];
-        let long = WalOp::Update {
-            table: Arc::clone(&table),
-            pk: Value::from(7),
-            old: row(&"x".repeat(300)),
-            new: row(&"y".repeat(300)),
-        };
+        let long = update(&"x".repeat(300));
         let short = WalOp::Delete {
-            table,
+            table: Arc::from("holding"),
             old: vec![Value::from(7)],
         };
         let metrics = WalMetrics::new();
@@ -571,27 +720,131 @@ pub(crate) mod tests {
             record(|w| encode_commit(w, 2, 9, 1, Some((2, 11)))),
             record(|w| encode_commit(w, 3, 10, 2, None)),
         ];
-        assert_eq!(disk.flushed, expected);
-        assert_eq!(expected.map(|r| r.len())[2..], [38, 26]);
-        let records = disk.analyze().unwrap().records;
-        for (rec, op) in records.iter().zip([&long, &short]) {
-            let WalBody::Op {
-                txn: 9,
-                op: decoded,
-            } = &rec.body
-            else {
-                panic!("{rec:?}");
-            };
-            assert_eq!(format!("{decoded:?}"), format!("{op:?}"));
+        assert_eq!(expected.clone().map(|r| r.len())[2..], [38, 26]);
+        assert_eq!(durable_bytes(&disk), [expected.concat()]);
+        assert_eq!(metrics.flushed_bytes.get(), expected.concat().len() as u64);
+        let (ops, replay) = replayed(&disk).unwrap();
+        assert_eq!(ops, [format!("{long:?}"), format!("{short:?}")]);
+        assert_eq!(replay.stamps, [(2, 11)]);
+        assert_eq!(
+            (
+                replay.commit_seq,
+                replay.max_lsn,
+                replay.max_txn,
+                replay.ops
+            ),
+            (2, 3, 10, 2)
+        );
+        assert!(replay.open.is_empty());
+    }
+
+    /// A record longer than a segment gets an exact-size segment of its
+    /// own, between the segment before it and a new one after it, and
+    /// reads back whole; the scratch buffer it outgrew is not kept.
+    #[test]
+    fn a_record_longer_than_a_segment_gets_its_own_and_replays() {
+        let table: Arc<str> = Arc::from("note");
+        let short = WalOp::Delete {
+            table: Arc::clone(&table),
+            old: vec![Value::from(1)],
+        };
+        let long = WalOp::Insert {
+            table,
+            row: vec![Value::from(1), Value::from("x".repeat(SEGMENT_BYTES))],
+        };
+        let metrics = WalMetrics::new();
+        let mut disk = WalDisk::new(Bytes::new(), 0, 0);
+        disk.append_op(3, &short, &metrics);
+        disk.append_op(3, &long, &metrics);
+        disk.append_commit(3, 1, None, &metrics);
+        disk.flush(&metrics);
+        let long_len = record(|w| encode_op(w, 1, 3, &long)).len();
+        assert!(long_len > SEGMENT_BYTES);
+        let shape: Vec<_> = disk
+            .segments
+            .iter()
+            .map(|s| (s.len(), s.capacity()))
+            .collect();
+        assert_eq!(
+            shape,
+            [
+                (record(|w| encode_op(w, 0, 3, &short)).len(), SEGMENT_BYTES),
+                (long_len, long_len),
+                (26, SEGMENT_BYTES),
+            ]
+        );
+        assert!(disk.scratch.capacity() <= MAX_KEPT_CAPACITY);
+        let (ops, replay) = replayed(&disk).unwrap();
+        assert_eq!(ops, [format!("{short:?}"), format!("{long:?}")]);
+        assert!(replay.open.is_empty());
+    }
+
+    /// Records of many lengths fill several segments, and none straddles
+    /// two: each segment reads on its own to its last byte, and the record
+    /// that opens a segment would not have fit in the one before.
+    #[test]
+    fn no_record_straddles_a_segment_boundary() {
+        let metrics = WalMetrics::new();
+        let mut disk = WalDisk::new(Bytes::new(), 0, 0);
+        for i in 0..600 {
+            let len = sli_simnet::splitmix(0x5e9, i) % 700;
+            disk.append_op(i, &update(&"y".repeat(len as usize)), &metrics);
         }
-        assert!(matches!(
-            records[2].body,
-            WalBody::Commit {
-                txn: 9,
-                commit_seq: 1,
-                stamp: Some((2, 11))
+        disk.flush(&metrics);
+        let segments = durable_bytes(&disk);
+        assert!(segments.len() >= 4, "{} segments", segments.len());
+        let mut records = 0;
+        for (i, segment) in segments.iter().enumerate() {
+            let replay = holding(segment).replay(|op| op.skip()).unwrap();
+            records += replay.ops;
+            if let Some(next) = segments.get(i + 1) {
+                let (_, first) = holding(next).replay(|op| op.skip()).unwrap().open[0];
+                assert!(segment.len() + first.end > SEGMENT_BYTES, "segment {i}");
             }
-        ));
+        }
+        assert_eq!(records, 600);
+        let bytes: usize = segments.iter().map(Vec::len).sum();
+        assert_eq!(bytes as u64, metrics.flushed_bytes.get());
+    }
+
+    /// A crash discards exactly the unflushed records, and so does the
+    /// injected dropped flush: the durable bytes are what they were, and
+    /// the next record lands right behind them.
+    #[test]
+    fn a_crash_and_a_dropped_flush_leave_the_durable_bytes_identical() {
+        let metrics = WalMetrics::new();
+        let mut disk = WalDisk::new(Bytes::new(), 0, 0);
+        let op = update(&"z".repeat(200));
+        for txn in 0..200 {
+            disk.append_op(txn, &op, &metrics);
+        }
+        disk.flush(&metrics);
+        let durable = durable_bytes(&disk);
+        // The tail reaches past the last durable segment into new ones.
+        let tail = |disk: &mut WalDisk| {
+            for txn in 0..500 {
+                disk.append_op(txn, &op, &metrics);
+            }
+        };
+        tail(&mut disk);
+        assert!(disk.segments.len() > durable.len());
+        assert_eq!(durable_bytes(&disk), durable);
+        disk.discard_pending();
+        assert_eq!(durable_bytes(&disk), durable);
+        assert_eq!(disk.segments.len(), durable.len());
+        disk.set_drop_flush(true);
+        tail(&mut disk);
+        disk.flush(&metrics);
+        assert_eq!(durable_bytes(&disk), durable);
+        assert_eq!(metrics.dropped_flushes.get(), 500);
+        assert_eq!(metrics.flushed_records.get(), 200);
+        disk.set_drop_flush(false);
+        disk.append_commit(1, 1, None, &metrics);
+        disk.flush(&metrics);
+        let mut after = durable.clone();
+        let commit = record(|w| encode_commit(w, 1200, 1, 1, None));
+        after.last_mut().unwrap().extend_from_slice(&commit);
+        assert_eq!(durable_bytes(&disk), after);
     }
 
     /// A record whose row announces `u32::MAX` values is an error, not a
@@ -604,7 +857,9 @@ pub(crate) mod tests {
             .put_u64(1)
             .put_str("holding");
         w.put_u32(u32::MAX).put_raw(&[0xAB; 64]);
-        assert!(decode_record(&w.finish(), &StrTable::shared()).is_err());
+        let disk = holding(&w.finish());
+        assert!(disk.replay(|op| op.whole().map(drop)).is_err());
+        assert!(disk.replay(|op| op.redo().map(drop)).is_err());
     }
 
     /// A seeded search of hostile bytes for `decode`, which answers whether
@@ -648,8 +903,8 @@ pub(crate) mod tests {
         accepted
     }
 
-    #[test]
-    fn the_record_decoder_never_panics() {
+    /// One record of each kind and shape, the `i`th under LSN `i + 1`.
+    fn sample_records() -> Vec<Bytes> {
         let table: Arc<str> = Arc::from("holding");
         let row = vec![
             Value::from(7),
@@ -670,16 +925,54 @@ pub(crate) mod tests {
             },
             WalOp::Delete { table, old: row },
         ];
-        let mut valid: Vec<Bytes> = ops
+        let mut records: Vec<Bytes> = ops
             .iter()
-            .map(|op| record(|w| encode_op(w, 3, 9, op)))
+            .zip(1..)
+            .map(|(op, lsn)| record(|w| encode_op(w, lsn, 9, op)))
             .collect();
-        valid.push(record(|w| encode_commit(w, 4, 9, 1, None)));
-        valid.push(record(|w| encode_commit(w, 4, 9, 1, Some((2, 11)))));
-        let strings = StrTable::shared();
-        let accepted = search_decoder(0x0a1_5eed, &valid, |raw| {
-            decode_record(&raw, &strings).is_ok()
-        });
+        records.push(record(|w| encode_commit(w, 4, 9, 1, None)));
+        records.push(record(|w| encode_commit(w, 5, 9, 1, Some((2, 11)))));
+        records
+    }
+
+    /// Whether the stream reader reads `raw` as a segment of one or more
+    /// whole records, decoding each op whole and through redo.
+    fn reads(raw: &[u8]) -> bool {
+        let disk = holding(raw);
+        !raw.is_empty()
+            && disk.replay(|op| op.whole().map(drop)).is_ok()
+            && disk.replay(|op| op.redo().map(drop)).is_ok()
+    }
+
+    #[test]
+    fn the_record_decoder_never_panics() {
+        let accepted = search_decoder(0x0a1_5eed, &sample_records(), |raw| reads(&raw));
         assert!(accepted > 100, "only {accepted} flipped records decoded");
+    }
+
+    /// A segment of several records: a cut at a record boundary reads the
+    /// records before it, and every cut inside a record is refused.
+    #[test]
+    fn every_cut_inside_a_record_of_a_segment_is_refused() {
+        let records = sample_records();
+        let segment = records.concat();
+        let boundaries: Vec<usize> = records
+            .iter()
+            .scan(0, |end, r| {
+                *end += r.len();
+                Some(*end)
+            })
+            .collect();
+        for len in 1..=segment.len() {
+            let cut = &segment[..len];
+            match boundaries.iter().position(|&b| b == len) {
+                Some(i) => {
+                    let replay = holding(cut).replay(|op| op.skip()).unwrap();
+                    assert_eq!(replay.max_lsn, i as u64 + 1, "cut at {len}");
+                    assert!(reads(cut));
+                }
+                None => assert!(!reads(cut), "a cut at {len} read"),
+            }
+        }
     }
 }

@@ -222,17 +222,33 @@ fn statement_path_stays_within_its_allocation_budget() {
         "pk UPDATE in a transaction: {update} allocations"
     );
 
-    // (d) The commit of that one-statement transaction: 2 — the update
-    // record and the commit record, each encoded in the log's kept scratch
-    // buffer and appended as its exact copy. It was 4 while each was a
-    // buffer of the record's exact size and its frozen copy, and 6 while
-    // the update record outgrew a 128-byte buffer twice.
+    // (d) The commit of that one-statement transaction: nothing — the
+    // update record and the commit record are each encoded in the log's
+    // kept scratch buffer and copied onto its tail segment, which has the
+    // room. It was 2 while each record was appended as its exact copy, 4
+    // while each was a buffer of the record's exact size and its frozen
+    // copy, and 6 while the update record outgrew a 128-byte buffer twice.
     let commit = steady(|| {
         conn.begin().unwrap();
         conn.execute(UPDATE, &sets).unwrap();
         allocs_of(|| conn.commit().unwrap()).0
     });
-    assert!(commit <= 2, "commit: {commit} allocations");
+    assert_eq!(commit, 0, "commit");
+    // A thousand such commits ask the allocator for no more than the bytes
+    // they make durable plus one 64 KiB segment: the log allocates its
+    // segments, and nothing per record.
+    let flushed = db.wal_stats().flushed_bytes;
+    let mut asked = 0;
+    for _ in 0..1_000 {
+        conn.begin().unwrap();
+        conn.execute(UPDATE, &sets).unwrap();
+        asked += bytes_of(|| conn.commit().unwrap()).0;
+    }
+    let flushed = db.wal_stats().flushed_bytes - flushed;
+    assert!(
+        asked <= flushed + 64 * 1024,
+        "1 000 commits asked for {asked} bytes to make {flushed} durable"
+    );
 
     // (e) A primary-key DELETE inside a transaction: nothing. The one
     // matched key and the lock probe share the key's text; the row taken

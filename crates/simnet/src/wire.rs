@@ -184,8 +184,10 @@ const FRAMED_CAPACITY: usize = 224;
 /// [`Writer::finish_keeping`] or [`Writer::finish_frame_keeping`], so one
 /// large message does not pin its buffer for the life of its owner. The
 /// largest message written in a kept buffer on the seven benchmark
-/// workloads is a 5 251-byte JDBC reply (`rbes_trade`), the largest WAL
-/// record 281 bytes. A message past the cap still goes out whole; its
+/// workloads is a 5 251-byte JDBC reply (`rbes_trade`). The datastore's
+/// log holds its record-encoding buffer to the same cap, though a record
+/// leaves it through [`Writer::into_buf`] and is copied onto the log, not
+/// out as a message. A message past the cap still goes out whole; its
 /// owner's next message starts in a fresh buffer.
 pub const MAX_KEPT_CAPACITY: usize = 16 * 1024;
 
@@ -390,6 +392,17 @@ impl Writer {
     pub fn finish_keeping(self) -> (Bytes, BytesMut) {
         assert_eq!(self.header, 0, "a framed writer ends in finish_frame");
         self.copy_out()
+    }
+
+    /// Hands back the buffer the message was written in, without a copy,
+    /// for an owner that moves the bytes on itself and keeps the buffer
+    /// for its next [`Writer::new_in`].
+    ///
+    /// # Panics
+    /// Panics on a [`Writer::framed`] writer, whose header is still blank.
+    pub fn into_buf(self) -> BytesMut {
+        assert_eq!(self.header, 0, "a framed writer ends in finish_frame");
+        self.buf
     }
 
     /// Finalizes a [`Writer::framed`] message: fills in the header — the
