@@ -74,7 +74,7 @@ impl BackendServer {
         clock: Arc<Clock>,
     ) -> Arc<BackendServer> {
         Arc::new(BackendServer {
-            point: CommitPoint::in_rounds(conn, registry),
+            point: CommitPoint::new(conn, registry),
             clock,
             peers: Mutex::new(Vec::new()),
             reply: Mutex::new(BytesMut::new()),

@@ -287,20 +287,6 @@ fn conflict_info(
 /// failed validation, after which nothing stays applied.
 type Verdict = Option<ConflictInfo>;
 
-/// A validation protocol: [`in_rounds`] or [`per_image`], writing its
-/// statements into the buffers it is handed (refilled in place, so a warm
-/// session's decisions build no statement). The flag is the checker's
-/// seeded bug (`slicheck --inject-bug`): when set, `Update` entries apply
-/// without validating their before-image — the classic lost-update anomaly
-/// optimistic validation exists to prevent.
-type Validator = fn(
-    &mut dyn SqlConnection,
-    &mut Vec<BatchStatement>,
-    &MetaRegistry,
-    &CommitRequest,
-    bool,
-) -> EjbResult<Verdict>;
-
 /// The outcome a verdict means to the application.
 fn outcome_of(verdict: &Verdict) -> CommitOutcome {
     match verdict {
@@ -312,89 +298,12 @@ fn outcome_of(verdict: &Verdict) -> CommitOutcome {
     }
 }
 
-/// Runs the paper's optimistic validation + apply against `conn`, inside a
-/// single datastore transaction:
-///
-/// 1. for every entry, fetch the current persistent image;
-/// 2. `Read`/`Update`/`Remove` entries require it to equal the
-///    transaction's before-image **by value**; `Create` entries require it
-///    to be absent;
-/// 3. on the first mismatch, roll back and report the conflict;
-/// 4. otherwise apply the after-images (UPDATE/INSERT/DELETE) and commit.
-///
-/// The request is processed in rounds of distinct `(bean, key)` — one
-/// round for every request a [`TxContext`](sli_component::TxContext)
-/// builds, since enlistment is keyed. A round costs **two** round trips on
-/// a wired connection whatever its size: one fetches every image, the
-/// second applies every after-image. Only duplicate keys force another
-/// round, so that no fetch can miss a write an earlier entry made to the
-/// same row. All of a round's images are fetched before any of its entries
-/// validates, so a fetch failure on a later entry (a deadlock, say)
-/// surfaces as an error even when an earlier entry would have conflicted
-/// first; the applied state and the committed/not-committed outcome are
-/// unaffected.
-///
-/// This is the protocol the [`BackendServer`](crate::BackendServer)'s
-/// commit point runs, over its co-located connection so the round trips
-/// are cheap, where the [`CombinedCommitter`] pays the high-latency path
-/// per access — which is precisely the performance distinction the paper
-/// measures between ES/RDB-cached and ES/RBES.
-///
-/// # Errors
-/// Datastore failures (including deadlocks) surface as `Err`; a validation
-/// failure is *not* an error — it returns `Ok(CommitOutcome::Conflict)`.
-pub fn validate_and_apply(
-    conn: &mut dyn SqlConnection,
-    registry: &MetaRegistry,
-    request: &CommitRequest,
-) -> EjbResult<CommitOutcome> {
-    let mut stmts = Vec::new();
-    in_rounds(conn, &mut stmts, registry, request, false).map(|verdict| outcome_of(&verdict))
-}
-
-fn in_rounds(
-    conn: &mut dyn SqlConnection,
-    stmts: &mut Vec<BatchStatement>,
-    registry: &MetaRegistry,
-    request: &CommitRequest,
-    unchecked_writes: bool,
-) -> EjbResult<Verdict> {
-    let entries = &request.entries;
-    let single = entries.len() == 1;
-    in_transaction(conn, true, |conn| {
-        let mut start = 0;
-        while start < entries.len() {
-            let round = &entries[start..round_end(entries, start)];
-            for (at, entry) in round.iter().enumerate() {
-                let meta = registry.meta(&entry.bean)?;
-                meta.load_statement(slot(stmts, at), &entry.key);
-            }
-            let fetched = ship(conn, &stmts[..round.len()], single)?.into_result()?;
-            let mut writes = 0;
-            for (entry, rs) in round.iter().zip(&fetched) {
-                let meta = registry.meta(&entry.bean)?;
-                let conflict = judge(entry, meta, rs, false, unchecked_writes);
-                if conflict.is_some() {
-                    return Ok(conflict);
-                }
-                if entry.kind.is_write() {
-                    entry_statement(entry, meta, false, slot(stmts, writes));
-                    writes += 1;
-                }
-            }
-            if writes > 0 {
-                ship(conn, &stmts[..writes], single)?.into_result()?;
-            }
-            start += round.len();
-        }
-        Ok(None)
-    })
-}
-
-/// The paper's *combined-servers* commit: "one [database access] per
-/// memento image". Reads validate with a `SELECT` + compare; writes use
-/// *conditional* statements whose `WHERE` clause encodes the whole
-/// before-image, so validation and apply are a single statement:
+/// Runs the paper's optimistic validation + apply against `conn`, one
+/// statement per memento image ("one [database access] per memento
+/// image"), inside a single datastore transaction. Reads validate with a
+/// `SELECT` + compare by value; writes use *conditional* statements whose
+/// `WHERE` clause encodes the whole before-image, so validation and apply
+/// are a single statement:
 ///
 /// * `Update` → `UPDATE … SET after WHERE key AND before-image` (0 rows
 ///   affected ⇒ conflict);
@@ -414,13 +323,16 @@ fn in_rounds(
 /// ever seeing the winning image, so its forensic record carries
 /// `found_digest: None`.
 ///
-/// Semantically equivalent to [`validate_and_apply`]: both compare every
-/// before-image by value (a property-based test in the suite pins both to
-/// a one-entry-at-a-time model).
+/// Both server configurations decide through this protocol. They differ in
+/// where it runs: the [`CombinedCommitter`] pays the high-latency path per
+/// image, the [`BackendServer`](crate::BackendServer) its local path after
+/// one commit request crossed — which is the performance distinction the
+/// paper measures between ES/RDB-cached and ES/RBES.
 ///
 /// # Errors
-/// Datastore failures; validation failure returns `Ok(Conflict)`.
-pub fn validate_and_apply_per_image(
+/// Datastore failures (including deadlocks) surface as `Err`; a validation
+/// failure is *not* an error — it returns `Ok(CommitOutcome::Conflict)`.
+pub fn validate_and_apply(
     conn: &mut dyn SqlConnection,
     registry: &MetaRegistry,
     request: &CommitRequest,
@@ -429,6 +341,12 @@ pub fn validate_and_apply_per_image(
     per_image(conn, &mut stmts, registry, request, false).map(|verdict| outcome_of(&verdict))
 }
 
+/// [`validate_and_apply`], writing its statements into the buffers it is
+/// handed (refilled in place, so a warm session's decisions build no
+/// statement). The flag is the checker's seeded bug (`slicheck
+/// --inject-bug`): when set, `Update` entries apply without validating
+/// their before-image — the classic lost-update anomaly optimistic
+/// validation exists to prevent.
 fn per_image(
     conn: &mut dyn SqlConnection,
     stmts: &mut Vec<BatchStatement>,
@@ -446,7 +364,7 @@ fn per_image(
         let outcome = ship(conn, &stmts[..entries.len()], single)?;
         for (entry, rs) in entries.iter().zip(&outcome.results) {
             let meta = registry.meta(&entry.bean)?;
-            let conflict = judge(entry, meta, rs, true, unchecked_writes);
+            let conflict = judge(entry, meta, rs, unchecked_writes);
             if conflict.is_some() {
                 return Ok(conflict);
             }
@@ -501,43 +419,33 @@ fn in_transaction(
 /// Judges one entry against the result set its statement produced: `None`
 /// passes, `Some` is the conflict's forensic record.
 ///
-/// A fetched image (every `Read`, and every entry when the writes are not
-/// `conditional`) must equal the before-image by value; a `Create` must
-/// find nothing. A conditional write validated inside its own statement:
-/// zero affected rows means the before-image no longer matched, and the
-/// winning image was never seen. (An executed conditional `INSERT` has
-/// succeeded; losing the key race is the statement's own duplicate-key
-/// error.)
+/// A `Read`'s fetched image must equal its before-image by value. A
+/// conditional write validated inside its own statement: zero affected rows
+/// means the before-image no longer matched, and the winning image was
+/// never seen. (An executed `INSERT` has succeeded; losing the key race is
+/// the statement's own duplicate-key error.)
 fn judge(
     entry: &CommitEntry,
     meta: &EntityMeta,
     rs: &ResultSet,
-    conditional: bool,
     unchecked_writes: bool,
 ) -> Verdict {
-    let expected = match &entry.kind {
-        EntryKind::Update { .. } if unchecked_writes => return None,
-        EntryKind::Read { before }
-        | EntryKind::Update { before, .. }
-        | EntryKind::Remove { before } => Some(before),
+    match &entry.kind {
+        EntryKind::Read { before } => {
+            let row = rs.rows().first();
+            if row.is_some_and(|row| meta.row_is_image(row, before)) {
+                return None;
+            }
+            // Only a conflict's forensic record needs the winning image.
+            let current = row.map(|row| meta.memento_from_row(row));
+            Some(conflict_info(entry, Some(before), current.as_ref()))
+        }
+        EntryKind::Update { .. } if unchecked_writes => None,
+        EntryKind::Update { before, .. } | EntryKind::Remove { before } => {
+            (rs.affected_rows() == 0).then(|| conflict_info(entry, Some(before), None))
+        }
         EntryKind::Create { .. } => None,
-    };
-    if conditional && !matches!(entry.kind, EntryKind::Read { .. }) {
-        let lost = expected.is_some() && rs.affected_rows() == 0;
-        return lost.then(|| conflict_info(entry, expected, None));
     }
-    let row = rs.rows().first();
-    let unchanged = match (row, expected) {
-        (Some(row), Some(before)) => meta.row_is_image(row, before),
-        (None, None) => true,
-        _ => false,
-    };
-    if unchanged {
-        return None;
-    }
-    // Only a conflict's forensic record needs the winning image itself.
-    let current = row.map(|row| meta.memento_from_row(row));
-    Some(conflict_info(entry, expected, current.as_ref()))
 }
 
 /// `stmt` becomes the statement that applies `entry`'s after-image — for a
@@ -598,22 +506,6 @@ fn ship(
     })
 }
 
-/// The end of the round of `entries` that starts at `start`: the first
-/// entry that repeats a `(bean, key)` of the round, or the end. Rounds are
-/// consecutive runs in which every `(bean, key)` is distinct. (Footprints
-/// are a handful of entries, so the scan is linear per entry.)
-fn round_end(entries: &[CommitEntry], start: usize) -> usize {
-    let repeats = |i: &usize| {
-        let e = &entries[*i];
-        entries[start..*i]
-            .iter()
-            .any(|p| p.bean == e.bean && p.key == e.key)
-    };
-    (start + 1..entries.len())
-        .find(repeats)
-        .unwrap_or(entries.len())
-}
-
 /// Fetches the current persistent image of (`meta`, `key`), if any.
 pub(crate) fn fetch_current(
     conn: &mut dyn SqlConnection,
@@ -652,8 +544,7 @@ pub(crate) fn query_current(
 /// largest request seen and are refilled in place after that.
 pub(crate) struct Session {
     pub(crate) conn: Box<dyn SqlConnection + Send>,
-    /// A decision's statements: the fetches, writes or conditional
-    /// statements of the round in flight.
+    /// A decision's statements, one per memento image.
     stmts: Vec<BatchStatement>,
     /// A finder's statement text.
     text: String,
@@ -704,20 +595,19 @@ pub(crate) struct Decision {
 /// It owns the datastore connection the decision runs on and everything
 /// that makes the decision exactly-once and observable: the replay table
 /// keyed by `(origin, txn_id)`, the WAL stamp that lets recovery reseed
-/// that table, the validation protocol (fixed at construction), the
-/// apply-side history, the outcome counters and the `commit.*` spans.
+/// that table, the validation, the apply-side history, the outcome
+/// counters and the `commit.*` spans.
 ///
-/// Standing alone it is the paper's *combined-servers* committer
-/// ([`CombinedCommitter`]): co-located with the edge server, it drives the
-/// (remote) database connection with one conditional statement per
-/// memento image. Inside a [`BackendServer`](crate::BackendServer) it is
-/// the *split-servers* commit logic, validating in fetch/write rounds over
-/// the back-end's local connection; the back-end adds only what is its
-/// own — CPU cost, the wire, and the invalidation fan-out.
+/// In either configuration it validates one statement per memento image
+/// ([`validate_and_apply`]). Standing alone it is the paper's
+/// *combined-servers* committer ([`CombinedCommitter`]): co-located with
+/// the edge server, it drives the (remote) database connection. Inside a
+/// [`BackendServer`](crate::BackendServer) it is the *split-servers* commit
+/// logic over the back-end's local connection; the back-end adds only what
+/// is its own — CPU cost, the wire, and the invalidation fan-out.
 pub struct CommitPoint {
     session: Mutex<Session>,
     registry: MetaRegistry,
-    validate: Validator,
     completed: Mutex<CompletedTxns>,
     metrics: CommitMetrics,
     tracer: OnceLock<CommitTracer>,
@@ -746,30 +636,16 @@ impl std::fmt::Debug for CommitPoint {
 
 impl CommitPoint {
     /// Creates a commit point over `conn` with deployment metadata
-    /// `registry`, validating one conditional statement per image
-    /// ([`validate_and_apply_per_image`]).
+    /// `registry`.
     pub fn new(conn: Box<dyn SqlConnection + Send>, registry: MetaRegistry) -> CommitPoint {
         CommitPoint {
             session: Mutex::new(Session::new(conn)),
             registry,
-            validate: per_image,
             completed: Mutex::new(CompletedTxns::new(COMPLETED_TXN_CAPACITY)),
             metrics: CommitMetrics::default(),
             tracer: OnceLock::new(),
             history: Mutex::new(None),
             inject_bug: AtomicBool::new(false),
-        }
-    }
-
-    /// A commit point that validates in fetch/write rounds
-    /// ([`validate_and_apply`]) — the back-end's, whose connection is local.
-    pub(crate) fn in_rounds(
-        conn: Box<dyn SqlConnection + Send>,
-        registry: MetaRegistry,
-    ) -> CommitPoint {
-        CommitPoint {
-            validate: in_rounds,
-            ..CommitPoint::new(conn, registry)
         }
     }
 
@@ -890,7 +766,7 @@ impl CommitPoint {
             let mut session = self.session.lock();
             let Session { conn, stmts, .. } = &mut *session;
             conn.stamp_next_commit(request.origin, request.txn_id);
-            let verdict = (self.validate)(
+            let verdict = per_image(
                 conn.as_mut(),
                 stmts,
                 &self.registry,
@@ -1167,13 +1043,6 @@ mod tests {
         assert!(!conn.in_transaction(), "failed validation left txn open");
     }
 
-    /// Both validation modes: the combined committer's and the back-end's.
-    const MODES: [(&str, Constructor); 2] = [
-        ("per-image", CommitPoint::new),
-        ("rounds", CommitPoint::in_rounds),
-    ];
-    type Constructor = fn(Box<dyn SqlConnection + Send>, MetaRegistry) -> CommitPoint;
-
     fn update(origin: u32, txn_id: u64, before: f64, after: f64) -> CommitRequest {
         CommitRequest {
             origin,
@@ -1198,54 +1067,45 @@ mod tests {
 
     #[test]
     fn stamped_replay_returns_recorded_outcome_without_reapplying() {
-        for (mode, build) in MODES {
-            let (db, reg) = setup();
-            let point = build(Box::new(db.connect()), reg);
-            let request = update(2, 41, 100.0, 150.0);
-            let first = point.decide(&request, |_| {});
-            assert_eq!(first.result.unwrap(), CommitOutcome::Committed, "{mode}");
-            assert!(first.fresh, "{mode}");
-            // Replaying the identical request must not re-validate: the
-            // stored image is now 150.0, so a second validation would
-            // conflict.
-            let replay = point.decide(&request, |_| {});
-            assert_eq!(replay.result.unwrap(), CommitOutcome::Committed, "{mode}");
-            assert!(!replay.fresh, "{mode}: a replay is not a fresh decision");
-            assert_eq!(balance(&db), Value::from(150.0), "{mode}: applied once");
-        }
+        let (db, reg) = setup();
+        let point = CommitPoint::new(Box::new(db.connect()), reg);
+        let request = update(2, 41, 100.0, 150.0);
+        let first = point.decide(&request, |_| {});
+        assert_eq!(first.result.unwrap(), CommitOutcome::Committed);
+        assert!(first.fresh);
+        // Replaying the identical request must not re-validate: the
+        // stored image is now 150.0, so a second validation would
+        // conflict.
+        let replay = point.decide(&request, |_| {});
+        assert_eq!(replay.result.unwrap(), CommitOutcome::Committed);
+        assert!(!replay.fresh, "a replay is not a fresh decision");
+        assert_eq!(balance(&db), Value::from(150.0), "applied once");
     }
 
     #[test]
     fn unstamped_requests_bypass_the_dedup_table() {
-        for (mode, build) in MODES {
-            let (db, reg) = setup();
-            let point = build(Box::new(db.connect()), reg);
-            let request = update(2, 0, 100.0, 150.0);
-            assert_eq!(point.commit(&request).unwrap(), CommitOutcome::Committed);
-            // With no txn identity the replay is a fresh request and the
-            // stale before-image legitimately conflicts.
-            assert!(
-                matches!(
-                    point.commit(&request).unwrap(),
-                    CommitOutcome::Conflict { .. }
-                ),
-                "{mode}"
-            );
-        }
+        let (db, reg) = setup();
+        let point = CommitPoint::new(Box::new(db.connect()), reg);
+        let request = update(2, 0, 100.0, 150.0);
+        assert_eq!(point.commit(&request).unwrap(), CommitOutcome::Committed);
+        // With no txn identity the replay is a fresh request and the
+        // stale before-image legitimately conflicts.
+        assert!(matches!(
+            point.commit(&request).unwrap(),
+            CommitOutcome::Conflict { .. }
+        ));
     }
 
     #[test]
     fn conflicts_replay_as_conflicts() {
-        for (mode, build) in MODES {
-            let (db, reg) = setup();
-            let point = build(Box::new(db.connect()), reg);
-            let request = update(1, 7, 1.0, 2.0); // stale before-image
-            let first = point.commit(&request).unwrap();
-            assert!(matches!(first, CommitOutcome::Conflict { .. }), "{mode}");
-            assert_eq!(point.commit(&request).unwrap(), first, "{mode}");
-            assert_eq!(point.stats().conflicts, 1, "{mode}");
-            assert_eq!(point.stats().dedup_replays, 1, "{mode}");
-        }
+        let (db, reg) = setup();
+        let point = CommitPoint::new(Box::new(db.connect()), reg);
+        let request = update(1, 7, 1.0, 2.0); // stale before-image
+        let first = point.commit(&request).unwrap();
+        assert!(matches!(first, CommitOutcome::Conflict { .. }));
+        assert_eq!(point.commit(&request).unwrap(), first);
+        assert_eq!(point.stats().conflicts, 1);
+        assert_eq!(point.stats().dedup_replays, 1);
     }
 
     #[test]
@@ -1280,157 +1140,145 @@ mod tests {
     #[test]
     fn counters_spans_and_history_track_outcomes() {
         use sli_telemetry::{MetricValue, TraceLog};
-        for (mode, build) in MODES {
-            let (db, reg) = setup();
-            let trace = Arc::new(TraceLog::new());
-            let tracer = Arc::new(Tracer::new(Arc::clone(&trace)));
-            let clock = Arc::new(Clock::new());
-            let point = build(Box::new(db.connect()), reg)
-                .with_tracer(Arc::clone(&tracer), Arc::clone(&clock));
-            let history = Arc::new(HistoryLog::new());
-            point.set_history(Arc::clone(&history), clock);
-            let telemetry = Registry::new();
-            point.register_with(&telemetry, "committer.edge-1");
+        let (db, reg) = setup();
+        let trace = Arc::new(TraceLog::new());
+        let tracer = Arc::new(Tracer::new(Arc::clone(&trace)));
+        let clock = Arc::new(Clock::new());
+        let point = CommitPoint::new(Box::new(db.connect()), reg)
+            .with_tracer(Arc::clone(&tracer), Arc::clone(&clock));
+        let history = Arc::new(HistoryLog::new());
+        point.set_history(Arc::clone(&history), clock);
+        let telemetry = Registry::new();
+        point.register_with(&telemetry, "committer.edge-1");
 
-            let fresh = update(1, 1, 100.0, 80.0);
-            point.commit(&fresh).unwrap();
-            point.commit(&fresh).unwrap(); // dedup replay
-            let stale = CommitRequest {
-                origin: 1,
-                txn_id: 2,
-                entries: vec![entry(
-                    "u1",
-                    EntryKind::Read {
-                        before: img("u1", 1.0),
-                    },
-                )],
-            };
-            assert!(matches!(
-                point.commit(&stale).unwrap(),
-                CommitOutcome::Conflict { .. }
-            ));
-            let broken = CommitRequest {
-                origin: 1,
-                txn_id: 3,
-                entries: vec![CommitEntry {
-                    bean: "Ghost".into(),
-                    key: Value::from(1),
-                    kind: EntryKind::Read {
-                        before: Memento::new("Ghost", Value::from(1)),
-                    },
-                }],
-            };
-            assert!(point.commit(&broken).is_err());
-
-            assert_eq!(
-                point.stats(),
-                CommitterStats {
-                    committed: 1,
-                    conflicts: 1,
-                    errors: 1,
-                    dedup_replays: 1,
+        let fresh = update(1, 1, 100.0, 80.0);
+        point.commit(&fresh).unwrap();
+        point.commit(&fresh).unwrap(); // dedup replay
+        let stale = CommitRequest {
+            origin: 1,
+            txn_id: 2,
+            entries: vec![entry(
+                "u1",
+                EntryKind::Read {
+                    before: img("u1", 1.0),
                 },
-                "{mode}"
-            );
-            let snapshot = telemetry.snapshot();
-            for (name, count) in [("committed", 1), ("dedup_replays", 1), ("errors", 1)] {
-                assert_eq!(
-                    snapshot[&format!("committer.edge-1.{name}")],
-                    MetricValue::Counter(count),
-                    "{mode}: {name}"
-                );
+            )],
+        };
+        assert!(matches!(
+            point.commit(&stale).unwrap(),
+            CommitOutcome::Conflict { .. }
+        ));
+        let broken = CommitRequest {
+            origin: 1,
+            txn_id: 3,
+            entries: vec![CommitEntry {
+                bean: "Ghost".into(),
+                key: Value::from(1),
+                kind: EntryKind::Read {
+                    before: Memento::new("Ghost", Value::from(1)),
+                },
+            }],
+        };
+        assert!(point.commit(&broken).is_err());
+
+        assert_eq!(
+            point.stats(),
+            CommitterStats {
+                committed: 1,
+                conflicts: 1,
+                errors: 1,
+                dedup_replays: 1,
             }
-            for outcome in [
-                SpanOutcome::Committed,
-                SpanOutcome::Conflict,
-                SpanOutcome::Error,
-            ] {
-                assert_eq!(
-                    trace.count(Some("commit.validate_apply"), Some(outcome)),
-                    1,
-                    "{mode}: {outcome:?}"
-                );
-            }
+        );
+        let snapshot = telemetry.snapshot();
+        for (name, count) in [("committed", 1), ("dedup_replays", 1), ("errors", 1)] {
             assert_eq!(
-                trace.count(Some("commit.replay"), Some(SpanOutcome::Replayed)),
-                1,
-                "{mode}"
+                snapshot[&format!("committer.edge-1.{name}")],
+                MetricValue::Counter(count),
+                "{name}"
             );
-            // Only fresh decisions reach the history, each with the
-            // datastore's commit-order witness at the time.
-            let applies: Vec<(u64, String, u64)> = history
-                .events()
-                .into_iter()
-                .filter_map(|e| match e {
-                    HistoryEvent::Apply {
-                        txn_id,
-                        outcome,
-                        csn,
-                        ..
-                    } => Some((txn_id, outcome, csn)),
-                    _ => None,
-                })
-                .collect();
-            assert_eq!(
-                applies,
-                [
-                    (1, "committed".to_owned(), 2),
-                    (2, "conflict".to_owned(), 2),
-                    (3, "error".to_owned(), 2),
-                ],
-                "{mode}"
-            );
-            // The stale read produced an occ.conflict forensics span nested
-            // under its commit.validate_apply span, naming the entity.
-            let events = trace.events();
-            let conflict = events
-                .iter()
-                .find(|e| e.op == "occ.conflict")
-                .expect("forensics span");
-            let info = conflict.conflict().expect("conflict detail");
-            assert_eq!(info.entity(), "Account['u1']");
-            assert_eq!(info.field.as_deref(), Some("balance"));
-            assert_ne!(info.expected_digest, 0);
-            assert!(info.found_digest.is_some(), "read conflicts see the winner");
-            let parent = events
-                .iter()
-                .find(|e| e.span_id == conflict.parent_span_id)
-                .expect("parent span");
-            assert_eq!(parent.op, "commit.validate_apply");
-            assert_eq!(parent.trace_id, conflict.trace_id);
         }
+        for outcome in [
+            SpanOutcome::Committed,
+            SpanOutcome::Conflict,
+            SpanOutcome::Error,
+        ] {
+            assert_eq!(
+                trace.count(Some("commit.validate_apply"), Some(outcome)),
+                1,
+                "{outcome:?}"
+            );
+        }
+        assert_eq!(
+            trace.count(Some("commit.replay"), Some(SpanOutcome::Replayed)),
+            1
+        );
+        // Only fresh decisions reach the history, each with the
+        // datastore's commit-order witness at the time.
+        let applies: Vec<(u64, String, u64)> = history
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                HistoryEvent::Apply {
+                    txn_id,
+                    outcome,
+                    csn,
+                    ..
+                } => Some((txn_id, outcome, csn)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            applies,
+            [
+                (1, "committed".to_owned(), 2),
+                (2, "conflict".to_owned(), 2),
+                (3, "error".to_owned(), 2),
+            ]
+        );
+        // The stale read produced an occ.conflict forensics span nested
+        // under its commit.validate_apply span, naming the entity.
+        let events = trace.events();
+        let conflict = events
+            .iter()
+            .find(|e| e.op == "occ.conflict")
+            .expect("forensics span");
+        let info = conflict.conflict().expect("conflict detail");
+        assert_eq!(info.entity(), "Account['u1']");
+        assert_eq!(info.field.as_deref(), Some("balance"));
+        assert_ne!(info.expected_digest, 0);
+        assert!(info.found_digest.is_some(), "read conflicts see the winner");
+        let parent = events
+            .iter()
+            .find(|e| e.span_id == conflict.parent_span_id)
+            .expect("parent span");
+        assert_eq!(parent.op, "commit.validate_apply");
+        assert_eq!(parent.trace_id, conflict.trace_id);
     }
 
     #[test]
     fn write_conflict_forensics_see_what_the_protocol_saw() {
         use sli_telemetry::TraceLog;
-        for (mode, build) in MODES {
-            let (db, reg) = setup();
-            let trace = Arc::new(TraceLog::new());
-            let tracer = Arc::new(Tracer::new(Arc::clone(&trace)));
-            let point =
-                build(Box::new(db.connect()), reg).with_tracer(tracer, Arc::new(Clock::new()));
-            assert!(matches!(
-                point.commit(&update(1, 9, 1.0, 2.0)).unwrap(), // stale
-                CommitOutcome::Conflict { .. }
-            ));
-            let events = trace.events();
-            let info = events
-                .iter()
-                .find_map(|e| e.conflict())
-                .expect("forensics span");
-            assert_eq!(info.entity(), "Account['u1']");
-            assert_eq!(info.expected_digest, memento_digest(&img("u1", 1.0)));
-            if mode == "per-image" {
-                // A conditional UPDATE learns of the conflict from "0 rows
-                // affected" — it never sees the winning image.
-                assert_eq!(info.field, None);
-                assert_eq!(info.found_digest, None);
-            } else {
-                assert_eq!(info.field.as_deref(), Some("balance"));
-                assert_eq!(info.found_digest, Some(memento_digest(&img("u1", 100.0))));
-            }
-        }
+        let (db, reg) = setup();
+        let trace = Arc::new(TraceLog::new());
+        let tracer = Arc::new(Tracer::new(Arc::clone(&trace)));
+        let point = CommitPoint::new(Box::new(db.connect()), reg)
+            .with_tracer(tracer, Arc::new(Clock::new()));
+        assert!(matches!(
+            point.commit(&update(1, 9, 1.0, 2.0)).unwrap(), // stale
+            CommitOutcome::Conflict { .. }
+        ));
+        let events = trace.events();
+        let info = events
+            .iter()
+            .find_map(|e| e.conflict())
+            .expect("forensics span");
+        assert_eq!(info.entity(), "Account['u1']");
+        assert_eq!(info.expected_digest, memento_digest(&img("u1", 1.0)));
+        // A conditional UPDATE learns of the conflict from "0 rows
+        // affected" — it never sees the winning image.
+        assert_eq!(info.field, None);
+        assert_eq!(info.found_digest, None);
     }
 
     #[test]

@@ -53,8 +53,7 @@ mod store;
 pub use backend::{BackendServer, BackendSource, SplitCommitter};
 pub use commit::{CommitEntry, CommitOutcome, CommitRequest, EntryKind};
 pub use committer::{
-    memento_digest, validate_and_apply, validate_and_apply_per_image, CombinedCommitter,
-    CommitPoint, Committer, CommitterStats,
+    memento_digest, validate_and_apply, CombinedCommitter, CommitPoint, Committer, CommitterStats,
 };
 pub use home::SliHome;
 pub use registry::MetaRegistry;
