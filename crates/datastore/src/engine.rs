@@ -102,6 +102,15 @@ impl Table {
         let pk = &image[self.schema.pk_index()];
         self.remove_row(pk);
     }
+
+    /// Refuses a row read back from the log or a checkpoint that this
+    /// table cannot hold — the wrong width, a value of the wrong type or a
+    /// NULL key — before anything indexes into it.
+    fn check_logged(&self, row: &[Value]) -> DbResult<()> {
+        self.schema.check_row(row).map_err(|e| {
+            DbError::Remote(format!("logged row does not fit table {}: {e}", self.name))
+        })
+    }
 }
 
 /// A secondary index: column value → the primary keys of the rows that
@@ -666,8 +675,9 @@ impl Database {
     ///
     /// # Errors
     /// Fails if no WAL is attached or the durable log is corrupt
-    /// (undecodable records, or ops referencing tables absent from the
-    /// base checkpoint). On error the engine stays down.
+    /// (undecodable records, ops referencing tables absent from the base
+    /// checkpoint, or a row its table cannot hold). On error the engine
+    /// stays down.
     pub fn recover(&self) -> DbResult<RecoveryReport> {
         let guard = self.wal.lock();
         let wal = guard
@@ -687,6 +697,7 @@ impl Database {
             let t = self.table(&img.name)?;
             let mut t = t.write();
             for row in img.rows {
+                t.check_logged(&row)?;
                 t.insert_row(row);
             }
         }
@@ -750,20 +761,34 @@ impl Database {
         })
     }
 
+    /// Makes one logged change to the table `name`, with the row image its
+    /// record carries, once [`Table::check_logged`] admits that row.
+    fn change_logged(
+        &self,
+        name: &str,
+        row: Vec<Value>,
+        change: impl FnOnce(&mut Table, Vec<Value>),
+    ) -> DbResult<()> {
+        let table = self.logged_table(name)?;
+        let mut table = table.write();
+        table.check_logged(&row)?;
+        change(&mut table, row);
+        Ok(())
+    }
+
     /// Repeats one logged change: an insert's row or an update's new image
     /// goes where its key's row lies, a delete's old image's key is taken
     /// out. (The SQL layer rejects `SET` on the primary key, so an
     /// update's two images share their key.)
     fn redo(&self, op: Redo) -> DbResult<()> {
         match op {
-            Redo::Put { table, row } => {
-                self.logged_table(&table)?.write().replace_row(row);
-            }
+            Redo::Put { table, row } => self.change_logged(&table, row, |t, row| {
+                t.replace_row(row);
+            }),
             Redo::Remove { table, old } => {
-                self.logged_table(&table)?.write().remove_image(&old);
+                self.change_logged(&table, old, |t, old| t.remove_image(&old))
             }
         }
-        Ok(())
     }
 
     /// Reverses one logged change, putting the old image back. Rollback of
@@ -771,16 +796,13 @@ impl Database {
     fn undo_op(&self, op: WalOp) -> DbResult<()> {
         match op {
             WalOp::Insert { table, row } => {
-                self.logged_table(&table)?.write().remove_image(&row);
+                self.change_logged(&table, row, |t, row| t.remove_image(&row))
             }
-            WalOp::Update { table, old, .. } => {
-                self.logged_table(&table)?.write().replace_row(old);
-            }
-            WalOp::Delete { table, old } => {
-                self.logged_table(&table)?.write().insert_row(old);
-            }
+            WalOp::Update { table, old, .. } => self.change_logged(&table, old, |t, old| {
+                t.replace_row(old);
+            }),
+            WalOp::Delete { table, old } => self.change_logged(&table, old, Table::insert_row),
         }
-        Ok(())
     }
 
     /// Attaches the WAL/recovery counters to `registry` as
@@ -901,8 +923,9 @@ impl Database {
     /// locks.
     ///
     /// # Panics
-    /// Panics if a logged table no longer exists: there is no `DROP TABLE`,
-    /// and the crash that does wipe the tables fences the transaction.
+    /// Panics if a logged table no longer exists (there is no `DROP TABLE`,
+    /// and the crash that does wipe the tables fences the transaction) or
+    /// no longer admits a row the transaction stored in it.
     pub(crate) fn rollback_txn(&self, mut txn: TxnState) {
         // A transaction fenced by a crash has nothing to undo: the crash
         // already wiped the volatile state its log refers to, and recovery
@@ -910,7 +933,7 @@ impl Database {
         if !self.fenced(&txn) {
             while let Some(op) = txn.log.pop() {
                 self.undo_op(op)
-                    .expect("a live transaction's tables outlive it");
+                    .expect("a live transaction's tables outlive it and hold its rows");
             }
         }
         self.locks.release_all(txn.id);
@@ -1579,6 +1602,58 @@ mod tests {
     /// `replace_row` moves a key between index entries only when the
     /// indexed column changes, drops an entry it empties, and inserts a
     /// row whose key it does not find.
+    /// A durable record whose row its table cannot hold fails recovery
+    /// with an error naming the table, and the engine stays down: a row
+    /// narrower than the table, one of wrong-typed values, one a value too
+    /// wide — each committed — and a torn update whose old image, which
+    /// only undo reads, is narrower than the table.
+    #[test]
+    fn recovery_refuses_a_row_its_table_cannot_hold() {
+        let quote = Arc::<str>::from("quote");
+        let fits = || vec![Value::from("s:9"), Value::from(9.0), Value::from(9)];
+        let insert = |row| WalOp::Insert {
+            table: Arc::clone(&quote),
+            row,
+        };
+        let cases = [
+            (insert(vec![]), true),
+            (
+                insert(vec![Value::from(1.5), Value::from("ten"), Value::from(2.5)]),
+                true,
+            ),
+            (insert([fits(), vec![Value::from(1)]].concat()), true),
+            (
+                WalOp::Update {
+                    table: Arc::clone(&quote),
+                    pk: Value::from("s:9"),
+                    old: vec![],
+                    new: fits(),
+                },
+                false,
+            ),
+        ];
+        for (op, committed) in cases {
+            let db = db_with_quotes();
+            db.attach_wal();
+            if let Some(wal) = db.wal.lock().as_mut() {
+                wal.append_op(1_000, &op, &db.wal_metrics);
+                if committed {
+                    wal.append_commit(1_000, 1, None, &db.wal_metrics);
+                }
+                wal.flush(&db.wal_metrics);
+            }
+            db.crash();
+            let err = db
+                .recover()
+                .expect_err("recovered a row its table cannot hold");
+            assert!(
+                err.to_string().contains("does not fit table quote"),
+                "{op:?}: {err}"
+            );
+            assert!(db.is_crashed(), "{op:?}");
+        }
+    }
+
     #[test]
     fn replace_row_keeps_the_index_whether_or_not_its_column_changes() {
         let db = Database::new();
