@@ -27,9 +27,9 @@
 //! [`DataTier::restart`].
 //!
 //! Every run records a complete operation history, checked post-hoc by
-//! [`analyze`](crate::analyze) plus harness-side invariants (money
+//! [`analyze`] plus harness-side invariants (money
 //! conservation across all transfers, no aborted write leaking into a
-//! [`CommonStore`], invalidation completeness after a full drain). On
+//! [`CommonStore`](sli_core::CommonStore), invalidation completeness after a full drain). On
 //! violation, [`shrink_schedule`] bisects the recorded schedule down to a
 //! minimal failing prefix and [`counterexample_json`] exports the whole
 //! story as a validated document.

@@ -327,7 +327,7 @@ impl DataTier {
     /// The virtual timestamp (µs) at which the first fault was actually
     /// injected on any path, if one was. This is the ground truth a
     /// time-to-detect measurement compares detection timestamps against:
-    /// dialling a [`FaultPlan`](sli_simnet::FaultPlan) has no observable
+    /// dialling a [`FaultPlan`] has no observable
     /// effect until the next delivery attempt draws a fault.
     pub fn fault_first_effect_us(&self) -> Option<u64> {
         self.paths

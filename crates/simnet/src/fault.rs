@@ -7,10 +7,10 @@
 //! run), and a scripted queue lets tests dictate the exact fault for each
 //! upcoming delivery.
 //!
-//! Faults are decided per *delivery attempt* by [`Path::next_fault`]
-//! (crate::Path) and acted on by [`Remote`](crate::Remote), which turns them
-//! into timeouts, duplicate service invocations, or fast unavailability
-//! errors.
+//! Faults are decided per *delivery attempt* by
+//! [`Path::next_fault`](crate::Path::next_fault) and acted on by
+//! [`Remote`](crate::Remote), which turns them into timeouts, duplicate
+//! service invocations, or fast unavailability errors.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

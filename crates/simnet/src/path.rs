@@ -100,7 +100,7 @@ impl PathStats {
 ///
 /// The path keeps these handles in its hot fields; a coordinator (the
 /// testbed) attaches the *same* handles to its
-/// [`Registry`](sli_telemetry::Registry) via [`PathMetrics::register_with`],
+/// [`Registry`] via [`PathMetrics::register_with`],
 /// so the fast path never takes a registry lock.
 #[derive(Debug, Clone, Default)]
 pub struct PathMetrics {
