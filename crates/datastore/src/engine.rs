@@ -749,27 +749,22 @@ impl Database {
         }
     }
 
-    /// The table a log record names. A logged op whose table does not
-    /// exist is log corruption (or, on rollback, a broken invariant), never
-    /// a no-op — silently skipping it would turn committed writes into
-    /// undetectable data loss.
-    fn logged_table(&self, name: &str) -> DbResult<Arc<RwLock<Table>>> {
-        self.table(name).map_err(|_| {
-            DbError::Remote(format!(
-                "logged op references table {name}, which does not exist"
-            ))
-        })
-    }
-
     /// Makes one logged change to the table `name`, with the row image its
-    /// record carries, once [`Table::check_logged`] admits that row.
+    /// record carries, once [`Table::check_logged`] admits that row. A
+    /// logged op whose table does not exist is log corruption (or, on
+    /// rollback, a broken invariant), never a no-op — silently skipping it
+    /// would turn committed writes into undetectable data loss.
     fn change_logged(
         &self,
         name: &str,
         row: Vec<Value>,
         change: impl FnOnce(&mut Table, Vec<Value>),
     ) -> DbResult<()> {
-        let table = self.logged_table(name)?;
+        let table = self.table(name).map_err(|_| {
+            DbError::Remote(format!(
+                "logged op references table {name}, which does not exist"
+            ))
+        })?;
         let mut table = table.write();
         table.check_logged(&row)?;
         change(&mut table, row);
@@ -1599,9 +1594,6 @@ mod tests {
         assert!(symbols(7).is_empty() && symbols(399).is_empty());
     }
 
-    /// `replace_row` moves a key between index entries only when the
-    /// indexed column changes, drops an entry it empties, and inserts a
-    /// row whose key it does not find.
     /// A durable record whose row its table cannot hold fails recovery
     /// with an error naming the table, and the engine stays down: a row
     /// narrower than the table, one of wrong-typed values, one a value too
@@ -1654,6 +1646,9 @@ mod tests {
         }
     }
 
+    /// `replace_row` moves a key between index entries only when the
+    /// indexed column changes, drops an entry it empties, and inserts a
+    /// row whose key it does not find.
     #[test]
     fn replace_row_keeps_the_index_whether_or_not_its_column_changes() {
         let db = Database::new();
