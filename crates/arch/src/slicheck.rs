@@ -78,6 +78,15 @@ pub fn arch_by_key(key: &str) -> Option<Architecture> {
 /// Starting balance of every seeded account.
 const INITIAL_BALANCE: f64 = 128.0;
 
+/// Bank accounts every run seeds.
+const ACCOUNTS: u32 = 2;
+
+/// Transactions each client attempts.
+const TXNS_PER_CLIENT: u32 = 3;
+
+/// Retries after an optimistic conflict or transport error.
+const MAX_RETRIES: u32 = 4;
+
 /// One `slicheck` run's parameters. The seed determines both the client
 /// programs and (for [`ScheduleSource::Random`]) the schedule walk.
 #[derive(Debug, Clone)]
@@ -88,12 +97,6 @@ pub struct SliCheckConfig {
     pub seed: u64,
     /// Number of concurrent logical clients.
     pub clients: u32,
-    /// Number of bank accounts (min 2).
-    pub accounts: u32,
-    /// Transactions each client attempts.
-    pub txns_per_client: u32,
-    /// Retries after an optimistic conflict or transport error.
-    pub max_retries: u32,
     /// Fault plan dialled into the edge↔back-end request path. ES/RBES
     /// only: the other six combinations ignore it, because a fault inside
     /// their coarse transactions leaves an outcome the client programs
@@ -123,9 +126,6 @@ impl SliCheckConfig {
             arch,
             seed,
             clients: 3,
-            accounts: 2,
-            txns_per_client: 3,
-            max_retries: 4,
             faults: FaultPlan::NONE,
             inject_bug: false,
             crashes: 0,
@@ -177,8 +177,8 @@ enum Op {
 }
 
 fn program_for(cfg: &SliCheckConfig, client: u32) -> Vec<Op> {
-    let n = u64::from(cfg.accounts.max(2));
-    (0..cfg.txns_per_client)
+    let n = u64::from(ACCOUNTS);
+    (0..TXNS_PER_CLIENT)
         .map(|t| {
             let r = splitmix(cfg.seed, (u64::from(client) << 32) | u64::from(t));
             if r.is_multiple_of(4) {
@@ -247,7 +247,6 @@ struct ClientState {
     log: Arc<HistoryLog>,
     clock: Arc<Clock>,
     db: Arc<Database>,
-    max_retries: u32,
 }
 
 impl ClientState {
@@ -296,7 +295,7 @@ impl ClientState {
         self.phase = 0;
         self.staged.clear();
         self.ctx = None;
-        if self.attempts > self.max_retries {
+        if self.attempts > MAX_RETRIES {
             self.next_txn();
         }
     }
@@ -609,7 +608,7 @@ fn build_tier(cfg: &SliCheckConfig, log: &Arc<HistoryLog>) -> DataTier {
         _ => cfg.clients as usize,
     };
     let tier = DataTier::build(cfg.arch, edges, None, true, registry(), |dba| {
-        for i in 0..cfg.accounts.max(2) {
+        for i in 0..ACCOUNTS {
             dba.execute(
                 "INSERT INTO account (userid, balance) VALUES (?, ?)",
                 &[acct(i), Value::from(INITIAL_BALANCE)],
@@ -679,7 +678,6 @@ fn clients_on(cfg: &SliCheckConfig, tier: &DataTier, log: &Arc<HistoryLog>) -> V
                 log: Arc::clone(log),
                 clock: Arc::clone(&tier.clock),
                 db: Arc::clone(&tier.db),
-                max_retries: cfg.max_retries,
             }
         })
         .collect()
@@ -717,12 +715,10 @@ fn run_on_tier(cfg: &SliCheckConfig, source: ScheduleSource) -> (SliCheckOutcome
     // Generous upper bound: phases per attempt × attempts per txn × txns,
     // plus invalidation deliveries and crash/restart steps. Purely a
     // runaway guard.
-    let max_steps = u64::from(cfg.clients)
-        * u64::from(cfg.txns_per_client)
-        * u64::from(cfg.max_retries + 1)
-        * 8
-        + u64::from(cfg.crashes) * 2
-        + 64;
+    let max_steps =
+        u64::from(cfg.clients) * u64::from(TXNS_PER_CLIENT) * u64::from(MAX_RETRIES + 1) * 8
+            + u64::from(cfg.crashes) * 2
+            + 64;
 
     enum Ready {
         Client(usize),
@@ -783,8 +779,7 @@ fn run_on_tier(cfg: &SliCheckConfig, source: ScheduleSource) -> (SliCheckOutcome
     (0..sinks.len()).for_each(deliver);
 
     let history = log.events();
-    let accounts = cfg.accounts.max(2);
-    let initial: Vec<(String, String, u64)> = (0..accounts)
+    let initial: Vec<(String, String, u64)> = (0..ACCOUNTS)
         .map(|i| {
             let key = acct(i);
             (
@@ -795,7 +790,7 @@ fn run_on_tier(cfg: &SliCheckConfig, source: ScheduleSource) -> (SliCheckOutcome
         })
         .collect();
     let mut analysis = analyze(&history, &initial);
-    check_tier(cfg, &tier, &mut analysis, accounts);
+    check_tier(cfg, &tier, &mut analysis);
 
     let outcome = SliCheckOutcome {
         schedule: scheduler.taken().to_vec(),
@@ -811,12 +806,7 @@ fn run_on_tier(cfg: &SliCheckConfig, source: ScheduleSource) -> (SliCheckOutcome
 }
 
 /// Harness-side invariants that need the live tier, not just the history.
-fn check_tier(
-    cfg: &SliCheckConfig,
-    tier: &DataTier,
-    analysis: &mut HistoryAnalysis,
-    accounts: u32,
-) {
+fn check_tier(cfg: &SliCheckConfig, tier: &DataTier, analysis: &mut HistoryAnalysis) {
     // The committed bank as the database machine holds it, read off the
     // tables directly (every client transaction has ended): userid → balance.
     let bank = tier.db.dump_rows("account");
@@ -827,8 +817,8 @@ fn check_tier(
 
     // Money conservation: every writer is a transfer, so the bank total is
     // invariant even across unknown-outcome commits.
-    let total: f64 = (0..accounts).filter_map(|i| balance_of(&acct(i))).sum();
-    let expected = f64::from(accounts) * INITIAL_BALANCE;
+    let total: f64 = (0..ACCOUNTS).filter_map(|i| balance_of(&acct(i))).sum();
+    let expected = f64::from(ACCOUNTS) * INITIAL_BALANCE;
     if (total - expected).abs() > 1e-6 {
         analysis.violations.push(Violation::new(
             "money-conservation",
@@ -843,7 +833,7 @@ fn check_tier(
     // transaction installed. Only the torn-commit bug (a WAL that lies
     // about group-commit flushes) can break this.
     if cfg.crashes > 0 && cfg.faults.is_clean() {
-        for i in 0..accounts {
+        for i in 0..ACCOUNTS {
             let key = acct(i);
             let expected = match analysis.latest_digest("Account", &key.to_string()) {
                 None => balance_digest(&key, INITIAL_BALANCE),
@@ -871,7 +861,7 @@ fn check_tier(
         .zip(&tier.edges)
         .filter_map(|(n, edge)| Some((n, &edge.cache.as_ref()?.store)));
     for (n, store) in stores {
-        for i in 0..accounts {
+        for i in 0..ACCOUNTS {
             let key = acct(i);
             let Some(image) = store.get("Account", &key) else {
                 continue;
@@ -946,12 +936,9 @@ pub fn counterexample_json(cfg: &SliCheckConfig, outcome: &SliCheckOutcome) -> J
             "config",
             Json::obj([
                 ("clients", Json::from(u64::from(cfg.clients))),
-                ("accounts", Json::from(u64::from(cfg.accounts.max(2)))),
-                (
-                    "txns_per_client",
-                    Json::from(u64::from(cfg.txns_per_client)),
-                ),
-                ("max_retries", Json::from(u64::from(cfg.max_retries))),
+                ("accounts", Json::from(u64::from(ACCOUNTS))),
+                ("txns_per_client", Json::from(u64::from(TXNS_PER_CLIENT))),
+                ("max_retries", Json::from(u64::from(MAX_RETRIES))),
                 (
                     "fault_per_mille",
                     Json::from(u64::from(

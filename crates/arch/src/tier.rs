@@ -384,21 +384,10 @@ impl DataTier {
         }
     }
 
-    /// Enables deterministic per-message jitter on every delayed path —
-    /// the paper's testbed noise (its fits report R² ≈ 0.99, not 1.0).
-    /// Each edge's path gets a distinct derived seed.
-    pub fn set_jitter(&self, max: SimDuration, seed: u64) {
-        for i in 0..self.edges.len() {
-            self.delayed_path(i)
-                .set_jitter(max, seed.wrapping_add(i as u64));
-        }
-    }
-
     /// Dials a deterministic fault plan into every delayed path, turning
     /// the wide-area link lossy for resilience experiments. Each edge's
-    /// path draws from a distinct derived seed (mirroring
-    /// [`DataTier::set_jitter`]), so schedules differ across edges but
-    /// replay identically run to run.
+    /// path draws from its own seed, the plan's seed plus the edge's index,
+    /// so schedules differ across edges but replay identically run to run.
     pub fn set_faults(&self, plan: FaultPlan) {
         for i in 0..self.edges.len() {
             let derived = FaultPlan {

@@ -20,16 +20,15 @@
 //! `results/knee.profile.json` (schema `sli-edge.profile/v1`, per-class
 //! self times and per-resource attribution). Every loaded run is also
 //! checked against Little's law (`L = λ·W` from the exact in-flight
-//! integral). The run then re-checks consistency under load: a slicheck
-//! sweep with an elevated client count across all seven combinations must
-//! stay violation-free.
+//! integral). Consistency with six clients per world is checked by
+//! CI's "Consistency gate" step, `slicheck --clients 6 --seeds 32`.
 //!
 //! Run with `cargo run --release -p sli-bench --bin knee`. Pass `--smoke`
 //! for the scaled-down CI profile (written to `results/smoke/`). Exits non-zero if any artifact fails
-//! validation, no combination exhibits a knee, the engine gauges stay
-//! flat, or the loaded slicheck sweep finds a violation.
+//! validation, no combination exhibits a knee or the engine gauges stay
+//! flat.
 
-use sli_arch::{arch_by_key, arch_key, run_slicheck, ScheduleSource, SliCheckConfig, ARCH_KEYS};
+use sli_arch::{arch_by_key, ARCH_KEYS};
 use sli_bench::{
     knee_index, results_dir, run, timeline_table, ArtifactSet, Cli, RunArtifacts, RunSpec,
     RunSummary,
@@ -196,35 +195,4 @@ fn main() {
 
     out.csvs.push((env!("CARGO_BIN_NAME"), csv));
     out.write_or_exit(results_dir(smoke), env!("CARGO_BIN_NAME"));
-
-    // Consistency under load: the same commit protocols the loaded engine
-    // exercises must stay serializable with an elevated client count.
-    println!("\nloaded slicheck sweep (6 clients per world):");
-    let seeds = if smoke { 4 } else { 32 };
-    let mut committed = 0usize;
-    for key in ARCH_KEYS {
-        let arch = arch_by_key(key).expect("built-in key");
-        for seed in 1..=seeds {
-            let mut cfg = SliCheckConfig::new(arch, seed);
-            cfg.clients = 6;
-            let outcome = run_slicheck(&cfg, ScheduleSource::Random(seed));
-            committed += outcome.committed;
-            if !outcome.violations.is_empty() {
-                eprintln!(
-                    "FAIL: consistency violation under load on {} seed {seed}: {}",
-                    arch_key(cfg.arch),
-                    outcome
-                        .violations
-                        .first()
-                        .map_or_else(|| "?".to_owned(), |v| format!("[{}] {}", v.kind, v.details)),
-                );
-                std::process::exit(1);
-            }
-        }
-        println!("ok   {key}: {seeds} seed(s), 0 violations");
-    }
-    println!(
-        "{} committed txns across the loaded sweep, no violations",
-        committed
-    );
 }

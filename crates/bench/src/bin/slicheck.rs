@@ -33,7 +33,8 @@
 //!
 //! `--exhaustive <DEPTH>` switches from seeded random walks to bounded-
 //! exhaustive enumeration of every interleaving whose first `DEPTH`
-//! scheduling decisions differ (small configurations only).
+//! scheduling decisions differ, at most [`MAX_EXHAUSTIVE_RUNS`] runs per
+//! combination.
 
 use sli_arch::{
     arch_by_key, arch_key, counterexample_json, run_slicheck, shrink_schedule, Architecture,
@@ -45,6 +46,9 @@ use sli_telemetry::validate;
 
 /// Where the counterexample export lands.
 const COUNTEREXAMPLE_PATH: &str = "results/slicheck-counterexample.json";
+
+/// Cap on exhaustive runs per combination.
+const MAX_EXHAUSTIVE_RUNS: u64 = 20_000;
 
 /// Whether the seeded lost-update bug can reach this combination's commit
 /// path (the pessimistic flavors never run optimistic validation).
@@ -115,9 +119,6 @@ fn main() {
         "seeds per combination in sweep mode (default 256)",
     )
     .option("clients", "N", "concurrent logical clients (default 3)")
-    .option("accounts", "N", "bank accounts (default 2)")
-    .option("txns", "N", "transactions per client (default 3)")
-    .option("retries", "N", "retries after conflict/error (default 4)")
     .option(
         "faults",
         "PER_MILLE",
@@ -127,11 +128,6 @@ fn main() {
         "exhaustive",
         "DEPTH",
         "bounded-exhaustive exploration instead of random walks",
-    )
-    .option(
-        "max-runs",
-        "N",
-        "cap on exhaustive runs per combination (default 20000)",
     )
     .option(
         "crashes",
@@ -196,7 +192,6 @@ fn main() {
         }
     }
     let exhaustive_depth: Option<usize> = args.value("exhaustive", "a depth", |_| true);
-    let max_runs = parse_u64(&args, "max-runs", 20_000);
     // The torn-commit bug only bites when something crashes and recovers,
     // so arming it implies at least one crash cycle.
     let floor = u64::from(inject_wal_bug);
@@ -205,9 +200,6 @@ fn main() {
     let make_cfg = |arch: Architecture, seed: u64| {
         let mut cfg = SliCheckConfig::new(arch, seed);
         cfg.clients = parse_u64(&args, "clients", u64::from(cfg.clients)) as u32;
-        cfg.accounts = parse_u64(&args, "accounts", u64::from(cfg.accounts)) as u32;
-        cfg.txns_per_client = parse_u64(&args, "txns", u64::from(cfg.txns_per_client)) as u32;
-        cfg.max_retries = parse_u64(&args, "retries", u64::from(cfg.max_retries)) as u32;
         if per_mille > 0 {
             cfg.faults = FaultPlan::lossy(seed, per_mille as u16);
         }
@@ -239,9 +231,9 @@ fn main() {
                     break 'outer;
                 }
                 explorer.advance(&outcome.schedule);
-                if explorer.runs() >= max_runs {
+                if explorer.runs() >= MAX_EXHAUSTIVE_RUNS {
                     println!(
-                        "  {key}: --max-runs {max_runs} reached before the tree was exhausted"
+                        "  {key}: {MAX_EXHAUSTIVE_RUNS} runs reached before the tree was exhausted"
                     );
                     break;
                 }

@@ -1,7 +1,7 @@
 //! The guarded points behind the `perfguard` recorder.
 //!
-//! The whole testbed runs on virtual time (delays, jitter and faults are
-//! all seeded), so every guarded metric is a pure function of the code: the
+//! The whole testbed runs on virtual time (delays are fixed and faults
+//! seeded), so every guarded metric is a pure function of the code: the
 //! same commit produces bit-identical values on any machine. The recorded
 //! `results/perfguard.csv` is therefore checked in, and the gate is the
 //! oracle's `git diff --exit-code` over it — one metric per line, so a

@@ -90,10 +90,6 @@ pub struct RunSpec {
     pub sessions: usize,
     /// Batches for the batched latency average (paper: 20).
     pub batches: usize,
-    /// Optional per-crossing jitter on the delayed path (maximum added
-    /// microseconds). Zero reproduces the deterministic runs; a small value
-    /// reproduces the paper's R² ≈ 0.99 texture.
-    pub jitter_us: u64,
     /// Whether remote database connections batch statements onto the wire
     /// (`OP_EXEC_BATCH`, the §4.4 conjecture). Both protocols set `false`,
     /// the paper's wire: one round trip per statement.
@@ -141,7 +137,6 @@ impl RunSpec {
             warmup_sessions: if quick { 20 } else { 400 },
             sessions: if quick { 30 } else { 300 },
             batches: if quick { 5 } else { 20 },
-            jitter_us: 0,
             wire_batching: false,
             scale: None,
             monitor: None,
@@ -404,15 +399,6 @@ pub fn run(spec: &RunSpec) -> RunArtifacts {
         },
     );
     testbed.set_delay(spec.delay);
-    if spec.jitter_us > 0 {
-        // Derive the jitter seed from the delay too: otherwise every sweep
-        // point would draw the identical noise sequence and the noise
-        // would cancel out of the fit entirely.
-        testbed.set_jitter(
-            SimDuration::from_micros(spec.jitter_us),
-            PAPER_SEED ^ spec.delay.as_micros().wrapping_mul(0x9E37_79B9),
-        );
-    }
     if let Some((resource, speedup)) = spec.scale {
         testbed.clock.set_speedup(resource, speedup);
     }
@@ -1137,27 +1123,6 @@ mod tests {
         let mut doc = RunReport::new("bench smoke");
         doc.entries.push(report);
         assert_eq!(validate(&doc.to_json()), Ok(Schema::RunReport));
-    }
-
-    #[test]
-    fn jitter_reproduces_the_papers_imperfect_fits() {
-        let spec_without_jitter = quick(Architecture::EsRdb(Flavor::Jdbc));
-        let spec = RunSpec {
-            jitter_us: 2_000, // ±2 ms per crossing
-            ..spec_without_jitter
-        };
-        let points = sweep(spec, &[0, 40, 80]);
-        let f = sensitivity(&points).unwrap();
-        assert!(f.r2 < 1.0, "jitter must leave residuals");
-        assert!(f.r2 > 0.98, "but the fit stays excellent: r2 = {}", f.r2);
-        // ~3.9 crossings/interaction on the paper's wire, one per statement.
-        let exact = sensitivity(&sweep(spec_without_jitter, &[0, 40, 80])).unwrap();
-        assert!(
-            (f.slope - exact.slope).abs() < 0.5,
-            "slope survives jitter: {} against {}",
-            f.slope,
-            exact.slope
-        );
     }
 
     #[test]

@@ -669,7 +669,6 @@ mod tests {
         let spec = sli_simnet::PathSpec {
             base_latency: latency,
             bandwidth_bytes_per_sec: u64::MAX,
-            ..sli_simnet::PathSpec::lan()
         };
         let path = sli_simnet::Path::new("inv", Arc::clone(clock), spec);
         DeferredInvalidationSink::over_path(Arc::clone(store), path)

@@ -263,7 +263,7 @@ impl Clock {
     }
 
     /// Advances simulated time by `d` that occupies no resource: a wait
-    /// such as jitter, a retry's back-off or a lost message's time-out.
+    /// such as a retry's back-off or a lost message's time-out.
     pub fn delay(&self, d: SimDuration) {
         self.advance(d);
     }

@@ -8,7 +8,6 @@ use sli_telemetry::{Counter, Gauge, Histogram, Registry, Resource};
 
 use crate::clock::{Clock, SimDuration};
 use crate::fault::{Fault, FaultPlan, FaultState, FaultStats};
-use crate::sched::splitmix;
 
 /// Static characteristics of a communication path.
 ///
@@ -24,9 +23,6 @@ pub struct PathSpec {
     /// Usable link bandwidth in bytes per second; transferring `n` bytes
     /// costs `n / bandwidth` seconds on top of the latency.
     pub bandwidth_bytes_per_sec: u64,
-    /// Seeded fault plan applied to delivery attempts on this path
-    /// (fault-free by default; see [`FaultPlan`]).
-    pub faults: FaultPlan,
 }
 
 impl PathSpec {
@@ -37,7 +33,6 @@ impl PathSpec {
         PathSpec {
             base_latency: SimDuration::from_micros(200),
             bandwidth_bytes_per_sec: 12_500_000,
-            faults: FaultPlan::NONE,
         }
     }
 
@@ -48,14 +43,7 @@ impl PathSpec {
         PathSpec {
             base_latency: SimDuration::from_micros(20),
             bandwidth_bytes_per_sec: 1_000_000_000,
-            faults: FaultPlan::NONE,
         }
-    }
-
-    /// Returns this spec with the given fault plan dialled in.
-    pub fn with_faults(mut self, faults: FaultPlan) -> PathSpec {
-        self.faults = faults;
-        self
     }
 }
 
@@ -112,8 +100,8 @@ pub struct PathMetrics {
     pub requests: Counter,
     /// Response messages received.
     pub responses: Counter,
-    /// Per-crossing cost in simulated microseconds (latency + transfer +
-    /// jitter), for timed and async crossings alike.
+    /// Per-crossing cost in simulated microseconds (latency, proxy delay
+    /// and transfer), for timed and async crossings alike.
     pub crossing_us: Histogram,
     /// RPC round trips started over this path.
     pub rpc_calls: Counter,
@@ -182,13 +170,10 @@ impl PathMetrics {
 pub struct Path {
     name: String,
     clock: Arc<Clock>,
-    base_latency_us: AtomicU64,
-    bandwidth: AtomicU64,
+    base_latency_us: u64,
+    /// Bytes per second, at least 1 so a crossing's division cannot fail.
+    bandwidth: u64,
     proxy_delay_us: AtomicU64,
-    jitter_max_us: AtomicU64,
-    jitter_seed: AtomicU64,
-    jitter_counter: AtomicU64,
-    jitter_async_counter: AtomicU64,
     metrics: PathMetrics,
     faults: FaultState,
 }
@@ -200,15 +185,11 @@ impl Path {
         Arc::new(Path {
             name: name.into(),
             clock,
-            base_latency_us: AtomicU64::new(spec.base_latency.as_micros()),
-            bandwidth: AtomicU64::new(spec.bandwidth_bytes_per_sec.max(1)),
+            base_latency_us: spec.base_latency.as_micros(),
+            bandwidth: spec.bandwidth_bytes_per_sec.max(1),
             proxy_delay_us: AtomicU64::new(0),
-            jitter_max_us: AtomicU64::new(0),
-            jitter_seed: AtomicU64::new(0),
-            jitter_counter: AtomicU64::new(0),
-            jitter_async_counter: AtomicU64::new(0),
             metrics: PathMetrics::default(),
-            faults: FaultState::new(spec.faults),
+            faults: FaultState::new(FaultPlan::NONE),
         })
     }
 
@@ -236,88 +217,26 @@ impl Path {
         SimDuration::from_micros(self.proxy_delay_us.load(Ordering::Relaxed))
     }
 
-    /// Enables deterministic per-message jitter: each crossing adds a
-    /// pseudo-random `0..=max` on top of the nominal cost, derived from
-    /// `seed` and a message counter (so runs remain exactly reproducible).
-    ///
-    /// The paper's physical testbed had residual noise — its linear fits
-    /// report R² ≈ 0.99, not 1.0; this knob reintroduces that texture when
-    /// wanted. Off (zero) by default.
-    pub fn set_jitter(&self, max: SimDuration, seed: u64) {
-        self.jitter_max_us.store(max.as_micros(), Ordering::Relaxed);
-        self.jitter_seed.store(seed, Ordering::Relaxed);
-    }
-
-    /// The jitter for message index `n` of one stream: splitmix64 over
-    /// `(seed, n)`, reduced to `0..=max`.
-    fn jitter_at(seed: u64, n: u64, max: u64) -> SimDuration {
-        SimDuration::from_micros(splitmix(seed, n) % (max + 1))
-    }
-
-    /// The next *measured* crossing's jitter (consumes one tick of the
-    /// measured stream); zero when jitter is disabled.
-    fn next_jitter(&self) -> SimDuration {
-        let max = self.jitter_max_us.load(Ordering::Relaxed);
-        if max == 0 {
-            return SimDuration::ZERO;
-        }
-        let n = self.jitter_counter.fetch_add(1, Ordering::Relaxed);
-        Path::jitter_at(self.jitter_seed.load(Ordering::Relaxed), n, max)
-    }
-
-    /// The next *asynchronous* crossing's jitter. Async sends consume ticks
-    /// of their own stream (same seed, distinct domain), so the jitter
-    /// sequence observed by measured messages is independent of how many
-    /// invalidation fan-outs interleaved.
-    fn next_async_jitter(&self) -> SimDuration {
-        let max = self.jitter_max_us.load(Ordering::Relaxed);
-        if max == 0 {
-            return SimDuration::ZERO;
-        }
-        let n = self.jitter_async_counter.fetch_add(1, Ordering::Relaxed);
-        let seed = self.jitter_seed.load(Ordering::Relaxed) ^ 0x517C_C1B7_2722_0A95;
-        Path::jitter_at(seed, n, max)
-    }
-
     /// Latency, proxy delay and serialisation of an `n`-byte message one
     /// way across this path, at nominal speed.
     fn nominal_cost(&self, n: usize) -> SimDuration {
-        let latency = self.base_latency_us.load(Ordering::Relaxed)
-            + self.proxy_delay_us.load(Ordering::Relaxed);
-        // `bandwidth` is clamped to ≥ 1 at every write site, but guard the
-        // division anyway: a zero here must saturate, not panic mid-run.
-        let bw = self.bandwidth.load(Ordering::Relaxed).max(1);
-        let transfer_us = (n as u64).saturating_mul(1_000_000) / bw;
+        let latency = self.base_latency_us + self.proxy_delay_us.load(Ordering::Relaxed);
+        let transfer_us = (n as u64).saturating_mul(1_000_000) / self.bandwidth;
         SimDuration::from_micros(latency + transfer_us)
     }
 
     /// The cost of moving an `n`-byte message one way across this path:
     /// latency, proxy delay and serialisation, scaled by the clock's
-    /// [`Resource::Wire`] speed. Jitter is not included; it models ambient
-    /// noise, not link speed, so no crossing scales it.
+    /// [`Resource::Wire`] speed.
     pub fn one_way_cost(&self, n: usize) -> SimDuration {
         self.clock.scaled(Resource::Wire, self.nominal_cost(n))
     }
 
-    /// Charges one measured crossing of `n` bytes to the clock (its jitter
-    /// unscaled, after the scaled cost) and records it.
+    /// Charges one measured crossing of `n` bytes to the clock and records
+    /// it.
     fn cross(&self, n: usize) {
         let cost = self.clock.charge(Resource::Wire, self.nominal_cost(n));
-        let jitter = self.next_jitter();
-        self.clock.delay(jitter);
-        self.metrics.crossing_us.record((cost + jitter).as_micros());
-    }
-
-    /// Changes the usable link bandwidth (Figure 8 sweeps it); zero is
-    /// clamped to 1 byte/s rather than rejected, matching construction.
-    pub fn set_bandwidth(&self, bytes_per_sec: u64) {
-        self.bandwidth
-            .store(bytes_per_sec.max(1), Ordering::Relaxed);
-    }
-
-    /// The current usable link bandwidth in bytes per second.
-    pub fn bandwidth(&self) -> u64 {
-        self.bandwidth.load(Ordering::Relaxed)
+        self.metrics.crossing_us.record(cost.as_micros());
     }
 
     /// Sends an `n`-byte message in the request direction, advancing the
@@ -342,11 +261,11 @@ impl Path {
     /// advancing the caller's clock (used for asynchronous invalidation
     /// fan-out, which is off the measured request path).
     ///
-    /// The crossing still experiences the link: its delivery cost (with a
-    /// jitter tick drawn from the dedicated async stream) is recorded in the
-    /// crossing histogram, but never charged to the sender's clock.
+    /// The crossing still experiences the link: its delivery cost is
+    /// recorded in the crossing histogram, but never charged to the
+    /// sender's clock.
     pub fn request_async(&self, n: usize) {
-        let cost = self.one_way_cost(n) + self.next_async_jitter();
+        let cost = self.one_way_cost(n);
         self.metrics.crossing_us.record(cost.as_micros());
         self.metrics.bytes_to_server.add(n as u64);
         self.metrics.requests.inc();
@@ -454,7 +373,6 @@ mod tests {
         let (clock, path) = test_path(PathSpec {
             base_latency: SimDuration::from_millis(1),
             bandwidth_bytes_per_sec: 1_000_000,
-            faults: FaultPlan::NONE,
         });
         path.request(1_000); // 1ms latency + 1ms transfer
         assert_eq!(clock.now().as_micros(), 2_000);
@@ -465,7 +383,6 @@ mod tests {
         let (clock, path) = test_path(PathSpec {
             base_latency: SimDuration::ZERO,
             bandwidth_bytes_per_sec: 1_000_000_000,
-            faults: FaultPlan::NONE,
         });
         path.set_proxy_delay(SimDuration::from_millis(40));
         path.request(10);
@@ -478,7 +395,6 @@ mod tests {
         let (clock, path) = test_path(PathSpec {
             base_latency: SimDuration::from_millis(1),
             bandwidth_bytes_per_sec: 1_000_000,
-            faults: FaultPlan::NONE,
         });
         path.set_proxy_delay(SimDuration::from_millis(2));
         // Nominal: 1ms latency + 2ms proxy + 1ms transfer = 4ms.
@@ -497,7 +413,6 @@ mod tests {
         let (clock, path) = test_path(PathSpec {
             base_latency: SimDuration::from_micros(333),
             bandwidth_bytes_per_sec: 1_000_000,
-            faults: FaultPlan::NONE,
         });
         clock.set_speedup(Resource::Wire, 4.0);
         path.request(1_000);
@@ -548,47 +463,20 @@ mod tests {
     }
 
     #[test]
-    fn jitter_is_deterministic_and_bounded() {
-        let spec = PathSpec {
-            base_latency: SimDuration::from_millis(1),
-            bandwidth_bytes_per_sec: 1_000_000_000,
-            faults: FaultPlan::NONE,
-        };
-        let run = |seed: u64| {
-            let (clock, path) = test_path(spec);
-            path.set_jitter(SimDuration::from_micros(500), seed);
-            let mut times = Vec::new();
-            for _ in 0..20 {
-                let t0 = clock.now();
-                path.request(100);
-                times.push((clock.now() - t0).as_micros());
-            }
-            times
-        };
-        let a = run(42);
-        let b = run(42);
-        assert_eq!(a, b, "same seed → same jitter sequence");
-        let c = run(43);
-        assert_ne!(a, c, "different seed → different sequence");
-        for t in &a {
-            assert!((1_000..=1_500).contains(t), "crossing {t}µs out of bounds");
-        }
-        // bytes accounting is unaffected by jitter
-        let (_clock, path) = test_path(spec);
-        path.set_jitter(SimDuration::from_micros(500), 1);
-        path.request(100);
-        assert_eq!(path.stats().bytes_to_server, 100);
-    }
-
-    #[test]
-    fn jitter_disabled_by_default() {
+    fn a_crossing_charges_exactly_latency_and_transfer() {
         let (clock, path) = test_path(PathSpec {
             base_latency: SimDuration::from_millis(1),
-            bandwidth_bytes_per_sec: 1_000_000_000,
-            faults: FaultPlan::NONE,
+            bandwidth_bytes_per_sec: 1_000_000,
         });
-        path.request(0);
-        assert_eq!(clock.now().as_micros(), 1_000);
+        for _ in 0..20 {
+            let t0 = clock.now();
+            path.request(100);
+            assert_eq!((clock.now() - t0).as_micros(), 1_100);
+        }
+        path.request_async(100);
+        let crossings = &path.metrics().crossing_us;
+        assert_eq!(crossings.count(), 21);
+        assert_eq!(crossings.sum(), 21 * 1_100, "async crossings cost the same");
     }
 
     #[test]
@@ -596,7 +484,6 @@ mod tests {
         let (_c, path) = test_path(PathSpec {
             base_latency: SimDuration::from_micros(100),
             bandwidth_bytes_per_sec: 1_000_000,
-            faults: FaultPlan::NONE,
         });
         assert_eq!(path.one_way_cost(0).as_micros(), 100);
         assert_eq!(path.one_way_cost(1_000).as_micros(), 1_100);
@@ -604,55 +491,16 @@ mod tests {
 
     #[test]
     fn zero_bandwidth_saturates_instead_of_panicking() {
-        // Regression: `one_way_cost` divides by the bandwidth atomic; a
-        // zero-bandwidth spec (or setter call) must clamp, not divide by 0.
+        // Regression: `one_way_cost` divides by the bandwidth; a
+        // zero-bandwidth spec must clamp at construction, not divide by 0.
         let (clock, path) = test_path(PathSpec {
             base_latency: SimDuration::from_micros(100),
             bandwidth_bytes_per_sec: 0,
-            faults: FaultPlan::NONE,
         });
-        assert_eq!(path.bandwidth(), 1);
         // 1 byte/s: the transfer term dominates but stays finite.
         assert_eq!(path.one_way_cost(3).as_micros(), 100 + 3_000_000);
-        path.set_bandwidth(0);
-        assert_eq!(path.bandwidth(), 1);
         path.request(2); // must not panic
-        assert!(clock.now().as_micros() >= 2_000_000);
-        path.set_bandwidth(1_000_000);
-        assert_eq!(path.one_way_cost(1_000).as_micros(), 100 + 1_000);
-    }
-
-    #[test]
-    fn async_sends_do_not_perturb_measured_jitter() {
-        // Regression: async fan-out draws jitter from its own stream, so the
-        // jitter sequence observed by measured messages is identical no
-        // matter how many async sends interleave.
-        let spec = PathSpec {
-            base_latency: SimDuration::from_millis(1),
-            bandwidth_bytes_per_sec: 1_000_000_000,
-            faults: FaultPlan::NONE,
-        };
-        let run = |async_between: bool| {
-            let (clock, path) = test_path(spec);
-            path.set_jitter(SimDuration::from_micros(500), 7);
-            let mut times = Vec::new();
-            for _ in 0..16 {
-                if async_between {
-                    path.request_async(64);
-                    path.request_async(64);
-                }
-                let t0 = clock.now();
-                path.request(100);
-                path.respond(100);
-                times.push((clock.now() - t0).as_micros());
-            }
-            times
-        };
-        assert_eq!(
-            run(false),
-            run(true),
-            "interleaved async sends must not shift measured jitter"
-        );
+        assert_eq!(clock.now().as_micros(), 100 + 2_000_000);
     }
 
     #[test]
@@ -674,7 +522,6 @@ mod tests {
         let (_clock, path) = test_path(PathSpec {
             base_latency: SimDuration::from_millis(1),
             bandwidth_bytes_per_sec: 1_000_000_000,
-            faults: FaultPlan::NONE,
         });
         path.request(10);
         path.respond(10);
@@ -695,12 +542,12 @@ mod tests {
 
     #[test]
     fn fault_schedule_is_reproducible_and_scriptable() {
-        let spec = PathSpec::lan().with_faults(FaultPlan::lossy(9, 300));
-        let draw = |spec| {
-            let (_c, path) = test_path(spec);
+        let draw = || {
+            let (_c, path) = test_path(PathSpec::lan());
+            path.set_fault_plan(FaultPlan::lossy(9, 300));
             (0..64).map(|_| path.next_fault()).collect::<Vec<_>>()
         };
-        assert_eq!(draw(spec), draw(spec), "same spec → same fault schedule");
+        assert_eq!(draw(), draw(), "same plan → same fault schedule");
 
         let (_c, path) = test_path(PathSpec::lan());
         assert!(path.fault_plan().is_clean());

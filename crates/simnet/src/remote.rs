@@ -558,8 +558,8 @@ mod tests {
     fn faulty_schedule_is_deterministic_end_to_end() {
         let run = || {
             let clock = Arc::new(Clock::new());
-            let spec = PathSpec::local().with_faults(FaultPlan::lossy(77, 400));
-            let path = Path::new("p", Arc::clone(&clock), spec);
+            let path = Path::new("p", Arc::clone(&clock), PathSpec::local());
+            path.set_fault_plan(FaultPlan::lossy(77, 400));
             let remote = Remote::new(path, Echo).with_policy(RetryPolicy {
                 max_attempts: 2,
                 timeout: SimDuration::from_millis(5),

@@ -53,8 +53,8 @@ pub struct Scheduler {
 }
 
 /// splitmix64 over `(seed, n)` — the one counter-based generator behind
-/// schedules, [`FaultPlan::draw`](crate::FaultPlan::draw), path jitter and
-/// `slicheck`'s client programs, so every seeded stream reproduces
+/// schedules, [`FaultPlan::draw`](crate::FaultPlan::draw) and `slicheck`'s
+/// client programs, so every seeded stream reproduces
 /// identically everywhere.
 pub fn splitmix(seed: u64, n: u64) -> u64 {
     let mut z = seed.wrapping_add(n.wrapping_mul(0x9E37_79B9_7F4A_7C15));

@@ -49,8 +49,8 @@ pub enum Resource {
     /// work, page rendering.
     EdgeCpu,
     /// Network crossings — WAN and LAN path latency, serialisation,
-    /// proxy delay — plus, in a profile, the jitter, retry backoff and
-    /// time-outs waited inside network spans, which the clock charges to
+    /// proxy delay — plus, in a profile, the retry backoff and time-outs
+    /// waited inside network spans, which the clock charges to
     /// no resource.
     Wire,
     /// Back-end database work: statement execution plus the transaction

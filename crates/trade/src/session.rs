@@ -52,13 +52,15 @@ impl ActionMix {
     }
 }
 
+/// Inner actions per session, between its login and logout.
+const INNER_ACTIONS: usize = 9;
+
 /// Deterministic (seeded) generator of client sessions.
 #[derive(Debug)]
 pub struct SessionGenerator {
     rng: StdRng,
     pop: Population,
     mix: ActionMix,
-    inner_actions: usize,
 }
 
 impl SessionGenerator {
@@ -69,14 +71,7 @@ impl SessionGenerator {
             rng: StdRng::seed_from_u64(seed),
             pop,
             mix: ActionMix::default(),
-            inner_actions: 9,
         }
-    }
-
-    /// Overrides the inner-action count per session.
-    pub fn with_inner_actions(mut self, n: usize) -> SessionGenerator {
-        self.inner_actions = n;
-        self
     }
 
     /// Overrides the action mix.
@@ -133,9 +128,9 @@ impl SessionGenerator {
     /// Generates one full session: login, the inner mix, logout.
     pub fn session(&mut self) -> Vec<TradeAction> {
         let user = self.random_user();
-        let mut actions = Vec::with_capacity(self.inner_actions + 2);
+        let mut actions = Vec::with_capacity(INNER_ACTIONS + 2);
         actions.push(TradeAction::Login { user: user.clone() });
-        for _ in 0..self.inner_actions {
+        for _ in 0..INNER_ACTIONS {
             actions.push(self.inner_action(&user));
         }
         actions.push(TradeAction::Logout { user });
@@ -199,7 +194,7 @@ mod tests {
     }
 
     #[test]
-    fn custom_length_and_mix() {
+    fn custom_mix() {
         let mix = ActionMix {
             quote: 1,
             home: 0,
@@ -209,12 +204,10 @@ mod tests {
             buy: 0,
             sell: 0,
         };
-        let mut g = SessionGenerator::new(1, Population::default())
-            .with_inner_actions(3)
-            .with_mix(mix);
+        let mut g = SessionGenerator::new(1, Population::default()).with_mix(mix);
         let s = g.session();
-        assert_eq!(s.len(), 5);
-        assert!(s[1..4]
+        assert_eq!(s.len(), 11);
+        assert!(s[1..10]
             .iter()
             .all(|a| matches!(a, TradeAction::Quote { .. })));
     }

@@ -498,7 +498,7 @@ fn exported_documents() -> Vec<(Schema, Json)> {
     // The seeded lost-update bug gives the checker a violation to report.
     let mut slicheck = SliCheckConfig::new(arch_by_key("clients-ras-cached").expect("key"), 1);
     slicheck.inject_bug = true;
-    (slicheck.clients, slicheck.txns_per_client) = (2, 1);
+    slicheck.clients = 2;
     let found = (1..=64)
         .find_map(|seed| {
             slicheck.seed = seed;

@@ -231,8 +231,8 @@ fn seeded_fault_plan_gives_identical_schedules() {
         let db = seeded_db();
         let clock = Arc::new(Clock::new());
         let backend = BackendServer::new(Box::new(db.connect()), registry(), Arc::clone(&clock));
-        let spec = PathSpec::lan().with_faults(FaultPlan::lossy(seed, 250));
-        let path = Path::new("edge-backend", Arc::clone(&clock), spec);
+        let path = Path::new("edge-backend", Arc::clone(&clock), PathSpec::lan());
+        path.set_fault_plan(FaultPlan::lossy(seed, 250));
         let (edge, _store) = split_edge(&backend, &path, RetryPolicy::default());
         let mut failures = 0u32;
         for _ in 0..10 {
